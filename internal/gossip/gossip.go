@@ -7,9 +7,11 @@ package gossip
 
 import (
 	"fmt"
+	"time"
 
 	"sapspsgd/internal/graph"
 	"sapspsgd/internal/netsim"
+	"sapspsgd/internal/obs"
 	"sapspsgd/internal/rng"
 	"sapspsgd/internal/tensor"
 )
@@ -60,8 +62,9 @@ type edgeStamp struct {
 // environment, maintaining the timestamp matrix R across rounds. It is the
 // coordinator-side state of Algorithm 3.
 //
-// The implementation is fully sparse — O(E + N) per round and O(N·TThres)
-// state, never O(N²) — so it plans for 50k-node fleets in seconds. The
+// The implementation is fully sparse — O(E + N) per round plus the matching
+// (near-linear in E on the planner's sparse graphs, see graph.Matcher) and
+// O(N·TThres) state, never O(N²) — so it plans for 50k-node fleets. The
 // timestamp matrix lives as an edge-keyed map whose entries expire once they
 // leave the TThres recency window, the RC graph is maintained incrementally
 // as edges are stamped and expired, and candidate edges stream out of the
@@ -89,13 +92,20 @@ type Generator struct {
 	lastT    int         // most recent round generated
 
 	// Per-round scratch, reused across rounds so steady-state planning
-	// allocates only what the matching itself needs.
+	// allocates only the matching it returns.
 	candidate []graph.WeightedEdge
 	extra     []graph.WeightedEdge
 	seen      []bool
 	stack     []int32
 	compOf    []int32
+	matcher   graph.Matcher
+	rnd       rng.Source
+
+	pm obs.PlannerMetrics
 }
+
+// rcPrealloc caps the RC adjacency entries preallocated per worker.
+const rcPrealloc = 16
 
 // NewGenerator returns a Generator over the environment bw. The seed drives
 // the RandomlyMaxMatch randomization; generators constructed with equal
@@ -105,16 +115,27 @@ func NewGenerator(bw *netsim.Bandwidth, cfg Config, seed uint64) *Generator {
 		panic(fmt.Sprintf("gossip: TThres %d < 1", cfg.TThres))
 	}
 	n := bw.N
+	// A worker gains at most one RC edge per round and keeps it TThres
+	// rounds, so windows of TThres entries carved from one slab never grow;
+	// the cap bounds the slab for very long recency windows, whose lists
+	// then grow by append like any slice.
+	per := min(cfg.TThres, rcPrealloc)
+	slab := make([]int32, n*per)
+	rcAdj := make([][]int32, n)
+	for v := range rcAdj {
+		rcAdj[v] = slab[v*per : v*per : (v+1)*per]
+	}
 	return &Generator{
 		bw:       bw,
 		cfg:      cfg,
 		seed:     seed,
 		n:        n,
 		lastUsed: make(map[uint64]int),
-		rcAdj:    make([][]int32, n),
+		rcAdj:    rcAdj,
 		lastT:    -1,
 		seen:     make([]bool, n),
 		compOf:   make([]int32, n),
+		pm:       obs.Current().PlannerM(),
 	}
 }
 
@@ -264,9 +285,14 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 	if t < g.lastT {
 		panic(fmt.Sprintf("gossip: rounds must be non-decreasing (round %d after %d)", t, g.lastT))
 	}
+	var start time.Time
+	if g.pm.Enabled() {
+		start = time.Now()
+	}
 	g.lastT = t
 	g.expire(t)
-	rnd := rng.New(g.seed).Derive(uint64(t) + 0x90551b)
+	rnd := &g.rnd
+	rnd.Reseed(g.seed, uint64(t)+0x90551b)
 	isActive := func(i int) bool { return active == nil || active[i] }
 
 	connected := g.rcConnected(t, active)
@@ -293,7 +319,7 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 	g.candidate = candidate
 
 	// Line 5: bandwidth-preferring maximum match on the candidate edges.
-	match := graph.BandwidthAwareMaximumMatching(n, candidate, rnd)
+	match, free := g.maxMatch(candidate, rnd)
 
 	// Lines 6–8: complete the matching over still-unmatched active workers
 	// using the unfiltered bandwidth matrix.
@@ -305,11 +331,15 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 			}
 		})
 		g.extra = extra
-		second := graph.BandwidthAwareMaximumMatching(n, extra, rnd)
-		for v, p := range second {
-			if p > v && match[v] == -1 && match[p] == -1 {
-				match[v] = p
-				match[p] = v
+		// Without a link between two leftover workers there is nothing to
+		// complete (rnd is per-round, so skipping its draws changes nothing).
+		if len(extra) > 0 {
+			second, _ := g.maxMatch(extra, rnd)
+			for v, p := range second {
+				if p > v && match[v] == -1 && match[p] == -1 {
+					match[v] = p
+					match[p] = v
+				}
 			}
 		}
 	}
@@ -321,7 +351,39 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 		}
 	}
 
+	if g.pm.Enabled() {
+		g.pm.PlanSeconds.Observe(time.Since(start).Seconds())
+		g.pm.FreeAfterGreedy.Set(int64(free))
+		g.pm.MatchedPairs.Set(int64(match.Size()))
+		if forced {
+			g.pm.ForcedRoundsTotal.Inc()
+		}
+	}
 	return Round{Match: match, Forced: forced}
+}
+
+// maxMatch is graph.BandwidthAwareMaximumMatching on the generator's
+// workspace, split into its steps so the metrics can time them. It also
+// returns how many vertices the greedy seed left free (0 with metrics off).
+func (g *Generator) maxMatch(edges []graph.WeightedEdge, rnd *rng.Source) (graph.Matching, int) {
+	timed := g.pm.Enabled()
+	var t0, t1 time.Time
+	g.matcher.Load(g.n, edges)
+	if timed {
+		t0 = time.Now()
+	}
+	match := g.matcher.GreedyWeightedMatching(g.n, edges, rnd)
+	free := 0
+	if timed {
+		t1 = time.Now()
+		free = g.n - 2*match.Size()
+	}
+	g.matcher.Augment(match, rnd)
+	if timed {
+		g.pm.GreedySecondsTotal.Add(t1.Sub(t0).Seconds())
+		g.pm.AugmentSecondsTotal.Add(time.Since(t1).Seconds())
+	}
+	return match, free
 }
 
 // LastUsed exposes R[i][j] (for tests and diagnostics). Unlike the dense

@@ -1,0 +1,58 @@
+package gossip
+
+import (
+	"slices"
+	"testing"
+
+	"sapspsgd/internal/netsim"
+	"sapspsgd/internal/obs"
+	"sapspsgd/internal/rng"
+)
+
+// TestPlannerMetricsObserveWithoutPerturbing runs one generator with the
+// metrics sink on beside one with it off: the matchings must stay identical
+// round for round, and the planner family must report what happened.
+func TestPlannerMetricsObserveWithoutPerturbing(t *testing.T) {
+	bw := netsim.SparseRandomUniform(256, 6, 0.5, 5, rng.New(5))
+	cfg := Config{BThres: 4.5, TThres: 3} // mixes connected and forced rounds
+	plain := NewGenerator(bw, cfg, 9)
+
+	m := obs.New()
+	obs.Enable(m)
+	defer obs.Disable()
+	timed := NewGenerator(bw, cfg, 9)
+
+	const rounds = 30
+	forced, pairs := 0, 0
+	for round := 0; round < rounds; round++ {
+		want, got := plain.Next(round), timed.Next(round)
+		if want.Forced != got.Forced || !slices.Equal(want.Match, got.Match) {
+			t.Fatalf("round %d: matching changed with metrics on", round)
+		}
+		if got.Forced {
+			forced++
+		}
+		pairs = got.Match.Size()
+	}
+	if forced == 0 || forced == rounds {
+		t.Fatalf("%d of %d rounds forced — the config should mix both kinds", forced, rounds)
+	}
+	p := m.Planner
+	if got := p.PlanSeconds.Count(); got != rounds {
+		t.Fatalf("plan_seconds observed %d rounds, want %d", got, rounds)
+	}
+	if got := p.ForcedRoundsTotal.Value(); got != int64(forced) {
+		t.Fatalf("forced_rounds_total = %d, want %d", got, forced)
+	}
+	if got := p.MatchedPairs.Value(); got != int64(pairs) {
+		t.Fatalf("matched_pairs = %d, want %d", got, pairs)
+	}
+	if free := p.FreeAfterGreedy.Value(); free < 0 || free > 256 {
+		t.Fatalf("free_after_greedy = %d, outside 0..256", free)
+	}
+	if p.GreedySecondsTotal.Value() <= 0 || p.AugmentSecondsTotal.Value() <= 0 ||
+		p.GreedySecondsTotal.Value()+p.AugmentSecondsTotal.Value() > p.PlanSeconds.Sum() {
+		t.Fatalf("greedy %v s + augment %v s should be positive parts of plan %v s",
+			p.GreedySecondsTotal.Value(), p.AugmentSecondsTotal.Value(), p.PlanSeconds.Sum())
+	}
+}

@@ -36,10 +36,19 @@ func New(n int) *Graph {
 // the large-N planner path. Neighbors appear in exactly the order repeated
 // AddEdge calls would have produced: edge-list order.
 func NewFromEdges(n int, edges []WeightedEdge) *Graph {
+	adj, _, _ := adjacencyFromEdges(n, edges, nil, nil, nil)
+	return &Graph{N: n, adj: adj}
+}
+
+// adjacencyFromEdges is NewFromEdges's two passes over reusable storage:
+// the adjacency headers, the degree/offset scratch and the backing array all
+// lists alias. It returns all three (regrown if they were too small).
+func adjacencyFromEdges(n int, edges []WeightedEdge, adj [][]int, deg, backing []int) ([][]int, []int, []int) {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	deg := make([]int, n+1)
+	deg = resize(deg, n+1)
+	clear(deg)
 	for _, e := range edges {
 		if e.U == e.V || e.U < 0 || e.V < 0 || e.U >= n || e.V >= n {
 			panic(fmt.Sprintf("graph: bad edge (%d,%d) over %d vertices", e.U, e.V, n))
@@ -50,16 +59,16 @@ func NewFromEdges(n int, edges []WeightedEdge) *Graph {
 	for i := 0; i < n; i++ {
 		deg[i+1] += deg[i]
 	}
-	backing := make([]int, 2*len(edges))
-	g := &Graph{N: n, adj: make([][]int, n)}
+	backing = resize(backing, 2*len(edges))
+	adj = resize(adj, n)
 	for v := 0; v < n; v++ {
-		g.adj[v] = backing[deg[v]:deg[v]:deg[v+1]]
+		adj[v] = backing[deg[v]:deg[v]:deg[v+1]]
 	}
 	for _, e := range edges {
-		g.adj[e.U] = append(g.adj[e.U], e.V)
-		g.adj[e.V] = append(g.adj[e.V], e.U)
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
 	}
-	return g
+	return adj, deg, backing
 }
 
 // AddEdge inserts the undirected edge (u, v). Self-loops and duplicate edges

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"sort"
 
 	"sapspsgd/internal/rng"
 )
@@ -30,43 +29,7 @@ type WeightedEdge struct {
 //  2. each edge is skipped with small probability on the first pass
 //     (reconsidered afterwards, so the seed matching stays maximal).
 func GreedyWeightedMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
-	sorted := make([]WeightedEdge, len(edges))
-	copy(sorted, edges)
-	if rnd != nil {
-		rnd.Shuffle(len(sorted), func(i, j int) { sorted[i], sorted[j] = sorted[j], sorted[i] })
-		sort.SliceStable(sorted, func(i, j int) bool {
-			return weightBucket(sorted[i].Weight) > weightBucket(sorted[j].Weight)
-		})
-	} else {
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Weight > sorted[j].Weight })
-	}
-
-	m := make(Matching, n)
-	for i := range m {
-		m[i] = -1
-	}
-	const skipProb = 0.1
-	var skipped []WeightedEdge
-	take := func(e WeightedEdge) {
-		if e.U == e.V || e.U < 0 || e.V < 0 || e.U >= n || e.V >= n {
-			return
-		}
-		if m[e.U] == -1 && m[e.V] == -1 {
-			m[e.U] = e.V
-			m[e.V] = e.U
-		}
-	}
-	for _, e := range sorted {
-		if rnd != nil && rnd.Float64() < skipProb {
-			skipped = append(skipped, e)
-			continue
-		}
-		take(e)
-	}
-	for _, e := range skipped {
-		take(e)
-	}
-	return m
+	return new(Matcher).GreedyWeightedMatching(n, edges, rnd)
 }
 
 // weightBucket maps a weight onto a coarse logarithmic scale (~25% bands):
@@ -76,8 +39,11 @@ func weightBucket(w float64) int {
 	if w <= 0 {
 		return math.MinInt32
 	}
-	return int(math.Floor(math.Log(w) / math.Log(1.25)))
+	return int(math.Floor(math.Log(w) / logBand))
 }
+
+// logBand is the width of one weight bucket on the log scale.
+var logBand = math.Log(1.25)
 
 // BandwidthAwareMaximumMatching computes a maximum cardinality matching that
 // prefers high-weight edges: a greedy weighted matching seeds the solution,
@@ -87,9 +53,11 @@ func weightBucket(w float64) int {
 // The candidate list must be duplicate-free (every caller enumerates each
 // link once), which lets the graph build map-free in O(E).
 func BandwidthAwareMaximumMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
-	g := NewFromEdges(n, edges)
-	seed := GreedyWeightedMatching(n, edges, rnd)
-	return AugmentToMaximum(g, seed, rnd)
+	var m Matcher
+	m.Load(n, edges)
+	match := m.GreedyWeightedMatching(n, edges, rnd)
+	m.Augment(match, rnd)
+	return match
 }
 
 // MatchingWeight sums the weights of matched pairs under the weight lookup.

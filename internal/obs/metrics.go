@@ -88,11 +88,37 @@ type CampaignMetrics struct {
 	CellsFailedTotal *Counter
 }
 
+// PlannerMetrics is the Algorithm-3 planner slice of the catalog (zero
+// value = disabled sink): what one gossip.Generator round cost and what
+// it produced.
+type PlannerMetrics struct {
+	// PlanSeconds observes wall-clock seconds per planning round.
+	PlanSeconds *Histogram
+	// GreedySecondsTotal accumulates seconds spent in the greedy
+	// bandwidth-preferring seed matching.
+	GreedySecondsTotal *FloatCounter
+	// AugmentSecondsTotal accumulates seconds spent completing the seed
+	// to maximum cardinality (blossom augmentation).
+	AugmentSecondsTotal *FloatCounter
+	// FreeAfterGreedy gauges the vertices the last round's greedy seed
+	// left unmatched — the number of blossom searches it had to run.
+	FreeAfterGreedy *Gauge
+	// MatchedPairs gauges the pairs in the last round's matching.
+	MatchedPairs *Gauge
+	// ForcedRoundsTotal counts rounds that had to inject
+	// connectivity-restoring edges.
+	ForcedRoundsTotal *Counter
+}
+
+// Enabled reports whether this bundle carries live metrics; the planner
+// guards its time.Now calls behind it.
+func (p PlannerMetrics) Enabled() bool { return p.PlanSeconds != nil }
+
 // Metrics bundles the full catalog plus the registry that exposes it
 // and the run tracker behind /runs. A single New() carries every
 // subsystem's families, so any binary's /metrics includes engine,
-// transport, netsim and campaign metrics regardless of which layers the
-// process exercises.
+// transport, netsim, campaign and planner metrics regardless of which
+// layers the process exercises.
 type Metrics struct {
 	// Registry renders the catalog (plus RunsActive) as Prometheus text
 	// or JSON.
@@ -107,6 +133,8 @@ type Metrics struct {
 	Netsim NetsimMetrics
 	// Campaign holds the campaign-runner metrics.
 	Campaign CampaignMetrics
+	// Planner holds the Algorithm-3 planner metrics.
+	Planner PlannerMetrics
 }
 
 // New builds a Metrics bundle with the full catalog registered in a
@@ -142,6 +170,14 @@ func New() *Metrics {
 		CellsResumedTotal: NewCounter(Prefix+"campaign_cells_resumed_total", "Campaign cells skipped by journal resume."),
 		CellsFailedTotal:  NewCounter(Prefix+"campaign_cells_failed_total", "Campaign cells that failed."),
 	}
+	m.Planner = PlannerMetrics{
+		PlanSeconds:         NewHistogram(Prefix+"planner_plan_seconds", "Wall-clock seconds per Algorithm-3 planning round.", secondsBuckets...),
+		GreedySecondsTotal:  NewFloatCounter(Prefix+"planner_greedy_seconds_total", "Seconds spent in the greedy seed matching."),
+		AugmentSecondsTotal: NewFloatCounter(Prefix+"planner_augment_seconds_total", "Seconds spent in blossom augmentation."),
+		FreeAfterGreedy:     NewGauge(Prefix+"planner_free_after_greedy", "Vertices the last round's greedy seed left unmatched."),
+		MatchedPairs:        NewGauge(Prefix+"planner_matched_pairs", "Pairs in the last round's matching."),
+		ForcedRoundsTotal:   NewCounter(Prefix+"planner_forced_rounds_total", "Rounds that injected connectivity-restoring edges."),
+	}
 	m.Registry.MustRegister(
 		m.Engine.RoundsTotal, m.Engine.RoundSeconds, m.Engine.PhaseSeconds,
 		m.Engine.RendezvousWaitSeconds, m.Engine.CodecEncodeSeconds, m.Engine.CodecDecodeSeconds,
@@ -151,6 +187,8 @@ func New() *Metrics {
 		m.Netsim.VirtualSeconds, m.Netsim.EventQueueDepth, m.Netsim.EventsTotal,
 		m.Campaign.CellsPlanned, m.Campaign.CellsRunning, m.Campaign.CellsDoneTotal,
 		m.Campaign.CellsResumedTotal, m.Campaign.CellsFailedTotal,
+		m.Planner.PlanSeconds, m.Planner.GreedySecondsTotal, m.Planner.AugmentSecondsTotal,
+		m.Planner.FreeAfterGreedy, m.Planner.MatchedPairs, m.Planner.ForcedRoundsTotal,
 		m.Runs.active,
 	)
 	return m
@@ -207,6 +245,15 @@ func (m *Metrics) CampaignM() CampaignMetrics {
 		return CampaignMetrics{}
 	}
 	return m.Campaign
+}
+
+// PlannerM returns m's planner bundle (disabled zero bundle when m is
+// nil).
+func (m *Metrics) PlannerM() PlannerMetrics {
+	if m == nil {
+		return PlannerMetrics{}
+	}
+	return m.Planner
 }
 
 // RunsM returns m's run tracker, or nil when m is nil. RunTracker

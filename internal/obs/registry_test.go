@@ -65,6 +65,14 @@ func TestNilSinkNoOps(t *testing.T) {
 	m.TransportM().RejoinsTotal.Inc()
 	m.NetsimM().VirtualSeconds.Set(1)
 	m.CampaignM().CellsRunning.Inc()
+	pm := m.PlannerM()
+	if pm.Enabled() {
+		t.Fatal("nil Metrics yielded an enabled planner bundle")
+	}
+	pm.PlanSeconds.Observe(0.5)
+	pm.GreedySecondsTotal.Add(0.1)
+	pm.FreeAfterGreedy.Set(3)
+	pm.ForcedRoundsTotal.Inc()
 	m.RunsM().Start("x", "saps", 1, 1).SetRound(1)
 }
 
@@ -145,9 +153,16 @@ func TestGoldenExposition(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "exposition.golden")
+	checkGolden(t, "exposition.golden", buf.Bytes())
+}
+
+// checkGolden byte-compares got against testdata/name (rewriting it first
+// under -update).
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,9 +170,31 @@ func TestGoldenExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("exposition drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("exposition drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
+}
+
+// TestPlannerGoldenExposition pins the planner family's scrape — names,
+// help, types and bucket layout — as the catalog registers it.
+func TestPlannerGoldenExposition(t *testing.T) {
+	p := New().Planner
+	r := NewRegistry()
+	r.MustRegister(p.PlanSeconds, p.GreedySecondsTotal, p.AugmentSecondsTotal,
+		p.FreeAfterGreedy, p.MatchedPairs, p.ForcedRoundsTotal)
+	for _, v := range []float64{0.004, 0.011, 0.3} {
+		p.PlanSeconds.Observe(v)
+	}
+	p.GreedySecondsTotal.Add(0.125)
+	p.AugmentSecondsTotal.Add(0.0625)
+	p.FreeAfterGreedy.Set(1120)
+	p.MatchedPairs.Set(4999)
+	p.ForcedRoundsTotal.Add(4)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "planner.golden", buf.Bytes())
 }
 
 // TestWriteJSON checks the snapshot endpoint decodes and carries the
