@@ -88,7 +88,7 @@ func (s *SAPSChurn) Name() string { return "SAPS-PSGD(churn)" }
 // Models implements Algorithm.
 func (s *SAPSChurn) Models() []*nn.Model { return s.fleet.Models }
 
-// Close releases the engine's worker pool.
+// Close releases the engine's executors.
 func (s *SAPSChurn) Close() { s.eng.Close() }
 
 // step churn: flip availability, then enforce MinActive by recalling the

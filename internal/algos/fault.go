@@ -257,7 +257,7 @@ func (s *SAPSFaults) Name() string { return "SAPS-PSGD(faults)" }
 // Models implements Algorithm.
 func (s *SAPSFaults) Models() []*nn.Model { return s.fleet.Models }
 
-// Close releases the engine's worker pool.
+// Close releases the engine's executors.
 func (s *SAPSFaults) Close() { s.eng.Close() }
 
 // Plan implements engine.Planner: advance the fault process, then run

@@ -47,10 +47,10 @@ type FleetConfig struct {
 	LR      float64
 	Batch   int
 	Seed    uint64
-	// RuntimeShards selects the engine's sharded phased runtime (see
-	// engine.Options.Shards): ranks are partitioned into this many
-	// serially-executed shards running concurrently, with bit-identical
-	// trajectories at any shard count. 0 keeps the goroutine-per-node pool.
+	// RuntimeShards is the engine's shard count (see engine.Options.Shards):
+	// ranks are partitioned into this many serially-executed shards running
+	// concurrently, with bit-identical trajectories at any shard count.
+	// 0 = one shard per CPU.
 	RuntimeShards int
 }
 
@@ -185,7 +185,7 @@ func (a *engineAlgo) Name() string { return a.name }
 // Models implements Algorithm.
 func (a *engineAlgo) Models() []*nn.Model { return a.models }
 
-// Close releases the engine's node pool (also reclaimed automatically when
+// Close releases the engine's executors (also reclaimed automatically when
 // the algorithm becomes unreachable).
 func (a *engineAlgo) Close() { a.eng.Close() }
 

@@ -62,7 +62,7 @@ func (s *SAPS) Name() string { return "SAPS-PSGD" }
 // Models implements Algorithm.
 func (s *SAPS) Models() []*nn.Model { return s.fleet.Models }
 
-// Close releases the engine's worker pool (also reclaimed automatically when
+// Close releases the engine's executors (also reclaimed automatically when
 // the algorithm becomes unreachable).
 func (s *SAPS) Close() { s.eng.Close() }
 
@@ -133,7 +133,7 @@ func (rc *RandomChoose) Name() string { return "RandomChoose" }
 // Models implements Algorithm.
 func (rc *RandomChoose) Models() []*nn.Model { return rc.fleet.Models }
 
-// Close releases the engine's worker pool.
+// Close releases the engine's executors.
 func (rc *RandomChoose) Close() { rc.eng.Close() }
 
 // Step implements Algorithm.

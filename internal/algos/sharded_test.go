@@ -1,8 +1,9 @@
 // Sharded-runtime determinism: every baseline, executed on the engine's
 // phased sharded runtime at any shard count, must be bit-identical in model
 // trajectory and byte-identical in ledger traffic to the serial reference
-// (the goroutine-per-node pool, RuntimeShards == 0). Run with -race to
-// exercise the shard executors' memory ordering (the CI workflow does).
+// (RuntimeShards == 1; golden_test.go pins that reference to the recorded
+// trajectories of the deleted blocking pool). Run with -race to exercise the
+// shard executors' memory ordering (the CI workflow does).
 package algos
 
 import (
@@ -75,7 +76,7 @@ func assertSameRun(t *testing.T, label string, n int,
 }
 
 // TestShardedEquivalenceAllBaselines sweeps every baseline across shard
-// counts 1, 4, and NumCPU and checks each against the serial pool.
+// counts 1, 4, and NumCPU and checks each against the serial run.
 func TestShardedEquivalenceAllBaselines(t *testing.T) {
 	const n, rounds = 8, 4
 	for _, b := range allBaselineBuilders(n) {
@@ -83,6 +84,7 @@ func TestShardedEquivalenceAllBaselines(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			t.Parallel()
 			fcRef, bw, _ := testSetup(t, n)
+			fcRef.RuntimeShards = 1
 			refTraj, refLed := runTrajectory(b.build(fcRef, bw), rounds)
 			for _, shards := range shardSweep() {
 				fc, _, _ := testSetup(t, n)
@@ -101,6 +103,7 @@ func TestShardedEquivalenceAllBaselines(t *testing.T) {
 func TestShardedEquivalenceNonPowerOfTwoCollective(t *testing.T) {
 	const n, rounds = 6, 4
 	fcRef, _, _ := testSetup(t, n)
+	fcRef.RuntimeShards = 1
 	refTraj, refLed := runTrajectory(NewPSGD(fcRef), rounds)
 	for _, shards := range shardSweep() {
 		fc, _, _ := testSetup(t, n)
@@ -112,11 +115,12 @@ func TestShardedEquivalenceNonPowerOfTwoCollective(t *testing.T) {
 
 // TestShardedEquivalenceChurn drives dynamic membership (inactive ranks
 // skipped by the shard executors) through the sweep: SAPS under leave/rejoin
-// churn must stay bit-identical to the serial pool at every shard count.
+// churn must stay bit-identical to the serial run at every shard count.
 func TestShardedEquivalenceChurn(t *testing.T) {
 	const n, rounds = 8, 6
 	churn := ChurnModel{LeaveProb: 0.3, JoinProb: 0.5, MinActive: 2}
 	fcRef, bw, _ := testSetup(t, n)
+	fcRef.RuntimeShards = 1
 	refTraj, refLed := runTrajectory(NewSAPSChurn(fcRef, bw, sapsConfig(n), churn), rounds)
 	for _, shards := range shardSweep() {
 		fc, _, _ := testSetup(t, n)
@@ -131,6 +135,7 @@ func TestShardedEquivalenceChurn(t *testing.T) {
 func TestShardedShardCountClamp(t *testing.T) {
 	const n, rounds = 4, 3
 	fcRef, bw, _ := testSetup(t, n)
+	fcRef.RuntimeShards = 1
 	refTraj, refLed := runTrajectory(NewSAPS(fcRef, bw, sapsConfig(n)), rounds)
 	fc, _, _ := testSetup(t, n)
 	fc.RuntimeShards = 64

@@ -69,7 +69,7 @@ func (s *SAPSTrace) Name() string { return "SAPS-PSGD(trace)" }
 // Models implements Algorithm.
 func (s *SAPSTrace) Models() []*nn.Model { return s.fleet.Models }
 
-// Close releases the engine's worker pool.
+// Close releases the engine's executors.
 func (s *SAPSTrace) Close() { s.eng.Close() }
 
 // Plan implements engine.Planner: evaluate the replayed membership (and the

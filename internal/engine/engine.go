@@ -23,9 +23,9 @@
 //
 // Three backends run the identical round logic:
 //
-//   - memtransport: in-process rendezvous, zero-time CountingLedger — the
+//   - memtransport: in-process per-pair FIFOs, zero-time CountingLedger — the
 //     pure-algorithm backend behind the internal/algos simulations;
-//   - simtransport: the same rendezvous charged against a netsim bandwidth
+//   - simtransport: the same FIFOs charged against a netsim bandwidth
 //     matrix (*netsim.Ledger satisfies Ledger), reproducing the paper's
 //     byte- and second-accurate simulation;
 //   - internal/transport: real TCP — WorkerClient runs WorkerRound over gob
@@ -41,24 +41,32 @@ import (
 	"sapspsgd/internal/core"
 )
 
-// Transport is a node's handle to the data plane: Exchange swaps one
-// payload with one peer and returns the peer's payload. Both endpoints of an
-// exchanging pair call Exchange with each other exactly once per meeting; a
-// pattern may meet the same pair several times per round (the exchanges pair
-// up in FIFO order per direction), and a one-way transfer passes nil as its
-// payload. Implementations must support concurrent calls from distinct
-// nodes. The payload slice is borrowed by the transport (and, in-process, by
-// the peer) until the round barrier, so callers must not mutate it until the
-// round completes.
+// Transport is a rank's handle to the one-way data plane. In both methods
+// self is the calling rank — the sender in Send, the receiver in Recv — and
+// peer is the other end.
 //
-// Liveness contract for custom backends: when one endpoint's Exchange fails,
-// the peer's Exchange must also return (with a payload or an error) rather
-// than block forever — the engine's round barrier waits for every node. TCP
-// satisfies this naturally (a dead endpoint breaks the peer's connection);
-// the in-process hub cannot fail between valid peers, and patterns reject
-// malformed plans before dispatch.
+// Send deposits payload for peer and returns without waiting for anything in
+// return: both ends of a pair Send before either Recvs, so a Send that
+// blocked on the receiver reaching its Recv would deadlock. Recv blocks until
+// the matching deposit from peer arrives. Deposits of one directed pair are
+// consumed in the order they were sent: the in-process hub is a FIFO per
+// directed pair, and a network backend whose frames can overtake each other
+// numbers them per (round, sender→receiver) and matches on that number, not
+// on arrival order. A zero-length payload is a deposit like any other.
+// Implementations must support concurrent calls from distinct ranks.
+//
+// Send must not retain payload after it returns: the sender may rewrite the
+// buffer as soon as its next phase. A socket satisfies that by construction.
+// memtransport does not — it hands the slice to the receiver by reference —
+// and is sound only under the sharded runtime, whose barriers keep the
+// buffer unwritten until the receiver has consumed it (PhaseFuser).
+//
+// Liveness contract for custom backends: when a peer dies or the round is
+// cancelled, a blocked Recv must return an error rather than wait forever —
+// the round barrier waits for every rank.
 type Transport interface {
-	Exchange(round, self, peer int, payload []float64) ([]float64, error)
+	Send(round, self, peer int, payload []float64) error
+	Recv(round, self, peer int) ([]float64, error)
 }
 
 // Ledger is the engine's clock and traffic account. *netsim.Ledger satisfies
@@ -109,7 +117,7 @@ type ControlReport struct {
 }
 
 // Control is the coordinator's channel to its nodes: RunRound delivers the
-// plan to every node, executes the pattern's round on each, and blocks until
+// plan to every node, executes the pattern's phases on each, and blocks until
 // all complete (the synchronous round barrier of Algorithm 1 line 7).
 type Control interface {
 	RunRound(plan core.RoundPlan) (ControlReport, error)
@@ -136,7 +144,7 @@ type RoundStats struct {
 // traffic, using only each sender's own measurement (both endpoints compute
 // WireBytes over the same words, so the receiver's number is redundant).
 // reports is rank-indexed; entries for absent nodes are zero values. The
-// returned slice is freshly allocated; the in-process runtimes use a pooled
+// returned slice is freshly allocated; the in-process runtime uses a pooled
 // flowAgg instead so steady-state rounds do not allocate.
 func AggregateFlows(reports []NodeReport) []PairTraffic {
 	var agg flowAgg
@@ -144,9 +152,9 @@ func AggregateFlows(reports []NodeReport) []PairTraffic {
 }
 
 // flowAgg is the reusable flow aggregator behind AggregateFlows and the
-// in-process runtimes' per-round reports: the pair index map and the output
+// in-process runtime's per-round reports: the pair index map and the output
 // slice persist across rounds, so a steady-state aggregate performs no heap
-// allocations. Not safe for concurrent use; each runtime owns one.
+// allocations. Not safe for concurrent use.
 type flowAgg struct {
 	idx   map[uint64]int
 	pairs []PairTraffic

@@ -1,15 +1,13 @@
 // Engine tests: backend equivalence (the same SAPS config must produce
 // bit-identical model trajectories and identical per-round traffic totals
 // over the in-memory, simulated-bandwidth, and TCP backends) plus regression
-// coverage for the concurrent exchange pool, the rendezvous hub, the gate,
-// and the counting ledger. Run with -race to exercise the pool's memory
-// ordering (the CI workflow does).
+// coverage for the in-process hub and the counting ledger. Run with -race to
+// exercise the hub's payload hand-over ordering (the CI workflow does).
 package engine_test
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sapspsgd/internal/core"
@@ -183,35 +181,6 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentExchangePool floods a bounded pool with many more
-// workers than compute slots: the gate must bound CPU concurrency while the
-// rendezvous exchanges proceed deadlock-free. Run with -race this is the
-// pool's memory-ordering regression test.
-func TestEngineConcurrentExchangePool(t *testing.T) {
-	const n, rounds = 16, 6
-	spec := testSpec(rounds)
-	workers := buildWorkers(t, spec, n)
-	eng := engine.New(engine.Options{
-		Workers:     workers,
-		Planner:     core.NewCoordinator(testEnv(n), coreConfig(spec, n)),
-		MaxParallel: 2, // far fewer slots than workers: exchanges must not hold them
-	})
-	defer eng.Close()
-	led := &engine.CountingLedger{}
-	for round := 0; round < rounds; round++ {
-		stats, err := eng.Step(round, led)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if stats.PayloadLen == 0 {
-			t.Fatalf("round %d: no payload exchanged", round)
-		}
-	}
-	if led.TotalBytes() == 0 {
-		t.Fatal("no traffic accounted")
-	}
-}
-
 // TestEngineHonorsActiveSet checks the dynamic-membership path: inactive
 // workers neither train nor exchange, and the loss averages over the
 // participants only.
@@ -250,8 +219,9 @@ func TestEngineHonorsActiveSet(t *testing.T) {
 	}
 }
 
-// TestHubRendezvous hammers the rendezvous from many concurrent pairs over
-// many rounds; with -race this validates the payload hand-over ordering.
+// TestHubRendezvous hammers the hub from many concurrent pairs over many
+// rounds, both ends of a pair sending before either receives; with -race this
+// validates the payload hand-over ordering.
 func TestHubRendezvous(t *testing.T) {
 	const n, rounds = 8, 50
 	hub := memtransport.NewHub(n)
@@ -263,8 +233,11 @@ func TestHubRendezvous(t *testing.T) {
 			defer wg.Done()
 			peer := self ^ 1 // pair (0,1), (2,3), ...
 			for r := 0; r < rounds; r++ {
-				payload := []float64{float64(self), float64(r)}
-				got, err := hub.Exchange(r, self, peer, payload)
+				if err := hub.Send(r, self, peer, []float64{float64(self), float64(r)}); err != nil {
+					errs <- err
+					return
+				}
+				got, err := hub.Recv(r, self, peer)
 				if err != nil {
 					errs <- err
 					return
@@ -285,48 +258,17 @@ func TestHubRendezvous(t *testing.T) {
 
 func TestHubRejectsBadPeer(t *testing.T) {
 	hub := memtransport.NewHub(2)
-	if _, err := hub.Exchange(0, 0, 0, nil); err == nil {
-		t.Error("self-exchange accepted")
+	if err := hub.Send(0, 0, 0, nil); err == nil {
+		t.Error("self-send accepted")
 	}
-	if _, err := hub.Exchange(0, 0, 5, nil); err == nil {
+	if _, err := hub.Recv(0, 0, 5); err == nil {
 		t.Error("out-of-range peer accepted")
-	}
-}
-
-// TestGateBoundsConcurrency verifies the pool's semaphore actually caps
-// concurrent holders.
-func TestGateBoundsConcurrency(t *testing.T) {
-	const limit, workers = 3, 20
-	gate := engine.NewGate(limit)
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 50; k++ {
-				gate.Acquire()
-				c := cur.Add(1)
-				for {
-					p := peak.Load()
-					if c <= p || peak.CompareAndSwap(p, c) {
-						break
-					}
-				}
-				cur.Add(-1)
-				gate.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > limit {
-		t.Fatalf("gate admitted %d concurrent holders, limit %d", p, limit)
 	}
 }
 
 // TestEngineRejectsMalformedPlan: asymmetric or out-of-range matchings must
 // error before dispatch — a one-sided assignment would otherwise leave a
-// worker blocked in the rendezvous and deadlock the barrier.
+// worker blocked in Recv and deadlock the barrier.
 func TestEngineRejectsMalformedPlan(t *testing.T) {
 	const n = 4
 	spec := testSpec(1)

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"sapspsgd/internal/compress"
@@ -34,37 +33,27 @@ type Options struct {
 
 	// Planner produces the per-round control message (Algorithm 1/3).
 	Planner Planner
-	// Transport carries the payload swaps (nil defaults to an in-process
-	// rendezvous hub over the node count).
+	// Transport carries the payloads between ranks (nil defaults to an
+	// in-process hub over the node count).
 	Transport Transport
-	// MaxParallel bounds concurrent CPU-heavy work (local SGD, merges);
-	// values < 1 default to GOMAXPROCS. Exchanges are not counted against
-	// the bound, so any positive value is deadlock-free. Ignored by the
-	// sharded runtime (Shards > 0), whose parallelism is the shard count.
-	MaxParallel int
 
-	// Shards > 0 selects the sharded phased runtime instead of the
-	// goroutine-per-node pool: ranks are partitioned into Shards contiguous
-	// shards, each executed serially by one long-lived goroutine, with the
-	// round split into barrier-separated Compute/Encode/Decode phases (see
-	// PhasedPattern). Shards == 1 is the fully serial reference execution;
+	// Shards is the number of executor goroutines: ranks are partitioned
+	// into Shards contiguous shards, each executed serially by one
+	// long-lived goroutine, with the round's phases separated by barriers
+	// (see Pattern). Shards == 1 is the fully serial reference execution;
 	// any other count produces bit-identical trajectories and byte-identical
-	// ledgers. Requires a PhasedPattern and a PhasedTransport; other
-	// pattern/transport combinations fall back to the blocking pool with
-	// MaxParallel = Shards. 0 keeps the default pool.
+	// ledgers. 0 means one shard per CPU (GOMAXPROCS); counts above the
+	// number of ranks are clamped to it.
 	Shards int
 }
 
-// Engine runs the canonical round loop over an in-process fleet, with two
-// interchangeable runtimes producing bit-identical results: the default
-// goroutine-per-node pool (spawned once, reused every round, gate-bounded
-// compute) executing each pattern's blocking round, and — when
-// Options.Shards > 0 — the sharded phased runtime (one executor goroutine
-// per shard of ranks, barrier-separated Compute/Encode/Decode phases; see
-// DESIGN.md §2). Engine implements Control for its own Driver.
+// Engine runs the canonical round loop over an in-process fleet on the
+// sharded phased runtime: one executor goroutine per shard of ranks, spawned
+// once and reused every round, running the pattern's phases with barriers in
+// between (see DESIGN.md §2). Engine implements Control for its own Driver.
 //
-// Close releases the pool; a finalizer-style cleanup also releases it when
-// an un-Closed Engine becomes unreachable, so dropping an Engine on the
+// Close releases the executors; a finalizer-style cleanup also releases them
+// when an un-Closed Engine becomes unreachable, so dropping an Engine on the
 // floor does not leak goroutines.
 type Engine struct {
 	nodes   []Node
@@ -72,25 +61,16 @@ type Engine struct {
 	workers []*core.Worker // non-nil only for the Workers convenience form
 	pattern Pattern
 	driver  Driver
-	gate    Gate
-	cmds    []chan core.RoundPlan
-	results chan nodeResult
+	sharded *shardRunner
 	stop    *poolStop
 	closed  bool
-	// sharded is non-nil when the phased sharded runtime replaces the
-	// goroutine-per-node pool (Options.Shards > 0).
-	sharded *shardRunner
-	// Per-round collection scratch (RunRound is single-threaded).
-	reports []NodeReport
-	agg     flowAgg
 }
 
-// poolStop closes the runtime's command channels exactly once, whether via
+// poolStop closes the executors' command channels exactly once, whether via
 // an explicit Close or the unreachability cleanup.
 type poolStop struct {
-	once   sync.Once
-	cmds   []chan core.RoundPlan
-	phased []chan shardCmd
+	once sync.Once
+	cmds []chan shardCmd
 }
 
 func (s *poolStop) shutdown() {
@@ -98,19 +78,10 @@ func (s *poolStop) shutdown() {
 		for _, c := range s.cmds {
 			close(c)
 		}
-		for _, c := range s.phased {
-			close(c)
-		}
 	})
 }
 
-type nodeResult struct {
-	rank int
-	rep  NodeReport
-	err  error
-}
-
-// New builds the engine and spawns its node pool.
+// New builds the engine and spawns its shard executors.
 func New(opts Options) *Engine {
 	nodes, codecs, workers := opts.Nodes, opts.Codecs, []*core.Worker(nil)
 	if nodes == nil {
@@ -156,55 +127,17 @@ func New(opts Options) *Engine {
 		pattern: pat,
 	}
 	e.driver = Driver{Planner: opts.Planner, Control: e, Metrics: obs.Current().EngineM()}
-	limit := opts.MaxParallel
-	if opts.Shards > 0 {
-		pp, okPat := pat.(PhasedPattern)
-		pt, okTr := tr.(PhasedTransport)
-		if okPat && okTr {
-			e.sharded = newShardRunner(nodes, codecs, pp, pt, opts.Shards)
-			e.stop = &poolStop{phased: e.sharded.cmds}
-			registerEngineCleanup(e, e.stop)
-			return e
-		}
-		// No phased path for this pattern/transport: honor the shard count
-		// as the blocking pool's compute-parallelism bound instead.
-		limit = opts.Shards
-	}
-	if limit < 1 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	e.gate = NewGate(limit)
-	e.cmds = make([]chan core.RoundPlan, n)
-	e.results = make(chan nodeResult, n)
-	e.reports = make([]NodeReport, n)
-	for i := range e.cmds {
-		e.cmds[i] = make(chan core.RoundPlan)
-		go nodeLoop(i, n, nodes[i], pat, codecs, tr, e.gate, e.cmds[i], e.results)
-	}
-	// The runtime goroutines deliberately do not reference e, so an
-	// abandoned Engine is collectable; the cleanup then closes its command
+	e.sharded = newShardRunner(nodes, codecs, pat, tr, opts.Shards)
+	// The executor goroutines deliberately do not reference e, so an
+	// abandoned Engine is collectable; the cleanup then closes their command
 	// channels.
-	e.stop = &poolStop{cmds: e.cmds}
+	e.stop = &poolStop{cmds: e.sharded.cmds}
 	registerEngineCleanup(e, e.stop)
 	return e
 }
 
-// nodeLoop is one pool member: it serves its node's rounds until the
-// command channel closes.
-func nodeLoop(self, n int, node Node, pat Pattern, codecs []Codec, tr Transport, gate Gate, cmds <-chan core.RoundPlan, results chan<- nodeResult) {
-	for plan := range cmds {
-		if plan.Active != nil && !plan.Active[self] {
-			results <- nodeResult{rank: self}
-			continue
-		}
-		ctx := RoundContext{Round: plan.Round, Seed: plan.Seed, Self: self, N: n, Plan: plan}
-		rep, err := pat.RunRound(ctx, node, codecs, tr, gate)
-		results <- nodeResult{rank: self, rep: rep, err: err}
-	}
-}
-
-// RunRound implements Control: broadcast the plan to the active runtime and
-// wait for every node to finish the round.
+// RunRound implements Control: run the validated plan's phases across the
+// shards and wait for every rank to finish the round.
 func (e *Engine) RunRound(plan core.RoundPlan) (ControlReport, error) {
 	if e.closed {
 		return ControlReport{}, fmt.Errorf("engine: RunRound after Close")
@@ -212,37 +145,14 @@ func (e *Engine) RunRound(plan core.RoundPlan) (ControlReport, error) {
 	if err := e.pattern.Validate(plan, len(e.nodes)); err != nil {
 		return ControlReport{}, err
 	}
-	if e.sharded != nil {
-		return e.sharded.runRound(plan)
-	}
-	for _, c := range e.cmds {
-		c <- plan
-	}
-	// Collect rank-indexed so the loss mean and flow aggregation run in
-	// deterministic order regardless of completion order.
-	for i := range e.reports {
-		e.reports[i] = NodeReport{}
-	}
-	var firstErr error
-	for range e.nodes {
-		r := <-e.results
-		e.reports[r.rank] = r.rep
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("engine: node %d: %w", r.rank, r.err)
-		}
-	}
-	if firstErr != nil {
-		return ControlReport{}, firstErr
-	}
-	return buildReport(&e.agg, e.reports), nil
+	return e.sharded.runRound(plan)
 }
 
 // buildReport folds the rank-indexed node reports into the round's control
 // report: rank-ordered flow aggregation, loss mean over trained nodes, and
-// the largest payload. Both runtimes funnel through it, which is one of the
-// two deterministic commit points (the other is the Driver's rank-ordered
-// ledger charge). The report's Pairs alias agg's pooled storage and stay
-// valid until the runtime's next round.
+// the largest payload — one of the two deterministic commit points (the other
+// is the Driver's rank-ordered ledger charge). The report's Pairs alias agg's
+// pooled storage and stay valid until the runtime's next round.
 func buildReport(agg *flowAgg, reports []NodeReport) ControlReport {
 	rep := ControlReport{Pairs: agg.aggregate(reports)}
 	sum, k := 0.0, 0
@@ -273,7 +183,7 @@ func (e *Engine) Workers() []*core.Worker { return e.workers }
 // Nodes exposes the rank-indexed participants.
 func (e *Engine) Nodes() []Node { return e.nodes }
 
-// Close shuts down the node pool. The engine must not be stepped after
+// Close shuts down the shard executors. The engine must not be stepped after
 // Close. Close is idempotent.
 func (e *Engine) Close() {
 	e.closed = true

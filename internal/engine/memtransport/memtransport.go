@@ -1,5 +1,5 @@
-// Package memtransport is the in-process engine backend: nodes swap their
-// encoded payloads through per-directed-pair rendezvous channels, with no
+// Package memtransport is the in-process engine backend: nodes hand their
+// encoded payloads over through per-directed-pair FIFO channels, with no
 // wire format and no time model. It is the backend behind every
 // internal/algos simulation; pair it with engine.CountingLedger for pure
 // traffic totals or with a *netsim.Ledger (via simtransport) for
@@ -28,16 +28,16 @@ const denseSlotLimit = 1 << 20
 // mutexes effectively uncontended at realistic shard counts.
 const slotStripes = 64
 
-// Hub pairs in-process nodes for payload swaps. Exchange deposits the
-// caller's payload in the self→peer slot and blocks until the peer→self
-// slot fills. Slots are FIFO per directed pair, so a pattern may meet the
-// same pair several times within a round (hub pull/push, collective
-// reduce+gather) as long as both endpoints issue their exchanges in the same
-// per-pair order — which every engine pattern guarantees by construction.
-// The engine's round barrier guarantees all slots are drained before the
-// next round starts. Payload slices are handed over by reference — the
-// channel send is the happens-before edge that makes the peer's read
-// race-free.
+// Hub carries payloads between in-process ranks. Send deposits the caller's
+// payload in the self→peer slot; Recv takes the oldest deposit from the
+// peer→self slot, blocking until there is one. Slots are FIFO per directed
+// pair, so a pattern may use the same pair several times within a round (hub
+// pull/push, collective reduce+gather). The engine's round barrier
+// guarantees all slots are drained before the next round starts. Payload
+// slices are handed over by reference — the channel send is the
+// happens-before edge that makes the peer's read race-free, and the sharded
+// runtime's phase barriers keep the sender from rewriting the buffer before
+// the receiver is done with it (engine.Transport).
 //
 // Slot lookup is lock-free for fleets up to 1024 nodes: the hub preallocates
 // a dense per-directed-pair pointer array and materializes each pair's
@@ -63,7 +63,7 @@ type slotStripe struct {
 }
 
 // NewHub returns a hub for n nodes. A single-node hub is legal — it can
-// never be asked to exchange, and Exchange rejects any peer it is asked for.
+// never be asked to send, and Send rejects any peer it is asked for.
 func NewHub(n int) *Hub {
 	if n < 1 {
 		panic(fmt.Sprintf("memtransport: hub of %d", n))
@@ -81,11 +81,8 @@ func NewHub(n int) *Hub {
 }
 
 // slot returns (lazily creating) the from→to channel. A small buffer keeps a
-// sender from blocking on its own deposit. The blocking Exchange path never
-// has more than one message per directed pair outstanding (a pattern's next
-// meeting with the same pair starts only after the previous rendezvous
-// completed on both sides); the phased Send/Recv path can briefly hold two —
-// the sharded collective deposits its next butterfly chunk while the peer is
+// sender from blocking on its own deposit. A directed pair can briefly hold
+// two — the collective deposits its next butterfly chunk while the peer is
 // still draining the previous phase's — so the capacity is 2.
 func (h *Hub) slot(from, to int) chan []float64 {
 	if h.dense != nil {
@@ -121,15 +118,6 @@ func (h *Hub) check(self, peer int) error {
 	return nil
 }
 
-// Exchange implements engine.Transport.
-func (h *Hub) Exchange(round, self, peer int, payload []float64) ([]float64, error) {
-	if err := h.check(self, peer); err != nil {
-		return nil, err
-	}
-	h.slot(self, peer) <- payload
-	return h.recv(peer, self), nil
-}
-
 // recv drains the from→to FIFO, timing the blocked wait when
 // observability is on.
 func (h *Hub) recv(from, to int) []float64 {
@@ -143,10 +131,9 @@ func (h *Hub) recv(from, to int) []float64 {
 	return p
 }
 
-// Send implements engine.PhasedTransport: a one-way deposit into the
-// self→peer FIFO, with no reciprocal payload. It pairs with the receiver's
-// Recv. The sharded runtime's phase barriers guarantee at most two deposits
-// per directed pair are ever outstanding, so Send never blocks there.
+// Send implements engine.Transport: a one-way deposit into the self→peer
+// FIFO. The sharded runtime's phase barriers guarantee at most two deposits
+// per directed pair are ever outstanding, so Send never blocks.
 func (h *Hub) Send(round, self, peer int, payload []float64) error {
 	if err := h.check(self, peer); err != nil {
 		return err
@@ -155,11 +142,9 @@ func (h *Hub) Send(round, self, peer int, payload []float64) error {
 	return nil
 }
 
-// Recv implements engine.PhasedTransport: take the oldest payload from the
-// peer→self FIFO. Under the sharded runtime a Recv only ever consumes a
-// deposit made in a strictly earlier (barrier-separated) phase, so it never
-// blocks; a Recv with nothing deposited would indicate a malformed phase
-// program and would deadlock — which the engine's tests would catch.
+// Recv implements engine.Transport: take the oldest payload from the
+// peer→self FIFO, blocking until the peer's Send (only fused phases ever
+// wait; across a barrier the deposit is already there).
 func (h *Hub) Recv(round, self, peer int) ([]float64, error) {
 	if err := h.check(self, peer); err != nil {
 		return nil, err

@@ -7,7 +7,7 @@ import (
 )
 
 // The timed codec wrappers below are the engine's only per-call codec
-// instrumentation points: every pattern (blocking and phased) funnels its
+// instrumentation points: every pattern funnels its
 // Encode/Decode/DecodeInto calls through them. With observability off
 // (the default) each wrapper costs one atomic pointer load and one nil
 // check; enabled, it adds two monotonic clock reads and a histogram

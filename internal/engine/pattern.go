@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"sapspsgd/internal/core"
@@ -10,32 +9,35 @@ import (
 
 // Pattern is a round's communication shape: who a node talks to and in what
 // order, independent of what travels (the Codec) and of how it travels (the
-// Transport). RunRound executes one node's complete round — local compute,
-// encoded exchanges, merge — so each pattern owns its choreography (the hub
-// pattern, for instance, delivers the downlink before the worker computes).
+// Transport). A pattern is one phase program — PhaseCount phases, each rank's
+// slice of a phase run by RunPhase — so each pattern owns its choreography
+// (the hub pattern, for instance, delivers the downlink before the worker
+// computes), and every executor runs that one description: the sharded
+// runtime runs a phase across all its ranks before the next, WorkerRound
+// runs one rank's phases back to back.
 //
-// Liveness: the pairwise, neighborhood, hub, and all-gather patterns order
-// their blocking exchanges by ascending peer rank, which is deadlock-free
-// with rendezvous transports — a cyclic wait a₁→a₂→…→a₁ would need every
-// aᵢ₊₁ to be held at a strictly earlier (lower-ranked) edge than
-// (aᵢ, aᵢ₊₁), forcing an infinite descent of ranks around a finite cycle.
-// The collective butterfly instead visits partners in the fixed self^mask
-// phase sequence (not ascending); it is deadlock-free because every phase is
-// a perfect matching executed by all nodes in the same order, and a node
-// reaches phase p with a partner only after both completed phase p-1, so
-// per-pair meetings pair up FIFO. New patterns must pick one of these two
-// disciplines (or prove their own).
+// Within a phase a rank may compute, encode, decode, merge, and Send; every
+// Recv must consume a deposit made in a strictly earlier phase. That rule is
+// the whole liveness argument: a rank issues all of a phase's sends before
+// it starts the next phase, so a blocked Recv only ever waits on an earlier
+// phase of another rank, the wait graph is acyclic, and a conforming phase
+// program cannot deadlock on any executor. It is also the determinism
+// argument: each rank's floating-point work is confined to its own state and
+// happens in program order, whatever interleaving the executor picks.
 type Pattern interface {
 	// Name identifies the pattern family ("pairwise", "hub", ...).
 	Name() string
 	// Validate rejects malformed plans before dispatch. This matters for
 	// liveness, not just correctness: a malformed plan can leave a node
-	// blocked in a rendezvous with nobody coming.
+	// blocked in a Recv with nobody sending.
 	Validate(plan core.RoundPlan, n int) error
-	// RunRound executes one node's full round over the transport. gate
-	// bounds the CPU-heavy sections (compute, encode, decode, merge) and is
-	// released around blocking exchanges.
-	RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error)
+	// PhaseCount returns the number of phases one round needs over n nodes
+	// under plan.
+	PhaseCount(plan core.RoundPlan, n int) int
+	// RunPhase executes rank ctx.Self's slice of phase p. st is the rank's
+	// private in-flight state, reset by the executor at round start; the
+	// rank's NodeReport accumulates in st.Rep.
+	RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error
 }
 
 // ---------------------------------------------------------------------------
@@ -72,51 +74,6 @@ func (Pairwise) Validate(plan core.RoundPlan, n int) error {
 		}
 	}
 	return nil
-}
-
-// RunRound implements Pattern.
-func (Pairwise) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
-	peer := -1
-	if ctx.Self < len(ctx.Plan.Peer) {
-		peer = ctx.Plan.Peer[ctx.Self]
-	}
-	if peer < 0 {
-		gate.Release()
-		return rep, nil
-	}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	sent := codecs[ctx.Self].WireBytes(words)
-	rep.PayloadLen = len(words)
-	gate.Release()
-
-	peerWords, err := tr.Exchange(ctx.Round, ctx.Self, peer, words)
-	if err != nil {
-		return NodeReport{}, err
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	vals, err := decodeTimed(codecs[peer], ctx, peerWords)
-	if err != nil {
-		return NodeReport{}, err
-	}
-	recv := codecs[peer].WireBytes(peerWords)
-	rep.Flows = append(rep.Flows, Flow{Peer: peer, Sent: sent, Recv: recv})
-	if err := node.Merge(ctx, []PeerMsg{{From: peer, Vals: vals, Words: peerWords, Bytes: recv}}); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -179,64 +136,6 @@ func (p *Neighborhood) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "neighborhood")
 }
 
-// RunRound implements Pattern.
-func (p *Neighborhood) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
-	peers := p.adj[ctx.Self]
-	if len(peers) == 0 {
-		gate.Release()
-		return rep, nil
-	}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	sent := codecs[ctx.Self].WireBytes(words)
-	rep.PayloadLen = len(words)
-	msgs := make([]PeerMsg, 0, len(peers)+1)
-	if p.includeSelf {
-		vals, err := decodeTimed(codecs[ctx.Self], ctx, words)
-		if err != nil {
-			gate.Release()
-			return NodeReport{}, err
-		}
-		msgs = append(msgs, PeerMsg{From: ctx.Self, Vals: vals, Words: words, Bytes: sent})
-	}
-	gate.Release()
-
-	recvWords := make([][]float64, len(peers))
-	for i, q := range peers {
-		w, err := tr.Exchange(ctx.Round, ctx.Self, q, words)
-		if err != nil {
-			return NodeReport{}, err
-		}
-		recvWords[i] = w
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	for i, q := range peers {
-		vals, err := decodeTimed(codecs[q], ctx, recvWords[i])
-		if err != nil {
-			return NodeReport{}, err
-		}
-		b := codecs[q].WireBytes(recvWords[i])
-		rep.Flows = append(rep.Flows, Flow{Peer: q, Sent: sent, Recv: b})
-		msgs = append(msgs, PeerMsg{From: q, Vals: vals, Words: recvWords[i], Bytes: b})
-	}
-	if err := node.Merge(ctx, msgs); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
-}
-
 // ---------------------------------------------------------------------------
 // Hub (parameter-server fan-in — PS-PSGD, FedAvg, S-FedAvg)
 
@@ -274,13 +173,8 @@ func (h Hub) Validate(plan core.RoundPlan, n int) error {
 	return nil
 }
 
-// chosen returns the round's participating worker ranks, ascending.
-func (h Hub) chosen(plan core.RoundPlan, n int) []int {
-	return h.chosenInto(make([]int, 0, n-1), plan, n)
-}
-
 // chosenInto appends the participating worker ranks to dst in ascending
-// order — the pooled form the phased hot path uses.
+// order.
 func (h Hub) chosenInto(dst []int, plan core.RoundPlan, n int) []int {
 	for i := 0; i < n; i++ {
 		if i == h.Server {
@@ -291,109 +185,6 @@ func (h Hub) chosenInto(dst []int, plan core.RoundPlan, n int) []int {
 		}
 	}
 	return dst
-}
-
-// RunRound implements Pattern.
-func (h Hub) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	if ctx.Self == h.Server {
-		return h.serverRound(ctx, node, codecs, tr, gate)
-	}
-	return h.workerRound(ctx, node, codecs, tr, gate)
-}
-
-func (h Hub) serverRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	down := codecs[ctx.Self].WireBytes(words)
-	rep.PayloadLen = len(words)
-	gate.Release()
-
-	chosen := h.chosen(ctx.Plan, ctx.N)
-	// Downlink: broadcast the model; each exchange also drains the worker's
-	// empty down-phase payload, keeping the per-pair rendezvous in lockstep.
-	for _, w := range chosen {
-		if _, err := tr.Exchange(ctx.Round, ctx.Self, w, words); err != nil {
-			return NodeReport{}, err
-		}
-	}
-	// Uplink: collect every chosen worker's payload.
-	ups := make([][]float64, len(chosen))
-	for i, w := range chosen {
-		uw, err := tr.Exchange(ctx.Round, ctx.Self, w, nil)
-		if err != nil {
-			return NodeReport{}, err
-		}
-		ups[i] = uw
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	msgs := make([]PeerMsg, 0, len(chosen))
-	for i, w := range chosen {
-		vals, err := decodeTimed(codecs[w], ctx, ups[i])
-		if err != nil {
-			return NodeReport{}, err
-		}
-		b := codecs[w].WireBytes(ups[i])
-		rep.Flows = append(rep.Flows, Flow{Peer: w, Sent: down, Recv: b})
-		msgs = append(msgs, PeerMsg{From: w, Vals: vals, Words: ups[i], Bytes: b})
-	}
-	if err := node.Merge(ctx, msgs); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
-}
-
-func (h Hub) workerRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	// Pull: the empty payload keeps the rendezvous symmetric; the reply is
-	// the server's encoded model.
-	downWords, err := tr.Exchange(ctx.Round, ctx.Self, h.Server, nil)
-	if err != nil {
-		return NodeReport{}, err
-	}
-
-	gate.Acquire()
-	vals, err := decodeTimed(codecs[h.Server], ctx, downWords)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	down := codecs[h.Server].WireBytes(downWords)
-	if err := node.Merge(ctx, []PeerMsg{{From: h.Server, Vals: vals, Words: downWords, Bytes: down}}); err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	up := codecs[ctx.Self].WireBytes(words)
-	rep.PayloadLen = len(words)
-	rep.Flows = append(rep.Flows, Flow{Peer: h.Server, Sent: up, Recv: down})
-	gate.Release()
-
-	// Push: the server's reply is its empty up-phase payload.
-	if _, err := tr.Exchange(ctx.Round, ctx.Self, h.Server, words); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -419,43 +210,6 @@ func (Collective) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "collective")
 }
 
-// RunRound implements Pattern.
-func (Collective) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss), PayloadLen: len(out)}
-	sum := append([]float64(nil), out...)
-	gate.Release()
-
-	if ctx.N > 1 {
-		if ctx.N&(ctx.N-1) == 0 {
-			err = halvingDoubling(ctx, codecs, tr, gate, sum, &rep)
-		} else {
-			gate.Acquire()
-			words, encErr := encodeTimed(codecs[ctx.Self], ctx, out)
-			gate.Release()
-			if encErr != nil {
-				return NodeReport{}, encErr
-			}
-			err = sumAllGather(ctx, codecs, tr, gate, words, sum, &rep)
-		}
-		if err != nil {
-			return NodeReport{}, err
-		}
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	if err := node.Merge(ctx, []PeerMsg{{From: -1, Vals: sum}}); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
-}
-
 // segAfter returns the [lo, hi) segment of a D-length vector that rank owns
 // after depth reduce-scatter halvings over n = 2^q nodes.
 func segAfter(rank, depth, D, n int) (int, int) {
@@ -470,119 +224,6 @@ func segAfter(rank, depth, D, n int) (int, int) {
 		}
 	}
 	return lo, hi
-}
-
-// exchangeChunk encodes a copy of vec[lo:hi] with the node's own codec,
-// swaps it with partner, and returns the decoded reply. Copies are required:
-// the codec's scratch is reused across the collective's steps while the
-// transport still borrows earlier payloads.
-func exchangeChunk(ctx RoundContext, codecs []Codec, tr Transport, gate Gate, vec []float64, lo, hi, partner int, rep *NodeReport) ([]float64, error) {
-	gate.Acquire()
-	chunk := append([]float64(nil), vec[lo:hi]...)
-	words, err := encodeTimed(codecs[ctx.Self], ctx, chunk)
-	if err != nil {
-		gate.Release()
-		return nil, err
-	}
-	wcopy := append([]float64(nil), words...)
-	sent := codecs[ctx.Self].WireBytes(wcopy)
-	gate.Release()
-
-	pw, err := tr.Exchange(ctx.Round, ctx.Self, partner, wcopy)
-	if err != nil {
-		return nil, err
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	vals, err := decodeTimed(codecs[partner], ctx, pw)
-	if err != nil {
-		return nil, err
-	}
-	rep.Flows = append(rep.Flows, Flow{Peer: partner, Sent: sent, Recv: codecs[partner].WireBytes(pw)})
-	return vals, nil
-}
-
-// halvingDoubling is the power-of-two exact all-reduce; vec is reduced in
-// place to the global sum.
-func halvingDoubling(ctx RoundContext, codecs []Codec, tr Transport, gate Gate, vec []float64, rep *NodeReport) error {
-	self, n, D := ctx.Self, ctx.N, len(vec)
-	q := bits.Len(uint(n)) - 1
-	// Reduce-scatter: each step halves the owned segment, swapping the
-	// discarded half with the partner and accumulating the kept half.
-	lo, hi := 0, D
-	for k := 0; k < q; k++ {
-		mask := n >> (k + 1)
-		partner := self ^ mask
-		mid := lo + (hi-lo)/2
-		sendLo, sendHi, keepLo, keepHi := mid, hi, lo, mid
-		if self&mask != 0 {
-			sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
-		}
-		vals, err := exchangeChunk(ctx, codecs, tr, gate, vec, sendLo, sendHi, partner, rep)
-		if err != nil {
-			return err
-		}
-		if len(vals) != keepHi-keepLo {
-			return fmt.Errorf("engine: collective chunk of %d values, want %d", len(vals), keepHi-keepLo)
-		}
-		for i, v := range vals {
-			vec[keepLo+i] += v
-		}
-		lo, hi = keepLo, keepHi
-	}
-	// All-gather: mirror the halvings, swapping fully reduced segments.
-	for g := 0; g < q; g++ {
-		partner := self ^ (1 << g)
-		myLo, myHi := segAfter(self, q-g, D, n)
-		pLo, pHi := segAfter(partner, q-g, D, n)
-		vals, err := exchangeChunk(ctx, codecs, tr, gate, vec, myLo, myHi, partner, rep)
-		if err != nil {
-			return err
-		}
-		if len(vals) != pHi-pLo {
-			return fmt.Errorf("engine: collective gather chunk of %d values, want %d", len(vals), pHi-pLo)
-		}
-		copy(vec[pLo:pHi], vals)
-	}
-	return nil
-}
-
-// sumAllGather swaps one already-encoded payload with every other node and
-// sums the decoded replies into vec (which already holds the node's own
-// contribution). words must be encoded exactly once by the caller — encoding
-// here would advance stateful codecs (error feedback, RNG) twice per round.
-func sumAllGather(ctx RoundContext, codecs []Codec, tr Transport, gate Gate, words, vec []float64, rep *NodeReport) error {
-	sent := codecs[ctx.Self].WireBytes(words)
-	recvWords := make([][]float64, 0, ctx.N-1)
-	peers := make([]int, 0, ctx.N-1)
-	for p := 0; p < ctx.N; p++ {
-		if p == ctx.Self {
-			continue
-		}
-		pw, err := tr.Exchange(ctx.Round, ctx.Self, p, words)
-		if err != nil {
-			return err
-		}
-		peers = append(peers, p)
-		recvWords = append(recvWords, pw)
-	}
-	gate.Acquire()
-	defer gate.Release()
-	for i, p := range peers {
-		vals, err := decodeTimed(codecs[p], ctx, recvWords[i])
-		if err != nil {
-			return err
-		}
-		if len(vals) != len(vec) {
-			return fmt.Errorf("engine: all-gather payload of %d values, want %d", len(vals), len(vec))
-		}
-		rep.Flows = append(rep.Flows, Flow{Peer: p, Sent: sent, Recv: codecs[p].WireBytes(recvWords[i])})
-		for j, v := range vals {
-			vec[j] += v
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -602,41 +243,6 @@ func (AllGather) Name() string { return "all-gather" }
 // Validate implements Pattern.
 func (AllGather) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "all-gather")
-}
-
-// RunRound implements Pattern.
-func (AllGather) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep.PayloadLen = len(words)
-	own, err := decodeTimed(codecs[ctx.Self], ctx, words)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	sum := append([]float64(nil), own...)
-	gate.Release()
-
-	if err := sumAllGather(ctx, codecs, tr, gate, words, sum, &rep); err != nil {
-		return NodeReport{}, err
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	if err := node.Merge(ctx, []PeerMsg{{From: -1, Vals: sum}}); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
 }
 
 // requireAllActive rejects plans with dynamic membership for patterns whose

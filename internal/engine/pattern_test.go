@@ -32,8 +32,19 @@ func (n *vecNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 	return nil
 }
 
-// runPattern drives n vecNodes for one round over an in-process hub and
-// returns the nodes plus the per-rank reports.
+// copyHub makes the in-process hub honour WorkerRound's contract — a
+// transport does not retain the payload after Send returns — by depositing a
+// copy, as a socket would. Without it the butterfly, run one goroutine per
+// rank with no barriers, rewrites chunk buffers its partner is still reading.
+type copyHub struct{ *memtransport.Hub }
+
+func (h copyHub) Send(round, self, peer int, payload []float64) error {
+	return h.Hub.Send(round, self, peer, append([]float64(nil), payload...))
+}
+
+// runPattern drives n vecNodes for one round, one WorkerRound goroutine per
+// rank over a copying in-process hub, and returns the nodes plus the per-rank
+// reports.
 func runPattern(t *testing.T, pat engine.Pattern, outs [][]float64, codecs []engine.Codec, plan core.RoundPlan) ([]*vecNode, []engine.NodeReport) {
 	t.Helper()
 	n := len(outs)
@@ -43,14 +54,14 @@ func runPattern(t *testing.T, pat engine.Pattern, outs [][]float64, codecs []eng
 		nodes[i] = &vecNode{out: outs[i]}
 		engNodes[i] = nodes[i]
 	}
-	hub := memtransport.NewHub(n)
+	hub := copyHub{memtransport.NewHub(n)}
 	reports := make([]engine.NodeReport, n)
 	errs := make(chan error, n)
 	done := make(chan struct{})
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			ctx := engine.RoundContext{Round: plan.Round, Seed: plan.Seed, Self: i, N: n, Plan: plan}
-			rep, err := engine.WorkerRound(engNodes[i], pat, codecs, hub, nil, ctx)
+			rep, err := engine.WorkerRound(engNodes[i], pat, codecs, hub, new(engine.PhaseState), ctx)
 			reports[i] = rep
 			errs <- err
 		}(i)
@@ -224,7 +235,7 @@ func TestHubPullTrainPush(t *testing.T) {
 		nodes[i] = &hubNode{vecNode: vecNode{out: []float64{float64(10 + i)}}, server: i == 3}
 		engNodes[i] = nodes[i]
 	}
-	hub := memtransport.NewHub(n)
+	hub := copyHub{memtransport.NewHub(n)}
 	reports := make([]engine.NodeReport, n)
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -234,7 +245,7 @@ func TestHubPullTrainPush(t *testing.T) {
 				return
 			}
 			ctx := engine.RoundContext{Round: plan.Round, Self: i, N: n, Plan: plan}
-			rep, err := engine.WorkerRound(engNodes[i], pat, denseCodecs(n), hub, nil, ctx)
+			rep, err := engine.WorkerRound(engNodes[i], pat, denseCodecs(n), hub, new(engine.PhaseState), ctx)
 			reports[i] = rep
 			errs <- err
 		}(i)

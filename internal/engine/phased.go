@@ -7,59 +7,21 @@ import (
 	"sapspsgd/internal/core"
 )
 
-// PhasedTransport is the one-way data plane of the sharded runtime: Send
-// deposits a payload into the from→to FIFO without waiting for a reciprocal
-// payload, and Recv takes the oldest deposit from the peer→self FIFO.
-// *memtransport.Hub implements it (and therefore so does the simtransport
-// backend, which returns a Hub).
-//
-// Recv must block until the matching deposit arrives: when a pattern fuses
-// adjacent phases (PhaseFuser) the runtime elides the barrier between them,
-// so a receive may run before the peer's send and synchronizes on the FIFO
-// itself. Every Recv still consumes a deposit made in a strictly earlier
-// phase of the same round, and each shard executes its phases in order with
-// all of a phase's sends issued before the next phase begins, so waits only
-// ever point at earlier phases of other shards — the wait graph is acyclic
-// and a conforming phase program cannot deadlock.
-type PhasedTransport interface {
-	Send(round, from, to int, payload []float64) error
-	Recv(round, from, to int) ([]float64, error)
-}
-
-// PhasedPattern is the optional Pattern extension the sharded runtime
-// executes: the round split into barrier-separated phases. Within a phase a
-// rank may compute, encode, decode, merge, and Send; every Recv must consume
-// a deposit made in an earlier phase (the barrier — or, for fused phases,
-// the transport FIFO — is the happens-before edge). All built-in patterns
-// implement PhasedPattern with per-rank operation sequences identical to
-// their blocking RunRound, which is what makes the sharded runtime
-// bit-identical to the goroutine-per-node pool.
-type PhasedPattern interface {
-	Pattern
-	// PhaseCount returns the number of barrier-separated phases one round
-	// needs over n nodes under plan.
-	PhaseCount(plan core.RoundPlan, n int) int
-	// RunPhase executes rank ctx.Self's slice of phase p. st is the rank's
-	// private in-flight state, reset by the runtime at round start.
-	RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error
-}
-
-// PhaseFuser is an optional PhasedPattern extension for barrier elision: a
-// false entry in PhaseDeps tells the sharded runtime that the boundary
-// between phases p and p+1 needs no barrier, so the two phases fuse into one
-// dispatch per shard. A boundary may be declared fusable only when (a) every
-// buffer a rank deposits before the boundary stays unwritten by its owner
-// until the round completes (receivers may still be reading it), and (b) all
-// post-boundary receives tolerate blocking in Recv for the deposit (see
-// PhasedTransport). Patterns that rewrite their send scratch phase over
-// phase — the butterfly collective — must not fuse.
+// PhaseFuser is an optional Pattern extension for barrier elision: a false
+// entry in PhaseDeps tells the sharded runtime that the boundary between
+// phases p and p+1 needs no barrier, so the two phases fuse into one dispatch
+// per shard and the receives synchronize on the transport's FIFO instead. A
+// boundary may be declared fusable only when every buffer a rank deposits
+// before the boundary stays unwritten by its owner until the round completes
+// (in-process receivers may still be reading it). Patterns that rewrite their
+// send scratch phase over phase — the butterfly collective — must not fuse.
 type PhaseFuser interface {
 	// PhaseDeps appends PhaseCount-1 booleans to deps, one per adjacent
 	// phase boundary in order: true keeps the barrier, false fuses.
 	PhaseDeps(plan core.RoundPlan, n int, deps []bool) []bool
 }
 
-// PhaseParticipants is an optional PhasedPattern extension for dispatch
+// PhaseParticipants is an optional Pattern extension for dispatch
 // elision: PhaseRanks names the half-open rank interval [lo, hi) that has
 // work in a phase, and the runtime skips shards entirely outside it (their
 // reports read as zero for the round unless another phase involves them).
@@ -70,9 +32,9 @@ type PhaseParticipants interface {
 }
 
 // PhaseState carries one rank's in-flight round state across the round's
-// phases. The sharded runtime owns one per rank and recycles it round over
-// round via reset, so all scratch below keeps its capacity and a
-// steady-state round allocates nothing.
+// phases. An executor owns one per rank and recycles it round over round via
+// reset, so all scratch below keeps its capacity and a steady-state round
+// allocates nothing.
 type PhaseState struct {
 	// Rep accumulates the rank's NodeReport across phases.
 	Rep NodeReport
@@ -156,7 +118,7 @@ func (st *PhaseState) mergeOne(ctx RoundContext, node Node, msg PeerMsg) error {
 // ---------------------------------------------------------------------------
 // Pairwise
 
-// PhaseCount implements PhasedPattern: encode+send, then recv+merge.
+// PhaseCount implements Pattern: encode+send, then recv+merge.
 func (Pairwise) PhaseCount(core.RoundPlan, int) int { return 2 }
 
 // PhaseDeps implements PhaseFuser: the two phases fuse. A rank's payload is
@@ -167,8 +129,8 @@ func (Pairwise) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
 	return append(deps, false)
 }
 
-// RunPhase implements PhasedPattern.
-func (Pairwise) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+// RunPhase implements Pattern.
+func (Pairwise) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	peer := -1
 	if ctx.Self < len(ctx.Plan.Peer) {
 		peer = ctx.Plan.Peer[ctx.Self]
@@ -213,7 +175,7 @@ func (Pairwise) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 // ---------------------------------------------------------------------------
 // Neighborhood
 
-// PhaseCount implements PhasedPattern: broadcast, then gather+merge.
+// PhaseCount implements Pattern: broadcast, then gather+merge.
 func (p *Neighborhood) PhaseCount(core.RoundPlan, int) int { return 2 }
 
 // PhaseDeps implements PhaseFuser: broadcast payloads are immutable after
@@ -222,8 +184,8 @@ func (p *Neighborhood) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
 	return append(deps, false)
 }
 
-// RunPhase implements PhasedPattern.
-func (p *Neighborhood) RunPhase(ctx RoundContext, phase int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+// RunPhase implements Pattern.
+func (p *Neighborhood) RunPhase(ctx RoundContext, phase int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	peers := p.adj[ctx.Self]
 	switch phase {
 	case 0:
@@ -281,7 +243,7 @@ func (p *Neighborhood) RunPhase(ctx RoundContext, phase int, node Node, codecs [
 // ---------------------------------------------------------------------------
 // Hub
 
-// PhaseCount implements PhasedPattern: server downlink; worker
+// PhaseCount implements Pattern: server downlink; worker
 // pull-train-push; server uplink merge.
 func (Hub) PhaseCount(core.RoundPlan, int) int { return 3 }
 
@@ -295,16 +257,16 @@ func (h Hub) PhaseRanks(_ core.RoundPlan, n int, phase int) (int, int) {
 	return h.Server, h.Server + 1
 }
 
-// RunPhase implements PhasedPattern. The runtime never calls RunPhase for an
+// RunPhase implements Pattern. The runtime never calls RunPhase for an
 // inactive rank, so a worker reaching here is always chosen.
-func (h Hub) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+func (h Hub) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	if ctx.Self == h.Server {
 		return h.serverPhase(ctx, p, node, codecs, tr, st)
 	}
 	return h.workerPhase(ctx, p, node, codecs, tr, st)
 }
 
-func (h Hub) serverPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+func (h Hub) serverPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	switch p {
 	case 0:
 		loss, out, err := node.Compute(ctx)
@@ -346,7 +308,7 @@ func (h Hub) serverPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 	return nil
 }
 
-func (h Hub) workerPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+func (h Hub) workerPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	if p != 1 {
 		return nil
 	}
@@ -381,7 +343,7 @@ func (h Hub) workerPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 // Shared phased all-gather halves (AllGather, non-power-of-two Collective)
 
 // phaseSendAll deposits words to every other rank in ascending order.
-func phaseSendAll(ctx RoundContext, tr PhasedTransport, words []float64) error {
+func phaseSendAll(ctx RoundContext, tr Transport, words []float64) error {
 	for q := 0; q < ctx.N; q++ {
 		if q == ctx.Self {
 			continue
@@ -394,9 +356,9 @@ func phaseSendAll(ctx RoundContext, tr PhasedTransport, words []float64) error {
 }
 
 // phaseRecvSumAll drains every other rank's deposit in ascending order,
-// decoding and accumulating into vec — the receive half of sumAllGather,
-// with identical per-rank operation order.
-func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr PhasedTransport, st *PhaseState, vec []float64) error {
+// decoding and accumulating into vec (which already holds the rank's own
+// contribution).
+func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseState, vec []float64) error {
 	for q := 0; q < ctx.N; q++ {
 		if q == ctx.Self {
 			continue
@@ -423,7 +385,7 @@ func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr PhasedTransport, st *P
 // ---------------------------------------------------------------------------
 // AllGather
 
-// PhaseCount implements PhasedPattern: broadcast, then gather+sum+merge.
+// PhaseCount implements Pattern: broadcast, then gather+sum+merge.
 func (AllGather) PhaseCount(core.RoundPlan, int) int { return 2 }
 
 // PhaseDeps implements PhaseFuser: as with Neighborhood, the broadcast
@@ -432,8 +394,8 @@ func (AllGather) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
 	return append(deps, false)
 }
 
-// RunPhase implements PhasedPattern.
-func (AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+// RunPhase implements Pattern.
+func (AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	switch p {
 	case 0:
 		loss, out, err := node.Compute(ctx)
@@ -465,7 +427,7 @@ func (AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr
 // ---------------------------------------------------------------------------
 // Collective
 
-// PhaseCount implements PhasedPattern. Power-of-two fleets run the butterfly
+// PhaseCount implements Pattern. Power-of-two fleets run the butterfly
 // (2·log₂n exchange steps, each split across adjacent phases: the deposit in
 // phase p, the matching receive in phase p+1), other sizes the two-phase
 // exact all-gather, and a single node trains and merges in one phase.
@@ -483,8 +445,8 @@ func (Collective) PhaseCount(_ core.RoundPlan, n int) int {
 	return 2
 }
 
-// RunPhase implements PhasedPattern.
-func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+// RunPhase implements Pattern.
+func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	if ctx.N > 1 && ctx.N&(ctx.N-1) == 0 {
 		return c.butterflyPhase(ctx, p, node, codecs, tr, st)
 	}
@@ -514,13 +476,13 @@ func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec,
 	return nil
 }
 
-// sendChunk encodes vec[lo:hi] and deposits a copy of the words with partner
-// — the send half of the blocking path's exchangeChunk, encoding the same
-// values in the same order. The copy lands in the phase-parity wire buffer:
-// a deposit made in phase p is drained (and, for identity codecs, read) in
-// the barrier-separated phase p+1, so the buffer is free again when the
-// parity repeats at p+2.
-func (st *PhaseState) sendChunk(ctx RoundContext, codecs []Codec, tr PhasedTransport, lo, hi, partner, p int) error {
+// sendChunk encodes vec[lo:hi] and deposits a copy of the words with
+// partner. The copy is required: the codec's scratch is reused by the next
+// step's encode. It lands in the phase-parity wire buffer: a deposit made in
+// phase p is drained (and, for identity codecs, read) in the
+// barrier-separated phase p+1, so the buffer is free again when the parity
+// repeats at p+2.
+func (st *PhaseState) sendChunk(ctx RoundContext, codecs []Codec, tr Transport, lo, hi, partner, p int) error {
 	words, err := encodeTimed(codecs[ctx.Self], ctx, st.vec[lo:hi])
 	if err != nil {
 		return err
@@ -531,12 +493,11 @@ func (st *PhaseState) sendChunk(ctx RoundContext, codecs []Codec, tr PhasedTrans
 	return tr.Send(ctx.Round, ctx.Self, partner, w)
 }
 
-// recvChunk drains partner's deposit and decodes it — the receive half of
-// exchangeChunk. The flow pairs this receive with the bytes of the chunk
+// recvChunk drains partner's deposit and decodes it. The flow pairs this receive with the bytes of the chunk
 // sent to the same partner one phase earlier. The returned values live in
 // the single-slot decode scratch (or the sender's deposit, for identity
 // codecs) and are consumed before the phase ends.
-func (st *PhaseState) recvChunk(ctx RoundContext, codecs []Codec, tr PhasedTransport, partner int) ([]float64, error) {
+func (st *PhaseState) recvChunk(ctx RoundContext, codecs []Codec, tr Transport, partner int) ([]float64, error) {
 	pw, err := tr.Recv(ctx.Round, ctx.Self, partner)
 	if err != nil {
 		return nil, err
@@ -567,7 +528,7 @@ func rsGeometry(self, n, k, lo, hi int) (partner, sendLo, sendHi, keepLo, keepHi
 // p ∈ [1, q] drains step p-1, accumulates, and deposits the next step (the
 // first all-gather chunk at p == q); phase q+g drains gather step g-1 and
 // deposits step g; phase 2q drains the last chunk and merges the sum.
-func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	self, n := ctx.Self, ctx.N
 	q := bits.Len(uint(n)) - 1
 	if p == 0 {
@@ -628,15 +589,9 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 	return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
 }
 
-// Compile-time checks: every built-in pattern supports the sharded runtime,
-// and the barrier/dispatch elision extensions stay wired to their patterns.
+// Compile-time checks: the barrier/dispatch elision extensions stay wired to
+// their patterns.
 var (
-	_ PhasedPattern = Pairwise{}
-	_ PhasedPattern = (*Neighborhood)(nil)
-	_ PhasedPattern = Hub{}
-	_ PhasedPattern = Collective{}
-	_ PhasedPattern = AllGather{}
-
 	_ PhaseFuser        = Pairwise{}
 	_ PhaseFuser        = (*Neighborhood)(nil)
 	_ PhaseFuser        = AllGather{}

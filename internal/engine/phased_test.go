@@ -3,14 +3,12 @@ package engine_test
 import (
 	"testing"
 
-	"sapspsgd/internal/core"
-	"sapspsgd/internal/engine"
 	"sapspsgd/internal/engine/memtransport"
 )
 
-// TestHubSendRecvFIFO pins the one-way primitives the sharded runtime uses:
-// deposits drain in FIFO order per directed pair, independently per
-// direction, and rank validation matches Exchange.
+// TestHubSendRecvFIFO pins the hub's one-way primitives: deposits drain in
+// FIFO order per directed pair, independently per direction, and both
+// methods validate their ranks.
 func TestHubSendRecvFIFO(t *testing.T) {
 	h := memtransport.NewHub(3)
 	if err := h.Send(0, 0, 1, []float64{1}); err != nil {
@@ -39,51 +37,5 @@ func TestHubSendRecvFIFO(t *testing.T) {
 	}
 	if _, err := h.Recv(0, 1, 3); err == nil {
 		t.Fatal("out-of-range recv accepted")
-	}
-}
-
-// exchangeOnly hides the Hub's phased methods, modelling a custom transport
-// that predates the sharded runtime.
-type exchangeOnly struct{ hub *memtransport.Hub }
-
-func (e exchangeOnly) Exchange(round, self, peer int, payload []float64) ([]float64, error) {
-	return e.hub.Exchange(round, self, peer, payload)
-}
-
-// TestShardsFallbackWithoutPhasedTransport: a Shards request over a
-// transport with no phased path must degrade to the blocking pool and still
-// reproduce the serial run bit for bit.
-func TestShardsFallbackWithoutPhasedTransport(t *testing.T) {
-	const n = 4
-	spec := testSpec(4)
-	ref, refTraj := inProcRun(t, spec, n, nil, nil)
-
-	workers := buildWorkers(t, spec, n)
-	eng := engine.New(engine.Options{
-		Workers:   workers,
-		Planner:   core.NewCoordinator(testEnv(n), coreConfig(spec, n)),
-		Transport: exchangeOnly{hub: memtransport.NewHub(n)},
-		Shards:    2,
-	})
-	defer eng.Close()
-	led := &engine.CountingLedger{}
-	for round := 0; round < spec.Rounds; round++ {
-		if _, err := eng.Step(round, led); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		for i, w := range workers {
-			params := w.Params()
-			for j, v := range params {
-				if v != refTraj[round][i][j] {
-					t.Fatalf("round %d worker %d param %d: fallback %v != serial %v", round, i, j, v, refTraj[round][i][j])
-				}
-			}
-		}
-	}
-	got := led.RoundBytes()
-	for r := range ref {
-		if ref[r] != got[r] {
-			t.Fatalf("round %d bytes: fallback %d != serial %d", r, got[r], ref[r])
-		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"sapspsgd/internal/core"
@@ -16,8 +17,8 @@ import (
 // the shard count:
 //
 //   - each rank's floating-point work is confined to its own state and runs
-//     in the same per-rank operation order as the blocking pool (the
-//     PhasedPattern contract), so trajectories are bit-identical;
+//     in the phase program's order (the Pattern contract), so trajectories
+//     are bit-identical;
 //   - cross-rank data moves only through the transport's keyed FIFOs, and
 //     every Recv consumes a deposit from an earlier phase (the phase barrier
 //     is the happens-before edge);
@@ -36,10 +37,10 @@ import (
 // steady-state round performs no heap allocations.
 type shardRunner struct {
 	n       int
-	pattern PhasedPattern
+	pattern Pattern
 	nodes   []Node
 	codecs  []Codec
-	tr      PhasedTransport
+	tr      Transport
 
 	cmds []chan shardCmd // one per shard
 	done chan error      // one message per shard per dispatched command
@@ -86,11 +87,11 @@ type phaseRun struct {
 }
 
 // newShardRunner spawns shards executor goroutines over the rank space.
-// shards is clamped to [1, n].
-func newShardRunner(nodes []Node, codecs []Codec, pat PhasedPattern, tr PhasedTransport, shards int) *shardRunner {
+// shards < 1 means one per CPU; the count is clamped to n.
+func newShardRunner(nodes []Node, codecs []Codec, pat Pattern, tr Transport, shards int) *shardRunner {
 	n := len(nodes)
 	if shards < 1 {
-		shards = 1
+		shards = runtime.GOMAXPROCS(0)
 	}
 	if shards > n {
 		shards = n

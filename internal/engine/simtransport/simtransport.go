@@ -1,5 +1,5 @@
 // Package simtransport is the simulated-bandwidth engine backend: the same
-// in-process payload rendezvous as memtransport, but every exchange is
+// in-process payload hand-over as memtransport, but every exchange is
 // charged against a netsim bandwidth matrix so round wall time and per-worker
 // traffic reproduce the paper's simulation exactly. The *netsim.Ledger it
 // returns satisfies engine.Ledger directly.

@@ -1,51 +1,28 @@
 package engine
 
-// Gate bounds the engine's CPU-heavy sections (local SGD, encode/decode,
-// merge) without serializing the network exchanges between them: a pattern
-// holds the gate while computing, releases it before blocking in
-// Transport.Exchange, and re-acquires it to merge. This is what lets a
-// bounded pool drive many more workers than cores with no rendezvous
-// deadlock.
-type Gate interface {
-	Acquire()
-	Release()
-}
-
-// NewGate returns a counting-semaphore Gate admitting at most limit
-// concurrent holders. limit < 1 panics.
-func NewGate(limit int) Gate {
-	if limit < 1 {
-		panic("engine: gate limit < 1")
-	}
-	return semGate(make(chan struct{}, limit))
-}
-
-type semGate chan struct{}
-
-func (g semGate) Acquire() { g <- struct{}{} }
-func (g semGate) Release() { <-g }
-
-// nopGate is the ungated variant used by single-worker deployments (one
-// process per worker, e.g. the TCP client), where the OS already schedules.
-type nopGate struct{}
-
-func (nopGate) Acquire() {}
-func (nopGate) Release() {}
-
-// WorkerRound executes one node's full round — local compute, the pattern's
-// encoded exchanges over the transport, and the merge. This is the single
-// canonical implementation of the worker round: every backend (in-memory,
-// simulated-bandwidth, TCP) funnels through it.
+// WorkerRound executes one rank's full round: the pattern's phases run back
+// to back over the transport, each Recv blocking until the peer's deposit
+// arrives. It is the whole executor of a one-rank-per-process deployment
+// (the TCP worker); the in-process engine runs the same phases across many
+// ranks with barriers in between.
 //
-// pat nil defaults to the pairwise matched-gossip pattern; gate nil runs
-// ungated. codecs is the shared per-rank codec table: the node encodes with
+// The transport must not retain a payload after Send returns (see
+// Transport) — with no barrier between a rank's phases, the butterfly
+// rewrites its chunk buffers while a by-reference receiver could still be
+// reading them. st is the rank's phase scratch, reused round over round; the
+// returned report aliases it and is valid until the next WorkerRound on the
+// same st. pat nil defaults to the pairwise matched-gossip pattern. codecs
+// is the shared per-rank codec table: the node encodes with
 // codecs[ctx.Self] and decodes inbound payloads with the sender's codec.
-func WorkerRound(node Node, pat Pattern, codecs []Codec, tr Transport, gate Gate, ctx RoundContext) (NodeReport, error) {
+func WorkerRound(node Node, pat Pattern, codecs []Codec, tr Transport, st *PhaseState, ctx RoundContext) (NodeReport, error) {
 	if pat == nil {
 		pat = Pairwise{}
 	}
-	if gate == nil {
-		gate = nopGate{}
+	st.reset()
+	for p, phases := 0, pat.PhaseCount(ctx.Plan, ctx.N); p < phases; p++ {
+		if err := pat.RunPhase(ctx, p, node, codecs, tr, st); err != nil {
+			return NodeReport{}, err
+		}
 	}
-	return pat.RunRound(ctx, node, codecs, tr, gate)
+	return st.Rep, nil
 }

@@ -65,7 +65,7 @@ func (s *Spec) gossipConfig() gossip.Config {
 
 // Build assembles the spec's algorithm over the sharded engine runtime.
 // shards overrides the spec's default shard count when > 0; pass 0 to use
-// the spec's and -1 to force the serial goroutine-per-node pool. With
+// the spec's (whose own 0 means one shard per CPU). With
 // bandwidth.jitter or a trace block set, the returned *netsim.Bandwidth is
 // the time-varying environment's stable snapshot (rewritten in place every
 // round by Run).
@@ -228,14 +228,13 @@ func (s *Spec) build(shards int) (algos.Algorithm, *netsim.Bandwidth, *roundEnv,
 }
 
 // effectiveShards resolves a sweep override against the spec default:
-// override > 0 wins, 0 defers to the spec, and -1 forces the serial
-// goroutine-per-node pool (engine shard count 0).
+// override > 0 wins, anything else defers to the spec. The result is the
+// requested count — 0 stays 0 (the engine then uses one shard per CPU), so
+// Result.Shards and every aggregate built from it are the same bytes on any
+// machine.
 func (s *Spec) effectiveShards(override int) int {
-	switch {
-	case override > 0:
+	if override > 0 {
 		return override
-	case override < 0:
-		return 0
 	}
 	return s.Shards
 }
@@ -270,7 +269,7 @@ func (s *Spec) Run(shards int) (Result, error) {
 // RunOptions tunes one scenario execution beyond what the spec declares.
 type RunOptions struct {
 	// Shards is the engine shard override, interpreted exactly as Build's
-	// parameter (0 = spec default, -1 = serial pool).
+	// parameter (0 = spec default).
 	Shards int
 	// Trace attaches a trace.Recorder even when the spec does not set
 	// trace; it is ignored for algorithms that cannot record one (only

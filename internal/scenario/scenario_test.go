@@ -225,7 +225,7 @@ func TestRunDeterministicAcrossShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := spec.Run(-1) // goroutine-per-node pool reference
+			serial, err := spec.Run(1) // serial reference
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func TestRunFaultScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := spec.Run(-1)
+	serial, err := spec.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRunFaultScenario(t *testing.T) {
 	// workers stop communicating.
 	healthy := *spec
 	healthy.Faults = nil
-	full, err := healthy.Run(-1)
+	full, err := healthy.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestJitterScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := spec.Run(-1)
+	serial, err := spec.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestJitterScenario(t *testing.T) {
 	}
 	static := spec.Clone()
 	static.Bandwidth.Jitter = 0
-	flat, err := static.Run(-1)
+	flat, err := static.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func TestRunChurnScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := spec.Run(-1)
+	serial, err := spec.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,8 +103,8 @@ type Spec struct {
 	// block still applies (it shapes the bandwidth environment).
 	Async *AsyncSpec `json:"async,omitempty"`
 
-	// Shards is the default engine shard count for this scenario (0 = the
-	// engine's goroutine-per-node pool). Sweeps usually override it.
+	// Shards is the default engine shard count for this scenario (0 = one
+	// shard per CPU). Sweeps usually override it.
 	Shards int `json:"shards,omitempty"`
 
 	// RecordTrace attaches a trace.Recorder to the run (RunFull returns

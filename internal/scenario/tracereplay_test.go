@@ -20,7 +20,7 @@ func TestTraceReplayDeterministicAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := spec.Run(-1) // goroutine-per-node pool reference
+	serial, err := spec.Run(1) // serial reference
 	if err != nil {
 		t.Fatal(err)
 	}

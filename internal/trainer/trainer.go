@@ -73,7 +73,7 @@ func (r Result) FirstReaching(target float64) (Record, bool) {
 }
 
 // Run trains alg for cfg.Rounds rounds over the bandwidth environment. An
-// algorithm holding background resources (the engine's worker pool) exposes
+// algorithm holding background resources (the engine's executors) exposes
 // Close; Run releases it when the run completes, so the algorithm cannot be
 // stepped again afterwards (its models and diagnostics stay readable).
 func Run(alg algos.Algorithm, bw *netsim.Bandwidth, cfg Config) Result {

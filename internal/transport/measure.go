@@ -35,10 +35,11 @@ type Probe struct {
 	Payload []byte
 }
 
-// measurePeers runs the probe exchanges for one worker: first it accepts
-// probes from all lower ranks (any arrival order), then dials all higher
-// ranks in ascending order. This ordering is deadlock-free: rank 0 starts
-// dialing immediately, and every accept has a matching dial in flight.
+// measurePeers runs the probe exchanges for one worker: first it echoes the
+// probes of all lower ranks (any arrival order; the accept loop hands them
+// over), then dials all higher ranks in ascending order. This ordering is
+// deadlock-free: rank 0 starts dialing immediately, and every awaited probe
+// has a matching dial in flight.
 func (w *WorkerClient) measurePeers(req MeasureRequest) MeasureReport {
 	rep := MeasureReport{Rank: w.rank, MBps: make([]float64, w.n)}
 	payload := make([]byte, req.ProbeBytes)
@@ -85,31 +86,22 @@ func (w *WorkerClient) dialProbe(peer int, payload []byte) (float64, error) {
 	return throughputMBps(len(payload)+len(p.Payload), time.Since(start)), nil
 }
 
-// acceptProbe accepts one incoming probe, echoes it, and attributes the
-// measurement to the dialer identified inside the probe.
+// acceptProbe takes one incoming probe from the accept loop, echoes it, and
+// attributes the measurement to the dialer identified inside the probe.
 func (w *WorkerClient) acceptProbe(payload []byte) (from int, mbps float64, err error) {
-	nc, err := w.peerLn.Accept()
-	if err != nil {
-		return 0, 0, err
-	}
-	conn := NewConn(nc)
-	defer conn.Close()
-	start := time.Now()
-	msg, err := conn.Recv()
-	if err != nil {
-		return 0, 0, err
-	}
-	p, ok := msg.(Probe)
+	pc, ok := <-w.probes
 	if !ok {
-		return 0, 0, fmt.Errorf("transport: probe got %T", msg)
+		return 0, 0, fmt.Errorf("transport: peer listener closed")
 	}
+	defer pc.conn.Close()
+	p := pc.probe
 	if p.From < 0 || p.From >= w.n {
 		return 0, 0, fmt.Errorf("transport: probe from invalid rank %d", p.From)
 	}
-	if err := conn.Send(Probe{From: w.rank, Payload: payload}); err != nil {
+	if err := pc.conn.Send(Probe{From: w.rank, Payload: payload}); err != nil {
 		return 0, 0, err
 	}
-	return p.From, throughputMBps(len(p.Payload)+len(payload), time.Since(start)), nil
+	return p.From, throughputMBps(len(p.Payload)+len(payload), time.Since(pc.start)), nil
 }
 
 func throughputMBps(totalBytes int, elapsed time.Duration) float64 {

@@ -3,13 +3,13 @@
 // server (Algorithm 1) that registers workers, broadcasts the per-round
 // control messages (peer assignment / participation set + mask seed — never
 // model payloads), and worker clients that assemble their engine node from
-// the broadcast algos.Recipe and exchange encoded payloads peer-to-peer over
-// their own listeners. Any recipe algorithm deploys: SAPS's masked pairwise
+// the broadcast algos.Recipe and send encoded payloads peer-to-peer to each
+// other's listeners. Any recipe algorithm deploys: SAPS's masked pairwise
 // gossip, the ring and all-gather decentralized baselines, and the hub
 // schemes (the last registered rank becomes the parameter server).
 //
-// All control-plane and data-plane messages are gob-encoded. The data two
-// workers exchange is exactly the codec's wire words — for SAPS the packed
+// All control-plane and data-plane messages are gob-encoded. The data one
+// worker sends another is exactly the codec's wire words — for SAPS the packed
 // masked values, whose indices travel as a 64-bit seed inside the control
 // message, reproducing the paper's wire economics.
 package transport
@@ -182,17 +182,17 @@ type (
 		Flows      []engine.Flow
 	}
 	// RoundFailed is a worker's report that its round attempt died on a
-	// peer exchange (the peer's process is gone): the coordinator marks the
+	// send to a peer (the peer's process is gone): the coordinator marks the
 	// peer dead, aborts the round on every survivor, and re-plans it.
 	RoundFailed struct {
 		Rank   int
 		Round  int
-		Peer   int // the peer whose exchange failed, -1 if unknown
+		Peer   int // the peer that could not be reached, -1 if unknown
 		Reason string
 	}
 	// Abort tells every surviving worker to discard the named round's
-	// attempt: roll back to the round-boundary snapshot, drop stashed peer
-	// connections, and acknowledge. A re-planned RoundMsg (Attempt+1)
+	// attempt: stop waiting for its frames, roll back to the round-boundary
+	// snapshot, and acknowledge. A re-planned RoundMsg (Attempt+1)
 	// follows.
 	Abort struct {
 		Round int
@@ -239,14 +239,15 @@ type (
 	Done struct{}
 )
 
-// PeerPayload is the data-plane message two exchanging workers swap: the
-// encoded wire words for the given round. Seq orders multiple meetings of
-// the same pair within one round (hub pull/push, collective phases): both
-// endpoints count their exchanges per (round, peer) and the numbers must
-// agree, which catches mispaired connections under out-of-order arrival.
-// Attempt distinguishes a re-planned round's exchanges from a stale aborted
-// attempt's. From -2 is the abort sentinel a worker dials into its own
-// listener to unblock a pending Accept.
+// PeerPayload is the data-plane frame one worker sends another: the encoded
+// wire words for the given round, one frame per connection, nothing sent
+// back. Seq numbers the frames of one directed pair within a round attempt
+// (hub pull/push, collective phases) — each frame travels on its own
+// connection, so two consecutive frames can be accepted out of order, and
+// the receiver claims them by Seq, not by arrival. Attempt distinguishes a
+// re-planned round's frames from a stale aborted attempt's. A frame with no
+// Vals is a legitimate empty payload (gob does not distinguish nil from
+// empty): the frame itself is the deposit.
 type PeerPayload struct {
 	Round   int
 	From    int
@@ -254,10 +255,6 @@ type PeerPayload struct {
 	Attempt int
 	Vals    []float64
 }
-
-// abortSentinel is the PeerPayload.From value of the self-dialed wake-up
-// connection used to interrupt a blocked Accept during an abort.
-const abortSentinel = -2
 
 // wire is the gob envelope: encoding an interface value requires concrete
 // type registration, done in registerTypes.

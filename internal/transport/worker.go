@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
@@ -20,8 +22,8 @@ var ErrCrashed = errors.New("transport: worker crashed by fault injection (resta
 
 // WorkerClient runs one engine node over TCP: it registers with the
 // coordinator, assembles its node/pattern/codecs from the broadcast task
-// recipe, trains locally, and exchanges encoded payloads with its per-round
-// peers over direct worker-to-worker connections. For hub algorithms the
+// recipe, trains locally, and sends encoded payloads to its per-round peers
+// as one-way frames over direct worker-to-worker connections. For hub algorithms the
 // last rank hosts the parameter server instead of training.
 //
 // Fault tolerance (DESIGN.md §3): with SnapshotPath set the worker persists
@@ -54,22 +56,22 @@ type WorkerClient struct {
 
 	peerLn net.Listener
 	addrs  []string
-	// pending stashes accepted peer connections that arrived while this
-	// worker was waiting for a different peer (multi-peer patterns accept
-	// in no guaranteed order); FIFO per sender.
-	pending map[int][]*pendingConn
-	// seq counts this round's exchanges per peer; both endpoints of every
-	// meeting must agree on the sequence number.
-	seq map[int]int
+	// inbox buffers the data-plane frames the accept loop has drained until
+	// the round goroutine's Recv claims them; probes carries the
+	// measurement phase's connections the same loop accepted.
+	inbox  inbox
+	probes chan probeConn
+	// sent and recvd count this round attempt's frames per peer and
+	// direction — the Seq both endpoints of a directed pair agree on.
+	sent, recvd []int
 	// attempt is the current round's execution attempt (from RoundMsg).
 	attempt int
+	// phases is the round goroutine's reusable phase scratch.
+	phases engine.PhaseState
 
-	// aborting flags an in-flight round as cancelled; exchanges bail out.
+	// aborting flags an in-flight round as cancelled; Send and Recv bail
+	// out.
 	aborting atomic.Bool
-	// inflight is the peer connection the round goroutine is currently
-	// blocked on; the main loop closes it to interrupt the round.
-	inflightMu sync.Mutex
-	inflight   *Conn
 
 	// boundary is the in-memory round-boundary state captured before the
 	// current round's compute, restored on abort; boundaryRound tags it.
@@ -86,13 +88,6 @@ type WorkerClient struct {
 	dieAtRound *int
 }
 
-// pendingConn is one accepted-but-not-yet-consumed peer connection with its
-// opening payload.
-type pendingConn struct {
-	conn *Conn
-	pp   PeerPayload
-}
-
 // recvResult is one message (or terminal error) from the coordinator reader.
 type recvResult struct {
 	msg any
@@ -105,8 +100,8 @@ type roundResult struct {
 	err error
 }
 
-// peerError wraps a round failure with the peer whose exchange died, so the
-// coordinator can mark the right process dead.
+// peerError wraps a round failure with the peer a Send could not reach, so
+// the coordinator can mark the right process dead.
 type peerError struct {
 	peer int
 	err  error
@@ -129,7 +124,7 @@ func (w *WorkerClient) logf(format string, args ...any) {
 
 // Run connects to the coordinator at coordAddr, participates in the full
 // training, and returns the node's final parameters. peerAddr is the
-// address to listen on for peer exchanges ("127.0.0.1:0" for an ephemeral
+// address to listen on for peer frames ("127.0.0.1:0" for an ephemeral
 // port).
 func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 	var err error
@@ -154,6 +149,7 @@ func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.servePeers()()
 
 	// A dedicated reader owns the coordinator's receive side, so the main
 	// loop can watch for Abort while a round is in flight.
@@ -286,7 +282,6 @@ func (w *WorkerClient) rejoin() error {
 // buildNode assembles the model, node, pattern, and codec table from the
 // task spec — identically whether registering fresh or resuming.
 func (w *WorkerClient) buildNode() error {
-	w.pending = map[int][]*pendingConn{}
 	spec := w.task
 	trainers := spec.Trainers(w.n)
 	rec := spec.Recipe(trainers)
@@ -371,14 +366,16 @@ func (w *WorkerClient) handleRound(m RoundMsg, msgs <-chan recvResult) error {
 	}
 	w.boundaryRound = m.Round
 	w.attempt = m.Attempt
-	w.seq = map[int]int{}
+	clear(w.sent)
+	clear(w.recvd)
 	w.aborting.Store(false)
+	w.inbox.begin(m.Round, m.Attempt)
 
 	plan := core.RoundPlan{Round: m.Round, Seed: m.Seed, Active: m.Active, Peer: peerTable(m.Peer, w.rank, w.n)}
 	ctx := engine.RoundContext{Round: m.Round, Seed: m.Seed, Self: w.rank, N: w.n, Plan: plan}
 	done := make(chan roundResult, 1)
 	go func() {
-		rep, err := engine.WorkerRound(w.node, w.pattern, w.codecs, peerDialer{w}, nil, ctx)
+		rep, err := engine.WorkerRound(w.node, w.pattern, w.codecs, peerDialer{w}, &w.phases, ctx)
 		done <- roundResult{rep: rep, err: err}
 	}()
 
@@ -389,7 +386,7 @@ func (w *WorkerClient) handleRound(m RoundMsg, msgs <-chan recvResult) error {
 			case w.aborting.Load():
 				return w.rollbackAndAck(m.Round)
 			case res.err != nil:
-				// A peer died under us: report it, then wait for the
+				// A peer was unreachable: report it, then wait for the
 				// coordinator's Abort before rolling back.
 				peer := -1
 				var pe *peerError
@@ -434,8 +431,10 @@ func (w *WorkerClient) handleRound(m RoundMsg, msgs <-chan recvResult) error {
 			if !ok || ab.Round != m.Round {
 				return fmt.Errorf("transport: worker %d: unexpected %T during round %d", w.rank, in.msg, m.Round)
 			}
-			w.startAbort()
-			// Keep looping: the round goroutine will fail out shortly.
+			// Cancel the attempt: flag it, then wake the round goroutine if
+			// it is blocked in Recv. Keep looping: it will fail out shortly.
+			w.aborting.Store(true)
+			w.inbox.wake()
 		}
 	}
 }
@@ -466,8 +465,9 @@ func (w *WorkerClient) awaitAbort(round int, msgs <-chan recvResult) error {
 	}
 }
 
-// rollbackAndAck restores the round-boundary state, drops stashed peer
-// connections, and acknowledges the abort.
+// rollbackAndAck restores the round-boundary state and acknowledges the
+// abort. The attempt's buffered frames go stale and are dropped when the
+// re-planned attempt begins.
 func (w *WorkerClient) rollbackAndAck(round int) error {
 	if w.boundaryRound == round {
 		if err := engine.RestoreRank(w.node, w.codecs[w.rank], w.boundary); err != nil {
@@ -477,38 +477,8 @@ func (w *WorkerClient) rollbackAndAck(round int) error {
 	if w.pendingSnap != nil && w.pendingSnap.NextRound == round+1 {
 		w.pendingSnap = nil
 	}
-	for peer, list := range w.pending {
-		for _, pc := range list {
-			pc.conn.Close()
-		}
-		delete(w.pending, peer)
-	}
 	w.boundaryRound = -1
 	return w.coord.Send(AbortAck{Rank: w.rank, Round: round})
-}
-
-// startAbort cancels the in-flight round attempt: flag it, cut the blocked
-// peer connection, and wake a pending Accept with the sentinel.
-func (w *WorkerClient) startAbort() {
-	w.aborting.Store(true)
-	w.inflightMu.Lock()
-	if w.inflight != nil {
-		w.inflight.Close()
-	}
-	w.inflightMu.Unlock()
-	if nc, err := net.Dial("tcp", w.peerLn.Addr().String()); err == nil {
-		c := NewConn(nc)
-		c.Send(PeerPayload{From: abortSentinel})
-		c.Close()
-	}
-}
-
-// setInflight publishes the connection the round goroutine is about to block
-// on (nil clears it).
-func (w *WorkerClient) setInflight(c *Conn) {
-	w.inflightMu.Lock()
-	w.inflight = c
-	w.inflightMu.Unlock()
 }
 
 // peerTable reconstructs the pairwise peer table from this worker's own
@@ -528,137 +498,175 @@ func peerTable(peer, self, n int) []int {
 	return t
 }
 
-// peerDialer adapts the worker's peer connections to engine.Transport, so
-// the canonical engine round drives the TCP deployment: the round logic
-// lives in internal/engine, and only the payload swap below is
-// transport-specific.
+// peerDialer is the worker's engine.Transport, so the canonical phase
+// program drives the TCP deployment: the round logic lives in
+// internal/engine, and only the one-way frames below are transport-specific.
 type peerDialer struct{ w *WorkerClient }
 
-// Exchange implements engine.Transport.
-func (d peerDialer) Exchange(round, self, peer int, payload []float64) ([]float64, error) {
-	vals, err := d.w.exchange(round, peer, payload)
-	if err != nil && !errors.Is(err, errAborted) {
-		return nil, &peerError{peer: peer, err: err}
-	}
-	return vals, err
-}
-
-// exchange swaps encoded payloads with the peer: the lower rank dials, the
-// higher rank accepts. Multi-peer patterns can make the accept side receive
-// connections out of order, so accepted connections self-identify via their
-// opening PeerPayload and are stashed until their exchange comes up; the
-// per-(round, peer) sequence number verifies both sides agree on which
-// meeting this is.
-func (w *WorkerClient) exchange(round, peer int, payload []float64) ([]float64, error) {
+// Send implements engine.Transport: dial the peer and write one PeerPayload
+// frame. The peer's accept loop drains it whether or not its round goroutine
+// has reached the matching Recv, so two workers sending to each other first
+// cannot deadlock on full socket buffers.
+func (d peerDialer) Send(round, self, peer int, payload []float64) error {
+	w := d.w
 	if w.aborting.Load() {
-		return nil, errAborted
+		return errAborted
 	}
-	seq := w.seq[peer]
-	w.seq[peer]++
-	out := PeerPayload{Round: round, From: w.rank, Seq: seq, Attempt: w.attempt, Vals: payload}
-
-	if w.rank < peer {
-		nc, err := net.Dial("tcp", w.addrs[peer])
-		if err != nil {
-			return nil, fmt.Errorf("transport: worker %d dial peer %d: %w", w.rank, peer, err)
-		}
-		conn := NewConn(nc)
-		w.setInflight(conn)
-		defer w.setInflight(nil)
-		defer conn.Close()
-		if err := conn.Send(out); err != nil {
-			return nil, err
-		}
-		msg, err := conn.Recv()
-		if err != nil {
-			if w.aborting.Load() {
-				return nil, errAborted
-			}
-			return nil, err
-		}
-		pp, ok := msg.(PeerPayload)
-		if !ok {
-			return nil, fmt.Errorf("transport: worker %d: peer sent %T", w.rank, msg)
-		}
-		if err := w.checkPayload(pp, round, peer, seq); err != nil {
-			return nil, err
-		}
-		return pp.Vals, nil
-	}
-
-	pc, err := w.awaitPeer(round, peer)
+	seq := w.sent[peer]
+	w.sent[peer]++
+	nc, err := net.Dial("tcp", w.addrs[peer])
 	if err != nil {
-		return nil, err
+		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d dial peer %d: %w", self, peer, err)}
 	}
-	w.setInflight(pc.conn)
-	defer w.setInflight(nil)
-	defer pc.conn.Close()
-	if err := w.checkPayload(pc.pp, round, peer, seq); err != nil {
-		return nil, err
-	}
-	if err := pc.conn.Send(out); err != nil {
-		if w.aborting.Load() {
-			return nil, errAborted
-		}
-		return nil, err
-	}
-	return pc.pp.Vals, nil
-}
-
-// awaitPeer returns the oldest stashed connection from peer, accepting (and
-// stashing) incoming connections until one arrives. The abort sentinel (a
-// self-dialed connection with From == abortSentinel) interrupts the wait
-// when the round is being cancelled. Stale payloads — dialed during an
-// aborted attempt and parked in the listener's TCP backlog until now — are
-// discarded here rather than stashed, so they can never pair with (and
-// fail) a re-planned round's exchange.
-func (w *WorkerClient) awaitPeer(round, peer int) (*pendingConn, error) {
-	for {
-		if list := w.pending[peer]; len(list) > 0 {
-			pc := list[0]
-			w.pending[peer] = list[1:]
-			return pc, nil
-		}
-		nc, err := w.peerLn.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("transport: worker %d accept peer %d: %w", w.rank, peer, err)
-		}
-		conn := NewConn(nc)
-		msg, err := conn.Recv()
-		if err != nil {
-			conn.Close()
-			if w.aborting.Load() {
-				return nil, errAborted
-			}
-			return nil, fmt.Errorf("transport: worker %d: peer hello: %w", w.rank, err)
-		}
-		pp, ok := msg.(PeerPayload)
-		if !ok {
-			conn.Close()
-			return nil, fmt.Errorf("transport: worker %d: accepted %T", w.rank, msg)
-		}
-		if pp.From == abortSentinel {
-			conn.Close()
-			if w.aborting.Load() {
-				return nil, errAborted
-			}
-			continue // stale sentinel from an already-resolved abort
-		}
-		if pp.Round < round || (pp.Round == round && pp.Attempt < w.attempt) {
-			conn.Close()
-			continue // stale payload from an aborted attempt's backlog
-		}
-		w.pending[pp.From] = append(w.pending[pp.From], &pendingConn{conn: conn, pp: pp})
-	}
-}
-
-// checkPayload validates an inbound payload's routing metadata, including
-// the attempt number (a stale payload from an aborted attempt must never
-// pair with a re-planned round's exchange).
-func (w *WorkerClient) checkPayload(pp PeerPayload, round, peer, seq int) error {
-	if pp.Round != round || pp.From != peer || pp.Seq != seq || pp.Attempt != w.attempt {
-		return fmt.Errorf("transport: worker %d: stale payload round=%d from=%d seq=%d attempt=%d, want round=%d from=%d seq=%d attempt=%d",
-			w.rank, pp.Round, pp.From, pp.Seq, pp.Attempt, round, peer, seq, w.attempt)
+	conn := NewConn(nc)
+	defer conn.Close()
+	if err := conn.Send(PeerPayload{Round: round, From: self, Seq: seq, Attempt: w.attempt, Vals: payload}); err != nil {
+		return &peerError{peer: peer, err: err}
 	}
 	return nil
+}
+
+// Recv implements engine.Transport: claim the peer's next frame of this
+// round attempt from the inbox, waiting for the accept loop to deliver it.
+func (d peerDialer) Recv(round, self, peer int) ([]float64, error) {
+	w := d.w
+	seq := w.recvd[peer]
+	w.recvd[peer]++
+	return w.inbox.take(peer, seq, &w.aborting)
+}
+
+// probeConn is a measurement-phase connection the accept loop took in: the
+// probe already read, and when the connection was accepted.
+type probeConn struct {
+	conn  *Conn
+	probe Probe
+	start time.Time
+}
+
+// servePeers starts the accept loop that owns the peer listener from here
+// on. The returned stop closes the listener and waits for the loop to exit
+// (it closes probes on its way out), releasing any probe nobody took.
+func (w *WorkerClient) servePeers() (stop func()) {
+	w.inbox.changed = make(chan struct{}, 1)
+	w.inbox.frames = make([][]PeerPayload, w.n)
+	w.sent, w.recvd = make([]int, w.n), make([]int, w.n)
+	// Sized to the sends: each lower rank probes this worker once.
+	w.probes = make(chan probeConn, w.n)
+	go w.acceptLoop()
+	return func() {
+		w.peerLn.Close()
+		for pc := range w.probes {
+			pc.conn.Close()
+		}
+	}
+}
+
+// acceptLoop drains every inbound connection's single frame, independently
+// of the round goroutine: data frames land in the inbox, measurement probes
+// go to measurePeers with their connection (the echo travels back on it).
+// It ends when the listener closes, failing any Recv still waiting.
+func (w *WorkerClient) acceptLoop() {
+	defer close(w.probes)
+	for {
+		nc, err := w.peerLn.Accept()
+		if err != nil {
+			w.inbox.fail(fmt.Errorf("transport: worker %d accept: %w", w.rank, err))
+			return
+		}
+		start := time.Now()
+		conn := NewConn(nc)
+		msg, err := conn.Recv()
+		if p, ok := msg.(Probe); ok && err == nil {
+			select {
+			case w.probes <- probeConn{conn: conn, probe: p, start: start}:
+				continue
+			default: // more probes than ranks: not this fleet's
+			}
+		}
+		conn.Close()
+		if pp, ok := msg.(PeerPayload); ok && err == nil {
+			w.inbox.put(pp)
+		}
+	}
+}
+
+// inbox holds the data-plane frames that have arrived but not been claimed.
+// Frames of one sender can overtake each other (each travels on its own
+// connection), so take matches on the frame's sequence number, never on
+// arrival order; and frames can arrive early (a peer already in the next
+// round) or late (an aborted attempt's), so everything is keyed by (round,
+// attempt) and anything older than the attempt in progress is dropped.
+type inbox struct {
+	mu             sync.Mutex
+	frames         [][]PeerPayload // per sender, arrival order
+	round, attempt int             // the attempt in progress
+	err            error           // the accept loop's terminal error
+	// changed holds a token whenever something happened since take last
+	// looked: a frame arrived, the attempt was cancelled, or the accept loop
+	// died. One slot suffices — the round goroutine is the only waiter, and
+	// it re-checks everything on each token.
+	changed chan struct{}
+}
+
+// wake makes a blocked take look again.
+func (b *inbox) wake() {
+	select {
+	case b.changed <- struct{}{}:
+	default:
+	}
+}
+
+func (b *inbox) stale(pp PeerPayload) bool {
+	return pp.Round < b.round || (pp.Round == b.round && pp.Attempt < b.attempt)
+}
+
+// begin opens a round attempt and drops the frames it makes stale.
+func (b *inbox) begin(round, attempt int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.round, b.attempt = round, attempt
+	for from, list := range b.frames {
+		b.frames[from] = slices.DeleteFunc(list, b.stale)
+	}
+}
+
+func (b *inbox) put(pp PeerPayload) {
+	b.mu.Lock()
+	if pp.From >= 0 && pp.From < len(b.frames) && !b.stale(pp) {
+		b.frames[pp.From] = append(b.frames[pp.From], pp)
+	}
+	b.mu.Unlock()
+	b.wake()
+}
+
+// take blocks until sender from's frame seq of the attempt in progress has
+// arrived and returns its payload; setting stop and calling wake cancels the
+// wait.
+func (b *inbox) take(from, seq int, stop *atomic.Bool) ([]float64, error) {
+	for {
+		if stop.Load() {
+			return nil, errAborted
+		}
+		b.mu.Lock()
+		for i, pp := range b.frames[from] {
+			if pp.Round == b.round && pp.Attempt == b.attempt && pp.Seq == seq {
+				b.frames[from] = slices.Delete(b.frames[from], i, i+1)
+				b.mu.Unlock()
+				return pp.Vals, nil
+			}
+		}
+		err := b.err
+		b.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		<-b.changed
+	}
+}
+
+func (b *inbox) fail(err error) {
+	b.mu.Lock()
+	b.err = err
+	b.mu.Unlock()
+	b.wake()
 }

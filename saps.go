@@ -99,12 +99,14 @@ type (
 // composition over Nodes; the seven baselines in this package are exactly
 // such compositions (see AlgoRecipe).
 type (
-	// Engine runs the round loop over an in-process node pool.
+	// Engine runs the round loop over an in-process fleet, one executor
+	// goroutine per shard of ranks.
 	Engine = engine.Engine
 	// EngineOptions configures an Engine (nodes/workers, pattern, codecs,
 	// planner, transport).
 	EngineOptions = engine.Options
-	// EngineTransport is the peer-to-peer data plane a backend implements.
+	// EngineTransport is the one-way peer-to-peer data plane (Send/Recv) a
+	// backend implements.
 	EngineTransport = engine.Transport
 	// EngineLedger is the traffic/time accounting a backend charges.
 	EngineLedger = engine.Ledger
