@@ -1,14 +1,12 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation (see DESIGN.md §5 for the index). Each benchmark runs a
-// CPU-scaled version of the corresponding experiment and reports its
-// headline numbers as benchmark metrics; `go run ./cmd/sapsbench` prints the
-// full rows/series. The bench-scale runs use fewer rounds and workers than
-// the paper-scale configs in internal/experiments so the whole suite
-// completes in minutes on a laptop.
+// Micro- and smoke benchmarks of the library. The paper's tables and
+// figures are not benchmarks: they are the committed campaigns under
+// campaigns/paper/ (EXPERIMENTS.md has the map). What stays here is what a
+// campaign cannot express — planner-level sweeps of Algorithm 3's two
+// thresholds, raw round and forward/backward throughput — and the
+// BENCH.json traffic summary CI gates on.
 package sapspsgd_test
 
 import (
-	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -16,7 +14,6 @@ import (
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/dataset"
-	"sapspsgd/internal/experiments"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
@@ -24,149 +21,7 @@ import (
 	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/spectral"
 	"sapspsgd/internal/tensor"
-	"sapspsgd/internal/trainer"
 )
-
-// benchWorkload shrinks a paper workload to bench scale.
-func benchWorkload(w experiments.Workload, rounds int) experiments.Workload {
-	w.Rounds = rounds
-	w.TrainSamples = 1024
-	w.ValidSamples = 256
-	// Bench models are ~40k params; scale the most aggressive ratios so the
-	// sparsifiers still transmit a meaningful number of coordinates.
-	w.Ratios = experiments.Ratios{TopK: 200, SFed: 50, DCD: 4, SAPS: 50}
-	return w
-}
-
-// runSuite executes the 7-algorithm convergence suite at bench scale and
-// reports the SAPS metrics against the best baseline. The suites are the
-// long pole of the benchmark set, so they honor -short (see DESIGN.md §6:
-// `go test -short ./...` is the quick tier-1 sweep, the full run exercises
-// everything).
-func runSuite(b *testing.B, w experiments.Workload, rounds, n int) []trainer.Result {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("convergence suite skipped in -short mode")
-	}
-	var results []trainer.Result
-	for i := 0; i < b.N; i++ {
-		suite := experiments.ConvergenceSuite{
-			Workload:  benchWorkload(w, rounds),
-			N:         n,
-			Seed:      uint64(7 + i),
-			EvalEvery: rounds / 8,
-		}
-		var err error
-		results, err = suite.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return results
-}
-
-func reportSAPS(b *testing.B, results []trainer.Result) {
-	b.Helper()
-	for _, r := range results {
-		if r.Algorithm == "SAPS-PSGD" {
-			f := r.Final()
-			b.ReportMetric(f.ValAcc*100, "saps-acc-%")
-			b.ReportMetric(f.TrafficMB, "saps-traffic-MB")
-			b.ReportMetric(f.TimeSec, "saps-commtime-s")
-		}
-		if r.Algorithm == "D-PSGD" {
-			b.ReportMetric(r.Final().TrafficMB, "dpsgd-traffic-MB")
-		}
-	}
-}
-
-// --- Table I: analytic communication cost model -----------------------------
-
-func BenchmarkTable1CostModel(b *testing.B) {
-	p := experiments.NewCostParams(32, 6653628, 100, 1000, 2)
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table1(p)
-		t.WriteMarkdown(io.Discard)
-	}
-	costs := experiments.WorkerCostValues(p)
-	b.ReportMetric(costs["SAPS-PSGD"]*4/1e6, "saps-MB")
-	b.ReportMetric(costs["D-PSGD"]*4/1e6, "dpsgd-MB")
-}
-
-// --- Fig. 1: the 14-city bandwidth matrix ----------------------------------
-
-func BenchmarkFig1BandwidthMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig1Table().WriteMarkdown(io.Discard)
-	}
-	bw := netsim.FourteenCities()
-	b.ReportMetric(bw.MeanBandwidth(), "mean-MBps")
-}
-
-// --- Fig. 3 + Table III: convergence, 7 algorithms, 3 models ---------------
-
-func BenchmarkFig3ConvergenceMNIST(b *testing.B) {
-	results := runSuite(b, experiments.MNISTWorkload(), 64, 8)
-	reportSAPS(b, results)
-}
-
-func BenchmarkFig3ConvergenceCIFAR(b *testing.B) {
-	results := runSuite(b, experiments.CIFARWorkload(), 64, 8)
-	reportSAPS(b, results)
-}
-
-func BenchmarkFig3ConvergenceResNet(b *testing.B) {
-	results := runSuite(b, experiments.ResNetWorkload(), 48, 8)
-	reportSAPS(b, results)
-}
-
-// --- Fig. 4: accuracy vs communication size --------------------------------
-
-func BenchmarkFig4TrafficMNIST(b *testing.B) {
-	results := runSuite(b, experiments.MNISTWorkload(), 64, 8)
-	experiments.WriteFig4(io.Discard, results)
-	reportSAPS(b, results)
-}
-
-// --- Fig. 5: bandwidth utilization ------------------------------------------
-
-func BenchmarkFig5Bandwidth14Cities(b *testing.B) {
-	var series map[string][]float64
-	for i := 0; i < b.N; i++ {
-		series = experiments.Fig5Fourteen(400, uint64(3+i))
-	}
-	b.ReportMetric(experiments.MeanOf(series["SAPS-PSGD"]), "saps-MBps")
-	b.ReportMetric(experiments.MeanOf(series["RandomChoose"]), "random-MBps")
-	b.ReportMetric(experiments.MeanOf(series["D-PSGD"]), "ring-MBps")
-}
-
-func BenchmarkFig5Bandwidth32Workers(b *testing.B) {
-	var series map[string][]float64
-	for i := 0; i < b.N; i++ {
-		series = experiments.Fig5ThirtyTwo(400, uint64(9+i))
-	}
-	b.ReportMetric(experiments.MeanOf(series["SAPS-PSGD"]), "saps-MBps")
-	b.ReportMetric(experiments.MeanOf(series["RandomChoose"]), "random-MBps")
-	b.ReportMetric(experiments.MeanOf(series["D-PSGD"]), "ring-MBps")
-}
-
-// --- Fig. 6 + Table IV: communication time to target accuracy --------------
-
-func BenchmarkFig6CommTimeMNIST(b *testing.B) {
-	results := runSuite(b, experiments.MNISTWorkload(), 64, 8)
-	experiments.WriteFig6(io.Discard, results)
-	target := 0.75
-	for _, r := range results {
-		if rec, ok := r.FirstReaching(target); ok && r.Algorithm == "SAPS-PSGD" {
-			b.ReportMetric(rec.TimeSec, "saps-time-to-75%")
-		}
-		if rec, ok := r.FirstReaching(target); ok && r.Algorithm == "D-PSGD" {
-			b.ReportMetric(rec.TimeSec, "dpsgd-time-to-75%")
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §5 A5) --------------------------------------------
 
 // BenchmarkAblationTThres sweeps Algorithm 3's recency window: smaller
 // TThres forces reconnection more often (better mixing, lower matched
@@ -194,62 +49,6 @@ func BenchmarkAblationTThres(b *testing.B) {
 			}
 			b.ReportMetric(mean, "matched-MBps")
 			b.ReportMetric(rho, "rho")
-		})
-	}
-}
-
-// BenchmarkAblationCompression sweeps SAPS's compression ratio c on the
-// MNIST workload: traffic scales as 1/c while accuracy degrades gracefully.
-func BenchmarkAblationCompression(b *testing.B) {
-	if testing.Short() {
-		b.Skip("training benchmark skipped in -short mode")
-	}
-	for _, c := range []float64{4, 20, 100} {
-		name := map[float64]string{4: "c4", 20: "c20", 100: "c100"}[c]
-		b.Run(name, func(b *testing.B) {
-			var final trainer.Record
-			for i := 0; i < b.N; i++ {
-				w := benchWorkload(experiments.MNISTWorkload(), 48)
-				w.Ratios.SAPS = c
-				n := 8
-				bw := experiments.EnvN(n, 7)
-				alg, err := experiments.BuildAlgorithm("SAPS-PSGD", w, n, bw, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, valid := w.Dataset()
-				res := trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds, Valid: valid})
-				final = res.Final()
-			}
-			b.ReportMetric(final.ValAcc*100, "acc-%")
-			b.ReportMetric(final.TrafficMB, "traffic-MB")
-		})
-	}
-}
-
-// BenchmarkAblationMatchingPolicy compares adaptive vs random peer selection
-// end to end (bandwidth utilization + accuracy).
-func BenchmarkAblationMatchingPolicy(b *testing.B) {
-	if testing.Short() {
-		b.Skip("training benchmark skipped in -short mode")
-	}
-	for _, name := range []string{"SAPS-PSGD", "RandomChoose"} {
-		b.Run(name, func(b *testing.B) {
-			var res trainer.Result
-			for i := 0; i < b.N; i++ {
-				w := benchWorkload(experiments.MNISTWorkload(), 48)
-				n := 14
-				bw := netsim.FourteenCities()
-				alg, err := experiments.BuildAlgorithm(name, w, n, bw, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, valid := w.Dataset()
-				res = trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds, Valid: valid})
-			}
-			f := res.Final()
-			b.ReportMetric(f.ValAcc*100, "acc-%")
-			b.ReportMetric(f.TimeSec, "commtime-s")
 		})
 	}
 }
@@ -284,73 +83,20 @@ func BenchmarkAblationBThres(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationChurn compares SAPS under stable membership vs 10%/50%
-// leave/rejoin churn (extension E1).
-func BenchmarkAblationChurn(b *testing.B) {
-	if testing.Short() {
-		b.Skip("training benchmark skipped in -short mode")
-	}
-	for _, name := range []string{"SAPS-PSGD", "SAPS-PSGD(churn)"} {
-		sub := "stable"
-		if name == "SAPS-PSGD(churn)" {
-			sub = "churn"
-		}
-		b.Run(sub, func(b *testing.B) {
-			var res trainer.Result
-			for i := 0; i < b.N; i++ {
-				w := benchWorkload(experiments.MNISTWorkload(), 48)
-				n := 8
-				bw := experiments.EnvN(n, 11)
-				alg, err := experiments.BuildAlgorithm(name, w, n, bw, 11)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, valid := w.Dataset()
-				res = trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds, Valid: valid})
-			}
-			b.ReportMetric(res.Final().ValAcc*100, "acc-%")
-		})
-	}
-}
-
-// BenchmarkAblationQuantizationVsSparsification quantifies the related-work
-// argument: QSGD quantization cannot reach the mask sparsifier's
-// compression (extension E3).
-func BenchmarkAblationQuantizationVsSparsification(b *testing.B) {
-	if testing.Short() {
-		b.Skip("training benchmark skipped in -short mode")
-	}
-	for _, name := range []string{"QSGD-PSGD", "SAPS-PSGD"} {
-		b.Run(name, func(b *testing.B) {
-			var res trainer.Result
-			for i := 0; i < b.N; i++ {
-				w := benchWorkload(experiments.MNISTWorkload(), 48)
-				n := 8
-				bw := experiments.EnvN(n, 13)
-				alg, err := experiments.BuildAlgorithm(name, w, n, bw, 13)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, valid := w.Dataset()
-				res = trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds, Valid: valid})
-			}
-			f := res.Final()
-			b.ReportMetric(f.ValAcc*100, "acc-%")
-			b.ReportMetric(f.TrafficMB, "traffic-MB")
-		})
-	}
-}
-
 // --- End-to-end training throughput -----------------------------------------
 
 func BenchmarkSAPSRoundThroughput32Workers(b *testing.B) {
 	if testing.Short() {
 		b.Skip("training benchmark skipped in -short mode")
 	}
-	w := benchWorkload(experiments.MNISTWorkload(), 1)
-	n := 32
-	bw := experiments.EnvN(n, 3)
-	alg, err := experiments.BuildAlgorithm("SAPS-PSGD", w, n, bw, 3)
+	// The paper's MNIST base scenario widened to 32 workers.
+	spec, err := scenario.Load("campaigns/paper/base-mnist.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Nodes, spec.Compression = 32, 50
+	spec.Data.Samples, spec.Data.Valid = 1024, 0
+	alg, bw, err := spec.Build(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -405,7 +151,7 @@ func BenchmarkTrafficSmoke(b *testing.B) {
 	var sweep scenario.ScenarioSweep
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
-		for _, name := range append(append([]string{}, experiments.AlgorithmNames...), "QSGD-PSGD", "PS-PSGD") {
+		for _, name := range []string{"PSGD", "TopK-PSGD", "FedAvg", "S-FedAvg", "D-PSGD", "DCD-PSGD", "SAPS-PSGD", "QSGD-PSGD", "PS-PSGD"} {
 			fc := algos.FleetConfig{
 				N:       n,
 				Factory: func() *nn.Model { return nn.NewMLP(tr.Dim(), []int{12}, 4, 5) },

@@ -4,8 +4,10 @@
 // cells across a bounded worker pool, journals completions to
 // <out>/manifest.jsonl, and — once every cell is done — writes the
 // aggregate figure artifacts (aggregate.json, summary.{md,csv},
-// traffic_by_algo.{md,csv}, loss_vs_round.csv, loss_vs_bytes.csv, and
-// per-cell traces/ CSVs when the spec enables tracing).
+// traffic_by_algo.{md,csv}, loss_vs_round.csv, loss_vs_bytes.csv, per-cell
+// traces/ CSVs when the spec enables tracing, and — for the paper campaigns
+// under campaigns/paper/ — the accuracy and matched-bandwidth artifacts
+// EXPERIMENTS.md maps to the paper's tables and figures).
 //
 // An interrupted campaign resumes by re-running the same command: cells
 // already journaled (same ID and spec hash) are skipped, so only the

@@ -29,7 +29,7 @@ func main() {
 	cfg := saps.DefaultConfig(workers)
 	cfg.Batch = 16
 	bw := saps.RandomUniform(workers, 0, 5, 3)
-	trainCfg := saps.TrainConfig{Rounds: rounds, EvalEvery: 50, Valid: valid}
+	trainCfg := saps.TrainConfig{Rounds: rounds, Valid: valid}
 
 	stable := saps.Run(saps.NewSAPS(fc, bw, cfg), bw, trainCfg)
 	churned := algos.NewSAPSChurn(fc, bw, cfg, algos.ChurnModel{
@@ -49,8 +49,8 @@ func main() {
 		}
 	}
 	fmt.Printf("stable : final accuracy %.2f%%  traffic %.3f MB/worker\n",
-		100*stable.Final().ValAcc, stable.Final().TrafficMB)
+		100*stable.Records.Final().ValAcc, stable.Records.Final().TrafficMB)
 	fmt.Printf("churned: final accuracy %.2f%%  traffic %.3f MB/worker  (active workers ranged %d..%d of %d)\n",
-		100*churnRes.Final().ValAcc, churnRes.Final().TrafficMB, minActive, maxActive, workers)
+		100*churnRes.Records.Final().ValAcc, churnRes.Records.Final().TrafficMB, minActive, maxActive, workers)
 	fmt.Println("\nNo recovery protocol is needed: returning workers re-synchronize through the masked gossip itself.")
 }

@@ -32,7 +32,7 @@ func main() {
 
 	fc := saps.FleetConfig{N: workers, Factory: factory, Shards: shards, LR: cfg.LR, Batch: cfg.Batch, Seed: 1}
 	run := func(alg saps.Algorithm) saps.Result {
-		return saps.Run(alg, bw, saps.TrainConfig{Rounds: 120, EvalEvery: 30, Valid: valid})
+		return saps.Run(alg, bw, saps.TrainConfig{Rounds: 120, Valid: valid})
 	}
 
 	adaptive := run(saps.NewSAPS(fc, bw, cfg))
@@ -45,13 +45,13 @@ func main() {
 	fmt.Println("RandomChoose (uniform random matching):")
 	report(random)
 
-	fa, fr := adaptive.Final(), random.Final()
+	fa, fr := adaptive.Records.Final(), random.Records.Final()
 	fmt.Printf("speedup from adaptive selection: %.1f×  (%.3f s vs %.3f s of simulated comm time)\n",
 		fr.TimeSec/fa.TimeSec, fa.TimeSec, fr.TimeSec)
 }
 
 func report(r saps.Result) {
-	f := r.Final()
+	f := r.Records.Final()
 	fmt.Printf("  final accuracy %.2f%%, %.3f MB/worker, %.3f s communication\n\n",
 		100*f.ValAcc, f.TrafficMB, f.TimeSec)
 }

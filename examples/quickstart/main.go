@@ -43,18 +43,14 @@ func main() {
 
 	fmt.Printf("SAPS-PSGD: %d workers, %d params, c=%.0f\n",
 		workers, factory().ParamCount(), cfg.Compression)
-	res := saps.Run(alg, bw, saps.TrainConfig{
-		Rounds:    rounds,
-		EvalEvery: 25,
-		Valid:     valid,
-	})
+	res := saps.Run(alg, bw, saps.TrainConfig{Rounds: rounds, Valid: valid})
 
 	fmt.Println("round  acc      traffic/worker  comm-time")
 	for _, r := range res.Records {
 		fmt.Printf("%5d  %6.2f%%  %8.3f MB     %7.3f s\n",
 			r.Round, 100*r.ValAcc, r.TrafficMB, r.TimeSec)
 	}
-	final := res.Final()
+	final := res.Records.Final()
 	fmt.Printf("\nfinal: %.2f%% accuracy with %.3f MB per worker (dense model is %.3f MB per exchange)\n",
 		100*final.ValAcc, final.TrafficMB, float64(factory().ParamCount())*4/1e6)
 }

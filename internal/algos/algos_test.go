@@ -196,9 +196,17 @@ func TestSAPSReducesConsensusError(t *testing.T) {
 	// Run a while; workers drift due to local SGD but gossip keeps the
 	// disagreement bounded. Compare against a no-communication fleet.
 	iso := NewFleet(fc)
+	loaders := make([]*dataset.Loader, n)
+	for i := range loaders {
+		loaders[i] = dataset.NewLoader(fc.Shards[i], fc.Batch, fc.Seed+uint64(i)*104729)
+	}
+	opt := &nn.SGD{LR: fc.LR}
 	for r := 0; r < 120; r++ {
 		alg.Step(r, led)
-		iso.Parallel(func(i int) float64 { return iso.SGDStep(i) })
+		for i, m := range iso.Models {
+			xs, ys := loaders[i].Next()
+			nn.TrainBatch(m, opt, xs, ys)
+		}
 	}
 	consensus := func(models []*nn.Model) float64 {
 		dim := models[0].ParamCount()
@@ -260,7 +268,7 @@ func TestFedAvgSelectsFraction(t *testing.T) {
 	const n = 8
 	chosen := func(fraction float64) int {
 		r := Recipe{Algo: "fedavg", Workers: n, LR: 0.1, Batch: 8, Seed: 3, Fraction: fraction, LocalSteps: 1}
-		plan := r.Planner(nil, defaultRecipeGossip()).Plan(0)
+		plan := r.Planner(nil, gossip.Config{}).Plan(0)
 		k := 0
 		for i := 0; i < n; i++ { // exclude the always-active server rank
 			if plan.Active[i] {

@@ -5,16 +5,11 @@ import (
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
-	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/topology"
 )
 
 // Topology aliases topology.Topology for the DPSGDTopology constructor.
 type Topology = topology.Topology
-
-// defaultRecipeGossip is the Algorithm 3 configuration for recipes that do
-// not use the gossip planner (static/hub baselines ignore it).
-func defaultRecipeGossip() gossip.Config { return gossip.Config{BThres: 0, TThres: 10} }
 
 // MetropolisWeights converts a topology's Metropolis–Hastings gossip matrix
 // into sparse per-worker weight rows (self weight included).
@@ -32,38 +27,14 @@ func MetropolisWeights(t Topology) []map[int]float64 {
 	return out
 }
 
-// DPSGD is decentralized parallel SGD (Lian et al.) on the static ring
-// topology the paper evaluates: each round worker i averages the full models
-// of its two ring neighbors with its own (weights 1/3) and then takes a
-// local gradient step. Composed as Neighborhood pattern (ring adjacency) +
-// Dense codec: every worker ships its dense model to both neighbors each
-// round, and both directions are charged with measured bytes.
-type DPSGD struct {
-	*engineAlgo
-}
-
-// NewDPSGD builds the ring D-PSGD baseline.
-func NewDPSGD(fc FleetConfig) *DPSGD {
-	r := Recipe{Algo: "d-psgd", Workers: fc.N, LR: fc.LR, Batch: fc.Batch, Seed: fc.Seed}
-	a, _ := newEngineAlgo("D-PSGD", fc, r, r.Planner(nil, defaultRecipeGossip()), nil)
-	return &DPSGD{engineAlgo: a}
-}
-
-var _ Algorithm = (*DPSGD)(nil)
-
-// DPSGDTopology is D-PSGD on an arbitrary static topology with
+// NewDPSGDTopology is D-PSGD on an arbitrary static topology with
 // Metropolis–Hastings mixing weights — the extension behind the topology
 // ablation (ring vs torus vs hypercube vs random regular): more neighbors
 // buy faster consensus at proportionally higher per-round traffic. Same
-// node/codec composition as DPSGD, with the topology's adjacency driving the
-// Neighborhood pattern.
-type DPSGDTopology struct {
-	*engineAlgo
-}
-
-// NewDPSGDTopology builds D-PSGD over the given topology. The topology must
-// span exactly fc.N vertices and be connected.
-func NewDPSGDTopology(fc FleetConfig, topo Topology) *DPSGDTopology {
+// node/codec composition as NewDPSGD, with the topology's adjacency driving
+// the Neighborhood pattern. The topology must span exactly fc.N vertices and
+// be connected.
+func NewDPSGDTopology(fc FleetConfig, topo Topology) Algorithm {
 	if topo.G.N != fc.N {
 		panic(fmt.Sprintf("algos: topology has %d vertices for %d workers", topo.G.N, fc.N))
 	}
@@ -88,28 +59,5 @@ func NewDPSGDTopology(fc FleetConfig, topo Topology) *DPSGDTopology {
 		Pattern: engine.NewNeighborhood(adj, false),
 		Planner: engine.PlannerFunc(func(t int) core.RoundPlan { return core.RoundPlan{Round: t} }),
 	})
-	return &DPSGDTopology{engineAlgo: a}
+	return a
 }
-
-var _ Algorithm = (*DPSGDTopology)(nil)
-
-// DCDPSGD is difference-compressed decentralized SGD (Tang et al.) on the
-// ring: every worker maintains public replicas x̂ of its neighbors' models
-// and transmits only a Top-k compressed difference between its model and its
-// own replica each round, so replicas track the true models with bounded
-// error. The paper sets c = 4 — larger ratios diverge, which our
-// integration tests reproduce. Composed as Neighborhood pattern with
-// IncludeSelf (the node applies its own lossy delta to its own replica,
-// keeping all copies of x̂ identical) + TopK codec without error feedback.
-type DCDPSGD struct {
-	*engineAlgo
-}
-
-// NewDCDPSGD builds the DCD baseline with compression ratio c.
-func NewDCDPSGD(fc FleetConfig, c float64) *DCDPSGD {
-	r := Recipe{Algo: "dcd-psgd", Workers: fc.N, LR: fc.LR, Batch: fc.Batch, Seed: fc.Seed, C: c}
-	a, _ := newEngineAlgo("DCD-PSGD", fc, r, r.Planner(nil, defaultRecipeGossip()), nil)
-	return &DCDPSGD{engineAlgo: a}
-}
-
-var _ Algorithm = (*DCDPSGD)(nil)

@@ -123,21 +123,11 @@ func (t *teeLedger) EndRound() float64 {
 	return a
 }
 
-// hubChassis unwraps the shared engine chassis from the hub algorithms'
-// named wrappers (their server rank and link table drive the tee's hub
-// mapping); nil for algorithms without one.
+// hubChassis is the shared engine chassis of a baseline (its server rank
+// and link table drive the tee's hub mapping); nil for the SAPS family.
 func hubChassis(alg Algorithm) *engineAlgo {
-	switch v := alg.(type) {
-	case *engineAlgo:
-		return v
-	case *PSPSGD:
-		return v.engineAlgo
-	case *FedAvg:
-		return v.engineAlgo
-	case *SFedAvg:
-		return v.engineAlgo
-	}
-	return nil
+	a, _ := alg.(*engineAlgo)
+	return a
 }
 
 // TestEventLedgerEquivalence: for every synchronous recipe, a run on the

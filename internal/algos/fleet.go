@@ -1,8 +1,8 @@
 // Package algos implements the seven training algorithms the paper
 // evaluates — SAPS-PSGD and its six comparators (PSGD all-reduce,
 // TopK-PSGD, FedAvg, S-FedAvg, D-PSGD, DCD-PSGD) plus the QSGD and
-// RandomChoose ablations — behind a common Algorithm interface consumed by
-// the trainer harness. Every algorithm is a thin Planner + Pattern + Codec
+// RandomChoose ablations — behind a common Algorithm interface that the
+// scenario layer's round loop drives. Every algorithm is a thin Planner + Pattern + Codec
 // composition over the internal/engine round loop (see Recipe), so the same
 // definitions run in-process, against a simulated-bandwidth ledger, and over
 // TCP; all wire traffic is measured from the bytes the codecs actually
@@ -11,11 +11,10 @@ package algos
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
+	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
 )
@@ -69,17 +68,16 @@ func (c FleetConfig) validate() {
 	}
 }
 
-// Fleet is the shared worker plumbing.
+// Fleet is the identically initialized models of one run; every node
+// builds its own loader and optimizer over its model and shard.
 type Fleet struct {
-	N       int
-	Models  []*nn.Model
-	Opts    []*nn.SGD
-	Loaders []*dataset.Loader
-	Dim     int
+	N      int
+	Models []*nn.Model
+	Dim    int
 }
 
-// NewFleet builds the workers. All models come from the same factory so
-// X₀ is identical across workers (the paper's initial-consensus condition).
+// NewFleet builds the models. All come from the same factory so X₀ is
+// identical across workers (the paper's initial-consensus condition).
 func NewFleet(cfg FleetConfig) *Fleet {
 	cfg.validate()
 	f := &Fleet{N: cfg.N}
@@ -91,47 +89,8 @@ func NewFleet(cfg FleetConfig) *Fleet {
 			panic("algos: factory produced models of different sizes")
 		}
 		f.Models = append(f.Models, m)
-		f.Opts = append(f.Opts, &nn.SGD{LR: cfg.LR})
-		f.Loaders = append(f.Loaders, dataset.NewLoader(cfg.Shards[i], cfg.Batch, cfg.Seed+uint64(i)*104729))
 	}
 	return f
-}
-
-// Parallel runs fn(i) for every worker concurrently (bounded by GOMAXPROCS)
-// and returns the mean of the returned values. Worker state is disjoint, so
-// this is safe as long as fn(i) touches only worker i.
-func (f *Fleet) Parallel(fn func(i int) float64) float64 {
-	results := make([]float64, f.N)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < f.N; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			results[i] = fn(i)
-			<-sem
-		}(i)
-	}
-	wg.Wait()
-	sum := 0.0
-	for _, v := range results {
-		sum += v
-	}
-	return sum / float64(f.N)
-}
-
-// GradStep computes gradients for worker i on its next minibatch without
-// applying them, returning the loss. Gradients remain in Models[i].
-func (f *Fleet) GradStep(i int) float64 {
-	xs, ys := f.Loaders[i].Next()
-	return nn.ComputeGrads(f.Models[i], xs, ys)
-}
-
-// SGDStep runs one full local SGD step for worker i and returns the loss.
-func (f *Fleet) SGDStep(i int) float64 {
-	xs, ys := f.Loaders[i].Next()
-	return nn.TrainBatch(f.Models[i], f.Opts[i], xs, ys)
 }
 
 // engineAlgo is the shared chassis of every baseline: an engine assembled
@@ -151,7 +110,7 @@ type engineAlgo struct {
 // worker 0's model doubles as the evaluation mirror; links carries the
 // optimistic server placement of the paper ("choosing the server that has
 // the maximum bandwidth").
-func newEngineAlgo(name string, fc FleetConfig, r Recipe, planner engine.Planner, links []float64) (*engineAlgo, *Fleet) {
+func newEngineAlgo(name string, fc FleetConfig, r Recipe, links []float64) *engineAlgo {
 	if err := r.Validate(); err != nil {
 		panic(err)
 	}
@@ -173,10 +132,12 @@ func newEngineAlgo(name string, fc FleetConfig, r Recipe, planner engine.Planner
 		Nodes:   nodes,
 		Codecs:  r.Codecs(f.Dim),
 		Pattern: r.Pattern(),
-		Planner: planner,
+		// Only saps plans over the bandwidth environment; the baselines'
+		// planners ignore it.
+		Planner: r.Planner(nil, gossip.Config{}),
 		Shards:  fc.RuntimeShards,
 	})
-	return a, f
+	return a
 }
 
 // Name implements Algorithm.

@@ -16,8 +16,9 @@ import (
 // peer selection. The round loop itself lives in internal/engine; this type
 // assembles the engine over the in-process memtransport backend and layers
 // the simulation-side diagnostics (matched-bandwidth series, tracing) on
-// top.
+// top. NewRandomChoose builds the same type over a different planner.
 type SAPS struct {
+	name  string
 	fleet *Fleet
 	eng   *engine.Engine
 	// LastMatchedBandwidth is the mean bandwidth (MB/s) over the pairs
@@ -33,8 +34,8 @@ type SAPS struct {
 func newEngineWorkers(f *Fleet, fc FleetConfig, cfg core.Config) []*core.Worker {
 	ws := make([]*core.Worker, f.N)
 	for i := 0; i < f.N; i++ {
-		// core.NewWorker builds its own loader; the fleet's models are
-		// shared so evaluation sees the live parameters.
+		// The fleet's models are shared so evaluation sees the live
+		// parameters.
 		ws[i] = core.NewWorker(i, f.Models[i], fc.Shards[i], cfg)
 	}
 	return ws
@@ -42,22 +43,26 @@ func newEngineWorkers(f *Fleet, fc FleetConfig, cfg core.Config) []*core.Worker 
 
 // NewSAPS builds the algorithm over the bandwidth environment bw.
 func NewSAPS(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *SAPS {
+	return newSAPS("SAPS-PSGD", fc, bw, cfg, core.NewCoordinator(bw, cfg))
+}
+
+func newSAPS(name string, fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, planner engine.Planner) *SAPS {
 	f := NewFleet(fc)
-	s := &SAPS{fleet: f, bw: bw}
+	s := &SAPS{name: name, fleet: f, bw: bw}
 	s.eng = engine.New(engine.Options{
 		Workers: newEngineWorkers(f, fc, cfg),
-		Planner: core.NewCoordinator(bw, cfg),
+		Planner: planner,
 		Shards:  fc.RuntimeShards,
 	})
 	return s
 }
 
-// SetTrace attaches a round recorder (scenario.RunFull's hook; equivalent
+// SetTrace attaches a round recorder (the scenario loop's hook; equivalent
 // to assigning Trace directly).
 func (s *SAPS) SetTrace(r *trace.Recorder) { s.Trace = r }
 
 // Name implements Algorithm.
-func (s *SAPS) Name() string { return "SAPS-PSGD" }
+func (s *SAPS) Name() string { return s.name }
 
 // Models implements Algorithm.
 func (s *SAPS) Models() []*nn.Model { return s.fleet.Models }
@@ -83,24 +88,22 @@ func (s *SAPS) Step(round int, led engine.Ledger) float64 {
 
 var _ Algorithm = (*SAPS)(nil)
 
-// RandomChoose is SAPS with the adaptive peer selection replaced by a
-// uniformly random maximum matching each round — the paper's RandomChoose
-// comparison in Fig. 5. Sparsification and masked averaging are unchanged:
-// only the engine's Planner differs.
-type RandomChoose struct {
-	fleet *Fleet
-	eng   *engine.Engine
-	bw    *netsim.Bandwidth
-	// LastMatchedBandwidth mirrors SAPS.LastMatchedBandwidth.
-	LastMatchedBandwidth float64
-}
-
 // randomPlanner draws a uniformly random maximum matching and a fresh mask
 // seed each round.
 type randomPlanner struct {
 	n       int
 	rnd     *rng.Source
 	seedSrc *rng.Source
+}
+
+// NewRandomPlanner is RandomChoose's coordinator side alone: a uniformly
+// random maximum matching over n workers and a fresh mask seed per round.
+func NewRandomPlanner(n int, seed uint64) engine.Planner {
+	return &randomPlanner{
+		n:       n,
+		rnd:     rng.New(seed).Derive(0x7a4d01),
+		seedSrc: rng.New(seed).Derive(0x7a4d02),
+	}
 }
 
 func (p *randomPlanner) Plan(t int) core.RoundPlan {
@@ -111,39 +114,10 @@ func (p *randomPlanner) Plan(t int) core.RoundPlan {
 	}
 }
 
-// NewRandomChoose builds the random-matching variant.
-func NewRandomChoose(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *RandomChoose {
-	f := NewFleet(fc)
-	rc := &RandomChoose{fleet: f, bw: bw}
-	rc.eng = engine.New(engine.Options{
-		Workers: newEngineWorkers(f, fc, cfg),
-		Planner: &randomPlanner{
-			n:       f.N,
-			rnd:     rng.New(cfg.Seed).Derive(0x7a4d01),
-			seedSrc: rng.New(cfg.Seed).Derive(0x7a4d02),
-		},
-		Shards: fc.RuntimeShards,
-	})
-	return rc
+// NewRandomChoose is SAPS with the adaptive peer selection replaced by a
+// uniformly random maximum matching each round — the paper's RandomChoose
+// comparison in Fig. 5. Sparsification and masked averaging are unchanged:
+// only the engine's Planner differs.
+func NewRandomChoose(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *SAPS {
+	return newSAPS("RandomChoose", fc, bw, cfg, NewRandomPlanner(fc.N, cfg.Seed))
 }
-
-// Name implements Algorithm.
-func (rc *RandomChoose) Name() string { return "RandomChoose" }
-
-// Models implements Algorithm.
-func (rc *RandomChoose) Models() []*nn.Model { return rc.fleet.Models }
-
-// Close releases the engine's executors.
-func (rc *RandomChoose) Close() { rc.eng.Close() }
-
-// Step implements Algorithm.
-func (rc *RandomChoose) Step(round int, led engine.Ledger) float64 {
-	stats, err := rc.eng.Step(round, led)
-	if err != nil {
-		panic(err)
-	}
-	rc.LastMatchedBandwidth = gossip.MeanMatchedBandwidth(stats.Plan.Matching(), rc.bw)
-	return stats.Loss
-}
-
-var _ Algorithm = (*RandomChoose)(nil)

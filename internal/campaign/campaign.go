@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,11 +46,31 @@ type Spec struct {
 	// Trace writes a per-round trace CSV (traces/<cell>.csv) for every
 	// cell whose algorithm records one (the SAPS family).
 	Trace bool `json:"trace,omitempty"`
+	// PerAlgo gives grid algorithms their own hyperparameters where the
+	// paper's comparison (§IV-A) does not share one value: TopK-PSGD runs at
+	// c = 1000, DCD-PSGD at c = 4, and only the FedAvg family takes several
+	// local steps per round. Keys must appear on the algo axis.
+	PerAlgo map[string]AlgoParams `json:"per_algo,omitempty"`
+	// TargetAcc, when positive, adds the time-to-target table (Table IV):
+	// each cell's traffic and simulated time at the first evaluation whose
+	// validation accuracy reaches it.
+	TargetAcc float64 `json:"target_acc,omitempty"`
 	// Grid is the parameter grid crossed into the run matrix.
 	Grid Grid `json:"grid"`
 
 	// dir is the campaign file's directory, for resolving Base.
 	dir string
+}
+
+// AlgoParams is one algorithm's entry in Spec.PerAlgo; a zero field keeps
+// the base scenario's value.
+type AlgoParams struct {
+	// Compression is the algorithm's compression ratio c, landing on its
+	// own knob exactly like the grid's compression axis (which, when swept,
+	// overrides it).
+	Compression float64 `json:"compression,omitempty"`
+	// LocalSteps is the algorithm's local SGD steps per round.
+	LocalSteps int `json:"local_steps,omitempty"`
 }
 
 // Grid lists the swept axes. An omitted (empty) axis keeps the base
@@ -63,10 +84,11 @@ type Grid struct {
 	// not saps drop the base spec's saps-only blocks (compression, gossip,
 	// churn, faults, record_trace, trace membership events — the trace
 	// block itself survives as bandwidth-multiplier replay, which is
-	// algorithm-agnostic). Synchronous cells drop the base's async block;
-	// asynchronous cells (adpsgd, gradpush) require the base to carry one
-	// and run unsharded on the event-driven engine, so the shards axis
-	// collapses for them.
+	// algorithm-agnostic); randomchoose, being saps under another planner,
+	// keeps compression and record_trace. Synchronous cells drop the base's
+	// async block; asynchronous cells (adpsgd, gradpush) require the base
+	// to carry one and run unsharded on the event-driven engine, so the
+	// shards axis collapses for them.
 	Algo []string `json:"algo,omitempty"`
 	// Nodes sweeps the trainer count.
 	Nodes []int `json:"nodes,omitempty"`
@@ -212,8 +234,20 @@ func (c *Spec) Validate() error {
 		return fmt.Errorf("campaign: missing base scenario path")
 	case c.Workers < 0:
 		return fmt.Errorf("campaign %s: %d workers", c.Name, c.Workers)
+	case c.TargetAcc < 0 || c.TargetAcc > 1:
+		return fmt.Errorf("campaign %s: target_acc %v outside [0, 1]", c.Name, c.TargetAcc)
 	}
 	g := &c.Grid
+	for algo, p := range c.PerAlgo {
+		switch {
+		case !slices.Contains(g.Algo, algo):
+			return fmt.Errorf("campaign %s: per_algo entry %q is not on the algo axis", c.Name, algo)
+		case p.Compression != 0 && (p.Compression < 1 || !hasCompressionKnob(algo)):
+			return fmt.Errorf("campaign %s: per_algo %s compression %v (want ≥ 1 on an algorithm with a ratio knob)", c.Name, algo, p.Compression)
+		case p.LocalSteps < 0:
+			return fmt.Errorf("campaign %s: per_algo %s local_steps %d", c.Name, algo, p.LocalSteps)
+		}
+	}
 	if len(g.Algo) == 0 && len(g.Nodes) == 0 && len(g.Rounds) == 0 && len(g.Bandwidth) == 0 &&
 		len(g.Traces) == 0 && len(g.Partition) == 0 &&
 		len(g.Compression) == 0 && len(g.Seeds) == 0 && len(g.Shards) == 0 {
@@ -327,8 +361,8 @@ type Cell struct {
 	// Partition is the partition-axis label ("" when the axis is not
 	// swept).
 	Partition string
-	// Compression is the swept compression ratio c (0 when the axis does
-	// not apply to this cell's algorithm or is not swept).
+	// Compression is the cell's compression ratio c from the grid axis or,
+	// failing that, the algorithm's per_algo entry (0 when neither sets it).
 	Compression float64
 }
 
@@ -336,7 +370,7 @@ type Cell struct {
 // ratio the grid axis can drive.
 func hasCompressionKnob(algo string) bool {
 	switch algo {
-	case "saps", "topk-psgd", "dcd-psgd", "s-fedavg":
+	case "saps", "randomchoose", "topk-psgd", "dcd-psgd", "s-fedavg":
 		return true
 	}
 	return false
@@ -345,7 +379,7 @@ func hasCompressionKnob(algo string) bool {
 // applyCompression maps the unified ratio c onto the algorithm's own knob.
 func applyCompression(s *scenario.Spec, ratio float64) {
 	switch s.Algo {
-	case "saps":
+	case "saps", "randomchoose":
 		s.Compression = ratio
 	case "topk-psgd", "dcd-psgd", "s-fedavg":
 		s.C = ratio
@@ -527,15 +561,17 @@ func (c *Spec) Expand(base *scenario.Spec) ([]Cell, error) {
 				if algo != "saps" {
 					// The saps-only blocks do not transfer to other
 					// algorithms; drop them instead of failing the cell.
-					s.Compression = 0
 					s.Gossip = nil
 					s.Churn = nil
 					s.Faults = nil
-					s.RecordTrace = false
 					if s.Trace != nil {
 						// The bandwidth multipliers replay for every
 						// algorithm; membership events are saps-only.
 						s.Trace.Events = false
+					}
+					if algo != "randomchoose" {
+						s.Compression = 0
+						s.RecordTrace = false
 					}
 				}
 				if !scenario.AsyncAlgo(algo) {
@@ -559,9 +595,17 @@ func (c *Spec) Expand(base *scenario.Spec) ([]Cell, error) {
 					ax.apply(s, idx[a])
 				}
 				cell := Cell{Spec: s, Bandwidth: curBW, Trace: curTrace, Partition: curPart}
+				own := c.PerAlgo[algo]
+				if own.LocalSteps > 0 {
+					s.LocalSteps = own.LocalSteps
+				}
 				if comp > 0 {
-					applyCompression(s, comp)
 					cell.Compression = comp
+				} else {
+					cell.Compression = own.Compression
+				}
+				if cell.Compression > 0 {
+					applyCompression(s, cell.Compression)
 				}
 				for a, ax := range algoAxes {
 					if p := ax.part(s, idx[a]); p != "" {

@@ -100,6 +100,43 @@ func TestCompressionAxisCollapses(t *testing.T) {
 	}
 }
 
+// TestPerAlgoParams pins the per-algorithm hyperparameters: an entry lands
+// on its algorithm's own knobs only, the compression axis overrides its
+// ratio, and randomchoose keeps the base's saps compression.
+func TestPerAlgoParams(t *testing.T) {
+	c, base := loadExample(t)
+	base.Fraction = 0.5
+	c.Grid = Grid{Algo: []string{"saps", "randomchoose", "topk-psgd", "fedavg", "psgd"}}
+	c.PerAlgo = map[string]AlgoParams{"topk-psgd": {Compression: 1000}, "fedavg": {LocalSteps: 4}}
+	cells, err := c.Expand(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]*scenario.Spec{}
+	for _, cell := range cells {
+		got[cell.ID] = cell.Spec
+	}
+	if got["saps"].Compression != 100 || got["randomchoose"].Compression != 100 || got["saps"].LocalSteps != 0 {
+		t.Fatalf("saps family: %+v / %+v", got["saps"], got["randomchoose"])
+	}
+	if got["topk-psgd"].C != 1000 || cells[2].Compression != 1000 || got["topk-psgd"].Compression != 0 {
+		t.Fatalf("topk-psgd: c=%v label=%v", got["topk-psgd"].C, cells[2].Compression)
+	}
+	if got["fedavg"].LocalSteps != 4 || got["psgd"].LocalSteps != 0 {
+		t.Fatalf("local steps leaked: fedavg %d psgd %d", got["fedavg"].LocalSteps, got["psgd"].LocalSteps)
+	}
+	c.Grid.Compression = []float64{25}
+	c.Grid.Algo = []string{"topk-psgd"}
+	delete(c.PerAlgo, "fedavg")
+	cells, err = c.Expand(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 1 || cells[0].Spec.C != 25 || cells[0].ID != "topk-psgd_c25" {
+		t.Fatalf("compression axis did not override per_algo: %+v", cells)
+	}
+}
+
 func TestCampaignRejectsMalformed(t *testing.T) {
 	valid := `{
 		"schema_version": 1, "name": "t", "base": "tiny-base.json",
@@ -119,6 +156,13 @@ func TestCampaignRejectsMalformed(t *testing.T) {
 		{"zero grid nodes", strings.Replace(valid, `{"seeds": [1, 2]}`, `{"nodes": [0]}`, 1), "grid nodes"},
 		{"zero grid rounds", strings.Replace(valid, `{"seeds": [1, 2]}`, `{"rounds": [0]}`, 1), "grid rounds"},
 		{"zero grid shards", strings.Replace(valid, `{"seeds": [1, 2]}`, `{"shards": [0]}`, 1), "grid shards"},
+		{"target_acc above one", strings.Replace(valid, `"name": "t"`, `"name": "t", "target_acc": 1.5`, 1), "target_acc"},
+		{"per_algo off the algo axis", strings.Replace(valid, `"name": "t"`,
+			`"name": "t", "per_algo": {"topk-psgd": {"compression": 10}}`, 1), "not on the algo axis"},
+		{"per_algo ratio on a knobless algorithm", strings.Replace(strings.Replace(valid, `{"seeds": [1, 2]}`, `{"algo": ["psgd"]}`, 1),
+			`"name": "t"`, `"name": "t", "per_algo": {"psgd": {"compression": 10}}`, 1), "ratio knob"},
+		{"per_algo negative local steps", strings.Replace(strings.Replace(valid, `{"seeds": [1, 2]}`, `{"algo": ["fedavg"]}`, 1),
+			`"name": "t"`, `"name": "t", "per_algo": {"fedavg": {"local_steps": -1}}`, 1), "local_steps -1"},
 		{"negative workers", strings.Replace(valid, `"base": "tiny-base.json"`, `"base": "tiny-base.json", "workers": -1`, 1), "workers"},
 		{"duplicate bandwidth labels", strings.Replace(valid, `{"seeds": [1, 2]}`,
 			`{"bandwidth": [{"kind": "uniform", "lo": 1, "hi": 5}, {"kind": "uniform", "lo": 2, "hi": 9}]}`, 1), "duplicate bandwidth label"},

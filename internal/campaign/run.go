@@ -53,11 +53,15 @@ type CellResult struct {
 	Losses        []float64 `json:"losses"`
 	CumBytes      []int64   `json:"cum_bytes"`
 	CumSimSeconds []float64 `json:"cum_sim_seconds"`
+	// Evals is the periodic validation series of a cell whose scenario
+	// holds out a validation split (data.valid): the accuracy axis of
+	// Figs 3/4/6 and Tables III/IV.
+	Evals scenario.Evals `json:"evals,omitempty"`
+	// MatchedMBps is the per-round mean bandwidth over the matched pairs of
+	// a traced planner-only cell — Fig. 5's series (training cells keep
+	// theirs in traces/<id>.csv).
+	MatchedMBps []float64 `json:"matched_mbps,omitempty"`
 }
-
-// tracesRounds reports whether the cell's algorithm records a round trace
-// (the SAPS family — the only implementers of SetTrace).
-func tracesRounds(s *scenario.Spec) bool { return s.Traceable() }
 
 // cellFile is the cell's result path under the campaign output directory.
 func cellFile(outDir, id string) string {
@@ -173,7 +177,7 @@ func Run(c *Spec, opts Options) (Stats, error) {
 				// contract: enabling trace on a finished campaign re-runs
 				// those cells rather than silently reporting success with
 				// an empty traces/ directory.
-				if c.Trace && tracesRounds(cell.Spec) {
+				if c.Trace && cell.Spec.Traceable() {
 					if _, err := os.Stat(traceFile(opts.OutDir, cell.ID)); err != nil {
 						pending = append(pending, cell)
 						continue
@@ -328,6 +332,12 @@ func runCell(c *Spec, cell Cell, outDir string) (*CellResult, error) {
 		Losses:        out.Losses,
 		CumBytes:      out.CumBytes,
 		CumSimSeconds: out.CumSimSeconds,
+		Evals:         out.Evals,
+	}
+	if out.Trace != nil && cell.Spec.PlannerOnly {
+		for _, ev := range out.Trace.Events() {
+			res.MatchedMBps = append(res.MatchedMBps, ev.MeanPairMBps())
+		}
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

@@ -119,7 +119,16 @@ func Synthetic(cfg SynthConfig, n int, seed uint64) *Dataset {
 // seed stream but the same prototypes would differ; instead, generate
 // train+valid together and split — both splits share prototypes).
 func MNISTLike(train, valid int, seed uint64) (tr, va *Dataset) {
-	cfg := SynthConfig{Name: "mnist-like", C: 1, H: 28, W: 28, Classes: 10, PerClass: 2, Noise: 0.35}
+	return ImageTask("mnist-like", 1, 28, 28, 10, 0.35, train, valid, seed)
+}
+
+// ImageTask generates a c×h×w synthetic image-classification task with two
+// prototypes per class and the given pixel-noise level, split into train and
+// held-out valid samples drawn from the same prototypes. It is the one
+// builder behind the scenario specs' image data, the TCP TaskSpec and
+// MNISTLike.
+func ImageTask(name string, c, h, w, classes int, noise float64, train, valid int, seed uint64) (tr, va *Dataset) {
+	cfg := SynthConfig{Name: name, C: c, H: h, W: w, Classes: classes, PerClass: 2, Noise: noise}
 	return split(Synthetic(cfg, train+valid, seed), train)
 }
 

@@ -40,7 +40,7 @@ func TestGreedyMatchingIsMaximal(t *testing.T) {
 func TestGreedyMatchingVariesAcrossSeeds(t *testing.T) {
 	// With near-equal weights the randomized greedy must produce different
 	// matchings across seeds — the property that keeps the PC-edge union
-	// connected (see the TThres=2 regression in internal/experiments).
+	// connected (the TThres=2 regression).
 	n := 8
 	var edges []WeightedEdge
 	for i := 0; i < n; i++ {

@@ -183,18 +183,6 @@ func (l *Ledger) WorkerBytes(i int) (sent, recv int64) {
 // (bytes sent plus received).
 func (l *Ledger) ServerBytes() int64 { return l.serverSent + l.serverRecv }
 
-// MaxWorkerTraffic returns the largest sent+received total over workers —
-// the per-worker communication size the paper plots in Fig. 4.
-func (l *Ledger) MaxWorkerTraffic() int64 {
-	var m int64
-	for i := range l.sentBytes {
-		if t := l.sentBytes[i] + l.recvBytes[i]; t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // MeanWorkerTrafficMB returns the mean per-worker traffic in megabytes.
 func (l *Ledger) MeanWorkerTrafficMB() float64 {
 	var sum int64

@@ -103,6 +103,79 @@ func NewMLP(inDim int, hidden []int, classes int, seed uint64) *Model {
 	return NewModel("mlp", Shape{C: 1, H: 1, W: inDim}, classes, layers...)
 }
 
+// Arch names a model family in the vocabulary the scenario specs and the TCP
+// TaskSpec share. New is the one place that vocabulary turns into a
+// constructor call.
+type Arch struct {
+	// Name is "mlp" (also the meaning of ""), "mnist-cnn", "cifar-cnn" or
+	// "resnet".
+	Name string
+	// Width scales the CNN families' channel and hidden sizes (1.0 = paper
+	// scale). Unused by the MLP.
+	Width float64
+	// Hidden lists the MLP's hidden-layer widths.
+	Hidden []int
+	// Blocks is the ResNet's basic blocks per stage; 0 means 3 (ResNet-20).
+	Blocks int
+}
+
+// IsMLP reports whether the family is the plain perceptron, whose parameter
+// count MLPParamCount gives without building it.
+func (a Arch) IsMLP() bool { return a.Name == "" || a.Name == "mlp" }
+
+// Validate reports the first reason New(in, classes, ·) would fail: an
+// unknown family, a non-positive size, or an input geometry the family's
+// pooling stages cannot halve.
+func (a Arch) Validate(in Shape, classes int) error {
+	if in.C < 1 || in.H < 1 || in.W < 1 || classes < 1 {
+		return fmt.Errorf("nn: %s on input %v with %d classes", a.Name, in, classes)
+	}
+	switch {
+	case a.IsMLP():
+		for _, h := range a.Hidden {
+			if h < 1 {
+				return fmt.Errorf("nn: hidden width %d", h)
+			}
+		}
+		return nil
+	case a.Name == "mnist-cnn" || a.Name == "cifar-cnn":
+		if in.H%4 != 0 || in.W%4 != 0 {
+			return fmt.Errorf("nn: %s needs height and width divisible by 4, have %v", a.Name, in)
+		}
+	case a.Name == "resnet":
+		if a.Blocks < 0 {
+			return fmt.Errorf("nn: resnet blocks %d", a.Blocks)
+		}
+	default:
+		return fmt.Errorf("nn: unknown arch %q (want mlp, mnist-cnn, cifar-cnn or resnet)", a.Name)
+	}
+	if !(a.Width > 0) {
+		return fmt.Errorf("nn: %s width %v", a.Name, a.Width)
+	}
+	return nil
+}
+
+// New builds the family's model for the given input geometry. Equal
+// arguments give bit-identical initial parameters.
+func (a Arch) New(in Shape, classes int, seed uint64) (*Model, error) {
+	if err := a.Validate(in, classes); err != nil {
+		return nil, err
+	}
+	switch a.Name {
+	case "mnist-cnn":
+		return NewMNISTCNN(in, classes, a.Width, seed), nil
+	case "cifar-cnn":
+		return NewCIFARCNN(in, classes, a.Width, seed), nil
+	case "resnet":
+		blocks := a.Blocks
+		if blocks == 0 {
+			blocks = 3
+		}
+		return NewResNet(in, classes, blocks, a.Width, seed), nil
+	}
+	return NewMLP(in.Dim(), a.Hidden, classes, seed), nil
+}
+
 // MLPParamCount returns NewMLP's parameter count without building the model
 // (dense layers: weights + biases). Planner-only scenario runs use it to
 // size the round mask with no per-rank model in memory.

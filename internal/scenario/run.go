@@ -70,8 +70,19 @@ func (s *Spec) gossipConfig() gossip.Config {
 // the time-varying environment's stable snapshot (rewritten in place every
 // round by Run).
 func (s *Spec) Build(shards int) (algos.Algorithm, *netsim.Bandwidth, error) {
-	alg, bw, _, err := s.build(shards)
-	return alg, bw, err
+	b, err := s.build(shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.alg, b.bw, nil
+}
+
+// built is a spec assembled for the round loop.
+type built struct {
+	alg   algos.Algorithm
+	bw    *netsim.Bandwidth
+	env   *roundEnv        // nil when the environment is static
+	valid *dataset.Dataset // nil without data.valid
 }
 
 // roundEnv is the per-round environment machinery RunFull advances at every
@@ -131,27 +142,78 @@ func (s *Spec) partitionShards(tr *dataset.Dataset) []*dataset.Dataset {
 		return dataset.PartitionDirichlet(tr, s.Nodes, p.Alpha, p.MinPerNode, s.Seed)
 	case "quantity":
 		return dataset.PartitionQuantitySkew(tr, s.Nodes, p.Alpha, p.MinPerNode, s.Seed)
+	case "label":
+		return dataset.PartitionByLabel(tr, s.Nodes, 2, s.Seed)
 	}
 	panic("scenario: partitionShards on unvalidated spec: " + p.Kind)
 }
 
-// build is Build plus the per-round environment machinery Run ticks each
-// round (nil when the environment is static).
-func (s *Spec) build(shards int) (algos.Algorithm, *netsim.Bandwidth, *roundEnv, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, nil, err
+// imageNoise is the pixel-noise level of the spec vocabulary's image task
+// (the synthetic stand-ins for MNIST and CIFAR-10, DESIGN.md §2).
+const imageNoise = 0.4
+
+// task generates the spec's training set and, when data.valid asks for
+// one, the held-out validation set.
+func (s *Spec) task() (train, valid *dataset.Dataset) {
+	d := &s.Data
+	seed := d.Seed
+	if seed == 0 {
+		seed = s.Seed
 	}
-	runtimeShards := s.effectiveShards(shards)
-	tr, _ := dataset.TinyTask(s.Data.Samples, s.Data.Classes, s.Seed)
-	fc := algos.FleetConfig{
-		N:             s.Nodes,
-		Factory:       func() *nn.Model { return nn.NewMLP(tr.Dim(), s.Model.Hidden, s.Data.Classes, s.Seed) },
-		Shards:        s.partitionShards(tr),
+	if !d.image() {
+		train, _ = dataset.TinyTask(d.Samples, d.Classes, seed)
+		return train, nil
+	}
+	train, valid = dataset.ImageTask(s.Name, d.C, d.H, d.W, d.Classes, imageNoise, d.Samples, d.Valid, seed)
+	if d.Valid == 0 {
+		valid = nil
+	}
+	return train, valid
+}
+
+// fleet is the spec's fleet recipe — identically initialized models over
+// the partitioned training set — plus the validation set. The spec must be
+// validated.
+func (s *Spec) fleet(runtimeShards int) (algos.FleetConfig, *dataset.Dataset) {
+	train, valid := s.task()
+	arch, in := s.Model.arch(), s.Data.shape()
+	return algos.FleetConfig{
+		N: s.Nodes,
+		Factory: func() *nn.Model {
+			m, err := arch.New(in, s.Data.Classes, s.Seed)
+			if err != nil {
+				panic(err) // Validate checked the same arguments
+			}
+			return m
+		},
+		Shards:        s.partitionShards(train),
 		LR:            s.LR,
 		Batch:         s.Batch,
 		Seed:          s.Seed,
 		RuntimeShards: runtimeShards,
+	}, valid
+}
+
+// sapsConfig is the spec's SAPS-family hyperparameter block.
+func (s *Spec) sapsConfig() core.Config {
+	return core.Config{
+		Workers:     s.Nodes,
+		Compression: s.Compression,
+		LR:          s.LR,
+		Batch:       s.Batch,
+		LocalSteps:  s.localSteps(),
+		Gossip:      s.gossipConfig(),
+		Seed:        s.Seed,
 	}
+}
+
+// build is Build plus the per-round environment machinery the loop ticks
+// each round and the validation set it evaluates on.
+func (s *Spec) build(shards int) (*built, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	fc, valid := s.fleet(s.effectiveShards(shards))
 	bw := s.Env()
 	env := &roundEnv{}
 	if s.Bandwidth.Jitter > 0 {
@@ -164,7 +226,7 @@ func (s *Spec) build(shards int) (algos.Algorithm, *netsim.Bandwidth, *roundEnv,
 	if s.Trace != nil {
 		rp, err := s.traceReplay()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		// The scaler stacks on the (possibly jittered) environment; its
 		// snapshot pointer is what the algorithm, planner, and ledger see.
@@ -179,15 +241,7 @@ func (s *Spec) build(shards int) (algos.Algorithm, *netsim.Bandwidth, *roundEnv,
 	var alg algos.Algorithm
 	switch s.Algo {
 	case "saps":
-		cfg := core.Config{
-			Workers:     s.Nodes,
-			Compression: s.Compression,
-			LR:          s.LR,
-			Batch:       s.Batch,
-			LocalSteps:  s.localSteps(),
-			Gossip:      s.gossipConfig(),
-			Seed:        s.Seed,
-		}
+		cfg := s.sapsConfig()
 		switch {
 		case s.Trace != nil && s.Trace.Events:
 			var sched *algos.FaultSchedule
@@ -205,26 +259,15 @@ func (s *Spec) build(shards int) (algos.Algorithm, *netsim.Bandwidth, *roundEnv,
 		default:
 			alg = algos.NewSAPS(fc, bw, cfg)
 		}
-	case "psgd":
-		alg = algos.NewPSGD(fc)
-	case "topk-psgd":
-		alg = algos.NewTopKPSGD(fc, s.C)
-	case "qsgd-psgd":
-		alg = algos.NewQSGDPSGD(fc, s.Levels)
-	case "d-psgd":
-		alg = algos.NewDPSGD(fc)
-	case "dcd-psgd":
-		alg = algos.NewDCDPSGD(fc, s.C)
-	case "ps-psgd":
-		alg = algos.NewPSPSGD(fc, bw)
-	case "fedavg":
-		alg = algos.NewFedAvg(fc, bw, s.Fraction, s.localSteps())
-	case "s-fedavg":
-		alg = algos.NewSFedAvg(fc, bw, s.Fraction, s.localSteps(), s.C)
+	case "randomchoose":
+		alg = algos.NewRandomChoose(fc, bw, s.sapsConfig())
+	case "adpsgd", "gradpush":
+		return nil, fmt.Errorf("scenario %s: %s has no synchronous rounds to build (RunFull drives the async engine)", s.Name, s.Algo)
 	default:
-		return nil, nil, nil, fmt.Errorf("scenario %s: unknown algorithm %q", s.Name, s.Algo)
+		// Validate admitted the algorithm, so it is a baseline recipe.
+		alg = algos.New(fc, s.recipe(), bw)
 	}
-	return alg, bw, env, nil
+	return &built{alg: alg, bw: bw, env: env, valid: valid}, nil
 }
 
 // effectiveShards resolves a sweep override against the spec default:
@@ -307,6 +350,9 @@ type RunOutput struct {
 	// CumSimSeconds is the cumulative simulated communication time after
 	// each round (Series only).
 	CumSimSeconds []float64
+	// Evals is the periodic evaluation of the worker-averaged model on the
+	// spec's validation split (synchronous specs with data.valid only).
+	Evals Evals
 	// Trace is the round recorder, non-nil when the spec or options asked
 	// for tracing and the algorithm supports it.
 	Trace *trace.Recorder
@@ -337,22 +383,17 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		}
 		return s.runAsync(opts)
 	}
-	alg, bw, env, err := s.build(opts.Shards)
+	b, err := s.build(opts.Shards)
 	if err != nil {
 		return nil, err
 	}
 	profiling.ResetPeakRSS()
 	out := &RunOutput{}
 	if opts.Series {
-		// The series lengths are known up front; preallocating keeps the
-		// round loop free of append regrowth (which would otherwise copy
-		// O(rounds) elements log(rounds) times over a long campaign run).
-		out.Losses = make([]float64, 0, s.Rounds)
-		out.CumBytes = make([]int64, 0, s.Rounds)
-		out.CumSimSeconds = make([]float64, 0, s.Rounds)
+		out.reserveSeries(s.Rounds)
 	}
 	if opts.Recorder != nil || opts.Trace || s.RecordTrace {
-		if tr, ok := alg.(interface{ SetTrace(*trace.Recorder) }); ok {
+		if tr, ok := b.alg.(interface{ SetTrace(*trace.Recorder) }); ok {
 			out.Trace = opts.Recorder
 			if out.Trace == nil {
 				out.Trace = trace.NewRecorder()
@@ -360,28 +401,49 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 			tr.SetTrace(out.Trace)
 		}
 	}
-	led := netsim.NewLedger(bw)
+	led := netsim.NewLedger(b.bw)
 	ri := obs.Current().RunsM().Start(s.Name, s.Algo, s.Nodes, s.Rounds)
-	var loss float64
 	start := time.Now()
-	for r := 0; r < s.Rounds; r++ {
+	res := RunLoop(b.alg, led, Loop{
+		Rounds: s.Rounds,
+		Valid:  b.valid,
 		// Round 0 runs on the environment built at construction; every
 		// later round advances the jitter and/or trace multipliers in
 		// place before planning.
-		env.tick(r)
-		loss = alg.Step(r, led)
-		ri.SetRound(r + 1)
-		if opts.Series {
-			out.Losses = append(out.Losses, loss)
-			out.CumBytes = append(out.CumBytes, fleetBytes(led, s.Nodes))
-			out.CumSimSeconds = append(out.CumSimSeconds, led.TotalTime())
-		}
-	}
+		before: b.env.tick,
+		after: func(r int, loss float64) {
+			ri.SetRound(r + 1)
+			if opts.Series {
+				out.appendSeries(loss, led, s.Nodes)
+			}
+		},
+	})
 	wall := time.Since(start).Seconds()
 	obs.Current().RunsM().Done(ri)
-	if c, ok := alg.(interface{ Close() }); ok {
-		c.Close()
-	}
+	out.Evals = res.Records
+	out.finish(s, opts, "sync", wall, led, res.FinalLoss)
+	return out, nil
+}
+
+// reserveSeries preallocates the per-round series: their lengths are known
+// up front, which keeps the round loop free of append regrowth (it would
+// otherwise copy O(rounds) elements log(rounds) times over a long campaign
+// run).
+func (out *RunOutput) reserveSeries(rounds int) {
+	out.Losses = make([]float64, 0, rounds)
+	out.CumBytes = make([]int64, 0, rounds)
+	out.CumSimSeconds = make([]float64, 0, rounds)
+}
+
+// appendSeries records one finished round.
+func (out *RunOutput) appendSeries(loss float64, led *netsim.Ledger, nodes int) {
+	out.Losses = append(out.Losses, loss)
+	out.CumBytes = append(out.CumBytes, fleetBytes(led, nodes))
+	out.CumSimSeconds = append(out.CumSimSeconds, led.TotalTime())
+}
+
+// finish fills the summary row of a ledger-charged run and logs it.
+func (out *RunOutput) finish(s *Spec, opts RunOptions, mode string, wall float64, led *netsim.Ledger, loss float64) {
 	out.Result = Result{
 		Shards:       s.effectiveShards(opts.Shards),
 		WallSeconds:  wall,
@@ -393,16 +455,16 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 	if wall > 0 {
 		out.Result.RoundsPerSec = float64(s.Rounds) / wall
 	}
-	s.logRunSummary("sync", out)
-	return out, nil
+	s.logRunSummary(mode, out)
 }
 
-// runPlannerOnly executes the coordinator side alone: Algorithm 3 planning,
-// the shared round mask's byte accounting, and the ledger charges — exactly
-// the Exchange(v, p, payload, payload) per matched pair that the engine's
-// driver issues — with no models, data, or worker state. TotalBytes and
-// SimSeconds are bit-identical to the full run's (the coordinator's mask-seed
-// stream and matchings are the same); the per-round series carry zero losses.
+// runPlannerOnly executes the coordinator side alone: planning (Algorithm 3,
+// or randomchoose's uniform matching), the shared round mask's byte
+// accounting, and the ledger charges — exactly the Exchange(v, p, payload,
+// payload) per matched pair that the engine's driver issues — with no
+// models, data, or worker state. TotalBytes and SimSeconds are bit-identical
+// to the full run's (the coordinator's mask-seed stream and matchings are
+// the same); the per-round series carry zero losses.
 func (s *Spec) runPlannerOnly(opts RunOptions) (*RunOutput, error) {
 	profiling.ResetPeakRSS()
 	bw := s.Env()
@@ -411,24 +473,19 @@ func (s *Spec) runPlannerOnly(opts RunOptions) (*RunOutput, error) {
 		dyn = netsim.NewDynamicBandwidth(bw, s.Bandwidth.Jitter, rng.New(s.Seed).Derive(0xd14a).Uint64())
 		bw = dyn.Current()
 	}
-	coord := core.NewCoordinator(bw, core.Config{
-		Workers:     s.Nodes,
-		Compression: s.Compression,
-		LR:          s.LR,
-		Batch:       s.Batch,
-		LocalSteps:  s.localSteps(),
-		Gossip:      s.gossipConfig(),
-		Seed:        s.Seed,
-	})
+	var planner engine.Planner
+	if s.Algo == "randomchoose" {
+		planner = algos.NewRandomPlanner(s.Nodes, s.Seed)
+	} else {
+		planner = core.NewCoordinator(bw, s.sapsConfig())
+	}
 	// The model is never instantiated; only its parameter count matters for
 	// the mask dimension, and MLP geometry determines it exactly.
-	dim := nn.MLPParamCount(dataset.TinyInputDim, s.Model.Hidden, s.Data.Classes)
+	dim := nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)
 	led := netsim.NewLedger(bw)
 	out := &RunOutput{}
 	if opts.Series {
-		out.Losses = make([]float64, 0, s.Rounds)
-		out.CumBytes = make([]int64, 0, s.Rounds)
-		out.CumSimSeconds = make([]float64, 0, s.Rounds)
+		out.reserveSeries(s.Rounds)
 	}
 	if opts.Recorder != nil {
 		out.Trace = opts.Recorder
@@ -442,7 +499,7 @@ func (s *Spec) runPlannerOnly(opts RunOptions) (*RunOutput, error) {
 		if dyn != nil && r > 0 {
 			dyn.Tick()
 		}
-		plan := coord.PlanActive(r, nil)
+		plan := planner.Plan(r)
 		mask = compress.MaskInto(mask, plan.Seed, r, dim, s.Compression)
 		payload := compress.MaskedBytes(compress.CountOnes(mask))
 		for v, p := range plan.Peer {
@@ -458,24 +515,12 @@ func (s *Spec) runPlannerOnly(opts RunOptions) (*RunOutput, error) {
 			out.Trace.Record(r, graph.Matching(plan.Peer), bw, plan.Forced, payload, s.Nodes, 0)
 		}
 		if opts.Series {
-			out.Losses = append(out.Losses, 0)
-			out.CumBytes = append(out.CumBytes, fleetBytes(led, s.Nodes))
-			out.CumSimSeconds = append(out.CumSimSeconds, led.TotalTime())
+			out.appendSeries(0, led, s.Nodes)
 		}
 	}
 	wall := time.Since(start).Seconds()
 	obs.Current().RunsM().Done(ri)
-	out.Result = Result{
-		Shards:       s.effectiveShards(opts.Shards),
-		WallSeconds:  wall,
-		TotalBytes:   fleetBytes(led, s.Nodes),
-		SimSeconds:   led.TotalTime(),
-		PeakRSSBytes: profiling.PeakRSS(),
-	}
-	if wall > 0 {
-		out.Result.RoundsPerSec = float64(s.Rounds) / wall
-	}
-	s.logRunSummary("planner_only", out)
+	out.finish(s, opts, "planner_only", wall, led, 0)
 	return out, nil
 }
 
@@ -488,15 +533,7 @@ func (s *Spec) runPlannerOnly(opts RunOptions) (*RunOutput, error) {
 func (s *Spec) runAsync(opts RunOptions) (*RunOutput, error) {
 	profiling.ResetPeakRSS()
 	a := s.Async
-	tr, _ := dataset.TinyTask(s.Data.Samples, s.Data.Classes, s.Seed)
-	fc := algos.FleetConfig{
-		N:       s.Nodes,
-		Factory: func() *nn.Model { return nn.NewMLP(tr.Dim(), s.Model.Hidden, s.Data.Classes, s.Seed) },
-		Shards:  s.partitionShards(tr),
-		LR:      s.LR,
-		Batch:   s.Batch,
-		Seed:    s.Seed,
-	}
+	fc, _ := s.fleet(0)
 	rec := s.recipe()
 	af := algos.NewAsyncFleet(fc, rec)
 	var slow []int

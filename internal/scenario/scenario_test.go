@@ -113,6 +113,36 @@ func TestSpecRejectsMalformed(t *testing.T) {
 		{"jitter at one", func(s *Spec) { s.Bandwidth.Jitter = 1 }, "jitter"},
 		{"negative jitter", func(s *Spec) { s.Bandwidth.Jitter = -0.2 }, "jitter"},
 		{"record_trace on non-saps", func(s *Spec) { s.RecordTrace = true }, "record_trace requires algo saps"},
+		{"unknown model arch", func(s *Spec) { s.Model.Arch = "transformer" }, "unknown arch"},
+		{"negative hidden width", func(s *Spec) { s.Model.Hidden = []int{-4} }, "hidden width -4"},
+		{"cnn without width", func(s *Spec) { s.Model = ModelSpec{Arch: "cifar-cnn"} }, "width 0"},
+		{"cnn on unpoolable geometry", func(s *Spec) {
+			s.Model = ModelSpec{Arch: "mnist-cnn", Width: 0.25}
+			s.Data.C, s.Data.H, s.Data.W = 1, 10, 10
+		}, "divisible by 4"},
+		{"negative resnet blocks", func(s *Spec) { s.Model = ModelSpec{Arch: "resnet", Width: 0.5, Blocks: -1} }, "blocks -1"},
+		{"partial data geometry", func(s *Spec) { s.Data.C, s.Data.H = 1, 8 }, "data geometry 1x8x0"},
+		{"negative data geometry", func(s *Spec) { s.Data.C, s.Data.H, s.Data.W = 1, -8, 8 }, "data geometry 1x-8x8"},
+		{"validation split as large as training", func(s *Spec) {
+			s.Data.C, s.Data.H, s.Data.W, s.Data.Valid = 1, 8, 8, 64
+		}, "64 validation samples beside 64"},
+		{"negative validation split", func(s *Spec) { s.Data.Valid = -1 }, "-1 validation samples"},
+		{"validation split on the tiny task", func(s *Spec) { s.Data.Valid = 16 }, "needs the image task"},
+		{"planner_only with a cnn", func(s *Spec) {
+			s.Algo, s.Compression = "saps", 10
+			s.PlannerOnly = true
+			s.Model = ModelSpec{Arch: "mnist-cnn", Width: 0.25}
+		}, "planner_only sizes the mask from the MLP"},
+		{"gossip on randomchoose", func(s *Spec) {
+			s.Algo, s.Compression = "randomchoose", 10
+			s.Gossip = &GossipSpec{BThres: 1, TThres: 5}
+		}, "require algo saps"},
+		{"randomchoose without compression", func(s *Spec) { s.Algo = "randomchoose" }, "compression"},
+		{"partition label with alpha", func(s *Spec) { s.Partition = &PartitionSpec{Kind: "label", Alpha: 0.5} }, "label takes no alpha"},
+		{"partition label with too few samples", func(s *Spec) {
+			s.Nodes, s.Data.Samples = 40, 64
+			s.Partition = &PartitionSpec{Kind: "label"}
+		}, "cannot fill 80"},
 		{"trace without file", func(s *Spec) { s.Trace = &TraceSpec{} }, "trace block missing file"},
 		{"trace bad interp", func(s *Spec) { s.Trace = &TraceSpec{File: "t.csv", Interp: "cubic"} }, "trace interp"},
 		{"trace events on non-saps", func(s *Spec) { s.Trace = &TraceSpec{File: "t.csv", Events: true} }, "trace events require algo saps"},
@@ -454,6 +484,25 @@ func TestClone(t *testing.T) {
 	}
 	if tclone.TracePath() != filepath.Join("testdata", "other.csv") {
 		t.Fatalf("clone lost the spec directory: %q", tclone.TracePath())
+	}
+	img := minimal()
+	img.Model = ModelSpec{Arch: "resnet", Width: 0.5, Blocks: 1}
+	img.Data = DataSpec{Samples: 64, Classes: 4, C: 3, H: 8, W: 8, Valid: 16, Seed: 5}
+	iclone := img.Clone()
+	want, _ := img.Canonical()
+	if got, _ := iclone.Canonical(); !bytes.Equal(got, want) {
+		t.Fatalf("clone dropped workload fields:\n%s\nvs\n%s", got, want)
+	}
+	reparsed, err := Parse(want)
+	if err != nil {
+		t.Fatalf("canonical form of the image vocabulary does not parse: %v", err)
+	}
+	if reparsed.Model.Arch != "resnet" || reparsed.Model.Blocks != 1 || reparsed.Data.Valid != 16 || reparsed.Data.Seed != 5 || reparsed.Data.C != 3 {
+		t.Fatalf("canonical form lost workload fields: %+v %+v", reparsed.Model, reparsed.Data)
+	}
+	iclone.Data.Valid, iclone.Model.Width = 8, 1
+	if img.Data.Valid != 16 || img.Model.Width != 0.5 {
+		t.Fatalf("workload blocks shared between clone and original")
 	}
 	fault := minimal()
 	fault.Algo, fault.Compression, fault.Rounds = "saps", 10, 6

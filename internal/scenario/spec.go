@@ -19,6 +19,7 @@ import (
 
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/fleettrace"
+	"sapspsgd/internal/nn"
 )
 
 // SpecSchemaVersion is the scenario file schema this package reads and
@@ -35,9 +36,10 @@ type Spec struct {
 	// Name identifies the scenario in sweeps and BENCH.json rows.
 	Name string `json:"name"`
 	// Algo is the algorithm to run: saps | psgd | topk-psgd | qsgd-psgd |
-	// d-psgd | dcd-psgd | ps-psgd | fedavg | s-fedavg, or one of the
-	// asynchronous recipes adpsgd | gradpush (which require the async
-	// block).
+	// d-psgd | dcd-psgd | ps-psgd | fedavg | s-fedavg, randomchoose (saps
+	// with a uniformly random matching instead of Algorithm 3 — the
+	// paper's Fig. 5 comparison), or one of the asynchronous recipes
+	// adpsgd | gradpush (which require the async block).
 	Algo string `json:"algo"`
 	// Nodes is the trainer count (hub algorithms add their server rank on
 	// top, exactly as algos.Recipe does).
@@ -111,7 +113,8 @@ type Spec struct {
 	// it): one event per round with the matched pairs, their link
 	// bandwidths, the forced-reconnection flag, payload size, active-worker
 	// count and loss. Only the SAPS family records traces, so record_trace
-	// requires algo saps (with or without churn/faults/trace).
+	// requires algo saps (with or without churn/faults/trace) or
+	// randomchoose.
 	RecordTrace bool `json:"record_trace,omitempty"`
 
 	// PlannerOnly runs the coordinator side alone (Algorithm 3 matching +
@@ -120,7 +123,10 @@ type Spec struct {
 	// that the full training fleet never could. The byte and simulated-time
 	// totals are exactly what the full run would charge (the mask seed
 	// stream and matchings are identical); FinalLoss is 0. Requires algo
-	// saps without churn/faults/trace.
+	// saps or randomchoose, an MLP model, and no churn/faults/trace/
+	// partition/record_trace (RunOptions.Trace — a campaign's trace flag —
+	// records the coordinator-side rounds: Fig. 5's per-round matched
+	// bandwidth).
 	PlannerOnly bool `json:"planner_only,omitempty"`
 
 	// dir is the directory the spec was loaded from; trace files resolve
@@ -165,11 +171,12 @@ type TraceSpec struct {
 type PartitionSpec struct {
 	// Kind is "iid" (the default when the block is omitted), "dirichlet"
 	// (label skew: each class spread over workers by a symmetric
-	// Dirichlet-alpha draw), or "quantity" (size skew: shard sizes follow
-	// the Dirichlet draw).
+	// Dirichlet-alpha draw), "quantity" (size skew: shard sizes follow the
+	// Dirichlet draw), or "label" (the FedAvg paper's pathological split:
+	// the label-sorted set cut into two shards per worker).
 	Kind string `json:"kind"`
 	// Alpha is the Dirichlet concentration (> 0; smaller = more skew).
-	// Required by dirichlet and quantity, meaningless for iid.
+	// Required by dirichlet and quantity, meaningless for iid and label.
 	Alpha float64 `json:"alpha,omitempty"`
 	// MinPerNode floors every shard's sample count (default 1 — every
 	// worker must be able to run a loader).
@@ -184,20 +191,58 @@ type GossipSpec struct {
 	TThres int `json:"t_thres"`
 }
 
-// ModelSpec describes the per-worker model. The input dimension and class
-// count come from the data spec; the architecture is an MLP with the given
-// hidden widths.
+// ModelSpec describes the per-worker model; its input geometry and class
+// count come from the data spec.
 type ModelSpec struct {
+	// Arch is the model family: "mlp" (the default when omitted),
+	// "mnist-cnn", "cifar-cnn" or "resnet" — the paper's three networks.
+	Arch string `json:"arch,omitempty"`
+	// Hidden lists the MLP's hidden widths.
 	Hidden []int `json:"hidden"`
+	// Width scales the CNN families' channel counts (1.0 = paper scale;
+	// required by every family but the MLP).
+	Width float64 `json:"width,omitempty"`
+	// Blocks is the ResNet's basic blocks per stage (0 = 3, ResNet-20).
+	Blocks int `json:"blocks,omitempty"`
 }
 
-// DataSpec describes the synthetic training task, sharded IID across the
-// fleet.
+// arch maps the block onto the nn layer's family vocabulary.
+func (m *ModelSpec) arch() nn.Arch {
+	return nn.Arch{Name: m.Arch, Width: m.Width, Hidden: m.Hidden, Blocks: m.Blocks}
+}
+
+// DataSpec describes the synthetic training task.
 type DataSpec struct {
 	// Samples is the total training-set size before sharding.
 	Samples int `json:"samples"`
 	// Classes is the label count (also the model's output width).
 	Classes int `json:"classes"`
+	// C, H and W select the synthetic image task of that geometry (two
+	// prototypes per class, pixel noise 0.4 — the stand-in for MNIST and
+	// CIFAR-10, DESIGN.md §2). All three omitted keeps the 1×8×8 tiny
+	// task.
+	C int `json:"c,omitempty"`
+	H int `json:"h,omitempty"`
+	W int `json:"w,omitempty"`
+	// Valid holds out that many extra samples, drawn from the same
+	// prototypes, and makes the synchronous loop evaluate the
+	// worker-averaged model on them every max(1, rounds/20) rounds and
+	// after the last one (RunOutput.Evals). Image tasks only; 0 = no
+	// evaluation.
+	Valid int `json:"valid,omitempty"`
+	// Seed generates the dataset; 0 means the spec seed.
+	Seed uint64 `json:"seed,omitempty"`
+}
+
+// image reports whether the block selects the image task.
+func (d *DataSpec) image() bool { return d.C != 0 || d.H != 0 || d.W != 0 }
+
+// shape is the task's input geometry.
+func (d *DataSpec) shape() nn.Shape {
+	if !d.image() {
+		return nn.Shape{C: 1, H: 8, W: 8} // dataset.TinyTask
+	}
+	return nn.Shape{C: d.C, H: d.H, W: d.W}
 }
 
 // BandwidthSpec describes the pairwise link environment.
@@ -400,11 +445,11 @@ func LoadDir(dir string) ([]*Spec, error) {
 }
 
 // Traceable reports whether a run of this spec can record a per-round
-// trace: only the SAPS family implements SetTrace (planner_only records
-// coordinator-side rounds through the same recorder). Callers that
-// stream traces to disk use this to decide up front whether to open the
-// file.
-func (s *Spec) Traceable() bool { return s.Algo == "saps" && s.Async == nil }
+// trace: only the SAPS family (saps and randomchoose) implements SetTrace
+// (planner_only records coordinator-side rounds through the same
+// recorder). Callers that stream traces to disk use this to decide up
+// front whether to open the file.
+func (s *Spec) Traceable() bool { return s.Algo == "saps" || s.Algo == "randomchoose" }
 
 // Clone returns a deep copy of the spec: mutating the copy (sweep round
 // overrides, campaign grid cells) never alters the loaded original. Every
@@ -464,9 +509,15 @@ func (s *Spec) Canonical() ([]byte, error) {
 }
 
 // recipe maps the spec onto the algorithm recipe used for validation.
+// randomchoose is saps with another planner, so it takes saps's parameter
+// rules.
 func (s *Spec) recipe() algos.Recipe {
+	algo := s.Algo
+	if algo == "randomchoose" {
+		algo = "saps"
+	}
 	return algos.Recipe{
-		Algo:        s.Algo,
+		Algo:        algo,
 		Workers:     s.Nodes,
 		LR:          s.LR,
 		Batch:       s.Batch,
@@ -503,11 +554,15 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: %d samples for %d nodes", s.Name, s.Data.Samples, s.Nodes)
 	case s.Data.Classes < 2:
 		return fmt.Errorf("scenario %s: %d classes", s.Name, s.Data.Classes)
+	case s.Data.image() && (s.Data.C < 1 || s.Data.H < 1 || s.Data.W < 1):
+		return fmt.Errorf("scenario %s: data geometry %dx%dx%d (give c, h and w, or none)", s.Name, s.Data.C, s.Data.H, s.Data.W)
+	case s.Data.Valid < 0 || s.Data.Valid >= s.Data.Samples:
+		return fmt.Errorf("scenario %s: %d validation samples beside %d training samples", s.Name, s.Data.Valid, s.Data.Samples)
+	case s.Data.Valid > 0 && !s.Data.image():
+		return fmt.Errorf("scenario %s: data.valid needs the image task (give c, h and w)", s.Name)
 	}
-	for _, h := range s.Model.Hidden {
-		if h < 1 {
-			return fmt.Errorf("scenario %s: hidden width %d", s.Name, h)
-		}
+	if err := s.Model.arch().Validate(s.Data.shape(), s.Data.Classes); err != nil {
+		return fmt.Errorf("scenario %s: model: %w", s.Name, err)
 	}
 	// The recipe validation owns the per-algorithm parameter rules (and the
 	// unknown-algorithm rejection).
@@ -517,12 +572,15 @@ func (s *Spec) Validate() error {
 	if err := s.Bandwidth.validate(s.Name, s.Nodes); err != nil {
 		return err
 	}
-	if s.RecordTrace && s.Algo != "saps" {
-		return fmt.Errorf("scenario %s: record_trace requires algo saps, have %s", s.Name, s.Algo)
+	if s.RecordTrace && !s.Traceable() {
+		return fmt.Errorf("scenario %s: record_trace requires algo saps or randomchoose, have %s", s.Name, s.Algo)
 	}
 	if s.PlannerOnly {
-		if s.Algo != "saps" {
-			return fmt.Errorf("scenario %s: planner_only requires algo saps, have %s", s.Name, s.Algo)
+		if !s.Traceable() {
+			return fmt.Errorf("scenario %s: planner_only requires algo saps or randomchoose, have %s", s.Name, s.Algo)
+		}
+		if !s.Model.arch().IsMLP() {
+			return fmt.Errorf("scenario %s: planner_only sizes the mask from the MLP's parameter count, have arch %s", s.Name, s.Model.Arch)
 		}
 		if s.Churn != nil || s.Faults != nil || s.RecordTrace || s.Trace != nil || s.Partition != nil {
 			return fmt.Errorf("scenario %s: planner_only excludes churn/faults/trace/partition/record_trace", s.Name)
@@ -544,16 +602,19 @@ func (s *Spec) Validate() error {
 	}
 	if p := s.Partition; p != nil {
 		switch p.Kind {
-		case "iid":
+		case "iid", "label":
 			if p.Alpha != 0 {
-				return fmt.Errorf("scenario %s: partition iid takes no alpha", s.Name)
+				return fmt.Errorf("scenario %s: partition %s takes no alpha", s.Name, p.Kind)
+			}
+			if p.Kind == "label" && s.Data.Samples < 2*s.Nodes {
+				return fmt.Errorf("scenario %s: partition label cuts two shards per node, %d samples cannot fill %d", s.Name, s.Data.Samples, 2*s.Nodes)
 			}
 		case "dirichlet", "quantity":
 			if !(p.Alpha > 0) {
 				return fmt.Errorf("scenario %s: partition %s needs alpha > 0, have %v", s.Name, p.Kind, p.Alpha)
 			}
 		default:
-			return fmt.Errorf("scenario %s: unknown partition kind %q (want iid, dirichlet or quantity)", s.Name, p.Kind)
+			return fmt.Errorf("scenario %s: unknown partition kind %q (want iid, dirichlet, quantity or label)", s.Name, p.Kind)
 		}
 		if p.MinPerNode < 0 {
 			return fmt.Errorf("scenario %s: partition min_per_node %d", s.Name, p.MinPerNode)

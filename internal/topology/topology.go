@@ -4,8 +4,8 @@
 // matrices and spectral properties. The paper's §II-C argues the ring is the
 // best information spreader among ≤2-neighbor topologies and that choosing a
 // maximum-bandwidth ring is NP-complete; this package makes those
-// comparisons measurable (see the topology ablation in
-// internal/experiments).
+// comparisons measurable (algos.NewDPSGDTopology runs D-PSGD over any of
+// them).
 package topology
 
 import (

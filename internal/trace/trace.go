@@ -40,13 +40,26 @@ type RoundEvent struct {
 	Loss float64
 }
 
+// MeanPairMBps is the mean link bandwidth over the round's matched pairs
+// (0 when nothing matched) — one point of the Fig. 5 series.
+func (ev *RoundEvent) MeanPairMBps() float64 {
+	if len(ev.PairMBps) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, v := range ev.PairMBps {
+		s += v
+	}
+	return s / float64(len(ev.PairMBps))
+}
+
 // Recorder accumulates round events (default), or streams them row by row
 // after Stream.
 type Recorder struct {
 	events []RoundEvent
 
 	// Streaming state: w non-nil selects streaming mode. The summary
-	// statistics (MeanMatchedBandwidth, ForcedFraction, Len) stay
+	// statistics (MeanMatchedBandwidth, Len) stay
 	// available because their accumulators are maintained per Record;
 	// the full event history is not.
 	w       io.Writer
@@ -54,7 +67,6 @@ type Recorder struct {
 	rounds  int
 	meanSum float64
 	meanN   int
-	forcedN int
 	scratch RoundEvent
 }
 
@@ -111,15 +123,8 @@ func (r *Recorder) Record(round int, match graph.Matching, bw *netsim.Bandwidth,
 		}
 	}
 	r.rounds++
-	if forced {
-		r.forcedN++
-	}
 	if len(ev.PairMBps) > 0 {
-		s := 0.0
-		for _, v := range ev.PairMBps {
-			s += v
-		}
-		r.meanSum += s / float64(len(ev.PairMBps))
+		r.meanSum += ev.MeanPairMBps()
 		r.meanN++
 	}
 	if r.w != nil && r.err == nil {
@@ -142,15 +147,6 @@ func (r *Recorder) MeanMatchedBandwidth() float64 {
 	return r.meanSum / float64(r.meanN)
 }
 
-// ForcedFraction returns the share of rounds that needed forced
-// reconnection.
-func (r *Recorder) ForcedFraction() float64 {
-	if r.rounds == 0 {
-		return 0
-	}
-	return float64(r.forcedN) / float64(r.rounds)
-}
-
 // writeHeader emits the CSV column header.
 func writeHeader(w io.Writer) error {
 	_, err := fmt.Fprintln(w, "round,pairs,mean_pair_mbps,forced,payload_bytes,active,loss")
@@ -164,15 +160,8 @@ func writeEvent(w io.Writer, ev *RoundEvent) error {
 	for i, p := range ev.Pairs {
 		pairs[i] = strconv.Itoa(p[0]) + "-" + strconv.Itoa(p[1])
 	}
-	mean := 0.0
-	if len(ev.PairMBps) > 0 {
-		for _, v := range ev.PairMBps {
-			mean += v
-		}
-		mean /= float64(len(ev.PairMBps))
-	}
 	_, err := fmt.Fprintf(w, "%d,%s,%.4f,%t,%d,%d,%.6f\n",
-		ev.Round, strings.Join(pairs, "|"), mean, ev.Forced,
+		ev.Round, strings.Join(pairs, "|"), ev.MeanPairMBps(), ev.Forced,
 		ev.PayloadBytes, ev.ActiveWorkers, ev.Loss)
 	return err
 }

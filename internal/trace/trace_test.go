@@ -30,9 +30,6 @@ func TestRecorderStatistics(t *testing.T) {
 	if got := r.MeanMatchedBandwidth(); got != 4 {
 		t.Fatalf("MeanMatchedBandwidth = %v, want 4", got)
 	}
-	if got := r.ForcedFraction(); got != 0.5 {
-		t.Fatalf("ForcedFraction = %v, want 0.5", got)
-	}
 	ev := r.Events()[0]
 	if len(ev.Pairs) != 2 || ev.Pairs[0] != [2]int{0, 1} || ev.PairMBps[0] != 4 {
 		t.Fatalf("event pairs wrong: %+v", ev)
@@ -58,7 +55,7 @@ func TestRecorderCSV(t *testing.T) {
 
 func TestRecorderEmpty(t *testing.T) {
 	r := NewRecorder()
-	if r.MeanMatchedBandwidth() != 0 || r.ForcedFraction() != 0 {
+	if r.MeanMatchedBandwidth() != 0 {
 		t.Fatal("empty recorder statistics")
 	}
 	var sb strings.Builder

@@ -101,36 +101,15 @@ func (s TaskSpec) Trainers(totalNodes int) int {
 // BuildModel constructs the worker model for the spec. All workers pass the
 // same spec, so initial parameters agree bit-for-bit.
 func (s TaskSpec) BuildModel() (*nn.Model, error) {
-	in := nn.Shape{C: s.C, H: s.H, W: s.W}
-	switch s.Arch {
-	case "mlp":
-		return nn.NewMLP(in.Dim(), s.Hidden, s.Classes, s.Seed), nil
-	case "mnist-cnn":
-		return nn.NewMNISTCNN(in, s.Classes, s.Width, s.Seed), nil
-	case "cifar-cnn":
-		return nn.NewCIFARCNN(in, s.Classes, s.Width, s.Seed), nil
-	case "resnet":
-		blocks := s.Blocks
-		if blocks < 1 {
-			blocks = 3
-		}
-		return nn.NewResNet(in, s.Classes, blocks, s.Width, s.Seed), nil
-	default:
-		return nil, fmt.Errorf("transport: unknown arch %q", s.Arch)
-	}
+	arch := nn.Arch{Name: s.Arch, Width: s.Width, Hidden: s.Hidden, Blocks: s.Blocks}
+	return arch.New(nn.Shape{C: s.C, H: s.H, W: s.W}, s.Classes, s.Seed)
 }
 
 // BuildShards regenerates the full synthetic dataset and partitions it for n
 // workers. Every worker calls this with identical arguments and takes its
 // rank's shard.
 func (s TaskSpec) BuildShards(n int) ([]*dataset.Dataset, *dataset.Dataset) {
-	cfg := dataset.SynthConfig{
-		Name: s.Arch, C: s.C, H: s.H, W: s.W,
-		Classes: s.Classes, PerClass: 2, Noise: 0.35,
-	}
-	full := dataset.Synthetic(cfg, s.Samples+s.Samples/5, s.DataSeed)
-	train := &dataset.Dataset{Name: full.Name, C: full.C, H: full.H, W: full.W, Classes: full.Classes, Samples: full.Samples[:s.Samples]}
-	valid := &dataset.Dataset{Name: full.Name + "-valid", C: full.C, H: full.H, W: full.W, Classes: full.Classes, Samples: full.Samples[s.Samples:]}
+	train, valid := dataset.ImageTask(s.Arch, s.C, s.H, s.W, s.Classes, 0.35, s.Samples, s.Samples/5, s.DataSeed)
 	if s.NonIID {
 		return dataset.PartitionByLabel(train, n, 2, s.DataSeed+1), valid
 	}

@@ -2,15 +2,18 @@
 // Efficient Decentralized Learning with Sparsification and Adaptive Peer
 // Selection" (Tang, Shi, Chu — ICDCS 2020): the SAPS-PSGD algorithm, the six
 // baselines it is compared against, the network/dataset/neural-net
-// substrates they train on, and a benchmark harness that regenerates every
-// table and figure of the paper's evaluation.
+// substrates they train on, and the committed campaigns that regenerate
+// every table and figure of the paper's evaluation.
 //
-// This root package is the public façade. The three ways to use the library:
+// This root package is the public façade. The two ways to use the library:
 //
-//   - Simulation: build an algorithm with BuildAlgorithm (or NewSAPS for the
-//     paper's algorithm alone) and drive it with Run — all traffic and
-//     communication time is accounted against a bandwidth environment such
-//     as FourteenCities or RandomUniform.
+//   - Simulation: build an algorithm with NewSAPS or one of the baseline
+//     constructors and drive it with Run — all traffic and communication
+//     time is accounted against a bandwidth environment such as
+//     FourteenCities or RandomUniform. Run is the same round loop a
+//     declarative scenario spec goes through (cmd/fleetbench), and a
+//     campaign (cmd/campaign) is a grid of such specs: the paper's
+//     experiments are the campaigns under campaigns/paper/.
 //
 //   - Deployment: run a CoordinatorServer and WorkerClients over TCP
 //     (cmd/coordinator -algo <name>, cmd/worker); the identical engine
@@ -18,18 +21,14 @@
 //     SAPS and every baseline alike (hub algorithms run the parameter
 //     server as one extra worker process).
 //
-//   - Experiments: the drivers in internal/experiments (surfaced by
-//     cmd/sapsbench and bench_test.go) regenerate Tables I–IV and
-//     Figures 1/3/4/5/6.
+// Both run the same execution core: the round loop of Algorithms 1–3 lives
+// once, in the engine layer (Engine, EngineTransport, EngineLedger), and
+// the simulation/deployment paths differ only in which transport and ledger
+// back it. See DESIGN.md §2 for the layering and for how to add a new
+// backend.
 //
-// All three run the same execution core: the round loop of Algorithms 1–3
-// lives once, in the engine layer (Engine, EngineTransport, EngineLedger),
-// and the simulation/deployment paths differ only in which transport and
-// ledger back it. See DESIGN.md §2 for the layering and for how to add a
-// new backend.
-//
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// See DESIGN.md for the system inventory and EXPERIMENTS.md for the map from
+// paper artifacts to campaigns and the paper-vs-measured results.
 package sapspsgd
 
 import (
@@ -43,7 +42,7 @@ import (
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/trainer"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/transport"
 )
 
@@ -66,12 +65,14 @@ type (
 	Algorithm = algos.Algorithm
 	// FleetConfig describes a set of identically initialized workers.
 	FleetConfig = algos.FleetConfig
-	// TrainConfig controls a simulated run.
-	TrainConfig = trainer.Config
+	// TrainConfig controls a simulated run: the round count and the
+	// held-out set the averaged model is evaluated on every
+	// max(1, rounds/20) rounds and after the last.
+	TrainConfig = scenario.Loop
 	// Record is one evaluation point (round, accuracy, traffic, time).
-	Record = trainer.Record
-	// Result is a full run's series plus its traffic ledger.
-	Result = trainer.Result
+	Record = scenario.EvalPoint
+	// Result is a full run's evaluation series plus its traffic ledger.
+	Result = scenario.LoopResult
 	// Bandwidth is a symmetric pairwise link-speed environment.
 	Bandwidth = netsim.Bandwidth
 	// Ledger accounts bytes and simulated communication time.
@@ -197,9 +198,10 @@ func NewPSPSGD(fc FleetConfig, bw *Bandwidth) Algorithm { return algos.NewPSPSGD
 func NewQSGDPSGD(fc FleetConfig, levels int) Algorithm { return algos.NewQSGDPSGD(fc, levels) }
 
 // Run trains any Algorithm over the bandwidth environment, evaluating the
-// worker-averaged model periodically.
+// worker-averaged model periodically. It is the round loop every scenario
+// spec runs through.
 func Run(alg Algorithm, bw *Bandwidth, cfg TrainConfig) Result {
-	return trainer.Run(alg, bw, cfg)
+	return scenario.RunLoop(alg, netsim.NewLedger(bw), cfg)
 }
 
 // FourteenCities returns the paper's measured 14-city bandwidth matrix

@@ -28,11 +28,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		LR: cfg.LR, Batch: cfg.Batch, Seed: 1,
 	}, bw, cfg)
 
-	res := saps.Run(alg, bw, saps.TrainConfig{Rounds: 30, EvalEvery: 10, Valid: valid})
+	res := saps.Run(alg, bw, saps.TrainConfig{Rounds: 30, Valid: valid})
 	if res.Algorithm != "SAPS-PSGD" {
 		t.Fatalf("Algorithm = %q", res.Algorithm)
 	}
-	f := res.Final()
+	f := res.Records.Final()
 	if f.ValAcc < 0.3 { // 10 classes, chance = 0.1
 		t.Fatalf("accuracy %v after 30 rounds", f.ValAcc)
 	}
@@ -71,7 +71,7 @@ func TestPublicAPIBaselines(t *testing.T) {
 		saps.NewRandomChoose(fc, bw, cfg),
 	}
 	for _, alg := range algs {
-		res := saps.Run(alg, bw, saps.TrainConfig{Rounds: 10, EvalEvery: 10, Valid: valid})
+		res := saps.Run(alg, bw, saps.TrainConfig{Rounds: 10, Valid: valid})
 		if len(res.Records) == 0 {
 			t.Fatalf("%s: no records", alg.Name())
 		}
