@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	saps "sapspsgd"
-	"sapspsgd/internal/algos"
 )
 
 func main() {
@@ -32,15 +31,15 @@ func main() {
 	trainCfg := saps.TrainConfig{Rounds: rounds, Valid: valid}
 
 	stable := saps.Run(saps.NewSAPS(fc, bw, cfg), bw, trainCfg)
-	churned := algos.NewSAPSChurn(fc, bw, cfg, algos.ChurnModel{
+	churned := saps.NewSAPSDynamic(fc, bw, cfg, saps.Membership{Churn: &saps.ChurnModel{
 		LeaveProb: 0.10,
 		JoinProb:  0.50,
 		MinActive: workers / 2,
-	})
+	}})
 	churnRes := saps.Run(churned, bw, trainCfg)
 
 	minActive, maxActive := workers, 0
-	for _, a := range churned.ActiveHistory {
+	for _, a := range churned.ActiveHistory() {
 		if a < minActive {
 			minActive = a
 		}

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	saps "sapspsgd"
-	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
@@ -36,14 +35,9 @@ func spec() saps.TaskSpec {
 	}
 }
 
-func config() core.Config {
-	s := spec()
-	return core.Config{
-		Workers: n, Compression: s.Compression, LR: s.LR, Batch: s.Batch,
-		LocalSteps: s.LocalSteps, Gossip: gossip.Config{BThres: 0, TThres: 10},
-		Seed: s.Seed,
-	}
-}
+// thresholds are Algorithm 3's knobs, the one thing the task leaves to the
+// coordinator.
+var thresholds = gossip.Config{BThres: 0, TThres: 10}
 
 func env() *netsim.Bandwidth { return netsim.RandomUniform(n, 1, 5, rng.New(4)) }
 
@@ -59,19 +53,28 @@ func checksum(params []float64) float64 {
 // runInProc drives the engine over an in-process transport and returns the
 // rank-0 parameters and total traffic.
 func runInProc(name string, tr saps.EngineTransport, inner saps.EngineLedger) ([]float64, int64) {
+	// The recipe assembly every deployment performs: each TCP worker builds
+	// its one node and the codec table from the same recipe.
 	s := spec()
+	rec := s.Recipe(n)
 	shards, _ := s.BuildShards(n)
-	workers := make([]*core.Worker, n)
-	for i := range workers {
+	nodes := make([]saps.EngineNode, n)
+	var model0 *saps.Model
+	for i := range nodes {
 		model, err := s.BuildModel()
 		if err != nil {
 			log.Fatal(err)
 		}
-		workers[i] = core.NewWorker(i, model, shards[i], config())
+		if i == 0 {
+			model0 = model
+		}
+		nodes[i] = rec.NewNode(i, model, shards[i], nil)
 	}
 	eng := saps.NewEngine(saps.EngineOptions{
-		Workers:   workers,
-		Planner:   core.NewCoordinator(env(), config()),
+		Nodes:     nodes,
+		Codecs:    rec.Codecs(model0.ParamCount()),
+		Pattern:   rec.Pattern(),
+		Planner:   rec.Planner(env(), thresholds),
 		Transport: tr,
 	})
 	defer eng.Close()
@@ -81,13 +84,13 @@ func runInProc(name string, tr saps.EngineTransport, inner saps.EngineLedger) ([
 			log.Fatalf("%s round %d: %v", name, t, err)
 		}
 	}
-	return workers[0].Params(), led.TotalBytes()
+	return model0.FlatParams(nil), led.TotalBytes()
 }
 
 // runTCP drives the identical configuration as a real loopback TCP cluster.
 func runTCP() ([]float64, int64) {
 	led := &engine.CountingLedger{}
-	srv := &saps.CoordinatorServer{N: n, Task: spec(), BW: env(), Gossip: config().Gossip, Ledger: led}
+	srv := &saps.CoordinatorServer{N: n, Task: spec(), BW: env(), Gossip: thresholds, Ledger: led}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
 	"sapspsgd/internal/tensor"
+	"sapspsgd/internal/trace"
 )
 
 // testSetup builds a small shared task: n workers, tiny synthetic task, MLP.
@@ -249,18 +250,17 @@ func TestSAPSPrefersBandwidthOverRandom(t *testing.T) {
 	cfg.Gossip.BThres = 2
 	saps := NewSAPS(fc, bw, cfg)
 	random := NewRandomChoose(fc, bw, cfg)
+	recS, recR := trace.NewRecorder(), trace.NewRecorder()
+	saps.SetTrace(recS)
+	random.SetTrace(recR)
 	ledA := netsim.NewLedger(bw)
 	ledB := netsim.NewLedger(bw)
-	var sumS, sumR float64
-	const rounds = 60
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < 60; r++ {
 		saps.Step(r, ledA)
 		random.Step(r, ledB)
-		sumS += saps.LastMatchedBandwidth
-		sumR += random.LastMatchedBandwidth
 	}
-	if sumS <= sumR {
-		t.Fatalf("SAPS mean matched bandwidth %v not above random %v", sumS/rounds, sumR/rounds)
+	if s, r := recS.MeanMatchedBandwidth(), recR.MeanMatchedBandwidth(); s <= r {
+		t.Fatalf("SAPS mean matched bandwidth %v not above random %v", s, r)
 	}
 }
 

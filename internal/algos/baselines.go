@@ -1,6 +1,9 @@
 package algos
 
-import "sapspsgd/internal/netsim"
+import (
+	"sapspsgd/internal/gossip"
+	"sapspsgd/internal/netsim"
+)
 
 // baselineNames are the paper's names for the recipe algorithms New builds.
 var baselineNames = map[string]string{
@@ -10,23 +13,28 @@ var baselineNames = map[string]string{
 }
 
 // New assembles a synchronous baseline recipe over an in-process fleet: any
-// recipe algorithm but saps, whose planner and diagnostics have their own
-// constructors (NewSAPS and its variants). The recipe's fleet-shaped fields
-// (Workers, LR, Batch, Seed) are taken from fc. bw places the hub
-// algorithms' server optimistically — its link to worker i is the best
-// bandwidth worker i has to anyone (the paper's "choosing the server that
-// has the maximum bandwidth") — and is unused by the serverless ones.
+// recipe algorithm but saps, whose planner plans over a bandwidth
+// environment (NewSAPS, NewSAPSDynamic, NewRandomChoose). The recipe's
+// fleet-shaped fields (Workers, LR, Batch, Seed) are taken from fc. bw
+// places the hub algorithms' server optimistically — its link to worker i
+// is the best bandwidth worker i has to anyone (the paper's "choosing the
+// server that has the maximum bandwidth") — and is unused by the serverless
+// ones.
 func New(fc FleetConfig, r Recipe, bw *netsim.Bandwidth) Algorithm {
 	name, ok := baselineNames[r.Algo]
 	if !ok {
 		panic("algos: New builds the synchronous baselines, not " + r.Algo)
+	}
+	if r.mix != nil {
+		name = r.mix.name
 	}
 	r.Workers, r.LR, r.Batch, r.Seed = fc.N, fc.LR, fc.Batch, fc.Seed
 	var links []float64
 	if r.Hub() {
 		links = serverLinks(bw)
 	}
-	return newEngineAlgo(name, fc, r, links)
+	// The baselines' planners ignore the bandwidth environment.
+	return newInProc(name, fc, r, r.Planner(nil, gossip.Config{}), links)
 }
 
 // NewPSGD is synchronous data-parallel SGD over an exact all-reduce of dense

@@ -10,11 +10,11 @@ import (
 func TestSAPSChurnConverges(t *testing.T) {
 	const n, rounds = 8, 250
 	fc, bw, va := testSetup(t, n)
-	alg := NewSAPSChurn(fc, bw, sapsConfig(n), ChurnModel{
+	alg := NewSAPSDynamic(fc, bw, sapsConfig(n), Membership{Churn: &ChurnModel{
 		LeaveProb: 0.15,
 		JoinProb:  0.5,
 		MinActive: 4,
-	})
+	}})
 	acc, led := runRounds(t, alg, bw, va, rounds)
 	if acc < 0.7 {
 		t.Fatalf("churn accuracy %v, want >= 0.7", acc)
@@ -24,7 +24,7 @@ func TestSAPSChurnConverges(t *testing.T) {
 	}
 	// Churn actually happened: some round had fewer than n active workers.
 	sawChurn := false
-	for _, a := range alg.ActiveHistory {
+	for _, a := range alg.ActiveHistory() {
 		if a < n {
 			sawChurn = true
 		}
@@ -40,25 +40,18 @@ func TestSAPSChurnConverges(t *testing.T) {
 func TestSAPSChurnMatchesOnlyActive(t *testing.T) {
 	const n = 8
 	fc, bw, _ := testSetup(t, n)
-	alg := NewSAPSChurn(fc, bw, sapsConfig(n), ChurnModel{
+	alg := NewSAPSDynamic(fc, bw, sapsConfig(n), Membership{Churn: &ChurnModel{
 		LeaveProb: 0.4,
 		JoinProb:  0.3,
 		MinActive: 2,
-	})
+	}})
 	led := netsim.NewLedger(bw)
 	for r := 0; r < 60; r++ {
-		alg.Step(r, led)
-		active := alg.Active()
 		// Internal invariant is checked indirectly: MergePeer panics on
 		// mismatched payloads, and the Step would have paniced if an
 		// inactive worker had been matched (its payload is nil).
-		count := 0
-		for _, a := range active {
-			if a {
-				count++
-			}
-		}
-		if count < 2 {
+		alg.Step(r, led)
+		if count := alg.ActiveHistory()[r]; count < 2 {
 			t.Fatalf("round %d: %d active", r, count)
 		}
 	}
@@ -80,7 +73,7 @@ func TestChurnModelValidation(t *testing.T) {
 					t.Fatalf("bad churn model %d accepted", i)
 				}
 			}()
-			NewSAPSChurn(fc, bw, sapsConfig(4), cm)
+			NewSAPSDynamic(fc, bw, sapsConfig(4), Membership{Churn: &cm})
 		}()
 	}
 }

@@ -3,8 +3,6 @@ package algos
 import (
 	"fmt"
 
-	"sapspsgd/internal/core"
-	"sapspsgd/internal/engine"
 	"sapspsgd/internal/topology"
 )
 
@@ -41,23 +39,10 @@ func NewDPSGDTopology(fc FleetConfig, topo Topology) Algorithm {
 	if !topo.G.IsConnected() {
 		panic("algos: disconnected topology cannot reach consensus")
 	}
-	f := NewFleet(fc)
-	weights := MetropolisWeights(topo)
-	adj := make([][]int, f.N)
-	nodes := make([]engine.Node, f.N)
-	codecs := make([]engine.Codec, f.N)
-	for i := 0; i < f.N; i++ {
+	adj := make([][]int, fc.N)
+	for i := range adj {
 		adj[i] = topo.G.Neighbors(i)
-		t := newLocalTrainer(i, f.Models[i], fc.Shards[i], fc.Batch, fc.LR, fc.Seed)
-		nodes[i] = &neighborMixNode{t: t, lr: fc.LR, weights: weights[i]}
-		codecs[i] = engine.Dense{}
 	}
-	a := &engineAlgo{name: "D-PSGD(" + topo.Name + ")", models: f.Models, server: -1}
-	a.eng = engine.New(engine.Options{
-		Nodes:   nodes,
-		Codecs:  codecs,
-		Pattern: engine.NewNeighborhood(adj, false),
-		Planner: engine.PlannerFunc(func(t int) core.RoundPlan { return core.RoundPlan{Round: t} }),
-	})
-	return a
+	mix := &mixGraph{name: "D-PSGD(" + topo.Name + ")", adj: adj, weights: MetropolisWeights(topo)}
+	return New(fc, Recipe{Algo: "d-psgd", mix: mix}, nil)
 }

@@ -123,10 +123,10 @@ func (t *teeLedger) EndRound() float64 {
 	return a
 }
 
-// hubChassis is the shared engine chassis of a baseline (its server rank
-// and link table drive the tee's hub mapping); nil for the SAPS family.
-func hubChassis(alg Algorithm) *engineAlgo {
-	a, _ := alg.(*engineAlgo)
+// hubChassis is the algorithm's chassis (its server rank and link table
+// drive the tee's hub mapping).
+func hubChassis(alg Algorithm) *InProc {
+	a, _ := alg.(*InProc)
 	return a
 }
 

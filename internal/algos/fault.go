@@ -4,22 +4,16 @@ import (
 	"fmt"
 	"sort"
 
-	"sapspsgd/internal/compress"
-	"sapspsgd/internal/core"
-	"sapspsgd/internal/engine"
-	"sapspsgd/internal/netsim"
-	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/trace"
 )
 
 // FaultEvent schedules one worker crash: Rank is dead for rounds
 // [Round, Round+RejoinAfter) and rejoins at round Round+RejoinAfter.
 // RejoinAfter <= 0 means the worker never returns.
 type FaultEvent struct {
-	Rank        int
-	Round       int
-	RejoinAfter int
+	Rank        int `json:"rank"`
+	Round       int `json:"round"`
+	RejoinAfter int `json:"rejoin_after,omitempty"`
 }
 
 // window returns the event's absence interval [from, to); to < 0 encodes an
@@ -44,8 +38,8 @@ func (e FaultEvent) covers(t int) bool {
 // shrinks below it. Unlike churn (ChurnModel), mortality is permanent —
 // dead workers never rejoin.
 type FaultMortality struct {
-	Prob     float64
-	MinAlive int
+	Prob     float64 `json:"prob"`
+	MinAlive int     `json:"min_alive"`
 }
 
 // FaultSchedule is the deterministic fault-injection plan both runtimes
@@ -137,24 +131,21 @@ func (s *FaultSchedule) Validate() error {
 	return nil
 }
 
-// FaultProcess iterates a FaultSchedule's membership, one round at a time.
-// Step must be called exactly once per round in round order (the mortality
-// stream is sequential); every process constructed from the same schedule
-// produces identical membership, whichever machine it runs on.
+// FaultProcess iterates a FaultSchedule's membership, one round at a time —
+// the scheduled source of a Membership. Step must be called once per round in
+// round order (the mortality stream is sequential; MembershipStream enforces
+// it); every process constructed from the same schedule produces identical
+// membership, whichever machine it runs on.
 type FaultProcess struct {
 	sched FaultSchedule
 	rnd   *rng.Source
 	dead  []bool // mortality deaths (permanent)
 	alive int    // N minus mortality deaths
-	next  int
 }
 
 // NewFaultProcess builds the membership process. The schedule must have been
-// validated.
+// validated (Membership.Stream does).
 func NewFaultProcess(sched FaultSchedule) *FaultProcess {
-	if err := sched.Validate(); err != nil {
-		panic(err)
-	}
 	return &FaultProcess{
 		sched: sched,
 		rnd:   rng.New(sched.Seed).Derive(0xfa017),
@@ -163,14 +154,9 @@ func NewFaultProcess(sched FaultSchedule) *FaultProcess {
 	}
 }
 
-// Step advances the process to round t (which must be the next unvisited
-// round) and returns that round's active set — a fresh slice the caller
-// owns. It fails if the combined faults would leave fewer than two workers.
-func (p *FaultProcess) Step(t int) ([]bool, error) {
-	if t != p.next {
-		return nil, fmt.Errorf("algos: fault process stepped to round %d, expected %d", t, p.next)
-	}
-	p.next++
+// Step advances the process to round t and returns that round's active set —
+// a fresh slice the caller owns.
+func (p *FaultProcess) Step(t int) []bool {
 	if m := p.sched.Mortality; m != nil {
 		for i := 0; i < p.sched.N; i++ {
 			if p.dead[i] || p.alive <= m.MinAlive {
@@ -185,17 +171,10 @@ func (p *FaultProcess) Step(t int) ([]bool, error) {
 		}
 	}
 	active := make([]bool, p.sched.N)
-	count := 0
 	for i := range active {
 		active[i] = !p.dead[i] && !p.eventAbsent(i, t)
-		if active[i] {
-			count++
-		}
 	}
-	if count < 2 {
-		return nil, fmt.Errorf("algos: faults leave %d active workers at round %d", count, t)
-	}
-	return active, nil
+	return active
 }
 
 // eventAbsent reports whether rank is inside a scheduled crash window at t.
@@ -207,91 +186,3 @@ func (p *FaultProcess) eventAbsent(rank, t int) bool {
 	}
 	return false
 }
-
-// SAPSFaults is SAPS-PSGD under the declarative fault schedule: the
-// scheduled-dead workers neither train nor communicate, exactly as a crashed
-// process would over TCP, and the coordinator matches only the survivors —
-// reusing the same PlanActive path the churn variant drives. This is the
-// in-process reference the TCP kill-and-rejoin equivalence test compares
-// against. Like SAPSChurn it is itself the engine's Planner.
-type SAPSFaults struct {
-	fleet *Fleet
-	eng   *engine.Engine
-	coord *core.Coordinator
-	proc  *FaultProcess
-	// ActiveHistory records the number of active workers each round.
-	ActiveHistory []int
-	// Trace, when set, records one event per round like SAPS.Trace, with
-	// ActiveWorkers reflecting the round's surviving membership.
-	Trace *trace.Recorder
-	bw    *netsim.Bandwidth
-}
-
-// SetTrace attaches a round recorder (scenario.RunFull's hook).
-func (s *SAPSFaults) SetTrace(r *trace.Recorder) { s.Trace = r }
-
-// NewSAPSFaults builds SAPS-PSGD with the given fault schedule (whose N must
-// equal the fleet size).
-func NewSAPSFaults(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, sched FaultSchedule) *SAPSFaults {
-	if sched.N != fc.N {
-		panic(fmt.Sprintf("algos: fault schedule over %d workers for a fleet of %d", sched.N, fc.N))
-	}
-	f := NewFleet(fc)
-	s := &SAPSFaults{
-		fleet: f,
-		bw:    bw,
-		proc:  NewFaultProcess(sched),
-		coord: core.NewCoordinator(bw, cfg),
-	}
-	s.eng = engine.New(engine.Options{
-		Workers: newEngineWorkers(f, fc, cfg),
-		Planner: s,
-		Shards:  fc.RuntimeShards,
-	})
-	return s
-}
-
-// Name implements Algorithm.
-func (s *SAPSFaults) Name() string { return "SAPS-PSGD(faults)" }
-
-// Models implements Algorithm.
-func (s *SAPSFaults) Models() []*nn.Model { return s.fleet.Models }
-
-// Close releases the engine's executors.
-func (s *SAPSFaults) Close() { s.eng.Close() }
-
-// Plan implements engine.Planner: advance the fault process, then run
-// Algorithm 3 over the surviving workers only.
-func (s *SAPSFaults) Plan(t int) core.RoundPlan {
-	active, err := s.proc.Step(t)
-	if err != nil {
-		panic(err)
-	}
-	n := 0
-	for _, a := range active {
-		if a {
-			n++
-		}
-	}
-	s.ActiveHistory = append(s.ActiveHistory, n)
-	return s.coord.PlanActive(t, active)
-}
-
-// Step implements Algorithm.
-func (s *SAPSFaults) Step(round int, led engine.Ledger) float64 {
-	stats, err := s.eng.Step(round, led)
-	if err != nil {
-		panic(err)
-	}
-	if s.Trace != nil {
-		payload := compress.MaskedBytes(stats.PayloadLen)
-		s.Trace.Record(round, stats.Plan.Matching(), s.bw, stats.Plan.Forced,
-			payload, s.ActiveHistory[len(s.ActiveHistory)-1], stats.Loss)
-	}
-	return stats.Loss
-}
-
-var (
-	_ Algorithm      = (*SAPSFaults)(nil)
-	_ engine.Planner = (*SAPSFaults)(nil)
-)

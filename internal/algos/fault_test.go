@@ -76,14 +76,7 @@ func TestFaultProcessDeterministicMembership(t *testing.T) {
 	prevAlive := sched.N
 	var everDead []bool
 	for round := 0; round < 12; round++ {
-		a1, err := p1.Step(round)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := p2.Step(round)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a1, a2 := p1.Step(round), p2.Step(round)
 		for i := range a1 {
 			if a1[i] != a2[i] {
 				t.Fatalf("round %d rank %d: processes disagree", round, i)
@@ -120,8 +113,22 @@ func TestFaultProcessDeterministicMembership(t *testing.T) {
 		_ = prevAlive
 		prevAlive = alive
 	}
-	// Out-of-order stepping is rejected.
-	if _, err := p1.Step(5); err == nil || !strings.Contains(err.Error(), "expected 12") {
+}
+
+// TestMembershipStreamRejectsOutOfOrder: the churn and mortality draws are
+// sequential, so a stream stepped to anything but the next round fails.
+func TestMembershipStreamRejectsOutOfOrder(t *testing.T) {
+	sched := validSchedule()
+	s, err := Membership{Faults: &sched}.Stream(sched.N, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := s.Step(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Step(5); err == nil || !strings.Contains(err.Error(), "expected 3") {
 		t.Fatalf("out-of-order step accepted: %v", err)
 	}
 }
@@ -137,14 +144,14 @@ func eventScheduledActive(s FaultSchedule, rank, t int) bool {
 	return true
 }
 
-// TestSAPSFaultsMatchesManualExclusion checks the fault planner's active
+// TestFaultScheduleReachesEngine checks the fault planner's active
 // sets reach the engine: scheduled-dead workers' models must stay frozen
 // during their windows.
-func TestSAPSFaultsMatchesManualExclusion(t *testing.T) {
+func TestFaultScheduleReachesEngine(t *testing.T) {
 	fc, bw, _ := testSetup(t, 4)
 	cfg := sapsConfig(4)
 	sched := FaultSchedule{N: 4, Seed: cfg.Seed, Events: []FaultEvent{{Rank: 1, Round: 2, RejoinAfter: 2}}}
-	alg := NewSAPSFaults(fc, bw, cfg, sched)
+	alg := NewSAPSDynamic(fc, bw, cfg, Membership{Faults: &sched})
 	defer alg.Close()
 
 	led := &engine.CountingLedger{}
@@ -172,10 +179,11 @@ func TestSAPSFaultsMatchesManualExclusion(t *testing.T) {
 			t.Fatalf("round %d: rejoined worker's model still frozen", round)
 		}
 	}
-	if len(alg.ActiveHistory) != 6 {
-		t.Fatalf("%d active-history entries, want 6", len(alg.ActiveHistory))
+	history := alg.ActiveHistory()
+	if len(history) != 6 {
+		t.Fatalf("%d active-history entries, want 6", len(history))
 	}
-	if alg.ActiveHistory[2] != 3 || alg.ActiveHistory[0] != 4 {
-		t.Fatalf("active history %v, want 4 at round 0 and 3 at round 2", alg.ActiveHistory)
+	if history[2] != 3 || history[0] != 4 {
+		t.Fatalf("active history %v, want 4 at round 0 and 3 at round 2", history)
 	}
 }

@@ -14,9 +14,9 @@ import (
 
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
-	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/trace"
 )
 
 // Algorithm is one distributed training scheme, driven round by round.
@@ -93,24 +93,26 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	return f
 }
 
-// engineAlgo is the shared chassis of every baseline: an engine assembled
-// from a Recipe (nodes, per-rank codecs, pattern, planner), stepped through
-// engine.Driver. Per-round ledger charges come from the wire bytes the
-// codecs actually produced.
-type engineAlgo struct {
+// InProc is the package's one synchronous in-process Algorithm: an engine
+// assembled from a Recipe (nodes, per-rank codecs, pattern) and a planner,
+// stepped through engine.Driver. Per-round ledger charges come from the wire
+// bytes the codecs actually produced. The baselines and the SAPS family
+// differ only in the recipe, the planner, and the latter's roundObserver.
+type InProc struct {
 	name   string
 	eng    *engine.Engine
 	models []*nn.Model
-	server int       // hub server rank, -1 for serverless algorithms
-	links  []float64 // server↔worker bandwidth (MB/s), hub only
+	server int            // hub server rank, -1 for serverless algorithms
+	links  []float64      // server↔worker bandwidth (MB/s), hub only
+	watch  *roundObserver // SAPS-family diagnostics, nil for the baselines
 }
 
-// newEngineAlgo assembles the chassis over a fleet. For hub recipes the
-// server model comes from the shared factory (identical initialization) and
-// worker 0's model doubles as the evaluation mirror; links carries the
-// optimistic server placement of the paper ("choosing the server that has
-// the maximum bandwidth").
-func newEngineAlgo(name string, fc FleetConfig, r Recipe, links []float64) *engineAlgo {
+// newInProc assembles the chassis over a fleet — the package's one
+// engine.New site. For hub recipes the server model comes from the shared
+// factory (identical initialization) and worker 0's model doubles as the
+// evaluation mirror; links carries the optimistic server placement of the
+// paper ("choosing the server that has the maximum bandwidth").
+func newInProc(name string, fc FleetConfig, r Recipe, planner engine.Planner, links []float64) *InProc {
 	if err := r.Validate(); err != nil {
 		panic(err)
 	}
@@ -120,7 +122,7 @@ func newEngineAlgo(name string, fc FleetConfig, r Recipe, links []float64) *engi
 	for i := 0; i < f.N; i++ {
 		nodes[i] = r.NewNode(i, f.Models[i], fc.Shards[i], nil)
 	}
-	a := &engineAlgo{name: name, models: f.Models, server: r.ServerRank(), links: links}
+	a := &InProc{name: name, models: f.Models, server: r.ServerRank(), links: links}
 	if a.server >= 0 {
 		nodes[a.server] = r.NewNode(a.server, fc.Factory(), nil, f.Models[0])
 		// The global model lives on the server; evaluation uses worker 0's
@@ -128,30 +130,50 @@ func newEngineAlgo(name string, fc FleetConfig, r Recipe, links []float64) *engi
 		// statistics.
 		a.models = f.Models[:1]
 	}
+	codecs := r.Codecs(f.Dim)
+	// One round mask per fleet, not one per rank and one more per codec.
+	engine.ShareMasks(nodes, codecs)
 	a.eng = engine.New(engine.Options{
 		Nodes:   nodes,
-		Codecs:  r.Codecs(f.Dim),
+		Codecs:  codecs,
 		Pattern: r.Pattern(),
-		// Only saps plans over the bandwidth environment; the baselines'
-		// planners ignore it.
-		Planner: r.Planner(nil, gossip.Config{}),
+		Planner: planner,
 		Shards:  fc.RuntimeShards,
 	})
 	return a
 }
 
 // Name implements Algorithm.
-func (a *engineAlgo) Name() string { return a.name }
+func (a *InProc) Name() string { return a.name }
 
 // Models implements Algorithm.
-func (a *engineAlgo) Models() []*nn.Model { return a.models }
+func (a *InProc) Models() []*nn.Model { return a.models }
 
 // Close releases the engine's executors (also reclaimed automatically when
 // the algorithm becomes unreachable).
-func (a *engineAlgo) Close() { a.eng.Close() }
+func (a *InProc) Close() { a.eng.Close() }
 
-// Step implements Algorithm.
-func (a *engineAlgo) Step(round int, led engine.Ledger) float64 {
+// SetTrace attaches a round recorder: one event per round from then on. Only
+// the SAPS family records (the trace is about its matchings); on a baseline
+// the call does nothing.
+func (a *InProc) SetTrace(r *trace.Recorder) {
+	if a.watch != nil {
+		a.watch.trace = r
+	}
+}
+
+// ActiveHistory is the number of workers present in each round run so far —
+// the fleet size every round for a static fleet, nil for a baseline.
+func (a *InProc) ActiveHistory() []int {
+	if a.watch == nil {
+		return nil
+	}
+	return a.watch.history
+}
+
+// Step implements Algorithm: one round of the recipe's pattern — for the
+// saps recipe, Algorithm 1 (coordinator) + Algorithm 2 (workers).
+func (a *InProc) Step(round int, led engine.Ledger) float64 {
 	if a.server >= 0 {
 		led = &hubLedger{inner: led, server: a.server, links: a.links}
 	}
@@ -159,8 +181,13 @@ func (a *engineAlgo) Step(round int, led engine.Ledger) float64 {
 	if err != nil {
 		panic(err) // the in-process transport cannot fail
 	}
+	if a.watch != nil {
+		a.watch.observe(round, stats)
+	}
 	return stats.Loss
 }
+
+var _ Algorithm = (*InProc)(nil)
 
 // hubLedger maps engine pair charges involving the hub's server rank onto
 // netsim's server-transfer accounting (so simulated time uses the server

@@ -41,6 +41,18 @@ type Recipe struct {
 	Levels int
 	// Fraction is the FedAvg per-round participation ratio.
 	Fraction float64
+
+	// mix, when set, replaces d-psgd's ring with another static topology
+	// (NewDPSGDTopology; in-process only).
+	mix *mixGraph
+}
+
+// mixGraph is a named static gossip topology: each rank's neighbours and its
+// row of the mixing matrix, self weight included.
+type mixGraph struct {
+	name    string
+	adj     [][]int
+	weights []map[int]float64
 }
 
 // AlgoNames lists the recipes' canonical -algo values.
@@ -131,6 +143,15 @@ func (r Recipe) localSteps() int {
 	return r.LocalSteps
 }
 
+// SAPSConfig is the saps recipe as the core package's hyperparameter block,
+// under Algorithm 3's thresholds gcfg.
+func (r Recipe) SAPSConfig(gcfg gossip.Config) core.Config {
+	return core.Config{
+		Workers: r.Workers, Compression: r.Compression, LR: r.LR, Batch: r.Batch,
+		LocalSteps: r.localSteps(), Gossip: gcfg, Seed: r.Seed,
+	}
+}
+
 // sparseK is the sparsifier budget N/c, at least 1.
 func sparseK(dim int, c float64) int {
 	k := int(float64(dim) / c)
@@ -184,6 +205,9 @@ func (r Recipe) Pattern() engine.Pattern {
 	case "topk-psgd", "qsgd-psgd":
 		return engine.AllGather{}
 	case "d-psgd":
+		if r.mix != nil {
+			return engine.NewNeighborhood(r.mix.adj, false)
+		}
 		return engine.NewNeighborhood(ringAdjacency(r.Workers), false)
 	case "dcd-psgd":
 		return engine.NewNeighborhood(ringAdjacency(r.Workers), true)
@@ -249,24 +273,19 @@ func (r Recipe) NewNode(rank int, model *nn.Model, shard *dataset.Dataset, mirro
 			return &fedServerNode{model: model, mirror: mirror, counted: true}
 		}
 	}
+	if r.Algo == "saps" {
+		// The worker owns its loader and optimizer, and reads only
+		// Algorithm 2's knobs: Algorithm 3's thresholds stay with the planner.
+		return engine.NewMaskedGossipNode(core.NewWorker(rank, model, shard, r.SAPSConfig(gossip.Config{})))
+	}
 	t := newLocalTrainer(rank, model, shard, r.Batch, r.LR, r.Seed)
 	switch r.Algo {
-	case "saps":
-		cfg := core.Config{
-			Workers:     r.Workers,
-			Compression: r.Compression,
-			LR:          r.LR,
-			Batch:       r.Batch,
-			LocalSteps:  r.localSteps(),
-			Gossip:      gossip.Config{BThres: 0, TThres: 10},
-			Seed:        r.Seed,
-		}
-		return engine.NewMaskedGossipNode(core.NewWorker(rank, model, shard, cfg))
-	case "psgd":
-		return &gradAvgNode{t: t, lr: r.LR, n: r.Workers}
-	case "topk-psgd", "qsgd-psgd":
+	case "psgd", "topk-psgd", "qsgd-psgd":
 		return &gradAvgNode{t: t, lr: r.LR, n: r.Workers}
 	case "d-psgd":
+		if r.mix != nil {
+			return &neighborMixNode{t: t, lr: r.LR, weights: r.mix.weights[rank]}
+		}
 		_, withSelf := ringWeights(rank, r.Workers)
 		return &neighborMixNode{t: t, lr: r.LR, weights: withSelf}
 	case "dcd-psgd":
@@ -292,16 +311,7 @@ func (r Recipe) NewNode(rank int, model *nn.Model, shard *dataset.Dataset, mirro
 func (r Recipe) Planner(bw *netsim.Bandwidth, gcfg gossip.Config) engine.Planner {
 	switch r.Algo {
 	case "saps":
-		cfg := core.Config{
-			Workers:     r.Workers,
-			Compression: r.Compression,
-			LR:          r.LR,
-			Batch:       r.Batch,
-			LocalSteps:  r.localSteps(),
-			Gossip:      gcfg,
-			Seed:        r.Seed,
-		}
-		return core.NewCoordinator(bw, cfg)
+		return core.NewCoordinator(bw, r.SAPSConfig(gcfg))
 	case "fedavg", "s-fedavg":
 		k := int(r.Fraction * float64(r.Workers))
 		if k < 1 {

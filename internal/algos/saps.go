@@ -6,87 +6,50 @@ import (
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
-	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
 	"sapspsgd/internal/trace"
 )
 
-// SAPS is the paper's algorithm: local SGD + shared-seed sparsified
-// single-peer gossip with adaptive (bandwidth-aware, recency-constrained)
-// peer selection. The round loop itself lives in internal/engine; this type
-// assembles the engine over the in-process memtransport backend and layers
-// the simulation-side diagnostics (matched-bandwidth series, tracing) on
-// top. NewRandomChoose builds the same type over a different planner.
-type SAPS struct {
-	name  string
-	fleet *Fleet
-	eng   *engine.Engine
-	// LastMatchedBandwidth is the mean bandwidth (MB/s) over the pairs
-	// matched in the most recent round — the Fig. 5 series.
-	LastMatchedBandwidth float64
-	// Trace, when set, records one event per round (matching, bandwidths,
-	// forced-reconnection flag, payload size, loss).
-	Trace *trace.Recorder
-	bw    *netsim.Bandwidth
-}
+// The paper's algorithm is the "saps" recipe — local SGD + shared-seed
+// sparsified single-peer gossip over the pairwise pattern — on the same
+// chassis as every baseline. Its constructors differ from theirs only in the
+// engine.Planner they hand the chassis (Algorithm 3 over the bandwidth
+// environment and a Membership, or RandomChoose's uniform matching) and in
+// the roundObserver that keeps the simulation-side diagnostics.
 
-// newEngineWorkers builds the rank-indexed core workers over a fleet.
-func newEngineWorkers(f *Fleet, fc FleetConfig, cfg core.Config) []*core.Worker {
-	ws := make([]*core.Worker, f.N)
-	for i := 0; i < f.N; i++ {
-		// The fleet's models are shared so evaluation sees the live
-		// parameters.
-		ws[i] = core.NewWorker(i, f.Models[i], fc.Shards[i], cfg)
+// newSAPS puts the saps recipe cfg describes (the worker-side knobs come from
+// cfg, as a TCP worker takes them from its task) under the given planner.
+func newSAPS(name string, fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, planner engine.Planner) *InProc {
+	r := Recipe{
+		Algo: "saps", Workers: fc.N, LR: cfg.LR, Batch: cfg.Batch, Seed: cfg.Seed,
+		Compression: cfg.Compression, LocalSteps: cfg.LocalSteps,
 	}
-	return ws
+	a := newInProc(name, fc, r, planner, nil)
+	a.watch = &roundObserver{bw: bw, n: fc.N}
+	return a
 }
 
-// NewSAPS builds the algorithm over the bandwidth environment bw.
-func NewSAPS(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *SAPS {
-	return newSAPS("SAPS-PSGD", fc, bw, cfg, core.NewCoordinator(bw, cfg))
+// NewSAPS builds the paper's algorithm over the bandwidth environment bw:
+// adaptive (bandwidth-aware, recency-constrained) peer selection over a
+// static fleet.
+func NewSAPS(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *InProc {
+	return NewSAPSDynamic(fc, bw, cfg, Membership{})
 }
 
-func newSAPS(name string, fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, planner engine.Planner) *SAPS {
-	f := NewFleet(fc)
-	s := &SAPS{name: name, fleet: f, bw: bw}
-	s.eng = engine.New(engine.Options{
-		Workers: newEngineWorkers(f, fc, cfg),
-		Planner: planner,
-		Shards:  fc.RuntimeShards,
-	})
-	return s
-}
-
-// SetTrace attaches a round recorder (the scenario loop's hook; equivalent
-// to assigning Trace directly).
-func (s *SAPS) SetTrace(r *trace.Recorder) { s.Trace = r }
-
-// Name implements Algorithm.
-func (s *SAPS) Name() string { return s.name }
-
-// Models implements Algorithm.
-func (s *SAPS) Models() []*nn.Model { return s.fleet.Models }
-
-// Close releases the engine's executors (also reclaimed automatically when
-// the algorithm becomes unreachable).
-func (s *SAPS) Close() { s.eng.Close() }
-
-// Step implements Algorithm: Algorithm 1 (coordinator) + Algorithm 2
-// (workers) for one round, executed by the engine.
-func (s *SAPS) Step(round int, led engine.Ledger) float64 {
-	stats, err := s.eng.Step(round, led)
+// NewSAPSDynamic is SAPS-PSGD under dynamic membership: each round only the
+// workers m says are present train and communicate, and the coordinator
+// matches only those (paper §I: workers "may join/leave the training
+// randomly"). Returning workers are re-synchronized by the gossip itself.
+// The zero Membership is NewSAPS. It panics on a malformed membership, and
+// a round that m leaves with fewer than two workers panics in Step — run
+// m.Check over the rounds first when m composes several sources.
+func NewSAPSDynamic(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, m Membership) *InProc {
+	stream, err := m.Stream(fc.N, cfg.Seed)
 	if err != nil {
-		panic(err) // the in-process transport cannot fail
+		panic(err)
 	}
-	s.LastMatchedBandwidth = gossip.MeanMatchedBandwidth(stats.Plan.Matching(), s.bw)
-	if s.Trace != nil {
-		payload := compress.MaskedBytes(stats.PayloadLen)
-		s.Trace.Record(round, stats.Plan.Matching(), s.bw, stats.Plan.Forced, payload, s.fleet.N, stats.Loss)
-	}
-	return stats.Loss
+	return newSAPS(m.name(), fc, bw, cfg, &membershipPlanner{coord: core.NewCoordinator(bw, cfg), stream: stream})
 }
-
-var _ Algorithm = (*SAPS)(nil)
 
 // randomPlanner draws a uniformly random maximum matching and a fresh mask
 // seed each round.
@@ -118,6 +81,29 @@ func (p *randomPlanner) Plan(t int) core.RoundPlan {
 // uniformly random maximum matching each round — the paper's RandomChoose
 // comparison in Fig. 5. Sparsification and masked averaging are unchanged:
 // only the engine's Planner differs.
-func NewRandomChoose(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *SAPS {
+func NewRandomChoose(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *InProc {
 	return newSAPS("RandomChoose", fc, bw, cfg, NewRandomPlanner(fc.N, cfg.Seed))
+}
+
+// roundObserver keeps the SAPS family's per-round diagnostics: how many
+// workers each round's plan had present, and — when a recorder is attached —
+// one trace event per round (matching, matched bandwidths, the
+// forced-reconnection flag, payload size, active workers, loss).
+type roundObserver struct {
+	bw      *netsim.Bandwidth
+	n       int
+	trace   *trace.Recorder
+	history []int
+}
+
+func (o *roundObserver) observe(round int, stats engine.RoundStats) {
+	active := o.n
+	if stats.Plan.Active != nil {
+		active = countActive(stats.Plan.Active)
+	}
+	o.history = append(o.history, active)
+	if o.trace != nil {
+		o.trace.Record(round, stats.Plan.Matching(), o.bw, stats.Plan.Forced,
+			compress.MaskedBytes(stats.PayloadLen), active, stats.Loss)
+	}
 }

@@ -38,6 +38,16 @@ func (c Config) Validate() error {
 	switch {
 	case c.Workers < 2:
 		return fmt.Errorf("core: need at least 2 workers, got %d", c.Workers)
+	case c.Gossip.TThres < 1:
+		return fmt.Errorf("core: TThres %d < 1", c.Gossip.TThres)
+	}
+	return c.validateWorker()
+}
+
+// validateWorker checks the fields a Worker reads (Algorithm 2's knobs); the
+// fleet size and Algorithm 3's thresholds are the coordinator's alone.
+func (c Config) validateWorker() error {
+	switch {
 	case c.Compression < 1:
 		return fmt.Errorf("core: compression ratio %v < 1", c.Compression)
 	case c.LR <= 0:
@@ -46,11 +56,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: batch %d < 1", c.Batch)
 	case c.LocalSteps < 1:
 		return fmt.Errorf("core: local steps %d < 1", c.LocalSteps)
-	case c.Gossip.TThres < 1:
-		return fmt.Errorf("core: TThres %d < 1", c.Gossip.TThres)
-	default:
-		return nil
 	}
+	return nil
 }
 
 // DefaultConfig returns the paper's settings: c = 100, single local step.

@@ -35,7 +35,7 @@ type Worker struct {
 // shard. All workers must be built from the same model seed so that
 // ‖X₀ − X̄₀1ᵀ‖² = 0 (the paper's zero-initial-disagreement condition).
 func NewWorker(rank int, model *nn.Model, shard *dataset.Dataset, cfg Config) *Worker {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validateWorker(); err != nil {
 		panic(err)
 	}
 	return &Worker{
@@ -155,9 +155,6 @@ func (w *Worker) RestoreState(st WorkerState) error {
 
 // PayloadLen returns the number of values the current mask transmits.
 func (w *Worker) PayloadLen() int { return compress.CountOnes(w.mask) }
-
-// CompressionRatio returns the configured mask compression ratio c.
-func (w *Worker) CompressionRatio() float64 { return w.cfg.Compression }
 
 // ParamsScratch returns the worker's current flat parameter vector in the
 // worker-owned scratch buffer (valid until the next call touching it). The

@@ -19,12 +19,8 @@ import (
 func sapsEngine(t *testing.T, n int) (*engine.Engine, []*core.Worker) {
 	t.Helper()
 	spec := testSpec(6)
-	workers := buildWorkers(t, spec, n)
-	eng := engine.New(engine.Options{
-		Workers: workers,
-		Planner: core.NewCoordinator(testEnv(n), coreConfig(spec, n)),
-	})
-	return eng, workers
+	opts, workers := sapsFleet(t, spec, n, core.NewCoordinator(testEnv(n), coreConfig(spec, n)))
+	return engine.New(opts), workers
 }
 
 func runRounds(t *testing.T, eng *engine.Engine, led engine.Ledger, from, to int) {

@@ -46,21 +46,27 @@ func coreConfig(spec transport.TaskSpec, n int) core.Config {
 
 func testEnv(n int) *netsim.Bandwidth { return netsim.RandomUniform(n, 1, 5, rng.New(2)) }
 
-// buildWorkers assembles rank-indexed core workers from the spec, the same
-// way a TCP WorkerClient does after Welcome.
-func buildWorkers(t *testing.T, spec transport.TaskSpec, n int) []*core.Worker {
+// sapsFleet assembles the spec's SAPS fleet the way every deployment does —
+// each rank's node and the codec table from the task's recipe, as a TCP
+// WorkerClient does after Welcome — under the given planner, and returns the
+// engine options plus the core workers behind the nodes.
+func sapsFleet(t *testing.T, spec transport.TaskSpec, n int, planner engine.Planner) (engine.Options, []*core.Worker) {
 	t.Helper()
-	cfg := coreConfig(spec, n)
+	rec := spec.Recipe(n)
 	shards, _ := spec.BuildShards(n)
+	nodes := make([]engine.Node, n)
 	ws := make([]*core.Worker, n)
 	for i := 0; i < n; i++ {
 		model, err := spec.BuildModel()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws[i] = core.NewWorker(i, model, shards[i], cfg)
+		nodes[i] = rec.NewNode(i, model, shards[i], nil)
+		ws[i] = nodes[i].(*engine.MaskedGossipNode).W
 	}
-	return ws
+	codecs := rec.Codecs(ws[0].Model.ParamCount())
+	engine.ShareMasks(nodes, codecs)
+	return engine.Options{Nodes: nodes, Codecs: codecs, Pattern: rec.Pattern(), Planner: planner}, ws
 }
 
 // inProcRun is one engine training over an in-process backend: it returns
@@ -68,12 +74,9 @@ func buildWorkers(t *testing.T, spec transport.TaskSpec, n int) []*core.Worker {
 // parameters.
 func inProcRun(t *testing.T, spec transport.TaskSpec, n int, inner engine.Ledger, tr engine.Transport) (roundBytes []int64, trajectory [][][]float64) {
 	t.Helper()
-	workers := buildWorkers(t, spec, n)
-	eng := engine.New(engine.Options{
-		Workers:   workers,
-		Planner:   core.NewCoordinator(testEnv(n), coreConfig(spec, n)),
-		Transport: tr,
-	})
+	opts, workers := sapsFleet(t, spec, n, core.NewCoordinator(testEnv(n), coreConfig(spec, n)))
+	opts.Transport = tr
+	eng := engine.New(opts)
 	defer eng.Close()
 	led := &engine.CountingLedger{Inner: inner}
 	for round := 0; round < spec.Rounds; round++ {
@@ -187,8 +190,6 @@ func TestBackendEquivalence(t *testing.T) {
 func TestEngineHonorsActiveSet(t *testing.T) {
 	const n = 4
 	spec := testSpec(1)
-	workers := buildWorkers(t, spec, n)
-	before := workers[3].Params()
 	planner := engine.PlannerFunc(func(round int) core.RoundPlan {
 		return core.RoundPlan{
 			Round:  round,
@@ -197,7 +198,9 @@ func TestEngineHonorsActiveSet(t *testing.T) {
 			Active: []bool{true, true, true, false},
 		}
 	})
-	eng := engine.New(engine.Options{Workers: workers, Planner: planner})
+	opts, workers := sapsFleet(t, spec, n, planner)
+	before := workers[3].Params()
+	eng := engine.New(opts)
 	defer eng.Close()
 	led := &engine.CountingLedger{}
 	stats, err := eng.Step(0, led)
@@ -272,7 +275,6 @@ func TestHubRejectsBadPeer(t *testing.T) {
 func TestEngineRejectsMalformedPlan(t *testing.T) {
 	const n = 4
 	spec := testSpec(1)
-	workers := buildWorkers(t, spec, n)
 	bad := []core.RoundPlan{
 		{Round: 0, Seed: 1, Peer: []int{1, 0}},                                                  // wrong length
 		{Round: 0, Seed: 1, Peer: []int{1, 0, 3, -1}},                                           // one-sided: 2→3 but 3→-1
@@ -282,7 +284,8 @@ func TestEngineRejectsMalformedPlan(t *testing.T) {
 	}
 	for i, plan := range bad {
 		p := plan
-		eng := engine.New(engine.Options{Workers: workers, Planner: engine.PlannerFunc(func(int) core.RoundPlan { return p })})
+		opts, _ := sapsFleet(t, spec, n, engine.PlannerFunc(func(int) core.RoundPlan { return p }))
+		eng := engine.New(opts)
 		_, err := eng.Step(0, &engine.CountingLedger{})
 		eng.Close()
 		if err == nil {
@@ -318,11 +321,11 @@ func TestCountingLedger(t *testing.T) {
 func TestDriverAccountsMatchedPairsOnly(t *testing.T) {
 	const n = 4
 	spec := testSpec(1)
-	workers := buildWorkers(t, spec, n)
 	planner := engine.PlannerFunc(func(round int) core.RoundPlan {
 		return core.RoundPlan{Round: round, Seed: 7, Peer: []int{1, 0, -1, -1}}
 	})
-	eng := engine.New(engine.Options{Workers: workers, Planner: planner})
+	opts, _ := sapsFleet(t, spec, n, planner)
+	eng := engine.New(opts)
 	defer eng.Close()
 	led := &engine.CountingLedger{}
 	stats, err := eng.Step(0, led)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"sapspsgd/internal/compress"
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine/memtransport"
 	"sapspsgd/internal/obs"
@@ -24,12 +23,6 @@ type Options struct {
 	// Pattern is the round's communication shape (nil defaults to the
 	// pairwise matched-gossip pattern of Algorithm 1).
 	Pattern Pattern
-
-	// Workers is the SAPS convenience form: each *core.Worker is wrapped
-	// in a MaskedGossipNode with a Masked codec at the worker's configured
-	// compression ratio, over the pairwise pattern. Mutually exclusive
-	// with Nodes.
-	Workers []*core.Worker
 
 	// Planner produces the per-round control message (Algorithm 1/3).
 	Planner Planner
@@ -58,7 +51,6 @@ type Options struct {
 type Engine struct {
 	nodes   []Node
 	codecs  []Codec
-	workers []*core.Worker // non-nil only for the Workers convenience form
 	pattern Pattern
 	driver  Driver
 	sharded *shardRunner
@@ -83,25 +75,7 @@ func (s *poolStop) shutdown() {
 
 // New builds the engine and spawns its shard executors.
 func New(opts Options) *Engine {
-	nodes, codecs, workers := opts.Nodes, opts.Codecs, []*core.Worker(nil)
-	if nodes == nil {
-		if len(opts.Workers) == 0 {
-			panic("engine: no nodes")
-		}
-		workers = opts.Workers
-		nodes = make([]Node, len(workers))
-		codecs = make([]Codec, len(workers))
-		// One mask per round per fleet, not per rank: all in-process ranks
-		// share a single mask cache, keeping per-rank state O(model).
-		mc := &compress.MaskCache{}
-		for i, w := range workers {
-			w.ShareMasks(mc)
-			nodes[i] = NewMaskedGossipNode(w)
-			codecs[i] = NewMaskedShared(w.CompressionRatio(), mc)
-		}
-	} else if len(opts.Workers) != 0 {
-		panic("engine: both Nodes and Workers set")
-	}
+	nodes, codecs := opts.Nodes, opts.Codecs
 	n := len(nodes)
 	if n < 1 {
 		panic("engine: no nodes")
@@ -123,7 +97,6 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		nodes:   nodes,
 		codecs:  codecs,
-		workers: workers,
 		pattern: pat,
 	}
 	e.driver = Driver{Planner: opts.Planner, Control: e, Metrics: obs.Current().EngineM()}
@@ -175,10 +148,6 @@ func buildReport(agg *flowAgg, reports []NodeReport) ControlReport {
 func (e *Engine) Step(t int, led Ledger) (RoundStats, error) {
 	return e.driver.Round(t, led)
 }
-
-// Workers exposes the fleet when the engine was built from the Workers
-// convenience form (nil otherwise).
-func (e *Engine) Workers() []*core.Worker { return e.workers }
 
 // Nodes exposes the rank-indexed participants.
 func (e *Engine) Nodes() []Node { return e.nodes }

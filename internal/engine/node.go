@@ -89,6 +89,26 @@ type MaskedGossipNode struct {
 // NewMaskedGossipNode wraps a core worker.
 func NewMaskedGossipNode(w *core.Worker) *MaskedGossipNode { return &MaskedGossipNode{W: w} }
 
+// ShareMasks points every masked-gossip node at the round-mask cache the
+// process's masked codecs already share (a table without one — every
+// baseline's — is left alone), so the ranks a process hosts, and each rank's
+// node and codec, regenerate one mask per round between them. The mask is a
+// pure function of (seed, round, n, c), so sharing is bit-invisible.
+func ShareMasks(nodes []Node, codecs []Codec) {
+	for _, c := range codecs {
+		m, ok := c.(*Masked)
+		if !ok || m.cache == nil {
+			continue
+		}
+		for _, n := range nodes {
+			if g, ok := n.(*MaskedGossipNode); ok {
+				g.W.ShareMasks(m.cache)
+			}
+		}
+		return
+	}
+}
+
 // Compute implements Node: Algorithm 2 line 5 (local SGD) and the dense
 // parameter snapshot the masked codec sparsifies.
 func (n *MaskedGossipNode) Compute(ctx RoundContext) (float64, []float64, error) {

@@ -195,16 +195,22 @@ func (s *Spec) fleet(runtimeShards int) (algos.FleetConfig, *dataset.Dataset) {
 }
 
 // sapsConfig is the spec's SAPS-family hyperparameter block.
-func (s *Spec) sapsConfig() core.Config {
-	return core.Config{
-		Workers:     s.Nodes,
-		Compression: s.Compression,
-		LR:          s.LR,
-		Batch:       s.Batch,
-		LocalSteps:  s.localSteps(),
-		Gossip:      s.gossipConfig(),
-		Seed:        s.Seed,
+func (s *Spec) sapsConfig() core.Config { return s.recipe().SAPSConfig(s.gossipConfig()) }
+
+// membership is the dynamic-membership stream the spec's blocks describe:
+// the churn model, the fault schedule, and — when the trace block asks for
+// them — the join/leave events of its parsed trace. None of the three is the
+// static fleet.
+func (s *Spec) membership(replay *fleettrace.Replay) algos.Membership {
+	m := algos.Membership{Churn: s.Churn}
+	if s.Faults != nil {
+		sched := s.Faults.Schedule(s.Nodes, s.Seed)
+		m.Faults = &sched
 	}
+	if s.Trace != nil && s.Trace.Events {
+		m.Replay = replay
+	}
+	return m
 }
 
 // build is Build plus the per-round environment machinery the loop ticks
@@ -216,6 +222,7 @@ func (s *Spec) build(shards int) (*built, error) {
 	fc, valid := s.fleet(s.effectiveShards(shards))
 	bw := s.Env()
 	env := &roundEnv{}
+	var replay *fleettrace.Replay
 	if s.Bandwidth.Jitter > 0 {
 		// The dynamic wrapper's snapshot pointer is stable, so the planner
 		// and ledger built over it observe the fresh speeds after every
@@ -224,15 +231,15 @@ func (s *Spec) build(shards int) (*built, error) {
 		bw = env.dyn.Current()
 	}
 	if s.Trace != nil {
-		rp, err := s.traceReplay()
-		if err != nil {
+		var err error
+		if replay, err = s.traceReplay(); err != nil {
 			return nil, err
 		}
 		// The scaler stacks on the (possibly jittered) environment; its
 		// snapshot pointer is what the algorithm, planner, and ledger see.
-		env.replay = rp
+		env.replay = replay
 		env.scaler = netsim.NewNodeScaledBandwidth(bw)
-		env.multBuf = rp.Multipliers(0, nil)
+		env.multBuf = replay.Multipliers(0, nil)
 		bw = env.scaler.Apply(env.multBuf)
 	}
 	if env.dyn == nil && env.scaler == nil {
@@ -241,24 +248,13 @@ func (s *Spec) build(shards int) (*built, error) {
 	var alg algos.Algorithm
 	switch s.Algo {
 	case "saps":
-		cfg := s.sapsConfig()
-		switch {
-		case s.Trace != nil && s.Trace.Events:
-			var sched *algos.FaultSchedule
-			if s.Faults != nil {
-				fs := s.Faults.Schedule(s.Nodes, s.Seed)
-				sched = &fs
-			}
-			alg = algos.NewSAPSTrace(fc, bw, cfg, env.replay, sched)
-		case s.Churn != nil:
-			alg = algos.NewSAPSChurn(fc, bw, cfg, algos.ChurnModel{
-				LeaveProb: s.Churn.LeaveProb, JoinProb: s.Churn.JoinProb, MinActive: s.Churn.MinActive,
-			})
-		case s.Faults != nil:
-			alg = algos.NewSAPSFaults(fc, bw, cfg, s.Faults.Schedule(s.Nodes, s.Seed))
-		default:
-			alg = algos.NewSAPS(fc, bw, cfg)
+		m := s.membership(replay)
+		// Each source keeps two workers by itself; a trace's events and a
+		// fault schedule together need not.
+		if err := m.Check(s.Nodes, s.Seed, s.Rounds); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
+		alg = algos.NewSAPSDynamic(fc, bw, s.sapsConfig(), m)
 	case "randomchoose":
 		alg = algos.NewRandomChoose(fc, bw, s.sapsConfig())
 	case "adpsgd", "gradpush":
@@ -392,14 +388,12 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 	if opts.Series {
 		out.reserveSeries(s.Rounds)
 	}
-	if opts.Recorder != nil || opts.Trace || s.RecordTrace {
-		if tr, ok := b.alg.(interface{ SetTrace(*trace.Recorder) }); ok {
-			out.Trace = opts.Recorder
-			if out.Trace == nil {
-				out.Trace = trace.NewRecorder()
-			}
-			tr.SetTrace(out.Trace)
+	if (opts.Recorder != nil || opts.Trace || s.RecordTrace) && s.Traceable() {
+		out.Trace = opts.Recorder
+		if out.Trace == nil {
+			out.Trace = trace.NewRecorder()
 		}
+		b.alg.(*algos.InProc).SetTrace(out.Trace)
 	}
 	led := netsim.NewLedger(b.bw)
 	ri := obs.Current().RunsM().Start(s.Name, s.Algo, s.Nodes, s.Rounds)

@@ -217,6 +217,18 @@ func TestSpecRejectsMalformed(t *testing.T) {
 			s.Algo, s.Compression = "saps", 10
 			s.Faults = &FaultsSpec{Mortality: &MortalitySpec{Prob: 0.1, MinAlive: 1}}
 		}, "min_alive 1 of 4"},
+		// Each block is valid alone (the trace keeps two workers, the crash
+		// three); only the composed membership, known once the trace file is
+		// read, leaves a round with one.
+		{"trace events and a crash leaving one worker", func(s *Spec) {
+			s.Algo, s.Compression = "saps", 10
+			file := filepath.Join(t.TempDir(), "thin.csv")
+			if err := os.WriteFile(file, []byte("round,node,bw,event\n1,2,,leave\n1,3,,leave\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s.Trace = &TraceSpec{File: file, Events: true}
+			s.Faults = &FaultsSpec{Crashes: []CrashSpec{{Rank: 0, Round: 1, RejoinAfter: 1}}}
+		}, "leave 1 active workers at round 1"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -224,6 +236,11 @@ func TestSpecRejectsMalformed(t *testing.T) {
 			s := minimal()
 			tc.mut(&s)
 			err := s.Validate()
+			if err == nil {
+				// What only the spec's files can show is rejected when the
+				// scenario is built.
+				_, _, err = s.Build(1)
+			}
 			if err == nil {
 				t.Fatalf("validated a spec with %s", tc.name)
 			}

@@ -278,15 +278,23 @@ type BandwidthSpec struct {
 	Jitter float64 `json:"jitter,omitempty"`
 }
 
-// ChurnSpec mirrors algos.ChurnModel.
-type ChurnSpec struct {
-	LeaveProb float64 `json:"leave_prob"`
-	JoinProb  float64 `json:"join_prob"`
-	MinActive int     `json:"min_active"`
-}
+// The membership blocks are the algos-layer descriptions themselves: one
+// vocabulary for the spec, the in-process planner and the TCP coordinator.
+type (
+	// ChurnSpec is the random leave/join process (leave_prob, join_prob,
+	// min_active).
+	ChurnSpec = algos.ChurnModel
+	// CrashSpec kills one worker at a round boundary: the rank is dead for
+	// rounds [round, round+rejoin_after) and rejoins at round+rejoin_after;
+	// rejoin_after 0 (or omitted) means it never returns.
+	CrashSpec = algos.FaultEvent
+	// MortalitySpec is seeded random permanent worker death: before each
+	// round every surviving worker dies with probability prob (drawn from
+	// the spec seed), never to return; deaths stop at the min_alive floor.
+	MortalitySpec = algos.FaultMortality
+)
 
-// FaultsSpec mirrors algos.FaultSchedule: the declarative fault-injection
-// block of a scenario.
+// FaultsSpec is the declarative fault-injection block of a scenario.
 type FaultsSpec struct {
 	// Crashes are scheduled crash/rejoin windows.
 	Crashes []CrashSpec `json:"crashes,omitempty"`
@@ -294,33 +302,9 @@ type FaultsSpec struct {
 	Mortality *MortalitySpec `json:"mortality,omitempty"`
 }
 
-// CrashSpec kills one worker at a round boundary: the rank is dead for
-// rounds [round, round+rejoin_after) and rejoins at round+rejoin_after;
-// rejoin_after 0 (or omitted) means it never returns.
-type CrashSpec struct {
-	Rank        int `json:"rank"`
-	Round       int `json:"round"`
-	RejoinAfter int `json:"rejoin_after,omitempty"`
-}
-
-// MortalitySpec is seeded random permanent worker death: before each round
-// every surviving worker dies with probability prob (drawn from the spec
-// seed), never to return; deaths stop at the min_alive floor.
-type MortalitySpec struct {
-	Prob     float64 `json:"prob"`
-	MinAlive int     `json:"min_alive"`
-}
-
-// Schedule converts the block to the algos-layer schedule for n workers.
+// Schedule binds the block to a fleet of n workers and the spec's seed.
 func (f *FaultsSpec) Schedule(n int, seed uint64) algos.FaultSchedule {
-	sched := algos.FaultSchedule{N: n, Seed: seed}
-	for _, c := range f.Crashes {
-		sched.Events = append(sched.Events, algos.FaultEvent{Rank: c.Rank, Round: c.Round, RejoinAfter: c.RejoinAfter})
-	}
-	if m := f.Mortality; m != nil {
-		sched.Mortality = &algos.FaultMortality{Prob: m.Prob, MinAlive: m.MinAlive}
-	}
-	return sched
+	return algos.FaultSchedule{N: n, Seed: seed, Events: f.Crashes, Mortality: f.Mortality}
 }
 
 // AsyncSpec is the virtual-compute model of an asynchronous run: how long
@@ -635,16 +619,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: gossip b_thres %v / t_thres %d", s.Name, g.BThres, g.TThres)
 		}
 	}
-	if c := s.Churn; c != nil {
-		if s.Algo != "saps" {
-			return fmt.Errorf("scenario %s: churn model requires algo saps, have %s", s.Name, s.Algo)
-		}
-		if c.LeaveProb < 0 || c.LeaveProb >= 1 || c.JoinProb <= 0 || c.JoinProb > 1 {
-			return fmt.Errorf("scenario %s: churn probabilities %v/%v", s.Name, c.LeaveProb, c.JoinProb)
-		}
-		if c.MinActive < 2 || c.MinActive > s.Nodes {
-			return fmt.Errorf("scenario %s: churn min_active %d of %d", s.Name, c.MinActive, s.Nodes)
-		}
+	if s.Churn != nil && s.Algo != "saps" {
+		return fmt.Errorf("scenario %s: churn model requires algo saps, have %s", s.Name, s.Algo)
 	}
 	if f := s.Faults; f != nil {
 		if s.Algo != "saps" {
@@ -665,10 +641,11 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: crash of rank %d has negative rejoin_after %d", s.Name, c.Rank, c.RejoinAfter)
 			}
 		}
-		sched := f.Schedule(s.Nodes, s.Seed)
-		if err := sched.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
+	}
+	// The membership sources own their parameter rules (churn probabilities
+	// and floor, crash windows, mortality floor).
+	if _, err := s.membership(nil).Stream(s.Nodes, s.Seed); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if st := s.Straggler; st != nil {
 		if st.Fraction < 0 || st.Fraction > 1 {

@@ -91,8 +91,8 @@ type CoordinatorServer struct {
 	// ReplayEvents additionally replays the trace's join/leave events
 	// (SAPS only): scripted-absent workers are excluded from planning
 	// through the same PlanActive path the fault schedule uses — they stay
-	// connected but neither train nor communicate, mirroring the
-	// in-process SAPSTrace planner bit for bit.
+	// connected but neither train nor communicate, mirroring the in-process
+	// run of the same algos.Membership bit for bit.
 	ReplayEvents bool
 	// RejoinWait bounds how long the coordinator blocks at a round boundary
 	// for a scheduled rejoiner's handshake (default 60s).
@@ -111,18 +111,17 @@ type CoordinatorServer struct {
 
 	base engine.Planner
 	ap   activePlanner
-	proc *algos.FaultProcess
-	// schedActive is the fault schedule's membership for schedRound,
-	// computed once per round (replans reuse it). traceActive is the
-	// replay's membership for the same round; both intersect with detected
-	// liveness in effectiveActive.
-	schedActive []bool
-	traceActive []bool
-	scaler      *netsim.NodeScaledBandwidth
-	multBuf     []float64
-	schedRound  int
-	attempt     int
-	addrsDirty  bool
+	// member is the scripted membership — the fault schedule and the
+	// replay's events, the same stream the in-process engine plans over —
+	// and planned its set for schedRound, computed once per round (replans
+	// reuse it; nil = everyone). effectiveActive ANDs in detected liveness.
+	member     *algos.MembershipStream
+	planned    []bool
+	scaler     *netsim.NodeScaledBandwidth
+	multBuf    []float64
+	schedRound int
+	attempt    int
+	addrsDirty bool
 
 	inbox    chan connMsg
 	rejoinCh chan rejoinReq
@@ -192,17 +191,8 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	}
 	s.total = rec.Nodes()
 	s.pattern = rec.Pattern()
-	if !s.Faults.Empty() {
-		if rec.Algo != "saps" {
-			return nil, fmt.Errorf("transport: fault schedule requires algo saps, have %s", rec.Algo)
-		}
-		if s.Faults.N != s.N {
-			return nil, fmt.Errorf("transport: fault schedule over %d workers for %d trainers", s.Faults.N, s.N)
-		}
-		if err := s.Faults.Validate(); err != nil {
-			return nil, err
-		}
-		s.proc = algos.NewFaultProcess(*s.Faults)
+	if !s.Faults.Empty() && rec.Algo != "saps" {
+		return nil, fmt.Errorf("transport: fault schedule requires algo saps, have %s", rec.Algo)
 	}
 	if s.ReplayEvents && s.Replay == nil {
 		return nil, fmt.Errorf("transport: ReplayEvents without a Replay")
@@ -215,6 +205,16 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 			return nil, fmt.Errorf("transport: trace membership events require algo saps, have %s", rec.Algo)
 		}
 	}
+	m := algos.Membership{Faults: s.Faults}
+	if s.ReplayEvents {
+		m.Replay = s.Replay
+	}
+	// Fail before anyone registers, not at the round the schedule and the
+	// trace together leave fewer than two workers.
+	if err := m.Check(s.N, s.Task.Seed, s.Task.Rounds); err != nil {
+		return nil, err
+	}
+	s.member, _ = m.Stream(s.N, s.Task.Seed)
 	if s.RejoinWait <= 0 {
 		s.RejoinWait = 60 * time.Second
 	}
@@ -412,35 +412,28 @@ func (s *CoordinatorServer) acceptRejoins() {
 // and reset the attempt counter.
 func (s *CoordinatorServer) beginRound(t int) error {
 	s.schedRound = t
-	s.schedActive = nil
-	if s.Replay != nil {
-		if t > 0 {
-			// Round 0's multipliers applied at construction, matching the
-			// simulated backends' tick placement.
-			s.multBuf = s.Replay.Multipliers(t, s.multBuf)
-			s.scaler.Apply(s.multBuf)
-		}
-		if s.ReplayEvents {
-			s.traceActive = s.Replay.Active(t, s.traceActive)
-		}
+	if s.Replay != nil && t > 0 {
+		// Round 0's multipliers applied at construction, matching the
+		// simulated backends' tick placement.
+		s.multBuf = s.Replay.Multipliers(t, s.multBuf)
+		s.scaler.Apply(s.multBuf)
 	}
-	if s.proc != nil {
-		sched, err := s.proc.Step(t)
-		if err != nil {
-			return err
-		}
-		s.schedActive = sched
-		// Fault injection: kill workers whose scheduled-death window opens
-		// at this boundary.
-		for rank := 0; rank < len(sched); rank++ {
-			if !sched[rank] && s.alive[rank] {
-				s.logf("coordinator: fault injection: crashing rank %d at round %d", rank, t)
-				s.tm.CrashInjectionsTotal.Inc()
-				if err := s.conns[rank].Send(CrashMsg{Round: t}); err != nil {
-					s.logf("coordinator: crash directive to %d: %v (already gone)", rank, err)
-				}
-				s.markDead(rank, t)
+	var err error
+	if s.planned, err = s.member.Step(t); err != nil {
+		return err
+	}
+	// Fault injection: kill workers whose scheduled-death window opens at
+	// this boundary. Only the fault schedule kills; a worker the trace
+	// scripts away stays connected.
+	sched := s.member.Scheduled()
+	for rank := range sched {
+		if !sched[rank] && s.alive[rank] {
+			s.logf("coordinator: fault injection: crashing rank %d at round %d", rank, t)
+			s.tm.CrashInjectionsTotal.Inc()
+			if err := s.conns[rank].Send(CrashMsg{Round: t}); err != nil {
+				s.logf("coordinator: crash directive to %d: %v (already gone)", rank, err)
 			}
+			s.markDead(rank, t)
 		}
 	}
 	// Opportunistically admit any restarted worker, then block for the
@@ -454,14 +447,12 @@ func (s *CoordinatorServer) beginRound(t int) error {
 		}
 		break
 	}
-	if s.schedActive != nil {
-		for rank := 0; rank < len(s.schedActive); rank++ {
-			if !s.schedActive[rank] || s.alive[rank] {
-				continue
-			}
-			if err := s.awaitRejoin(rank, t); err != nil {
-				return err
-			}
+	for rank := range sched {
+		if !sched[rank] || s.alive[rank] {
+			continue
+		}
+		if err := s.awaitRejoin(rank, t); err != nil {
+			return err
 		}
 	}
 	s.attempt = 0
@@ -565,25 +556,19 @@ func (s *CoordinatorServer) canContinue() error {
 	return nil
 }
 
-// effectiveActive combines the fault schedule's and trace replay's
-// membership with detected liveness. nil means "everyone" — the fault-free,
-// trace-free, loss-free fast path that keeps the planner on the same stream
-// as a plain run. (With membership replay on, the slice is non-nil every
-// round even when the whole fleet is present, matching the in-process
-// SAPSTrace planner's unconditional PlanActive stream.)
+// effectiveActive is the round's scripted membership ANDed with detected
+// liveness. nil means "everyone" — the fault-free, trace-free, loss-free
+// fast path that keeps the planner on the same stream as a plain run. (With
+// a fault schedule or membership replay on, the slice is non-nil every round
+// even when the whole fleet is present, matching the in-process membership
+// planner's unconditional PlanActive stream.)
 func (s *CoordinatorServer) effectiveActive() []bool {
-	if s.schedActive == nil && s.traceActive == nil && s.aliveCount() == s.total {
+	if s.planned == nil && s.aliveCount() == s.total {
 		return nil
 	}
-	eff := make([]bool, s.total)
-	for r := range eff {
-		eff[r] = s.alive[r]
-		if s.schedActive != nil && r < len(s.schedActive) {
-			eff[r] = eff[r] && s.schedActive[r]
-		}
-		if s.traceActive != nil && r < len(s.traceActive) {
-			eff[r] = eff[r] && s.traceActive[r]
-		}
+	eff := append([]bool(nil), s.alive...)
+	for r, on := range s.planned {
+		eff[r] = eff[r] && on
 	}
 	return eff
 }

@@ -63,7 +63,7 @@ func sapsFaultsReference(t *testing.T, spec TaskSpec, n int, sched algos.FaultSc
 		Seed:        spec.Seed,
 	}
 	bw := netsim.RandomUniform(n, 1, 5, rng.New(2))
-	alg := algos.NewSAPSFaults(fc, bw, cfg, sched)
+	alg := algos.NewSAPSDynamic(fc, bw, cfg, algos.Membership{Faults: &sched})
 	defer alg.Close()
 	led := &engine.CountingLedger{}
 	for r := 0; r < spec.Rounds; r++ {

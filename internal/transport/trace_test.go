@@ -1,6 +1,6 @@
 // Trace-replay transport tests: the TCP deployment replaying a fleet trace
 // (bandwidth multipliers + scripted membership), composed with a scheduled
-// crash/rejoin, must reproduce the in-process SAPSTrace run bit for bit.
+// crash/rejoin, must reproduce the in-process run of the same membership bit for bit.
 // This is the sim-vs-TCP half of the tentpole's determinism property (the
 // shard-sweep half lives in internal/scenario); it runs under the race
 // detector in CI.
@@ -86,7 +86,7 @@ func sapsTraceReference(t *testing.T, spec TaskSpec, n int, rp *fleettrace.Repla
 	base := netsim.RandomUniform(n, 1, 5, rng.New(2))
 	scaler := netsim.NewNodeScaledBandwidth(base)
 	mult := rp.Multipliers(0, nil)
-	alg := algos.NewSAPSTrace(fc, scaler.Apply(mult), cfg, rp, &sched)
+	alg := algos.NewSAPSDynamic(fc, scaler.Apply(mult), cfg, algos.Membership{Faults: &sched, Replay: rp})
 	defer alg.Close()
 	led := &engine.CountingLedger{}
 	for r := 0; r < spec.Rounds; r++ {
@@ -104,7 +104,7 @@ func sapsTraceReference(t *testing.T, spec TaskSpec, n int, rp *fleettrace.Repla
 // scripted day (node 2 absent for rounds [2,5), multipliers rescaling the
 // environment every boundary) composed with a scheduled kill+rejoin of rank
 // 1, must produce the identical final model and per-round ledger as the
-// uninterrupted in-process SAPSTrace run of the same scenario.
+// uninterrupted in-process run of the same scenario.
 func TestTraceReplayBitIdenticalSimVsTCP(t *testing.T) {
 	const n, rounds = 4, 8
 	spec := faultSpec(rounds)

@@ -304,6 +304,8 @@ func (w *WorkerClient) buildNode() error {
 		w.logf("worker %d: ready for %q (%d params, %d local samples)",
 			w.rank, rec.Algo, w.model.ParamCount(), shards[w.rank].Len())
 	}
+	// The node and its codec draw the round's mask once between them.
+	engine.ShareMasks([]engine.Node{w.node}, w.codecs)
 	return nil
 }
 

@@ -53,8 +53,6 @@ type (
 	Config = core.Config
 	// Coordinator is the lightweight tracker of Algorithm 1.
 	Coordinator = core.Coordinator
-	// Worker is one training peer (Algorithm 2).
-	Worker = core.Worker
 	// GossipConfig holds Algorithm 3's B_thres / T_thres knobs.
 	GossipConfig = gossip.Config
 )
@@ -65,6 +63,15 @@ type (
 	Algorithm = algos.Algorithm
 	// FleetConfig describes a set of identically initialized workers.
 	FleetConfig = algos.FleetConfig
+	// Membership says who is present each round of a NewSAPSDynamic run.
+	Membership = algos.Membership
+	// ChurnModel is Membership's random source: per-round leave and rejoin
+	// probabilities with a floor on the active count.
+	ChurnModel = algos.ChurnModel
+	// InProc is the concrete in-process Algorithm behind every constructor
+	// below; NewSAPSDynamic returns it as such for its ActiveHistory (how
+	// many workers each round had present).
+	InProc = algos.InProc
 	// TrainConfig controls a simulated run: the round count and the
 	// held-out set the averaged model is evaluated on every
 	// max(1, rounds/20) rounds and after the last.
@@ -103,8 +110,8 @@ type (
 	// Engine runs the round loop over an in-process fleet, one executor
 	// goroutine per shard of ranks.
 	Engine = engine.Engine
-	// EngineOptions configures an Engine (nodes/workers, pattern, codecs,
-	// planner, transport).
+	// EngineOptions configures an Engine (nodes, codecs, pattern, planner,
+	// transport).
 	EngineOptions = engine.Options
 	// EngineTransport is the one-way peer-to-peer data plane (Send/Recv) a
 	// backend implements.
@@ -152,15 +159,18 @@ func NewCoordinator(bw *Bandwidth, cfg Config) *Coordinator {
 	return core.NewCoordinator(bw, cfg)
 }
 
-// NewWorker builds one Algorithm 2 worker from its model and data shard.
-func NewWorker(rank int, model *Model, shard *Dataset, cfg Config) *Worker {
-	return core.NewWorker(rank, model, shard, cfg)
-}
-
 // NewSAPS assembles the full SAPS-PSGD algorithm (coordinator + n workers)
 // ready for the Run harness.
 func NewSAPS(fc FleetConfig, bw *Bandwidth, cfg Config) Algorithm {
 	return algos.NewSAPS(fc, bw, cfg)
+}
+
+// NewSAPSDynamic is SAPS-PSGD under dynamic membership: each round only the
+// workers m says are present train and communicate, and the coordinator
+// re-runs the peer selection over exactly those (the robustness setting the
+// paper motivates: workers join and leave at random).
+func NewSAPSDynamic(fc FleetConfig, bw *Bandwidth, cfg Config, m Membership) *InProc {
+	return algos.NewSAPSDynamic(fc, bw, cfg, m)
 }
 
 // NewRandomChoose is SAPS-PSGD with uniformly random peer matching instead
