@@ -1,20 +1,15 @@
 // Command fleetbench sweeps declarative fleet scenarios across engine shard
-// counts and emits the stable-schema BENCH.json benchmark summary, or diffs
-// a fresh summary against a committed baseline (the CI regression gate).
+// counts and writes the stable-schema BENCH.json summary of the sweep.
 //
-// Sweep (default): every *.json spec in -scenarios runs once per -shards
-// entry; bytes must agree across shard counts (the sharded runtime is
-// deterministic), wall time should not.
+// Every *.json spec in -scenarios runs once per -shards entry; bytes must
+// agree across shard counts (the sharded runtime is deterministic), wall
+// time should not.
 //
 //	fleetbench -scenarios internal/scenario/testdata -shards 1,8 -out BENCH.json
 //	fleetbench -scenarios internal/scenario/testdata/saps-512.json -shards 1,2,4,8
 //
-// Regression gate: compare a fresh BENCH.json against the committed
-// baseline; exits non-zero on any byte-count difference, on byte totals
-// disagreeing across shard counts, or on total wall time regressing by more
-// than -max-wall-regress.
-//
-//	fleetbench -diff bench_baseline.json BENCH.json
+// It measures one commit. To compare a change against its parent, use the
+// repository's benchmark (benchmark/README.md, -compare).
 package main
 
 import (
@@ -38,8 +33,6 @@ var (
 	flagRounds    = flag.Int("rounds", 0, "override every spec's round count (0 = spec value)")
 	flagOut       = flag.String("out", "BENCH.json", "summary output path")
 	flagTraceDir  = flag.String("trace-dir", "", "write per-round trace CSVs (<name>-shards<k>.csv) here for traceable specs")
-	flagDiff      = flag.String("diff", "", "baseline BENCH.json: diff mode, compares against the fresh file given as the positional argument (default BENCH.json)")
-	flagMaxWall   = flag.Float64("max-wall-regress", 0.25, "diff mode: tolerated fractional wall-time regression")
 	prof          profiling.Config
 	obsFlags      obs.FlagConfig
 )
@@ -50,45 +43,13 @@ func main() {
 	flag.Parse()
 	obsSrv, err := obsFlags.Start()
 	if err == nil {
-		err = prof.Run(run)
+		err = prof.Run(sweep)
 	}
 	obsSrv.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetbench:", err)
 		os.Exit(1)
 	}
-}
-
-func run() error {
-	if *flagDiff != "" {
-		return diff()
-	}
-	return sweep()
-}
-
-func diff() error {
-	freshPath := "BENCH.json"
-	if flag.NArg() > 0 {
-		freshPath = flag.Arg(0)
-	}
-	baseline, err := scenario.ReadBench(*flagDiff)
-	if err != nil {
-		return err
-	}
-	fresh, err := scenario.ReadBench(freshPath)
-	if err != nil {
-		return err
-	}
-	if err := scenario.Diff(baseline, fresh, *flagMaxWall); err != nil {
-		return err
-	}
-	wallNote := fmt.Sprintf("wall tolerance +%.0f%%", 100**flagMaxWall)
-	if !scenario.WallComparable(baseline, fresh) {
-		wallNote = fmt.Sprintf("wall check skipped: baseline ran on %d procs, this machine has %d — regenerate the baseline from a like-machine BENCH.json to arm it",
-			baseline.GoMaxProcs, fresh.GoMaxProcs)
-	}
-	fmt.Printf("fleetbench: %s is within budget of %s (bytes exact; %s)\n", freshPath, *flagDiff, wallNote)
-	return nil
 }
 
 func parseShards(s string) ([]int, error) {

@@ -2,7 +2,7 @@
 // Encode and Decode(Into), and the sharded runtime's full round loop, must
 // perform zero heap allocations once their pooled buffers are warm. These
 // are hard gates — a refactor that reintroduces a per-round allocation fails
-// here before it shows up as a throughput regression in CI's perf smoke.
+// here before it shows up as a throughput regression.
 package engine_test
 
 import (
@@ -178,11 +178,12 @@ func (n *allocNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 }
 
 // TestShardedRoundZeroAlloc drives the sharded runtime's full round loop —
-// plan, phases, report aggregation, ledger charge — and requires the steady
-// state to allocate nothing, per codec family. The masked codec is exempt by
-// design: its payload length is a per-round Bernoulli population count, so a
-// round may legitimately grow the payload buffer past any previous high-water
-// mark.
+// plan, phases, report aggregation, ledger charge — over every exchange
+// pattern and codec family, and requires the steady state to allocate
+// nothing. The masked codec is held to a bound instead: its payload length is
+// a per-round Bernoulli population count, so a round may legitimately grow a
+// rank's payload buffer past its previous high-water mark — but only grow
+// one, never allocate one per rank.
 func TestShardedRoundZeroAlloc(t *testing.T) {
 	const (
 		n      = 16
@@ -193,30 +194,42 @@ func TestShardedRoundZeroAlloc(t *testing.T) {
 	for i := range peers {
 		peers[i] = i ^ 1
 	}
-	planner := engine.PlannerFunc(func(tt int) core.RoundPlan {
-		return core.RoundPlan{Round: tt, Seed: (uint64(tt) + 1) * 0x9e3779b97f4a7c15, Peer: peers}
-	})
+	dense := func(int) engine.Codec { return engine.Dense{} }
 
 	for _, tc := range []struct {
-		name  string
-		codec func(rank int) engine.Codec
+		name    string
+		nodes   int
+		pattern engine.Pattern
+		codec   func(rank int) engine.Codec
+		shards  []int
+		max     float64 // steady-state allocations per round
 	}{
-		{"dense", func(int) engine.Codec { return engine.Dense{} }},
-		{"topk", func(int) engine.Codec { return engine.NewTopK(8, dim, true) }},
-		{"qsgd", func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }},
+		{"pairwise/dense", n, engine.Pairwise{}, dense, []int{1, 2}, 0},
+		{"pairwise/topk", n, engine.Pairwise{}, func(int) engine.Codec { return engine.NewTopK(8, dim, true) }, []int{1, 2}, 0},
+		{"pairwise/qsgd", n, engine.Pairwise{}, func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }, []int{1, 2}, 0},
+		{"pairwise/masked", n, engine.Pairwise{}, func(int) engine.Codec { return engine.NewMasked(10) }, []int{1, 2}, n - 1},
+		{"hub/dense", n + 1, engine.Hub{Server: n}, dense, []int{2}, 0},
+		{"collective/dense", n, engine.Collective{}, dense, []int{2}, 0},
 	} {
-		for _, shards := range []int{1, 2} {
+		for _, shards := range tc.shards {
 			t.Run(tc.name+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
-				nodes := make([]engine.Node, n)
-				codecs := make([]engine.Codec, n)
+				planner := engine.PlannerFunc(func(tt int) core.RoundPlan {
+					plan := core.RoundPlan{Round: tt, Seed: (uint64(tt) + 1) * 0x9e3779b97f4a7c15}
+					if _, ok := tc.pattern.(engine.Pairwise); ok {
+						plan.Peer = peers
+					}
+					return plan
+				})
+				nodes := make([]engine.Node, tc.nodes)
+				codecs := make([]engine.Codec, tc.nodes)
 				for r := range nodes {
 					nodes[r] = newAllocNode(dim, uint64(r))
 					codecs[r] = tc.codec(r)
 				}
-				eng := engine.New(engine.Options{Nodes: nodes, Codecs: codecs, Pattern: engine.Pairwise{}, Planner: planner, Shards: shards})
+				eng := engine.New(engine.Options{Nodes: nodes, Codecs: codecs, Pattern: tc.pattern, Planner: planner, Shards: shards})
 				defer eng.Close()
 				led := &engine.CountingLedger{}
-				led.Reserve(n, rounds)
+				led.Reserve(tc.nodes, rounds)
 
 				round := 0
 				step := func() {
@@ -229,8 +242,8 @@ func TestShardedRoundZeroAlloc(t *testing.T) {
 					step() // warm the phase states, codecs, and aggregator
 				}
 				allocs := testing.AllocsPerRun(10, step)
-				if allocs != 0 {
-					t.Errorf("steady-state sharded round allocates %.1f times per round, want 0", allocs)
+				if allocs > tc.max {
+					t.Errorf("steady-state sharded round allocates %.1f times per round, want at most %.0f", allocs, tc.max)
 				}
 			})
 		}

@@ -8,7 +8,6 @@ import (
 	"sapspsgd/internal/graph"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/spectral"
 	"sapspsgd/internal/tensor"
 )
 
@@ -160,7 +159,7 @@ func TestGeneratorRhoBelowOne(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		ws = append(ws, g.Next(round).W())
 	}
-	rho := spectral.RhoOfExpectedWtW(ws, 400)
+	rho := RhoOfExpectedWtW(ws, 400)
 	if rho >= 1-1e-6 {
 		t.Fatalf("rho = %v, want < 1", rho)
 	}

@@ -1,9 +1,8 @@
-package spectral
+package gossip
 
 import (
 	"testing"
 
-	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/graph"
 	"sapspsgd/internal/netsim"
 )
@@ -19,14 +18,14 @@ type diagnostics struct {
 
 // diagnoseGossip samples `rounds` matchings from Algorithm 3 and computes
 // the diagnostics matrix-free (ρ via RhoOfMatchings).
-func diagnoseGossip(bw *netsim.Bandwidth, cfg gossip.Config, keepP float64, rounds int, seed uint64) diagnostics {
-	gen := gossip.NewGenerator(bw, cfg, seed)
+func diagnoseGossip(bw *netsim.Bandwidth, cfg Config, keepP float64, rounds int, seed uint64) diagnostics {
+	gen := NewGenerator(bw, cfg, seed)
 	ms := make([]graph.Matching, 0, rounds)
 	var d diagnostics
 	for t := 0; t < rounds; t++ {
 		r := gen.Next(t)
 		ms = append(ms, r.Match)
-		d.meanMatched += gossip.MeanMatchedBandwidth(r.Match, bw) / float64(rounds)
+		d.meanMatched += MeanMatchedBandwidth(r.Match, bw) / float64(rounds)
 		if r.Forced {
 			d.forced++
 		}
@@ -37,7 +36,7 @@ func diagnoseGossip(bw *netsim.Bandwidth, cfg gossip.Config, keepP float64, roun
 }
 
 func TestGossipDiagnosticsSane(t *testing.T) {
-	d := diagnoseGossip(netsim.FourteenCities(), gossip.Config{BThres: 2, TThres: 5}, 0.01, 100, 3)
+	d := diagnoseGossip(netsim.FourteenCities(), Config{BThres: 2, TThres: 5}, 0.01, 100, 3)
 	if d.rho <= 0 || d.rho >= 1 {
 		t.Fatalf("rho = %v, want (0,1)", d.rho)
 	}
@@ -55,8 +54,8 @@ func TestRecencyWindowTradeoff(t *testing.T) {
 	// often and keeps ρ bounded; both configurations must certify
 	// Assumption 3 (ρ < 1).
 	bw := netsim.FourteenCities()
-	small := diagnoseGossip(bw, gossip.Config{BThres: 5, TThres: 2}, 0.01, 150, 7)
-	large := diagnoseGossip(bw, gossip.Config{BThres: 5, TThres: 20}, 0.01, 150, 7)
+	small := diagnoseGossip(bw, Config{BThres: 5, TThres: 2}, 0.01, 150, 7)
+	large := diagnoseGossip(bw, Config{BThres: 5, TThres: 20}, 0.01, 150, 7)
 	if large.forced > small.forced {
 		t.Fatalf("larger window forced reconnection more often (%d vs %d)", large.forced, small.forced)
 	}
@@ -74,7 +73,7 @@ func TestTightRecencyWindowStillMixes(t *testing.T) {
 	// disconnected, giving rho(E[WᵀW]) exactly 1 (no consensus possible).
 	// The randomized greedy (bucketed weights + random skips) must keep
 	// rho strictly below 1 even at the tightest window.
-	d := diagnoseGossip(netsim.FourteenCities(), gossip.Config{BThres: 2, TThres: 2}, 0.01, 300, 7)
+	d := diagnoseGossip(netsim.FourteenCities(), Config{BThres: 2, TThres: 2}, 0.01, 300, 7)
 	if d.rho >= 1-1e-6 {
 		t.Fatalf("rho = %v at TThres=2 — matching randomization regressed", d.rho)
 	}

@@ -1,8 +1,9 @@
-// Package spectral computes the eigenvalue quantities that SAPS-PSGD's
-// convergence theory depends on: Assumption 3 requires the second largest
-// eigenvalue ρ of E[WᵀW] to be strictly below 1, and Lemma 2 predicts that
-// masked gossip contracts disagreement at rate (q + p·ρ²) per round.
-package spectral
+// The test oracle for Algorithm 3's mixing: the eigenvalue quantities that
+// SAPS-PSGD's convergence theory depends on. Assumption 3 requires the second
+// largest eigenvalue ρ of E[WᵀW] to be strictly below 1, and Lemma 2 predicts
+// that masked gossip contracts disagreement at rate (q + p·ρ²) per round.
+// Nothing outside the tests computes them.
+package gossip
 
 import (
 	"math"

@@ -1,4 +1,4 @@
-package spectral
+package gossip
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 	"sapspsgd/internal/graph"
 	"sapspsgd/internal/rng"
 	"sapspsgd/internal/tensor"
+	"sapspsgd/internal/topology"
 )
 
 func TestPowerIterationDiagonal(t *testing.T) {
@@ -170,5 +171,22 @@ func TestRhoOfMatchingsMatchesDense(t *testing.T) {
 	sp, de := RhoOfMatchings([]graph.Matching{split}, iters), RhoOfExpectedWtW([]*tensor.Matrix{matchingW(split)}, iters)
 	if math.Abs(sp-1) > 1e-6 || math.Abs(de-1) > 1e-6 {
 		t.Fatalf("disconnected ensemble: matrix-free %v, dense %v, want 1", sp, de)
+	}
+}
+
+func TestExpanderMixesFasterThanRing(t *testing.T) {
+	// Spectral comparison at equal size: the hypercube (degree 4) and a
+	// random 4-regular graph must have smaller second eigenvalue than the
+	// ring (degree 2) on 16 vertices — more edges, faster consensus. This
+	// quantifies the communication/mixing trade-off of §II-C.
+	const iters = 600
+	ring := SecondLargestEigenvalue(topology.MetropolisW(topology.Ring(16)), iters)
+	cube := SecondLargestEigenvalue(topology.MetropolisW(topology.Hypercube(4)), iters)
+	rnd4 := SecondLargestEigenvalue(topology.MetropolisW(topology.RandomRegular(16, 4, rng.New(3))), iters)
+	if cube >= ring {
+		t.Fatalf("hypercube rho %v not below ring rho %v", cube, ring)
+	}
+	if rnd4 >= ring {
+		t.Fatalf("random 4-regular rho %v not below ring rho %v", rnd4, ring)
 	}
 }

@@ -7,7 +7,7 @@ import "runtime"
 // PeakRSS approximates the process's peak resident memory on platforms
 // without /proc: runtime.MemStats.Sys is the address space obtained from
 // the OS — an upper-bound proxy for the true high-water mark that still
-// catches an accidental O(N²) blow-up, which is all the BENCH gating needs.
+// catches an accidental O(N²) blow-up.
 func PeakRSS() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

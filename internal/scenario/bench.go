@@ -2,79 +2,25 @@ package scenario
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
-	"strings"
 )
 
-// BenchSchemaVersion is the BENCH.json schema. The CI regression gate
-// refuses to compare files of different versions, so schema changes require
-// regenerating the committed baseline in the same commit.
+// BenchSchemaVersion is the schema of the summary cmd/fleetbench writes.
 //
-// v2 added the Perf rows (cmd/fleetperf's round-loop microbenchmarks with
-// per-row regression tolerances).
-const BenchSchemaVersion = 2
+// v3 dropped the algorithms and perf sections: the summary is the sweep's
+// own record and nothing compares two of them. Comparing a change against
+// its parent is benchmark/'s job (benchmark/README.md, -compare).
+const BenchSchemaVersion = 3
 
-// BenchFile is the stable-schema benchmark summary: the per-algorithm
-// traffic smoke rows (written by the repository's bench suite) and the
-// fleet-scenario shard sweeps (written by cmd/fleetbench and the bench
-// suite's 512-node sweep). Byte totals are deterministic and diffed
-// exactly; wall fields are machine-dependent and diffed within a tolerance.
+// BenchFile is the stable-schema summary of one cmd/fleetbench sweep. Byte
+// totals, simulated seconds and losses are deterministic; wall fields are
+// machine-dependent.
 type BenchFile struct {
 	SchemaVersion int    `json:"schema_version"`
 	Source        string `json:"source"`
 	GoMaxProcs    int    `json:"go_max_procs"`
 
-	Algorithms []AlgoRow       `json:"algorithms,omitempty"`
-	Scenarios  []ScenarioSweep `json:"scenarios,omitempty"`
-	Perf       []PerfRow       `json:"perf,omitempty"`
-}
-
-// PerfRow is one cmd/fleetperf round-loop measurement: a (pattern, codec,
-// nodes, dim, shards, procs) cell of the sweep grid. BytesMoved is
-// deterministic and diffed exactly; NsPerOp is machine-dependent and diffed
-// within a tolerance on like machines only; AllocsPerOp is gated everywhere
-// (steady-state allocation counts are a property of the code, not the
-// machine).
-type PerfRow struct {
-	// Name uniquely keys the row across files ("pairwise/masked/n64/d1024/s2/p1").
-	Name    string `json:"name"`
-	Pattern string `json:"pattern"`
-	Codec   string `json:"codec"`
-	Nodes   int    `json:"nodes"`
-	Dim     int    `json:"dim"`
-	Shards  int    `json:"shards"`
-	// Procs is the GOMAXPROCS the row ran under — single-core rows stay
-	// comparable against a single-core baseline even when the rest of the
-	// file was produced on a wide machine.
-	Procs  int `json:"procs"`
-	Rounds int `json:"rounds"`
-
-	WallSeconds float64 `json:"wall_seconds"`
-	NsPerOp     float64 `json:"ns_per_op"`     // wall nanoseconds per round
-	AllocsPerOp float64 `json:"allocs_per_op"` // heap allocations per round
-	BytesMoved  int64   `json:"bytes_moved"`   // wire bytes over the measured rounds
-	// PeakRSSBytes is the process's peak resident memory over the cell (the
-	// kernel's VmHWM, reset per cell on Linux). It is what catches an
-	// accidental O(N²) reintroduction at large N, so the differ gates it on
-	// every machine (memory footprints, unlike wall times, travel).
-	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
-
-	// MaxNsRegress, MaxAllocRegress and MaxRSSRegress are per-row regression
-	// tolerances carried by the baseline file (fractions: 0.3 = +30%). Zero
-	// means the differ's defaults apply. Hand-edit the committed baseline to
-	// widen a row known to be noisy.
-	MaxNsRegress    float64 `json:"max_ns_regress,omitempty"`
-	MaxAllocRegress float64 `json:"max_alloc_regress,omitempty"`
-	MaxRSSRegress   float64 `json:"max_rss_regress,omitempty"`
-}
-
-// AlgoRow is one algorithm's traffic-smoke measurement.
-type AlgoRow struct {
-	Algorithm      string  `json:"algorithm"`
-	BytesPerRound  int64   `json:"bytes_per_round_per_worker"`
-	SimSeconds     float64 `json:"sim_comm_seconds"`
-	WallMsPerRound float64 `json:"wall_ms_per_round"`
+	Scenarios []ScenarioSweep `json:"scenarios,omitempty"`
 }
 
 // ScenarioSweep is one scenario executed at several shard counts.
@@ -116,227 +62,4 @@ func WriteBench(path string, f *BenchFile) error {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// ReadBench loads a summary file.
-func ReadBench(path string) (*BenchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f BenchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &f, nil
-}
-
-// Diff compares a fresh summary against the committed baseline and returns
-// an error describing every regression:
-//
-//   - any byte-count difference on an algorithm or scenario run present in
-//     both files (traffic is deterministic — a byte change is a behavior
-//     change, not noise);
-//   - byte counts disagreeing across shard counts within the fresh file
-//     (the sharded runtime's determinism contract);
-//   - wall time regressing by more than maxWallRegress (0.25 = +25%) on
-//     either pool — the algorithm rows' ms/round total or the scenario
-//     runs' seconds total — summed over shared rows because individual
-//     sub-millisecond timings are noise. Wall times are only comparable
-//     between like machines, so this check runs only when WallComparable
-//     (regenerate the baseline from a CI-produced BENCH.json artifact to
-//     arm it there); byte counts are gated unconditionally.
-//   - fleetperf rows (matched by name): bytes moved exactly, allocs/op and
-//     peak RSS within the baseline row's tolerances on every machine, and
-//     ns/op within the row's tolerance when the files are wall-comparable
-//     and the row ran at the same GOMAXPROCS in both.
-//
-// Rows present in only one file are ignored — adding a scenario must not
-// require touching the baseline in the same commit, and removals surface in
-// review.
-func Diff(baseline, fresh *BenchFile, maxWallRegress float64) error {
-	if baseline.SchemaVersion != fresh.SchemaVersion {
-		return fmt.Errorf("bench diff: schema_version %d vs %d — regenerate the baseline", baseline.SchemaVersion, fresh.SchemaVersion)
-	}
-	var problems []string
-	baseAlgos := map[string]AlgoRow{}
-	for _, r := range baseline.Algorithms {
-		baseAlgos[r.Algorithm] = r
-	}
-	for _, r := range fresh.Algorithms {
-		b, ok := baseAlgos[r.Algorithm]
-		if !ok {
-			continue
-		}
-		if b.BytesPerRound != r.BytesPerRound {
-			problems = append(problems, fmt.Sprintf("algorithm %s: bytes/round %d → %d", r.Algorithm, b.BytesPerRound, r.BytesPerRound))
-		}
-	}
-	baseScen := map[string]ScenarioSweep{}
-	for _, s := range baseline.Scenarios {
-		baseScen[s.Name] = s
-	}
-	for _, s := range fresh.Scenarios {
-		if len(s.Runs) == 0 {
-			problems = append(problems, fmt.Sprintf("scenario %s: no runs (truncated summary?)", s.Name))
-			continue
-		}
-		for _, run := range s.Runs[1:] {
-			if run.TotalBytes != s.Runs[0].TotalBytes {
-				problems = append(problems, fmt.Sprintf("scenario %s: %d shards moved %d bytes but %d shards moved %d — sharding changed traffic",
-					s.Name, s.Runs[0].Shards, s.Runs[0].TotalBytes, run.Shards, run.TotalBytes))
-			}
-		}
-		b, ok := baseScen[s.Name]
-		if !ok {
-			continue
-		}
-		baseRuns := map[int]Result{}
-		for _, run := range b.Runs {
-			baseRuns[run.Shards] = run
-		}
-		for _, run := range s.Runs {
-			br, ok := baseRuns[run.Shards]
-			if !ok {
-				continue
-			}
-			if br.TotalBytes != run.TotalBytes {
-				problems = append(problems, fmt.Sprintf("scenario %s shards=%d: total bytes %d → %d", s.Name, run.Shards, br.TotalBytes, run.TotalBytes))
-			}
-		}
-	}
-	problems = append(problems, diffPerf(baseline, fresh, maxWallRegress)...)
-	if WallComparable(baseline, fresh) {
-		// Algorithm rows (per-round milliseconds) and scenario runs
-		// (absolute seconds) are different units, so each pool is gated
-		// against its own baseline total instead of one mixed sum.
-		baseAlgoWall, freshAlgoWall := sharedAlgoWall(baseline, fresh)
-		if baseAlgoWall > 0 && freshAlgoWall > baseAlgoWall*(1+maxWallRegress) {
-			problems = append(problems, fmt.Sprintf("algorithm wall time %.3f → %.3f ms/round total (+%.0f%%, limit +%.0f%%)",
-				baseAlgoWall, freshAlgoWall, 100*(freshAlgoWall/baseAlgoWall-1), 100*maxWallRegress))
-		}
-		baseScenWall, freshScenWall := sharedScenarioWall(baseline, fresh)
-		if baseScenWall > 0 && freshScenWall > baseScenWall*(1+maxWallRegress) {
-			problems = append(problems, fmt.Sprintf("scenario wall time %.3fs → %.3fs (+%.0f%%, limit +%.0f%%)",
-				baseScenWall, freshScenWall, 100*(freshScenWall/baseScenWall-1), 100*maxWallRegress))
-		}
-	}
-	if len(problems) > 0 {
-		return fmt.Errorf("bench diff: %d regression(s):\n  %s", len(problems), strings.Join(problems, "\n  "))
-	}
-	return nil
-}
-
-// Default per-row perf tolerances, used when a baseline row does not carry
-// its own. Allocation counts get a small absolute slack on top (the runtime
-// occasionally charges a row a stray background allocation).
-const (
-	defaultMaxAllocRegress = 0.10
-	allocAbsSlack          = 2.0
-	// RSS readings are process-wide and quantized by the allocator, so the
-	// gate combines a generous fraction with an absolute floor: a row only
-	// fails when it grows past both. A 10k-node planner cell regressing from
-	// sparse (tens of MB) to dense (hundreds of MB to GB) clears the gate by
-	// an order of magnitude.
-	defaultMaxRSSRegress = 0.50
-	rssAbsSlackBytes     = int64(64) << 20
-)
-
-// diffPerf gates the fleetperf rows shared by name: bytes exactly and
-// unconditionally, allocs/op within the row's tolerance everywhere, and
-// ns/op within the row's tolerance only between like machines at the same
-// per-row GOMAXPROCS.
-func diffPerf(baseline, fresh *BenchFile, maxWallRegress float64) []string {
-	var problems []string
-	basePerf := map[string]PerfRow{}
-	for _, r := range baseline.Perf {
-		basePerf[r.Name] = r
-	}
-	for _, r := range fresh.Perf {
-		b, ok := basePerf[r.Name]
-		if !ok {
-			continue
-		}
-		if b.BytesMoved != r.BytesMoved {
-			problems = append(problems, fmt.Sprintf("perf %s: bytes moved %d → %d", r.Name, b.BytesMoved, r.BytesMoved))
-		}
-		allocTol := b.MaxAllocRegress
-		if allocTol == 0 {
-			allocTol = defaultMaxAllocRegress
-		}
-		if r.AllocsPerOp > b.AllocsPerOp*(1+allocTol)+allocAbsSlack {
-			problems = append(problems, fmt.Sprintf("perf %s: allocs/op %.1f → %.1f (limit +%.0f%% + %.0f)",
-				r.Name, b.AllocsPerOp, r.AllocsPerOp, 100*allocTol, allocAbsSlack))
-		}
-		if b.PeakRSSBytes > 0 && r.PeakRSSBytes > 0 {
-			rssTol := b.MaxRSSRegress
-			if rssTol == 0 {
-				rssTol = defaultMaxRSSRegress
-			}
-			if limit := int64(float64(b.PeakRSSBytes)*(1+rssTol)) + rssAbsSlackBytes; r.PeakRSSBytes > limit {
-				problems = append(problems, fmt.Sprintf("perf %s: peak RSS %d → %d bytes (limit +%.0f%% + %d MB)",
-					r.Name, b.PeakRSSBytes, r.PeakRSSBytes, 100*rssTol, rssAbsSlackBytes>>20))
-			}
-		}
-		if WallComparable(baseline, fresh) && b.Procs == r.Procs && b.NsPerOp > 0 {
-			nsTol := b.MaxNsRegress
-			if nsTol == 0 {
-				nsTol = maxWallRegress
-			}
-			if r.NsPerOp > b.NsPerOp*(1+nsTol) {
-				problems = append(problems, fmt.Sprintf("perf %s: ns/op %.0f → %.0f (+%.0f%%, limit +%.0f%%)",
-					r.Name, b.NsPerOp, r.NsPerOp, 100*(r.NsPerOp/b.NsPerOp-1), 100*nsTol))
-			}
-		}
-	}
-	return problems
-}
-
-// WallComparable reports whether the two summaries' wall timings can be
-// meaningfully compared: they must come from machines of the same width.
-// Diff and cmd/fleetbench's reporting share this one rule.
-func WallComparable(baseline, fresh *BenchFile) bool {
-	return baseline.GoMaxProcs == fresh.GoMaxProcs
-}
-
-// sharedAlgoWall sums wall ms/round over the algorithms the two files
-// share, so one file carrying extra rows does not skew the comparison.
-func sharedAlgoWall(baseline, fresh *BenchFile) (baseWall, freshWall float64) {
-	freshAlgos := map[string]AlgoRow{}
-	for _, r := range fresh.Algorithms {
-		freshAlgos[r.Algorithm] = r
-	}
-	for _, b := range baseline.Algorithms {
-		if f, ok := freshAlgos[b.Algorithm]; ok {
-			baseWall += b.WallMsPerRound
-			freshWall += f.WallMsPerRound
-		}
-	}
-	return baseWall, freshWall
-}
-
-// sharedScenarioWall sums wall seconds over the (scenario, shards) runs the
-// two files share.
-func sharedScenarioWall(baseline, fresh *BenchFile) (baseWall, freshWall float64) {
-	freshScen := map[string]ScenarioSweep{}
-	for _, s := range fresh.Scenarios {
-		freshScen[s.Name] = s
-	}
-	for _, b := range baseline.Scenarios {
-		f, ok := freshScen[b.Name]
-		if !ok {
-			continue
-		}
-		fruns := map[int]Result{}
-		for _, run := range f.Runs {
-			fruns[run.Shards] = run
-		}
-		for _, run := range b.Runs {
-			if fr, ok := fruns[run.Shards]; ok {
-				baseWall += run.WallSeconds
-				freshWall += fr.WallSeconds
-			}
-		}
-	}
-	return baseWall, freshWall
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -90,8 +91,9 @@ func TestSparseScenarioTrains(t *testing.T) {
 }
 
 // TestLargeNSpecsLoad validates the committed large-N capsules without
-// running them (the 50k run is the BENCH harness's job), and pins that they
-// live outside the default sweep directory.
+// running them (TestPlannerOnly10kStaysSparse runs the 10k one; the 50k one
+// runs off-CI through cmd/fleetbench), and pins that they live outside the
+// default sweep directory.
 func TestLargeNSpecsLoad(t *testing.T) {
 	for _, path := range []string{
 		"testdata/largen/saps-10k-planner.json",
@@ -152,40 +154,30 @@ func TestPlannerOnlyValidation(t *testing.T) {
 	}
 }
 
-// TestBenchDiffRSSGate pins the peak-RSS regression gate on perf rows: gated
-// on every machine (unlike ns/op), with the fraction+absolute-slack rule, and
-// skipped when either side lacks a reading.
-func TestBenchDiffRSSGate(t *testing.T) {
-	row := PerfRow{Name: "planner/sparse-uniform/n10000/d4810/s0/p1",
-		BytesMoved: 100, PeakRSSBytes: 200 << 20}
-	mk := func(mut func(*PerfRow)) *BenchFile {
-		r := row
-		mut(&r)
-		return &BenchFile{SchemaVersion: BenchSchemaVersion, Perf: []PerfRow{r}}
+// TestPlannerOnly10kStaysSparse is the large-N memory gate: the committed
+// 10k-node capsule must plan, mask-account and charge its 20 rounds without
+// ever materialising an N×N structure, so a dense-path reintroduction fails
+// here on memory long before it would fail anywhere on time. The limit is
+// half of one dense 10000² float64 matrix; the run peaks near 27 MB.
+func TestPlannerOnly10kStaysSparse(t *testing.T) {
+	s, err := Load("testdata/largen/saps-10k-planner.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := mk(func(*PerfRow) {})
-
-	if err := Diff(base, mk(func(*PerfRow) {}), 0.25); err != nil {
-		t.Fatalf("identical RSS diffed dirty: %v", err)
+	first, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Within +50% + 64MB: clean.
-	if err := Diff(base, mk(func(r *PerfRow) { r.PeakRSSBytes = 300 << 20 }), 0.25); err != nil {
-		t.Fatalf("in-tolerance RSS growth rejected: %v", err)
+	second, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 200MB → 2GB (a dense-path reintroduction at 10k nodes): caught, even
-	// cross-machine.
-	f := mk(func(r *PerfRow) { r.PeakRSSBytes = 2 << 30 })
-	f.GoMaxProcs = base.GoMaxProcs + 7
-	if err := Diff(base, f, 0.25); err == nil || !strings.Contains(err.Error(), "peak RSS") {
-		t.Fatalf("RSS blow-up not caught: %v", err)
+	if first.TotalBytes == 0 || first.TotalBytes != second.TotalBytes {
+		t.Errorf("planner-only traffic not reproducible: %d then %d bytes", first.TotalBytes, second.TotalBytes)
 	}
-	// A baseline row carrying its own tolerance overrides the default.
-	wide := mk(func(r *PerfRow) { r.MaxRSSRegress = 12 })
-	if err := Diff(wide, mk(func(r *PerfRow) { r.PeakRSSBytes = 2 << 30 }), 0.25); err != nil {
-		t.Fatalf("per-row RSS tolerance ignored: %v", err)
-	}
-	// No reading on one side: skipped.
-	if err := Diff(mk(func(r *PerfRow) { r.PeakRSSBytes = 0 }), mk(func(r *PerfRow) { r.PeakRSSBytes = 4 << 30 }), 0.25); err != nil {
-		t.Fatalf("unreadable baseline RSS gated: %v", err)
+	// Only Linux reads a resettable high-water mark (profiling.PeakRSS).
+	const limit = 400 << 20
+	if runtime.GOOS == "linux" && first.PeakRSSBytes >= limit {
+		t.Errorf("peak RSS %d MB over the 10k planner run, want under %d MB", first.PeakRSSBytes>>20, limit>>20)
 	}
 }

@@ -535,89 +535,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-// TestBenchDiff covers the regression gate: byte drift and wall blowups
-// fail, wall noise within tolerance and baseline-absent rows pass.
-func TestBenchDiff(t *testing.T) {
-	base := &BenchFile{
-		SchemaVersion: BenchSchemaVersion,
-		Algorithms:    []AlgoRow{{Algorithm: "SAPS-PSGD", BytesPerRound: 1000, WallMsPerRound: 100}},
-		Scenarios: []ScenarioSweep{{
-			Name: "s", Runs: []Result{
-				{Shards: 1, WallSeconds: 2, TotalBytes: 5000},
-				{Shards: 8, WallSeconds: 1, TotalBytes: 5000},
-			},
-		}},
-	}
-	clone := func() *BenchFile {
-		f := *base
-		f.Algorithms = append([]AlgoRow(nil), base.Algorithms...)
-		f.Scenarios = append([]ScenarioSweep(nil), base.Scenarios...)
-		f.Scenarios[0].Runs = append([]Result(nil), base.Scenarios[0].Runs...)
-		return &f
-	}
-
-	if err := Diff(base, clone(), 0.25); err != nil {
-		t.Fatalf("identical files diffed dirty: %v", err)
-	}
-
-	f := clone()
-	f.Algorithms[0].BytesPerRound = 1001
-	if err := Diff(base, f, 0.25); err == nil || !strings.Contains(err.Error(), "bytes/round") {
-		t.Fatalf("byte drift not caught: %v", err)
-	}
-
-	f = clone()
-	f.Scenarios[0].Runs[1].TotalBytes = 4999
-	err := Diff(base, f, 0.25)
-	if err == nil || !strings.Contains(err.Error(), "sharding changed traffic") {
-		t.Fatalf("cross-shard byte disagreement not caught: %v", err)
-	}
-
-	f = clone()
-	f.Algorithms[0].WallMsPerRound = 120 // +20ms on a 3.1s shared total: noise
-	if err := Diff(base, f, 0.25); err != nil {
-		t.Fatalf("wall noise within tolerance rejected: %v", err)
-	}
-
-	f = clone()
-	f.Scenarios[0].Runs[0].WallSeconds = 4 // 3s → 5s scenario pool: regression
-	if err := Diff(base, f, 0.25); err == nil || !strings.Contains(err.Error(), "scenario wall time") {
-		t.Fatalf("scenario wall regression not caught: %v", err)
-	}
-
-	f = clone()
-	f.Algorithms[0].WallMsPerRound = 200 // algorithm pool alone doubles: must
-	// be caught even though it is negligible next to the scenario seconds
-	if err := Diff(base, f, 0.25); err == nil || !strings.Contains(err.Error(), "algorithm wall time") {
-		t.Fatalf("algorithm wall regression not caught: %v", err)
-	}
-
-	f = clone()
-	f.Scenarios = append(f.Scenarios, ScenarioSweep{Name: "new", Runs: []Result{{Shards: 1, TotalBytes: 9, WallSeconds: 99}}})
-	if err := Diff(base, f, 0.25); err != nil {
-		t.Fatalf("baseline-absent scenario should be ignored: %v", err)
-	}
-
-	f = clone()
-	f.SchemaVersion = BenchSchemaVersion + 1
-	if err := Diff(base, f, 0.25); err == nil || !strings.Contains(err.Error(), "schema_version") {
-		t.Fatalf("schema mismatch not caught: %v", err)
-	}
-
-	f = clone()
-	f.Scenarios[0].Runs = nil // truncated summary must error, not panic
-	if err := Diff(base, f, 0.25); err == nil || !strings.Contains(err.Error(), "no runs") {
-		t.Fatalf("runs-less scenario not caught: %v", err)
-	}
-
-	f = clone()
-	f.GoMaxProcs = base.GoMaxProcs + 7
-	f.Scenarios[0].Runs[0].WallSeconds = 400 // huge, but cross-machine: skipped
-	if err := Diff(base, f, 0.25); err != nil {
-		t.Fatalf("cross-machine wall timings compared: %v", err)
-	}
-}
-
 // TestRunChurnScenario smoke-tests the churn path end to end on the sharded
 // runtime (14-city SAPS with leave/rejoin).
 func TestRunChurnScenario(t *testing.T) {

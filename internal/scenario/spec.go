@@ -4,8 +4,8 @@
 // and straggler models, and the package assembles the corresponding
 // algorithm over the sharded engine runtime and runs it against a
 // bandwidth-accounted ledger. cmd/fleetbench sweeps directories of specs
-// across shard counts and emits the stable-schema BENCH.json this package
-// also knows how to regression-diff (see bench.go).
+// across shard counts and writes the stable-schema BENCH.json summary
+// (bench.go); comparing two commits is benchmark/'s job (benchmark/README.md).
 package scenario
 
 import (

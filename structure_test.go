@@ -1,8 +1,5 @@
-// Structural guard: internal/algos has one synchronous in-process chassis.
-// Every algorithm — SAPS and its dynamic-membership runs included — is a
-// Recipe and a Planner handed to that chassis (DESIGN.md §2), so a second
-// Algorithm implementation or a second engine.New site there is a fork of
-// the assembly, and this test names it.
+// Structural guards: shapes earlier simplifications collapsed the code into,
+// each named by the test that fails when it regrows.
 package sapspsgd_test
 
 import (
@@ -10,15 +7,23 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// notTestFile is the parser.ParseDir filter for a package's product sources.
+func notTestFile(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
+// TestAlgosHasOneChassis: internal/algos has one synchronous in-process
+// chassis. Every algorithm — SAPS and its dynamic-membership runs included —
+// is a Recipe and a Planner handed to that chassis (DESIGN.md §2), so a
+// second Algorithm implementation or a second engine.New site there is a
+// fork of the assembly.
 func TestAlgosHasOneChassis(t *testing.T) {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, "internal/algos", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	pkgs, err := parser.ParseDir(fset, "internal/algos", notTestFile, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +72,86 @@ func TestAlgosHasOneChassis(t *testing.T) {
 		}
 		if implements && !allowed[typ] {
 			t.Errorf("internal/algos type %s implements Algorithm: build it as a Recipe and a Planner on the InProc chassis instead", typ)
+		}
+	}
+}
+
+// TestInternalPackagesHaveProductImporters: a package under internal/ that
+// only tests import is test support compiled into the build — it belongs in
+// _test.go files beside the tests that use it (as the ρ(E[WᵀW]) oracle sits
+// beside the gossip tests). The benchmark module and anything a build leaves
+// behind in a dot-directory are not this module's product code.
+func TestInternalPackagesHaveProductImporters(t *testing.T) {
+	fset := token.NewFileSet()
+	imported := map[string]bool{}
+	packages := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "benchmark") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "internal/") && f.Name.Name != "main" {
+			packages[dir] = true
+		}
+		for _, imp := range f.Imports {
+			if dir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "sapspsgd/"); ok {
+				imported[dir] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(packages) == 0 {
+		t.Fatal("found no packages under internal/ — run from the module root")
+	}
+	for dir := range packages {
+		if !imported[dir] {
+			t.Errorf("%s has no non-test importer: move it into the _test.go files that use it", dir)
+		}
+	}
+}
+
+// TestOneComparator: benchmark/ is the only thing that compares two commits.
+// cmd/ holds the five product commands and no measurement harness beside the
+// scenario sweeper, and internal/scenario has no summary differ.
+func TestOneComparator(t *testing.T) {
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmds []string
+	for _, e := range entries {
+		cmds = append(cmds, e.Name())
+	}
+	if got, want := strings.Join(cmds, " "), "asyncsim campaign coordinator fleetbench worker"; got != want {
+		t.Errorf("cmd/ holds %q, want %q", got, want)
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "internal/scenario", notTestFile, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "Diff" {
+					t.Errorf("%s: internal/scenario exports Diff — compare runs with benchmark -compare", fset.Position(fn.Pos()))
+				}
+			}
 		}
 	}
 }
