@@ -1,6 +1,21 @@
 package nn
 
-import "sapspsgd/internal/tensor"
+import (
+	"math"
+
+	"sapspsgd/internal/tensor"
+)
+
+// gate returns v when keep is set and +0 otherwise, as a conditional move on
+// the bit pattern: the sign of a pre-activation is a coin flip no branch
+// predictor learns.
+func gate(v float64, keep bool) float64 {
+	bits := math.Float64bits(v)
+	if !keep {
+		bits = 0
+	}
+	return math.Float64frombits(bits)
+}
 
 // ReLU is the rectified linear activation, applied element-wise.
 type ReLU struct {
@@ -11,26 +26,18 @@ type ReLU struct {
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward clamps negatives to zero, caching the activation mask when
-// training.
+// training. The result comes from the tensor pool, whose buffers arrive
+// dirty: every element is written, zeros included.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := tensor.NewMatrix(x.Rows, x.Cols)
-	if train {
-		if len(r.mask) != len(x.Data) {
-			r.mask = make([]bool, len(x.Data))
-		}
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-				r.mask[i] = true
-			} else {
-				r.mask[i] = false
-			}
-		}
-		return out
+	out := tensor.GetMatrix(x.Rows, x.Cols)
+	if train && len(r.mask) != len(x.Data) {
+		r.mask = make([]bool, len(x.Data))
 	}
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
+		pos := v > 0
+		out.Data[i] = gate(v, pos)
+		if train {
+			r.mask[i] = pos
 		}
 	}
 	return out
@@ -38,11 +45,9 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward gates the upstream gradient by the cached mask.
 func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.NewMatrix(dout.Rows, dout.Cols)
+	dx := tensor.GetMatrix(dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		}
+		dx.Data[i] = gate(v, r.mask[i])
 	}
 	return dx
 }

@@ -31,11 +31,15 @@ type Param struct {
 type Layer interface {
 	// Forward consumes a batch (rows = samples) and returns the output
 	// batch. When train is false, layers use inference behaviour (e.g.
-	// BatchNorm running statistics) and may skip caching.
+	// BatchNorm running statistics) and may skip caching. A training
+	// Forward may keep x until Backward; the result is never x, shares no
+	// storage with it, and is the caller's alone — a layer keeps no
+	// reference to it (Model recycles it through the tensor pool).
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	// Backward consumes dL/d(output) and returns dL/d(input), accumulating
 	// parameter gradients. It must be called exactly once after each
-	// training Forward.
+	// training Forward. The same ownership rule holds: dout is not kept,
+	// the result is fresh and the caller's.
 	Backward(dout *tensor.Matrix) *tensor.Matrix
 	// Params returns the layer's parameters (views, not copies); empty for
 	// stateless layers.
@@ -58,6 +62,9 @@ type Model struct {
 	layers []Layer
 	params []Param
 	n      int
+	// acts are the inter-layer matrices of the last training Forward, which
+	// the layers above them cache as inputs until Backward releases them.
+	acts []*tensor.Matrix
 }
 
 // NewModel assembles a sequential model; the parameter registry is built
@@ -82,20 +89,56 @@ func (m *Model) ParamCount() int { return m.n }
 // Layers exposes the layer list (read-only use).
 func (m *Model) Layers() []Layer { return m.layers }
 
-// Forward runs the full stack on a batch.
+// Forward runs the full stack on a batch. The result is the caller's (hand
+// it to tensor.PutMatrix when done, or let it go); x stays the caller's and
+// must outlive the matching Backward when train is set. Everything in
+// between is the model's: an inference pass recycles each intermediate as
+// soon as the next layer has read it, a training pass holds them for
+// Backward.
 func (m *Model) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	for _, l := range m.layers {
-		x = l.Forward(x, train)
+	if train {
+		m.releaseActs() // of a training Forward that no Backward followed
 	}
-	return x
+	in := x
+	for _, l := range m.layers {
+		out := l.Forward(in, train)
+		if in != x {
+			if train {
+				m.acts = append(m.acts, in)
+			} else {
+				tensor.PutMatrix(in)
+			}
+		}
+		in = out
+	}
+	return in
 }
 
 // Backward propagates dL/d(logits) back through the stack, accumulating
-// parameter gradients.
+// parameter gradients. dout stays the caller's; each inter-layer gradient is
+// recycled once the layer below has consumed it, and the training
+// activations once every layer has.
 func (m *Model) Backward(dout *tensor.Matrix) {
+	d := dout
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		dout = m.layers[i].Backward(dout)
+		below := m.layers[i].Backward(d)
+		if d != dout {
+			tensor.PutMatrix(d)
+		}
+		d = below
 	}
+	if d != dout {
+		tensor.PutMatrix(d)
+	}
+	m.releaseActs()
+}
+
+func (m *Model) releaseActs() {
+	for i, a := range m.acts {
+		tensor.PutMatrix(a)
+		m.acts[i] = nil
+	}
+	m.acts = m.acts[:0]
 }
 
 // ZeroGrads clears all gradient accumulators.

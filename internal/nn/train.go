@@ -5,14 +5,16 @@ import (
 	"sapspsgd/internal/tensor"
 )
 
-// BatchMatrix packs per-sample vectors into one batch matrix (copying).
+// BatchMatrix packs per-sample vectors into one batch matrix (copying). The
+// matrix comes from the tensor pool and belongs to the caller.
 func BatchMatrix(xs [][]float64) *tensor.Matrix {
 	if len(xs) == 0 {
 		panic("nn: empty batch")
 	}
-	m := tensor.NewMatrix(len(xs), len(xs[0]))
+	m := tensor.GetMatrix(len(xs), len(xs[0]))
 	for i, x := range xs {
-		copy(m.Row(i), x)
+		row := m.Row(i)
+		tensor.Fill(row[copy(row, x):], 0)
 	}
 	return m
 }
@@ -70,24 +72,25 @@ func (s *SGD) SetVelocity(v []float64) {
 // TrainBatch performs one forward/backward/update cycle on a minibatch and
 // returns the batch loss.
 func TrainBatch(m *Model, opt *SGD, xs [][]float64, labels []int) float64 {
-	x := BatchMatrix(xs)
-	m.ZeroGrads()
-	logits := m.Forward(x, true)
-	loss, dl := SoftmaxCrossEntropy(logits, labels)
-	m.Backward(dl)
+	loss := ComputeGrads(m, xs, labels)
 	opt.Step(m)
 	return loss
 }
 
 // ComputeGrads runs forward/backward on a minibatch without updating,
 // leaving the gradients in the model's accumulators — the building block for
-// the all-reduce style baselines that average gradients before stepping.
+// the all-reduce style baselines that average gradients before stepping. The
+// batch matrix, the logits and dL/dlogits are this function's to recycle;
+// the model recycles everything in between.
 func ComputeGrads(m *Model, xs [][]float64, labels []int) float64 {
 	x := BatchMatrix(xs)
 	m.ZeroGrads()
 	logits := m.Forward(x, true)
 	loss, dl := SoftmaxCrossEntropy(logits, labels)
 	m.Backward(dl)
+	tensor.PutMatrix(dl)
+	tensor.PutMatrix(logits)
+	tensor.PutMatrix(x)
 	return loss
 }
 
@@ -102,26 +105,27 @@ func EvaluateDataset(m *Model, d *dataset.Dataset, batchSize int) (loss, acc flo
 	}
 	totalLoss := 0.0
 	correct := 0
+	xs := make([][]float64, 0, batchSize)
+	ys := make([]int, 0, batchSize)
 	for start := 0; start < d.Len(); start += batchSize {
-		end := start + batchSize
-		if end > d.Len() {
-			end = d.Len()
-		}
-		xs := make([][]float64, 0, end-start)
-		ys := make([]int, 0, end-start)
+		end := min(start+batchSize, d.Len())
+		xs, ys = xs[:0], ys[:0]
 		for _, s := range d.Samples[start:end] {
 			xs = append(xs, s.X)
 			ys = append(ys, s.Label)
 		}
 		x := BatchMatrix(xs)
 		logits := m.Forward(x, false)
-		l, _ := SoftmaxCrossEntropy(logits, ys)
+		l, dl := SoftmaxCrossEntropy(logits, ys)
 		totalLoss += l * float64(len(ys))
 		for i := 0; i < logits.Rows; i++ {
 			if tensor.ArgMax(logits.Row(i)) == ys[i] {
 				correct++
 			}
 		}
+		tensor.PutMatrix(dl)
+		tensor.PutMatrix(logits)
+		tensor.PutMatrix(x)
 	}
 	return totalLoss / float64(d.Len()), float64(correct) / float64(d.Len())
 }

@@ -303,6 +303,84 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	}
 }
 
+// poolRetains reports whether a Put buffer comes back on the next Get. It
+// does not under the race detector, where sync.Pool drops a quarter of all
+// Puts on purpose; the allocation pins below mean nothing there.
+func poolRetains() bool {
+	for i := 0; i < 32; i++ {
+		m := GetMatrix(1, 1)
+		PutMatrix(m)
+		again := GetMatrix(1, 1)
+		PutMatrix(again)
+		if again != m {
+			return false
+		}
+	}
+	return true
+}
+
+func TestPoolOneMechanism(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
+	// A recycled vector serves a matrix of the same class and back: one set
+	// of size classes, one kind of pooled buffer.
+	v := GetVecRaw(100) // class 128
+	if len(v) != 100 || cap(v) != 128 {
+		t.Fatalf("GetVecRaw(100): len %d cap %d, want 100/128", len(v), cap(v))
+	}
+	v[0] = 42
+	PutVec(v)
+	m := GetMatrix(9, 13) // 117 → class 128
+	if m.Rows != 9 || m.Cols != 13 || len(m.Data) != 117 || &m.Data[0] != &v[0] {
+		t.Fatalf("GetMatrix(9,13) = %dx%d len %d, reused=%v", m.Rows, m.Cols, len(m.Data), &m.Data[0] == &v[0])
+	}
+	PutMatrix(m)
+	if z := GetVec(128); &z[0] != &v[0] || z[0] != 0 {
+		t.Fatalf("GetVec(128): reused=%v z[0]=%v, want the recycled buffer zeroed", &z[0] == &v[0], z[0])
+	}
+
+	// A buffer the pool did not hand out is dropped unless its capacity is
+	// a class size; an empty vector is a no-op.
+	foreign := NewMatrix(3, 5)
+	PutMatrix(foreign)
+	if got := GetMatrix(3, 5); got == foreign || &got.Data[0] == &foreign.Data[0] {
+		t.Fatal("a 15-element NewMatrix buffer was pooled under class 16")
+	}
+	PutVec(nil)
+	if e := GetMatrix(0, 7); e.Rows != 0 || e.Cols != 7 || len(e.Data) != 0 {
+		t.Fatalf("GetMatrix(0,7) = %+v", e)
+	}
+}
+
+func TestPoolGetPutZeroAlloc(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool is dropping Puts (race detector)")
+	}
+	PutVec(GetVecRaw(1000))
+	if n := testing.AllocsPerRun(100, func() { PutVec(GetVecRaw(1000)) }); n != 0 {
+		t.Errorf("GetVecRaw/PutVec pair: %v allocs, want 0", n)
+	}
+	PutMatrix(GetMatrix(32, 64))
+	if n := testing.AllocsPerRun(100, func() { PutMatrix(GetMatrix(32, 64)) }); n != 0 {
+		t.Errorf("GetMatrix/PutMatrix pair: %v allocs, want 0", n)
+	}
+	// Several out at once, as a training step holds them.
+	var held [6]*Matrix
+	step := func() {
+		for i := range held {
+			held[i] = GetMatrix(32, 64)
+		}
+		for _, m := range held {
+			PutMatrix(m)
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("six matrices in flight: %v allocs per step, want 0", n)
+	}
+}
+
 func BenchmarkMatMul128(b *testing.B) {
 	r := rng.New(1)
 	a := NewMatrix(128, 128)

@@ -26,7 +26,7 @@ func Clone(v []float64) []float64 {
 // unrolling is bit-transparent — each element's arithmetic is independent, so
 // the results are identical to the scalar loop (unlike reductions, where
 // reassociation would change the floating-point sum; Dot and Sum therefore
-// keep a single sequential accumulator).
+// keep a single sequential accumulator per reduction).
 
 // Fill sets every element of v to x.
 func Fill(v []float64, x float64) {
@@ -105,7 +105,9 @@ func Sub(dst, a, b []float64) {
 
 // Dot returns the inner product of a and b. The accumulation is a single
 // sequential chain — unrolling with partial sums would reassociate the
-// floating-point additions and break bit-identical reproducibility.
+// floating-point additions and break bit-identical reproducibility. One chain
+// per dot is the rule, not one dot at a time: nn.Dense.Forward runs four such
+// chains side by side, each bit-identical to this loop.
 func Dot(a, b []float64) float64 {
 	assertSameLen(len(a), len(b))
 	s := 0.0
