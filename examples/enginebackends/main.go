@@ -1,6 +1,7 @@
 // Engine backends: the same SAPS-PSGD configuration executed three times —
-// over the in-memory transport, the simulated-bandwidth transport, and a
-// real TCP cluster on loopback — by the one canonical engine round loop.
+// over the in-memory transport, the same transport charged against a
+// simulated-bandwidth ledger, and a real TCP cluster on loopback — by the one
+// canonical engine round loop.
 // The run prints each backend's final model checksum and per-round traffic,
 // which agree bit-for-bit and byte-for-byte (DESIGN.md §2).
 //
@@ -118,10 +119,10 @@ func main() {
 	memParams, memBytes := runInProc("memtransport", saps.NewMemTransport(n), nil)
 	fmt.Printf("%-14s checksum %.9f   traffic %6d B\n", "memtransport", checksum(memParams), memBytes)
 
-	hub, simLed := saps.NewSimTransport(env())
-	simParams, simBytes := runInProc("simtransport", hub, simLed)
+	simLed := netsim.NewLedger(env())
+	simParams, simBytes := runInProc("netsim ledger", saps.NewMemTransport(n), simLed)
 	fmt.Printf("%-14s checksum %.9f   traffic %6d B   simulated comm time %.2fs\n",
-		"simtransport", checksum(simParams), simBytes, simLed.TotalTime())
+		"netsim ledger", checksum(simParams), simBytes, simLed.TotalTime())
 
 	tcpParams, tcpBytes := runTCP()
 	fmt.Printf("%-14s checksum %.9f   traffic %6d B\n", "tcptransport", checksum(tcpParams), tcpBytes)

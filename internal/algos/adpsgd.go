@@ -3,6 +3,7 @@ package algos
 import (
 	"fmt"
 
+	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
 )
@@ -18,7 +19,7 @@ import (
 
 // adpsgdNode is one AD-PSGD rank.
 type adpsgdNode struct {
-	t          *localTrainer
+	t          *core.Trainer
 	localSteps int
 	params     []float64
 	mixed      []float64
@@ -27,32 +28,29 @@ type adpsgdNode struct {
 // Compute implements engine.Node: localSteps minibatch SGD steps, then the
 // dense parameter snapshot the rendezvous ships.
 func (a *adpsgdNode) Compute(engine.RoundContext) (float64, []float64, error) {
-	total := 0.0
-	for s := 0; s < a.localSteps; s++ {
-		total += a.t.sgdStep()
-	}
-	a.params = a.t.model.FlatParams(a.params)
-	return total / float64(a.localSteps), a.params, nil
+	loss := a.t.LocalSGD(a.localSteps)
+	a.params = a.t.Model.FlatParams(a.params)
+	return loss, a.params, nil
 }
 
 // Snapshot implements engine.AsyncNode: the passive side of a rendezvous
 // surrenders its current parameters.
 func (a *adpsgdNode) Snapshot() []float64 {
-	a.params = a.t.model.FlatParams(a.params)
+	a.params = a.t.Model.FlatParams(a.params)
 	return a.params
 }
 
 // Merge implements engine.Node: the pairwise average x ← (x + x_peer)/2.
 func (a *adpsgdNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 	for _, m := range msgs {
-		a.mixed = a.t.model.FlatParams(a.mixed)
+		a.mixed = a.t.Model.FlatParams(a.mixed)
 		if len(m.Vals) != len(a.mixed) {
 			return fmt.Errorf("algos: adpsgd rank received %d values for %d params", len(m.Vals), len(a.mixed))
 		}
 		for j, v := range m.Vals {
 			a.mixed[j] = 0.5 * (a.mixed[j] + v)
 		}
-		a.t.model.SetFlatParams(a.mixed)
+		a.t.Model.SetFlatParams(a.mixed)
 	}
 	return nil
 }

@@ -34,7 +34,7 @@ func allBaselineBuilders(n int) []struct {
 // TestBackendEquivalenceAllBaselines is the backend contract extended to
 // every baseline: the identical algorithm stepped against the pure-counting
 // ledger (memtransport semantics) and against the bandwidth-accounted netsim
-// ledger (simtransport semantics) must produce bit-identical model
+// ledger (the simulated backend) must produce bit-identical model
 // trajectories and byte-identical per-worker traffic — the ledger is an
 // observer, never an input.
 func TestBackendEquivalenceAllBaselines(t *testing.T) {
@@ -46,7 +46,7 @@ func TestBackendEquivalenceAllBaselines(t *testing.T) {
 			fcA, bw, _ := testSetup(t, n)
 			fcB, _, _ := testSetup(t, n)
 			algA := b.build(fcA, bw) // counting ledger (memtransport)
-			algB := b.build(fcB, bw) // netsim ledger (simtransport)
+			algB := b.build(fcB, bw) // netsim ledger (simulated bandwidth)
 			ledA := &engine.CountingLedger{}
 			ledB := netsim.NewLedger(bw)
 			for r := 0; r < rounds; r++ {

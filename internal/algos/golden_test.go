@@ -265,8 +265,9 @@ func (c goldenCase) inProc(t *testing.T, shards int) map[string]string {
 // overTCP deploys the case on a loopback fleet and returns the fields a
 // deployment can observe: the collected model and the per-round bytes. With
 // a fault schedule the coordinator really kills the scheduled workers; each
-// is restarted from its snapshot as often as the schedule has it return.
-func (c goldenCase) overTCP(t *testing.T) map[string]string {
+// is restarted from its snapshot as often as the schedule has it return;
+// onCrash, when non-nil, sees the killed rank and its snapshot file first.
+func (c goldenCase) overTCP(t *testing.T, onCrash func(rank int, snapPath string)) map[string]string {
 	t.Helper()
 	led := &engine.CountingLedger{}
 	srv := &transport.CoordinatorServer{
@@ -301,6 +302,9 @@ func (c goldenCase) overTCP(t *testing.T) map[string]string {
 			wc := &transport.WorkerClient{SnapshotPath: path}
 			_, err := wc.Run(addr, "127.0.0.1:0")
 			for restarts := 0; errors.Is(err, transport.ErrCrashed); restarts++ {
+				if onCrash != nil {
+					onCrash(wc.Rank(), path)
+				}
 				if restarts == returns[wc.Rank()] {
 					err = nil // killed for good: a permanent crash or a mortality death
 					break
@@ -397,7 +401,7 @@ func TestGoldenTrajectories(t *testing.T) {
 				check(t, want, c.inProc(t, shards), fmt.Sprintf("shards=%d", shards))
 			}
 			if c.churn == nil && !c.random {
-				check(t, want, c.overTCP(t), "tcp")
+				check(t, want, c.overTCP(t, nil), "tcp")
 			}
 		})
 	}

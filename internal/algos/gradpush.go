@@ -3,6 +3,7 @@ package algos
 import (
 	"fmt"
 
+	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/tensor"
 )
@@ -19,7 +20,7 @@ import (
 
 // gradPushNode is one Gradient Push rank.
 type gradPushNode struct {
-	t          *localTrainer
+	t          *core.Trainer
 	lr         float64
 	localSteps int
 	x          []float64 // push-sum numerator
@@ -31,10 +32,10 @@ type gradPushNode struct {
 
 // newGradPushNode initializes the pair at (x0, 1) so z0 equals the shared
 // initial model.
-func newGradPushNode(t *localTrainer, lr float64, localSteps int) *gradPushNode {
+func newGradPushNode(t *core.Trainer, lr float64, localSteps int) *gradPushNode {
 	return &gradPushNode{
 		t: t, lr: lr, localSteps: localSteps,
-		x: t.model.FlatParams(nil), w: 1,
+		x: t.Model.FlatParams(nil), w: 1,
 	}
 }
 
@@ -49,7 +50,7 @@ func (g *gradPushNode) debias() {
 	for j, v := range g.x {
 		g.z[j] = v * inv
 	}
-	g.t.model.SetFlatParams(g.z)
+	g.t.Model.SetFlatParams(g.z)
 }
 
 // Compute implements engine.Node: localSteps SGD steps on z applied to x,
@@ -59,8 +60,8 @@ func (g *gradPushNode) Compute(engine.RoundContext) (float64, []float64, error) 
 	total := 0.0
 	for s := 0; s < g.localSteps; s++ {
 		g.debias()
-		total += g.t.gradStep()
-		g.grads = g.t.model.FlatGrads(g.grads)
+		total += g.t.GradStep()
+		g.grads = g.t.Model.FlatGrads(g.grads)
 		tensor.Axpy(-g.lr, g.grads, g.x)
 	}
 	if cap(g.out) < len(g.x)+1 {

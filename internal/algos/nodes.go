@@ -4,47 +4,18 @@ import (
 	"fmt"
 	"math"
 
-	"sapspsgd/internal/dataset"
+	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/tensor"
 )
 
 // This file holds the engine.Node implementations behind the seven baseline
-// algorithms. Each node owns exactly one rank's local state (model,
-// optimizer, loader, scratch), so the same types serve the in-process fleet
-// simulations and the one-node-per-process TCP deployment.
-
-// localTrainer bundles one rank's training state.
-type localTrainer struct {
-	rank   int
-	model  *nn.Model
-	opt    *nn.SGD
-	loader *dataset.Loader
-}
-
-// newLocalTrainer builds the training state with the fleet's deterministic
-// per-rank loader stream, so in-process and TCP runs draw identical batches.
-func newLocalTrainer(rank int, model *nn.Model, shard *dataset.Dataset, batch int, lr float64, seed uint64) *localTrainer {
-	return &localTrainer{
-		rank:   rank,
-		model:  model,
-		opt:    &nn.SGD{LR: lr},
-		loader: dataset.NewLoader(shard, batch, seed+uint64(rank)*104729),
-	}
-}
-
-// gradStep computes gradients on the next minibatch without applying them.
-func (t *localTrainer) gradStep() float64 {
-	xs, ys := t.loader.Next()
-	return nn.ComputeGrads(t.model, xs, ys)
-}
-
-// sgdStep runs one full local SGD step.
-func (t *localTrainer) sgdStep() float64 {
-	xs, ys := t.loader.Next()
-	return nn.TrainBatch(t.model, t.opt, xs, ys)
-}
+// algorithms. Each node owns exactly one rank's local state (its
+// core.Trainer — model, optimizer, loader — and scratch), so the same types
+// serve the in-process fleet simulations and the one-node-per-process TCP
+// deployment. A training node embeds its trainer, which makes it
+// engine.Stateful as it stands; state.go holds the nodes that capture more.
 
 // serverLoss marks a node as a non-training participant.
 func serverLoss() float64 { return math.NaN() }
@@ -59,7 +30,7 @@ func serverLoss() float64 { return math.NaN() }
 // (TopK-PSGD, QSGD-PSGD), where the merged sum is the sum of *decoded*
 // gradients, the node's own included.
 type gradAvgNode struct {
-	t     *localTrainer
+	*core.Trainer
 	lr    float64
 	n     int // trainer count the sum is averaged over
 	grads []float64
@@ -67,8 +38,8 @@ type gradAvgNode struct {
 
 // Compute implements engine.Node.
 func (g *gradAvgNode) Compute(engine.RoundContext) (float64, []float64, error) {
-	loss := g.t.gradStep()
-	g.grads = g.t.model.FlatGrads(g.grads)
+	loss := g.GradStep()
+	g.grads = g.Model.FlatGrads(g.grads)
 	return loss, g.grads, nil
 }
 
@@ -77,7 +48,7 @@ func (g *gradAvgNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error 
 	if len(msgs) != 1 || msgs[0].From != -1 {
 		return fmt.Errorf("algos: gradient-average node expects one collective sum, got %d messages", len(msgs))
 	}
-	g.t.model.AddFlatToParams(-g.lr/float64(g.n), msgs[0].Vals)
+	g.Model.AddFlatToParams(-g.lr/float64(g.n), msgs[0].Vals)
 	return nil
 }
 
@@ -89,7 +60,7 @@ func (g *gradAvgNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error 
 // x ← Σ_j W_ij x_j − lr·∇F(x), with W rows given per node. Composed with
 // the Neighborhood pattern + dense codec.
 type neighborMixNode struct {
-	t       *localTrainer
+	*core.Trainer
 	lr      float64
 	weights map[int]float64 // W row, self weight included
 	params  []float64
@@ -99,9 +70,9 @@ type neighborMixNode struct {
 
 // Compute implements engine.Node.
 func (d *neighborMixNode) Compute(engine.RoundContext) (float64, []float64, error) {
-	loss := d.t.gradStep()
-	d.params = d.t.model.FlatParams(d.params)
-	d.grads = d.t.model.FlatGrads(d.grads)
+	loss := d.GradStep()
+	d.params = d.Model.FlatParams(d.params)
+	d.grads = d.Model.FlatGrads(d.grads)
 	return loss, d.params, nil
 }
 
@@ -123,7 +94,7 @@ func (d *neighborMixNode) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) 
 		tensor.Axpy(w, m.Vals, d.mixed)
 	}
 	tensor.Axpy(-d.lr, d.grads, d.mixed)
-	d.t.model.SetFlatParams(d.mixed)
+	d.Model.SetFlatParams(d.mixed)
 	return nil
 }
 
@@ -137,7 +108,7 @@ func (d *neighborMixNode) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) 
 // node must apply its own *lossy* delta to its own replica, exactly as its
 // neighbors do) + a top-k codec without error feedback.
 type dcdNode struct {
-	t        *localTrainer
+	*core.Trainer
 	lr       float64
 	weights  map[int]float64 // gossip weights over neighbors (no self entry)
 	replicas map[int][]float64
@@ -148,9 +119,9 @@ type dcdNode struct {
 
 // newDCDNode initializes the replicas at the shared initial model, so they
 // are exact at round 0.
-func newDCDNode(t *localTrainer, lr float64, weights map[int]float64, self int) *dcdNode {
-	n := &dcdNode{t: t, lr: lr, weights: weights, replicas: map[int][]float64{}}
-	init := t.model.FlatParams(nil)
+func newDCDNode(t *core.Trainer, lr float64, weights map[int]float64, self int) *dcdNode {
+	n := &dcdNode{Trainer: t, lr: lr, weights: weights, replicas: map[int][]float64{}}
+	init := t.Model.FlatParams(nil)
 	n.replicas[self] = init
 	for j := range weights {
 		n.replicas[j] = append([]float64(nil), init...)
@@ -161,9 +132,9 @@ func newDCDNode(t *localTrainer, lr float64, weights map[int]float64, self int) 
 // Compute implements engine.Node: replica-based gossip + gradient step, then
 // publish the compressed model/replica difference.
 func (n *dcdNode) Compute(ctx engine.RoundContext) (float64, []float64, error) {
-	loss := n.t.gradStep()
-	n.params = n.t.model.FlatParams(n.params)
-	n.grads = n.t.model.FlatGrads(n.grads)
+	loss := n.GradStep()
+	n.params = n.Model.FlatParams(n.params)
+	n.grads = n.Model.FlatGrads(n.grads)
 	self := n.replicas[ctx.Self]
 	for j := range n.params {
 		gossip := 0.0
@@ -172,7 +143,7 @@ func (n *dcdNode) Compute(ctx engine.RoundContext) (float64, []float64, error) {
 		}
 		n.params[j] += gossip - n.lr*n.grads[j]
 	}
-	n.t.model.SetFlatParams(n.params)
+	n.Model.SetFlatParams(n.params)
 	if cap(n.diff) < len(n.params) {
 		n.diff = make([]float64, len(n.params))
 	}
@@ -201,21 +172,21 @@ func (n *dcdNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 // Compute), computes one minibatch gradient on it, and pushes the dense
 // gradient up.
 type psWorkerNode struct {
-	t     *localTrainer
+	*core.Trainer
 	grads []float64
 }
 
 // Compute implements engine.Node.
 func (p *psWorkerNode) Compute(engine.RoundContext) (float64, []float64, error) {
-	loss := p.t.gradStep()
-	p.grads = p.t.model.FlatGrads(p.grads)
+	loss := p.GradStep()
+	p.grads = p.Model.FlatGrads(p.grads)
 	return loss, p.grads, nil
 }
 
 // Merge implements engine.Node (hub downlink: adopt the server model).
 func (p *psWorkerNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 	for _, m := range msgs {
-		p.t.model.SetFlatParams(m.Vals)
+		p.Model.SetFlatParams(m.Vals)
 	}
 	return nil
 }
@@ -226,7 +197,7 @@ func (p *psWorkerNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error
 // because the server model never forward-passes and therefore has no trained
 // normalization statistics.
 type psServerNode struct {
-	model  *nn.Model
+	serverModel
 	mirror *nn.Model
 	lr     float64
 	params []float64
@@ -267,7 +238,7 @@ func (s *psServerNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error
 // and pushes either its full model (FedAvg, dense codec) or its model delta
 // (S-FedAvg, random-k codec).
 type fedWorkerNode struct {
-	t          *localTrainer
+	*core.Trainer
 	localSteps int
 	delta      bool
 	pulled     []float64 // server params at this round's pull
@@ -278,22 +249,19 @@ type fedWorkerNode struct {
 func (f *fedWorkerNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 	for _, m := range msgs {
 		f.pulled = append(f.pulled[:0], m.Vals...)
-		f.t.model.SetFlatParams(f.pulled)
+		f.Model.SetFlatParams(f.pulled)
 	}
 	return nil
 }
 
 // Compute implements engine.Node.
 func (f *fedWorkerNode) Compute(engine.RoundContext) (float64, []float64, error) {
-	total := 0.0
-	for s := 0; s < f.localSteps; s++ {
-		total += f.t.sgdStep()
-	}
-	f.out = f.t.model.FlatParams(f.out)
+	loss := f.LocalSGD(f.localSteps)
+	f.out = f.Model.FlatParams(f.out)
 	if f.delta {
 		tensor.Sub(f.out, f.out, f.pulled)
 	}
-	return total / float64(f.localSteps), f.out, nil
+	return loss, f.out, nil
 }
 
 // fedServerNode aggregates uploads into the global model. With counted unset
@@ -302,7 +270,7 @@ func (f *fedWorkerNode) Compute(engine.RoundContext) (float64, []float64, error)
 // averaged over the workers that actually reported it, which keeps the
 // update variance bounded at high compression.
 type fedServerNode struct {
-	model   *nn.Model
+	serverModel
 	mirror  *nn.Model
 	counted bool
 	params  []float64

@@ -43,16 +43,15 @@ type Recipe struct {
 	Fraction float64
 
 	// mix, when set, replaces d-psgd's ring with another static topology
-	// (NewDPSGDTopology; in-process only).
+	// (in-package only: the topology ablation in topology_test.go).
 	mix *mixGraph
 }
 
-// mixGraph is a named static gossip topology: each rank's neighbours and its
-// row of the mixing matrix, self weight included.
+// mixGraph is a named static gossip topology: each rank's neighbours. It
+// must be connected, or the fleet cannot reach consensus.
 type mixGraph struct {
-	name    string
-	adj     [][]int
-	weights []map[int]float64
+	name string
+	adj  [][]int
 }
 
 // AlgoNames lists the recipes' canonical -algo values.
@@ -78,7 +77,11 @@ func (r Recipe) Validate() error {
 		if r.Compression < 1 {
 			return fmt.Errorf("algos: saps compression %v", r.Compression)
 		}
-	case "psgd", "d-psgd", "ps-psgd", "adpsgd", "gradpush":
+	case "psgd", "ps-psgd", "adpsgd", "gradpush":
+	case "d-psgd":
+		if r.mix != nil && len(r.mix.adj) != r.Workers {
+			return fmt.Errorf("algos: topology %s has %d vertices for %d workers", r.mix.name, len(r.mix.adj), r.Workers)
+		}
 	case "topk-psgd", "dcd-psgd":
 		if r.C < 1 {
 			return fmt.Errorf("algos: %s ratio c=%v", r.Algo, r.C)
@@ -162,37 +165,45 @@ func sparseK(dim int, c float64) int {
 }
 
 // ringAdjacency is the static ring the paper's decentralized baselines run
-// on.
+// on. Every rank's NewNode asks for it, so the lists share one backing array.
 func ringAdjacency(n int) [][]int {
 	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
+	nbrs := make([]int, 0, 2*n)
+	for i := range adj {
 		prev, next := gossip.RingNeighbors(i, n)
-		if prev == next { // n == 2: one neighbor
-			adj[i] = []int{prev}
-		} else {
-			adj[i] = []int{prev, next}
+		from := len(nbrs)
+		nbrs = append(nbrs, prev)
+		if next != prev { // n == 2: one neighbor
+			nbrs = append(nbrs, next)
 		}
+		adj[i] = nbrs[from:len(nbrs):len(nbrs)]
 	}
 	return adj
 }
 
-// ringWeights are the uniform 1/3 mixing weights of the paper's ring
-// (1/(deg+1) in general), with the self weight absorbing the remainder.
-func ringWeights(i, n int) (mix map[int]float64, self map[int]float64) {
-	prev, next := gossip.RingNeighbors(i, n)
-	mix = map[int]float64{}
-	deg := 2
-	if prev == next {
-		deg = 1
+// adjacency is the static topology the decentralized baselines gossip over:
+// the paper's ring, unless mix replaces it.
+func (r Recipe) adjacency() [][]int {
+	if r.mix != nil {
+		return r.mix.adj
 	}
-	w := 1 / float64(deg+1)
-	mix[prev] = w
-	mix[next] = w
-	withSelf := map[int]float64{i: 1 - float64(len(mix))*w}
-	for j, v := range mix {
-		withSelf[j] = v
+	return ringAdjacency(r.Workers)
+}
+
+// metropolisRow is rank i's row of the Metropolis–Hastings mixing matrix
+// over adj, self weight included: W_ij = 1/(1+max(d_i,d_j)) for a neighbour
+// j, and W_ii absorbs the remainder — symmetric and doubly stochastic on any
+// graph. On the paper's ring that is the uniform 1/3.
+func metropolisRow(adj [][]int, i int) map[int]float64 {
+	row := make(map[int]float64, len(adj[i])+1)
+	sum := 0.0
+	for _, j := range adj[i] {
+		w := 1 / float64(1+max(len(adj[i]), len(adj[j])))
+		row[j] = w
+		sum += w
 	}
-	return mix, withSelf
+	row[i] = 1 - sum
+	return row
 }
 
 // Pattern assembles the recipe's exchange pattern.
@@ -205,12 +216,9 @@ func (r Recipe) Pattern() engine.Pattern {
 	case "topk-psgd", "qsgd-psgd":
 		return engine.AllGather{}
 	case "d-psgd":
-		if r.mix != nil {
-			return engine.NewNeighborhood(r.mix.adj, false)
-		}
-		return engine.NewNeighborhood(ringAdjacency(r.Workers), false)
+		return engine.NewNeighborhood(r.adjacency(), false)
 	case "dcd-psgd":
-		return engine.NewNeighborhood(ringAdjacency(r.Workers), true)
+		return engine.NewNeighborhood(r.adjacency(), true)
 	case "ps-psgd", "fedavg", "s-fedavg":
 		return engine.Hub{Server: r.ServerRank()}
 	case "adpsgd", "gradpush":
@@ -266,37 +274,37 @@ func (r Recipe) NewNode(rank int, model *nn.Model, shard *dataset.Dataset, mirro
 	if r.Hub() && rank == r.ServerRank() {
 		switch r.Algo {
 		case "ps-psgd":
-			return &psServerNode{model: model, mirror: mirror, lr: r.LR}
+			return &psServerNode{serverModel: serverModel{model}, mirror: mirror, lr: r.LR}
 		case "fedavg":
-			return &fedServerNode{model: model, mirror: mirror}
+			return &fedServerNode{serverModel: serverModel{model}, mirror: mirror}
 		case "s-fedavg":
-			return &fedServerNode{model: model, mirror: mirror, counted: true}
+			return &fedServerNode{serverModel: serverModel{model}, mirror: mirror, counted: true}
 		}
 	}
+	// The rank's minibatch stream: saps strides its per-rank seeds by one
+	// prime, the other recipes by another, and trajectories.golden pins both.
+	stride := uint64(104729)
 	if r.Algo == "saps" {
-		// The worker owns its loader and optimizer, and reads only
-		// Algorithm 2's knobs: Algorithm 3's thresholds stay with the planner.
-		return engine.NewMaskedGossipNode(core.NewWorker(rank, model, shard, r.SAPSConfig(gossip.Config{})))
+		stride = 7919
 	}
-	t := newLocalTrainer(rank, model, shard, r.Batch, r.LR, r.Seed)
+	t := core.NewTrainer(model, shard, r.Batch, r.LR, r.Seed+uint64(rank)*stride)
 	switch r.Algo {
+	case "saps":
+		return engine.NewMaskedGossipNode(core.NewWorker(t, r.Compression, r.localSteps()))
 	case "psgd", "topk-psgd", "qsgd-psgd":
-		return &gradAvgNode{t: t, lr: r.LR, n: r.Workers}
+		return &gradAvgNode{Trainer: t, lr: r.LR, n: r.Workers}
 	case "d-psgd":
-		if r.mix != nil {
-			return &neighborMixNode{t: t, lr: r.LR, weights: r.mix.weights[rank]}
-		}
-		_, withSelf := ringWeights(rank, r.Workers)
-		return &neighborMixNode{t: t, lr: r.LR, weights: withSelf}
+		return &neighborMixNode{Trainer: t, lr: r.LR, weights: metropolisRow(r.adjacency(), rank)}
 	case "dcd-psgd":
-		mix, _ := ringWeights(rank, r.Workers)
+		mix := metropolisRow(r.adjacency(), rank)
+		delete(mix, rank) // the replicas gossip over the neighbours only
 		return newDCDNode(t, r.LR, mix, rank)
 	case "ps-psgd":
-		return &psWorkerNode{t: t}
+		return &psWorkerNode{Trainer: t}
 	case "fedavg":
-		return &fedWorkerNode{t: t, localSteps: r.localSteps()}
+		return &fedWorkerNode{Trainer: t, localSteps: r.localSteps()}
 	case "s-fedavg":
-		return &fedWorkerNode{t: t, localSteps: r.localSteps(), delta: true}
+		return &fedWorkerNode{Trainer: t, localSteps: r.localSteps(), delta: true}
 	case "adpsgd":
 		return &adpsgdNode{t: t, localSteps: r.localSteps()}
 	case "gradpush":

@@ -1,0 +1,213 @@
+// Cross-commit snapshot oracle: the files under testdata/snapshots were
+// written by the commit BEFORE the per-rank training state became one type
+// (core.Trainer) — from core.WorkerState, algos.trainerState, dcdState and
+// fedWorkerState as they were then. A snapshot is a gob stream, and gob
+// matches struct fields by name, not type name, so every commit since must
+// keep restoring them: each file is loaded into a freshly built fleet, the
+// run continues to its last round, and every model's parameter bits must
+// equal an uninterrupted run's. Renaming a captured field makes gob drop it
+// silently on decode: without TrainerState.Loader the restore panics on an
+// empty sample order, without Model or dcdState.Trainer it fails on an empty
+// nn checkpoint. (Velocity is nil in every file — no recipe sets momentum —
+// and the hub delivers the server model before a worker uses Pulled, so
+// those two renames do not show here.)
+package algos_test
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"sapspsgd/internal/algos"
+	"sapspsgd/internal/engine"
+	"sapspsgd/internal/nn"
+	"sapspsgd/internal/transport"
+)
+
+var recordSnapshots = flag.Bool("record-snapshots", false,
+	"rewrite testdata/snapshots — only at the commit before a change to what a node or codec captures")
+
+const (
+	snapshotDir   = "testdata/snapshots"
+	snapshotN     = 8
+	snapshotCut   = 3 // rounds 0..2 ran before the snapshot was taken
+	snapshotTotal = 8
+)
+
+// snapshotSpec is the fixtures' task: small enough that a whole-fleet
+// snapshot is a few kilobytes, two local steps on 20-sample shards so the
+// loader cursors cross an epoch reshuffle before the cut, every recipe knob
+// set. No recipe sets SGD momentum, so Velocity is nil in every file.
+func snapshotSpec(algo string) transport.TaskSpec {
+	return transport.TaskSpec{
+		Arch: "mlp", C: 1, H: 4, W: 4, Classes: 4,
+		Hidden: []int{6}, Samples: 160, DataSeed: 5,
+		LR: 0.1, Batch: 4, Compression: 4, LocalSteps: 2,
+		Rounds: snapshotTotal, Seed: 3,
+		Algo: algo, AlgoC: 4, QLevels: 4, Fraction: 0.5,
+	}
+}
+
+// snapshotFleet assembles the spec's engine from the recipe's public parts,
+// as every deployment does, and returns it with every rank's model (the hub
+// server's last).
+func snapshotFleet(t *testing.T, spec transport.TaskSpec) (*engine.Engine, []*nn.Model) {
+	t.Helper()
+	c := goldenCase{n: snapshotN, spec: spec}
+	rec := spec.Recipe(snapshotN)
+	if err := rec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	shards, _ := spec.BuildShards(snapshotN)
+	models := make([]*nn.Model, rec.Nodes())
+	nodes := make([]engine.Node, rec.Nodes())
+	for i := range nodes {
+		m, err := spec.BuildModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+		if i == rec.ServerRank() {
+			nodes[i] = rec.NewNode(i, m, nil, nil)
+		} else {
+			nodes[i] = rec.NewNode(i, m, shards[i], nil)
+		}
+	}
+	codecs := rec.Codecs(models[0].ParamCount())
+	engine.ShareMasks(nodes, codecs)
+	eng := engine.New(engine.Options{
+		Nodes: nodes, Codecs: codecs, Pattern: rec.Pattern(),
+		Planner: rec.Planner(c.env(), c.gossip()), Shards: 1,
+	})
+	t.Cleanup(eng.Close)
+	return eng, models
+}
+
+func stepRounds(t *testing.T, eng *engine.Engine, led engine.Ledger, from, to int) {
+	t.Helper()
+	for r := from; r < to; r++ {
+		if _, err := eng.Step(r, led); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+}
+
+func hashModels(models []*nn.Model) string {
+	all := make([][]float64, len(models))
+	for i, m := range models {
+		all[i] = m.FlatParams(nil)
+	}
+	return paramHash(all...)
+}
+
+// TestParentCommitSnapshotsRestore restores each recorded engine.Snapshot:
+// saps (the masked-gossip worker), psgd (trainer-only state), dcd-psgd
+// (replicas), s-fedavg (pulled model, server model, RandomK cursor) and
+// topk-psgd (error-feedback residual).
+func TestParentCommitSnapshotsRestore(t *testing.T) {
+	for _, algo := range []string{"saps", "psgd", "dcd-psgd", "s-fedavg", "topk-psgd"} {
+		algo := algo
+		t.Run(algo, func(t *testing.T) {
+			spec := snapshotSpec(algo)
+			path := filepath.Join(snapshotDir, algo+".snap")
+
+			ref, refModels := snapshotFleet(t, spec)
+			refLed := &engine.CountingLedger{}
+			stepRounds(t, ref, refLed, 0, snapshotTotal)
+
+			if *recordSnapshots {
+				eng, _ := snapshotFleet(t, spec)
+				led := &engine.CountingLedger{}
+				stepRounds(t, eng, led, 0, snapshotCut)
+				snap, err := eng.Checkpoint(snapshotCut, led)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := snap.Encode(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.MkdirAll(snapshotDir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			snap, err := engine.DecodeSnapshot(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.NextRound != snapshotCut {
+				t.Fatalf("fixture resumes at round %d, want %d", snap.NextRound, snapshotCut)
+			}
+			eng, models := snapshotFleet(t, spec)
+			eng.ReplayPlans(snap.NextRound)
+			led := &engine.CountingLedger{}
+			if err := eng.Restore(snap, led); err != nil {
+				t.Fatal(err)
+			}
+			stepRounds(t, eng, led, snap.NextRound, snapshotTotal)
+
+			if got, want := hashModels(models), hashModels(refModels); got != want {
+				t.Errorf("models after restoring the recorded snapshot:\n got  %s\n want %s (uninterrupted)", got, want)
+			}
+			if got, want := joinInts(led.RoundBytes()), joinInts(refLed.RoundBytes()); got != want {
+				t.Errorf("per-round bytes after restoring:\n got  %s\n want %s", got, want)
+			}
+		})
+	}
+}
+
+// TestParentCommitWorkerSnapshotRejoins deploys a TCP fleet whose rank 0 is
+// killed at round 3 and returns two rounds later — from the recorded
+// transport.WorkerSnapshot file (a worker process of the earlier commit wrote
+// it at exactly that kill), not from the one this commit's worker just wrote.
+// Rank 0 is the rank the coordinator collects the model from.
+func TestParentCommitWorkerSnapshotRejoins(t *testing.T) {
+	spec := snapshotSpec("saps")
+	c := goldenCase{name: "worker-snapshot", n: snapshotN, spec: spec, faults: &algos.FaultSchedule{
+		N: snapshotN, Seed: spec.Seed,
+		Events: []algos.FaultEvent{{Rank: 0, Round: snapshotCut, RejoinAfter: 2}},
+	}}
+	fixture := filepath.Join(snapshotDir, "worker-rank0.snap")
+	swap := func(rank int, snapPath string) {
+		if rank != 0 {
+			t.Errorf("rank %d was killed, the schedule kills rank 0", rank)
+			return
+		}
+		from, to := fixture, snapPath
+		if *recordSnapshots {
+			from, to = snapPath, fixture
+		}
+		data, err := os.ReadFile(from)
+		if err == nil {
+			err = os.WriteFile(to, data, 0o644)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	got := c.overTCP(t, swap)
+	want := c.inProc(t, 1)
+	for k, v := range got {
+		if want[k] != v {
+			t.Errorf("tcp fleet rejoined from the recorded worker snapshot, %s:\n got  %s\n want %s (in-process)", k, v, want[k])
+		}
+	}
+	ws, err := transport.LoadWorkerSnapshot(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Rank != 0 || ws.NextRound != snapshotCut {
+		t.Fatalf("fixture is rank %d at round %d, want rank 0 at round %d", ws.Rank, ws.NextRound, snapshotCut)
+	}
+}

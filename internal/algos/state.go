@@ -4,44 +4,20 @@ import (
 	"bytes"
 	"encoding/gob"
 
-	"sapspsgd/internal/dataset"
+	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
+	"sapspsgd/internal/nn"
 )
 
-// This file implements engine.Stateful for every baseline node, so any
-// recipe algorithm can be checkpointed at a round boundary and resumed
-// bit-identically: model parameters (plus normalization running statistics),
-// optimizer momentum, and minibatch-stream RNG cursors all ride in the
-// snapshot. Codec-side state (error-feedback residuals, quantizer RNG) is
+// Every baseline node is engine.Stateful, so any recipe algorithm can be
+// checkpointed at a round boundary and resumed bit-identically: model
+// parameters (plus normalization running statistics), optimizer momentum, and
+// minibatch-stream RNG cursors all ride in the snapshot. A node that embeds
+// its core.Trainer and carries nothing else across a boundary (gradAvgNode,
+// neighborMixNode, psWorkerNode) gets the trainer's pair as it stands, a hub
+// server embeds serverModel, and this file holds the two nodes that really
+// add state. Codec-side state (error-feedback residuals, quantizer RNG) is
 // captured by the codecs themselves (see internal/engine/codec.go).
-
-// trainerState is a localTrainer's serialized round-boundary state.
-type trainerState struct {
-	Model    []byte // nn checkpoint: parameters + running statistics
-	Loader   dataset.LoaderState
-	Velocity []float64
-}
-
-func (t *localTrainer) captureState() (trainerState, error) {
-	var buf bytes.Buffer
-	if err := t.model.Save(&buf); err != nil {
-		return trainerState{}, err
-	}
-	return trainerState{
-		Model:    buf.Bytes(),
-		Loader:   t.loader.State(),
-		Velocity: t.opt.Velocity(),
-	}, nil
-}
-
-func (t *localTrainer) restoreState(st trainerState) error {
-	if err := t.model.Load(bytes.NewReader(st.Model)); err != nil {
-		return err
-	}
-	t.loader.SetState(st.Loader)
-	t.opt.SetVelocity(st.Velocity)
-	return nil
-}
 
 func blob(v any) ([]byte, error) {
 	var buf bytes.Buffer
@@ -55,52 +31,16 @@ func unblob(data []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// CaptureState implements engine.Stateful.
-func (g *gradAvgNode) CaptureState() ([]byte, error) {
-	st, err := g.t.captureState()
-	if err != nil {
-		return nil, err
-	}
-	return blob(st)
-}
-
-// RestoreState implements engine.Stateful.
-func (g *gradAvgNode) RestoreState(data []byte) error {
-	var st trainerState
-	if err := unblob(data, &st); err != nil {
-		return err
-	}
-	return g.t.restoreState(st)
-}
-
-// CaptureState implements engine.Stateful.
-func (d *neighborMixNode) CaptureState() ([]byte, error) {
-	st, err := d.t.captureState()
-	if err != nil {
-		return nil, err
-	}
-	return blob(st)
-}
-
-// RestoreState implements engine.Stateful.
-func (d *neighborMixNode) RestoreState(data []byte) error {
-	var st trainerState
-	if err := unblob(data, &st); err != nil {
-		return err
-	}
-	return d.t.restoreState(st)
-}
-
 // dcdState adds the public replicas to the trainer state — they evolve by
 // lossy deltas and cannot be reconstructed from the model alone.
 type dcdState struct {
-	Trainer  trainerState
+	Trainer  core.TrainerState
 	Replicas map[int][]float64
 }
 
 // CaptureState implements engine.Stateful.
 func (n *dcdNode) CaptureState() ([]byte, error) {
-	ts, err := n.t.captureState()
+	ts, err := n.State()
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +57,7 @@ func (n *dcdNode) RestoreState(data []byte) error {
 	if err := unblob(data, &st); err != nil {
 		return err
 	}
-	if err := n.t.restoreState(st.Trainer); err != nil {
+	if err := n.SetState(st.Trainer); err != nil {
 		return err
 	}
 	for j := range n.replicas {
@@ -126,34 +66,16 @@ func (n *dcdNode) RestoreState(data []byte) error {
 	return nil
 }
 
-// CaptureState implements engine.Stateful.
-func (p *psWorkerNode) CaptureState() ([]byte, error) {
-	st, err := p.t.captureState()
-	if err != nil {
-		return nil, err
-	}
-	return blob(st)
-}
-
-// RestoreState implements engine.Stateful.
-func (p *psWorkerNode) RestoreState(data []byte) error {
-	var st trainerState
-	if err := unblob(data, &st); err != nil {
-		return err
-	}
-	return p.t.restoreState(st)
-}
-
 // fedWorkerState adds the last pulled server model: S-FedAvg's delta upload
 // is relative to it, so a worker restored mid-schedule must remember it.
 type fedWorkerState struct {
-	Trainer trainerState
+	Trainer core.TrainerState
 	Pulled  []float64
 }
 
 // CaptureState implements engine.Stateful.
 func (f *fedWorkerNode) CaptureState() ([]byte, error) {
-	ts, err := f.t.captureState()
+	ts, err := f.State()
 	if err != nil {
 		return nil, err
 	}
@@ -166,20 +88,26 @@ func (f *fedWorkerNode) RestoreState(data []byte) error {
 	if err := unblob(data, &st); err != nil {
 		return err
 	}
-	if err := f.t.restoreState(st.Trainer); err != nil {
+	if err := f.SetState(st.Trainer); err != nil {
 		return err
 	}
 	f.pulled = append(f.pulled[:0], st.Pulled...)
 	return nil
 }
 
-// serverState is a hub server's round-boundary state: the global model.
+// serverModel is a hub server's round-boundary state, the global model; both
+// server nodes embed it.
+type serverModel struct {
+	model *nn.Model
+}
+
+// serverState is serverModel on the wire.
 type serverState struct {
 	Model []byte
 }
 
 // CaptureState implements engine.Stateful.
-func (s *psServerNode) CaptureState() ([]byte, error) {
+func (s serverModel) CaptureState() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := s.model.Save(&buf); err != nil {
 		return nil, err
@@ -188,25 +116,7 @@ func (s *psServerNode) CaptureState() ([]byte, error) {
 }
 
 // RestoreState implements engine.Stateful.
-func (s *psServerNode) RestoreState(data []byte) error {
-	var st serverState
-	if err := unblob(data, &st); err != nil {
-		return err
-	}
-	return s.model.Load(bytes.NewReader(st.Model))
-}
-
-// CaptureState implements engine.Stateful.
-func (s *fedServerNode) CaptureState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.model.Save(&buf); err != nil {
-		return nil, err
-	}
-	return blob(serverState{Model: buf.Bytes()})
-}
-
-// RestoreState implements engine.Stateful.
-func (s *fedServerNode) RestoreState(data []byte) error {
+func (s serverModel) RestoreState(data []byte) error {
 	var st serverState
 	if err := unblob(data, &st); err != nil {
 		return err

@@ -1,30 +1,133 @@
 package algos
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"sapspsgd/internal/graph"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/topology"
+	"sapspsgd/internal/tensor"
 )
+
+// The static communication topologies decentralized SGD is classically run
+// on — ring, 2-D torus, hypercube, random regular expanders. The paper's
+// §II-C argues the ring is the best information spreader among ≤2-neighbor
+// topologies; the D-PSGD ablation below makes the comparison measurable
+// through the recipe's mix seam: more neighbors buy faster consensus at
+// proportionally higher per-round traffic.
+
+// topo is a named static undirected communication graph.
+type topo struct {
+	name string
+	g    *graph.Graph
+}
+
+// ring returns the cycle on n vertices.
+func ring(n int) topo {
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, (i+1)%n)
+	}
+	return topo{fmt.Sprintf("ring-%d", n), g}
+}
+
+// torus returns the rows×cols 2-D torus (each vertex has 4 neighbors;
+// degenerate dimensions collapse gracefully).
+func torus(rows, cols int) topo {
+	g := graph.New(rows * cols)
+	id := func(r, c int) int { return ((r+rows)%rows)*cols + (c+cols)%cols }
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			g.AddEdge(id(r, c), id(r, c+1))
+			g.AddEdge(id(r, c), id(r+1, c))
+		}
+	}
+	return topo{fmt.Sprintf("torus-%dx%d", rows, cols), g}
+}
+
+// hypercube returns the d-dimensional hypercube on 2^d vertices.
+func hypercube(d int) topo {
+	n := 1 << d
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		for b := 0; b < d; b++ {
+			g.AddEdge(v, v^(1<<b))
+		}
+	}
+	return topo{fmt.Sprintf("hypercube-%d", d), g}
+}
+
+// randomRegular returns a random d-regular graph on n vertices via the
+// pairing model with retries (n·d must be even). Random regular graphs are
+// expanders with high probability — near-optimal mixing at constant degree.
+func randomRegular(n, d int, r *rng.Source) topo {
+	if d < 1 || d >= n || n*d%2 != 0 {
+		panic(fmt.Sprintf("invalid regular graph n=%d d=%d", n, d))
+	}
+	for attempt := 0; attempt < 200; attempt++ {
+		g := tryPairing(n, d, r)
+		if g != nil && g.IsConnected() {
+			return topo{fmt.Sprintf("random-%d-regular-%d", d, n), g}
+		}
+	}
+	panic("pairing model failed to produce a simple connected graph")
+}
+
+// tryPairing samples one pairing-model configuration; returns nil if it has
+// self-loops or multi-edges.
+func tryPairing(n, d int, r *rng.Source) *graph.Graph {
+	stubs := make([]int, 0, n*d)
+	for v := 0; v < n; v++ {
+		for k := 0; k < d; k++ {
+			stubs = append(stubs, v)
+		}
+	}
+	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	g := graph.New(n)
+	for i := 0; i < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		if u == v || g.HasEdge(u, v) {
+			return nil
+		}
+		g.AddEdge(u, v)
+	}
+	return g
+}
+
+func (tp topo) adj() [][]int {
+	adj := make([][]int, tp.g.N)
+	for i := range adj {
+		adj[i] = tp.g.Neighbors(i)
+	}
+	return adj
+}
+
+// dpsgdOn is D-PSGD over tp with Metropolis–Hastings mixing rows: the d-psgd
+// recipe's node/codec composition, with tp's adjacency driving the
+// Neighborhood pattern.
+func dpsgdOn(fc FleetConfig, tp topo) Algorithm {
+	return New(fc, Recipe{Algo: "d-psgd", mix: &mixGraph{name: "D-PSGD(" + tp.name + ")", adj: tp.adj()}}, nil)
+}
 
 func TestDPSGDTopologyVariantsLearn(t *testing.T) {
 	const n, rounds = 8, 150
-	tops := []Topology{
-		topology.Ring(n),
-		topology.Torus(2, 4),
-		topology.Hypercube(3),
-		topology.RandomRegular(n, 3, rng.New(4)),
+	tops := []topo{
+		ring(n),
+		torus(2, 4),
+		hypercube(3),
+		randomRegular(n, 3, rng.New(4)),
 	}
 	for _, tp := range tops {
 		tp := tp
-		t.Run(tp.Name, func(t *testing.T) {
+		t.Run(tp.name, func(t *testing.T) {
 			t.Parallel()
 			fc, bw, va := testSetup(t, n)
-			alg := NewDPSGDTopology(fc, tp)
+			alg := dpsgdOn(fc, tp)
 			acc, led := runRounds(t, alg, bw, va, rounds)
 			if acc < 0.75 {
-				t.Fatalf("%s accuracy %v", tp.Name, acc)
+				t.Fatalf("%s accuracy %v", tp.name, acc)
 			}
 			if !led.ConservationOK() {
 				t.Fatal("conservation")
@@ -35,21 +138,21 @@ func TestDPSGDTopologyVariantsLearn(t *testing.T) {
 
 func TestDPSGDTopologyTrafficScalesWithDegree(t *testing.T) {
 	const n, rounds = 8, 10
-	run := func(tp Topology) float64 {
+	run := func(tp topo) float64 {
 		fc, bw, _ := testSetup(t, n)
-		alg := NewDPSGDTopology(fc, tp)
+		alg := dpsgdOn(fc, tp)
 		led := netsim.NewLedger(bw)
 		for r := 0; r < rounds; r++ {
 			alg.Step(r, led)
 		}
 		return led.MeanWorkerTrafficMB()
 	}
-	ring := run(topology.Ring(n))      // degree 2
-	cube := run(topology.Hypercube(3)) // degree 3
-	if cube <= ring {
-		t.Fatalf("hypercube traffic %v not above ring %v", cube, ring)
+	ringMB := run(ring(n))      // degree 2
+	cubeMB := run(hypercube(3)) // degree 3
+	if cubeMB <= ringMB {
+		t.Fatalf("hypercube traffic %v not above ring %v", cubeMB, ringMB)
 	}
-	ratio := cube / ring
+	ratio := cubeMB / ringMB
 	if ratio < 1.3 || ratio > 1.7 { // 3/2 = 1.5
 		t.Fatalf("traffic ratio %v, want ~1.5", ratio)
 	}
@@ -59,10 +162,9 @@ func TestDPSGDTopologyConsensusFasterOnExpander(t *testing.T) {
 	// After the same number of rounds, the hypercube's consensus error must
 	// be below the ring's (more edges, faster mixing).
 	const n, rounds = 8, 60
-	consensusOf := func(tp Topology) float64 {
+	consensusOf := func(tp topo) float64 {
 		fc, bw, _ := testSetup(t, n)
-		// Non-IID shards exaggerate drift so the comparison is crisp.
-		alg := NewDPSGDTopology(fc, tp)
+		alg := dpsgdOn(fc, tp)
 		led := netsim.NewLedger(bw)
 		for r := 0; r < rounds; r++ {
 			alg.Step(r, led)
@@ -84,10 +186,10 @@ func TestDPSGDTopologyConsensusFasterOnExpander(t *testing.T) {
 		}
 		return tot
 	}
-	ring := consensusOf(topology.Ring(n))
-	cube := consensusOf(topology.Hypercube(3))
-	if cube >= ring {
-		t.Fatalf("hypercube consensus error %v not below ring %v", cube, ring)
+	ringErr := consensusOf(ring(n))
+	cubeErr := consensusOf(hypercube(3))
+	if cubeErr >= ringErr {
+		t.Fatalf("hypercube consensus error %v not below ring %v", cubeErr, ringErr)
 	}
 }
 
@@ -99,6 +201,156 @@ func TestDPSGDTopologyValidation(t *testing.T) {
 				t.Fatal("size mismatch accepted")
 			}
 		}()
-		NewDPSGDTopology(fc, topology.Ring(8))
+		dpsgdOn(fc, ring(8))
 	}()
+}
+
+func TestRing(t *testing.T) {
+	tp := ring(8)
+	if tp.g.EdgeCount() != 8 || !tp.g.IsConnected() {
+		t.Fatalf("ring: %d edges", tp.g.EdgeCount())
+	}
+	for v := 0; v < 8; v++ {
+		if len(tp.g.Neighbors(v)) != 2 {
+			t.Fatalf("ring degree at %d", v)
+		}
+	}
+}
+
+func TestTorus(t *testing.T) {
+	tp := torus(3, 4)
+	if tp.g.N != 12 || !tp.g.IsConnected() {
+		t.Fatal("torus shape")
+	}
+	for v := 0; v < 12; v++ {
+		if len(tp.g.Neighbors(v)) != 4 {
+			t.Fatalf("torus degree %d at %d", len(tp.g.Neighbors(v)), v)
+		}
+	}
+}
+
+func TestHypercube(t *testing.T) {
+	tp := hypercube(4)
+	if tp.g.N != 16 || !tp.g.IsConnected() {
+		t.Fatal("hypercube shape")
+	}
+	for v := 0; v < 16; v++ {
+		if len(tp.g.Neighbors(v)) != 4 {
+			t.Fatal("hypercube degree")
+		}
+	}
+	// Neighbors differ in exactly one bit.
+	for v := 0; v < 16; v++ {
+		for _, u := range tp.g.Neighbors(v) {
+			x := uint(v ^ u)
+			if x&(x-1) != 0 {
+				t.Fatalf("edge %d-%d differs in >1 bit", v, u)
+			}
+		}
+	}
+}
+
+func TestRandomRegular(t *testing.T) {
+	tp := randomRegular(16, 3, rng.New(5))
+	if !tp.g.IsConnected() {
+		t.Fatal("not connected")
+	}
+	for v := 0; v < 16; v++ {
+		if len(tp.g.Neighbors(v)) != 3 {
+			t.Fatalf("degree %d at %d", len(tp.g.Neighbors(v)), v)
+		}
+	}
+}
+
+func TestRandomRegularBadArgsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for odd n·d")
+		}
+	}()
+	randomRegular(5, 3, rng.New(1))
+}
+
+// metropolisW is the dense mixing matrix the production rows add up to.
+func metropolisW(tp topo) *tensor.Matrix {
+	adj := tp.adj()
+	w := tensor.NewMatrix(tp.g.N, tp.g.N)
+	for i := range adj {
+		for j, v := range metropolisRow(adj, i) {
+			w.Set(i, j, v)
+		}
+	}
+	return w
+}
+
+func TestMetropolisWDoublyStochastic(t *testing.T) {
+	tops := []topo{
+		ring(9),
+		torus(3, 3),
+		hypercube(3),
+		randomRegular(12, 3, rng.New(7)),
+		{"star-5", graph.NewFromEdges(5, []graph.WeightedEdge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}})},
+	}
+	for _, tp := range tops {
+		w := metropolisW(tp)
+		if !w.IsDoublyStochastic(1e-12) {
+			t.Fatalf("%s: Metropolis rows not doubly stochastic", tp.name)
+		}
+		for i := 0; i < w.Rows; i++ {
+			for j := 0; j < w.Cols; j++ {
+				if w.At(i, j) != w.At(j, i) {
+					t.Fatalf("%s: asymmetric at (%d,%d)", tp.name, i, j)
+				}
+			}
+		}
+	}
+	// The paper's ring: the uniform 1/3 with the self weight absorbing the
+	// remainder, to the bit — the rows d-psgd and dcd-psgd have always run on
+	// (the two-worker ring's neighbors coincide: 1/2, 1/2).
+	for _, n := range []int{2, 3, 8} {
+		adj := ringAdjacency(n)
+		for i := range adj {
+			nb := 1 / float64(len(adj[i])+1)
+			want := map[int]float64{i: 1 - float64(len(adj[i]))*nb}
+			for _, j := range adj[i] {
+				want[j] = nb
+			}
+			got := metropolisRow(adj, i)
+			if len(got) != len(want) {
+				t.Fatalf("ring-%d row %d: %v, want %v", n, i, got, want)
+			}
+			for j, v := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(v) {
+					t.Fatalf("ring-%d W[%d][%d] = %v, want %v", n, i, j, got[j], v)
+				}
+			}
+		}
+	}
+}
+
+func TestGossipConsensusOnTopologies(t *testing.T) {
+	// Iterating x ← Wx on any connected topology must contract disagreement.
+	r := rng.New(11)
+	for _, tp := range []topo{ring(12), torus(3, 4), hypercube(3)} {
+		w := metropolisW(tp)
+		x := make([]float64, tp.g.N)
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		dis := func(x []float64) float64 {
+			m := tensor.Mean(x)
+			s := 0.0
+			for _, v := range x {
+				s += (v - m) * (v - m)
+			}
+			return s
+		}
+		d0 := dis(x)
+		for it := 0; it < 200; it++ {
+			x = tensor.MatVec(w, x)
+		}
+		if dis(x) > d0*1e-6 {
+			t.Fatalf("%s: consensus not reached (%v -> %v)", tp.name, d0, dis(x))
+		}
+	}
 }

@@ -1,10 +1,11 @@
 // Package core implements SAPS-PSGD itself: the worker update of
-// Algorithm 2 (local SGD, shared-seed sparsification, single-peer masked
-// gossip averaging) and the coordinator of Algorithm 1 (per-round gossip
-// matrix generation with adaptive peer selection, mask-seed broadcast, round
-// barriers). The same worker logic runs in-process for the experiment
-// harness and over TCP for the deployable system (internal/transport,
-// cmd/coordinator, cmd/worker).
+// Algorithm 2 — a Trainer (local SGD on the rank's shard, the one step every
+// comparator's node shares and checkpoints through) under a Worker's
+// shared-seed sparsification and single-peer masked gossip averaging — and
+// the coordinator of Algorithm 1 (per-round gossip matrix generation with
+// adaptive peer selection, mask-seed broadcast, round barriers). The same
+// worker logic runs in-process for the experiment harness and over TCP for
+// the deployable system (internal/transport, cmd/coordinator, cmd/worker).
 package core
 
 import (
@@ -38,16 +39,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.Workers < 2:
 		return fmt.Errorf("core: need at least 2 workers, got %d", c.Workers)
-	case c.Gossip.TThres < 1:
-		return fmt.Errorf("core: TThres %d < 1", c.Gossip.TThres)
-	}
-	return c.validateWorker()
-}
-
-// validateWorker checks the fields a Worker reads (Algorithm 2's knobs); the
-// fleet size and Algorithm 3's thresholds are the coordinator's alone.
-func (c Config) validateWorker() error {
-	switch {
 	case c.Compression < 1:
 		return fmt.Errorf("core: compression ratio %v < 1", c.Compression)
 	case c.LR <= 0:
@@ -56,6 +47,8 @@ func (c Config) validateWorker() error {
 		return fmt.Errorf("core: batch %d < 1", c.Batch)
 	case c.LocalSteps < 1:
 		return fmt.Errorf("core: local steps %d < 1", c.LocalSteps)
+	case c.Gossip.TThres < 1:
+		return fmt.Errorf("core: TThres %d < 1", c.Gossip.TThres)
 	}
 	return nil
 }

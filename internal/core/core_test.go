@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sapspsgd/internal/compress"
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
@@ -31,10 +32,25 @@ func buildWorkers(t *testing.T, n int, cfg Config) []*Worker {
 	ws := make([]*Worker, n)
 	for i := range ws {
 		model := nn.NewMLP(tr.Dim(), []int{8}, 3, cfg.Seed) // same init everywhere
-		ws[i] = NewWorker(i, model, shards[i], cfg)
+		ws[i] = newTestWorker(i, model, shards[i], cfg)
 	}
 	return ws
 }
+
+// newTestWorker builds rank's worker as the saps recipe does.
+func newTestWorker(rank int, model *nn.Model, shard *dataset.Dataset, cfg Config) *Worker {
+	t := NewTrainer(model, shard, cfg.Batch, cfg.LR, cfg.Seed+uint64(rank)*7919)
+	return NewWorker(t, cfg.Compression, cfg.LocalSteps)
+}
+
+// maskedPayload is the message a worker sends its peer (Algorithm 2 line 7):
+// x̃ = x ∘ m packed, exactly as the engine's Masked codec extracts it from
+// ParamsScratch under the round's mask.
+func maskedPayload(w *Worker, mask []bool) []float64 {
+	return compress.ExtractInto(nil, w.ParamsScratch(), mask)
+}
+
+func params(w *Worker) []float64 { return w.Model.FlatParams(nil) }
 
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(4)
@@ -62,11 +78,11 @@ func TestWorkersShareMask(t *testing.T) {
 	cfg := testConfig(4)
 	ws := buildWorkers(t, 4, cfg)
 	ref := ws[0].RoundMask(99, 7)
-	for _, w := range ws[1:] {
+	for rank, w := range ws[1:] {
 		m := w.RoundMask(99, 7)
 		for i := range m {
 			if m[i] != ref[i] {
-				t.Fatalf("worker %d mask differs at %d", w.Rank, i)
+				t.Fatalf("worker %d mask differs at %d", rank+1, i)
 			}
 		}
 	}
@@ -87,14 +103,13 @@ func TestMaskedExchangeAveragesExactly(t *testing.T) {
 	ws[1].Model.SetFlatParams(b)
 
 	mask := ws[0].RoundMask(5, 1)
-	ws[1].RoundMask(5, 1)
-	pa := ws[0].MaskedPayload()
-	pb := ws[1].MaskedPayload()
+	pa := maskedPayload(ws[0], mask)
+	pb := maskedPayload(ws[1], ws[1].RoundMask(5, 1))
 	ws[0].MergePeer(pb)
 	ws[1].MergePeer(pa)
 
-	ga := ws[0].Params()
-	gb := ws[1].Params()
+	ga := params(ws[0])
+	gb := params(ws[1])
 	for i := range ga {
 		if mask[i] {
 			want := (a[i] + b[i]) / 2
@@ -126,14 +141,12 @@ func TestMergePeerConservesMean(t *testing.T) {
 	ws[1].Model.SetFlatParams(b)
 	sumBefore := tensor.Sum(a) + tensor.Sum(b)
 
-	ws[0].RoundMask(11, 2)
-	ws[1].RoundMask(11, 2)
-	pa := ws[0].MaskedPayload()
-	pb := ws[1].MaskedPayload()
+	pa := maskedPayload(ws[0], ws[0].RoundMask(11, 2))
+	pb := maskedPayload(ws[1], ws[1].RoundMask(11, 2))
 	ws[0].MergePeer(pb)
 	ws[1].MergePeer(pa)
 
-	sumAfter := tensor.Sum(ws[0].Params()) + tensor.Sum(ws[1].Params())
+	sumAfter := tensor.Sum(params(ws[0])) + tensor.Sum(params(ws[1]))
 	if math.Abs(sumAfter-sumBefore) > 1e-9 {
 		t.Fatalf("sum drifted: %v -> %v", sumBefore, sumAfter)
 	}
@@ -152,6 +165,9 @@ func TestMergePeerWrongLenPanics(t *testing.T) {
 }
 
 func TestPayloadBeforeMaskPanics(t *testing.T) {
+	// A peer's payload cannot be interpreted before the round's mask is
+	// drawn: even the empty payload must be refused, not merged as "no
+	// masked coordinates".
 	cfg := testConfig(2)
 	ws := buildWorkers(t, 2, cfg)
 	defer func() {
@@ -159,7 +175,7 @@ func TestPayloadBeforeMaskPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ws[0].MaskedPayload()
+	ws[0].MergePeer(nil)
 }
 
 func TestGossipOnlyConsensus(t *testing.T) {
@@ -173,7 +189,7 @@ func TestGossipOnlyConsensus(t *testing.T) {
 	// Distinct starting points.
 	r := rng.New(13)
 	for _, w := range ws {
-		p := w.Params()
+		p := params(w)
 		for i := range p {
 			p[i] = r.NormFloat64()
 		}
@@ -186,11 +202,13 @@ func TestGossipOnlyConsensus(t *testing.T) {
 		dim := ws[0].Model.ParamCount()
 		mean := make([]float64, dim)
 		for _, w := range ws {
-			tensor.Axpy(1/float64(n), w.Params(), mean)
+			tensor.Axpy(1/float64(n), params(w), mean)
 		}
 		total := 0.0
+		diff := make([]float64, dim)
 		for _, w := range ws {
-			d := w.Disagreement(mean)
+			tensor.Sub(diff, params(w), mean)
+			d := tensor.Norm2(diff)
 			total += d * d
 		}
 		return total
@@ -199,12 +217,9 @@ func TestGossipOnlyConsensus(t *testing.T) {
 	before := disagreement()
 	for round := 0; round < 150; round++ {
 		plan := coord.Plan(round)
-		for _, w := range ws {
-			w.RoundMask(plan.Seed, plan.Round)
-		}
 		payloads := make([][]float64, n)
 		for i, w := range ws {
-			payloads[i] = w.MaskedPayload()
+			payloads[i] = maskedPayload(w, w.RoundMask(plan.Seed, plan.Round))
 		}
 		for i, w := range ws {
 			if peer := plan.Peer[i]; peer != -1 {

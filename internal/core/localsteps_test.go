@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"sapspsgd/internal/compress"
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/nn"
 )
@@ -12,7 +13,7 @@ func TestLocalStepsMultiple(t *testing.T) {
 	cfg.LocalSteps = 4
 	tr, _ := dataset.TinyTask(100, 3, 5)
 	shards := dataset.PartitionIID(tr, 2, 1)
-	w := NewWorker(0, nn.NewMLP(tr.Dim(), []int{8}, 3, 1), shards[0], cfg)
+	w := newTestWorker(0, nn.NewMLP(tr.Dim(), []int{8}, 3, 1), shards[0], cfg)
 	before := w.Loader.Epochs
 	// 4 local steps of batch 8 over a 50-sample shard: about 2/3 of an
 	// epoch per round; after 3 rounds the loader must have cycled.
@@ -32,7 +33,7 @@ func TestRoundMaskChangesEachRound(t *testing.T) {
 	cfg.Compression = 2
 	tr, _ := dataset.TinyTask(60, 3, 5)
 	shards := dataset.PartitionIID(tr, 2, 1)
-	w := NewWorker(0, nn.NewMLP(tr.Dim(), []int{8}, 3, 1), shards[0], cfg)
+	w := newTestWorker(0, nn.NewMLP(tr.Dim(), []int{8}, 3, 1), shards[0], cfg)
 	a := append([]bool(nil), w.RoundMask(9, 1)...)
 	b := w.RoundMask(9, 2)
 	diff := 0
@@ -51,11 +52,11 @@ func TestPayloadLenMatchesMaskDensity(t *testing.T) {
 	cfg.Compression = 4
 	tr, _ := dataset.TinyTask(60, 3, 5)
 	shards := dataset.PartitionIID(tr, 2, 1)
-	w := NewWorker(0, nn.NewMLP(tr.Dim(), []int{16}, 3, 1), shards[0], cfg)
-	w.RoundMask(3, 1)
-	payload := w.MaskedPayload()
-	if len(payload) != w.PayloadLen() {
-		t.Fatalf("payload %d vs PayloadLen %d", len(payload), w.PayloadLen())
+	w := newTestWorker(0, nn.NewMLP(tr.Dim(), []int{16}, 3, 1), shards[0], cfg)
+	mask := w.RoundMask(3, 1)
+	payload := maskedPayload(w, mask)
+	if len(payload) != compress.CountOnes(mask) {
+		t.Fatalf("payload %d vs mask population %d", len(payload), compress.CountOnes(mask))
 	}
 	n := w.Model.ParamCount()
 	want := float64(n) / 4

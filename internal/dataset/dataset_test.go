@@ -199,6 +199,7 @@ func TestLoaderPanics(t *testing.T) {
 	for _, bad := range []func(){
 		func() { NewLoader(tr, 0, 1) },
 		func() { NewLoader(&Dataset{Classes: 2}, 1, 1) },
+		func() { NewLoader(tr, 2, 1).SetState(LoaderState{}) },
 		func() { PartitionIID(tr, 0, 1) },
 		func() { PartitionByLabel(tr, 0, 1, 1) },
 	} {

@@ -281,8 +281,13 @@ func (l *Loader) State() LoaderState {
 }
 
 // SetState restores a position captured by State. It panics if the captured
-// order does not index this loader's dataset.
+// order is not an ordering of this loader's dataset — a state decoded from a
+// snapshot that lost the field is empty, and its all-zero RNG would never
+// produce another shuffle.
 func (l *Loader) SetState(st LoaderState) {
+	if len(st.Order) != l.d.Len() {
+		panic(fmt.Sprintf("dataset: loader state orders %d samples for dataset of %d", len(st.Order), l.d.Len()))
+	}
 	for _, i := range st.Order {
 		if i < 0 || i >= l.d.Len() {
 			panic(fmt.Sprintf("dataset: loader state order entry %d for dataset of %d", i, l.d.Len()))

@@ -76,7 +76,7 @@ func TestCheckpointResumeSAPS(t *testing.T) {
 	runRounds(t, eng2, led2, cut, total)
 
 	for i := range refWorkers {
-		want, got := refWorkers[i].Params(), workers2[i].Params()
+		want, got := refWorkers[i].Model.FlatParams(nil), workers2[i].Model.FlatParams(nil)
 		for j := range want {
 			if want[j] != got[j] {
 				t.Fatalf("worker %d param %d: resumed %v != uninterrupted %v", i, j, got[j], want[j])

@@ -21,13 +21,14 @@
 //     from the bytes the codecs actually produced — never from analytic
 //     formulas.
 //
-// Three backends run the identical round logic:
+// Two transports run the identical round logic, the in-process one under
+// either ledger:
 //
-//   - memtransport: in-process per-pair FIFOs, zero-time CountingLedger — the
-//     pure-algorithm backend behind the internal/algos simulations;
-//   - simtransport: the same FIFOs charged against a netsim bandwidth
-//     matrix (*netsim.Ledger satisfies Ledger), reproducing the paper's
-//     byte- and second-accurate simulation;
+//   - memtransport: in-process per-pair FIFOs. With the zero-time
+//     CountingLedger it is the pure-algorithm backend; charged against a
+//     netsim bandwidth matrix (*netsim.Ledger satisfies Ledger) it is the
+//     simulated backend behind the internal/algos simulations, reproducing
+//     the paper's byte- and second-accurate simulation;
 //   - internal/transport: real TCP — WorkerClient runs WorkerRound over gob
 //     connections and CoordinatorServer runs Driver over its control conns.
 //

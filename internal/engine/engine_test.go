@@ -13,7 +13,6 @@ import (
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/engine/memtransport"
-	"sapspsgd/internal/engine/simtransport"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
@@ -85,7 +84,7 @@ func inProcRun(t *testing.T, spec transport.TaskSpec, n int, inner engine.Ledger
 		}
 		snap := make([][]float64, n)
 		for i, w := range workers {
-			snap[i] = w.Params()
+			snap[i] = w.Model.FlatParams(nil)
 		}
 		trajectory = append(trajectory, snap)
 	}
@@ -129,20 +128,20 @@ func tcpRun(t *testing.T, spec transport.TaskSpec, n int) (roundBytes []int64, f
 
 // TestBackendEquivalence is the three-backend contract: identical model
 // trajectories (bit-for-bit) and identical per-round traffic totals over
-// memtransport, simtransport, and TCP.
+// memtransport, memtransport charged against a netsim ledger, and TCP.
 func TestBackendEquivalence(t *testing.T) {
 	const n, rounds = 4, 8
 	spec := testSpec(rounds)
 
 	memBytes, memTraj := inProcRun(t, spec, n, nil, memtransport.NewHub(n))
 
-	simHub, simLed := simtransport.New(testEnv(n))
+	simHub, simLed := memtransport.NewHub(n), netsim.NewLedger(testEnv(n))
 	simBytes, simTraj := inProcRun(t, spec, n, simLed, simHub)
 
 	tcpBytes, tcpFinal := tcpRun(t, spec, n)
 
 	// Per-round traffic totals must agree across all three backends.
-	for name, got := range map[string][]int64{"simtransport": simBytes, "tcptransport": tcpBytes} {
+	for name, got := range map[string][]int64{"netsim": simBytes, "tcptransport": tcpBytes} {
 		if len(got) != len(memBytes) {
 			t.Fatalf("%s: %d rounds accounted, want %d", name, len(got), len(memBytes))
 		}
@@ -155,10 +154,10 @@ func TestBackendEquivalence(t *testing.T) {
 	// The simulated backend also accrues bandwidth-modelled time; the byte
 	// totals must still match the bandwidth-free accounting exactly.
 	if simLed.TotalTime() <= 0 {
-		t.Error("simtransport: no simulated communication time accrued")
+		t.Error("netsim ledger: no simulated communication time accrued")
 	}
 	if !simLed.ConservationOK() {
-		t.Error("simtransport: ledger conservation violated")
+		t.Error("netsim ledger: conservation violated")
 	}
 
 	// mem vs sim: bit-identical trajectory, every worker, every round.
@@ -199,7 +198,7 @@ func TestEngineHonorsActiveSet(t *testing.T) {
 		}
 	})
 	opts, workers := sapsFleet(t, spec, n, planner)
-	before := workers[3].Params()
+	before := workers[3].Model.FlatParams(nil)
 	eng := engine.New(opts)
 	defer eng.Close()
 	led := &engine.CountingLedger{}
@@ -207,7 +206,7 @@ func TestEngineHonorsActiveSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := workers[3].Params()
+	after := workers[3].Model.FlatParams(nil)
 	for j := range before {
 		if after[j] != before[j] {
 			t.Fatalf("inactive worker 3 trained: param %d changed", j)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"sapspsgd/internal/core"
@@ -45,32 +46,17 @@ type Options struct {
 // once and reused every round, running the pattern's phases with barriers in
 // between (see DESIGN.md §2). Engine implements Control for its own Driver.
 //
-// Close releases the executors; a finalizer-style cleanup also releases them
-// when an un-Closed Engine becomes unreachable, so dropping an Engine on the
-// floor does not leak goroutines.
+// Close releases the executors; a finalizer also releases them when an
+// un-Closed Engine becomes unreachable, so dropping an Engine on the floor
+// does not leak goroutines.
 type Engine struct {
 	nodes   []Node
 	codecs  []Codec
 	pattern Pattern
 	driver  Driver
 	sharded *shardRunner
-	stop    *poolStop
+	stop    sync.Once // closes the executors' command channels exactly once
 	closed  bool
-}
-
-// poolStop closes the executors' command channels exactly once, whether via
-// an explicit Close or the unreachability cleanup.
-type poolStop struct {
-	once sync.Once
-	cmds []chan shardCmd
-}
-
-func (s *poolStop) shutdown() {
-	s.once.Do(func() {
-		for _, c := range s.cmds {
-			close(c)
-		}
-	})
 }
 
 // New builds the engine and spawns its shard executors.
@@ -102,10 +88,9 @@ func New(opts Options) *Engine {
 	e.driver = Driver{Planner: opts.Planner, Control: e, Metrics: obs.Current().EngineM()}
 	e.sharded = newShardRunner(nodes, codecs, pat, tr, opts.Shards)
 	// The executor goroutines deliberately do not reference e, so an
-	// abandoned Engine is collectable; the cleanup then closes their command
-	// channels.
-	e.stop = &poolStop{cmds: e.sharded.cmds}
-	registerEngineCleanup(e, e.stop)
+	// abandoned Engine is collectable; the finalizer then closes their
+	// command channels.
+	runtime.SetFinalizer(e, (*Engine).Close)
 	return e
 }
 
@@ -156,5 +141,12 @@ func (e *Engine) Nodes() []Node { return e.nodes }
 // Close. Close is idempotent.
 func (e *Engine) Close() {
 	e.closed = true
-	e.stop.shutdown()
+	e.stop.Do(func() {
+		// A pending finalizer would keep the fleet alive through one more
+		// collection after the caller dropped it.
+		runtime.SetFinalizer(e, nil)
+		for _, c := range e.sharded.cmds {
+			close(c)
+		}
+	})
 }

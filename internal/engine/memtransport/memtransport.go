@@ -2,7 +2,7 @@
 // encoded payloads over through per-directed-pair FIFO channels, with no
 // wire format and no time model. It is the backend behind every
 // internal/algos simulation; pair it with engine.CountingLedger for pure
-// traffic totals or with a *netsim.Ledger (via simtransport) for
+// traffic totals or with a *netsim.Ledger for
 // bandwidth-accounted time.
 package memtransport
 

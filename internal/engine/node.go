@@ -129,21 +129,10 @@ func (n *MaskedGossipNode) Merge(ctx RoundContext, msgs []PeerMsg) error {
 	return nil
 }
 
-// CaptureState implements Stateful: the wrapped worker's round-boundary
-// state (model checkpoint, loader cursor, optimizer momentum).
-func (n *MaskedGossipNode) CaptureState() ([]byte, error) {
-	st, err := n.W.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return gobBlob(st)
-}
+// CaptureState implements Stateful: the worker's trainer state (model
+// checkpoint, loader cursor, optimizer momentum) — the mask handle is
+// regenerated from the broadcast seed and carries nothing across a boundary.
+func (n *MaskedGossipNode) CaptureState() ([]byte, error) { return n.W.CaptureState() }
 
 // RestoreState implements Stateful.
-func (n *MaskedGossipNode) RestoreState(data []byte) error {
-	var st core.WorkerState
-	if err := gobUnblob(data, &st); err != nil {
-		return err
-	}
-	return n.W.RestoreState(st)
-}
+func (n *MaskedGossipNode) RestoreState(data []byte) error { return n.W.RestoreState(data) }

@@ -7,7 +7,6 @@ import (
 	"sapspsgd/internal/graph"
 	"sapspsgd/internal/rng"
 	"sapspsgd/internal/tensor"
-	"sapspsgd/internal/topology"
 )
 
 func TestPowerIterationDiagonal(t *testing.T) {
@@ -174,15 +173,62 @@ func TestRhoOfMatchingsMatchesDense(t *testing.T) {
 	}
 }
 
+// regularW is the Metropolis–Hastings gossip matrix of a d-regular graph:
+// 1/(d+1) on every edge and on the diagonal.
+func regularW(g *graph.Graph) *tensor.Matrix {
+	w := tensor.NewMatrix(g.N, g.N)
+	for v := 0; v < g.N; v++ {
+		nbrs := g.Neighbors(v)
+		w.Set(v, v, 1/float64(len(nbrs)+1))
+		for _, u := range nbrs {
+			w.Set(v, u, 1/float64(len(nbrs)+1))
+		}
+	}
+	return w
+}
+
+// randomRegularGraph draws a connected simple d-regular graph on n vertices
+// by the pairing model, retrying on self-loops and multi-edges.
+func randomRegularGraph(t *testing.T, n, d int, r *rng.Source) *graph.Graph {
+	t.Helper()
+	stubs := make([]int, n*d)
+attempts:
+	for attempt := 0; attempt < 200; attempt++ {
+		for i := range stubs {
+			stubs[i] = i / d
+		}
+		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		g := graph.New(n)
+		for i := 0; i < len(stubs); i += 2 {
+			u, v := stubs[i], stubs[i+1]
+			if u == v || g.HasEdge(u, v) {
+				continue attempts
+			}
+			g.AddEdge(u, v)
+		}
+		if g.IsConnected() {
+			return g
+		}
+	}
+	t.Fatal("pairing model failed to produce a simple connected graph")
+	return nil
+}
+
 func TestExpanderMixesFasterThanRing(t *testing.T) {
 	// Spectral comparison at equal size: the hypercube (degree 4) and a
 	// random 4-regular graph must have smaller second eigenvalue than the
 	// ring (degree 2) on 16 vertices — more edges, faster consensus. This
 	// quantifies the communication/mixing trade-off of §II-C.
-	const iters = 600
-	ring := SecondLargestEigenvalue(topology.MetropolisW(topology.Ring(16)), iters)
-	cube := SecondLargestEigenvalue(topology.MetropolisW(topology.Hypercube(4)), iters)
-	rnd4 := SecondLargestEigenvalue(topology.MetropolisW(topology.RandomRegular(16, 4, rng.New(3))), iters)
+	const n, iters = 16, 600
+	cube4 := graph.New(n)
+	for v := 0; v < n; v++ {
+		for b := 0; b < 4; b++ {
+			cube4.AddEdge(v, v^(1<<b))
+		}
+	}
+	ring := SecondLargestEigenvalue(RingW(n), iters)
+	cube := SecondLargestEigenvalue(regularW(cube4), iters)
+	rnd4 := SecondLargestEigenvalue(regularW(randomRegularGraph(t, n, 4, rng.New(3))), iters)
 	if cube >= ring {
 		t.Fatalf("hypercube rho %v not below ring rho %v", cube, ring)
 	}

@@ -47,9 +47,14 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return out
 }
 
-// Backward routes gradients through the surviving units with the same scale.
+// Backward routes gradients through the surviving units with the same scale;
+// at rate 0 it is the identity Forward was, which drew no mask.
 func (d *Dropout) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	dx := tensor.NewMatrix(dout.Rows, dout.Cols)
+	if d.Rate == 0 {
+		copy(dx.Data, dout.Data)
+		return dx
+	}
 	scale := 1 / (1 - d.Rate)
 	for i, v := range dout.Data {
 		if d.mask[i] {

@@ -65,6 +65,27 @@ func TestDropoutGradCheck(t *testing.T) {
 	}
 }
 
+func TestDropoutRateZeroIsIdentityInTraining(t *testing.T) {
+	// At rate 0 the training forward draws no mask, so the backward must not
+	// look for one: both are bit-exact copies.
+	d := NewDropout(0, 9)
+	x, dout := tensor.NewMatrix(2, 5), tensor.NewMatrix(2, 5)
+	for i := range x.Data {
+		x.Data[i] = float64(i) - 4.5
+		dout.Data[i] = 1 / float64(i+1)
+	}
+	out := d.Forward(x, true)
+	dx := d.Backward(dout)
+	for i := range x.Data {
+		if math.Float64bits(out.Data[i]) != math.Float64bits(x.Data[i]) {
+			t.Fatalf("forward[%d] = %v, want the input %v", i, out.Data[i], x.Data[i])
+		}
+		if math.Float64bits(dx.Data[i]) != math.Float64bits(dout.Data[i]) {
+			t.Fatalf("backward[%d] = %v, want dout %v", i, dx.Data[i], dout.Data[i])
+		}
+	}
+}
+
 func TestDropoutBadRatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

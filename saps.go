@@ -37,7 +37,6 @@ import (
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/engine/memtransport"
-	"sapspsgd/internal/engine/simtransport"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
@@ -147,7 +146,9 @@ func NewMemTransport(n int) EngineTransport { return memtransport.NewHub(n) }
 
 // NewSimTransport returns an in-process transport plus a ledger that charges
 // every exchange against the bandwidth environment bw.
-func NewSimTransport(bw *Bandwidth) (EngineTransport, *Ledger) { return simtransport.New(bw) }
+func NewSimTransport(bw *Bandwidth) (EngineTransport, *Ledger) {
+	return memtransport.NewHub(bw.N), netsim.NewLedger(bw)
+}
 
 // DefaultConfig returns the paper's hyperparameters (c = 100, one local SGD
 // step per round) for the given worker count.

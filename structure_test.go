@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -153,5 +154,121 @@ func TestOneComparator(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// productFiles parses every non-test .go file under dir.
+func productFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		files = append(files, f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestOneTrainer: "local SGD on D_p" is the one thing every algorithm shares,
+// so one type holds {model, optimizer, loader} and one struct is its
+// round-boundary state (core.Trainer, core.TrainerState). A second struct
+// with an *nn.SGD beside a *dataset.Loader is a second trainer; a second
+// {Model, Loader, Velocity} is a second copy of the snapshot format.
+func TestOneTrainer(t *testing.T) {
+	fset := token.NewFileSet()
+	var trainers, states []string
+	for _, f := range productFiles(t, fset, "internal") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			types, names := map[string]bool{}, map[string]bool{}
+			for _, field := range st.Fields.List {
+				if star, ok := field.Type.(*ast.StarExpr); ok {
+					if sel, ok := star.X.(*ast.SelectorExpr); ok {
+						types[sel.X.(*ast.Ident).Name+"."+sel.Sel.Name] = true
+					}
+				}
+				for _, name := range field.Names {
+					names[name.Name] = true
+				}
+			}
+			at := fset.Position(ts.Pos()).String() + " " + ts.Name.Name
+			if types["nn.SGD"] && types["dataset.Loader"] {
+				trainers = append(trainers, at)
+			}
+			if len(names) == 3 && names["Model"] && names["Loader"] && names["Velocity"] {
+				states = append(states, at)
+			}
+			return true
+		})
+	}
+	if len(trainers) != 1 {
+		t.Errorf("%d struct types hold an *nn.SGD and a *dataset.Loader, want core.Trainer alone: %v", len(trainers), trainers)
+	}
+	if len(states) != 1 {
+		t.Errorf("%d struct types are {Model, Loader, Velocity}, want core.TrainerState alone: %v", len(states), states)
+	}
+}
+
+// TestOneMixingRowBuilder: d-psgd, dcd-psgd and the recipe's topology seam
+// take their mixing weights from one function (algos.metropolisRow; the ring's
+// 1/3 is its value there), and the topology generators that only tests call
+// live in _test.go files, not in a package of the build.
+func TestOneMixingRowBuilder(t *testing.T) {
+	fset := token.NewFileSet()
+	weights := regexp.MustCompile(`(?i)metropolis|weights`)
+	var builders []string
+	for _, f := range productFiles(t, fset, "internal/algos") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.FuncDecl:
+				if weights.MatchString(v.Name.Name) {
+					builders = append(builders, fset.Position(v.Pos()).String()+" "+v.Name.Name)
+				}
+			case *ast.Ident:
+				if v.Name == "ringWeights" {
+					t.Errorf("%s: ringWeights is back — the ring's rows are metropolisRow over ringAdjacency", fset.Position(v.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if len(builders) != 1 {
+		t.Errorf("internal/algos has %d functions building mixing weights, want metropolisRow alone: %v", len(builders), builders)
+	}
+	if _, err := os.Stat("internal/topology"); err == nil {
+		t.Error("internal/topology exists: the topology generators are test support, they belong in the _test.go files that use them")
+	}
+}
+
+// TestEngineBuildsOneWay: the engine's source does not fork on the toolchain
+// (one finalizer serves every Go version go.mod admits), and the simulated
+// backend is memtransport under a netsim.Ledger, not a third transport
+// package wrapping the two.
+func TestEngineBuildsOneWay(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, f := range productFiles(t, fset, "internal/engine") {
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				if strings.HasPrefix(c.Text, "//go:build") && strings.Contains(c.Text, "go1.") {
+					t.Errorf("%s: %s — a toolchain fork in the engine", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+	}
+	if _, err := os.Stat("internal/engine/simtransport"); err == nil {
+		t.Error("internal/engine/simtransport exists: call memtransport.NewHub and netsim.NewLedger")
 	}
 }
