@@ -1,6 +1,7 @@
 // TCP cluster: the deployable system end to end in one process — a real
-// coordinator server and four real worker clients talking gob over loopback
-// TCP, training the synthetic task with sparsified peer exchanges.
+// coordinator server and four real worker clients over loopback TCP (gob
+// control messages, raw-word peer frames), training the synthetic task with
+// sparsified peer exchanges.
 //
 //	go run ./examples/tcpcluster
 package main

@@ -1,16 +1,18 @@
-// Cross-commit snapshot oracle: the files under testdata/snapshots were
-// written by the commit BEFORE the per-rank training state became one type
-// (core.Trainer) — from core.WorkerState, algos.trainerState, dcdState and
-// fedWorkerState as they were then. A snapshot is a gob stream, and gob
-// matches struct fields by name, not type name, so every commit since must
-// keep restoring them: each file is loaded into a freshly built fleet, the
-// run continues to its last round, and every model's parameter bits must
-// equal an uninterrupted run's. Renaming a captured field makes gob drop it
-// silently on decode: without TrainerState.Loader the restore panics on an
-// empty sample order, without Model or dcdState.Trainer it fails on an empty
-// nn checkpoint. (Velocity is nil in every file — no recipe sets momentum —
-// and the hub delivers the server model before a worker uses Pulled, so
-// those two renames do not show here.)
+// Cross-commit snapshot oracle, from this commit on: the files under
+// testdata/snapshots were re-recorded, on purpose, by the commit that made
+// snapshot format 2 (a checksummed frame around state blobs whose vectors
+// are raw little-endian words; DESIGN.md §3) — format 1's gob streams cannot
+// restore after that change and no reader for them is kept. Every commit
+// since must keep restoring these: each file is loaded into a freshly built
+// fleet, the run continues to its last round, and every model's parameter
+// bits must equal an uninterrupted run's (whose own bits trajectories.golden
+// pins, unre-recorded across the format change). A blob is sections in a
+// fixed order, so dropping or reordering one a node or codec captures fails
+// here: the restore misreads the next section, or the continued run diverges.
+// saps.v1.snap and worker-rank0.v1.snap are format-1 files kept to show that
+// they are refused loudly. (Velocity is empty in every file — no recipe sets
+// momentum — and the hub delivers the server model before a worker uses its
+// pulled copy, so those two do not show here.)
 package algos_test
 
 import (
@@ -18,6 +20,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sapspsgd/internal/algos"
@@ -27,7 +30,7 @@ import (
 )
 
 var recordSnapshots = flag.Bool("record-snapshots", false,
-	"rewrite testdata/snapshots — only at the commit before a change to what a node or codec captures")
+	"rewrite testdata/snapshots — only together with a deliberate snapshot format change and version bump")
 
 const (
 	snapshotDir   = "testdata/snapshots"
@@ -164,6 +167,23 @@ func TestParentCommitSnapshotsRestore(t *testing.T) {
 				t.Errorf("per-round bytes after restoring:\n got  %s\n want %s", got, want)
 			}
 		})
+	}
+}
+
+// TestFormat1SnapshotsRejected: a snapshot written before format 2 is not a
+// frame at all, and both readers must say so instead of restoring anything.
+func TestFormat1SnapshotsRejected(t *testing.T) {
+	f, err := os.Open(filepath.Join(snapshotDir, "saps.v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if snap, err := engine.DecodeSnapshot(f); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Errorf("DecodeSnapshot of a format-1 file: snapshot %v, error %v; want an error naming the magic", snap, err)
+	}
+	ws, err := transport.LoadWorkerSnapshot(filepath.Join(snapshotDir, "worker-rank0.v1.snap"))
+	if err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Errorf("LoadWorkerSnapshot of a format-1 file: snapshot %v, error %v; want an error naming the magic", ws, err)
 	}
 }
 

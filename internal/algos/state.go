@@ -1,12 +1,12 @@
 package algos
 
 import (
-	"bytes"
-	"encoding/gob"
+	"fmt"
+	"slices"
 
-	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/tensor"
 )
 
 // Every baseline node is engine.Stateful, so any recipe algorithm can be
@@ -16,113 +16,100 @@ import (
 // its core.Trainer and carries nothing else across a boundary (gradAvgNode,
 // neighborMixNode, psWorkerNode) gets the trainer's pair as it stands, a hub
 // server embeds serverModel, and this file holds the two nodes that really
-// add state. Codec-side state (error-feedback residuals, quantizer RNG) is
-// captured by the codecs themselves (see internal/engine/codec.go).
+// add state behind the trainer's in the same blob. Codec-side state
+// (error-feedback residuals, quantizer RNG) is captured by the codecs
+// themselves (see internal/engine/codec.go).
 
-func blob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func unblob(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-// dcdState adds the public replicas to the trainer state — they evolve by
-// lossy deltas and cannot be reconstructed from the model alone.
-type dcdState struct {
-	Trainer  core.TrainerState
-	Replicas map[int][]float64
-}
-
-// CaptureState implements engine.Stateful.
+// CaptureState implements engine.Stateful: the trainer's state, then the
+// public replicas in ascending rank order — they evolve by lossy deltas and
+// cannot be reconstructed from the model alone.
 func (n *dcdNode) CaptureState() ([]byte, error) {
-	ts, err := n.State()
+	ranks := n.replicaRanks()
+	room := 0
+	for _, j := range ranks {
+		room += tensor.SectionSize(8 * len(n.replicas[j]))
+	}
+	b, err := n.StateBlob(room)
 	if err != nil {
 		return nil, err
 	}
-	st := dcdState{Trainer: ts, Replicas: map[int][]float64{}}
-	for j, r := range n.replicas {
-		st.Replicas[j] = append([]float64(nil), r...)
+	for _, j := range ranks {
+		b = tensor.AppendVector(b, n.replicas[j])
 	}
-	return blob(st)
+	return b, nil
 }
 
 // RestoreState implements engine.Stateful.
 func (n *dcdNode) RestoreState(data []byte) error {
-	var st dcdState
-	if err := unblob(data, &st); err != nil {
+	b, err := n.ReadState(data)
+	if err != nil {
 		return err
 	}
-	if err := n.SetState(st.Trainer); err != nil {
-		return err
+	for _, j := range n.replicaRanks() {
+		var sec []byte
+		if sec, b, err = tensor.CutSection(b); err != nil {
+			return fmt.Errorf("algos: dcd replica of rank %d: %w", j, err)
+		}
+		if err := tensor.DecodeWords(n.replicas[j], sec); err != nil {
+			return fmt.Errorf("algos: dcd replica of rank %d: %w", j, err)
+		}
 	}
+	return tensor.NoMoreSections(b)
+}
+
+// replicaRanks is the ranks this node keeps a replica of (itself and its
+// neighbors — fixed by the recipe), in the order the blob holds them.
+func (n *dcdNode) replicaRanks() []int {
+	ranks := make([]int, 0, len(n.replicas))
 	for j := range n.replicas {
-		copy(n.replicas[j], st.Replicas[j])
+		ranks = append(ranks, j)
 	}
-	return nil
+	slices.Sort(ranks)
+	return ranks
 }
 
-// fedWorkerState adds the last pulled server model: S-FedAvg's delta upload
-// is relative to it, so a worker restored mid-schedule must remember it.
-type fedWorkerState struct {
-	Trainer core.TrainerState
-	Pulled  []float64
-}
-
-// CaptureState implements engine.Stateful.
+// CaptureState implements engine.Stateful: the trainer's state, then the last
+// pulled server model — S-FedAvg's delta upload is relative to it, so a
+// worker restored mid-schedule must remember it.
 func (f *fedWorkerNode) CaptureState() ([]byte, error) {
-	ts, err := f.State()
+	b, err := f.StateBlob(tensor.SectionSize(8 * len(f.pulled)))
 	if err != nil {
 		return nil, err
 	}
-	return blob(fedWorkerState{Trainer: ts, Pulled: append([]float64(nil), f.pulled...)})
+	return tensor.AppendVector(b, f.pulled), nil
 }
 
 // RestoreState implements engine.Stateful.
 func (f *fedWorkerNode) RestoreState(data []byte) error {
-	var st fedWorkerState
-	if err := unblob(data, &st); err != nil {
+	b, err := f.ReadState(data)
+	if err != nil {
 		return err
 	}
-	if err := f.SetState(st.Trainer); err != nil {
+	sec, b, err := tensor.CutSection(b)
+	if err != nil {
 		return err
 	}
-	f.pulled = append(f.pulled[:0], st.Pulled...)
-	return nil
+	pulled, err := tensor.Words(sec)
+	if err != nil {
+		return err
+	}
+	f.pulled = append(f.pulled[:0], pulled...)
+	return tensor.NoMoreSections(b)
 }
 
-// serverModel is a hub server's round-boundary state, the global model; both
-// server nodes embed it.
+// serverModel is a hub server's round-boundary state, the global model's nn
+// checkpoint; both server nodes embed it.
 type serverModel struct {
 	model *nn.Model
 }
 
-// serverState is serverModel on the wire.
-type serverState struct {
-	Model []byte
-}
-
 // CaptureState implements engine.Stateful.
 func (s serverModel) CaptureState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.model.Save(&buf); err != nil {
-		return nil, err
-	}
-	return blob(serverState{Model: buf.Bytes()})
+	return s.model.AppendCheckpoint(make([]byte, 0, s.model.CheckpointSize())), nil
 }
 
 // RestoreState implements engine.Stateful.
-func (s serverModel) RestoreState(data []byte) error {
-	var st serverState
-	if err := unblob(data, &st); err != nil {
-		return err
-	}
-	return s.model.Load(bytes.NewReader(st.Model))
-}
+func (s serverModel) RestoreState(data []byte) error { return s.model.LoadCheckpoint(data) }
 
 // Compile-time checks: every baseline node supports checkpointing.
 var (

@@ -6,6 +6,7 @@ import (
 
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/tensor"
 )
 
 // Trainer is one rank's local training state — Algorithm 2 line 5's "local
@@ -50,62 +51,72 @@ func (t *Trainer) LocalSGD(steps int) float64 {
 	return total / float64(steps)
 }
 
-// TrainerState is a Trainer's complete round-boundary state: everything a
-// restarted process needs (beyond the recipe, which it re-derives from the
-// task spec) to continue the trajectory bit-identically. Model is an nn
-// checkpoint (parameters plus per-layer running statistics), Loader the
-// minibatch stream cursor, Velocity the optimizer's momentum buffer. The
-// field names are the snapshot format: gob matches them by name.
-type TrainerState struct {
-	Model    []byte
-	Loader   dataset.LoaderState
-	Velocity []float64
-}
+// A trainer's round-boundary state is everything a restarted process needs
+// (beyond the recipe, which it re-derives from the task spec) to continue the
+// trajectory bit-identically, as three tensor sections in a row: the nn
+// checkpoint (parameters plus per-layer running statistics, raw words), the
+// minibatch stream cursor (a gob dataset.LoaderState — small and typed), and
+// the optimizer's momentum buffer (raw words, empty without momentum).
 
-// State snapshots the trainer at a round boundary.
-func (t *Trainer) State() (TrainerState, error) {
-	var buf bytes.Buffer
-	if err := t.Model.Save(&buf); err != nil {
-		return TrainerState{}, err
+// StateBlob returns the trainer's state in a new blob sized exactly for it
+// plus room more bytes of capacity, which a node asks for to append state of
+// its own behind the trainer's. The parameters are copied once, from the
+// layers into the blob.
+func (t *Trainer) StateBlob(room int) ([]byte, error) {
+	var loader bytes.Buffer
+	if err := gob.NewEncoder(&loader).Encode(t.Loader.State()); err != nil {
+		return nil, err
 	}
-	return TrainerState{
-		Model:    buf.Bytes(),
-		Loader:   t.Loader.State(),
-		Velocity: t.Opt.Velocity(),
-	}, nil
+	velocity := t.Opt.Velocity()
+	model := t.Model.CheckpointSize()
+	dst := make([]byte, 0, tensor.SectionSize(model)+tensor.SectionSize(loader.Len())+tensor.SectionSize(8*len(velocity))+room)
+	dst = t.Model.AppendCheckpoint(tensor.BeginSection(dst, model))
+	dst = tensor.AppendSection(dst, loader.Bytes())
+	return tensor.AppendVector(dst, velocity), nil
 }
 
-// SetState restores a snapshot taken by State into an identically
-// constructed trainer (same recipe, same shard).
-func (t *Trainer) SetState(st TrainerState) error {
-	if err := t.Model.Load(bytes.NewReader(st.Model)); err != nil {
-		return err
-	}
-	t.Loader.SetState(st.Loader)
-	t.Opt.SetVelocity(st.Velocity)
-	return nil
-}
-
-// CaptureState is State as a gob blob. With RestoreState it is the engine's
-// Stateful contract, so a node that embeds its trainer and adds no state of
-// its own can be checkpointed as it stands.
-func (t *Trainer) CaptureState() ([]byte, error) {
-	st, err := t.State()
+// ReadState restores the state StateBlob wrote at the front of b into an
+// identically constructed trainer (same recipe, same shard) and returns what
+// follows it.
+func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
+	model, b, err := tensor.CutSection(b)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	loader, b, err := tensor.CutSection(b)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	momentum, rest, err := tensor.CutSection(b)
+	if err != nil {
+		return nil, err
+	}
+	var ls dataset.LoaderState
+	if err := gob.NewDecoder(bytes.NewReader(loader)).Decode(&ls); err != nil {
+		return nil, err
+	}
+	velocity, err := tensor.Words(momentum)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Model.LoadCheckpoint(model); err != nil {
+		return nil, err
+	}
+	t.Loader.SetState(ls)
+	t.Opt.SetVelocity(velocity)
+	return rest, nil
 }
+
+// CaptureState is the trainer's state as one exactly sized blob. With
+// RestoreState it is the engine's Stateful contract, so a node that embeds
+// its trainer and adds no state of its own can be checkpointed as it stands.
+func (t *Trainer) CaptureState() ([]byte, error) { return t.StateBlob(0) }
 
 // RestoreState restores a blob written by CaptureState.
 func (t *Trainer) RestoreState(data []byte) error {
-	var st TrainerState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	rest, err := t.ReadState(data)
+	if err != nil {
 		return err
 	}
-	return t.SetState(st)
+	return tensor.NoMoreSections(rest)
 }

@@ -5,12 +5,17 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+
+	"sapspsgd/internal/tensor"
 )
 
-// SnapshotVersion is the engine snapshot schema. Decode rejects other
-// versions so stale checkpoint files fail loudly instead of silently
-// resuming a diverged trajectory.
-const SnapshotVersion = 1
+// SnapshotVersion is the engine snapshot schema: format 2, a checksummed
+// frame around state blobs whose vectors are raw words. DecodeSnapshot
+// rejects anything else — a format-1 gob stream included; snapshots are
+// crash-recovery artifacts of one run, so no older reader is kept — and a
+// stale or damaged checkpoint file fails loudly instead of silently resuming
+// a diverged trajectory.
+const SnapshotVersion = FrameVersion
 
 // Stateful is implemented by Nodes and Codecs whose round-boundary state
 // must survive a checkpoint/restore cycle: model parameters and data-stream
@@ -162,25 +167,78 @@ func (e *Engine) ReplayPlans(rounds int) {
 	}
 }
 
-// Encode writes the snapshot as a gob stream.
+// EncodedSize is the number of bytes AppendTo appends.
+func (rs RankSnapshot) EncodedSize() int {
+	return tensor.SectionSize(len(rs.Node)) + tensor.SectionSize(len(rs.Codec))
+}
+
+// AppendTo appends the rank's two blobs to dst as two tensor sections; a
+// stateless codec's absent blob is an empty one.
+func (rs RankSnapshot) AppendTo(dst []byte) []byte {
+	return tensor.AppendSection(tensor.AppendSection(dst, rs.Node), rs.Codec)
+}
+
+// ReadRankSnapshot takes the two sections AppendTo wrote off the front of b.
+// The blobs alias b; an empty one reads back as absent.
+func ReadRankSnapshot(b []byte) (rs RankSnapshot, rest []byte, err error) {
+	if rs.Node, b, err = tensor.CutSection(b); err != nil {
+		return RankSnapshot{}, nil, fmt.Errorf("engine: rank snapshot node blob: %w", err)
+	}
+	if rs.Codec, rest, err = tensor.CutSection(b); err != nil {
+		return RankSnapshot{}, nil, fmt.Errorf("engine: rank snapshot codec blob: %w", err)
+	}
+	if len(rs.Codec) == 0 {
+		rs.Codec = nil
+	}
+	return rs, rest, nil
+}
+
+// Encode writes the snapshot as one frame of kind FrameSnapshot: NextRound in
+// the header, and as the body the ledger blob (empty when there is none) and
+// then every rank's blobs in rank order, to the end.
 func (s *Snapshot) Encode(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(s); err != nil {
+	if s.Version != SnapshotVersion {
+		return fmt.Errorf("engine: encode snapshot: version %d, this build writes %d", s.Version, SnapshotVersion)
+	}
+	size := FrameHeaderLen + tensor.SectionSize(len(s.Ledger))
+	for _, rs := range s.Ranks {
+		size += rs.EncodedSize()
+	}
+	frame := tensor.AppendSection(BeginFrame(make([]byte, 0, size)), s.Ledger)
+	for _, rs := range s.Ranks {
+		frame = rs.AppendTo(frame)
+	}
+	SealFrame(frame, FrameHeader{Kind: FrameSnapshot, Round: s.NextRound})
+	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("engine: encode snapshot: %w", err)
 	}
 	return nil
 }
 
-// DecodeSnapshot reads a snapshot written by Encode, rejecting other schema
-// versions.
+// DecodeSnapshot reads a snapshot written by Encode, which must be all that r
+// holds. A truncated or lengthened stream, a flipped bit anywhere, another
+// format version and a file that is not a frame at all are errors. The
+// snapshot's blobs alias one buffer.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	h, body, err := ReadSoleFrame(r, FrameSnapshot)
+	if err != nil {
 		return nil, fmt.Errorf("engine: decode snapshot: %w", err)
 	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("engine: snapshot version %d, want %d", s.Version, SnapshotVersion)
+	s := &Snapshot{Version: SnapshotVersion, NextRound: h.Round}
+	if s.Ledger, body, err = tensor.CutSection(body); err != nil {
+		return nil, fmt.Errorf("engine: decode snapshot ledger blob: %w", err)
 	}
-	return &s, nil
+	if len(s.Ledger) == 0 {
+		s.Ledger = nil
+	}
+	for len(body) > 0 {
+		var rs RankSnapshot
+		if rs, body, err = ReadRankSnapshot(body); err != nil {
+			return nil, fmt.Errorf("engine: decode snapshot rank %d: %w", len(s.Ranks), err)
+		}
+		s.Ranks = append(s.Ranks, rs)
+	}
+	return s, nil
 }
 
 // gobBlob round-trips a value through gob — the shared helper behind the

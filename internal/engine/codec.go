@@ -6,6 +6,7 @@ import (
 
 	"sapspsgd/internal/compress"
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/tensor"
 )
 
 // Codec encodes a node's round payload (a model, gradient, or delta vector)
@@ -275,40 +276,41 @@ func (t *TopK) DecodeInto(dst []float64, _ RoundContext, words []float64) ([]flo
 // WireBytes implements Codec.
 func (t *TopK) WireBytes(words []float64) int64 { return sparseWireBytes(words) }
 
-// topKState is the codec's serialized checkpoint form.
-type topKState struct {
-	// Residual is the error-feedback residual; nil when error feedback is
-	// disabled or no Encode has run yet (the residual allocates lazily).
-	Residual []float64
-}
-
 // CaptureState implements Stateful: the error-feedback residual is the only
-// cross-round state.
+// cross-round state, one vector of raw words — empty when error feedback is
+// disabled or no Encode has run yet (the residual allocates lazily).
 func (t *TopK) CaptureState() ([]byte, error) {
-	st := topKState{}
+	var residual []float64
 	if t.ef != nil {
-		st.Residual = append([]float64(nil), t.ef.Residual()...)
+		residual = t.ef.Residual()
 	}
-	return gobBlob(st)
+	return tensor.AppendVector(make([]byte, 0, tensor.SectionSize(8*len(residual))), residual), nil
 }
 
 // RestoreState implements Stateful.
 func (t *TopK) RestoreState(data []byte) error {
-	var st topKState
-	if err := gobUnblob(data, &st); err != nil {
-		return err
+	sec, rest, err := tensor.CutSection(data)
+	if err == nil {
+		err = tensor.NoMoreSections(rest)
 	}
-	if st.Residual == nil {
+	var residual []float64
+	if err == nil {
+		residual, err = tensor.Words(sec)
+	}
+	if err != nil {
+		return fmt.Errorf("engine: topk snapshot: %w", err)
+	}
+	if residual == nil {
 		t.ef = nil
 		return nil
 	}
 	if !t.useEF {
 		return fmt.Errorf("engine: topk snapshot carries a residual but error feedback is disabled")
 	}
-	if t.ef == nil || len(t.ef.Residual()) != len(st.Residual) {
-		t.ef = compress.NewErrorFeedback(len(st.Residual))
+	if t.ef == nil || len(t.ef.Residual()) != len(residual) {
+		t.ef = compress.NewErrorFeedback(len(residual))
 	}
-	t.ef.SetResidual(st.Residual)
+	t.ef.SetResidual(residual)
 	return nil
 }
 

@@ -29,8 +29,9 @@
 //     netsim bandwidth matrix (*netsim.Ledger satisfies Ledger) it is the
 //     simulated backend behind the internal/algos simulations, reproducing
 //     the paper's byte- and second-accurate simulation;
-//   - internal/transport: real TCP — WorkerClient runs WorkerRound over gob
-//     connections and CoordinatorServer runs Driver over its control conns.
+//   - internal/transport: real TCP — WorkerClient runs WorkerRound over
+//     one-way peer frames (frame.go) and CoordinatorServer runs Driver over
+//     its control conns.
 //
 // See DESIGN.md §2 for the layering and for how to add a new algorithm or
 // backend.

@@ -1,9 +1,9 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
+
+	"sapspsgd/internal/tensor"
 )
 
 // Stateful is implemented by layers that carry non-parameter internal state
@@ -18,15 +18,11 @@ type Stateful interface {
 	SetRunningState(s []float64)
 }
 
-// checkpoint is the serialized form of a model: the flat parameter vector
-// plus the per-layer running state. Architecture is reconstructed by the
+// A checkpoint is the serialized form of a model: a name section, the flat
+// parameter vector, then one vector per Stateful layer, each a tensor section
+// of raw words, to the end of the bytes. Architecture is reconstructed by the
 // caller (the same convention the coordinator's final-model collection
-// uses); Name guards against loading into the wrong architecture.
-type checkpoint struct {
-	Name   string
-	Params []float64
-	State  [][]float64
-}
+// uses); the name guards against loading into the wrong architecture.
 
 // collectState gathers the Stateful layers' state, walking nested layers
 // through composite blocks.
@@ -77,36 +73,71 @@ func applyStates(l Layer, states [][]float64, pos int) int {
 	}
 }
 
-// Save writes the model's parameters and running statistics to w.
-func (m *Model) Save(w io.Writer) error {
-	cp := checkpoint{Name: m.Name, Params: m.FlatParams(nil), State: m.collectState()}
-	if err := gob.NewEncoder(w).Encode(cp); err != nil {
-		return fmt.Errorf("nn: save %s: %w", m.Name, err)
+// CheckpointSize is the exact number of bytes AppendCheckpoint appends.
+func (m *Model) CheckpointSize() int {
+	size := tensor.SectionSize(len(m.Name)) + tensor.SectionSize(8*m.n)
+	for _, st := range m.collectState() {
+		size += tensor.SectionSize(8 * len(st))
 	}
-	return nil
+	return size
 }
 
-// Load restores a checkpoint saved by Save into an identically constructed
-// model. It fails if the architecture name, parameter count, or state shape
-// differs.
-func (m *Model) Load(r io.Reader) error {
-	var cp checkpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
+// AppendCheckpoint appends the model's parameters and running statistics to
+// dst, straight from the layers' own storage.
+func (m *Model) AppendCheckpoint(dst []byte) []byte {
+	dst = append(tensor.BeginSection(dst, len(m.Name)), m.Name...)
+	dst = tensor.BeginSection(dst, 8*m.n)
+	for _, p := range m.params {
+		dst = tensor.AppendWords(dst, p.Data)
+	}
+	for _, st := range m.collectState() {
+		dst = tensor.AppendVector(dst, st)
+	}
+	return dst
+}
+
+// LoadCheckpoint restores a checkpoint written by AppendCheckpoint — all of
+// b — into an identically constructed model. It fails, before touching the
+// model, if the architecture name, parameter count, or state shape differs.
+func (m *Model) LoadCheckpoint(b []byte) error {
+	name, b, err := tensor.CutSection(b)
+	if err != nil {
 		return fmt.Errorf("nn: load: %w", err)
 	}
-	if cp.Name != m.Name {
-		return fmt.Errorf("nn: checkpoint is %q, model is %q", cp.Name, m.Name)
+	if string(name) != m.Name {
+		return fmt.Errorf("nn: checkpoint is %q, model is %q", name, m.Name)
 	}
-	if len(cp.Params) != m.ParamCount() {
-		return fmt.Errorf("nn: checkpoint has %d params, model has %d", len(cp.Params), m.ParamCount())
+	params, b, err := tensor.CutSection(b)
+	if err != nil {
+		return fmt.Errorf("nn: load %s: %w", m.Name, err)
 	}
-	if want := len(m.collectState()); len(cp.State) != want {
-		return fmt.Errorf("nn: checkpoint has %d state entries, model has %d", len(cp.State), want)
+	if len(params) != 8*m.n {
+		return fmt.Errorf("nn: checkpoint has %d parameter bytes, model has %d params", len(params), m.n)
 	}
-	m.SetFlatParams(cp.Params)
+	// collectState's copies have the model's shapes: decode over them.
+	states := m.collectState()
+	for i, st := range states {
+		var sec []byte
+		if sec, b, err = tensor.CutSection(b); err != nil {
+			return fmt.Errorf("nn: load %s state %d of %d: %w", m.Name, i, len(states), err)
+		}
+		if err := tensor.DecodeWords(st, sec); err != nil {
+			return fmt.Errorf("nn: load %s state %d: %w", m.Name, i, err)
+		}
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("nn: checkpoint has %d bytes beyond the model's %d state entries", len(b), len(states))
+	}
+	for _, p := range m.params {
+		n := 8 * len(p.Data)
+		if err := tensor.DecodeWords(p.Data, params[:n]); err != nil {
+			return err
+		}
+		params = params[n:]
+	}
 	pos := 0
 	for _, l := range m.layers {
-		pos = applyStates(l, cp.State, pos)
+		pos = applyStates(l, states, pos)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -198,12 +197,9 @@ func TestCheckpointCarriesBatchNormState(t *testing.T) {
 	}
 	refLogits := m.Forward(x, false)
 
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := saved(t, m)
 	restored := NewResNet(in, 3, 1, 0.25, 99)
-	if err := restored.Load(&buf); err != nil {
+	if err := restored.LoadCheckpoint(buf); err != nil {
 		t.Fatal(err)
 	}
 	gotLogits := restored.Forward(x, false)

@@ -59,6 +59,9 @@ type TransportMetrics struct {
 	CrashInjectionsTotal *Counter
 	// SnapshotWritesTotal counts worker state snapshots persisted to disk.
 	SnapshotWritesTotal *Counter
+	// FramesRejectedTotal counts inbound peer frames a worker refused: short
+	// read, wrong magic or version, oversized length, checksum mismatch.
+	FramesRejectedTotal *Counter
 }
 
 // NetsimMetrics is the virtual-time simulator slice of the catalog
@@ -157,6 +160,7 @@ func New() *Metrics {
 		RejoinsTotal:         NewCounter(Prefix+"transport_rejoins_total", "Workers re-admitted through the rejoin handshake."),
 		CrashInjectionsTotal: NewCounter(Prefix+"transport_crash_injections_total", "Scheduled crash messages sent by the fault injector."),
 		SnapshotWritesTotal:  NewCounter(Prefix+"transport_snapshot_writes_total", "Worker state snapshots written to disk."),
+		FramesRejectedTotal:  NewCounter(Prefix+"transport_frames_rejected_total", "Inbound peer frames refused before reaching the inbox."),
 	}
 	m.Netsim = NetsimMetrics{
 		VirtualSeconds:  NewFloatGauge(Prefix+"netsim_virtual_seconds", "Virtual clock of the network simulator."),
@@ -183,7 +187,7 @@ func New() *Metrics {
 		m.Engine.RendezvousWaitSeconds, m.Engine.CodecEncodeSeconds, m.Engine.CodecDecodeSeconds,
 		m.Engine.WireBytesTotal, m.Engine.SimSecondsTotal,
 		m.Transport.ConnectsTotal, m.Transport.AbortsTotal, m.Transport.RejoinsTotal,
-		m.Transport.CrashInjectionsTotal, m.Transport.SnapshotWritesTotal,
+		m.Transport.CrashInjectionsTotal, m.Transport.SnapshotWritesTotal, m.Transport.FramesRejectedTotal,
 		m.Netsim.VirtualSeconds, m.Netsim.EventQueueDepth, m.Netsim.EventsTotal,
 		m.Campaign.CellsPlanned, m.Campaign.CellsRunning, m.Campaign.CellsDoneTotal,
 		m.Campaign.CellsResumedTotal, m.Campaign.CellsFailedTotal,

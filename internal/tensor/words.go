@@ -1,0 +1,95 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// This file is the one place a vector of float64 words becomes bytes and
+// back: eight bytes a word, the IEEE-754 bit pattern little-endian, so NaN
+// payloads and the sign of zero survive. State blobs, snapshot files, peer
+// frames and the collected model all go through it. Around the words, a
+// section is a run of bytes behind its own 8-byte little-endian length, which
+// is how a blob holds several vectors (and small opaque fields) in a row.
+
+// sectionHeader is the size of a section's length prefix.
+const sectionHeader = 8
+
+// AppendWords appends v's words to dst, 8·len(v) bytes and nothing else.
+func AppendWords(dst []byte, v []float64) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(v))[:n+8*len(v)]
+	out := dst[n:]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
+	}
+	return dst
+}
+
+// DecodeWords fills dst from b, which must hold exactly len(dst) words.
+func DecodeWords(dst []float64, b []byte) error {
+	if len(b) != 8*len(dst) {
+		return fmt.Errorf("tensor: %d bytes for %d words", len(b), len(dst))
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
+}
+
+// Words decodes all of b into a new vector; no bytes decode as nil.
+func Words(b []byte) ([]float64, error) {
+	if len(b)%8 != 0 {
+		return nil, fmt.Errorf("tensor: %d bytes are not whole words", len(b))
+	}
+	if len(b) == 0 {
+		return nil, nil
+	}
+	v := make([]float64, len(b)/8)
+	return v, DecodeWords(v, b)
+}
+
+// SectionSize is the number of bytes a section with an n-byte body occupies.
+func SectionSize(n int) int { return sectionHeader + n }
+
+// BeginSection appends the length prefix of a section whose n body bytes the
+// caller appends next.
+func BeginSection(dst []byte, n int) []byte {
+	return binary.LittleEndian.AppendUint64(dst, uint64(n))
+}
+
+// AppendSection appends body as one section.
+func AppendSection(dst, body []byte) []byte {
+	return append(BeginSection(dst, len(body)), body...)
+}
+
+// AppendVector appends v's words as one section.
+func AppendVector(dst []byte, v []float64) []byte {
+	return AppendWords(BeginSection(dst, 8*len(v)), v)
+}
+
+// NoMoreSections is the error for bytes left over behind the last section a
+// reader expected, nil when there are none.
+func NoMoreSections(rest []byte) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("tensor: %d bytes follow the last section", len(rest))
+	}
+	return nil
+}
+
+// CutSection splits the first section's body off b. The body aliases b. A
+// length that runs past the end of b is an error, found before anything is
+// allocated for it.
+func CutSection(b []byte) (body, rest []byte, err error) {
+	if len(b) < sectionHeader {
+		return nil, nil, fmt.Errorf("tensor: %d bytes where a section length was expected", len(b))
+	}
+	n := binary.LittleEndian.Uint64(b)
+	if n > uint64(len(b)-sectionHeader) {
+		return nil, nil, fmt.Errorf("tensor: section declares %d bytes, %d remain", n, len(b)-sectionHeader)
+	}
+	end := sectionHeader + int(n)
+	return b[sectionHeader:end:end], b[end:], nil
+}

@@ -16,6 +16,7 @@ import (
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/obs"
+	"sapspsgd/internal/tensor"
 )
 
 // GossipConfig aliases gossip.Config (Algorithm 3's BThres/TThres knobs).
@@ -344,6 +345,9 @@ func (s *CoordinatorServer) measure() (*netsim.Bandwidth, error) {
 	probe := s.ProbeBytes
 	if probe <= 0 {
 		probe = 64 << 10
+	}
+	if probe > maxProbeBytes {
+		return nil, fmt.Errorf("transport: probes of %d bytes exceed the %d-byte frame ceiling", probe, maxProbeBytes)
 	}
 	for rank, c := range s.conns {
 		if err := c.Send(MeasureRequest{ProbeBytes: probe}); err != nil {
@@ -791,6 +795,10 @@ func (s *CoordinatorServer) collect(rank int) ([]float64, error) {
 			log.Printf("transport: done to %d: %v", rank, err)
 		}
 	}
-	s.logf("coordinator: collected %d parameters, done", len(final.Params))
-	return final.Params, nil
+	params, err := tensor.Words(final.Params)
+	if err != nil {
+		return nil, fmt.Errorf("transport: collect: %w", err)
+	}
+	s.logf("coordinator: collected %d parameters, done", len(params))
+	return params, nil
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"sapspsgd/internal/engine"
 	"sapspsgd/internal/netsim"
 )
 
@@ -29,22 +30,18 @@ type MeasureReport struct {
 	MBps []float64
 }
 
-// Probe is the measurement payload exchanged between two workers.
-type Probe struct {
-	From    int
-	Payload []byte
-}
-
 // measurePeers runs the probe exchanges for one worker: first it echoes the
 // probes of all lower ranks (any arrival order; the accept loop hands them
 // over), then dials all higher ranks in ascending order. This ordering is
 // deadlock-free: rank 0 starts dialing immediately, and every awaited probe
-// has a matching dial in flight.
+// has a matching dial in flight. A probe is one frame of kind FrameProbe:
+// the sender's rank in the header, ProbeBytes of filler as the body.
 func (w *WorkerClient) measurePeers(req MeasureRequest) MeasureReport {
 	rep := MeasureReport{Rank: w.rank, MBps: make([]float64, w.n)}
-	payload := make([]byte, req.ProbeBytes)
+	probe := append(engine.BeginFrame(nil), make([]byte, req.ProbeBytes)...)
+	engine.SealFrame(probe, engine.FrameHeader{Kind: engine.FrameProbe, From: w.rank})
 	for k := 0; k < w.rank; k++ {
-		from, mbps, err := w.acceptProbe(payload)
+		from, mbps, err := w.acceptProbe(probe)
 		if err != nil {
 			w.logf("worker %d: accept probe: %v", w.rank, err)
 			continue
@@ -52,7 +49,7 @@ func (w *WorkerClient) measurePeers(req MeasureRequest) MeasureReport {
 		rep.MBps[from] = mbps
 	}
 	for peer := w.rank + 1; peer < w.n; peer++ {
-		mbps, err := w.dialProbe(peer, payload)
+		mbps, err := w.dialProbe(peer, probe)
 		if err != nil {
 			w.logf("worker %d: probe to %d failed: %v", w.rank, peer, err)
 			continue
@@ -62,46 +59,40 @@ func (w *WorkerClient) measurePeers(req MeasureRequest) MeasureReport {
 	return rep
 }
 
-// dialProbe connects to a higher-ranked peer, sends the probe, and times the
-// echoed response: MB/s over the round trip of 2×ProbeBytes.
-func (w *WorkerClient) dialProbe(peer int, payload []byte) (float64, error) {
+// dialProbe connects to a higher-ranked peer, sends the probe frame, and
+// times the echoed response: MB/s over the round trip of 2×ProbeBytes.
+func (w *WorkerClient) dialProbe(peer int, probe []byte) (float64, error) {
 	nc, err := net.Dial("tcp", w.addrs[peer])
 	if err != nil {
 		return 0, err
 	}
-	conn := NewConn(nc)
-	defer conn.Close()
+	defer nc.Close()
 	start := time.Now()
-	if err := conn.Send(Probe{From: w.rank, Payload: payload}); err != nil {
+	if _, err := nc.Write(probe); err != nil {
 		return 0, err
 	}
-	msg, err := conn.Recv()
+	h, echo, err := engine.ReadFrame(nc, nil, w.maxBody)
 	if err != nil {
 		return 0, err
 	}
-	p, ok := msg.(Probe)
-	if !ok {
-		return 0, fmt.Errorf("transport: probe reply was %T", msg)
+	if h.Kind != engine.FrameProbe {
+		return 0, fmt.Errorf("transport: probe reply was a frame of kind %d", h.Kind)
 	}
-	return throughputMBps(len(payload)+len(p.Payload), time.Since(start)), nil
+	return throughputMBps(len(probe)-engine.FrameHeaderLen+len(echo), time.Since(start)), nil
 }
 
 // acceptProbe takes one incoming probe from the accept loop, echoes it, and
-// attributes the measurement to the dialer identified inside the probe.
-func (w *WorkerClient) acceptProbe(payload []byte) (from int, mbps float64, err error) {
+// attributes the measurement to the dialer named in the probe's header.
+func (w *WorkerClient) acceptProbe(probe []byte) (from int, mbps float64, err error) {
 	pc, ok := <-w.probes
 	if !ok {
 		return 0, 0, fmt.Errorf("transport: peer listener closed")
 	}
 	defer pc.conn.Close()
-	p := pc.probe
-	if p.From < 0 || p.From >= w.n {
-		return 0, 0, fmt.Errorf("transport: probe from invalid rank %d", p.From)
-	}
-	if err := pc.conn.Send(Probe{From: w.rank, Payload: payload}); err != nil {
+	if _, err := pc.conn.Write(probe); err != nil {
 		return 0, 0, err
 	}
-	return p.From, throughputMBps(len(p.Payload)+len(payload), time.Since(pc.start)), nil
+	return pc.from, throughputMBps(pc.size+len(probe)-engine.FrameHeaderLen, time.Since(pc.start)), nil
 }
 
 func throughputMBps(totalBytes int, elapsed time.Duration) float64 {

@@ -8,10 +8,13 @@
 // gossip, the ring and all-gather decentralized baselines, and the hub
 // schemes (the last registered rank becomes the parameter server).
 //
-// All control-plane and data-plane messages are gob-encoded. The data one
-// worker sends another is exactly the codec's wire words — for SAPS the packed
+// Control-plane messages (coordinator ↔ worker) are small and typed and
+// travel gob-encoded over one long-lived Conn per worker. The data plane
+// (worker ↔ worker) speaks engine frames only: a fixed checksummed header and
+// the codec's wire words as raw little-endian float64s — for SAPS the packed
 // masked values, whose indices travel as a 64-bit seed inside the control
-// message, reproducing the paper's wire economics.
+// message, reproducing the paper's wire economics. Worker snapshot files are
+// frames too (snapshot.go).
 package transport
 
 import (
@@ -210,23 +213,24 @@ type (
 	}
 	// CollectRequest asks a worker for its full model (Algorithm 1 line 8).
 	CollectRequest struct{}
-	// FinalModel is the collected model payload.
+	// FinalModel is the collected model payload: the flat parameters as raw
+	// words (tensor.AppendWords), which gob moves as one byte string.
 	FinalModel struct {
-		Params []float64
+		Params []byte
 	}
 	// Done terminates the worker.
 	Done struct{}
 )
 
-// PeerPayload is the data-plane frame one worker sends another: the encoded
-// wire words for the given round, one frame per connection, nothing sent
-// back. Seq numbers the frames of one directed pair within a round attempt
-// (hub pull/push, collective phases) — each frame travels on its own
-// connection, so two consecutive frames can be accepted out of order, and
-// the receiver claims them by Seq, not by arrival. Attempt distinguishes a
-// re-planned round's frames from a stale aborted attempt's. A frame with no
-// Vals is a legitimate empty payload (gob does not distinguish nil from
-// empty): the frame itself is the deposit.
+// PeerPayload is a data-plane frame as the inbox holds it: the encoded wire
+// words one worker sent another for the given round — one frame per
+// connection, nothing sent back. Seq numbers the frames of one directed pair
+// within a round attempt (hub pull/push, collective phases) — each frame
+// travels on its own connection, so two consecutive frames can be accepted
+// out of order, and the receiver claims them by Seq, not by arrival. Attempt
+// distinguishes a re-planned round's frames from a stale aborted attempt's.
+// A frame with a zero-length body is a legitimate empty payload (its Vals are
+// nil): the frame itself is the deposit.
 type PeerPayload struct {
 	Round   int
 	From    int
@@ -236,12 +240,12 @@ type PeerPayload struct {
 }
 
 // wire is the gob envelope: encoding an interface value requires concrete
-// type registration, done in registerTypes.
+// type registration, done once for the process.
 type wire struct {
 	M any
 }
 
-func registerTypes() {
+func init() {
 	gob.Register(Hello{})
 	gob.Register(Welcome{})
 	gob.Register(RoundMsg{})
@@ -256,10 +260,8 @@ func registerTypes() {
 	gob.Register(CollectRequest{})
 	gob.Register(FinalModel{})
 	gob.Register(Done{})
-	gob.Register(PeerPayload{})
 	gob.Register(MeasureRequest{})
 	gob.Register(MeasureReport{})
-	gob.Register(Probe{})
 }
 
 // Conn wraps a stream with gob encode/decode of wire envelopes.
@@ -271,7 +273,6 @@ type Conn struct {
 
 // NewConn wraps rwc. Both sides must wrap their end.
 func NewConn(rwc io.ReadWriteCloser) *Conn {
-	registerTypes()
 	return &Conn{enc: gob.NewEncoder(rwc), dec: gob.NewDecoder(rwc), c: rwc}
 }
 

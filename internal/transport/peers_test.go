@@ -9,12 +9,20 @@ import (
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
+	"sapspsgd/internal/tensor"
 )
 
 // peerFleet stands up n workers' data planes — listener, accept loop, inbox —
 // without a coordinator, so a test can drive peerDialer's Send/Recv (or a
 // whole engine.WorkerRound) directly.
 func peerFleet(t *testing.T, n int) []*WorkerClient {
+	t.Helper()
+	return peerFleetWith(t, n, func(*WorkerClient) {})
+}
+
+// peerFleetWith is peerFleet with each worker handed to prepare before its
+// accept loop starts.
+func peerFleetWith(t *testing.T, n int, prepare func(*WorkerClient)) []*WorkerClient {
 	t.Helper()
 	ws := make([]*WorkerClient, n)
 	addrs := make([]string, n)
@@ -23,11 +31,13 @@ func peerFleet(t *testing.T, n int) []*WorkerClient {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws[i] = &WorkerClient{rank: i, n: n, peerLn: ln}
+		// No model here to derive the payload cap from: room for the 8 MB frame.
+		ws[i] = &WorkerClient{rank: i, n: n, peerLn: ln, maxPayload: 16 << 20}
 		addrs[i] = ln.Addr().String()
 	}
 	for _, w := range ws {
 		w.addrs = addrs
+		prepare(w)
 		t.Cleanup(w.servePeers())
 	}
 	return ws
@@ -141,11 +151,12 @@ func TestPeerFrameHazards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn := NewConn(nc)
-			if err := conn.Send(PeerPayload{From: 0, Seq: seq, Vals: []float64{float64(seq)}}); err != nil {
+			frame := tensor.AppendWords(engine.BeginFrame(nil), []float64{float64(seq)})
+			engine.SealFrame(frame, engine.FrameHeader{Kind: engine.FramePayload, From: 0, Seq: seq})
+			if _, err := nc.Write(frame); err != nil {
 				t.Fatal(err)
 			}
-			conn.Close()
+			nc.Close()
 			for arrived := 0; arrived < 2-seq; time.Sleep(time.Millisecond) {
 				ws[1].inbox.mu.Lock()
 				arrived = len(ws[1].inbox.frames[0])

@@ -1,18 +1,22 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/obs"
+	"sapspsgd/internal/tensor"
 )
 
-// WorkerSnapshotVersion is the on-disk worker snapshot schema.
-// LoadWorkerSnapshot rejects other versions so stale files fail loudly.
-const WorkerSnapshotVersion = 1
+// WorkerSnapshotVersion is the on-disk worker snapshot schema, the engine's
+// frame format. LoadWorkerSnapshot rejects anything else so stale files fail
+// loudly.
+const WorkerSnapshotVersion = engine.SnapshotVersion
 
 // WorkerSnapshot is a worker process's persisted round-boundary state: the
 // task spec (so `worker -resume` needs nothing but the file), the rank, the
@@ -32,17 +36,31 @@ type WorkerSnapshot struct {
 
 // SaveWorkerSnapshot writes the snapshot atomically (temp file + rename in
 // the destination directory), so a crash mid-write leaves the previous
-// snapshot intact.
+// snapshot intact. The file is one frame of kind FrameWorkerSnapshot — rank
+// and NextRound in the header, the gob task spec and the rank's two state
+// blobs as the body's sections — so its checksum covers every byte.
 func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
+	if s.Version != WorkerSnapshotVersion {
+		return fmt.Errorf("transport: snapshot version %d, this build writes %d", s.Version, WorkerSnapshotVersion)
+	}
+	var task bytes.Buffer
+	if err := gob.NewEncoder(&task).Encode(s.Task); err != nil {
+		return fmt.Errorf("transport: encode snapshot: %w", err)
+	}
+	size := engine.FrameHeaderLen + tensor.SectionSize(task.Len()) + s.State.EncodedSize()
+	frame := tensor.AppendSection(engine.BeginFrame(make([]byte, 0, size)), task.Bytes())
+	frame = s.State.AppendTo(frame)
+	engine.SealFrame(frame, engine.FrameHeader{Kind: engine.FrameWorkerSnapshot, From: s.Rank, Round: s.NextRound})
+
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("transport: snapshot temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(s); err != nil {
+	if _, err := tmp.Write(frame); err != nil {
 		tmp.Close()
-		return fmt.Errorf("transport: encode snapshot: %w", err)
+		return fmt.Errorf("transport: write snapshot: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return err
@@ -54,19 +72,38 @@ func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 	return nil
 }
 
-// LoadWorkerSnapshot reads a snapshot written by SaveWorkerSnapshot.
+// LoadWorkerSnapshot reads a snapshot written by SaveWorkerSnapshot. The file
+// must be exactly one intact frame of this build's format: a torn or
+// lengthened file, a flipped bit, a format-1 gob file — each is an error,
+// never a restore. The state blobs alias the bytes read.
 func LoadWorkerSnapshot(path string) (*WorkerSnapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("transport: open snapshot: %w", err)
 	}
 	defer f.Close()
-	var s WorkerSnapshot
-	if err := gob.NewDecoder(f).Decode(&s); err != nil {
+	s, err := readWorkerSnapshot(f)
+	if err != nil {
 		return nil, fmt.Errorf("transport: decode snapshot %s: %w", path, err)
 	}
-	if s.Version != WorkerSnapshotVersion {
-		return nil, fmt.Errorf("transport: snapshot %s is version %d, want %d", path, s.Version, WorkerSnapshotVersion)
+	return s, nil
+}
+
+func readWorkerSnapshot(r io.Reader) (*WorkerSnapshot, error) {
+	h, body, err := engine.ReadSoleFrame(r, engine.FrameWorkerSnapshot)
+	if err != nil {
+		return nil, err
 	}
-	return &s, nil
+	s := &WorkerSnapshot{Version: WorkerSnapshotVersion, Rank: h.From, NextRound: h.Round}
+	task, body, err := tensor.CutSection(body)
+	if err != nil {
+		return nil, fmt.Errorf("task spec: %w", err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(task)).Decode(&s.Task); err != nil {
+		return nil, fmt.Errorf("task spec: %w", err)
+	}
+	if s.State, body, err = engine.ReadRankSnapshot(body); err != nil {
+		return nil, err
+	}
+	return s, tensor.NoMoreSections(body)
 }

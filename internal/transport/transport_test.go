@@ -13,6 +13,7 @@ import (
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/tensor"
 )
 
 // pipeConn adapts an in-memory duplex pipe to io.ReadWriteCloser.
@@ -34,9 +35,8 @@ func TestConnRoundTripAllTypes(t *testing.T) {
 		RoundMsg{Round: 7, Seed: 99, Peer: 2},
 		RoundEnd{Rank: 1, Round: 7, Loss: 0.5},
 		CollectRequest{},
-		FinalModel{Params: []float64{1, 2, 3}},
+		FinalModel{Params: tensor.AppendWords(nil, []float64{1, 2, 3})},
 		Done{},
-		PeerPayload{Round: 7, From: 1, Vals: []float64{4, 5}},
 	}
 	done := make(chan error, 1)
 	go func() {

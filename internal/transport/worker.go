@@ -12,6 +12,8 @@ import (
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/obs"
+	"sapspsgd/internal/tensor"
 )
 
 // ErrCrashed is returned by WorkerClient.Run when the coordinator's fault
@@ -56,6 +58,13 @@ type WorkerClient struct {
 
 	peerLn net.Listener
 	addrs  []string
+	// maxPayload caps the body of an inbound payload frame, from what this
+	// worker's own model can justify: no codec emits more words than the
+	// sparse layout's two header words plus an index and a value per
+	// parameter.
+	maxPayload int
+	// sendBuf is the round goroutine's outbound frame, reused across sends.
+	sendBuf []byte
 	// inbox buffers the data-plane frames the accept loop has drained until
 	// the round goroutine's Recv claims them; probes carries the
 	// measurement phase's connections the same loop accepted.
@@ -193,7 +202,8 @@ func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 			return nil, ErrCrashed
 		case CollectRequest:
 			w.flushSnapshot()
-			if err := w.coord.Send(FinalModel{Params: w.model.FlatParams(nil)}); err != nil {
+			params := w.model.FlatParams(nil)
+			if err := w.coord.Send(FinalModel{Params: tensor.AppendWords(make([]byte, 0, 8*len(params)), params)}); err != nil {
 				return nil, err
 			}
 		case Done:
@@ -295,6 +305,7 @@ func (w *WorkerClient) buildNode() error {
 	}
 	w.pattern = rec.Pattern()
 	w.codecs = rec.Codecs(w.model.ParamCount())
+	w.maxPayload = 8 * (2 + 2*w.model.ParamCount())
 	if rec.Hub() && w.rank == rec.ServerRank() {
 		w.node = rec.NewNode(w.rank, w.model, nil, nil)
 		w.logf("worker %d: parameter server for %q (%d params)", w.rank, rec.Algo, w.model.ParamCount())
@@ -505,10 +516,10 @@ func peerTable(peer, self, n int) []int {
 // internal/engine, and only the one-way frames below are transport-specific.
 type peerDialer struct{ w *WorkerClient }
 
-// Send implements engine.Transport: dial the peer and write one PeerPayload
-// frame. The peer's accept loop drains it whether or not its round goroutine
-// has reached the matching Recv, so two workers sending to each other first
-// cannot deadlock on full socket buffers.
+// Send implements engine.Transport: dial the peer and write one payload
+// frame — the header and the words, raw. The peer's accept loop drains it
+// whether or not its round goroutine has reached the matching Recv, so two
+// workers sending to each other first cannot deadlock on full socket buffers.
 func (d peerDialer) Send(round, self, peer int, payload []float64) error {
 	w := d.w
 	if w.aborting.Load() {
@@ -520,10 +531,11 @@ func (d peerDialer) Send(round, self, peer int, payload []float64) error {
 	if err != nil {
 		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d dial peer %d: %w", self, peer, err)}
 	}
-	conn := NewConn(nc)
-	defer conn.Close()
-	if err := conn.Send(PeerPayload{Round: round, From: self, Seq: seq, Attempt: w.attempt, Vals: payload}); err != nil {
-		return &peerError{peer: peer, err: err}
+	defer nc.Close()
+	w.sendBuf = tensor.AppendWords(engine.BeginFrame(w.sendBuf), payload)
+	engine.SealFrame(w.sendBuf, engine.FrameHeader{Kind: engine.FramePayload, From: self, Round: round, Attempt: w.attempt, Seq: seq})
+	if _, err := nc.Write(w.sendBuf); err != nil {
+		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d send to peer %d: %w", self, peer, err)}
 	}
 	return nil
 }
@@ -537,11 +549,27 @@ func (d peerDialer) Recv(round, self, peer int) ([]float64, error) {
 	return w.inbox.take(peer, seq, &w.aborting)
 }
 
+// maxProbeBytes is the ceiling on a measurement probe's body.
+const maxProbeBytes = 64 << 20
+
+// maxBody caps an inbound frame's body by kind, before room is made for it.
+func (w *WorkerClient) maxBody(kind engine.FrameKind) int {
+	switch kind {
+	case engine.FramePayload:
+		return w.maxPayload
+	case engine.FrameProbe:
+		return maxProbeBytes
+	}
+	return 0
+}
+
 // probeConn is a measurement-phase connection the accept loop took in: the
-// probe already read, and when the connection was accepted.
+// probe already read (who sent it, how many bytes), and when the connection
+// was accepted.
 type probeConn struct {
-	conn  *Conn
-	probe Probe
+	conn  net.Conn
+	from  int
+	size  int
 	start time.Time
 }
 
@@ -564,11 +592,13 @@ func (w *WorkerClient) servePeers() (stop func()) {
 }
 
 // acceptLoop drains every inbound connection's single frame, independently
-// of the round goroutine: data frames land in the inbox, measurement probes
-// go to measurePeers with their connection (the echo travels back on it).
-// It ends when the listener closes, failing any Recv still waiting.
+// of the round goroutine. A frame is verified — header, length cap, checksum,
+// then sender rank, kind and whole words — before anything is filed; one
+// that fails is logged with the reason and counted, and the connection
+// dropped. It ends when the listener closes, failing any Recv still waiting.
 func (w *WorkerClient) acceptLoop() {
 	defer close(w.probes)
+	var buf []byte // the loop reads one frame at a time
 	for {
 		nc, err := w.peerLn.Accept()
 		if err != nil {
@@ -576,20 +606,46 @@ func (w *WorkerClient) acceptLoop() {
 			return
 		}
 		start := time.Now()
-		conn := NewConn(nc)
-		msg, err := conn.Recv()
-		if p, ok := msg.(Probe); ok && err == nil {
-			select {
-			case w.probes <- probeConn{conn: conn, probe: p, start: start}:
+		h, body, err := engine.ReadFrame(nc, buf, w.maxBody)
+		if err == nil {
+			buf = body[:0]
+			var kept bool
+			if kept, err = w.file(nc, h, body, start); kept {
 				continue
-			default: // more probes than ranks: not this fleet's
 			}
 		}
-		conn.Close()
-		if pp, ok := msg.(PeerPayload); ok && err == nil {
-			w.inbox.put(pp)
+		if err != nil {
+			w.logf("worker %d: rejected frame from %s: %v", w.rank, nc.RemoteAddr(), err)
+			obs.Current().TransportM().FramesRejectedTotal.Inc()
 		}
+		nc.Close()
 	}
+}
+
+// file hands an intact frame on: a payload's words to the inbox, a
+// measurement probe to measurePeers together with its connection (the echo
+// travels back on it), which is then measurePeers' to close.
+func (w *WorkerClient) file(nc net.Conn, h engine.FrameHeader, body []byte, start time.Time) (kept bool, err error) {
+	if h.From >= w.n {
+		return false, fmt.Errorf("transport: frame from rank %d of %d", h.From, w.n)
+	}
+	switch h.Kind {
+	case engine.FramePayload:
+		vals, err := tensor.Words(body)
+		if err != nil {
+			return false, err
+		}
+		w.inbox.put(PeerPayload{Round: h.Round, From: h.From, Seq: h.Seq, Attempt: h.Attempt, Vals: vals})
+	case engine.FrameProbe:
+		select {
+		case w.probes <- probeConn{conn: nc, from: h.From, size: len(body), start: start}:
+			return true, nil
+		default: // more probes than ranks: not this fleet's
+		}
+	default:
+		return false, fmt.Errorf("transport: frame of kind %d on the peer listener", h.Kind)
+	}
+	return false, nil
 }
 
 // inbox holds the data-plane frames that have arrived but not been claimed.
@@ -634,7 +690,7 @@ func (b *inbox) begin(round, attempt int) {
 
 func (b *inbox) put(pp PeerPayload) {
 	b.mu.Lock()
-	if pp.From >= 0 && pp.From < len(b.frames) && !b.stale(pp) {
+	if !b.stale(pp) {
 		b.frames[pp.From] = append(b.frames[pp.From], pp)
 	}
 	b.mu.Unlock()

@@ -17,7 +17,7 @@
 //
 //   - Deployment: run a CoordinatorServer and WorkerClients over TCP
 //     (cmd/coordinator -algo <name>, cmd/worker); the identical engine
-//     round logic exchanges real gob-encoded payloads peer-to-peer, for
+//     round logic exchanges real checksummed payload frames peer-to-peer, for
 //     SAPS and every baseline alike (hub algorithms run the parameter
 //     server as one extra worker process).
 //
