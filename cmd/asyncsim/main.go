@@ -11,16 +11,15 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/scenario"
+	"sapspsgd/internal/tensor"
 )
 
 var (
@@ -96,9 +95,7 @@ func run() error {
 	// bits, rank-major.
 	var bin []byte
 	for _, params := range out.Params {
-		for _, v := range params {
-			bin = binary.LittleEndian.AppendUint64(bin, math.Float64bits(v))
-		}
+		bin = tensor.AppendWords(bin, params)
 	}
 	if err := os.WriteFile(filepath.Join(*flagOut, "model.bin"), bin, 0o644); err != nil {
 		return err

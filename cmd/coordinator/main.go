@@ -3,7 +3,7 @@
 // processes, drives -rounds communication rounds of control broadcasts
 // (adaptive peer selection + mask seed for SAPS; participation sampling for
 // the federated schemes), and writes the collected final model to -out
-// (gob-encoded []float64).
+// (the parameters as raw little-endian float64 words, tensor.AppendWords).
 //
 // Example (six terminals):
 //
@@ -29,7 +29,6 @@
 package main
 
 import (
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"log"
@@ -45,6 +44,7 @@ import (
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/tensor"
 	"sapspsgd/internal/transport"
 )
 
@@ -79,7 +79,7 @@ func main() {
 		traceInterp = flag.String("trace-interp", "hold", "trace multiplier interpolation: hold|linear")
 		traceEvents = flag.Bool("trace-events", false, "replay the trace's join/leave membership events (saps only)")
 		rejoinWait  = flag.Duration("rejoin-wait", time.Minute, "how long to hold a round boundary for a scheduled rejoiner")
-		out         = flag.String("out", "model.gob", "output file for the final model")
+		out         = flag.String("out", "model.bin", "output file for the final model (little-endian float64 words)")
 	)
 	var obsFlags obs.FlagConfig
 	obsFlags.AddFlags(nil)
@@ -148,12 +148,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("total measured traffic: %.2f MB over %d rounds", float64(led.TotalBytes())/1e6, led.Rounds())
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(params); err != nil {
+	if err := os.WriteFile(*out, tensor.AppendWords(nil, params), 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("final model (%d parameters) written to %s\n", len(params), *out)

@@ -97,9 +97,14 @@ func NewFleet(cfg FleetConfig) *Fleet {
 // assembled from a Recipe (nodes, per-rank codecs, pattern) and a planner,
 // stepped through engine.Driver. Per-round ledger charges come from the wire
 // bytes the codecs actually produced. The baselines and the SAPS family
-// differ only in the recipe, the planner, and the latter's roundObserver.
+// differ only in the recipe, the planner, and the latter's roundObserver; a
+// planner-only run (NewPlannerOnly) is the chassis with no fleet under it.
 type InProc struct {
-	name   string
+	name string
+	// step is the one engine.Driver round: eng.Step, or — for a planner-only
+	// run, which has no fleet and so no engine (eng is nil) — a bare driver's
+	// Round over the control with no nodes.
+	step   func(t int, led engine.Ledger) (engine.RoundStats, error)
 	eng    *engine.Engine
 	models []*nn.Model
 	server int            // hub server rank, -1 for serverless algorithms
@@ -140,6 +145,7 @@ func newInProc(name string, fc FleetConfig, r Recipe, planner engine.Planner, li
 		Planner: planner,
 		Shards:  fc.RuntimeShards,
 	})
+	a.step = a.eng.Step
 	return a
 }
 
@@ -151,7 +157,11 @@ func (a *InProc) Models() []*nn.Model { return a.models }
 
 // Close releases the engine's executors (also reclaimed automatically when
 // the algorithm becomes unreachable).
-func (a *InProc) Close() { a.eng.Close() }
+func (a *InProc) Close() {
+	if a.eng != nil {
+		a.eng.Close()
+	}
+}
 
 // SetTrace attaches a round recorder: one event per round from then on. Only
 // the SAPS family records (the trace is about its matchings); on a baseline
@@ -177,7 +187,7 @@ func (a *InProc) Step(round int, led engine.Ledger) float64 {
 	if a.server >= 0 {
 		led = &hubLedger{inner: led, server: a.server, links: a.links}
 	}
-	stats, err := a.eng.Step(round, led)
+	stats, err := a.step(round, led)
 	if err != nil {
 		panic(err) // the in-process transport cannot fail
 	}

@@ -85,6 +85,49 @@ func NewRandomChoose(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *InP
 	return newSAPS("RandomChoose", fc, bw, cfg, NewRandomPlanner(fc.N, cfg.Seed))
 }
 
+// NewPlannerOnly is a SAPS-family run's coordinator side alone — the paper's
+// Fig. 5: the planner (core.NewCoordinator over bw, or NewRandomPlanner)
+// drives the same engine.Driver round over a control with no nodes, which
+// charges every matched pair the bytes of the round's shared mask over a
+// dim-parameter model at compression ratio c. No model, dataset or engine is
+// built; traffic and simulated time are bit-identical to the full run's (the
+// mask-seed stream and the matchings are the same), Models is empty and the
+// loss reads zero.
+func NewPlannerOnly(name string, planner engine.Planner, bw *netsim.Bandwidth, dim int, c float64) *InProc {
+	ctl := &maskTraffic{dim: dim, c: c}
+	return &InProc{
+		name:   name,
+		step:   engine.NewDriver(planner, ctl).Round,
+		server: -1,
+		watch:  &roundObserver{bw: bw, n: bw.N},
+	}
+}
+
+// maskTraffic is the engine.Control of a planner-only run: what the saps
+// recipe's workers would have reported for the plan, without the workers.
+type maskTraffic struct {
+	dim   int
+	c     float64
+	mask  []bool
+	pairs []engine.PairTraffic
+}
+
+// RunRound implements engine.Control: one pair per matching edge, each
+// direction the masked payload, in ascending rank order (the order
+// engine.ReportFold gives a fleet's pairs).
+func (m *maskTraffic) RunRound(plan core.RoundPlan) (engine.ControlReport, error) {
+	m.mask = compress.MaskInto(m.mask, plan.Seed, plan.Round, m.dim, m.c)
+	ones := compress.CountOnes(m.mask)
+	payload := compress.MaskedBytes(ones)
+	m.pairs = m.pairs[:0]
+	for v, p := range plan.Peer {
+		if p > v {
+			m.pairs = append(m.pairs, engine.PairTraffic{I: v, J: p, IToJ: payload, JToI: payload})
+		}
+	}
+	return engine.ControlReport{PayloadLen: ones, Pairs: m.pairs}, nil
+}
+
 // roundObserver keeps the SAPS family's per-round diagnostics: how many
 // workers each round's plan had present, and — when a recorder is attached —
 // one trace event per round (matching, matched bandwidths, the

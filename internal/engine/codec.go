@@ -55,15 +55,6 @@ type DecoderInto interface {
 	DecodeInto(dst []float64, ctx RoundContext, words []float64) ([]float64, error)
 }
 
-// decodeWith dispatches to DecodeInto when the codec offers it (reusing dst)
-// and falls back to the allocating Decode otherwise.
-func decodeWith(c Codec, dst []float64, ctx RoundContext, words []float64) ([]float64, error) {
-	if d, ok := c.(DecoderInto); ok {
-		return d.DecodeInto(dst, ctx, words)
-	}
-	return c.Decode(ctx, words)
-}
-
 // ---------------------------------------------------------------------------
 // Dense
 

@@ -38,6 +38,7 @@
 package engine
 
 import (
+	"math"
 	"slices"
 
 	"sapspsgd/internal/core"
@@ -142,30 +143,46 @@ type RoundStats struct {
 	CommSeconds float64
 }
 
-// AggregateFlows folds per-node sender-attributed flows into per-pair
-// traffic, using only each sender's own measurement (both endpoints compute
-// WireBytes over the same words, so the receiver's number is redundant).
-// reports is rank-indexed; entries for absent nodes are zero values. The
-// returned slice is freshly allocated; the in-process runtime uses a pooled
-// flowAgg instead so steady-state rounds do not allocate.
-func AggregateFlows(reports []NodeReport) []PairTraffic {
-	var agg flowAgg
-	return append([]PairTraffic(nil), agg.aggregate(reports)...)
-}
-
-// flowAgg is the reusable flow aggregator behind AggregateFlows and the
-// in-process runtime's per-round reports: the pair index map and the output
-// slice persist across rounds, so a steady-state aggregate performs no heap
-// allocations. Not safe for concurrent use.
-type flowAgg struct {
+// ReportFold folds a round's rank-indexed node reports into its control
+// report — one of the two deterministic commit points (the other is the
+// Driver's rank-ordered ledger charge), and the one fold every Control with
+// nodes returns: the shard runner and the TCP coordinator alike. The pair
+// index map and the output slice persist across rounds, so a steady-state
+// fold performs no heap allocations. The zero value is ready; not safe for
+// concurrent use.
+type ReportFold struct {
 	idx   map[uint64]int
 	pairs []PairTraffic
 }
 
-// aggregate folds reports into per-pair traffic ordered by (I, J). The
-// returned slice aliases the aggregator's pooled storage and is valid until
-// the next aggregate call.
-func (a *flowAgg) aggregate(reports []NodeReport) []PairTraffic {
+// Fold returns the report of one executed round: rank-ordered flow
+// aggregation, the loss mean over the nodes that trained, and the largest
+// payload. reports is rank-indexed; entries for absent nodes are zero values.
+// The report's Pairs alias the fold's pooled storage and stay valid until the
+// next Fold — the Driver consumes them before planning the next round.
+func (a *ReportFold) Fold(reports []NodeReport) ControlReport {
+	rep := ControlReport{Pairs: a.aggregate(reports)}
+	sum, k := 0.0, 0
+	for _, nr := range reports {
+		if nr.PayloadLen > rep.PayloadLen {
+			rep.PayloadLen = nr.PayloadLen
+		}
+		if nr.Trained && !math.IsNaN(nr.Loss) {
+			sum += nr.Loss
+			k++
+		}
+	}
+	if k > 0 {
+		rep.MeanLoss = sum / float64(k)
+	}
+	return rep
+}
+
+// aggregate folds per-node sender-attributed flows into per-pair traffic
+// ordered by (I, J), using only each sender's own measurement (both endpoints
+// compute WireBytes over the same words, so the receiver's number is
+// redundant).
+func (a *ReportFold) aggregate(reports []NodeReport) []PairTraffic {
 	if a.idx == nil {
 		a.idx = make(map[uint64]int)
 	} else {

@@ -3,11 +3,188 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"sapspsgd/internal/core"
+	"sapspsgd/internal/engine/memtransport"
 	"sapspsgd/internal/obs"
 )
+
+// Driver is Algorithm 1's round loop, backend- and algorithm-agnostic: plan
+// the round (Algorithm 3 via the Planner), run it on every node through the
+// Control barrier, then account the round's traffic in the Ledger — one
+// bidirectional charge per communicating pair, sized by the wire bytes the
+// nodes' codecs actually produced.
+type Driver struct {
+	Planner Planner
+	Control Control
+	// Metrics is the observability sink for round counters and timings.
+	// The zero value is a fully disabled sink.
+	Metrics obs.EngineMetrics
+}
+
+// NewDriver is how the product builds a Driver — the sharded engine, the TCP
+// coordinator and a planner-only run alike — so every executor counts rounds,
+// wire bytes and simulated seconds the same way. It captures
+// obs.Current().EngineM() once; hot rounds never reload the global.
+func NewDriver(p Planner, c Control) *Driver {
+	return &Driver{Planner: p, Control: c, Metrics: obs.Current().EngineM()}
+}
+
+// Round executes round t against the ledger and returns its stats.
+func (d *Driver) Round(t int, led Ledger) (RoundStats, error) {
+	var start time.Time
+	if d.Metrics.Enabled() {
+		start = time.Now()
+	}
+	plan := d.Planner.Plan(t)
+	rep, err := d.Control.RunRound(plan)
+	if err != nil {
+		return RoundStats{}, err
+	}
+	var total int64
+	for _, p := range rep.Pairs {
+		led.Exchange(p.I, p.J, p.IToJ, p.JToI)
+		total += p.IToJ + p.JToI
+	}
+	secs := led.EndRound()
+	d.Metrics.RoundsTotal.Inc()
+	// The wire counter follows the repo's fleet-traffic convention
+	// (Result.TotalBytes, BENCH.json): every payload counted at both its
+	// sender and its receiver.
+	d.Metrics.WireBytesTotal.Add(2 * total)
+	d.Metrics.SimSecondsTotal.Add(secs)
+	if d.Metrics.Enabled() {
+		d.Metrics.RoundSeconds.Observe(time.Since(start).Seconds())
+	}
+	return RoundStats{
+		Plan:        plan,
+		PayloadLen:  rep.PayloadLen,
+		Loss:        rep.MeanLoss,
+		Bytes:       total,
+		CommSeconds: secs,
+	}, nil
+}
+
+// Options configures an in-process Engine.
+type Options struct {
+	// Nodes are the participants, indexed by rank (trainers plus, for hub
+	// patterns, the server as the last rank).
+	Nodes []Node
+	// Codecs is the per-rank codec table: Codecs[r] encodes rank r's
+	// outbound payloads, and every other rank decodes r's payloads with
+	// it. Must be the same length as Nodes. Stateful codecs (error
+	// feedback, RNG) must be distinct instances per rank.
+	Codecs []Codec
+	// Pattern is the round's communication shape (nil defaults to the
+	// pairwise matched-gossip pattern of Algorithm 1).
+	Pattern Pattern
+
+	// Planner produces the per-round control message (Algorithm 1/3).
+	Planner Planner
+	// Transport carries the payloads between ranks (nil defaults to an
+	// in-process hub over the node count).
+	Transport Transport
+
+	// Shards is the number of executor goroutines: ranks are partitioned
+	// into Shards contiguous shards, each executed serially by one
+	// long-lived goroutine, with the round's phases separated by barriers
+	// (see Pattern). Shards == 1 is the fully serial reference execution;
+	// any other count produces bit-identical trajectories and byte-identical
+	// ledgers. 0 means one shard per CPU (GOMAXPROCS); counts above the
+	// number of ranks are clamped to it.
+	Shards int
+}
+
+// Engine runs the canonical round loop over an in-process fleet on the
+// sharded phased runtime: one executor goroutine per shard of ranks, spawned
+// once and reused every round, running the pattern's phases with barriers in
+// between (see DESIGN.md §2). Engine implements Control for its own Driver.
+//
+// Close releases the executors; a finalizer also releases them when an
+// un-Closed Engine becomes unreachable, so dropping an Engine on the floor
+// does not leak goroutines.
+type Engine struct {
+	nodes   []Node
+	codecs  []Codec
+	pattern Pattern
+	driver  Driver
+	sharded *shardRunner
+	stop    sync.Once // closes the executors' command channels exactly once
+	closed  bool
+}
+
+// New builds the engine and spawns its shard executors.
+func New(opts Options) *Engine {
+	nodes, codecs := opts.Nodes, opts.Codecs
+	n := len(nodes)
+	if n < 1 {
+		panic("engine: no nodes")
+	}
+	if len(codecs) != n {
+		panic(fmt.Sprintf("engine: %d codecs for %d nodes", len(codecs), n))
+	}
+	if opts.Planner == nil {
+		panic("engine: nil planner")
+	}
+	pat := opts.Pattern
+	if pat == nil {
+		pat = Pairwise{}
+	}
+	tr := opts.Transport
+	if tr == nil {
+		tr = memtransport.NewHub(n)
+	}
+	e := &Engine{
+		nodes:   nodes,
+		codecs:  codecs,
+		pattern: pat,
+	}
+	// By value: a heap Driver pointing back at e would put the finalizer's
+	// object in a cycle through another block, and it would never run.
+	e.driver = *NewDriver(opts.Planner, e)
+	e.sharded = newShardRunner(nodes, codecs, pat, tr, opts.Shards)
+	// The executor goroutines deliberately do not reference e, so an
+	// abandoned Engine is collectable; the finalizer then closes their
+	// command channels.
+	runtime.SetFinalizer(e, (*Engine).Close)
+	return e
+}
+
+// RunRound implements Control: run the validated plan's phases across the
+// shards and wait for every rank to finish the round.
+func (e *Engine) RunRound(plan core.RoundPlan) (ControlReport, error) {
+	if e.closed {
+		return ControlReport{}, fmt.Errorf("engine: RunRound after Close")
+	}
+	if err := e.pattern.Validate(plan, len(e.nodes)); err != nil {
+		return ControlReport{}, err
+	}
+	return e.sharded.runRound(plan)
+}
+
+// Step runs one full round — plan, execute, account — against the ledger.
+func (e *Engine) Step(t int, led Ledger) (RoundStats, error) {
+	return e.driver.Round(t, led)
+}
+
+// Nodes exposes the rank-indexed participants.
+func (e *Engine) Nodes() []Node { return e.nodes }
+
+// Close shuts down the shard executors. The engine must not be stepped after
+// Close. Close is idempotent.
+func (e *Engine) Close() {
+	e.closed = true
+	e.stop.Do(func() {
+		// A pending finalizer would keep the fleet alive through one more
+		// collection after the caller dropped it.
+		runtime.SetFinalizer(e, nil)
+		for _, c := range e.sharded.cmds {
+			close(c)
+		}
+	})
+}
 
 // shardRunner is the sharded phased runtime: ranks are partitioned into
 // contiguous shards, each served by one long-lived executor goroutine. A
@@ -63,7 +240,7 @@ type shardRunner struct {
 	firstRun []int // per shard: index into runs of its first dispatch, -1 if none
 	lastRun  []int // per shard: index of its last dispatch
 	bounds   []int // shard i covers ranks [bounds[i], bounds[i+1])
-	agg      flowAgg
+	agg      ReportFold
 
 	// metrics is the coordinator-side observability sink (zero value =
 	// disabled), captured once at construction.
@@ -250,5 +427,32 @@ func (s *shardRunner) runRound(plan core.RoundPlan) (ControlReport, error) {
 			s.metrics.PhaseSeconds.Observe(time.Since(start).Seconds())
 		}
 	}
-	return buildReport(&s.agg, s.reports), nil
+	return s.agg.Fold(s.reports), nil
+}
+
+// WorkerRound executes one rank's full round: the pattern's phases run back
+// to back over the transport, each Recv blocking until the peer's deposit
+// arrives. It is the whole executor of a one-rank-per-process deployment
+// (the TCP worker); the in-process engine runs the same phases across many
+// ranks with barriers in between.
+//
+// The transport must not retain a payload after Send returns (see
+// Transport) — with no barrier between a rank's phases, the butterfly
+// rewrites its chunk buffers while a by-reference receiver could still be
+// reading them. st is the rank's phase scratch, reused round over round; the
+// returned report aliases it and is valid until the next WorkerRound on the
+// same st. pat nil defaults to the pairwise matched-gossip pattern. codecs
+// is the shared per-rank codec table: the node encodes with
+// codecs[ctx.Self] and decodes inbound payloads with the sender's codec.
+func WorkerRound(node Node, pat Pattern, codecs []Codec, tr Transport, st *PhaseState, ctx RoundContext) (NodeReport, error) {
+	if pat == nil {
+		pat = Pairwise{}
+	}
+	st.reset()
+	for p, phases := 0, pat.PhaseCount(ctx.Plan, ctx.N); p < phases; p++ {
+		if err := pat.RunPhase(ctx, p, node, codecs, tr, st); err != nil {
+			return NodeReport{}, err
+		}
+	}
+	return st.Rep, nil
 }

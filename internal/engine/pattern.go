@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"sapspsgd/internal/core"
@@ -40,6 +41,114 @@ type Pattern interface {
 	RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error
 }
 
+// PhaseFuser is an optional Pattern extension for barrier elision: a false
+// entry in PhaseDeps tells the sharded runtime that the boundary between
+// phases p and p+1 needs no barrier, so the two phases fuse into one dispatch
+// per shard and the receives synchronize on the transport's FIFO instead. A
+// boundary may be declared fusable only when every buffer a rank deposits
+// before the boundary stays unwritten by its owner until the round completes
+// (in-process receivers may still be reading it). Patterns that rewrite their
+// send scratch phase over phase — the butterfly collective — must not fuse.
+type PhaseFuser interface {
+	// PhaseDeps appends PhaseCount-1 booleans to deps, one per adjacent
+	// phase boundary in order: true keeps the barrier, false fuses.
+	PhaseDeps(plan core.RoundPlan, n int, deps []bool) []bool
+}
+
+// PhaseParticipants is an optional Pattern extension for dispatch
+// elision: PhaseRanks names the half-open rank interval [lo, hi) that has
+// work in a phase, and the runtime skips shards entirely outside it (their
+// reports read as zero for the round unless another phase involves them).
+// Over-approximating is always safe — RunPhase on a rank with nothing to do
+// is a no-op.
+type PhaseParticipants interface {
+	PhaseRanks(plan core.RoundPlan, n int, phase int) (lo, hi int)
+}
+
+// PhaseState carries one rank's in-flight round state across the round's
+// phases. An executor owns one per rank and recycles it round over round via
+// reset, so all scratch below keeps its capacity and a steady-state round
+// allocates nothing.
+type PhaseState struct {
+	// Rep accumulates the rank's NodeReport across phases.
+	Rep NodeReport
+
+	skip   bool      // round finished early (e.g. unmatched pairwise rank)
+	sent   int64     // wire bytes of the in-flight outbound payload
+	vec    []float64 // running sum (collective / all-gather)
+	msgs   []PeerMsg // pending merge messages
+	lo, hi int       // owned segment (halving/doubling)
+	peers  []int     // chosen-worker scratch (hub server)
+
+	// dec is the single-slot decode scratch for payloads consumed within
+	// the same phase; decBufs hold per-message decodes that must stay alive
+	// together until a Merge. Both only ever store buffers produced by a
+	// codec's DecodeInto — a plain Decode result may alias the sender's
+	// storage, which the receiver must never write into.
+	dec     []float64
+	decBufs [][]float64
+	decUsed int
+
+	// wbufs double-buffer the butterfly's outbound chunk words by phase
+	// parity: a deposit made in phase p is drained in p+1, so its buffer is
+	// reusable at p+2 — which is exactly when the parity index repeats.
+	wbufs [2][]float64
+}
+
+// reset prepares the state for a new round, keeping every buffer's capacity.
+func (st *PhaseState) reset() {
+	st.Rep = NodeReport{Flows: st.Rep.Flows[:0]}
+	st.skip = false
+	st.sent = 0
+	st.vec = st.vec[:0]
+	st.msgs = st.msgs[:0]
+	st.lo, st.hi = 0, 0
+	st.decUsed = 0
+}
+
+// decodeScratch decodes words with c into the single-slot scratch when the
+// codec supports DecodeInto. The result is only valid until the next
+// decodeScratch call on the same state — callers consume it immediately.
+func (st *PhaseState) decodeScratch(c Codec, ctx RoundContext, words []float64) ([]float64, error) {
+	if d, ok := c.(DecoderInto); ok {
+		out, err := decodeIntoTimed(d, st.dec, ctx, words)
+		if err != nil {
+			return nil, err
+		}
+		st.dec = out
+		return out, nil
+	}
+	return decodeTimed(c, ctx, words)
+}
+
+// decodeMsg decodes words into the next pooled per-message buffer; results
+// from consecutive calls stay valid together until the round's Merge. Codecs
+// without DecodeInto fall back to Decode and their result is not pooled (it
+// may alias sender-owned storage).
+func (st *PhaseState) decodeMsg(c Codec, ctx RoundContext, words []float64) ([]float64, error) {
+	d, ok := c.(DecoderInto)
+	if !ok {
+		return decodeTimed(c, ctx, words)
+	}
+	if st.decUsed == len(st.decBufs) {
+		st.decBufs = append(st.decBufs, nil)
+	}
+	out, err := decodeIntoTimed(d, st.decBufs[st.decUsed], ctx, words)
+	if err != nil {
+		return nil, err
+	}
+	st.decBufs[st.decUsed] = out
+	st.decUsed++
+	return out, nil
+}
+
+// mergeOne hands a single peer message to the node through the pooled
+// message slice.
+func (st *PhaseState) mergeOne(ctx RoundContext, node Node, msg PeerMsg) error {
+	st.msgs = append(st.msgs[:0], msg)
+	return node.Merge(ctx, st.msgs)
+}
+
 // ---------------------------------------------------------------------------
 // Pairwise (matched gossip — SAPS, RandomChoose)
 
@@ -72,6 +181,60 @@ func (Pairwise) Validate(plan core.RoundPlan, n int) error {
 		case plan.Active != nil && (!plan.Active[i] || !plan.Active[p]):
 			return fmt.Errorf("engine: plan matches inactive worker in pair %d-%d", i, p)
 		}
+	}
+	return nil
+}
+
+// PhaseCount implements Pattern: encode+send, then recv+merge.
+func (Pairwise) PhaseCount(core.RoundPlan, int) int { return 2 }
+
+// PhaseDeps implements PhaseFuser: the two phases fuse. A rank's payload is
+// immutable from its Send until the round barrier (the codec re-encodes only
+// next round), so the only cross-rank dependency is the deposit itself and
+// the FIFO orders it.
+func (Pairwise) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
+	return append(deps, false)
+}
+
+// RunPhase implements Pattern.
+func (Pairwise) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+	peer := -1
+	if ctx.Self < len(ctx.Plan.Peer) {
+		peer = ctx.Plan.Peer[ctx.Self]
+	}
+	switch p {
+	case 0:
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
+		}
+		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		if peer < 0 {
+			st.skip = true
+			return nil
+		}
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+		if err != nil {
+			return err
+		}
+		st.sent = codecs[ctx.Self].WireBytes(words)
+		st.Rep.PayloadLen = len(words)
+		return tr.Send(ctx.Round, ctx.Self, peer, words)
+	case 1:
+		if st.skip {
+			return nil
+		}
+		peerWords, err := tr.Recv(ctx.Round, ctx.Self, peer)
+		if err != nil {
+			return err
+		}
+		vals, err := st.decodeScratch(codecs[peer], ctx, peerWords)
+		if err != nil {
+			return err
+		}
+		recv := codecs[peer].WireBytes(peerWords)
+		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: peer, Sent: st.sent, Recv: recv})
+		return st.mergeOne(ctx, node, PeerMsg{From: peer, Vals: vals, Words: peerWords, Bytes: recv})
 	}
 	return nil
 }
@@ -136,6 +299,71 @@ func (p *Neighborhood) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "neighborhood")
 }
 
+// PhaseCount implements Pattern: broadcast, then gather+merge.
+func (p *Neighborhood) PhaseCount(core.RoundPlan, int) int { return 2 }
+
+// PhaseDeps implements PhaseFuser: broadcast payloads are immutable after
+// their sends, so gather fuses onto broadcast and synchronizes on the FIFOs.
+func (p *Neighborhood) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
+	return append(deps, false)
+}
+
+// RunPhase implements Pattern.
+func (p *Neighborhood) RunPhase(ctx RoundContext, phase int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+	peers := p.adj[ctx.Self]
+	switch phase {
+	case 0:
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
+		}
+		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		if len(peers) == 0 {
+			st.skip = true
+			return nil
+		}
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+		if err != nil {
+			return err
+		}
+		st.sent = codecs[ctx.Self].WireBytes(words)
+		st.Rep.PayloadLen = len(words)
+		st.msgs = st.msgs[:0]
+		if p.includeSelf {
+			vals, err := st.decodeMsg(codecs[ctx.Self], ctx, words)
+			if err != nil {
+				return err
+			}
+			st.msgs = append(st.msgs, PeerMsg{From: ctx.Self, Vals: vals, Words: words, Bytes: st.sent})
+		}
+		for _, q := range peers {
+			if err := tr.Send(ctx.Round, ctx.Self, q, words); err != nil {
+				return err
+			}
+		}
+		return nil
+	case 1:
+		if st.skip {
+			return nil
+		}
+		for _, q := range peers {
+			w, err := tr.Recv(ctx.Round, ctx.Self, q)
+			if err != nil {
+				return err
+			}
+			vals, err := st.decodeMsg(codecs[q], ctx, w)
+			if err != nil {
+				return err
+			}
+			b := codecs[q].WireBytes(w)
+			st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: b})
+			st.msgs = append(st.msgs, PeerMsg{From: q, Vals: vals, Words: w, Bytes: b})
+		}
+		return node.Merge(ctx, st.msgs)
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Hub (parameter-server fan-in — PS-PSGD, FedAvg, S-FedAvg)
 
@@ -187,6 +415,145 @@ func (h Hub) chosenInto(dst []int, plan core.RoundPlan, n int) []int {
 	return dst
 }
 
+// PhaseCount implements Pattern: server downlink; worker
+// pull-train-push; server uplink merge.
+func (Hub) PhaseCount(core.RoundPlan, int) int { return 3 }
+
+// PhaseRanks implements PhaseParticipants: the downlink and uplink phases
+// touch only the server's rank, so worker shards are dispatched for the
+// middle phase alone (and hand their reports over as soon as it completes).
+func (h Hub) PhaseRanks(_ core.RoundPlan, n int, phase int) (int, int) {
+	if phase == 1 {
+		return 0, n
+	}
+	return h.Server, h.Server + 1
+}
+
+// RunPhase implements Pattern. The runtime never calls RunPhase for an
+// inactive rank, so a worker reaching here is always chosen.
+func (h Hub) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+	if ctx.Self == h.Server {
+		return h.serverPhase(ctx, p, node, codecs, tr, st)
+	}
+	return h.workerPhase(ctx, p, node, codecs, tr, st)
+}
+
+func (h Hub) serverPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+	switch p {
+	case 0:
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
+		}
+		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+		if err != nil {
+			return err
+		}
+		st.sent = codecs[ctx.Self].WireBytes(words) // downlink bytes
+		st.Rep.PayloadLen = len(words)
+		st.peers = h.chosenInto(st.peers[:0], ctx.Plan, ctx.N)
+		for _, w := range st.peers {
+			if err := tr.Send(ctx.Round, ctx.Self, w, words); err != nil {
+				return err
+			}
+		}
+		return nil
+	case 2:
+		st.peers = h.chosenInto(st.peers[:0], ctx.Plan, ctx.N)
+		st.msgs = st.msgs[:0]
+		for _, w := range st.peers {
+			uw, err := tr.Recv(ctx.Round, ctx.Self, w)
+			if err != nil {
+				return err
+			}
+			vals, err := st.decodeMsg(codecs[w], ctx, uw)
+			if err != nil {
+				return err
+			}
+			b := codecs[w].WireBytes(uw)
+			st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: w, Sent: st.sent, Recv: b})
+			st.msgs = append(st.msgs, PeerMsg{From: w, Vals: vals, Words: uw, Bytes: b})
+		}
+		return node.Merge(ctx, st.msgs)
+	}
+	return nil
+}
+
+func (h Hub) workerPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+	if p != 1 {
+		return nil
+	}
+	downWords, err := tr.Recv(ctx.Round, ctx.Self, h.Server)
+	if err != nil {
+		return err
+	}
+	vals, err := st.decodeScratch(codecs[h.Server], ctx, downWords)
+	if err != nil {
+		return err
+	}
+	down := codecs[h.Server].WireBytes(downWords)
+	if err := st.mergeOne(ctx, node, PeerMsg{From: h.Server, Vals: vals, Words: downWords, Bytes: down}); err != nil {
+		return err
+	}
+	loss, out, err := node.Compute(ctx)
+	if err != nil {
+		return err
+	}
+	st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+	if err != nil {
+		return err
+	}
+	up := codecs[ctx.Self].WireBytes(words)
+	st.Rep.PayloadLen = len(words)
+	st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: h.Server, Sent: up, Recv: down})
+	return tr.Send(ctx.Round, ctx.Self, h.Server, words)
+}
+
+// ---------------------------------------------------------------------------
+// Shared phased all-gather halves (AllGather, non-power-of-two Collective)
+
+// phaseSendAll deposits words to every other rank in ascending order.
+func phaseSendAll(ctx RoundContext, tr Transport, words []float64) error {
+	for q := 0; q < ctx.N; q++ {
+		if q == ctx.Self {
+			continue
+		}
+		if err := tr.Send(ctx.Round, ctx.Self, q, words); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// phaseRecvSumAll drains every other rank's deposit in ascending order,
+// decoding and accumulating into vec (which already holds the rank's own
+// contribution).
+func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseState, vec []float64) error {
+	for q := 0; q < ctx.N; q++ {
+		if q == ctx.Self {
+			continue
+		}
+		pw, err := tr.Recv(ctx.Round, ctx.Self, q)
+		if err != nil {
+			return err
+		}
+		vals, err := st.decodeScratch(codecs[q], ctx, pw)
+		if err != nil {
+			return err
+		}
+		if len(vals) != len(vec) {
+			return fmt.Errorf("engine: all-gather payload of %d values, want %d", len(vals), len(vec))
+		}
+		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: codecs[q].WireBytes(pw)})
+		for j, v := range vals {
+			vec[j] += v
+		}
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Collective (exact all-reduce — PSGD)
 
@@ -226,6 +593,168 @@ func segAfter(rank, depth, D, n int) (int, int) {
 	return lo, hi
 }
 
+// PhaseCount implements Pattern. Power-of-two fleets run the butterfly
+// (2·log₂n exchange steps, each split across adjacent phases: the deposit in
+// phase p, the matching receive in phase p+1), other sizes the two-phase
+// exact all-gather, and a single node trains and merges in one phase.
+// Collective deliberately does not implement PhaseFuser: the butterfly
+// rewrites its parity-indexed chunk buffers phase over phase, so every
+// barrier is load-bearing (see PhaseState.wbufs).
+func (Collective) PhaseCount(_ core.RoundPlan, n int) int {
+	if n <= 1 {
+		return 1
+	}
+	if n&(n-1) == 0 {
+		q := bits.Len(uint(n)) - 1
+		return 2*q + 1
+	}
+	return 2
+}
+
+// RunPhase implements Pattern.
+func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+	if ctx.N > 1 && ctx.N&(ctx.N-1) == 0 {
+		return c.butterflyPhase(ctx, p, node, codecs, tr, st)
+	}
+	switch p {
+	case 0:
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
+		}
+		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(out)
+		st.vec = append(st.vec[:0], out...)
+		if ctx.N == 1 {
+			return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
+		}
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+		if err != nil {
+			return err
+		}
+		st.sent = codecs[ctx.Self].WireBytes(words)
+		return phaseSendAll(ctx, tr, words)
+	case 1:
+		if err := phaseRecvSumAll(ctx, codecs, tr, st, st.vec); err != nil {
+			return err
+		}
+		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
+	}
+	return nil
+}
+
+// sendChunk encodes vec[lo:hi] and deposits a copy of the words with
+// partner. The copy is required: the codec's scratch is reused by the next
+// step's encode. It lands in the phase-parity wire buffer: a deposit made in
+// phase p is drained (and, for identity codecs, read) in the
+// barrier-separated phase p+1, so the buffer is free again when the parity
+// repeats at p+2.
+func (st *PhaseState) sendChunk(ctx RoundContext, codecs []Codec, tr Transport, lo, hi, partner, p int) error {
+	words, err := encodeTimed(codecs[ctx.Self], ctx, st.vec[lo:hi])
+	if err != nil {
+		return err
+	}
+	w := append(st.wbufs[p&1][:0], words...)
+	st.wbufs[p&1] = w
+	st.sent = codecs[ctx.Self].WireBytes(w)
+	return tr.Send(ctx.Round, ctx.Self, partner, w)
+}
+
+// recvChunk drains partner's deposit and decodes it. The flow pairs this receive with the bytes of the chunk
+// sent to the same partner one phase earlier. The returned values live in
+// the single-slot decode scratch (or the sender's deposit, for identity
+// codecs) and are consumed before the phase ends.
+func (st *PhaseState) recvChunk(ctx RoundContext, codecs []Codec, tr Transport, partner int) ([]float64, error) {
+	pw, err := tr.Recv(ctx.Round, ctx.Self, partner)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := st.decodeScratch(codecs[partner], ctx, pw)
+	if err != nil {
+		return nil, err
+	}
+	st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: partner, Sent: st.sent, Recv: codecs[partner].WireBytes(pw)})
+	return vals, nil
+}
+
+// rsGeometry is reduce-scatter step k's exchange geometry given the owned
+// segment [lo, hi) before the step.
+func rsGeometry(self, n, k, lo, hi int) (partner, sendLo, sendHi, keepLo, keepHi int) {
+	mask := n >> (k + 1)
+	partner = self ^ mask
+	mid := lo + (hi-lo)/2
+	sendLo, sendHi, keepLo, keepHi = mid, hi, lo, mid
+	if self&mask != 0 {
+		sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
+	}
+	return
+}
+
+// butterflyPhase is the power-of-two halving/doubling all-reduce split into
+// 2q+1 phases: phase 0 computes and deposits reduce-scatter step 0; phase
+// p ∈ [1, q] drains step p-1, accumulates, and deposits the next step (the
+// first all-gather chunk at p == q); phase q+g drains gather step g-1 and
+// deposits step g; phase 2q drains the last chunk and merges the sum.
+func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+	self, n := ctx.Self, ctx.N
+	q := bits.Len(uint(n)) - 1
+	if p == 0 {
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
+		}
+		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(out)
+		st.vec = append(st.vec[:0], out...)
+		st.lo, st.hi = 0, len(st.vec)
+		partner, sendLo, sendHi, _, _ := rsGeometry(self, n, 0, st.lo, st.hi)
+		return st.sendChunk(ctx, codecs, tr, sendLo, sendHi, partner, p)
+	}
+	D := len(st.vec)
+	if p <= q {
+		// Drain reduce-scatter step p-1.
+		k := p - 1
+		partner, _, _, keepLo, keepHi := rsGeometry(self, n, k, st.lo, st.hi)
+		vals, err := st.recvChunk(ctx, codecs, tr, partner)
+		if err != nil {
+			return err
+		}
+		if len(vals) != keepHi-keepLo {
+			return fmt.Errorf("engine: collective chunk of %d values, want %d", len(vals), keepHi-keepLo)
+		}
+		for i, v := range vals {
+			st.vec[keepLo+i] += v
+		}
+		st.lo, st.hi = keepLo, keepHi
+		if p < q {
+			// Deposit reduce-scatter step p.
+			partner, sendLo, sendHi, _, _ := rsGeometry(self, n, p, st.lo, st.hi)
+			return st.sendChunk(ctx, codecs, tr, sendLo, sendHi, partner, p)
+		}
+		// Deposit all-gather step 0.
+		partner = self ^ 1
+		myLo, myHi := segAfter(self, q, D, n)
+		return st.sendChunk(ctx, codecs, tr, myLo, myHi, partner, p)
+	}
+	// Drain all-gather step g-1.
+	g := p - q
+	partner := self ^ (1 << (g - 1))
+	pLo, pHi := segAfter(partner, q-(g-1), D, n)
+	vals, err := st.recvChunk(ctx, codecs, tr, partner)
+	if err != nil {
+		return err
+	}
+	if len(vals) != pHi-pLo {
+		return fmt.Errorf("engine: collective gather chunk of %d values, want %d", len(vals), pHi-pLo)
+	}
+	copy(st.vec[pLo:pHi], vals)
+	if g < q {
+		// Deposit all-gather step g.
+		partner := self ^ (1 << g)
+		myLo, myHi := segAfter(self, q-g, D, n)
+		return st.sendChunk(ctx, codecs, tr, myLo, myHi, partner, p)
+	}
+	return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
+}
+
 // ---------------------------------------------------------------------------
 // AllGather (complete-graph gossip of compressed payloads — TopK, QSGD)
 
@@ -245,6 +774,45 @@ func (AllGather) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "all-gather")
 }
 
+// PhaseCount implements Pattern: broadcast, then gather+sum+merge.
+func (AllGather) PhaseCount(core.RoundPlan, int) int { return 2 }
+
+// PhaseDeps implements PhaseFuser: as with Neighborhood, the broadcast
+// payload is immutable after its sends, so the gather phase fuses.
+func (AllGather) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
+	return append(deps, false)
+}
+
+// RunPhase implements Pattern.
+func (AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+	switch p {
+	case 0:
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
+		}
+		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+		if err != nil {
+			return err
+		}
+		st.Rep.PayloadLen = len(words)
+		own, err := st.decodeScratch(codecs[ctx.Self], ctx, words)
+		if err != nil {
+			return err
+		}
+		st.vec = append(st.vec[:0], own...)
+		st.sent = codecs[ctx.Self].WireBytes(words)
+		return phaseSendAll(ctx, tr, words)
+	case 1:
+		if err := phaseRecvSumAll(ctx, codecs, tr, st, st.vec); err != nil {
+			return err
+		}
+		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
+	}
+	return nil
+}
+
 // requireAllActive rejects plans with dynamic membership for patterns whose
 // shape has no notion of absence.
 func requireAllActive(plan core.RoundPlan, n int, pattern string) error {
@@ -261,3 +829,12 @@ func requireAllActive(plan core.RoundPlan, n int, pattern string) error {
 	}
 	return nil
 }
+
+// Compile-time checks: the barrier/dispatch elision extensions stay wired to
+// their patterns.
+var (
+	_ PhaseFuser        = Pairwise{}
+	_ PhaseFuser        = (*Neighborhood)(nil)
+	_ PhaseFuser        = AllGather{}
+	_ PhaseParticipants = Hub{}
+)

@@ -236,3 +236,28 @@ func TestExpanderMixesFasterThanRing(t *testing.T) {
 		t.Fatalf("random 4-regular rho %v not below ring rho %v", rnd4, ring)
 	}
 }
+
+// RingW returns the static ring gossip matrix used by D-PSGD and DCD-PSGD in
+// the paper's experiments: worker i averages with its two ring neighbors
+// (weights 1/3 each, 1/3 self).
+func RingW(n int) *tensor.Matrix {
+	w := tensor.NewMatrix(n, n)
+	if n == 1 {
+		w.Set(0, 0, 1)
+		return w
+	}
+	if n == 2 {
+		// Degenerate ring: the two neighbors coincide.
+		w.Set(0, 0, 0.5)
+		w.Set(0, 1, 0.5)
+		w.Set(1, 0, 0.5)
+		w.Set(1, 1, 0.5)
+		return w
+	}
+	for i := 0; i < n; i++ {
+		w.Set(i, i, 1.0/3)
+		w.Set(i, (i+1)%n, 1.0/3)
+		w.Set(i, (i+n-1)%n, 1.0/3)
+	}
+	return w
+}

@@ -133,20 +133,6 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// FromAdjacency builds a graph from a boolean adjacency matrix, reading the
-// upper triangle.
-func FromAdjacency(a [][]bool) *Graph {
-	g := New(len(a))
-	for i := range a {
-		for j := i + 1; j < len(a[i]); j++ {
-			if a[i][j] || a[j][i] {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
-}
-
 // IsConnected reports whether the graph is connected (vacuously true for
 // n <= 1). This is the IfConnected check of Algorithm 3 applied to the
 // recently-connected edge set.

@@ -95,29 +95,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestUnionFindMatchesBFSConnectivity(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 2 + r.Intn(30)
-		g := New(n)
-		uf := NewUnionFind(n)
-		edges := r.Intn(2 * n)
-		for i := 0; i < edges; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			g.AddEdge(u, v)
-			if u != v {
-				uf.Union(u, v)
-			}
-		}
-		// Isolated-vertex-aware comparison: number of UF sets must equal the
-		// number of graph components.
-		return uf.Sets() == len(g.Components())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaximumMatchingRing(t *testing.T) {
 	tests := []struct {
 		n, want int

@@ -86,6 +86,3 @@ func (s *NodeScaledBandwidth) Apply(mult []float64) *Bandwidth {
 
 // Current returns the latest snapshot.
 func (s *NodeScaledBandwidth) Current() *Bandwidth { return s.current }
-
-// Base returns the underlying environment.
-func (s *NodeScaledBandwidth) Base() *Bandwidth { return s.base }

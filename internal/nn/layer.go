@@ -86,9 +86,6 @@ func NewModel(name string, in Shape, out int, layers ...Layer) *Model {
 // ParamCount returns the total number of scalar parameters N.
 func (m *Model) ParamCount() int { return m.n }
 
-// Layers exposes the layer list (read-only use).
-func (m *Model) Layers() []Layer { return m.layers }
-
 // Forward runs the full stack on a batch. The result is the caller's (hand
 // it to tensor.PutMatrix when done, or let it go); x stays the caller's and
 // must outlive the matching Backward when train is set. Everything in

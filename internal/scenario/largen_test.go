@@ -7,6 +7,7 @@ import (
 
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/obs"
 )
 
 // plannerBase is a full-training SAPS spec small enough to run both ways.
@@ -57,6 +58,32 @@ func TestPlannerOnlyMatchesFullRun(t *testing.T) {
 		if pr.SimSeconds != fr.SimSeconds {
 			t.Errorf("%s: planner-only sim time %v, full run %v", kind, pr.SimSeconds, fr.SimSeconds)
 		}
+	}
+}
+
+// TestPlannerOnlyMovesEngineCounters: a planner-only run is charged by the
+// same engine.Driver as a fleet, so with obs on it ends with
+// engine_rounds_total at its rounds and the wire and simulated-seconds
+// counters at its result — it used to bypass the driver and move none.
+func TestPlannerOnlyMovesEngineCounters(t *testing.T) {
+	metrics := obs.New()
+	obs.Enable(metrics)
+	defer obs.Disable()
+	s := plannerBase()
+	s.PlannerOnly = true
+	res, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := metrics.EngineM()
+	if got := em.RoundsTotal.Value(); got != int64(s.Rounds) {
+		t.Errorf("engine_rounds_total %d, want %d", got, s.Rounds)
+	}
+	if got := em.WireBytesTotal.Value(); got != res.TotalBytes || got == 0 {
+		t.Errorf("engine_wire_bytes_total %d, run moved %d", got, res.TotalBytes)
+	}
+	if got := em.SimSecondsTotal.Value(); got != res.SimSeconds {
+		t.Errorf("engine_sim_seconds_total %v, run took %v", got, res.SimSeconds)
 	}
 }
 

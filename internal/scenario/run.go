@@ -6,13 +6,11 @@ import (
 	"time"
 
 	"sapspsgd/internal/algos"
-	"sapspsgd/internal/compress"
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/fleettrace"
 	"sapspsgd/internal/gossip"
-	"sapspsgd/internal/graph"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/obs"
@@ -25,7 +23,7 @@ import (
 // straggler scaling. Every random draw derives from the spec seed, so the
 // environment is part of the reproducibility capsule. When the spec sets
 // bandwidth.jitter this is the *base* of the time-varying environment;
-// Build layers the netsim.DynamicBandwidth wrapper on top.
+// Build puts the netsim.RoundEnv clock on top.
 func (s *Spec) Env() *netsim.Bandwidth {
 	var bw *netsim.Bandwidth
 	switch s.Bandwidth.Kind {
@@ -74,43 +72,14 @@ func (s *Spec) Build(shards int) (algos.Algorithm, *netsim.Bandwidth, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return b.alg, b.bw, nil
+	return b.alg, b.env.Current(), nil
 }
 
 // built is a spec assembled for the round loop.
 type built struct {
 	alg   algos.Algorithm
-	bw    *netsim.Bandwidth
-	env   *roundEnv        // nil when the environment is static
+	env   *netsim.RoundEnv // the loop ticks it before every round
 	valid *dataset.Dataset // nil without data.valid
-}
-
-// roundEnv is the per-round environment machinery RunFull advances at every
-// round boundary: the jitter resampler and/or the trace-multiplier scaler.
-// The composition order is fixed — straggler scaling is baked into the base
-// environment, jitter resamples from that base, and the trace multipliers
-// scale the jittered links — so every backend evaluating the same spec
-// walks the same bandwidth sequence.
-type roundEnv struct {
-	dyn     *netsim.DynamicBandwidth
-	scaler  *netsim.NodeScaledBandwidth
-	replay  *fleettrace.Replay
-	multBuf []float64
-}
-
-// tick advances the environment to round r. Round 0's state was produced at
-// construction time.
-func (e *roundEnv) tick(r int) {
-	if e == nil || r == 0 {
-		return
-	}
-	if e.dyn != nil {
-		e.dyn.Tick()
-	}
-	if e.scaler != nil {
-		e.multBuf = e.replay.Multipliers(r, e.multBuf)
-		e.scaler.Apply(e.multBuf)
-	}
 }
 
 // traceReplay parses the spec's trace block and binds it to the fleet.
@@ -213,38 +182,31 @@ func (s *Spec) membership(replay *fleettrace.Replay) algos.Membership {
 	return m
 }
 
-// build is Build plus the per-round environment machinery the loop ticks
-// each round and the validation set it evaluates on.
+// build is Build plus the round-environment clock the loop ticks each round
+// and the validation set it evaluates on.
 func (s *Spec) build(shards int) (*built, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	fc, valid := s.fleet(s.effectiveShards(shards))
-	bw := s.Env()
-	env := &roundEnv{}
+	// Straggler scaling is baked into the base environment, jitter
+	// resamples from that base, and the trace multipliers scale the jittered
+	// links (netsim.RoundEnv); the clock's snapshot pointer is what the
+	// algorithm, planner and ledger see. Round 0 is the constructor's.
 	var replay *fleettrace.Replay
-	if s.Bandwidth.Jitter > 0 {
-		// The dynamic wrapper's snapshot pointer is stable, so the planner
-		// and ledger built over it observe the fresh speeds after every
-		// Tick. Round 0 uses the constructor's initial sample.
-		env.dyn = netsim.NewDynamicBandwidth(bw, s.Bandwidth.Jitter, rng.New(s.Seed).Derive(0xd14a).Uint64())
-		bw = env.dyn.Current()
-	}
+	var mults func(int, []float64) []float64
 	if s.Trace != nil {
 		var err error
 		if replay, err = s.traceReplay(); err != nil {
 			return nil, err
 		}
-		// The scaler stacks on the (possibly jittered) environment; its
-		// snapshot pointer is what the algorithm, planner, and ledger see.
-		env.replay = replay
-		env.scaler = netsim.NewNodeScaledBandwidth(bw)
-		env.multBuf = replay.Multipliers(0, nil)
-		bw = env.scaler.Apply(env.multBuf)
+		mults = replay.Multipliers
 	}
-	if env.dyn == nil && env.scaler == nil {
-		env = nil
+	env := netsim.NewRoundEnv(s.Env(), s.Bandwidth.Jitter, rng.New(s.Seed).Derive(0xd14a).Uint64(), mults)
+	bw := env.Current()
+	if s.PlannerOnly {
+		return &built{alg: s.plannerOnly(bw), env: env}, nil
 	}
+	fc, valid := s.fleet(s.effectiveShards(shards))
 	var alg algos.Algorithm
 	switch s.Algo {
 	case "saps":
@@ -263,7 +225,19 @@ func (s *Spec) build(shards int) (*built, error) {
 		// Validate admitted the algorithm, so it is a baseline recipe.
 		alg = algos.New(fc, s.recipe(), bw)
 	}
-	return &built{alg: alg, bw: bw, env: env, valid: valid}, nil
+	return &built{alg: alg, env: env, valid: valid}, nil
+}
+
+// plannerOnly is the spec's coordinator side alone (planner_only): its
+// planner over a control with no workers. The model is never instantiated;
+// only its parameter count matters for the mask dimension, and MLP geometry
+// determines it exactly.
+func (s *Spec) plannerOnly(bw *netsim.Bandwidth) algos.Algorithm {
+	dim := nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)
+	if s.Algo == "randomchoose" {
+		return algos.NewPlannerOnly("RandomChoose", algos.NewRandomPlanner(s.Nodes, s.Seed), bw, dim, s.Compression)
+	}
+	return algos.NewPlannerOnly("SAPS-PSGD", core.NewCoordinator(bw, s.sapsConfig()), bw, dim, s.Compression)
 }
 
 // effectiveShards resolves a sweep override against the spec default:
@@ -367,12 +341,6 @@ type RunOutput struct {
 // ledger, ticking the dynamic environment (bandwidth.jitter) at every round
 // boundary and collecting whatever extras the options request.
 func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
-	if s.PlannerOnly {
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		return s.runPlannerOnly(opts)
-	}
 	if s.Async != nil {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -395,8 +363,12 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		}
 		b.alg.(*algos.InProc).SetTrace(out.Trace)
 	}
-	led := netsim.NewLedger(b.bw)
-	ri := obs.Current().RunsM().Start(s.Name, s.Algo, s.Nodes, s.Rounds)
+	led := netsim.NewLedger(b.env.Current())
+	mode, label := "sync", s.Algo
+	if s.PlannerOnly {
+		mode, label = "planner_only", s.Algo+"/planner"
+	}
+	ri := obs.Current().RunsM().Start(s.Name, label, s.Nodes, s.Rounds)
 	start := time.Now()
 	res := RunLoop(b.alg, led, Loop{
 		Rounds: s.Rounds,
@@ -404,7 +376,7 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		// Round 0 runs on the environment built at construction; every
 		// later round advances the jitter and/or trace multipliers in
 		// place before planning.
-		before: b.env.tick,
+		before: b.env.Tick,
 		after: func(r int, loss float64) {
 			ri.SetRound(r + 1)
 			if opts.Series {
@@ -415,7 +387,7 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 	wall := time.Since(start).Seconds()
 	obs.Current().RunsM().Done(ri)
 	out.Evals = res.Records
-	out.finish(s, opts, "sync", wall, led, res.FinalLoss)
+	out.finish(s, opts, mode, wall, led, res.FinalLoss)
 	return out, nil
 }
 
@@ -450,72 +422,6 @@ func (out *RunOutput) finish(s *Spec, opts RunOptions, mode string, wall float64
 		out.Result.RoundsPerSec = float64(s.Rounds) / wall
 	}
 	s.logRunSummary(mode, out)
-}
-
-// runPlannerOnly executes the coordinator side alone: planning (Algorithm 3,
-// or randomchoose's uniform matching), the shared round mask's byte
-// accounting, and the ledger charges — exactly the Exchange(v, p, payload,
-// payload) per matched pair that the engine's driver issues — with no
-// models, data, or worker state. TotalBytes and SimSeconds are bit-identical
-// to the full run's (the coordinator's mask-seed stream and matchings are
-// the same); the per-round series carry zero losses.
-func (s *Spec) runPlannerOnly(opts RunOptions) (*RunOutput, error) {
-	profiling.ResetPeakRSS()
-	bw := s.Env()
-	var dyn *netsim.DynamicBandwidth
-	if s.Bandwidth.Jitter > 0 {
-		dyn = netsim.NewDynamicBandwidth(bw, s.Bandwidth.Jitter, rng.New(s.Seed).Derive(0xd14a).Uint64())
-		bw = dyn.Current()
-	}
-	var planner engine.Planner
-	if s.Algo == "randomchoose" {
-		planner = algos.NewRandomPlanner(s.Nodes, s.Seed)
-	} else {
-		planner = core.NewCoordinator(bw, s.sapsConfig())
-	}
-	// The model is never instantiated; only its parameter count matters for
-	// the mask dimension, and MLP geometry determines it exactly.
-	dim := nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)
-	led := netsim.NewLedger(bw)
-	out := &RunOutput{}
-	if opts.Series {
-		out.reserveSeries(s.Rounds)
-	}
-	if opts.Recorder != nil {
-		out.Trace = opts.Recorder
-	} else if opts.Trace {
-		out.Trace = trace.NewRecorder()
-	}
-	ri := obs.Current().RunsM().Start(s.Name, s.Algo+"/planner", s.Nodes, s.Rounds)
-	var mask []bool
-	start := time.Now()
-	for r := 0; r < s.Rounds; r++ {
-		if dyn != nil && r > 0 {
-			dyn.Tick()
-		}
-		plan := planner.Plan(r)
-		mask = compress.MaskInto(mask, plan.Seed, r, dim, s.Compression)
-		payload := compress.MaskedBytes(compress.CountOnes(mask))
-		for v, p := range plan.Peer {
-			if p > v {
-				led.Exchange(v, p, payload, payload)
-			}
-		}
-		led.EndRound()
-		ri.SetRound(r + 1)
-		if out.Trace != nil {
-			// The plan's peer array is the round's matching; losses are not
-			// computed on the coordinator side, so the column reads zero.
-			out.Trace.Record(r, graph.Matching(plan.Peer), bw, plan.Forced, payload, s.Nodes, 0)
-		}
-		if opts.Series {
-			out.appendSeries(0, led, s.Nodes)
-		}
-	}
-	wall := time.Since(start).Seconds()
-	obs.Current().RunsM().Done(ri)
-	out.finish(s, opts, "planner_only", wall, led, 0)
-	return out, nil
 }
 
 // runAsync executes an asynchronous spec on the engine's event-driven

@@ -12,9 +12,6 @@ import (
 	"math"
 )
 
-// Zeros returns a freshly allocated zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // Clone returns a copy of v.
 func Clone(v []float64) []float64 {
 	out := make([]float64, len(v))
@@ -176,18 +173,6 @@ func MaskedAverage(x, peer []float64, mask []bool) {
 			x[i] = 0.5 * (x[i] + peer[i])
 		}
 	}
-}
-
-// MaxAbsDiff returns max_i |a[i]-b[i]|, a convenient consensus metric.
-func MaxAbsDiff(a, b []float64) float64 {
-	assertSameLen(len(a), len(b))
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // ArgMax returns the index of the largest element of v (first on ties). It

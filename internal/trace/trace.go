@@ -93,9 +93,6 @@ func (r *Recorder) Stream(w io.Writer) error {
 	return nil
 }
 
-// Streaming reports whether the recorder is in streaming mode.
-func (r *Recorder) Streaming() bool { return r.w != nil }
-
 // Err returns the first write error of a streaming recorder (nil in
 // in-memory mode or while the stream is healthy).
 func (r *Recorder) Err() error { return r.err }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -116,16 +115,23 @@ type CoordinatorServer struct {
 	// replay's events, the same stream the in-process engine plans over —
 	// and planned its set for schedRound, computed once per round (replans
 	// reuse it; nil = everyone). effectiveActive ANDs in detected liveness.
-	member     *algos.MembershipStream
-	planned    []bool
-	scaler     *netsim.NodeScaledBandwidth
-	multBuf    []float64
+	member  *algos.MembershipStream
+	planned []bool
+	// env is the round-environment clock over the configured or measured
+	// matrix: the trace's bandwidth multipliers when Replay is set.
+	env *netsim.RoundEnv
+	// fold turns a round's worker reports into the driver's ControlReport.
+	fold       engine.ReportFold
 	schedRound int
 	attempt    int
 	addrsDirty bool
 
 	inbox    chan connMsg
 	rejoinCh chan rejoinReq
+	// parked holds, per rank, the handshake of a worker that came back while
+	// the fault schedule still has it absent (nil conn = none); it is
+	// admitted at the boundary its window closes.
+	parked []rejoinReq
 
 	// tm is the observability sink (zero value = disabled), captured once
 	// when Run starts.
@@ -243,6 +249,7 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	s.alive = make([]bool, s.total)
 	s.deadSince = make([]int, s.total)
 	s.gen = make([]int, s.total)
+	s.parked = make([]rejoinReq, s.total)
 	for i := range s.alive {
 		s.alive[i] = true
 	}
@@ -250,6 +257,11 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 		for rank, c := range s.conns {
 			if s.alive[rank] {
 				c.Close()
+			}
+		}
+		for _, req := range s.parked {
+			if req.conn != nil {
+				req.conn.Close()
 			}
 		}
 	}()
@@ -279,14 +291,15 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	go s.acceptRejoins()
 
 	// Trace replay wraps whatever environment we ended up with (configured
-	// or measured): the planner sees the stable *Bandwidth the scaler
+	// or measured): the planner sees the stable *Bandwidth the clock
 	// rewrites in place each boundary, identically to the simulated
 	// backends' composition.
+	var mults func(int, []float64) []float64
 	if s.Replay != nil {
-		s.scaler = netsim.NewNodeScaledBandwidth(bw)
-		s.multBuf = s.Replay.Multipliers(0, s.multBuf)
-		bw = s.scaler.Apply(s.multBuf)
+		mults = s.Replay.Multipliers
 	}
+	s.env = netsim.NewRoundEnv(bw, 0, 0, mults)
+	bw = s.env.Current()
 
 	// Round loop (Algorithm 1 lines 3–7), executed by the canonical engine
 	// driver: planning, the worker barrier, and traffic accounting are the
@@ -299,10 +312,7 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	if led == nil {
 		led = &engine.CountingLedger{}
 	}
-	drv := &engine.Driver{
-		Planner: engine.PlannerFunc(s.plan),
-		Control: (*tcpControl)(s),
-	}
+	drv := engine.NewDriver(engine.PlannerFunc(s.plan), (*tcpControl)(s))
 	for t := 0; t < s.Task.Rounds; t++ {
 		if err := s.beginRound(t); err != nil {
 			return nil, err
@@ -416,12 +426,7 @@ func (s *CoordinatorServer) acceptRejoins() {
 // and reset the attempt counter.
 func (s *CoordinatorServer) beginRound(t int) error {
 	s.schedRound = t
-	if s.Replay != nil && t > 0 {
-		// Round 0's multipliers applied at construction, matching the
-		// simulated backends' tick placement.
-		s.multBuf = s.Replay.Multipliers(t, s.multBuf)
-		s.scaler.Apply(s.multBuf)
-	}
+	s.env.Tick(t)
 	var err error
 	if s.planned, err = s.member.Step(t); err != nil {
 		return err
@@ -440,12 +445,12 @@ func (s *CoordinatorServer) beginRound(t int) error {
 			s.markDead(rank, t)
 		}
 	}
-	// Opportunistically admit any restarted worker, then block for the
-	// schedule's rejoiners.
+	// Opportunistically take any restarted worker's handshake, then block
+	// for the schedule's rejoiners.
 	for {
 		select {
 		case req := <-s.rejoinCh:
-			s.admitRejoin(req, t)
+			s.takeRejoin(req, t)
 			continue
 		default:
 		}
@@ -463,15 +468,42 @@ func (s *CoordinatorServer) beginRound(t int) error {
 	return s.canContinue()
 }
 
+// takeRejoin handles one rejoin handshake at boundary t. A worker the fault
+// schedule still has absent came back early: admitted now it would be crashed
+// again at the next boundary, with its snapshot then a round behind the
+// recorded death and its next handshake rejected as stale — so it is parked
+// until awaitRejoin admits it at the boundary its window closes. Anyone else
+// is admitted or rejected on the spot.
+func (s *CoordinatorServer) takeRejoin(req rejoinReq, t int) {
+	sched := s.member.Scheduled()
+	if r := req.msg.Rank; r >= 0 && r < len(sched) && !sched[r] {
+		if old := s.parked[r].conn; old != nil {
+			old.Close() // superseded by a newer incarnation
+		}
+		s.parked[r] = req
+		s.logf("coordinator: rank %d is back before its scheduled rejoin; holding it out at round %d", r, t)
+		return
+	}
+	s.admitRejoin(req, t)
+}
+
 // awaitRejoin blocks until the scheduled rejoiner for rank completes its
-// handshake (other valid rejoiners arriving meanwhile are admitted too).
+// handshake — the one parked since it came back early, if there is one (other
+// rejoiners arriving meanwhile are taken too).
 func (s *CoordinatorServer) awaitRejoin(rank, t int) error {
+	if req := s.parked[rank]; req.conn != nil {
+		s.parked[rank] = rejoinReq{}
+		s.admitRejoin(req, t)
+	}
+	if s.alive[rank] {
+		return nil
+	}
 	s.logf("coordinator: waiting for rank %d to rejoin at round %d", rank, t)
 	deadline := time.After(s.RejoinWait)
 	for !s.alive[rank] {
 		select {
 		case req := <-s.rejoinCh:
-			s.admitRejoin(req, t)
+			s.takeRejoin(req, t)
 		case <-deadline:
 			return fmt.Errorf("transport: rank %d did not rejoin within %v of round %d (restart it with -resume)",
 				rank, s.RejoinWait, t)
@@ -709,23 +741,8 @@ func (s *tcpControl) RunRound(plan core.RoundPlan) (engine.ControlReport, error)
 		}
 	}
 
-	rep := engine.ControlReport{}
-	lossSum, trained := 0.0, 0
-	for _, nr := range reports {
-		if nr.PayloadLen > rep.PayloadLen {
-			rep.PayloadLen = nr.PayloadLen
-		}
-		if nr.Trained && !math.IsNaN(nr.Loss) {
-			lossSum += nr.Loss
-			trained++
-		}
-	}
-	if trained > 0 {
-		rep.MeanLoss = lossSum / float64(trained)
-	}
-	rep.Pairs = engine.AggregateFlows(reports)
 	s.addrsDirty = false
-	return rep, nil
+	return s.fold.Fold(reports), nil
 }
 
 // abort cancels the round attempt on every survivor: broadcast Abort, then

@@ -20,6 +20,7 @@ import (
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/obs"
 	"sapspsgd/internal/rng"
 )
 
@@ -72,21 +73,15 @@ func sapsFaultsReference(t *testing.T, spec TaskSpec, n int, sched algos.FaultSc
 	return alg.Models()[0].FlatParams(nil), led.RoundBytes()
 }
 
-// TestKillAndRejoinBitIdentical is the acceptance contract of the
-// fault-tolerant TCP runtime: a real worker process is killed at a scheduled
-// round boundary (abrupt teardown after its last committed snapshot), the
-// fleet trains on without it, a fresh process resumes from the snapshot and
-// rejoins at the scheduled round — and the final model is bit-identical,
-// with a byte-identical per-round ledger, to the uninterrupted in-process
-// run of the same fault scenario.
-func TestKillAndRejoinBitIdentical(t *testing.T) {
-	const n, rounds = 4, 8
-	spec := faultSpec(rounds)
-	sched := algos.FaultSchedule{
-		N:      n,
-		Seed:   spec.Seed,
-		Events: []algos.FaultEvent{{Rank: 2, Round: 3, RejoinAfter: 2}},
-	}
+// runFaultFleet deploys n supervised workers (each restarted with Resume
+// whenever a fault-injected kill takes it down, exactly as an operator would)
+// against a coordinator running spec under sched, and checks the final model
+// and the per-round ledger are the in-process reference's, bit for bit. It
+// returns how many times each worker process was killed (indexed by start
+// order, not rank). logf receives the coordinator's progress lines on the
+// coordinator's goroutine.
+func runFaultFleet(t *testing.T, n int, spec TaskSpec, sched algos.FaultSchedule, logf func(srv *CoordinatorServer, line string)) []int {
+	t.Helper()
 	wantParams, wantBytes := sapsFaultsReference(t, spec, n, sched)
 
 	led := &engine.CountingLedger{}
@@ -96,8 +91,14 @@ func TestKillAndRejoinBitIdentical(t *testing.T) {
 		Gossip:     gossip.Config{BThres: 0, TThres: 10},
 		Ledger:     led,
 		Faults:     &sched,
-		RejoinWait: 30 * time.Second,
-		Logf:       t.Logf,
+		RejoinWait: 10 * time.Second,
+	}
+	srv.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		if logf != nil {
+			logf(srv, line)
+		}
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -115,8 +116,6 @@ func TestKillAndRejoinBitIdentical(t *testing.T) {
 			path := filepath.Join(dir, fmt.Sprintf("worker-%d.snap", i))
 			wc := &WorkerClient{SnapshotPath: path}
 			_, err := wc.Run(addr, "127.0.0.1:0")
-			// A fault-injected kill is not a failure: restart with -resume,
-			// exactly as an operator (or a supervisor) would.
 			for errors.Is(err, ErrCrashed) {
 				crashes[i]++
 				wc = &WorkerClient{SnapshotPath: path, Resume: true}
@@ -134,13 +133,6 @@ func TestKillAndRejoinBitIdentical(t *testing.T) {
 		if e != nil {
 			t.Fatalf("worker %d: %v", i, e)
 		}
-	}
-	totalCrashes := 0
-	for _, c := range crashes {
-		totalCrashes += c
-	}
-	if totalCrashes != 1 {
-		t.Fatalf("%d workers crashed, want exactly 1 (the scheduled kill)", totalCrashes)
 	}
 
 	if len(final) != len(wantParams) {
@@ -160,16 +152,95 @@ func TestKillAndRejoinBitIdentical(t *testing.T) {
 			t.Fatalf("round %d: tcp %d bytes != in-proc %d", r, got[r], wantBytes[r])
 		}
 	}
+	return crashes
+}
+
+// TestKillAndRejoinBitIdentical is the acceptance contract of the
+// fault-tolerant TCP runtime: a real worker process is killed at a scheduled
+// round boundary (abrupt teardown after its last committed snapshot), the
+// fleet trains on without it, a fresh process resumes from the snapshot and
+// rejoins at the scheduled round — and the final model is bit-identical,
+// with a byte-identical per-round ledger, to the uninterrupted in-process
+// run of the same fault scenario.
+func TestKillAndRejoinBitIdentical(t *testing.T) {
+	const n, rounds = 4, 8
+	spec := faultSpec(rounds)
+	sched := algos.FaultSchedule{
+		N:      n,
+		Seed:   spec.Seed,
+		Events: []algos.FaultEvent{{Rank: 2, Round: 3, RejoinAfter: 2}},
+	}
+	crashes := runFaultFleet(t, n, spec, sched, nil)
+	total := 0
+	for _, c := range crashes {
+		total += c
+	}
+	if total != 1 {
+		t.Fatalf("%d workers crashed, want exactly 1 (the scheduled kill)", total)
+	}
+}
+
+// TestEarlyRejoinerHeldOutUntilWindowCloses is the regression for the early
+// rejoiner: a worker restarted at once lands its Rejoin while the boundary
+// that killed it is still being prepared, two rounds before the schedule has
+// it back. Admitted there (as the coordinator used to), it was crashed again
+// at the next boundary, rejected as stale after that, and the run timed out.
+// The arrival is forced, not raced: the schedule kills ranks 1 and 2 at the
+// same boundary, and the coordinator is held (inside its own log call, on its
+// own goroutine) before it kills rank 2 until rank 1's handshake is queued.
+func TestEarlyRejoinerHeldOutUntilWindowCloses(t *testing.T) {
+	const n, rounds = 5, 8
+	spec := faultSpec(rounds)
+	sched := algos.FaultSchedule{
+		N:    n,
+		Seed: spec.Seed,
+		Events: []algos.FaultEvent{
+			{Rank: 1, Round: 3, RejoinAfter: 2},
+			{Rank: 2, Round: 3, RejoinAfter: 2},
+		},
+	}
+	held := false
+	crashes := runFaultFleet(t, n, spec, sched, func(srv *CoordinatorServer, line string) {
+		if !strings.Contains(line, "crashing rank 2 at round 3") {
+			return
+		}
+		held = true
+		for deadline := time.Now().Add(10 * time.Second); len(srv.rejoinCh) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("rank 1's rejoin handshake never arrived")
+				return
+			}
+		}
+	})
+	if !held {
+		t.Fatal("the coordinator never reached rank 2's kill at round 3")
+	}
+	total := 0
+	for _, c := range crashes {
+		total += c
+		if c > 1 {
+			t.Errorf("a worker was killed %d times, want at most once", c)
+		}
+	}
+	if total != 2 {
+		t.Fatalf("%d kills, want the schedule's 2", total)
+	}
 }
 
 // TestUnscheduledCrashReplans exercises the detection path: a worker dies
 // without warning (no fault schedule, the coordinator is not told), the
 // affected round aborts, every survivor rolls back to its round-boundary
 // snapshot, and the coordinator re-plans the round over the remaining fleet.
-// The run must complete all rounds with the surviving workers.
+// The run must complete all rounds with the surviving workers — and, the
+// coordinator's driver being the engine's, end with engine_rounds_total at the
+// committed rounds and engine_wire_bytes_total at the ledger's traffic, the
+// aborted attempt counted in neither.
 func TestUnscheduledCrashReplans(t *testing.T) {
 	const n, rounds, dieAt = 4, 6, 3
 	spec := faultSpec(rounds)
+	metrics := obs.New()
+	obs.Enable(metrics)
+	defer obs.Disable()
 
 	led := &engine.CountingLedger{}
 	srv := &CoordinatorServer{
@@ -218,6 +289,13 @@ func TestUnscheduledCrashReplans(t *testing.T) {
 	}
 	if got := led.Rounds(); got != rounds {
 		t.Fatalf("%d rounds charged, want %d (aborted attempts must not be charged)", got, rounds)
+	}
+	em := metrics.EngineM()
+	if got := em.RoundsTotal.Value(); got != rounds {
+		t.Errorf("engine_rounds_total %d, want the %d committed rounds", got, rounds)
+	}
+	if got, want := em.WireBytesTotal.Value(), 2*led.TotalBytes(); got != want || want == 0 {
+		t.Errorf("engine_wire_bytes_total %d, want every payload at both its ends: %d", got, want)
 	}
 }
 

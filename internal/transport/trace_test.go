@@ -55,8 +55,9 @@ func traceReplay(t *testing.T, n int) *fleettrace.Replay {
 
 // sapsTraceReference runs the spec fully in-process under the replayed
 // membership and multipliers (plus the fault schedule) and returns the
-// rank-0 model and per-round traffic totals — the same composition the
-// scenario layer's roundEnv performs.
+// rank-0 model and per-round traffic totals — the composition
+// netsim.RoundEnv performs, stacked here by hand so the reference does not
+// share the coordinator's clock.
 func sapsTraceReference(t *testing.T, spec TaskSpec, n int, rp *fleettrace.Replay, sched algos.FaultSchedule) ([]float64, []int64) {
 	t.Helper()
 	shards, _ := spec.BuildShards(n)

@@ -102,9 +102,9 @@ type (
 )
 
 // Engine layer: the canonical round loop and its pluggable backends
-// (DESIGN.md §2). An algorithm is a Planner + ExchangePattern + Codec
+// (DESIGN.md §2). An algorithm is a planner + exchange pattern + codec
 // composition over Nodes; the seven baselines in this package are exactly
-// such compositions (see AlgoRecipe).
+// such compositions.
 type (
 	// Engine runs the round loop over an in-process fleet, one executor
 	// goroutine per shard of ranks.
@@ -123,32 +123,15 @@ type (
 	RoundStats = engine.RoundStats
 	// EngineNode is one participant's algorithm state machine.
 	EngineNode = engine.Node
-	// ExchangePattern describes who talks to whom within a round
-	// (pairwise matched gossip, static neighborhood, hub fan-in, exact
-	// all-reduce collective, complete all-gather).
-	ExchangePattern = engine.Pattern
-	// PayloadCodec encodes model/gradient vectors to exact wire bytes
-	// (dense, shared-seed masked, top-k + error feedback, QSGD,
-	// random-k).
-	PayloadCodec = engine.Codec
-	// AlgoRecipe assembles a named algorithm's pattern, codecs, nodes and
-	// planner for any deployment (in-process or TCP).
-	AlgoRecipe = algos.Recipe
 )
 
-// NewEngine builds the in-process engine over the given options; pair it
-// with NewMemTransport (pure in-memory) or NewSimTransport (bandwidth-
-// accounted) — or leave Options.Transport nil for the in-memory default.
+// NewEngine builds the in-process engine over the given options; leave
+// Options.Transport nil for the in-memory default (NewMemTransport), and
+// charge a Ledger over a bandwidth environment for simulated time.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // NewMemTransport returns the in-process rendezvous transport for n workers.
 func NewMemTransport(n int) EngineTransport { return memtransport.NewHub(n) }
-
-// NewSimTransport returns an in-process transport plus a ledger that charges
-// every exchange against the bandwidth environment bw.
-func NewSimTransport(bw *Bandwidth) (EngineTransport, *Ledger) {
-	return memtransport.NewHub(bw.N), netsim.NewLedger(bw)
-}
 
 // DefaultConfig returns the paper's hyperparameters (c = 100, one local SGD
 // step per round) for the given worker count.

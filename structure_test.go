@@ -274,3 +274,59 @@ func TestEngineBuildsOneWay(t *testing.T) {
 		t.Error("internal/engine/simtransport exists: call memtransport.NewHub and netsim.NewLedger")
 	}
 }
+
+// TestOneRoundDriver: engine.Driver.Round is the only thing in the product
+// that charges a ledger, engine.NewDriver the only thing that builds one, and
+// netsim.RoundEnv the only round-boundary environment clock. A planner-only
+// run, the sharded engine and the TCP coordinator differ in the Control they
+// hand the driver, never in the loop around it — so the scenario layer, the
+// TCP transport and the commands call neither Exchange nor EndRound
+// (algos.hubLedger forwards the driver's own calls; the async engine has no
+// rounds), nobody outside internal/engine writes a Driver literal (which would
+// also skip the engine_* counters), and nobody outside internal/netsim stacks
+// the jitter and multiplier wrappers by hand.
+func TestOneRoundDriver(t *testing.T) {
+	fset := token.NewFileSet()
+	under := func(f *ast.File, dirs ...string) bool {
+		name := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+		for _, dir := range dirs {
+			if strings.HasPrefix(name, dir+"/") {
+				return true
+			}
+		}
+		return false
+	}
+	var files []*ast.File
+	for _, dir := range []string{"cmd", "examples", "internal"} {
+		files = append(files, productFiles(t, fset, dir)...)
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := v.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				at := fset.Position(v.Pos())
+				switch sel.Sel.Name {
+				case "Exchange", "EndRound":
+					if under(f, "internal/scenario", "internal/transport", "cmd") {
+						t.Errorf("%s: .%s( outside the driver — hand engine.Driver a Control instead", at, sel.Sel.Name)
+					}
+				case "NewDynamicBandwidth", "NewNodeScaledBandwidth":
+					if !under(f, "internal/netsim") {
+						t.Errorf("%s: %s( outside internal/netsim — build a netsim.RoundEnv", at, sel.Sel.Name)
+					}
+				}
+			case *ast.CompositeLit:
+				if sel, ok := v.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Driver" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "engine" {
+						t.Errorf("%s: engine.Driver{ literal — call engine.NewDriver", fset.Position(v.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	}
+}
