@@ -1,9 +1,9 @@
 // Command campaign executes a declarative experiment campaign: a JSON spec
-// (internal/campaign) names a base scenario and a parameter grid, and the
-// command expands the grid into its deterministic run matrix, runs the
-// cells across a bounded worker pool, journals completions to
-// <out>/manifest.jsonl, and — once every cell is done — writes the
-// aggregate figure artifacts (aggregate.json, summary.{md,csv},
+// (internal/campaign) names a base scenario — or a directory of them — and
+// a parameter grid, and the command expands the grid over every base into
+// its deterministic run matrix, runs the cells across a bounded worker
+// pool, journals completions to <out>/manifest.jsonl, and — once every cell
+// is done — writes the aggregate figure artifacts (aggregate.json, summary.{md,csv},
 // traffic_by_algo.{md,csv}, loss_vs_round.csv, loss_vs_bytes.csv, per-cell
 // traces/ CSVs when the spec enables tracing, and — for the paper campaigns
 // under campaigns/paper/ — the accuracy and matched-bandwidth artifacts
@@ -17,6 +17,12 @@
 //	campaign -spec internal/campaign/testdata/example.json -out /tmp/sweep
 //	campaign -spec sweep.json -out out -workers 4
 //	campaign -spec sweep.json -dry-run
+//	campaign -spec campaigns/paper/ablations.json -out out -cpuprofile cpu.prof
+//
+// Per-cell wall seconds are journaled in manifest.jsonl; -obs-log text adds
+// a "run complete" line per cell with wall seconds and peak RSS. It measures
+// one commit: to compare a change against its parent, use the repository's
+// benchmark (benchmark/README.md, -compare).
 package main
 
 import (
@@ -27,6 +33,7 @@ import (
 
 	"sapspsgd/internal/campaign"
 	"sapspsgd/internal/obs"
+	"sapspsgd/internal/profiling"
 )
 
 var (
@@ -36,15 +43,17 @@ var (
 	flagMaxCells  = flag.Int("max-cells", 0, "stop after executing this many cells (0 = run all; the campaign stays resumable)")
 	flagDryRun    = flag.Bool("dry-run", false, "print the expanded run matrix and exit without running")
 	flagObsLinger = flag.Duration("obs-linger", 0, "keep the -obs-addr server up this long after the campaign finishes (lets a scraper take a final /metrics sample)")
+	prof          profiling.Config
 	obsFlags      obs.FlagConfig
 )
 
 func main() {
+	prof.AddFlags(nil)
 	obsFlags.AddFlags(nil)
 	flag.Parse()
 	obsSrv, err := obsFlags.Start()
 	if err == nil {
-		err = run()
+		err = prof.Run(run)
 		if obsSrv != nil && *flagObsLinger > 0 {
 			time.Sleep(*flagObsLinger)
 		}
@@ -65,11 +74,11 @@ func run() error {
 		return err
 	}
 	if *flagDryRun {
-		base, err := spec.LoadBase()
+		bases, err := spec.LoadBase()
 		if err != nil {
 			return err
 		}
-		cells, err := spec.Expand(base)
+		cells, err := spec.Expand(bases...)
 		if err != nil {
 			return err
 		}

@@ -23,21 +23,7 @@ const AggregateSchemaVersion = 1
 type AggregateRow struct {
 	// Cell is the run-matrix cell ID.
 	Cell string `json:"cell"`
-	// Algo through Compression label the cell (see CellResult).
-	Algo        string  `json:"algo"`
-	Nodes       int     `json:"nodes"`
-	Rounds      int     `json:"rounds"`
-	Seed        uint64  `json:"seed"`
-	Shards      int     `json:"shards"`
-	Bandwidth   string  `json:"bandwidth,omitempty"`
-	FleetTrace  string  `json:"fleet_trace,omitempty"`
-	Partition   string  `json:"partition,omitempty"`
-	Compression float64 `json:"compression,omitempty"`
-	// TotalBytes, FinalLoss and SimSeconds are the cell's deterministic
-	// totals.
-	TotalBytes int64   `json:"total_bytes"`
-	FinalLoss  float64 `json:"final_loss"`
-	SimSeconds float64 `json:"sim_seconds"`
+	CellSummary
 }
 
 // AggregateFile is aggregate.json: the campaign's deterministic cell
@@ -100,21 +86,7 @@ func Aggregate(c *Spec, cells []Cell, outDir string) error {
 			return err
 		}
 		results = append(results, res)
-		agg.Cells = append(agg.Cells, AggregateRow{
-			Cell:        res.Cell,
-			Algo:        res.Algo,
-			Nodes:       res.Nodes,
-			Rounds:      res.Rounds,
-			Seed:        res.Seed,
-			Shards:      res.Shards,
-			Bandwidth:   res.Bandwidth,
-			FleetTrace:  res.FleetTrace,
-			Partition:   res.Partition,
-			Compression: res.Compression,
-			TotalBytes:  res.TotalBytes,
-			FinalLoss:   res.FinalLoss,
-			SimSeconds:  res.SimSeconds,
-		})
+		agg.Cells = append(agg.Cells, AggregateRow{Cell: res.Cell, CellSummary: res.CellSummary})
 	}
 	data, err := json.MarshalIndent(agg, "", "  ")
 	if err != nil {

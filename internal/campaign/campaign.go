@@ -1,13 +1,14 @@
 // Package campaign is the experiment-campaign orchestrator over the
-// scenario layer: a strict-schema JSON spec names a base scenario and a
-// parameter grid (algorithm, fleet size, rounds, bandwidth environments,
-// compression ratio, seeds, engine shard counts), and the package expands
-// the grid into a deterministic run matrix, executes the cells concurrently
-// across a bounded worker pool, journals every completed cell to an
-// append-only manifest so an interrupted campaign resumes without
-// re-running finished cells, and aggregates the per-cell results into the
-// paper-style artifacts (loss-vs-round and loss-vs-traffic series, per-algo
-// traffic totals). cmd/campaign is the CLI driver.
+// scenario layer: a strict-schema JSON spec names a base scenario — or a
+// directory of them — and a parameter grid (algorithm, fleet size, rounds,
+// bandwidth environments, compression ratio, seeds, engine shard counts),
+// and the package expands the grid over every base into a deterministic run
+// matrix, executes the cells concurrently across a bounded worker pool,
+// journals every completed cell to an append-only manifest so an
+// interrupted campaign resumes without re-running finished cells, and
+// aggregates the per-cell results into the paper-style artifacts
+// (loss-vs-round and loss-vs-traffic series, per-algo traffic totals).
+// cmd/campaign is the CLI driver.
 package campaign
 
 import (
@@ -37,7 +38,11 @@ type Spec struct {
 	// Name identifies the campaign in logs and aggregate artifacts.
 	Name string `json:"name"`
 	// Base is the path of the base scenario spec every grid cell derives
-	// from, resolved relative to the campaign file's directory.
+	// from, resolved relative to the campaign file's directory — or of a
+	// directory, whose every *.json scenario spec is a base in file-name
+	// order (scenario.LoadPath's rule): the grid is crossed over each, and
+	// cell IDs start with the base spec's name. A campaign file lives
+	// beside, not inside, the directory it sweeps.
 	Base string `json:"base"`
 	// Workers bounds the number of cells executing concurrently
 	// (0 = GOMAXPROCS). Each cell is itself a full engine run, so modest
@@ -60,6 +65,9 @@ type Spec struct {
 
 	// dir is the campaign file's directory, for resolving Base.
 	dir string
+	// baseIsDir records that Base names a directory, so cell IDs carry the
+	// base spec's name. Set by LoadBase.
+	baseIsDir bool
 }
 
 // AlgoParams is one algorithm's entry in Spec.PerAlgo; a zero field keeps
@@ -77,7 +85,8 @@ type AlgoParams struct {
 // scenario's value; the run matrix is the cartesian product of the
 // non-empty axes, expanded in the fixed nesting order algo › compression ›
 // nodes › rounds › bandwidth › trace › partition › seed › shards (innermost
-// varies fastest), so the same spec always yields the same cell ordering.
+// varies fastest), so the same spec always yields the same cell ordering. A
+// grid with no axis at all is one cell per base: the base itself.
 type Grid struct {
 	// Algo sweeps the algorithm (any -algo value the scenario layer
 	// accepts, the asynchronous recipes included). Cells whose algorithm is
@@ -212,13 +221,19 @@ func Load(path string) (*Spec, error) {
 	return c, nil
 }
 
-// LoadBase loads the campaign's base scenario spec.
-func (c *Spec) LoadBase() (*scenario.Spec, error) {
+// LoadBase loads the campaign's base scenarios: the one spec Base names, or
+// every spec of the directory it names.
+func (c *Spec) LoadBase() ([]*scenario.Spec, error) {
 	path := c.Base
 	if !filepath.IsAbs(path) {
 		path = filepath.Join(c.dir, path)
 	}
-	return scenario.Load(path)
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	c.baseIsDir = info.IsDir()
+	return scenario.LoadPath(path)
 }
 
 // Validate returns an error describing the first invalid campaign-level
@@ -248,11 +263,6 @@ func (c *Spec) Validate() error {
 			return fmt.Errorf("campaign %s: per_algo %s local_steps %d", c.Name, algo, p.LocalSteps)
 		}
 	}
-	if len(g.Algo) == 0 && len(g.Nodes) == 0 && len(g.Rounds) == 0 && len(g.Bandwidth) == 0 &&
-		len(g.Traces) == 0 && len(g.Partition) == 0 &&
-		len(g.Compression) == 0 && len(g.Seeds) == 0 && len(g.Shards) == 0 {
-		return fmt.Errorf("campaign %s: empty grid (declare at least one axis)", c.Name)
-	}
 	for _, n := range g.Nodes {
 		if n < 1 {
 			return fmt.Errorf("campaign %s: grid nodes %d", c.Name, n)
@@ -273,48 +283,31 @@ func (c *Spec) Validate() error {
 			return fmt.Errorf("campaign %s: grid shards %d", c.Name, s)
 		}
 	}
+	if err := c.checkLabels("bandwidth", "name nor kind", len(g.Bandwidth), func(i int) string { return g.Bandwidth[i].label() }); err != nil {
+		return err
+	}
+	if err := c.checkLabels("trace", "file nor name (a no-trace entry needs a name)", len(g.Traces), func(i int) string { return g.Traces[i].label() }); err != nil {
+		return err
+	}
+	return c.checkLabels("partition", "name nor kind", len(g.Partition), func(i int) string { return g.Partition[i].label() })
+}
+
+// checkLabels validates the n cell-ID labels of one named grid axis: each
+// present, filename-safe and distinct. missing words the two fields an
+// entry without a label lacks.
+func (c *Spec) checkLabels(axis, missing string, n int, label func(i int) string) error {
 	seen := map[string]bool{}
-	for i := range g.Bandwidth {
-		label := g.Bandwidth[i].label()
-		if label == "" {
-			return fmt.Errorf("campaign %s: bandwidth entry %d has neither name nor kind", c.Name, i)
+	for i := 0; i < n; i++ {
+		l := label(i)
+		switch {
+		case l == "":
+			return fmt.Errorf("campaign %s: %s entry %d has neither %s", c.Name, axis, i, missing)
+		case !safeLabel(l):
+			return fmt.Errorf("campaign %s: %s label %q is not filename-safe (want [A-Za-z0-9][A-Za-z0-9._-]*)", c.Name, axis, l)
+		case seen[l]:
+			return fmt.Errorf("campaign %s: duplicate %s label %q (give entries distinct names)", c.Name, axis, l)
 		}
-		if !safeLabel(label) {
-			return fmt.Errorf("campaign %s: bandwidth label %q is not filename-safe (want [A-Za-z0-9][A-Za-z0-9._-]*)", c.Name, label)
-		}
-		if seen[label] {
-			return fmt.Errorf("campaign %s: duplicate bandwidth label %q (give entries distinct names)", c.Name, label)
-		}
-		seen[label] = true
-	}
-	seen = map[string]bool{}
-	for i := range g.Traces {
-		e := &g.Traces[i]
-		if e.File == "" && e.Name == "" {
-			return fmt.Errorf("campaign %s: trace entry %d has neither file nor name (a no-trace entry needs a name)", c.Name, i)
-		}
-		label := e.label()
-		if !safeLabel(label) {
-			return fmt.Errorf("campaign %s: trace label %q is not filename-safe (want [A-Za-z0-9][A-Za-z0-9._-]*)", c.Name, label)
-		}
-		if seen[label] {
-			return fmt.Errorf("campaign %s: duplicate trace label %q (give entries distinct names)", c.Name, label)
-		}
-		seen[label] = true
-	}
-	seen = map[string]bool{}
-	for i := range g.Partition {
-		label := g.Partition[i].label()
-		if label == "" {
-			return fmt.Errorf("campaign %s: partition entry %d has neither name nor kind", c.Name, i)
-		}
-		if !safeLabel(label) {
-			return fmt.Errorf("campaign %s: partition label %q is not filename-safe (want [A-Za-z0-9][A-Za-z0-9._-]*)", c.Name, label)
-		}
-		if seen[label] {
-			return fmt.Errorf("campaign %s: duplicate partition label %q (give entries distinct names)", c.Name, label)
-		}
-		seen[label] = true
+		seen[l] = true
 	}
 	return nil
 }
@@ -344,8 +337,10 @@ type Cell struct {
 	// swept axis values, not the matrix index: appending values to an
 	// already-swept axis keeps existing IDs — and their manifest entries —
 	// valid. (Sweeping a previously-unswept axis adds a new part to every
-	// ID, so those cells re-run.) When every swept axis collapses to the
-	// base value the ID is "base".
+	// ID, so those cells re-run.) Under a directory base the first part is
+	// the base spec's name ("saps-512_sh8", or just "saps-512" with no
+	// axis); under a file base, when every swept axis collapses to the base
+	// value, the ID is "base".
 	ID string
 	// SHA is the truncated sha256 of the cell spec's canonical form; the
 	// manifest stores it so resume re-runs cells whose definition
@@ -390,11 +385,43 @@ func applyCompression(s *scenario.Spec, ratio float64) {
 // it is filename-safe on every platform the repo targets).
 func compact(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// Expand crosses the grid over the base scenario into the deterministic run
-// matrix. Every cell's scenario is validated; the first invalid cell aborts
-// the expansion with an error naming it. The same campaign and base specs
-// always produce the identical cell sequence (IDs, order, and SHAs).
-func (c *Spec) Expand(base *scenario.Spec) ([]Cell, error) {
+// Expand crosses the grid over each base scenario (what LoadBase returned)
+// into the deterministic run matrix, base by base. Every cell's scenario is
+// validated; the first invalid cell aborts the expansion with an error
+// naming it. The same campaign and base specs always produce the identical
+// cell sequence (IDs, order, and SHAs). Under a directory base a cell ID
+// starts with its base spec's name, which therefore has to be filename-safe
+// and unique in the directory.
+func (c *Spec) Expand(bases ...*scenario.Spec) ([]Cell, error) {
+	var cells []Cell
+	ids := map[string]int{}
+	named := map[string]*scenario.Spec{}
+	for _, base := range bases {
+		prefix := ""
+		if c.baseIsDir {
+			prefix = base.Name
+			if !safeLabel(prefix) {
+				return nil, fmt.Errorf("campaign %s: %s: scenario name %q is not filename-safe (want [A-Za-z0-9][A-Za-z0-9._-]*)",
+					c.Name, base.File(), prefix)
+			}
+			if prev, dup := named[prefix]; dup {
+				return nil, fmt.Errorf("campaign %s: %s and %s are both named %q (cell IDs start with the name)",
+					c.Name, prev.File(), base.File(), prefix)
+			}
+			named[prefix] = base
+		}
+		var err error
+		if cells, err = c.expandBase(cells, ids, base, prefix); err != nil {
+			return nil, err
+		}
+	}
+	return cells, nil
+}
+
+// expandBase appends one base scenario's cells: the grid crossed over it,
+// every ID starting with prefix when there is one. ids maps the IDs taken so
+// far to their cell index.
+func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec, prefix string) ([]Cell, error) {
 	g := &c.Grid
 	algos := g.Algo
 	if len(algos) == 0 {
@@ -520,8 +547,6 @@ func (c *Spec) Expand(base *scenario.Spec) ([]Cell, error) {
 			return "sh" + strconv.Itoa(g.Shards[i])
 		}},
 	}
-	var cells []Cell
-	ids := map[string]int{}
 	for _, algo := range algos {
 		algoAxes := axes
 		if scenario.AsyncAlgo(algo) {
@@ -585,6 +610,9 @@ func (c *Spec) Expand(base *scenario.Spec) ([]Cell, error) {
 					s.Trace = nil
 				}
 				var parts []string
+				if prefix != "" {
+					parts = append(parts, prefix)
+				}
 				if len(g.Algo) > 0 {
 					parts = append(parts, algo)
 				}

@@ -18,11 +18,11 @@ func loadExample(t *testing.T) (*Spec, *scenario.Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.LoadBase()
+	bases, err := c.LoadBase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, base
+	return c, bases[0]
 }
 
 // TestExpandDeterministic pins the run-matrix contract: the committed
@@ -150,7 +150,6 @@ func TestCampaignRejectsMalformed(t *testing.T) {
 		{"wrong schema version", strings.Replace(valid, `"schema_version": 1`, `"schema_version": 9`, 1), "schema_version"},
 		{"missing name", strings.Replace(valid, `"name": "t"`, `"name": ""`, 1), "missing name"},
 		{"missing base", strings.Replace(valid, `"base": "tiny-base.json"`, `"base": ""`, 1), "missing base"},
-		{"empty grid", strings.Replace(valid, `{"seeds": [1, 2]}`, `{}`, 1), "empty grid"},
 		{"unknown field", strings.Replace(valid, `"name": "t"`, `"name": "t", "warp": 9`, 1), "warp"},
 		{"compression below one", strings.Replace(valid, `{"seeds": [1, 2]}`, `{"compression": [0.5]}`, 1), "compression ratio"},
 		{"zero grid nodes", strings.Replace(valid, `{"seeds": [1, 2]}`, `{"nodes": [0]}`, 1), "grid nodes"},
@@ -308,11 +307,11 @@ func TestLargeNCampaignExpands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.LoadBase()
+	bases, err := c.LoadBase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := c.Expand(base)
+	cells, err := c.Expand(bases...)
 	if err != nil {
 		t.Fatal(err)
 	}

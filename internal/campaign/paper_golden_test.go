@@ -82,11 +82,11 @@ func runCells(t *testing.T, c *Spec) ([]Cell, []*CellResult, string) {
 	if _, err := Run(c, Options{OutDir: out}); err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.LoadBase()
+	bases, err := c.LoadBase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := c.Expand(base)
+	cells, err := c.Expand(bases...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +119,11 @@ func TestPaperHarnessGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.LoadBase()
+	bases, err := c.LoadBase()
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := bases[0]
 	// Churn has no grid axis and the model is not swept, so those runs are
 	// the same base with one block changed.
 	variant := func(name string, algos []string, edit func(*scenario.Spec)) *Spec {

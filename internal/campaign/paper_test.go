@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"io/fs"
 	"math"
@@ -17,12 +18,16 @@ import (
 // map).
 const paperDir = "../../campaigns/paper"
 
-// TestCommittedPaperSpecs loads every spec under campaigns/: scenario specs
-// must parse and validate, campaign specs must expand against their base. A
-// spec that went stale against the schema fails here, not in a nightly run.
+// TestCommittedPaperSpecs loads every spec under campaigns/ and
+// internal/scenario/testdata: scenario specs must parse and validate, and
+// an axis-free campaign over a directory holding one must run exactly that
+// spec (the cell's canonical form is the base's, byte for byte — the grid
+// overrides nothing it was not asked to); campaign specs must expand against
+// their base. A spec that went stale against the schema fails here, not in a
+// nightly run.
 func TestCommittedPaperSpecs(t *testing.T) {
 	cellCount := map[string]int{}
-	err := filepath.WalkDir("../../campaigns", func(path string, d fs.DirEntry, err error) error {
+	visit := func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
 			return err
 		}
@@ -38,8 +43,20 @@ func TestCommittedPaperSpecs(t *testing.T) {
 			return nil
 		}
 		if probe.Grid == nil {
-			if _, err := scenario.Load(path); err != nil {
+			s, err := scenario.Load(path)
+			if err != nil {
 				t.Errorf("scenario %v", err)
+				return nil
+			}
+			free := &Spec{SchemaVersion: SpecSchemaVersion, Name: "axis-free", Base: filepath.Dir(path), baseIsDir: true}
+			cells, err := free.Expand(s)
+			if err != nil || len(cells) != 1 {
+				t.Errorf("%s: axis-free expansion: %d cells, %v", path, len(cells), err)
+				return nil
+			}
+			want, _ := s.Canonical()
+			if got, _ := cells[0].Spec.Canonical(); !bytes.Equal(got, want) {
+				t.Errorf("%s: the axis-free cell is not the base:\n%s\nwant\n%s", path, got, want)
 			}
 			return nil
 		}
@@ -48,20 +65,22 @@ func TestCommittedPaperSpecs(t *testing.T) {
 			t.Errorf("campaign %v", err)
 			return nil
 		}
-		base, err := c.LoadBase()
+		bases, err := c.LoadBase()
 		if err != nil {
 			t.Errorf("%s: base: %v", path, err)
 			return nil
 		}
-		cells, err := c.Expand(base)
+		cells, err := c.Expand(bases...)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 		}
 		cellCount[filepath.Base(path)] = len(cells)
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	for _, root := range []string{"../../campaigns", "../scenario/testdata"} {
+		if err := filepath.WalkDir(root, visit); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, name := range []string{"convergence-mnist.json", "convergence-cifar.json", "convergence-resnet.json"} {
 		if cellCount[name] != 7 {
@@ -81,11 +100,11 @@ func quickCampaign(t *testing.T, name string, grid Grid) *Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := oracle.LoadBase()
+	bases, err := oracle.LoadBase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := variantCampaign(t, base, name, grid, func(s *scenario.Spec) {
+	c := variantCampaign(t, bases[0], name, grid, func(s *scenario.Spec) {
 		s.Nodes, s.Rounds, s.LR, s.Batch, s.Gossip = 4, 60, 0.1, 16, nil
 		s.Model = scenario.ModelSpec{Hidden: []int{16}}
 		s.Data = scenario.DataSpec{Samples: 320, Classes: 4, C: 1, H: 8, W: 8, Valid: 80, Seed: 3}

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/scenario"
+	"sapspsgd/internal/trace"
 )
 
 // CellResultSchemaVersion is the cells/<id>.json schema.
@@ -29,6 +29,26 @@ type CellResult struct {
 	// Cell and SpecSHA key the record to the run matrix.
 	Cell    string `json:"cell"`
 	SpecSHA string `json:"spec_sha"`
+	CellSummary
+	// Losses, CumBytes and CumSimSeconds are the per-round convergence
+	// series (loss vs round, loss vs cumulative traffic, and the
+	// simulated-time axis for time-to-accuracy reads).
+	Losses        []float64 `json:"losses"`
+	CumBytes      []int64   `json:"cum_bytes"`
+	CumSimSeconds []float64 `json:"cum_sim_seconds"`
+	// Evals is the periodic validation series of a cell whose scenario
+	// holds out a validation split (data.valid): the accuracy axis of
+	// Figs 3/4/6 and Tables III/IV.
+	Evals scenario.Evals `json:"evals,omitempty"`
+	// MatchedMBps is the per-round mean bandwidth over the matched pairs of
+	// a traced planner-only cell — Fig. 5's series (training cells keep
+	// theirs in traces/<id>.csv).
+	MatchedMBps []float64 `json:"matched_mbps,omitempty"`
+}
+
+// CellSummary is a cell's labels and deterministic totals: what its
+// cells/<id>.json record and its aggregate.json row share.
+type CellSummary struct {
 	// Algo through Compression label the cell for aggregation (Bandwidth,
 	// FleetTrace, Partition and Compression are the grid labels;
 	// empty/zero when the axis is not swept).
@@ -47,20 +67,6 @@ type CellResult struct {
 	TotalBytes int64   `json:"total_bytes"`
 	FinalLoss  float64 `json:"final_loss"`
 	SimSeconds float64 `json:"sim_seconds"`
-	// Losses, CumBytes and CumSimSeconds are the per-round convergence
-	// series (loss vs round, loss vs cumulative traffic, and the
-	// simulated-time axis for time-to-accuracy reads).
-	Losses        []float64 `json:"losses"`
-	CumBytes      []int64   `json:"cum_bytes"`
-	CumSimSeconds []float64 `json:"cum_sim_seconds"`
-	// Evals is the periodic validation series of a cell whose scenario
-	// holds out a validation split (data.valid): the accuracy axis of
-	// Figs 3/4/6 and Tables III/IV.
-	Evals scenario.Evals `json:"evals,omitempty"`
-	// MatchedMBps is the per-round mean bandwidth over the matched pairs of
-	// a traced planner-only cell — Fig. 5's series (training cells keep
-	// theirs in traces/<id>.csv).
-	MatchedMBps []float64 `json:"matched_mbps,omitempty"`
 }
 
 // cellFile is the cell's result path under the campaign output directory.
@@ -73,25 +79,37 @@ func traceFile(outDir, id string) string {
 	return filepath.Join(outDir, "traces", id+".csv")
 }
 
-// writeFileAtomic writes via a temp file + rename so a kill mid-write never
-// leaves a truncated artifact behind (resume treats a missing file as
-// not-done, a corrupt one would poison the aggregates).
+// createTemp opens the temp file an artifact is written into before commit
+// renames it to path, so a kill mid-write never leaves a truncated artifact
+// behind (resume treats a missing file as not-done, a corrupt one would
+// poison the aggregates).
+func createTemp(path string) (*os.File, error) {
+	return os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+}
+
+// commit closes a createTemp file and, unless err says writing it already
+// failed, renames it to path; on any failure the temp file is removed.
+func commit(tmp *os.File, path string, err error) error {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// writeFileAtomic writes data to path through createTemp and commit.
 func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	tmp, err := createTemp(path)
 	if err != nil {
 		return err
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, path)
+	_, err = tmp.Write(data)
+	return commit(tmp, path, err)
 }
 
 // Options tunes one campaign invocation (everything not declared in the
@@ -143,11 +161,11 @@ func Run(c *Spec, opts Options) (Stats, error) {
 	if opts.OutDir == "" {
 		return st, fmt.Errorf("campaign %s: no output directory", c.Name)
 	}
-	base, err := c.LoadBase()
+	bases, err := c.LoadBase()
 	if err != nil {
 		return st, fmt.Errorf("campaign %s: base scenario: %w", c.Name, err)
 	}
-	cells, err := c.Expand(base)
+	cells, err := c.Expand(bases...)
 	if err != nil {
 		return st, err
 	}
@@ -159,11 +177,6 @@ func Run(c *Spec, opts Options) (Stats, error) {
 	if err := os.MkdirAll(filepath.Join(opts.OutDir, "cells"), 0o755); err != nil {
 		return st, err
 	}
-	if c.Trace {
-		if err := os.MkdirAll(filepath.Join(opts.OutDir, "traces"), 0o755); err != nil {
-			return st, err
-		}
-	}
 	manifestPath := filepath.Join(opts.OutDir, ManifestName)
 	done, err := ReadManifest(manifestPath)
 	if err != nil {
@@ -173,11 +186,11 @@ func Run(c *Spec, opts Options) (Stats, error) {
 	for _, cell := range cells {
 		if e, ok := done[cell.ID]; ok && e.SpecSHA == cell.SHA {
 			if _, err := os.Stat(cellFile(opts.OutDir, cell.ID)); err == nil {
-				// With tracing on, a traceable cell's CSV is part of the
-				// contract: enabling trace on a finished campaign re-runs
-				// those cells rather than silently reporting success with
-				// an empty traces/ directory.
-				if c.Trace && cell.Spec.Traceable() {
+				// A traced cell's CSV is part of the contract: enabling
+				// trace on a finished campaign re-runs those cells rather
+				// than silently reporting success with an empty traces/
+				// directory.
+				if c.traced(cell) {
 					if _, err := os.Stat(traceFile(opts.OutDir, cell.ID)); err != nil {
 						pending = append(pending, cell)
 						continue
@@ -306,10 +319,47 @@ func Run(c *Spec, opts Options) (Stats, error) {
 	return st, nil
 }
 
+// traced reports whether the cell writes a per-round trace CSV: the campaign
+// or the cell's own scenario asks for one and its algorithm can record it.
+func (c *Spec) traced(cell Cell) bool {
+	return (c.Trace || cell.Spec.RecordTrace) && cell.Spec.Traceable()
+}
+
 // runCell executes one cell and persists its result (and trace, when
-// enabled) under outDir. The written artifacts are fully deterministic.
+// enabled) under outDir. The written artifacts are fully deterministic. The
+// trace streams round by round into a temp file that becomes
+// traces/<id>.csv only once the cell has succeeded and its result is
+// written, so a traced large-N cell holds one round of pairs, not the run's.
 func runCell(c *Spec, cell Cell, outDir string) (*CellResult, error) {
-	out, err := cell.Spec.RunFull(scenario.RunOptions{Series: true, Trace: c.Trace})
+	if !c.traced(cell) {
+		return execCell(cell, outDir, nil)
+	}
+	path := traceFile(outDir, cell.ID)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	tmp, err := createTemp(path)
+	if err != nil {
+		return nil, err
+	}
+	rec := trace.NewRecorder()
+	var res *CellResult
+	if err = rec.Stream(tmp); err == nil {
+		res, err = execCell(cell, outDir, rec)
+	}
+	if err == nil {
+		err = rec.Err()
+	}
+	if err := commit(tmp, path, err); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// execCell runs the cell's scenario, recording rounds into rec when there is
+// one, and writes cells/<id>.json.
+func execCell(cell Cell, outDir string, rec *trace.Recorder) (*CellResult, error) {
+	out, err := cell.Spec.RunFull(scenario.RunOptions{Series: true, Recorder: rec})
 	if err != nil {
 		return nil, err
 	}
@@ -317,27 +367,27 @@ func runCell(c *Spec, cell Cell, outDir string) (*CellResult, error) {
 		SchemaVersion: CellResultSchemaVersion,
 		Cell:          cell.ID,
 		SpecSHA:       cell.SHA,
-		Algo:          cell.Spec.Algo,
-		Nodes:         cell.Spec.Nodes,
-		Rounds:        cell.Spec.Rounds,
-		Seed:          cell.Spec.Seed,
-		Shards:        cell.Spec.Shards,
-		Bandwidth:     cell.Bandwidth,
-		FleetTrace:    cell.Trace,
-		Partition:     cell.Partition,
-		Compression:   cell.Compression,
-		TotalBytes:    out.Result.TotalBytes,
-		FinalLoss:     out.Result.FinalLoss,
-		SimSeconds:    out.Result.SimSeconds,
+		CellSummary: CellSummary{
+			Algo:        cell.Spec.Algo,
+			Nodes:       cell.Spec.Nodes,
+			Rounds:      cell.Spec.Rounds,
+			Seed:        cell.Spec.Seed,
+			Shards:      cell.Spec.Shards,
+			Bandwidth:   cell.Bandwidth,
+			FleetTrace:  cell.Trace,
+			Partition:   cell.Partition,
+			Compression: cell.Compression,
+			TotalBytes:  out.Result.TotalBytes,
+			FinalLoss:   out.Result.FinalLoss,
+			SimSeconds:  out.Result.SimSeconds,
+		},
 		Losses:        out.Losses,
 		CumBytes:      out.CumBytes,
 		CumSimSeconds: out.CumSimSeconds,
 		Evals:         out.Evals,
 	}
-	if out.Trace != nil && cell.Spec.PlannerOnly {
-		for _, ev := range out.Trace.Events() {
-			res.MatchedMBps = append(res.MatchedMBps, ev.MeanPairMBps())
-		}
+	if rec != nil && cell.Spec.PlannerOnly {
+		res.MatchedMBps = rec.RoundMeans()
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -345,22 +395,6 @@ func runCell(c *Spec, cell Cell, outDir string) (*CellResult, error) {
 	}
 	if err := writeFileAtomic(cellFile(outDir, cell.ID), append(data, '\n')); err != nil {
 		return nil, err
-	}
-	if out.Trace != nil {
-		var buf bytes.Buffer
-		if err := out.Trace.WriteCSV(&buf); err != nil {
-			return nil, err
-		}
-		// A recorder can also come from the cell scenario's own trace flag
-		// (not just the campaign's), so ensure the directory here rather
-		// than relying on the upfront creation.
-		path := traceFile(outDir, cell.ID)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return nil, err
-		}
-		if err := writeFileAtomic(path, buf.Bytes()); err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }

@@ -21,11 +21,11 @@ func loadEdgeFleet(t *testing.T) (*Spec, *scenario.Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.LoadBase()
+	bases, err := c.LoadBase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, base
+	return c, bases[0]
 }
 
 // TestTraceAndPartitionAxesExpand pins the new axes' expansion semantics on

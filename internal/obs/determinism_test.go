@@ -6,6 +6,7 @@ import (
 
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/scenario"
+	"sapspsgd/internal/trace"
 )
 
 // loadSpec pulls a committed scenario spec from the scenario package's
@@ -26,7 +27,7 @@ func TestSyncArtifactsUnchangedByObs(t *testing.T) {
 	spec := loadSpec(t, "saps-jitter.json")
 
 	run := func() (*scenario.RunOutput, string) {
-		out, err := spec.RunFull(scenario.RunOptions{Trace: true})
+		out, err := spec.RunFull(scenario.RunOptions{Recorder: trace.NewRecorder()})
 		if err != nil {
 			t.Fatal(err)
 		}

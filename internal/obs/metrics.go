@@ -33,7 +33,8 @@ type EngineMetrics struct {
 	CodecDecodeSeconds *Histogram
 	// WireBytesTotal counts fleet traffic in the repo's endpoint
 	// convention — every payload at both its sender and its receiver —
-	// so the scrape agrees with Result.TotalBytes and BENCH.json.
+	// so the scrape agrees with Result.TotalBytes and a campaign's
+	// total_bytes.
 	WireBytesTotal *Counter
 	// SimSecondsTotal accumulates simulated communication seconds.
 	SimSecondsTotal *FloatCounter

@@ -119,7 +119,7 @@ func TestSparseScenarioTrains(t *testing.T) {
 
 // TestLargeNSpecsLoad validates the committed large-N capsules without
 // running them (TestPlannerOnly10kStaysSparse runs the 10k one; the 50k one
-// runs off-CI through cmd/fleetbench), and pins that they live outside the
+// runs off-CI through cmd/campaign), and pins that they live outside the
 // default sweep directory.
 func TestLargeNSpecsLoad(t *testing.T) {
 	for _, path := range []string{

@@ -39,12 +39,12 @@ func plannerGoldenSpecs() []*Spec {
 
 // plannerGoldenText renders every spec's planner-only yield: total bytes,
 // the simulated clock's bits, the per-round series and the trace CSV — the
-// last through RunOptions.Trace and again through a streaming recorder.
+// last through an in-memory recorder and again through a streaming one.
 func plannerGoldenText(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	for _, s := range plannerGoldenSpecs() {
-		out, err := s.RunFull(RunOptions{Trace: true, Series: true})
+		out, err := s.RunFull(RunOptions{Recorder: trace.NewRecorder(), Series: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}

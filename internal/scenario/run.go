@@ -252,21 +252,21 @@ func (s *Spec) effectiveShards(override int) int {
 	return s.Shards
 }
 
-// Result is one scenario execution's measurements — the per-run row of
-// BENCH.json. TotalBytes is the deterministic traffic total (the sum of
-// every endpoint's sent+received bytes, server included); wall fields are
-// machine-dependent.
+// Result is one scenario execution's measurements. TotalBytes is the
+// deterministic traffic total (the sum of every endpoint's sent+received
+// bytes, server included); the wall and RSS fields are machine-dependent
+// (a campaign journals the first in manifest.jsonl, both go to the
+// "run complete" log line).
 type Result struct {
-	Shards       int     `json:"shards"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	TotalBytes   int64   `json:"total_bytes"`
-	SimSeconds   float64 `json:"sim_seconds"`
-	FinalLoss    float64 `json:"final_loss"`
+	Shards      int
+	WallSeconds float64
+	TotalBytes  int64
+	SimSeconds  float64
+	FinalLoss   float64
 	// PeakRSSBytes is the process's peak resident memory over the run
 	// (informational: process-wide, so concurrent runs in one process
 	// attribute each other's peaks; 0 when unreadable).
-	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
+	PeakRSSBytes int64
 }
 
 // Run builds and executes the scenario with the given shard override (see
@@ -284,15 +284,12 @@ type RunOptions struct {
 	// Shards is the engine shard override, interpreted exactly as Build's
 	// parameter (0 = spec default).
 	Shards int
-	// Trace attaches a trace.Recorder even when the spec does not set
-	// trace; it is ignored for algorithms that cannot record one (only
-	// the SAPS family can).
-	Trace bool
-	// Recorder, when non-nil, is the trace recorder to attach instead of
-	// a fresh one (implies Trace). Pass a streaming recorder
-	// (trace.Recorder.Stream) to write rows incrementally — the way long
-	// large-N runs avoid holding every round in memory. Honored by SAPS
-	// runs and by planner_only (which records loss-less rounds).
+	// Recorder, when non-nil, is the trace recorder to attach (a spec with
+	// record_trace and no Recorder gets a fresh in-memory one). Pass a
+	// streaming recorder (trace.Recorder.Stream) to write rows incrementally
+	// — the way long large-N runs avoid holding every round in memory.
+	// Honored by SAPS runs and by planner_only (which records loss-less
+	// rounds); ignored for algorithms that cannot record a trace.
 	Recorder *trace.Recorder
 	// Series collects the per-round convergence series (Losses, CumBytes,
 	// CumSimSeconds) the campaign aggregator turns into paper figures.
@@ -307,7 +304,7 @@ type RunOptions struct {
 	Params bool
 }
 
-// RunOutput is one execution's full yield: the BENCH-row Result plus the
+// RunOutput is one execution's full yield: the summary Result plus the
 // optional per-round series and trace.
 type RunOutput struct {
 	// Result is the summary row (also what Run returns).
@@ -356,7 +353,7 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 	if opts.Series {
 		out.reserveSeries(s.Rounds)
 	}
-	if (opts.Recorder != nil || opts.Trace || s.RecordTrace) && s.Traceable() {
+	if (opts.Recorder != nil || s.RecordTrace) && s.Traceable() {
 		out.Trace = opts.Recorder
 		if out.Trace == nil {
 			out.Trace = trace.NewRecorder()
@@ -417,9 +414,6 @@ func (out *RunOutput) finish(s *Spec, opts RunOptions, mode string, wall float64
 		SimSeconds:   led.TotalTime(),
 		FinalLoss:    loss,
 		PeakRSSBytes: profiling.PeakRSS(),
-	}
-	if wall > 0 {
-		out.Result.RoundsPerSec = float64(s.Rounds) / wall
 	}
 	s.logRunSummary(mode, out)
 }
@@ -494,9 +488,6 @@ func (s *Spec) runAsync(opts RunOptions) (*RunOutput, error) {
 		SimSeconds:   res.FinalTime,
 		FinalLoss:    res.FinalLoss,
 		PeakRSSBytes: profiling.PeakRSS(),
-	}
-	if wall > 0 {
-		out.Result.RoundsPerSec = float64(s.Rounds) / wall
 	}
 	s.logRunSummary("async", out)
 	return out, nil

@@ -10,6 +10,7 @@ import (
 
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden spec files")
@@ -440,7 +441,7 @@ func TestTraceFromEngineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cout, err := churn.RunFull(RunOptions{Shards: 2, Trace: true, Series: true})
+	cout, err := churn.RunFull(RunOptions{Shards: 2, Recorder: trace.NewRecorder(), Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +467,7 @@ func TestTraceFromEngineRuns(t *testing.T) {
 }
 
 // TestClone pins the deep copy: mutating every shared block of a clone must
-// leave the original untouched (the fleetbench -rounds fix and the campaign
-// grid expansion both rely on it).
+// leave the original untouched (the campaign grid expansion relies on it).
 func TestClone(t *testing.T) {
 	orig := minimal()
 	orig.Algo, orig.Compression = "saps", 10

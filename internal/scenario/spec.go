@@ -3,9 +3,9 @@
 // bandwidth distribution (or an explicit measured trace), and optional churn
 // and straggler models, and the package assembles the corresponding
 // algorithm over the sharded engine runtime and runs it against a
-// bandwidth-accounted ledger. cmd/fleetbench sweeps directories of specs
-// across shard counts and writes the stable-schema BENCH.json summary
-// (bench.go); comparing two commits is benchmark/'s job (benchmark/README.md).
+// bandwidth-accounted ledger. cmd/campaign (internal/campaign) sweeps a spec,
+// or a directory of specs, over a parameter grid into a directory of results;
+// comparing two commits is benchmark/'s job (benchmark/README.md).
 package scenario
 
 import (
@@ -33,7 +33,8 @@ const SpecSchemaVersion = 2
 type Spec struct {
 	// SchemaVersion must equal SpecSchemaVersion.
 	SchemaVersion int `json:"schema_version"`
-	// Name identifies the scenario in sweeps and BENCH.json rows.
+	// Name identifies the scenario in logs and run summaries; a campaign over
+	// a directory of specs starts each cell ID with it.
 	Name string `json:"name"`
 	// Algo is the algorithm to run: saps | psgd | topk-psgd | qsgd-psgd |
 	// d-psgd | dcd-psgd | ps-psgd | fedavg | s-fedavg, randomchoose (saps
@@ -124,9 +125,9 @@ type Spec struct {
 	// totals are exactly what the full run would charge (the mask seed
 	// stream and matchings are identical); FinalLoss is 0. Requires algo
 	// saps or randomchoose, an MLP model, and no churn/faults/trace/
-	// partition/record_trace (RunOptions.Trace — a campaign's trace flag —
-	// records the coordinator-side rounds: Fig. 5's per-round matched
-	// bandwidth).
+	// partition/record_trace (RunOptions.Recorder — what a campaign's trace
+	// flag attaches — records the coordinator-side rounds: Fig. 5's per-round
+	// matched bandwidth).
 	PlannerOnly bool `json:"planner_only,omitempty"`
 
 	// dir is the directory the spec was loaded from; trace files resolve
@@ -134,7 +135,13 @@ type Spec struct {
 	// the canonical form never embeds an absolute path). Set by Load or
 	// SetDir; empty means the current working directory.
 	dir string
+	// file is the path Load read the spec from ("" for a parsed one).
+	file string
 }
+
+// File returns the path the spec was loaded from ("" when it was parsed from
+// bytes) — what an error about one of a directory's specs names.
+func (s *Spec) File() string { return s.file }
 
 // SetDir sets the directory the spec's relative file references (the trace
 // block) resolve against — what Load does automatically.
@@ -378,13 +385,13 @@ func Load(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	s.dir = filepath.Dir(path)
+	s.dir, s.file = filepath.Dir(path), path
 	return s, nil
 }
 
 // LoadPath loads specs from a file or a directory: a directory loads every
-// *.json spec in it (LoadDir), a file loads that one spec. cmd/fleetbench
-// and cmd/campaign share this resolution rule.
+// *.json spec in it (LoadDir), a file loads that one spec — how a campaign
+// resolves its base.
 func LoadPath(path string) ([]*Spec, error) {
 	info, err := os.Stat(path)
 	if err != nil {

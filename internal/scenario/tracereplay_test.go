@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"sapspsgd/internal/trace"
 )
 
 // TestTraceReplayDeterministicAcrossShards is the tentpole's shard-sweep
@@ -53,7 +55,7 @@ func TestTraceMembershipReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := spec.RunFull(RunOptions{Trace: true})
+	out, err := spec.RunFull(RunOptions{Recorder: trace.NewRecorder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestTraceComposesWithJitterAndFaults(t *testing.T) {
 	if a.TotalBytes != b.TotalBytes || a.FinalLoss != b.FinalLoss || a.SimSeconds != b.SimSeconds {
 		t.Errorf("composed run diverges across shards: %+v vs %+v", a, b)
 	}
-	out, err := spec.RunFull(RunOptions{Shards: 1, Trace: true})
+	out, err := spec.RunFull(RunOptions{Shards: 1, Recorder: trace.NewRecorder()})
 	if err != nil {
 		t.Fatal(err)
 	}

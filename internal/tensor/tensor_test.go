@@ -41,27 +41,6 @@ func TestDotNorm(t *testing.T) {
 	}
 }
 
-func TestHadamardAndMask(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 0, 1, 3}
-	dst := make([]float64, 4)
-	Hadamard(dst, a, b)
-	want := []float64{2, 0, 3, 12}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("Hadamard = %v, want %v", dst, want)
-		}
-	}
-	v := []float64{5, 6, 7, 8}
-	ApplyMask(v, []bool{true, false, true, false})
-	wantv := []float64{5, 0, 7, 0}
-	for i := range v {
-		if v[i] != wantv[i] {
-			t.Fatalf("ApplyMask = %v, want %v", v, wantv)
-		}
-	}
-}
-
 func TestMaskedAverage(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	peer := []float64{3, 10, 5, 20}

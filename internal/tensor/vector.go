@@ -134,34 +134,6 @@ func Mean(v []float64) float64 {
 	return Sum(v) / float64(len(v))
 }
 
-// Hadamard computes dst = a ∘ b (element-wise product). dst may alias a or b.
-func Hadamard(dst, a, b []float64) {
-	assertSameLen(len(a), len(b))
-	assertSameLen(len(dst), len(a))
-	b, dst = b[:len(a)], dst[:len(a)]
-	n := len(a) &^ 3
-	for i := 0; i < n; i += 4 {
-		dst[i] = a[i] * b[i]
-		dst[i+1] = a[i+1] * b[i+1]
-		dst[i+2] = a[i+2] * b[i+2]
-		dst[i+3] = a[i+3] * b[i+3]
-	}
-	for i := n; i < len(a); i++ {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// ApplyMask zeroes the elements of v where mask is false, implementing
-// x̃ = x ∘ m from Eq. (2).
-func ApplyMask(v []float64, mask []bool) {
-	assertSameLen(len(v), len(mask))
-	for i, keep := range mask {
-		if !keep {
-			v[i] = 0
-		}
-	}
-}
-
 // MaskedAverage implements the SAPS-PSGD update of Algorithm 2 line 10
 // combined with the pairwise doubly stochastic gossip step: for masked
 // coordinates, x ← (x + peer)/2; unmasked coordinates keep x.

@@ -57,16 +57,15 @@ func (ev *RoundEvent) MeanPairMBps() float64 {
 // after Stream.
 type Recorder struct {
 	events []RoundEvent
+	// means is every round's mean pair bandwidth — Fig. 5's series — kept
+	// in both modes (8 bytes a round), so the summary statistics
+	// (RoundMeans, MeanMatchedBandwidth, Len) outlive the event history a
+	// streaming recorder does not hold.
+	means []float64
 
-	// Streaming state: w non-nil selects streaming mode. The summary
-	// statistics (MeanMatchedBandwidth, Len) stay
-	// available because their accumulators are maintained per Record;
-	// the full event history is not.
+	// Streaming state: w non-nil selects streaming mode.
 	w       io.Writer
 	err     error
-	rounds  int
-	meanSum float64
-	meanN   int
 	scratch RoundEvent
 }
 
@@ -99,7 +98,7 @@ func (r *Recorder) Err() error { return r.err }
 
 // Record appends one round's event, deriving pair statistics from the
 // matching and the environment. In streaming mode the row goes straight to
-// the writer and only summary accumulators are retained.
+// the writer and only the round's mean pair bandwidth is retained.
 func (r *Recorder) Record(round int, match graph.Matching, bw *netsim.Bandwidth, forced bool, payloadBytes int64, active int, loss float64) {
 	ev := &r.scratch
 	if r.w == nil {
@@ -119,11 +118,7 @@ func (r *Recorder) Record(round int, match graph.Matching, bw *netsim.Bandwidth,
 			ev.PairMBps = append(ev.PairMBps, bw.MBps(v, p))
 		}
 	}
-	r.rounds++
-	if len(ev.PairMBps) > 0 {
-		r.meanSum += ev.MeanPairMBps()
-		r.meanN++
-	}
+	r.means = append(r.means, ev.MeanPairMBps())
 	if r.w != nil && r.err == nil {
 		r.err = writeEvent(r.w, ev)
 	}
@@ -133,15 +128,28 @@ func (r *Recorder) Record(round int, match graph.Matching, bw *netsim.Bandwidth,
 func (r *Recorder) Events() []RoundEvent { return r.events }
 
 // Len returns the number of recorded rounds (both modes).
-func (r *Recorder) Len() int { return r.rounds }
+func (r *Recorder) Len() int { return len(r.means) }
+
+// RoundMeans returns every recorded round's mean pair bandwidth (0 for a
+// round that matched nothing), in round order — the Fig. 5 series (both
+// modes).
+func (r *Recorder) RoundMeans() []float64 { return r.means }
 
 // MeanMatchedBandwidth returns the across-round mean of the per-round mean
-// pair bandwidth — the Fig. 5 summary statistic.
+// pair bandwidth over the rounds that matched something — the Fig. 5
+// summary statistic.
 func (r *Recorder) MeanMatchedBandwidth() float64 {
-	if r.meanN == 0 {
+	sum, n := 0.0, 0
+	for _, m := range r.means {
+		if m > 0 {
+			sum += m
+			n++
+		}
+	}
+	if n == 0 {
 		return 0
 	}
-	return r.meanSum / float64(r.meanN)
+	return sum / float64(n)
 }
 
 // writeHeader emits the CSV column header.

@@ -76,3 +76,40 @@ func TestRecorderSkipsUnmatchedRoundsInMean(t *testing.T) {
 		t.Fatalf("mean = %v, want 4 (empty round excluded)", got)
 	}
 }
+
+// TestRoundMeansSurviveStreaming: the per-round mean series (Fig. 5) and the
+// statistics built on it are the same whether the recorder holds its events
+// or streams them away.
+func TestRoundMeansSurviveStreaming(t *testing.T) {
+	bw := env()
+	held, streamed := NewRecorder(), NewRecorder()
+	var sink strings.Builder
+	if err := streamed.Stream(&sink); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Recorder{held, streamed} {
+		r.Record(0, graph.Matching{1, 0, 3, 2}, bw, false, 100, 4, 0.5)
+		r.Record(1, graph.Matching{-1, -1, -1, -1}, bw, false, 100, 4, 0.4)
+		r.Record(2, graph.Matching{2, 3, 0, 1}, bw, true, 100, 4, 0.3)
+	}
+	want := []float64{6, 0, 2}
+	for _, r := range []*Recorder{held, streamed} {
+		got := r.RoundMeans()
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Fatalf("RoundMeans = %v, want %v", got, want)
+		}
+		if r.Len() != 3 || r.MeanMatchedBandwidth() != 4 {
+			t.Fatalf("Len %d, MeanMatchedBandwidth %v", r.Len(), r.MeanMatchedBandwidth())
+		}
+	}
+	if streamed.Events() != nil {
+		t.Fatal("a streaming recorder kept its events")
+	}
+	var csv strings.Builder
+	if err := held.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if csv.String() != sink.String() {
+		t.Fatalf("streamed CSV differs from the in-memory one:\n%s\nvs\n%s", sink.String(), csv.String())
+	}
+}

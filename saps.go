@@ -11,9 +11,9 @@
 //     constructors and drive it with Run — all traffic and communication
 //     time is accounted against a bandwidth environment such as
 //     FourteenCities or RandomUniform. Run is the same round loop a
-//     declarative scenario spec goes through (cmd/fleetbench), and a
-//     campaign (cmd/campaign) is a grid of such specs: the paper's
-//     experiments are the campaigns under campaigns/paper/.
+//     declarative scenario spec goes through, and a campaign
+//     (cmd/campaign) is a grid over such specs: the paper's experiments
+//     are the campaigns under campaigns/paper/.
 //
 //   - Deployment: run a CoordinatorServer and WorkerClients over TCP
 //     (cmd/coordinator -algo <name>, cmd/worker); the identical engine

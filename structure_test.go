@@ -126,9 +126,11 @@ func TestInternalPackagesHaveProductImporters(t *testing.T) {
 	}
 }
 
-// TestOneComparator: benchmark/ is the only thing that compares two commits.
-// cmd/ holds the five product commands and no measurement harness beside the
-// scenario sweeper, and internal/scenario has no summary differ.
+// TestOneComparator: benchmark/ is the only thing that compares two commits,
+// and cmd/campaign the only thing that sweeps scenarios. cmd/ holds the four
+// product commands and no measurement harness or second sweeper, and
+// internal/scenario has neither a summary differ nor a summary schema of its
+// own (a sweep's results are a campaign's aggregate.json).
 func TestOneComparator(t *testing.T) {
 	entries, err := os.ReadDir("cmd")
 	if err != nil {
@@ -138,7 +140,7 @@ func TestOneComparator(t *testing.T) {
 	for _, e := range entries {
 		cmds = append(cmds, e.Name())
 	}
-	if got, want := strings.Join(cmds, " "), "asyncsim campaign coordinator fleetbench worker"; got != want {
+	if got, want := strings.Join(cmds, " "), "asyncsim campaign coordinator worker"; got != want {
 		t.Errorf("cmd/ holds %q, want %q", got, want)
 	}
 	fset := token.NewFileSet()
@@ -146,13 +148,28 @@ func TestOneComparator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sweepSchema := map[string]bool{"BenchFile": true, "ScenarioSweep": true, "BenchSchemaVersion": true}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "Diff" {
-					t.Errorf("%s: internal/scenario exports Diff — compare runs with benchmark -compare", fset.Position(fn.Pos()))
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch v := n.(type) {
+				case *ast.FuncDecl:
+					if v.Recv == nil && v.Name.Name == "Diff" {
+						t.Errorf("%s: internal/scenario exports Diff — compare runs with benchmark -compare", fset.Position(v.Pos()))
+					}
+				case *ast.TypeSpec:
+					if sweepSchema[v.Name.Name] {
+						t.Errorf("%s: internal/scenario declares %s — sweep a directory of specs with a campaign", fset.Position(v.Pos()), v.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, name := range v.Names {
+						if sweepSchema[name.Name] {
+							t.Errorf("%s: internal/scenario declares %s — sweep a directory of specs with a campaign", fset.Position(v.Pos()), name.Name)
+						}
+					}
 				}
-			}
+				return true
+			})
 		}
 	}
 }
