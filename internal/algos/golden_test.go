@@ -155,17 +155,10 @@ func (c goldenCase) build(t *testing.T, shards int) (algos.Algorithm, *netsim.Ba
 	tick := func(int) {}
 	rp := c.replay(t)
 	if rp != nil {
-		// The scenario layer's composition: the scaler's snapshot is what
+		// The scenario layer's composition: the clock's snapshot is what
 		// the planner and the ledger see, rewritten in place every round.
-		scaler := netsim.NewNodeScaledBandwidth(bw)
-		mult := rp.Multipliers(0, nil)
-		bw = scaler.Apply(mult)
-		tick = func(r int) {
-			if r > 0 {
-				mult = rp.Multipliers(r, mult)
-				scaler.Apply(mult)
-			}
-		}
+		env := netsim.NewRoundEnv(bw, 0, 0, rp.Multipliers)
+		bw, tick = env.Current(), env.Tick
 	}
 	var alg algos.Algorithm
 	switch s.Algo {

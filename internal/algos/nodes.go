@@ -61,11 +61,11 @@ func (g *gradAvgNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error 
 // the Neighborhood pattern + dense codec.
 type neighborMixNode struct {
 	*core.Trainer
-	lr      float64
-	weights map[int]float64 // W row, self weight included
-	params  []float64
-	grads   []float64
-	mixed   []float64
+	lr     float64
+	row    mixRow // W row, self weight included
+	params []float64
+	grads  []float64
+	mixed  []float64
 }
 
 // Compute implements engine.Node.
@@ -82,16 +82,16 @@ func (d *neighborMixNode) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) 
 		d.mixed = make([]float64, len(d.params))
 	}
 	d.mixed = d.mixed[:len(d.params)]
-	wSelf := d.weights[ctx.Self]
+	wSelf := d.row.find(ctx.Self).w
 	for j := range d.mixed {
 		d.mixed[j] = wSelf * d.params[j]
 	}
 	for _, m := range msgs {
-		w, ok := d.weights[m.From]
-		if !ok {
+		e := d.row.find(m.From)
+		if e == nil {
 			return fmt.Errorf("algos: D-PSGD node %d received model from non-neighbor %d", ctx.Self, m.From)
 		}
-		tensor.Axpy(w, m.Vals, d.mixed)
+		tensor.Axpy(e.w, m.Vals, d.mixed)
 	}
 	tensor.Axpy(-d.lr, d.grads, d.mixed)
 	d.Model.SetFlatParams(d.mixed)
@@ -109,24 +109,22 @@ func (d *neighborMixNode) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) 
 // neighbors do) + a top-k codec without error feedback.
 type dcdNode struct {
 	*core.Trainer
-	lr       float64
-	weights  map[int]float64 // gossip weights over neighbors (no self entry)
-	replicas map[int][]float64
-	params   []float64
-	grads    []float64
-	diff     []float64
+	lr float64
+	// row holds the node itself and its neighbours, each with the public
+	// replica kept of it; the gossip sums over the neighbours' entries.
+	row    mixRow
+	params []float64
+	grads  []float64
+	diff   []float64
 }
 
 // newDCDNode initializes the replicas at the shared initial model, so they
 // are exact at round 0.
-func newDCDNode(t *core.Trainer, lr float64, weights map[int]float64, self int) *dcdNode {
-	n := &dcdNode{Trainer: t, lr: lr, weights: weights, replicas: map[int][]float64{}}
-	init := t.Model.FlatParams(nil)
-	n.replicas[self] = init
-	for j := range weights {
-		n.replicas[j] = append([]float64(nil), init...)
+func newDCDNode(t *core.Trainer, lr float64, row mixRow) *dcdNode {
+	for k := range row {
+		row[k].replica = t.Model.FlatParams(nil)
 	}
-	return n
+	return &dcdNode{Trainer: t, lr: lr, row: row}
 }
 
 // Compute implements engine.Node: replica-based gossip + gradient step, then
@@ -135,11 +133,13 @@ func (n *dcdNode) Compute(ctx engine.RoundContext) (float64, []float64, error) {
 	loss := n.GradStep()
 	n.params = n.Model.FlatParams(n.params)
 	n.grads = n.Model.FlatGrads(n.grads)
-	self := n.replicas[ctx.Self]
+	self := n.row.find(ctx.Self).replica
 	for j := range n.params {
 		gossip := 0.0
-		for nb, w := range n.weights {
-			gossip += w * (n.replicas[nb][j] - self[j])
+		for k := range n.row {
+			if e := &n.row[k]; e.rank != ctx.Self {
+				gossip += e.w * (e.replica[j] - self[j])
+			}
 		}
 		n.params[j] += gossip - n.lr*n.grads[j]
 	}
@@ -156,11 +156,11 @@ func (n *dcdNode) Compute(ctx engine.RoundContext) (float64, []float64, error) {
 // included) advances the corresponding public replica.
 func (n *dcdNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 	for _, m := range msgs {
-		repl, ok := n.replicas[m.From]
-		if !ok {
+		e := n.row.find(m.From)
+		if e == nil {
 			return fmt.Errorf("algos: DCD node received delta from non-neighbor %d", m.From)
 		}
-		tensor.Axpy(1, m.Vals, repl)
+		tensor.Axpy(1, m.Vals, e.replica)
 	}
 	return nil
 }

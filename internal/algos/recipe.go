@@ -2,6 +2,7 @@ package algos
 
 import (
 	"fmt"
+	"slices"
 
 	"sapspsgd/internal/compress"
 	"sapspsgd/internal/core"
@@ -190,19 +191,43 @@ func (r Recipe) adjacency() [][]int {
 	return ringAdjacency(r.Workers)
 }
 
+// mixEntry is one term of a rank's mixing row: a rank (its own or a
+// neighbour's), the weight W_ij, and for DCD-PSGD the public replica kept of
+// that rank.
+type mixEntry struct {
+	rank    int
+	w       float64
+	replica []float64
+}
+
+// mixRow is a mixing row in ascending rank — the order every float
+// accumulation over it runs in, so a row of any degree sums the same way in
+// every run and every process.
+type mixRow []mixEntry
+
+// find returns the row's entry for rank, or nil for a non-neighbour.
+func (row mixRow) find(rank int) *mixEntry {
+	k, ok := slices.BinarySearchFunc(row, rank, func(e mixEntry, rank int) int { return e.rank - rank })
+	if !ok {
+		return nil
+	}
+	return &row[k]
+}
+
 // metropolisRow is rank i's row of the Metropolis–Hastings mixing matrix
 // over adj, self weight included: W_ij = 1/(1+max(d_i,d_j)) for a neighbour
 // j, and W_ii absorbs the remainder — symmetric and doubly stochastic on any
 // graph. On the paper's ring that is the uniform 1/3.
-func metropolisRow(adj [][]int, i int) map[int]float64 {
-	row := make(map[int]float64, len(adj[i])+1)
+func metropolisRow(adj [][]int, i int) mixRow {
+	row := make(mixRow, 0, len(adj[i])+1)
 	sum := 0.0
 	for _, j := range adj[i] {
 		w := 1 / float64(1+max(len(adj[i]), len(adj[j])))
-		row[j] = w
+		row = append(row, mixEntry{rank: j, w: w})
 		sum += w
 	}
-	row[i] = 1 - sum
+	row = append(row, mixEntry{rank: i, w: 1 - sum})
+	slices.SortFunc(row, func(a, b mixEntry) int { return a.rank - b.rank })
 	return row
 }
 
@@ -294,11 +319,9 @@ func (r Recipe) NewNode(rank int, model *nn.Model, shard *dataset.Dataset, mirro
 	case "psgd", "topk-psgd", "qsgd-psgd":
 		return &gradAvgNode{Trainer: t, lr: r.LR, n: r.Workers}
 	case "d-psgd":
-		return &neighborMixNode{Trainer: t, lr: r.LR, weights: metropolisRow(r.adjacency(), rank)}
+		return &neighborMixNode{Trainer: t, lr: r.LR, row: metropolisRow(r.adjacency(), rank)}
 	case "dcd-psgd":
-		mix := metropolisRow(r.adjacency(), rank)
-		delete(mix, rank) // the replicas gossip over the neighbours only
-		return newDCDNode(t, r.LR, mix, rank)
+		return newDCDNode(t, r.LR, metropolisRow(r.adjacency(), rank))
 	case "ps-psgd":
 		return &psWorkerNode{Trainer: t}
 	case "fedavg":

@@ -2,7 +2,6 @@ package algos
 
 import (
 	"fmt"
-	"slices"
 
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
@@ -24,17 +23,16 @@ import (
 // public replicas in ascending rank order — they evolve by lossy deltas and
 // cannot be reconstructed from the model alone.
 func (n *dcdNode) CaptureState() ([]byte, error) {
-	ranks := n.replicaRanks()
 	room := 0
-	for _, j := range ranks {
-		room += tensor.SectionSize(8 * len(n.replicas[j]))
+	for _, e := range n.row {
+		room += tensor.SectionSize(8 * len(e.replica))
 	}
 	b, err := n.StateBlob(room)
 	if err != nil {
 		return nil, err
 	}
-	for _, j := range ranks {
-		b = tensor.AppendVector(b, n.replicas[j])
+	for _, e := range n.row {
+		b = tensor.AppendVector(b, e.replica)
 	}
 	return b, nil
 }
@@ -45,27 +43,16 @@ func (n *dcdNode) RestoreState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	for _, j := range n.replicaRanks() {
+	for _, e := range n.row {
 		var sec []byte
 		if sec, b, err = tensor.CutSection(b); err != nil {
-			return fmt.Errorf("algos: dcd replica of rank %d: %w", j, err)
+			return fmt.Errorf("algos: dcd replica of rank %d: %w", e.rank, err)
 		}
-		if err := tensor.DecodeWords(n.replicas[j], sec); err != nil {
-			return fmt.Errorf("algos: dcd replica of rank %d: %w", j, err)
+		if err := tensor.DecodeWords(e.replica, sec); err != nil {
+			return fmt.Errorf("algos: dcd replica of rank %d: %w", e.rank, err)
 		}
 	}
 	return tensor.NoMoreSections(b)
-}
-
-// replicaRanks is the ranks this node keeps a replica of (itself and its
-// neighbors — fixed by the recipe), in the order the blob holds them.
-func (n *dcdNode) replicaRanks() []int {
-	ranks := make([]int, 0, len(n.replicas))
-	for j := range n.replicas {
-		ranks = append(ranks, j)
-	}
-	slices.Sort(ranks)
-	return ranks
 }
 
 // CaptureState implements engine.Stateful: the trainer's state, then the last

@@ -111,6 +111,32 @@ func dpsgdOn(fc FleetConfig, tp topo) Algorithm {
 	return New(fc, Recipe{Algo: "d-psgd", mix: &mixGraph{name: "D-PSGD(" + tp.name + ")", adj: tp.adj()}}, nil)
 }
 
+// TestDCDTorusRunToRunBitIdentical: DCD-PSGD's gossip is a float sum over the
+// neighbours' replicas, so on a degree-4 torus its order is observable — two
+// runs of the same recipe must still end on bit-identical models. (On the
+// paper's ring a row has two terms and any order gives the same sum.)
+func TestDCDTorusRunToRunBitIdentical(t *testing.T) {
+	const n, rounds = 9, 12
+	run := func() [][]float64 {
+		fc, bw, va := testSetup(t, n)
+		alg := New(fc, Recipe{Algo: "dcd-psgd", C: 4, mix: &mixGraph{name: "DCD-PSGD(torus)", adj: torus(3, 3).adj()}}, nil)
+		runRounds(t, alg, bw, va, rounds)
+		var params [][]float64
+		for _, m := range alg.Models() {
+			params = append(params, m.FlatParams(nil))
+		}
+		return params
+	}
+	a, b := run(), run()
+	for rank := range a {
+		for j := range a[rank] {
+			if math.Float64bits(a[rank][j]) != math.Float64bits(b[rank][j]) {
+				t.Fatalf("rank %d param %d: %v in one run, %v in the next", rank, j, a[rank][j], b[rank][j])
+			}
+		}
+	}
+}
+
 func TestDPSGDTopologyVariantsLearn(t *testing.T) {
 	const n, rounds = 8, 150
 	tops := []topo{
@@ -276,8 +302,8 @@ func metropolisW(tp topo) *tensor.Matrix {
 	adj := tp.adj()
 	w := tensor.NewMatrix(tp.g.N, tp.g.N)
 	for i := range adj {
-		for j, v := range metropolisRow(adj, i) {
-			w.Set(i, j, v)
+		for _, e := range metropolisRow(adj, i) {
+			w.Set(i, e.rank, e.w)
 		}
 	}
 	return w
@@ -320,8 +346,8 @@ func TestMetropolisWDoublyStochastic(t *testing.T) {
 				t.Fatalf("ring-%d row %d: %v, want %v", n, i, got, want)
 			}
 			for j, v := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(v) {
-					t.Fatalf("ring-%d W[%d][%d] = %v, want %v", n, i, j, got[j], v)
+				if e := got.find(j); e == nil || math.Float64bits(e.w) != math.Float64bits(v) {
+					t.Fatalf("ring-%d W[%d][%d] = %v, want %v", n, i, j, got, v)
 				}
 			}
 		}

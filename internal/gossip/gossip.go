@@ -68,8 +68,9 @@ type edgeStamp struct {
 // timestamp matrix lives as an edge-keyed map whose entries expire once they
 // leave the TThres recency window, the RC graph is maintained incrementally
 // as edges are stamped and expired, and candidate edges stream out of the
-// Bandwidth representation in lexicographic order. The matching sequence is
-// bit-identical to the retained dense formulation (ReferenceGenerator);
+// Bandwidth's CSR rows in lexicographic order, each link visited once
+// whether the topology is complete or degree-limited. The matching sequence
+// is bit-identical to the retained dense formulation (ReferenceGenerator);
 // the equivalence suite pins that across N, seeds, churn, and forced rounds.
 //
 // One consequence of eviction: rounds must be generated in non-decreasing

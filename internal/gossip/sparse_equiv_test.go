@@ -113,39 +113,6 @@ func TestSparseGeneratorBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestSparseEnvironmentMatchesDenseEnvironment pins the other axis: the same
-// generator over a sparse CSR environment and over its dense-matrix twin
-// (identical link weights) must produce identical matchings — the sparse
-// edge enumeration order is exactly the dense pair-scan order.
-func TestSparseEnvironmentMatchesDenseEnvironment(t *testing.T) {
-	for _, n := range []int{8, 64, 512} {
-		rounds := 30
-		if n == 512 {
-			rounds = 10
-		}
-		for seed := uint64(1); seed <= 5; seed++ {
-			sp := netsim.SparseRandomUniform(n, min(8, n-1), 0.5, 5, rng.New(seed))
-			raw := make([][]float64, n)
-			for i := range raw {
-				raw[i] = make([]float64, n)
-				for j := 0; j < n; j++ {
-					raw[i][j] = sp.MBps(i, j)
-				}
-			}
-			dn := netsim.NewBandwidth(raw)
-			cfg := Config{BThres: 1, TThres: 4}
-			gs := NewGenerator(sp, cfg, seed)
-			gd := NewGenerator(dn, cfg, seed)
-			for round := 0; round < rounds; round++ {
-				rs, rd := gs.Next(round), gd.Next(round)
-				if rs.Forced != rd.Forced || !slices.Equal(rs.Match, rd.Match) {
-					t.Fatalf("n=%d seed=%d round %d: sparse env diverges from dense twin", n, seed, round)
-				}
-			}
-		}
-	}
-}
-
 // TestGeneratorRejectsDecreasingRounds documents the sparse planner's one
 // behavioral restriction: eviction makes round generation order-dependent,
 // so going backwards panics instead of silently mis-planning.

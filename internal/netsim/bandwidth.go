@@ -15,71 +15,50 @@ import (
 // the paper (§II-C), the effective bandwidth of a link is the minimum of the
 // two directions: B_ij = B_ji = min(B_ij, B_ji).
 //
-// Two storage modes share the one API. Dense mode (NewBandwidth,
-// RandomUniform, Clustered, FourteenCities) materializes the full N×N matrix
-// and is right up to a few thousand workers. Sparse mode (NewSparseBandwidth,
-// SparseRandomUniform, SparseClustered) stores only the existing links in a
-// CSR-style adjacency layout — absent pairs read as 0 MB/s — so a 50k-node
-// environment costs O(E) floats instead of ~20 GB of matrix. Callers that
-// must scale iterate links via ForEachEdge/AppendEdges rather than probing
-// all N² pairs.
+// Whatever the fleet size, the links are stored once, in a CSR adjacency
+// layout over both directions: a pair with no stored link reads 0 MB/s, so a
+// 50k-node degree-8 environment costs O(E) floats, and a complete graph 12
+// bytes per directed link. Callers that must scale iterate links via
+// ForEachEdge/AppendEdges rather than probing all N² pairs.
 type Bandwidth struct {
-	N    int
-	mbps []float64 // dense mode: row-major N×N, symmetric, zero diagonal
-
-	// Sparse mode (mbps == nil): CSR over both edge directions, neighbor
-	// lists sorted ascending. off has N+1 entries; nbr/wts are parallel.
+	N int
+	// Row i's neighbours are nbr[off[i]:off[i+1]], ascending, with the link
+	// speeds in the parallel wts; off has N+1 entries.
 	off []int
 	nbr []int32
 	wts []float64
 }
 
-// Sparse reports whether b uses the adjacency-list representation.
-func (b *Bandwidth) Sparse() bool { return b.mbps == nil && b.off != nil }
-
-// Links returns the number of undirected links with positive bandwidth that
-// the representation stores (dense mode counts nonzero pairs).
-func (b *Bandwidth) Links() int {
-	if b.Sparse() {
-		return len(b.nbr) / 2
-	}
-	count := 0
-	b.ForEachEdge(0, func(int, int, float64) { count++ })
-	return count
-}
-
 // NewBandwidth builds a symmetric Bandwidth from a possibly asymmetric
-// matrix of link speeds in MB/s, applying the min() symmetrization.
+// matrix of link speeds in MB/s, applying the min() symmetrization; a pair
+// whose slower direction is not positive has no link.
 func NewBandwidth(raw [][]float64) *Bandwidth {
 	n := len(raw)
-	b := &Bandwidth{N: n, mbps: make([]float64, n*n)}
-	for i := 0; i < n; i++ {
+	for i := range raw {
 		if len(raw[i]) != n {
 			panic(fmt.Sprintf("netsim: row %d has %d entries, want %d", i, len(raw[i]), n))
 		}
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			v := raw[i][j]
-			if raw[j][i] < v {
-				v = raw[j][i]
-			}
-			if v < 0 {
-				v = 0
-			}
-			b.mbps[i*n+j] = v
-		}
 	}
-	return b
+	return complete(n, func(i, j int) float64 { return min(raw[i][j], raw[j][i]) })
 }
 
-// MBps returns the symmetric link bandwidth between workers i and j in
-// megabytes per second (0 for i == j and for absent sparse links).
-func (b *Bandwidth) MBps(i, j int) float64 {
-	if b.mbps != nil {
-		return b.mbps[i*b.N+j]
+// complete builds an environment from one speed per unordered pair, asked
+// for in lexicographic i < j order (the order generators draw in).
+func complete(n int, speed func(i, j int) float64) *Bandwidth {
+	edges := make([]graph.WeightedEdge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, graph.WeightedEdge{U: i, V: j, Weight: speed(i, j)})
+		}
 	}
+	return NewSparseBandwidth(n, edges)
+}
+
+// Links returns the number of undirected links (all have positive bandwidth).
+func (b *Bandwidth) Links() int { return len(b.nbr) / 2 }
+
+// lowerBound returns the first slot of row i whose neighbour is at least j.
+func (b *Bandwidth) lowerBound(i, j int) int {
 	lo, hi := b.off[i], b.off[i+1]
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -89,35 +68,27 @@ func (b *Bandwidth) MBps(i, j int) float64 {
 			hi = mid
 		}
 	}
-	if lo < b.off[i+1] && int(b.nbr[lo]) == j {
-		return b.wts[lo]
+	return lo
+}
+
+// MBps returns the symmetric link bandwidth between workers i and j in
+// megabytes per second (0 for i == j and for pairs with no link).
+func (b *Bandwidth) MBps(i, j int) float64 {
+	if k := b.lowerBound(i, j); k < b.off[i+1] && int(b.nbr[k]) == j {
+		return b.wts[k]
 	}
 	return 0
 }
 
 // ForEachEdge calls fn for every link with positive bandwidth at least
 // thresh, in lexicographic (u < v) order — the same enumeration order as
-// Edges, without allocating. Sparse mode walks only the stored adjacency.
+// Edges, without allocating. Each link is visited from its lower endpoint's
+// row only, so a walk costs O(E), not O(N²).
 func (b *Bandwidth) ForEachEdge(thresh float64, fn func(u, v int, w float64)) {
-	if b.mbps != nil {
-		for i := 0; i < b.N; i++ {
-			row := b.mbps[i*b.N : (i+1)*b.N]
-			for j := i + 1; j < b.N; j++ {
-				if w := row[j]; w >= thresh && w > 0 {
-					fn(i, j, w)
-				}
-			}
-		}
-		return
-	}
 	for u := 0; u < b.N; u++ {
-		for k := b.off[u]; k < b.off[u+1]; k++ {
-			v := int(b.nbr[k])
-			if v <= u {
-				continue
-			}
+		for k := b.lowerBound(u, u+1); k < b.off[u+1]; k++ {
 			if w := b.wts[k]; w >= thresh && w > 0 {
-				fn(u, v, w)
+				fn(u, int(b.nbr[k]), w)
 			}
 		}
 	}
@@ -128,8 +99,8 @@ func (b *Bandwidth) ForEachEdge(thresh float64, fn func(u, v int, w float64)) {
 func (b *Bandwidth) Filter(thresh float64) [][]bool { return b.FilterInto(nil, thresh) }
 
 // FilterInto is Filter reusing dst's rows when their capacity suffices,
-// so steady-state callers allocate nothing. Dense output: do not call it
-// for very large sparse environments.
+// so steady-state callers allocate nothing. The output is N×N: do not call
+// it for very large environments.
 func (b *Bandwidth) FilterInto(dst [][]bool, thresh float64) [][]bool {
 	if cap(dst) >= b.N {
 		dst = dst[:b.N]
@@ -176,21 +147,10 @@ func (b *Bandwidth) FilterGraph(thresh float64) *graph.Graph {
 }
 
 // MeanBandwidth returns the mean over all N(N-1) ordered off-diagonal pairs
-// (absent sparse links count as 0, keeping the two modes comparable).
+// (a pair with no link counts as 0).
 func (b *Bandwidth) MeanBandwidth() float64 {
 	if b.N < 2 {
 		return 0
-	}
-	if b.mbps != nil {
-		sum := 0.0
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < b.N; j++ {
-				if i != j {
-					sum += b.MBps(i, j)
-				}
-			}
-		}
-		return sum / float64(b.N*(b.N-1))
 	}
 	sum := 0.0
 	for _, w := range b.wts {
@@ -231,52 +191,27 @@ var fig1Mbits = [14][14]float64{
 // (Mbits/s ÷ 8) and min()-symmetrized — the 14-worker environment of the
 // paper's bandwidth-utilization experiment (Fig. 5a).
 func FourteenCities() *Bandwidth {
-	raw := make([][]float64, 14)
-	for i := range raw {
-		raw[i] = make([]float64, 14)
-		for j := range raw[i] {
-			raw[i][j] = fig1Mbits[i][j] / 8
-		}
-	}
-	return NewBandwidth(raw)
+	return complete(14, func(i, j int) float64 { return min(fig1Mbits[i][j]/8, fig1Mbits[j][i]/8) })
 }
 
 // RandomUniform returns an n-worker environment whose pairwise bandwidths
 // are drawn uniformly from (lo, hi] MB/s, as in the paper's 32-worker
 // environment ((0, 5] MB/s, Fig. 5b). The draw is symmetric by construction.
 func RandomUniform(n int, lo, hi float64, r *rng.Source) *Bandwidth {
-	raw := make([][]float64, n)
-	for i := range raw {
-		raw[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := lo + (hi-lo)*(1-r.Float64()) // (lo, hi]
-			raw[i][j] = v
-			raw[j][i] = v
-		}
-	}
-	return NewBandwidth(raw)
+	return complete(n, func(_, _ int) float64 {
+		return lo + (hi-lo)*(1-r.Float64()) // (lo, hi]
+	})
 }
 
 // Clustered returns an environment with dense fast links inside clusters and
 // slow links across them — a synthetic stand-in for multi-region
 // deployments, used by ablation benches.
 func Clustered(n, clusters int, fast, slow float64, r *rng.Source) *Bandwidth {
-	raw := make([][]float64, n)
-	for i := range raw {
-		raw[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			base := slow
-			if i%clusters == j%clusters {
-				base = fast
-			}
-			v := base * (0.5 + r.Float64()) // ±50% jitter
-			raw[i][j] = v
-			raw[j][i] = v
+	return complete(n, func(i, j int) float64 {
+		base := slow
+		if i%clusters == j%clusters {
+			base = fast
 		}
-	}
-	return NewBandwidth(raw)
+		return base * (0.5 + r.Float64()) // ±50% jitter
+	})
 }

@@ -8,59 +8,71 @@ import (
 	"sapspsgd/internal/rng"
 )
 
-// NewSparseBandwidth builds a sparse environment over n workers from an
-// explicit undirected edge list. Edges must connect distinct in-range
-// vertices and be unique as unordered pairs; negative weights clamp to 0 and
-// zero-weight edges are dropped (a zero link is indistinguishable from an
-// absent one everywhere in the API).
+// NewSparseBandwidth builds an environment over n workers from an explicit
+// undirected edge list. Edges must connect distinct in-range vertices and be
+// unique as unordered pairs; an edge whose weight is not positive is dropped
+// (a zero link is indistinguishable from an absent one everywhere in the
+// API).
 func NewSparseBandwidth(n int, edges []graph.WeightedEdge) *Bandwidth {
 	if n < 0 {
 		panic(fmt.Sprintf("netsim: negative worker count %d", n))
 	}
-	type half struct {
-		src, dst int32
-		w        float64
-	}
-	halves := make([]half, 0, 2*len(edges))
+	b := &Bandwidth{N: n, off: make([]int, n+1)}
 	for _, e := range edges {
 		if e.U == e.V || e.U < 0 || e.V < 0 || e.U >= n || e.V >= n {
 			panic(fmt.Sprintf("netsim: bad sparse edge (%d,%d) over %d workers", e.U, e.V, n))
 		}
-		w := e.Weight
-		if w < 0 {
-			w = 0
+		if e.Weight > 0 {
+			b.off[e.U+1]++
+			b.off[e.V+1]++
 		}
-		if w == 0 {
-			continue
-		}
-		halves = append(halves,
-			half{src: int32(e.U), dst: int32(e.V), w: w},
-			half{src: int32(e.V), dst: int32(e.U), w: w})
-	}
-	sort.Slice(halves, func(i, j int) bool {
-		if halves[i].src != halves[j].src {
-			return halves[i].src < halves[j].src
-		}
-		return halves[i].dst < halves[j].dst
-	})
-	b := &Bandwidth{
-		N:   n,
-		off: make([]int, n+1),
-		nbr: make([]int32, len(halves)),
-		wts: make([]float64, len(halves)),
-	}
-	for k, h := range halves {
-		if k > 0 && halves[k-1].src == h.src && halves[k-1].dst == h.dst {
-			panic(fmt.Sprintf("netsim: duplicate sparse edge (%d,%d)", h.src, h.dst))
-		}
-		b.off[h.src+1]++
-		b.nbr[k] = h.dst
-		b.wts[k] = h.w
 	}
 	for i := 0; i < n; i++ {
 		b.off[i+1] += b.off[i]
 	}
+	b.nbr = make([]int32, b.off[n])
+	b.wts = make([]float64, b.off[n])
+	// Counting fill: each edge lands in the next free slot of both endpoint
+	// rows. An edge list in lexicographic u < v order (the complete-graph
+	// generators) fills every row already ascending, so only rows that
+	// arrive unsorted (the random topologies) pay for a sort.
+	next := append([]int(nil), b.off[:n]...)
+	put := func(u, v int, w float64) {
+		b.nbr[next[u]], b.wts[next[u]] = int32(v), w
+		next[u]++
+	}
+	for _, e := range edges {
+		if e.Weight > 0 {
+			put(e.U, e.V, e.Weight)
+			put(e.V, e.U, e.Weight)
+		}
+	}
+	row := &rowSorter{}
+	for u := 0; u < n; u++ {
+		row.nbr, row.wts = b.nbr[b.off[u]:b.off[u+1]], b.wts[b.off[u]:b.off[u+1]]
+		if !sort.IsSorted(row) {
+			sort.Sort(row)
+		}
+		for k := 1; k < len(row.nbr); k++ {
+			if row.nbr[k] == row.nbr[k-1] {
+				panic(fmt.Sprintf("netsim: duplicate sparse edge (%d,%d)", u, row.nbr[k]))
+			}
+		}
+	}
 	return b
+}
+
+// rowSorter orders one CSR row by neighbour, carrying the weights along.
+type rowSorter struct {
+	nbr []int32
+	wts []float64
+}
+
+func (r *rowSorter) Len() int           { return len(r.nbr) }
+func (r *rowSorter) Less(i, j int) bool { return r.nbr[i] < r.nbr[j] }
+func (r *rowSorter) Swap(i, j int) {
+	r.nbr[i], r.nbr[j] = r.nbr[j], r.nbr[i]
+	r.wts[i], r.wts[j] = r.wts[j], r.wts[i]
 }
 
 // sparseTopology draws a connected random topology: a Hamiltonian ring
@@ -103,9 +115,9 @@ func sparseTopology(n, degree int, r *rng.Source, weight func(u, v int) float64)
 	return NewSparseBandwidth(n, edges)
 }
 
-// SparseRandomUniform is RandomUniform's sparse counterpart: a connected
-// random topology of mean degree `degree` whose link speeds are drawn
-// uniformly from (lo, hi] MB/s. Only the stored links exist — all other
+// SparseRandomUniform is RandomUniform's degree-limited counterpart: a
+// connected random topology of mean degree `degree` whose link speeds are
+// drawn uniformly from (lo, hi] MB/s. Only those links exist — all other
 // pairs read 0 MB/s — so memory is O(n·degree), never O(n²).
 func SparseRandomUniform(n, degree int, lo, hi float64, r *rng.Source) *Bandwidth {
 	if lo < 0 || hi <= 0 || hi < lo {
@@ -116,10 +128,10 @@ func SparseRandomUniform(n, degree int, lo, hi float64, r *rng.Source) *Bandwidt
 	})
 }
 
-// SparseClustered is Clustered's sparse counterpart: same connected random
-// topology as SparseRandomUniform, with intra-cluster links (i%clusters ==
-// j%clusters) drawn around fast MB/s and cross-cluster links around slow,
-// both with ±50% jitter.
+// SparseClustered is Clustered's degree-limited counterpart: same connected
+// random topology as SparseRandomUniform, with intra-cluster links
+// (i%clusters == j%clusters) drawn around fast MB/s and cross-cluster links
+// around slow, both with ±50% jitter.
 func SparseClustered(n, clusters, degree int, fast, slow float64, r *rng.Source) *Bandwidth {
 	if clusters < 1 || fast <= 0 || slow <= 0 {
 		panic(fmt.Sprintf("netsim: bad clustered profile (clusters=%d fast=%v slow=%v)", clusters, fast, slow))

@@ -2,66 +2,130 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sapspsgd/internal/graph"
 	"sapspsgd/internal/rng"
 )
 
-// denseTwin materializes a sparse environment as a dense one over the same
-// links, for API-equivalence checks.
-func denseTwin(b *Bandwidth) *Bandwidth {
-	raw := make([][]float64, b.N)
-	for i := range raw {
-		raw[i] = make([]float64, b.N)
+// oracle is the naive model the CSR storage is checked against: a full
+// matrix, every read a double loop.
+type oracle [][]float64
+
+func (m oracle) edges(thresh float64) []graph.WeightedEdge {
+	var out []graph.WeightedEdge
+	for i := range m {
+		for j := i + 1; j < len(m); j++ {
+			if m[i][j] > 0 && m[i][j] >= thresh {
+				out = append(out, graph.WeightedEdge{U: i, V: j, Weight: m[i][j]})
+			}
+		}
 	}
-	b.ForEachEdge(0, func(u, v int, w float64) {
-		raw[u][v] = w
-		raw[v][u] = w
-	})
-	return NewBandwidth(raw)
+	return out
 }
 
-// TestSparseMatchesDenseAPI pins the dual-mode contract: a sparse
-// environment and its dense twin must be indistinguishable through every
-// read path — MBps, Edges, Filter, Links, MeanBandwidth.
-func TestSparseMatchesDenseAPI(t *testing.T) {
-	sp := SparseRandomUniform(40, 6, 0.5, 5, rng.New(9))
-	if !sp.Sparse() {
-		t.Fatal("SparseRandomUniform returned a dense environment")
+// check compares every read path of b with the model.
+func (m oracle) check(t *testing.T, b *Bandwidth) {
+	t.Helper()
+	n, sum := len(m), 0.0
+	if b.N != n {
+		t.Fatalf("N = %d, want %d", b.N, n)
 	}
-	dn := denseTwin(sp)
-	for i := 0; i < sp.N; i++ {
-		for j := 0; j < sp.N; j++ {
-			if sp.MBps(i, j) != dn.MBps(i, j) {
-				t.Fatalf("MBps(%d,%d): sparse %v, dense %v", i, j, sp.MBps(i, j), dn.MBps(i, j))
+	for i := range m {
+		for j := range m {
+			if b.MBps(i, j) != m[i][j] {
+				t.Fatalf("MBps(%d,%d) = %v, want %v", i, j, b.MBps(i, j), m[i][j])
 			}
+			sum += m[i][j]
 		}
 	}
 	for _, thresh := range []float64{0, 1, 3} {
-		se, de := sp.Edges(thresh), dn.Edges(thresh)
-		if len(se) != len(de) {
-			t.Fatalf("thresh %v: %d sparse edges, %d dense", thresh, len(se), len(de))
+		want := m.edges(thresh)
+		if got := b.Edges(thresh); !slices.Equal(got, want) {
+			t.Fatalf("thresh %v: Edges = %v, want %v", thresh, got, want)
 		}
-		for k := range se {
-			if se[k] != de[k] {
-				t.Fatalf("thresh %v edge %d: %+v vs %+v", thresh, k, se[k], de[k])
+		adj := make([][]bool, n)
+		for i := range adj {
+			adj[i] = make([]bool, n)
+		}
+		for _, e := range want {
+			adj[e.U][e.V], adj[e.V][e.U] = true, true
+		}
+		for i, row := range b.Filter(thresh) {
+			if !slices.Equal(row, adj[i]) {
+				t.Fatalf("thresh %v: Filter row %d = %v, want %v", thresh, i, row, adj[i])
 			}
 		}
-		sf, df := sp.Filter(thresh), dn.Filter(thresh)
-		for i := range sf {
-			for j := range sf[i] {
-				if sf[i][j] != df[i][j] {
-					t.Fatalf("thresh %v Filter[%d][%d] differs", thresh, i, j)
+	}
+	if b.Links() != len(m.edges(0)) {
+		t.Fatalf("Links = %d, want %d", b.Links(), len(m.edges(0)))
+	}
+	if got, want := b.MeanBandwidth(), sum/float64(n*(n-1)); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("MeanBandwidth = %v, want %v", got, want)
+	}
+}
+
+// TestSparseMatchesDenseAPI pins the one storage against the dense model on
+// both kinds of input: an asymmetric matrix with zero, negative and missing
+// directions (NewBandwidth), and a degree-limited edge list handed over in
+// scrambled order and orientation (NewSparseBandwidth), each also after
+// straggler scaling.
+func TestSparseMatchesDenseAPI(t *testing.T) {
+	r := rng.New(9)
+	const n = 12
+	raw, m := make([][]float64, n), make(oracle, n)
+	for i := range raw {
+		raw[i], m[i] = make([]float64, n), make([]float64, n)
+		for j := range raw[i] {
+			if raw[i][j] = 5 * r.Float64(); r.Intn(6) == 0 {
+				raw[i][j] = float64(r.Intn(2) - 1) // 0 or -1: no link
+			}
+		}
+	}
+	for i := range m {
+		for j := range m {
+			if i != j {
+				m[i][j] = math.Max(0, math.Min(raw[i][j], raw[j][i]))
+			}
+		}
+	}
+	complete := NewBandwidth(raw)
+	m.check(t, complete)
+
+	const sn = 40
+	var edges []graph.WeightedEdge
+	sm := make(oracle, sn)
+	for i := range sm {
+		sm[i] = make([]float64, sn)
+	}
+	for _, step := range []int{1, 7, 13} {
+		for i := 0; i < sn; i++ {
+			u, v, w := i, (i+step)%sn, 0.5+4.5*r.Float64()
+			if r.Intn(2) == 0 {
+				u, v = v, u
+			}
+			sm[u][v], sm[v][u] = w, w
+			edges = append(edges, graph.WeightedEdge{U: u, V: v, Weight: w})
+		}
+	}
+	r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	limited := NewSparseBandwidth(sn, edges)
+	sm.check(t, limited)
+
+	for _, c := range []struct {
+		b *Bandwidth
+		m oracle
+	}{{complete, m}, {limited, sm}} {
+		slow := map[int]bool{2: true, 5: true}
+		for i := range c.m {
+			for j := range c.m {
+				if slow[i] || slow[j] {
+					c.m[i][j] /= 4
 				}
 			}
 		}
-	}
-	if sp.Links() != dn.Links() {
-		t.Fatalf("links: sparse %d, dense %d", sp.Links(), dn.Links())
-	}
-	if math.Abs(sp.MeanBandwidth()-dn.MeanBandwidth()) > 1e-12 {
-		t.Fatalf("mean bandwidth: sparse %v, dense %v", sp.MeanBandwidth(), dn.MeanBandwidth())
+		c.m.check(t, c.b.Scaled([]int{2, 5}, 4))
 	}
 }
 
@@ -131,39 +195,26 @@ func TestSparseClusteredFasterInside(t *testing.T) {
 	}
 }
 
-// TestSparseScaledAndDynamic pins the straggler and jitter paths on the CSR
-// representation: Scaled divides exactly the links touching a straggler and
-// shares the immutable topology; DynamicBandwidth ticks stay symmetric and
-// within the jitter envelope without ever leaving sparse mode.
+// TestSparseScaledAndDynamic pins the composition's first step: straggler
+// scaling is baked into the base (sharing its immutable topology, leaving it
+// unwritten), and the clock's jitter envelope is then around the scaled
+// speeds, not the original ones.
 func TestSparseScaledAndDynamic(t *testing.T) {
 	base := SparseRandomUniform(30, 4, 1, 4, rng.New(7))
+	before := base.Edges(0)
 	sc := base.Scaled([]int{2, 5}, 4)
-	if !sc.Sparse() || sc.Links() != base.Links() {
-		t.Fatal("Scaled changed the representation or topology")
+	if &sc.nbr[0] != &base.nbr[0] || !slices.Equal(base.Edges(0), before) {
+		t.Fatal("Scaled copied the topology or wrote into its receiver")
 	}
-	base.ForEachEdge(0, func(u, v int, w float64) {
-		want := w
-		if u == 2 || v == 2 || u == 5 || v == 5 {
-			want = w / 4
-		}
-		if got := sc.MBps(u, v); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("Scaled link (%d,%d): %v, want %v", u, v, got, want)
-		}
-	})
-
-	d := NewDynamicBandwidth(base, 0.3, 11)
-	for tick := 0; tick < 5; tick++ {
-		cur := d.Tick()
-		if !cur.Sparse() || cur.Links() != base.Links() {
-			t.Fatal("Tick changed the representation or topology")
-		}
+	env := NewRoundEnv(sc, 0.3, 11, nil)
+	for r := 0; r < 5; r++ {
+		env.Tick(r)
 		base.ForEachEdge(0, func(u, v int, w float64) {
-			ratio := cur.MBps(u, v) / w
-			if ratio < 0.7-1e-9 || ratio > 1.3+1e-9 {
-				t.Fatalf("tick %d link (%d,%d) jitter ratio %v", tick, u, v, ratio)
+			if u == 2 || v == 2 || u == 5 || v == 5 {
+				w /= 4
 			}
-			if cur.MBps(u, v) != cur.MBps(v, u) {
-				t.Fatalf("tick %d link (%d,%d) asymmetric", tick, u, v)
+			if ratio := env.Current().MBps(u, v) / w; ratio < 0.7-1e-9 || ratio > 1.3+1e-9 {
+				t.Fatalf("round %d link (%d,%d): jitter ratio %v around the scaled speed", r, u, v, ratio)
 			}
 		})
 	}

@@ -18,23 +18,12 @@ func (b *Bandwidth) Scaled(workers []int, factor float64) *Bandwidth {
 		}
 		slow[w] = true
 	}
-	if b.Sparse() {
-		// Topology is immutable — share it; only the weights fork.
-		out := &Bandwidth{N: b.N, off: b.off, nbr: b.nbr, wts: append([]float64(nil), b.wts...)}
-		for u := 0; u < b.N; u++ {
-			for k := b.off[u]; k < b.off[u+1]; k++ {
-				if slow[u] || slow[int(b.nbr[k])] {
-					out.wts[k] /= factor
-				}
-			}
-		}
-		return out
-	}
-	out := &Bandwidth{N: b.N, mbps: append([]float64(nil), b.mbps...)}
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < b.N; j++ {
-			if i != j && (slow[i] || slow[j]) {
-				out.mbps[i*b.N+j] /= factor
+	// Topology is immutable — share it; only the weights fork.
+	out := &Bandwidth{N: b.N, off: b.off, nbr: b.nbr, wts: append([]float64(nil), b.wts...)}
+	for u := 0; u < b.N; u++ {
+		for k := b.off[u]; k < b.off[u+1]; k++ {
+			if slow[u] || slow[b.nbr[k]] {
+				out.wts[k] /= factor
 			}
 		}
 	}

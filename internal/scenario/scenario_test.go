@@ -97,6 +97,12 @@ func TestSpecRejectsMalformed(t *testing.T) {
 		{"negative uniform bandwidth", func(s *Spec) { s.Bandwidth.Lo, s.Bandwidth.Hi = -1, 5 }, "uniform bandwidth"},
 		{"inverted uniform bandwidth", func(s *Spec) { s.Bandwidth.Lo, s.Bandwidth.Hi = 5, 1 }, "uniform bandwidth"},
 		{"unknown bandwidth kind", func(s *Spec) { s.Bandwidth.Kind = "wormhole" }, "unknown bandwidth kind"},
+		{"more clusters than nodes", func(s *Spec) {
+			s.Bandwidth = BandwidthSpec{Kind: "clustered", Clusters: 5, Fast: 10, Slow: 1}
+		}, "clustered bandwidth has 5 clusters for 4 nodes"},
+		{"more sparse clusters than nodes", func(s *Spec) {
+			s.Bandwidth = BandwidthSpec{Kind: "sparse-clustered", Clusters: 5, Fast: 10, Slow: 1, Degree: 2}
+		}, "sparse-clustered bandwidth has 5 clusters for 4 nodes"},
 		{"cities with wrong fleet", func(s *Spec) { s.Bandwidth = BandwidthSpec{Kind: "cities"} }, "needs 14 nodes"},
 		{"negative matrix entry", func(s *Spec) {
 			s.Nodes, s.Data.Samples = 2, 64

@@ -259,8 +259,8 @@ type BandwidthSpec struct {
 	// "cities" (the paper's measured 14-city matrix; requires Nodes == 14),
 	// "matrix" (an explicit symmetric trace in MB/s), or the large-N sparse
 	// generators "sparse-uniform" / "sparse-clustered" (ring-plus-random-
-	// chords topologies of the given Degree whose adjacency-list environment
-	// never materializes the N² matrix).
+	// chords topologies of the given Degree, O(Nodes·Degree) links where the
+	// other kinds hold all N² pairs).
 	Kind string `json:"kind"`
 	// Lo and Hi bound the uniform draw in MB/s.
 	Lo float64 `json:"lo,omitempty"`
@@ -277,8 +277,8 @@ type BandwidthSpec struct {
 	// other environment).
 	Matrix [][]float64 `json:"matrix,omitempty"`
 	// Jitter, when positive, makes the environment time-varying
-	// (netsim.DynamicBandwidth): every round each link's speed is its base
-	// value scaled by an independent multiplicative draw from
+	// (netsim.RoundEnv): every round each link's speed is its base value
+	// scaled by an independent multiplicative draw from
 	// [1-jitter, 1+jitter] — the paper's "the bandwidth between two
 	// workers may also vary". Must lie in [0, 1); 0 keeps the links
 	// static. The jitter stream derives from the spec seed.
@@ -700,10 +700,6 @@ func (b *BandwidthSpec) validate(name string, nodes int) error {
 		if b.Lo < 0 || b.Hi <= 0 || b.Hi < b.Lo {
 			return fmt.Errorf("scenario %s: uniform bandwidth (%v, %v] MB/s", name, b.Lo, b.Hi)
 		}
-	case "clustered":
-		if b.Clusters < 1 || b.Fast <= 0 || b.Slow <= 0 {
-			return fmt.Errorf("scenario %s: clustered bandwidth %d clusters fast=%v slow=%v", name, b.Clusters, b.Fast, b.Slow)
-		}
 	case "sparse-uniform":
 		if b.Lo < 0 || b.Hi <= 0 || b.Hi < b.Lo {
 			return fmt.Errorf("scenario %s: sparse-uniform bandwidth (%v, %v] MB/s", name, b.Lo, b.Hi)
@@ -711,12 +707,17 @@ func (b *BandwidthSpec) validate(name string, nodes int) error {
 		if err := b.validateDegree(name, nodes); err != nil {
 			return err
 		}
-	case "sparse-clustered":
+	case "clustered", "sparse-clustered":
 		if b.Clusters < 1 || b.Fast <= 0 || b.Slow <= 0 {
-			return fmt.Errorf("scenario %s: sparse-clustered bandwidth %d clusters fast=%v slow=%v", name, b.Clusters, b.Fast, b.Slow)
+			return fmt.Errorf("scenario %s: %s bandwidth %d clusters fast=%v slow=%v", name, b.Kind, b.Clusters, b.Fast, b.Slow)
 		}
-		if err := b.validateDegree(name, nodes); err != nil {
-			return err
+		if b.Clusters > nodes {
+			return fmt.Errorf("scenario %s: %s bandwidth has %d clusters for %d nodes: no two nodes would share one, every link would be slow", name, b.Kind, b.Clusters, nodes)
+		}
+		if b.Kind == "sparse-clustered" {
+			if err := b.validateDegree(name, nodes); err != nil {
+				return err
+			}
 		}
 	case "cities":
 		if nodes != 14 {

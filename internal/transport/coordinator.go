@@ -62,7 +62,7 @@ type CoordinatorServer struct {
 	Task TaskSpec
 	// BW is the bandwidth environment used by the gossip generator when
 	// Measure is false; with Measure set it is only the fallback for links
-	// whose probes failed.
+	// whose probes failed in both directions (see AssembleBandwidth).
 	BW *netsim.Bandwidth
 	// Gossip carries Algorithm 3's BThres/TThres knobs (SAPS only).
 	Gossip GossipConfig
@@ -376,7 +376,7 @@ func (s *CoordinatorServer) measure() (*netsim.Bandwidth, error) {
 		}
 		reports = append(reports, rep)
 	}
-	measured, err := AssembleBandwidth(s.total, reports)
+	measured, err := AssembleBandwidth(s.total, reports, s.BW)
 	if err != nil {
 		return nil, err
 	}

@@ -106,8 +106,11 @@ func throughputMBps(totalBytes int, elapsed time.Duration) float64 {
 // AssembleBandwidth merges per-worker measurement reports into a symmetric
 // netsim.Bandwidth (min of the two directions, as in the paper). One-sided
 // measurements (the reverse probe failed) are mirrored before
-// symmetrization.
-func AssembleBandwidth(n int, reports []MeasureReport) (*netsim.Bandwidth, error) {
+// symmetrization. A pair whose probes failed both ways takes its speed from
+// fallback, the configured environment: left at 0 it would be no link at all,
+// and the first ring or hub exchange routed over it would have nothing to
+// charge. It is an error when fallback is nil or has no such link either.
+func AssembleBandwidth(n int, reports []MeasureReport, fallback *netsim.Bandwidth) (*netsim.Bandwidth, error) {
 	raw := make([][]float64, n)
 	for i := range raw {
 		raw[i] = make([]float64, n)
@@ -132,6 +135,12 @@ func AssembleBandwidth(n int, reports []MeasureReport) (*netsim.Bandwidth, error
 		for j := i + 1; j < n; j++ {
 			a, b := raw[i][j], raw[j][i]
 			switch {
+			case a == 0 && b == 0:
+				if fallback == nil || fallback.N != n || fallback.MBps(i, j) <= 0 {
+					return nil, fmt.Errorf("transport: both probes between ranks %d and %d failed and the configured environment has no such link to fall back on", i, j)
+				}
+				raw[i][j] = fallback.MBps(i, j)
+				raw[j][i] = raw[i][j]
 			case a == 0:
 				raw[i][j] = b
 			case b == 0:

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestAssembleBandwidth(t *testing.T) {
 		{Rank: 1, MBps: []float64{8, 0, 0}}, // probe to 2 failed
 		{Rank: 2, MBps: []float64{5, 6, 0}},
 	}
-	bw, err := AssembleBandwidth(3, reports)
+	bw, err := AssembleBandwidth(3, reports, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,20 +35,53 @@ func TestAssembleBandwidth(t *testing.T) {
 }
 
 func TestAssembleBandwidthErrors(t *testing.T) {
-	if _, err := AssembleBandwidth(2, []MeasureReport{{Rank: 0, MBps: []float64{0, 1}}}); err == nil {
+	if _, err := AssembleBandwidth(2, []MeasureReport{{Rank: 0, MBps: []float64{0, 1}}}, nil); err == nil {
 		t.Fatal("missing report accepted")
 	}
 	if _, err := AssembleBandwidth(2, []MeasureReport{
 		{Rank: 0, MBps: []float64{0, 1}},
 		{Rank: 0, MBps: []float64{0, 1}},
-	}); err == nil {
+	}, nil); err == nil {
 		t.Fatal("duplicate report accepted")
 	}
 	if _, err := AssembleBandwidth(2, []MeasureReport{
 		{Rank: 0, MBps: []float64{0}},
 		{Rank: 1, MBps: []float64{1, 0}},
-	}); err == nil {
+	}, nil); err == nil {
 		t.Fatal("malformed report accepted")
+	}
+}
+
+// TestAssembleBandwidthFallsBackOnFailedPair: ranks 0 and 1 both lost their
+// probe of each other. The measured matrix takes that one link from the
+// configured environment (CoordinatorServer.BW's documented role) instead of
+// reading "no link", which the first exchange over it would panic on; with
+// nothing to fall back on the error names the pair.
+func TestAssembleBandwidthFallsBackOnFailedPair(t *testing.T) {
+	reports := []MeasureReport{
+		{Rank: 0, MBps: []float64{0, 0, 4}},
+		{Rank: 1, MBps: []float64{0, 0, 6}},
+		{Rank: 2, MBps: []float64{5, 7, 0}},
+	}
+	configured := netsim.NewBandwidth([][]float64{{0, 2.5, 9}, {2.5, 0, 9}, {9, 9, 0}})
+	bw, err := AssembleBandwidth(3, reports, configured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bw.MBps(0, 1); got != 2.5 {
+		t.Fatalf("MBps(0,1) = %v, want the configured 2.5", got)
+	}
+	if bw.MBps(0, 2) != 4 || bw.MBps(1, 2) != 6 {
+		t.Fatalf("measured links overwritten: (0,2) = %v, (1,2) = %v", bw.MBps(0, 2), bw.MBps(1, 2))
+	}
+	netsim.NewLedger(bw).Exchange(0, 1, 1000, 1000) // panics on a link without a speed
+
+	noLink := netsim.NewBandwidth([][]float64{{0, 0, 9}, {0, 0, 9}, {9, 9, 0}})
+	for name, fallback := range map[string]*netsim.Bandwidth{"nil": nil, "no such link": noLink} {
+		_, err := AssembleBandwidth(3, reports, fallback)
+		if err == nil || !strings.Contains(err.Error(), "ranks 0 and 1") {
+			t.Fatalf("fallback %s: error %v does not name the pair", name, err)
+		}
 	}
 }
 

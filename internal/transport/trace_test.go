@@ -85,16 +85,12 @@ func sapsTraceReference(t *testing.T, spec TaskSpec, n int, rp *fleettrace.Repla
 		Seed:        spec.Seed,
 	}
 	base := netsim.RandomUniform(n, 1, 5, rng.New(2))
-	scaler := netsim.NewNodeScaledBandwidth(base)
-	mult := rp.Multipliers(0, nil)
-	alg := algos.NewSAPSDynamic(fc, scaler.Apply(mult), cfg, algos.Membership{Faults: &sched, Replay: rp})
+	env := netsim.NewRoundEnv(base, 0, 0, rp.Multipliers)
+	alg := algos.NewSAPSDynamic(fc, env.Current(), cfg, algos.Membership{Faults: &sched, Replay: rp})
 	defer alg.Close()
 	led := &engine.CountingLedger{}
 	for r := 0; r < spec.Rounds; r++ {
-		if r > 0 {
-			mult = rp.Multipliers(r, mult)
-			scaler.Apply(mult)
-		}
+		env.Tick(r)
 		alg.Step(r, led)
 	}
 	return alg.Models()[0].FlatParams(nil), led.RoundBytes()

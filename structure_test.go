@@ -293,15 +293,14 @@ func TestEngineBuildsOneWay(t *testing.T) {
 }
 
 // TestOneRoundDriver: engine.Driver.Round is the only thing in the product
-// that charges a ledger, engine.NewDriver the only thing that builds one, and
-// netsim.RoundEnv the only round-boundary environment clock. A planner-only
+// that charges a ledger and engine.NewDriver the only thing that builds one
+// (TestOneBandwidthStorage pins the one environment clock). A planner-only
 // run, the sharded engine and the TCP coordinator differ in the Control they
 // hand the driver, never in the loop around it — so the scenario layer, the
 // TCP transport and the commands call neither Exchange nor EndRound
 // (algos.hubLedger forwards the driver's own calls; the async engine has no
-// rounds), nobody outside internal/engine writes a Driver literal (which would
-// also skip the engine_* counters), and nobody outside internal/netsim stacks
-// the jitter and multiplier wrappers by hand.
+// rounds), and nobody outside internal/engine writes a Driver literal (which
+// would also skip the engine_* counters).
 func TestOneRoundDriver(t *testing.T) {
 	fset := token.NewFileSet()
 	under := func(f *ast.File, dirs ...string) bool {
@@ -325,15 +324,9 @@ func TestOneRoundDriver(t *testing.T) {
 				if !ok {
 					return true
 				}
-				at := fset.Position(v.Pos())
-				switch sel.Sel.Name {
-				case "Exchange", "EndRound":
+				if name := sel.Sel.Name; name == "Exchange" || name == "EndRound" {
 					if under(f, "internal/scenario", "internal/transport", "cmd") {
-						t.Errorf("%s: .%s( outside the driver — hand engine.Driver a Control instead", at, sel.Sel.Name)
-					}
-				case "NewDynamicBandwidth", "NewNodeScaledBandwidth":
-					if !under(f, "internal/netsim") {
-						t.Errorf("%s: %s( outside internal/netsim — build a netsim.RoundEnv", at, sel.Sel.Name)
+						t.Errorf("%s: .%s( outside the driver — hand engine.Driver a Control instead", fset.Position(v.Pos()), name)
 					}
 				}
 			case *ast.CompositeLit:
@@ -345,5 +338,52 @@ func TestOneRoundDriver(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestOneBandwidthStorage: a link is one slot in one array whatever the fleet
+// size, and one type advances it between rounds. netsim.Bandwidth is the CSR
+// layout and nothing else (a second field set is a second storage mode, a
+// Sparse method the fork on it), and netsim.RoundEnv — base, jitter and
+// per-node multipliers in one rewrite — is the only type with a Tick.
+func TestOneBandwidthStorage(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, f := range productFiles(t, fset, "internal/netsim") {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || ts.Name.Name != "Bandwidth" {
+						continue
+					}
+					st := ts.Type.(*ast.StructType)
+					var fields []string
+					for _, fl := range st.Fields.List {
+						for _, name := range fl.Names {
+							fields = append(fields, name.Name)
+						}
+					}
+					if got := strings.Join(fields, " "); got != "N off nbr wts" {
+						t.Errorf("%s: netsim.Bandwidth has fields {%s}, want the one CSR layout {N off nbr wts}", fset.Position(ts.Pos()), got)
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				on := recv.(*ast.Ident).Name
+				if d.Name.Name == "Sparse" && on == "Bandwidth" {
+					t.Errorf("%s: Bandwidth.Sparse is back — there is no other mode to tell apart", fset.Position(d.Pos()))
+				}
+				if d.Name.Name == "Tick" && on != "RoundEnv" {
+					t.Errorf("%s: %s.Tick — a second environment clock; add the factor to RoundEnv.rewrite", fset.Position(d.Pos()), on)
+				}
+			}
+		}
 	}
 }
