@@ -172,3 +172,19 @@ func TestMeasuredTrafficMatchesTableI(t *testing.T) {
 		}
 	})
 }
+
+// TestQSGDLevelsNarrowerThanFloat32: Validate's code width is the one the
+// ledger charges, and the boundary sits where a code stops saving anything.
+func TestQSGDLevelsNarrowerThanFloat32(t *testing.T) {
+	rec := Recipe{Algo: "qsgd-psgd", Workers: 2, LR: 0.1, Batch: 1, Levels: 1<<30 - 1}
+	if err := rec.Validate(); err != nil {
+		t.Fatalf("31-bit codes rejected: %v", err)
+	}
+	if got := compress.QuantizedWireBytes(8, rec.Levels); got != 4+31 {
+		t.Fatalf("levels %d charge %d bytes for 8 codes, want 4 + 31", rec.Levels, got)
+	}
+	rec.Levels = 1 << 30
+	if err := rec.Validate(); err == nil || compress.QuantizedWireBytes(8, rec.Levels) != 4+32 {
+		t.Fatalf("32-bit codes accepted (error %v)", err)
+	}
+}

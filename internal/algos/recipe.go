@@ -2,6 +2,7 @@ package algos
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"sapspsgd/internal/compress"
@@ -90,6 +91,9 @@ func (r Recipe) Validate() error {
 	case "qsgd-psgd":
 		if r.Levels < 1 {
 			return fmt.Errorf("algos: qsgd levels %d", r.Levels)
+		}
+		if w := bits.Len(2 * uint(r.Levels)); w >= 32 {
+			return fmt.Errorf("algos: qsgd levels %d need %d-bit codes, no narrower than the float32 they replace", r.Levels, w)
 		}
 	case "fedavg", "s-fedavg":
 		if r.Fraction <= 0 || r.Fraction > 1 {
@@ -239,7 +243,7 @@ func (r Recipe) Pattern() engine.Pattern {
 	case "psgd":
 		return engine.Collective{}
 	case "topk-psgd", "qsgd-psgd":
-		return engine.AllGather{}
+		return engine.NewAllGather(r.Workers, r.Algo == "topk-psgd")
 	case "d-psgd":
 		return engine.NewNeighborhood(r.adjacency(), false)
 	case "dcd-psgd":

@@ -98,46 +98,9 @@ func TestCodecZeroAlloc(t *testing.T) {
 // byte counters) must stay allocation-free too — atomics and clock reads
 // only.
 func TestShardedRoundZeroAllocWithObs(t *testing.T) {
-	const (
-		n      = 16
-		dim    = 256
-		rounds = 30
-	)
 	obs.Enable(obs.New())
 	defer obs.Disable()
-
-	peers := make([]int, n)
-	for i := range peers {
-		peers[i] = i ^ 1
-	}
-	planner := engine.PlannerFunc(func(tt int) core.RoundPlan {
-		return core.RoundPlan{Round: tt, Seed: (uint64(tt) + 1) * 0x9e3779b97f4a7c15, Peer: peers}
-	})
-	nodes := make([]engine.Node, n)
-	codecs := make([]engine.Codec, n)
-	for r := range nodes {
-		nodes[r] = newAllocNode(dim, uint64(r))
-		codecs[r] = engine.NewTopK(8, dim, true)
-	}
-	eng := engine.New(engine.Options{Nodes: nodes, Codecs: codecs, Pattern: engine.Pairwise{}, Planner: planner, Shards: 2})
-	defer eng.Close()
-	led := &engine.CountingLedger{}
-	led.Reserve(n, rounds)
-
-	round := 0
-	step := func() {
-		if _, err := eng.Step(round, led); err != nil {
-			t.Fatal(err)
-		}
-		round++
-	}
-	for i := 0; i < 5; i++ {
-		step()
-	}
-	allocs := testing.AllocsPerRun(10, step)
-	if allocs != 0 {
-		t.Errorf("instrumented sharded round allocates %.1f times per round, want 0", allocs)
-	}
+	shardedRoundAllocs(t)
 	m := obs.Current()
 	if m.Engine.RoundSeconds.Count() == 0 || m.Engine.CodecEncodeSeconds.Count() == 0 {
 		t.Fatal("instrumented run recorded no timings — the obs-enabled gate is not exercising the sink")
@@ -184,7 +147,9 @@ func (n *allocNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 // a per-round Bernoulli population count, so a round may legitimately grow a
 // rank's payload buffer past its previous high-water mark — but only grow
 // one, never allocate one per rank.
-func TestShardedRoundZeroAlloc(t *testing.T) {
+func TestShardedRoundZeroAlloc(t *testing.T) { shardedRoundAllocs(t) }
+
+func shardedRoundAllocs(t *testing.T) {
 	const (
 		n      = 16
 		dim    = 256
@@ -210,6 +175,8 @@ func TestShardedRoundZeroAlloc(t *testing.T) {
 		{"pairwise/masked", n, engine.Pairwise{}, func(int) engine.Codec { return engine.NewMasked(10) }, []int{1, 2}, n - 1},
 		{"hub/dense", n + 1, engine.Hub{Server: n}, dense, []int{2}, 0},
 		{"collective/dense", n, engine.Collective{}, dense, []int{2}, 0},
+		{"all-gather/topk", n, engine.NewAllGather(n, true), func(int) engine.Codec { return engine.NewTopK(8, dim, true) }, []int{1, 2}, 0},
+		{"all-gather/qsgd", n, engine.NewAllGather(n, false), func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }, []int{1, 2}, 0},
 	} {
 		for _, shards := range tc.shards {
 			t.Run(tc.name+"/shards="+string(rune('0'+shards)), func(t *testing.T) {

@@ -134,7 +134,9 @@ func (m *Masked) WireBytes(words []float64) int64 { return compress.MaskedBytes(
 // ---------------------------------------------------------------------------
 // Sparse wire words (shared by TopK and RandomK)
 
-// packSparse lays a sparse vector out as [dim, k, idx..., val...].
+// packSparse lays a sparse vector out as [dim, k, idx..., val...]. Values ship
+// as v + 0 (-0 becomes +0): no sum of payloads then holds a -0, the only
+// accumulator that AddSparse's skipping of off-support zeros would change.
 func packSparse(dst []float64, sv compress.SparseVec) []float64 {
 	k := len(sv.Idx)
 	dst = dst[:0]
@@ -142,7 +144,9 @@ func packSparse(dst []float64, sv compress.SparseVec) []float64 {
 	for _, idx := range sv.Idx {
 		dst = append(dst, float64(idx))
 	}
-	dst = append(dst, sv.Val...)
+	for _, v := range sv.Val {
+		dst = append(dst, v+0)
+	}
 	return dst
 }
 
@@ -162,11 +166,6 @@ func SparseWords(words []float64) (dim int, idx []float64, vals []float64, err e
 	return dim, words[2 : 2+k], words[2+k:], nil
 }
 
-// decodeSparse expands sparse words to a dense vector.
-func decodeSparse(words []float64) ([]float64, error) {
-	return decodeSparseInto(nil, words)
-}
-
 // decodeSparseInto expands sparse words into dst (grown as needed).
 func decodeSparseInto(dst []float64, words []float64) ([]float64, error) {
 	dim, idx, vals, err := SparseWords(words)
@@ -182,6 +181,27 @@ func decodeSparseInto(dst []float64, words []float64) ([]float64, error) {
 		out[j] = vals[i]
 	}
 	return out, nil
+}
+
+// AddSparse adds a sparse payload into acc straight from its wire words, with
+// decodeSparseInto's checks plus dim == len(acc): the dense add of its decode
+// minus the zeros. (A repeated index, which no codec sends, is added twice.)
+func AddSparse(acc, words []float64) error {
+	dim, idx, vals, err := SparseWords(words)
+	if err != nil {
+		return err
+	}
+	if dim != len(acc) {
+		return fmt.Errorf("engine: sparse payload of dimension %d added to %d values", dim, len(acc))
+	}
+	for i, ix := range idx {
+		j := int(ix)
+		if j < 0 || j >= dim {
+			return fmt.Errorf("engine: sparse index %d out of %d", j, dim)
+		}
+		acc[j] += vals[i]
+	}
+	return nil
 }
 
 // resizeZeroed returns a zeroed length-n slice, reusing dst's storage when it
@@ -256,7 +276,7 @@ func (t *TopK) Encode(_ RoundContext, dense []float64) ([]float64, error) {
 
 // Decode implements Codec.
 func (t *TopK) Decode(_ RoundContext, words []float64) ([]float64, error) {
-	return decodeSparse(words)
+	return decodeSparseInto(nil, words)
 }
 
 // DecodeInto implements DecoderInto: Decode into caller-owned scratch.
@@ -345,7 +365,7 @@ func (r *RandomK) Encode(_ RoundContext, dense []float64) ([]float64, error) {
 
 // Decode implements Codec.
 func (r *RandomK) Decode(_ RoundContext, words []float64) ([]float64, error) {
-	return decodeSparse(words)
+	return decodeSparseInto(nil, words)
 }
 
 // DecodeInto implements DecoderInto: Decode into caller-owned scratch.

@@ -527,10 +527,11 @@ func phaseSendAll(ctx RoundContext, tr Transport, words []float64) error {
 	return nil
 }
 
-// phaseRecvSumAll drains every other rank's deposit in ascending order,
-// decoding and accumulating into vec (which already holds the rank's own
-// contribution).
-func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseState, vec []float64) error {
+// phaseRecvSumAll drains every other rank's deposit in ascending order into
+// st.vec (which already holds the rank's own contribution), decoding what no
+// sender published. The zero AllGather serves Collective's fallback.
+func (a AllGather) phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseState) error {
+	vec := st.vec
 	for q := 0; q < ctx.N; q++ {
 		if q == ctx.Self {
 			continue
@@ -539,14 +540,22 @@ func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseSt
 		if err != nil {
 			return err
 		}
-		vals, err := st.decodeScratch(codecs[q], ctx, pw)
-		if err != nil {
+		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: codecs[q].WireBytes(pw)})
+		if a.Sparse {
+			if err := AddSparse(vec, pw); err != nil {
+				return fmt.Errorf("engine: sparse all-gather: payload of rank %d: %w", q, err)
+			}
+			continue
+		}
+		var vals []float64
+		if q < len(a.decoded) && a.decoded[q] != nil {
+			vals = a.decoded[q]
+		} else if vals, err = st.decodeScratch(codecs[q], ctx, pw); err != nil {
 			return err
 		}
 		if len(vals) != len(vec) {
-			return fmt.Errorf("engine: all-gather payload of %d values, want %d", len(vals), len(vec))
+			return fmt.Errorf("engine: all-gather payload of rank %d decodes to %d values, want %d", q, len(vals), len(vec))
 		}
-		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: codecs[q].WireBytes(pw)})
 		for j, v := range vals {
 			vec[j] += v
 		}
@@ -634,7 +643,7 @@ func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec,
 		st.sent = codecs[ctx.Self].WireBytes(words)
 		return phaseSendAll(ctx, tr, words)
 	case 1:
-		if err := phaseRecvSumAll(ctx, codecs, tr, st, st.vec); err != nil {
+		if err := (AllGather{}).phaseRecvSumAll(ctx, codecs, tr, st); err != nil {
 			return err
 		}
 		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
@@ -760,11 +769,26 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 
 // AllGather is the complete-graph gossip used by the compressed all-gather
 // baselines: every node broadcasts one encoded payload to every other node,
-// and Merge receives the element-wise sum of all *decoded* payloads
-// (including the node's own, passed through its codec — lossy compressors
-// must see their own loss, or the fleet would silently disagree on the
-// aggregate).
-type AllGather struct{}
+// and Merge receives the element-wise sum of all *decoded* payloads, the
+// node's own included (a lossy compressor must see its own loss). Rank r adds
+// its own first and then the others in ascending rank; float addition does
+// not associate, so the ranks' aggregates agree only up to the last bits.
+//
+// No receiver redoes a sender's work: sparse payloads are scatter-added from
+// their wire words (AddSparse); otherwise a rank decodes its own payload once,
+// into a buffer unwritten until its next round (the PhaseFuser rule), and
+// publishes it in decoded before its sends — after Recv(q) a non-nil
+// decoded[q] is this round's. Share the table only under one round barrier; a
+// process per rank finds no peer's entry and decodes (DESIGN §2).
+type AllGather struct {
+	Sparse  bool        // every payload is sparse wire words (TopK, RandomK)
+	decoded [][]float64 // by rank; the zero value has none and always decodes
+}
+
+// NewAllGather returns the pattern over n ranks with its table of decodes.
+func NewAllGather(n int, sparse bool) AllGather {
+	return AllGather{Sparse: sparse, decoded: make([][]float64, n)}
+}
 
 // Name implements Pattern.
 func (AllGather) Name() string { return "all-gather" }
@@ -784,28 +808,40 @@ func (AllGather) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
 }
 
 // RunPhase implements Pattern.
-func (AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
+func (a AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
 	switch p {
 	case 0:
 		loss, out, err := node.Compute(ctx)
 		if err != nil {
 			return err
 		}
-		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
 		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
 		if err != nil {
 			return err
 		}
-		st.Rep.PayloadLen = len(words)
-		own, err := st.decodeScratch(codecs[ctx.Self], ctx, words)
-		if err != nil {
-			return err
+		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(words)
+		if a.Sparse {
+			st.vec = resizeZeroed(st.vec, len(out))
+			if err := AddSparse(st.vec, words); err != nil {
+				return fmt.Errorf("engine: sparse all-gather: own payload: %w", err)
+			}
+		} else {
+			own, err := st.decodeMsg(codecs[ctx.Self], ctx, words)
+			if err != nil {
+				return err
+			}
+			if len(own) != len(out) {
+				return fmt.Errorf("engine: all-gather payload decodes to %d values, not the %d encoded (sparse or masked words on a dense all-gather?)", len(own), len(out))
+			}
+			st.vec = append(st.vec[:0], own...)
+			if ctx.Self < len(a.decoded) {
+				a.decoded[ctx.Self] = own
+			}
 		}
-		st.vec = append(st.vec[:0], own...)
 		st.sent = codecs[ctx.Self].WireBytes(words)
 		return phaseSendAll(ctx, tr, words)
 	case 1:
-		if err := phaseRecvSumAll(ctx, codecs, tr, st, st.vec); err != nil {
+		if err := a.phaseRecvSumAll(ctx, codecs, tr, st); err != nil {
 			return err
 		}
 		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})

@@ -160,7 +160,8 @@ func TestCollectiveFallbackNonPowerOfTwo(t *testing.T) {
 
 // TestAllGatherSumsDecodedPayloads: the all-gather delivers the sum of
 // *decoded* payloads — with a lossy codec the result reflects the
-// compression, identically on every node.
+// compression (these inputs sum exactly, so every node sees the same bits;
+// in general each sums own-first and the last bits differ).
 func TestAllGatherSumsDecodedPayloads(t *testing.T) {
 	const n, D, k = 3, 10, 2
 	outs := make([][]float64, n)

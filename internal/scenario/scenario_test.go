@@ -92,6 +92,7 @@ func TestSpecRejectsMalformed(t *testing.T) {
 		want string
 	}{
 		{"unknown algo", func(s *Spec) { s.Algo = "warp-sgd" }, "unknown algorithm"},
+		{"qsgd levels wider than a float32", func(s *Spec) { s.Algo, s.Levels = "qsgd-psgd", 1<<40 }, "need 42-bit codes"},
 		{"zero nodes", func(s *Spec) { s.Nodes = 0 }, "0 nodes"},
 		{"zero rounds", func(s *Spec) { s.Rounds = 0 }, "0 rounds"},
 		{"negative uniform bandwidth", func(s *Spec) { s.Bandwidth.Lo, s.Bandwidth.Hi = -1, 5 }, "uniform bandwidth"},
