@@ -107,7 +107,7 @@ func TestPerAlgoParams(t *testing.T) {
 	c, base := loadExample(t)
 	base.Fraction = 0.5
 	c.Grid = Grid{Algo: []string{"saps", "randomchoose", "topk-psgd", "fedavg", "psgd"}}
-	c.PerAlgo = map[string]AlgoParams{"topk-psgd": {Compression: 1000}, "fedavg": {LocalSteps: 4}}
+	c.PerAlgo = map[string]AlgoParams{"topk-psgd": {Compression: 50}, "fedavg": {LocalSteps: 4}}
 	cells, err := c.Expand(base)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestPerAlgoParams(t *testing.T) {
 	if got["saps"].Compression != 100 || got["randomchoose"].Compression != 100 || got["saps"].LocalSteps != 0 {
 		t.Fatalf("saps family: %+v / %+v", got["saps"], got["randomchoose"])
 	}
-	if got["topk-psgd"].C != 1000 || cells[2].Compression != 1000 || got["topk-psgd"].Compression != 0 {
+	if got["topk-psgd"].C != 50 || cells[2].Compression != 50 || got["topk-psgd"].Compression != 0 {
 		t.Fatalf("topk-psgd: c=%v label=%v", got["topk-psgd"].C, cells[2].Compression)
 	}
 	if got["fedavg"].LocalSteps != 4 || got["psgd"].LocalSteps != 0 {

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"testing"
 
 	"sapspsgd/internal/rng"
@@ -89,16 +90,21 @@ func BenchmarkErrorFeedbackCompressTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKInto runs the paper-scale shape and the two baselines32 runs:
+// its 85,002-parameter MLP at topk-psgd's c = 100 and dcd-psgd's c = 4.
 func BenchmarkTopKInto(b *testing.B) {
-	const n, k = 1 << 16, 650
-	x := randVec(n, 6)
-	var out SparseVec
-	var mags []float64
-	mags = TopKInto(&out, mags, x, k)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mags = TopKInto(&out, mags, x, k)
+	for _, sh := range []struct{ n, k int }{{1 << 16, 650}, {85002, 850}, {85002, 21250}} {
+		b.Run(fmt.Sprintf("n=%d/k=%d", sh.n, sh.k), func(b *testing.B) {
+			x := randVec(sh.n, 6)
+			var out SparseVec
+			var mags []float64
+			mags = TopKInto(&out, mags, x, sh.k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mags = TopKInto(&out, mags, x, sh.k)
+			}
+		})
 	}
 }
 

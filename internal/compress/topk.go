@@ -2,20 +2,26 @@ package compress
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"sapspsgd/internal/rng"
 )
 
 // TopK selects the k entries of x with largest absolute value and returns
-// them as a SparseVec. Selection uses an in-place quickselect over a copy of
-// the magnitudes (expected O(n)); index order of the result is ascending.
+// them as a SparseVec in ascending index order: every entry whose magnitude
+// is strictly above the k-th largest, then the lowest-indexed entries tied
+// with it. Magnitudes are ranked by the bit pattern of |v|, which orders
+// exactly like the float magnitude for every value but NaN and ranks a NaN
+// above +Inf, so a vector holding NaNs still yields exactly min(k, len(x))
+// entries, its NaNs first.
 func TopK(x []float64, k int) SparseVec {
 	var out SparseVec
 	TopKInto(&out, nil, x, k)
 	return out
 }
 
-// TopKInto is TopK writing into out and using mags as quickselect scratch
+// TopKInto is TopK writing into out and using mags as radix-select scratch
 // space (grown as needed, so a reused scratch slice allocates only once).
 // out's Idx/Val storage is reused across calls; after the first call at a
 // given (n, k) the steady state performs zero heap allocations.
@@ -40,97 +46,85 @@ func TopKInto(out *SparseVec, mags []float64, x []float64, k int) []float64 {
 		}
 		return mags
 	}
-
-	// Quickselect the k-th largest magnitude.
 	if cap(mags) < n {
 		mags = make([]float64, n)
 	}
 	mags = mags[:n]
-	for i, v := range x {
-		if v < 0 {
-			mags[i] = -v
-		} else {
-			mags[i] = v
-		}
-	}
-	thresh := quickselectDesc(mags, k)
-
-	// Single pass in ascending index order: keep every entry whose magnitude
-	// clears the threshold, counting the threshold ties. Quickselect
-	// guarantees at most k-1 strictly-greater entries and at least k entries
-	// overall, so the surplus (if any) consists entirely of ties; a short
-	// compaction then drops the highest-indexed ties down to exactly k.
-	// Because the pass visits indices in order, the result is already
-	// index-sorted — no sort needed, unlike the historical two-pass + sort,
-	// and the selected set and ordering are identical (all strictly-greater
-	// entries plus the lowest-indexed ties).
-	eq := 0
-	for i, v := range x {
-		m := v
-		if m < 0 {
-			m = -m
-		}
-		if m < thresh {
-			continue
-		}
-		if m == thresh {
-			eq++
-		}
-		out.Idx = append(out.Idx, int32(i))
-		out.Val = append(out.Val, v)
-	}
-	if drop := len(out.Idx) - k; drop > 0 {
-		keepEq := eq - drop
-		w := 0
-		for r := 0; r < len(out.Idx); r++ {
-			m := out.Val[r]
-			if m < 0 {
-				m = -m
-			}
-			if m == thresh {
-				if keepEq == 0 {
-					continue
-				}
-				keepEq--
-			}
-			out.Idx[w], out.Val[w] = out.Idx[r], out.Val[r]
-			w++
-		}
-		out.Idx, out.Val = out.Idx[:w], out.Val[:w]
-	}
+	thresh, ties := radixSelect(mags, x, k)
+	selectAbove(out, x, thresh, ties)
 	return mags
 }
 
-// quickselectDesc returns the k-th largest value of a (1-based k), mutating a.
-func quickselectDesc(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	target := k - 1 // index in descending order
-	// Deterministic pseudo-random pivots via a tiny LCG keep adversarial
-	// inputs from degrading to O(n^2).
-	state := uint64(0x9e3779b97f4a7c15)
-	for {
-		if lo == hi {
-			return a[lo]
+// selectAbove appends, in ascending index order, every entry of x whose
+// magnitude bits are above thresh and the first ties entries equal to it. It
+// compares 64 entries into a mask without a branch and visits the mask's set
+// bits, so a sparse selection skips most words whole and a dense one never
+// guesses entry by entry.
+func selectAbove(out *SparseVec, x []float64, thresh uint64, ties int) {
+	idx, val := out.Idx, out.Val
+	below := thresh - 1 // b ≥ thresh ⇔ bit 63 of below-b is set, as b < 1<<63
+	for base := 0; base < len(x); base += 64 {
+		word := x[base:min(base+64, len(x))]
+		var m uint64
+		for j := len(word) - 1; j >= 0; j-- {
+			m = m<<1 | (below-math.Float64bits(word[j])&^signBit)>>63
 		}
-		state = state*6364136223846793005 + 1442695040888963407
-		p := lo + int(state%uint64(hi-lo+1))
-		a[p], a[hi] = a[hi], a[p]
-		pivot := a[hi]
-		store := lo
-		for i := lo; i < hi; i++ {
-			if a[i] > pivot {
-				a[i], a[store] = a[store], a[i]
-				store++
+		for ; m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros64(m)
+			if math.Float64bits(x[i])&^signBit == thresh {
+				if ties == 0 {
+					continue
+				}
+				ties--
 			}
+			idx = append(idx, int32(i))
+			val = append(val, x[i])
 		}
-		a[store], a[hi] = a[hi], a[store]
-		switch {
-		case target == store:
-			return a[store]
-		case target < store:
-			hi = store - 1
-		default:
-			lo = store + 1
+	}
+	out.Idx, out.Val = idx, val
+}
+
+const (
+	signBit    = 1 << 63
+	digitBits  = 11
+	digitMask  = 1<<digitBits - 1
+	firstShift = 63 - digitBits // the 11 exponent bits of |v|
+)
+
+// radixSelect returns the bit pattern of the k-th largest |x[i]| (1 ≤ k <
+// len(x)) and how many entries equal to it the top k hold. It histograms the
+// 11 exponent bits of x, writes the magnitudes of the bucket holding the k-th
+// largest to the front of mags (len(x) long) without a branch, and repeats on
+// the next 11-bit digit of those survivors until one value is left. Shifts
+// are masked with 63, which they never reach, to spare each one a range check.
+func radixSelect(mags, x []float64, k int) (thresh uint64, ties int) {
+	var hist [1 << digitBits]int
+	for _, v := range x {
+		hist[math.Float64bits(v)>>firstShift&digitMask]++
+	}
+	cand, src := mags, x
+	for shift := uint(firstShift); ; {
+		b := len(hist) - 1
+		for ; k > hist[b]; b-- {
+			k -= hist[b]
+		}
+		w := 0
+		for _, v := range src {
+			a := math.Float64bits(v) &^ signBit
+			cand[w] = math.Float64frombits(a)
+			d := a>>(shift&63)&digitMask ^ uint64(b)
+			w += int((d - 1) >> 63) // 1 when a's digit is b, 0 otherwise
+		}
+		cand, src = cand[:w], cand[:w]
+		if w == 1 || shift == 0 {
+			// Every survivor shares all the bits seen so far: they are one
+			// value, and k counts the ties the top k hold.
+			return math.Float64bits(cand[0]), k
+		}
+		shift = max(shift, digitBits) - digitBits
+		hist = [1 << digitBits]int{}
+		for _, a := range cand {
+			hist[math.Float64bits(a)>>(shift&63)&digitMask]++
 		}
 	}
 }
@@ -138,12 +132,11 @@ func quickselectDesc(a []float64, k int) float64 {
 // ErrorFeedback wraps a sparsifying compressor with the residual-accumulation
 // scheme ("error compensation") that Top-k sparsification needs for
 // convergence: coordinates dropped this round are added back to the input of
-// the next round. All buffers (residual, compensated input, quickselect
-// scratch, and the returned sparse vector) are owned by the accumulator and
-// reused, so a steady-state CompressTopK performs zero heap allocations.
+// the next round. Its buffers — the residual, the radix-select scratch and
+// the returned sparse vector — are owned by the accumulator and reused, so a
+// steady-state CompressTopK performs zero heap allocations.
 type ErrorFeedback struct {
 	residual []float64
-	scratch  []float64
 	mags     []float64
 	out      SparseVec
 }
@@ -151,22 +144,22 @@ type ErrorFeedback struct {
 // NewErrorFeedback returns an error-feedback accumulator for n-dimensional
 // inputs.
 func NewErrorFeedback(n int) *ErrorFeedback {
-	return &ErrorFeedback{residual: make([]float64, n), scratch: make([]float64, n)}
+	return &ErrorFeedback{residual: make([]float64, n)}
 }
 
-// CompressTopK adds the residual to x, selects the top k entries of the sum
-// for transmission, and stores what was left behind as the new residual. The
-// input slice is not modified. The returned SparseVec aliases buffers owned
-// by e and is only valid until the next CompressTopK call.
+// CompressTopK adds x into the residual, selects the top k entries of the sum
+// for transmission, and zeroes them in the residual, leaving behind what was
+// not sent. The input slice is not modified. The returned SparseVec's values
+// are copies, so zeroing the residual does not touch them; its buffers are
+// owned by e and only valid until the next CompressTopK call.
 func (e *ErrorFeedback) CompressTopK(x []float64, k int) SparseVec {
 	if len(x) != len(e.residual) {
 		panic("compress: ErrorFeedback dimension mismatch")
 	}
 	for i, v := range x {
-		e.scratch[i] = v + e.residual[i]
+		e.residual[i] = v + e.residual[i]
 	}
-	e.mags = TopKInto(&e.out, e.mags, e.scratch, k)
-	copy(e.residual, e.scratch)
+	e.mags = TopKInto(&e.out, e.mags, e.residual, k)
 	for _, idx := range e.out.Idx {
 		e.residual[idx] = 0
 	}
@@ -191,16 +184,16 @@ func (e *ErrorFeedback) SetResidual(r []float64) {
 // mask scheme, the support is explicit, so the wire cost includes indices.
 func RandomK(x []float64, k int, r *rng.Source) SparseVec {
 	var out SparseVec
-	RandomKInto(&out, make(map[int32]bool, k), x, k, r)
+	RandomKInto(&out, new([]uint64), x, k, r)
 	return out
 }
 
-// RandomKInto is RandomK writing into out and reusing chosen as the
-// sampling-set scratch (cleared on entry, so a persistent map makes the
-// steady state allocation-free). It draws the RNG in exactly RandomK's
+// RandomKInto is RandomK writing into out and reusing *chosen as the
+// sampling-set bitset (grown and cleared on entry, so a persistent one makes
+// the steady state allocation-free). It draws the RNG in exactly RandomK's
 // order, so the two entry points produce identical supports from the same
 // stream position.
-func RandomKInto(out *SparseVec, chosen map[int32]bool, x []float64, k int, r *rng.Source) {
+func RandomKInto(out *SparseVec, chosen *[]uint64, x []float64, k int, r *rng.Source) {
 	n := len(x)
 	if k > n {
 		k = n
@@ -211,20 +204,24 @@ func RandomKInto(out *SparseVec, chosen map[int32]bool, x []float64, k int, r *r
 	if k == 0 {
 		return
 	}
-	// Floyd's sampling: k uniform draws without replacement in O(k). The
-	// map is only ever membership-tested in ascending index order, so its
-	// (randomized) iteration order cannot leak into the result.
-	clear(chosen)
-	for j := n - k; j < n; j++ {
-		t := int32(r.Intn(j + 1))
-		if chosen[t] {
-			t = int32(j)
-		}
-		chosen[t] = true
+	words := (n + 63) / 64
+	if cap(*chosen) < words {
+		*chosen = make([]uint64, words)
 	}
-	for i := int32(0); int(i) < n; i++ {
-		if chosen[i] {
-			out.Idx = append(out.Idx, i)
+	set := (*chosen)[:words]
+	clear(set)
+	// Floyd's sampling: k uniform draws without replacement in O(k).
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		if set[t>>6]&(1<<(t&63)) != 0 {
+			t = j
+		}
+		set[t>>6] |= 1 << (t & 63)
+	}
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			out.Idx = append(out.Idx, int32(i))
 			out.Val = append(out.Val, x[i])
 		}
 	}

@@ -174,6 +174,7 @@ func shardedRoundAllocs(t *testing.T) {
 		{"pairwise/qsgd", n, engine.Pairwise{}, func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }, []int{1, 2}, 0},
 		{"pairwise/masked", n, engine.Pairwise{}, func(int) engine.Codec { return engine.NewMasked(10) }, []int{1, 2}, n - 1},
 		{"hub/dense", n + 1, engine.Hub{Server: n}, dense, []int{2}, 0},
+		{"hub/randomk", n + 1, engine.Hub{Server: n}, func(rank int) engine.Codec { return engine.NewRandomK(8, uint64(rank)+1) }, []int{1, 2}, 0},
 		{"collective/dense", n, engine.Collective{}, dense, []int{2}, 0},
 		{"all-gather/topk", n, engine.NewAllGather(n, true), func(int) engine.Codec { return engine.NewTopK(8, dim, true) }, []int{1, 2}, 0},
 		{"all-gather/qsgd", n, engine.NewAllGather(n, false), func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }, []int{1, 2}, 0},

@@ -337,7 +337,7 @@ type RandomK struct {
 	rnd *rng.Source
 
 	out    compress.SparseVec
-	chosen map[int32]bool
+	chosen []uint64 // the support bitset
 	words  []float64
 }
 
@@ -352,13 +352,10 @@ func NewRandomK(k int, seed uint64) *RandomK {
 // Name implements Codec.
 func (r *RandomK) Name() string { return "randomk" }
 
-// Encode implements Codec. The support map, sparse vector, and wire buffer
-// are codec-owned and reused, so the steady state allocates nothing.
+// Encode implements Codec. The support bitset, sparse vector, and wire
+// buffer are codec-owned and reused, so the steady state allocates nothing.
 func (r *RandomK) Encode(_ RoundContext, dense []float64) ([]float64, error) {
-	if r.chosen == nil {
-		r.chosen = make(map[int32]bool, r.K)
-	}
-	compress.RandomKInto(&r.out, r.chosen, dense, r.K, r.rnd)
+	compress.RandomKInto(&r.out, &r.chosen, dense, r.K, r.rnd)
 	r.words = packSparse(r.words, r.out)
 	return r.words, nil
 }

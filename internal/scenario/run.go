@@ -207,6 +207,11 @@ func (s *Spec) build(shards int) (*built, error) {
 		return &built{alg: s.plannerOnly(bw), env: env}, nil
 	}
 	fc, valid := s.fleet(s.effectiveShards(shards))
+	if !s.Model.arch().IsMLP() {
+		if err := s.checkRatio(fc.Factory().ParamCount()); err != nil {
+			return nil, err
+		}
+	}
 	var alg algos.Algorithm
 	switch s.Algo {
 	case "saps":

@@ -146,6 +146,14 @@ func TestSpecRejectsMalformed(t *testing.T) {
 			s.Gossip = &GossipSpec{BThres: 1, TThres: 5}
 		}, "require algo saps"},
 		{"randomchoose without compression", func(s *Spec) { s.Algo = "randomchoose" }, "compression"},
+		// minimal's MLP has 64·8+8 + 8·4+4 = 556 parameters.
+		{"saps mask keeping nothing", func(s *Spec) { s.Algo, s.Compression = "saps", 1e9 }, "compression 1e+09 exceeds the model's 556 parameters"},
+		{"top-k budget below one entry", func(s *Spec) { s.Algo, s.C = "topk-psgd", 557 }, "c 557 exceeds the model's 556 parameters"},
+		{"cnn random-k budget below one entry", func(s *Spec) {
+			s.Algo, s.C, s.Fraction, s.LocalSteps = "s-fedavg", 1e9, 0.5, 1
+			s.Model = ModelSpec{Arch: "mnist-cnn", Width: 0.25}
+			s.Data.C, s.Data.H, s.Data.W = 1, 8, 8
+		}, "c 1e+09 exceeds the model's"},
 		{"partition label with alpha", func(s *Spec) { s.Partition = &PartitionSpec{Kind: "label", Alpha: 0.5} }, "label takes no alpha"},
 		{"partition label with too few samples", func(s *Spec) {
 			s.Nodes, s.Data.Samples = 40, 64

@@ -560,6 +560,12 @@ func (s *Spec) Validate() error {
 	if err := s.recipe().Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
+	if s.Model.arch().IsMLP() {
+		// Build checks the other families, whose size takes a model to count.
+		if err := s.checkRatio(nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)); err != nil {
+			return err
+		}
+	}
 	if err := s.Bandwidth.validate(s.Name, s.Nodes); err != nil {
 		return err
 	}
@@ -690,6 +696,24 @@ func (s *Spec) Validate() error {
 		case s.Trace != nil:
 			return fmt.Errorf("scenario %s: async runs use a static bandwidth environment (drop trace)", s.Name)
 		}
+	}
+	return nil
+}
+
+// checkRatio rejects a sparsifier ratio above the model's dim parameters: a
+// SAPS mask that keeps none of them, or a top-k / random-k budget N/c below
+// one entry.
+func (s *Spec) checkRatio(dim int) error {
+	field, c := "c", s.C
+	switch s.Algo {
+	case "saps", "randomchoose":
+		field, c = "compression", s.Compression
+	case "topk-psgd", "dcd-psgd", "s-fedavg":
+	default:
+		return nil
+	}
+	if c > float64(dim) {
+		return fmt.Errorf("scenario %s: %s %v exceeds the model's %d parameters: it would keep none of them", s.Name, field, c, dim)
 	}
 	return nil
 }
