@@ -153,14 +153,18 @@ func (n *dcdNode) Compute(ctx engine.RoundContext) (float64, []float64, error) {
 }
 
 // Merge implements engine.Node: every published delta (the node's own
-// included) advances the corresponding public replica.
+// included) advances the corresponding public replica. The deltas arrive as
+// sparse wire words and are added on their support only — the expanded add
+// of the zeros off it would change nothing, as no replica holds −0.
 func (n *dcdNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 	for _, m := range msgs {
 		e := n.row.find(m.From)
 		if e == nil {
 			return fmt.Errorf("algos: DCD node received delta from non-neighbor %d", m.From)
 		}
-		tensor.Axpy(1, m.Vals, e.replica)
+		if err := engine.AddSparse(e.replica, m.Words); err != nil {
+			return fmt.Errorf("algos: DCD node: delta from %d: %w", m.From, err)
+		}
 	}
 	return nil
 }
@@ -266,9 +270,9 @@ func (f *fedWorkerNode) Compute(engine.RoundContext) (float64, []float64, error)
 
 // fedServerNode aggregates uploads into the global model. With counted unset
 // it averages full uploaded models (FedAvg); with counted set it applies
-// count-normalized sparse deltas (S-FedAvg): each received coordinate is
-// averaged over the workers that actually reported it, which keeps the
-// update variance bounded at high compression.
+// count-normalized sparse deltas (S-FedAvg), read from the uploads' wire
+// words: each received coordinate is averaged over the workers that actually
+// reported it, which keeps the update variance bounded at high compression.
 type fedServerNode struct {
 	serverModel
 	mirror  *nn.Model
@@ -309,12 +313,18 @@ func (s *fedServerNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) erro
 			s.counts[j] = 0
 		}
 		for _, m := range msgs {
-			_, idx, vals, err := engine.SparseWords(m.Words)
+			n, idx, vals, err := engine.SparseWords(m.Words)
 			if err != nil {
 				return err
 			}
+			if n != dim {
+				return fmt.Errorf("algos: S-FedAvg server: delta of dimension %d from %d, model has %d", n, m.From, dim)
+			}
 			for i, ix := range idx {
 				j := int(ix)
+				if j < 0 || j >= dim {
+					return fmt.Errorf("algos: S-FedAvg server: index %d out of %d from %d", j, dim, m.From)
+				}
 				s.acc[j] += vals[i]
 				s.counts[j]++
 			}

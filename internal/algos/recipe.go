@@ -235,21 +235,29 @@ func metropolisRow(adj [][]int, i int) mixRow {
 	return row
 }
 
-// Pattern assembles the recipe's exchange pattern.
+// Pattern assembles the recipe's exchange pattern. What the payloads' wire
+// words are — sparse, QSGD at r.Levels, or anything else — is a fact of the
+// algorithm, set here, so a pattern reads them without asking the codecs.
 func (r Recipe) Pattern() engine.Pattern {
 	switch r.Algo {
 	case "saps":
 		return engine.Pairwise{}
 	case "psgd":
 		return engine.Collective{}
-	case "topk-psgd", "qsgd-psgd":
-		return engine.NewAllGather(r.Workers, r.Algo == "topk-psgd")
+	case "topk-psgd":
+		return engine.AllGather{Sparse: true}
+	case "qsgd-psgd":
+		return engine.AllGather{Levels: r.Levels}
 	case "d-psgd":
 		return engine.NewNeighborhood(r.adjacency(), false)
 	case "dcd-psgd":
-		return engine.NewNeighborhood(r.adjacency(), true)
-	case "ps-psgd", "fedavg", "s-fedavg":
+		p := engine.NewNeighborhood(r.adjacency(), true)
+		p.Sparse = true
+		return p
+	case "ps-psgd", "fedavg":
 		return engine.Hub{Server: r.ServerRank()}
+	case "s-fedavg":
+		return engine.Hub{Server: r.ServerRank(), Sparse: true}
 	case "adpsgd", "gradpush":
 		panic("algos: asynchronous recipe " + r.Algo + " has no synchronous pattern (run it on engine.NewAsync)")
 	}

@@ -1,7 +1,6 @@
 // Oracle, decode-count and mismatch tests for the AllGather pattern. This
-// file is in package engine (not engine_test) because the oracle is a
-// verbatim copy of the parent commit's choreography, which works on
-// PhaseState's unexported scratch.
+// file is in package engine (not engine_test) because it reads the shard
+// runner's reports and the unexported sparse helpers.
 package engine
 
 import (
@@ -15,65 +14,17 @@ import (
 	"sapspsgd/internal/engine/memtransport"
 )
 
-// denseOracleAllGather is the all-gather as commit 2d5fd2f had it, verbatim:
-// phase 0 copies the rank's own decode into the accumulator, and
-// oraclePhaseRecvSumAll expands every peer's payload to a dense vector with
-// the sender's codec and adds all of it, zeros included. It is the reference
-// the scatter-add and the published decodes must match bit for bit; it does
-// not change when the pattern does.
-type denseOracleAllGather struct{ AllGather }
-
-func (denseOracleAllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
-	switch p {
-	case 0:
-		loss, out, err := node.Compute(ctx)
-		if err != nil {
-			return err
-		}
-		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
-		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-		if err != nil {
-			return err
-		}
-		st.Rep.PayloadLen = len(words)
-		own, err := st.decodeScratch(codecs[ctx.Self], ctx, words)
-		if err != nil {
-			return err
-		}
-		st.vec = append(st.vec[:0], own...)
-		st.sent = codecs[ctx.Self].WireBytes(words)
-		return phaseSendAll(ctx, tr, words)
-	case 1:
-		if err := oraclePhaseRecvSumAll(ctx, codecs, tr, st, st.vec); err != nil {
-			return err
-		}
-		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
-	}
-	return nil
-}
-
-func oraclePhaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseState, vec []float64) error {
-	for q := 0; q < ctx.N; q++ {
-		if q == ctx.Self {
-			continue
-		}
-		pw, err := tr.Recv(ctx.Round, ctx.Self, q)
-		if err != nil {
-			return err
-		}
-		vals, err := st.decodeScratch(codecs[q], ctx, pw)
-		if err != nil {
-			return err
-		}
-		if len(vals) != len(vec) {
-			return fmt.Errorf("engine: all-gather payload of %d values, want %d", len(vals), len(vec))
-		}
-		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: codecs[q].WireBytes(pw)})
+// canonicalSum is the all-gather's aggregate by definition: a copy of
+// payload 0's decode, then every later payload's decode added in ascending
+// sender rank. It does not change when the pattern does.
+func canonicalSum(decoded [][]float64) []float64 {
+	sum := append([]float64(nil), decoded[0]...)
+	for _, vals := range decoded[1:] {
 		for j, v := range vals {
-			vec[j] += v
+			sum[j] += v
 		}
 	}
-	return nil
+	return sum
 }
 
 // sumNode shares one prepared vector per round and keeps what Merge hands it.
@@ -142,39 +93,65 @@ func gatherRun(t *testing.T, pat Pattern, outs [][][]float64, codecs []Codec, sh
 	return got, reports
 }
 
-// TestAllGatherMatchesDenseOracle holds the pattern to the parent's
-// zero-fill-and-add loop bit for bit: per-rank aggregates, flows and payload
-// lengths, at every fleet size and shard count, for every codec an
-// all-gather can carry and the inputs a shortcut gets wrong. The -0 rule
-// rides on it: packSparse ships v + 0, so the oracle (which assigns a
-// payload's values) and the scatter-add (which adds them to +0) see the same
-// words and can only agree.
-func TestAllGatherMatchesDenseOracle(t *testing.T) {
+// sameBits fails the test unless got and want agree on every bit.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s coord %d: %x (%v), want %x (%v)", what, j, math.Float64bits(got[j]), got[j], math.Float64bits(want[j]), want[j])
+		}
+	}
+}
+
+// TestAllGatherMatchesCanonicalOracle holds every rank's aggregate to
+// canonicalSum over the payloads' own Decode, bit for bit, and its flows and
+// payload length to the words each rank shipped: at every fleet size and
+// shard count, for every codec an all-gather can carry, on each of the
+// pattern's three ways of reading words (sparse, QSGD, decoded), and on the
+// inputs a shortcut gets wrong. The -0 rule rides on it: packSparse ships
+// v + 0, so the oracle (which starts from payload 0's values) and the
+// scatter-add (which adds them to +0) see the same words and can only agree.
+func TestAllGatherMatchesCanonicalOracle(t *testing.T) {
 	const dim, rounds = 97, 3
 	cases := []struct {
-		name   string
-		sparse bool
-		codec  func(rank int) Codec
-		salt   func(outs [][][]float64) // optional extra salting
+		name  string
+		pat   AllGather
+		codec func(rank int) Codec
+		salt  func(outs [][][]float64) // optional extra salting
 	}{
-		{"topk-ef", true, func(int) Codec { return NewTopK(8, dim, true) }, nil},
-		{"topk", true, func(int) Codec { return NewTopK(8, dim, false) }, nil},
+		{"topk-ef", AllGather{Sparse: true}, func(int) Codec { return NewTopK(8, dim, true) }, nil},
+		{"topk", AllGather{Sparse: true}, func(int) Codec { return NewTopK(8, dim, false) }, nil},
 		// k above the nonzero count: the selection ships zeros of both signs.
-		{"topk-zeros", true, func(int) Codec { return NewTopK(70, dim, false) }, nil},
-		{"topk-ef-zeros", true, func(int) Codec { return NewTopK(70, dim, true) }, nil},
-		{"randomk", true, func(r int) Codec { return NewRandomK(20, uint64(r)+3) }, nil},
-		// A sparse codec on the dense path: decoded once, published, added densely.
-		{"topk-decoded", false, func(int) Codec { return NewTopK(8, dim, true) }, nil},
-		{"qsgd-1", false, func(r int) Codec { return NewQSGDCodec(1, uint64(r)+1) }, nil},
-		{"qsgd-16", false, func(r int) Codec { return NewQSGDCodec(16, uint64(r)+1) }, nil},
-		{"qsgd-zero-and-inf-norm", false, func(r int) Codec { return NewQSGDCodec(16, uint64(r)+1) }, func(outs [][][]float64) {
+		{"topk-zeros", AllGather{Sparse: true}, func(int) Codec { return NewTopK(70, dim, false) }, nil},
+		{"topk-ef-zeros", AllGather{Sparse: true}, func(int) Codec { return NewTopK(70, dim, true) }, nil},
+		{"randomk", AllGather{Sparse: true}, func(r int) Codec { return NewRandomK(20, uint64(r)+3) }, nil},
+		// A sparse codec on the decoding path: expanded, then added densely.
+		{"topk-decoded", AllGather{}, func(int) Codec { return NewTopK(8, dim, true) }, nil},
+		{"qsgd-1", AllGather{Levels: 1}, func(r int) Codec { return NewQSGDCodec(1, uint64(r)+1) }, nil},
+		{"qsgd-16", AllGather{Levels: 16}, func(r int) Codec { return NewQSGDCodec(16, uint64(r)+1) }, nil},
+		// Codes of every size over a level count that is not a power of two:
+		// here the order of the multiply and the divide shows.
+		{"qsgd-100", AllGather{Levels: 100}, func(r int) Codec { return NewQSGDCodec(100, uint64(r)+1) }, nil},
+		{"qsgd-zero-and-inf-norm", AllGather{Levels: 16}, func(r int) Codec { return NewQSGDCodec(16, uint64(r)+1) }, func(outs [][][]float64) {
+			last := len(outs) - 1
 			for j := range outs[0][1] {
 				outs[0][1][j] = 0 // rank 0, round 1: norm 0
 			}
-			last := len(outs) - 1
-			outs[last][2][5] = math.Inf(1) // last rank, round 2: norm +Inf
+			outs[last][1][5] = math.Inf(1) // last rank, round 1: norm +Inf
+			// Round 2: coordinate 0 sums −0 codes up to the last rank, whose
+			// norm 0 turns the −0 into +0.
+			for r := range outs {
+				outs[r][2][0] = -1e-12
+			}
+			for j := range outs[last][2] {
+				outs[last][2][j] = 0
+			}
 		}},
-		{"dense", false, func(int) Codec { return Dense{} }, nil},
+		{"qsgd-decoded", AllGather{}, func(r int) Codec { return NewQSGDCodec(16, uint64(r)+1) }, nil},
+		{"dense", AllGather{}, func(int) Codec { return Dense{} }, nil},
 	}
 	for _, tc := range cases {
 		for _, n := range []int{1, 2, 5, 32} {
@@ -195,28 +172,42 @@ func TestAllGatherMatchesDenseOracle(t *testing.T) {
 					}
 					return cs
 				}
-				want, wantRep := gatherRun(t, denseOracleAllGather{}, outs, table(), shards)
-				got, gotRep := gatherRun(t, NewAllGather(n, tc.sparse), outs, table(), shards)
-				for r := 0; r < n; r++ {
-					for round := 0; round < rounds; round++ {
-						w, g := want[r][round], got[r][round]
-						if len(w) != len(g) {
-							t.Fatalf("%s n=%d shards=%d rank %d round %d: %d values, oracle has %d", tc.name, n, shards, r, round, len(g), len(w))
+				got, gotRep := gatherRun(t, tc.pat, outs, table(), shards)
+
+				// The oracle re-encodes every rank's inputs with a fresh table
+				// (the codecs' state advances exactly as the engine's did).
+				oracle := table()
+				for round := 0; round < rounds; round++ {
+					words := make([][]float64, n)
+					decoded := make([][]float64, n)
+					for r := range words {
+						ctx := RoundContext{Round: round, Self: r, N: n}
+						w, err := oracle[r].Encode(ctx, outs[r][round])
+						if err != nil {
+							t.Fatal(err)
 						}
-						for j := range w {
-							if math.Float64bits(w[j]) != math.Float64bits(g[j]) {
-								t.Fatalf("%s n=%d shards=%d rank %d round %d coord %d: %x (%v), oracle %x (%v)",
-									tc.name, n, shards, r, round, j, math.Float64bits(g[j]), g[j], math.Float64bits(w[j]), w[j])
+						words[r] = append([]float64(nil), w...)
+						if decoded[r], err = oracle[r].Decode(ctx, words[r]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want := canonicalSum(decoded)
+					for r := 0; r < n; r++ {
+						where := fmt.Sprintf("%s n=%d shards=%d rank %d round %d", tc.name, n, shards, r, round)
+						sameBits(t, where, got[r][round], want)
+						rep := gotRep[r][round]
+						if rep.PayloadLen != len(words[r]) || len(rep.Flows) != n-1 {
+							t.Fatalf("%s: report %+v, want payload %d and %d flows", where, rep, len(words[r]), n-1)
+						}
+						for i, q := 0, 0; q < n; q++ {
+							if q == r {
+								continue
 							}
-						}
-						wr, gr := wantRep[r][round], gotRep[r][round]
-						if wr.PayloadLen != gr.PayloadLen || len(wr.Flows) != len(gr.Flows) {
-							t.Fatalf("%s n=%d shards=%d rank %d round %d: report %+v, oracle %+v", tc.name, n, shards, r, round, gr, wr)
-						}
-						for i := range wr.Flows {
-							if wr.Flows[i] != gr.Flows[i] {
-								t.Fatalf("%s n=%d shards=%d rank %d round %d flow %d: %+v, oracle %+v", tc.name, n, shards, r, round, i, gr.Flows[i], wr.Flows[i])
+							wantFlow := Flow{Peer: q, Sent: oracle[r].WireBytes(words[r]), Recv: oracle[q].WireBytes(words[q])}
+							if rep.Flows[i] != wantFlow {
+								t.Fatalf("%s flow %d: %+v, want %+v", where, i, rep.Flows[i], wantFlow)
 							}
+							i++
 						}
 					}
 				}
@@ -224,12 +215,17 @@ func TestAllGatherMatchesDenseOracle(t *testing.T) {
 		}
 	}
 
-	// The summation order is part of the result: rank r adds its own payload
-	// first and then the others in ascending rank, so with 1e16, 1 and -1e16
-	// ranks 0 and 1 lose the 1 and rank 2 keeps it.
-	order, _ := gatherRun(t, NewAllGather(3, false), [][][]float64{{{1e16}}, {{1}}, {{-1e16}}}, []Codec{Dense{}, Dense{}, Dense{}}, 2)
-	if order[0][0][0] != 0 || order[1][0][0] != 0 || order[2][0][0] != 1 {
-		t.Fatalf("aggregates %v %v %v: want 0 0 1 (own first, then ascending rank)", order[0][0], order[1][0], order[2][0])
+	// The summation order is part of the result: (1e16 + 1) − 1e16 on every
+	// rank, ascending sender rank whoever sums — at the parent rank 2 added
+	// its own −1e16 first and kept the 1. The one coordinate is summed by
+	// rank 2 alone; ranks 0 and 1 own empty slices.
+	a, b, c := 1e16, 1.0, -1e16
+	want := []float64{(a + b) + c}
+	for _, shards := range []int{1, 2} {
+		order, _ := gatherRun(t, AllGather{}, [][][]float64{{{a}}, {{b}}, {{c}}}, []Codec{Dense{}, Dense{}, Dense{}}, shards)
+		for r := range order {
+			sameBits(t, fmt.Sprintf("order shards=%d rank %d", shards, r), order[r][0], want)
+		}
 	}
 }
 
@@ -267,7 +263,7 @@ func TestSparseWireCarriesNoNegativeZero(t *testing.T) {
 }
 
 // wireOnlyCodec ships another codec's words and decodes them as the identity
-// codecs do: the way to hand a dense all-gather sparse words.
+// codecs do: the way to hand a decoding all-gather sparse words.
 type wireOnlyCodec struct{ inner Codec }
 
 func (c wireOnlyCodec) Name() string { return "wire-only" }
@@ -279,7 +275,8 @@ func (c wireOnlyCodec) WireBytes(words []float64) int64                         
 
 // TestAllGatherNamesMismatches: a payload that is not what the pattern was
 // built for is an error that says so, never a sum. Each case runs rank 0 of
-// two alone through WorkerRound against a payload deposited for it.
+// two alone through WorkerRound against a payload deposited for it; rank 0's
+// own payload is the first the sum reads.
 func TestAllGatherNamesMismatches(t *testing.T) {
 	const dim = 12
 	vec := uglyVector(dim, 1)
@@ -304,12 +301,15 @@ func TestAllGatherNamesMismatches(t *testing.T) {
 		peer  []float64
 		cause string
 	}{
-		{"sparse all-gather, own QSGD words", NewAllGather(2, true), NewQSGDCodec(4, 1), sparseWords(dim), "sparse all-gather: own payload"},
-		{"sparse all-gather, peer QSGD words", NewAllGather(2, true), NewTopK(3, dim, false), qsgdWords, "sparse all-gather: payload of rank 1"},
-		{"dense all-gather, own sparse words", NewAllGather(2, false), wireOnlyCodec{NewTopK(3, dim, false)}, sparseWords(dim), "sparse or masked words on a dense all-gather"},
-		{"dense all-gather, peer sparse words", NewAllGather(2, false), Dense{}, sparseWords(dim), "payload of rank 1 decodes to 8 values, want 12"},
-		{"dimension", NewAllGather(2, true), NewTopK(3, dim, false), sparseWords(dim + 1), "dimension 13 added to 12 values"},
-		{"index", NewAllGather(2, true), NewTopK(3, dim, false), outOfRange, "sparse index 12 out of 12"},
+		{"sparse all-gather, own QSGD words", AllGather{Sparse: true}, NewQSGDCodec(4, 1), sparseWords(dim), "sparse all-gather: payload of rank 0"},
+		{"sparse all-gather, peer QSGD words", AllGather{Sparse: true}, NewTopK(3, dim, false), qsgdWords, "sparse all-gather: payload of rank 1"},
+		{"qsgd all-gather, own sparse words", AllGather{Levels: 4}, NewTopK(3, dim, false), qsgdWords, "qsgd all-gather: payload of rank 0 has 8 words, want 13"},
+		{"qsgd all-gather, peer sparse words", AllGather{Levels: 4}, NewQSGDCodec(4, 1), sparseWords(dim), "qsgd all-gather: payload of rank 1 has 8 words, want 13"},
+		{"qsgd all-gather, peer of another dimension", AllGather{Levels: 4}, NewQSGDCodec(4, 1), append([]float64{1}, make([]float64, dim+1)...), "payload of rank 1 has 14 words, want 13"},
+		{"decoding all-gather, own sparse words", AllGather{}, wireOnlyCodec{NewTopK(3, dim, false)}, sparseWords(dim), "payload of rank 0 decodes to 8 values, want 12"},
+		{"decoding all-gather, peer sparse words", AllGather{}, Dense{}, sparseWords(dim), "payload of rank 1 decodes to 8 values, want 12"},
+		{"dimension", AllGather{Sparse: true}, NewTopK(3, dim, false), sparseWords(dim + 1), "dimension 13 added to 12 values"},
+		{"index", AllGather{Sparse: true}, NewTopK(3, dim, false), outOfRange, "sparse index 12 out of 12"},
 	} {
 		hub := memtransport.NewHub(2)
 		if err := hub.Send(0, 1, 0, tc.peer); err != nil {
@@ -379,13 +379,14 @@ func (h copyingHub) Send(round, self, peer int, payload []float64) error {
 	return h.Hub.Send(round, self, peer, append([]float64(nil), payload...))
 }
 
-// TestAllGatherDecodesEachSenderOnce: on the engine a round of QSGD costs n
-// decodes (each rank's own; n² at the parent) and a sparse round none, at
-// either shard count and through the benchmark's kind of wrapper. A fleet of
-// one-rank processes — each with its own pattern, as a TCP worker builds it —
-// finds only its own entry and decodes every peer itself, n per worker, and
-// reaches the same bits: the two ways a receiver gets q's vector agree.
-func TestAllGatherDecodesEachSenderOnce(t *testing.T) {
+// TestAllGatherDecodesNothing: an all-gather whose pattern knows its words —
+// QSGD (Levels) or sparse — sums them without a single decode, on the engine
+// at either shard count and in a fleet of one-rank processes, each with its
+// own codec table and phase state as a TCP worker builds them, through the
+// benchmark's kind of wrapper. The decoding path is the control: the same
+// wrapper counts its n² engine decodes and n per worker. Every rank of every
+// run merges the same bits.
+func TestAllGatherDecodesNothing(t *testing.T) {
 	const n, dim, rounds = 6, 64, 3
 	outs := make([][][]float64, n)
 	for r := range outs {
@@ -393,15 +394,17 @@ func TestAllGatherDecodesEachSenderOnce(t *testing.T) {
 			outs[r] = append(outs[r], uglyVector(dim, uint64(r*rounds+round)+11))
 		}
 	}
+	qsgd := func(r int) Codec { return NewQSGDCodec(16, uint64(r)+1) }
 	for _, tc := range []struct {
 		name   string
-		sparse bool
+		pat    AllGather
 		codec  func(rank int) Codec
 		engine int64 // decodes per engine round
 		worker int64 // decodes per worker round
 	}{
-		{"qsgd", false, func(r int) Codec { return NewQSGDCodec(16, uint64(r)+1) }, n, n},
-		{"topk", true, func(int) Codec { return NewTopK(6, dim, true) }, 0, 0},
+		{"qsgd", AllGather{Levels: 16}, qsgd, 0, 0},
+		{"topk", AllGather{Sparse: true}, func(int) Codec { return NewTopK(6, dim, true) }, 0, 0},
+		{"qsgd-decoded", AllGather{}, qsgd, n * n, n},
 	} {
 		table := func(decodes *atomic.Int64) []Codec {
 			cs := make([]Codec, n)
@@ -413,14 +416,19 @@ func TestAllGatherDecodesEachSenderOnce(t *testing.T) {
 		var ref [][][]float64
 		for _, shards := range []int{1, 2} {
 			var decodes atomic.Int64
-			got, _ := gatherRun(t, NewAllGather(n, tc.sparse), outs, table(&decodes), shards)
+			got, _ := gatherRun(t, tc.pat, outs, table(&decodes), shards)
 			if d := decodes.Load(); d != tc.engine*rounds {
 				t.Errorf("%s shards=%d: %d decodes in %d rounds, want %d a round", tc.name, shards, d, rounds, tc.engine)
+			}
+			for r := range got {
+				for round := range got[r] {
+					sameBits(t, fmt.Sprintf("%s shards=%d rank %d round %d", tc.name, shards, r, round), got[r][round], got[0][round])
+				}
 			}
 			ref = got
 		}
 
-		// One process per rank: its own codec table, pattern and phase state.
+		// One process per rank: its own codec table and phase state.
 		hub := copyingHub{memtransport.NewHub(n)}
 		counts := make([]atomic.Int64, n)
 		nodes := make([]*sumNode, n)
@@ -428,10 +436,10 @@ func TestAllGatherDecodesEachSenderOnce(t *testing.T) {
 		for r := 0; r < n; r++ {
 			nodes[r] = &sumNode{outs: outs[r]}
 			go func(r int) {
-				codecs, pat, st := table(&counts[r]), NewAllGather(n, tc.sparse), new(PhaseState)
+				codecs, st := table(&counts[r]), new(PhaseState)
 				for round := 0; round < rounds; round++ {
 					ctx := RoundContext{Round: round, Self: r, N: n, Plan: core.RoundPlan{Round: round}}
-					if _, err := WorkerRound(nodes[r], pat, codecs, hub, st, ctx); err != nil {
+					if _, err := WorkerRound(nodes[r], tc.pat, codecs, hub, st, ctx); err != nil {
 						errs <- err
 						return
 					}
@@ -449,11 +457,7 @@ func TestAllGatherDecodesEachSenderOnce(t *testing.T) {
 				t.Errorf("%s worker %d: %d decodes in %d rounds, want %d a round", tc.name, r, d, rounds, tc.worker)
 			}
 			for round := 0; round < rounds; round++ {
-				for j, w := range ref[r][round] {
-					if g := nodes[r].got[round][j]; math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("%s worker %d round %d coord %d: %v, the engine has %v", tc.name, r, round, j, g, w)
-					}
-				}
+				sameBits(t, fmt.Sprintf("%s worker %d round %d", tc.name, r, round), nodes[r].got[round], ref[0][round])
 			}
 		}
 	}

@@ -149,6 +149,18 @@ func (n *allocNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 // one, never allocate one per rank.
 func TestShardedRoundZeroAlloc(t *testing.T) { shardedRoundAllocs(t) }
 
+// sparseRing is the dcd-psgd pattern over an n-ring: the node's own payload
+// delivered with its neighbours', all as sparse words.
+func sparseRing(n int) *engine.Neighborhood {
+	adj := make([][]int, n)
+	for i := range adj {
+		adj[i] = []int{(i + n - 1) % n, (i + 1) % n}
+	}
+	p := engine.NewNeighborhood(adj, true)
+	p.Sparse = true
+	return p
+}
+
 func shardedRoundAllocs(t *testing.T) {
 	const (
 		n      = 16
@@ -175,9 +187,15 @@ func shardedRoundAllocs(t *testing.T) {
 		{"pairwise/masked", n, engine.Pairwise{}, func(int) engine.Codec { return engine.NewMasked(10) }, []int{1, 2}, n - 1},
 		{"hub/dense", n + 1, engine.Hub{Server: n}, dense, []int{2}, 0},
 		{"hub/randomk", n + 1, engine.Hub{Server: n}, func(rank int) engine.Codec { return engine.NewRandomK(8, uint64(rank)+1) }, []int{1, 2}, 0},
+		// The s-fedavg uplink: sparse words straight to the server's Merge.
+		{"hub/randomk-sparse", n + 1, engine.Hub{Server: n, Sparse: true}, func(rank int) engine.Codec { return engine.NewRandomK(8, uint64(rank)+1) }, []int{1, 2}, 0},
 		{"collective/dense", n, engine.Collective{}, dense, []int{2}, 0},
-		{"all-gather/topk", n, engine.NewAllGather(n, true), func(int) engine.Codec { return engine.NewTopK(8, dim, true) }, []int{1, 2}, 0},
-		{"all-gather/qsgd", n, engine.NewAllGather(n, false), func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }, []int{1, 2}, 0},
+		// The non-power-of-two fallback: the all-gather's shared sum.
+		{"collective/dense-n6", 6, engine.Collective{}, dense, []int{1, 2}, 0},
+		{"all-gather/topk", n, engine.AllGather{Sparse: true}, func(int) engine.Codec { return engine.NewTopK(8, dim, true) }, []int{1, 2}, 0},
+		{"all-gather/qsgd", n, engine.AllGather{Levels: 127}, func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }, []int{1, 2}, 0},
+		// The dcd-psgd shape: the own payload delivered too, sparse words undecoded.
+		{"neighborhood/topk", n, sparseRing(n), func(int) engine.Codec { return engine.NewTopK(8, dim, false) }, []int{1, 2}, 0},
 	} {
 		for _, shards := range tc.shards {
 			t.Run(tc.name+"/shards="+string(rune('0'+shards)), func(t *testing.T) {

@@ -186,7 +186,11 @@ func decodeSparseInto(dst []float64, words []float64) ([]float64, error) {
 // AddSparse adds a sparse payload into acc straight from its wire words, with
 // decodeSparseInto's checks plus dim == len(acc): the dense add of its decode
 // minus the zeros. (A repeated index, which no codec sends, is added twice.)
-func AddSparse(acc, words []float64) error {
+func AddSparse(acc, words []float64) error { return addSparseRange(acc, 0, len(acc), words) }
+
+// addSparseRange is AddSparse writing only acc[lo:hi]: every index is still
+// checked, and the entries outside [lo, hi) are skipped.
+func addSparseRange(acc []float64, lo, hi int, words []float64) error {
 	dim, idx, vals, err := SparseWords(words)
 	if err != nil {
 		return err
@@ -199,7 +203,9 @@ func AddSparse(acc, words []float64) error {
 		if j < 0 || j >= dim {
 			return fmt.Errorf("engine: sparse index %d out of %d", j, dim)
 		}
-		acc[j] += vals[i]
+		if j >= lo && j < hi {
+			acc[j] += vals[i]
+		}
 	}
 	return nil
 }

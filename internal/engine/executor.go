@@ -193,9 +193,10 @@ func (e *Engine) Close() {
 // order while shards proceed concurrently. Determinism does not depend on
 // the shard count:
 //
-//   - each rank's floating-point work is confined to its own state and runs
-//     in the phase program's order (the Pattern contract), so trajectories
-//     are bit-identical;
+//   - each rank's floating-point work is confined to its own state (or its
+//     own slice of the shared all-gather aggregate) and runs in the phase
+//     program's order (the Pattern contract), so trajectories are
+//     bit-identical;
 //   - cross-rank data moves only through the transport's keyed FIFOs, and
 //     every Recv consumes a deposit from an earlier phase (the phase barrier
 //     is the happens-before edge);
@@ -233,6 +234,7 @@ type shardRunner struct {
 	ctxs    []RoundContext
 	active  []bool
 	reports []NodeReport
+	sum     gatherSum // the all-gather aggregate every rank's state points at
 
 	// Dispatch scratch, coordinator-owned.
 	deps     []bool
@@ -289,6 +291,9 @@ func newShardRunner(nodes []Node, codecs []Codec, pat Pattern, tr Transport, sha
 		firstRun: make([]int, shards),
 		lastRun:  make([]int, shards),
 		bounds:   make([]int, shards+1),
+	}
+	for r := range s.states {
+		s.states[r].sum = &s.sum
 	}
 	for i := range s.cmds {
 		s.bounds[i] = i * n / shards
@@ -434,7 +439,9 @@ func (s *shardRunner) runRound(plan core.RoundPlan) (ControlReport, error) {
 // to back over the transport, each Recv blocking until the peer's deposit
 // arrives. It is the whole executor of a one-rank-per-process deployment
 // (the TCP worker); the in-process engine runs the same phases across many
-// ranks with barriers in between.
+// ranks with barriers in between. An all-gather's lone rank sums every
+// coordinate itself, in the order an engine's ranks sum their slices, so it
+// reaches the same bits.
 //
 // The transport must not retain a payload after Send returns (see
 // Transport) — with no barrier between a rank's phases, the butterfly

@@ -29,11 +29,14 @@ type PeerMsg struct {
 	From int
 	// Vals is the sender's payload decoded with the sender's codec; its
 	// exact semantics are codec-specific (see Codec.Decode). Merge may
-	// mutate it.
+	// mutate a per-sender Vals. A collective result (From -1) is one
+	// aggregate every rank of an in-process engine merges: it is read-only
+	// to Merge. Nil when the pattern delivers sparse wire words undecoded
+	// (Neighborhood.Sparse, Hub.Sparse): Merge reads Words.
 	Vals []float64
 	// Words is the raw wire payload, for nodes that need the explicit
-	// support of a sparse encoding (parse with SparseWords). Nil for
-	// collective results.
+	// support of a sparse encoding (parse with SparseWords, or add with
+	// AddSparse, which check it). Nil for collective results.
 	Words []float64
 	// Bytes is the payload's exact wire size.
 	Bytes int64

@@ -23,8 +23,10 @@ import (
 // it starts the next phase, so a blocked Recv only ever waits on an earlier
 // phase of another rank, the wait graph is acyclic, and a conforming phase
 // program cannot deadlock on any executor. It is also the determinism
-// argument: each rank's floating-point work is confined to its own state and
-// happens in program order, whatever interleaving the executor picks.
+// argument: each rank's floating-point work is confined to its own state (or,
+// in an all-gather, to its own slice of the aggregate its engine's ranks
+// share) and happens in program order, whatever interleaving the executor
+// picks.
 type Pattern interface {
 	// Name identifies the pattern family ("pairwise", "hub", ...).
 	Name() string
@@ -75,10 +77,16 @@ type PhaseState struct {
 
 	skip   bool      // round finished early (e.g. unmatched pairwise rank)
 	sent   int64     // wire bytes of the in-flight outbound payload
-	vec    []float64 // running sum (collective / all-gather)
+	vec    []float64 // running sum (butterfly), or a lone rank's all-gather sum
 	msgs   []PeerMsg // pending merge messages
 	lo, hi int       // owned segment (halving/doubling)
 	peers  []int     // chosen-worker scratch (hub server)
+
+	// words are the round's all-gather payloads by sender rank, this rank's
+	// own in its place. sum is the aggregate the ranks of one engine share;
+	// nil under WorkerRound, whose lone rank sums every coordinate into vec.
+	words [][]float64
+	sum   *gatherSum
 
 	// dec is the single-slot decode scratch for payloads consumed within
 	// the same phase; decBufs hold per-message decodes that must stay alive
@@ -147,6 +155,22 @@ func (st *PhaseState) decodeMsg(c Codec, ctx RoundContext, words []float64) ([]f
 func (st *PhaseState) mergeOne(ctx RoundContext, node Node, msg PeerMsg) error {
 	st.msgs = append(st.msgs[:0], msg)
 	return node.Merge(ctx, st.msgs)
+}
+
+// deliver appends the message carrying from's payload: sparse words go to
+// Merge as they are (Vals nil), anything else decoded into the next pooled
+// per-message buffer.
+func (st *PhaseState) deliver(sparse bool, c Codec, ctx RoundContext, from int, words []float64, bytes int64) error {
+	m := PeerMsg{From: from, Words: words, Bytes: bytes}
+	if !sparse {
+		vals, err := st.decodeMsg(c, ctx, words)
+		if err != nil {
+			return err
+		}
+		m.Vals = vals
+	}
+	st.msgs = append(st.msgs, m)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -244,11 +268,14 @@ func (Pairwise) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 
 // Neighborhood is static-neighborhood gossip: every round each node
 // broadcasts one encoded payload to all its topology neighbors and merges
-// everything it hears. With IncludeSelf the node's own payload is decoded
-// and delivered too — difference-compressed schemes need the node to apply
-// the same lossy delta to its own public replica that its neighbors apply to
-// theirs.
+// everything it hears. With IncludeSelf the node's own payload is delivered
+// too — difference-compressed schemes need the node to apply the same lossy
+// delta to its own public replica that its neighbors apply to theirs.
 type Neighborhood struct {
+	// Sparse: every payload is sparse wire words (TopK, RandomK), delivered
+	// to Merge undecoded — Words set, Vals nil.
+	Sparse bool
+
 	adj         [][]int
 	includeSelf bool
 }
@@ -330,11 +357,9 @@ func (p *Neighborhood) RunPhase(ctx RoundContext, phase int, node Node, codecs [
 		st.Rep.PayloadLen = len(words)
 		st.msgs = st.msgs[:0]
 		if p.includeSelf {
-			vals, err := st.decodeMsg(codecs[ctx.Self], ctx, words)
-			if err != nil {
+			if err := st.deliver(p.Sparse, codecs[ctx.Self], ctx, ctx.Self, words, st.sent); err != nil {
 				return err
 			}
-			st.msgs = append(st.msgs, PeerMsg{From: ctx.Self, Vals: vals, Words: words, Bytes: st.sent})
 		}
 		for _, q := range peers {
 			if err := tr.Send(ctx.Round, ctx.Self, q, words); err != nil {
@@ -351,13 +376,11 @@ func (p *Neighborhood) RunPhase(ctx RoundContext, phase int, node Node, codecs [
 			if err != nil {
 				return err
 			}
-			vals, err := st.decodeMsg(codecs[q], ctx, w)
-			if err != nil {
-				return err
-			}
 			b := codecs[q].WireBytes(w)
 			st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: b})
-			st.msgs = append(st.msgs, PeerMsg{From: q, Vals: vals, Words: w, Bytes: b})
+			if err := st.deliver(p.Sparse, codecs[q], ctx, q, w, b); err != nil {
+				return err
+			}
 		}
 		return node.Merge(ctx, st.msgs)
 	}
@@ -380,6 +403,9 @@ type Hub struct {
 	// Server is the hub's node rank (by convention the last rank, so n
 	// trainers + 1 server occupy ranks 0..n).
 	Server int
+	// Sparse: the workers' uplink payloads are sparse wire words (RandomK),
+	// delivered to the server's Merge undecoded — Words set, Vals nil.
+	Sparse bool
 }
 
 // Name implements Pattern.
@@ -467,13 +493,11 @@ func (h Hub) serverPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 			if err != nil {
 				return err
 			}
-			vals, err := st.decodeMsg(codecs[w], ctx, uw)
-			if err != nil {
-				return err
-			}
 			b := codecs[w].WireBytes(uw)
 			st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: w, Sent: st.sent, Recv: b})
-			st.msgs = append(st.msgs, PeerMsg{From: w, Vals: vals, Words: uw, Bytes: b})
+			if err := st.deliver(h.Sparse, codecs[w], ctx, w, uw, b); err != nil {
+				return err
+			}
 		}
 		return node.Merge(ctx, st.msgs)
 	}
@@ -512,10 +536,42 @@ func (h Hub) workerPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 }
 
 // ---------------------------------------------------------------------------
-// Shared phased all-gather halves (AllGather, non-power-of-two Collective)
+// The all-gather sum (AllGather, non-power-of-two Collective)
 
-// phaseSendAll deposits words to every other rank in ascending order.
-func phaseSendAll(ctx RoundContext, tr Transport, words []float64) error {
+// gatherSum is the all-gather aggregate the ranks of one engine share. In the
+// gather phase rank r sums coordinates [r·N/n, (r+1)·N/n) and nothing else;
+// after the barrier every rank merges all N. Rank 0 sizes it before its
+// sends, so any other rank first touches it after its Recv from rank 0 — the
+// transport's happens-before edge. The shard runner owns it, so two engines
+// never share one.
+type gatherSum struct{ vec []float64 }
+
+// gatherSlice returns the aggregate rank ctx.Self sums into and the
+// coordinates [lo, hi) it owns: its slice of the engine's shared aggregate,
+// or every coordinate of its own under WorkerRound.
+func (st *PhaseState) gatherSlice(ctx RoundContext) (agg []float64, lo, hi int) {
+	if st.sum == nil {
+		return st.vec, 0, len(st.vec)
+	}
+	agg = st.sum.vec
+	return agg, ctx.Self * len(agg) / ctx.N, (ctx.Self + 1) * len(agg) / ctx.N
+}
+
+// phaseSendAll keeps words as the rank's own payload, sizes the aggregate to
+// dim zeroed coordinates, and deposits words to every other rank in
+// ascending order.
+func phaseSendAll(ctx RoundContext, tr Transport, st *PhaseState, words []float64, dim int) error {
+	if cap(st.words) < ctx.N {
+		st.words = make([][]float64, ctx.N)
+	}
+	st.words = st.words[:ctx.N]
+	st.words[ctx.Self] = words
+	switch {
+	case st.sum == nil:
+		st.vec = resizeZeroed(st.vec, dim)
+	case ctx.Self == 0:
+		st.sum.vec = resizeZeroed(st.sum.vec, dim)
+	}
 	for q := 0; q < ctx.N; q++ {
 		if q == ctx.Self {
 			continue
@@ -527,11 +583,13 @@ func phaseSendAll(ctx RoundContext, tr Transport, words []float64) error {
 	return nil
 }
 
-// phaseRecvSumAll drains every other rank's deposit in ascending order into
-// st.vec (which already holds the rank's own contribution), decoding what no
-// sender published. The zero AllGather serves Collective's fallback.
-func (a AllGather) phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseState) error {
-	vec := st.vec
+// phaseGather drains every other rank's deposit in ascending order, then sums
+// the rank's coordinates of the aggregate in the one canonical order: payload
+// 0's value, then every later payload's in ascending rank, the rank's own in
+// its place. Each coordinate gets that one sequence of operations whichever
+// rank sums it, so the ranks of an engine and a fleet of one-rank processes
+// hold the same bits. The zero AllGather serves Collective's fallback.
+func (a AllGather) phaseGather(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseState) error {
 	for q := 0; q < ctx.N; q++ {
 		if q == ctx.Self {
 			continue
@@ -541,24 +599,73 @@ func (a AllGather) phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transpor
 			return err
 		}
 		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: codecs[q].WireBytes(pw)})
-		if a.Sparse {
-			if err := AddSparse(vec, pw); err != nil {
-				return fmt.Errorf("engine: sparse all-gather: payload of rank %d: %w", q, err)
+		st.words[q] = pw
+	}
+	agg, lo, hi := st.gatherSlice(ctx)
+	for q, pw := range st.words {
+		var err error
+		switch {
+		case a.Sparse:
+			if err = addSparseRange(agg, lo, hi, pw); err != nil {
+				err = fmt.Errorf("engine: sparse all-gather: payload of rank %d: %w", q, err)
 			}
-			continue
+		case a.Levels > 0:
+			err = addQSGD(agg, lo, hi, q, pw, a.Levels)
+		default:
+			err = st.addDecoded(codecs[q], ctx, agg, lo, hi, q, pw)
 		}
-		var vals []float64
-		if q < len(a.decoded) && a.decoded[q] != nil {
-			vals = a.decoded[q]
-		} else if vals, err = st.decodeScratch(codecs[q], ctx, pw); err != nil {
+		if err != nil {
 			return err
 		}
-		if len(vals) != len(vec) {
-			return fmt.Errorf("engine: all-gather payload of rank %d decodes to %d values, want %d", q, len(vals), len(vec))
+	}
+	return nil
+}
+
+// addQSGD dequantizes q's words [norm, code...] straight into the zeroed
+// agg[lo:hi] with QSGDCodec.DecodeInto's arithmetic — norm * code / s, or +0
+// for a zero norm — assigning payload 0 and adding every later one.
+func addQSGD(agg []float64, lo, hi, q int, words []float64, levels int) error {
+	if len(words) != len(agg)+1 {
+		return fmt.Errorf("engine: qsgd all-gather: payload of rank %d has %d words, want %d (a norm and %d codes)", q, len(words), len(agg)+1, len(agg))
+	}
+	norm, s := words[0], float64(levels)
+	dst := agg[lo:hi]
+	codes := words[1+lo : 1+hi]
+	codes = codes[:len(dst)]
+	switch {
+	case norm == 0:
+		for i := range dst {
+			dst[i] += 0 // a −0 becomes +0, as under the decoded add
 		}
-		for j, v := range vals {
-			vec[j] += v
+	case q == 0:
+		for i, c := range codes {
+			dst[i] = norm * c / s
 		}
+	default:
+		for i, c := range codes {
+			dst[i] += norm * c / s
+		}
+	}
+	return nil
+}
+
+// addDecoded decodes q's words with its codec and puts agg[lo:hi] of the
+// result into the aggregate, assigning payload 0 and adding every later one.
+func (st *PhaseState) addDecoded(c Codec, ctx RoundContext, agg []float64, lo, hi, q int, words []float64) error {
+	vals, err := st.decodeScratch(c, ctx, words)
+	if err != nil {
+		return err
+	}
+	if len(vals) != len(agg) {
+		return fmt.Errorf("engine: all-gather payload of rank %d decodes to %d values, want %d", q, len(vals), len(agg))
+	}
+	dst, src := agg[lo:hi], vals[lo:hi]
+	if q == 0 {
+		copy(dst, src)
+		return nil
+	}
+	for i, v := range src {
+		dst[i] += v
 	}
 	return nil
 }
@@ -574,8 +681,9 @@ func (a AllGather) phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr Transpor
 // 2·D·(n-1)/n values, matching Table I's ring cost, with every transfer a
 // pairwise swap the Transport can carry. Other fleet sizes fall back to a
 // complete all-gather (everyone swaps full vectors with everyone, n-1
-// transfers of D values each), which is exact but costlier — callers wanting
-// the bandwidth-optimal path should size fleets to powers of two.
+// transfers of D values each) summed in AllGather's canonical order, which
+// is exact but costlier — callers wanting the bandwidth-optimal path should
+// size fleets to powers of two.
 type Collective struct{}
 
 // Name implements Pattern.
@@ -604,8 +712,8 @@ func segAfter(rank, depth, D, n int) (int, int) {
 
 // PhaseCount implements Pattern. Power-of-two fleets run the butterfly
 // (2·log₂n exchange steps, each split across adjacent phases: the deposit in
-// phase p, the matching receive in phase p+1), other sizes the two-phase
-// exact all-gather, and a single node trains and merges in one phase.
+// phase p, the matching receive in phase p+1), other sizes AllGather's three
+// phases, and a single node trains and merges in one phase.
 // Collective deliberately does not implement PhaseFuser: the butterfly
 // rewrites its parity-indexed chunk buffers phase over phase, so every
 // barrier is load-bearing (see PhaseState.wbufs).
@@ -617,7 +725,7 @@ func (Collective) PhaseCount(_ core.RoundPlan, n int) int {
 		q := bits.Len(uint(n)) - 1
 		return 2*q + 1
 	}
-	return 2
+	return 3
 }
 
 // RunPhase implements Pattern.
@@ -632,8 +740,8 @@ func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec,
 			return err
 		}
 		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(out)
-		st.vec = append(st.vec[:0], out...)
 		if ctx.N == 1 {
+			st.vec = append(st.vec[:0], out...)
 			return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
 		}
 		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
@@ -641,12 +749,12 @@ func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec,
 			return err
 		}
 		st.sent = codecs[ctx.Self].WireBytes(words)
-		return phaseSendAll(ctx, tr, words)
+		return phaseSendAll(ctx, tr, st, words, len(out))
 	case 1:
-		if err := (AllGather{}).phaseRecvSumAll(ctx, codecs, tr, st); err != nil {
-			return err
-		}
-		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
+		return AllGather{}.phaseGather(ctx, codecs, tr, st)
+	case 2:
+		agg, _, _ := st.gatherSlice(ctx)
+		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: agg})
 	}
 	return nil
 }
@@ -770,24 +878,24 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 // AllGather is the complete-graph gossip used by the compressed all-gather
 // baselines: every node broadcasts one encoded payload to every other node,
 // and Merge receives the element-wise sum of all *decoded* payloads, the
-// node's own included (a lossy compressor must see its own loss). Rank r adds
-// its own first and then the others in ascending rank; float addition does
-// not associate, so the ranks' aggregates agree only up to the last bits.
+// node's own included (a lossy compressor must see its own loss), as one
+// read-only PeerMsg{From: -1}. Every coordinate is summed in one canonical
+// order — ascending sender rank — so every rank on every executor merges the
+// same bits.
 //
-// No receiver redoes a sender's work: sparse payloads are scatter-added from
-// their wire words (AddSparse); otherwise a rank decodes its own payload once,
-// into a buffer unwritten until its next round (the PhaseFuser rule), and
-// publishes it in decoded before its sends — after Recv(q) a non-nil
-// decoded[q] is this round's. Share the table only under one round barrier; a
-// process per rank finds no peer's entry and decodes (DESIGN §2).
+// The round is three phases: compute, encode and send; receive, then sum;
+// merge. An engine's ranks share one aggregate and each sums only its own
+// slice of the coordinates, n·N adds a round in all; a lone rank
+// (WorkerRound) sums every coordinate itself. Payloads are read straight from
+// their wire words when Sparse or Levels says what they are; any other codec
+// is decoded.
 type AllGather struct {
-	Sparse  bool        // every payload is sparse wire words (TopK, RandomK)
-	decoded [][]float64 // by rank; the zero value has none and always decodes
-}
-
-// NewAllGather returns the pattern over n ranks with its table of decodes.
-func NewAllGather(n int, sparse bool) AllGather {
-	return AllGather{Sparse: sparse, decoded: make([][]float64, n)}
+	// Sparse: every payload is sparse wire words (TopK, RandomK),
+	// scatter-added with AddSparse's checks.
+	Sparse bool
+	// Levels > 0 (Sparse unset): every payload is a QSGDCodec's words at
+	// this level count, dequantized in place.
+	Levels int
 }
 
 // Name implements Pattern.
@@ -798,13 +906,14 @@ func (AllGather) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "all-gather")
 }
 
-// PhaseCount implements Pattern: broadcast, then gather+sum+merge.
-func (AllGather) PhaseCount(core.RoundPlan, int) int { return 2 }
+// PhaseCount implements Pattern: broadcast; gather and sum; merge.
+func (AllGather) PhaseCount(core.RoundPlan, int) int { return 3 }
 
 // PhaseDeps implements PhaseFuser: as with Neighborhood, the broadcast
-// payload is immutable after its sends, so the gather phase fuses.
+// payload is immutable after its sends, so the gather fuses onto it. The
+// merge keeps its barrier: it reads the slices every other rank summed.
 func (AllGather) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
-	return append(deps, false)
+	return append(deps, false, true)
 }
 
 // RunPhase implements Pattern.
@@ -820,31 +929,13 @@ func (a AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, 
 			return err
 		}
 		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(words)
-		if a.Sparse {
-			st.vec = resizeZeroed(st.vec, len(out))
-			if err := AddSparse(st.vec, words); err != nil {
-				return fmt.Errorf("engine: sparse all-gather: own payload: %w", err)
-			}
-		} else {
-			own, err := st.decodeMsg(codecs[ctx.Self], ctx, words)
-			if err != nil {
-				return err
-			}
-			if len(own) != len(out) {
-				return fmt.Errorf("engine: all-gather payload decodes to %d values, not the %d encoded (sparse or masked words on a dense all-gather?)", len(own), len(out))
-			}
-			st.vec = append(st.vec[:0], own...)
-			if ctx.Self < len(a.decoded) {
-				a.decoded[ctx.Self] = own
-			}
-		}
 		st.sent = codecs[ctx.Self].WireBytes(words)
-		return phaseSendAll(ctx, tr, words)
+		return phaseSendAll(ctx, tr, st, words, len(out))
 	case 1:
-		if err := a.phaseRecvSumAll(ctx, codecs, tr, st); err != nil {
-			return err
-		}
-		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
+		return a.phaseGather(ctx, codecs, tr, st)
+	case 2:
+		agg, _, _ := st.gatherSlice(ctx)
+		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: agg})
 	}
 	return nil
 }

@@ -134,6 +134,7 @@ func TestSpecRejectsMalformed(t *testing.T) {
 		{"validation split as large as training", func(s *Spec) {
 			s.Data.C, s.Data.H, s.Data.W, s.Data.Valid = 1, 8, 8, 64
 		}, "64 validation samples beside 64"},
+		{"more classes than samples", func(s *Spec) { s.Data.Samples, s.Data.Classes = 8, 50 }, "data.classes 50 over data.samples 8"},
 		{"negative validation split", func(s *Spec) { s.Data.Valid = -1 }, "-1 validation samples"},
 		{"validation split on the tiny task", func(s *Spec) { s.Data.Valid = 16 }, "needs the image task"},
 		{"planner_only with a cnn", func(s *Spec) {

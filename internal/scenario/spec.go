@@ -545,6 +545,10 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: %d samples for %d nodes", s.Name, s.Data.Samples, s.Nodes)
 	case s.Data.Classes < 2:
 		return fmt.Errorf("scenario %s: %d classes", s.Name, s.Data.Classes)
+	case s.Data.Classes > s.Data.Samples:
+		// Labels are dealt round-robin: the classes past the sample count
+		// would never appear.
+		return fmt.Errorf("scenario %s: data.classes %d over data.samples %d leaves classes with no sample", s.Name, s.Data.Classes, s.Data.Samples)
 	case s.Data.image() && (s.Data.C < 1 || s.Data.H < 1 || s.Data.W < 1):
 		return fmt.Errorf("scenario %s: data geometry %dx%dx%d (give c, h and w, or none)", s.Name, s.Data.C, s.Data.H, s.Data.W)
 	case s.Data.Valid < 0 || s.Data.Valid >= s.Data.Samples:

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -26,6 +28,18 @@ func algoSpec(algo string, rounds int) TaskSpec {
 // reference global model and per-round traffic totals.
 func inProcReference(t *testing.T, spec TaskSpec, n, rounds int) ([]float64, []int64) {
 	t.Helper()
+	alg := inProcAlgorithm(t, spec, n, 0)
+	led := &engine.CountingLedger{}
+	for r := 0; r < rounds; r++ {
+		alg.Step(r, led)
+	}
+	return alg.Models()[0].FlatParams(nil), led.RoundBytes()
+}
+
+// inProcAlgorithm builds the recipe's in-process fleet at the given engine
+// shard count (0 = one per CPU).
+func inProcAlgorithm(t *testing.T, spec TaskSpec, n, runtimeShards int) algos.Algorithm {
+	t.Helper()
 	shards, _ := spec.BuildShards(n)
 	fc := algos.FleetConfig{
 		N: n,
@@ -40,6 +54,8 @@ func inProcReference(t *testing.T, spec TaskSpec, n, rounds int) ([]float64, []i
 		LR:     spec.LR,
 		Batch:  spec.Batch,
 		Seed:   spec.Seed,
+
+		RuntimeShards: runtimeShards,
 	}
 	bw := netsim.RandomUniform(n, 1, 5, rng.New(2))
 	var alg algos.Algorithm
@@ -63,11 +79,7 @@ func inProcReference(t *testing.T, spec TaskSpec, n, rounds int) ([]float64, []i
 	default:
 		t.Fatalf("no in-proc reference for %q", spec.AlgoName())
 	}
-	led := &engine.CountingLedger{}
-	for r := 0; r < rounds; r++ {
-		alg.Step(r, led)
-	}
-	return alg.Models()[0].FlatParams(nil), led.RoundBytes()
+	return alg
 }
 
 // TestBaselinesOverTCP deploys the baselines end to end over real loopback
@@ -87,38 +99,7 @@ func TestBaselinesOverTCP(t *testing.T) {
 			spec := algoSpec(algo, rounds)
 			wantParams, wantBytes := inProcReference(t, spec, n, rounds)
 
-			led := &engine.CountingLedger{}
-			srv := &CoordinatorServer{
-				N: n, Task: spec,
-				BW:     netsim.RandomUniform(n, 1, 5, rng.New(2)),
-				Ledger: led,
-			}
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			procs := spec.Recipe(n).Nodes()
-			var wg sync.WaitGroup
-			errs := make([]error, procs)
-			for i := 0; i < procs; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					wc := &WorkerClient{}
-					_, errs[i] = wc.Run(addr, "127.0.0.1:0")
-				}(i)
-			}
-			final, err := srv.Run()
-			wg.Wait()
-			if err != nil {
-				t.Fatalf("coordinator: %v", err)
-			}
-			for i, e := range errs {
-				if e != nil {
-					t.Fatalf("worker %d: %v", i, e)
-				}
-			}
-
+			final, _, got := runTCPFleet(t, spec, n)
 			if len(final) != len(wantParams) {
 				t.Fatalf("collected %d params, want %d", len(final), len(wantParams))
 			}
@@ -127,7 +108,6 @@ func TestBaselinesOverTCP(t *testing.T) {
 					t.Fatalf("param %d: tcp %v != in-proc %v", j, final[j], wantParams[j])
 				}
 			}
-			got := led.RoundBytes()
 			if len(got) != len(wantBytes) {
 				t.Fatalf("%d rounds accounted, want %d", len(got), len(wantBytes))
 			}
@@ -137,5 +117,97 @@ func TestBaselinesOverTCP(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// runTCPFleet deploys spec over n trainers (plus a server process for the hub
+// recipes) on loopback TCP and returns the model the coordinator collects,
+// every process's final parameters by rank, and the per-round measured
+// traffic.
+func runTCPFleet(t *testing.T, spec TaskSpec, n int) (final []float64, byRank [][]float64, roundBytes []int64) {
+	t.Helper()
+	led := &engine.CountingLedger{}
+	srv := &CoordinatorServer{
+		N: n, Task: spec,
+		BW:     netsim.RandomUniform(n, 1, 5, rng.New(2)),
+		Ledger: led,
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := spec.Recipe(n).Nodes()
+	var wg sync.WaitGroup
+	errs := make([]error, procs)
+	params := make([][]float64, procs)
+	workers := make([]*WorkerClient, procs)
+	for i := 0; i < procs; i++ {
+		workers[i] = &WorkerClient{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			params[i], errs[i] = workers[i].Run(addr, "127.0.0.1:0")
+		}(i)
+	}
+	final, err = srv.Run()
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("worker %d: %v", i, e)
+		}
+	}
+	byRank = make([][]float64, procs)
+	for i, w := range workers {
+		byRank[w.Rank()] = params[i]
+	}
+	return final, byRank, led.RoundBytes()
+}
+
+// TestAllGatherRanksAgree: every rank of a PSGD-class fleet holds the same
+// model after every round — topk-psgd and qsgd-psgd (the all-gather) and psgd
+// at six ranks (the collective's all-gather fallback) — in process at one
+// and two shards, and over TCP, whose six worker processes end on the
+// in-process bits too. Each rank sums the gathered payloads in ascending
+// sender rank, whichever executor runs it.
+func TestAllGatherRanksAgree(t *testing.T) {
+	const n, rounds = 6, 4
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d params, want %d", what, len(got), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: param %d is %v, want %v", what, j, got[j], want[j])
+			}
+		}
+	}
+	for _, algo := range []string{"psgd", "topk-psgd", "qsgd-psgd"} {
+		spec := algoSpec(algo, rounds)
+		var want []float64
+		for _, shards := range []int{1, 2} {
+			alg := inProcAlgorithm(t, spec, n, shards)
+			led := &engine.CountingLedger{}
+			for r := 0; r < rounds; r++ {
+				alg.Step(r, led)
+				models := alg.Models()
+				rank0 := models[0].FlatParams(nil)
+				for i, m := range models[1:] {
+					sameBits(fmt.Sprintf("%s shards=%d round %d rank %d against rank 0", algo, shards, r, i+1), m.FlatParams(nil), rank0)
+				}
+				if r == rounds-1 && want == nil {
+					want = rank0
+				} else if r == rounds-1 {
+					sameBits(fmt.Sprintf("%s shards=%d against shards=1", algo, shards), rank0, want)
+				}
+			}
+		}
+		_, byRank, _ := runTCPFleet(t, spec, n)
+		for rank, params := range byRank {
+			sameBits(fmt.Sprintf("%s tcp rank %d against in-process", algo, rank), params, want)
+		}
 	}
 }
