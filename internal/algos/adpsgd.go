@@ -22,35 +22,38 @@ type adpsgdNode struct {
 	t          *core.Trainer
 	localSteps int
 	params     []float64
-	mixed      []float64
 }
 
 // Compute implements engine.Node: localSteps minibatch SGD steps, then the
 // dense parameter snapshot the rendezvous ships.
 func (a *adpsgdNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	loss := a.t.LocalSGD(a.localSteps)
+	// A copy ships: the rank can be merged passively while its own transfer
+	// is in flight (DESIGN §2 "Sender aliasing").
 	a.params = a.t.Model.FlatParams(a.params)
 	return loss, a.params, nil
 }
 
 // Snapshot implements engine.AsyncNode: the passive side of a rendezvous
-// surrenders its current parameters.
+// surrenders its current parameters. They ship as the live view: the
+// driver consumes them before it merges into this rank (DESIGN §2 "Sender
+// aliasing").
 func (a *adpsgdNode) Snapshot() []float64 {
-	a.params = a.t.Model.FlatParams(a.params)
-	return a.params
+	x, _ := a.t.Model.Flat()
+	return x
 }
 
-// Merge implements engine.Node: the pairwise average x ← (x + x_peer)/2.
+// Merge implements engine.Node: the pairwise average x ← (x + x_peer)/2, in
+// place.
 func (a *adpsgdNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
+	x, _ := a.t.Model.Flat()
 	for _, m := range msgs {
-		a.mixed = a.t.Model.FlatParams(a.mixed)
-		if len(m.Vals) != len(a.mixed) {
-			return fmt.Errorf("algos: adpsgd rank received %d values for %d params", len(m.Vals), len(a.mixed))
+		if len(m.Vals) != len(x) {
+			return fmt.Errorf("algos: adpsgd rank received %d values for %d params", len(m.Vals), len(x))
 		}
 		for j, v := range m.Vals {
-			a.mixed[j] = 0.5 * (a.mixed[j] + v)
+			x[j] = 0.5 * (x[j] + v)
 		}
-		a.t.Model.SetFlatParams(a.mixed)
 	}
 	return nil
 }

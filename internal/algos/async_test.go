@@ -2,9 +2,11 @@ package algos
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
+	"sapspsgd/internal/core"
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/netsim"
@@ -161,6 +163,99 @@ func TestAsyncDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// copyADPSGDNode is adpsgdNode as it stood while a model's parameters were
+// copied out of its layers and back (verbatim, but for the name): Snapshot
+// copies into the Compute scratch, Merge averages in a scratch copy and
+// writes it back. It is the oracle for the in-place node.
+type copyADPSGDNode struct {
+	t          *core.Trainer
+	localSteps int
+	params     []float64
+	mixed      []float64
+}
+
+func (a *copyADPSGDNode) Compute(engine.RoundContext) (float64, []float64, error) {
+	loss := a.t.LocalSGD(a.localSteps)
+	a.params = a.t.Model.FlatParams(a.params)
+	return loss, a.params, nil
+}
+
+func (a *copyADPSGDNode) Snapshot() []float64 {
+	a.params = a.t.Model.FlatParams(a.params)
+	return a.params
+}
+
+func (a *copyADPSGDNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
+	for _, m := range msgs {
+		a.mixed = a.t.Model.FlatParams(a.mixed)
+		if len(m.Vals) != len(a.mixed) {
+			return fmt.Errorf("algos: adpsgd rank received %d values for %d params", len(m.Vals), len(a.mixed))
+		}
+		for j, v := range m.Vals {
+			a.mixed[j] = 0.5 * (a.mixed[j] + v)
+		}
+		a.t.Model.SetFlatParams(a.mixed)
+	}
+	return nil
+}
+
+// TestADPSGDInPlaceMatchesCopyOracle: AD-PSGD's Snapshot ships the passive
+// rank's live parameters, which the initiator's Merge reads before the
+// passive rank's own Merge rewrites them in place. Under a straggler block
+// that also merges ranks passively while their own transfers are in flight,
+// the event log and every model bit equal the copying node's.
+func TestADPSGDInPlaceMatchesCopyOracle(t *testing.T) {
+	const n, steps = 8, 30
+	run := func(oracle bool) ([]byte, [][]float64, []netsim.Event) {
+		bw := netsim.RandomUniform(n, 5, 50, rng.New(3))
+		af, opts := asyncFixture(t, "adpsgd", n, steps, bw, []int{0, 1}, 8)
+		if oracle {
+			for i, node := range af.Nodes {
+				a := node.(*adpsgdNode)
+				opts.Nodes[i] = &copyADPSGDNode{t: a.t, localSteps: a.localSteps}
+			}
+		}
+		var log netsim.EventLog
+		opts.Sink = &log
+		runAsync(t, opts)
+		var params [][]float64
+		for _, m := range af.Models {
+			params = append(params, m.FlatParams(nil))
+		}
+		return log.Bytes(), params, log.Events
+	}
+	gotLog, got, events := run(false)
+	wantLog, want, _ := run(true)
+	if !bytes.Equal(gotLog, wantLog) {
+		t.Fatal("event logs differ from the copying node's")
+	}
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("rank %d param %d: %v, copying node %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	// The run must hold the case a copy would have to guard: a rank merged
+	// passively between its own Compute and the completion of its transfer.
+	inFlight := make([]bool, n)
+	passive := 0
+	for _, e := range events {
+		switch e.Kind {
+		case netsim.EventComputeDone:
+			inFlight[e.Rank] = true
+		case netsim.EventTransferComplete:
+			if inFlight[e.Peer] {
+				passive++
+			}
+			inFlight[e.Rank] = false
+		}
+	}
+	if passive == 0 {
+		t.Fatal("no rank was merged passively during its own transfer; the test does not exercise the aliasing rule")
 	}
 }
 

@@ -25,9 +25,7 @@ type gradPushNode struct {
 	localSteps int
 	x          []float64 // push-sum numerator
 	w          float64   // push-sum weight
-	z          []float64 // de-biased model scratch
 	out        []float64 // outbound [x/2, w/2] payload scratch
-	grads      []float64
 }
 
 // newGradPushNode initializes the pair at (x0, 1) so z0 equals the shared
@@ -42,15 +40,11 @@ func newGradPushNode(t *core.Trainer, lr float64, localSteps int) *gradPushNode 
 // debias writes z = x/w into the model, so the trainer's forward/backward
 // passes run on the de-biased parameters.
 func (g *gradPushNode) debias() {
-	if cap(g.z) < len(g.x) {
-		g.z = make([]float64, len(g.x))
-	}
-	g.z = g.z[:len(g.x)]
+	z, _ := g.t.Model.Flat()
 	inv := 1 / g.w
 	for j, v := range g.x {
-		g.z[j] = v * inv
+		z[j] = v * inv
 	}
-	g.t.Model.SetFlatParams(g.z)
 }
 
 // Compute implements engine.Node: localSteps SGD steps on z applied to x,
@@ -58,11 +52,11 @@ func (g *gradPushNode) debias() {
 // immediately — the send is committed the moment it is scheduled.
 func (g *gradPushNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	total := 0.0
+	_, grads := g.t.Model.Flat()
 	for s := 0; s < g.localSteps; s++ {
 		g.debias()
 		total += g.t.GradStep()
-		g.grads = g.t.Model.FlatGrads(g.grads)
-		tensor.Axpy(-g.lr, g.grads, g.x)
+		tensor.Axpy(-g.lr, grads, g.x)
 	}
 	if cap(g.out) < len(g.x)+1 {
 		g.out = make([]float64, len(g.x)+1)

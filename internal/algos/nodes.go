@@ -31,16 +31,17 @@ func serverLoss() float64 { return math.NaN() }
 // gradients, the node's own included.
 type gradAvgNode struct {
 	*core.Trainer
-	lr    float64
-	n     int // trainer count the sum is averaged over
-	grads []float64
+	lr float64
+	n  int // trainer count the sum is averaged over
 }
 
 // Compute implements engine.Node.
 func (g *gradAvgNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	loss := g.GradStep()
-	g.grads = g.Model.FlatGrads(g.grads)
-	return loss, g.grads, nil
+	// The live gradients ship: the next step writes them after the round
+	// ends (DESIGN §2 "Sender aliasing").
+	_, grads := g.Model.Flat()
+	return loss, grads, nil
 }
 
 // Merge implements engine.Node: apply −lr · (Σ g_j)/n.
@@ -64,37 +65,34 @@ type neighborMixNode struct {
 	lr     float64
 	row    mixRow // W row, self weight included
 	params []float64
-	grads  []float64
-	mixed  []float64
 }
 
 // Compute implements engine.Node.
 func (d *neighborMixNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	loss := d.GradStep()
+	// A copy ships: Merge rewrites the model while the neighbours still read
+	// this payload (DESIGN §2 "Sender aliasing").
 	d.params = d.Model.FlatParams(d.params)
-	d.grads = d.Model.FlatGrads(d.grads)
 	return loss, d.params, nil
 }
 
-// Merge implements engine.Node.
+// Merge implements engine.Node: the mix is written straight into the model,
+// once every sender is known to be a neighbour.
 func (d *neighborMixNode) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) error {
-	if cap(d.mixed) < len(d.params) {
-		d.mixed = make([]float64, len(d.params))
-	}
-	d.mixed = d.mixed[:len(d.params)]
-	wSelf := d.row.find(ctx.Self).w
-	for j := range d.mixed {
-		d.mixed[j] = wSelf * d.params[j]
-	}
 	for _, m := range msgs {
-		e := d.row.find(m.From)
-		if e == nil {
+		if d.row.find(m.From) == nil {
 			return fmt.Errorf("algos: D-PSGD node %d received model from non-neighbor %d", ctx.Self, m.From)
 		}
-		tensor.Axpy(e.w, m.Vals, d.mixed)
 	}
-	tensor.Axpy(-d.lr, d.grads, d.mixed)
-	d.Model.SetFlatParams(d.mixed)
+	x, grads := d.Model.Flat()
+	wSelf := d.row.find(ctx.Self).w
+	for j, v := range d.params {
+		x[j] = wSelf * v
+	}
+	for _, m := range msgs {
+		tensor.Axpy(d.row.find(m.From).w, m.Vals, x)
+	}
+	tensor.Axpy(-d.lr, grads, x)
 	return nil
 }
 
@@ -112,10 +110,8 @@ type dcdNode struct {
 	lr float64
 	// row holds the node itself and its neighbours, each with the public
 	// replica kept of it; the gossip sums over the neighbours' entries.
-	row    mixRow
-	params []float64
-	grads  []float64
-	diff   []float64
+	row  mixRow
+	diff []float64
 }
 
 // newDCDNode initializes the replicas at the shared initial model, so they
@@ -127,28 +123,26 @@ func newDCDNode(t *core.Trainer, lr float64, row mixRow) *dcdNode {
 	return &dcdNode{Trainer: t, lr: lr, row: row}
 }
 
-// Compute implements engine.Node: replica-based gossip + gradient step, then
-// publish the compressed model/replica difference.
+// Compute implements engine.Node: replica-based gossip + gradient step on
+// the model in place, then publish the compressed model/replica difference.
 func (n *dcdNode) Compute(ctx engine.RoundContext) (float64, []float64, error) {
 	loss := n.GradStep()
-	n.params = n.Model.FlatParams(n.params)
-	n.grads = n.Model.FlatGrads(n.grads)
+	x, grads := n.Model.Flat()
 	self := n.row.find(ctx.Self).replica
-	for j := range n.params {
+	for j := range x {
 		gossip := 0.0
 		for k := range n.row {
 			if e := &n.row[k]; e.rank != ctx.Self {
 				gossip += e.w * (e.replica[j] - self[j])
 			}
 		}
-		n.params[j] += gossip - n.lr*n.grads[j]
+		x[j] += gossip - n.lr*grads[j]
 	}
-	n.Model.SetFlatParams(n.params)
-	if cap(n.diff) < len(n.params) {
-		n.diff = make([]float64, len(n.params))
+	if cap(n.diff) < len(x) {
+		n.diff = make([]float64, len(x))
 	}
-	n.diff = n.diff[:len(n.params)]
-	tensor.Sub(n.diff, n.params, self)
+	n.diff = n.diff[:len(x)]
+	tensor.Sub(n.diff, x, self)
 	return loss, n.diff, nil
 }
 
@@ -177,14 +171,15 @@ func (n *dcdNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 // gradient up.
 type psWorkerNode struct {
 	*core.Trainer
-	grads []float64
 }
 
 // Compute implements engine.Node.
 func (p *psWorkerNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	loss := p.GradStep()
-	p.grads = p.Model.FlatGrads(p.grads)
-	return loss, p.grads, nil
+	// The live gradients ship: the next step writes them after the round
+	// ends (DESIGN §2 "Sender aliasing").
+	_, grads := p.Model.Flat()
+	return loss, grads, nil
 }
 
 // Merge implements engine.Node (hub downlink: adopt the server model).

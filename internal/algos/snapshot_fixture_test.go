@@ -26,6 +26,7 @@ import (
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/tensor"
 	"sapspsgd/internal/transport"
 )
 
@@ -140,12 +141,11 @@ func TestParentCommitSnapshotsRestore(t *testing.T) {
 				}
 			}
 
-			f, err := os.Open(path)
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			snap, err := engine.DecodeSnapshot(f)
+			snap, err := engine.DecodeSnapshot(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,6 +157,14 @@ func TestParentCommitSnapshotsRestore(t *testing.T) {
 			led := &engine.CountingLedger{}
 			if err := eng.Restore(snap, led); err != nil {
 				t.Fatal(err)
+			}
+			// Each restored model writes the checkpoint the file holds: the
+			// whole blob of a hub server, the first section of a trainer's.
+			for i, m := range models {
+				ckpt, blob := m.AppendCheckpoint(nil), snap.Ranks[i].Node
+				if sec, _, err := tensor.CutSection(blob); !bytes.Equal(blob, ckpt) && (err != nil || !bytes.Equal(sec, ckpt)) {
+					t.Errorf("rank %d: the restored model's checkpoint is not the file's", i)
+				}
 			}
 			stepRounds(t, eng, led, snap.NextRound, snapshotTotal)
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sapspsgd/internal/compress"
@@ -45,9 +47,10 @@ func newTestWorker(rank int, model *nn.Model, shard *dataset.Dataset, cfg Config
 
 // maskedPayload is the message a worker sends its peer (Algorithm 2 line 7):
 // x̃ = x ∘ m packed, exactly as the engine's Masked codec extracts it from
-// ParamsScratch under the round's mask.
+// the model's live parameters under the round's mask.
 func maskedPayload(w *Worker, mask []bool) []float64 {
-	return compress.ExtractInto(nil, w.ParamsScratch(), mask)
+	x, _ := w.Model.Flat()
+	return compress.ExtractInto(nil, x, mask)
 }
 
 func params(w *Worker) []float64 { return w.Model.FlatParams(nil) }
@@ -275,6 +278,46 @@ func TestConsensusRateMatchesLemma2(t *testing.T) {
 	dT := dis(x)
 	if dT > d0*1e-4 {
 		t.Fatalf("scalar gossip did not contract: %v -> %v over %d rounds", d0, dT, rounds)
+	}
+}
+
+// TestReadStateRejectsMisSizedMomentum: a state blob whose momentum buffer
+// does not fit the model is refused, naming both lengths, before the model
+// changes — SGD.Step would otherwise restart momentum from zero unseen.
+func TestReadStateRejectsMisSizedMomentum(t *testing.T) {
+	tr := buildWorkers(t, 2, testConfig(2))[0].Trainer
+	blob, err := tr.StateBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No step has run, so the momentum section is the blob's empty last one.
+	front := blob[:len(blob)-tensor.SectionSize(0)]
+	n := tr.Model.ParamCount()
+	bad := tensor.AppendVector(append([]byte(nil), front...), []float64{1, 2, 3})
+	good := tensor.AppendVector(append([]byte(nil), front...), make([]float64, n))
+
+	before := tr.Model.FlatParams(nil)
+	other := make([]float64, n)
+	tr.Model.SetFlatParams(other)
+	_, err = tr.ReadState(bad)
+	if err == nil || !strings.Contains(err.Error(), "3 words") || !strings.Contains(err.Error(), fmt.Sprintf("%d parameters", n)) {
+		t.Fatalf("3-word momentum buffer: err = %v, want one naming 3 words and %d parameters", err, n)
+	}
+	for i, v := range tr.Model.FlatParams(nil) {
+		if v != other[i] {
+			t.Fatalf("a refused state changed parameter %d", i)
+		}
+	}
+	if _, err := tr.ReadState(good); err != nil {
+		t.Fatalf("a %d-word momentum buffer: %v", n, err)
+	}
+	for i, v := range tr.Model.FlatParams(nil) {
+		if v != before[i] {
+			t.Fatalf("parameter %d not restored", i)
+		}
+	}
+	if got := tr.Opt.Velocity(); len(got) != n {
+		t.Fatalf("restored momentum has %d words, want %d", len(got), n)
 	}
 }
 

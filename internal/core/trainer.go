@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/nn"
@@ -98,6 +99,9 @@ func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 	velocity, err := tensor.Words(momentum)
 	if err != nil {
 		return nil, err
+	}
+	if n := t.Model.ParamCount(); len(velocity) != 0 && len(velocity) != n {
+		return nil, fmt.Errorf("core: state holds a momentum buffer of %d words, the model has %d parameters", len(velocity), n)
 	}
 	if err := t.Model.LoadCheckpoint(model); err != nil {
 		return nil, err

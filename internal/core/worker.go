@@ -15,8 +15,7 @@ type Worker struct {
 	compression float64
 	localSteps  int
 
-	flat []float64 // scratch for the flat parameter vector
-	mask []bool    // round mask: worker scratch, or the shared cache's slice
+	mask []bool // round mask: worker scratch, or the shared cache's slice
 
 	// masks, when set, replaces the per-worker mask scratch with a
 	// fleet-shared cache (see ShareMasks).
@@ -64,8 +63,9 @@ func (w *Worker) RoundMask(seed uint64, round int) []bool {
 }
 
 // MergePeer applies the masked gossip average of Eq. (7) with the pairwise
-// doubly stochastic W: masked coordinates become the mean of the local and
-// peer values; unmasked coordinates are untouched (Algorithm 2 line 10).
+// doubly stochastic W, in place: masked coordinates become the mean of the
+// local and peer values; unmasked coordinates are untouched (Algorithm 2
+// line 10).
 func (w *Worker) MergePeer(peerVals []float64) {
 	if w.mask == nil {
 		panic("core: MergePeer before RoundMask")
@@ -74,22 +74,12 @@ func (w *Worker) MergePeer(peerVals []float64) {
 	if len(peerVals) != k {
 		panic(fmt.Sprintf("core: peer payload %d values, mask has %d", len(peerVals), k))
 	}
-	w.flat = w.Model.FlatParams(w.flat)
+	x, _ := w.Model.Flat()
 	j := 0
 	for i, on := range w.mask {
 		if on {
-			w.flat[i] = 0.5 * (w.flat[i] + peerVals[j])
+			x[i] = 0.5 * (x[i] + peerVals[j])
 			j++
 		}
 	}
-	w.Model.SetFlatParams(w.flat)
-}
-
-// ParamsScratch returns the worker's current flat parameter vector in the
-// worker-owned scratch buffer (valid until the next call touching it). The
-// engine's masked codec extracts the wire payload x̃ = x ∘ m from this
-// vector (Algorithm 2 line 7).
-func (w *Worker) ParamsScratch() []float64 {
-	w.flat = w.Model.FlatParams(w.flat)
-	return w.flat
 }

@@ -116,7 +116,10 @@ func ShareMasks(nodes []Node, codecs []Codec) {
 // parameter snapshot the masked codec sparsifies.
 func (n *MaskedGossipNode) Compute(ctx RoundContext) (float64, []float64, error) {
 	loss := n.W.LocalSGD()
-	return loss, n.W.ParamsScratch(), nil
+	// The live parameters ship: the masked codec copies its values out
+	// before any Merge writes the model (DESIGN §2 "Sender aliasing").
+	x, _ := n.W.Model.Flat()
+	return loss, x, nil
 }
 
 // Merge implements Node: Algorithm 2 lines 6–10 — regenerate the shared

@@ -75,7 +75,7 @@ func applyStates(l Layer, states [][]float64, pos int) int {
 
 // CheckpointSize is the exact number of bytes AppendCheckpoint appends.
 func (m *Model) CheckpointSize() int {
-	size := tensor.SectionSize(len(m.Name)) + tensor.SectionSize(8*m.n)
+	size := tensor.SectionSize(len(m.Name)) + tensor.SectionSize(8*len(m.data))
 	for _, st := range m.collectState() {
 		size += tensor.SectionSize(8 * len(st))
 	}
@@ -83,13 +83,10 @@ func (m *Model) CheckpointSize() int {
 }
 
 // AppendCheckpoint appends the model's parameters and running statistics to
-// dst, straight from the layers' own storage.
+// dst, straight from the model's own storage.
 func (m *Model) AppendCheckpoint(dst []byte) []byte {
 	dst = append(tensor.BeginSection(dst, len(m.Name)), m.Name...)
-	dst = tensor.BeginSection(dst, 8*m.n)
-	for _, p := range m.params {
-		dst = tensor.AppendWords(dst, p.Data)
-	}
+	dst = tensor.AppendVector(dst, m.data)
 	for _, st := range m.collectState() {
 		dst = tensor.AppendVector(dst, st)
 	}
@@ -111,8 +108,8 @@ func (m *Model) LoadCheckpoint(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("nn: load %s: %w", m.Name, err)
 	}
-	if len(params) != 8*m.n {
-		return fmt.Errorf("nn: checkpoint has %d parameter bytes, model has %d params", len(params), m.n)
+	if len(params) != 8*len(m.data) {
+		return fmt.Errorf("nn: checkpoint has %d parameter bytes, model has %d params", len(params), len(m.data))
 	}
 	// collectState's copies have the model's shapes: decode over them.
 	states := m.collectState()
@@ -128,12 +125,8 @@ func (m *Model) LoadCheckpoint(b []byte) error {
 	if len(b) != 0 {
 		return fmt.Errorf("nn: checkpoint has %d bytes beyond the model's %d state entries", len(b), len(states))
 	}
-	for _, p := range m.params {
-		n := 8 * len(p.Data)
-		if err := tensor.DecodeWords(p.Data, params[:n]); err != nil {
-			return err
-		}
-		params = params[n:]
+	if err := tensor.DecodeWords(m.data, params); err != nil {
+		return err
 	}
 	pos := 0
 	for _, l := range m.layers {

@@ -89,14 +89,25 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward accumulates dW, db and returns dx via the im2col adjoint.
-func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix { return c.backward(dout, true) }
+
+// backwardParams implements paramGrader: Backward's dW and db, without Wᵀ,
+// the dcol products or col2im.
+func (c *Conv2D) backwardParams(dout *tensor.Matrix) { c.backward(dout, false) }
+
+// backward is Backward, with dx computed only when wantDx is set; dW and db
+// never read it.
+func (c *Conv2D) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
 	if c.cols == nil {
 		panic("nn: Conv2D.Backward before training Forward")
 	}
 	outHW := c.OutShape.H * c.OutShape.W
-	dx := tensor.NewMatrix(len(c.cols), c.In.Dim())
-	dcol := tensor.NewMatrix(c.In.C*c.K*c.K, outHW)
-	wT := c.w.T()
+	var dx, dcol, wT *tensor.Matrix
+	if wantDx {
+		dx = tensor.NewMatrix(len(c.cols), c.In.Dim())
+		dcol = tensor.NewMatrix(c.In.C*c.K*c.K, outHW)
+		wT = c.w.T()
+	}
 	for i := 0; i < dout.Rows; i++ {
 		g := tensor.MatrixFrom(c.OutC, outHW, dout.Row(i))
 		col := c.cols[i]
@@ -110,20 +121,21 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 				dwRow[r] += tensor.Dot(gRow, col.Row(r))
 			}
 		}
-		// dcol = Wᵀ · g ; dx = col2im(dcol).
-		tensor.MatMulInto(dcol, wT, g)
-		tensor.Col2Im(dcol, c.In.C, c.In.H, c.In.W, c.K, c.K, c.Stride, c.Pad, dx.Row(i))
+		if wantDx {
+			// dcol = Wᵀ · g ; dx = col2im(dcol).
+			tensor.MatMulInto(dcol, wT, g)
+			tensor.Col2Im(dcol, c.In.C, c.In.H, c.In.W, c.K, c.K, c.Stride, c.Pad, dx.Row(i))
+		}
 	}
 	c.cols = nil
 	return dx
 }
 
 // Params returns the kernel and bias tensors.
-func (c *Conv2D) Params() []Param {
-	return []Param{
-		{Name: "conv.w", Data: c.w.Data, Grad: c.dw.Data},
-		{Name: "conv.b", Data: c.b, Grad: c.db},
-	}
+func (c *Conv2D) Params() []Param { return paramsOf(c.slots()) }
+
+func (c *Conv2D) slots() []slot {
+	return []slot{{"conv.w", &c.w.Data, &c.dw.Data}, {"conv.b", &c.b, &c.db}}
 }
 
 var _ Layer = (*Conv2D)(nil)

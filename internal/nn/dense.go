@@ -20,17 +20,22 @@ type Dense struct {
 }
 
 // NewDense returns a dense layer with He-initialized weights.
-func NewDense(in, out int, r *rng.Source) *Dense {
+func NewDense(in, out int, r *rng.Source) *Dense { return newDense(in, out, r, nil) }
+
+// newDense is NewDense with its tensors taken from a.
+func newDense(in, out int, r *rng.Source, a *arena) *Dense {
 	if in < 1 || out < 1 {
 		panic(fmt.Sprintf("nn: Dense(%d,%d)", in, out))
 	}
+	w, dw := a.take(out * in)
+	b, db := a.take(out)
 	d := &Dense{
 		InDim:  in,
 		OutDim: out,
-		w:      tensor.NewMatrix(out, in),
-		b:      make([]float64, out),
-		dw:     tensor.NewMatrix(out, in),
-		db:     make([]float64, out),
+		w:      tensor.MatrixFrom(out, in, w),
+		b:      b,
+		dw:     tensor.MatrixFrom(out, in, dw),
+		db:     db,
 	}
 	std := math.Sqrt(2 / float64(in))
 	for i := range d.w.Data {
@@ -117,7 +122,14 @@ func axpyRows(dst []float64, src *tensor.Matrix, g []float64, stride int, idx []
 // ascending j, each dw row (and db entry) takes g·x[i] over its non-zero
 // gradients in ascending i. A zero gradient is skipped, not multiplied:
 // 0·Inf is NaN.
-func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix { return d.backward(dout, true) }
+
+// backwardParams implements paramGrader: Backward's dW and db, no dx.
+func (d *Dense) backwardParams(dout *tensor.Matrix) { d.backward(dout, false) }
+
+// backward is Backward, with dx computed only when wantDx is set; dW and db
+// never read it.
+func (d *Dense) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before training Forward")
 	}
@@ -125,11 +137,14 @@ func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if need := max(x.Rows, d.OutDim); len(d.nz) < need {
 		d.nz = make([]int32, need)
 	}
-	dx := tensor.GetMatrix(x.Rows, d.InDim)
-	tensor.Fill(dx.Data, 0)
-	for i := 0; i < x.Rows; i++ {
-		g := dout.Row(i)
-		axpyRows(dx.Row(i), d.w, g, 1, d.nz[:nonZero(d.nz, g, 1)])
+	var dx *tensor.Matrix
+	if wantDx {
+		dx = tensor.GetMatrix(x.Rows, d.InDim)
+		tensor.Fill(dx.Data, 0)
+		for i := 0; i < x.Rows; i++ {
+			g := dout.Row(i)
+			axpyRows(dx.Row(i), d.w, g, 1, d.nz[:nonZero(d.nz, g, 1)])
+		}
 	}
 	for j := 0; j < d.OutDim && x.Rows > 0; j++ {
 		g := dout.Data[j:] // column j: one entry every OutDim
@@ -144,11 +159,10 @@ func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 }
 
 // Params returns the weight and bias tensors.
-func (d *Dense) Params() []Param {
-	return []Param{
-		{Name: "dense.w", Data: d.w.Data, Grad: d.dw.Data},
-		{Name: "dense.b", Data: d.b, Grad: d.db},
-	}
+func (d *Dense) Params() []Param { return paramsOf(d.slots()) }
+
+func (d *Dense) slots() []slot {
+	return []slot{{"dense.w", &d.w.Data, &d.dw.Data}, {"dense.b", &d.b, &d.db}}
 }
 
 var _ Layer = (*Dense)(nil)

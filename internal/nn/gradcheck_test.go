@@ -23,7 +23,8 @@ func checkGradients(t *testing.T, m *Model, x *tensor.Matrix, ys []int, nChecks 
 	logits := m.Forward(x, true)
 	_, dl := SoftmaxCrossEntropy(logits, ys)
 	m.Backward(dl)
-	analytic := m.FlatGrads(nil)
+	_, grads := m.Flat()
+	analytic := append([]float64(nil), grads...)
 	params := m.FlatParams(nil)
 
 	r := rng.New(12345)

@@ -7,7 +7,13 @@
 // sample per row (channel-major C×H×W flattening for images). Models expose
 // their parameters as a flat []float64 — the representation every
 // compression and gossip operator in this repository works on (Eq. (2) of
-// the paper).
+// the paper). That vector is the storage itself: NewModel moves every
+// layer's parameters into one contiguous vector, and their gradients into a
+// second, in registry order, so each Param is a subslice of the two (Flat).
+//
+// Model.Backward asks the bottom layer for its parameter gradients only:
+// dL/d(input) of the first layer is the gradient of the data, which nothing
+// reads.
 //
 // A Model is NOT safe for concurrent use; each simulated worker owns its own
 // instance.
@@ -39,11 +45,45 @@ type Layer interface {
 	// Backward consumes dL/d(output) and returns dL/d(input), accumulating
 	// parameter gradients. It must be called exactly once after each
 	// training Forward. The same ownership rule holds: dout is not kept,
-	// the result is fresh and the caller's.
+	// the result is fresh and the caller's. A Model calls it on every layer
+	// but the bottom one, which it asks for its parameter gradients alone
+	// when the layer can give them (see paramGrader).
 	Backward(dout *tensor.Matrix) *tensor.Matrix
 	// Params returns the layer's parameters (views, not copies); empty for
-	// stateless layers.
+	// stateless layers. A layer with parameters also lists where it keeps
+	// them (slotted), so a Model can move them into its flat vectors.
 	Params() []Param
+}
+
+// paramGrader is implemented by layers whose Backward can stop after the
+// parameter gradients. backwardParams accumulates exactly what Backward
+// accumulates, with the same kernel, and computes no dL/d(input) — so the
+// bottom layer of a model skips its largest product and gives the same bits.
+type paramGrader interface {
+	backwardParams(dout *tensor.Matrix)
+}
+
+// slot is where a layer keeps one parameter tensor and its gradient.
+type slot struct {
+	name       string
+	data, grad *[]float64
+}
+
+// slotted is implemented by every layer with parameters: slots lists their
+// storage in Params order, and Params is paramsOf(slots()). NewModel points
+// each slot into the model's flat vectors, so a layer keeps no storage of
+// its own beside them.
+type slotted interface {
+	slots() []slot
+}
+
+// paramsOf returns the parameters the slots hold.
+func paramsOf(slots []slot) []Param {
+	out := make([]Param, len(slots))
+	for i, s := range slots {
+		out[i] = Param{Name: s.name, Data: *s.data, Grad: *s.grad}
+	}
+	return out
 }
 
 // Shape is the image geometry flowing between layers.
@@ -61,30 +101,98 @@ type Model struct {
 	Out    int // output dimension (class count)
 	layers []Layer
 	params []Param
-	n      int
+	// data and grad are every parameter and every gradient, in registry
+	// order: each Param's Data and Grad is a subslice of them.
+	data, grad []float64
 	// acts are the inter-layer matrices of the last training Forward, which
 	// the layers above them cache as inputs until Backward releases them.
 	acts []*tensor.Matrix
 }
 
-// NewModel assembles a sequential model; the parameter registry is built
-// once at construction.
+// NewModel assembles a sequential model. It moves the layers' parameters
+// and gradients, values included, into the model's two flat vectors — or
+// adopts the vectors when the layers were built into an arena and already
+// tile them — and builds the parameter registry over them. A layer belongs
+// to one model.
 func NewModel(name string, in Shape, out int, layers ...Layer) *Model {
 	m := &Model{Name: name, In: in, Out: out, layers: layers}
+	var slots []slot
 	for _, l := range layers {
-		for _, p := range l.Params() {
-			if len(p.Data) != len(p.Grad) {
-				panic(fmt.Sprintf("nn: param %s data/grad length mismatch", p.Name))
-			}
-			m.params = append(m.params, p)
-			m.n += len(p.Data)
+		if s, ok := l.(slotted); ok {
+			slots = append(slots, s.slots()...)
+		} else if len(l.Params()) > 0 {
+			panic(fmt.Sprintf("nn: layer %T has parameters but no slots", l))
 		}
 	}
+	n := 0
+	for _, s := range slots {
+		if len(*s.data) != len(*s.grad) {
+			panic(fmt.Sprintf("nn: param %s data/grad length mismatch", s.name))
+		}
+		n += len(*s.data)
+	}
+	m.data, m.grad = inPlace(slots, n)
+	moved := m.data == nil
+	if moved {
+		m.data, m.grad = make([]float64, n), make([]float64, n)
+	}
+	off := 0
+	for _, s := range slots {
+		end := off + len(*s.data)
+		if moved {
+			copy(m.data[off:end], *s.data)
+			copy(m.grad[off:end], *s.grad)
+		}
+		*s.data, *s.grad = m.data[off:end:end], m.grad[off:end:end]
+		off = end
+	}
+	m.params = paramsOf(slots)
 	return m
 }
 
+// inPlace returns the vectors the slots already tile, in order with nothing
+// between them, as an arena lays them out; nil when they do not.
+func inPlace(slots []slot, n int) (data, grad []float64) {
+	if len(slots) == 0 || cap(*slots[0].data) < n || cap(*slots[0].grad) < n {
+		return nil, nil
+	}
+	data, grad = (*slots[0].data)[:n], (*slots[0].grad)[:n]
+	off := 0
+	for _, s := range slots {
+		if d, g := *s.data, *s.grad; len(d) > 0 && (&d[0] != &data[off] || &g[0] != &grad[off]) {
+			return nil, nil
+		}
+		off += len(*s.data)
+	}
+	return data, grad
+}
+
+// arena hands a model constructor's layers consecutive stretches of the
+// model's two vectors, so that NewModel adopts them instead of copying (no
+// second copy of the parameters is ever allocated). A nil arena gives every
+// tensor storage of its own.
+type arena struct{ data, grad []float64 }
+
+func newArena(n int) *arena { return &arena{make([]float64, n), make([]float64, n)} }
+
+// take returns the next n parameters and their gradients. Their capacity
+// runs to the arena's end, which is how NewModel recognizes the layout.
+func (a *arena) take(n int) (data, grad []float64) {
+	if a == nil {
+		return make([]float64, n), make([]float64, n)
+	}
+	data, grad, a.data, a.grad = a.data[:n], a.grad[:n], a.data[n:], a.grad[n:]
+	return data, grad
+}
+
 // ParamCount returns the total number of scalar parameters N.
-func (m *Model) ParamCount() int { return m.n }
+func (m *Model) ParamCount() int { return len(m.data) }
+
+// Flat returns the model's live parameter and gradient vectors: views, not
+// copies, in registry order. A write through params is a write to the
+// model; the next training step overwrites grads. Use FlatParams for a copy
+// that outlives the model's next change.
+func (m *Model) Flat() (params, grads []float64) { return m.data, m.grad }
 
 // Forward runs the full stack on a batch. The result is the caller's (hand
 // it to tensor.PutMatrix when done, or let it go); x stays the caller's and
@@ -114,15 +222,23 @@ func (m *Model) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // Backward propagates dL/d(logits) back through the stack, accumulating
 // parameter gradients. dout stays the caller's; each inter-layer gradient is
 // recycled once the layer below has consumed it, and the training
-// activations once every layer has.
+// activations once every layer has. The bottom layer computes no input
+// gradient when it can avoid it: nothing below it would read one.
 func (m *Model) Backward(dout *tensor.Matrix) {
 	d := dout
-	for i := len(m.layers) - 1; i >= 0; i-- {
+	for i := len(m.layers) - 1; i > 0; i-- {
 		below := m.layers[i].Backward(d)
 		if d != dout {
 			tensor.PutMatrix(d)
 		}
 		d = below
+	}
+	if len(m.layers) > 0 {
+		if g, ok := m.layers[0].(paramGrader); ok {
+			g.backwardParams(d)
+		} else {
+			tensor.PutMatrix(m.layers[0].Backward(d))
+		}
 	}
 	if d != dout {
 		tensor.PutMatrix(d)
@@ -139,63 +255,35 @@ func (m *Model) releaseActs() {
 }
 
 // ZeroGrads clears all gradient accumulators.
-func (m *Model) ZeroGrads() {
-	for _, p := range m.params {
-		tensor.Fill(p.Grad, 0)
-	}
-}
+func (m *Model) ZeroGrads() { tensor.Fill(m.grad, 0) }
 
 // FlatParams copies all parameters into dst (allocating when dst is nil or
-// mis-sized) and returns it, in deterministic registry order.
+// mis-sized) and returns it, in deterministic registry order. The copy is
+// the caller's: it does not follow the model's later changes.
 func (m *Model) FlatParams(dst []float64) []float64 {
-	if len(dst) != m.n {
-		dst = make([]float64, m.n)
+	if len(dst) != len(m.data) {
+		dst = make([]float64, len(m.data))
 	}
-	off := 0
-	for _, p := range m.params {
-		copy(dst[off:], p.Data)
-		off += len(p.Data)
-	}
+	copy(dst, m.data)
 	return dst
 }
 
-// SetFlatParams writes the flat vector back into the layer parameters. It
-// panics if the length differs from ParamCount.
+// SetFlatParams overwrites the parameters with src. It panics if the length
+// differs from ParamCount.
 func (m *Model) SetFlatParams(src []float64) {
-	if len(src) != m.n {
-		panic(fmt.Sprintf("nn: SetFlatParams length %d != %d", len(src), m.n))
+	if len(src) != len(m.data) {
+		panic(fmt.Sprintf("nn: SetFlatParams length %d != %d", len(src), len(m.data)))
 	}
-	off := 0
-	for _, p := range m.params {
-		copy(p.Data, src[off:off+len(p.Data)])
-		off += len(p.Data)
-	}
-}
-
-// FlatGrads copies all gradients into dst (allocating as needed).
-func (m *Model) FlatGrads(dst []float64) []float64 {
-	if len(dst) != m.n {
-		dst = make([]float64, m.n)
-	}
-	off := 0
-	for _, p := range m.params {
-		copy(dst[off:], p.Grad)
-		off += len(p.Grad)
-	}
-	return dst
+	copy(m.data, src)
 }
 
 // AddFlatToParams performs params += scale * v, the flat-vector SGD step
 // x ← x − γg when scale = −γ and v = gradients.
 func (m *Model) AddFlatToParams(scale float64, v []float64) {
-	if len(v) != m.n {
-		panic(fmt.Sprintf("nn: AddFlatToParams length %d != %d", len(v), m.n))
+	if len(v) != len(m.data) {
+		panic(fmt.Sprintf("nn: AddFlatToParams length %d != %d", len(v), len(m.data)))
 	}
-	off := 0
-	for _, p := range m.params {
-		tensor.Axpy(scale, v[off:off+len(p.Data)], p.Data)
-		off += len(p.Data)
-	}
+	tensor.Axpy(scale, v, m.data)
 }
 
 // Params exposes the parameter registry.

@@ -170,7 +170,9 @@ func TestModelReleasesEachMatrixOnce(t *testing.T) {
 	if len(m.acts) != 0 {
 		t.Fatalf("%d held activations after Backward", len(m.acts))
 	}
-	sameBits(t, "grads", m.FlatGrads(nil), twin.FlatGrads(nil))
+	_, grads := m.Flat()
+	_, twinGrads := twin.Flat()
+	sameBits(t, "grads", grads, twinGrads)
 	sameBits(t, "caller's dlogits after Backward", dl2.Data, dl.Data)
 
 	drainDistinct(t, x, logits, evalOut, dl, dl2)

@@ -93,13 +93,14 @@ func NewResNet20(seed uint64) *Model {
 // the quadratic-convergence checks.
 func NewMLP(inDim int, hidden []int, classes int, seed uint64) *Model {
 	r := rng.New(seed)
+	a := newArena(MLPParamCount(inDim, hidden, classes))
 	var layers []Layer
 	prev := inDim
 	for _, h := range hidden {
-		layers = append(layers, NewDense(prev, h, r), NewReLU())
+		layers = append(layers, newDense(prev, h, r, a), NewReLU())
 		prev = h
 	}
-	layers = append(layers, NewDense(prev, classes, r))
+	layers = append(layers, newDense(prev, classes, r, a))
 	return NewModel("mlp", Shape{C: 1, H: 1, W: inDim}, classes, layers...)
 }
 

@@ -153,11 +153,10 @@ func (b *BatchNorm2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 }
 
 // Params returns γ and β.
-func (b *BatchNorm2D) Params() []Param {
-	return []Param{
-		{Name: "bn.gamma", Data: b.gamma, Grad: b.dgamma},
-		{Name: "bn.beta", Data: b.beta, Grad: b.dbeta},
-	}
+func (b *BatchNorm2D) Params() []Param { return paramsOf(b.slots()) }
+
+func (b *BatchNorm2D) slots() []slot {
+	return []slot{{"bn.gamma", &b.gamma, &b.dgamma}, {"bn.beta", &b.beta, &b.dbeta}}
 }
 
 // RunningState implements Stateful: running mean followed by running

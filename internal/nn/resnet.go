@@ -116,14 +116,15 @@ func (b *Residual) Backward(dout *tensor.Matrix) *tensor.Matrix {
 }
 
 // Params concatenates the parameters of all constituent layers.
-func (b *Residual) Params() []Param {
-	out := append([]Param{}, b.conv1.Params()...)
-	out = append(out, b.bn1.Params()...)
-	out = append(out, b.conv2.Params()...)
-	out = append(out, b.bn2.Params()...)
+func (b *Residual) Params() []Param { return paramsOf(b.slots()) }
+
+func (b *Residual) slots() []slot {
+	out := append(b.conv1.slots(), b.bn1.slots()...)
+	out = append(out, b.conv2.slots()...)
+	out = append(out, b.bn2.slots()...)
 	if b.projConv != nil {
-		out = append(out, b.projConv.Params()...)
-		out = append(out, b.projBN.Params()...)
+		out = append(out, b.projConv.slots()...)
+		out = append(out, b.projBN.slots()...)
 	}
 	return out
 }

@@ -29,23 +29,18 @@ type SGD struct {
 
 // Step applies one update using the model's accumulated gradients.
 func (s *SGD) Step(m *Model) {
+	x, grads := m.Flat()
 	if s.Momentum == 0 {
-		for _, p := range m.Params() {
-			tensor.Axpy(-s.LR, p.Grad, p.Data)
-		}
+		tensor.Axpy(-s.LR, grads, x)
 		return
 	}
-	if len(s.velocity) != m.ParamCount() {
-		s.velocity = make([]float64, m.ParamCount())
+	if len(s.velocity) != len(x) {
+		s.velocity = make([]float64, len(x))
 	}
-	off := 0
-	for _, p := range m.Params() {
-		v := s.velocity[off : off+len(p.Data)]
-		for i, g := range p.Grad {
-			v[i] = s.Momentum*v[i] + g
-			p.Data[i] -= s.LR * v[i]
-		}
-		off += len(p.Data)
+	v, x := s.velocity[:len(grads)], x[:len(grads)]
+	for i, g := range grads {
+		v[i] = s.Momentum*v[i] + g
+		x[i] -= s.LR * v[i]
 	}
 }
 

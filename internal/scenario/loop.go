@@ -121,15 +121,14 @@ func evalMean(models []*nn.Model, valid *dataset.Dataset) (loss, acc float64) {
 	host := models[0]
 	dim := host.ParamCount()
 	mean := tensor.GetVec(dim)
-	flat := tensor.GetVecRaw(dim)  // fully written by FlatParams
 	saved := tensor.GetVecRaw(dim) // fully written by FlatParams
 	defer func() {
 		tensor.PutVec(mean)
-		tensor.PutVec(flat)
 		tensor.PutVec(saved)
 	}()
 	for _, m := range models {
-		tensor.Axpy(1/float64(len(models)), m.FlatParams(flat), mean)
+		x, _ := m.Flat()
+		tensor.Axpy(1/float64(len(models)), x, mean)
 	}
 	saved = host.FlatParams(saved)
 	host.SetFlatParams(mean)
