@@ -102,6 +102,10 @@ type Generator struct {
 	matcher   graph.Matcher
 	rnd       rng.Source
 
+	// maxMatch calls that skipped the augmentation and that ran it, summed
+	// (tests read them).
+	elided, augmented int
+
 	pm obs.PlannerMetrics
 }
 
@@ -319,12 +323,23 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 	}
 	g.candidate = candidate
 
-	// Line 5: bandwidth-preferring maximum match on the candidate edges.
-	match, free := g.maxMatch(candidate, rnd)
+	// Line 5: bandwidth-preferring maximum match on the candidate edges,
+	// which join only active workers.
+	live := n
+	if active != nil {
+		live = 0
+		for _, a := range active {
+			if a {
+				live++
+			}
+		}
+	}
+	match, free := g.maxMatch(candidate, rnd, live)
 
 	// Lines 6–8: complete the matching over still-unmatched active workers
-	// using the unfiltered bandwidth matrix.
-	if match.Size() < n/2 {
+	// using the unfiltered bandwidth matrix. With fewer than two of them
+	// left there is no pair to complete.
+	if left := live - 2*match.Size(); left >= 2 {
 		extra := g.extra[:0]
 		g.bw.ForEachEdge(0, func(u, v int, w float64) {
 			if match[u] == -1 && match[v] == -1 && isActive(u) && isActive(v) {
@@ -335,7 +350,7 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 		// Without a link between two leftover workers there is nothing to
 		// complete (rnd is per-round, so skipping its draws changes nothing).
 		if len(extra) > 0 {
-			second, _ := g.maxMatch(extra, rnd)
+			second, _ := g.maxMatch(extra, rnd, left)
 			for v, p := range second {
 				if p > v && match[v] == -1 && match[p] == -1 {
 					match[v] = p
@@ -364,22 +379,34 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 }
 
 // maxMatch is graph.BandwidthAwareMaximumMatching on the generator's
-// workspace, split into its steps so the metrics can time them. It also
-// returns how many vertices the greedy seed left free (0 with metrics off).
-func (g *Generator) maxMatch(edges []graph.WeightedEdge, rnd *rng.Source) (graph.Matching, int) {
+// workspace, split into its steps so the metrics can time them, for edges
+// joining only live vertices. It also returns how many vertices the greedy
+// seed left free (0 with metrics off).
+//
+// Each call is rnd's last reader once its seed leaves at most one live
+// vertex free: the round's stream is reseeded every round, the augmentation
+// has no path to find, and lines 6–8 have no pair to complete. So the
+// greedy scan stops there and the graph build and the augmentation's
+// shuffles are skipped, with the matching unchanged.
+func (g *Generator) maxMatch(edges []graph.WeightedEdge, rnd *rng.Source, live int) (graph.Matching, int) {
 	timed := g.pm.Enabled()
 	var t0, t1 time.Time
-	g.matcher.Load(g.n, edges)
 	if timed {
 		t0 = time.Now()
 	}
-	match := g.matcher.GreedyWeightedMatching(g.n, edges, rnd)
+	match := g.matcher.GreedyLive(g.n, edges, rnd, live)
 	free := 0
 	if timed {
 		t1 = time.Now()
 		free = g.n - 2*match.Size()
 	}
-	g.matcher.Augment(match, rnd)
+	if live-2*match.Size() >= 2 {
+		g.matcher.Load(g.n, edges)
+		g.matcher.Augment(match, rnd)
+		g.augmented++
+	} else {
+		g.elided++
+	}
 	if timed {
 		g.pm.GreedySecondsTotal.Add(t1.Sub(t0).Seconds())
 		g.pm.AugmentSecondsTotal.Add(time.Since(t1).Seconds())

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -37,20 +38,32 @@ func churnMask(n int, r *rng.Source, prev []bool) []bool {
 	}
 }
 
+// coverage counts the planner regimes a lockstep run went through: forced
+// rounds, rounds in which a maxMatch call skipped the augmentation (its seed
+// left at most one live vertex free), and rounds in which one ran it.
+type coverage struct{ forced, elided, augmented int }
+
+func (c *coverage) add(o coverage) {
+	c.forced += o.forced
+	c.elided += o.elided
+	c.augmented += o.augmented
+}
+
 // runPair drives the sparse Generator and the dense ReferenceGenerator in
-// lockstep and fails on the first diverging round. Returns the number of
-// forced rounds observed.
-func runPair(t *testing.T, bw *netsim.Bandwidth, cfg Config, seed uint64, rounds int, churn bool) int {
+// lockstep and fails on the first diverging round. Returns the regimes
+// covered.
+func runPair(t *testing.T, bw *netsim.Bandwidth, cfg Config, seed uint64, rounds int, churn bool) coverage {
 	t.Helper()
 	sparse := NewGenerator(bw, cfg, seed)
 	dense := NewReferenceGenerator(bw, cfg, seed)
 	var active []bool
 	ar := rng.New(seed).Derive(0xac7e)
-	forced := 0
+	var cov coverage
 	for round := 0; round < rounds; round++ {
 		if churn {
 			active = churnMask(bw.N, ar, active)
 		}
+		elided, augmented := sparse.elided, sparse.augmented
 		rs := sparse.NextActive(round, active)
 		rd := dense.NextActive(round, active)
 		if rs.Forced != rd.Forced {
@@ -60,28 +73,46 @@ func runPair(t *testing.T, bw *netsim.Bandwidth, cfg Config, seed uint64, rounds
 			t.Fatalf("round %d (cfg %+v churn %v): matchings diverge\nsparse %v\ndense  %v", round, cfg, churn, rs.Match, rd.Match)
 		}
 		if rs.Forced {
-			forced++
+			cov.forced++
+		}
+		if sparse.elided > elided {
+			cov.elided++
+		}
+		if sparse.augmented > augmented {
+			cov.augmented++
 		}
 	}
-	return forced
+	return cov
 }
 
 // TestSparseGeneratorBitIdenticalToReference is the tentpole equivalence
 // property: the sparse planner's matching sequence is bit-identical to the
-// retained dense formulation for N ∈ {8, 64, 512} across ≥ 5 seeds, with and
-// without churn, and the sweep demonstrably covers forced-connectivity
-// rounds at every N.
+// retained dense formulation for N ∈ {8, 63, 64, 512} across ≥ 5 seeds and
+// on the saps512 workload's complete environment, with and without churn.
+// The sweep demonstrably covers forced-connectivity rounds at every N, and
+// on every complete environment both sides of the dead-draw rule: rounds
+// whose augmentation was skipped and rounds where it ran. (The degree-8
+// seed leaves about a tenth of the fleet free, so it always augments.)
 func TestSparseGeneratorBitIdenticalToReference(t *testing.T) {
-	sizes := []int{8, 64, 512}
-	for _, n := range sizes {
+	check := func(what string, cov coverage, complete bool) {
+		t.Helper()
+		if cov.forced == 0 {
+			t.Fatalf("%s: no forced rounds covered — tighten the configs", what)
+		}
+		if complete && (cov.elided == 0 || cov.augmented == 0) {
+			t.Fatalf("%s: %d rounds skipped the augmentation and %d ran it, want both", what, cov.elided, cov.augmented)
+		}
+	}
+	rounds512 := 20
+	if testing.Short() {
+		rounds512 = 8
+	}
+	for _, n := range []int{8, 63, 64, 512} {
 		rounds := 40
 		if n == 512 {
-			rounds = 20
-			if testing.Short() {
-				rounds = 8
-			}
+			rounds = rounds512
 		}
-		forcedTotal := 0
+		var cov coverage
 		for seed := uint64(1); seed <= 5; seed++ {
 			// Small fleets use the paper-style complete environment. At 512
 			// a complete graph would make every TThres=1 round match over
@@ -103,14 +134,30 @@ func TestSparseGeneratorBitIdenticalToReference(t *testing.T) {
 				bw = netsim.NewBandwidth(raw)
 			}
 			for _, cfg := range equivConfigs {
-				forcedTotal += runPair(t, bw, cfg, seed, rounds, false)
-				forcedTotal += runPair(t, bw, cfg, seed, rounds, true)
+				cov.add(runPair(t, bw, cfg, seed, rounds, false))
+				cov.add(runPair(t, bw, cfg, seed, rounds, true))
 			}
 		}
-		if forcedTotal == 0 {
-			t.Fatalf("n=%d: no forced rounds covered — tighten the configs", n)
+		check(fmt.Sprintf("n=%d", n), cov, n <= 64)
+	}
+
+	// saps512: the complete 512 environment under the workload's config,
+	// where the greedy seed is usually perfect. TThres 1 forces every
+	// round, and over the complete graph each of those matches all ~130k
+	// links: a few rounds of it cover the forced regime.
+	var cov coverage
+	seeds := []uint64{7, 11}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		bw := netsim.RandomUniform(512, 0.5, 5, rng.New(seed))
+		for _, churn := range []bool{false, true} {
+			cov.add(runPair(t, bw, plannerConfig, seed, rounds512, churn))
+			cov.add(runPair(t, bw, Config{BThres: 1, TThres: 1}, seed, 2, churn))
 		}
 	}
+	check("saps512", cov, true)
 }
 
 // TestGeneratorRejectsDecreasingRounds documents the sparse planner's one

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 
 	"sapspsgd/internal/rng"
@@ -13,19 +14,26 @@ import (
 // Matcher. Results never depend on what the workspace did before. The zero
 // value is ready to use; a Matcher is not safe for concurrent use.
 type Matcher struct {
-	// Greedy pass, all by edge index: the shuffled order, its stable sort
-	// (the scan order), the edges skipped on the first scan, and the counting
-	// sort's per-position bucket ranks, distinct buckets (descending) and
-	// output cursors.
-	perm, scan, skipped    []int32
-	ranks, buckets, cursor []int
+	// Greedy pass: the shuffled edge order, its stable sort (the scan
+	// order) and the edges skipped on the first scan, all as edge indices;
+	// every edge's bucket rank by edge index (fewer than 6,600 buckets span
+	// the float64 range), the counting sort's cursors, and the bucket
+	// thresholds the ranks are read off.
+	perm, scan, skipped []int32
+	rank                []uint16
+	cursor              []int
+	buckets             bucketTable
 
 	solver blossomSolver
 }
 
-// shuffle applies rnd's Fisher-Yates permutation to s.
+// shuffle applies rnd's Fisher-Yates permutation to s: the draws and swaps
+// of rnd.Shuffle, without a call through a closure per swap.
 func shuffle[T any](rnd *rng.Source, s []T) {
-	rnd.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	for i := len(s) - 1; i > 0; i-- {
+		j := rnd.Intn(i + 1)
+		s[i], s[j] = s[j], s[i]
+	}
 }
 
 // resize returns s with length n, reallocating only when it must; the
@@ -46,27 +54,50 @@ func unmatched(n int) Matching {
 // GreedyWeightedMatching is the package-level GreedyWeightedMatching on
 // workspace buffers. The returned matching is freshly allocated.
 func (m *Matcher) GreedyWeightedMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
+	return m.GreedyLive(n, edges, rnd, math.MaxInt)
+}
+
+// GreedyLive is GreedyWeightedMatching for a caller that is rnd's last
+// reader once the seed leaves at most one of its live vertices free —
+// Generator.NextActive, whose stream is reseeded every round. Every edge
+// must join two of those live vertices (or be one the greedy pass ignores).
+// With at most one left free no edge can be taken and no augmenting path
+// exists, so the scan stops there and the draws it would still make are
+// never drawn; up to that point, and throughout when two or more stay
+// free, the draws and the matching are GreedyWeightedMatching's.
+func (m *Matcher) GreedyLive(n int, edges []WeightedEdge, rnd *rng.Source, live int) Matching {
 	match := unmatched(n)
-	take := func(e WeightedEdge) {
+	if live <= 1 {
+		return match
+	}
+	// take matches edge i if both its ends are free and reports whether
+	// the scan is over.
+	take := func(i int32) bool {
+		e := edges[i]
 		if e.U == e.V || e.U < 0 || e.V < 0 || e.U >= n || e.V >= n {
-			return
+			return false
 		}
 		if match[e.U] == -1 && match[e.V] == -1 {
 			match[e.U] = e.V
 			match[e.V] = e.U
+			live -= 2
 		}
+		return live <= 1
 	}
 	const skipProb = 0.1
 	skipped := m.skipped[:0]
+	done := false
 	for _, i := range m.scanOrder(edges, rnd) {
 		if rnd != nil && rnd.Float64() < skipProb {
 			skipped = append(skipped, i)
 			continue
 		}
-		take(edges[i])
+		if done = take(i); done {
+			break
+		}
 	}
-	for _, i := range skipped {
-		take(edges[i])
+	for k := 0; k < len(skipped) && !done; k++ {
+		done = take(skipped[k])
 	}
 	m.skipped = skipped
 	return match
@@ -96,51 +127,126 @@ func (m *Matcher) scanOrder(edges []WeightedEdge, rnd *rng.Source) []int32 {
 		})
 		return perm
 	}
-	shuffle(rnd, perm)
 
-	// One weightBucket per edge; the occupied buckets are few (a 25% band
-	// each), so they are kept as a small descending list.
-	ranks, buckets := m.ranks[:0], m.buckets[:0]
-	for _, i := range perm {
-		b := weightBucket(edges[i].Weight)
-		ranks = append(ranks, b)
-		if at := bucketRank(buckets, b); at == len(buckets) || buckets[at] != b {
-			buckets = slices.Insert(buckets, at, b)
-		}
+	// One counting sort on the bucket rank, read off the threshold table in
+	// edge order. end[r] starts one past bucket r's last slot.
+	t := &m.buckets
+	t.build(edges)
+	end := resize(m.cursor, t.ranks())
+	clear(end)
+	rank := resize(m.rank, len(edges))
+	for i := range edges {
+		r := t.rank(edges[i].Weight)
+		rank[i] = uint16(r)
+		end[r]++
 	}
-	cursor := resize(m.cursor, len(buckets)+1)
-	clear(cursor)
-	for k, b := range ranks {
-		r := bucketRank(buckets, b)
-		ranks[k] = r
-		cursor[r+1]++
+	for r := 1; r < len(end); r++ {
+		end[r] += end[r-1]
 	}
-	for r := 1; r < len(cursor); r++ {
-		cursor[r] += cursor[r-1]
-	}
+	// rnd.Shuffle's Fisher-Yates, inlined: step i fixes position i of the
+	// shuffled order, last to first, so each edge drops into the back of its
+	// bucket the moment its position is final — the stable sort of the
+	// shuffled order without a second pass over it.
 	scan := resize(m.scan, len(perm))
-	for k, i := range perm {
-		r := ranks[k]
-		scan[cursor[r]] = i
-		cursor[r]++
+	for i := len(perm) - 1; i >= 0; i-- {
+		if i > 0 {
+			j := rnd.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		x := perm[i]
+		r := rank[x]
+		end[r]--
+		scan[end[r]] = x
 	}
-	m.ranks, m.buckets, m.cursor, m.scan = ranks, buckets, cursor, scan
+	m.rank, m.cursor, m.scan = rank, end, scan
 	return scan
 }
 
-// bucketRank returns the position bucket b has, or would be inserted at, in
-// the descending list buckets.
-func bucketRank(buckets []int, b int) int {
-	lo, hi := 0, len(buckets)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if buckets[mid] > b {
-			lo = mid + 1
-		} else {
-			hi = mid
+// maxThresholds bounds the thresholds a bucketTable bisects: a spread of
+// weights wider than that many buckets reads the rest off weightBucket.
+const maxThresholds = 32
+
+// bucketTable ranks weights by descending weightBucket without a logarithm
+// per weight. Between the smallest and the largest finite positive weight
+// of a call it holds each bucket boundary as the smallest float64 that
+// weightBucket puts on or above it, found by bisection with weightBucket
+// itself; a weight's bucket is then the number of thresholds above it.
+// That is exact because weightBucket is non-decreasing.
+//
+// Rank 0 is +Inf, rank 1+k is bucket top−k, and the last rank holds the
+// non-positive and NaN weights — descending weightBucket order.
+type bucketTable struct {
+	top  int       // bucket of the largest finite positive weight
+	span int       // top minus the bucket of the smallest one
+	thr  []float64 // thr[k]: the smallest float64 of bucket ≥ top−k, descending
+}
+
+// build fits the table to the finite positive weights of edges.
+func (t *bucketTable) build(edges []WeightedEdge) {
+	lo, hi := math.MaxFloat64, 0.0
+	for _, e := range edges {
+		// Plain comparisons: min and max would order NaN and ±0 too.
+		if w := e.Weight; w > 0 && w <= math.MaxFloat64 {
+			if w < lo {
+				lo = w
+			}
+			if w > hi {
+				hi = w
+			}
 		}
 	}
-	return lo
+	t.thr = t.thr[:0]
+	t.top, t.span = 0, 0
+	if hi == 0 {
+		return
+	}
+	t.top = weightBucket(hi)
+	t.span = t.top - weightBucket(lo)
+	for b := t.top; b > t.top-min(t.span, maxThresholds); b-- {
+		hi = threshold(b, lo, hi)
+		t.thr = append(t.thr, hi)
+	}
+}
+
+// threshold returns the smallest float64 in (lo, hi] with weightBucket at
+// least b, given weightBucket(lo) < b ≤ weightBucket(hi). Positive floats
+// order like their bit patterns, so it bisects those: at most 64 calls.
+func threshold(b int, lo, hi float64) float64 {
+	l, h := math.Float64bits(lo), math.Float64bits(hi)
+	for h-l > 1 {
+		mid := l + (h-l)/2
+		if weightBucket(math.Float64frombits(mid)) >= b {
+			h = mid
+		} else {
+			l = mid
+		}
+	}
+	return math.Float64frombits(h)
+}
+
+// ranks is the number of ranks rank returns.
+func (t *bucketTable) ranks() int { return t.span + 3 }
+
+// rank returns w's position in descending bucket order. A finite positive w
+// must lie within the weights the table was built from.
+func (t *bucketTable) rank(w float64) int {
+	switch {
+	case !(w > 0):
+		return t.span + 2
+	case w > math.MaxFloat64:
+		return 0
+	}
+	r := 1
+	for _, x := range t.thr {
+		if w < x {
+			r++
+		}
+	}
+	if r > len(t.thr) && len(t.thr) < t.span {
+		// Below the table's reach.
+		return 1 + t.top - weightBucket(w)
+	}
+	return r
 }
 
 // Load makes NewFromEdges(n, edges) the graph the next Augment completes a

@@ -34,10 +34,17 @@ func GreedyWeightedMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matchi
 
 // weightBucket maps a weight onto a coarse logarithmic scale (~25% bands):
 // weights in the same band count as equal for sorting, so their relative
-// order is randomized by the pre-shuffle.
+// order is randomized by the pre-shuffle. Non-positive and NaN weights share
+// the bottom bucket and +Inf is the top one (Go leaves the conversion of an
+// infinite or NaN Floor to int implementation-defined). The function is
+// non-decreasing, which is what lets scanOrder bucket by comparison against
+// bisected thresholds (bucket_test.go pins it around every boundary).
 func weightBucket(w float64) int {
-	if w <= 0 {
+	switch {
+	case !(w > 0):
 		return math.MinInt32
+	case w > math.MaxFloat64:
+		return math.MaxInt32
 	}
 	return int(math.Floor(math.Log(w) / logBand))
 }

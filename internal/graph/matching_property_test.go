@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -73,8 +74,16 @@ func TestWeightBucket(t *testing.T) {
 	if weightBucket(0) != weightBucket(-1) {
 		t.Fatal("non-positive weights share the sentinel bucket")
 	}
-	if weightBucket(0) >= weightBucket(0.001) {
+	if weightBucket(0) >= weightBucket(math.SmallestNonzeroFloat64) {
 		t.Fatal("sentinel bucket must sort below any positive weight")
+	}
+	// +Inf and NaN used to take whatever Go's float→int conversion gave
+	// Floor(Log(w)): MinInt64 on amd64, below even the sentinel bucket.
+	if weightBucket(math.Inf(1)) <= weightBucket(math.MaxFloat64) {
+		t.Fatal("+Inf must be the top bucket")
+	}
+	if weightBucket(math.NaN()) != weightBucket(0) {
+		t.Fatal("NaN joins the non-positive sentinel bucket")
 	}
 }
 

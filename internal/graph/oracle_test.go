@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"encoding/binary"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sapspsgd/internal/rng"
@@ -251,16 +255,25 @@ func awkwardEdges(c oracleCase, r *rng.Source) []WeightedEdge {
 		WeightedEdge{U: n + 3, V: -2, Weight: 9})
 }
 
+var recordFuzzCorpus = flag.Bool("record-fuzz-corpus", false,
+	"rewrite testdata/fuzz/FuzzGreedyMatchesReference from the oracle cases")
+
 // TestGreedyMatchesReference pins the typed sorts against sort.SliceStable:
 // same matching, same RNG position, on clean and on awkward edge lists.
+// With -record-fuzz-corpus its awkward lists of up to 64 vertices become
+// FuzzGreedyMatchesReference's seed corpus.
 func TestGreedyMatchesReference(t *testing.T) {
 	var shared Matcher
+	corpus := map[string][]byte{}
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, c := range oracleCases(seed, testing.Short()) {
 			for _, awkward := range []bool{false, true} {
 				edges := c.edges
 				if awkward {
 					edges = awkwardEdges(c, rng.New(seed).Derive(7))
+					if seed == 1 && c.n <= 64 {
+						corpus[fmt.Sprintf("%s-%d", c.name, c.n)] = fuzzEdges(c.n, edges)
+					}
 				}
 				for _, randomized := range []bool{false, true} {
 					what := fmt.Sprintf("%s n=%d seed=%d rnd=%v awkward=%v", c.name, c.n, seed, randomized, awkward)
@@ -275,6 +288,80 @@ func TestGreedyMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	if *recordFuzzCorpus {
+		dir := filepath.Join("testdata", "fuzz", "FuzzGreedyMatchesReference")
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range corpus {
+			file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// fuzzEdges encodes n and an edge list the way FuzzGreedyMatchesReference
+// decodes them: one byte for n−1, then ten bytes an edge — each endpoint
+// plus one, and the weight's bits.
+func fuzzEdges(n int, edges []WeightedEdge) []byte {
+	data := []byte{byte(n - 1)}
+	for _, e := range edges {
+		data = append(data, byte(e.U+1), byte(e.V+1))
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(e.Weight))
+	}
+	return data
+}
+
+// unfuzzEdges inverts fuzzEdges: n is 1..64 and endpoints run from −1 to 254,
+// so loops and endpoints outside 0..n−1 occur.
+func unfuzzEdges(data []byte) (int, []WeightedEdge) {
+	n := 1 + int(data[0])%64
+	var edges []WeightedEdge
+	for rec := data[1:]; len(rec) >= 10; rec = rec[10:] {
+		w := math.Float64frombits(binary.LittleEndian.Uint64(rec[2:]))
+		edges = append(edges, WeightedEdge{U: int(rec[0]) - 1, V: int(rec[1]) - 1, Weight: w})
+	}
+	return n, edges
+}
+
+// FuzzGreedyMatchesReference: bytes → n ≤ 64 and an edge list with arbitrary
+// float64 weights. The greedy seed, randomized and not, and (on the list's
+// valid, duplicate-free edges) the composed BandwidthAwareMaximumMatching
+// return the reference's matching and leave rnd at the reference's draw.
+func FuzzGreedyMatchesReference(f *testing.F) {
+	f.Add(fuzzEdges(4, []WeightedEdge{{0, 1, math.Inf(1)}, {1, 2, math.NaN()}, {2, 3, 0}, {0, 3, math.MaxFloat64}, {0, 0, 1}, {-1, 2, 1}}))
+	f.Add(fuzzEdges(3, []WeightedEdge{{0, 1, math.SmallestNonzeroFloat64}, {1, 2, 1e300}, {0, 2, -1}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n, edges := unfuzzEdges(data)
+		seed := uint64(len(data))
+		for _, randomized := range []bool{false, true} {
+			what := fmt.Sprintf("n=%d %d edges rnd=%v", n, len(edges), randomized)
+			refRnd, rnd := sources(randomized, seed)
+			sameMatching(t, what, GreedyWeightedMatching(n, edges, rnd), refGreedyWeightedMatching(n, edges, refRnd))
+			sameStream(t, what, rnd, refRnd)
+		}
+		seen := map[[2]int]bool{}
+		var valid []WeightedEdge
+		for _, e := range edges {
+			key := [2]int{min(e.U, e.V), max(e.U, e.V)}
+			if e.U != e.V && key[0] >= 0 && key[1] < n && !seen[key] {
+				seen[key] = true
+				valid = append(valid, e)
+			}
+		}
+		refRnd, rnd := sources(true, seed)
+		what := fmt.Sprintf("n=%d %d valid edges, composed", n, len(valid))
+		sameMatching(t, what, BandwidthAwareMaximumMatching(n, valid, rnd), refBandwidthAwareMaximumMatching(n, valid, refRnd))
+		sameStream(t, what, rnd, refRnd)
+	})
 }
 
 // TestBandwidthAwareMatchesReference pins the composed pipeline Algorithm 3
@@ -302,7 +389,7 @@ func TestWeightBucketMatchesReference(t *testing.T) {
 			t.Fatalf("weightBucket(%v) = %d, reference %d", w, weightBucket(w), refWeightBucket(w))
 		}
 	}
-	for _, w := range []float64{0, -1, 1, 1.25, 1.5625, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+	for _, w := range []float64{0, -1, 1, 1.25, 1.5625, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
 		if weightBucket(w) != refWeightBucket(w) {
 			t.Fatalf("weightBucket(%v) = %d, reference %d", w, weightBucket(w), refWeightBucket(w))
 		}

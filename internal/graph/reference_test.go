@@ -10,7 +10,8 @@ import (
 // This file is the independent oracle for the matching core: the solver and
 // the greedy pass exactly as they stood before the Matcher workspace — full
 // O(N) resets per search, O(N) sweeps per contraction, sort.SliceStable with
-// two math.Log calls per comparison. It is kept verbatim (only renamed) so
+// two math.Log calls per comparison. It is kept verbatim (only renamed, and
+// refWeightBucket given weightBucket's explicit NaN/+Inf rule) so
 // oracle_test.go can pin that the production code returns element-for-element
 // equal matchings and consumes the RNG identically. The gossip lockstep suite
 // cannot serve: ReferenceGenerator calls the same graph functions.
@@ -209,9 +210,15 @@ func refGreedyWeightedMatching(n int, edges []WeightedEdge, rnd *rng.Source) Mat
 	return m
 }
 
+// refWeightBucket carries one deliberate change from the verbatim original:
+// the explicit NaN/+Inf branches weightBucket gained (NaN to the bottom
+// bucket, +Inf to the top), where Go's float→int conversion used to decide.
 func refWeightBucket(w float64) int {
-	if w <= 0 {
+	if !(w > 0) {
 		return math.MinInt32
+	}
+	if math.IsInf(w, 1) {
+		return math.MaxInt32
 	}
 	return int(math.Floor(math.Log(w) / math.Log(1.25)))
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -109,7 +110,8 @@ func throughputMBps(totalBytes int, elapsed time.Duration) float64 {
 // symmetrization. A pair whose probes failed both ways takes its speed from
 // fallback, the configured environment: left at 0 it would be no link at all,
 // and the first ring or hub exchange routed over it would have nothing to
-// charge. It is an error when fallback is nil or has no such link either.
+// charge. It is an error when fallback is nil or has no such link either,
+// and when a report holds a negative, NaN or infinite speed.
 func AssembleBandwidth(n int, reports []MeasureReport, fallback *netsim.Bandwidth) (*netsim.Bandwidth, error) {
 	raw := make([][]float64, n)
 	for i := range raw {
@@ -124,6 +126,13 @@ func AssembleBandwidth(n int, reports []MeasureReport, fallback *netsim.Bandwidt
 			return nil, fmt.Errorf("transport: duplicate report from rank %d", r.Rank)
 		}
 		seen[r.Rank] = true
+		for peer, v := range r.MBps {
+			// A NaN would read as no link after the min below, and +Inf
+			// as a link that costs nothing.
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("transport: rank %d reported %v MB/s to peer %d", r.Rank, v, peer)
+			}
+		}
 		copy(raw[r.Rank], r.MBps)
 	}
 	for i, ok := range seen {

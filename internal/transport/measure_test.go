@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -81,6 +83,26 @@ func TestAssembleBandwidthFallsBackOnFailedPair(t *testing.T) {
 		_, err := AssembleBandwidth(3, reports, fallback)
 		if err == nil || !strings.Contains(err.Error(), "ranks 0 and 1") {
 			t.Fatalf("fallback %s: error %v does not name the pair", name, err)
+		}
+	}
+}
+
+// TestAssembleBandwidthRejectsNonFiniteSpeeds: one NaN entry made min(NaN, b)
+// NaN, which NewBandwidth dropped as no link (the failure the fallback exists
+// to prevent), and +Inf made a link that costs the ledger nothing. Every
+// non-finite or negative entry is refused, naming the rank, peer and value.
+func TestAssembleBandwidthRejectsNonFiniteSpeeds(t *testing.T) {
+	configured := netsim.NewBandwidth([][]float64{{0, 2, 2}, {2, 0, 2}, {2, 2, 0}})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3} {
+		reports := []MeasureReport{
+			{Rank: 0, MBps: []float64{0, 10, 4}},
+			{Rank: 1, MBps: []float64{8, 0, 6}},
+			{Rank: 2, MBps: []float64{5, bad, 0}},
+		}
+		_, err := AssembleBandwidth(3, reports, configured)
+		want := fmt.Sprintf("rank 2 reported %v MB/s to peer 1", bad)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("speed %v: error %v, want one containing %q", bad, err, want)
 		}
 	}
 }
