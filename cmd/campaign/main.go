@@ -4,10 +4,20 @@
 // its deterministic run matrix, runs the cells across a bounded worker
 // pool, journals completions to <out>/manifest.jsonl, and — once every cell
 // is done — writes the aggregate figure artifacts (aggregate.json, summary.{md,csv},
-// traffic_by_algo.{md,csv}, loss_vs_round.csv, loss_vs_bytes.csv, per-cell
-// traces/ CSVs when the spec enables tracing, and — for the paper campaigns
-// under campaigns/paper/ — the accuracy and matched-bandwidth artifacts
-// EXPERIMENTS.md maps to the paper's tables and figures).
+// traffic_by_algo.{md,csv}, loss_vs_round.csv, loss_vs_bytes.csv, and — for
+// the paper campaigns under campaigns/paper/ — the accuracy and
+// matched-bandwidth artifacts EXPERIMENTS.md maps to the paper's tables and
+// figures).
+//
+// Every cell leaves one run directory, <out>/cells/<id>/: its record
+// cell.json, trace.csv when the spec enables tracing, and — for an
+// asynchronous cell — the determinism artifacts events.log, events.csv and
+// model.bin, byte-identical at any GOMAXPROCS and under -race. A campaign
+// over one spec with no grid is one cell, "base":
+//
+//	campaign -spec internal/campaign/testdata/adpsgd-async.json -out run1
+//	GOMAXPROCS=1 campaign -spec internal/campaign/testdata/adpsgd-async.json -out run2
+//	cmp run1/cells/base/events.log run2/cells/base/events.log   # byte-identical, always
 //
 // An interrupted campaign resumes by re-running the same command: cells
 // already journaled (same ID and spec hash) are skipped, so only the
@@ -38,7 +48,7 @@ import (
 
 var (
 	flagSpec      = flag.String("spec", "", "campaign spec file (required)")
-	flagOut       = flag.String("out", "campaign-out", "output directory (manifest, cells/, aggregates)")
+	flagOut       = flag.String("out", "campaign-out", "output directory (manifest, cells/<id>/, aggregates)")
 	flagWorkers   = flag.Int("workers", 0, "concurrent cells (0 = spec value, then GOMAXPROCS)")
 	flagMaxCells  = flag.Int("max-cells", 0, "stop after executing this many cells (0 = run all; the campaign stays resumable)")
 	flagDryRun    = flag.Bool("dry-run", false, "print the expanded run matrix and exit without running")

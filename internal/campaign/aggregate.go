@@ -39,7 +39,7 @@ type AggregateFile struct {
 
 // readCellResult loads and sanity-checks one persisted cell record.
 func readCellResult(outDir string, cell Cell) (*CellResult, error) {
-	data, err := os.ReadFile(cellFile(outDir, cell.ID))
+	data, err := os.ReadFile(filepath.Join(cellDir(outDir, cell.ID), cellRecord))
 	if err != nil {
 		return nil, err
 	}
@@ -291,4 +291,24 @@ func writeCSV(outDir, name string, t *table) error {
 	var buf bytes.Buffer
 	t.writeCSV(&buf)
 	return writeFileAtomic(filepath.Join(outDir, name+".csv"), buf.Bytes())
+}
+
+// writeFileAtomic writes data to path through a temp file renamed into
+// place, so a kill mid-write never leaves a truncated artifact behind.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

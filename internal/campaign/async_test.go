@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"sapspsgd/internal/nn"
 	"sapspsgd/internal/scenario"
 )
 
@@ -63,7 +65,10 @@ func TestAsyncAlgoAxisExpands(t *testing.T) {
 
 // TestAsyncCampaignRuns executes a small sync-vs-async campaign end to end:
 // every cell (one synchronous, two asynchronous) runs through the shared
-// runner, persists a series-bearing cell record, and aggregates.
+// runner, persists a series-bearing cell record, and aggregates. Each
+// asynchronous cell's directory carries its determinism artifacts — the
+// event log of its run, every rank's final model words — and its record the
+// per-rank ledgers; the synchronous cell's carries none of them.
 func TestAsyncCampaignRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full (if tiny) campaign")
@@ -82,8 +87,13 @@ func TestAsyncCampaignRuns(t *testing.T) {
 	if stats.Planned != 3 || stats.Executed != 3 || !stats.Aggregated {
 		t.Fatalf("campaign stats %+v", stats)
 	}
-	for _, id := range []string{"psgd", "adpsgd", "gradpush"} {
-		data, err := os.ReadFile(filepath.Join(dir, "cells", id+".json"))
+	cells, err := c.Expand(loadAsyncBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range cells {
+		id, cdir := cell.ID, cellDir(dir, cell.ID)
+		data, err := os.ReadFile(filepath.Join(cdir, cellRecord))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +106,43 @@ func TestAsyncCampaignRuns(t *testing.T) {
 		}
 		if rec.SimSeconds <= 0 {
 			t.Fatalf("cell %s: no simulated time", id)
+		}
+		if cell.Spec.Async == nil {
+			for _, name := range []string{cellEvents, cellEventsCSV, cellModel} {
+				if _, err := os.Stat(filepath.Join(cdir, name)); err == nil {
+					t.Errorf("synchronous cell %s wrote %s", id, name)
+				}
+			}
+			if rec.SentBytes != nil || rec.RecvBytes != nil {
+				t.Errorf("synchronous cell %s recorded per-rank ledgers", id)
+			}
+			continue
+		}
+		nodes := cell.Spec.Nodes
+		if len(rec.SentBytes) != nodes || len(rec.RecvBytes) != nodes {
+			t.Errorf("cell %s: %d sent / %d received ledgers for %d ranks", id, len(rec.SentBytes), len(rec.RecvBytes), nodes)
+		}
+		want, err := cell.Spec.RunFull(scenario.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := os.ReadFile(filepath.Join(cdir, cellEvents))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(events) == 0 || !bytes.Equal(events, want.Events.Bytes()) {
+			t.Errorf("cell %s: %s is not the event log of its spec's run", id, cellEvents)
+		}
+		if csv, err := os.Stat(filepath.Join(cdir, cellEventsCSV)); err != nil || csv.Size() == 0 {
+			t.Errorf("cell %s: %s: %v", id, cellEventsCSV, err)
+		}
+		model, err := os.ReadFile(filepath.Join(cdir, cellModel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := nn.MLPParamCount(8*8, cell.Spec.Model.Hidden, cell.Spec.Data.Classes) // the tiny task's 1×8×8 inputs
+		if len(model) != nodes*params*8 {
+			t.Errorf("cell %s: %s holds %d bytes, want %d ranks × %d parameters × 8", id, cellModel, len(model), nodes, params)
 		}
 	}
 }

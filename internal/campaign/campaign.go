@@ -48,7 +48,7 @@ type Spec struct {
 	// (0 = GOMAXPROCS). Each cell is itself a full engine run, so modest
 	// values usually saturate the machine.
 	Workers int `json:"workers,omitempty"`
-	// Trace writes a per-round trace CSV (traces/<cell>.csv) for every
+	// Trace writes a per-round trace CSV (cells/<id>/trace.csv) for every
 	// cell whose algorithm records one (the SAPS family).
 	Trace bool `json:"trace,omitempty"`
 	// PerAlgo gives grid algorithms their own hyperparameters where the
@@ -313,9 +313,8 @@ func (c *Spec) checkLabels(axis, missing string, n int, label func(i int) string
 }
 
 // safeLabel reports whether a cell-ID component is filename-safe: cell IDs
-// become paths under the output directory (cells/<id>.json,
-// traces/<id>.csv), so a label must not smuggle separators or dot-relative
-// segments into them.
+// become directories under the output directory (cells/<id>/), so a label
+// must not smuggle separators or dot-relative segments into them.
 func safeLabel(s string) bool {
 	for i, r := range s {
 		switch {

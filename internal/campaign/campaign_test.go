@@ -357,7 +357,7 @@ func TestPlannerOnlyCampaignRuns(t *testing.T) {
 		t.Fatalf("planner-only campaign: %+v", stats)
 	}
 	for _, id := range []string{"n16", "n32"} {
-		data, err := os.ReadFile(cellFile(dir, id))
+		data, err := os.ReadFile(filepath.Join(cellDir(dir, id), cellRecord))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,8 @@ func TestPlannerOnlyCampaignRuns(t *testing.T) {
 
 // TestManifestToleratesTornTail simulates the kill-mid-journal case: a
 // truncated trailing line must not poison resume — its cell simply runs
-// again.
+// again — nor swallow the entry journaled after it, so a third invocation
+// runs nothing.
 func TestManifestToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	stats, _ := runExample(t, dir, Options{MaxCells: 2})
@@ -395,6 +396,10 @@ func TestManifestToleratesTornTail(t *testing.T) {
 	stats2, _ := runExample(t, dir, Options{})
 	if stats2.Skipped != 2 || stats2.Remaining != 0 || !stats2.Aggregated {
 		t.Fatalf("resume over torn manifest: %+v", stats2)
+	}
+	stats3, ids := runExample(t, dir, Options{})
+	if stats3.Executed != 0 || stats3.Skipped != stats3.Planned {
+		t.Fatalf("second resume after a torn manifest re-ran %v: %+v", ids, stats3)
 	}
 }
 
@@ -438,15 +443,17 @@ func TestEnableTraceOnFinishedCampaign(t *testing.T) {
 	if _, err := Run(c, Options{OutDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "traces")); err == nil {
-		t.Fatal("traceless campaign wrote traces/")
-	}
-	c.Trace = true
-	stats, err := Run(c, Options{OutDir: dir})
+	cells, err := c.Expand(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := c.Expand(base)
+	for _, cell := range cells {
+		if _, err := os.Stat(filepath.Join(cellDir(dir, cell.ID), cellTrace)); err == nil {
+			t.Fatalf("traceless campaign wrote a trace for cell %s", cell.ID)
+		}
+	}
+	c.Trace = true
+	stats, err := Run(c, Options{OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +461,7 @@ func TestEnableTraceOnFinishedCampaign(t *testing.T) {
 	for _, cell := range cells {
 		if cell.Spec.Algo == "saps" {
 			traceable++
-			if _, err := os.Stat(traceFile(dir, cell.ID)); err != nil {
+			if _, err := os.Stat(filepath.Join(cellDir(dir, cell.ID), cellTrace)); err != nil {
 				t.Errorf("cell %s: no trace after enabling tracing: %v", cell.ID, err)
 			}
 		}
@@ -476,8 +483,7 @@ func TestTraceArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cell := range cells {
-		path := traceFile(dir, cell.ID)
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(filepath.Join(cellDir(dir, cell.ID), cellTrace))
 		if cell.Spec.Algo != "saps" {
 			if err == nil {
 				t.Errorf("cell %s (algo %s) has a trace CSV", cell.ID, cell.Spec.Algo)

@@ -178,8 +178,8 @@ func writeSpecs(t *testing.T, named map[string]string) *Spec {
 }
 
 // TestDirectoryBaseNamesAreChecked: under a directory base a scenario's
-// name — a field of an input file — starts its cells' IDs and so lands in
-// cells/<id>.json and traces/<id>.csv. A name that is not filename-safe, or
+// name — a field of an input file — starts its cells' IDs and so names their
+// run directories, cells/<id>/. A name that is not filename-safe, or
 // that two files of the directory share, is an error naming the file(s),
 // raised before the output directory is touched.
 func TestDirectoryBaseNamesAreChecked(t *testing.T) {
@@ -218,8 +218,8 @@ func TestDirectoryBaseNamesAreChecked(t *testing.T) {
 		t.Fatalf("%+v, %v", st, err)
 	}
 	for _, id := range []string{"first", "second"} {
-		for _, path := range []string{cellFile(out, id), traceFile(out, id)} {
-			if _, err := os.Stat(path); err != nil {
+		for _, name := range []string{cellRecord, cellTrace} {
+			if _, err := os.Stat(filepath.Join(cellDir(out, id), name)); err != nil {
 				t.Error(err)
 			}
 		}
@@ -243,10 +243,12 @@ func TestAxisFreeFileBaseIsOneCell(t *testing.T) {
 	}
 }
 
-// TestFailedCellLeavesNoTrace: the trace streams into a temp file while the
-// cell runs, so a cell that fails after the file is opened (here: its fleet
-// trace does not exist, which the build discovers) must leave neither
-// traces/<id>.csv nor the temp file behind — nor a result.
+// TestFailedCellLeavesNoTrace: a cell writes its run directory under a temp
+// name, its trace streaming into it while the cell runs, so a cell that
+// fails after the trace is opened (here: its fleet trace does not exist,
+// which the build discovers) must leave neither cells/<id>/ nor the temp
+// directory behind: the output directory holds the journal and an empty
+// cells/, and nothing else.
 func TestFailedCellLeavesNoTrace(t *testing.T) {
 	base, err := scenario.Load(filepath.Join("testdata", "tiny-base.json"))
 	if err != nil {
@@ -260,13 +262,16 @@ func TestFailedCellLeavesNoTrace(t *testing.T) {
 	if _, err := Run(c, Options{OutDir: out}); err == nil || !strings.Contains(err.Error(), "no-such-trace.csv") {
 		t.Fatalf("campaign over a missing fleet trace: %v", err)
 	}
-	for _, sub := range []string{"traces", "cells"} {
-		entries, err := os.ReadDir(filepath.Join(out, sub))
+	for _, dir := range []string{"", "cells"} {
+		entries, err := os.ReadDir(filepath.Join(out, dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			t.Errorf("failed cell left %s/%s behind", sub, e.Name())
+			if dir == "" && (e.Name() == "cells" || e.Name() == ManifestName) {
+				continue
+			}
+			t.Errorf("failed cell left %s behind", filepath.Join(dir, e.Name()))
 		}
 	}
 }

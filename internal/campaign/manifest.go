@@ -15,7 +15,7 @@ import (
 const ManifestName = "manifest.jsonl"
 
 // ManifestEntry is one completed cell's journal line. Wall seconds are
-// machine-dependent and live only here — the per-cell result files and the
+// machine-dependent and live only here — the per-cell records and the
 // aggregates carry exclusively deterministic fields.
 type ManifestEntry struct {
 	// Cell is the cell ID the line records.
@@ -72,13 +72,34 @@ type manifestWriter struct {
 	f  *os.File
 }
 
-// openManifest opens (or creates) the journal for appending.
+// openManifest opens (or creates) the journal for appending. A torn tail —
+// a last line with no newline — is terminated first, so the next entry
+// starts a line of its own instead of being glued onto the fragment.
 func openManifest(path string) (*manifestWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if err := terminateTail(f); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return &manifestWriter{f: f}, nil
+}
+
+// terminateTail appends a newline to a non-empty file whose last byte is
+// not one.
+func terminateTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	last := []byte{0}
+	if _, err := f.ReadAt(last, fi.Size()-1); err != nil || last[0] == '\n' {
+		return err
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // Append journals one completed cell.

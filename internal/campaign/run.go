@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,14 +14,15 @@ import (
 
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/scenario"
+	"sapspsgd/internal/tensor"
 	"sapspsgd/internal/trace"
 )
 
-// CellResultSchemaVersion is the cells/<id>.json schema.
+// CellResultSchemaVersion is the cells/<id>/cell.json schema.
 const CellResultSchemaVersion = 1
 
 // CellResult is one executed cell's persisted record
-// (cells/<id>.json). Every field is deterministic — a repeat run of the
+// (cells/<id>/cell.json). Every field is deterministic — a repeat run of the
 // same campaign writes byte-identical files — so the aggregates derived
 // from these records are reproducible too; wall timings live only in the
 // manifest.
@@ -42,12 +45,16 @@ type CellResult struct {
 	Evals scenario.Evals `json:"evals,omitempty"`
 	// MatchedMBps is the per-round mean bandwidth over the matched pairs of
 	// a traced planner-only cell — Fig. 5's series (training cells keep
-	// theirs in traces/<id>.csv).
+	// theirs in cells/<id>/trace.csv).
 	MatchedMBps []float64 `json:"matched_mbps,omitempty"`
+	// SentBytes and RecvBytes are an asynchronous cell's per-rank byte
+	// ledgers (absent from synchronous records).
+	SentBytes []int64 `json:"sent_bytes,omitempty"`
+	RecvBytes []int64 `json:"recv_bytes,omitempty"`
 }
 
 // CellSummary is a cell's labels and deterministic totals: what its
-// cells/<id>.json record and its aggregate.json row share.
+// cells/<id>/cell.json record and its aggregate.json row share.
 type CellSummary struct {
 	// Algo through Compression label the cell for aggregation (Bandwidth,
 	// FleetTrace, Partition and Compression are the grid labels;
@@ -69,55 +76,30 @@ type CellSummary struct {
 	SimSeconds float64 `json:"sim_seconds"`
 }
 
-// cellFile is the cell's result path under the campaign output directory.
-func cellFile(outDir, id string) string {
-	return filepath.Join(outDir, "cells", id+".json")
-}
+// The files of a cell's run directory, cells/<id>/. Every cell writes its
+// record and a traced cell its per-round trace. An asynchronous cell also
+// writes its determinism artifacts: the virtual-time event log in its
+// byte-exact text and its CSV form, and every rank's final parameters as
+// little-endian float64 words, rank-major.
+const (
+	cellRecord    = "cell.json"
+	cellTrace     = "trace.csv"
+	cellEvents    = "events.log"
+	cellEventsCSV = "events.csv"
+	cellModel     = "model.bin"
+)
 
-// traceFile is the cell's per-round trace CSV path.
-func traceFile(outDir, id string) string {
-	return filepath.Join(outDir, "traces", id+".csv")
-}
-
-// createTemp opens the temp file an artifact is written into before commit
-// renames it to path, so a kill mid-write never leaves a truncated artifact
-// behind (resume treats a missing file as not-done, a corrupt one would
-// poison the aggregates).
-func createTemp(path string) (*os.File, error) {
-	return os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-}
-
-// commit closes a createTemp file and, unless err says writing it already
-// failed, renames it to path; on any failure the temp file is removed.
-func commit(tmp *os.File, path string, err error) error {
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
-}
-
-// writeFileAtomic writes data to path through createTemp and commit.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := createTemp(path)
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(data)
-	return commit(tmp, path, err)
+// cellDir is the cell's run directory under the campaign output directory.
+func cellDir(outDir, id string) string {
+	return filepath.Join(outDir, "cells", id)
 }
 
 // Options tunes one campaign invocation (everything not declared in the
 // spec itself).
 type Options struct {
-	// OutDir is the campaign's output directory: manifest.jsonl, cells/,
-	// traces/ and the aggregate artifacts all live under it. Created if
-	// missing; an existing manifest drives resume.
+	// OutDir is the campaign's output directory: manifest.jsonl, one run
+	// directory per cell under cells/, and the aggregate artifacts all live
+	// under it. Created if missing; an existing manifest drives resume.
 	OutDir string
 	// Workers overrides the spec's concurrency bound (0 defers to the
 	// spec, which defaults to GOMAXPROCS).
@@ -138,8 +120,8 @@ type Options struct {
 type Stats struct {
 	// Planned is the full run-matrix size.
 	Planned int
-	// Skipped cells were already journaled (same ID and spec SHA, result
-	// file present) and did not re-run.
+	// Skipped cells were already journaled (same ID and spec SHA, record
+	// present) and did not re-run.
 	Skipped int
 	// Executed cells ran in this invocation.
 	Executed int
@@ -185,13 +167,13 @@ func Run(c *Spec, opts Options) (Stats, error) {
 	var pending []Cell
 	for _, cell := range cells {
 		if e, ok := done[cell.ID]; ok && e.SpecSHA == cell.SHA {
-			if _, err := os.Stat(cellFile(opts.OutDir, cell.ID)); err == nil {
+			dir := cellDir(opts.OutDir, cell.ID)
+			if _, err := os.Stat(filepath.Join(dir, cellRecord)); err == nil {
 				// A traced cell's CSV is part of the contract: enabling
 				// trace on a finished campaign re-runs those cells rather
-				// than silently reporting success with an empty traces/
-				// directory.
+				// than silently reporting success without their traces.
 				if c.traced(cell) {
-					if _, err := os.Stat(traceFile(opts.OutDir, cell.ID)); err != nil {
+					if _, err := os.Stat(filepath.Join(dir, cellTrace)); err != nil {
 						pending = append(pending, cell)
 						continue
 					}
@@ -325,41 +307,51 @@ func (c *Spec) traced(cell Cell) bool {
 	return (c.Trace || cell.Spec.RecordTrace) && cell.Spec.Traceable()
 }
 
-// runCell executes one cell and persists its result (and trace, when
-// enabled) under outDir. The written artifacts are fully deterministic. The
-// trace streams round by round into a temp file that becomes
-// traces/<id>.csv only once the cell has succeeded and its result is
-// written, so a traced large-N cell holds one round of pairs, not the run's.
-func runCell(c *Spec, cell Cell, outDir string) (*CellResult, error) {
-	if !c.traced(cell) {
-		return execCell(cell, outDir, nil)
-	}
-	path := traceFile(outDir, cell.ID)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, err
-	}
-	tmp, err := createTemp(path)
+// runCell executes one cell into its run directory, cells/<id>/. The
+// directory is written under a temp name inside cells/ and renamed into
+// place, replacing any stale one, once its record is written: a killed or
+// failed cell leaves either a complete directory or none.
+func runCell(c *Spec, cell Cell, outDir string) (res *CellResult, err error) {
+	tmp, err := os.MkdirTemp(filepath.Join(outDir, "cells"), "."+cell.ID+".tmp*")
 	if err != nil {
 		return nil, err
 	}
-	rec := trace.NewRecorder()
-	var res *CellResult
-	if err = rec.Stream(tmp); err == nil {
-		res, err = execCell(cell, outDir, rec)
-	}
-	if err == nil {
-		err = rec.Err()
-	}
-	if err := commit(tmp, path, err); err != nil {
+	defer func() {
+		if err != nil {
+			os.RemoveAll(tmp)
+		}
+	}()
+	if res, err = writeCell(c, cell, tmp); err != nil {
 		return nil, err
 	}
-	return res, nil
+	dir := cellDir(outDir, cell.ID)
+	if err = os.RemoveAll(dir); err == nil {
+		err = os.Rename(tmp, dir)
+	}
+	return res, err
 }
 
-// execCell runs the cell's scenario, recording rounds into rec when there is
-// one, and writes cells/<id>.json.
-func execCell(cell Cell, outDir string, rec *trace.Recorder) (*CellResult, error) {
-	out, err := cell.Spec.RunFull(scenario.RunOptions{Series: true, Recorder: rec})
+// writeCell runs the cell's scenario and writes its artifacts into dir. A
+// traced cell's trace streams round by round into dir, so a traced large-N
+// cell holds one round of pairs, not the run's.
+func writeCell(c *Spec, cell Cell, dir string) (*CellResult, error) {
+	var opts scenario.RunOptions
+	var traceCSV *os.File
+	if c.traced(cell) {
+		var err error
+		if traceCSV, err = os.Create(filepath.Join(dir, cellTrace)); err != nil {
+			return nil, err
+		}
+		defer traceCSV.Close()
+		opts.Recorder = trace.NewRecorder()
+		if err := opts.Recorder.Stream(traceCSV); err != nil {
+			return nil, err
+		}
+	}
+	out, err := cell.Spec.RunFull(opts)
+	if err == nil && traceCSV != nil {
+		err = errors.Join(opts.Recorder.Err(), traceCSV.Close())
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -385,16 +377,38 @@ func execCell(cell Cell, outDir string, rec *trace.Recorder) (*CellResult, error
 		CumBytes:      out.CumBytes,
 		CumSimSeconds: out.CumSimSeconds,
 		Evals:         out.Evals,
+		SentBytes:     out.SentBytes,
+		RecvBytes:     out.RecvBytes,
 	}
-	if rec != nil && cell.Spec.PlannerOnly {
-		res.MatchedMBps = rec.RoundMeans()
+	if opts.Recorder != nil && cell.Spec.PlannerOnly {
+		res.MatchedMBps = opts.Recorder.RoundMeans()
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, cellRecord), append(data, '\n'), 0o644)
+	}
+	if err == nil && cell.Spec.Async != nil {
+		err = writeAsyncArtifacts(dir, out)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileAtomic(cellFile(outDir, cell.ID), append(data, '\n')); err != nil {
-		return nil, err
-	}
 	return res, nil
+}
+
+// writeAsyncArtifacts writes an asynchronous run's event log, in both forms,
+// and its final model words into dir.
+func writeAsyncArtifacts(dir string, out *scenario.RunOutput) error {
+	var csv bytes.Buffer
+	if err := out.Events.WriteCSV(&csv); err != nil {
+		return err
+	}
+	var model []byte
+	for _, params := range out.Params {
+		model = tensor.AppendWords(model, params)
+	}
+	return errors.Join(
+		os.WriteFile(filepath.Join(dir, cellEvents), out.Events.Bytes(), 0o644),
+		os.WriteFile(filepath.Join(dir, cellEventsCSV), csv.Bytes(), 0o644),
+		os.WriteFile(filepath.Join(dir, cellModel), model, 0o644))
 }

@@ -8,175 +8,6 @@ import (
 	"sapspsgd/internal/tensor"
 )
 
-func TestDropoutInferenceIsIdentity(t *testing.T) {
-	d := NewDropout(0.5, 1)
-	x := tensor.MatrixFrom(1, 4, []float64{1, -2, 3, 0})
-	out := d.Forward(x, false)
-	for i := range x.Data {
-		if out.Data[i] != x.Data[i] {
-			t.Fatal("inference dropout not identity")
-		}
-	}
-}
-
-func TestDropoutPreservesExpectation(t *testing.T) {
-	d := NewDropout(0.3, 5)
-	x := tensor.NewMatrix(1, 10000)
-	tensor.Fill(x.Data, 1)
-	out := d.Forward(x, true)
-	mean := tensor.Mean(out.Data)
-	if math.Abs(mean-1) > 0.05 {
-		t.Fatalf("inverted dropout mean %v, want ~1", mean)
-	}
-	zeros := 0
-	for _, v := range out.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	rate := float64(zeros) / float64(len(out.Data))
-	if math.Abs(rate-0.3) > 0.03 {
-		t.Fatalf("drop rate %v, want ~0.3", rate)
-	}
-}
-
-func TestDropoutGradCheck(t *testing.T) {
-	// Dropout is a fixed linear map once the mask is drawn — but gradcheck
-	// redraws the mask per forward. Instead verify Backward routes exactly
-	// the forward mask with the same scale.
-	d := NewDropout(0.4, 9)
-	x := tensor.NewMatrix(2, 50)
-	for i := range x.Data {
-		x.Data[i] = 1
-	}
-	out := d.Forward(x, true)
-	dout := tensor.NewMatrix(2, 50)
-	tensor.Fill(dout.Data, 1)
-	dx := d.Backward(dout)
-	scale := 1 / (1 - d.Rate)
-	for i := range out.Data {
-		if out.Data[i] == 0 && dx.Data[i] != 0 {
-			t.Fatal("gradient leaked through dropped unit")
-		}
-		if out.Data[i] != 0 && math.Abs(dx.Data[i]-scale) > 1e-12 {
-			t.Fatalf("surviving gradient %v, want %v", dx.Data[i], scale)
-		}
-	}
-}
-
-func TestDropoutRateZeroIsIdentityInTraining(t *testing.T) {
-	// At rate 0 the training forward draws no mask, so the backward must not
-	// look for one: both are bit-exact copies.
-	d := NewDropout(0, 9)
-	x, dout := tensor.NewMatrix(2, 5), tensor.NewMatrix(2, 5)
-	for i := range x.Data {
-		x.Data[i] = float64(i) - 4.5
-		dout.Data[i] = 1 / float64(i+1)
-	}
-	out := d.Forward(x, true)
-	dx := d.Backward(dout)
-	for i := range x.Data {
-		if math.Float64bits(out.Data[i]) != math.Float64bits(x.Data[i]) {
-			t.Fatalf("forward[%d] = %v, want the input %v", i, out.Data[i], x.Data[i])
-		}
-		if math.Float64bits(dx.Data[i]) != math.Float64bits(dout.Data[i]) {
-			t.Fatalf("backward[%d] = %v, want dout %v", i, dx.Data[i], dout.Data[i])
-		}
-	}
-}
-
-func TestDropoutBadRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDropout(1.0, 1)
-}
-
-func TestAvgPoolForwardBackward(t *testing.T) {
-	in := Shape{C: 1, H: 4, W: 4}
-	p := NewAvgPool2D(in, 2)
-	x := tensor.MatrixFrom(1, 16, []float64{
-		1, 2, 0, 4,
-		3, 4, 8, 0,
-		1, 1, 2, 2,
-		1, 1, 2, 2,
-	})
-	out := p.Forward(x, true)
-	want := []float64{2.5, 3, 1, 2}
-	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Fatalf("avgpool = %v, want %v", out.Data, want)
-		}
-	}
-	dout := tensor.MatrixFrom(1, 4, []float64{4, 0, 0, 0})
-	dx := p.Backward(dout)
-	// Gradient 4 spread over 4 cells = 1 each, upper-left window only.
-	if dx.Data[0] != 1 || dx.Data[1] != 1 || dx.Data[4] != 1 || dx.Data[5] != 1 {
-		t.Fatalf("avgpool backward = %v", dx.Data)
-	}
-	if tensor.Sum(dx.Data) != 4 {
-		t.Fatal("gradient mass not conserved")
-	}
-}
-
-func TestGradCheckAvgPoolAndDropoutFreeNet(t *testing.T) {
-	in := Shape{C: 2, H: 4, W: 4}
-	r := rng.New(3)
-	c1 := NewConv2D(in, 3, 3, 1, 1, r)
-	ap := NewAvgPool2D(c1.OutShape, 2)
-	fc := NewDense(ap.OutShape.Dim(), 3, r)
-	m := NewModel("gradcheck-avg", in, 3, c1, NewReLU(), ap, fc)
-	x, ys := randomBatch(in, 3, 4, 7)
-	checkGradients(t, m, x, ys, 40, 1e-4)
-}
-
-func TestLRSchedules(t *testing.T) {
-	if got := (ConstantLR(0.1)).LR(999); got != 0.1 {
-		t.Fatal("constant")
-	}
-	sd := StepDecay{Base: 1, Factor: 0.1, Milestones: []int{10, 20}}
-	tests := []struct {
-		t    int
-		want float64
-	}{
-		{0, 1}, {9, 1}, {10, 0.1}, {19, 0.1}, {20, 0.01}, {100, 0.01},
-	}
-	for _, tc := range tests {
-		if got := sd.LR(tc.t); math.Abs(got-tc.want) > 1e-12 {
-			t.Fatalf("StepDecay(%d) = %v, want %v", tc.t, got, tc.want)
-		}
-	}
-	cd := CosineDecay{Base: 1, Floor: 0.1, Horizon: 100}
-	if got := cd.LR(0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("cosine start %v", got)
-	}
-	if got := cd.LR(100); got != 0.1 {
-		t.Fatalf("cosine end %v", got)
-	}
-	mid := cd.LR(50)
-	if mid <= 0.1 || mid >= 1 {
-		t.Fatalf("cosine mid %v", mid)
-	}
-	// Monotone non-increasing over the horizon.
-	prev := math.Inf(1)
-	for i := 0; i <= 100; i += 5 {
-		v := cd.LR(i)
-		if v > prev+1e-12 {
-			t.Fatalf("cosine not monotone at %d", i)
-		}
-		prev = v
-	}
-	w := WarmupWrap{Warmup: 10, Inner: ConstantLR(1)}
-	if got := w.LR(0); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("warmup start %v", got)
-	}
-	if got := w.LR(10); got != 1 {
-		t.Fatalf("warmup end %v", got)
-	}
-}
-
 func TestCheckpointCarriesBatchNormState(t *testing.T) {
 	in := Shape{C: 1, H: 8, W: 8}
 	m := NewResNet(in, 3, 1, 0.25, 5)

@@ -51,21 +51,11 @@ func TestLayersNeverAliasTheirArgument(t *testing.T) {
 		"Dense":          NewDense(img.Dim(), 5, r),
 		"ReLU":           NewReLU(),
 		"Conv2D":         NewConv2D(img, 3, 3, 1, 1, r),
-		"Dropout":        NewDropout(0.5, 9),
-		"AvgPool2D":      NewAvgPool2D(img, 2),
 		"MaxPool2D":      NewMaxPool2D(img, 2),
 		"GlobalAvgPool":  NewGlobalAvgPool(img),
 		"BatchNorm2D":    NewBatchNorm2D(img),
 		"Residual":       NewResidual(img, img.C, 1, r), // identity shortcut: short = x, dShort = dsum
 		"Residual(proj)": NewResidual(img, 4, 2, r),
-	}
-	// Rate-0 dropout is an identity in both modes, the likeliest layer to hand
-	// x back (its Backward is not callable: it indexes a mask never drawn).
-	x0 := randomMatrix(3, img.Dim(), r)
-	for _, train := range []bool{false, true} {
-		if out := NewDropout(0, 9).Forward(x0, train); out == x0 || overlap(out, x0) {
-			t.Errorf("Dropout(0): Forward(train=%v) returned its argument's storage", train)
-		}
 	}
 	for name, l := range layers {
 		x := randomMatrix(3, img.Dim(), r)
@@ -210,8 +200,8 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 }
 
 // poisonPool leaves every small size class holding NaN-filled buffers, so a
-// layer that reads a pooled matrix before writing it (as ReLU, Dropout and
-// Residual read NewMatrix's zero fill for their "else" branches) computes
+// layer that reads a pooled matrix before writing it (as ReLU and Residual
+// read NewMatrix's zero fill for their "else" branches) computes
 // NaN instead of passing by luck of what the pool hands back.
 func poisonPool() {
 	var held []*tensor.Matrix
@@ -257,7 +247,7 @@ func TestPoisonedPoolBitIdentical(t *testing.T) {
 		proj := NewResidual(res.OutShape, 8, 2, r)
 		fc := NewDense(proj.OutShape.Dim(), 16, r)
 		return NewModel("mixed", img, 4, conv, NewReLU(), pool, res, proj,
-			NewDropout(0.25, 5), fc, NewReLU(), NewDense(16, 4, r))
+			fc, NewReLU(), NewDense(16, 4, r))
 	}
 	for name, build := range map[string]func() *Model{
 		"mlp64": func() *Model { return NewMLP(64, []int{64}, 4, 7) },

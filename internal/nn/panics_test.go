@@ -44,9 +44,6 @@ func TestLayerMisusePanics(t *testing.T) {
 	expectPanic(t, "MaxPool indivisible", func() {
 		NewMaxPool2D(Shape{C: 1, H: 7, W: 8}, 2)
 	})
-	expectPanic(t, "AvgPool indivisible", func() {
-		NewAvgPool2D(Shape{C: 1, H: 8, W: 7}, 2)
-	})
 	expectPanic(t, "Conv2D zero-size output", func() {
 		NewConv2D(Shape{C: 1, H: 2, W: 2}, 1, 5, 1, 0, r)
 	})

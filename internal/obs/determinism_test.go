@@ -81,7 +81,7 @@ func TestAsyncArtifactsUnchangedByObs(t *testing.T) {
 	spec := loadSpec(t, "adpsgd-async.json")
 
 	run := func() *scenario.RunOutput {
-		out, err := spec.RunFull(scenario.RunOptions{Events: true, Params: true})
+		out, err := spec.RunFull(scenario.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,6 +39,7 @@ func TestAsyncSpecValidation(t *testing.T) {
 		{"record_trace", func(s *Spec) { s.RecordTrace = true }},
 		{"trace block", func(s *Spec) { s.Trace = &TraceSpec{File: "traces/edge.csv"} }},
 		{"churn", func(s *Spec) { s.Churn = &ChurnSpec{LeaveProb: 0.1, JoinProb: 0.5, MinActive: 2} }},
+		{"data.valid", func(s *Spec) { s.Data.C, s.Data.H, s.Data.W, s.Data.Valid = 1, 8, 8, 16 }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -53,8 +54,8 @@ func TestAsyncSpecValidation(t *testing.T) {
 }
 
 // TestAsyncScenarioRuns drives both committed async specs end to end: the
-// run trains, the sample series is monotone in virtual time, the event log
-// and per-rank ledgers materialize, and every requested artifact arrives.
+// run trains, the sample series is monotone in virtual time, and the event
+// log, final models and per-rank ledgers materialize.
 func TestAsyncScenarioRuns(t *testing.T) {
 	for _, name := range []string{"adpsgd-async", "gradpush-async"} {
 		name := name
@@ -63,7 +64,7 @@ func TestAsyncScenarioRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := spec.RunFull(RunOptions{Series: true, Events: true, Params: true})
+			out, err := spec.RunFull(RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestAsyncScenarioDeterministic(t *testing.T) {
 	var logs [2][]byte
 	var params [2][][]float64
 	for rep := 0; rep < 2; rep++ {
-		out, err := spec.RunFull(RunOptions{Events: true, Params: true})
+		out, err := spec.RunFull(RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

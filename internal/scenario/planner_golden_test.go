@@ -44,7 +44,7 @@ func plannerGoldenText(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	for _, s := range plannerGoldenSpecs() {
-		out, err := s.RunFull(RunOptions{Recorder: trace.NewRecorder(), Series: true})
+		out, err := s.RunFull(RunOptions{Recorder: trace.NewRecorder()})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}

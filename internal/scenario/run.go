@@ -296,31 +296,21 @@ type RunOptions struct {
 	// Honored by SAPS runs and by planner_only (which records loss-less
 	// rounds); ignored for algorithms that cannot record a trace.
 	Recorder *trace.Recorder
-	// Series collects the per-round convergence series (Losses, CumBytes,
-	// CumSimSeconds) the campaign aggregator turns into paper figures.
-	Series bool
-	// Events attaches a netsim.EventLog to the run and returns it in
-	// RunOutput.Events — the virtual-time transfer/compute event stream.
-	// Only async runs emit events; synchronous runs ignore the flag.
-	Events bool
-	// Params returns every rank's final flat parameter vector in
-	// RunOutput.Params — the determinism gate's model artifact. Only async
-	// runs honor the flag.
-	Params bool
 }
 
-// RunOutput is one execution's full yield: the summary Result plus the
-// optional per-round series and trace.
+// RunOutput is one execution's full yield: the summary Result, the
+// per-round series and, when recorded, the trace; an asynchronous run adds
+// its event log, final models and per-rank ledgers.
 type RunOutput struct {
 	// Result is the summary row (also what Run returns).
 	Result Result
-	// Losses is the per-round mean training loss (Series only).
+	// Losses is the per-round mean training loss.
 	Losses []float64
-	// CumBytes is the cumulative fleet traffic after each round (Series
-	// only) — the x-axis of the paper's convergence-vs-traffic figures.
+	// CumBytes is the cumulative fleet traffic after each round — the
+	// x-axis of the paper's convergence-vs-traffic figures.
 	CumBytes []int64
 	// CumSimSeconds is the cumulative simulated communication time after
-	// each round (Series only).
+	// each round.
 	CumSimSeconds []float64
 	// Evals is the periodic evaluation of the worker-averaged model on the
 	// spec's validation split (synchronous specs with data.valid only).
@@ -328,11 +318,11 @@ type RunOutput struct {
 	// Trace is the round recorder, non-nil when the spec or options asked
 	// for tracing and the algorithm supports it.
 	Trace *trace.Recorder
-	// Events is the virtual-time event stream (async runs with
-	// RunOptions.Events only).
+	// Events is the virtual-time transfer/compute event stream (async runs
+	// only).
 	Events *netsim.EventLog
 	// Params holds every rank's final flat parameter vector (async runs
-	// with RunOptions.Params only).
+	// only).
 	Params [][]float64
 	// SentBytes and RecvBytes are the per-rank cumulative byte ledgers
 	// (async runs only; synchronous runs read them off the netsim ledger).
@@ -341,22 +331,26 @@ type RunOutput struct {
 
 // RunFull builds and executes the scenario against a bandwidth-accounted
 // ledger, ticking the dynamic environment (bandwidth.jitter) at every round
-// boundary and collecting whatever extras the options request.
+// boundary and collecting the per-round series.
 func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 	if s.Async != nil {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
-		return s.runAsync(opts)
+		return s.runAsync()
 	}
 	b, err := s.build(opts.Shards)
 	if err != nil {
 		return nil, err
 	}
 	profiling.ResetPeakRSS()
-	out := &RunOutput{}
-	if opts.Series {
-		out.reserveSeries(s.Rounds)
+	// The series' lengths are known up front, which keeps the round loop
+	// free of append regrowth (it would otherwise copy O(rounds) elements
+	// log(rounds) times over a long campaign run).
+	out := &RunOutput{
+		Losses:        make([]float64, 0, s.Rounds),
+		CumBytes:      make([]int64, 0, s.Rounds),
+		CumSimSeconds: make([]float64, 0, s.Rounds),
 	}
 	if (opts.Recorder != nil || s.RecordTrace) && s.Traceable() {
 		out.Trace = opts.Recorder
@@ -381,9 +375,7 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		before: b.env.Tick,
 		after: func(r int, loss float64) {
 			ri.SetRound(r + 1)
-			if opts.Series {
-				out.appendSeries(loss, led, s.Nodes)
-			}
+			out.appendSeries(loss, led, s.Nodes)
 		},
 	})
 	wall := time.Since(start).Seconds()
@@ -391,16 +383,6 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 	out.Evals = res.Records
 	out.finish(s, opts, mode, wall, led, res.FinalLoss)
 	return out, nil
-}
-
-// reserveSeries preallocates the per-round series: their lengths are known
-// up front, which keeps the round loop free of append regrowth (it would
-// otherwise copy O(rounds) elements log(rounds) times over a long campaign
-// run).
-func (out *RunOutput) reserveSeries(rounds int) {
-	out.Losses = make([]float64, 0, rounds)
-	out.CumBytes = make([]int64, 0, rounds)
-	out.CumSimSeconds = make([]float64, 0, rounds)
 }
 
 // appendSeries records one finished round.
@@ -428,11 +410,12 @@ func (out *RunOutput) finish(s *Spec, opts RunOptions, mode string, wall float64
 // clock, and the per-round series slots carry the sample series instead
 // (Losses[k] is sample k's window-mean loss, CumSimSeconds[k] its virtual
 // time). Result.Shards is always 0 — async runs have no engine sharding —
-// and the run is bit-reproducible regardless of GOMAXPROCS.
-func (s *Spec) runAsync(opts RunOptions) (*RunOutput, error) {
+// and the run, event log and final models included, is bit-reproducible
+// regardless of GOMAXPROCS.
+func (s *Spec) runAsync() (*RunOutput, error) {
 	profiling.ResetPeakRSS()
 	a := s.Async
-	fc, _ := s.fleet(0)
+	fc, _ := s.fleet(0) // Validate refuses data.valid: an async run evaluates nothing
 	rec := s.recipe()
 	af := algos.NewAsyncFleet(fc, rec)
 	var slow []int
@@ -456,11 +439,8 @@ func (s *Spec) runAsync(opts RunOptions) (*RunOutput, error) {
 		},
 		SampleEvery: a.SampleEvery,
 	}
-	out := &RunOutput{}
-	if opts.Events {
-		out.Events = &netsim.EventLog{}
-		eopts.Sink = out.Events
-	}
+	out := &RunOutput{Events: &netsim.EventLog{}}
+	eopts.Sink = out.Events
 	eng, err := engine.NewAsync(eopts)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
@@ -473,17 +453,13 @@ func (s *Spec) runAsync(opts RunOptions) (*RunOutput, error) {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	wall := time.Since(start).Seconds()
-	if opts.Series {
-		for _, smp := range res.Samples {
-			out.Losses = append(out.Losses, smp.MeanLoss)
-			out.CumBytes = append(out.CumBytes, smp.CumBytes)
-			out.CumSimSeconds = append(out.CumSimSeconds, smp.Time)
-		}
+	for _, smp := range res.Samples {
+		out.Losses = append(out.Losses, smp.MeanLoss)
+		out.CumBytes = append(out.CumBytes, smp.CumBytes)
+		out.CumSimSeconds = append(out.CumSimSeconds, smp.Time)
 	}
-	if opts.Params {
-		for _, m := range af.Models {
-			out.Params = append(out.Params, m.FlatParams(nil))
-		}
+	for _, m := range af.Models {
+		out.Params = append(out.Params, m.FlatParams(nil))
 	}
 	out.SentBytes = res.SentBytes
 	out.RecvBytes = res.RecvBytes

@@ -457,7 +457,7 @@ func TestTraceFromEngineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cout, err := churn.RunFull(RunOptions{Shards: 2, Recorder: trace.NewRecorder(), Series: true})
+	cout, err := churn.RunFull(RunOptions{Shards: 2, Recorder: trace.NewRecorder()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,8 +234,8 @@ type DataSpec struct {
 	// Valid holds out that many extra samples, drawn from the same
 	// prototypes, and makes the synchronous loop evaluate the
 	// worker-averaged model on them every max(1, rounds/20) rounds and
-	// after the last one (RunOutput.Evals). Image tasks only; 0 = no
-	// evaluation.
+	// after the last one (RunOutput.Evals). Synchronous image tasks only;
+	// 0 = no evaluation.
 	Valid int `json:"valid,omitempty"`
 	// Seed generates the dataset; 0 means the spec seed.
 	Seed uint64 `json:"seed,omitempty"`
@@ -699,6 +699,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: async runs use a static bandwidth environment (drop bandwidth.jitter)", s.Name)
 		case s.Trace != nil:
 			return fmt.Errorf("scenario %s: async runs use a static bandwidth environment (drop trace)", s.Name)
+		case s.Data.Valid > 0:
+			return fmt.Errorf("scenario %s: async runs evaluate no validation split (drop data.valid)", s.Name)
 		}
 	}
 	return nil

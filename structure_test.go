@@ -127,8 +127,9 @@ func TestInternalPackagesHaveProductImporters(t *testing.T) {
 }
 
 // TestOneComparator: benchmark/ is the only thing that compares two commits,
-// and cmd/campaign the only thing that sweeps scenarios. cmd/ holds the four
-// product commands and no measurement harness or second sweeper, and
+// and cmd/campaign the only thing that runs or sweeps scenarios. cmd/ holds
+// the three product commands and no measurement harness, second sweeper or
+// single-scenario runner, and
 // internal/scenario has neither a summary differ nor a summary schema of its
 // own (a sweep's results are a campaign's aggregate.json).
 func TestOneComparator(t *testing.T) {
@@ -140,7 +141,7 @@ func TestOneComparator(t *testing.T) {
 	for _, e := range entries {
 		cmds = append(cmds, e.Name())
 	}
-	if got, want := strings.Join(cmds, " "), "asyncsim campaign coordinator worker"; got != want {
+	if got, want := strings.Join(cmds, " "), "campaign coordinator worker"; got != want {
 		t.Errorf("cmd/ holds %q, want %q", got, want)
 	}
 	fset := token.NewFileSet()
