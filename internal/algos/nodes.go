@@ -17,9 +17,6 @@ import (
 // deployment. A training node embeds its trainer, which makes it
 // engine.Stateful as it stands; state.go holds the nodes that capture more.
 
-// serverLoss marks a node as a non-training participant.
-func serverLoss() float64 { return math.NaN() }
-
 // ---------------------------------------------------------------------------
 // Gradient-averaging nodes (PSGD, TopK-PSGD, QSGD-PSGD)
 
@@ -206,7 +203,7 @@ type psServerNode struct {
 // Compute implements engine.Node.
 func (s *psServerNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	s.params = s.model.FlatParams(s.params)
-	return serverLoss(), s.params, nil
+	return math.NaN(), s.params, nil
 }
 
 // Merge implements engine.Node: x ← x − lr · mean(uploaded gradients).
@@ -280,7 +277,7 @@ type fedServerNode struct {
 // Compute implements engine.Node.
 func (s *fedServerNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	s.params = s.model.FlatParams(s.params)
-	return serverLoss(), s.params, nil
+	return math.NaN(), s.params, nil
 }
 
 // Merge implements engine.Node.

@@ -52,16 +52,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// DefaultConfig returns the paper's settings: c = 100, single local step.
-func DefaultConfig(workers int) Config {
-	return Config{
-		Workers:     workers,
-		Compression: 100,
-		LR:          0.05,
-		Batch:       50,
-		LocalSteps:  1,
-		Gossip:      gossip.Config{BThres: 0, TThres: 10},
-		Seed:        1,
-	}
-}

@@ -114,29 +114,13 @@ func Synthetic(cfg SynthConfig, n int, seed uint64) *Dataset {
 	return d
 }
 
-// MNISTLike returns a 28×28×1, 10-class synthetic task sized like a scaled
-// MNIST (train samples and an extra valid samples generated with a disjoint
-// seed stream but the same prototypes would differ; instead, generate
-// train+valid together and split — both splits share prototypes).
-func MNISTLike(train, valid int, seed uint64) (tr, va *Dataset) {
-	return ImageTask("mnist-like", 1, 28, 28, 10, 0.35, train, valid, seed)
-}
-
 // ImageTask generates a c×h×w synthetic image-classification task with two
 // prototypes per class and the given pixel-noise level, split into train and
-// held-out valid samples drawn from the same prototypes. It is the one
-// builder behind the scenario specs' image data, the TCP TaskSpec and
-// MNISTLike.
+// held-out valid samples: both are generated together and split, so they
+// share prototypes. It is the one builder behind every image task, a
+// scenario spec's and a TCP worker's alike.
 func ImageTask(name string, c, h, w, classes int, noise float64, train, valid int, seed uint64) (tr, va *Dataset) {
 	cfg := SynthConfig{Name: name, C: c, H: h, W: w, Classes: classes, PerClass: 2, Noise: noise}
-	return split(Synthetic(cfg, train+valid, seed), train)
-}
-
-// CIFARLike returns a 32×32×3, 10-class synthetic task (noisier and with
-// more intra-class variability than MNISTLike, mirroring CIFAR-10's relative
-// difficulty).
-func CIFARLike(train, valid int, seed uint64) (tr, va *Dataset) {
-	cfg := SynthConfig{Name: "cifar-like", C: 3, H: 32, W: 32, Classes: 10, PerClass: 4, Noise: 0.6}
 	return split(Synthetic(cfg, train+valid, seed), train)
 }
 

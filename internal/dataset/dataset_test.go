@@ -6,7 +6,7 @@ import (
 )
 
 func TestSyntheticShapesAndBalance(t *testing.T) {
-	tr, va := MNISTLike(1000, 200, 7)
+	tr, va := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 1000, 200, 7)
 	if tr.Dim() != 28*28 || tr.Classes != 10 {
 		t.Fatalf("dim=%d classes=%d", tr.Dim(), tr.Classes)
 	}
@@ -27,8 +27,8 @@ func TestSyntheticShapesAndBalance(t *testing.T) {
 }
 
 func TestSyntheticDeterministic(t *testing.T) {
-	a, _ := MNISTLike(100, 10, 3)
-	b, _ := MNISTLike(100, 10, 3)
+	a, _ := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 100, 10, 3)
+	b, _ := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 100, 10, 3)
 	for i := range a.Samples {
 		if a.Samples[i].Label != b.Samples[i].Label {
 			t.Fatal("labels differ")
@@ -42,8 +42,8 @@ func TestSyntheticDeterministic(t *testing.T) {
 }
 
 func TestSyntheticSeedsDiffer(t *testing.T) {
-	a, _ := MNISTLike(50, 10, 1)
-	b, _ := MNISTLike(50, 10, 2)
+	a, _ := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 50, 10, 1)
+	b, _ := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 50, 10, 2)
 	same := true
 	for i := range a.Samples {
 		for j := range a.Samples[i].X {
@@ -57,18 +57,11 @@ func TestSyntheticSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestCIFARLike(t *testing.T) {
-	tr, _ := CIFARLike(100, 20, 5)
-	if tr.C != 3 || tr.H != 32 || tr.W != 32 || tr.Dim() != 3*32*32 {
-		t.Fatalf("geometry wrong: %d %d %d", tr.C, tr.H, tr.W)
-	}
-}
-
 func TestClassesAreSeparable(t *testing.T) {
 	// Nearest-class-mean classification on clean prototypes should beat
 	// chance by a wide margin — otherwise the task is unlearnable and all
 	// convergence experiments would be meaningless.
-	tr, va := MNISTLike(2000, 400, 11)
+	tr, va := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 2000, 400, 11)
 	dim := tr.Dim()
 	means := make([][]float64, tr.Classes)
 	counts := make([]int, tr.Classes)
@@ -110,7 +103,7 @@ func TestClassesAreSeparable(t *testing.T) {
 }
 
 func TestPartitionIID(t *testing.T) {
-	tr, _ := MNISTLike(1000, 10, 13)
+	tr, _ := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 1000, 10, 13)
 	shards := PartitionIID(tr, 32, 1)
 	if len(shards) != 32 {
 		t.Fatal("shard count")
@@ -141,7 +134,7 @@ func TestPartitionIID(t *testing.T) {
 }
 
 func TestPartitionByLabelIsSkewed(t *testing.T) {
-	tr, _ := MNISTLike(2000, 10, 17)
+	tr, _ := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 2000, 10, 17)
 	shards := PartitionByLabel(tr, 10, 2, 3)
 	total := 0
 	skewed := 0

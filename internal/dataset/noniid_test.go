@@ -136,6 +136,46 @@ func TestPartitionFloorRebalances(t *testing.T) {
 	}
 }
 
+// TestSkewedPartitionsAtExtremeAlpha: every α > 0 is a valid concentration.
+// At α → 0 every Gamma draw of a class can underflow to 0 (seeds 1, 3, 7
+// and 8 at α = 1e-3 do), and at α → ∞ the draws or their sum overflow; both
+// must still assign every sample exactly once and keep the floor.
+func TestSkewedPartitionsAtExtremeAlpha(t *testing.T) {
+	kinds := map[string]func(d *Dataset, alpha float64, floor int, seed uint64) []*Dataset{
+		"dirichlet": func(d *Dataset, alpha float64, floor int, seed uint64) []*Dataset {
+			return PartitionDirichlet(d, 4, alpha, floor, seed)
+		},
+		"quantity": func(d *Dataset, alpha float64, floor int, seed uint64) []*Dataset {
+			return PartitionQuantitySkew(d, 4, alpha, floor, seed)
+		},
+	}
+	cases := []struct {
+		alpha float64
+		seeds []uint64
+	}{
+		{1e-300, []uint64{1, 2}},
+		{1e-3, []uint64{1, 3, 7, 8}},
+		{1e300, []uint64{1, 2}},
+		{math.MaxFloat64, []uint64{1, 2}},
+	}
+	for name, part := range kinds {
+		for _, c := range cases {
+			for _, seed := range c.seeds {
+				for _, floor := range []int{0, 20} {
+					tr, _ := TinyTask(200, 10, seed)
+					shards := part(tr, c.alpha, floor, seed)
+					cover(t, tr, shards)
+					for w, s := range shards {
+						if s.Len() < max(floor, 1) {
+							t.Errorf("%s α=%g seed %d: shard %d has %d samples, floor %d", name, c.alpha, seed, w, s.Len(), floor)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNonIIDPartitionPanics(t *testing.T) {
 	tr, _ := TinyTask(10, 2, 23)
 	for _, bad := range []func(){

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 
 	"sapspsgd/internal/rng"
 )
@@ -96,7 +97,7 @@ func PartitionDirichlet(d *Dataset, n int, alpha float64, minPerNode int, seed u
 			weights[w] = draws.Gamma(alpha)
 		}
 		pos := 0
-		for w, cnt := range apportion(weights, len(idxs)) {
+		for w, cnt := range apportion(weights, len(idxs), draws) {
 			assign[w] = append(assign[w], idxs[pos:pos+cnt]...)
 			pos += cnt
 		}
@@ -123,7 +124,7 @@ func PartitionQuantitySkew(d *Dataset, n int, alpha float64, minPerNode int, see
 	}
 	assign := make([][]int, n)
 	pos := 0
-	for w, cnt := range apportion(weights, len(idx)) {
+	for w, cnt := range apportion(weights, len(idx), draws) {
 		assign[w] = append(assign[w], idx[pos:pos+cnt]...)
 		pos += cnt
 	}
@@ -132,13 +133,27 @@ func PartitionQuantitySkew(d *Dataset, n int, alpha float64, minPerNode int, see
 }
 
 // apportion rounds total·weights[i]/sum(weights) to integers summing to
-// total by largest remainder (ties to the lower index).
-func apportion(weights []float64, total int) []int {
-	sum := 0.0
+// total by largest remainder (ties to the lower index). Two degenerate draws
+// take their Dirichlet limit instead of dividing by 0 or +Inf: when every
+// weight underflowed to 0 (α → 0) one worker, drawn from r, takes all; when
+// a weight or the sum overflowed (α → ∞) the shares are equal.
+func apportion(weights []float64, total int, r *rng.Source) []int {
+	sum, top := 0.0, 0.0
 	for _, w := range weights {
 		sum += w
+		top = max(top, w)
 	}
 	counts := make([]int, len(weights))
+	if sum == 0 {
+		counts[r.Intn(len(counts))] = total
+		return counts
+	}
+	if math.IsInf(sum, 1) || math.IsInf(float64(total)*top, 1) {
+		weights, sum = make([]float64, len(weights)), float64(len(weights))
+		for i := range weights {
+			weights[i] = 1
+		}
+	}
 	fracs := make([]float64, len(weights))
 	used := 0
 	for i, w := range weights {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"sapspsgd/internal/compress"
 	"sapspsgd/internal/rng"
@@ -476,7 +475,3 @@ func (q *QSGDCodec) RestoreState(data []byte) error {
 	q.q.SetRNGState(st)
 	return nil
 }
-
-// trained reports whether a Compute loss marks the node as a training
-// participant (servers return NaN).
-func trained(loss float64) bool { return !math.IsNaN(loss) }

@@ -38,7 +38,6 @@
 package engine
 
 import (
-	"math"
 	"slices"
 
 	"sapspsgd/internal/core"
@@ -157,7 +156,10 @@ type ReportFold struct {
 
 // Fold returns the report of one executed round: rank-ordered flow
 // aggregation, the loss mean over the nodes that trained, and the largest
-// payload. reports is rank-indexed; entries for absent nodes are zero values.
+// payload. Trained, not the loss value, decides who is in the mean, so a
+// trainer whose loss diverged to NaN makes the mean NaN instead of dropping
+// out of it. reports is rank-indexed; entries for absent nodes are zero
+// values.
 // The report's Pairs alias the fold's pooled storage and stay valid until the
 // next Fold — the Driver consumes them before planning the next round.
 func (a *ReportFold) Fold(reports []NodeReport) ControlReport {
@@ -167,7 +169,7 @@ func (a *ReportFold) Fold(reports []NodeReport) ControlReport {
 		if nr.PayloadLen > rep.PayloadLen {
 			rep.PayloadLen = nr.PayloadLen
 		}
-		if nr.Trained && !math.IsNaN(nr.Loss) {
+		if nr.Trained {
 			sum += nr.Loss
 			k++
 		}

@@ -7,6 +7,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -312,6 +313,32 @@ func TestCountingLedger(t *testing.T) {
 	}
 	if led.Rounds() != 2 {
 		t.Fatalf("rounds %d, want 2", led.Rounds())
+	}
+}
+
+// TestFoldMeansOverTrainersByRole: the round mean covers the nodes the
+// pattern marked Trained, whatever their losses are. A trainer whose loss is
+// NaN makes the mean NaN (a diverged run must not report the survivors'
+// mean, or 0 when none survive); a NaN from the hub's server, which is not
+// Trained, stays out.
+func TestFoldMeansOverTrainersByRole(t *testing.T) {
+	nan := math.NaN()
+	var fold engine.ReportFold
+	trainerNaN := fold.Fold([]engine.NodeReport{
+		{Loss: 1, Trained: true}, {Loss: nan, Trained: true}, {Loss: 3, Trained: true},
+	})
+	if !math.IsNaN(trainerNaN.MeanLoss) {
+		t.Errorf("one NaN trainer: mean %v, want NaN", trainerNaN.MeanLoss)
+	}
+	allNaN := fold.Fold([]engine.NodeReport{{Loss: nan, Trained: true}, {Loss: nan, Trained: true}})
+	if !math.IsNaN(allNaN.MeanLoss) {
+		t.Errorf("every trainer NaN: mean %v, want NaN", allNaN.MeanLoss)
+	}
+	serverNaN := fold.Fold([]engine.NodeReport{
+		{Loss: 1, Trained: true}, {Loss: 3, Trained: true}, {Loss: nan, Trained: false},
+	})
+	if serverNaN.MeanLoss != 2 {
+		t.Errorf("NaN server: mean %v, want the trainers' 2", serverNaN.MeanLoss)
 	}
 }
 

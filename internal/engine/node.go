@@ -70,7 +70,9 @@ type Flow struct {
 type NodeReport struct {
 	// Loss is the local training loss (NaN when the node does not train).
 	Loss float64
-	// Trained reports whether Loss participates in the round mean.
+	// Trained reports whether Loss participates in the round mean. The
+	// pattern sets it by role — true for every trainer, whatever its loss,
+	// and false for the hub's server.
 	Trained bool
 	// PayloadLen is the number of wire words in this node's outbound
 	// payload (the shared-mask population count for the masked codec).

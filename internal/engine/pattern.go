@@ -232,7 +232,7 @@ func (Pairwise) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 		if err != nil {
 			return err
 		}
-		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		st.Rep.Loss, st.Rep.Trained = loss, true
 		if peer < 0 {
 			st.skip = true
 			return nil
@@ -344,7 +344,7 @@ func (p *Neighborhood) RunPhase(ctx RoundContext, phase int, node Node, codecs [
 		if err != nil {
 			return err
 		}
-		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		st.Rep.Loss, st.Rep.Trained = loss, true
 		if len(peers) == 0 {
 			st.skip = true
 			return nil
@@ -471,7 +471,9 @@ func (h Hub) serverPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 		if err != nil {
 			return err
 		}
-		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		// The server holds the model but does not train: its loss stays out
+		// of the round mean.
+		st.Rep.Loss, st.Rep.Trained = loss, false
 		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
 		if err != nil {
 			return err
@@ -524,7 +526,7 @@ func (h Hub) workerPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr 
 	if err != nil {
 		return err
 	}
-	st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+	st.Rep.Loss, st.Rep.Trained = loss, true
 	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
 	if err != nil {
 		return err
@@ -739,7 +741,7 @@ func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec,
 		if err != nil {
 			return err
 		}
-		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(out)
+		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, true, len(out)
 		if ctx.N == 1 {
 			st.vec = append(st.vec[:0], out...)
 			return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
@@ -819,7 +821,7 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 		if err != nil {
 			return err
 		}
-		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(out)
+		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, true, len(out)
 		st.vec = append(st.vec[:0], out...)
 		st.lo, st.hi = 0, len(st.vec)
 		partner, sendLo, sendHi, _, _ := rsGeometry(self, n, 0, st.lo, st.hi)
@@ -928,7 +930,7 @@ func (a AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, 
 		if err != nil {
 			return err
 		}
-		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(words)
+		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, true, len(words)
 		st.sent = codecs[ctx.Self].WireBytes(words)
 		return phaseSendAll(ctx, tr, st, words, len(out))
 	case 1:

@@ -21,6 +21,10 @@ func TestParamCounts(t *testing.T) {
 	if rn.ParamCount() < 250000 || rn.ParamCount() > 300000 {
 		t.Fatalf("ResNet-20 params = %d, want ~270k", rn.ParamCount())
 	}
+	// The CIFAR10-CNN at full width is a >1M-parameter model.
+	if c := NewCIFARCNN(Shape{C: 3, H: 32, W: 32}, 10, 1, 1); c.ParamCount() < 1e6 {
+		t.Fatalf("CIFAR-CNN params = %d, want > 1M", c.ParamCount())
+	}
 }
 
 func TestFlatParamsRoundTrip(t *testing.T) {

@@ -79,11 +79,11 @@ type LoopResult struct {
 }
 
 // RunLoop is the repository's one synchronous round loop: every in-process
-// run — a scenario spec (Spec.RunFull) or a hand-assembled algorithm (the
-// façade's Run) — steps its algorithm here, charging led. An algorithm
-// holding background resources (the engine's executors) exposes Close;
-// RunLoop releases it when the run completes, so the algorithm cannot be
-// stepped again afterwards (its models and diagnostics stay readable).
+// run of a scenario spec (Spec.RunFull) steps its algorithm here, charging
+// led. An algorithm holding background resources (the engine's executors)
+// exposes Close; RunLoop releases it when the run completes, so the
+// algorithm cannot be stepped again afterwards (its models and diagnostics
+// stay readable).
 func RunLoop(alg algos.Algorithm, led *netsim.Ledger, cfg Loop) LoopResult {
 	if c, ok := alg.(interface{ Close() }); ok {
 		defer c.Close()

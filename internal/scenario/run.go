@@ -380,9 +380,23 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 	})
 	wall := time.Since(start).Seconds()
 	obs.Current().RunsM().Done(ri)
+	if err := s.checkFinite("round", out.Losses); err != nil {
+		return nil, err
+	}
 	out.Evals = res.Records
 	out.finish(s, opts, mode, wall, led, res.FinalLoss)
 	return out, nil
+}
+
+// checkFinite refuses a run whose mean training loss went NaN or infinite
+// at some round (or async sample): a diverged run has no loss to report.
+func (s *Spec) checkFinite(unit string, losses []float64) error {
+	for i, l := range losses {
+		if math.IsNaN(l) || math.IsInf(l, 0) {
+			return fmt.Errorf("scenario %s: the mean training loss is %v at %s %d: the run diverged", s.Name, l, unit, i)
+		}
+	}
+	return nil
 }
 
 // appendSeries records one finished round.
@@ -457,6 +471,9 @@ func (s *Spec) runAsync() (*RunOutput, error) {
 		out.Losses = append(out.Losses, smp.MeanLoss)
 		out.CumBytes = append(out.CumBytes, smp.CumBytes)
 		out.CumSimSeconds = append(out.CumSimSeconds, smp.Time)
+	}
+	if err := s.checkFinite("sample", out.Losses); err != nil {
+		return nil, err
 	}
 	for _, m := range af.Models {
 		out.Params = append(out.Params, m.FlatParams(nil))

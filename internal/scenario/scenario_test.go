@@ -277,6 +277,35 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDivergedRunIsAnError: a step size that overflows the model makes every
+// trainer's loss NaN by the second round. The run must fail naming the
+// scenario, the round and the value — not complete with a final loss of 0,
+// the best loss any summary could show.
+func TestDivergedRunIsAnError(t *testing.T) {
+	for _, tc := range []struct{ algo, async, want string }{
+		{"psgd", "", "at round 1"},
+		{"adpsgd", `,"async":{"compute_seconds":0.02}`, "at sample"},
+	} {
+		t.Run(tc.algo, func(t *testing.T) {
+			s, err := Parse([]byte(`{"schema_version":2,"name":"diverge","algo":"` + tc.algo + `","nodes":4,"rounds":2,
+				"seed":3,"lr":1e308,"batch":4,"model":{"hidden":[8]},"data":{"samples":64,"classes":2},
+				"bandwidth":{"kind":"uniform","lo":1,"hi":5}` + tc.async + `}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := s.RunFull(RunOptions{})
+			if err == nil {
+				t.Fatalf("diverged run returned no error: losses %v, final loss %v", out.Losses, out.Result.FinalLoss)
+			}
+			for _, want := range []string{"scenario diverge", tc.want, "NaN"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+		})
+	}
+}
+
 // TestRunDeterministicAcrossShards is the scenario-level determinism gate:
 // the same spec at different shard counts must move exactly the same bytes
 // and end at exactly the same loss.

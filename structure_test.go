@@ -175,6 +175,25 @@ func TestOneComparator(t *testing.T) {
 	}
 }
 
+// TestOneFrontDoor: a run is described one way — a scenario spec, swept by a
+// campaign (cmd/campaign) or deployed over TCP (cmd/coordinator, cmd/worker).
+// A product package at the module root would be a second, hand-assembled
+// description of the same runs, and examples/ its programs.
+func TestOneFrontDoor(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			t.Errorf("%s: the module root holds product code — write a spec under campaigns/ or a package under internal/", name)
+		}
+	}
+	if _, err := os.Stat("examples"); err == nil {
+		t.Error("examples/ exists: an example is a committed campaign under campaigns/")
+	}
+}
+
 // productFiles parses every non-test .go file under dir.
 func productFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	t.Helper()
@@ -314,7 +333,7 @@ func TestOneRoundDriver(t *testing.T) {
 		return false
 	}
 	var files []*ast.File
-	for _, dir := range []string{"cmd", "examples", "internal"} {
+	for _, dir := range []string{"cmd", "internal"} {
 		files = append(files, productFiles(t, fset, dir)...)
 	}
 	for _, f := range files {
