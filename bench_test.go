@@ -26,11 +26,11 @@ func BenchmarkSAPSRoundThroughput32Workers(b *testing.B) {
 	}
 	spec.Nodes, spec.Compression = 32, 50
 	spec.Data.Samples, spec.Data.Valid = 1024, 0
-	alg, bw, err := spec.Build(0)
+	alg, env, err := spec.Build(0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	led := netsim.NewLedger(bw)
+	led := netsim.NewLedger(env.Current())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		alg.Step(i, led)

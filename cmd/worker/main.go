@@ -1,7 +1,7 @@
 // Command worker runs one training peer (Algorithm 2) as a TCP client: it
-// registers with the coordinator, receives the task spec and its rank,
-// regenerates its data shard locally, and trains — exchanging sparsified
-// models peer-to-peer each round.
+// registers with the coordinator, receives the run's scenario spec and its
+// rank, builds its own model and regenerates its data shard from the spec
+// locally, and trains — exchanging sparsified models peer-to-peer each round.
 //
 // Fault tolerance: with -snapshot set the worker persists its committed
 // round-boundary state (model, optimizer momentum, data-stream cursors,

@@ -27,14 +27,10 @@ import (
 	"testing"
 	"time"
 
-	"sapspsgd/internal/algos"
-	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
-	"sapspsgd/internal/fleettrace"
-	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
-	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/transport"
 )
 
@@ -42,17 +38,12 @@ var update = flag.Bool("update", false, "rewrite testdata/trajectories.golden fr
 
 const goldenPath = "testdata/trajectories.golden"
 
-// goldenCase is one recorded recipe. churn and random are in-process only:
-// the TCP coordinator takes declarative fault schedules and trace replays,
-// not a ChurnModel or another planner.
+// goldenCase is one recorded recipe: a scenario spec that both legs build
+// from — Spec.Build in process, and a CoordinatorServer with its workers
+// over TCP (every case but the churn one, which a TCP fleet does not run).
 type goldenCase struct {
-	name   string
-	n      int
-	spec   transport.TaskSpec
-	churn  *algos.ChurnModel
-	random bool                 // RandomChoose's planner instead of Algorithm 3
-	faults *algos.FaultSchedule // scheduled crashes, rejoins and mortality
-	trace  bool                 // replay goldenTrace: multipliers and join/leave events
+	name string
+	spec *scenario.Spec
 }
 
 // goldenTrace scripts an 8-node, 8-round day: per-node bandwidth multipliers
@@ -74,124 +65,75 @@ const goldenTrace = `round,node,bw,event
 6,7,0.7,
 `
 
-func goldenCases() []goldenCase {
-	spec := func(algo string, fraction float64) transport.TaskSpec {
-		return transport.TaskSpec{
-			Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4,
-			Hidden: []int{10}, Samples: 320, DataSeed: 5,
-			LR: 0.1, Batch: 8, Compression: 4, LocalSteps: 1,
-			Rounds: 4, Seed: 3,
-			Algo: algo, AlgoC: 8, QLevels: 4, Fraction: fraction,
+// goldenSpec is the recorded recipes' workload: a [10] MLP on the 1×8×8
+// image task under the data recipe the lines were recorded with (pixel noise
+// 0.35, a fifth of the samples held out, data seed 5, the IID split seeded
+// 6), planning over RandomUniform(n, 1, 5, rng.New(2))'s links as an
+// explicit matrix, with Algorithm 3 at BThres 2, TThres 5.
+func goldenSpec(algo string, n, rounds int) *scenario.Spec {
+	bw := netsim.RandomUniform(n, 1, 5, rng.New(2))
+	matrix := make([][]float64, n)
+	for i := range matrix {
+		matrix[i] = make([]float64, n)
+		for j := range matrix[i] {
+			if i != j {
+				matrix[i][j] = bw.MBps(i, j)
+			}
 		}
+	}
+	s := &scenario.Spec{
+		SchemaVersion: scenario.SpecSchemaVersion, Name: algo, Algo: algo,
+		Nodes: n, Rounds: rounds, Seed: 3,
+		LR: 0.1, Batch: 8, LocalSteps: 1, Compression: 4, C: 8, Levels: 4, Fraction: 0.5,
+		Model:     scenario.ModelSpec{Hidden: []int{10}},
+		Data:      scenario.DataSpec{Samples: 320, Classes: 4, C: 1, H: 8, W: 8, Valid: 64, Noise: 0.35, Seed: 5},
+		Partition: &scenario.PartitionSpec{Kind: "iid", Seed: 6},
+		Bandwidth: scenario.BandwidthSpec{Kind: "matrix", Matrix: matrix},
+	}
+	if algo == "saps" {
+		s.Gossip = &scenario.GossipSpec{BThres: 2, TThres: 5}
+	}
+	return s
+}
+
+// goldenCases writes goldenTrace into a temporary directory for the traced
+// cases.
+func goldenCases(t *testing.T) []goldenCase {
+	t.Helper()
+	tracePath := filepath.Join(t.TempDir(), "golden.csv")
+	if err := os.WriteFile(tracePath, []byte(goldenTrace), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	var cases []goldenCase
 	for _, algo := range []string{"psgd", "topk-psgd", "qsgd-psgd", "d-psgd", "dcd-psgd", "ps-psgd", "fedavg", "s-fedavg", "saps"} {
-		cases = append(cases, goldenCase{name: algo, n: 8, spec: spec(algo, 0.5)})
+		cases = append(cases, goldenCase{algo, goldenSpec(algo, 8, 4)})
+	}
+	with := func(s *scenario.Spec, edit func(*scenario.Spec)) *scenario.Spec {
+		edit(s)
+		return s
 	}
 	// The dynamic-membership cases run eight rounds so that a crash window
 	// opens and closes inside the run.
-	long := spec("saps", 0)
-	long.Rounds = 8
+	trace := &scenario.TraceSpec{File: tracePath, Events: true}
 	return append(cases,
-		goldenCase{name: "saps-churn", n: 8, spec: spec("saps", 0), churn: &algos.ChurnModel{LeaveProb: 0.3, JoinProb: 0.5, MinActive: 2}},
-		goldenCase{name: "psgd-n6", n: 6, spec: spec("psgd", 0)},
-		goldenCase{name: "hub-partial-active", n: 8, spec: spec("fedavg", 0.25)},
-		goldenCase{name: "randomchoose", n: 8, spec: spec("saps", 0), random: true},
-		goldenCase{name: "saps-faults", n: 8, spec: long, faults: &algos.FaultSchedule{
-			N: 8, Seed: long.Seed,
-			Events:    []algos.FaultEvent{{Rank: 2, Round: 2, RejoinAfter: 2}, {Rank: 5, Round: 5}},
-			Mortality: &algos.FaultMortality{Prob: 0.08, MinAlive: 5},
-		}},
-		goldenCase{name: "saps-trace", n: 8, spec: long, trace: true},
-		goldenCase{name: "saps-trace-faults", n: 8, spec: long, trace: true, faults: &algos.FaultSchedule{
-			N: 8, Seed: long.Seed,
-			Events: []algos.FaultEvent{{Rank: 1, Round: 3, RejoinAfter: 2}},
-		}},
-	)
-}
-
-// replay binds goldenTrace to the case's fleet (nil without trace).
-func (c goldenCase) replay(t *testing.T) *fleettrace.Replay {
-	t.Helper()
-	if !c.trace {
-		return nil
-	}
-	tr, err := fleettrace.Parse([]byte(goldenTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := fleettrace.NewReplay(tr, c.n, fleettrace.InterpHold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rp
-}
-
-func (c goldenCase) env() *netsim.Bandwidth { return netsim.RandomUniform(c.n, 1, 5, rng.New(2)) }
-
-func (c goldenCase) gossip() gossip.Config { return gossip.Config{BThres: 2, TThres: 5} }
-
-// build assembles the case's in-process algorithm at the given shard count
-// from the same TaskSpec a TCP fleet is deployed from. It returns the
-// environment the algorithm plans over and the per-round hook that advances
-// it (the trace's bandwidth multipliers; a no-op for a static environment).
-func (c goldenCase) build(t *testing.T, shards int) (algos.Algorithm, *netsim.Bandwidth, func(r int)) {
-	t.Helper()
-	s := c.spec
-	data, _ := s.BuildShards(c.n)
-	fc := algos.FleetConfig{
-		N: c.n,
-		Factory: func() *nn.Model {
-			m, err := s.BuildModel()
-			if err != nil {
-				t.Fatal(err)
+		goldenCase{"saps-churn", with(goldenSpec("saps", 8, 4), func(s *scenario.Spec) {
+			s.Churn = &scenario.ChurnSpec{LeaveProb: 0.3, JoinProb: 0.5, MinActive: 2}
+		})},
+		goldenCase{"psgd-n6", goldenSpec("psgd", 6, 4)},
+		goldenCase{"hub-partial-active", with(goldenSpec("fedavg", 8, 4), func(s *scenario.Spec) { s.Fraction = 0.25 })},
+		goldenCase{"randomchoose", goldenSpec("randomchoose", 8, 4)},
+		goldenCase{"saps-faults", with(goldenSpec("saps", 8, 8), func(s *scenario.Spec) {
+			s.Faults = &scenario.FaultsSpec{
+				Crashes:   []scenario.CrashSpec{{Rank: 2, Round: 2, RejoinAfter: 2}, {Rank: 5, Round: 5}},
+				Mortality: &scenario.MortalitySpec{Prob: 0.08, MinAlive: 5},
 			}
-			return m
-		},
-		Shards: data, LR: s.LR, Batch: s.Batch, Seed: s.Seed,
-		RuntimeShards: shards,
-	}
-	bw := c.env()
-	tick := func(int) {}
-	rp := c.replay(t)
-	if rp != nil {
-		// The scenario layer's composition: the clock's snapshot is what
-		// the planner and the ledger see, rewritten in place every round.
-		env := netsim.NewRoundEnv(bw, 0, 0, rp.Multipliers)
-		bw, tick = env.Current(), env.Tick
-	}
-	var alg algos.Algorithm
-	switch s.Algo {
-	case "psgd":
-		alg = algos.NewPSGD(fc)
-	case "topk-psgd":
-		alg = algos.NewTopKPSGD(fc, s.AlgoC)
-	case "qsgd-psgd":
-		alg = algos.NewQSGDPSGD(fc, s.QLevels)
-	case "d-psgd":
-		alg = algos.NewDPSGD(fc)
-	case "dcd-psgd":
-		alg = algos.NewDCDPSGD(fc, s.AlgoC)
-	case "ps-psgd":
-		alg = algos.NewPSPSGD(fc, bw)
-	case "fedavg":
-		alg = algos.NewFedAvg(fc, bw, s.Fraction, s.LocalSteps)
-	case "s-fedavg":
-		alg = algos.NewSFedAvg(fc, bw, s.Fraction, s.LocalSteps, s.AlgoC)
-	case "saps":
-		cfg := core.Config{
-			Workers: c.n, Compression: s.Compression, LR: s.LR, Batch: s.Batch,
-			LocalSteps: s.LocalSteps, Gossip: c.gossip(), Seed: s.Seed,
-		}
-		if c.random {
-			alg = algos.NewRandomChoose(fc, bw, cfg)
-		} else {
-			alg = algos.NewSAPSDynamic(fc, bw, cfg, algos.Membership{Churn: c.churn, Faults: c.faults, Replay: rp})
-		}
-	default:
-		t.Fatalf("golden: no builder for %q", s.Algo)
-	}
-	return alg, bw, tick
+		})},
+		goldenCase{"saps-trace", with(goldenSpec("saps", 8, 8), func(s *scenario.Spec) { s.Trace = trace })},
+		goldenCase{"saps-trace-faults", with(goldenSpec("saps", 8, 8), func(s *scenario.Spec) {
+			s.Trace = trace
+			s.Faults = &scenario.FaultsSpec{Crashes: []scenario.CrashSpec{{Rank: 1, Round: 3, RejoinAfter: 2}}}
+		})},
+	)
 }
 
 // paramHash is the SHA-256 of the models' parameter bits, in order.
@@ -220,22 +162,25 @@ func joinInts(xs []int64) string {
 // live model), per-round bytes, and the simulated clock's bits per round.
 func (c goldenCase) inProc(t *testing.T, shards int) map[string]string {
 	t.Helper()
-	alg, bw, tick := c.build(t, shards)
+	alg, env, err := c.spec.Build(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cl, ok := alg.(interface{ Close() }); ok {
 		defer cl.Close()
 	}
-	led := netsim.NewLedger(bw)
+	led := netsim.NewLedger(env.Current())
 	var bytes []int64
 	var clock []string
 	var prev int64
 	for r := 0; r < c.spec.Rounds; r++ {
-		tick(r)
+		env.Tick(r)
 		alg.Step(r, led)
 		// Every byte is tallied once at its sender and once at its
 		// receiver (worker or server account), so half the grand total is
 		// the round's wire traffic — engine.CountingLedger's RoundBytes.
 		total := led.ServerBytes()
-		for i := 0; i < c.n; i++ {
+		for i := 0; i < c.spec.Nodes; i++ {
 			s, rcv := led.WorkerBytes(i)
 			total += s + rcv
 		}
@@ -263,25 +208,22 @@ func (c goldenCase) inProc(t *testing.T, shards int) map[string]string {
 func (c goldenCase) overTCP(t *testing.T, onCrash func(rank int, snapPath string)) map[string]string {
 	t.Helper()
 	led := &engine.CountingLedger{}
-	srv := &transport.CoordinatorServer{
-		N: c.n, Task: c.spec, BW: c.env(), Gossip: c.gossip(), Ledger: led,
-		Faults: c.faults, Replay: c.replay(t), ReplayEvents: c.trace,
-		RejoinWait: 30 * time.Second,
-	}
+	srv := &transport.CoordinatorServer{Spec: c.spec, Ledger: led, RejoinWait: 30 * time.Second}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	faults := c.spec.Faults
 	returns := map[int]int{} // rank → scheduled rejoins
-	if c.faults != nil {
-		for _, e := range c.faults.Events {
+	if faults != nil {
+		for _, e := range faults.Crashes {
 			if e.RejoinAfter > 0 {
 				returns[e.Rank]++
 			}
 		}
 	}
 	dir := t.TempDir()
-	procs := c.spec.Recipe(c.n).Nodes()
+	procs := c.spec.Recipe().Nodes()
 	errs := make([]error, procs)
 	var wg sync.WaitGroup
 	for i := 0; i < procs; i++ {
@@ -289,7 +231,7 @@ func (c goldenCase) overTCP(t *testing.T, onCrash func(rank int, snapPath string
 		go func(i int) {
 			defer wg.Done()
 			path := ""
-			if c.faults != nil {
+			if faults != nil {
 				path = filepath.Join(dir, fmt.Sprintf("worker-%d.snap", i))
 			}
 			wc := &transport.WorkerClient{SnapshotPath: path}
@@ -353,7 +295,7 @@ func readGolden(t *testing.T) map[string]map[string]string {
 
 // TestGoldenTrajectories checks every executor against the recorded file.
 func TestGoldenTrajectories(t *testing.T) {
-	cases := goldenCases()
+	cases := goldenCases(t)
 	if *update {
 		var sb strings.Builder
 		sb.WriteString("# Recorded by TestGoldenTrajectories -update; see golden_test.go. One recipe per line.\n")
@@ -393,7 +335,7 @@ func TestGoldenTrajectories(t *testing.T) {
 			for _, shards := range []int{1, 4, runtime.NumCPU(), 0} {
 				check(t, want, c.inProc(t, shards), fmt.Sprintf("shards=%d", shards))
 			}
-			if c.churn == nil && !c.random {
+			if c.spec.Churn == nil {
 				check(t, want, c.overTCP(t, nil), "tcp")
 			}
 		})

@@ -23,9 +23,9 @@ import (
 	"strings"
 	"testing"
 
-	"sapspsgd/internal/algos"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
 	"sapspsgd/internal/transport"
 )
@@ -44,31 +44,25 @@ const (
 // snapshot is a few kilobytes, two local steps on 20-sample shards so the
 // loader cursors cross an epoch reshuffle before the cut, every recipe knob
 // set. No recipe sets SGD momentum, so Velocity is nil in every file.
-func snapshotSpec(algo string) transport.TaskSpec {
-	return transport.TaskSpec{
-		Arch: "mlp", C: 1, H: 4, W: 4, Classes: 4,
-		Hidden: []int{6}, Samples: 160, DataSeed: 5,
-		LR: 0.1, Batch: 4, Compression: 4, LocalSteps: 2,
-		Rounds: snapshotTotal, Seed: 3,
-		Algo: algo, AlgoC: 4, QLevels: 4, Fraction: 0.5,
-	}
+func snapshotSpec(algo string) *scenario.Spec {
+	s := goldenSpec(algo, snapshotN, snapshotTotal)
+	s.Batch, s.LocalSteps, s.C = 4, 2, 4
+	s.Model.Hidden = []int{6}
+	s.Data = scenario.DataSpec{Samples: 160, Classes: 4, C: 1, H: 4, W: 4, Valid: 32, Noise: 0.35, Seed: 5}
+	return s
 }
 
 // snapshotFleet assembles the spec's engine from the recipe's public parts,
 // as every deployment does, and returns it with every rank's model (the hub
 // server's last).
-func snapshotFleet(t *testing.T, spec transport.TaskSpec) (*engine.Engine, []*nn.Model) {
+func snapshotFleet(t *testing.T, spec *scenario.Spec) (*engine.Engine, []*nn.Model) {
 	t.Helper()
-	c := goldenCase{n: snapshotN, spec: spec}
-	rec := spec.Recipe(snapshotN)
-	if err := rec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	shards, _ := spec.BuildShards(snapshotN)
+	rec := spec.Recipe()
+	shards, _ := spec.Dataset()
 	models := make([]*nn.Model, rec.Nodes())
 	nodes := make([]engine.Node, rec.Nodes())
 	for i := range nodes {
-		m, err := spec.BuildModel()
+		m, err := spec.NewModel()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +77,7 @@ func snapshotFleet(t *testing.T, spec transport.TaskSpec) (*engine.Engine, []*nn
 	engine.ShareMasks(nodes, codecs)
 	eng := engine.New(engine.Options{
 		Nodes: nodes, Codecs: codecs, Pattern: rec.Pattern(),
-		Planner: rec.Planner(c.env(), c.gossip()), Shards: 1,
+		Planner: spec.Planner(spec.Env()), Shards: 1,
 	})
 	t.Cleanup(eng.Close)
 	return eng, models
@@ -202,10 +196,8 @@ func TestFormat1SnapshotsRejected(t *testing.T) {
 // Rank 0 is the rank the coordinator collects the model from.
 func TestParentCommitWorkerSnapshotRejoins(t *testing.T) {
 	spec := snapshotSpec("saps")
-	c := goldenCase{name: "worker-snapshot", n: snapshotN, spec: spec, faults: &algos.FaultSchedule{
-		N: snapshotN, Seed: spec.Seed,
-		Events: []algos.FaultEvent{{Rank: 0, Round: snapshotCut, RejoinAfter: 2}},
-	}}
+	spec.Faults = &scenario.FaultsSpec{Crashes: []scenario.CrashSpec{{Rank: 0, Round: snapshotCut, RejoinAfter: 2}}}
+	c := goldenCase{"worker-snapshot", spec}
 	fixture := filepath.Join(snapshotDir, "worker-rank0.snap")
 	swap := func(rank int, snapPath string) {
 		if rank != 0 {

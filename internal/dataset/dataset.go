@@ -117,8 +117,9 @@ func Synthetic(cfg SynthConfig, n int, seed uint64) *Dataset {
 // ImageTask generates a c×h×w synthetic image-classification task with two
 // prototypes per class and the given pixel-noise level, split into train and
 // held-out valid samples: both are generated together and split, so they
-// share prototypes. It is the one builder behind every image task, a
-// scenario spec's and a TCP worker's alike.
+// share prototypes. It is the one builder behind every image task: a
+// scenario spec's data block (noise 0.4 unless data.noise sets it), which a
+// TCP worker reads as an in-process run does.
 func ImageTask(name string, c, h, w, classes int, noise float64, train, valid int, seed uint64) (tr, va *Dataset) {
 	cfg := SynthConfig{Name: name, C: c, H: h, W: w, Classes: classes, PerClass: 2, Noise: noise}
 	return split(Synthetic(cfg, train+valid, seed), train)

@@ -8,18 +8,16 @@ import (
 	"bytes"
 	"testing"
 
-	"sapspsgd/internal/algos"
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
-	"sapspsgd/internal/gossip"
 )
 
 // sapsEngine builds a fresh SAPS engine (workers + coordinator planner) from
 // the shared test spec.
-func sapsEngine(t *testing.T, n int) (*engine.Engine, []*core.Worker) {
+func sapsEngine(t *testing.T) (*engine.Engine, []*core.Worker) {
 	t.Helper()
 	spec := testSpec(6)
-	opts, workers := sapsFleet(t, spec, n, core.NewCoordinator(testEnv(n), coreConfig(spec, n)))
+	opts, workers := sapsFleet(t, spec, spec.Planner(spec.Env()))
 	return engine.New(opts), workers
 }
 
@@ -37,15 +35,15 @@ func runRounds(t *testing.T, eng *engine.Engine, led engine.Ledger, from, to int
 // models, loaders, planner), and checks the continuation is bit-identical to
 // the uninterrupted run — parameters and per-round ledger bytes.
 func TestCheckpointResumeSAPS(t *testing.T) {
-	const n, total, cut = 4, 6, 3
+	const total, cut = 6, 3
 
-	refEng, refWorkers := sapsEngine(t, n)
+	refEng, refWorkers := sapsEngine(t)
 	defer refEng.Close()
 	refLed := &engine.CountingLedger{}
 	runRounds(t, refEng, refLed, 0, total)
 
 	// Interrupted run: cut rounds, checkpoint, serialize.
-	eng1, _ := sapsEngine(t, n)
+	eng1, _ := sapsEngine(t)
 	led1 := &engine.CountingLedger{}
 	runRounds(t, eng1, led1, 0, cut)
 	snap, err := eng1.Checkpoint(cut, led1)
@@ -66,7 +64,7 @@ func TestCheckpointResumeSAPS(t *testing.T) {
 	}
 
 	// Resume: everything rebuilt from scratch, planner replayed to the cut.
-	eng2, workers2 := sapsEngine(t, n)
+	eng2, workers2 := sapsEngine(t)
 	defer eng2.Close()
 	eng2.ReplayPlans(decoded.NextRound)
 	led2 := &engine.CountingLedger{}
@@ -96,18 +94,16 @@ func TestCheckpointResumeSAPS(t *testing.T) {
 
 // topkEngine builds a TopK-PSGD engine via the recipe — the error-feedback
 // residual is the state under test.
-func topkEngine(t *testing.T, n int) (*engine.Engine, []engine.Node) {
+func topkEngine(t *testing.T) (*engine.Engine, []engine.Node) {
 	t.Helper()
 	spec := testSpec(6)
-	rec := algos.Recipe{Algo: "topk-psgd", Workers: n, LR: spec.LR, Batch: spec.Batch, Seed: spec.Seed, C: 8}
-	if err := rec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	shards, _ := spec.BuildShards(n)
-	nodes := make([]engine.Node, n)
+	spec.Algo, spec.C = "topk-psgd", 8
+	rec := spec.Recipe()
+	shards, _ := spec.Dataset()
+	nodes := make([]engine.Node, spec.Nodes)
 	dim := 0
-	for i := 0; i < n; i++ {
-		model, err := spec.BuildModel()
+	for i := range nodes {
+		model, err := spec.NewModel()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +114,7 @@ func topkEngine(t *testing.T, n int) (*engine.Engine, []engine.Node) {
 		Nodes:   nodes,
 		Codecs:  rec.Codecs(dim),
 		Pattern: rec.Pattern(),
-		Planner: rec.Planner(nil, gossip.Config{}),
+		Planner: spec.Planner(nil),
 	})
 	return eng, nodes
 }
@@ -128,15 +124,15 @@ func topkEngine(t *testing.T, n int) (*engine.Engine, []engine.Node) {
 // residual across rounds — forgetting it in the snapshot would diverge the
 // traffic and the trajectory immediately.
 func TestCheckpointResumeErrorFeedback(t *testing.T) {
-	const n, total, cut = 4, 6, 2
+	const total, cut = 6, 2
 
-	refEng, _ := topkEngine(t, n)
+	refEng, _ := topkEngine(t)
 	defer refEng.Close()
 	refLed := &engine.CountingLedger{}
 	runRounds(t, refEng, refLed, 0, total)
 	refFinal := snapshotNodeParams(t, refEng)
 
-	eng1, _ := topkEngine(t, n)
+	eng1, _ := topkEngine(t)
 	led1 := &engine.CountingLedger{}
 	runRounds(t, eng1, led1, 0, cut)
 	snap, err := eng1.Checkpoint(cut, led1)
@@ -145,7 +141,7 @@ func TestCheckpointResumeErrorFeedback(t *testing.T) {
 	}
 	eng1.Close()
 
-	eng2, _ := topkEngine(t, n)
+	eng2, _ := topkEngine(t)
 	defer eng2.Close()
 	eng2.ReplayPlans(snap.NextRound)
 	led2 := &engine.CountingLedger{}

@@ -14,50 +14,36 @@ import (
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/engine/memtransport"
-	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
-	"sapspsgd/internal/rng"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/transport"
 )
 
 // testSpec is the shared tiny workload: every backend builds models, shards,
 // and hyperparameters from this one spec, exactly as TCP workers do from the
 // coordinator's broadcast.
-func testSpec(rounds int) transport.TaskSpec {
-	return transport.TaskSpec{
-		Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4, Hidden: []int{12},
-		Samples: 256, DataSeed: 11,
-		LR: 0.05, Batch: 8, Compression: 8, LocalSteps: 1,
-		Rounds: rounds, Seed: 5,
+func testSpec(rounds int) *scenario.Spec {
+	return &scenario.Spec{
+		SchemaVersion: scenario.SpecSchemaVersion, Name: "backends", Algo: "saps",
+		Nodes: 4, Rounds: rounds, Seed: 5, LR: 0.05, Batch: 8, Compression: 8,
+		Model:     scenario.ModelSpec{Hidden: []int{12}},
+		Data:      scenario.DataSpec{Samples: 256, Classes: 4, C: 1, H: 8, W: 8, Seed: 11},
+		Bandwidth: scenario.BandwidthSpec{Kind: "uniform", Lo: 1, Hi: 5},
 	}
 }
-
-func coreConfig(spec transport.TaskSpec, n int) core.Config {
-	return core.Config{
-		Workers:     n,
-		Compression: spec.Compression,
-		LR:          spec.LR,
-		Batch:       spec.Batch,
-		LocalSteps:  spec.LocalSteps,
-		Gossip:      gossip.Config{BThres: 0, TThres: 10},
-		Seed:        spec.Seed,
-	}
-}
-
-func testEnv(n int) *netsim.Bandwidth { return netsim.RandomUniform(n, 1, 5, rng.New(2)) }
 
 // sapsFleet assembles the spec's SAPS fleet the way every deployment does —
-// each rank's node and the codec table from the task's recipe, as a TCP
+// each rank's node and the codec table from the spec's recipe, as a TCP
 // WorkerClient does after Welcome — under the given planner, and returns the
 // engine options plus the core workers behind the nodes.
-func sapsFleet(t *testing.T, spec transport.TaskSpec, n int, planner engine.Planner) (engine.Options, []*core.Worker) {
+func sapsFleet(t *testing.T, spec *scenario.Spec, planner engine.Planner) (engine.Options, []*core.Worker) {
 	t.Helper()
-	rec := spec.Recipe(n)
-	shards, _ := spec.BuildShards(n)
-	nodes := make([]engine.Node, n)
-	ws := make([]*core.Worker, n)
-	for i := 0; i < n; i++ {
-		model, err := spec.BuildModel()
+	rec := spec.Recipe()
+	shards, _ := spec.Dataset()
+	nodes := make([]engine.Node, spec.Nodes)
+	ws := make([]*core.Worker, spec.Nodes)
+	for i := range nodes {
+		model, err := spec.NewModel()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,9 +58,9 @@ func sapsFleet(t *testing.T, spec transport.TaskSpec, n int, planner engine.Plan
 // inProcRun is one engine training over an in-process backend: it returns
 // the per-round traffic totals and the per-round snapshot of every worker's
 // parameters.
-func inProcRun(t *testing.T, spec transport.TaskSpec, n int, inner engine.Ledger, tr engine.Transport) (roundBytes []int64, trajectory [][][]float64) {
+func inProcRun(t *testing.T, spec *scenario.Spec, inner engine.Ledger, tr engine.Transport) (roundBytes []int64, trajectory [][][]float64) {
 	t.Helper()
-	opts, workers := sapsFleet(t, spec, n, core.NewCoordinator(testEnv(n), coreConfig(spec, n)))
+	opts, workers := sapsFleet(t, spec, spec.Planner(spec.Env()))
 	opts.Transport = tr
 	eng := engine.New(opts)
 	defer eng.Close()
@@ -83,7 +69,7 @@ func inProcRun(t *testing.T, spec transport.TaskSpec, n int, inner engine.Ledger
 		if _, err := eng.Step(round, led); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		snap := make([][]float64, n)
+		snap := make([][]float64, len(workers))
 		for i, w := range workers {
 			snap[i] = w.Model.FlatParams(nil)
 		}
@@ -93,23 +79,18 @@ func inProcRun(t *testing.T, spec transport.TaskSpec, n int, inner engine.Ledger
 }
 
 // tcpRun trains the same spec over real loopback TCP (coordinator server +
-// n worker clients) and returns the per-round traffic totals and the final
-// rank-0 model.
-func tcpRun(t *testing.T, spec transport.TaskSpec, n int) (roundBytes []int64, final []float64) {
+// one worker client per node) and returns the per-round traffic totals and
+// the final rank-0 model.
+func tcpRun(t *testing.T, spec *scenario.Spec) (roundBytes []int64, final []float64) {
 	t.Helper()
 	led := &engine.CountingLedger{}
-	srv := &transport.CoordinatorServer{
-		N: n, Task: spec,
-		BW:     testEnv(n),
-		Gossip: coreConfig(spec, n).Gossip,
-		Ledger: led,
-	}
+	srv := &transport.CoordinatorServer{Spec: spec, Ledger: led}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 0; i < spec.Nodes; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -131,15 +112,16 @@ func tcpRun(t *testing.T, spec transport.TaskSpec, n int) (roundBytes []int64, f
 // trajectories (bit-for-bit) and identical per-round traffic totals over
 // memtransport, memtransport charged against a netsim ledger, and TCP.
 func TestBackendEquivalence(t *testing.T) {
-	const n, rounds = 4, 8
+	const rounds = 8
 	spec := testSpec(rounds)
+	n := spec.Nodes
 
-	memBytes, memTraj := inProcRun(t, spec, n, nil, memtransport.NewHub(n))
+	memBytes, memTraj := inProcRun(t, spec, nil, memtransport.NewHub(n))
 
-	simHub, simLed := memtransport.NewHub(n), netsim.NewLedger(testEnv(n))
-	simBytes, simTraj := inProcRun(t, spec, n, simLed, simHub)
+	simHub, simLed := memtransport.NewHub(n), netsim.NewLedger(spec.Env())
+	simBytes, simTraj := inProcRun(t, spec, simLed, simHub)
 
-	tcpBytes, tcpFinal := tcpRun(t, spec, n)
+	tcpBytes, tcpFinal := tcpRun(t, spec)
 
 	// Per-round traffic totals must agree across all three backends.
 	for name, got := range map[string][]int64{"netsim": simBytes, "tcptransport": tcpBytes} {
@@ -172,7 +154,7 @@ func TestBackendEquivalence(t *testing.T) {
 		}
 	}
 	// tcp: the collected rank-0 model must equal the in-memory rank-0 model
-	// bit-for-bit (gob preserves float64 exactly).
+	// bit-for-bit.
 	memFinal := memTraj[rounds-1][0]
 	if len(tcpFinal) != len(memFinal) {
 		t.Fatalf("tcp final model %d params, want %d", len(tcpFinal), len(memFinal))
@@ -188,7 +170,6 @@ func TestBackendEquivalence(t *testing.T) {
 // workers neither train nor exchange, and the loss averages over the
 // participants only.
 func TestEngineHonorsActiveSet(t *testing.T) {
-	const n = 4
 	spec := testSpec(1)
 	planner := engine.PlannerFunc(func(round int) core.RoundPlan {
 		return core.RoundPlan{
@@ -198,7 +179,7 @@ func TestEngineHonorsActiveSet(t *testing.T) {
 			Active: []bool{true, true, true, false},
 		}
 	})
-	opts, workers := sapsFleet(t, spec, n, planner)
+	opts, workers := sapsFleet(t, spec, planner)
 	before := workers[3].Model.FlatParams(nil)
 	eng := engine.New(opts)
 	defer eng.Close()
@@ -273,7 +254,6 @@ func TestHubRejectsBadPeer(t *testing.T) {
 // error before dispatch — a one-sided assignment would otherwise leave a
 // worker blocked in Recv and deadlock the barrier.
 func TestEngineRejectsMalformedPlan(t *testing.T) {
-	const n = 4
 	spec := testSpec(1)
 	bad := []core.RoundPlan{
 		{Round: 0, Seed: 1, Peer: []int{1, 0}},                                                  // wrong length
@@ -284,7 +264,7 @@ func TestEngineRejectsMalformedPlan(t *testing.T) {
 	}
 	for i, plan := range bad {
 		p := plan
-		opts, _ := sapsFleet(t, spec, n, engine.PlannerFunc(func(int) core.RoundPlan { return p }))
+		opts, _ := sapsFleet(t, spec, engine.PlannerFunc(func(int) core.RoundPlan { return p }))
 		eng := engine.New(opts)
 		_, err := eng.Step(0, &engine.CountingLedger{})
 		eng.Close()
@@ -345,12 +325,11 @@ func TestFoldMeansOverTrainersByRole(t *testing.T) {
 // TestDriverAccountsMatchedPairsOnly: the driver's central accounting must
 // charge exactly one bidirectional transfer per matched pair.
 func TestDriverAccountsMatchedPairsOnly(t *testing.T) {
-	const n = 4
 	spec := testSpec(1)
 	planner := engine.PlannerFunc(func(round int) core.RoundPlan {
 		return core.RoundPlan{Round: round, Seed: 7, Peer: []int{1, 0, -1, -1}}
 	})
-	opts, _ := sapsFleet(t, spec, n, planner)
+	opts, _ := sapsFleet(t, spec, planner)
 	eng := engine.New(opts)
 	defer eng.Close()
 	led := &engine.CountingLedger{}

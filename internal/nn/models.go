@@ -104,9 +104,9 @@ func NewMLP(inDim int, hidden []int, classes int, seed uint64) *Model {
 	return NewModel("mlp", Shape{C: 1, H: 1, W: inDim}, classes, layers...)
 }
 
-// Arch names a model family in the vocabulary the scenario specs and the TCP
-// TaskSpec share. New is the one place that vocabulary turns into a
-// constructor call.
+// Arch names a model family in the scenario spec's vocabulary (its model
+// block), which in-process runs and TCP workers alike read. New is the one
+// place that vocabulary turns into a constructor call.
 type Arch struct {
 	// Name is "mlp" (also the meaning of ""), "mnist-cnn", "cifar-cnn" or
 	// "resnet".

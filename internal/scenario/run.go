@@ -61,18 +61,29 @@ func (s *Spec) gossipConfig() gossip.Config {
 	return gossip.Config{BThres: s.Gossip.BThres, TThres: s.Gossip.TThres}
 }
 
+// Planner is the coordinator side of the spec's algorithm over bw:
+// RandomChoose's uniform matching for randomchoose, the recipe's planner
+// (Algorithm 3 under the gossip thresholds, for saps) otherwise. A
+// membership (Membership) is applied on top by whoever runs the rounds.
+func (s *Spec) Planner(bw *netsim.Bandwidth) engine.Planner {
+	if s.Algo == "randomchoose" {
+		return algos.NewRandomPlanner(s.Nodes, s.Seed)
+	}
+	return s.Recipe().Planner(bw, s.gossipConfig())
+}
+
 // Build assembles the spec's algorithm over the sharded engine runtime.
 // shards overrides the spec's default shard count when > 0; pass 0 to use
-// the spec's (whose own 0 means one shard per CPU). With
-// bandwidth.jitter or a trace block set, the returned *netsim.Bandwidth is
-// the time-varying environment's stable snapshot (rewritten in place every
-// round by Run).
-func (s *Spec) Build(shards int) (algos.Algorithm, *netsim.Bandwidth, error) {
+// the spec's (whose own 0 means one shard per CPU). The returned clock's
+// Current is the environment the algorithm plans over; with bandwidth.jitter
+// or a trace block set, Tick(r) before each round r rewrites it in place,
+// as Run does.
+func (s *Spec) Build(shards int) (algos.Algorithm, *netsim.RoundEnv, error) {
 	b, err := s.build(shards)
 	if err != nil {
 		return nil, nil, err
 	}
-	return b.alg, b.env.Current(), nil
+	return b.alg, b.env, nil
 }
 
 // built is a spec assembled for the round loop.
@@ -82,8 +93,12 @@ type built struct {
 	valid *dataset.Dataset // nil without data.valid
 }
 
-// traceReplay parses the spec's trace block and binds it to the fleet.
-func (s *Spec) traceReplay() (*fleettrace.Replay, error) {
+// Replay parses the spec's trace block and binds it to the fleet; it is nil
+// without a trace block.
+func (s *Spec) Replay() (*fleettrace.Replay, error) {
+	if s.Trace == nil {
+		return nil, nil
+	}
 	tr, err := fleettrace.ParseFile(s.TracePath())
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
@@ -99,27 +114,45 @@ func (s *Spec) traceReplay() (*fleettrace.Replay, error) {
 	return rp, nil
 }
 
+// RoundEnv is the spec's round-environment clock over base: each round's
+// bandwidth.jitter draw from the spec seed, then replay's per-node
+// multipliers (nil: none). The scenario loop builds it over Env(); a TCP
+// coordinator over its configured or measured matrix.
+func (s *Spec) RoundEnv(base *netsim.Bandwidth, replay *fleettrace.Replay) *netsim.RoundEnv {
+	var mults func(int, []float64) []float64
+	if replay != nil {
+		mults = replay.Multipliers
+	}
+	return netsim.NewRoundEnv(base, s.Bandwidth.Jitter, rng.New(s.Seed).Derive(0xd14a).Uint64(), mults)
+}
+
 // partitionShards splits the training set per the partition block (IID when
 // absent).
 func (s *Spec) partitionShards(tr *dataset.Dataset) []*dataset.Dataset {
 	p := s.Partition
-	if p == nil || p.Kind == "iid" {
+	if p == nil {
 		return dataset.PartitionIID(tr, s.Nodes, s.Seed)
 	}
+	seed := p.Seed
+	if seed == 0 {
+		seed = s.Seed
+	}
 	switch p.Kind {
+	case "iid":
+		return dataset.PartitionIID(tr, s.Nodes, seed)
 	case "dirichlet":
-		return dataset.PartitionDirichlet(tr, s.Nodes, p.Alpha, p.MinPerNode, s.Seed)
+		return dataset.PartitionDirichlet(tr, s.Nodes, p.Alpha, p.MinPerNode, seed)
 	case "quantity":
-		return dataset.PartitionQuantitySkew(tr, s.Nodes, p.Alpha, p.MinPerNode, s.Seed)
+		return dataset.PartitionQuantitySkew(tr, s.Nodes, p.Alpha, p.MinPerNode, seed)
 	case "label":
-		return dataset.PartitionByLabel(tr, s.Nodes, 2, s.Seed)
+		return dataset.PartitionByLabel(tr, s.Nodes, 2, seed)
 	}
 	panic("scenario: partitionShards on unvalidated spec: " + p.Kind)
 }
 
-// imageNoise is the pixel-noise level of the spec vocabulary's image task
+// defaultImageNoise is the image task's pixel noise when data.noise is unset
 // (the synthetic stand-ins for MNIST and CIFAR-10, DESIGN.md §2).
-const imageNoise = 0.4
+const defaultImageNoise = 0.4
 
 // task generates the spec's training set and, when data.valid asks for
 // one, the held-out validation set.
@@ -133,29 +166,56 @@ func (s *Spec) task() (train, valid *dataset.Dataset) {
 		train, _ = dataset.TinyTask(d.Samples, d.Classes, seed)
 		return train, nil
 	}
-	train, valid = dataset.ImageTask(s.Name, d.C, d.H, d.W, d.Classes, imageNoise, d.Samples, d.Valid, seed)
+	noise := d.Noise
+	if noise == 0 {
+		noise = defaultImageNoise
+	}
+	train, valid = dataset.ImageTask(s.Name, d.C, d.H, d.W, d.Classes, noise, d.Samples, d.Valid, seed)
 	if d.Valid == 0 {
 		valid = nil
 	}
 	return train, valid
 }
 
+// Dataset generates the spec's synthetic task and splits its training set
+// across the fleet: shards[r] is rank r's, and valid is the held-out set
+// (nil without data.valid). Every call returns the same bits, so a TCP
+// worker regenerates its own shard instead of receiving it.
+func (s *Spec) Dataset() (shards []*dataset.Dataset, valid *dataset.Dataset) {
+	train, valid := s.task()
+	return s.partitionShards(train), valid
+}
+
+// NewModel builds one rank's model. Every call returns the same initial
+// parameters, drawn from the spec seed, so every rank of a fleet starts from
+// the same bits whichever process builds it. It fails when the model block
+// does not fit the data, or a sparsifier ratio exceeds the parameter count.
+func (s *Spec) NewModel() (*nn.Model, error) {
+	m, err := s.Model.arch().New(s.Data.shape(), s.Data.Classes, s.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: model: %w", s.Name, err)
+	}
+	if err := s.checkRatio(m.ParamCount()); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // fleet is the spec's fleet recipe — identically initialized models over
 // the partitioned training set — plus the validation set. The spec must be
-// validated.
+// validated and NewModel must succeed.
 func (s *Spec) fleet(runtimeShards int) (algos.FleetConfig, *dataset.Dataset) {
-	train, valid := s.task()
-	arch, in := s.Model.arch(), s.Data.shape()
+	shards, valid := s.Dataset()
 	return algos.FleetConfig{
 		N: s.Nodes,
 		Factory: func() *nn.Model {
-			m, err := arch.New(in, s.Data.Classes, s.Seed)
+			m, err := s.NewModel()
 			if err != nil {
-				panic(err) // Validate checked the same arguments
+				panic(err) // build checked the same call
 			}
 			return m
 		},
-		Shards:        s.partitionShards(train),
+		Shards:        shards,
 		LR:            s.LR,
 		Batch:         s.Batch,
 		Seed:          s.Seed,
@@ -164,13 +224,13 @@ func (s *Spec) fleet(runtimeShards int) (algos.FleetConfig, *dataset.Dataset) {
 }
 
 // sapsConfig is the spec's SAPS-family hyperparameter block.
-func (s *Spec) sapsConfig() core.Config { return s.recipe().SAPSConfig(s.gossipConfig()) }
+func (s *Spec) sapsConfig() core.Config { return s.Recipe().SAPSConfig(s.gossipConfig()) }
 
-// membership is the dynamic-membership stream the spec's blocks describe:
+// Membership is the dynamic-membership stream the spec's blocks describe:
 // the churn model, the fault schedule, and — when the trace block asks for
-// them — the join/leave events of its parsed trace. None of the three is the
-// static fleet.
-func (s *Spec) membership(replay *fleettrace.Replay) algos.Membership {
+// them — the join/leave events of replay, its parsed trace. None of the
+// three is the static fleet.
+func (s *Spec) Membership(replay *fleettrace.Replay) algos.Membership {
 	m := algos.Membership{Churn: s.Churn}
 	if s.Faults != nil {
 		sched := s.Faults.Schedule(s.Nodes, s.Seed)
@@ -192,30 +252,23 @@ func (s *Spec) build(shards int) (*built, error) {
 	// resamples from that base, and the trace multipliers scale the jittered
 	// links (netsim.RoundEnv); the clock's snapshot pointer is what the
 	// algorithm, planner and ledger see. Round 0 is the constructor's.
-	var replay *fleettrace.Replay
-	var mults func(int, []float64) []float64
-	if s.Trace != nil {
-		var err error
-		if replay, err = s.traceReplay(); err != nil {
-			return nil, err
-		}
-		mults = replay.Multipliers
+	replay, err := s.Replay()
+	if err != nil {
+		return nil, err
 	}
-	env := netsim.NewRoundEnv(s.Env(), s.Bandwidth.Jitter, rng.New(s.Seed).Derive(0xd14a).Uint64(), mults)
+	env := s.RoundEnv(s.Env(), replay)
 	bw := env.Current()
 	if s.PlannerOnly {
 		return &built{alg: s.plannerOnly(bw), env: env}, nil
 	}
-	fc, valid := s.fleet(s.effectiveShards(shards))
-	if !s.Model.arch().IsMLP() {
-		if err := s.checkRatio(fc.Factory().ParamCount()); err != nil {
-			return nil, err
-		}
+	if _, err := s.NewModel(); err != nil {
+		return nil, err
 	}
+	fc, valid := s.fleet(s.effectiveShards(shards))
 	var alg algos.Algorithm
 	switch s.Algo {
 	case "saps":
-		m := s.membership(replay)
+		m := s.Membership(replay)
 		// Each source keeps two workers by itself; a trace's events and a
 		// fault schedule together need not.
 		if err := m.Check(s.Nodes, s.Seed, s.Rounds); err != nil {
@@ -228,7 +281,7 @@ func (s *Spec) build(shards int) (*built, error) {
 		return nil, fmt.Errorf("scenario %s: %s has no synchronous rounds to build (RunFull drives the async engine)", s.Name, s.Algo)
 	default:
 		// Validate admitted the algorithm, so it is a baseline recipe.
-		alg = algos.New(fc, s.recipe(), bw)
+		alg = algos.New(fc, s.Recipe(), bw)
 	}
 	return &built{alg: alg, env: env, valid: valid}, nil
 }
@@ -239,10 +292,11 @@ func (s *Spec) build(shards int) (*built, error) {
 // determines it exactly.
 func (s *Spec) plannerOnly(bw *netsim.Bandwidth) algos.Algorithm {
 	dim := nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)
+	name := "SAPS-PSGD"
 	if s.Algo == "randomchoose" {
-		return algos.NewPlannerOnly("RandomChoose", algos.NewRandomPlanner(s.Nodes, s.Seed), bw, dim, s.Compression)
+		name = "RandomChoose"
 	}
-	return algos.NewPlannerOnly("SAPS-PSGD", core.NewCoordinator(bw, s.sapsConfig()), bw, dim, s.Compression)
+	return algos.NewPlannerOnly(name, s.Planner(bw), bw, dim, s.Compression)
 }
 
 // effectiveShards resolves a sweep override against the spec default:
@@ -430,7 +484,7 @@ func (s *Spec) runAsync() (*RunOutput, error) {
 	profiling.ResetPeakRSS()
 	a := s.Async
 	fc, _ := s.fleet(0) // Validate refuses data.valid: an async run evaluates nothing
-	rec := s.recipe()
+	rec := s.Recipe()
 	af := algos.NewAsyncFleet(fc, rec)
 	var slow []int
 	if a.SlowFraction > 0 {

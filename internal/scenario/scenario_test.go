@@ -3,8 +3,10 @@ package scenario
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,6 +139,9 @@ func TestSpecRejectsMalformed(t *testing.T) {
 		{"more classes than samples", func(s *Spec) { s.Data.Samples, s.Data.Classes = 8, 50 }, "data.classes 50 over data.samples 8"},
 		{"negative validation split", func(s *Spec) { s.Data.Valid = -1 }, "-1 validation samples"},
 		{"validation split on the tiny task", func(s *Spec) { s.Data.Valid = 16 }, "needs the image task"},
+		{"pixel noise on the tiny task", func(s *Spec) { s.Data.Noise = 0.35 }, "data.noise needs the image task"},
+		{"negative pixel noise", func(s *Spec) { s.Data.C, s.Data.H, s.Data.W, s.Data.Noise = 1, 8, 8, -0.1 }, "data.noise -0.1"},
+		{"NaN pixel noise", func(s *Spec) { s.Data.C, s.Data.H, s.Data.W, s.Data.Noise = 1, 8, 8, math.NaN() }, "data.noise NaN"},
 		{"planner_only with a cnn", func(s *Spec) {
 			s.Algo, s.Compression = "saps", 10
 			s.PlannerOnly = true
@@ -508,6 +513,30 @@ func TestTraceFromEngineRuns(t *testing.T) {
 		if cout.CumBytes[i] < cout.CumBytes[i-1] {
 			t.Fatalf("cumulative bytes decreased at round %d", i)
 		}
+	}
+}
+
+// TestDataNoiseAndSplitSeed: data.noise and partition.seed default to what a
+// spec without them has always meant — pixel noise 0.4 and the spec seed —
+// and either one moves the data when set to anything else.
+func TestDataNoiseAndSplitSeed(t *testing.T) {
+	base := minimal()
+	base.Data = DataSpec{Samples: 64, Classes: 4, C: 1, H: 8, W: 8}
+	first := func(s Spec) []float64 {
+		shards, _ := s.Dataset()
+		return shards[0].Samples[0].X
+	}
+	ref := first(base)
+	noise, split := base, base
+	noise.Data.Noise = 0.4
+	split.Partition = &PartitionSpec{Kind: "iid", Seed: base.Seed}
+	if !slices.Equal(first(noise), ref) || !slices.Equal(first(split), ref) {
+		t.Fatal("data.noise 0.4 or partition.seed equal to the spec seed moved the data")
+	}
+	noise.Data.Noise = 0.35
+	split.Partition = &PartitionSpec{Kind: "iid", Seed: base.Seed + 1}
+	if slices.Equal(first(noise), ref) || slices.Equal(first(split), ref) {
+		t.Fatal("data.noise or partition.seed set to a new value and the data did not move")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -188,6 +189,8 @@ type PartitionSpec struct {
 	// MinPerNode floors every shard's sample count (default 1 — every
 	// worker must be able to run a loader).
 	MinPerNode int `json:"min_per_node,omitempty"`
+	// Seed draws the split; 0 means the spec seed.
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // GossipSpec is Algorithm 3's tuning (SAPS only).
@@ -225,7 +228,7 @@ type DataSpec struct {
 	// Classes is the label count (also the model's output width).
 	Classes int `json:"classes"`
 	// C, H and W select the synthetic image task of that geometry (two
-	// prototypes per class, pixel noise 0.4 — the stand-in for MNIST and
+	// prototypes per class, pixel noise Noise — the stand-in for MNIST and
 	// CIFAR-10, DESIGN.md §2). All three omitted keeps the 1×8×8 tiny
 	// task.
 	C int `json:"c,omitempty"`
@@ -237,6 +240,9 @@ type DataSpec struct {
 	// after the last one (RunOutput.Evals). Synchronous image tasks only;
 	// 0 = no evaluation.
 	Valid int `json:"valid,omitempty"`
+	// Noise is the image task's pixel-noise standard deviation; 0 means
+	// 0.4. Image task only.
+	Noise float64 `json:"noise,omitempty"`
 	// Seed generates the dataset; 0 means the spec seed.
 	Seed uint64 `json:"seed,omitempty"`
 }
@@ -499,10 +505,10 @@ func (s *Spec) Canonical() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// recipe maps the spec onto the algorithm recipe used for validation.
-// randomchoose is saps with another planner, so it takes saps's parameter
-// rules.
-func (s *Spec) recipe() algos.Recipe {
+// Recipe maps the spec onto the algorithm recipe every deployment assembles
+// its ranks from, in one process or one per machine. randomchoose is saps
+// with another planner (see Planner), so it takes saps's recipe.
+func (s *Spec) Recipe() algos.Recipe {
 	algo := s.Algo
 	if algo == "randomchoose" {
 		algo = "saps"
@@ -555,13 +561,17 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: %d validation samples beside %d training samples", s.Name, s.Data.Valid, s.Data.Samples)
 	case s.Data.Valid > 0 && !s.Data.image():
 		return fmt.Errorf("scenario %s: data.valid needs the image task (give c, h and w)", s.Name)
+	case !(s.Data.Noise >= 0) || math.IsInf(s.Data.Noise, 1):
+		return fmt.Errorf("scenario %s: data.noise %v", s.Name, s.Data.Noise)
+	case s.Data.Noise > 0 && !s.Data.image():
+		return fmt.Errorf("scenario %s: data.noise needs the image task (give c, h and w)", s.Name)
 	}
 	if err := s.Model.arch().Validate(s.Data.shape(), s.Data.Classes); err != nil {
 		return fmt.Errorf("scenario %s: model: %w", s.Name, err)
 	}
 	// The recipe validation owns the per-algorithm parameter rules (and the
 	// unknown-algorithm rejection).
-	if err := s.recipe().Validate(); err != nil {
+	if err := s.Recipe().Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if s.Model.arch().IsMLP() {
@@ -661,7 +671,7 @@ func (s *Spec) Validate() error {
 	}
 	// The membership sources own their parameter rules (churn probabilities
 	// and floor, crash windows, mortality floor).
-	if _, err := s.membership(nil).Stream(s.Nodes, s.Seed); err != nil {
+	if _, err := s.Membership(nil).Stream(s.Nodes, s.Seed); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if st := s.Straggler; st != nil {
@@ -675,7 +685,7 @@ func (s *Spec) Validate() error {
 	// The async block and the asynchronous recipes come as a pair; the
 	// churn/faults/trace/planner_only/gossip exclusions hold automatically
 	// (each of those already requires algo saps).
-	if s.recipe().Async() != (s.Async != nil) {
+	if s.Recipe().Async() != (s.Async != nil) {
 		if s.Async == nil {
 			return fmt.Errorf("scenario %s: algo %s requires the async block", s.Name, s.Algo)
 		}

@@ -11,10 +11,10 @@ import (
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
-	"sapspsgd/internal/fleettrace"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/obs"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
 )
 
@@ -42,30 +42,37 @@ func (e *errRoundAborted) Error() string {
 	return fmt.Sprintf("transport: round %d aborted after losing rank %d: %v", e.round, e.rank, e.cause)
 }
 
-// CoordinatorServer runs Algorithm 1 over TCP for any recipe algorithm: it
-// registers the task's node processes (N trainers, plus one server process
-// for hub algorithms), drives T rounds of control broadcasts, enforces the
-// round barrier, and finally collects the global model.
+// CoordinatorServer runs Algorithm 1 over TCP for a scenario spec: it
+// registers the spec's node processes (its nodes trainers, plus one server
+// process for hub algorithms), drives its rounds of control broadcasts,
+// enforces the round barrier, and finally collects the global model.
 //
 // Fault tolerance (DESIGN.md §3): the coordinator detects worker
 // disconnects, aborts the affected round on every survivor (who roll back to
 // their round-boundary snapshots), and re-plans it over the remaining fleet
-// via the churn planner path. With Faults set it also *injects* the
-// schedule's crashes — killing the scheduled worker processes at the exact
-// round boundaries the in-process engine would exclude them — and re-admits
-// scheduled rejoiners through the Rejoin handshake, so a deployed fleet
-// reproduces the simulated fault scenario bit for bit.
+// via the churn planner path. With a faults block in the spec it also
+// *injects* the schedule's crashes — killing the scheduled worker processes
+// at the exact round boundaries the in-process engine would exclude them —
+// and re-admits scheduled rejoiners through the Rejoin handshake, so a
+// deployed fleet reproduces the simulated fault scenario bit for bit.
 type CoordinatorServer struct {
-	// N is the trainer count n. Hub algorithms expect one extra worker
-	// process to register (it becomes the parameter server, rank n).
-	N    int
-	Task TaskSpec
-	// BW is the bandwidth environment used by the gossip generator when
-	// Measure is false; with Measure set it is only the fallback for links
-	// whose probes failed in both directions (see AssembleBandwidth).
-	BW *netsim.Bandwidth
-	// Gossip carries Algorithm 3's BThres/TThres knobs (SAPS only).
+	// Spec is the run — algorithm, fleet, task, rounds, environment, and the
+	// faults and trace blocks that script membership and link speeds — as
+	// an in-process run reads it. Run refuses, before anyone registers, a
+	// spec that does not validate and one a TCP fleet cannot run: async,
+	// planner_only, or with a churn model.
+	Spec *scenario.Spec
+	// N, Task and Gossip describe the run when Spec is nil: N trainers
+	// running Task under Algorithm 3's thresholds Gossip, converted by
+	// TaskSpec.Spec. They are read only then.
+	N      int
+	Task   TaskSpec
 	Gossip GossipConfig
+	// BW is the base bandwidth environment the planner uses; nil means the
+	// spec's own (Spec.Env). With Measure set it is only the fallback for
+	// links whose probes failed in both directions (see AssembleBandwidth).
+	// The spec's jitter and trace multipliers rescale it every round.
+	BW *netsim.Bandwidth
 	// Measure, when true, runs a bandwidth measurement phase after
 	// registration (paper §II-C footnote 3): every worker pair exchanges
 	// ProbeBytes of payload, reports the achieved throughput, and the
@@ -79,27 +86,13 @@ type CoordinatorServer struct {
 	// codecs measured, reported through the round-end flows. Aborted round
 	// attempts are never charged — only committed rounds reach the ledger.
 	Ledger engine.Ledger
-	// Faults is the declarative fault-injection schedule (SAPS only): the
-	// coordinator crashes the scheduled workers at their boundaries and
-	// waits for scheduled rejoiners. Its N must equal the trainer count.
-	Faults *algos.FaultSchedule
-	// Replay, when set, replays a fleet trace (DESIGN.md §11) over the
-	// deployment: every round boundary the trace's bandwidth multipliers
-	// rescale the planner's environment in place, exactly as the simulated
-	// backends do. Its node count must equal the trainer count.
-	Replay *fleettrace.Replay
-	// ReplayEvents additionally replays the trace's join/leave events
-	// (SAPS only): scripted-absent workers are excluded from planning
-	// through the same PlanActive path the fault schedule uses — they stay
-	// connected but neither train nor communicate, mirroring the in-process
-	// run of the same algos.Membership bit for bit.
-	ReplayEvents bool
 	// RejoinWait bounds how long the coordinator blocks at a round boundary
 	// for a scheduled rejoiner's handshake (default 60s).
 	RejoinWait time.Duration
 	// Logf receives progress lines; nil silences logging.
 	Logf func(format string, args ...any)
 
+	spec      *scenario.Spec // Spec, or the conversion of N, Task and Gossip
 	ln        net.Listener
 	conns     []*Conn
 	addrs     []string
@@ -112,13 +105,13 @@ type CoordinatorServer struct {
 	base engine.Planner
 	ap   activePlanner
 	// member is the scripted membership — the fault schedule and the
-	// replay's events, the same stream the in-process engine plans over —
+	// trace's events, the same stream the in-process engine plans over —
 	// and planned its set for schedRound, computed once per round (replans
 	// reuse it; nil = everyone). effectiveActive ANDs in detected liveness.
 	member  *algos.MembershipStream
 	planned []bool
-	// env is the round-environment clock over the configured or measured
-	// matrix: the trace's bandwidth multipliers when Replay is set.
+	// env is the spec's round-environment clock over the configured or
+	// measured matrix: jitter and the trace's bandwidth multipliers.
 	env *netsim.RoundEnv
 	// fold turns a round's worker reports into the driver's ControlReport.
 	fold       engine.ReportFold
@@ -174,7 +167,7 @@ func (s *CoordinatorServer) logf(format string, args ...any) {
 	}
 }
 
-// Run accepts the task's node processes, drives the full training, and
+// Run accepts the spec's node processes, drives the full training, and
 // returns the final global model parameters (collected from the server rank
 // for hub algorithms, from the lowest surviving worker otherwise). It closes
 // the listener on exit.
@@ -192,39 +185,51 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	}
 	defer s.ln.Close()
 
-	rec := s.Task.Recipe(s.N)
-	if err := rec.Validate(); err != nil {
+	s.spec = s.Spec
+	if s.spec == nil {
+		s.spec = s.Task.Spec(s.N, s.Gossip)
+	}
+	spec := s.spec
+	// Everything that can be wrong with the spec fails here, before anyone
+	// registers: not as a panic in a worker, and not as a fleet that
+	// dwindles to nothing.
+	if err := deployable(spec); err != nil {
 		return nil, err
 	}
+	welcome, err := spec.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	rec := spec.Recipe()
 	s.total = rec.Nodes()
 	s.pattern = rec.Pattern()
-	if !s.Faults.Empty() && rec.Algo != "saps" {
-		return nil, fmt.Errorf("transport: fault schedule requires algo saps, have %s", rec.Algo)
+	bw := s.BW
+	if bw == nil {
+		bw = spec.Env()
 	}
-	if s.ReplayEvents && s.Replay == nil {
-		return nil, fmt.Errorf("transport: ReplayEvents without a Replay")
+	if bw.N != spec.Nodes {
+		return nil, fmt.Errorf("transport: a bandwidth environment over %d nodes for scenario %s's %d", bw.N, spec.Name, spec.Nodes)
 	}
-	if s.Replay != nil {
-		if s.Replay.N() != s.N {
-			return nil, fmt.Errorf("transport: trace replay over %d nodes for %d trainers", s.Replay.N(), s.N)
-		}
-		if s.ReplayEvents && rec.Algo != "saps" {
-			return nil, fmt.Errorf("transport: trace membership events require algo saps, have %s", rec.Algo)
-		}
-	}
-	m := algos.Membership{Faults: s.Faults}
-	if s.ReplayEvents {
-		m.Replay = s.Replay
-	}
-	// Fail before anyone registers, not at the round the schedule and the
-	// trace together leave fewer than two workers.
-	if err := m.Check(s.N, s.Task.Seed, s.Task.Rounds); err != nil {
+	replay, err := spec.Replay()
+	if err != nil {
 		return nil, err
 	}
-	s.member, _ = m.Stream(s.N, s.Task.Seed)
+	m := spec.Membership(replay)
+	// The fault schedule and the trace's events together may leave a round
+	// with fewer than two workers, which neither checks alone.
+	if err := m.Check(spec.Nodes, spec.Seed, spec.Rounds); err != nil {
+		return nil, fmt.Errorf("transport: scenario %s: %w", spec.Name, err)
+	}
+	s.member, _ = m.Stream(spec.Nodes, spec.Seed)
 	if s.RejoinWait <= 0 {
 		s.RejoinWait = 60 * time.Second
 	}
+	hub := ""
+	if rec.Hub() {
+		hub = " + 1 parameter server"
+	}
+	s.logf("coordinator: scenario %s (algorithm %q) on %s, waiting for %d worker processes (%d trainers%s)",
+		spec.Name, spec.Algo, s.ln.Addr(), s.total, spec.Nodes, hub)
 
 	// Registration phase.
 	for rank := 0; rank < s.total; rank++ {
@@ -266,18 +271,20 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 		}
 	}()
 	for rank, c := range s.conns {
-		if err := c.Send(Welcome{Rank: rank, N: s.total, Task: s.Task, Addrs: s.addrs}); err != nil {
+		if err := c.Send(Welcome{Rank: rank, N: s.total, Spec: welcome, Addrs: s.addrs}); err != nil {
 			return nil, err
 		}
 	}
 
 	// Optional measurement phase (direct per-connection reads: the reader
 	// goroutines start afterwards).
-	bw := s.BW
 	if s.Measure {
-		measured, err := s.measure()
+		measured, err := s.measure(bw)
 		if err != nil {
 			return nil, err
+		}
+		if replay != nil && measured.N != spec.Nodes {
+			return nil, fmt.Errorf("transport: a %d-process measured matrix cannot replay scenario %s's %d-node trace", measured.N, spec.Name, spec.Nodes)
 		}
 		bw = measured
 	}
@@ -290,30 +297,24 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	}
 	go s.acceptRejoins()
 
-	// Trace replay wraps whatever environment we ended up with (configured
-	// or measured): the planner sees the stable *Bandwidth the clock
-	// rewrites in place each boundary, identically to the simulated
-	// backends' composition.
-	var mults func(int, []float64) []float64
-	if s.Replay != nil {
-		mults = s.Replay.Multipliers
-	}
-	s.env = netsim.NewRoundEnv(bw, 0, 0, mults)
-	bw = s.env.Current()
+	// The spec's clock wraps whatever environment we ended up with
+	// (configured or measured): the planner sees the stable *Bandwidth the
+	// clock rewrites in place each boundary, exactly as in process.
+	s.env = spec.RoundEnv(bw, replay)
 
 	// Round loop (Algorithm 1 lines 3–7), executed by the canonical engine
 	// driver: planning, the worker barrier, and traffic accounting are the
 	// same code the in-memory and simulated backends run. On an aborted
 	// round the driver is re-invoked for the same t: the planner re-plans
 	// over the survivors and no ledger charge happens for the lost attempt.
-	s.base = rec.Planner(bw, s.Gossip)
+	s.base = spec.Planner(s.env.Current())
 	s.ap, _ = s.base.(activePlanner)
 	led := s.Ledger
 	if led == nil {
 		led = &engine.CountingLedger{}
 	}
 	drv := engine.NewDriver(engine.PlannerFunc(s.plan), (*tcpControl)(s))
-	for t := 0; t < s.Task.Rounds; t++ {
+	for t := 0; t < spec.Rounds; t++ {
 		if err := s.beginRound(t); err != nil {
 			return nil, err
 		}
@@ -321,9 +322,9 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 			prevAlive := s.aliveCount()
 			stats, err := drv.Round(t, led)
 			if err == nil {
-				if (t+1)%10 == 0 || t == s.Task.Rounds-1 {
+				if (t+1)%10 == 0 || t == spec.Rounds-1 {
 					s.logf("coordinator: round %d/%d mean loss %.4f (%d wire bytes)",
-						t+1, s.Task.Rounds, stats.Loss, stats.Bytes)
+						t+1, spec.Rounds, stats.Loss, stats.Bytes)
 				}
 				break
 			}
@@ -350,8 +351,29 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	return s.collect(collectRank)
 }
 
-// measure runs the bandwidth probe phase and assembles the matrix.
-func (s *CoordinatorServer) measure() (*netsim.Bandwidth, error) {
+// deployable refuses a spec a TCP fleet cannot run: one that does not
+// validate or build its model, and the kinds of run the coordinator does not
+// drive — the event-driven async engine, the coordinator side alone, and
+// the random churn process.
+func deployable(spec *scenario.Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case spec.Async != nil:
+		return fmt.Errorf("transport: scenario %s is asynchronous (algo %s); a TCP fleet runs synchronous rounds", spec.Name, spec.Algo)
+	case spec.PlannerOnly:
+		return fmt.Errorf("transport: scenario %s is planner_only; it has no workers to deploy", spec.Name)
+	case spec.Churn != nil:
+		return fmt.Errorf("transport: scenario %s has a churn model, which a TCP fleet does not run (script the membership with faults or trace events)", spec.Name)
+	}
+	_, err := spec.NewModel()
+	return err
+}
+
+// measure runs the bandwidth probe phase and assembles the matrix; fallback
+// supplies the links whose probes failed both ways.
+func (s *CoordinatorServer) measure(fallback *netsim.Bandwidth) (*netsim.Bandwidth, error) {
 	probe := s.ProbeBytes
 	if probe <= 0 {
 		probe = 64 << 10
@@ -376,7 +398,7 @@ func (s *CoordinatorServer) measure() (*netsim.Bandwidth, error) {
 		}
 		reports = append(reports, rep)
 	}
-	measured, err := AssembleBandwidth(s.total, reports, s.BW)
+	measured, err := AssembleBandwidth(s.total, reports, fallback)
 	if err != nil {
 		return nil, err
 	}
@@ -578,7 +600,7 @@ func (s *CoordinatorServer) canContinue() error {
 		return nil
 	}
 	if s.ap == nil {
-		return fmt.Errorf("transport: lost a worker but algorithm %q cannot re-plan over a partial fleet", s.Task.AlgoName())
+		return fmt.Errorf("transport: lost a worker but algorithm %q cannot re-plan over a partial fleet", s.spec.Algo)
 	}
 	n := 0
 	for _, a := range eff {

@@ -14,170 +14,64 @@ import (
 	"testing"
 	"time"
 
-	"sapspsgd/internal/algos"
-	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
-	"sapspsgd/internal/gossip"
-	"sapspsgd/internal/netsim"
-	"sapspsgd/internal/nn"
 	"sapspsgd/internal/obs"
-	"sapspsgd/internal/rng"
+	"sapspsgd/internal/scenario"
 )
 
-// faultSpec is the shared tiny SAPS workload for the fault tests.
-func faultSpec(rounds int) TaskSpec {
-	return TaskSpec{
-		Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4, Hidden: []int{10},
-		Samples: 160, DataSeed: 5,
-		LR: 0.1, Batch: 8, Compression: 4, LocalSteps: 1,
-		Rounds: rounds, Seed: 3,
-	}
-}
-
-// sapsFaultsReference runs the same spec fully in-process under the fault
-// schedule (scheduled-dead workers excluded from planning) and returns the
-// rank-0 model and per-round traffic totals.
-func sapsFaultsReference(t *testing.T, spec TaskSpec, n int, sched algos.FaultSchedule) ([]float64, []int64) {
-	t.Helper()
-	shards, _ := spec.BuildShards(n)
-	fc := algos.FleetConfig{
-		N: n,
-		Factory: func() *nn.Model {
-			m, err := spec.BuildModel()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		},
-		Shards: shards,
-		LR:     spec.LR,
-		Batch:  spec.Batch,
-		Seed:   spec.Seed,
-	}
-	cfg := core.Config{
-		Workers:     n,
-		Compression: spec.Compression,
-		LR:          spec.LR,
-		Batch:       spec.Batch,
-		LocalSteps:  spec.LocalSteps,
-		Gossip:      gossip.Config{BThres: 0, TThres: 10},
-		Seed:        spec.Seed,
-	}
-	bw := netsim.RandomUniform(n, 1, 5, rng.New(2))
-	alg := algos.NewSAPSDynamic(fc, bw, cfg, algos.Membership{Faults: &sched})
-	defer alg.Close()
-	led := &engine.CountingLedger{}
-	for r := 0; r < spec.Rounds; r++ {
-		alg.Step(r, led)
-	}
-	return alg.Models()[0].FlatParams(nil), led.RoundBytes()
-}
-
-// runFaultFleet deploys n supervised workers (each restarted with Resume
-// whenever a fault-injected kill takes it down, exactly as an operator would)
-// against a coordinator running spec under sched, and checks the final model
-// and the per-round ledger are the in-process reference's, bit for bit. It
-// returns how many times each worker process was killed (indexed by start
-// order, not rank). logf receives the coordinator's progress lines on the
-// coordinator's goroutine.
-func runFaultFleet(t *testing.T, n int, spec TaskSpec, sched algos.FaultSchedule, logf func(srv *CoordinatorServer, line string)) []int {
-	t.Helper()
-	wantParams, wantBytes := sapsFaultsReference(t, spec, n, sched)
-
-	led := &engine.CountingLedger{}
-	srv := &CoordinatorServer{
-		N: n, Task: spec,
-		BW:         netsim.RandomUniform(n, 1, 5, rng.New(2)),
-		Gossip:     gossip.Config{BThres: 0, TThres: 10},
-		Ledger:     led,
-		Faults:     &sched,
-		RejoinWait: 10 * time.Second,
-	}
-	srv.Logf = func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		t.Log(line)
-		if logf != nil {
-			logf(srv, line)
-		}
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
+// TestKillAndRejoinBitIdentical is the acceptance contract of the
+// fault-tolerant TCP runtime, on the committed saps-crash-rejoin spec: real
+// worker processes are killed at their scheduled round boundaries (abrupt
+// teardown after the last committed snapshot) — rank 2 to return two rounds
+// later, rank 5 and the mortality draws for good — the fleet trains on
+// without them, a fresh process resumes rank 2 from its snapshot at the
+// scheduled round, and the final model is bit-identical, with a
+// byte-identical per-round ledger, to the in-process run of the same spec.
+func TestKillAndRejoinBitIdentical(t *testing.T) {
+	spec, err := scenario.Load("../scenario/testdata/saps-crash-rejoin.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	crashes := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			path := filepath.Join(dir, fmt.Sprintf("worker-%d.snap", i))
-			wc := &WorkerClient{SnapshotPath: path}
-			_, err := wc.Run(addr, "127.0.0.1:0")
-			for errors.Is(err, ErrCrashed) {
-				crashes[i]++
-				wc = &WorkerClient{SnapshotPath: path, Resume: true}
-				_, err = wc.Run(addr, "127.0.0.1:0")
-			}
-			errs[i] = err
-		}(i)
+	wantParams, wantBytes := inProcess(t, spec, 0, nil)
+	got := runFleet(t, &CoordinatorServer{Spec: spec, RejoinWait: 10 * time.Second})
+	sameRun(t, got, wantParams, wantBytes)
+	if total, want := sum(got.kills), scheduledKills(t, spec); total != want {
+		t.Fatalf("%d workers killed, want the schedule's %d", total, want)
 	}
-	final, err := srv.Run()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("worker %d: %v", i, e)
-		}
-	}
-
-	if len(final) != len(wantParams) {
-		t.Fatalf("collected %d params, want %d", len(final), len(wantParams))
-	}
-	for j := range final {
-		if final[j] != wantParams[j] {
-			t.Fatalf("param %d: tcp %v != in-proc %v", j, final[j], wantParams[j])
-		}
-	}
-	got := led.RoundBytes()
-	if len(got) != len(wantBytes) {
-		t.Fatalf("%d rounds accounted, want %d", len(got), len(wantBytes))
-	}
-	for r := range got {
-		if got[r] != wantBytes[r] {
-			t.Fatalf("round %d: tcp %d bytes != in-proc %d", r, got[r], wantBytes[r])
-		}
-	}
-	return crashes
 }
 
-// TestKillAndRejoinBitIdentical is the acceptance contract of the
-// fault-tolerant TCP runtime: a real worker process is killed at a scheduled
-// round boundary (abrupt teardown after its last committed snapshot), the
-// fleet trains on without it, a fresh process resumes from the snapshot and
-// rejoins at the scheduled round — and the final model is bit-identical,
-// with a byte-identical per-round ledger, to the uninterrupted in-process
-// run of the same fault scenario.
-func TestKillAndRejoinBitIdentical(t *testing.T) {
-	const n, rounds = 4, 8
-	spec := faultSpec(rounds)
-	sched := algos.FaultSchedule{
-		N:      n,
-		Seed:   spec.Seed,
-		Events: []algos.FaultEvent{{Rank: 2, Round: 3, RejoinAfter: 2}},
+// scheduledKills counts the kills spec's fault schedule makes: one per
+// boundary at which a rank alive the round before is scheduled dead.
+func scheduledKills(t *testing.T, spec *scenario.Spec) int {
+	t.Helper()
+	stream, err := spec.Membership(nil).Stream(spec.Nodes, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	crashes := runFaultFleet(t, n, spec, sched, nil)
+	kills, alive := 0, make([]bool, spec.Nodes)
+	for r := range alive {
+		alive[r] = true
+	}
+	for round := 0; round < spec.Rounds; round++ {
+		if _, err := stream.Step(round); err != nil {
+			t.Fatal(err)
+		}
+		for r, on := range stream.Scheduled() {
+			if alive[r] && !on {
+				kills++
+			}
+			alive[r] = on
+		}
+	}
+	return kills
+}
+
+func sum(xs []int) int {
 	total := 0
-	for _, c := range crashes {
-		total += c
+	for _, x := range xs {
+		total += x
 	}
-	if total != 1 {
-		t.Fatalf("%d workers crashed, want exactly 1 (the scheduled kill)", total)
-	}
+	return total
 }
 
 // TestEarlyRejoinerHeldOutUntilWindowCloses is the regression for the early
@@ -189,18 +83,17 @@ func TestKillAndRejoinBitIdentical(t *testing.T) {
 // same boundary, and the coordinator is held (inside its own log call, on its
 // own goroutine) before it kills rank 2 until rank 1's handshake is queued.
 func TestEarlyRejoinerHeldOutUntilWindowCloses(t *testing.T) {
-	const n, rounds = 5, 8
-	spec := faultSpec(rounds)
-	sched := algos.FaultSchedule{
-		N:    n,
-		Seed: spec.Seed,
-		Events: []algos.FaultEvent{
-			{Rank: 1, Round: 3, RejoinAfter: 2},
-			{Rank: 2, Round: 3, RejoinAfter: 2},
-		},
-	}
+	spec := tinySpec("saps", 5, 8)
+	spec.Faults = &scenario.FaultsSpec{Crashes: []scenario.CrashSpec{
+		{Rank: 1, Round: 3, RejoinAfter: 2},
+		{Rank: 2, Round: 3, RejoinAfter: 2},
+	}}
+	wantParams, wantBytes := inProcess(t, spec, 0, nil)
 	held := false
-	crashes := runFaultFleet(t, n, spec, sched, func(srv *CoordinatorServer, line string) {
+	srv := &CoordinatorServer{Spec: spec, RejoinWait: 10 * time.Second}
+	srv.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
 		if !strings.Contains(line, "crashing rank 2 at round 3") {
 			return
 		}
@@ -211,18 +104,18 @@ func TestEarlyRejoinerHeldOutUntilWindowCloses(t *testing.T) {
 				return
 			}
 		}
-	})
+	}
+	got := runFleet(t, srv)
+	sameRun(t, got, wantParams, wantBytes)
 	if !held {
 		t.Fatal("the coordinator never reached rank 2's kill at round 3")
 	}
-	total := 0
-	for _, c := range crashes {
-		total += c
+	for _, c := range got.kills {
 		if c > 1 {
 			t.Errorf("a worker was killed %d times, want at most once", c)
 		}
 	}
-	if total != 2 {
+	if total := sum(got.kills); total != 2 {
 		t.Fatalf("%d kills, want the schedule's 2", total)
 	}
 }
@@ -237,19 +130,12 @@ func TestEarlyRejoinerHeldOutUntilWindowCloses(t *testing.T) {
 // aborted attempt counted in neither.
 func TestUnscheduledCrashReplans(t *testing.T) {
 	const n, rounds, dieAt = 4, 6, 3
-	spec := faultSpec(rounds)
 	metrics := obs.New()
 	obs.Enable(metrics)
 	defer obs.Disable()
 
 	led := &engine.CountingLedger{}
-	srv := &CoordinatorServer{
-		N: n, Task: spec,
-		BW:     netsim.RandomUniform(n, 1, 5, rng.New(2)),
-		Gossip: gossip.Config{BThres: 0, TThres: 10},
-		Ledger: led,
-		Logf:   t.Logf,
-	}
+	srv := &CoordinatorServer{Spec: tinySpec("saps", n, rounds), Ledger: led, Logf: t.Logf}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -304,23 +190,10 @@ func TestUnscheduledCrashReplans(t *testing.T) {
 // an actionable reason, and the coordinator times out waiting for the
 // scheduled rejoiner rather than silently diverging.
 func TestRejoinRejectsStaleSnapshot(t *testing.T) {
-	const n, rounds = 4, 8
-	spec := faultSpec(rounds)
-	sched := algos.FaultSchedule{
-		N:      n,
-		Seed:   spec.Seed,
-		Events: []algos.FaultEvent{{Rank: 1, Round: 2, RejoinAfter: 2}},
-	}
-
-	led := &engine.CountingLedger{}
-	srv := &CoordinatorServer{
-		N: n, Task: spec,
-		BW:         netsim.RandomUniform(n, 1, 5, rng.New(2)),
-		Gossip:     gossip.Config{BThres: 0, TThres: 10},
-		Ledger:     led,
-		Faults:     &sched,
-		RejoinWait: 2 * time.Second,
-	}
+	const n = 4
+	spec := tinySpec("saps", n, 8)
+	spec.Faults = &scenario.FaultsSpec{Crashes: []scenario.CrashSpec{{Rank: 1, Round: 2, RejoinAfter: 2}}}
+	srv := &CoordinatorServer{Spec: spec, RejoinWait: 2 * time.Second}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

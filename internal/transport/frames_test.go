@@ -23,6 +23,7 @@ import (
 
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/obs"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
 )
 
@@ -195,12 +196,15 @@ func TestPayloadFrameIsHeaderPlusWords(t *testing.T) {
 // does.
 func tcp8Rank(t testing.TB, algo string) *WorkerClient {
 	t.Helper()
-	w := &WorkerClient{rank: 0, n: 8, task: TaskSpec{
-		Arch: "mlp", C: 1, H: 8, W: 8, Classes: 10, Hidden: []int{256, 256},
-		Samples: 2048, DataSeed: 7, LR: 0.05, Batch: 8, Compression: 4, LocalSteps: 1,
-		Rounds: 100, Seed: 7, Algo: algo, AlgoC: 4,
-	}}
-	if err := w.buildNode(); err != nil {
+	spec := &scenario.Spec{
+		SchemaVersion: scenario.SpecSchemaVersion, Name: "tcp8", Algo: algo,
+		Nodes: 8, Rounds: 100, Seed: 7, LR: 0.05, Batch: 8, Compression: 4, C: 4,
+		Model:     scenario.ModelSpec{Hidden: []int{256, 256}},
+		Data:      scenario.DataSpec{Samples: 2048, Classes: 10, C: 1, H: 8, W: 8},
+		Bandwidth: scenario.BandwidthSpec{Kind: "uniform", Lo: 1, Hi: 5},
+	}
+	w := &WorkerClient{rank: 0, n: 8}
+	if err := w.buildNode(spec); err != nil {
 		t.Fatal(err)
 	}
 	if p := w.model.ParamCount(); p != 85002 {
@@ -264,9 +268,12 @@ func TestCaptureRankAllocatesLittle(t *testing.T) {
 
 func intactWorkerSnapshot(t testing.TB, dir string) (*WorkerSnapshot, []byte) {
 	t.Helper()
+	spec, err := tinySpec("topk-psgd", 4, 20).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ws := &WorkerSnapshot{
-		Version: WorkerSnapshotVersion, Rank: 3, NextRound: 17,
-		Task:  TaskSpec{Arch: "mlp", Hidden: []int{6}, Classes: 4, Algo: "topk-psgd", LR: 0.1},
+		Version: WorkerSnapshotVersion, Rank: 3, NextRound: 17, Spec: spec,
 		State: engine.RankSnapshot{Node: []byte("the node's blob"), Codec: []byte("residual")},
 	}
 	path := filepath.Join(dir, "intact.snap")
@@ -303,7 +310,7 @@ func TestLoadWorkerSnapshotRejects(t *testing.T) {
 		return out
 	}
 	body := intact[engine.FrameHeaderLen:]
-	task, _, err := tensor.CutSection(body)
+	spec, _, err := tensor.CutSection(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +328,9 @@ func TestLoadWorkerSnapshotRejects(t *testing.T) {
 		"engine-snapshot":  wrap(engine.FrameSnapshot, body),
 		"payload-frame":    wrap(engine.FramePayload, body),
 		"empty-body":       wrap(engine.FrameWorkerSnapshot, nil),
-		"task-not-gob":     wrap(engine.FrameWorkerSnapshot, tensor.AppendSection(nil, []byte("not a task spec"))),
-		"task-only":        wrap(engine.FrameWorkerSnapshot, tensor.AppendSection(nil, task)),
-		"node-past-end":    wrap(engine.FrameWorkerSnapshot, tensor.BeginSection(tensor.AppendSection(nil, task), 1<<40)),
-		"no-codec-section": wrap(engine.FrameWorkerSnapshot, tensor.AppendSection(tensor.AppendSection(nil, task), []byte("node"))),
+		"spec-only":        wrap(engine.FrameWorkerSnapshot, tensor.AppendSection(nil, spec)),
+		"node-past-end":    wrap(engine.FrameWorkerSnapshot, tensor.BeginSection(tensor.AppendSection(nil, spec), 1<<40)),
+		"no-codec-section": wrap(engine.FrameWorkerSnapshot, tensor.AppendSection(tensor.AppendSection(nil, spec), []byte("node"))),
 		"extra-section":    wrap(engine.FrameWorkerSnapshot, tensor.AppendSection(bytes.Clone(body), []byte("more"))),
 	}
 	// Every length and every byte is tried; the fuzz corpus keeps the header's

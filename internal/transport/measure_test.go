@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
-	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
-	"sapspsgd/internal/rng"
 )
 
 func TestAssembleBandwidth(t *testing.T) {
@@ -111,45 +108,8 @@ func TestEndToEndWithMeasurementPhase(t *testing.T) {
 	// Full training with the bandwidth measurement phase enabled: probes
 	// run over loopback, so every measured link should be fast and
 	// training must proceed normally.
-	const n = 3
-	spec := TaskSpec{
-		Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4,
-		Hidden: []int{8}, Samples: 120, DataSeed: 5,
-		LR: 0.1, Batch: 8, Compression: 2, LocalSteps: 1,
-		Rounds: 6, Seed: 3,
-	}
-	srv := &CoordinatorServer{
-		N: n, Task: spec,
-		BW:         netsim.RandomUniform(n, 1, 5, rng.New(2)),
-		Measure:    true,
-		ProbeBytes: 16 << 10,
-		Gossip:     gossip.Config{TThres: 4},
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			wc := &WorkerClient{}
-			_, errs[i] = wc.Run(addr, "127.0.0.1:0")
-		}(i)
-	}
-	final, err := srv.Run()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("worker %d: %v", i, e)
-		}
-	}
-	if len(final) == 0 {
+	run := runFleet(t, &CoordinatorServer{Spec: tinySpec("saps", 3, 6), Measure: true, ProbeBytes: 16 << 10})
+	if len(run.final) == 0 {
 		t.Fatal("no model collected")
 	}
 }

@@ -3,10 +3,17 @@
 // server (Algorithm 1) that registers workers, broadcasts the per-round
 // control messages (peer assignment / participation set + mask seed — never
 // model payloads), and worker clients that assemble their engine node from
-// the broadcast algos.Recipe and send encoded payloads peer-to-peer to each
-// other's listeners. Any recipe algorithm deploys: SAPS's masked pairwise
-// gossip, the ring and all-gather decentralized baselines, and the hub
-// schemes (the last registered rank becomes the parameter server).
+// the run's scenario spec and send encoded payloads peer-to-peer to each
+// other's listeners. Any synchronous recipe deploys: SAPS's masked pairwise
+// gossip (and RandomChoose), the ring and all-gather decentralized
+// baselines, and the hub schemes (the last registered rank becomes the
+// parameter server).
+//
+// What a fleet runs is a scenario.Spec, the same description an in-process
+// run reads: Welcome carries its canonical JSON bytes (Spec.Canonical), and
+// every worker parses them and builds its own rank with the functions the
+// in-process run uses (Spec.Recipe, NewModel, Dataset) — the training data
+// never crosses the network. A worker snapshot keeps the same bytes.
 //
 // Control-plane messages (coordinator ↔ worker) are small and typed and
 // travel gob-encoded over one long-lived Conn per worker. The data plane
@@ -26,24 +33,22 @@ import (
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/scenario"
 )
 
-// TaskSpec tells every worker what to train; broadcast once at registration.
-// The training data itself never crosses the network: workers regenerate the
-// deterministic synthetic dataset locally and take their own shard.
+// TaskSpec is the older description of a fleet's task, kept only for the
+// benchmark's tcp8 workload (benchmark/workloads/tcp8.json decodes into it).
+// Spec converts it into a scenario spec, and its methods read the converted
+// spec; a CoordinatorServer given N, Task and Gossip instead of a Spec runs
+// the conversion. It goes once tcp8 is a scenario spec.
 type TaskSpec struct {
-	// Arch selects the model family: "mlp", "mnist-cnn", "cifar-cnn",
-	// "resnet".
-	Arch    string
-	C, H, W int
-	Classes int
-	Width   float64
-	Hidden  []int // MLP only
-	Blocks  int   // ResNet blocks per stage
-
-	Samples  int // total training samples across all workers
-	DataSeed uint64
-	NonIID   bool
+	Arch     string // the model family: mlp, mnist-cnn, cifar-cnn or resnet
+	C, H, W  int
+	Classes  int
+	Hidden   []int  // the MLP's hidden widths
+	Samples  int    // training samples across all workers
+	DataSeed uint64 // draws the data (0: Seed); DataSeed+1 draws the split
+	NonIID   bool   // the label split instead of the IID one
 
 	LR          float64
 	Batch       int
@@ -51,72 +56,61 @@ type TaskSpec struct {
 	LocalSteps  int
 	Rounds      int
 	Seed        uint64
-
-	// Algo selects the training algorithm (see algos.AlgoNames); empty
-	// defaults to "saps". Hub algorithms (ps-psgd, fedavg, s-fedavg) need
-	// one extra worker process: the last registered rank becomes the
-	// parameter server.
-	Algo string
-	// AlgoC is the sparsifier ratio for topk-psgd, dcd-psgd and s-fedavg.
-	AlgoC float64
-	// QLevels is the QSGD level count.
-	QLevels int
-	// Fraction is the FedAvg per-round participation ratio.
-	Fraction float64
+	Algo        string // empty means saps
 }
 
-// AlgoName returns the spec's algorithm, defaulting to "saps".
-func (s TaskSpec) AlgoName() string {
-	if s.Algo == "" {
-		return "saps"
+// Spec converts the task for n trainers under Algorithm 3's thresholds g,
+// which a spec carries for saps only. The data block is this type's own
+// recipe — pixel noise 0.35, a fifth of the samples held out, the split
+// seeded by DataSeed+1 — so a converted task trains on the same bits.
+func (t TaskSpec) Spec(n int, g GossipConfig) *scenario.Spec {
+	algo := t.Algo
+	if algo == "" {
+		algo = "saps"
 	}
-	return s.Algo
-}
-
-// Recipe assembles the deployment-neutral algorithm recipe for the given
-// trainer count. Every process derives the identical recipe from the
-// broadcast spec, so codec seeds, node state, and loader streams agree
-// bit-for-bit with an in-process run.
-func (s TaskSpec) Recipe(trainers int) algos.Recipe {
-	return algos.Recipe{
-		Algo:        s.AlgoName(),
-		Workers:     trainers,
-		LR:          s.LR,
-		Batch:       s.Batch,
-		Seed:        s.Seed,
-		Compression: s.Compression,
-		LocalSteps:  s.LocalSteps,
-		C:           s.AlgoC,
-		Levels:      s.QLevels,
-		Fraction:    s.Fraction,
+	part := &scenario.PartitionSpec{Kind: "iid", Seed: t.DataSeed + 1}
+	if t.NonIID {
+		part.Kind = "label"
 	}
-}
-
-// Trainers converts a total registered-node count back to the trainer count
-// (hub algorithms register one extra process for the server rank).
-func (s TaskSpec) Trainers(totalNodes int) int {
-	if s.Recipe(2).Hub() {
-		return totalNodes - 1
+	s := &scenario.Spec{
+		SchemaVersion: scenario.SpecSchemaVersion,
+		Name:          "task",
+		Algo:          algo,
+		Nodes:         n,
+		Rounds:        t.Rounds,
+		Seed:          t.Seed,
+		LR:            t.LR,
+		Batch:         t.Batch,
+		LocalSteps:    t.LocalSteps,
+		Compression:   t.Compression,
+		Model:         scenario.ModelSpec{Arch: t.Arch, Hidden: t.Hidden},
+		Data: scenario.DataSpec{
+			Samples: t.Samples, Classes: t.Classes, C: t.C, H: t.H, W: t.W,
+			Valid: t.Samples / 5, Noise: 0.35, Seed: t.DataSeed,
+		},
+		Bandwidth: scenario.BandwidthSpec{Kind: "uniform", Lo: 1, Hi: 5},
+		Partition: part,
 	}
-	return totalNodes
-}
-
-// BuildModel constructs the worker model for the spec. All workers pass the
-// same spec, so initial parameters agree bit-for-bit.
-func (s TaskSpec) BuildModel() (*nn.Model, error) {
-	arch := nn.Arch{Name: s.Arch, Width: s.Width, Hidden: s.Hidden, Blocks: s.Blocks}
-	return arch.New(nn.Shape{C: s.C, H: s.H, W: s.W}, s.Classes, s.Seed)
-}
-
-// BuildShards regenerates the full synthetic dataset and partitions it for n
-// workers. Every worker calls this with identical arguments and takes its
-// rank's shard.
-func (s TaskSpec) BuildShards(n int) ([]*dataset.Dataset, *dataset.Dataset) {
-	train, valid := dataset.ImageTask(s.Arch, s.C, s.H, s.W, s.Classes, 0.35, s.Samples, s.Samples/5, s.DataSeed)
-	if s.NonIID {
-		return dataset.PartitionByLabel(train, n, 2, s.DataSeed+1), valid
+	if algo == "saps" {
+		s.Gossip = &scenario.GossipSpec{BThres: g.BThres, TThres: g.TThres}
 	}
-	return dataset.PartitionIID(train, n, s.DataSeed+1), valid
+	return s
+}
+
+// Recipe is the converted spec's recipe for the given trainer count.
+func (t TaskSpec) Recipe(trainers int) algos.Recipe {
+	return t.Spec(trainers, GossipConfig{}).Recipe()
+}
+
+// BuildModel builds the converted spec's model.
+func (t TaskSpec) BuildModel() (*nn.Model, error) {
+	return t.Spec(1, GossipConfig{}).NewModel()
+}
+
+// BuildShards is the converted spec's data for n trainers: the shards and the
+// held-out set.
+func (t TaskSpec) BuildShards(n int) ([]*dataset.Dataset, *dataset.Dataset) {
+	return t.Spec(n, GossipConfig{}).Dataset()
 }
 
 // Control-plane messages (coordinator ↔ worker).
@@ -125,12 +119,12 @@ type (
 	Hello struct {
 		ListenAddr string
 	}
-	// Welcome assigns the worker its rank and delivers the task and the
-	// peer address book.
+	// Welcome assigns the worker its rank and delivers the run's scenario
+	// spec, as its canonical bytes, and the peer address book.
 	Welcome struct {
 		Rank  int
 		N     int
-		Task  TaskSpec
+		Spec  []byte
 		Addrs []string
 	}
 	// RoundMsg is Algorithm 1 line 6: the control message for one round.

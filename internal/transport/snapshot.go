@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -19,36 +17,34 @@ import (
 const WorkerSnapshotVersion = engine.SnapshotVersion
 
 // WorkerSnapshot is a worker process's persisted round-boundary state: the
-// task spec (so `worker -resume` needs nothing but the file), the rank, the
-// first round the state is valid for, and the rank's engine snapshot — model
-// parameters plus normalization statistics, optimizer momentum, minibatch
-// RNG cursors, and the encoder codec's state (error-feedback residual,
-// quantizer RNG). A snapshot is written only for *committed* rounds (the
-// coordinator has charged the ledger), so resuming from it can never replay
-// or skip accounted work.
+// run's scenario spec (so `worker -resume` needs nothing but the file), the
+// rank, the first round the state is valid for, and the rank's engine
+// snapshot — model parameters plus normalization statistics, optimizer
+// momentum, minibatch RNG cursors, and the encoder codec's state
+// (error-feedback residual, quantizer RNG). A snapshot is written only for
+// *committed* rounds (the coordinator has charged the ledger), so resuming
+// from it can never replay or skip accounted work.
 type WorkerSnapshot struct {
 	Version   int
 	Rank      int
 	NextRound int
-	Task      TaskSpec
-	State     engine.RankSnapshot
+	// Spec is the spec's canonical bytes exactly as Welcome carried them.
+	// The file keeps them opaque; the resuming worker parses them.
+	Spec  []byte
+	State engine.RankSnapshot
 }
 
 // SaveWorkerSnapshot writes the snapshot atomically (temp file + rename in
 // the destination directory), so a crash mid-write leaves the previous
 // snapshot intact. The file is one frame of kind FrameWorkerSnapshot — rank
-// and NextRound in the header, the gob task spec and the rank's two state
-// blobs as the body's sections — so its checksum covers every byte.
+// and NextRound in the header, the spec bytes and the rank's two state blobs
+// as the body's sections — so its checksum covers every byte.
 func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 	if s.Version != WorkerSnapshotVersion {
 		return fmt.Errorf("transport: snapshot version %d, this build writes %d", s.Version, WorkerSnapshotVersion)
 	}
-	var task bytes.Buffer
-	if err := gob.NewEncoder(&task).Encode(s.Task); err != nil {
-		return fmt.Errorf("transport: encode snapshot: %w", err)
-	}
-	size := engine.FrameHeaderLen + tensor.SectionSize(task.Len()) + s.State.EncodedSize()
-	frame := tensor.AppendSection(engine.BeginFrame(make([]byte, 0, size)), task.Bytes())
+	size := engine.FrameHeaderLen + tensor.SectionSize(len(s.Spec)) + s.State.EncodedSize()
+	frame := tensor.AppendSection(engine.BeginFrame(make([]byte, 0, size)), s.Spec)
 	frame = s.State.AppendTo(frame)
 	engine.SealFrame(frame, engine.FrameHeader{Kind: engine.FrameWorkerSnapshot, From: s.Rank, Round: s.NextRound})
 
@@ -75,7 +71,7 @@ func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 // LoadWorkerSnapshot reads a snapshot written by SaveWorkerSnapshot. The file
 // must be exactly one intact frame of this build's format: a torn or
 // lengthened file, a flipped bit, a format-1 gob file — each is an error,
-// never a restore. The state blobs alias the bytes read.
+// never a restore. The spec bytes and the state blobs alias the bytes read.
 func LoadWorkerSnapshot(path string) (*WorkerSnapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -95,12 +91,8 @@ func readWorkerSnapshot(r io.Reader) (*WorkerSnapshot, error) {
 		return nil, err
 	}
 	s := &WorkerSnapshot{Version: WorkerSnapshotVersion, Rank: h.From, NextRound: h.Round}
-	task, body, err := tensor.CutSection(body)
-	if err != nil {
-		return nil, fmt.Errorf("task spec: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(task)).Decode(&s.Task); err != nil {
-		return nil, fmt.Errorf("task spec: %w", err)
+	if s.Spec, body, err = tensor.CutSection(body); err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
 	}
 	if s.State, body, err = engine.ReadRankSnapshot(body); err != nil {
 		return nil, err

@@ -2,17 +2,21 @@ package transport
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
-	"sapspsgd/internal/gossip"
-	"sapspsgd/internal/netsim"
+	"sapspsgd/internal/algos"
+	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/nn"
-	"sapspsgd/internal/rng"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
 )
 
@@ -31,7 +35,7 @@ func TestConnRoundTripAllTypes(t *testing.T) {
 	cb := NewConn(b)
 	msgs := []any{
 		Hello{ListenAddr: "1.2.3.4:5"},
-		Welcome{Rank: 3, N: 8, Task: TaskSpec{Arch: "mlp", Classes: 4}, Addrs: []string{"a", "b"}},
+		Welcome{Rank: 3, N: 8, Spec: []byte(`{"schema_version": 2}`), Addrs: []string{"a", "b"}},
 		RoundMsg{Round: 7, Seed: 99, Peer: 2},
 		RoundEnd{Rank: 1, Round: 7, Loss: 0.5},
 		CollectRequest{},
@@ -62,110 +66,25 @@ func TestConnRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-func TestTaskSpecBuildModel(t *testing.T) {
-	specs := []TaskSpec{
-		{Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4, Hidden: []int{16}, Seed: 1},
-		{Arch: "mnist-cnn", C: 1, H: 8, W: 8, Classes: 4, Width: 0.25, Seed: 1},
-		{Arch: "cifar-cnn", C: 3, H: 8, W: 8, Classes: 4, Width: 0.25, Seed: 1},
-		{Arch: "resnet", C: 1, H: 8, W: 8, Classes: 4, Width: 0.25, Blocks: 1, Seed: 1},
-	}
-	for _, s := range specs {
-		m, err := s.BuildModel()
-		if err != nil {
-			t.Fatalf("%s: %v", s.Arch, err)
-		}
-		if m.ParamCount() == 0 {
-			t.Fatalf("%s: empty model", s.Arch)
-		}
-	}
-	if _, err := (TaskSpec{Arch: "nope"}).BuildModel(); err == nil {
-		t.Fatal("unknown arch accepted")
-	}
-}
-
-func TestTaskSpecShardsDeterministic(t *testing.T) {
-	spec := TaskSpec{Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4, Samples: 200, DataSeed: 5}
-	a, va := spec.BuildShards(4)
-	b, vb := spec.BuildShards(4)
-	if len(a) != 4 || va.Len() != vb.Len() {
-		t.Fatal("shape")
-	}
-	for i := range a {
-		if a[i].Len() != b[i].Len() {
-			t.Fatal("shard sizes differ across workers")
-		}
-		for j := range a[i].Samples {
-			if a[i].Samples[j].Label != b[i].Samples[j].Label {
-				t.Fatal("shard content differs — workers would train on different data")
-			}
-		}
-	}
-}
-
 func TestEndToEndTCPTraining(t *testing.T) {
 	// Full protocol over loopback TCP: 4 workers, small MLP, 12 rounds.
-	const n = 4
-	spec := TaskSpec{
-		Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4,
-		Hidden: []int{16}, Samples: 200, DataSeed: 5,
-		LR: 0.1, Batch: 8, Compression: 4, LocalSteps: 1,
-		Rounds: 12, Seed: 3,
-	}
-	srv := &CoordinatorServer{
-		N:      n,
-		Task:   spec,
-		BW:     netsim.RandomUniform(n, 1, 5, rng.New(2)),
-		Gossip: gossip.Config{BThres: 2, TThres: 4},
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	paramsByRank := make([][]float64, n)
-	workerErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			wc := &WorkerClient{}
-			p, err := wc.Run(addr, "127.0.0.1:0")
-			workerErrs[i] = err
-			if err == nil {
-				paramsByRank[wc.Rank()] = p
-			}
-		}(i)
-	}
-	final, err := srv.Run()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	for i, werr := range workerErrs {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i, werr)
-		}
-	}
+	spec := tinySpec("saps", 4, 12)
+	spec.Model.Hidden = []int{16}
+	spec.Data.Samples, spec.Data.Valid = 200, 40
+	spec.Gossip = &scenario.GossipSpec{BThres: 2, TThres: 4}
+	run := runFleet(t, &CoordinatorServer{Spec: spec})
 	// The collected model matches rank 0's final state (Algorithm 1 line 8
 	// collects from one worker).
-	if len(final) == 0 {
-		t.Fatal("empty final model")
-	}
-	for j := range final {
-		if final[j] != paramsByRank[0][j] {
-			t.Fatal("collected model differs from rank-0 worker")
-		}
-	}
+	sameBits(t, "collected model against rank 0", run.final, run.byRank[0])
 
 	// The trained model must beat chance on the validation split — the TCP
 	// path trains for real, it is not a mock.
-	model, err := spec.BuildModel()
+	model, err := spec.NewModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	model.SetFlatParams(final)
-	_, valid := spec.BuildShards(n)
+	model.SetFlatParams(run.final)
+	_, valid := spec.Dataset()
 	_, acc := nn.EvaluateDataset(model, valid, 64)
 	if acc < 0.4 { // chance is 0.25 on 4 classes
 		t.Fatalf("TCP-trained model accuracy %v, want > 0.4", acc)
@@ -173,59 +92,20 @@ func TestEndToEndTCPTraining(t *testing.T) {
 }
 
 func TestEndToEndNonIID(t *testing.T) {
-	const n = 4
-	spec := TaskSpec{
-		Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4,
-		Hidden: []int{12}, Samples: 200, DataSeed: 7, NonIID: true,
-		LR: 0.05, Batch: 8, Compression: 2, LocalSteps: 1,
-		Rounds: 8, Seed: 11,
-	}
-	srv := &CoordinatorServer{
-		N: n, Task: spec,
-		BW:     netsim.RandomUniform(n, 1, 5, rng.New(4)),
-		Gossip: gossip.Config{BThres: 0, TThres: 4},
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			wc := &WorkerClient{}
-			_, errs[i] = wc.Run(addr, "127.0.0.1:0")
-		}(i)
-	}
-	if _, err := srv.Run(); err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("worker %d: %v", i, e)
-		}
-	}
+	spec := tinySpec("saps", 4, 8)
+	spec.Seed, spec.LR, spec.Compression = 11, 0.05, 2
+	spec.Model.Hidden = []int{12}
+	spec.Data.Samples, spec.Data.Seed = 200, 7
+	spec.Partition = &scenario.PartitionSpec{Kind: "label"}
+	spec.Gossip = &scenario.GossipSpec{TThres: 4}
+	runFleet(t, &CoordinatorServer{Spec: spec})
 }
 
 func TestCoordinatorHandlesWorkerDisconnect(t *testing.T) {
 	// Failure injection: a worker registers and then dies mid-training. The
 	// coordinator must return an error rather than hang on the round
 	// barrier.
-	const n = 2
-	spec := TaskSpec{
-		Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4,
-		Hidden: []int{8}, Samples: 100, DataSeed: 5,
-		LR: 0.1, Batch: 8, Compression: 2, LocalSteps: 1,
-		Rounds: 50, Seed: 3,
-	}
-	srv := &CoordinatorServer{
-		N: n, Task: spec,
-		BW:     netsim.RandomUniform(n, 1, 5, rng.New(2)),
-		Gossip: gossip.Config{TThres: 4},
-	}
+	srv := &CoordinatorServer{Spec: tinySpec("saps", 2, 50)}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -295,5 +175,141 @@ func TestConnSendAfterCloseFails(t *testing.T) {
 	}
 	if _, ok := got.(Done); !ok {
 		t.Fatalf("got %T", got)
+	}
+}
+
+// TestCoordinatorRefusesInvalidTask: a task that cannot train is refused by
+// Run before anyone registers, with an error that names the field. Each used
+// to get past the coordinator: a zero Gossip panicked Run with "core: TThres
+// 0 < 1" once every worker had registered, one class and one sample panicked
+// every worker, a label split short of two shards per worker did too, and a
+// zero input size ended in "only 0 effective workers remain".
+func TestCoordinatorRefusesInvalidTask(t *testing.T) {
+	valid := TaskSpec{
+		Arch: "mlp", C: 1, H: 8, W: 8, Classes: 4, Hidden: []int{8},
+		Samples: 64, DataSeed: 5, LR: 0.1, Batch: 8, Compression: 4, LocalSteps: 1,
+		Rounds: 2, Seed: 3,
+	}
+	cases := []struct {
+		name   string
+		mut    func(*TaskSpec)
+		gossip GossipConfig
+		want   string
+	}{
+		{"zero gossip", func(*TaskSpec) {}, GossipConfig{}, "t_thres 0"},
+		{"one class", func(s *TaskSpec) { s.Classes = 1 }, GossipConfig{TThres: 4}, "1 classes"},
+		{"one sample", func(s *TaskSpec) { s.Samples = 1 }, GossipConfig{TThres: 4}, "1 samples for 4 nodes"},
+		{"label split short of shards", func(s *TaskSpec) { s.NonIID, s.Samples = true, 6 }, GossipConfig{TThres: 4}, "partition label"},
+		{"zero input size", func(s *TaskSpec) { s.H, s.W = 0, 0 }, GossipConfig{TThres: 4}, "geometry 1x0x0"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			task := valid
+			tc.mut(&task)
+			err := refusal(t, &CoordinatorServer{N: 4, Task: task, Gossip: tc.gossip})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run returned %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestWorkerRefusesUnparsableSpec: a Welcome whose spec bytes do not parse
+// ends the worker with an error that says so, not a panic.
+func TestWorkerRefusesUnparsableSpec(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn := NewConn(nc)
+		defer conn.Close()
+		if _, err := conn.Recv(); err != nil { // Hello
+			return
+		}
+		conn.Send(Welcome{Rank: 0, N: 2, Spec: []byte(`{"schema_version": 2, "algo": `), Addrs: []string{"", ""}})
+		conn.Recv() // until the worker hangs up
+	}()
+	_, err = (&WorkerClient{}).Run(ln.Addr().String(), "127.0.0.1:0")
+	if err == nil || !strings.Contains(err.Error(), "the coordinator's spec") {
+		t.Fatalf("worker returned %v, want an error naming the spec", err)
+	}
+}
+
+// TestTaskSpecConversionKeepsBits: the benchmark's tcp8 task, decoded as the
+// benchmark decodes it, builds through Spec exactly the shards, model and
+// recipe the formula TaskSpec has always used gives — pixel noise 0.35, a
+// fifth of the samples held out, the IID split seeded by DataSeed+1 — so the
+// workload's bits do not move with the conversion.
+func TestTaskSpecConversionKeepsBits(t *testing.T) {
+	const n = 8
+	data, err := os.ReadFile("../../benchmark/workloads/tcp8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var task TaskSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&task); err != nil {
+		t.Fatal(err)
+	}
+	task.Seed = 7
+
+	train, _ := dataset.ImageTask(task.Arch, task.C, task.H, task.W, task.Classes, 0.35, task.Samples, task.Samples/5, task.DataSeed)
+	wantShards := dataset.PartitionIID(train, n, task.DataSeed+1)
+	shards, _ := task.BuildShards(n)
+	if len(shards) != n {
+		t.Fatalf("%d shards, want %d", len(shards), n)
+	}
+	for r := range wantShards {
+		got, want := shards[r].Samples, wantShards[r].Samples
+		if len(got) != len(want) {
+			t.Fatalf("shard %d holds %d samples, want %d", r, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Label != want[i].Label {
+				t.Fatalf("shard %d sample %d: label %d, want %d", r, i, got[i].Label, want[i].Label)
+			}
+			sameBits(t, fmt.Sprintf("shard %d sample %d", r, i), got[i].X, want[i].X)
+		}
+	}
+
+	wantModel, err := nn.Arch{Name: task.Arch, Hidden: task.Hidden}.New(nn.Shape{C: task.C, H: task.H, W: task.W}, task.Classes, task.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := task.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "model", model.FlatParams(nil), wantModel.FlatParams(nil))
+
+	want := algos.Recipe{
+		Algo: "saps", Workers: n, LR: task.LR, Batch: task.Batch, Seed: task.Seed,
+		Compression: task.Compression, LocalSteps: task.LocalSteps,
+	}
+	if got := task.Recipe(n); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recipe %+v, want %+v", got, want)
+	}
+}
+
+// TestResumeRefusesSnapshotWithoutSpec: a snapshot whose first section is not
+// a scenario spec — what a worker wrote before specs crossed the wire, a gob
+// task there — fails -resume by name, before the worker dials anyone.
+func TestResumeRefusesSnapshotWithoutSpec(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.snap")
+	old := &WorkerSnapshot{Version: WorkerSnapshotVersion, Rank: 1, NextRound: 3, Spec: []byte("\x3f\xff\x81\x03\x01\x01\x08TaskSpec")}
+	if err := SaveWorkerSnapshot(path, old); err != nil {
+		t.Fatal(err)
+	}
+	_, err := (&WorkerClient{SnapshotPath: path, Resume: true}).Run("127.0.0.1:1", "127.0.0.1:0")
+	if err == nil || !strings.Contains(err.Error(), "holds no scenario spec") {
+		t.Fatalf("resume returned %v, want an error saying the snapshot holds no spec", err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/obs"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
 )
 
@@ -23,8 +24,8 @@ import (
 var ErrCrashed = errors.New("transport: worker crashed by fault injection (restart with -resume to rejoin)")
 
 // WorkerClient runs one engine node over TCP: it registers with the
-// coordinator, assembles its node/pattern/codecs from the broadcast task
-// recipe, trains locally, and sends encoded payloads to its per-round peers
+// coordinator, assembles its node/pattern/codecs from the broadcast scenario
+// spec, trains locally, and sends encoded payloads to its per-round peers
 // as one-way frames over direct worker-to-worker connections. For hub algorithms the
 // last rank hosts the parameter server instead of training.
 //
@@ -42,14 +43,14 @@ type WorkerClient struct {
 	// committed round (atomic rename), enabling Resume after a crash.
 	SnapshotPath string
 	// Resume rejoins an in-flight training from SnapshotPath instead of
-	// registering fresh: the worker reloads its rank, task, and state from
+	// registering fresh: the worker reloads its rank, spec, and state from
 	// the snapshot and sends a Rejoin handshake.
 	Resume bool
 
 	rank  int
 	n     int // total node count (trainers + server for hub recipes)
 	coord *Conn
-	task  TaskSpec
+	spec  []byte // the scenario spec's canonical bytes, as Welcome carried them
 
 	model   *nn.Model
 	node    engine.Node
@@ -136,7 +137,16 @@ func (w *WorkerClient) logf(format string, args ...any) {
 // address to listen on for peer frames ("127.0.0.1:0" for an ephemeral
 // port).
 func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
+	// A resuming worker reads its snapshot before it touches the network: a
+	// file it cannot resume from is its own error, not the coordinator's.
+	var snap *WorkerSnapshot
+	var spec *scenario.Spec
 	var err error
+	if w.Resume {
+		if snap, spec, err = w.loadSnapshot(); err != nil {
+			return nil, err
+		}
+	}
 	w.peerLn, err = net.Listen("tcp", peerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: worker peer listen: %w", err)
@@ -151,7 +161,7 @@ func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 	defer w.coord.Close()
 
 	if w.Resume {
-		err = w.rejoin()
+		err = w.rejoin(snap, spec)
 	} else {
 		err = w.register()
 	}
@@ -232,8 +242,12 @@ func (w *WorkerClient) register() error {
 	w.rank = welcome.Rank
 	w.n = welcome.N
 	w.addrs = welcome.Addrs
-	w.task = welcome.Task
-	if err := w.buildNode(); err != nil {
+	w.spec = welcome.Spec
+	spec, err := scenario.Parse(w.spec)
+	if err != nil {
+		return fmt.Errorf("transport: worker %d: the coordinator's spec: %w", w.rank, err)
+	}
+	if err := w.buildNode(spec); err != nil {
 		return err
 	}
 	w.boundaryRound = -1
@@ -251,17 +265,28 @@ func (w *WorkerClient) register() error {
 	return nil
 }
 
-// rejoin reloads the snapshot and performs the Rejoin handshake.
-func (w *WorkerClient) rejoin() error {
+// loadSnapshot reads the snapshot a resuming worker restarts from, and the
+// spec it carries.
+func (w *WorkerClient) loadSnapshot() (*WorkerSnapshot, *scenario.Spec, error) {
 	if w.SnapshotPath == "" {
-		return fmt.Errorf("transport: Resume requires SnapshotPath")
+		return nil, nil, fmt.Errorf("transport: Resume requires SnapshotPath")
 	}
 	snap, err := LoadWorkerSnapshot(w.SnapshotPath)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	spec, err := scenario.Parse(snap.Spec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: snapshot %s holds no scenario spec (was it written before workers received specs?): %w", w.SnapshotPath, err)
+	}
+	return snap, spec, nil
+}
+
+// rejoin performs the Rejoin handshake for the loaded snapshot and restores
+// its state.
+func (w *WorkerClient) rejoin(snap *WorkerSnapshot, spec *scenario.Spec) error {
 	w.rank = snap.Rank
-	w.task = snap.Task
+	w.spec = snap.Spec
 	if err := w.coord.Send(Rejoin{Rank: snap.Rank, NextRound: snap.NextRound, ListenAddr: w.peerLn.Addr().String()}); err != nil {
 		return err
 	}
@@ -278,7 +303,7 @@ func (w *WorkerClient) rejoin() error {
 	default:
 		return fmt.Errorf("transport: expected RejoinAck, got %T", msg)
 	}
-	if err := w.buildNode(); err != nil {
+	if err := w.buildNode(spec); err != nil {
 		return err
 	}
 	if err := engine.RestoreRank(w.node, w.codecs[w.rank], snap.State); err != nil {
@@ -289,18 +314,17 @@ func (w *WorkerClient) rejoin() error {
 	return nil
 }
 
-// buildNode assembles the model, node, pattern, and codec table from the
-// task spec — identically whether registering fresh or resuming.
-func (w *WorkerClient) buildNode() error {
-	spec := w.task
-	trainers := spec.Trainers(w.n)
-	rec := spec.Recipe(trainers)
-	if err := rec.Validate(); err != nil {
-		return err
+// buildNode assembles this rank's model, node, pattern, and codec table from
+// the spec with the functions an in-process run uses — identically whether
+// registering fresh or resuming. It builds one model and one shard, never
+// the fleet.
+func (w *WorkerClient) buildNode(spec *scenario.Spec) error {
+	rec := spec.Recipe()
+	if rec.Nodes() != w.n {
+		return fmt.Errorf("transport: worker %d: scenario %s runs %d processes, the coordinator registered %d", w.rank, spec.Name, rec.Nodes(), w.n)
 	}
 	var err error
-	w.model, err = spec.BuildModel()
-	if err != nil {
+	if w.model, err = spec.NewModel(); err != nil {
 		return err
 	}
 	w.pattern = rec.Pattern()
@@ -310,7 +334,7 @@ func (w *WorkerClient) buildNode() error {
 		w.node = rec.NewNode(w.rank, w.model, nil, nil)
 		w.logf("worker %d: parameter server for %q (%d params)", w.rank, rec.Algo, w.model.ParamCount())
 	} else {
-		shards, _ := spec.BuildShards(trainers)
+		shards, _ := spec.Dataset()
 		w.node = rec.NewNode(w.rank, w.model, shards[w.rank], nil)
 		w.logf("worker %d: ready for %q (%d params, %d local samples)",
 			w.rank, rec.Algo, w.model.ParamCount(), shards[w.rank].Len())
@@ -331,7 +355,7 @@ func (w *WorkerClient) snapshotNow(nextRound int) (*WorkerSnapshot, error) {
 		Version:   WorkerSnapshotVersion,
 		Rank:      w.rank,
 		NextRound: nextRound,
-		Task:      w.task,
+		Spec:      w.spec,
 		State:     st,
 	}, nil
 }

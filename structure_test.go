@@ -407,3 +407,53 @@ func TestOneBandwidthStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSpecVocabulary: a TCP fleet runs a scenario spec, the description
+// every in-process run reads, so the coordinator's command line carries where
+// to listen and when to give up, not a second copy of the spec's fields. The
+// older task type survives only as the benchmark's shim inside
+// internal/transport (TaskSpec.Spec converts it), and no other product file
+// names it.
+func TestOneSpecVocabulary(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"cmd", "internal"} {
+		for _, f := range productFiles(t, fset, dir) {
+			name := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+			if strings.HasPrefix(name, "internal/transport/") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == "TaskSpec" {
+					t.Errorf("%s: names TaskSpec — describe the run with a scenario.Spec", fset.Position(id.Pos()))
+				}
+				return true
+			})
+		}
+	}
+	defines := regexp.MustCompile(`^(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var|Func)?$`)
+	var flags []string
+	for _, f := range productFiles(t, fset, "cmd/coordinator") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && defines.MatchString(sel.Sel.Name) {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "flag" {
+					name := "?"
+					for _, arg := range call.Args {
+						if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							name = lit.Value
+							break
+						}
+					}
+					flags = append(flags, name)
+				}
+			}
+			return true
+		})
+	}
+	if len(flags) > 8 {
+		t.Errorf("cmd/coordinator registers %d flags of its own, want at most 8 — the run's settings are the spec's fields: %s", len(flags), strings.Join(flags, " "))
+	}
+}
