@@ -186,7 +186,7 @@ func (c goldenCase) inProc(t *testing.T, shards int) map[string]string {
 		}
 		bytes = append(bytes, total/2-prev)
 		prev = total / 2
-		clock = append(clock, fmt.Sprintf("%016x", math.Float64bits(led.Clock())))
+		clock = append(clock, fmt.Sprintf("%016x", math.Float64bits(led.TotalTime())))
 	}
 	var all [][]float64
 	for _, m := range alg.Models() {

@@ -339,3 +339,27 @@ func TestCoordinatorPlansDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainerRestoreRefusesForeignLoader: a trainer state captured over a
+// 10-sample shard does not fit a trainer over 12 samples. Restoring it is an
+// error that names the loader, and the model keeps every parameter bit.
+func TestTrainerRestoreRefusesForeignLoader(t *testing.T) {
+	small, _ := dataset.TinyTask(10, 3, 5)
+	large, _ := dataset.TinyTask(12, 3, 5)
+	src := NewTrainer(nn.NewMLP(small.Dim(), []int{8}, 3, 1), small, 4, 0.1, 7)
+	src.LocalSGD(2)
+	state, err := src.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewTrainer(nn.NewMLP(large.Dim(), []int{8}, 3, 2), large, 4, 0.1, 7)
+	before := dst.Model.FlatParams(nil)
+	if err := dst.RestoreState(state); err == nil || !strings.Contains(err.Error(), "loader") {
+		t.Fatalf("RestoreState error %v, want one naming the loader", err)
+	}
+	for i, v := range dst.Model.FlatParams(nil) {
+		if math.Float64bits(v) != math.Float64bits(before[i]) {
+			t.Fatalf("param %d moved from %v to %v on a refused restore", i, before[i], v)
+		}
+	}
+}

@@ -78,7 +78,9 @@ func (t *Trainer) StateBlob(room int) ([]byte, error) {
 
 // ReadState restores the state StateBlob wrote at the front of b into an
 // identically constructed trainer (same recipe, same shard) and returns what
-// follows it.
+// follows it. Every section is checked before the model is written: a state
+// whose loader cursor does not fit this trainer's shard leaves the model as
+// it was.
 func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 	model, b, err := tensor.CutSection(b)
 	if err != nil {
@@ -103,10 +105,12 @@ func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 	if n := t.Model.ParamCount(); len(velocity) != 0 && len(velocity) != n {
 		return nil, fmt.Errorf("core: state holds a momentum buffer of %d words, the model has %d parameters", len(velocity), n)
 	}
+	if err := t.Loader.SetState(ls); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if err := t.Model.LoadCheckpoint(model); err != nil {
 		return nil, err
 	}
-	t.Loader.SetState(ls)
 	t.Opt.SetVelocity(velocity)
 	return rest, nil
 }

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -192,7 +194,6 @@ func TestLoaderPanics(t *testing.T) {
 	for _, bad := range []func(){
 		func() { NewLoader(tr, 0, 1) },
 		func() { NewLoader(&Dataset{Classes: 2}, 1, 1) },
-		func() { NewLoader(tr, 2, 1).SetState(LoaderState{}) },
 		func() { PartitionIID(tr, 0, 1) },
 		func() { PartitionByLabel(tr, 0, 1, 1) },
 	} {
@@ -204,6 +205,31 @@ func TestLoaderPanics(t *testing.T) {
 			}()
 			bad()
 		}()
+	}
+}
+
+// TestLoaderSetStateRefuses: a state that is not an ordering of the loader's
+// own dataset is an error, and the loader keeps drawing what it would have.
+func TestLoaderSetStateRefuses(t *testing.T) {
+	tr, _ := TinyTask(5, 2, 23)
+	other, _ := TinyTask(6, 2, 23)
+	good := NewLoader(tr, 2, 1).State()
+	for name, st := range map[string]LoaderState{
+		"empty":        {},
+		"other shard":  NewLoader(other, 2, 1).State(),
+		"entry":        {RNG: good.RNG, Order: []int{0, 1, 2, 3, 5}},
+		"negative pos": {RNG: good.RNG, Order: good.Order, Pos: -1},
+		"pos past end": {RNG: good.RNG, Order: good.Order, Pos: 6},
+	} {
+		l, ref := NewLoader(tr, 2, 1), NewLoader(tr, 2, 1)
+		if err := l.SetState(st); err == nil || !strings.Contains(err.Error(), "loader state") {
+			t.Errorf("%s: SetState error %v, want one naming the loader state", name, err)
+		}
+		_, got := l.Next()
+		_, want := ref.Next()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: a refused state moved the loader", name)
+		}
 	}
 }
 

@@ -295,26 +295,28 @@ func (l *Loader) State() LoaderState {
 	}
 }
 
-// SetState restores a position captured by State. It panics if the captured
-// order is not an ordering of this loader's dataset — a state decoded from a
-// snapshot that lost the field is empty, and its all-zero RNG would never
-// produce another shuffle.
-func (l *Loader) SetState(st LoaderState) {
+// SetState restores a position captured by State. It returns an error, and
+// leaves the loader as it was, if the captured order is not an ordering of
+// this loader's dataset — a state captured over another shard, or decoded
+// from a snapshot that lost the field (empty, with an all-zero RNG that would
+// never produce another shuffle).
+func (l *Loader) SetState(st LoaderState) error {
 	if len(st.Order) != l.d.Len() {
-		panic(fmt.Sprintf("dataset: loader state orders %d samples for dataset of %d", len(st.Order), l.d.Len()))
+		return fmt.Errorf("dataset: loader state orders %d samples for dataset of %d", len(st.Order), l.d.Len())
 	}
 	for _, i := range st.Order {
 		if i < 0 || i >= l.d.Len() {
-			panic(fmt.Sprintf("dataset: loader state order entry %d for dataset of %d", i, l.d.Len()))
+			return fmt.Errorf("dataset: loader state order entry %d for dataset of %d", i, l.d.Len())
 		}
 	}
 	if st.Pos < 0 || st.Pos > len(st.Order) {
-		panic(fmt.Sprintf("dataset: loader state pos %d of %d", st.Pos, len(st.Order)))
+		return fmt.Errorf("dataset: loader state pos %d of %d", st.Pos, len(st.Order))
 	}
 	l.r.SetState(st.RNG)
 	l.order = append(l.order[:0], st.Order...)
 	l.pos = st.Pos
 	l.Epochs = st.Epochs
+	return nil
 }
 
 // BatchesPerEpoch returns the number of Next calls per full pass.

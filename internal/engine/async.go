@@ -66,8 +66,6 @@ type AsyncOptions struct {
 	// the bidirectional rendezvous (AD-PSGD): both endpoints exchange and
 	// are busy for the transfer.
 	OneWay bool
-	// LatencySec is the fixed per-transfer latency added to each gossip.
-	LatencySec float64
 	// Compute is the virtual compute-duration model.
 	Compute AsyncComputeModel
 	// SampleEvery emits one series sample per that many completed gossips
@@ -152,8 +150,6 @@ func NewAsync(opts AsyncOptions) (*AsyncEngine, error) {
 		return nil, fmt.Errorf("engine: async compute mean %v", opts.Compute.MeanSeconds)
 	case opts.Compute.Jitter < 0 || opts.Compute.Jitter >= 1:
 		return nil, fmt.Errorf("engine: async compute jitter %v outside [0, 1)", opts.Compute.Jitter)
-	case opts.LatencySec < 0:
-		return nil, fmt.Errorf("engine: async latency %v", opts.LatencySec)
 	}
 	if opts.Compute.SlowFactor != 0 && opts.Compute.SlowFactor < 1 {
 		return nil, fmt.Errorf("engine: async slow factor %v < 1", opts.Compute.SlowFactor)
@@ -309,7 +305,7 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 				}
 				total = 2 * pend.bytes
 			}
-			end := start + float64(total)/(mbps*1e6) + e.opts.LatencySec
+			end := start + float64(total)/(mbps*1e6)
 			e.freeAt[r] = end
 			if !e.opts.OneWay {
 				e.freeAt[p] = end

@@ -1,7 +1,9 @@
 // Package netsim models the communication fabric between workers: pairwise
 // bandwidth matrices (including the paper's measured 14-city matrix of
-// Fig. 1), the threshold filtering of Algorithm 1, and byte/time ledgers
-// that account for every message the training algorithms exchange.
+// Fig. 1), the threshold filtering of Algorithm 1, and the byte/time Ledger
+// that accounts for every message of a synchronous round. It also holds the
+// virtual-time event queue and log that the engine's barrier-free driver
+// (engine.NewAsync), the one event simulator, runs on.
 package netsim
 
 import (

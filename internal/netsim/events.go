@@ -7,12 +7,14 @@ import (
 	"strconv"
 )
 
-// This file is the event-driven core of the network simulator: a priority
+// This file holds the event vocabulary of the repository's one event
+// simulator, the engine's barrier-free driver (engine.NewAsync): a priority
 // queue of virtual-time events with a *total* order, so any run that feeds
 // the queue the same events drains them in exactly the same sequence no
 // matter how the events were produced (goroutine interleaving, insertion
-// order, GOMAXPROCS). The Ledger schedules transfer events on it each round
-// and the engine's async driver runs its whole execution off it.
+// order, GOMAXPROCS), and the log that serializes the drained sequence.
+// Synchronous rounds need no timeline below the round: the Ledger accounts
+// for them directly.
 
 // EventKind discriminates the event types the simulator schedules.
 type EventKind uint8
@@ -57,11 +59,9 @@ type Event struct {
 	// Rank is the primary endpoint: the computing rank, or the transfer's
 	// charged endpoint.
 	Rank int32
-	// Peer is the other transfer endpoint, or -1 (no peer: compute events
-	// and server-link transfers).
+	// Peer is the other transfer endpoint, or -1 (compute events).
 	Peer int32
-	// Round is the synchronous round index, or (async driver) the
-	// initiator's gossip-step index.
+	// Round is the initiator's gossip-step index.
 	Round int32
 	// Bytes is the transfer's payload size (0 for compute events).
 	Bytes int64
@@ -92,9 +92,9 @@ func eventLess(a, b Event) bool {
 
 // EventQueue is a binary min-heap of events under the total order above.
 // The zero value is ready to use. Pop order is deterministic and
-// insertion-order invariant; the heap retains its capacity across
-// fill/drain cycles, so a ledger reusing one queue round after round stays
-// allocation-free in steady state.
+// insertion-order invariant; the heap retains its capacity as it fills and
+// drains, so a driver reusing one queue stays allocation-free in steady
+// state.
 type EventQueue struct {
 	h []Event
 }
@@ -144,9 +144,6 @@ func (q *EventQueue) Pop() (e Event, ok bool) {
 	}
 }
 
-// Reset empties the queue, keeping its capacity.
-func (q *EventQueue) Reset() { q.h = q.h[:0] }
-
 // EventLog accumulates drained events in pop order. Its serialized forms
 // are deterministic: two runs that drain the same event sequence produce
 // byte-identical logs, which is what the CI determinism gate compares.
@@ -158,14 +155,12 @@ type EventLog struct {
 // Append records one event.
 func (l *EventLog) Append(e Event) { l.Events = append(l.Events, e) }
 
-// Len returns the number of recorded events.
-func (l *EventLog) Len() int { return len(l.Events) }
-
-// AppendTo serializes the log onto buf in the exact-replay text form: one
-// line per event, the virtual time as the hex IEEE-754 bit pattern (float
-// formatting never rounds two distinct times onto one string). This is the
-// byte-comparison artifact of the determinism gate.
-func (l *EventLog) AppendTo(buf []byte) []byte {
+// Bytes returns the log in the exact-replay text form: one line per event,
+// the virtual time as the hex IEEE-754 bit pattern (float formatting never
+// rounds two distinct times onto one string). This is the byte-comparison
+// artifact of the determinism gate.
+func (l *EventLog) Bytes() []byte {
+	var buf []byte
 	for _, e := range l.Events {
 		buf = strconv.AppendUint(buf, math.Float64bits(e.Time), 16)
 		buf = append(buf, ' ')
@@ -182,9 +177,6 @@ func (l *EventLog) AppendTo(buf []byte) []byte {
 	}
 	return buf
 }
-
-// Bytes returns the log's deterministic serialized form (see AppendTo).
-func (l *EventLog) Bytes() []byte { return l.AppendTo(nil) }
 
 // WriteCSV renders the log as a human-readable CSV: readable decimal times
 // (9 fractional digits) alongside the exact bit pattern, for the uploaded

@@ -130,77 +130,28 @@ func TestEventTieBreaking(t *testing.T) {
 	}
 }
 
-// TestLedgerEventView checks the ledger's two views of one round agree: the
-// sink receives one start/complete pair per charged endpoint, the stream is
-// globally ordered, the latest completion equals the round's wall time, and
-// RoundCompletions matches the per-endpoint completion events.
-func TestLedgerEventView(t *testing.T) {
-	const n = 6
-	bw := RandomUniform(n, 5, 50, rng.New(7))
-	led := NewLedger(bw)
+// TestEventLogSerialization pins both serialized forms of a log byte for
+// byte: the exact-replay text (hex time bits) and the CSV beside it.
+func TestEventLogSerialization(t *testing.T) {
 	var log EventLog
-	led.SetSink(&log)
-
-	src := rng.New(42)
-	var exchanges int
-	for round := 0; round < 4; round++ {
-		clockBefore := led.Clock()
-		for k := 0; k < 5; k++ {
-			i := src.Intn(n)
-			j := (i + 1 + src.Intn(n-1)) % n
-			led.Exchange(i, j, 1000, 1000)
-			exchanges++
-		}
-		led.ServerTransfer(0, 500, 500, 25)
-		wall := led.EndRound()
-		if led.Clock() != clockBefore+wall {
-			t.Fatalf("round %d: clock %v, want %v + %v", round, led.Clock(), clockBefore, wall)
-		}
-		comps := led.RoundCompletions()
-		maxComp := 0.0
-		for _, c := range comps {
-			if c > maxComp {
-				maxComp = c
-			}
-		}
-		if maxComp != led.Clock() {
-			t.Fatalf("round %d: max completion %v, clock %v", round, maxComp, led.Clock())
-		}
-	}
-	// 2 endpoints per exchange + 1 per server transfer, a start/complete pair
-	// each.
-	wantEvents := (exchanges*2 + 4) * 2
-	if log.Len() != wantEvents {
-		t.Fatalf("sink has %d events, want %d", log.Len(), wantEvents)
-	}
-	prev := Event{Time: -1}
-	completes := map[int32]float64{}
-	for _, e := range log.Events {
-		if eventLess(e, prev) && e.Round == prev.Round {
-			t.Fatalf("event %+v drained after %+v", e, prev)
-		}
-		if e.Time < prev.Time {
-			t.Fatalf("event stream time went backwards: %+v after %+v", e, prev)
-		}
-		prev = e
-		if e.Kind == EventTransferComplete {
-			completes[e.Rank] = e.Time
-		}
-	}
-	for rank, tEnd := range completes {
-		if tEnd > led.Clock() {
-			t.Fatalf("rank %d completion %v beyond final clock %v", rank, tEnd, led.Clock())
-		}
-	}
-	// The serialized log is deterministic.
-	if !bytes.Equal(log.Bytes(), log.Bytes()) {
-		t.Fatal("EventLog.Bytes not stable")
+	log.Append(Event{Time: 0.5, Kind: EventComputeDone, Rank: 3, Peer: -1})
+	log.Append(Event{Time: 0.5, Kind: EventTransferStart, Rank: 3, Peer: 1, Round: 2, Bytes: 4096})
+	log.Append(Event{Time: 1.25, Kind: EventTransferComplete, Rank: 3, Peer: 1, Round: 2, Bytes: 4096})
+	wantLog := "3fe0000000000000 compute-done 3 -1 0 0\n" +
+		"3fe0000000000000 transfer-start 3 1 2 4096\n" +
+		"3ff4000000000000 transfer-complete 3 1 2 4096\n"
+	if got := string(log.Bytes()); got != wantLog {
+		t.Fatalf("Bytes:\n%s\nwant:\n%s", got, wantLog)
 	}
 	var csv bytes.Buffer
 	if err := log.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	if lines := bytes.Count(csv.Bytes(), []byte("\n")); lines != wantEvents+1 {
-		t.Fatalf("CSV has %d lines, want %d", lines, wantEvents+1)
+	wantCSV := "time_sec,time_bits,kind,rank,peer,round,bytes\n" +
+		"0.500000000,3fe0000000000000,compute-done,3,-1,0,0\n" +
+		"0.500000000,3fe0000000000000,transfer-start,3,1,2,4096\n" +
+		"1.250000000,3ff4000000000000,transfer-complete,3,1,2,4096\n"
+	if got := csv.String(); got != wantCSV {
+		t.Fatalf("WriteCSV:\n%s\nwant:\n%s", got, wantCSV)
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -236,20 +237,61 @@ func TestMeanWorkerTraffic(t *testing.T) {
 	}
 }
 
-func TestLedgerLatency(t *testing.T) {
-	bw := NewBandwidth([][]float64{{0, 2}, {2, 0}})
+// TestLedgerStateRoundTrip: a fresh ledger restored from a checkpoint holds
+// exactly the captured totals, captures the same bytes again, and keeps
+// charging from there like the original.
+func TestLedgerStateRoundTrip(t *testing.T) {
+	bw := NewBandwidth([][]float64{
+		{0, 2, 4},
+		{2, 0, 1},
+		{4, 1, 0},
+	})
 	l := NewLedger(bw)
-	l.LatencySec = 0.05
-	l.Exchange(0, 1, 1e6, 1e6)
-	rt := l.EndRound()
-	if math.Abs(rt-1.05) > 1e-9 {
-		t.Fatalf("round time with latency = %v, want 1.05", rt)
+	l.Exchange(0, 1, 1e6, 5e5)
+	l.ServerTransfer(2, 300, 700, 3)
+	l.EndRound()
+	l.Exchange(1, 2, 2e5, 2e5)
+	l.EndRound()
+	data, err := l.CaptureState()
+	if err != nil {
+		t.Fatal(err)
 	}
-	l2 := NewLedger(bw)
-	l2.LatencySec = 0.05
-	l2.ServerTransfer(0, 1000, 1000, 2)
-	if rt2 := l2.EndRound(); math.Abs(rt2-(0.001+0.05)) > 1e-9 {
-		t.Fatalf("server round time with latency = %v", rt2)
+	r := NewLedger(bw)
+	if err := r.RestoreState(data); err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("a restored ledger captures different bytes")
+	}
+	check := func(when string, want *Ledger) {
+		t.Helper()
+		if r.TotalTime() != want.TotalTime() || r.Rounds() != want.Rounds() || r.ServerBytes() != want.ServerBytes() {
+			t.Fatalf("%s: restored ledger at %v s / %d rounds / %d server bytes, original at %v / %d / %d", when,
+				r.TotalTime(), r.Rounds(), r.ServerBytes(), want.TotalTime(), want.Rounds(), want.ServerBytes())
+		}
+		for i := 0; i < bw.N; i++ {
+			rs, rr := r.WorkerBytes(i)
+			ws, wr := want.WorkerBytes(i)
+			if rs != ws || rr != wr {
+				t.Fatalf("%s: worker %d restored %d/%d bytes, original %d/%d", when, i, rs, rr, ws, wr)
+			}
+		}
+	}
+	check("restored", l)
+	if s, rcv := r.WorkerBytes(1); s != 5e5+2e5 || rcv != 1e6+2e5 || r.ServerBytes() != 1000 || r.Rounds() != 2 {
+		t.Fatalf("restored worker 1 %d/%d bytes, server %d, %d rounds", s, rcv, r.ServerBytes(), r.Rounds())
+	}
+	for _, led := range []*Ledger{l, r} {
+		led.Exchange(0, 2, 4e6, 4e6)
+		led.EndRound()
+	}
+	check("one round on", l)
+	if err := NewLedger(NewBandwidth([][]float64{{0, 1}, {1, 0}})).RestoreState(data); err == nil {
+		t.Fatal("a 3-worker state restored into a 2-worker ledger")
 	}
 }
 

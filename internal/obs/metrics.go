@@ -68,11 +68,12 @@ type TransportMetrics struct {
 // NetsimMetrics is the virtual-time simulator slice of the catalog
 // (zero value = disabled sink).
 type NetsimMetrics struct {
-	// VirtualSeconds gauges the simulator's virtual clock.
+	// VirtualSeconds gauges the simulator's virtual clock (the ledger's
+	// at each round's end, the async driver's at each event).
 	VirtualSeconds *FloatGauge
-	// EventQueueDepth gauges the pending-event count in the scheduler.
+	// EventQueueDepth gauges the async driver's pending-event count.
 	EventQueueDepth *Gauge
-	// EventsTotal counts processed simulation events.
+	// EventsTotal counts the events the async driver processed.
 	EventsTotal *Counter
 }
 
@@ -165,8 +166,8 @@ func New() *Metrics {
 	}
 	m.Netsim = NetsimMetrics{
 		VirtualSeconds:  NewFloatGauge(Prefix+"netsim_virtual_seconds", "Virtual clock of the network simulator."),
-		EventQueueDepth: NewGauge(Prefix+"netsim_event_queue_depth", "Pending events in the simulator queue."),
-		EventsTotal:     NewCounter(Prefix+"netsim_events_total", "Simulation events processed."),
+		EventQueueDepth: NewGauge(Prefix+"netsim_event_queue_depth", "Pending events in the async driver's queue."),
+		EventsTotal:     NewCounter(Prefix+"netsim_events_total", "Events the async driver processed."),
 	}
 	m.Campaign = CampaignMetrics{
 		CellsPlanned:      NewGauge(Prefix+"campaign_cells_planned", "Cells in the expanded campaign grid."),

@@ -83,7 +83,7 @@ func TestAsyncScenarioRuns(t *testing.T) {
 					t.Fatalf("series not monotone at sample %d", k)
 				}
 			}
-			if out.Events == nil || out.Events.Len() == 0 {
+			if out.Events == nil || len(out.Events.Events) == 0 {
 				t.Fatal("no event log")
 			}
 			if len(out.Params) != spec.Nodes {

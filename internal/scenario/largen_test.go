@@ -117,6 +117,49 @@ func TestSparseScenarioTrains(t *testing.T) {
 	}
 }
 
+// TestSparseRefusesAllPairsAlgos: an algorithm that may exchange between any
+// two nodes (psgd's all-reduce, the all-gathers, randomchoose's uniform
+// matching) over a sparse environment is refused by name, planner-only
+// randomchoose included — not run until the ledger meets a missing link.
+func TestSparseRefusesAllPairsAlgos(t *testing.T) {
+	kinds := []BandwidthSpec{
+		{Kind: "sparse-clustered", Clusters: 3, Fast: 8, Slow: 1, Degree: 6},
+		{Kind: "sparse-uniform", Lo: 0.5, Hi: 5, Degree: 6},
+	}
+	type variant struct {
+		algo        string
+		plannerOnly bool
+	}
+	var variants []variant
+	for _, algo := range []string{"psgd", "topk-psgd", "qsgd-psgd", "randomchoose"} {
+		variants = append(variants, variant{algo, false})
+	}
+	variants = append(variants, variant{"randomchoose", true})
+	for _, v := range variants {
+		for _, bw := range kinds {
+			name := v.algo + "/" + bw.Kind
+			if v.plannerOnly {
+				name += "/planner_only"
+			}
+			t.Run(name, func(t *testing.T) {
+				s, err := Load("testdata/saps-sparse-small.json")
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Algo, s.Gossip, s.Bandwidth, s.PlannerOnly = v.algo, nil, bw, v.plannerOnly
+				s.C, s.Levels = 4, 8
+				if v.algo != "randomchoose" {
+					s.Compression = 0
+				}
+				_, err = s.Run(0)
+				if err == nil || !strings.Contains(err.Error(), "algo "+v.algo+" ") || !strings.Contains(err.Error(), bw.Kind) {
+					t.Fatalf("error %v, want one naming algo %s and %s", err, v.algo, bw.Kind)
+				}
+			})
+		}
+	}
+}
+
 // TestLargeNSpecsLoad validates the committed large-N capsules without
 // running them (TestPlannerOnly10kStaysSparse runs the 10k one; the 50k one
 // runs off-CI through cmd/campaign), and pins that they live outside the

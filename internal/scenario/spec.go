@@ -583,6 +583,15 @@ func (s *Spec) Validate() error {
 	if err := s.Bandwidth.validate(s.Name, s.Nodes); err != nil {
 		return err
 	}
+	// An all-reduce, an all-gather and a uniform matching may put any two
+	// nodes on one link; a sparse environment has none between most pairs.
+	switch s.Algo {
+	case "psgd", "topk-psgd", "qsgd-psgd", "randomchoose":
+		if strings.HasPrefix(s.Bandwidth.Kind, "sparse-") {
+			return fmt.Errorf("scenario %s: algo %s may exchange between any two nodes, but %s bandwidth links only a few of each node's peers (use a dense bandwidth kind, or saps, d-psgd or dcd-psgd)",
+				s.Name, s.Algo, s.Bandwidth.Kind)
+		}
+	}
 	if s.RecordTrace && !s.Traceable() {
 		return fmt.Errorf("scenario %s: record_trace requires algo saps or randomchoose, have %s", s.Name, s.Algo)
 	}

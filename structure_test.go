@@ -408,6 +408,34 @@ func TestOneBandwidthStorage(t *testing.T) {
 	}
 }
 
+// TestOneEventSimulator: the engine's barrier-free driver is the one event
+// simulator, so only it and the queue's own file name netsim.EventQueue. A
+// synchronous round is the paper's per-round account (netsim.Ledger), with no
+// event timeline beside it. Both time models are bandwidth only: a latency
+// knob nothing sets is an option with one value.
+func TestOneEventSimulator(t *testing.T) {
+	fset := token.NewFileSet()
+	queueFiles := map[string]bool{"internal/netsim/events.go": true, "internal/engine/async.go": true}
+	for _, dir := range []string{"cmd", "internal"} {
+		for _, f := range productFiles(t, fset, dir) {
+			name := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				switch {
+				case id.Name == "EventQueue" && !queueFiles[name]:
+					t.Errorf("%s: names EventQueue — a second event timeline; run barrier-free work on engine.NewAsync", fset.Position(id.Pos()))
+				case id.Name == "LatencySec":
+					t.Errorf("%s: names LatencySec — the time model is bytes over bandwidth", fset.Position(id.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
+
 // TestOneSpecVocabulary: a TCP fleet runs a scenario spec, the description
 // every in-process run reads, so the coordinator's command line carries where
 // to listen and when to give up, not a second copy of the spec's fields. The
