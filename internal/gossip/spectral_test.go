@@ -82,7 +82,9 @@ func RhoOfExpectedWtW(ws []*tensor.Matrix, iters int) float64 {
 	n := ws[0].Rows
 	e := tensor.NewMatrix(n, n)
 	for _, w := range ws {
-		wtw := tensor.MatMul(w.T(), w)
+		wt := tensor.NewMatrix(w.Cols, w.Rows)
+		tensor.TransposeInto(wt, w)
+		wtw := tensor.MatMul(wt, w)
 		tensor.Axpy(1/float64(len(ws)), wtw.Data, e.Data)
 	}
 	// Deflate the known dominant eigenvector 1/√n exactly rather than

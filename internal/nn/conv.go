@@ -106,7 +106,9 @@ func (c *Conv2D) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
 	if wantDx {
 		dx = tensor.NewMatrix(len(c.cols), c.In.Dim())
 		dcol = tensor.NewMatrix(c.In.C*c.K*c.K, outHW)
-		wT = c.w.T()
+		wT = tensor.GetMatrix(c.w.Cols, c.w.Rows)
+		tensor.TransposeInto(wT, c.w)
+		defer tensor.PutMatrix(wT)
 	}
 	for i := 0; i < dout.Rows; i++ {
 		g := tensor.MatrixFrom(c.OutC, outHW, dout.Row(i))

@@ -16,7 +16,7 @@ type Dense struct {
 	dw            *tensor.Matrix
 	db            []float64
 	x             *tensor.Matrix // cached input
-	nz            []int32        // Backward's scratch: positions of the non-zero gradients
+	idx           []int32        // row-index scratch: every k in Forward, the non-zero gradients in Backward
 }
 
 // NewDense returns a dense layer with He-initialized weights.
@@ -44,10 +44,11 @@ func newDense(in, out int, r *rng.Source, a *arena) *Dense {
 	return d
 }
 
-// Forward computes the affine map for the batch. Four output units share one
-// ascending-k pass over an input row: four independent add chains, each the
-// chain tensor.Dot would run for that unit (DESIGN §8 "Compute kernels"). The
-// result comes from the tensor pool and belongs to the caller.
+// Forward computes the affine map for the batch as an ikj product over a
+// pooled Wᵀ: each output row starts at +0 and takes x[i][k]·Wᵀ[k] for every
+// k, ascending, zeros included, then b — the chain tensor.Dot(w[j], x[i]) +
+// b[j] gives each unit, one vector lane per unit (DESIGN §8 "Compute
+// kernels"). The result comes from the tensor pool and belongs to the caller.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != d.InDim {
 		panic(fmt.Sprintf("nn: Dense input %d, want %d", x.Cols, d.InDim))
@@ -55,29 +56,29 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
 		d.x = x
 	}
-	out := tensor.GetMatrix(x.Rows, d.OutDim)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		o := out.Row(i)
-		j := 0
-		for ; j+4 <= d.OutDim; j += 4 {
-			w0, w1 := d.w.Row(j)[:len(row)], d.w.Row(j + 1)[:len(row)]
-			w2, w3 := d.w.Row(j + 2)[:len(row)], d.w.Row(j + 3)[:len(row)]
-			var s0, s1, s2, s3 float64
-			for k, xk := range row {
-				s0 += w0[k] * xk
-				s1 += w1[k] * xk
-				s2 += w2[k] * xk
-				s3 += w3[k] * xk
-			}
-			o[j], o[j+1] = s0+d.b[j], s1+d.b[j+1]
-			o[j+2], o[j+3] = s2+d.b[j+2], s3+d.b[j+3]
-		}
-		for ; j < d.OutDim; j++ {
-			o[j] = tensor.Dot(d.w.Row(j), row) + d.b[j]
-		}
+	wT := tensor.GetMatrix(d.InDim, d.OutDim)
+	tensor.TransposeInto(wT, d.w)
+	all := d.scratch(d.InDim)
+	for k := range all {
+		all[k] = int32(k)
 	}
+	out := tensor.GetMatrix(x.Rows, d.OutDim)
+	tensor.Fill(out.Data, 0)
+	for i := 0; i < x.Rows; i++ {
+		o := out.Row(i)
+		tensor.AxpyRows(o, wT, x.Row(i), 1, all)
+		tensor.Add(o, o, d.b)
+	}
+	tensor.PutMatrix(wT)
 	return out
+}
+
+// scratch returns the layer's index buffer, grown to n entries.
+func (d *Dense) scratch(n int) []int32 {
+	if len(d.idx) < n {
+		d.idx = make([]int32, n)
+	}
+	return d.idx[:n]
 }
 
 // nonZero writes the positions p, ascending, with g[p*stride] != 0 into idx
@@ -92,29 +93,6 @@ func nonZero(idx []int32, g []float64, stride int) int {
 		}
 	}
 	return n
-}
-
-// axpyRows computes dst += g[p*stride]·src.Row(p) for p in idx, in list
-// order, four rows per pass over dst: every dst[k] receives the additions one
-// tensor.Axpy per row would give it, in the same order, with a quarter of the
-// loads and stores.
-func axpyRows(dst []float64, src *tensor.Matrix, g []float64, stride int, idx []int32) {
-	for ; len(idx) >= 4; idx = idx[4:] {
-		p0, p1, p2, p3 := int(idx[0]), int(idx[1]), int(idx[2]), int(idx[3])
-		g0, g1, g2, g3 := g[p0*stride], g[p1*stride], g[p2*stride], g[p3*stride]
-		r0, r1 := src.Row(p0)[:len(dst)], src.Row(p1)[:len(dst)]
-		r2, r3 := src.Row(p2)[:len(dst)], src.Row(p3)[:len(dst)]
-		for k, v := range dst {
-			v += g0 * r0[k]
-			v += g1 * r1[k]
-			v += g2 * r2[k]
-			v += g3 * r3[k]
-			dst[k] = v
-		}
-	}
-	for _, p := range idx {
-		tensor.Axpy(g[int(p)*stride], src.Row(int(p)), dst)
-	}
 }
 
 // Backward accumulates dW, db and returns dx (from the tensor pool, the
@@ -134,25 +112,23 @@ func (d *Dense) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
 		panic("nn: Dense.Backward before training Forward")
 	}
 	x := d.x
-	if need := max(x.Rows, d.OutDim); len(d.nz) < need {
-		d.nz = make([]int32, need)
-	}
+	idx := d.scratch(max(x.Rows, d.OutDim))
 	var dx *tensor.Matrix
 	if wantDx {
 		dx = tensor.GetMatrix(x.Rows, d.InDim)
 		tensor.Fill(dx.Data, 0)
 		for i := 0; i < x.Rows; i++ {
 			g := dout.Row(i)
-			axpyRows(dx.Row(i), d.w, g, 1, d.nz[:nonZero(d.nz, g, 1)])
+			tensor.AxpyRows(dx.Row(i), d.w, g, 1, idx[:nonZero(idx, g, 1)])
 		}
 	}
 	for j := 0; j < d.OutDim && x.Rows > 0; j++ {
 		g := dout.Data[j:] // column j: one entry every OutDim
-		nz := d.nz[:nonZero(d.nz, g, d.OutDim)]
+		nz := idx[:nonZero(idx, g, d.OutDim)]
 		for _, i := range nz {
 			d.db[j] += g[int(i)*d.OutDim]
 		}
-		axpyRows(d.dw.Row(j), x, g, d.OutDim, nz)
+		tensor.AxpyRows(d.dw.Row(j), x, g, d.OutDim, nz)
 	}
 	d.x = nil
 	return dx

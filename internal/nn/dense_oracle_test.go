@@ -105,12 +105,14 @@ func fillGrad(g *tensor.Matrix, r *rng.Source, kind string) {
 }
 
 // TestDenseKernelsMatchOracle pins the kernels to the oracle bit for bit over
-// every ragged tail of the 4-unit forward tile and the 4-row backward group,
+// every lane tail on both lane axes (the forward's lanes run over out, dx's
+// and dw's over in: n mod 8 and n mod 4 take every value), every ragged tail
+// of the 4-row group (in for the forward, out and batch for the backward),
 // every gradient sparsity, non-finite values everywhere, and two Backwards
 // accumulating into the same un-zeroed dw/db.
 func TestDenseKernelsMatchOracle(t *testing.T) {
-	for _, out := range []int{1, 2, 3, 4, 5, 9, 10} {
-		for _, in := range []int{1, 7, 13, 64, 256} {
+	for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15} {
+		for _, in := range []int{1, 2, 3, 6, 7, 13, 64, 256} {
 			for _, batch := range []int{1, 2, 3, 8, 32} {
 				for _, kind := range []string{"zero", "dense", "mixed"} {
 					for _, wild := range []bool{false, true} {

@@ -39,16 +39,46 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: Clone(m.Data)}
 }
 
-// T returns a new matrix that is the transpose of m.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Cols+i] = v
+// TransposeInto writes srcᵀ into dst, typically a GetMatrix buffer. It
+// panics unless dst is src.Cols × src.Rows. dst must not alias src.
+func TransposeInto(dst, src *Matrix) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panic(fmt.Sprintf("tensor: TransposeInto %dx%d into %dx%d", src.Rows, src.Cols, dst.Rows, dst.Cols))
+	}
+	// A strip of 16 src columns at a time, so the 16 dst rows it writes stay
+	// in cache across all src rows, and 4×4 blocks within it: four dst rows
+	// take four consecutive elements each. A plain row-at-a-time pass touches
+	// one element per dst cache line and measured five times as slow on a
+	// 256×256 Wᵀ.
+	const strip = 16
+	r, c := src.Rows, src.Cols
+	for j0 := 0; j0 < c; j0 += strip {
+		j1 := min(j0+strip, c)
+		i := 0
+		for ; i+4 <= r; i += 4 {
+			s0, s1 := src.Data[i*c:(i+1)*c], src.Data[(i+1)*c:(i+2)*c]
+			s2, s3 := src.Data[(i+2)*c:(i+3)*c], src.Data[(i+3)*c:(i+4)*c]
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				a, b, e, f := s0[j:j+4:j+4], s1[j:j+4:j+4], s2[j:j+4:j+4], s3[j:j+4:j+4]
+				d0, d1 := dst.Data[j*r+i:][:4:4], dst.Data[(j+1)*r+i:][:4:4]
+				d2, d3 := dst.Data[(j+2)*r+i:][:4:4], dst.Data[(j+3)*r+i:][:4:4]
+				d0[0], d0[1], d0[2], d0[3] = a[0], b[0], e[0], f[0]
+				d1[0], d1[1], d1[2], d1[3] = a[1], b[1], e[1], f[1]
+				d2[0], d2[1], d2[2], d2[3] = a[2], b[2], e[2], f[2]
+				d3[0], d3[1], d3[2], d3[3] = a[3], b[3], e[3], f[3]
+			}
+			for ; j < j1; j++ {
+				d := dst.Data[j*r+i:][:4:4]
+				d[0], d[1], d[2], d[3] = s0[j], s1[j], s2[j], s3[j]
+			}
+		}
+		for ; i < r; i++ {
+			for j := j0; j < j1; j++ {
+				dst.Data[j*r+i] = src.Data[i*c+j]
+			}
 		}
 	}
-	return out
 }
 
 // MatMul returns a*b. It panics on incompatible shapes.
@@ -77,10 +107,7 @@ func MatMulInto(dst, a, b *Matrix) {
 			if aik == 0 {
 				continue
 			}
-			bRow := b.Row(k)
-			for j, bkj := range bRow {
-				dRow[j] += aik * bkj
-			}
+			Axpy(aik, b.Row(k), dRow)
 		}
 	}
 }

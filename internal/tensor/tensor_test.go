@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -136,19 +137,36 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestTranspose covers every ragged edge of TransposeInto's 4×4 blocks and
+// 16-column strips.
 func TestTranspose(t *testing.T) {
-	a := MatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	at := a.T()
-	if at.Rows != 3 || at.Cols != 2 {
-		t.Fatalf("T shape = %dx%d", at.Rows, at.Cols)
-	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			if a.At(i, j) != at.At(j, i) {
-				t.Fatal("transpose mismatch")
+	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 22, 35}
+	for _, rows := range sizes {
+		for _, cols := range sizes {
+			a := NewMatrix(rows, cols)
+			for i := range a.Data {
+				a.Data[i] = float64(i + 1)
 			}
+			at := GetMatrix(cols, rows)
+			Fill(at.Data, math.NaN()) // a pooled buffer's contents are arbitrary
+			TransposeInto(at, a)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					if a.At(i, j) != at.At(j, i) {
+						t.Fatalf("%dx%d: transpose[%d][%d] = %v, want %v", rows, cols, j, i, at.At(j, i), a.At(i, j))
+					}
+				}
+			}
+			PutMatrix(at)
 		}
 	}
+	a := NewMatrix(2, 3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TransposeInto into a 2x3 matrix did not panic")
+		}
+	}()
+	TransposeInto(a, a)
 }
 
 func TestMatVecVecMat(t *testing.T) {
@@ -373,6 +391,17 @@ func BenchmarkMatMul128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(dst, a, c)
+	}
+}
+
+func BenchmarkTransposeInto(b *testing.B) {
+	for _, s := range [][2]int{{64, 64}, {10, 64}, {256, 256}} {
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			src, dst := NewMatrix(s[0], s[1]), NewMatrix(s[1], s[0])
+			for i := 0; i < b.N; i++ {
+				TransposeInto(dst, src)
+			}
+		})
 	}
 }
 

@@ -36,22 +36,6 @@ func Fill(v []float64, x float64) {
 	}
 }
 
-// Axpy computes y += a*x element-wise. It panics if lengths differ.
-func Axpy(a float64, x, y []float64) {
-	assertSameLen(len(x), len(y))
-	y = y[:len(x)]
-	n := len(x) &^ 3
-	for i := 0; i < n; i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
-	}
-	for i := n; i < len(x); i++ {
-		y[i] += a * x[i]
-	}
-}
-
 // Scale multiplies every element of v by a in place.
 func Scale(a float64, v []float64) {
 	n := len(v) &^ 3
@@ -102,9 +86,9 @@ func Sub(dst, a, b []float64) {
 
 // Dot returns the inner product of a and b. The accumulation is a single
 // sequential chain — unrolling with partial sums would reassociate the
-// floating-point additions and break bit-identical reproducibility. One chain
-// per dot is the rule, not one dot at a time: nn.Dense.Forward runs four such
-// chains side by side, each bit-identical to this loop.
+// floating-point additions and break bit-identical reproducibility. Vector
+// lanes never split a chain either: nn.Dense.Forward runs each output unit's
+// chain in a lane of AxpyRows over Wᵀ, bit-identical to this loop.
 func Dot(a, b []float64) float64 {
 	assertSameLen(len(a), len(b))
 	s := 0.0

@@ -4,6 +4,7 @@ package sapspsgd_test
 
 import (
 	"go/ast"
+	"go/build/constraint"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -432,6 +433,87 @@ func TestOneEventSimulator(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+}
+
+// TestAssemblyIsBitTransparent: the only assembly is internal/tensor's
+// vector kernels, which give the scalar loops' bits (DESIGN §8 "Compute
+// kernels"). Every .s file and every Go file declaring a body-less function
+// beside it is left out of a purego build, where the scalar loops run
+// alone, and no .s file names a fused multiply-add: one rounding instead of
+// two is a different bit.
+func TestAssemblyIsBitTransparent(t *testing.T) {
+	// A constraint excludes purego when it is false with purego set on the
+	// platform the assembly targets.
+	excludesPurego := func(file string, src []byte) {
+		var expr constraint.Expr
+		for _, line := range strings.Split(string(src), "\n") {
+			if constraint.IsGoBuild(line) {
+				var err error
+				if expr, err = constraint.Parse(line); err != nil {
+					t.Errorf("%s: %v", file, err)
+					return
+				}
+				break
+			}
+		}
+		if expr == nil {
+			t.Errorf("%s: no //go:build line — a purego build must leave it out", file)
+			return
+		}
+		set := map[string]bool{"purego": true, "amd64": true, "arm64": true, "linux": true, "gc": true}
+		if expr.Eval(func(tag string) bool { return set[tag] || strings.HasPrefix(tag, "go1.") }) {
+			t.Errorf("%s: //go:build %s keeps it in a purego build", file, expr)
+		}
+	}
+	fma := regexp.MustCompile(`\bVFN?M(ADD|SUB)\w*`)
+	dirs := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".s") {
+			if d != nil && d.IsDir() && d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if filepath.Dir(path) != "internal/tensor" {
+			t.Errorf("%s: assembly outside internal/tensor — vector kernels live beside their scalar oracles", path)
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		excludesPurego(path, src)
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if m := fma.FindString(code); m != "" {
+				t.Errorf("%s:%d: %s is a fused multiply-add — the scalar loops round the product and the sum apart", path, i+1, m)
+			}
+		}
+		dirs[filepath.Dir(path)] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dirs["internal/tensor"] {
+		t.Error("internal/tensor holds no .s file: the guard would check nothing")
+	}
+	fset := token.NewFileSet()
+	for dir := range dirs {
+		for _, f := range productFiles(t, fset, dir) {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body == nil {
+					name := fset.Position(f.Pos()).Filename
+					src, err := os.ReadFile(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					excludesPurego(filepath.ToSlash(name), src)
+					break
+				}
+			}
 		}
 	}
 }
