@@ -1,18 +1,21 @@
 // Cross-commit snapshot oracle, from this commit on: the files under
 // testdata/snapshots were re-recorded, on purpose, by the commit that made
-// snapshot format 2 (a checksummed frame around state blobs whose vectors
-// are raw little-endian words; DESIGN.md §3) — format 1's gob streams cannot
-// restore after that change and no reader for them is kept. Every commit
-// since must keep restoring these: each file is loaded into a freshly built
-// fleet, the run continues to its last round, and every model's parameter
-// bits must equal an uninterrupted run's (whose own bits trajectories.golden
-// pins, unre-recorded across the format change). A blob is sections in a
-// fixed order, so dropping or reordering one a node or codec captures fails
-// here: the restore misreads the next section, or the continued run diverges.
-// saps.v1.snap and worker-rank0.v1.snap are format-1 files kept to show that
-// they are refused loudly. (Velocity is empty in every file — no recipe sets
-// momentum — and the hub delivers the server model before a worker uses its
-// pulled copy, so those two do not show here.)
+// snapshot format 3 (a checksummed frame around state blobs that are fixed
+// word layouts throughout — raw little-endian vectors, loader cursors, RNG
+// states and ledger totals; DESIGN.md §3) — format 2's gob-encoded cursors
+// cannot restore after that change and no reader for them is kept. Every
+// commit since must keep restoring these: each file is loaded into a freshly
+// built fleet, the run continues to its last round, and every model's
+// parameter bits must equal an uninterrupted run's (whose own bits
+// trajectories.golden pins, unre-recorded across the format change). Nothing
+// in a file depends on what the writing process encoded before, so a restored
+// state also captures and encodes back to the file's very bytes. A blob is
+// sections in a fixed order, so dropping or reordering one a node or codec
+// captures fails here: the restore misreads the next section, or the
+// continued run diverges. saps.v1.snap and worker-rank0.v1.snap are format-1
+// files kept to show that they are refused loudly. (Velocity is empty in
+// every file — no recipe sets momentum — and the hub delivers the server
+// model before a worker uses its pulled copy, so those two do not show here.)
 package algos_test
 
 import (
@@ -152,6 +155,17 @@ func TestParentCommitSnapshotsRestore(t *testing.T) {
 			if err := eng.Restore(snap, led); err != nil {
 				t.Fatal(err)
 			}
+			again, err := eng.Checkpoint(snap.NextRound, led)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := again.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Errorf("the restored fleet checkpoints to %d bytes that are not the file's %d", buf.Len(), len(data))
+			}
 			// Each restored model writes the checkpoint the file holds: the
 			// whole blob of a hub server, the first section of a trainer's.
 			for i, m := range models {
@@ -229,5 +243,52 @@ func TestParentCommitWorkerSnapshotRejoins(t *testing.T) {
 	}
 	if ws.Rank != 0 || ws.NextRound != snapshotCut {
 		t.Fatalf("fixture is rank %d at round %d, want rank 0 at round %d", ws.Rank, ws.NextRound, snapshotCut)
+	}
+}
+
+// TestParentCommitWorkerSnapshotReencodes: the recorded worker file, restored
+// into a rank built from the spec it carries (as `worker -resume` builds it),
+// captures and saves back to the file's very bytes.
+func TestParentCommitWorkerSnapshotReencodes(t *testing.T) {
+	fixture := filepath.Join(snapshotDir, "worker-rank0.snap")
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := transport.LoadWorkerSnapshot(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenario.Parse(ws.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := spec.Recipe()
+	model, err := spec.NewModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, _ := spec.Dataset()
+	node := rec.NewNode(ws.Rank, model, shards[ws.Rank], nil)
+	codecs := rec.Codecs(model.ParamCount())
+	engine.ShareMasks([]engine.Node{node}, codecs)
+	if err := engine.RestoreRank(node, codecs[ws.Rank], ws.State); err != nil {
+		t.Fatal(err)
+	}
+	state, err := engine.CaptureRank(node, codecs[ws.Rank])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "again.snap")
+	again := &transport.WorkerSnapshot{Version: transport.WorkerSnapshotVersion, Rank: ws.Rank, NextRound: ws.NextRound, Spec: ws.Spec, State: state}
+	if err := transport.SaveWorkerSnapshot(path, again); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the restored rank saves %d bytes that are not the file's %d", len(got), len(want))
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"sapspsgd/internal/dataset"
@@ -56,23 +54,20 @@ func (t *Trainer) LocalSGD(steps int) float64 {
 // (beyond the recipe, which it re-derives from the task spec) to continue the
 // trajectory bit-identically, as three tensor sections in a row: the nn
 // checkpoint (parameters plus per-layer running statistics, raw words), the
-// minibatch stream cursor (a gob dataset.LoaderState — small and typed), and
-// the optimizer's momentum buffer (raw words, empty without momentum).
+// minibatch stream cursor (dataset.LoaderState's fixed words: the shuffle
+// RNG, sample count, position and epoch), and the optimizer's momentum buffer
+// (raw words, empty without momentum).
 
 // StateBlob returns the trainer's state in a new blob sized exactly for it
 // plus room more bytes of capacity, which a node asks for to append state of
 // its own behind the trainer's. The parameters are copied once, from the
 // layers into the blob.
 func (t *Trainer) StateBlob(room int) ([]byte, error) {
-	var loader bytes.Buffer
-	if err := gob.NewEncoder(&loader).Encode(t.Loader.State()); err != nil {
-		return nil, err
-	}
 	velocity := t.Opt.Velocity()
 	model := t.Model.CheckpointSize()
-	dst := make([]byte, 0, tensor.SectionSize(model)+tensor.SectionSize(loader.Len())+tensor.SectionSize(8*len(velocity))+room)
+	dst := make([]byte, 0, tensor.SectionSize(model)+tensor.SectionSize(dataset.LoaderStateSize)+tensor.SectionSize(8*len(velocity))+room)
 	dst = t.Model.AppendCheckpoint(tensor.BeginSection(dst, model))
-	dst = tensor.AppendSection(dst, loader.Bytes())
+	dst = t.Loader.State().AppendTo(tensor.BeginSection(dst, dataset.LoaderStateSize))
 	return tensor.AppendVector(dst, velocity), nil
 }
 
@@ -94,10 +89,6 @@ func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var ls dataset.LoaderState
-	if err := gob.NewDecoder(bytes.NewReader(loader)).Decode(&ls); err != nil {
-		return nil, err
-	}
 	velocity, err := tensor.Words(momentum)
 	if err != nil {
 		return nil, err
@@ -105,7 +96,7 @@ func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 	if n := t.Model.ParamCount(); len(velocity) != 0 && len(velocity) != n {
 		return nil, fmt.Errorf("core: state holds a momentum buffer of %d words, the model has %d parameters", len(velocity), n)
 	}
-	if err := t.Loader.SetState(ls); err != nil {
+	if err := t.Loader.ReadState(loader); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := t.Model.LoadCheckpoint(model); err != nil {

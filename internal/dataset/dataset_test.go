@@ -208,8 +208,9 @@ func TestLoaderPanics(t *testing.T) {
 	}
 }
 
-// TestLoaderSetStateRefuses: a state that is not an ordering of the loader's
-// own dataset is an error, and the loader keeps drawing what it would have.
+// TestLoaderSetStateRefuses: a state that is not over the loader's own
+// dataset, whose position is outside the epoch, or whose shuffle RNG is all
+// zero is an error, and the loader keeps drawing what it would have.
 func TestLoaderSetStateRefuses(t *testing.T) {
 	tr, _ := TinyTask(5, 2, 23)
 	other, _ := TinyTask(6, 2, 23)
@@ -217,9 +218,9 @@ func TestLoaderSetStateRefuses(t *testing.T) {
 	for name, st := range map[string]LoaderState{
 		"empty":        {},
 		"other shard":  NewLoader(other, 2, 1).State(),
-		"entry":        {RNG: good.RNG, Order: []int{0, 1, 2, 3, 5}},
-		"negative pos": {RNG: good.RNG, Order: good.Order, Pos: -1},
-		"pos past end": {RNG: good.RNG, Order: good.Order, Pos: 6},
+		"zero rng":     {Samples: good.Samples},
+		"negative pos": {RNG: good.RNG, Samples: good.Samples, Pos: -1},
+		"pos past end": {RNG: good.RNG, Samples: good.Samples, Pos: 6},
 	} {
 		l, ref := NewLoader(tr, 2, 1), NewLoader(tr, 2, 1)
 		if err := l.SetState(st); err == nil || !strings.Contains(err.Error(), "loader state") {

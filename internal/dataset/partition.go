@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/tensor"
 )
 
 // PartitionIID splits d into n shards of (nearly) equal size after a seeded
@@ -228,8 +229,11 @@ type Loader struct {
 	d     *Dataset
 	batch int
 	r     *rng.Source
-	order []int
-	pos   int
+	// shuffled is r's state before it drew order: the epoch's order is a
+	// function of it, which is why a LoaderState need not carry the order.
+	shuffled rng.State
+	order    []int
+	pos      int
 	// Epochs counts completed passes over the shard.
 	Epochs int
 }
@@ -252,6 +256,7 @@ func NewLoader(d *Dataset, batch int, seed uint64) *Loader {
 }
 
 func (l *Loader) reshuffle() {
+	l.shuffled = l.r.State()
 	l.order = l.r.Perm(l.d.Len())
 	l.pos = 0
 }
@@ -274,49 +279,64 @@ func (l *Loader) Next() (xs [][]float64, labels []int) {
 }
 
 // LoaderState is a Loader's complete serializable position in its minibatch
-// stream: the shuffle RNG cursor, the current epoch's sample order, and the
-// position within it. Restoring it resumes Next exactly where the captured
-// loader left off — data cursors are part of a rank's round-boundary
-// checkpoint (DESIGN.md §3).
+// stream: the shuffle RNG as it stood before it drew the current epoch's
+// sample order (restoring redraws the order from it), the number of samples
+// that order covers, the position within it, and the completed epochs.
+// Restoring it resumes Next exactly where the captured loader left off —
+// data cursors are part of a rank's round-boundary checkpoint (DESIGN.md §3).
 type LoaderState struct {
-	RNG    rng.State
-	Order  []int
-	Pos    int
-	Epochs int
+	RNG                  rng.State
+	Samples, Pos, Epochs int
 }
 
-// State captures the loader's current position (the order slice is copied).
+// State captures the loader's current position.
 func (l *Loader) State() LoaderState {
-	return LoaderState{
-		RNG:    l.r.State(),
-		Order:  append([]int(nil), l.order...),
-		Pos:    l.pos,
-		Epochs: l.Epochs,
-	}
+	return LoaderState{RNG: l.shuffled, Samples: len(l.order), Pos: l.pos, Epochs: l.Epochs}
 }
 
 // SetState restores a position captured by State. It returns an error, and
-// leaves the loader as it was, if the captured order is not an ordering of
-// this loader's dataset — a state captured over another shard, or decoded
-// from a snapshot that lost the field (empty, with an all-zero RNG that would
-// never produce another shuffle).
+// leaves the loader as it was, if the state is not over this loader's
+// dataset — one captured over another shard — if its position is outside the
+// epoch, or if its RNG is the all-zero state seeding never produces (a state
+// that lost the field).
 func (l *Loader) SetState(st LoaderState) error {
-	if len(st.Order) != l.d.Len() {
-		return fmt.Errorf("dataset: loader state orders %d samples for dataset of %d", len(st.Order), l.d.Len())
-	}
-	for _, i := range st.Order {
-		if i < 0 || i >= l.d.Len() {
-			return fmt.Errorf("dataset: loader state order entry %d for dataset of %d", i, l.d.Len())
-		}
-	}
-	if st.Pos < 0 || st.Pos > len(st.Order) {
-		return fmt.Errorf("dataset: loader state pos %d of %d", st.Pos, len(st.Order))
+	switch {
+	case st.Samples != l.d.Len():
+		return fmt.Errorf("dataset: loader state over %d samples for a dataset of %d", st.Samples, l.d.Len())
+	case st.Pos < 0 || st.Pos > st.Samples:
+		return fmt.Errorf("dataset: loader state pos %d of %d", st.Pos, st.Samples)
+	case st.RNG.S == [4]uint64{}:
+		return fmt.Errorf("dataset: loader state with an all-zero shuffle RNG")
 	}
 	l.r.SetState(st.RNG)
-	l.order = append(l.order[:0], st.Order...)
-	l.pos = st.Pos
-	l.Epochs = st.Epochs
+	l.reshuffle()
+	l.pos, l.Epochs = st.Pos, st.Epochs
 	return nil
+}
+
+// LoaderStateSize is the number of bytes AppendTo appends, whatever the
+// dataset's size.
+const LoaderStateSize = rng.StateSize + 3*8
+
+// AppendTo appends the state's fixed word layout: the RNG state, then
+// Samples, Pos and Epochs.
+func (st LoaderState) AppendTo(dst []byte) []byte {
+	return tensor.AppendInts(st.RNG.AppendTo(dst), []int{st.Samples, st.Pos, st.Epochs})
+}
+
+// ReadState restores a state AppendTo wrote, which must be all of b: its
+// sample count must be this loader's dataset's, and SetState checks the rest.
+func (l *Loader) ReadState(b []byte) error {
+	if len(b) != LoaderStateSize {
+		return fmt.Errorf("dataset: loader state of %d bytes, want %d", len(b), LoaderStateSize)
+	}
+	r, b, err := rng.ReadState(b)
+	if err != nil {
+		return fmt.Errorf("dataset: loader state: %w", err)
+	}
+	var words [3]int
+	tensor.DecodeInts(words[:], b) // exactly sized by the check above
+	return l.SetState(LoaderState{RNG: r, Samples: words[0], Pos: words[1], Epochs: words[2]})
 }
 
 // BatchesPerEpoch returns the number of Next calls per full pass.

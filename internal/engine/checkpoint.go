@@ -1,17 +1,16 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"sapspsgd/internal/tensor"
 )
 
-// SnapshotVersion is the engine snapshot schema: format 2, a checksummed
-// frame around state blobs whose vectors are raw words. DecodeSnapshot
-// rejects anything else — a format-1 gob stream included; snapshots are
+// SnapshotVersion is the engine snapshot schema: format 3, a checksummed
+// frame around state blobs that are fixed word layouts throughout — vectors,
+// cursors and totals alike. DecodeSnapshot rejects anything else — a format-2
+// frame by its version, a format-1 gob stream by its magic; snapshots are
 // crash-recovery artifacts of one run, so no older reader is kept — and a
 // stale or damaged checkpoint file fails loudly instead of silently resuming
 // a diverged trajectory.
@@ -239,18 +238,4 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		s.Ranks = append(s.Ranks, rs)
 	}
 	return s, nil
-}
-
-// gobBlob round-trips a value through gob — the shared helper behind the
-// Stateful implementations in this package.
-func gobBlob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobUnblob(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }

@@ -378,17 +378,17 @@ func (r *RandomK) DecodeInto(dst []float64, _ RoundContext, words []float64) ([]
 // WireBytes implements Codec.
 func (r *RandomK) WireBytes(words []float64) int64 { return sparseWireBytes(words) }
 
-// CaptureState implements Stateful: the support-drawing RNG cursor.
-func (r *RandomK) CaptureState() ([]byte, error) { return gobBlob(r.rnd.State()) }
+// CaptureState implements Stateful: the support-drawing RNG cursor, in
+// rng.State's fixed words.
+func (r *RandomK) CaptureState() ([]byte, error) { return captureRNG(r.rnd.State()), nil }
 
 // RestoreState implements Stateful.
 func (r *RandomK) RestoreState(data []byte) error {
-	var st rng.State
-	if err := gobUnblob(data, &st); err != nil {
-		return err
+	st, err := restoreRNG("randomk", data)
+	if err == nil {
+		r.rnd.SetState(st)
 	}
-	r.rnd.SetState(st)
-	return nil
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -463,15 +463,30 @@ func (q *QSGDCodec) WireBytes(words []float64) int64 {
 	return compress.QuantizedWireBytes(len(words)-1, q.Levels)
 }
 
-// CaptureState implements Stateful: the stochastic-rounding RNG cursor.
-func (q *QSGDCodec) CaptureState() ([]byte, error) { return gobBlob(q.q.RNGState()) }
+// CaptureState implements Stateful: the stochastic-rounding RNG cursor, in
+// rng.State's fixed words.
+func (q *QSGDCodec) CaptureState() ([]byte, error) { return captureRNG(q.q.RNGState()), nil }
 
 // RestoreState implements Stateful.
 func (q *QSGDCodec) RestoreState(data []byte) error {
-	var st rng.State
-	if err := gobUnblob(data, &st); err != nil {
-		return err
+	st, err := restoreRNG("qsgd", data)
+	if err == nil {
+		q.q.SetRNGState(st)
 	}
-	q.q.SetRNGState(st)
-	return nil
+	return err
+}
+
+// captureRNG is a codec blob that holds one RNG cursor and nothing else.
+func captureRNG(st rng.State) []byte { return st.AppendTo(make([]byte, 0, rng.StateSize)) }
+
+// restoreRNG reads a blob captureRNG wrote, which must be all of data.
+func restoreRNG(codec string, data []byte) (rng.State, error) {
+	st, rest, err := rng.ReadState(data)
+	if err == nil {
+		err = tensor.NoMoreSections(rest)
+	}
+	if err != nil {
+		return rng.State{}, fmt.Errorf("engine: %s snapshot: %w", codec, err)
+	}
+	return st, nil
 }

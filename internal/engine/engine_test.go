@@ -6,8 +6,10 @@
 package engine_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,6 +18,7 @@ import (
 	"sapspsgd/internal/engine/memtransport"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/scenario"
+	"sapspsgd/internal/tensor"
 	"sapspsgd/internal/transport"
 )
 
@@ -293,6 +296,56 @@ func TestCountingLedger(t *testing.T) {
 	}
 	if led.Rounds() != 2 {
 		t.Fatalf("rounds %d, want 2", led.Rounds())
+	}
+}
+
+// TestCountingLedgerRestoreRefusesMismatchedState: a state whose sent and
+// received totals cover different ranks, or other ranks than the ledger
+// already tracks, is refused by name and leaves the ledger as it was; a fresh
+// ledger takes a state of any fleet size, and a restored one captures the
+// same bytes. The ledger used to check no length at all: a 3-rank state
+// restored into a ledger sized for 4 silently shrank it.
+func TestCountingLedgerRestoreRefusesMismatchedState(t *testing.T) {
+	src := &engine.CountingLedger{}
+	src.Exchange(0, 2, 100, 50)
+	src.EndRound()
+	good, err := src.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &engine.CountingLedger{}
+	if err := fresh.RestoreState(good); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := fresh.CaptureState(); !bytes.Equal(again, good) || fresh.TotalBytes() != 150 {
+		t.Fatalf("restored ledger captures other bytes or totals %d", fresh.TotalBytes())
+	}
+	sized := func() *engine.CountingLedger {
+		l := &engine.CountingLedger{}
+		l.Reserve(4, 8)
+		return l
+	}
+	ints := func(v ...int64) []byte { return tensor.AppendIntVector(nil, v) }
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, c := range []struct {
+		name, want string
+		into       *engine.CountingLedger
+		data       []byte
+	}{
+		{"3 ranks into a ledger of 4", "for 3 ranks, the ledger tracks 4", sized(), good},
+		{"received for other ranks", "3 ranks sent and 2 received", &engine.CountingLedger{}, join(ints(1, 2, 3), ints(4, 5), ints(9))},
+		{"no round series", "round bytes", &engine.CountingLedger{}, join(ints(1, 2, 3), ints(4, 5, 6))},
+		{"ragged words", "received bytes", &engine.CountingLedger{}, join(ints(1, 2, 3), tensor.AppendSection(nil, []byte{1, 2, 3}), ints(9))},
+		{"trailing byte", "follow the last section", &engine.CountingLedger{}, append(bytes.Clone(good), 0)},
+	} {
+		before, _ := c.into.CaptureState()
+		err := c.into.RestoreState(c.data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+		if after, _ := c.into.CaptureState(); !bytes.Equal(after, before) {
+			t.Errorf("%s: a refused state changed the ledger", c.name)
+		}
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 	"math"
 )
 
-// A frame is what this system puts on a socket between workers or in a
-// snapshot file: one fixed header, then a raw body the header measures and
-// checksums. Little-endian throughout:
+// A frame is what this system puts on a socket — between workers, or between
+// the coordinator and a worker — or in a snapshot file: one fixed header,
+// then a raw body the header measures and checksums. Little-endian
+// throughout:
 //
 //	offset  size  field
 //	     0     4  magic "SAPS"
@@ -20,17 +21,18 @@ import (
 //	     8     4  from     sender rank (snapshots: the rank saved)
 //	    12     4  round    (snapshots: the first round to run next)
 //	    16     4  attempt
-//	    20     4  seq
+//	    20     4  seq      (control frames: the message type)
 //	    24     8  body length in bytes
 //	    32     4  CRC-32C of bytes 0..31 and the body
 //
 // A reader checks magic, version and kind, then the length against a cap the
-// caller derives from what it can expect, and only then makes room for the
-// body; the checksum is verified before the body is handed on.
+// caller derives from the header and what it can expect, and only then makes
+// room for the body; the checksum is verified before the body is handed on.
 
 // FrameVersion is the one version of every byte layout a frame carries:
-// peer payloads, probes and both snapshot kinds. Readers refuse any other.
-const FrameVersion = 2
+// peer payloads, probes, control messages and both snapshot kinds. Readers
+// refuse any other.
+const FrameVersion = 3
 
 // FrameHeaderLen is the size of the fixed header.
 const FrameHeaderLen = 36
@@ -41,12 +43,14 @@ const frameMagic = "SAPS"
 type FrameKind uint8
 
 // The frame kinds. Payload bodies are a codec's wire words, raw; probe bodies
-// are the measurement phase's filler bytes.
+// are the measurement phase's filler bytes; control bodies are a coordinator
+// message, whose type and layout are the transport's business.
 const (
 	FramePayload FrameKind = 1 + iota
 	FrameProbe
 	FrameSnapshot
 	FrameWorkerSnapshot
+	FrameControl
 	frameKinds
 )
 
@@ -111,11 +115,12 @@ func parseFrameHeader(head []byte) (FrameHeader, uint64, error) {
 // really delivers.
 const frameFirstRead = 4 << 20
 
-// ReadFrame reads one frame from r. maxBody caps the body length per kind: a
-// header that declares more is refused before any room is made for it. The
-// body is read into buf's storage when that is large enough and is valid
-// until the caller reuses buf.
-func ReadFrame(r io.Reader, buf []byte, maxBody func(FrameKind) int) (FrameHeader, []byte, error) {
+// ReadFrame reads one frame from r. maxBody judges the header: it caps the
+// body length, or refuses the frame outright with an error of its own; a
+// header that declares more than the cap is refused before any room is made
+// for the body. The body is read into buf's storage when that is large
+// enough and is valid until the caller reuses buf.
+func ReadFrame(r io.Reader, buf []byte, maxBody func(FrameHeader) (int, error)) (FrameHeader, []byte, error) {
 	var head [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return FrameHeader{}, nil, fmt.Errorf("engine: frame header: %w", err)
@@ -124,7 +129,11 @@ func ReadFrame(r io.Reader, buf []byte, maxBody func(FrameKind) int) (FrameHeade
 	if err != nil {
 		return FrameHeader{}, nil, err
 	}
-	if limit := maxBody(h.Kind); n > uint64(max(limit, 0)) {
+	limit, err := maxBody(h)
+	if err != nil {
+		return FrameHeader{}, nil, err
+	}
+	if n > uint64(max(limit, 0)) {
 		return FrameHeader{}, nil, fmt.Errorf("engine: frame of kind %d declares %d body bytes, at most %d expected", h.Kind, n, limit)
 	}
 	body := buf[:0]
@@ -149,7 +158,7 @@ func ReadFrame(r io.Reader, buf []byte, maxBody func(FrameKind) int) (FrameHeade
 // snapshot file. Its length is capped only by what r delivers: missing bytes
 // and bytes behind the frame are both errors.
 func ReadSoleFrame(r io.Reader, kind FrameKind) (FrameHeader, []byte, error) {
-	h, body, err := ReadFrame(r, nil, func(FrameKind) int { return math.MaxInt })
+	h, body, err := ReadFrame(r, nil, func(FrameHeader) (int, error) { return math.MaxInt, nil })
 	if err != nil {
 		return FrameHeader{}, nil, err
 	}

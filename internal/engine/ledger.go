@@ -1,5 +1,11 @@
 package engine
 
+import (
+	"fmt"
+
+	"sapspsgd/internal/tensor"
+)
+
 // CountingLedger is the accounting backend for deployments without a
 // bandwidth model (in-memory runs, real TCP where time is physical): it
 // tallies exact per-worker and per-round byte totals with zero simulated
@@ -81,34 +87,49 @@ func (l *CountingLedger) WorkerBytes(i int) (sent, recv int64) {
 // Rounds returns the number of completed rounds.
 func (l *CountingLedger) Rounds() int { return len(l.roundBytes) }
 
-// countingLedgerState is the ledger's serialized checkpoint form.
-type countingLedgerState struct {
-	Sent, Recv, RoundBytes []int64
-	Cur, Total             int64
-}
-
-// CaptureState implements LedgerCheckpointer. Inner ledgers are not
-// captured; chain checkpointable ledgers and capture each.
+// CaptureState implements LedgerCheckpointer: three sections of words, the
+// per-rank sent and received totals and the per-round series (the running
+// total is its sum). It must be called at a round boundary; Inner ledgers are
+// not captured — chain checkpointable ledgers and capture each.
 func (l *CountingLedger) CaptureState() ([]byte, error) {
-	return gobBlob(countingLedgerState{
-		Sent:       append([]int64(nil), l.sent...),
-		Recv:       append([]int64(nil), l.recv...),
-		RoundBytes: append([]int64(nil), l.roundBytes...),
-		Cur:        l.cur,
-		Total:      l.total,
-	})
+	size := tensor.SectionSize(8*len(l.sent)) + tensor.SectionSize(8*len(l.recv)) + tensor.SectionSize(8*len(l.roundBytes))
+	dst := tensor.AppendIntVector(make([]byte, 0, size), l.sent)
+	dst = tensor.AppendIntVector(dst, l.recv)
+	return tensor.AppendIntVector(dst, l.roundBytes), nil
 }
 
-// RestoreState implements LedgerCheckpointer.
+// RestoreState implements LedgerCheckpointer. The sent and received totals
+// must cover the same ranks, and as many as this ledger already tracks unless
+// it tracks none yet; a state that does not fit is refused whole.
 func (l *CountingLedger) RestoreState(data []byte) error {
-	var st countingLedgerState
-	if err := gobUnblob(data, &st); err != nil {
-		return err
+	var vecs [3][]int64
+	for i, name := range [...]string{"sent", "received", "round"} {
+		sec, rest, err := tensor.CutSection(data)
+		if err == nil {
+			vecs[i] = make([]int64, len(sec)/8)
+			err = tensor.DecodeInts(vecs[i], sec)
+		}
+		if err != nil {
+			return fmt.Errorf("engine: ledger state %s bytes: %w", name, err)
+		}
+		data = rest
 	}
-	l.sent = append(l.sent[:0], st.Sent...)
-	l.recv = append(l.recv[:0], st.Recv...)
-	l.roundBytes = append(l.roundBytes[:0], st.RoundBytes...)
-	l.cur = st.Cur
-	l.total = st.Total
+	if err := tensor.NoMoreSections(data); err != nil {
+		return fmt.Errorf("engine: ledger state: %w", err)
+	}
+	sent, recv, rounds := vecs[0], vecs[1], vecs[2]
+	switch {
+	case len(recv) != len(sent):
+		return fmt.Errorf("engine: ledger state totals %d ranks sent and %d received", len(sent), len(recv))
+	case len(l.sent) != 0 && len(sent) != len(l.sent):
+		return fmt.Errorf("engine: ledger state for %d ranks, the ledger tracks %d", len(sent), len(l.sent))
+	}
+	l.sent = append(l.sent[:0], sent...)
+	l.recv = append(l.recv[:0], recv...)
+	l.roundBytes = append(l.roundBytes[:0], rounds...)
+	l.cur, l.total = 0, 0
+	for _, b := range rounds {
+		l.total += b
+	}
 	return nil
 }

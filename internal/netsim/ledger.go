@@ -1,11 +1,10 @@
 package netsim
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"sapspsgd/internal/obs"
+	"sapspsgd/internal/tensor"
 )
 
 // Ledger accounts for every byte each worker sends and receives and converts
@@ -122,51 +121,50 @@ func (l *Ledger) MeanWorkerTrafficMB() float64 {
 	return float64(sum) / float64(len(l.sentBytes)) / 1e6
 }
 
-// LedgerState is the ledger's serialized round-boundary checkpoint form
-// (engine.LedgerCheckpointer): cumulative per-worker and server byte totals
-// plus the simulated clock. Per-round scratch is zero at a boundary and is
-// not captured.
-type LedgerState struct {
-	SentBytes, RecvBytes   []int64
-	TotalTime              float64
-	ServerSent, ServerRecv int64
-	Rounds                 int
+// CaptureState implements engine.LedgerCheckpointer: three sections of
+// words — the per-worker sent totals, the received totals, then the simulated
+// clock's bits, the server's sent and received bytes and the round count.
+// Per-round scratch is zero at a boundary and is not captured. It must be
+// called at a round boundary (after EndRound).
+func (l *Ledger) CaptureState() ([]byte, error) {
+	n := 8 * len(l.sentBytes)
+	dst := make([]byte, 0, 2*tensor.SectionSize(n)+tensor.SectionSize(ledgerScalars))
+	dst = tensor.AppendIntVector(tensor.AppendIntVector(dst, l.sentBytes), l.recvBytes)
+	dst = tensor.AppendWords(tensor.BeginSection(dst, ledgerScalars), []float64{l.totalTime})
+	return tensor.AppendInts(dst, []int64{l.serverSent, l.serverRecv, int64(l.rounds)}), nil
 }
 
-// CaptureState implements engine.LedgerCheckpointer. It must be called at a
-// round boundary (after EndRound).
-func (l *Ledger) CaptureState() ([]byte, error) {
-	var buf bytes.Buffer
-	st := LedgerState{
-		SentBytes:  append([]int64(nil), l.sentBytes...),
-		RecvBytes:  append([]int64(nil), l.recvBytes...),
-		TotalTime:  l.totalTime,
-		ServerSent: l.serverSent,
-		ServerRecv: l.serverRecv,
-		Rounds:     l.rounds,
-	}
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// ledgerScalars is the size of the state's last section.
+const ledgerScalars = 4 * 8
 
 // RestoreState implements engine.LedgerCheckpointer: it restores totals into
-// a freshly constructed ledger over the same environment.
+// a freshly constructed ledger over the same environment. Every section's
+// length is checked against this ledger before anything is written.
 func (l *Ledger) RestoreState(data []byte) error {
-	var st LedgerState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
+	names := [...]string{"sent bytes", "received bytes", "totals"}
+	sizes := [...]int{8 * len(l.sentBytes), 8 * len(l.recvBytes), ledgerScalars}
+	var secs [3][]byte
+	for i := range secs {
+		var err error
+		if secs[i], data, err = tensor.CutSection(data); err != nil {
+			return fmt.Errorf("netsim: ledger state %s: %w", names[i], err)
+		}
+		if len(secs[i]) != sizes[i] {
+			return fmt.Errorf("netsim: ledger state %s: %d bytes, this ledger over %d workers keeps %d", names[i], len(secs[i]), len(l.sentBytes), sizes[i])
+		}
 	}
-	if len(st.SentBytes) != len(l.sentBytes) {
-		return fmt.Errorf("netsim: ledger state for %d workers, have %d", len(st.SentBytes), len(l.sentBytes))
+	if err := tensor.NoMoreSections(data); err != nil {
+		return fmt.Errorf("netsim: ledger state: %w", err)
 	}
-	copy(l.sentBytes, st.SentBytes)
-	copy(l.recvBytes, st.RecvBytes)
-	l.totalTime = st.TotalTime
-	l.serverSent = st.ServerSent
-	l.serverRecv = st.ServerRecv
-	l.rounds = st.Rounds
+	// Every length is checked: the decodes below cannot fail.
+	tensor.DecodeInts(l.sentBytes, secs[0])
+	tensor.DecodeInts(l.recvBytes, secs[1])
+	var clock [1]float64
+	var totals [3]int64
+	tensor.DecodeWords(clock[:], secs[2][:8])
+	tensor.DecodeInts(totals[:], secs[2][8:])
+	l.totalTime = clock[0]
+	l.serverSent, l.serverRecv, l.rounds = totals[0], totals[1], int(totals[2])
 	return nil
 }
 

@@ -3,10 +3,12 @@ package netsim
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/tensor"
 )
 
 func TestFourteenCitiesShape(t *testing.T) {
@@ -292,6 +294,53 @@ func TestLedgerStateRoundTrip(t *testing.T) {
 	check("one round on", l)
 	if err := NewLedger(NewBandwidth([][]float64{{0, 1}, {1, 0}})).RestoreState(data); err == nil {
 		t.Fatal("a 3-worker state restored into a 2-worker ledger")
+	}
+}
+
+// TestLedgerRestoreRefusesMismatchedState: a state that does not fit the
+// ledger is refused with an error naming the section, and the ledger keeps
+// what it had. The ledger used to check the sent totals' length only, so a
+// received-totals vector of another length was cut or zero-padded by copy
+// and the rest of the state restored over it without a word.
+func TestLedgerRestoreRefusesMismatchedState(t *testing.T) {
+	bw := NewBandwidth([][]float64{{0, 2, 4}, {2, 0, 1}, {4, 1, 0}})
+	src := NewLedger(bw)
+	src.Exchange(0, 1, 1e6, 5e5)
+	src.EndRound()
+	good, err := src.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints := func(v ...int64) []byte { return tensor.AppendIntVector(nil, v) }
+	totals := tensor.AppendWords(tensor.BeginSection(nil, 32), []float64{1.5})
+	totals = tensor.AppendInts(totals, []int64{0, 0, 1})
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"received for another fleet", "received bytes", join(ints(1, 2, 3), ints(4, 5), totals)},
+		{"received for a larger fleet", "received bytes", join(ints(1, 2, 3), ints(4, 5, 6, 7), totals)},
+		{"sent for another fleet", "sent bytes", join(ints(1, 2), ints(4, 5), totals)},
+		{"totals short", "totals", join(ints(1, 2, 3), ints(4, 5, 6), tensor.AppendIntVector(nil, []int64{1, 2}))},
+		{"no totals", "totals", join(ints(1, 2, 3), ints(4, 5, 6))},
+		{"trailing byte", "follow the last section", append(bytes.Clone(good), 0)},
+		{"truncated", "received bytes", good[:40]},
+		{"empty", "sent bytes", nil},
+	} {
+		l := NewLedger(bw)
+		err := l.RestoreState(c.data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+		for i := 0; i < bw.N; i++ {
+			if s, r := l.WorkerBytes(i); s != 0 || r != 0 {
+				t.Errorf("%s: a refused state left worker %d at %d/%d bytes", c.name, i, s, r)
+			}
+		}
+		if l.Rounds() != 0 || l.TotalTime() != 0 || l.ServerBytes() != 0 {
+			t.Errorf("%s: a refused state moved the ledger's totals", c.name)
+		}
 	}
 }
 

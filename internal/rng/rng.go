@@ -10,6 +10,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -102,6 +104,47 @@ func (r *Source) SetState(st State) {
 	r.s = st.S
 	r.spare = st.Spare
 	r.hasSpare = st.HasSpare
+}
+
+// StateSize is the number of bytes AppendTo writes: six little-endian words,
+// the four xoshiro256** words, the spare's IEEE-754 bits, and HasSpare as 0
+// or 1.
+const StateSize = 6 * 8
+
+// AppendTo appends the state's fixed word layout to dst.
+func (st State) AppendTo(dst []byte) []byte {
+	for _, w := range st.S {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.Spare))
+	var has uint64
+	if st.HasSpare {
+		has = 1
+	}
+	return binary.LittleEndian.AppendUint64(dst, has)
+}
+
+// ReadState takes a state AppendTo wrote off the front of b. A short b, a
+// HasSpare word other than 0 or 1, and the all-zero xoshiro state (which
+// seeding never produces and which would emit zeros forever) are errors.
+func ReadState(b []byte) (st State, rest []byte, err error) {
+	if len(b) < StateSize {
+		return State{}, nil, fmt.Errorf("rng: %d bytes where a %d-byte state was expected", len(b), StateSize)
+	}
+	for i := range st.S {
+		st.S[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	st.Spare = math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))
+	switch has := binary.LittleEndian.Uint64(b[40:]); has {
+	case 0, 1:
+		st.HasSpare = has == 1
+	default:
+		return State{}, nil, fmt.Errorf("rng: state spare flag %d, want 0 or 1", has)
+	}
+	if st.S == [4]uint64{} {
+		return State{}, nil, fmt.Errorf("rng: all-zero generator state")
+	}
+	return st, b[StateSize:], nil
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

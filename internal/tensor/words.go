@@ -7,12 +7,13 @@ import (
 	"slices"
 )
 
-// This file is the one place a vector of float64 words becomes bytes and
-// back: eight bytes a word, the IEEE-754 bit pattern little-endian, so NaN
-// payloads and the sign of zero survive. State blobs, snapshot files, peer
-// frames and the collected model all go through it. Around the words, a
-// section is a run of bytes behind its own 8-byte little-endian length, which
-// is how a blob holds several vectors (and small opaque fields) in a row.
+// This file is the one place a vector of words becomes bytes and back: eight
+// bytes a word, little-endian — a float64's IEEE-754 bit pattern, so NaN
+// payloads and the sign of zero survive, or an integer's two's complement.
+// State blobs, snapshot files, peer and control frames and the collected
+// model all go through it. Around the words, a section is a run of bytes
+// behind its own 8-byte little-endian length, which is how a blob holds
+// several vectors (and small opaque fields) in a row.
 
 // sectionHeader is the size of a section's length prefix.
 const sectionHeader = 8
@@ -51,6 +52,26 @@ func Words(b []byte) ([]float64, error) {
 	return v, DecodeWords(v, b)
 }
 
+// AppendInts appends v as 8·len(v) bytes of two's-complement little-endian
+// words: how counters and cursors become bytes.
+func AppendInts[T ~int | ~int64](dst []byte, v []T) []byte {
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
+	}
+	return dst
+}
+
+// DecodeInts fills dst from b, which must hold exactly len(dst) words.
+func DecodeInts[T ~int | ~int64](dst []T, b []byte) error {
+	if len(b) != 8*len(dst) {
+		return fmt.Errorf("tensor: %d bytes for %d words", len(b), len(dst))
+	}
+	for i := range dst {
+		dst[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
+}
+
 // SectionSize is the number of bytes a section with an n-byte body occupies.
 func SectionSize(n int) int { return sectionHeader + n }
 
@@ -68,6 +89,11 @@ func AppendSection(dst, body []byte) []byte {
 // AppendVector appends v's words as one section.
 func AppendVector(dst []byte, v []float64) []byte {
 	return AppendWords(BeginSection(dst, 8*len(v)), v)
+}
+
+// AppendIntVector appends v's words as one section.
+func AppendIntVector[T ~int | ~int64](dst []byte, v []T) []byte {
+	return AppendInts(BeginSection(dst, 8*len(v)), v)
 }
 
 // NoMoreSections is the error for bytes left over behind the last section a

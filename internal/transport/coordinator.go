@@ -101,6 +101,7 @@ type CoordinatorServer struct {
 	gen       []int // per-rank connection generation (bumped on rejoin)
 	pattern   engine.Pattern
 	total     int
+	params    int // the model's parameter count, which sizes control caps
 
 	base engine.Planner
 	ap   activePlanner
@@ -193,9 +194,11 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	// Everything that can be wrong with the spec fails here, before anyone
 	// registers: not as a panic in a worker, and not as a fleet that
 	// dwindles to nothing.
-	if err := deployable(spec); err != nil {
+	params, err := deployable(spec)
+	if err != nil {
 		return nil, err
 	}
+	s.params = params
 	welcome, err := spec.Canonical()
 	if err != nil {
 		return nil, err
@@ -274,6 +277,7 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 		if err := c.Send(Welcome{Rank: rank, N: s.total, Spec: welcome, Addrs: s.addrs}); err != nil {
 			return nil, err
 		}
+		c.setLimits(s.total, s.params)
 	}
 
 	// Optional measurement phase (direct per-connection reads: the reader
@@ -354,21 +358,24 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 // deployable refuses a spec a TCP fleet cannot run: one that does not
 // validate or build its model, and the kinds of run the coordinator does not
 // drive — the event-driven async engine, the coordinator side alone, and
-// the random churn process.
-func deployable(spec *scenario.Spec) error {
+// the random churn process. It returns the model's parameter count.
+func deployable(spec *scenario.Spec) (int, error) {
 	if err := spec.Validate(); err != nil {
-		return err
+		return 0, err
 	}
 	switch {
 	case spec.Async != nil:
-		return fmt.Errorf("transport: scenario %s is asynchronous (algo %s); a TCP fleet runs synchronous rounds", spec.Name, spec.Algo)
+		return 0, fmt.Errorf("transport: scenario %s is asynchronous (algo %s); a TCP fleet runs synchronous rounds", spec.Name, spec.Algo)
 	case spec.PlannerOnly:
-		return fmt.Errorf("transport: scenario %s is planner_only; it has no workers to deploy", spec.Name)
+		return 0, fmt.Errorf("transport: scenario %s is planner_only; it has no workers to deploy", spec.Name)
 	case spec.Churn != nil:
-		return fmt.Errorf("transport: scenario %s has a churn model, which a TCP fleet does not run (script the membership with faults or trace events)", spec.Name)
+		return 0, fmt.Errorf("transport: scenario %s has a churn model, which a TCP fleet does not run (script the membership with faults or trace events)", spec.Name)
 	}
-	_, err := spec.NewModel()
-	return err
+	model, err := spec.NewModel()
+	if err != nil {
+		return 0, err
+	}
+	return model.ParamCount(), nil
 }
 
 // measure runs the bandwidth probe phase and assembles the matrix; fallback
@@ -565,6 +572,7 @@ func (s *CoordinatorServer) admitRejoin(req rejoinReq, t int) {
 		s.markDead(rj.Rank, t)
 		return
 	}
+	req.conn.setLimits(s.total, s.params)
 	go s.readConn(rj.Rank, s.gen[rj.Rank], req.conn)
 	s.tm.RejoinsTotal.Inc()
 	s.tm.ConnectsTotal.Inc()

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -181,7 +182,7 @@ func TestPayloadFrameIsHeaderPlusWords(t *testing.T) {
 		if want := engine.FrameHeaderLen + 8*words; len(data) != want {
 			t.Fatalf("%d words: %d bytes on the socket, want %d (header + 8 a word)", words, len(data), want)
 		}
-		h, body, err := engine.ReadFrame(bytes.NewReader(data), nil, func(engine.FrameKind) int { return 8 * words })
+		h, body, err := engine.ReadFrame(bytes.NewReader(data), nil, func(engine.FrameHeader) (int, error) { return 8 * words, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +325,8 @@ func TestLoadWorkerSnapshotRejects(t *testing.T) {
 		"trailing-byte":    append(bytes.Clone(intact), 0),
 		"wrong-magic":      reseal(patch(0, 'S', 'N', 'A', 'P')),
 		"version-1":        reseal(patch(4, 1, 0)),
-		"version-3":        reseal(patch(4, 3, 0)),
+		"version-2":        reseal(patch(4, 2, 0)),
+		"version-4":        reseal(patch(4, 4, 0)),
 		"engine-snapshot":  wrap(engine.FrameSnapshot, body),
 		"payload-frame":    wrap(engine.FramePayload, body),
 		"empty-body":       wrap(engine.FrameWorkerSnapshot, nil),
@@ -363,24 +365,31 @@ func TestLoadWorkerSnapshotRejects(t *testing.T) {
 			t.Errorf("%s: loaded as %+v", name, got)
 		}
 	}
-	for name, want := range map[string]string{"wrong-magic": "magic", "version-1": "version 1", "trailing-byte": "follow the frame"} {
+	for name, want := range map[string]string{"wrong-magic": "magic", "version-1": "version 1", "version-2": "version 2", "trailing-byte": "follow the frame"} {
 		if _, err := load(corpus[name]); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v does not mention %q", name, err, want)
 		}
 	}
 	if *recordFuzzCorpus {
-		fuzzDir := filepath.Join("testdata", "fuzz", "FuzzLoadWorkerSnapshot")
-		if err := os.RemoveAll(fuzzDir); err != nil {
+		writeCorpus(t, "FuzzLoadWorkerSnapshot", corpus)
+	}
+}
+
+// writeCorpus replaces the named fuzz target's seed corpus with one file per
+// entry.
+func writeCorpus(t *testing.T, target string, corpus map[string][]byte) {
+	t.Helper()
+	fuzzDir := filepath.Join("testdata", "fuzz", target)
+	if err := os.RemoveAll(fuzzDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(fuzzDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range corpus {
+		file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if err := os.WriteFile(filepath.Join(fuzzDir, name), []byte(file), 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if err := os.MkdirAll(fuzzDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range corpus {
-			file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-			if err := os.WriteFile(filepath.Join(fuzzDir, name), []byte(file), 0o644); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }
@@ -410,6 +419,131 @@ func FuzzLoadWorkerSnapshot(f *testing.F) {
 		again, err := LoadWorkerSnapshot(path)
 		if err != nil || !reflect.DeepEqual(again, ws) {
 			t.Fatalf("accepted snapshot %+v saved and loaded as %+v, %v", ws, again, err)
+		}
+	})
+}
+
+// controlFrame is an intact control frame of the given type around body.
+func controlFrame(typ controlType, body []byte) []byte {
+	frame := append(engine.BeginFrame(nil), body...)
+	engine.SealFrame(frame, engine.FrameHeader{Kind: engine.FrameControl, Seq: int(typ)})
+	return frame
+}
+
+// encoded is what Send puts on the socket for m, under the test fleet's caps.
+func encoded(t testing.TB, m any) []byte {
+	var buf bytes.Buffer
+	c := NewConn(pipeConn{Writer: &buf})
+	c.setLimits(8, 3)
+	if err := c.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// recvFrom decodes the first message data holds, as a connection of the test
+// fleet would.
+func recvFrom(data []byte) (any, error) {
+	c := NewConn(pipeConn{Reader: bytes.NewReader(data), Writer: io.Discard})
+	c.setLimits(8, 3)
+	return c.Recv()
+}
+
+// TestControlFrameRejects: an intact frame of every type decodes; each way
+// the table damages one is an error that names what is wrong — never a
+// panic, and never a message.
+func TestControlFrameRejects(t *testing.T) {
+	corpus := map[string][]byte{}
+	for i, m := range everyMessage() {
+		name := strings.Replace(fmt.Sprintf("intact-%02d-%T", i, m), "transport.", "", 1)
+		corpus[name] = encoded(t, m)
+		got, err := recvFrom(corpus[name])
+		if err != nil || !sameMessage(got, m) {
+			t.Fatalf("%s: decoded %#v, %v", name, got, err)
+		}
+	}
+	roundMsg := encoded(t, everyMessage()[2])
+	roundEnd := encoded(t, everyMessage()[4])
+	body := func(frame []byte) []byte { return bytes.Clone(frame[engine.FrameHeaderLen:]) }
+	flipped := bytes.Clone(roundEnd)
+	flipped[engine.FrameHeaderLen+5] ^= 0x20
+	huge := controlFrame(typeRoundMsg, nil)
+	binary.LittleEndian.PutUint64(huge[24:], 1<<40)
+	// RoundEnd's body: Rank, Round, Attempt, Loss, then the Trained byte.
+	badBool := body(roundEnd)
+	badBool[32] = 2
+	// RoundMsg's body: Round, Seed, Peer, then Active's length and entries.
+	badActive := body(roundMsg)
+	badActive[32] = 7
+	routed := controlFrame(typeAbort, make([]byte, 8))
+	binary.LittleEndian.PutUint32(routed[8:], 3)
+	version2 := bytes.Clone(roundMsg)
+	version2[4] = 2
+	payload := append(engine.BeginFrame(nil), make([]byte, 8)...)
+	engine.SealFrame(payload, engine.FrameHeader{Kind: engine.FramePayload})
+	table := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"unknown-type", controlFrame(controlTypes, nil), "unknown control message type 17"},
+		{"type-zero", controlFrame(0, nil), "unknown control message type 0"},
+		{"over-cap", controlFrame(typeAbort, make([]byte, 16)), "at most 8"},
+		{"over-cap-declared", reseal(huge), "at most"},
+		{"flipped-bit", flipped, "checksum"},
+		{"truncated-body", controlFrame(typeRoundMsg, body(roundMsg)[:20]), "ends inside a word"},
+		{"truncated-section", controlFrame(typeRoundMsg, body(roundMsg)[:len(body(roundMsg))-1]), "section declares"},
+		{"trailing-bytes", controlFrame(typeRoundMsg, append(body(roundMsg), 0, 0, 0)), "3 bytes after the last field"},
+		{"truncated-frame", roundMsg[:len(roundMsg)-4], "EOF"},
+		{"bool-byte-2", controlFrame(typeRoundEnd, badBool), "bool byte 2"},
+		{"active-byte-7", controlFrame(typeRoundMsg, badActive), "bool byte 7"},
+		{"routed", reseal(routed), "want zeros"},
+		{"payload-kind", payload, "kind 1"},
+		{"version-2", reseal(version2), "version 2"},
+		{"nothing", nil, "EOF"},
+	}
+	for _, c := range table {
+		corpus[c.name] = c.data
+		m, err := recvFrom(c.data)
+		if err == nil {
+			t.Errorf("%s: decoded %#v", c.name, m)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+	if *recordFuzzCorpus {
+		writeCorpus(t, "FuzzControlFrame", corpus)
+	}
+}
+
+// FuzzControlFrame: whatever the bytes, a connection's Recv returns a message
+// or an error. A message it accepts encodes back to exactly the frame it came
+// in, within its type's cap, and decoding it allocated no more than a small
+// multiple of that cap — nothing a header or a section length claims beyond
+// it.
+func FuzzControlFrame(f *testing.F) {
+	f.Add(encoded(f, everyMessage()[2]))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewConn(pipeConn{Reader: bytes.NewReader(data), Writer: io.Discard})
+		c.setLimits(8, 3)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := c.Recv()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return
+		}
+		typ, _ := controlOf(m)
+		limit := c.limits.bodyCap(typ)
+		again := encoded(t, m)
+		if !bytes.Equal(again, data[:min(len(again), len(data))]) {
+			t.Fatalf("accepted %T encodes to other bytes than it came in", m)
+		}
+		if body := len(again) - engine.FrameHeaderLen; body > limit {
+			t.Fatalf("accepted a %d-byte %T body over its %d-byte cap", body, m, limit)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(8*limit+64<<10) {
+			t.Fatalf("decoding a %T allocated %d bytes under a %d-byte cap", m, grew, limit)
 		}
 	})
 }

@@ -70,8 +70,9 @@ func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 
 // LoadWorkerSnapshot reads a snapshot written by SaveWorkerSnapshot. The file
 // must be exactly one intact frame of this build's format: a torn or
-// lengthened file, a flipped bit, a format-1 gob file — each is an error,
-// never a restore. The spec bytes and the state blobs alias the bytes read.
+// lengthened file, a flipped bit, a format-2 frame or a format-1 gob file —
+// each is an error, never a restore. The spec bytes and the state blobs alias
+// the bytes read.
 func LoadWorkerSnapshot(path string) (*WorkerSnapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/dataset"
+	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
@@ -28,19 +30,64 @@ type pipeConn struct {
 
 func (p pipeConn) Close() error { return nil }
 
-func TestConnRoundTripAllTypes(t *testing.T) {
-	// net.Pipe gives a synchronous duplex stream, perfect for codec tests.
-	a, b := net.Pipe()
-	ca := NewConn(a)
-	cb := NewConn(b)
-	msgs := []any{
-		Hello{ListenAddr: "1.2.3.4:5"},
-		Welcome{Rank: 3, N: 8, Spec: []byte(`{"schema_version": 2}`), Addrs: []string{"a", "b"}},
-		RoundMsg{Round: 7, Seed: 99, Peer: 2},
-		RoundEnd{Rank: 1, Round: 7, Loss: 0.5},
+// everyMessage is one message of each of the 16 control types with every
+// field set, and a second RoundMsg and RoundEnd whose slices are nil: a −1
+// peer, a NaN loss that did not train, and both a nil and a set Active and
+// Addrs. They fit a connection's caps once it knows 8 processes of a
+// 3-parameter model.
+func everyMessage() []any {
+	return []any{
+		Hello{ListenAddr: "10.0.0.7:41234"},
+		Welcome{Rank: 3, N: 8, Spec: []byte(`{"schema_version": 2}`), Addrs: []string{"a:1", "", "[::1]:3"}},
+		RoundMsg{Round: 7, Seed: 1<<64 - 1, Peer: -1, Active: []bool{true, false, true}, Attempt: 2, Addrs: []string{"a:1", "b:2"}},
+		RoundMsg{Round: 8, Seed: 99, Peer: 2},
+		RoundEnd{Rank: 1, Round: 7, Attempt: 2, Loss: math.NaN(), Trained: false, PayloadLen: 512,
+			Flows: []engine.Flow{{Peer: 2, Sent: 4096, Recv: 1 << 40}, {Peer: -1, Sent: -3, Recv: 0}}},
+		RoundEnd{Rank: 2, Round: 7, Attempt: 1, Loss: math.Copysign(0, -1), Trained: true, PayloadLen: -1},
+		RoundFailed{Rank: 4, Round: 9, Peer: -1, Reason: "dial tcp 127.0.0.1:9: connect: connection refused"},
+		Abort{Round: 11},
+		AbortAck{Rank: 5, Round: 11},
+		CrashMsg{Round: 3},
+		Rejoin{Rank: 2, NextRound: 5, ListenAddr: "[::1]:9"},
+		RejoinAck{Round: 5, N: 8, Addrs: []string{"x:1"}},
+		RejoinNack{Reason: "rank 2 is still alive"},
 		CollectRequest{},
-		FinalModel{Params: tensor.AppendWords(nil, []float64{1, 2, 3})},
+		FinalModel{Params: tensor.AppendWords(nil, []float64{1, math.Inf(-1), math.Copysign(0, -1)})},
 		Done{},
+		MeasureRequest{ProbeBytes: 65536},
+		MeasureReport{Rank: 6, MBps: []float64{0, 812.5, math.MaxFloat64}},
+	}
+}
+
+// sameMessage compares two messages field by field, NaN equal to NaN bit for
+// bit and a nil slice unequal to an empty one.
+func sameMessage(a, b any) bool {
+	if x, ok := a.(RoundEnd); ok {
+		y, ok := b.(RoundEnd)
+		if !ok || math.Float64bits(x.Loss) != math.Float64bits(y.Loss) {
+			return false
+		}
+		x.Loss, y.Loss = 0, 0
+		a, b = x, y
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestConnRoundTripAllTypes sends every control type, every field set, over
+// a synchronous duplex pipe and gets each back as sent.
+func TestConnRoundTripAllTypes(t *testing.T) {
+	a, b := net.Pipe()
+	ca, cb := NewConn(a), NewConn(b)
+	ca.setLimits(8, 3)
+	cb.setLimits(8, 3)
+	msgs := everyMessage()
+	types := map[controlType]bool{}
+	for _, m := range msgs {
+		typ, _ := controlOf(m)
+		types[typ] = true
+	}
+	if len(types) != int(controlTypes)-1 {
+		t.Fatalf("the table covers %d of the %d control types", len(types), controlTypes-1)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -57,8 +104,8 @@ func TestConnRoundTripAllTypes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("msg %d: got %+v, want %+v", i, got, want)
+		if !sameMessage(got, want) {
+			t.Fatalf("msg %d: got %#v, want %#v", i, got, want)
 		}
 	}
 	if err := <-done; err != nil {
@@ -300,8 +347,8 @@ func TestTaskSpecConversionKeepsBits(t *testing.T) {
 }
 
 // TestResumeRefusesSnapshotWithoutSpec: a snapshot whose first section is not
-// a scenario spec — what a worker wrote before specs crossed the wire, a gob
-// task there — fails -resume by name, before the worker dials anyone.
+// a scenario spec (here the start of a gob stream, which workers once wrote
+// there) fails -resume by name, before the worker dials anyone.
 func TestResumeRefusesSnapshotWithoutSpec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.snap")
 	old := &WorkerSnapshot{Version: WorkerSnapshotVersion, Rank: 1, NextRound: 3, Spec: []byte("\x3f\xff\x81\x03\x01\x01\x08TaskSpec")}

@@ -250,6 +250,7 @@ func (w *WorkerClient) register() error {
 	if err := w.buildNode(spec); err != nil {
 		return err
 	}
+	w.coord.setLimits(w.n, w.model.ParamCount())
 	w.boundaryRound = -1
 	// The initial state is committed by definition: persist it so a crash
 	// at round 0 is recoverable.
@@ -277,7 +278,7 @@ func (w *WorkerClient) loadSnapshot() (*WorkerSnapshot, *scenario.Spec, error) {
 	}
 	spec, err := scenario.Parse(snap.Spec)
 	if err != nil {
-		return nil, nil, fmt.Errorf("transport: snapshot %s holds no scenario spec (was it written before workers received specs?): %w", w.SnapshotPath, err)
+		return nil, nil, fmt.Errorf("transport: snapshot %s holds no scenario spec: %w", w.SnapshotPath, err)
 	}
 	return snap, spec, nil
 }
@@ -306,6 +307,7 @@ func (w *WorkerClient) rejoin(snap *WorkerSnapshot, spec *scenario.Spec) error {
 	if err := w.buildNode(spec); err != nil {
 		return err
 	}
+	w.coord.setLimits(w.n, w.model.ParamCount())
 	if err := engine.RestoreRank(w.node, w.codecs[w.rank], snap.State); err != nil {
 		return fmt.Errorf("transport: worker %d restore: %w", w.rank, err)
 	}
@@ -576,15 +578,16 @@ func (d peerDialer) Recv(round, self, peer int) ([]float64, error) {
 // maxProbeBytes is the ceiling on a measurement probe's body.
 const maxProbeBytes = 64 << 20
 
-// maxBody caps an inbound frame's body by kind, before room is made for it.
-func (w *WorkerClient) maxBody(kind engine.FrameKind) int {
-	switch kind {
+// maxBody caps an inbound frame's body by kind, before room is made for it;
+// the peer listener takes payloads and probes only.
+func (w *WorkerClient) maxBody(h engine.FrameHeader) (int, error) {
+	switch h.Kind {
 	case engine.FramePayload:
-		return w.maxPayload
+		return w.maxPayload, nil
 	case engine.FrameProbe:
-		return maxProbeBytes
+		return maxProbeBytes, nil
 	}
-	return 0
+	return 0, fmt.Errorf("transport: frame of kind %d on the peer listener", h.Kind)
 }
 
 // probeConn is a measurement-phase connection the accept loop took in: the
@@ -666,8 +669,6 @@ func (w *WorkerClient) file(nc net.Conn, h engine.FrameHeader, body []byte, star
 			return true, nil
 		default: // more probes than ranks: not this fleet's
 		}
-	default:
-		return false, fmt.Errorf("transport: frame of kind %d on the peer listener", h.Kind)
 	}
 	return false, nil
 }

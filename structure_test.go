@@ -567,3 +567,39 @@ func TestOneSpecVocabulary(t *testing.T) {
 		t.Errorf("cmd/coordinator registers %d flags of its own, want at most 8 — the run's settings are the spec's fields: %s", len(flags), strings.Join(flags, " "))
 	}
 }
+
+// TestOneEncoding: every byte a run persists or sends is a frame of sections
+// whose words internal/tensor/words.go lays out (DESIGN.md §3) — snapshots,
+// peer payloads and the coordinator's control messages alike. encoding/gob,
+// whose bytes depend on what the process encoded before and whose decoder
+// sizes allocations from lengths the sender claims, is imported by no Go
+// file of the module or of benchmark/, tests included.
+func TestOneEncoding(t *testing.T) {
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			if d != nil && d.IsDir() && d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob: lay the value out as frame sections instead", filepath.ToSlash(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Error("no Go file found: the guard would check nothing")
+	}
+}
