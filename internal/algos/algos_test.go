@@ -43,6 +43,12 @@ func sapsConfig(n int) core.Config {
 	}
 }
 
+// newSAPSFamily builds the pairwise recipe algo (saps or randomchoose) with
+// cfg's ratio, local steps and thresholds over the membership m.
+func newSAPSFamily(algo string, fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, m Membership) *InProc {
+	return New(fc, Recipe{Algo: algo, Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}, bw, cfg.Gossip, m)
+}
+
 func meanAcc(t *testing.T, alg Algorithm, va *dataset.Dataset) float64 {
 	t.Helper()
 	models := alg.Models()
@@ -67,11 +73,11 @@ func runRounds(t *testing.T, alg Algorithm, bw *netsim.Bandwidth, va *dataset.Da
 	for r := 0; r < rounds; r++ {
 		loss := alg.Step(r, led)
 		if math.IsNaN(loss) || math.IsInf(loss, 0) {
-			t.Fatalf("%s: loss diverged to %v at round %d", alg.Name(), loss, r)
+			t.Fatalf("%s: loss diverged to %v at round %d", t.Name(), loss, r)
 		}
 	}
 	if !led.ConservationOK() {
-		t.Fatalf("%s: ledger conservation violated", alg.Name())
+		t.Fatalf("%s: ledger conservation violated", t.Name())
 	}
 	return meanAcc(t, alg, va), led
 }
@@ -90,7 +96,9 @@ func TestAllAlgorithmsLearn(t *testing.T) {
 		{"D-PSGD", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewDPSGD(fc) }, 0.75},
 		{"DCD-PSGD", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewDCDPSGD(fc, 4) }, 0.7},
 		{"SAPS-PSGD", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewSAPS(fc, bw, sapsConfig(n)) }, 0.7},
-		{"RandomChoose", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewRandomChoose(fc, bw, sapsConfig(n)) }, 0.7},
+		{"RandomChoose", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm {
+			return newSAPSFamily("randomchoose", fc, bw, sapsConfig(n), Membership{})
+		}, 0.7},
 	}
 	for _, b := range builders {
 		b := b
@@ -98,9 +106,6 @@ func TestAllAlgorithmsLearn(t *testing.T) {
 			t.Parallel()
 			fc, bw, va := testSetup(t, n)
 			alg := b.build(fc, bw)
-			if alg.Name() != b.name {
-				t.Fatalf("Name() = %q, want %q", alg.Name(), b.name)
-			}
 			acc, _ := runRounds(t, alg, bw, va, rounds)
 			if acc < b.min {
 				t.Fatalf("%s accuracy %v, want >= %v", b.name, acc, b.min)
@@ -115,12 +120,12 @@ func TestTrafficOrdering(t *testing.T) {
 	// of rounds.
 	const n, rounds = 8, 30
 	traffic := map[string]float64{}
-	for _, build := range []func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm{
-		func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewPSGD(fc) },
-		func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewTopKPSGD(fc, 100) },
-		func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewDPSGD(fc) },
-		func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewDCDPSGD(fc, 4) },
-		func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm {
+	for name, build := range map[string]func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm{
+		"PSGD":      func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewPSGD(fc) },
+		"TopK-PSGD": func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewTopKPSGD(fc, 100) },
+		"D-PSGD":    func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewDPSGD(fc) },
+		"DCD-PSGD":  func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewDCDPSGD(fc, 4) },
+		"SAPS-PSGD": func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm {
 			c := sapsConfig(n)
 			c.Compression = 100
 			return NewSAPS(fc, bw, c)
@@ -132,7 +137,7 @@ func TestTrafficOrdering(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			alg.Step(r, led)
 		}
-		traffic[alg.Name()] = led.MeanWorkerTrafficMB()
+		traffic[name] = led.MeanWorkerTrafficMB()
 	}
 	saps := traffic["SAPS-PSGD"]
 	for name, v := range traffic {
@@ -249,7 +254,7 @@ func TestSAPSPrefersBandwidthOverRandom(t *testing.T) {
 	cfg := sapsConfig(n)
 	cfg.Gossip.BThres = 2
 	saps := NewSAPS(fc, bw, cfg)
-	random := NewRandomChoose(fc, bw, cfg)
+	random := newSAPSFamily("randomchoose", fc, bw, cfg, Membership{})
 	recS, recR := trace.NewRecorder(), trace.NewRecorder()
 	saps.SetTrace(recS)
 	random.SetTrace(recR)

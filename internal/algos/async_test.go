@@ -127,7 +127,7 @@ func TestGradPushMassConservation(t *testing.T) {
 // This is the in-process half of the CI determinism gate (which adds
 // GOMAXPROCS variation on top).
 func TestAsyncDeterministic(t *testing.T) {
-	for _, algo := range AsyncAlgoNames {
+	for _, algo := range Names(Recipe.Async) {
 		t.Run(algo, func(t *testing.T) {
 			type capture struct {
 				log    []byte

@@ -5,37 +5,7 @@ import (
 	"sapspsgd/internal/netsim"
 )
 
-// baselineNames are the paper's names for the recipe algorithms New builds.
-var baselineNames = map[string]string{
-	"psgd": "PSGD", "topk-psgd": "TopK-PSGD", "qsgd-psgd": "QSGD-PSGD",
-	"d-psgd": "D-PSGD", "dcd-psgd": "DCD-PSGD",
-	"ps-psgd": "PS-PSGD", "fedavg": "FedAvg", "s-fedavg": "S-FedAvg",
-}
-
-// New assembles a synchronous baseline recipe over an in-process fleet: any
-// recipe algorithm but saps, whose planner plans over a bandwidth
-// environment (NewSAPS, NewSAPSDynamic, NewRandomChoose). The recipe's
-// fleet-shaped fields (Workers, LR, Batch, Seed) are taken from fc. bw
-// places the hub algorithms' server optimistically — its link to worker i
-// is the best bandwidth worker i has to anyone (the paper's "choosing the
-// server that has the maximum bandwidth") — and is unused by the serverless
-// ones.
-func New(fc FleetConfig, r Recipe, bw *netsim.Bandwidth) Algorithm {
-	name, ok := baselineNames[r.Algo]
-	if !ok {
-		panic("algos: New builds the synchronous baselines, not " + r.Algo)
-	}
-	if r.mix != nil {
-		name = r.mix.name
-	}
-	r.Workers, r.LR, r.Batch, r.Seed = fc.N, fc.LR, fc.Batch, fc.Seed
-	var links []float64
-	if r.Hub() {
-		links = serverLinks(bw)
-	}
-	// The baselines' planners ignore the bandwidth environment.
-	return newInProc(name, fc, r, r.Planner(nil, gossip.Config{}), links)
-}
+// The paper's comparators, each its recipe on the chassis New assembles.
 
 // NewPSGD is synchronous data-parallel SGD over an exact all-reduce of dense
 // gradients (Eq. (1) of the paper): every round all n workers average their
@@ -46,7 +16,9 @@ func New(fc FleetConfig, r Recipe, bw *netsim.Bandwidth) Algorithm {
 // ring-all-reduce cost of Table I — and receives the same), other sizes a
 // complete all-gather. Both directions of every transfer are charged with
 // measured codec bytes.
-func NewPSGD(fc FleetConfig) Algorithm { return New(fc, Recipe{Algo: "psgd"}, nil) }
+func NewPSGD(fc FleetConfig) Algorithm {
+	return New(fc, Recipe{Algo: "psgd"}, nil, gossip.Config{}, Membership{})
+}
 
 // NewTopKPSGD is PSGD with Top-k gradient sparsification and error feedback
 // (DGC-style) at compression ratio c (the paper uses c = 1000): each worker
@@ -56,7 +28,7 @@ func NewPSGD(fc FleetConfig) Algorithm { return New(fc, Recipe{Algo: "psgd"}, ni
 // (explicit 32-bit indices: 8 wire bytes per surviving value); every worker
 // applies the average of the *decoded* gradients, its own included.
 func NewTopKPSGD(fc FleetConfig, c float64) Algorithm {
-	return New(fc, Recipe{Algo: "topk-psgd", C: c}, nil)
+	return New(fc, Recipe{Algo: "topk-psgd", C: c}, nil, gossip.Config{}, Membership{})
 }
 
 // NewQSGDPSGD is an extension baseline (the paper's related work positions
@@ -68,7 +40,7 @@ func NewTopKPSGD(fc FleetConfig, c float64) Algorithm {
 // the gap. Composed as AllGather pattern + QSGD codec (4-byte norm +
 // bit-packed level codes, charged at the exact packed size).
 func NewQSGDPSGD(fc FleetConfig, levels int) Algorithm {
-	return New(fc, Recipe{Algo: "qsgd-psgd", Levels: levels}, nil)
+	return New(fc, Recipe{Algo: "qsgd-psgd", Levels: levels}, nil, gossip.Config{}, Membership{})
 }
 
 // NewDPSGD is decentralized parallel SGD (Lian et al.) on the static ring
@@ -77,7 +49,9 @@ func NewQSGDPSGD(fc FleetConfig, levels int) Algorithm {
 // local gradient step. Composed as Neighborhood pattern (ring adjacency) +
 // Dense codec: every worker ships its dense model to both neighbors each
 // round, and both directions are charged with measured bytes.
-func NewDPSGD(fc FleetConfig) Algorithm { return New(fc, Recipe{Algo: "d-psgd"}, nil) }
+func NewDPSGD(fc FleetConfig) Algorithm {
+	return New(fc, Recipe{Algo: "d-psgd"}, nil, gossip.Config{}, Membership{})
+}
 
 // NewDCDPSGD is difference-compressed decentralized SGD (Tang et al.) on the
 // ring at compression ratio c: every worker maintains public replicas x̂ of
@@ -89,7 +63,7 @@ func NewDPSGD(fc FleetConfig) Algorithm { return New(fc, Recipe{Algo: "d-psgd"},
 // replica, keeping all copies of x̂ identical) + TopK codec without error
 // feedback.
 func NewDCDPSGD(fc FleetConfig, c float64) Algorithm {
-	return New(fc, Recipe{Algo: "dcd-psgd", C: c}, nil)
+	return New(fc, Recipe{Algo: "dcd-psgd", C: c}, nil, gossip.Config{}, Membership{})
 }
 
 // NewPSPSGD is the classical parameter-server PSGD of Table I's first row:
@@ -101,7 +75,7 @@ func NewDCDPSGD(fc FleetConfig, c float64) Algorithm {
 // + Dense codecs both directions; netsim charges land on the server links
 // via ServerTransfer, exactly as the paper models the centralized baselines.
 func NewPSPSGD(fc FleetConfig, bw *netsim.Bandwidth) Algorithm {
-	return New(fc, Recipe{Algo: "ps-psgd"}, bw)
+	return New(fc, Recipe{Algo: "ps-psgd"}, bw, gossip.Config{}, Membership{})
 }
 
 // NewFedAvg is the centralized federated averaging baseline (McMahan et
@@ -111,7 +85,7 @@ func NewPSPSGD(fc FleetConfig, bw *netsim.Bandwidth) Algorithm {
 // push; the per-round chosen set is the plan's active set, drawn by the
 // fraction planner) + Dense codecs.
 func NewFedAvg(fc FleetConfig, bw *netsim.Bandwidth, fraction float64, localSteps int) Algorithm {
-	return New(fc, Recipe{Algo: "fedavg", Fraction: fraction, LocalSteps: localSteps}, bw)
+	return New(fc, Recipe{Algo: "fedavg", Fraction: fraction, LocalSteps: localSteps}, bw, gossip.Config{}, Membership{})
 }
 
 // NewSFedAvg is FedAvg with sparse random structured uploads (Konečný et
@@ -122,5 +96,5 @@ func NewFedAvg(fc FleetConfig, bw *netsim.Bandwidth, fraction float64, localStep
 // received coordinate is averaged over the workers that actually reported
 // it.
 func NewSFedAvg(fc FleetConfig, bw *netsim.Bandwidth, fraction float64, localSteps int, c float64) Algorithm {
-	return New(fc, Recipe{Algo: "s-fedavg", Fraction: fraction, LocalSteps: localSteps, C: c}, bw)
+	return New(fc, Recipe{Algo: "s-fedavg", Fraction: fraction, LocalSteps: localSteps, C: c}, bw, gossip.Config{}, Membership{})
 }

@@ -10,7 +10,7 @@ import (
 func TestSAPSChurnConverges(t *testing.T) {
 	const n, rounds = 8, 250
 	fc, bw, va := testSetup(t, n)
-	alg := NewSAPSDynamic(fc, bw, sapsConfig(n), Membership{Churn: &ChurnModel{
+	alg := newSAPSFamily("saps", fc, bw, sapsConfig(n), Membership{Churn: &ChurnModel{
 		LeaveProb: 0.15,
 		JoinProb:  0.5,
 		MinActive: 4,
@@ -40,7 +40,7 @@ func TestSAPSChurnConverges(t *testing.T) {
 func TestSAPSChurnMatchesOnlyActive(t *testing.T) {
 	const n = 8
 	fc, bw, _ := testSetup(t, n)
-	alg := NewSAPSDynamic(fc, bw, sapsConfig(n), Membership{Churn: &ChurnModel{
+	alg := newSAPSFamily("saps", fc, bw, sapsConfig(n), Membership{Churn: &ChurnModel{
 		LeaveProb: 0.4,
 		JoinProb:  0.3,
 		MinActive: 2,
@@ -73,7 +73,7 @@ func TestChurnModelValidation(t *testing.T) {
 					t.Fatalf("bad churn model %d accepted", i)
 				}
 			}()
-			NewSAPSDynamic(fc, bw, sapsConfig(4), Membership{Churn: &cm})
+			newSAPSFamily("saps", fc, bw, sapsConfig(4), Membership{Churn: &cm})
 		}()
 	}
 }
@@ -82,9 +82,6 @@ func TestPSPSGDLearnsAndAccountsServerTraffic(t *testing.T) {
 	const n, rounds = 8, 200
 	fc, bw, va := testSetup(t, n)
 	alg := NewPSPSGD(fc, bw)
-	if alg.Name() != "PS-PSGD" {
-		t.Fatal("name")
-	}
 	acc, led := runRounds(t, alg, bw, va, rounds)
 	if acc < 0.8 {
 		t.Fatalf("PS-PSGD accuracy %v", acc)
@@ -101,9 +98,6 @@ func TestQSGDPSGDLearns(t *testing.T) {
 	const n, rounds = 6, 250
 	fc, bw, va := testSetup(t, n)
 	alg := NewQSGDPSGD(fc, 4)
-	if alg.Name() != "QSGD-PSGD" {
-		t.Fatal("name")
-	}
 	acc, _ := runRounds(t, alg, bw, va, rounds)
 	if acc < 0.7 {
 		t.Fatalf("QSGD-PSGD accuracy %v", acc)

@@ -27,7 +27,9 @@ func allBaselineBuilders(n int) []struct {
 		{"DCD-PSGD", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewDCDPSGD(fc, 4) }},
 		{"PS-PSGD", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewPSPSGD(fc, bw) }},
 		{"SAPS-PSGD", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewSAPS(fc, bw, sapsConfig(8)) }},
-		{"RandomChoose", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm { return NewRandomChoose(fc, bw, sapsConfig(8)) }},
+		{"RandomChoose", func(fc FleetConfig, bw *netsim.Bandwidth) Algorithm {
+			return newSAPSFamily("randomchoose", fc, bw, sapsConfig(8), Membership{})
+		}},
 	}
 }
 

@@ -151,7 +151,7 @@ func TestFaultScheduleReachesEngine(t *testing.T) {
 	fc, bw, _ := testSetup(t, 4)
 	cfg := sapsConfig(4)
 	sched := FaultSchedule{N: 4, Seed: cfg.Seed, Events: []FaultEvent{{Rank: 1, Round: 2, RejoinAfter: 2}}}
-	alg := NewSAPSDynamic(fc, bw, cfg, Membership{Faults: &sched})
+	alg := newSAPSFamily("saps", fc, bw, cfg, Membership{Faults: &sched})
 	defer alg.Close()
 
 	led := &engine.CountingLedger{}

@@ -2,18 +2,22 @@
 // evaluates — SAPS-PSGD and its six comparators (PSGD all-reduce,
 // TopK-PSGD, FedAvg, S-FedAvg, D-PSGD, DCD-PSGD) plus the QSGD and
 // RandomChoose ablations — behind a common Algorithm interface that the
-// scenario layer's round loop drives. Every algorithm is a thin Planner + Pattern + Codec
-// composition over the internal/engine round loop (see Recipe), so the same
-// definitions run in-process, against a simulated-bandwidth ledger, and over
-// TCP; all wire traffic is measured from the bytes the codecs actually
-// encode, never from analytic formulas.
+// scenario layer's round loop drives. Every algorithm is one Recipe, named
+// by its Algo string alone — the Recipe's methods are the only code that
+// branches on it — and a thin Planner + Pattern + Codec composition over the
+// internal/engine round loop, so the same definitions run in-process,
+// against a simulated-bandwidth ledger, and over TCP; all wire traffic is
+// measured from the bytes the codecs actually encode, never from analytic
+// formulas.
 package algos
 
 import (
 	"fmt"
 
+	"sapspsgd/internal/core"
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
+	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/trace"
@@ -22,8 +26,6 @@ import (
 // Algorithm is one distributed training scheme, driven round by round.
 // Implementations are not safe for concurrent use.
 type Algorithm interface {
-	// Name returns the paper's name for the algorithm.
-	Name() string
 	// Step executes one synchronous communication round: local compute for
 	// every worker plus all model/gradient exchanges, recorded in the
 	// ledger (a *netsim.Ledger for bandwidth-accounted simulation or an
@@ -100,7 +102,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 // differ only in the recipe, the planner, and the latter's roundObserver; a
 // planner-only run (NewPlannerOnly) is the chassis with no fleet under it.
 type InProc struct {
-	name string
 	// step is the one engine.Driver round: eng.Step, or — for a planner-only
 	// run, which has no fleet and so no engine (eng is nil) — a bare driver's
 	// Round over the control with no nodes.
@@ -112,14 +113,31 @@ type InProc struct {
 	watch  *roundObserver // SAPS-family diagnostics, nil for the baselines
 }
 
-// newInProc assembles the chassis over a fleet — the package's one
-// engine.New site. For hub recipes the server model comes from the shared
-// factory (identical initialization) and worker 0's model doubles as the
-// evaluation mirror; links carries the optimistic server placement of the
-// paper ("choosing the server that has the maximum bandwidth").
-func newInProc(name string, fc FleetConfig, r Recipe, planner engine.Planner, links []float64) *InProc {
+// New assembles any synchronous recipe over an in-process fleet — the
+// package's one engine.New site. The recipe's fleet-shaped fields (Workers,
+// LR, Batch, Seed) are taken from fc. bw is the environment the SAPS family
+// plans over and the hub algorithms place their server in: its link to
+// worker i is the best bandwidth worker i has to anyone (the paper's
+// "choosing the server that has the maximum bandwidth"); the other recipes
+// ignore it. gcfg is Algorithm 3's thresholds and m the membership an
+// Adaptive recipe plans over (the zero Membership is the static fleet; other
+// recipes ignore both). For hub recipes the server model comes from the
+// shared factory (identical initialization) and worker 0's model doubles as
+// the evaluation mirror. It panics on an invalid recipe or membership, and a
+// round that m leaves with fewer than two workers panics in Step — run
+// m.Check over the rounds first when m composes several sources.
+func New(fc FleetConfig, r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config, m Membership) *InProc {
+	r.Workers, r.LR, r.Batch, r.Seed = fc.N, fc.LR, fc.Batch, fc.Seed
 	if err := r.Validate(); err != nil {
 		panic(err)
+	}
+	planner := r.Planner(bw, gcfg)
+	if r.Adaptive() {
+		stream, err := m.Stream(fc.N, r.Seed)
+		if err != nil {
+			panic(err)
+		}
+		planner = &membershipPlanner{coord: planner.(*core.Coordinator), stream: stream}
 	}
 	f := NewFleet(fc)
 	total := r.Nodes()
@@ -127,13 +145,17 @@ func newInProc(name string, fc FleetConfig, r Recipe, planner engine.Planner, li
 	for i := 0; i < f.N; i++ {
 		nodes[i] = r.NewNode(i, f.Models[i], fc.Shards[i], nil)
 	}
-	a := &InProc{name: name, models: f.Models, server: r.ServerRank(), links: links}
+	a := &InProc{models: f.Models, server: r.ServerRank()}
 	if a.server >= 0 {
 		nodes[a.server] = r.NewNode(a.server, fc.Factory(), nil, f.Models[0])
 		// The global model lives on the server; evaluation uses worker 0's
 		// mirror because only worker models accumulate normalization
 		// statistics.
 		a.models = f.Models[:1]
+		a.links = serverLinks(bw)
+	}
+	if r.Pairwise() {
+		a.watch = &roundObserver{bw: bw, n: fc.N}
 	}
 	codecs := r.Codecs(f.Dim)
 	// One round mask per fleet, not one per rank and one more per codec.
@@ -148,9 +170,6 @@ func newInProc(name string, fc FleetConfig, r Recipe, planner engine.Planner, li
 	a.step = a.eng.Step
 	return a
 }
-
-// Name implements Algorithm.
-func (a *InProc) Name() string { return a.name }
 
 // Models implements Algorithm.
 func (a *InProc) Models() []*nn.Model { return a.models }

@@ -26,19 +26,6 @@ type Membership struct {
 	Replay *fleettrace.Replay
 }
 
-// name is the algorithm's name under this membership.
-func (m Membership) name() string {
-	switch {
-	case m.Replay != nil:
-		return "SAPS-PSGD(trace)"
-	case m.Churn != nil:
-		return "SAPS-PSGD(churn)"
-	case !m.Faults.Empty():
-		return "SAPS-PSGD(faults)"
-	}
-	return "SAPS-PSGD"
-}
-
 // Stream builds the live round → active-set stream for a fleet of n
 // workers. seed derives the churn draws (a fault schedule carries its own
 // seed). It fails on a malformed source or one sized for another fleet.

@@ -47,12 +47,12 @@ func TestPlannerOnlyChargesWhatTheFleetCharges(t *testing.T) {
 		planner engine.Planner
 	}{
 		{"saps", NewSAPS(fc, bw, cfg), core.NewCoordinator(bw, cfg)},
-		{"randomchoose", NewRandomChoose(fc, bw, cfg), NewRandomPlanner(n, cfg.Seed)},
+		{"randomchoose", newSAPSFamily("randomchoose", fc, bw, cfg, Membership{}), NewRandomPlanner(n, cfg.Seed)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer tc.fleet.Close()
-			alone := NewPlannerOnly(tc.name, tc.planner, bw, dim, cfg.Compression)
+			alone := NewPlannerOnly(tc.planner, bw, dim, cfg.Compression)
 			defer alone.Close()
 			var want, got chargeLog
 			wantTrace, gotTrace := trace.NewRecorder(), trace.NewRecorder()

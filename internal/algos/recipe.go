@@ -22,10 +22,12 @@ import (
 // TCP transport builds its single rank from the same recipe, so both
 // deployments produce bit-identical trajectories).
 type Recipe struct {
-	// Algo selects the algorithm: saps | psgd | topk-psgd | qsgd-psgd |
-	// d-psgd | dcd-psgd | ps-psgd | fedavg | s-fedavg, or the asynchronous
-	// recipes adpsgd | gradpush (driven by engine.AsyncEngine instead of
-	// the round loop — see Async).
+	// Algo selects the algorithm: saps | randomchoose | psgd | topk-psgd |
+	// qsgd-psgd | d-psgd | dcd-psgd | ps-psgd | fedavg | s-fedavg, or the
+	// asynchronous recipes adpsgd | gradpush (driven by engine.AsyncEngine
+	// instead of the round loop — see Async). It is the only name an
+	// algorithm has, and this package the only code that branches on it: a
+	// caller asks the recipe's methods instead.
 	Algo string
 	// Workers is the trainer count n. Hub algorithms add the parameter
 	// server as one extra rank (rank n), so Nodes() is n or n+1.
@@ -33,7 +35,7 @@ type Recipe struct {
 	LR      float64
 	Batch   int
 	Seed    uint64
-	// Compression is the SAPS shared-mask ratio c.
+	// Compression is the SAPS family's shared-mask ratio c.
 	Compression float64
 	// LocalSteps is the local SGD steps per round (SAPS, FedAvg).
 	LocalSteps int
@@ -58,13 +60,21 @@ type mixGraph struct {
 
 // AlgoNames lists the recipes' canonical -algo values.
 var AlgoNames = []string{
-	"saps", "psgd", "topk-psgd", "qsgd-psgd", "d-psgd", "dcd-psgd", "ps-psgd", "fedavg", "s-fedavg",
+	"saps", "randomchoose", "psgd", "topk-psgd", "qsgd-psgd", "d-psgd", "dcd-psgd", "ps-psgd", "fedavg", "s-fedavg",
 	"adpsgd", "gradpush",
 }
 
-// AsyncAlgoNames lists the asynchronous recipes (the tail of AlgoNames):
-// barrier-free algorithms the event-driven async engine executes.
-var AsyncAlgoNames = []string{"adpsgd", "gradpush"}
+// Names lists, in AlgoNames order, the algorithms whose recipe answers has
+// (a method expression such as Recipe.Pairwise) with true.
+func Names(has func(Recipe) bool) []string {
+	var out []string
+	for _, algo := range AlgoNames {
+		if has(Recipe{Algo: algo}) {
+			out = append(out, algo)
+		}
+	}
+	return out
+}
 
 // Validate returns an error describing the first invalid field, if any.
 func (r Recipe) Validate() error {
@@ -75,9 +85,9 @@ func (r Recipe) Validate() error {
 		return fmt.Errorf("algos: recipe LR %v batch %d", r.LR, r.Batch)
 	}
 	switch r.Algo {
-	case "saps":
+	case "saps", "randomchoose":
 		if r.Compression < 1 {
-			return fmt.Errorf("algos: saps compression %v", r.Compression)
+			return fmt.Errorf("algos: %s compression %v", r.Algo, r.Compression)
 		}
 	case "psgd", "ps-psgd", "adpsgd", "gradpush":
 	case "d-psgd":
@@ -109,6 +119,40 @@ func (r Recipe) Validate() error {
 		return fmt.Errorf("algos: unknown algorithm %q (have %v)", r.Algo, AlgoNames)
 	}
 	return nil
+}
+
+// RatioField names the spec field the recipe reads its compression ratio
+// from: "compression" for the SAPS family's shared mask, "c" for a
+// sparsifier's budget N/c, and "" for a recipe with no ratio.
+func (r Recipe) RatioField() string {
+	switch r.Algo {
+	case "saps", "randomchoose":
+		return "compression"
+	case "topk-psgd", "dcd-psgd", "s-fedavg":
+		return "c"
+	}
+	return ""
+}
+
+// Adaptive reports whether the recipe plans with Algorithm 3 — the
+// bandwidth-aware matching under the gossip thresholds — over a Membership:
+// the one recipe that reads churn, faults and a trace's join/leave events.
+func (r Recipe) Adaptive() bool { return r.Algo == "saps" }
+
+// Pairwise reports whether the recipe exchanges in matched pairs (the SAPS
+// family): its rounds are matchings a trace records, and its coordinator
+// side can run alone (NewPlannerOnly).
+func (r Recipe) Pairwise() bool { return r.Algo == "saps" || r.Algo == "randomchoose" }
+
+// AnyPair reports whether the recipe may exchange between any two nodes — an
+// all-reduce, an all-gather or a uniform matching — and so needs a link
+// between every pair.
+func (r Recipe) AnyPair() bool {
+	switch r.Algo {
+	case "psgd", "topk-psgd", "qsgd-psgd", "randomchoose":
+		return true
+	}
+	return false
 }
 
 // Hub reports whether the recipe deploys a parameter server.
@@ -149,15 +193,6 @@ func (r Recipe) localSteps() int {
 		return 1
 	}
 	return r.LocalSteps
-}
-
-// SAPSConfig is the saps recipe as the core package's hyperparameter block,
-// under Algorithm 3's thresholds gcfg.
-func (r Recipe) SAPSConfig(gcfg gossip.Config) core.Config {
-	return core.Config{
-		Workers: r.Workers, Compression: r.Compression, LR: r.LR, Batch: r.Batch,
-		LocalSteps: r.localSteps(), Gossip: gcfg, Seed: r.Seed,
-	}
 }
 
 // sparseK is the sparsifier budget N/c, at least 1.
@@ -240,7 +275,7 @@ func metropolisRow(adj [][]int, i int) mixRow {
 // algorithm, set here, so a pattern reads them without asking the codecs.
 func (r Recipe) Pattern() engine.Pattern {
 	switch r.Algo {
-	case "saps":
+	case "saps", "randomchoose":
 		return engine.Pairwise{}
 	case "psgd":
 		return engine.Collective{}
@@ -275,7 +310,7 @@ func (r Recipe) Codecs(dim int) []engine.Codec {
 	var masks *compress.MaskCache
 	for rank := 0; rank < n; rank++ {
 		switch r.Algo {
-		case "saps":
+		case "saps", "randomchoose":
 			if masks == nil {
 				masks = &compress.MaskCache{}
 			}
@@ -318,15 +353,16 @@ func (r Recipe) NewNode(rank int, model *nn.Model, shard *dataset.Dataset, mirro
 			return &fedServerNode{serverModel: serverModel{model}, mirror: mirror, counted: true}
 		}
 	}
-	// The rank's minibatch stream: saps strides its per-rank seeds by one
-	// prime, the other recipes by another, and trajectories.golden pins both.
+	// The rank's minibatch stream: the SAPS family strides its per-rank seeds
+	// by one prime, the other recipes by another, and trajectories.golden
+	// pins both.
 	stride := uint64(104729)
-	if r.Algo == "saps" {
+	if r.Pairwise() {
 		stride = 7919
 	}
 	t := core.NewTrainer(model, shard, r.Batch, r.LR, r.Seed+uint64(rank)*stride)
 	switch r.Algo {
-	case "saps":
+	case "saps", "randomchoose":
 		return engine.NewMaskedGossipNode(core.NewWorker(t, r.Compression, r.localSteps()))
 	case "psgd", "topk-psgd", "qsgd-psgd":
 		return &gradAvgNode{Trainer: t, lr: r.LR, n: r.Workers}
@@ -349,12 +385,18 @@ func (r Recipe) NewNode(rank int, model *nn.Model, shard *dataset.Dataset, mirro
 }
 
 // Planner assembles the coordinator-side planner. bw and gcfg matter only
-// for saps (Algorithm 3's bandwidth-aware matching); static algorithms plan
-// trivial rounds and fedavg samples its participation fraction.
+// for saps (Algorithm 3's bandwidth-aware matching); randomchoose draws a
+// uniformly random matching, static algorithms plan trivial rounds and
+// fedavg samples its participation fraction.
 func (r Recipe) Planner(bw *netsim.Bandwidth, gcfg gossip.Config) engine.Planner {
 	switch r.Algo {
 	case "saps":
-		return core.NewCoordinator(bw, r.SAPSConfig(gcfg))
+		return core.NewCoordinator(bw, core.Config{
+			Workers: r.Workers, Compression: r.Compression, LR: r.LR, Batch: r.Batch,
+			LocalSteps: r.localSteps(), Gossip: gcfg, Seed: r.Seed,
+		})
+	case "randomchoose":
+		return NewRandomPlanner(r.Workers, r.Seed)
 	case "fedavg", "s-fedavg":
 		k := int(r.Fraction * float64(r.Workers))
 		if k < 1 {

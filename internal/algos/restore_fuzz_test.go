@@ -21,7 +21,7 @@ import (
 // rank state in the committed snapshot fixtures, and a psgd trainer state
 // captured over a longer shard than the rank's own.
 func FuzzRestoreRank(f *testing.F) {
-	recipes := algos.AlgoNames[:len(algos.AlgoNames)-len(algos.AsyncAlgoNames)]
+	recipes := algos.Names(func(r algos.Recipe) bool { return !r.Async() })
 	index := map[string]uint8{}
 	specs := make([]*scenario.Spec, len(recipes))
 	shards := make([][]*dataset.Dataset, len(recipes))

@@ -12,43 +12,19 @@ import (
 
 // The paper's algorithm is the "saps" recipe — local SGD + shared-seed
 // sparsified single-peer gossip over the pairwise pattern — on the same
-// chassis as every baseline. Its constructors differ from theirs only in the
-// engine.Planner they hand the chassis (Algorithm 3 over the bandwidth
-// environment and a Membership, or RandomChoose's uniform matching) and in
-// the roundObserver that keeps the simulation-side diagnostics.
-
-// newSAPS puts the saps recipe cfg describes (the worker-side knobs come from
-// cfg, as a TCP worker takes them from its task) under the given planner.
-func newSAPS(name string, fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, planner engine.Planner) *InProc {
-	r := Recipe{
-		Algo: "saps", Workers: fc.N, LR: cfg.LR, Batch: cfg.Batch, Seed: cfg.Seed,
-		Compression: cfg.Compression, LocalSteps: cfg.LocalSteps,
-	}
-	a := newInProc(name, fc, r, planner, nil)
-	a.watch = &roundObserver{bw: bw, n: fc.N}
-	return a
-}
+// chassis as every baseline; "randomchoose" is the same recipe under another
+// planner. What sets the SAPS family apart is the engine.Planner (Algorithm 3
+// over the bandwidth environment and a Membership, or RandomChoose's uniform
+// matching) and the roundObserver that keeps the simulation-side
+// diagnostics.
 
 // NewSAPS builds the paper's algorithm over the bandwidth environment bw:
 // adaptive (bandwidth-aware, recency-constrained) peer selection over a
-// static fleet.
+// static fleet. cfg gives the shared-mask ratio, the local steps and
+// Algorithm 3's thresholds; the fleet-shaped fields come from fc, as New has
+// them.
 func NewSAPS(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *InProc {
-	return NewSAPSDynamic(fc, bw, cfg, Membership{})
-}
-
-// NewSAPSDynamic is SAPS-PSGD under dynamic membership: each round only the
-// workers m says are present train and communicate, and the coordinator
-// matches only those (paper §I: workers "may join/leave the training
-// randomly"). Returning workers are re-synchronized by the gossip itself.
-// The zero Membership is NewSAPS. It panics on a malformed membership, and
-// a round that m leaves with fewer than two workers panics in Step — run
-// m.Check over the rounds first when m composes several sources.
-func NewSAPSDynamic(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, m Membership) *InProc {
-	stream, err := m.Stream(fc.N, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return newSAPS(m.name(), fc, bw, cfg, &membershipPlanner{coord: core.NewCoordinator(bw, cfg), stream: stream})
+	return New(fc, Recipe{Algo: "saps", Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}, bw, cfg.Gossip, Membership{})
 }
 
 // randomPlanner draws a uniformly random maximum matching and a fresh mask
@@ -77,14 +53,6 @@ func (p *randomPlanner) Plan(t int) core.RoundPlan {
 	}
 }
 
-// NewRandomChoose is SAPS with the adaptive peer selection replaced by a
-// uniformly random maximum matching each round — the paper's RandomChoose
-// comparison in Fig. 5. Sparsification and masked averaging are unchanged:
-// only the engine's Planner differs.
-func NewRandomChoose(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *InProc {
-	return newSAPS("RandomChoose", fc, bw, cfg, NewRandomPlanner(fc.N, cfg.Seed))
-}
-
 // NewPlannerOnly is a SAPS-family run's coordinator side alone — the paper's
 // Fig. 5: the planner (core.NewCoordinator over bw, or NewRandomPlanner)
 // drives the same engine.Driver round over a control with no nodes, which
@@ -93,10 +61,9 @@ func NewRandomChoose(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *InP
 // built; traffic and simulated time are bit-identical to the full run's (the
 // mask-seed stream and the matchings are the same), Models is empty and the
 // loss reads zero.
-func NewPlannerOnly(name string, planner engine.Planner, bw *netsim.Bandwidth, dim int, c float64) *InProc {
+func NewPlannerOnly(planner engine.Planner, bw *netsim.Bandwidth, dim int, c float64) *InProc {
 	ctl := &maskTraffic{dim: dim, c: c}
 	return &InProc{
-		name:   name,
 		step:   engine.NewDriver(planner, ctl).Round,
 		server: -1,
 		watch:  &roundObserver{bw: bw, n: bw.N},

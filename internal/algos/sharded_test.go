@@ -121,11 +121,11 @@ func TestShardedEquivalenceChurn(t *testing.T) {
 	churn := ChurnModel{LeaveProb: 0.3, JoinProb: 0.5, MinActive: 2}
 	fcRef, bw, _ := testSetup(t, n)
 	fcRef.RuntimeShards = 1
-	refTraj, refLed := runTrajectory(NewSAPSDynamic(fcRef, bw, sapsConfig(n), Membership{Churn: &churn}), rounds)
+	refTraj, refLed := runTrajectory(newSAPSFamily("saps", fcRef, bw, sapsConfig(n), Membership{Churn: &churn}), rounds)
 	for _, shards := range shardSweep() {
 		fc, _, _ := testSetup(t, n)
 		fc.RuntimeShards = shards
-		gotTraj, gotLed := runTrajectory(NewSAPSDynamic(fc, bw, sapsConfig(n), Membership{Churn: &churn}), rounds)
+		gotTraj, gotLed := runTrajectory(newSAPSFamily("saps", fc, bw, sapsConfig(n), Membership{Churn: &churn}), rounds)
 		assertSameRun(t, fmt.Sprintf("saps-churn/shards=%d", shards), n, refTraj, gotTraj, refLed, gotLed)
 	}
 }

@@ -50,7 +50,7 @@ func TestAsyncAlgoAxisExpands(t *testing.T) {
 		t.Fatalf("cells %v, want %v", ids, want)
 	}
 	for _, cell := range cells {
-		async := scenario.AsyncAlgo(cell.Spec.Algo)
+		async := cell.Spec.Recipe().Async()
 		if async != (cell.Spec.Async != nil) {
 			t.Fatalf("cell %s: async block presence does not match algo %s", cell.ID, cell.Spec.Algo)
 		}

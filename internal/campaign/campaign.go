@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 
+	"sapspsgd/internal/algos"
 	"sapspsgd/internal/scenario"
 )
 
@@ -89,14 +90,11 @@ type AlgoParams struct {
 // grid with no axis at all is one cell per base: the base itself.
 type Grid struct {
 	// Algo sweeps the algorithm (any -algo value the scenario layer
-	// accepts, the asynchronous recipes included). Cells whose algorithm is
-	// not saps drop the base spec's saps-only blocks (compression, gossip,
-	// churn, faults, record_trace, trace membership events — the trace
-	// block itself survives as bandwidth-multiplier replay, which is
-	// algorithm-agnostic); randomchoose, being saps under another planner,
-	// keeps compression and record_trace. Synchronous cells drop the base's
-	// async block; asynchronous cells (adpsgd, gradpush) require the base
-	// to carry one and run unsharded on the event-driven engine, so the
+	// accepts, the asynchronous recipes included). Each cell's spec is the
+	// base retargeted to the cell's algorithm (scenario.Spec.Retarget),
+	// which drops the blocks that algorithm does not read instead of
+	// failing the cell. Asynchronous cells require the base to carry an
+	// async block and run unsharded on the event-driven engine, so the
 	// shards axis collapses for them.
 	Algo []string `json:"algo,omitempty"`
 	// Nodes sweeps the trainer count.
@@ -109,11 +107,9 @@ type Grid struct {
 	// then be unique across the axis).
 	Bandwidth []GridBandwidth `json:"bandwidth,omitempty"`
 	// Compression sweeps the paper's compression ratio c (≥ 1): a worker
-	// transmits ~1/c of its entries. The value lands on each algorithm's
-	// own knob — the shared-mask ratio for saps, the sparsifier ratio for
-	// topk-psgd / dcd-psgd / s-fedavg (both use the same ratio-c
-	// convention). For algorithms without a ratio knob (psgd, d-psgd,
-	// ps-psgd, fedavg, qsgd-psgd) the axis collapses: only one cell is
+	// transmits ~1/c of its entries. The value lands on the field the
+	// algorithm reads its ratio from (scenario.Spec.SetRatio). For an
+	// algorithm without a ratio the axis collapses: only one cell is
 	// generated, with the base spec's parameters.
 	Compression []float64 `json:"compression,omitempty"`
 	// Traces sweeps the fleet-trace replay; each entry is a full scenario
@@ -122,7 +118,7 @@ type Grid struct {
 	// with an empty file clears the base's trace block — a static-network
 	// control cell — and must carry a name. Trace files resolve against the
 	// base scenario's directory, exactly as if the block were written there.
-	// Membership events only drive the SAPS family; on other algorithms the
+	// Membership events only drive an adaptive algorithm; on the others the
 	// entry degrades to bandwidth-multiplier replay (events are dropped).
 	Traces []GridTrace `json:"traces,omitempty"`
 	// Partition sweeps the data split; each entry is a full scenario
@@ -257,7 +253,7 @@ func (c *Spec) Validate() error {
 		switch {
 		case !slices.Contains(g.Algo, algo):
 			return fmt.Errorf("campaign %s: per_algo entry %q is not on the algo axis", c.Name, algo)
-		case p.Compression != 0 && (p.Compression < 1 || !hasCompressionKnob(algo)):
+		case p.Compression != 0 && (p.Compression < 1 || algos.Recipe{Algo: algo}.RatioField() == ""):
 			return fmt.Errorf("campaign %s: per_algo %s compression %v (want ≥ 1 on an algorithm with a ratio knob)", c.Name, algo, p.Compression)
 		case p.LocalSteps < 0:
 			return fmt.Errorf("campaign %s: per_algo %s local_steps %d", c.Name, algo, p.LocalSteps)
@@ -360,26 +356,6 @@ type Cell struct {
 	Compression float64
 }
 
-// hasCompressionKnob reports whether the algorithm exposes a compression
-// ratio the grid axis can drive.
-func hasCompressionKnob(algo string) bool {
-	switch algo {
-	case "saps", "randomchoose", "topk-psgd", "dcd-psgd", "s-fedavg":
-		return true
-	}
-	return false
-}
-
-// applyCompression maps the unified ratio c onto the algorithm's own knob.
-func applyCompression(s *scenario.Spec, ratio float64) {
-	switch s.Algo {
-	case "saps", "randomchoose":
-		s.Compression = ratio
-	case "topk-psgd", "dcd-psgd", "s-fedavg":
-		s.C = ratio
-	}
-}
-
 // compact renders a float for cell IDs (shortest round-trip form, "." kept —
 // it is filename-safe on every platform the repo targets).
 func compact(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -422,9 +398,9 @@ func (c *Spec) Expand(bases ...*scenario.Spec) ([]Cell, error) {
 // far to their cell index.
 func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec, prefix string) ([]Cell, error) {
 	g := &c.Grid
-	algos := g.Algo
-	if len(algos) == 0 {
-		algos = []string{base.Algo}
+	names := g.Algo
+	if len(names) == 0 {
+		names = []string{base.Algo}
 	}
 	// Materialize each axis as override closures; nil-value sentinels keep
 	// the base value. Using index slices keeps the nesting generic.
@@ -478,7 +454,7 @@ func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec,
 			return g.Bandwidth[i].label()
 		}},
 		{oneOrLen(len(g.Traces)), func(s *scenario.Spec, i int) {
-			if len(g.Traces) == 0 || scenario.AsyncAlgo(s.Algo) {
+			if len(g.Traces) == 0 || s.Recipe().Async() {
 				return
 			}
 			e := &g.Traces[i]
@@ -488,17 +464,12 @@ func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec,
 				s.Trace = nil
 				return
 			}
+			// Retarget, below, drops the events for an algorithm that
+			// plans over no membership.
 			ts := e.TraceSpec
-			if s.Algo != "saps" {
-				// Membership events only drive the SAPS family; every other
-				// algorithm replays the bandwidth multipliers only. (The
-				// algo axis applies before this closure runs, so s.Algo is
-				// the cell's final algorithm.)
-				ts.Events = false
-			}
 			s.Trace = &ts
 		}, func(s *scenario.Spec, i int) string {
-			if len(g.Traces) == 0 || scenario.AsyncAlgo(s.Algo) {
+			if len(g.Traces) == 0 || s.Recipe().Async() {
 				return ""
 			}
 			return g.Traces[i].label()
@@ -536,19 +507,20 @@ func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec,
 			// Async cells run unsharded on the event-driven engine, so the
 			// shards axis never touches them (its length collapses to one
 			// for async algorithms below).
-			if len(g.Shards) > 0 && !scenario.AsyncAlgo(s.Algo) {
+			if len(g.Shards) > 0 && !s.Recipe().Async() {
 				s.Shards = g.Shards[i]
 			}
 		}, func(s *scenario.Spec, i int) string {
-			if len(g.Shards) == 0 || scenario.AsyncAlgo(s.Algo) {
+			if len(g.Shards) == 0 || s.Recipe().Async() {
 				return ""
 			}
 			return "sh" + strconv.Itoa(g.Shards[i])
 		}},
 	}
-	for _, algo := range algos {
+	for _, algo := range names {
+		r := algos.Recipe{Algo: algo}
 		algoAxes := axes
-		if scenario.AsyncAlgo(algo) {
+		if r.Async() {
 			// The shards axis (always last) collapses for asynchronous
 			// algorithms: every shard count would yield the identical
 			// unsharded cell. So does the trace axis (index axTrace):
@@ -559,7 +531,7 @@ func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec,
 			algoAxes[axTrace].n = 1
 		}
 		comps := g.Compression
-		if len(comps) == 0 || !hasCompressionKnob(algo) {
+		if len(comps) == 0 || r.RatioField() == "" {
 			// Axis absent, or the algorithm has no ratio knob: a single
 			// cell with the base parameters (the axis collapses).
 			comps = []float64{0}
@@ -580,34 +552,10 @@ func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec,
 					idx[a] = rem % algoAxes[a].n
 					rem /= algoAxes[a].n
 				}
+				// The axes read the cell's algorithm; Retarget then drops what
+				// it does not read, from the base and the axes alike.
 				s := base.Clone()
 				s.Algo = algo
-				if algo != "saps" {
-					// The saps-only blocks do not transfer to other
-					// algorithms; drop them instead of failing the cell.
-					s.Gossip = nil
-					s.Churn = nil
-					s.Faults = nil
-					if s.Trace != nil {
-						// The bandwidth multipliers replay for every
-						// algorithm; membership events are saps-only.
-						s.Trace.Events = false
-					}
-					if algo != "randomchoose" {
-						s.Compression = 0
-						s.RecordTrace = false
-					}
-				}
-				if !scenario.AsyncAlgo(algo) {
-					// The async block does not transfer to synchronous
-					// algorithms; asynchronous cells instead require the
-					// base to carry one (Validate names the cell if not).
-					s.Async = nil
-				} else {
-					// Async runs use a static bandwidth environment, so a
-					// base trace block does not transfer either.
-					s.Trace = nil
-				}
 				var parts []string
 				if prefix != "" {
 					parts = append(parts, prefix)
@@ -621,6 +569,7 @@ func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec,
 				for a, ax := range algoAxes {
 					ax.apply(s, idx[a])
 				}
+				s = s.Retarget(algo)
 				cell := Cell{Spec: s, Bandwidth: curBW, Trace: curTrace, Partition: curPart}
 				own := c.PerAlgo[algo]
 				if own.LocalSteps > 0 {
@@ -632,7 +581,7 @@ func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec,
 					cell.Compression = own.Compression
 				}
 				if cell.Compression > 0 {
-					applyCompression(s, cell.Compression)
+					s.SetRatio(cell.Compression)
 				}
 				for a, ax := range algoAxes {
 					if p := ax.part(s, idx[a]); p != "" {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"sapspsgd/internal/algos"
 	"sapspsgd/internal/scenario"
 )
 
@@ -104,7 +105,7 @@ func TestFleetbenchGolden(t *testing.T) {
 		first := map[string]AggregateRow{} // base name → its first cell
 		for _, row := range agg.Cells {
 			name, _, sync := strings.Cut(row.Cell, sw.trim)
-			if sync != !scenario.AsyncAlgo(row.Algo) {
+			if sync != !(algos.Recipe{Algo: row.Algo}).Async() {
 				t.Errorf("%s: cell %s (algo %s): shard suffix on an async cell or none on a synchronous one", sw.key, row.Cell, row.Algo)
 			}
 			got := fleetbenchLine{row.Shards, row.TotalBytes, math.Float64bits(row.SimSeconds), math.Float64bits(row.FinalLoss)}

@@ -68,8 +68,6 @@ func (e Evals) FirstReaching(target float64) (EvalPoint, bool) {
 
 // LoopResult is what RunLoop measured.
 type LoopResult struct {
-	// Algorithm is the algorithm's name.
-	Algorithm string
 	// Records is the evaluation series (empty without a validation set).
 	Records Evals
 	// Ledger is the traffic and simulated-time account the run charged.
@@ -88,7 +86,7 @@ func RunLoop(alg algos.Algorithm, led *netsim.Ledger, cfg Loop) LoopResult {
 	if c, ok := alg.(interface{ Close() }); ok {
 		defer c.Close()
 	}
-	res := LoopResult{Algorithm: alg.Name(), Ledger: led}
+	res := LoopResult{Ledger: led}
 	every := max(1, cfg.Rounds/20)
 	for r := 0; r < cfg.Rounds; r++ {
 		if cfg.before != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sapspsgd/internal/algos"
-	"sapspsgd/internal/core"
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/fleettrace"
@@ -61,14 +60,11 @@ func (s *Spec) gossipConfig() gossip.Config {
 	return gossip.Config{BThres: s.Gossip.BThres, TThres: s.Gossip.TThres}
 }
 
-// Planner is the coordinator side of the spec's algorithm over bw:
-// RandomChoose's uniform matching for randomchoose, the recipe's planner
-// (Algorithm 3 under the gossip thresholds, for saps) otherwise. A
-// membership (Membership) is applied on top by whoever runs the rounds.
+// Planner is the coordinator side of the spec's algorithm over bw: the
+// recipe's planner, which for saps is Algorithm 3 under the gossip
+// thresholds. A membership (Membership) is applied on top by whoever runs
+// the rounds.
 func (s *Spec) Planner(bw *netsim.Bandwidth) engine.Planner {
-	if s.Algo == "randomchoose" {
-		return algos.NewRandomPlanner(s.Nodes, s.Seed)
-	}
 	return s.Recipe().Planner(bw, s.gossipConfig())
 }
 
@@ -223,9 +219,6 @@ func (s *Spec) fleet(runtimeShards int) (algos.FleetConfig, *dataset.Dataset) {
 	}, valid
 }
 
-// sapsConfig is the spec's SAPS-family hyperparameter block.
-func (s *Spec) sapsConfig() core.Config { return s.Recipe().SAPSConfig(s.gossipConfig()) }
-
 // Membership is the dynamic-membership stream the spec's blocks describe:
 // the churn model, the fault schedule, and — when the trace block asks for
 // them — the join/leave events of replay, its parsed trace. None of the
@@ -261,28 +254,20 @@ func (s *Spec) build(shards int) (*built, error) {
 	if s.PlannerOnly {
 		return &built{alg: s.plannerOnly(bw), env: env}, nil
 	}
+	if s.Recipe().Async() {
+		return nil, fmt.Errorf("scenario %s: %s has no synchronous rounds to build (RunFull drives the async engine)", s.Name, s.Algo)
+	}
 	if _, err := s.NewModel(); err != nil {
 		return nil, err
 	}
-	fc, valid := s.fleet(s.effectiveShards(shards))
-	var alg algos.Algorithm
-	switch s.Algo {
-	case "saps":
-		m := s.Membership(replay)
-		// Each source keeps two workers by itself; a trace's events and a
-		// fault schedule together need not.
-		if err := m.Check(s.Nodes, s.Seed, s.Rounds); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		alg = algos.NewSAPSDynamic(fc, bw, s.sapsConfig(), m)
-	case "randomchoose":
-		alg = algos.NewRandomChoose(fc, bw, s.sapsConfig())
-	case "adpsgd", "gradpush":
-		return nil, fmt.Errorf("scenario %s: %s has no synchronous rounds to build (RunFull drives the async engine)", s.Name, s.Algo)
-	default:
-		// Validate admitted the algorithm, so it is a baseline recipe.
-		alg = algos.New(fc, s.Recipe(), bw)
+	m := s.Membership(replay)
+	// Each source keeps two workers by itself; a trace's events and a fault
+	// schedule together need not.
+	if err := m.Check(s.Nodes, s.Seed, s.Rounds); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
+	fc, valid := s.fleet(s.effectiveShards(shards))
+	alg := algos.New(fc, s.Recipe(), bw, s.gossipConfig(), m)
 	return &built{alg: alg, env: env, valid: valid}, nil
 }
 
@@ -292,11 +277,7 @@ func (s *Spec) build(shards int) (*built, error) {
 // determines it exactly.
 func (s *Spec) plannerOnly(bw *netsim.Bandwidth) algos.Algorithm {
 	dim := nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)
-	name := "SAPS-PSGD"
-	if s.Algo == "randomchoose" {
-		name = "RandomChoose"
-	}
-	return algos.NewPlannerOnly(name, s.Planner(bw), bw, dim, s.Compression)
+	return algos.NewPlannerOnly(s.Planner(bw), bw, dim, s.Compression)
 }
 
 // effectiveShards resolves a sweep override against the spec default:

@@ -120,6 +120,7 @@ func TestSpecRejectsMalformed(t *testing.T) {
 			s.Churn = &ChurnSpec{LeaveProb: 1.5, JoinProb: 0.5, MinActive: 2}
 		}, "churn probabilities"},
 		{"straggler slowdown below one", func(s *Spec) { s.Straggler = &StragglerSpec{Fraction: 0.5, Slowdown: 0.5} }, "straggler slowdown"},
+		{"negative local steps", func(s *Spec) { s.LocalSteps = -3 }, "local_steps -3"},
 		{"jitter at one", func(s *Spec) { s.Bandwidth.Jitter = 1 }, "jitter"},
 		{"negative jitter", func(s *Spec) { s.Bandwidth.Jitter = -0.2 }, "jitter"},
 		{"record_trace on non-saps", func(s *Spec) { s.RecordTrace = true }, "record_trace requires algo saps"},

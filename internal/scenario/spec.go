@@ -37,11 +37,11 @@ type Spec struct {
 	// Name identifies the scenario in logs and run summaries; a campaign over
 	// a directory of specs starts each cell ID with it.
 	Name string `json:"name"`
-	// Algo is the algorithm to run: saps | psgd | topk-psgd | qsgd-psgd |
-	// d-psgd | dcd-psgd | ps-psgd | fedavg | s-fedavg, randomchoose (saps
-	// with a uniformly random matching instead of Algorithm 3 — the
-	// paper's Fig. 5 comparison), or one of the asynchronous recipes
-	// adpsgd | gradpush (which require the async block).
+	// Algo is the algorithm to run, one of algos.AlgoNames: saps | psgd |
+	// topk-psgd | qsgd-psgd | d-psgd | dcd-psgd | ps-psgd | fedavg |
+	// s-fedavg, randomchoose (saps with a uniformly random matching instead
+	// of Algorithm 3 — the paper's Fig. 5 comparison), or one of the
+	// asynchronous recipes adpsgd | gradpush (which require the async block).
 	Algo string `json:"algo"`
 	// Nodes is the trainer count (hub algorithms add their server rank on
 	// top, exactly as algos.Recipe does).
@@ -56,7 +56,7 @@ type Spec struct {
 	Batch int     `json:"batch"`
 	// LocalSteps is the local SGD steps per round (SAPS, FedAvg); 0 means 1.
 	LocalSteps int `json:"local_steps,omitempty"`
-	// Compression is the SAPS shared-mask ratio c.
+	// Compression is the SAPS family's shared-mask ratio c.
 	Compression float64 `json:"compression,omitempty"`
 	// C is the sparsifier ratio for topk-psgd, dcd-psgd and s-fedavg.
 	C float64 `json:"c,omitempty"`
@@ -352,17 +352,6 @@ type StragglerSpec struct {
 	Slowdown float64 `json:"slowdown"`
 }
 
-// AsyncAlgo reports whether algo names an asynchronous recipe — one that
-// requires the spec's async block and runs on the event-driven engine.
-func AsyncAlgo(algo string) bool {
-	for _, a := range algos.AsyncAlgoNames {
-		if a == algo {
-			return true
-		}
-	}
-	return false
-}
-
 // Parse decodes a strict-schema spec: unknown fields are rejected, and the
 // result is validated.
 func Parse(data []byte) (*Spec, error) {
@@ -442,11 +431,11 @@ func LoadDir(dir string) ([]*Spec, error) {
 }
 
 // Traceable reports whether a run of this spec can record a per-round
-// trace: only the SAPS family (saps and randomchoose) implements SetTrace
+// trace: only a pairwise recipe (the SAPS family) has matchings to record
 // (planner_only records coordinator-side rounds through the same
 // recorder). Callers that stream traces to disk use this to decide up
 // front whether to open the file.
-func (s *Spec) Traceable() bool { return s.Algo == "saps" || s.Algo == "randomchoose" }
+func (s *Spec) Traceable() bool { return s.Recipe().Pairwise() }
 
 // Clone returns a deep copy of the spec: mutating the copy (sweep round
 // overrides, campaign grid cells) never alters the loaded original. Every
@@ -506,15 +495,10 @@ func (s *Spec) Canonical() ([]byte, error) {
 }
 
 // Recipe maps the spec onto the algorithm recipe every deployment assembles
-// its ranks from, in one process or one per machine. randomchoose is saps
-// with another planner (see Planner), so it takes saps's recipe.
+// its ranks from, in one process or one per machine.
 func (s *Spec) Recipe() algos.Recipe {
-	algo := s.Algo
-	if algo == "randomchoose" {
-		algo = "saps"
-	}
 	return algos.Recipe{
-		Algo:        algo,
+		Algo:        s.Algo,
 		Workers:     s.Nodes,
 		LR:          s.LR,
 		Batch:       s.Batch,
@@ -547,6 +531,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: %d rounds", s.Name, s.Rounds)
 	case s.Shards < 0:
 		return fmt.Errorf("scenario %s: %d shards", s.Name, s.Shards)
+	case s.LocalSteps < 0:
+		return fmt.Errorf("scenario %s: local_steps %d (0 means 1)", s.Name, s.LocalSteps)
 	case s.Data.Samples < s.Nodes:
 		return fmt.Errorf("scenario %s: %d samples for %d nodes", s.Name, s.Data.Samples, s.Nodes)
 	case s.Data.Classes < 2:
@@ -583,21 +569,19 @@ func (s *Spec) Validate() error {
 	if err := s.Bandwidth.validate(s.Name, s.Nodes); err != nil {
 		return err
 	}
+	r := s.Recipe()
 	// An all-reduce, an all-gather and a uniform matching may put any two
 	// nodes on one link; a sparse environment has none between most pairs.
-	switch s.Algo {
-	case "psgd", "topk-psgd", "qsgd-psgd", "randomchoose":
-		if strings.HasPrefix(s.Bandwidth.Kind, "sparse-") {
-			return fmt.Errorf("scenario %s: algo %s may exchange between any two nodes, but %s bandwidth links only a few of each node's peers (use a dense bandwidth kind, or saps, d-psgd or dcd-psgd)",
-				s.Name, s.Algo, s.Bandwidth.Kind)
-		}
+	if r.AnyPair() && strings.HasPrefix(s.Bandwidth.Kind, "sparse-") {
+		return fmt.Errorf("scenario %s: algo %s may exchange between any two nodes, but %s bandwidth links only a few of each node's peers (use a dense bandwidth kind, or saps, d-psgd or dcd-psgd)",
+			s.Name, s.Algo, s.Bandwidth.Kind)
 	}
-	if s.RecordTrace && !s.Traceable() {
-		return fmt.Errorf("scenario %s: record_trace requires algo saps or randomchoose, have %s", s.Name, s.Algo)
+	if s.RecordTrace && !r.Pairwise() {
+		return fmt.Errorf("scenario %s: record_trace requires algo %s, have %s", s.Name, algoList(algos.Recipe.Pairwise), s.Algo)
 	}
 	if s.PlannerOnly {
-		if !s.Traceable() {
-			return fmt.Errorf("scenario %s: planner_only requires algo saps or randomchoose, have %s", s.Name, s.Algo)
+		if !r.Pairwise() {
+			return fmt.Errorf("scenario %s: planner_only requires algo %s, have %s", s.Name, algoList(algos.Recipe.Pairwise), s.Algo)
 		}
 		if !s.Model.arch().IsMLP() {
 			return fmt.Errorf("scenario %s: planner_only sizes the mask from the MLP's parameter count, have arch %s", s.Name, s.Model.Arch)
@@ -613,8 +597,8 @@ func (s *Spec) Validate() error {
 		if _, err := fleettrace.ParseInterp(tr.Interp); err != nil {
 			return fmt.Errorf("scenario %s: trace interp %q (want hold or linear)", s.Name, tr.Interp)
 		}
-		if tr.Events && s.Algo != "saps" {
-			return fmt.Errorf("scenario %s: trace events require algo saps, have %s (drop events to replay bandwidth only)", s.Name, s.Algo)
+		if tr.Events && !r.Adaptive() {
+			return fmt.Errorf("scenario %s: trace events require algo %s, have %s (drop events to replay bandwidth only)", s.Name, algoList(algos.Recipe.Adaptive), s.Algo)
 		}
 		if s.Churn != nil {
 			return fmt.Errorf("scenario %s: trace and churn are mutually exclusive (trace events already script membership)", s.Name)
@@ -648,19 +632,19 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if g := s.Gossip; g != nil {
-		if s.Algo != "saps" {
-			return fmt.Errorf("scenario %s: gossip thresholds require algo saps, have %s", s.Name, s.Algo)
+		if !r.Adaptive() {
+			return fmt.Errorf("scenario %s: gossip thresholds require algo %s, have %s", s.Name, algoList(algos.Recipe.Adaptive), s.Algo)
 		}
 		if g.BThres < 0 || g.TThres < 1 {
 			return fmt.Errorf("scenario %s: gossip b_thres %v / t_thres %d", s.Name, g.BThres, g.TThres)
 		}
 	}
-	if s.Churn != nil && s.Algo != "saps" {
-		return fmt.Errorf("scenario %s: churn model requires algo saps, have %s", s.Name, s.Algo)
+	if s.Churn != nil && !r.Adaptive() {
+		return fmt.Errorf("scenario %s: churn model requires algo %s, have %s", s.Name, algoList(algos.Recipe.Adaptive), s.Algo)
 	}
 	if f := s.Faults; f != nil {
-		if s.Algo != "saps" {
-			return fmt.Errorf("scenario %s: faults require algo saps, have %s", s.Name, s.Algo)
+		if !r.Adaptive() {
+			return fmt.Errorf("scenario %s: faults require algo %s, have %s", s.Name, algoList(algos.Recipe.Adaptive), s.Algo)
 		}
 		if s.Churn != nil {
 			return fmt.Errorf("scenario %s: faults and churn are mutually exclusive", s.Name)
@@ -692,13 +676,14 @@ func (s *Spec) Validate() error {
 		}
 	}
 	// The async block and the asynchronous recipes come as a pair; the
-	// churn/faults/trace/planner_only/gossip exclusions hold automatically
-	// (each of those already requires algo saps).
-	if s.Recipe().Async() != (s.Async != nil) {
+	// churn/faults/trace events/planner_only/gossip exclusions hold
+	// automatically (each of those already requires an adaptive or pairwise
+	// recipe, and neither is asynchronous).
+	if r.Async() != (s.Async != nil) {
 		if s.Async == nil {
 			return fmt.Errorf("scenario %s: algo %s requires the async block", s.Name, s.Algo)
 		}
-		return fmt.Errorf("scenario %s: async block requires an asynchronous algo (adpsgd or gradpush), have %s", s.Name, s.Algo)
+		return fmt.Errorf("scenario %s: async block requires an asynchronous algo (%s), have %s", s.Name, algoList(algos.Recipe.Async), s.Algo)
 	}
 	if a := s.Async; a != nil {
 		switch {
@@ -725,22 +710,79 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// algoList names the algorithms whose recipe answers has with true, for an
+// error about a block only they read.
+func algoList(has func(algos.Recipe) bool) string {
+	return strings.Join(algos.Names(has), " or ")
+}
+
+// ratio is the field the spec's algorithm reads its compression ratio from
+// (algos.Recipe.RatioField), nil for an algorithm with none.
+func (s *Spec) ratio() *float64 {
+	switch s.Recipe().RatioField() {
+	case "compression":
+		return &s.Compression
+	case "c":
+		return &s.C
+	}
+	return nil
+}
+
+// SetRatio lands the paper's one compression ratio c (a worker sends about
+// 1/c of its entries) on the field the spec's algorithm reads it from: the
+// shared-mask ratio of the SAPS family or a sparsifier's budget N/c. It
+// reports false, changing nothing, for an algorithm without a ratio.
+func (s *Spec) SetRatio(c float64) bool {
+	p := s.ratio()
+	if p == nil {
+		return false
+	}
+	*p = c
+	return true
+}
+
 // checkRatio rejects a sparsifier ratio above the model's dim parameters: a
 // SAPS mask that keeps none of them, or a top-k / random-k budget N/c below
 // one entry.
 func (s *Spec) checkRatio(dim int) error {
-	field, c := "c", s.C
-	switch s.Algo {
-	case "saps", "randomchoose":
-		field, c = "compression", s.Compression
-	case "topk-psgd", "dcd-psgd", "s-fedavg":
-	default:
-		return nil
-	}
-	if c > float64(dim) {
-		return fmt.Errorf("scenario %s: %s %v exceeds the model's %d parameters: it would keep none of them", s.Name, field, c, dim)
+	if p := s.ratio(); p != nil && *p > float64(dim) {
+		return fmt.Errorf("scenario %s: %s %v exceeds the model's %d parameters: it would keep none of them", s.Name, s.Recipe().RatioField(), *p, dim)
 	}
 	return nil
+}
+
+// Retarget returns a copy of the spec that runs algo instead, dropping the
+// blocks algo does not read rather than leaving Validate to refuse them —
+// how a campaign's algo axis derives every cell from one base:
+//   - gossip, churn, faults and the trace's join/leave events go unless
+//     algo is adaptive (the trace block itself stays: its bandwidth
+//     multipliers apply to every synchronous algorithm);
+//   - compression goes unless algo reads it, record_trace unless algo is
+//     pairwise;
+//   - an asynchronous algo drops the trace block (it runs on a static
+//     environment), a synchronous one the async block.
+func (s *Spec) Retarget(algo string) *Spec {
+	c := s.Clone()
+	c.Algo = algo
+	r := c.Recipe()
+	if !r.Adaptive() {
+		c.Gossip, c.Churn, c.Faults = nil, nil, nil
+		if c.Trace != nil {
+			c.Trace.Events = false
+		}
+	}
+	if c.ratio() != &c.Compression {
+		c.Compression = 0
+	}
+	if !r.Pairwise() {
+		c.RecordTrace = false
+	}
+	if r.Async() {
+		c.Trace = nil
+	} else {
+		c.Async = nil
+	}
+	return c
 }
 
 func (b *BandwidthSpec) validate(name string, nodes int) error {

@@ -11,8 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"sapspsgd/internal/algos"
 )
 
 // notTestFile is the parser.ParseDir filter for a package's product sources.
@@ -31,7 +34,7 @@ func TestAlgosHasOneChassis(t *testing.T) {
 	}
 	// The method names of algos.Algorithm, and the types allowed to carry
 	// all of them: the chassis, and the async driver's fleet should it ever.
-	algorithm := []string{"Name", "Step", "Models"}
+	algorithm := []string{"Step", "Models"}
 	allowed := map[string]bool{"InProc": true, "AsyncFleet": true}
 
 	var newSites []string
@@ -565,6 +568,45 @@ func TestOneSpecVocabulary(t *testing.T) {
 	}
 	if len(flags) > 8 {
 		t.Errorf("cmd/coordinator registers %d flags of its own, want at most 8 — the run's settings are the spec's fields: %s", len(flags), strings.Join(flags, " "))
+	}
+}
+
+// TestOneAlgorithmVocabulary: a spec's algo string is the only name an
+// algorithm has, and internal/algos the only package that branches on it —
+// a caller asks the Recipe (RatioField, Adaptive, Pairwise, AnyPair, Async,
+// Hub) instead, so a new algorithm is one recipe with no edit elsewhere. No
+// product file under cmd/ or internal/ outside internal/algos holds a string
+// literal equal to an algorithm's name. The one exception is the benchmark's
+// TaskSpec shim in internal/transport/messages.go, whose empty Algo means
+// saps.
+func TestOneAlgorithmVocabulary(t *testing.T) {
+	names := map[string]bool{}
+	for _, algo := range algos.AlgoNames {
+		names[algo] = true
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	for _, dir := range []string{"cmd", "internal"} {
+		for _, f := range productFiles(t, fset, dir) {
+			file := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+			if strings.HasPrefix(file, "internal/algos/") || file == "internal/transport/messages.go" {
+				continue
+			}
+			checked++
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				if v, err := strconv.Unquote(lit.Value); err == nil && names[v] {
+					t.Errorf("%s: the literal %s names an algorithm — ask its algos.Recipe instead", fset.Position(lit.Pos()), lit.Value)
+				}
+				return true
+			})
+		}
+	}
+	if checked == 0 {
+		t.Error("no product file checked: the guard would check nothing")
 	}
 }
 
