@@ -44,9 +44,15 @@ func sapsConfig(n int) core.Config {
 }
 
 // newSAPSFamily builds the pairwise recipe algo (saps or randomchoose) with
-// cfg's ratio, local steps and thresholds over the membership m.
+// cfg's ratio, local steps and thresholds over the membership m. It panics
+// on an invalid membership.
 func newSAPSFamily(algo string, fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, m Membership) *InProc {
-	return New(fc, Recipe{Algo: algo, Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}, bw, cfg.Gossip, m)
+	r := Recipe{Algo: algo, Workers: fc.N, LR: fc.LR, Batch: fc.Batch, Seed: fc.Seed, Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}
+	p, err := NewRoundPlanner(r, bw, cfg.Gossip, m, 0)
+	if err != nil {
+		panic(err)
+	}
+	return New(fc, p)
 }
 
 func meanAcc(t *testing.T, alg Algorithm, va *dataset.Dataset) float64 {

@@ -14,7 +14,6 @@ package algos
 import (
 	"fmt"
 
-	"sapspsgd/internal/core"
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/gossip"
@@ -113,31 +112,16 @@ type InProc struct {
 	watch  *roundObserver // SAPS-family diagnostics, nil for the baselines
 }
 
-// New assembles any synchronous recipe over an in-process fleet — the
-// package's one engine.New site. The recipe's fleet-shaped fields (Workers,
-// LR, Batch, Seed) are taken from fc. bw is the environment the SAPS family
-// plans over and the hub algorithms place their server in: its link to
-// worker i is the best bandwidth worker i has to anyone (the paper's
-// "choosing the server that has the maximum bandwidth"); the other recipes
-// ignore it. gcfg is Algorithm 3's thresholds and m the membership an
-// Adaptive recipe plans over (the zero Membership is the static fleet; other
-// recipes ignore both). For hub recipes the server model comes from the
-// shared factory (identical initialization) and worker 0's model doubles as
-// the evaluation mirror. It panics on an invalid recipe or membership, and a
-// round that m leaves with fewer than two workers panics in Step — run
-// m.Check over the rounds first when m composes several sources.
-func New(fc FleetConfig, r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config, m Membership) *InProc {
-	r.Workers, r.LR, r.Batch, r.Seed = fc.N, fc.LR, fc.Batch, fc.Seed
-	if err := r.Validate(); err != nil {
-		panic(err)
-	}
-	planner := r.Planner(bw, gcfg)
-	if r.Adaptive() {
-		stream, err := m.Stream(fc.N, r.Seed)
-		if err != nil {
-			panic(err)
-		}
-		planner = &membershipPlanner{coord: planner.(*core.Coordinator), stream: stream}
+// New assembles a synchronous recipe's in-process fleet under p, the run's
+// coordinator side — the package's one engine.New site. The recipe and its
+// environment are p's; its fleet-shaped fields (Workers, LR, Batch, Seed)
+// must be fc's. A hub server sits at each worker's best link (the paper's
+// "choosing the server that has the maximum bandwidth"), takes its model
+// from the shared factory, and worker 0's model is the evaluation mirror.
+func New(fc FleetConfig, p *RoundPlanner) *InProc {
+	r, bw := p.recipe, p.bw
+	if r.Workers != fc.N || r.LR != fc.LR || r.Batch != fc.Batch || r.Seed != fc.Seed {
+		panic(fmt.Sprintf("algos: a %s planner for %d workers under a fleet of %d (or another lr, batch or seed)", r.Algo, r.Workers, fc.N))
 	}
 	f := NewFleet(fc)
 	total := r.Nodes()
@@ -164,11 +148,22 @@ func New(fc FleetConfig, r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config, m M
 		Nodes:   nodes,
 		Codecs:  codecs,
 		Pattern: r.Pattern(),
-		Planner: planner,
+		Planner: p,
 		Shards:  fc.RuntimeShards,
 	})
 	a.step = a.eng.Step
 	return a
+}
+
+// newStatic is New over a static fleet with r's fleet-shaped fields taken
+// from fc. It panics on an invalid recipe.
+func newStatic(fc FleetConfig, r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config) *InProc {
+	r.Workers, r.LR, r.Batch, r.Seed = fc.N, fc.LR, fc.Batch, fc.Seed
+	p, err := NewRoundPlanner(r, bw, gcfg, Membership{}, 0)
+	if err != nil {
+		panic(err)
+	}
+	return New(fc, p)
 }
 
 // Models implements Algorithm.

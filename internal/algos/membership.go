@@ -4,7 +4,10 @@ import (
 	"fmt"
 
 	"sapspsgd/internal/core"
+	"sapspsgd/internal/engine"
 	"sapspsgd/internal/fleettrace"
+	"sapspsgd/internal/gossip"
+	"sapspsgd/internal/netsim"
 )
 
 // Membership describes who is present in each round of a SAPS run — the
@@ -135,19 +138,134 @@ func countActive(active []bool) int {
 	return n
 }
 
-// membershipPlanner is the coordinator over a dynamic fleet: every round it
-// asks the stream who is present and runs Algorithm 3 over exactly those. A
-// static stream's nil set makes PlanActive the plain Coordinator.Plan.
-type membershipPlanner struct {
-	coord  *core.Coordinator
-	stream *MembershipStream
+// RoundPlanner is a run's coordinator side: the one code that decides who is
+// planned in round t, in process and over TCP alike. For an Adaptive recipe
+// it runs Algorithm 3 over the round's membership ANDed with a liveness mask
+// (the paper's coordinator "simply regenerates the gossip matrix over whoever
+// is present"); every other recipe plans with its bare planner and cannot
+// lose a worker. A static fleet with nobody excluded plans exactly as the
+// bare planner does.
+type RoundPlanner struct {
+	recipe Recipe
+	bw     *netsim.Bandwidth
+	coord  *core.Coordinator // Adaptive recipes
+	base   engine.Planner    // the others
+	stream *MembershipStream // Adaptive recipes
+	round  int               // the round last stepped, -1 before the first
+	// member is the membership's set for round (nil = everyone) and live
+	// the liveness mask over every rank; eff holds their intersection.
+	member, live, eff []bool
 }
 
-// Plan implements engine.Planner.
-func (p *membershipPlanner) Plan(t int) core.RoundPlan {
-	active, err := p.stream.Step(t)
-	if err != nil {
-		panic(err) // Membership.Check over the run's rounds reports this up front
+// NewRoundPlanner builds the coordinator side of recipe r over bw under
+// Algorithm 3's thresholds gcfg and the membership m, which it checks over
+// rounds [0, rounds): a malformed source, or a round the sources together
+// leave with fewer than two workers, fails here rather than mid-run. Only an
+// Adaptive recipe reads gcfg and m.
+func NewRoundPlanner(r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config, m Membership, rounds int) (*RoundPlanner, error) {
+	if err := r.Validate(); err != nil {
+		return nil, err
 	}
-	return p.coord.PlanActive(t, active)
+	p := &RoundPlanner{recipe: r, bw: bw, round: -1, live: make([]bool, r.Nodes())}
+	for i := range p.live {
+		p.live[i] = true
+	}
+	if !r.Adaptive() {
+		p.base = r.Planner(bw, gcfg)
+		return p, nil
+	}
+	if err := m.Check(r.Workers, r.Seed, rounds); err != nil {
+		return nil, err
+	}
+	stream, err := m.Stream(r.Workers, r.Seed)
+	if err != nil {
+		return nil, err
+	}
+	p.stream, p.coord = stream, r.coordinator(bw, gcfg)
+	return p, nil
+}
+
+// Begin steps the membership to round t the first time it sees t; again for
+// the same t it does nothing, so a re-planned round keeps its membership.
+// Plan calls it; the TCP coordinator calls it first, to inject the round's
+// scheduled crashes (Scheduled) before planning.
+func (p *RoundPlanner) Begin(t int) error {
+	if t == p.round {
+		return nil
+	}
+	if p.stream != nil {
+		member, err := p.stream.Step(t)
+		if err != nil {
+			return err
+		}
+		p.member = member
+	}
+	p.round = t
+	return nil
+}
+
+// Scheduled is the fault schedule's own active set for the round last
+// begun (nil without a schedule): the workers a TCP coordinator kills.
+func (p *RoundPlanner) Scheduled() []bool {
+	if p.stream == nil {
+		return nil
+	}
+	return p.stream.Scheduled()
+}
+
+// Exclude marks rank lost: no round is planned over it until Readmit.
+func (p *RoundPlanner) Exclude(rank int) { p.live[rank] = false }
+
+// Readmit returns an excluded rank to the rounds planned from now on.
+func (p *RoundPlanner) Readmit(rank int) { p.live[rank] = true }
+
+// Live reports whether rank is not excluded.
+func (p *RoundPlanner) Live(rank int) bool { return p.live[rank] }
+
+// LiveCount is the number of ranks not excluded.
+func (p *RoundPlanner) LiveCount() int { return countActive(p.live) }
+
+// Ready reports why the current round cannot be planned: a worker is lost
+// and the recipe cannot re-plan over a partial fleet, or fewer than two
+// workers remain.
+func (p *RoundPlanner) Ready() error {
+	if p.LiveCount() == len(p.live) {
+		return nil
+	}
+	if p.coord == nil {
+		return fmt.Errorf("algos: lost a worker but algorithm %q cannot re-plan over a partial fleet", p.recipe.Algo)
+	}
+	if n := countActive(p.active()); n < 2 {
+		return fmt.Errorf("algos: only %d effective workers remain", n)
+	}
+	return nil
+}
+
+// active is the round's membership ANDed with liveness; nil (everyone) when
+// neither leaves anyone out, so a static fleet plans as the bare planner.
+func (p *RoundPlanner) active() []bool {
+	if p.LiveCount() == len(p.live) {
+		return p.member
+	}
+	p.eff = intersectActive(p.eff, p.live, p.member)
+	return p.eff
+}
+
+// Plan implements engine.Planner: round t over whoever is present. Called
+// again for the same t it re-plans the round (the abort path) with fresh
+// draws and the membership already stepped. It panics where Begin or Ready
+// fails; NewRoundPlanner checked the membership, and a caller that excludes
+// ranks asks Ready before each round.
+func (p *RoundPlanner) Plan(t int) core.RoundPlan {
+	err := p.Begin(t)
+	if err == nil {
+		err = p.Ready()
+	}
+	if err != nil {
+		panic(err)
+	}
+	if p.coord == nil {
+		return p.base.Plan(t)
+	}
+	return p.coord.PlanActive(t, p.active())
 }

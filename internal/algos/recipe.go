@@ -391,10 +391,7 @@ func (r Recipe) NewNode(rank int, model *nn.Model, shard *dataset.Dataset, mirro
 func (r Recipe) Planner(bw *netsim.Bandwidth, gcfg gossip.Config) engine.Planner {
 	switch r.Algo {
 	case "saps":
-		return core.NewCoordinator(bw, core.Config{
-			Workers: r.Workers, Compression: r.Compression, LR: r.LR, Batch: r.Batch,
-			LocalSteps: r.localSteps(), Gossip: gcfg, Seed: r.Seed,
-		})
+		return r.coordinator(bw, gcfg)
 	case "randomchoose":
 		return NewRandomPlanner(r.Workers, r.Seed)
 	case "fedavg", "s-fedavg":
@@ -411,6 +408,14 @@ func (r Recipe) Planner(bw *netsim.Bandwidth, gcfg gossip.Config) engine.Planner
 	default:
 		return engine.PlannerFunc(func(t int) core.RoundPlan { return core.RoundPlan{Round: t} })
 	}
+}
+
+// coordinator is Algorithm 3's planner over bw: an Adaptive recipe's.
+func (r Recipe) coordinator(bw *netsim.Bandwidth, gcfg gossip.Config) *core.Coordinator {
+	return core.NewCoordinator(bw, core.Config{
+		Workers: r.Workers, Compression: r.Compression, LR: r.LR, Batch: r.Batch,
+		LocalSteps: r.localSteps(), Gossip: gcfg, Seed: r.Seed,
+	})
 }
 
 // fractionPlanner draws max(1, fraction·n) distinct workers per round; the

@@ -80,10 +80,20 @@ func snapshotFleet(t *testing.T, spec *scenario.Spec) (*engine.Engine, []*nn.Mod
 	engine.ShareMasks(nodes, codecs)
 	eng := engine.New(engine.Options{
 		Nodes: nodes, Codecs: codecs, Pattern: rec.Pattern(),
-		Planner: spec.Planner(spec.Env()), Shards: 1,
+		Planner: specPlanner(t, spec), Shards: 1,
 	})
 	t.Cleanup(eng.Close)
 	return eng, models
+}
+
+// specPlanner is the spec's coordinator side over its own environment.
+func specPlanner(t *testing.T, spec *scenario.Spec) engine.Planner {
+	t.Helper()
+	_, p, err := spec.Coordinator(spec.Env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func stepRounds(t *testing.T, eng *engine.Engine, led engine.Ledger, from, to int) {

@@ -300,7 +300,11 @@ func writeFileAtomic(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	// Synced before the rename, as the journal line that may follow it is:
+	// a durable entry must not point at an artifact that was never written.
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

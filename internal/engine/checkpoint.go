@@ -16,9 +16,10 @@ import (
 // a diverged trajectory.
 const SnapshotVersion = FrameVersion
 
-// Stateful is implemented by Nodes and Codecs whose round-boundary state
-// must survive a checkpoint/restore cycle: model parameters and data-stream
-// cursors on nodes, error-feedback residuals and RNG cursors on codecs.
+// Stateful is implemented by Nodes, Codecs and Ledgers whose round-boundary
+// state must survive a checkpoint/restore cycle: model parameters and
+// data-stream cursors on nodes, error-feedback residuals and RNG cursors on
+// codecs, cumulative totals on ledgers.
 // CaptureState must be called only at a round boundary (no round in flight);
 // RestoreState must be called on an identically constructed instance.
 // Stateless codecs (Dense, Masked) simply do not implement the interface.
@@ -26,16 +27,6 @@ type Stateful interface {
 	// CaptureState serializes the complete round-boundary state.
 	CaptureState() ([]byte, error)
 	// RestoreState restores state captured by CaptureState.
-	RestoreState([]byte) error
-}
-
-// LedgerCheckpointer is implemented by ledgers whose cumulative accounting
-// can ride in a snapshot (CountingLedger, *netsim.Ledger), so a resumed run
-// reports byte-identical totals to an uninterrupted one.
-type LedgerCheckpointer interface {
-	// CaptureState serializes the ledger's cumulative totals.
-	CaptureState() ([]byte, error)
-	// RestoreState restores totals captured by CaptureState.
 	RestoreState([]byte) error
 }
 
@@ -104,8 +95,9 @@ func RestoreRank(node Node, codec Codec, rs RankSnapshot) error {
 }
 
 // Checkpoint captures the engine's complete round-boundary state: every
-// rank's node and codec, plus the ledger totals when led implements
-// LedgerCheckpointer (pass nil to skip ledger capture). nextRound is the
+// rank's node and codec, plus the ledger totals when led is Stateful
+// (CountingLedger, *netsim.Ledger: a resumed run then reports byte-identical
+// totals to an uninterrupted one; pass nil to skip ledger capture). nextRound is the
 // first round a restored engine will execute. It must not be called with a
 // round in flight.
 func (e *Engine) Checkpoint(nextRound int, led Ledger) (*Snapshot, error) {
@@ -121,7 +113,7 @@ func (e *Engine) Checkpoint(nextRound int, led Ledger) (*Snapshot, error) {
 		}
 		snap.Ranks[i] = rs
 	}
-	if lc, ok := led.(LedgerCheckpointer); ok && led != nil {
+	if lc, ok := led.(Stateful); ok {
 		lb, err := lc.CaptureState()
 		if err != nil {
 			return nil, err
@@ -149,7 +141,7 @@ func (e *Engine) Restore(snap *Snapshot, led Ledger) error {
 			return fmt.Errorf("engine: restore rank %d: %w", i, err)
 		}
 	}
-	if lc, ok := led.(LedgerCheckpointer); ok && snap.Ledger != nil {
+	if lc, ok := led.(Stateful); ok && snap.Ledger != nil {
 		return lc.RestoreState(snap.Ledger)
 	}
 	return nil

@@ -17,7 +17,7 @@ import (
 func sapsEngine(t *testing.T) (*engine.Engine, []*core.Worker) {
 	t.Helper()
 	spec := testSpec(6)
-	opts, workers := sapsFleet(t, spec, spec.Planner(spec.Env()))
+	opts, workers := sapsFleet(t, spec, specPlanner(t, spec))
 	return engine.New(opts), workers
 }
 
@@ -114,7 +114,7 @@ func topkEngine(t *testing.T) (*engine.Engine, []engine.Node) {
 		Nodes:   nodes,
 		Codecs:  rec.Codecs(dim),
 		Pattern: rec.Pattern(),
-		Planner: spec.Planner(nil),
+		Planner: specPlanner(t, spec),
 	})
 	return eng, nodes
 }

@@ -21,7 +21,7 @@ func steppedEngine(t *testing.T) *engine.Engine {
 		codecs[r] = engine.Dense{}
 	}
 	eng := engine.New(engine.Options{
-		Nodes: nodes, Codecs: codecs, Shards: 2,
+		Nodes: nodes, Codecs: codecs, Pattern: engine.Pairwise{}, Shards: 2,
 		Planner: engine.PlannerFunc(func(tt int) core.RoundPlan {
 			return core.RoundPlan{Round: tt, Peer: []int{1, 0, 3, 2}}
 		}),

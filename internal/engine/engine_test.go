@@ -35,6 +35,16 @@ func testSpec(rounds int) *scenario.Spec {
 	}
 }
 
+// specPlanner is the spec's coordinator side over its own environment.
+func specPlanner(t *testing.T, spec *scenario.Spec) engine.Planner {
+	t.Helper()
+	_, p, err := spec.Coordinator(spec.Env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // sapsFleet assembles the spec's SAPS fleet the way every deployment does —
 // each rank's node and the codec table from the spec's recipe, as a TCP
 // WorkerClient does after Welcome — under the given planner, and returns the
@@ -61,10 +71,9 @@ func sapsFleet(t *testing.T, spec *scenario.Spec, planner engine.Planner) (engin
 // inProcRun is one engine training over an in-process backend: it returns
 // the per-round traffic totals and the per-round snapshot of every worker's
 // parameters.
-func inProcRun(t *testing.T, spec *scenario.Spec, inner engine.Ledger, tr engine.Transport) (roundBytes []int64, trajectory [][][]float64) {
+func inProcRun(t *testing.T, spec *scenario.Spec, inner engine.Ledger) (roundBytes []int64, trajectory [][][]float64) {
 	t.Helper()
-	opts, workers := sapsFleet(t, spec, spec.Planner(spec.Env()))
-	opts.Transport = tr
+	opts, workers := sapsFleet(t, spec, specPlanner(t, spec))
 	eng := engine.New(opts)
 	defer eng.Close()
 	led := &engine.CountingLedger{Inner: inner}
@@ -117,12 +126,11 @@ func tcpRun(t *testing.T, spec *scenario.Spec) (roundBytes []int64, final []floa
 func TestBackendEquivalence(t *testing.T) {
 	const rounds = 8
 	spec := testSpec(rounds)
-	n := spec.Nodes
 
-	memBytes, memTraj := inProcRun(t, spec, nil, memtransport.NewHub(n))
+	memBytes, memTraj := inProcRun(t, spec, nil)
 
-	simHub, simLed := memtransport.NewHub(n), netsim.NewLedger(spec.Env())
-	simBytes, simTraj := inProcRun(t, spec, simLed, simHub)
+	simLed := netsim.NewLedger(spec.Env())
+	simBytes, simTraj := inProcRun(t, spec, simLed)
 
 	tcpBytes, tcpFinal := tcpRun(t, spec)
 

@@ -77,15 +77,11 @@ type Options struct {
 	// it. Must be the same length as Nodes. Stateful codecs (error
 	// feedback, RNG) must be distinct instances per rank.
 	Codecs []Codec
-	// Pattern is the round's communication shape (nil defaults to the
-	// pairwise matched-gossip pattern of Algorithm 1).
+	// Pattern is the round's communication shape.
 	Pattern Pattern
 
 	// Planner produces the per-round control message (Algorithm 1/3).
 	Planner Planner
-	// Transport carries the payloads between ranks (nil defaults to an
-	// in-process hub over the node count).
-	Transport Transport
 
 	// Shards is the number of executor goroutines: ranks are partitioned
 	// into Shards contiguous shards, each executed serially by one
@@ -125,26 +121,18 @@ func New(opts Options) *Engine {
 	if len(codecs) != n {
 		panic(fmt.Sprintf("engine: %d codecs for %d nodes", len(codecs), n))
 	}
-	if opts.Planner == nil {
-		panic("engine: nil planner")
-	}
-	pat := opts.Pattern
-	if pat == nil {
-		pat = Pairwise{}
-	}
-	tr := opts.Transport
-	if tr == nil {
-		tr = memtransport.NewHub(n)
+	if opts.Planner == nil || opts.Pattern == nil {
+		panic("engine: nil planner or pattern")
 	}
 	e := &Engine{
 		nodes:   nodes,
 		codecs:  codecs,
-		pattern: pat,
+		pattern: opts.Pattern,
 	}
 	// By value: a heap Driver pointing back at e would put the finalizer's
 	// object in a cycle through another block, and it would never run.
 	e.driver = *NewDriver(opts.Planner, e)
-	e.sharded = newShardRunner(nodes, codecs, pat, tr, opts.Shards)
+	e.sharded = newShardRunner(nodes, codecs, opts.Pattern, memtransport.NewHub(n), opts.Shards)
 	// The executor goroutines deliberately do not reference e, so an
 	// abandoned Engine is collectable; the finalizer then closes their
 	// command channels.
@@ -448,13 +436,9 @@ func (s *shardRunner) runRound(plan core.RoundPlan) (ControlReport, error) {
 // rewrites its chunk buffers while a by-reference receiver could still be
 // reading them. st is the rank's phase scratch, reused round over round; the
 // returned report aliases it and is valid until the next WorkerRound on the
-// same st. pat nil defaults to the pairwise matched-gossip pattern. codecs
-// is the shared per-rank codec table: the node encodes with
+// same st. codecs is the shared per-rank codec table: the node encodes with
 // codecs[ctx.Self] and decodes inbound payloads with the sender's codec.
 func WorkerRound(node Node, pat Pattern, codecs []Codec, tr Transport, st *PhaseState, ctx RoundContext) (NodeReport, error) {
-	if pat == nil {
-		pat = Pairwise{}
-	}
 	st.reset()
 	for p, phases := 0, pat.PhaseCount(ctx.Plan, ctx.N); p < phases; p++ {
 		if err := pat.RunPhase(ctx, p, node, codecs, tr, st); err != nil {

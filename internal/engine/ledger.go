@@ -87,7 +87,7 @@ func (l *CountingLedger) WorkerBytes(i int) (sent, recv int64) {
 // Rounds returns the number of completed rounds.
 func (l *CountingLedger) Rounds() int { return len(l.roundBytes) }
 
-// CaptureState implements LedgerCheckpointer: three sections of words, the
+// CaptureState implements Stateful: three sections of words, the
 // per-rank sent and received totals and the per-round series (the running
 // total is its sum). It must be called at a round boundary; Inner ledgers are
 // not captured — chain checkpointable ledgers and capture each.
@@ -98,7 +98,7 @@ func (l *CountingLedger) CaptureState() ([]byte, error) {
 	return tensor.AppendIntVector(dst, l.roundBytes), nil
 }
 
-// RestoreState implements LedgerCheckpointer. The sent and received totals
+// RestoreState implements Stateful. The sent and received totals
 // must cover the same ranks, and as many as this ledger already tracks unless
 // it tracks none yet; a state that does not fit is refused whole.
 func (l *CountingLedger) RestoreState(data []byte) error {

@@ -121,7 +121,7 @@ func (l *Ledger) MeanWorkerTrafficMB() float64 {
 	return float64(sum) / float64(len(l.sentBytes)) / 1e6
 }
 
-// CaptureState implements engine.LedgerCheckpointer: three sections of
+// CaptureState implements engine.Stateful: three sections of
 // words — the per-worker sent totals, the received totals, then the simulated
 // clock's bits, the server's sent and received bytes and the round count.
 // Per-round scratch is zero at a boundary and is not captured. It must be
@@ -137,7 +137,7 @@ func (l *Ledger) CaptureState() ([]byte, error) {
 // ledgerScalars is the size of the state's last section.
 const ledgerScalars = 4 * 8
 
-// RestoreState implements engine.LedgerCheckpointer: it restores totals into
+// RestoreState implements engine.Stateful: it restores totals into
 // a freshly constructed ledger over the same environment. Every section's
 // length is checked against this ledger before anything is written.
 func (l *Ledger) RestoreState(data []byte) error {

@@ -60,12 +60,31 @@ func (s *Spec) gossipConfig() gossip.Config {
 	return gossip.Config{BThres: s.Gossip.BThres, TThres: s.Gossip.TThres}
 }
 
-// Planner is the coordinator side of the spec's algorithm over bw: the
-// recipe's planner, which for saps is Algorithm 3 under the gossip
-// thresholds. A membership (Membership) is applied on top by whoever runs
-// the rounds.
-func (s *Spec) Planner(bw *netsim.Bandwidth) engine.Planner {
-	return s.Recipe().Planner(bw, s.gossipConfig())
+// Coordinator builds the spec's coordinator side over base, the configured
+// or measured bandwidth matrix: the round-environment clock (bandwidth.jitter
+// and the trace's multipliers) and the planner over the clock's Current
+// under the spec's membership, checked over the spec's rounds. Build and a
+// TCP coordinator both call it; the caller ticks the clock before each round.
+func (s *Spec) Coordinator(base *netsim.Bandwidth) (*netsim.RoundEnv, *algos.RoundPlanner, error) {
+	replay, err := s.replay()
+	if err != nil {
+		return nil, nil, err
+	}
+	if replay != nil && base.N != s.Nodes {
+		return nil, nil, fmt.Errorf("scenario %s: a %d-node bandwidth matrix cannot replay the %d-node trace", s.Name, base.N, s.Nodes)
+	}
+	var mults func(int, []float64) []float64
+	if replay != nil {
+		mults = replay.Multipliers
+	}
+	// Each round: the bandwidth.jitter draw from the spec seed, then the
+	// trace's per-node multipliers.
+	env := netsim.NewRoundEnv(base, s.Bandwidth.Jitter, rng.New(s.Seed).Derive(0xd14a).Uint64(), mults)
+	p, err := algos.NewRoundPlanner(s.Recipe(), env.Current(), s.gossipConfig(), s.membership(replay), s.Rounds)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	return env, p, nil
 }
 
 // Build assembles the spec's algorithm over the sharded engine runtime.
@@ -89,9 +108,9 @@ type built struct {
 	valid *dataset.Dataset // nil without data.valid
 }
 
-// Replay parses the spec's trace block and binds it to the fleet; it is nil
+// replay parses the spec's trace block and binds it to the fleet; it is nil
 // without a trace block.
-func (s *Spec) Replay() (*fleettrace.Replay, error) {
+func (s *Spec) replay() (*fleettrace.Replay, error) {
 	if s.Trace == nil {
 		return nil, nil
 	}
@@ -108,18 +127,6 @@ func (s *Spec) Replay() (*fleettrace.Replay, error) {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return rp, nil
-}
-
-// RoundEnv is the spec's round-environment clock over base: each round's
-// bandwidth.jitter draw from the spec seed, then replay's per-node
-// multipliers (nil: none). The scenario loop builds it over Env(); a TCP
-// coordinator over its configured or measured matrix.
-func (s *Spec) RoundEnv(base *netsim.Bandwidth, replay *fleettrace.Replay) *netsim.RoundEnv {
-	var mults func(int, []float64) []float64
-	if replay != nil {
-		mults = replay.Multipliers
-	}
-	return netsim.NewRoundEnv(base, s.Bandwidth.Jitter, rng.New(s.Seed).Derive(0xd14a).Uint64(), mults)
 }
 
 // partitionShards splits the training set per the partition block (IID when
@@ -219,11 +226,11 @@ func (s *Spec) fleet(runtimeShards int) (algos.FleetConfig, *dataset.Dataset) {
 	}, valid
 }
 
-// Membership is the dynamic-membership stream the spec's blocks describe:
-// the churn model, the fault schedule, and — when the trace block asks for
-// them — the join/leave events of replay, its parsed trace. None of the
-// three is the static fleet.
-func (s *Spec) Membership(replay *fleettrace.Replay) algos.Membership {
+// membership is the dynamic membership the spec's blocks describe: the churn
+// model, the fault schedule, and — when the trace block asks for them — the
+// join/leave events of replay, its parsed trace. None of the three is the
+// static fleet.
+func (s *Spec) membership(replay *fleettrace.Replay) algos.Membership {
 	m := algos.Membership{Churn: s.Churn}
 	if s.Faults != nil {
 		sched := s.Faults.Schedule(s.Nodes, s.Seed)
@@ -245,14 +252,16 @@ func (s *Spec) build(shards int) (*built, error) {
 	// resamples from that base, and the trace multipliers scale the jittered
 	// links (netsim.RoundEnv); the clock's snapshot pointer is what the
 	// algorithm, planner and ledger see. Round 0 is the constructor's.
-	replay, err := s.Replay()
+	env, planner, err := s.Coordinator(s.Env())
 	if err != nil {
 		return nil, err
 	}
-	env := s.RoundEnv(s.Env(), replay)
-	bw := env.Current()
 	if s.PlannerOnly {
-		return &built{alg: s.plannerOnly(bw), env: env}, nil
+		// The coordinator side alone, over a control with no workers: only
+		// the model's parameter count matters (the mask dimension), and MLP
+		// geometry determines it exactly.
+		dim := nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)
+		return &built{alg: algos.NewPlannerOnly(planner, env.Current(), dim, s.Compression), env: env}, nil
 	}
 	if s.Recipe().Async() {
 		return nil, fmt.Errorf("scenario %s: %s has no synchronous rounds to build (RunFull drives the async engine)", s.Name, s.Algo)
@@ -260,24 +269,8 @@ func (s *Spec) build(shards int) (*built, error) {
 	if _, err := s.NewModel(); err != nil {
 		return nil, err
 	}
-	m := s.Membership(replay)
-	// Each source keeps two workers by itself; a trace's events and a fault
-	// schedule together need not.
-	if err := m.Check(s.Nodes, s.Seed, s.Rounds); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
 	fc, valid := s.fleet(s.effectiveShards(shards))
-	alg := algos.New(fc, s.Recipe(), bw, s.gossipConfig(), m)
-	return &built{alg: alg, env: env, valid: valid}, nil
-}
-
-// plannerOnly is the spec's coordinator side alone (planner_only): its
-// planner over a control with no workers. The model is never instantiated;
-// only its parameter count matters for the mask dimension, and MLP geometry
-// determines it exactly.
-func (s *Spec) plannerOnly(bw *netsim.Bandwidth) algos.Algorithm {
-	dim := nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)
-	return algos.NewPlannerOnly(s.Planner(bw), bw, dim, s.Compression)
+	return &built{alg: algos.New(fc, planner), env: env, valid: valid}, nil
 }
 
 // effectiveShards resolves a sweep override against the spec default:

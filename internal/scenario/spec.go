@@ -664,7 +664,7 @@ func (s *Spec) Validate() error {
 	}
 	// The membership sources own their parameter rules (churn probabilities
 	// and floor, crash windows, mortality floor).
-	if _, err := s.Membership(nil).Stream(s.Nodes, s.Seed); err != nil {
+	if err := s.membership(nil).Check(s.Nodes, s.Seed, 0); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if st := s.Straggler; st != nil {

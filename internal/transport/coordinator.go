@@ -21,15 +21,6 @@ import (
 // GossipConfig aliases gossip.Config (Algorithm 3's BThres/TThres knobs).
 type GossipConfig = gossip.Config
 
-// activePlanner is a planner that can re-plan over a dynamic membership —
-// the churn path of Algorithm 3. *core.Coordinator implements it; the
-// coordinator uses it both for the declarative fault schedule and to
-// re-plan a round after detecting an unscheduled worker loss.
-type activePlanner interface {
-	engine.Planner
-	PlanActive(t int, active []bool) core.RoundPlan
-}
-
 // errRoundAborted reports a round attempt cancelled after a worker loss; the
 // round loop re-plans and retries the same round.
 type errRoundAborted struct {
@@ -50,11 +41,12 @@ func (e *errRoundAborted) Error() string {
 // Fault tolerance (DESIGN.md §3): the coordinator detects worker
 // disconnects, aborts the affected round on every survivor (who roll back to
 // their round-boundary snapshots), and re-plans it over the remaining fleet
-// via the churn planner path. With a faults block in the spec it also
-// *injects* the schedule's crashes — killing the scheduled worker processes
-// at the exact round boundaries the in-process engine would exclude them —
-// and re-admits scheduled rejoiners through the Rejoin handshake, so a
-// deployed fleet reproduces the simulated fault scenario bit for bit.
+// through the spec's algos.RoundPlanner, the one the in-process run uses.
+// With a faults block in the spec it also *injects* the schedule's crashes —
+// killing the scheduled worker processes at the exact round boundaries the
+// in-process engine would exclude them — and re-admits scheduled rejoiners
+// through the Rejoin handshake, so a deployed fleet reproduces the simulated
+// fault scenario bit for bit.
 type CoordinatorServer struct {
 	// Spec is the run — algorithm, fleet, task, rounds, environment, and the
 	// faults and trace blocks that script membership and link speeds — as
@@ -96,27 +88,20 @@ type CoordinatorServer struct {
 	ln        net.Listener
 	conns     []*Conn
 	addrs     []string
-	alive     []bool
 	deadSince []int
 	gen       []int // per-rank connection generation (bumped on rejoin)
 	pattern   engine.Pattern
 	total     int
 	params    int // the model's parameter count, which sizes control caps
 
-	base engine.Planner
-	ap   activePlanner
-	// member is the scripted membership — the fault schedule and the
-	// trace's events, the same stream the in-process engine plans over —
-	// and planned its set for schedRound, computed once per round (replans
-	// reuse it; nil = everyone). effectiveActive ANDs in detected liveness.
-	member  *algos.MembershipStream
-	planned []bool
-	// env is the spec's round-environment clock over the configured or
-	// measured matrix: jitter and the trace's bandwidth multipliers.
-	env *netsim.RoundEnv
+	// planner is the spec's coordinator side — the scripted membership (the
+	// fault schedule and the trace's events) ANDed with detected liveness —
+	// and env its round-environment clock over the configured or measured
+	// matrix (jitter and the trace's bandwidth multipliers).
+	planner *algos.RoundPlanner
+	env     *netsim.RoundEnv
 	// fold turns a round's worker reports into the driver's ControlReport.
 	fold       engine.ReportFold
-	schedRound int
 	attempt    int
 	addrsDirty bool
 
@@ -213,17 +198,11 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	if bw.N != spec.Nodes {
 		return nil, fmt.Errorf("transport: a bandwidth environment over %d nodes for scenario %s's %d", bw.N, spec.Name, spec.Nodes)
 	}
-	replay, err := spec.Replay()
-	if err != nil {
-		return nil, err
-	}
-	m := spec.Membership(replay)
 	// The fault schedule and the trace's events together may leave a round
 	// with fewer than two workers, which neither checks alone.
-	if err := m.Check(spec.Nodes, spec.Seed, spec.Rounds); err != nil {
-		return nil, fmt.Errorf("transport: scenario %s: %w", spec.Name, err)
+	if s.env, s.planner, err = spec.Coordinator(bw); err != nil {
+		return nil, err
 	}
-	s.member, _ = m.Stream(spec.Nodes, spec.Seed)
 	if s.RejoinWait <= 0 {
 		s.RejoinWait = 60 * time.Second
 	}
@@ -254,16 +233,12 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 		s.tm.ConnectsTotal.Inc()
 		s.logf("coordinator: worker %d registered at %s", rank, hello.ListenAddr)
 	}
-	s.alive = make([]bool, s.total)
 	s.deadSince = make([]int, s.total)
 	s.gen = make([]int, s.total)
 	s.parked = make([]rejoinReq, s.total)
-	for i := range s.alive {
-		s.alive[i] = true
-	}
 	defer func() {
 		for rank, c := range s.conns {
-			if s.alive[rank] {
+			if s.planner.Live(rank) {
 				c.Close()
 			}
 		}
@@ -281,16 +256,17 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	}
 
 	// Optional measurement phase (direct per-connection reads: the reader
-	// goroutines start afterwards).
+	// goroutines start afterwards). The coordinator side is rebuilt over the
+	// measured matrix: the planner sees the stable *Bandwidth the clock
+	// rewrites in place each boundary, exactly as in process.
 	if s.Measure {
 		measured, err := s.measure(bw)
 		if err != nil {
 			return nil, err
 		}
-		if replay != nil && measured.N != spec.Nodes {
-			return nil, fmt.Errorf("transport: a %d-process measured matrix cannot replay scenario %s's %d-node trace", measured.N, spec.Name, spec.Nodes)
+		if s.env, s.planner, err = spec.Coordinator(measured); err != nil {
+			return nil, err
 		}
-		bw = measured
 	}
 
 	// Readers + rejoin acceptor.
@@ -301,29 +277,22 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 	}
 	go s.acceptRejoins()
 
-	// The spec's clock wraps whatever environment we ended up with
-	// (configured or measured): the planner sees the stable *Bandwidth the
-	// clock rewrites in place each boundary, exactly as in process.
-	s.env = spec.RoundEnv(bw, replay)
-
 	// Round loop (Algorithm 1 lines 3–7), executed by the canonical engine
 	// driver: planning, the worker barrier, and traffic accounting are the
 	// same code the in-memory and simulated backends run. On an aborted
 	// round the driver is re-invoked for the same t: the planner re-plans
 	// over the survivors and no ledger charge happens for the lost attempt.
-	s.base = spec.Planner(s.env.Current())
-	s.ap, _ = s.base.(activePlanner)
 	led := s.Ledger
 	if led == nil {
 		led = &engine.CountingLedger{}
 	}
-	drv := engine.NewDriver(engine.PlannerFunc(s.plan), (*tcpControl)(s))
+	drv := engine.NewDriver(s.planner, (*tcpControl)(s))
 	for t := 0; t < spec.Rounds; t++ {
 		if err := s.beginRound(t); err != nil {
 			return nil, err
 		}
 		for {
-			prevAlive := s.aliveCount()
+			prevAlive := s.planner.LiveCount()
 			stats, err := drv.Round(t, led)
 			if err == nil {
 				if (t+1)%10 == 0 || t == spec.Rounds-1 {
@@ -336,13 +305,13 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 			if !errors.As(err, &ab) {
 				return nil, err
 			}
-			if s.aliveCount() == prevAlive {
+			if s.planner.LiveCount() == prevAlive {
 				// The abort identified no new casualty: retrying would
 				// re-plan the identical round into the identical failure.
 				return nil, fmt.Errorf("transport: round %d failed without a worker loss to exclude: %w", t, ab)
 			}
-			s.logf("coordinator: %v; re-planning over %d survivors", ab, s.aliveCount())
-			if err := s.canContinue(); err != nil {
+			s.logf("coordinator: %v; re-planning over %d survivors", ab, s.planner.LiveCount())
+			if err := s.planner.Ready(); err != nil {
 				return nil, err
 			}
 		}
@@ -450,22 +419,20 @@ func (s *CoordinatorServer) acceptRejoins() {
 	}
 }
 
-// beginRound prepares round t: advance the fault schedule, inject scheduled
+// beginRound prepares round t: advance the membership, inject scheduled
 // crashes, admit (and, for scheduled rejoiners, wait for) returning workers,
 // and reset the attempt counter.
 func (s *CoordinatorServer) beginRound(t int) error {
-	s.schedRound = t
 	s.env.Tick(t)
-	var err error
-	if s.planned, err = s.member.Step(t); err != nil {
+	if err := s.planner.Begin(t); err != nil {
 		return err
 	}
 	// Fault injection: kill workers whose scheduled-death window opens at
 	// this boundary. Only the fault schedule kills; a worker the trace
 	// scripts away stays connected.
-	sched := s.member.Scheduled()
+	sched := s.planner.Scheduled()
 	for rank := range sched {
-		if !sched[rank] && s.alive[rank] {
+		if !sched[rank] && s.planner.Live(rank) {
 			s.logf("coordinator: fault injection: crashing rank %d at round %d", rank, t)
 			s.tm.CrashInjectionsTotal.Inc()
 			if err := s.conns[rank].Send(CrashMsg{Round: t}); err != nil {
@@ -486,7 +453,7 @@ func (s *CoordinatorServer) beginRound(t int) error {
 		break
 	}
 	for rank := range sched {
-		if !sched[rank] || s.alive[rank] {
+		if !sched[rank] || s.planner.Live(rank) {
 			continue
 		}
 		if err := s.awaitRejoin(rank, t); err != nil {
@@ -494,7 +461,7 @@ func (s *CoordinatorServer) beginRound(t int) error {
 		}
 	}
 	s.attempt = 0
-	return s.canContinue()
+	return s.planner.Ready()
 }
 
 // takeRejoin handles one rejoin handshake at boundary t. A worker the fault
@@ -504,7 +471,7 @@ func (s *CoordinatorServer) beginRound(t int) error {
 // until awaitRejoin admits it at the boundary its window closes. Anyone else
 // is admitted or rejected on the spot.
 func (s *CoordinatorServer) takeRejoin(req rejoinReq, t int) {
-	sched := s.member.Scheduled()
+	sched := s.planner.Scheduled()
 	if r := req.msg.Rank; r >= 0 && r < len(sched) && !sched[r] {
 		if old := s.parked[r].conn; old != nil {
 			old.Close() // superseded by a newer incarnation
@@ -524,12 +491,12 @@ func (s *CoordinatorServer) awaitRejoin(rank, t int) error {
 		s.parked[rank] = rejoinReq{}
 		s.admitRejoin(req, t)
 	}
-	if s.alive[rank] {
+	if s.planner.Live(rank) {
 		return nil
 	}
 	s.logf("coordinator: waiting for rank %d to rejoin at round %d", rank, t)
 	deadline := time.After(s.RejoinWait)
-	for !s.alive[rank] {
+	for !s.planner.Live(rank) {
 		select {
 		case req := <-s.rejoinCh:
 			s.takeRejoin(req, t)
@@ -554,7 +521,7 @@ func (s *CoordinatorServer) admitRejoin(req rejoinReq, t int) {
 	case rj.Rank < 0 || rj.Rank >= s.total:
 		reject(fmt.Sprintf("rank %d out of range (fleet has %d ranks)", rj.Rank, s.total))
 		return
-	case s.alive[rj.Rank]:
+	case s.planner.Live(rj.Rank):
 		reject(fmt.Sprintf("rank %d is still alive", rj.Rank))
 		return
 	case rj.NextRound != s.deadSince[rj.Rank]:
@@ -564,7 +531,7 @@ func (s *CoordinatorServer) admitRejoin(req rejoinReq, t int) {
 	}
 	s.conns[rj.Rank] = req.conn
 	s.addrs[rj.Rank] = rj.ListenAddr
-	s.alive[rj.Rank] = true
+	s.planner.Readmit(rj.Rank)
 	s.gen[rj.Rank]++
 	s.addrsDirty = true
 	if err := req.conn.Send(RejoinAck{Round: t, N: s.total, Addrs: append([]string(nil), s.addrs...)}); err != nil {
@@ -581,90 +548,25 @@ func (s *CoordinatorServer) admitRejoin(req rejoinReq, t int) {
 
 // markDead records a lost worker and closes its connection.
 func (s *CoordinatorServer) markDead(rank, round int) {
-	if !s.alive[rank] {
+	if !s.planner.Live(rank) {
 		return
 	}
-	s.alive[rank] = false
+	s.planner.Exclude(rank)
 	s.deadSince[rank] = round
 	s.conns[rank].Close()
-}
-
-func (s *CoordinatorServer) aliveCount() int {
-	n := 0
-	for _, a := range s.alive {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
-// canContinue checks the fleet can still execute rounds after losses: at
-// least two effective participants, and a planner able to re-plan over a
-// partial fleet when anyone is gone.
-func (s *CoordinatorServer) canContinue() error {
-	eff := s.effectiveActive()
-	if eff == nil {
-		return nil
-	}
-	if s.ap == nil {
-		return fmt.Errorf("transport: lost a worker but algorithm %q cannot re-plan over a partial fleet", s.spec.Algo)
-	}
-	n := 0
-	for _, a := range eff {
-		if a {
-			n++
-		}
-	}
-	if n < 2 {
-		return fmt.Errorf("transport: only %d effective workers remain", n)
-	}
-	return nil
-}
-
-// effectiveActive is the round's scripted membership ANDed with detected
-// liveness. nil means "everyone" — the fault-free, trace-free, loss-free
-// fast path that keeps the planner on the same stream as a plain run. (With
-// a fault schedule or membership replay on, the slice is non-nil every round
-// even when the whole fleet is present, matching the in-process membership
-// planner's unconditional PlanActive stream.)
-func (s *CoordinatorServer) effectiveActive() []bool {
-	if s.planned == nil && s.aliveCount() == s.total {
-		return nil
-	}
-	eff := append([]bool(nil), s.alive...)
-	for r, on := range s.planned {
-		eff[r] = eff[r] && on
-	}
-	return eff
-}
-
-// plan implements the driver's planner: the schedule ∧ liveness membership
-// through the churn planner path, or the base planner when everyone is
-// present. Re-invoked on a re-planned round with the same t (the schedule
-// part is cached; only liveness changed).
-func (s *CoordinatorServer) plan(t int) core.RoundPlan {
-	if t != s.schedRound {
-		panic(fmt.Sprintf("transport: plan(%d) outside round %d", t, s.schedRound))
-	}
-	eff := s.effectiveActive()
-	if eff == nil {
-		return s.base.Plan(t)
-	}
-	return s.ap.PlanActive(t, eff)
 }
 
 // collectRank picks the rank holding the global model: the server for hub
 // algorithms (which must have survived), else the lowest surviving trainer.
 func (s *CoordinatorServer) collectRank(rec algos.Recipe) int {
 	if r := rec.ServerRank(); r >= 0 {
-		if s.alive[r] {
+		if s.planner.Live(r) {
 			return r
 		}
 		return -1
 	}
 	for r := 0; r < s.total; r++ {
-		if s.alive[r] {
+		if s.planner.Live(r) {
 			return r
 		}
 	}
@@ -703,7 +605,7 @@ func (s *tcpControl) RunRound(plan core.RoundPlan) (engine.ControlReport, error)
 	// Broadcast to every living worker (inactive ones stay silent but need
 	// the round marker, address updates, and a potential later Abort).
 	for rank := 0; rank < s.total; rank++ {
-		if !s.alive[rank] {
+		if !s.planner.Live(rank) {
 			continue
 		}
 		peer := -1
@@ -724,14 +626,14 @@ func (s *tcpControl) RunRound(plan core.RoundPlan) (engine.ControlReport, error)
 	seen := make([]bool, s.total)
 	expected := 0
 	for rank := 0; rank < s.total; rank++ {
-		if s.alive[rank] && planActive(plan, rank) {
+		if s.planner.Live(rank) && planActive(plan, rank) {
 			expected++
 		}
 	}
 	got := 0
 	for got < expected {
 		cm := <-s.inbox
-		if cm.gen != s.gen[cm.rank] || !s.alive[cm.rank] {
+		if cm.gen != s.gen[cm.rank] || !s.planner.Live(cm.rank) {
 			continue // stale message from a previous incarnation
 		}
 		if cm.err != nil {
@@ -762,7 +664,7 @@ func (s *tcpControl) RunRound(plan core.RoundPlan) (engine.ControlReport, error)
 				continue // stale failure from an aborted attempt
 			}
 			dead := m.Peer
-			if dead >= 0 && dead < s.total && s.alive[dead] {
+			if dead >= 0 && dead < s.total && s.planner.Live(dead) {
 				(*CoordinatorServer)(s).markDead(dead, t)
 			}
 			return engine.ControlReport{}, s.abort(plan, dead, fmt.Errorf("rank %d reported: %s", m.Rank, m.Reason))
@@ -784,7 +686,7 @@ func (s *tcpControl) abort(plan core.RoundPlan, lostRank int, cause error) error
 	s.tm.AbortsTotal.Inc()
 	pending := map[int]bool{}
 	for rank := 0; rank < s.total; rank++ {
-		if !s.alive[rank] {
+		if !s.planner.Live(rank) {
 			continue
 		}
 		if err := s.conns[rank].Send(Abort{Round: t}); err != nil {
@@ -835,7 +737,7 @@ func (s *CoordinatorServer) collect(rank int) ([]float64, error) {
 		break
 	}
 	for rank := 0; rank < s.total; rank++ {
-		if !s.alive[rank] {
+		if !s.planner.Live(rank) {
 			continue
 		}
 		if err := s.conns[rank].Send(Done{}); err != nil {

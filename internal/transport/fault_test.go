@@ -44,7 +44,7 @@ func TestKillAndRejoinBitIdentical(t *testing.T) {
 // boundary at which a rank alive the round before is scheduled dead.
 func scheduledKills(t *testing.T, spec *scenario.Spec) int {
 	t.Helper()
-	stream, err := spec.Membership(nil).Stream(spec.Nodes, spec.Seed)
+	_, planner, err := spec.Coordinator(spec.Env())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func scheduledKills(t *testing.T, spec *scenario.Spec) int {
 		alive[r] = true
 	}
 	for round := 0; round < spec.Rounds; round++ {
-		if _, err := stream.Step(round); err != nil {
+		if err := planner.Begin(round); err != nil {
 			t.Fatal(err)
 		}
-		for r, on := range stream.Scheduled() {
+		for r, on := range planner.Scheduled() {
 			if alive[r] && !on {
 				kills++
 			}

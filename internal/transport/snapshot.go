@@ -54,7 +54,12 @@ func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 		return fmt.Errorf("transport: snapshot temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(frame); err != nil {
+	// Synced before the rename: a crash must leave the old snapshot or the
+	// whole new one under path, never a name over unwritten blocks.
+	if _, err := tmp.Write(frame); err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("transport: write snapshot: %w", err)
 	}

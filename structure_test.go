@@ -645,3 +645,110 @@ func TestOneEncoding(t *testing.T) {
 		t.Error("no Go file found: the guard would check nothing")
 	}
 }
+
+// TestOneCoordinatorSide: who is planned in round t is decided by one type,
+// algos.RoundPlanner, in process and over TCP alike (DESIGN.md §3) — it steps
+// the membership, ANDs in liveness and runs Algorithm 3 over the result. So
+// no product file under cmd/ or internal/ outside internal/algos calls
+// PlanActive (internal/core, which defines it, excepted: its Plan is
+// PlanActive over everyone) or declares an interface method by that name,
+// names algos.MembershipStream, or builds one with a two-argument .Stream(
+// call (Membership.Stream(n, seed)) it could Step.
+func TestOneCoordinatorSide(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	for _, dir := range []string{"cmd", "internal"} {
+		for _, f := range productFiles(t, fset, dir) {
+			file := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+			if strings.HasPrefix(file, "internal/algos/") {
+				continue
+			}
+			checked++
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch v := n.(type) {
+				case *ast.SelectorExpr:
+					switch {
+					case v.Sel.Name == "PlanActive" && !strings.HasPrefix(file, "internal/core/"):
+						t.Errorf("%s: PlanActive outside internal/algos — plan through algos.RoundPlanner", fset.Position(v.Pos()))
+					case v.Sel.Name == "MembershipStream":
+						t.Errorf("%s: algos.MembershipStream outside internal/algos — algos.RoundPlanner steps the membership", fset.Position(v.Pos()))
+					}
+				case *ast.CallExpr:
+					if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Stream" && len(v.Args) == 2 {
+						t.Errorf("%s: a membership stream built outside internal/algos — algos.RoundPlanner steps the membership", fset.Position(v.Pos()))
+					}
+				case *ast.InterfaceType:
+					for _, m := range v.Methods.List {
+						for _, name := range m.Names {
+							if name.Name == "PlanActive" {
+								t.Errorf("%s: an interface with PlanActive outside internal/algos — plan through algos.RoundPlanner", fset.Position(name.Pos()))
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if checked == 0 {
+		t.Error("no product file checked: the guard would check nothing")
+	}
+}
+
+// panicPins is the number of panic calls in each product package under cmd/
+// and internal/ (a package absent here has none). A panic is for a
+// programming error the code cannot reach from a spec, a frame or a flag;
+// anything else returns an error (ROADMAP aim 3).
+var panicPins = map[string]int{
+	"internal/algos":               15,
+	"internal/campaign":            1,
+	"internal/compress":            5,
+	"internal/core":                5,
+	"internal/dataset":             9,
+	"internal/engine":              8,
+	"internal/engine/memtransport": 1,
+	"internal/gossip":              2,
+	"internal/graph":               4,
+	"internal/netsim":              14,
+	"internal/nn":                  19,
+	"internal/obs":                 3,
+	"internal/rng":                 2,
+	"internal/scenario":            3,
+	"internal/tensor":              13,
+}
+
+// TestPanicSitesPinned: the panic calls per product package only go down. A
+// new one fails here — return an error instead; a removed one fails too,
+// until its pin above is lowered to the new count.
+func TestPanicSitesPinned(t *testing.T) {
+	fset := token.NewFileSet()
+	counts := map[string]int{}
+	for _, dir := range []string{"cmd", "internal"} {
+		for _, f := range productFiles(t, fset, dir) {
+			pkg := filepath.ToSlash(filepath.Dir(fset.Position(f.Pos()).Filename))
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+						counts[pkg]++
+					}
+				}
+				return true
+			})
+		}
+	}
+	total := 0
+	for pkg, n := range counts {
+		total += n
+		if pin := panicPins[pkg]; n > pin {
+			t.Errorf("%s: %d panic calls, pinned at %d — return an error instead of panicking", pkg, n, pin)
+		}
+	}
+	for pkg, pin := range panicPins {
+		if n := counts[pkg]; n < pin {
+			t.Errorf("%s: %d panic calls, pinned at %d — lower its panicPins entry to %d", pkg, n, pin, n)
+		}
+	}
+	if total == 0 {
+		t.Error("no panic call found: the guard would check nothing")
+	}
+}
