@@ -47,12 +47,7 @@ func sapsConfig(n int) core.Config {
 // cfg's ratio, local steps and thresholds over the membership m. It panics
 // on an invalid membership.
 func newSAPSFamily(algo string, fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config, m Membership) *InProc {
-	r := Recipe{Algo: algo, Workers: fc.N, LR: fc.LR, Batch: fc.Batch, Seed: fc.Seed, Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}
-	p, err := NewRoundPlanner(r, bw, cfg.Gossip, m, 0)
-	if err != nil {
-		panic(err)
-	}
-	return New(fc, p)
+	return newOver(fc, Recipe{Algo: algo, Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}, bw, cfg.Gossip, m)
 }
 
 func meanAcc(t *testing.T, alg Algorithm, va *dataset.Dataset) float64 {

@@ -17,7 +17,7 @@ import (
 // complete all-gather. Both directions of every transfer are charged with
 // measured codec bytes.
 func NewPSGD(fc FleetConfig) Algorithm {
-	return newStatic(fc, Recipe{Algo: "psgd"}, nil, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "psgd"}, nil, gossip.Config{}, Membership{})
 }
 
 // NewTopKPSGD is PSGD with Top-k gradient sparsification and error feedback
@@ -28,7 +28,7 @@ func NewPSGD(fc FleetConfig) Algorithm {
 // (explicit 32-bit indices: 8 wire bytes per surviving value); every worker
 // applies the average of the *decoded* gradients, its own included.
 func NewTopKPSGD(fc FleetConfig, c float64) Algorithm {
-	return newStatic(fc, Recipe{Algo: "topk-psgd", C: c}, nil, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "topk-psgd", C: c}, nil, gossip.Config{}, Membership{})
 }
 
 // NewQSGDPSGD is an extension baseline (the paper's related work positions
@@ -40,7 +40,7 @@ func NewTopKPSGD(fc FleetConfig, c float64) Algorithm {
 // the gap. Composed as AllGather pattern + QSGD codec (4-byte norm +
 // bit-packed level codes, charged at the exact packed size).
 func NewQSGDPSGD(fc FleetConfig, levels int) Algorithm {
-	return newStatic(fc, Recipe{Algo: "qsgd-psgd", Levels: levels}, nil, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "qsgd-psgd", Levels: levels}, nil, gossip.Config{}, Membership{})
 }
 
 // NewDPSGD is decentralized parallel SGD (Lian et al.) on the static ring
@@ -50,7 +50,7 @@ func NewQSGDPSGD(fc FleetConfig, levels int) Algorithm {
 // Dense codec: every worker ships its dense model to both neighbors each
 // round, and both directions are charged with measured bytes.
 func NewDPSGD(fc FleetConfig) Algorithm {
-	return newStatic(fc, Recipe{Algo: "d-psgd"}, nil, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "d-psgd"}, nil, gossip.Config{}, Membership{})
 }
 
 // NewDCDPSGD is difference-compressed decentralized SGD (Tang et al.) on the
@@ -63,7 +63,7 @@ func NewDPSGD(fc FleetConfig) Algorithm {
 // replica, keeping all copies of x̂ identical) + TopK codec without error
 // feedback.
 func NewDCDPSGD(fc FleetConfig, c float64) Algorithm {
-	return newStatic(fc, Recipe{Algo: "dcd-psgd", C: c}, nil, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "dcd-psgd", C: c}, nil, gossip.Config{}, Membership{})
 }
 
 // NewPSPSGD is the classical parameter-server PSGD of Table I's first row:
@@ -75,7 +75,7 @@ func NewDCDPSGD(fc FleetConfig, c float64) Algorithm {
 // + Dense codecs both directions; netsim charges land on the server links
 // via ServerTransfer, exactly as the paper models the centralized baselines.
 func NewPSPSGD(fc FleetConfig, bw *netsim.Bandwidth) Algorithm {
-	return newStatic(fc, Recipe{Algo: "ps-psgd"}, bw, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "ps-psgd"}, bw, gossip.Config{}, Membership{})
 }
 
 // NewFedAvg is the centralized federated averaging baseline (McMahan et
@@ -85,7 +85,7 @@ func NewPSPSGD(fc FleetConfig, bw *netsim.Bandwidth) Algorithm {
 // push; the per-round chosen set is the plan's active set, drawn by the
 // fraction planner) + Dense codecs.
 func NewFedAvg(fc FleetConfig, bw *netsim.Bandwidth, fraction float64, localSteps int) Algorithm {
-	return newStatic(fc, Recipe{Algo: "fedavg", Fraction: fraction, LocalSteps: localSteps}, bw, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "fedavg", Fraction: fraction, LocalSteps: localSteps}, bw, gossip.Config{}, Membership{})
 }
 
 // NewSFedAvg is FedAvg with sparse random structured uploads (Konečný et
@@ -96,5 +96,5 @@ func NewFedAvg(fc FleetConfig, bw *netsim.Bandwidth, fraction float64, localStep
 // received coordinate is averaged over the workers that actually reported
 // it.
 func NewSFedAvg(fc FleetConfig, bw *netsim.Bandwidth, fraction float64, localSteps int, c float64) Algorithm {
-	return newStatic(fc, Recipe{Algo: "s-fedavg", Fraction: fraction, LocalSteps: localSteps, C: c}, bw, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "s-fedavg", Fraction: fraction, LocalSteps: localSteps, C: c}, bw, gossip.Config{}, Membership{})
 }

@@ -113,16 +113,14 @@ type InProc struct {
 }
 
 // New assembles a synchronous recipe's in-process fleet under p, the run's
-// coordinator side — the package's one engine.New site. The recipe and its
-// environment are p's; its fleet-shaped fields (Workers, LR, Batch, Seed)
-// must be fc's. A hub server sits at each worker's best link (the paper's
-// "choosing the server that has the maximum bandwidth"), takes its model
-// from the shared factory, and worker 0's model is the evaluation mirror.
+// coordinator side — the package's one engine.New site. p's recipe fixes the
+// fleet's size, LR, batch and seed; fc gives the factory and shards. A hub
+// server sits at each worker's best link (the paper's "choosing the server
+// that has the maximum bandwidth"), takes its model from the shared factory,
+// and worker 0's model is the evaluation mirror.
 func New(fc FleetConfig, p *RoundPlanner) *InProc {
 	r, bw := p.recipe, p.bw
-	if r.Workers != fc.N || r.LR != fc.LR || r.Batch != fc.Batch || r.Seed != fc.Seed {
-		panic(fmt.Sprintf("algos: a %s planner for %d workers under a fleet of %d (or another lr, batch or seed)", r.Algo, r.Workers, fc.N))
-	}
+	fc.N, fc.LR, fc.Batch, fc.Seed = r.Workers, r.LR, r.Batch, r.Seed
 	f := NewFleet(fc)
 	total := r.Nodes()
 	nodes := make([]engine.Node, total)
@@ -155,11 +153,16 @@ func New(fc FleetConfig, p *RoundPlanner) *InProc {
 	return a
 }
 
-// newStatic is New over a static fleet with r's fleet-shaped fields taken
-// from fc. It panics on an invalid recipe.
-func newStatic(fc FleetConfig, r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config) *InProc {
+// recipe is r with fc's Workers, LR, Batch and Seed.
+func (fc FleetConfig) recipe(r Recipe) Recipe {
 	r.Workers, r.LR, r.Batch, r.Seed = fc.N, fc.LR, fc.Batch, fc.Seed
-	p, err := NewRoundPlanner(r, bw, gcfg, Membership{}, 0)
+	return r
+}
+
+// newOver is New for fc.recipe(r) under the membership m. It panics on an
+// invalid recipe or membership.
+func newOver(fc FleetConfig, r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config, m Membership) *InProc {
+	p, err := NewRoundPlanner(fc.recipe(r), bw, gcfg, m, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -2,6 +2,7 @@ package algos
 
 import (
 	"fmt"
+	"slices"
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
@@ -166,10 +167,7 @@ func NewRoundPlanner(r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config, m Membe
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	p := &RoundPlanner{recipe: r, bw: bw, round: -1, live: make([]bool, r.Nodes())}
-	for i := range p.live {
-		p.live[i] = true
-	}
+	p := &RoundPlanner{recipe: r, bw: bw, round: -1, live: slices.Repeat([]bool{true}, r.Nodes())}
 	if !r.Adaptive() {
 		p.base = r.Planner(bw, gcfg)
 		return p, nil

@@ -25,7 +25,7 @@ func plannerFixture(t *testing.T) (FleetConfig, *RoundPlanner, func() *RoundPlan
 	fc, bw, _ := testSetup(t, n)
 	cfg := sapsConfig(n)
 	m := plannerMembership()
-	r := Recipe{Algo: "saps", Workers: n, LR: fc.LR, Batch: fc.Batch, Seed: fc.Seed, Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}
+	r := fc.recipe(Recipe{Algo: "saps", Compression: cfg.Compression, LocalSteps: cfg.LocalSteps})
 	build := func() *RoundPlanner {
 		p, err := NewRoundPlanner(r, bw, cfg.Gossip, m, rounds)
 		if err != nil {
@@ -124,7 +124,7 @@ func TestRoundPlannerReplansWithoutRestepping(t *testing.T) {
 func TestRoundPlannerRefusals(t *testing.T) {
 	fc, _, _ := testSetup(t, 3)
 	recipe := func(algo string) Recipe {
-		return Recipe{Algo: algo, Workers: fc.N, LR: fc.LR, Batch: fc.Batch, Seed: fc.Seed, Compression: 4}
+		return fc.recipe(Recipe{Algo: algo, Compression: 4})
 	}
 	psgd, err := NewRoundPlanner(recipe("psgd"), nil, sapsConfig(3).Gossip, Membership{}, 4)
 	if err != nil {

@@ -24,7 +24,7 @@ import (
 // Algorithm 3's thresholds; the fleet-shaped fields come from fc, as New has
 // them.
 func NewSAPS(fc FleetConfig, bw *netsim.Bandwidth, cfg core.Config) *InProc {
-	return newStatic(fc, Recipe{Algo: "saps", Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}, bw, cfg.Gossip)
+	return newOver(fc, Recipe{Algo: "saps", Compression: cfg.Compression, LocalSteps: cfg.LocalSteps}, bw, cfg.Gossip, Membership{})
 }
 
 // randomPlanner draws a uniformly random maximum matching and a fresh mask

@@ -109,7 +109,7 @@ func (tp topo) adj() [][]int {
 // recipe's node/codec composition, with tp's adjacency driving the
 // Neighborhood pattern.
 func dpsgdOn(fc FleetConfig, tp topo) Algorithm {
-	return newStatic(fc, Recipe{Algo: "d-psgd", mix: &mixGraph{name: "D-PSGD(" + tp.name + ")", adj: tp.adj()}}, nil, gossip.Config{})
+	return newOver(fc, Recipe{Algo: "d-psgd", mix: &mixGraph{name: "D-PSGD(" + tp.name + ")", adj: tp.adj()}}, nil, gossip.Config{}, Membership{})
 }
 
 // TestDCDTorusRunToRunBitIdentical: DCD-PSGD's gossip is a float sum over the
@@ -120,7 +120,7 @@ func TestDCDTorusRunToRunBitIdentical(t *testing.T) {
 	const n, rounds = 9, 12
 	run := func() [][]float64 {
 		fc, bw, va := testSetup(t, n)
-		alg := newStatic(fc, Recipe{Algo: "dcd-psgd", C: 4, mix: &mixGraph{name: "DCD-PSGD(torus)", adj: torus(3, 3).adj()}}, nil, gossip.Config{})
+		alg := newOver(fc, Recipe{Algo: "dcd-psgd", C: 4, mix: &mixGraph{name: "DCD-PSGD(torus)", adj: torus(3, 3).adj()}}, nil, gossip.Config{}, Membership{})
 		runRounds(t, alg, bw, va, rounds)
 		var params [][]float64
 		for _, m := range alg.Models() {

@@ -56,7 +56,7 @@ func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 	defer os.Remove(tmp.Name())
 	// Synced before the rename: a crash must leave the old snapshot or the
 	// whole new one under path, never a name over unwritten blocks.
-	if _, err := tmp.Write(frame); err == nil {
+	if _, err = tmp.Write(frame); err == nil {
 		err = tmp.Sync()
 	}
 	if err != nil {

@@ -700,7 +700,7 @@ func TestOneCoordinatorSide(t *testing.T) {
 // programming error the code cannot reach from a spec, a frame or a flag;
 // anything else returns an error (ROADMAP aim 3).
 var panicPins = map[string]int{
-	"internal/algos":               15,
+	"internal/algos":               14,
 	"internal/campaign":            1,
 	"internal/compress":            5,
 	"internal/core":                5,
