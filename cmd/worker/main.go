@@ -5,12 +5,13 @@
 //
 // Fault tolerance: with -snapshot set the worker persists its committed
 // round-boundary state (model, optimizer momentum, data-stream cursors,
-// codec residuals) after every round. If the process is killed — by the
-// coordinator's fault schedule or for real — restart it with the same
-// -snapshot path plus -resume and it rejoins the training from the
-// snapshot, continuing the fleet's trajectory bit-identically to a run
-// where it had merely been excluded from the missed rounds. A fault-injected
-// kill exits with status 3 so supervisors can distinguish it from errors.
+// codec residuals) at every round boundary, rounds it sits out included.
+// If the process is killed — by the coordinator's fault schedule or for
+// real — restart it with the same -snapshot path plus -resume and it
+// rejoins the training from the snapshot, continuing the fleet's trajectory
+// bit-identically to a run where it had merely been excluded from the
+// missed rounds. A fault-injected kill exits with status 3 so supervisors
+// can distinguish it from errors.
 package main
 
 import (

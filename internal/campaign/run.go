@@ -333,7 +333,8 @@ func runCell(c *Spec, cell Cell, outDir string) (res *CellResult, err error) {
 
 // writeCell runs the cell's scenario and writes its artifacts into dir. A
 // traced cell's trace streams round by round into dir, so a traced large-N
-// cell holds one round of pairs, not the run's.
+// cell holds one round of pairs, not the run's. Every artifact is synced
+// before runCell renames dir into place and the journal records the cell.
 func writeCell(c *Spec, cell Cell, dir string) (*CellResult, error) {
 	var opts scenario.RunOptions
 	var traceCSV *os.File
@@ -350,7 +351,7 @@ func writeCell(c *Spec, cell Cell, dir string) (*CellResult, error) {
 	}
 	out, err := cell.Spec.RunFull(opts)
 	if err == nil && traceCSV != nil {
-		err = errors.Join(opts.Recorder.Err(), traceCSV.Close())
+		err = errors.Join(opts.Recorder.Err(), traceCSV.Sync(), traceCSV.Close())
 	}
 	if err != nil {
 		return nil, err
@@ -385,7 +386,7 @@ func writeCell(c *Spec, cell Cell, dir string) (*CellResult, error) {
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err == nil {
-		err = os.WriteFile(filepath.Join(dir, cellRecord), append(data, '\n'), 0o644)
+		err = writeFileAtomic(filepath.Join(dir, cellRecord), append(data, '\n'))
 	}
 	if err == nil && cell.Spec.Async != nil {
 		err = writeAsyncArtifacts(dir, out)
@@ -408,7 +409,7 @@ func writeAsyncArtifacts(dir string, out *scenario.RunOutput) error {
 		model = tensor.AppendWords(model, params)
 	}
 	return errors.Join(
-		os.WriteFile(filepath.Join(dir, cellEvents), out.Events.Bytes(), 0o644),
-		os.WriteFile(filepath.Join(dir, cellEventsCSV), csv.Bytes(), 0o644),
-		os.WriteFile(filepath.Join(dir, cellModel), model, 0o644))
+		writeFileAtomic(filepath.Join(dir, cellEvents), out.Events.Bytes()),
+		writeFileAtomic(filepath.Join(dir, cellEventsCSV), csv.Bytes()),
+		writeFileAtomic(filepath.Join(dir, cellModel), model))
 }

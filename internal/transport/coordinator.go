@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"time"
@@ -741,7 +740,7 @@ func (s *CoordinatorServer) collect(rank int) ([]float64, error) {
 			continue
 		}
 		if err := s.conns[rank].Send(Done{}); err != nil {
-			log.Printf("transport: done to %d: %v", rank, err)
+			s.logf("coordinator: done to %d: %v", rank, err)
 		}
 	}
 	params, err := tensor.Words(final.Params)

@@ -127,7 +127,10 @@ func TestEarlyRejoinerHeldOutUntilWindowCloses(t *testing.T) {
 // The run must complete all rounds with the surviving workers — and, the
 // coordinator's driver being the engine's, end with engine_rounds_total at the
 // committed rounds and engine_wire_bytes_total at the ledger's traffic, the
-// aborted attempt counted in neither.
+// aborted attempt counted in neither. Every worker keeps a snapshot: a
+// survivor's holds the state after the last round, and the killed worker's
+// the boundary the coordinator recorded its death at, committed before the
+// worker died.
 func TestUnscheduledCrashReplans(t *testing.T) {
 	const n, rounds, dieAt = 4, 6, 3
 	metrics := obs.New()
@@ -141,13 +144,16 @@ func TestUnscheduledCrashReplans(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	dir := t.TempDir()
+	paths := make([]string, n)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("worker-%d.snap", i))
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			wc := &WorkerClient{}
+			wc := &WorkerClient{SnapshotPath: paths[i]}
 			if i == 0 {
 				// This client (whatever rank it registers as) tears down
 				// abruptly upon receiving the round-3 control message.
@@ -182,6 +188,22 @@ func TestUnscheduledCrashReplans(t *testing.T) {
 	}
 	if got, want := em.WireBytesTotal.Value(), 2*led.TotalBytes(); got != want || want == 0 {
 		t.Errorf("engine_wire_bytes_total %d, want every payload at both its ends: %d", got, want)
+	}
+	for i, path := range paths {
+		snap, err := LoadWorkerSnapshot(path)
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+		want := rounds
+		if i == 0 {
+			want = srv.deadSince[snap.Rank]
+			if want != dieAt {
+				t.Errorf("the coordinator recorded the killed rank dead at round %d, want %d", want, dieAt)
+			}
+		}
+		if snap.NextRound != want {
+			t.Errorf("worker %d (rank %d): snapshot resumes at round %d, want %d", i, snap.Rank, snap.NextRound, want)
+		}
 	}
 }
 

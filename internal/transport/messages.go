@@ -186,7 +186,7 @@ type (
 	}
 	// CrashMsg is the coordinator's fault-injection kill: the scenario's
 	// fault schedule says this worker crashes at this round boundary. The
-	// worker flushes its committed snapshot and tears down exactly as a
+	// worker commits the boundary's state and tears down exactly as a
 	// killed process would; WorkerClient.Run returns ErrCrashed.
 	CrashMsg struct {
 		Round int

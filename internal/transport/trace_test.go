@@ -7,6 +7,7 @@
 package transport
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,20 +21,29 @@ import (
 // trace determinism property: real worker processes over TCP run the
 // committed saps-trace-noniid spec — the edge trace's multipliers rescaling
 // the environment every boundary and its battery nodes leaving and
-// rejoining, over a Dirichlet label skew — with a scheduled kill+rejoin of
-// rank 1 on top, and must produce the in-process run's final model and
-// per-round ledger.
+// rejoining, over a Dirichlet label skew — with a scheduled kill+rejoin on
+// top, and must produce the in-process run's final model and per-round
+// ledger. Rank 6's kill comes right after the trace has had it away for
+// rounds 10–17: its snapshot must hold the boundary it was killed at although
+// it trained in none of the rounds before, or its rejoin is refused as stale.
 func TestTraceReplayBitIdenticalSimVsTCP(t *testing.T) {
-	spec, err := scenario.Load("../scenario/testdata/saps-trace-noniid.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Faults = &scenario.FaultsSpec{Crashes: []scenario.CrashSpec{{Rank: 1, Round: 3, RejoinAfter: 2}}}
-	wantParams, wantBytes := inProcess(t, spec, 0, nil)
-	got := runFleet(t, &CoordinatorServer{Spec: spec, RejoinWait: 30 * time.Second, Logf: t.Logf})
-	sameRun(t, got, wantParams, wantBytes)
-	if total := sum(got.kills); total != 1 {
-		t.Fatalf("%d kills, want the schedule's 1", total)
+	for _, crash := range []scenario.CrashSpec{
+		{Rank: 1, Round: 3, RejoinAfter: 2},
+		{Rank: 6, Round: 18, RejoinAfter: 2},
+	} {
+		t.Run(fmt.Sprintf("rank%d-round%d", crash.Rank, crash.Round), func(t *testing.T) {
+			spec, err := scenario.Load("../scenario/testdata/saps-trace-noniid.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Faults = &scenario.FaultsSpec{Crashes: []scenario.CrashSpec{crash}}
+			wantParams, wantBytes := inProcess(t, spec, 0, nil)
+			got := runFleet(t, &CoordinatorServer{Spec: spec, RejoinWait: 30 * time.Second, Logf: t.Logf})
+			sameRun(t, got, wantParams, wantBytes)
+			if total := sum(got.kills); total != 1 {
+				t.Fatalf("%d kills, want the schedule's 1", total)
+			}
+		})
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 
 // ErrCrashed is returned by WorkerClient.Run when the coordinator's fault
 // schedule kills this worker: the process tore down abruptly (as a real
-// crash would) after flushing its last committed snapshot. Restart the
-// worker with Resume set (cmd/worker -resume) to rejoin the training.
+// crash would) after writing the snapshot of the boundary it was killed at.
+// Restart the worker with Resume set (cmd/worker -resume) to rejoin the
+// training.
 var ErrCrashed = errors.New("transport: worker crashed by fault injection (restart with -resume to rejoin)")
 
 // WorkerClient runs one engine node over TCP: it registers with the
@@ -29,18 +30,21 @@ var ErrCrashed = errors.New("transport: worker crashed by fault injection (resta
 // as one-way frames over direct worker-to-worker connections. For hub algorithms the
 // last rank hosts the parameter server instead of training.
 //
-// Fault tolerance (DESIGN.md §3): with SnapshotPath set the worker persists
-// a versioned snapshot of its committed round-boundary state, and a process
-// restarted with Resume rejoins the training from it, bit-identically to a
-// worker that had simply been excluded from the missed rounds. During a
-// round the worker concurrently watches the coordinator channel for Abort
-// (another worker died mid-round): it cancels the attempt, rolls back to the
-// round-boundary state, and re-executes the coordinator's re-planned round.
+// Fault tolerance (DESIGN.md §3): a RoundMsg for round t proves every
+// earlier round committed, so the state it finds is the rank's committed
+// round-boundary state, kept once per round whether or not the rank is
+// chosen. It is what an Abort rolls back to (another worker died mid-round:
+// the worker cancels any attempt in flight, restores it, and re-executes the
+// coordinator's re-planned round), and with SnapshotPath set it is also the
+// versioned snapshot on disk, from which a process restarted with Resume
+// rejoins the training bit-identically to a worker that had simply been
+// excluded from the missed rounds.
 type WorkerClient struct {
 	// Logf receives progress lines; nil silences logging.
 	Logf func(format string, args ...any)
-	// SnapshotPath, when non-empty, persists the worker's state after every
-	// committed round (atomic rename), enabling Resume after a crash.
+	// SnapshotPath, when non-empty, persists the worker's state at every
+	// round boundary, rounds it sits out included (atomic rename), enabling
+	// Resume after a crash.
 	SnapshotPath string
 	// Resume rejoins an in-flight training from SnapshotPath instead of
 	// registering fresh: the worker reloads its rank, spec, and state from
@@ -83,18 +87,14 @@ type WorkerClient struct {
 	// out.
 	aborting atomic.Bool
 
-	// boundary is the in-memory round-boundary state captured before the
-	// current round's compute, restored on abort; boundaryRound tags it.
-	boundary      engine.RankSnapshot
-	boundaryRound int
-	// pendingSnap is the snapshot produced by the last successful round,
-	// held back until the round commits (the coordinator moves on) so a
-	// rolled-back attempt can never reach disk.
-	pendingSnap *WorkerSnapshot
+	// snap is the last committed round-boundary state, valid from round
+	// snap.NextRound: the one rollback target, and the file at SnapshotPath.
+	snap *WorkerSnapshot
 
 	// dieAtRound, when non-nil, makes the worker tear down abruptly upon
-	// receiving the RoundMsg for that round — the unscheduled-crash test
-	// hook (the coordinator is NOT told, exercising the detection path).
+	// receiving the RoundMsg for that round, after committing the state it
+	// finds — the unscheduled-crash test hook (the coordinator is NOT told,
+	// exercising the detection path).
 	dieAtRound *int
 }
 
@@ -106,6 +106,7 @@ type recvResult struct {
 
 // roundResult is the outcome of one round attempt run by the round goroutine.
 type roundResult struct {
+	m   RoundMsg
 	rep engine.NodeReport
 	err error
 }
@@ -171,7 +172,7 @@ func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 	defer w.servePeers()()
 
 	// A dedicated reader owns the coordinator's receive side, so the main
-	// loop can watch for Abort while a round is in flight.
+	// loop can take an Abort while a round attempt is in flight.
 	msgs := make(chan recvResult, 8)
 	go func() {
 		for {
@@ -183,10 +184,23 @@ func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 		}
 	}()
 
+	var running <-chan roundResult // the attempt in flight, if any
 	for {
-		in := <-msgs
+		var in recvResult
+		select {
+		case res := <-running:
+			running = nil
+			if err := w.report(res); err != nil {
+				return nil, err
+			}
+			continue
+		case in = <-msgs:
+		}
 		if in.err != nil {
 			return nil, fmt.Errorf("transport: worker %d: %w", w.rank, in.err)
+		}
+		if _, ok := in.msg.(Abort); running != nil && !ok {
+			return nil, fmt.Errorf("transport: worker %d: unexpected %T during round %d", w.rank, in.msg, w.snap.NextRound)
 		}
 		switch m := in.msg.(type) {
 		case MeasureRequest:
@@ -195,29 +209,47 @@ func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 				return nil, err
 			}
 		case RoundMsg:
-			if err := w.handleRound(m, msgs); err != nil {
+			if running, err = w.startRound(m); err != nil {
 				return nil, err
 			}
 		case Abort:
-			// The round already ended locally (RoundEnd sent, or this
-			// worker sat the round out); roll back and acknowledge.
-			if err := w.handleBoundaryAbort(m); err != nil {
+			// The one rollback: cancel the attempt in flight (Send and Recv
+			// bail out), then restore the state the round found. A rank the
+			// coordinator aborted before its RoundMsg went out has nothing
+			// to undo.
+			if running != nil {
+				w.aborting.Store(true)
+				w.inbox.wake()
+				<-running
+				running = nil
+			}
+			if w.snap.NextRound == m.Round {
+				if err := engine.RestoreRank(w.node, w.codecs[w.rank], w.snap.State); err != nil {
+					return nil, fmt.Errorf("transport: worker %d rollback: %w", w.rank, err)
+				}
+			}
+			if err := w.coord.Send(AbortAck{Rank: w.rank, Round: m.Round}); err != nil {
 				return nil, err
 			}
 		case CrashMsg:
-			w.flushSnapshot()
+			if err := w.commit(m.Round); err != nil {
+				return nil, err
+			}
 			w.logf("worker %d: fault injection: crashing at round %d", w.rank, m.Round)
 			w.coord.Close()
 			w.peerLn.Close()
 			return nil, ErrCrashed
 		case CollectRequest:
-			w.flushSnapshot()
 			params := w.model.FlatParams(nil)
 			if err := w.coord.Send(FinalModel{Params: tensor.AppendWords(make([]byte, 0, 8*len(params)), params)}); err != nil {
 				return nil, err
 			}
 		case Done:
-			w.flushSnapshot()
+			// The last RoundMsg was for round snap.NextRound, and it
+			// committed.
+			if err := w.commit(w.snap.NextRound + 1); err != nil {
+				return nil, err
+			}
 			w.logf("worker %d: done", w.rank)
 			return w.model.FlatParams(nil), nil
 		default:
@@ -251,19 +283,9 @@ func (w *WorkerClient) register() error {
 		return err
 	}
 	w.coord.setLimits(w.n, w.model.ParamCount())
-	w.boundaryRound = -1
-	// The initial state is committed by definition: persist it so a crash
-	// at round 0 is recoverable.
-	if w.SnapshotPath != "" {
-		snap, err := w.snapshotNow(0)
-		if err != nil {
-			return err
-		}
-		if err := SaveWorkerSnapshot(w.SnapshotPath, snap); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The initial state is committed by definition: a crash at round 0 is
+	// recoverable.
+	return w.commit(0)
 }
 
 // loadSnapshot reads the snapshot a resuming worker restarts from, and the
@@ -311,7 +333,7 @@ func (w *WorkerClient) rejoin(snap *WorkerSnapshot, spec *scenario.Spec) error {
 	if err := engine.RestoreRank(w.node, w.codecs[w.rank], snap.State); err != nil {
 		return fmt.Errorf("transport: worker %d restore: %w", w.rank, err)
 	}
-	w.boundaryRound = -1
+	w.snap = snap
 	w.logf("worker %d: rejoined from snapshot (state as of round %d)", w.rank, snap.NextRound)
 	return nil
 }
@@ -346,64 +368,55 @@ func (w *WorkerClient) buildNode(spec *scenario.Spec) error {
 	return nil
 }
 
-// snapshotNow captures the current state as an on-disk snapshot valid from
-// nextRound.
-func (w *WorkerClient) snapshotNow(nextRound int) (*WorkerSnapshot, error) {
+// commit records the state this rank carries into round next, known to be
+// committed, as the one rollback target and, with SnapshotPath set, the
+// snapshot on disk; a state already held for next (a re-planned attempt) is
+// kept. A failed write is logged: the worker trains on, and the file keeps
+// the last snapshot written.
+func (w *WorkerClient) commit(next int) error {
+	if w.snap != nil && w.snap.NextRound == next {
+		return nil
+	}
 	st, err := engine.CaptureRank(w.node, w.codecs[w.rank])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &WorkerSnapshot{
+	w.snap = &WorkerSnapshot{
 		Version:   WorkerSnapshotVersion,
 		Rank:      w.rank,
-		NextRound: nextRound,
+		NextRound: next,
 		Spec:      w.spec,
 		State:     st,
-	}, nil
+	}
+	if w.SnapshotPath != "" {
+		if err := SaveWorkerSnapshot(w.SnapshotPath, w.snap); err != nil {
+			w.logf("worker %d: snapshot write failed: %v", w.rank, err)
+		}
+	}
+	return nil
 }
 
-// flushSnapshot persists the held-back snapshot of the last successful
-// round, now known to be committed.
-func (w *WorkerClient) flushSnapshot() {
-	if w.pendingSnap == nil || w.SnapshotPath == "" {
-		return
-	}
-	if err := SaveWorkerSnapshot(w.SnapshotPath, w.pendingSnap); err != nil {
-		w.logf("worker %d: snapshot write failed: %v", w.rank, err)
-	}
-	w.pendingSnap = nil
-}
-
-// handleRound executes one round attempt from the coordinator's control
-// message, watching msgs for a concurrent Abort.
-func (w *WorkerClient) handleRound(m RoundMsg, msgs <-chan recvResult) error {
+// startRound commits the state round m.Round finds and, when this rank is
+// chosen, starts the attempt on the round goroutine, so an Abort stays
+// deliverable; the returned channel carries its outcome. A rank sitting the
+// round out gets nil.
+func (w *WorkerClient) startRound(m RoundMsg) (<-chan roundResult, error) {
 	if m.Addrs != nil {
 		w.addrs = m.Addrs
 	}
-	// A RoundMsg for a later round commits the held-back snapshot.
-	if w.pendingSnap != nil && m.Round >= w.pendingSnap.NextRound {
-		w.flushSnapshot()
+	if err := w.commit(m.Round); err != nil {
+		return nil, err
 	}
 	if w.dieAtRound != nil && *w.dieAtRound == m.Round {
 		w.coord.Close()
 		w.peerLn.Close()
-		return ErrCrashed
+		return nil, ErrCrashed
 	}
 	if m.Active != nil && (w.rank >= len(m.Active) || !m.Active[w.rank]) {
 		// Not chosen this round: stay silent (the coordinator collects
 		// reports from the active set only) and keep state frozen.
-		w.boundaryRound = -1
-		return nil
+		return nil, nil
 	}
-
-	// Capture the round-boundary state for a possible rollback, then run
-	// the attempt in its own goroutine so Abort stays deliverable.
-	var err error
-	w.boundary, err = engine.CaptureRank(w.node, w.codecs[w.rank])
-	if err != nil {
-		return err
-	}
-	w.boundaryRound = m.Round
 	w.attempt = m.Attempt
 	clear(w.sent)
 	clear(w.recvd)
@@ -415,109 +428,34 @@ func (w *WorkerClient) handleRound(m RoundMsg, msgs <-chan recvResult) error {
 	done := make(chan roundResult, 1)
 	go func() {
 		rep, err := engine.WorkerRound(w.node, w.pattern, w.codecs, peerDialer{w}, &w.phases, ctx)
-		done <- roundResult{rep: rep, err: err}
+		done <- roundResult{m: m, rep: rep, err: err}
 	}()
-
-	for {
-		select {
-		case res := <-done:
-			switch {
-			case w.aborting.Load():
-				return w.rollbackAndAck(m.Round)
-			case res.err != nil:
-				// A peer was unreachable: report it, then wait for the
-				// coordinator's Abort before rolling back.
-				peer := -1
-				var pe *peerError
-				if errors.As(res.err, &pe) {
-					peer = pe.peer
-				}
-				w.logf("worker %d: round %d attempt %d failed (peer %d): %v", w.rank, m.Round, m.Attempt, peer, res.err)
-				if err := w.coord.Send(RoundFailed{Rank: w.rank, Round: m.Round, Peer: peer, Reason: res.err.Error()}); err != nil {
-					return err
-				}
-				if err := w.awaitAbort(m.Round, msgs); err != nil {
-					return err
-				}
-				return w.rollbackAndAck(m.Round)
-			default:
-				end := RoundEnd{
-					Rank:       w.rank,
-					Round:      m.Round,
-					Attempt:    m.Attempt,
-					Loss:       res.rep.Loss,
-					Trained:    res.rep.Trained,
-					PayloadLen: res.rep.PayloadLen,
-					Flows:      res.rep.Flows,
-				}
-				if err := w.coord.Send(end); err != nil {
-					return err
-				}
-				if w.SnapshotPath != "" {
-					snap, err := w.snapshotNow(m.Round + 1)
-					if err != nil {
-						return err
-					}
-					w.pendingSnap = snap
-				}
-				return nil
-			}
-		case in := <-msgs:
-			if in.err != nil {
-				return fmt.Errorf("transport: worker %d: %w", w.rank, in.err)
-			}
-			ab, ok := in.msg.(Abort)
-			if !ok || ab.Round != m.Round {
-				return fmt.Errorf("transport: worker %d: unexpected %T during round %d", w.rank, in.msg, m.Round)
-			}
-			// Cancel the attempt: flag it, then wake the round goroutine if
-			// it is blocked in Recv. Keep looping: it will fail out shortly.
-			w.aborting.Store(true)
-			w.inbox.wake()
-		}
-	}
+	return done, nil
 }
 
-// handleBoundaryAbort rolls back a round whose attempt already completed
-// locally (or never involved this worker) and acknowledges.
-func (w *WorkerClient) handleBoundaryAbort(m Abort) error {
-	if w.pendingSnap != nil && w.pendingSnap.NextRound == m.Round+1 {
-		// The aborted attempt's snapshot must never commit.
-		w.pendingSnap = nil
-	}
-	if w.boundaryRound == m.Round {
-		return w.rollbackAndAck(m.Round)
-	}
-	return w.coord.Send(AbortAck{Rank: w.rank, Round: m.Round})
-}
-
-// awaitAbort consumes coordinator messages until the expected Abort arrives.
-func (w *WorkerClient) awaitAbort(round int, msgs <-chan recvResult) error {
-	for {
-		in := <-msgs
-		if in.err != nil {
-			return fmt.Errorf("transport: worker %d: %w", w.rank, in.err)
+// report sends the coordinator an attempt's outcome: its RoundEnd, or a
+// RoundFailed naming the peer a Send could not reach, to which the
+// coordinator answers with the Abort that rolls the attempt back.
+func (w *WorkerClient) report(res roundResult) error {
+	m := res.m
+	if res.err != nil {
+		peer := -1
+		var pe *peerError
+		if errors.As(res.err, &pe) {
+			peer = pe.peer
 		}
-		if ab, ok := in.msg.(Abort); ok && ab.Round == round {
-			return nil
-		}
+		w.logf("worker %d: round %d attempt %d failed (peer %d): %v", w.rank, m.Round, m.Attempt, peer, res.err)
+		return w.coord.Send(RoundFailed{Rank: w.rank, Round: m.Round, Peer: peer, Reason: res.err.Error()})
 	}
-}
-
-// rollbackAndAck restores the round-boundary state and acknowledges the
-// abort. The attempt's buffered frames go stale and are dropped when the
-// re-planned attempt begins.
-func (w *WorkerClient) rollbackAndAck(round int) error {
-	if w.boundaryRound == round {
-		if err := engine.RestoreRank(w.node, w.codecs[w.rank], w.boundary); err != nil {
-			return fmt.Errorf("transport: worker %d rollback: %w", w.rank, err)
-		}
-	}
-	if w.pendingSnap != nil && w.pendingSnap.NextRound == round+1 {
-		w.pendingSnap = nil
-	}
-	w.boundaryRound = -1
-	return w.coord.Send(AbortAck{Rank: w.rank, Round: round})
+	return w.coord.Send(RoundEnd{
+		Rank:       w.rank,
+		Round:      m.Round,
+		Attempt:    m.Attempt,
+		Loss:       res.rep.Loss,
+		Trained:    res.rep.Trained,
+		PayloadLen: res.rep.PayloadLen,
+		Flows:      res.rep.Flows,
+	})
 }
 
 // peerTable reconstructs the pairwise peer table from this worker's own

@@ -7,6 +7,7 @@ import (
 	"go/build/constraint"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -692,6 +693,44 @@ func TestOneCoordinatorSide(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no product file checked: the guard would check nothing")
+	}
+}
+
+// TestOneRoundBoundary: a TCP worker keeps its round-boundary state once
+// (DESIGN.md §3). The state each RoundMsg finds is committed by the one
+// method WorkerClient.commit, which is both the rollback target every Abort
+// restores and the snapshot on disk; so in internal/transport's product files
+// engine.CaptureRank and SaveWorkerSnapshot are each called exactly once,
+// inside that method.
+func TestOneRoundBoundary(t *testing.T) {
+	fset := token.NewFileSet()
+	calls := map[string]int{}
+	for _, f := range productFiles(t, fset, "internal/transport") {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			commit := fn.Recv != nil && fn.Name.Name == "commit" && types.ExprString(fn.Recv.List[0].Type) == "*WorkerClient"
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if name := types.ExprString(call.Fun); name == "engine.CaptureRank" || name == "SaveWorkerSnapshot" {
+					calls[name]++
+					if !commit {
+						t.Errorf("%s: %s outside WorkerClient.commit — commit the round boundary there", fset.Position(call.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, name := range []string{"engine.CaptureRank", "SaveWorkerSnapshot"} {
+		if calls[name] != 1 {
+			t.Errorf("%d calls to %s in internal/transport, want exactly one, in WorkerClient.commit", calls[name], name)
+		}
 	}
 }
 
