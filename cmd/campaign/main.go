@@ -10,10 +10,10 @@
 // figures).
 //
 // Every cell leaves one run directory, <out>/cells/<id>/: its record
-// cell.json, trace.csv when the spec enables tracing, and — for an
-// asynchronous cell — the determinism artifacts events.log, events.csv and
-// model.bin, byte-identical at any GOMAXPROCS and under -race. A campaign
-// over one spec with no grid is one cell, "base":
+// cell.json and — for a synchronous cell — its per-round record rounds.csv,
+// or — for an asynchronous cell — the determinism artifacts events.log,
+// events.csv and model.bin, byte-identical at any GOMAXPROCS and under
+// -race. A campaign over one spec with no grid is one cell, "base":
 //
 //	campaign -spec internal/campaign/testdata/adpsgd-async.json -out run1
 //	GOMAXPROCS=1 campaign -spec internal/campaign/testdata/adpsgd-async.json -out run2

@@ -11,7 +11,6 @@ import (
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
 	"sapspsgd/internal/tensor"
-	"sapspsgd/internal/trace"
 )
 
 // testSetup builds a small shared task: n workers, tiny synthetic task, MLP.
@@ -256,17 +255,15 @@ func TestSAPSPrefersBandwidthOverRandom(t *testing.T) {
 	cfg.Gossip.BThres = 2
 	saps := NewSAPS(fc, bw, cfg)
 	random := newSAPSFamily("randomchoose", fc, bw, cfg, Membership{})
-	recS, recR := trace.NewRecorder(), trace.NewRecorder()
-	saps.SetTrace(recS)
-	random.SetTrace(recR)
 	ledA := netsim.NewLedger(bw)
 	ledB := netsim.NewLedger(bw)
-	for r := 0; r < 60; r++ {
-		saps.Step(r, ledA)
-		random.Step(r, ledB)
+	var s, r float64 // sums of the per-round mean matched bandwidth
+	for round := 0; round < 60; round++ {
+		s += gossip.MeanMatchedBandwidth(saps.Round(round, ledA).Plan.Matching(), bw)
+		r += gossip.MeanMatchedBandwidth(random.Round(round, ledB).Plan.Matching(), bw)
 	}
-	if s, r := recS.MeanMatchedBandwidth(), recR.MeanMatchedBandwidth(); s <= r {
-		t.Fatalf("SAPS mean matched bandwidth %v not above random %v", s, r)
+	if s <= r {
+		t.Fatalf("SAPS matched bandwidth %v not above random %v (summed over 60 rounds)", s, r)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sapspsgd/internal/core"
 	"sapspsgd/internal/netsim"
 )
 
@@ -15,22 +16,23 @@ func TestSAPSChurnConverges(t *testing.T) {
 		JoinProb:  0.5,
 		MinActive: 4,
 	}})
-	acc, led := runRounds(t, alg, bw, va, rounds)
-	if acc < 0.7 {
-		t.Fatalf("churn accuracy %v, want >= 0.7", acc)
-	}
-	if !led.ConservationOK() {
-		t.Fatal("conservation")
-	}
-	// Churn actually happened: some round had fewer than n active workers.
+	led := netsim.NewLedger(bw)
+	// Churn actually happens: some round has fewer than n active workers.
 	sawChurn := false
-	for _, a := range alg.ActiveHistory() {
+	for r := 0; r < rounds; r++ {
+		a := planned(alg.Round(r, led).Plan, n)
 		if a < n {
 			sawChurn = true
 		}
 		if a < 4 {
 			t.Fatalf("active count %d below MinActive", a)
 		}
+	}
+	if acc := meanAcc(t, alg, va); acc < 0.7 {
+		t.Fatalf("churn accuracy %v, want >= 0.7", acc)
+	}
+	if !led.ConservationOK() {
+		t.Fatal("conservation")
 	}
 	if !sawChurn {
 		t.Fatal("no churn occurred with LeaveProb=0.15 over 250 rounds")
@@ -50,11 +52,18 @@ func TestSAPSChurnMatchesOnlyActive(t *testing.T) {
 		// Internal invariant is checked indirectly: MergePeer panics on
 		// mismatched payloads, and the Step would have paniced if an
 		// inactive worker had been matched (its payload is nil).
-		alg.Step(r, led)
-		if count := alg.ActiveHistory()[r]; count < 2 {
+		if count := planned(alg.Round(r, led).Plan, n); count < 2 {
 			t.Fatalf("round %d: %d active", r, count)
 		}
 	}
+}
+
+// planned is the number of the n workers the plan has present.
+func planned(p core.RoundPlan, n int) int {
+	if p.Active == nil {
+		return n
+	}
+	return countActive(p.Active)
 }
 
 func TestChurnModelValidation(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
-	"sapspsgd/internal/trace"
 )
 
 // Algorithm is one distributed training scheme, driven round by round.
@@ -98,8 +97,8 @@ func NewFleet(cfg FleetConfig) *Fleet {
 // assembled from a Recipe (nodes, per-rank codecs, pattern) and a planner,
 // stepped through engine.Driver. Per-round ledger charges come from the wire
 // bytes the codecs actually produced. The baselines and the SAPS family
-// differ only in the recipe, the planner, and the latter's roundObserver; a
-// planner-only run (NewPlannerOnly) is the chassis with no fleet under it.
+// differ only in the recipe and the planner; a planner-only run
+// (NewPlannerOnly) is the chassis with no fleet under it.
 type InProc struct {
 	// step is the one engine.Driver round: eng.Step, or — for a planner-only
 	// run, which has no fleet and so no engine (eng is nil) — a bare driver's
@@ -107,9 +106,8 @@ type InProc struct {
 	step   func(t int, led engine.Ledger) (engine.RoundStats, error)
 	eng    *engine.Engine
 	models []*nn.Model
-	server int            // hub server rank, -1 for serverless algorithms
-	links  []float64      // server↔worker bandwidth (MB/s), hub only
-	watch  *roundObserver // SAPS-family diagnostics, nil for the baselines
+	server int       // hub server rank, -1 for serverless algorithms
+	links  []float64 // server↔worker bandwidth (MB/s), hub only
 }
 
 // New assembles a synchronous recipe's in-process fleet under p, the run's
@@ -135,9 +133,6 @@ func New(fc FleetConfig, p *RoundPlanner) *InProc {
 		// statistics.
 		a.models = f.Models[:1]
 		a.links = serverLinks(bw)
-	}
-	if r.Pairwise() {
-		a.watch = &roundObserver{bw: bw, n: fc.N}
 	}
 	codecs := r.Codecs(f.Dim)
 	// One round mask per fleet, not one per rank and one more per codec.
@@ -180,27 +175,13 @@ func (a *InProc) Close() {
 	}
 }
 
-// SetTrace attaches a round recorder: one event per round from then on. Only
-// the SAPS family records (the trace is about its matchings); on a baseline
-// the call does nothing.
-func (a *InProc) SetTrace(r *trace.Recorder) {
-	if a.watch != nil {
-		a.watch.trace = r
-	}
-}
-
-// ActiveHistory is the number of workers present in each round run so far —
-// the fleet size every round for a static fleet, nil for a baseline.
-func (a *InProc) ActiveHistory() []int {
-	if a.watch == nil {
-		return nil
-	}
-	return a.watch.history
-}
-
 // Step implements Algorithm: one round of the recipe's pattern — for the
 // saps recipe, Algorithm 1 (coordinator) + Algorithm 2 (workers).
-func (a *InProc) Step(round int, led engine.Ledger) float64 {
+func (a *InProc) Step(round int, led engine.Ledger) float64 { return a.Round(round, led).Loss }
+
+// Round is Step with the whole of the round's engine.RoundStats: its plan,
+// payload size, loss, bytes and simulated seconds.
+func (a *InProc) Round(round int, led engine.Ledger) engine.RoundStats {
 	if a.server >= 0 {
 		led = &hubLedger{inner: led, server: a.server, links: a.links}
 	}
@@ -208,10 +189,7 @@ func (a *InProc) Step(round int, led engine.Ledger) float64 {
 	if err != nil {
 		panic(err) // the in-process transport cannot fail
 	}
-	if a.watch != nil {
-		a.watch.observe(round, stats)
-	}
-	return stats.Loss
+	return stats
 }
 
 var _ Algorithm = (*InProc)(nil)

@@ -6,7 +6,6 @@ import (
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
-	"sapspsgd/internal/trace"
 )
 
 // chargeLog is a ledger that writes down every call the driver makes, in
@@ -33,8 +32,8 @@ func (l *chargeLog) EndRound() float64 {
 // TestPlannerOnlyChargesWhatTheFleetCharges: with no workers under it, the
 // planner-only control must hand engine.Driver exactly the report a saps fleet
 // folds for the same plan — so the ledger sees the same Exchange calls, in the
-// same ascending pair order with the same mask-sized payloads, and the trace
-// the same rows (loss aside) — for Algorithm 3's planner and RandomChoose's.
+// same ascending pair order with the same mask-sized payloads, and the round
+// stats the same plan and payload (loss aside) — for Algorithm 3's planner and RandomChoose's.
 // An odd fleet leaves one worker unmatched every round.
 func TestPlannerOnlyChargesWhatTheFleetCharges(t *testing.T) {
 	const n, rounds = 7, 12
@@ -52,16 +51,17 @@ func TestPlannerOnlyChargesWhatTheFleetCharges(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer tc.fleet.Close()
-			alone := NewPlannerOnly(tc.planner, bw, dim, cfg.Compression)
+			alone := NewPlannerOnly(tc.planner, dim, cfg.Compression)
 			defer alone.Close()
 			var want, got chargeLog
-			wantTrace, gotTrace := trace.NewRecorder(), trace.NewRecorder()
-			tc.fleet.SetTrace(wantTrace)
-			alone.SetTrace(gotTrace)
 			for r := 0; r < rounds; r++ {
-				tc.fleet.Step(r, &want)
-				if loss := alone.Step(r, &got); loss != 0 {
-					t.Fatalf("round %d: planner-only loss %v, want 0", r, loss)
+				w, g := tc.fleet.Round(r, &want), alone.Round(r, &got)
+				if g.Loss != 0 {
+					t.Fatalf("round %d: planner-only loss %v, want 0", r, g.Loss)
+				}
+				if !slices.Equal(g.Plan.Peer, w.Plan.Peer) || !slices.Equal(g.Plan.Active, w.Plan.Active) ||
+					g.Plan.Forced != w.Plan.Forced || g.PayloadLen != w.PayloadLen || g.Bytes != w.Bytes {
+					t.Fatalf("round %d stats: got %+v, fleet %+v", r, g, w)
 				}
 			}
 			if len(want.calls) <= rounds {
@@ -69,16 +69,6 @@ func TestPlannerOnlyChargesWhatTheFleetCharges(t *testing.T) {
 			}
 			if !slices.Equal(got.calls, want.calls) {
 				t.Fatalf("ledger calls differ:\n got %v\nwant %v", got.calls, want.calls)
-			}
-			if !slices.Equal(alone.ActiveHistory(), tc.fleet.ActiveHistory()) {
-				t.Errorf("active history %v, fleet %v", alone.ActiveHistory(), tc.fleet.ActiveHistory())
-			}
-			for r, ev := range gotTrace.Events() {
-				w := wantTrace.Events()[r]
-				if !slices.Equal(ev.Pairs, w.Pairs) || !slices.Equal(ev.PairMBps, w.PairMBps) ||
-					ev.PayloadBytes != w.PayloadBytes || ev.Forced != w.Forced || ev.ActiveWorkers != w.ActiveWorkers {
-					t.Fatalf("round %d trace: got %+v, fleet %+v", r, ev, w)
-				}
 			}
 			if alone.Models() != nil {
 				t.Errorf("planner-only run has models: %v", alone.Models())

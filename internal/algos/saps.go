@@ -7,16 +7,14 @@ import (
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/trace"
 )
 
 // The paper's algorithm is the "saps" recipe — local SGD + shared-seed
 // sparsified single-peer gossip over the pairwise pattern — on the same
 // chassis as every baseline; "randomchoose" is the same recipe under another
-// planner. What sets the SAPS family apart is the engine.Planner (Algorithm 3
+// planner. What sets the SAPS family apart is the engine.Planner: Algorithm 3
 // over the bandwidth environment and a Membership, or RandomChoose's uniform
-// matching) and the roundObserver that keeps the simulation-side
-// diagnostics.
+// matching.
 
 // NewSAPS builds the paper's algorithm over the bandwidth environment bw:
 // adaptive (bandwidth-aware, recency-constrained) peer selection over a
@@ -54,19 +52,18 @@ func (p *randomPlanner) Plan(t int) core.RoundPlan {
 }
 
 // NewPlannerOnly is a SAPS-family run's coordinator side alone — the paper's
-// Fig. 5: the planner (core.NewCoordinator over bw, or NewRandomPlanner)
-// drives the same engine.Driver round over a control with no nodes, which
-// charges every matched pair the bytes of the round's shared mask over a
-// dim-parameter model at compression ratio c. No model, dataset or engine is
-// built; traffic and simulated time are bit-identical to the full run's (the
+// Fig. 5: the planner (core.NewCoordinator, or NewRandomPlanner) drives the
+// same engine.Driver round over a control with no nodes, which charges every
+// matched pair the bytes of the round's shared mask over a dim-parameter
+// model at compression ratio c. No model, dataset or engine is built;
+// traffic and simulated time are bit-identical to the full run's (the
 // mask-seed stream and the matchings are the same), Models is empty and the
 // loss reads zero.
-func NewPlannerOnly(planner engine.Planner, bw *netsim.Bandwidth, dim int, c float64) *InProc {
+func NewPlannerOnly(planner engine.Planner, dim int, c float64) *InProc {
 	ctl := &maskTraffic{dim: dim, c: c}
 	return &InProc{
 		step:   engine.NewDriver(planner, ctl).Round,
 		server: -1,
-		watch:  &roundObserver{bw: bw, n: bw.N},
 	}
 }
 
@@ -93,27 +90,4 @@ func (m *maskTraffic) RunRound(plan core.RoundPlan) (engine.ControlReport, error
 		}
 	}
 	return engine.ControlReport{PayloadLen: ones, Pairs: m.pairs}, nil
-}
-
-// roundObserver keeps the SAPS family's per-round diagnostics: how many
-// workers each round's plan had present, and — when a recorder is attached —
-// one trace event per round (matching, matched bandwidths, the
-// forced-reconnection flag, payload size, active workers, loss).
-type roundObserver struct {
-	bw      *netsim.Bandwidth
-	n       int
-	trace   *trace.Recorder
-	history []int
-}
-
-func (o *roundObserver) observe(round int, stats engine.RoundStats) {
-	active := o.n
-	if stats.Plan.Active != nil {
-		active = countActive(stats.Plan.Active)
-	}
-	o.history = append(o.history, active)
-	if o.trace != nil {
-		o.trace.Record(round, stats.Plan.Matching(), o.bw, stats.Plan.Forced,
-			compress.MaskedBytes(stats.PayloadLen), active, stats.Loss)
-	}
 }

@@ -71,7 +71,7 @@ func readCellResult(outDir string, cell Cell) (*CellResult, error) {
 //     accuracy_vs_traffic.csv, accuracy_vs_sim_seconds.csv (Figs 3/4/6),
 //     final_accuracy.{md,csv} (Table III) and, with target_acc set,
 //     time_to_target.{md,csv} (Table IV);
-//   - when planner-only cells recorded a round trace:
+//   - when the campaign has planner-only cells:
 //     matched_bandwidth_vs_round.csv and matched_bandwidth.{md,csv} with
 //     the static ring's constant (Fig. 5).
 //
@@ -245,10 +245,10 @@ func ringMBps(s *scenario.Spec) float64 {
 	return total / ringSamples
 }
 
-// writeMatchedBandwidth renders Fig. 5 from the planner-only cells that
-// recorded a round trace: the per-round mean matched bandwidth of every
-// such cell, and a table of their means beside the static ring's constant.
-// A campaign without such cells writes nothing.
+// writeMatchedBandwidth renders Fig. 5 from the planner-only cells: the
+// per-round mean matched bandwidth of every such cell, and a table of their
+// means beside the static ring's constant. A campaign without such cells
+// writes nothing.
 func writeMatchedBandwidth(cells []Cell, results []*CellResult, outDir string) error {
 	var names []string
 	series := map[string][]float64{}

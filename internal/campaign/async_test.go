@@ -68,7 +68,8 @@ func TestAsyncAlgoAxisExpands(t *testing.T) {
 // runner, persists a series-bearing cell record, and aggregates. Each
 // asynchronous cell's directory carries its determinism artifacts — the
 // event log of its run, every rank's final model words — and its record the
-// per-rank ledgers; the synchronous cell's carries none of them.
+// per-rank ledgers; the synchronous cell's carries none of them, and only it
+// has a rounds.csv.
 func TestAsyncCampaignRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full (if tiny) campaign")
@@ -116,7 +117,13 @@ func TestAsyncCampaignRuns(t *testing.T) {
 			if rec.SentBytes != nil || rec.RecvBytes != nil {
 				t.Errorf("synchronous cell %s recorded per-rank ledgers", id)
 			}
+			if _, err := os.Stat(filepath.Join(cdir, cellRounds)); err != nil {
+				t.Errorf("synchronous cell %s: %v", id, err)
+			}
 			continue
+		}
+		if _, err := os.Stat(filepath.Join(cdir, cellRounds)); err == nil {
+			t.Errorf("asynchronous cell %s wrote %s", id, cellRounds)
 		}
 		nodes := cell.Spec.Nodes
 		if len(rec.SentBytes) != nodes || len(rec.RecvBytes) != nodes {

@@ -49,9 +49,6 @@ type Spec struct {
 	// (0 = GOMAXPROCS). Each cell is itself a full engine run, so modest
 	// values usually saturate the machine.
 	Workers int `json:"workers,omitempty"`
-	// Trace writes a per-round trace CSV (cells/<id>/trace.csv) for every
-	// cell whose algorithm records one (the SAPS family).
-	Trace bool `json:"trace,omitempty"`
 	// PerAlgo gives grid algorithms their own hyperparameters where the
 	// paper's comparison (§IV-A) does not share one value: TopK-PSGD runs at
 	// c = 1000, DCD-PSGD at c = 4, and only the FedAvg family takes several

@@ -432,14 +432,13 @@ func TestManifestRejectsStaleSpec(t *testing.T) {
 	}
 }
 
-// TestEnableTraceOnFinishedCampaign pins the trace/resume interaction:
-// turning tracing on for an already-completed campaign must re-run exactly
-// the traceable cells (instead of reporting success with no traces), and
-// the untouched cells stay cached.
+// TestEnableTraceOnFinishedCampaign pins the per-round record's resume
+// rule: a finished synchronous cell whose rounds.csv is missing (an -out
+// directory written before every cell kept one) re-runs, exactly those
+// cells, and the others stay cached.
 func TestEnableTraceOnFinishedCampaign(t *testing.T) {
 	dir := t.TempDir()
 	c, base := loadExample(t)
-	c.Trace = false
 	if _, err := Run(c, Options{OutDir: dir}); err != nil {
 		t.Fatal(err)
 	}
@@ -447,33 +446,32 @@ func TestEnableTraceOnFinishedCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	removed := 0
 	for _, cell := range cells {
-		if _, err := os.Stat(filepath.Join(cellDir(dir, cell.ID), cellTrace)); err == nil {
-			t.Fatalf("traceless campaign wrote a trace for cell %s", cell.ID)
+		if cell.Spec.Algo == "saps" {
+			removed++
+			if err := os.Remove(filepath.Join(cellDir(dir, cell.ID), cellRounds)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	c.Trace = true
 	stats, err := Run(c, Options{OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traceable := 0
 	for _, cell := range cells {
-		if cell.Spec.Algo == "saps" {
-			traceable++
-			if _, err := os.Stat(filepath.Join(cellDir(dir, cell.ID), cellTrace)); err != nil {
-				t.Errorf("cell %s: no trace after enabling tracing: %v", cell.ID, err)
-			}
+		if _, err := os.Stat(filepath.Join(cellDir(dir, cell.ID), cellRounds)); err != nil {
+			t.Errorf("cell %s: no rounds.csv after the resume: %v", cell.ID, err)
 		}
 	}
-	if stats.Executed != traceable || stats.Skipped != stats.Planned-traceable {
-		t.Fatalf("trace enablement re-ran %d of %d cells, want the %d traceable ones", stats.Executed, stats.Planned, traceable)
+	if removed == 0 || stats.Executed != removed || stats.Skipped != stats.Planned-removed {
+		t.Fatalf("the resume re-ran %d of %d cells, want the %d without rounds.csv", stats.Executed, stats.Planned, removed)
 	}
 }
 
-// TestTraceArtifacts verifies the per-cell trace CSVs: every saps cell of
-// the example campaign (trace: true) gets one with a line per round, and
-// non-traceable algorithms get none.
+// TestTraceArtifacts verifies the per-cell rounds.csv files: every cell of
+// the example campaign, each of a synchronous algorithm, gets one with a
+// header and a line per round.
 func TestTraceArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	runExample(t, dir, Options{})
@@ -483,20 +481,13 @@ func TestTraceArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cell := range cells {
-		data, err := os.ReadFile(filepath.Join(cellDir(dir, cell.ID), cellTrace))
-		if cell.Spec.Algo != "saps" {
-			if err == nil {
-				t.Errorf("cell %s (algo %s) has a trace CSV", cell.ID, cell.Spec.Algo)
-			}
-			continue
-		}
+		data, err := os.ReadFile(filepath.Join(cellDir(dir, cell.ID), cellRounds))
 		if err != nil {
 			t.Errorf("cell %s: %v", cell.ID, err)
 			continue
 		}
-		lines := strings.Count(string(data), "\n")
-		if lines != cell.Spec.Rounds+1 {
-			t.Errorf("cell %s trace has %d lines, want %d rounds + header", cell.ID, lines, cell.Spec.Rounds)
+		if lines := strings.Count(string(data), "\n"); lines != cell.Spec.Rounds+1 {
+			t.Errorf("cell %s rounds.csv has %d lines, want %d rounds + header", cell.ID, lines, cell.Spec.Rounds)
 		}
 	}
 }

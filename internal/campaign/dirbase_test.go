@@ -171,7 +171,7 @@ func writeSpecs(t *testing.T, named map[string]string) *Spec {
 			t.Fatal(err)
 		}
 	}
-	c, err := Parse([]byte(`{"schema_version": 1, "name": "dir", "base": "specs", "trace": true, "grid": {}}`), root)
+	c, err := Parse([]byte(`{"schema_version": 1, "name": "dir", "base": "specs", "grid": {}}`), root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestDirectoryBaseNamesAreChecked(t *testing.T) {
 		t.Fatalf("%+v, %v", st, err)
 	}
 	for _, id := range []string{"first", "second"} {
-		for _, name := range []string{cellRecord, cellTrace} {
+		for _, name := range []string{cellRecord, cellRounds} {
 			if _, err := os.Stat(filepath.Join(cellDir(out, id), name)); err != nil {
 				t.Error(err)
 			}
@@ -245,8 +245,8 @@ func TestAxisFreeFileBaseIsOneCell(t *testing.T) {
 }
 
 // TestFailedCellLeavesNoTrace: a cell writes its run directory under a temp
-// name, its trace streaming into it while the cell runs, so a cell that
-// fails after the trace is opened (here: its fleet trace does not exist,
+// name, its rounds.csv streaming into it while the cell runs, so a cell that
+// fails after rounds.csv is opened (here: its fleet trace does not exist,
 // which the build discovers) must leave neither cells/<id>/ nor the temp
 // directory behind: the output directory holds the journal and an empty
 // cells/, and nothing else.
@@ -258,7 +258,6 @@ func TestFailedCellLeavesNoTrace(t *testing.T) {
 	c := variantCampaign(t, base, "doomed", Grid{}, func(s *scenario.Spec) {
 		s.Trace = &scenario.TraceSpec{File: "no-such-trace.csv"}
 	})
-	c.Trace = true
 	out := t.TempDir()
 	if _, err := Run(c, Options{OutDir: out}); err == nil || !strings.Contains(err.Error(), "no-such-trace.csv") {
 		t.Fatalf("campaign over a missing fleet trace: %v", err)

@@ -15,7 +15,6 @@ import (
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
-	"sapspsgd/internal/trace"
 )
 
 // CellResultSchemaVersion is the cells/<id>/cell.json schema.
@@ -44,8 +43,8 @@ type CellResult struct {
 	// Figs 3/4/6 and Tables III/IV.
 	Evals scenario.Evals `json:"evals,omitempty"`
 	// MatchedMBps is the per-round mean bandwidth over the matched pairs of
-	// a traced planner-only cell — Fig. 5's series (training cells keep
-	// theirs in cells/<id>/trace.csv).
+	// a planner-only cell — Fig. 5's series (training cells keep theirs in
+	// cells/<id>/rounds.csv).
 	MatchedMBps []float64 `json:"matched_mbps,omitempty"`
 	// SentBytes and RecvBytes are an asynchronous cell's per-rank byte
 	// ledgers (absent from synchronous records).
@@ -77,13 +76,14 @@ type CellSummary struct {
 }
 
 // The files of a cell's run directory, cells/<id>/. Every cell writes its
-// record and a traced cell its per-round trace. An asynchronous cell also
-// writes its determinism artifacts: the virtual-time event log in its
-// byte-exact text and its CSV form, and every rank's final parameters as
-// little-endian float64 words, rank-major.
+// record, and a synchronous cell its per-round record (scenario's
+// RunOptions.Rounds). An asynchronous cell instead writes its determinism
+// artifacts: the virtual-time event log in its byte-exact text and its CSV
+// form, and every rank's final parameters as little-endian float64 words,
+// rank-major.
 const (
 	cellRecord    = "cell.json"
-	cellTrace     = "trace.csv"
+	cellRounds    = "rounds.csv"
 	cellEvents    = "events.log"
 	cellEventsCSV = "events.csv"
 	cellModel     = "model.bin"
@@ -169,11 +169,11 @@ func Run(c *Spec, opts Options) (Stats, error) {
 		if e, ok := done[cell.ID]; ok && e.SpecSHA == cell.SHA {
 			dir := cellDir(opts.OutDir, cell.ID)
 			if _, err := os.Stat(filepath.Join(dir, cellRecord)); err == nil {
-				// A traced cell's CSV is part of the contract: enabling
-				// trace on a finished campaign re-runs those cells rather
-				// than silently reporting success without their traces.
-				if c.traced(cell) {
-					if _, err := os.Stat(filepath.Join(dir, cellTrace)); err != nil {
+				// A synchronous cell's per-round record is part of the
+				// contract: a finished cell without one (an -out directory
+				// written before every cell kept it) re-runs.
+				if cell.Spec.Async == nil {
+					if _, err := os.Stat(filepath.Join(dir, cellRounds)); err != nil {
 						pending = append(pending, cell)
 						continue
 					}
@@ -240,7 +240,7 @@ func Run(c *Spec, opts Options) (Stats, error) {
 				}
 				start := time.Now()
 				cm.CellsRunning.Inc()
-				res, err := runCell(c, cell, opts.OutDir)
+				res, err := runCell(cell, opts.OutDir)
 				cm.CellsRunning.Dec()
 				if err != nil {
 					cm.CellsFailedTotal.Inc()
@@ -301,17 +301,11 @@ func Run(c *Spec, opts Options) (Stats, error) {
 	return st, nil
 }
 
-// traced reports whether the cell writes a per-round trace CSV: the campaign
-// or the cell's own scenario asks for one and its algorithm can record it.
-func (c *Spec) traced(cell Cell) bool {
-	return (c.Trace || cell.Spec.RecordTrace) && cell.Spec.Traceable()
-}
-
 // runCell executes one cell into its run directory, cells/<id>/. The
 // directory is written under a temp name inside cells/ and renamed into
 // place, replacing any stale one, once its record is written: a killed or
 // failed cell leaves either a complete directory or none.
-func runCell(c *Spec, cell Cell, outDir string) (res *CellResult, err error) {
+func runCell(cell Cell, outDir string) (res *CellResult, err error) {
 	tmp, err := os.MkdirTemp(filepath.Join(outDir, "cells"), "."+cell.ID+".tmp*")
 	if err != nil {
 		return nil, err
@@ -321,7 +315,7 @@ func runCell(c *Spec, cell Cell, outDir string) (res *CellResult, err error) {
 			os.RemoveAll(tmp)
 		}
 	}()
-	if res, err = writeCell(c, cell, tmp); err != nil {
+	if res, err = writeCell(cell, tmp); err != nil {
 		return nil, err
 	}
 	dir := cellDir(outDir, cell.ID)
@@ -332,26 +326,23 @@ func runCell(c *Spec, cell Cell, outDir string) (res *CellResult, err error) {
 }
 
 // writeCell runs the cell's scenario and writes its artifacts into dir. A
-// traced cell's trace streams round by round into dir, so a traced large-N
-// cell holds one round of pairs, not the run's. Every artifact is synced
+// synchronous cell's per-round record streams round by round into dir, so a
+// large-N cell holds one round, not the run's. Every artifact is synced
 // before runCell renames dir into place and the journal records the cell.
-func writeCell(c *Spec, cell Cell, dir string) (*CellResult, error) {
+func writeCell(cell Cell, dir string) (*CellResult, error) {
 	var opts scenario.RunOptions
-	var traceCSV *os.File
-	if c.traced(cell) {
+	var rounds *os.File
+	if cell.Spec.Async == nil {
 		var err error
-		if traceCSV, err = os.Create(filepath.Join(dir, cellTrace)); err != nil {
+		if rounds, err = os.Create(filepath.Join(dir, cellRounds)); err != nil {
 			return nil, err
 		}
-		defer traceCSV.Close()
-		opts.Recorder = trace.NewRecorder()
-		if err := opts.Recorder.Stream(traceCSV); err != nil {
-			return nil, err
-		}
+		defer rounds.Close()
+		opts.Rounds = rounds
 	}
 	out, err := cell.Spec.RunFull(opts)
-	if err == nil && traceCSV != nil {
-		err = errors.Join(opts.Recorder.Err(), traceCSV.Sync(), traceCSV.Close())
+	if err == nil && rounds != nil {
+		err = errors.Join(rounds.Sync(), rounds.Close())
 	}
 	if err != nil {
 		return nil, err
@@ -381,8 +372,8 @@ func writeCell(c *Spec, cell Cell, dir string) (*CellResult, error) {
 		SentBytes:     out.SentBytes,
 		RecvBytes:     out.RecvBytes,
 	}
-	if opts.Recorder != nil && cell.Spec.PlannerOnly {
-		res.MatchedMBps = opts.Recorder.RoundMeans()
+	if cell.Spec.PlannerOnly {
+		res.MatchedMBps = out.MatchedMBps
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err == nil {

@@ -135,7 +135,9 @@ type RoundStats struct {
 	PayloadLen int
 	// Loss is the mean local training loss over participating nodes.
 	Loss float64
-	// Bytes is the round's total measured wire traffic.
+	// Bytes is the round's total measured wire traffic, each payload counted
+	// once. A ledger's totals and the engine_wire_bytes_total counter count
+	// it at its sender and its receiver, so they move by 2 × Bytes.
 	Bytes int64
 	// CommSeconds is the ledger's simulated round wall time (0 for ledgers
 	// without a time model).

@@ -6,7 +6,6 @@ import (
 
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/scenario"
-	"sapspsgd/internal/trace"
 )
 
 // loadSpec pulls a committed scenario spec from the scenario package's
@@ -22,20 +21,15 @@ func loadSpec(t *testing.T, name string) *scenario.Spec {
 
 // TestSyncArtifactsUnchangedByObs is the package's core promise: enabling
 // the metrics sink must not change a single bit of a synchronous run's
-// results — loss, traffic, virtual time, or the per-round trace CSV.
+// results — loss, traffic, virtual time, or the per-round record.
 func TestSyncArtifactsUnchangedByObs(t *testing.T) {
 	spec := loadSpec(t, "saps-jitter.json")
 
 	run := func() (*scenario.RunOutput, string) {
-		out, err := spec.RunFull(scenario.RunOptions{Recorder: trace.NewRecorder()})
+		var csv bytes.Buffer
+		out, err := spec.RunFull(scenario.RunOptions{Rounds: &csv})
 		if err != nil {
 			t.Fatal(err)
-		}
-		var csv bytes.Buffer
-		if out.Trace != nil {
-			if err := out.Trace.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
-			}
 		}
 		return out, csv.String()
 	}
@@ -57,8 +51,8 @@ func TestSyncArtifactsUnchangedByObs(t *testing.T) {
 	if off.Result.SimSeconds != on.Result.SimSeconds {
 		t.Fatalf("SimSeconds: off=%v on=%v", off.Result.SimSeconds, on.Result.SimSeconds)
 	}
-	if offCSV != onCSV {
-		t.Fatal("trace CSV differs with obs enabled")
+	if offCSV == "" || offCSV != onCSV {
+		t.Fatalf("per-round record differs with obs enabled:\noff %s\non %s", offCSV, onCSV)
 	}
 
 	// And the sink actually recorded the run: the instrumented layers saw

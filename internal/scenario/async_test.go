@@ -36,7 +36,6 @@ func TestAsyncSpecValidation(t *testing.T) {
 		{"negative sample_every", func(s *Spec) { s.Async.SampleEvery = -1 }},
 		{"engine shards", func(s *Spec) { s.Shards = 4 }},
 		{"bandwidth jitter", func(s *Spec) { s.Bandwidth.Jitter = 0.2 }},
-		{"record_trace", func(s *Spec) { s.RecordTrace = true }},
 		{"trace block", func(s *Spec) { s.Trace = &TraceSpec{File: "traces/edge.csv"} }},
 		{"churn", func(s *Spec) { s.Churn = &ChurnSpec{LeaveProb: 0.1, JoinProb: 0.5, MinActive: 2} }},
 		{"data.valid", func(s *Spec) { s.Data.C, s.Data.H, s.Data.W, s.Data.Valid = 1, 8, 8, 16 }},

@@ -201,7 +201,6 @@ func TestPlannerOnlyValidation(t *testing.T) {
 			s.PlannerOnly = true
 			s.Churn = &ChurnSpec{LeaveProb: 0.1, JoinProb: 0.5, MinActive: 2}
 		}, "excludes churn"},
-		{"planner_only with record_trace", func(s *Spec) { s.PlannerOnly, s.RecordTrace = true, true }, "excludes churn/faults/trace"},
 		{"sparse degree too small", func(s *Spec) {
 			s.Bandwidth = BandwidthSpec{Kind: "sparse-uniform", Lo: 1, Hi: 5, Degree: 1}
 		}, "degree 1"},

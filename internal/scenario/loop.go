@@ -3,6 +3,7 @@ package scenario
 import (
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/dataset"
+	"sapspsgd/internal/engine"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/tensor"
@@ -20,7 +21,7 @@ type Loop struct {
 	// before advances a time-varying environment ahead of round r and
 	// after observes the finished round — Spec.RunFull's hooks.
 	before func(r int)
-	after  func(r int, loss float64)
+	after  func(r int, stats engine.RoundStats)
 }
 
 // EvalPoint is one periodic evaluation of the worker-averaged model, with
@@ -78,23 +79,21 @@ type LoopResult struct {
 
 // RunLoop is the repository's one synchronous round loop: every in-process
 // run of a scenario spec (Spec.RunFull) steps its algorithm here, charging
-// led. An algorithm holding background resources (the engine's executors)
-// exposes Close; RunLoop releases it when the run completes, so the
-// algorithm cannot be stepped again afterwards (its models and diagnostics
-// stay readable).
-func RunLoop(alg algos.Algorithm, led *netsim.Ledger, cfg Loop) LoopResult {
-	if c, ok := alg.(interface{ Close() }); ok {
-		defer c.Close()
-	}
+// led. RunLoop releases the algorithm's engine executors when the run
+// completes, so it cannot be stepped again afterwards (its models stay
+// readable).
+func RunLoop(alg *algos.InProc, led *netsim.Ledger, cfg Loop) LoopResult {
+	defer alg.Close()
 	res := LoopResult{Ledger: led}
 	every := max(1, cfg.Rounds/20)
 	for r := 0; r < cfg.Rounds; r++ {
 		if cfg.before != nil {
 			cfg.before(r)
 		}
-		res.FinalLoss = alg.Step(r, led)
+		stats := alg.Round(r, led)
+		res.FinalLoss = stats.Loss
 		if cfg.after != nil {
-			cfg.after(r, res.FinalLoss)
+			cfg.after(r, stats)
 		}
 		if cfg.Valid != nil && ((r+1)%every == 0 || r == cfg.Rounds-1) {
 			vl, va := evalMean(alg.Models(), cfg.Valid)

@@ -61,7 +61,7 @@ func TestRunLoopProducesMonotoneSeries(t *testing.T) {
 
 func TestRunLoopWithoutValidationNeverEvaluates(t *testing.T) {
 	fc, bw, _ := loopSetup(4)
-	res := RunLoop(algos.NewPSGD(fc), netsim.NewLedger(bw), Loop{Rounds: 5})
+	res := RunLoop(algos.NewPSGD(fc).(*algos.InProc), netsim.NewLedger(bw), Loop{Rounds: 5})
 	if len(res.Records) != 0 || res.FinalLoss <= 0 || res.Ledger.TotalTime() <= 0 {
 		t.Fatalf("records %d, loss %v, sim %v", len(res.Records), res.FinalLoss, res.Ledger.TotalTime())
 	}

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"sapspsgd/internal/trace"
 )
 
 // plannerGoldenSpecs are the planner-only runs testdata/planner_only.golden
@@ -38,13 +36,13 @@ func plannerGoldenSpecs() []*Spec {
 }
 
 // plannerGoldenText renders every spec's planner-only yield: total bytes,
-// the simulated clock's bits, the per-round series and the trace CSV — the
-// last through an in-memory recorder and again through a streaming one.
+// the simulated clock's bits, the per-round series and the per-round record.
 func plannerGoldenText(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	for _, s := range plannerGoldenSpecs() {
-		out, err := s.RunFull(RunOptions{Recorder: trace.NewRecorder()})
+		var rounds bytes.Buffer
+		out, err := s.RunFull(RunOptions{Rounds: &rounds})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -53,36 +51,19 @@ func plannerGoldenText(t *testing.T) string {
 			fmt.Fprintf(&b, "round %d loss %016x bytes %d sim %016x\n", r,
 				math.Float64bits(out.Losses[r]), out.CumBytes[r], math.Float64bits(out.CumSimSeconds[r]))
 		}
-		var csv bytes.Buffer
-		if err := out.Trace.WriteCSV(&csv); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		fmt.Fprintf(&b, "-- trace\n%s", csv.String())
-
-		var streamed bytes.Buffer
-		rec := trace.NewRecorder()
-		if err := rec.Stream(&streamed); err != nil {
-			t.Fatal(err)
-		}
-		sout, err := s.RunFull(RunOptions{Recorder: rec})
-		if err != nil {
-			t.Fatalf("%s streamed: %v", s.Name, err)
-		}
-		if sout.Trace != rec || rec.Err() != nil {
-			t.Fatalf("%s: streaming recorder not used (err %v)", s.Name, rec.Err())
-		}
-		fmt.Fprintf(&b, "-- streamed bytes %d sim %016x\n%s", sout.Result.TotalBytes,
-			math.Float64bits(sout.Result.SimSeconds), streamed.String())
+		fmt.Fprintf(&b, "-- rounds\n%s", rounds.String())
 	}
 	return b.String()
 }
 
 // TestPlannerOnlyGolden is the cross-commit oracle for planner-only runs:
-// testdata/planner_only.golden was recorded from scenario.runPlannerOnly —
-// the hand-rolled coordinator loop PR 20 deleted — at that PR's parent
-// commit, and the planner-only Control behind engine.Driver must reproduce
-// it bit for bit. It has no -update: a failure means the plan stream, the
-// mask population count, the per-pair charge or the trace row drifted.
+// the bytes, sim and round lines of testdata/planner_only.golden were
+// recorded from scenario.runPlannerOnly — a hand-rolled coordinator loop
+// since deleted — and the planner-only Control behind engine.Driver must
+// reproduce them bit for bit; its "-- rounds" sections were recorded when the
+// per-round record replaced a trace recorder's CSV. It has no -update: a
+// failure means the plan stream, the mask population count, the per-pair
+// charge or the row drifted.
 func TestPlannerOnlyGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "planner_only.golden"))
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 
 // TestRetargetValidatesOnEverySyncAlgo: a saps base carrying every block
 // only some algorithms read — Algorithm 3's thresholds, a fault schedule, a
-// trace with join/leave events, record_trace — plus every ratio and
+// trace with join/leave events — plus every ratio and
 // hyperparameter a baseline needs, retargets to every synchronous algorithm
 // as a spec that validates. Retarget and Validate read the same recipe
 // answers, so what one drops is exactly what the other refuses: the same
@@ -21,7 +21,6 @@ func TestRetargetValidatesOnEverySyncAlgo(t *testing.T) {
 	base.Gossip = &GossipSpec{BThres: 1, TThres: 5}
 	base.Faults = &FaultsSpec{Crashes: []CrashSpec{{Rank: 1, Round: 1, RejoinAfter: 2}}}
 	base.Trace = &TraceSpec{File: "day.csv", Events: true}
-	base.RecordTrace = true
 	if err := base.Validate(); err != nil {
 		t.Fatalf("the saps base: %v", err)
 	}
@@ -38,8 +37,8 @@ func TestRetargetValidatesOnEverySyncAlgo(t *testing.T) {
 			t.Errorf("retargeted to %s: %v", algo, err)
 		}
 		r := s.Recipe()
-		kept := s.Gossip != nil && s.Faults != nil && s.Trace.Events && s.RecordTrace && s.Compression == base.Compression
-		if want := r.Adaptive() && r.Pairwise() && r.RatioField() == "compression"; kept != want {
+		kept := s.Gossip != nil && s.Faults != nil && s.Trace.Events && s.Compression == base.Compression
+		if want := r.Adaptive() && r.RatioField() == "compression"; kept != want {
 			t.Errorf("retargeted to %s: kept every block %v, want %v", algo, kept, want)
 		}
 		if s.Trace == nil || s.Trace.File != base.Trace.File {
@@ -51,7 +50,7 @@ func TestRetargetValidatesOnEverySyncAlgo(t *testing.T) {
 			t.Errorf("%s with nothing dropped: Validate returned %v, Retarget kept every block %v", algo, err, kept)
 		}
 	}
-	if base.Gossip == nil || base.Faults == nil || !base.Trace.Events || !base.RecordTrace {
+	if base.Gossip == nil || base.Faults == nil || !base.Trace.Events {
 		t.Fatal("Retarget changed the base")
 	}
 }

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"time"
 
 	"sapspsgd/internal/algos"
@@ -15,7 +17,6 @@ import (
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/profiling"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/trace"
 )
 
 // Env builds the spec's static bandwidth environment, including the
@@ -103,7 +104,7 @@ func (s *Spec) Build(shards int) (algos.Algorithm, *netsim.RoundEnv, error) {
 
 // built is a spec assembled for the round loop.
 type built struct {
-	alg   algos.Algorithm
+	alg   *algos.InProc
 	env   *netsim.RoundEnv // the loop ticks it before every round
 	valid *dataset.Dataset // nil without data.valid
 }
@@ -261,7 +262,7 @@ func (s *Spec) build(shards int) (*built, error) {
 		// the model's parameter count matters (the mask dimension), and MLP
 		// geometry determines it exactly.
 		dim := nn.MLPParamCount(s.Data.shape().Dim(), s.Model.Hidden, s.Data.Classes)
-		return &built{alg: algos.NewPlannerOnly(planner, env.Current(), dim, s.Compression), env: env}, nil
+		return &built{alg: algos.NewPlannerOnly(planner, dim, s.Compression), env: env}, nil
 	}
 	if s.Recipe().Async() {
 		return nil, fmt.Errorf("scenario %s: %s has no synchronous rounds to build (RunFull drives the async engine)", s.Name, s.Algo)
@@ -317,18 +318,15 @@ type RunOptions struct {
 	// Shards is the engine shard override, interpreted exactly as Build's
 	// parameter (0 = spec default).
 	Shards int
-	// Recorder, when non-nil, is the trace recorder to attach (a spec with
-	// record_trace and no Recorder gets a fresh in-memory one). Pass a
-	// streaming recorder (trace.Recorder.Stream) to write rows incrementally
-	// — the way long large-N runs avoid holding every round in memory.
-	// Honored by SAPS runs and by planner_only (which records loss-less
-	// rounds); ignored for algorithms that cannot record a trace.
-	Recorder *trace.Recorder
+	// Rounds, when non-nil, receives a synchronous run's per-round record as
+	// CSV, one row streamed per round (writeRound); an asynchronous run has
+	// no rounds and writes nothing.
+	Rounds io.Writer
 }
 
-// RunOutput is one execution's full yield: the summary Result, the
-// per-round series and, when recorded, the trace; an asynchronous run adds
-// its event log, final models and per-rank ledgers.
+// RunOutput is one execution's full yield: the summary Result and the
+// per-round series; an asynchronous run adds its event log, final models and
+// per-rank ledgers.
 type RunOutput struct {
 	// Result is the summary row (also what Run returns).
 	Result Result
@@ -343,9 +341,10 @@ type RunOutput struct {
 	// Evals is the periodic evaluation of the worker-averaged model on the
 	// spec's validation split (synchronous specs with data.valid only).
 	Evals Evals
-	// Trace is the round recorder, non-nil when the spec or options asked
-	// for tracing and the algorithm supports it.
-	Trace *trace.Recorder
+	// MatchedMBps is each round's mean link bandwidth over its matched pairs
+	// (0 for a round that matched none, so every round of a recipe without
+	// matchings) — Fig. 5's series (synchronous runs only).
+	MatchedMBps []float64
 	// Events is the virtual-time transfer/compute event stream (async runs
 	// only).
 	Events *netsim.EventLog
@@ -379,15 +378,12 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		Losses:        make([]float64, 0, s.Rounds),
 		CumBytes:      make([]int64, 0, s.Rounds),
 		CumSimSeconds: make([]float64, 0, s.Rounds),
+		MatchedMBps:   make([]float64, 0, s.Rounds),
 	}
-	if (opts.Recorder != nil || s.RecordTrace) && s.Traceable() {
-		out.Trace = opts.Recorder
-		if out.Trace == nil {
-			out.Trace = trace.NewRecorder()
-		}
-		b.alg.(*algos.InProc).SetTrace(out.Trace)
-	}
-	led := netsim.NewLedger(b.env.Current())
+	bw := b.env.Current()
+	led := netsim.NewLedger(bw)
+	var row []byte
+	var werr error
 	mode, label := "sync", s.Algo
 	if s.PlannerOnly {
 		mode, label = "planner_only", s.Algo+"/planner"
@@ -401,13 +397,21 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		// later round advances the jitter and/or trace multipliers in
 		// place before planning.
 		before: b.env.Tick,
-		after: func(r int, loss float64) {
+		after: func(r int, stats engine.RoundStats) {
 			ri.SetRound(r + 1)
-			out.appendSeries(loss, led, s.Nodes)
+			// bw is the round's environment until the next Tick rewrites it.
+			mbps := gossip.MeanMatchedBandwidth(stats.Plan.Matching(), bw)
+			out.appendSeries(stats.Loss, mbps, led, s.Nodes)
+			if opts.Rounds != nil && werr == nil {
+				row, werr = writeRound(opts.Rounds, row[:0], r, s.Nodes, stats, mbps)
+			}
 		},
 	})
 	wall := time.Since(start).Seconds()
 	obs.Current().RunsM().Done(ri)
+	if werr != nil {
+		return nil, fmt.Errorf("scenario %s: per-round record: %w", s.Name, werr)
+	}
 	if err := s.checkFinite("round", out.Losses); err != nil {
 		return nil, err
 	}
@@ -428,10 +432,45 @@ func (s *Spec) checkFinite(unit string, losses []float64) error {
 }
 
 // appendSeries records one finished round.
-func (out *RunOutput) appendSeries(loss float64, led *netsim.Ledger, nodes int) {
+func (out *RunOutput) appendSeries(loss, mbps float64, led *netsim.Ledger, nodes int) {
 	out.Losses = append(out.Losses, loss)
+	out.MatchedMBps = append(out.MatchedMBps, mbps)
 	out.CumBytes = append(out.CumBytes, fleetBytes(led, nodes))
 	out.CumSimSeconds = append(out.CumSimSeconds, led.TotalTime())
+}
+
+// writeRound appends round r's row of the per-round record to buf — after
+// the header, ahead of round 0 — writes it to w and returns buf for the next
+// row. active counts the plan's present workers (all nodes when it sets no
+// Active), pairs lists its matched pairs u-v (u < v) joined by '|', and bytes
+// counts each payload once; every float is in shortest round-trip form, so
+// the record is exact.
+func writeRound(w io.Writer, buf []byte, r, nodes int, st engine.RoundStats, mbps float64) ([]byte, error) {
+	if r == 0 {
+		buf = append(buf, "round,active,pairs,forced,mean_pair_mbps,payload_words,bytes,sim_seconds,loss\n"...)
+	}
+	active := nodes
+	if st.Plan.Active != nil {
+		active = 0
+		for _, in := range st.Plan.Active[:nodes] {
+			if in {
+				active++
+			}
+		}
+	}
+	buf = fmt.Appendf(buf, "%d,%d,", r, active)
+	sep := ""
+	for v, p := range st.Plan.Peer {
+		if p > v {
+			buf = fmt.Appendf(buf, "%s%d-%d", sep, v, p)
+			sep = "|"
+		}
+	}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	buf = fmt.Appendf(buf, ",%t,%s,%d,%d,%s,%s\n", st.Plan.Forced,
+		g(mbps), st.PayloadLen, st.Bytes, g(st.CommSeconds), g(st.Loss))
+	_, err := w.Write(buf)
+	return buf, err
 }
 
 // finish fills the summary row of a ledger-charged run and logs it.

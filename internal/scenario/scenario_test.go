@@ -2,17 +2,19 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden spec files")
@@ -123,7 +125,6 @@ func TestSpecRejectsMalformed(t *testing.T) {
 		{"negative local steps", func(s *Spec) { s.LocalSteps = -3 }, "local_steps -3"},
 		{"jitter at one", func(s *Spec) { s.Bandwidth.Jitter = 1 }, "jitter"},
 		{"negative jitter", func(s *Spec) { s.Bandwidth.Jitter = -0.2 }, "jitter"},
-		{"record_trace on non-saps", func(s *Spec) { s.RecordTrace = true }, "record_trace requires algo saps"},
 		{"unknown model arch", func(s *Spec) { s.Model.Arch = "transformer" }, "unknown arch"},
 		{"negative hidden width", func(s *Spec) { s.Model.Hidden = []int{-4} }, "hidden width -4"},
 		{"cnn without width", func(s *Spec) { s.Model = ModelSpec{Arch: "cifar-cnn"} }, "width 0"},
@@ -465,43 +466,63 @@ func TestJitterScenario(t *testing.T) {
 	}
 }
 
-// TestTraceFromEngineRuns pins the trace hook on the canonical engine path:
-// a spec with trace set yields a recorder with one event per round (plain
-// SAPS via the spec flag; churned SAPS via the run option), with sane
-// active-worker counts.
+// runRounds runs spec at shards and parses its per-round record back: one
+// map from column name to field per round.
+func runRounds(t *testing.T, spec *Spec, shards int) (*RunOutput, []map[string]string) {
+	t.Helper()
+	var buf bytes.Buffer
+	out, err := spec.RunFull(RunOptions{Shards: shards, Rounds: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]map[string]string, len(recs)-1)
+	for i, rec := range recs[1:] {
+		rows[i] = map[string]string{}
+		for j, col := range recs[0] {
+			rows[i][col] = rec[j]
+		}
+	}
+	return out, rows
+}
+
+// TestTraceFromEngineRuns pins the per-round record on the canonical engine
+// path: a run given RunOptions.Rounds writes one row per round, whose
+// mean_pair_mbps is RunOutput.MatchedMBps in shortest round-trip form and
+// moves from round to round under jitter, with sane active-worker counts
+// under churn.
 func TestTraceFromEngineRuns(t *testing.T) {
 	spec, err := Load(filepath.Join("testdata", "saps-jitter.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := spec.RunFull(RunOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	out, rows := runRounds(t, spec, 2)
+	if len(rows) != spec.Rounds || len(out.MatchedMBps) != spec.Rounds {
+		t.Fatalf("%d rows and %d matched means, ran %d rounds", len(rows), len(out.MatchedMBps), spec.Rounds)
 	}
-	if out.Trace == nil {
-		t.Fatal("spec trace flag did not attach a recorder")
+	for r, row := range rows {
+		if got, want := row["mean_pair_mbps"], strconv.FormatFloat(out.MatchedMBps[r], 'g', -1, 64); got != want || out.MatchedMBps[r] <= 0 {
+			t.Errorf("round %d: mean_pair_mbps %s, MatchedMBps %s", r, got, want)
+		}
 	}
-	if out.Trace.Len() != spec.Rounds {
-		t.Fatalf("recorded %d rounds, ran %d", out.Trace.Len(), spec.Rounds)
-	}
-	if out.Trace.MeanMatchedBandwidth() <= 0 {
-		t.Error("trace recorded no matched bandwidth")
+	if out.MatchedMBps[0] == out.MatchedMBps[1] {
+		t.Errorf("jitter left the matched bandwidth at %v", out.MatchedMBps[0])
 	}
 
 	churn, err := Load(filepath.Join("testdata", "saps-cities-churn.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cout, err := churn.RunFull(RunOptions{Shards: 2, Recorder: trace.NewRecorder()})
-	if err != nil {
-		t.Fatal(err)
+	cout, crows := runRounds(t, churn, 2)
+	if len(crows) != churn.Rounds {
+		t.Fatalf("churn record: %d rows, ran %d rounds", len(crows), churn.Rounds)
 	}
-	if cout.Trace == nil || cout.Trace.Len() != churn.Rounds {
-		t.Fatalf("churn trace: %v", cout.Trace)
-	}
-	for _, ev := range cout.Trace.Events() {
-		if ev.ActiveWorkers < 1 || ev.ActiveWorkers > churn.Nodes {
-			t.Fatalf("round %d: %d active workers of %d", ev.Round, ev.ActiveWorkers, churn.Nodes)
+	for r, row := range crows {
+		if a, err := strconv.Atoi(row["active"]); err != nil || a < 1 || a > churn.Nodes {
+			t.Fatalf("round %d: %q active workers of %d", r, row["active"], churn.Nodes)
 		}
 	}
 	if len(cout.Losses) != churn.Rounds || len(cout.CumBytes) != churn.Rounds {
@@ -514,6 +535,31 @@ func TestTraceFromEngineRuns(t *testing.T) {
 		if cout.CumBytes[i] < cout.CumBytes[i-1] {
 			t.Fatalf("cumulative bytes decreased at round %d", i)
 		}
+	}
+}
+
+// failAfter is a writer that takes n writes, then fails every one after.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errors.New("disk full")
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestRoundRecordWriteError: a per-round record that cannot be written fails
+// the run with the first write error, rather than leaving a short file
+// behind a run that reports success.
+func TestRoundRecordWriteError(t *testing.T) {
+	spec, err := Load(filepath.Join("testdata", "saps-jitter.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &failAfter{n: 2}
+	if _, err := spec.RunFull(RunOptions{Shards: 1, Rounds: w}); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("RunFull over a failing writer: %v", err)
 	}
 }
 

@@ -26,8 +26,9 @@ import (
 // SpecSchemaVersion is the scenario file schema this package reads and
 // writes. Bump it when a field changes meaning; Parse rejects other
 // versions so stale specs fail loudly instead of silently misconfiguring a
-// sweep. Version 2 renamed the recorder flag to record_trace and gave
-// "trace" to the fleet-replay block (with its sibling "partition").
+// sweep. Version 2 gave "trace" to the fleet-replay block (with its sibling
+// "partition"); the recorder flag that held the name before is gone, and
+// Parse's unknown-field check refuses it.
 const SpecSchemaVersion = 2
 
 // Spec is one declarative fleet experiment.
@@ -111,14 +112,6 @@ type Spec struct {
 	// shard per CPU). Sweeps usually override it.
 	Shards int `json:"shards,omitempty"`
 
-	// RecordTrace attaches a trace.Recorder to the run (RunFull returns
-	// it): one event per round with the matched pairs, their link
-	// bandwidths, the forced-reconnection flag, payload size, active-worker
-	// count and loss. Only the SAPS family records traces, so record_trace
-	// requires algo saps (with or without churn/faults/trace) or
-	// randomchoose.
-	RecordTrace bool `json:"record_trace,omitempty"`
-
 	// PlannerOnly runs the coordinator side alone (Algorithm 3 matching +
 	// mask accounting + ledger charging) with no models, data, or workers —
 	// the large-N scaling harness, where 50k-node planning fits in memory
@@ -126,9 +119,8 @@ type Spec struct {
 	// totals are exactly what the full run would charge (the mask seed
 	// stream and matchings are identical); FinalLoss is 0. Requires algo
 	// saps or randomchoose, an MLP model, and no churn/faults/trace/
-	// partition/record_trace (RunOptions.Recorder — what a campaign's trace
-	// flag attaches — records the coordinator-side rounds: Fig. 5's per-round
-	// matched bandwidth).
+	// partition. Its per-round record (RunOptions.Rounds) and
+	// RunOutput.MatchedMBps are Fig. 5's per-round matched bandwidth.
 	PlannerOnly bool `json:"planner_only,omitempty"`
 
 	// dir is the directory the spec was loaded from; trace files resolve
@@ -430,13 +422,6 @@ func LoadDir(dir string) ([]*Spec, error) {
 	return specs, nil
 }
 
-// Traceable reports whether a run of this spec can record a per-round
-// trace: only a pairwise recipe (the SAPS family) has matchings to record
-// (planner_only records coordinator-side rounds through the same
-// recorder). Callers that stream traces to disk use this to decide up
-// front whether to open the file.
-func (s *Spec) Traceable() bool { return s.Recipe().Pairwise() }
-
 // Clone returns a deep copy of the spec: mutating the copy (sweep round
 // overrides, campaign grid cells) never alters the loaded original. Every
 // pointer block and slice is duplicated.
@@ -576,9 +561,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: algo %s may exchange between any two nodes, but %s bandwidth links only a few of each node's peers (use a dense bandwidth kind, or saps, d-psgd or dcd-psgd)",
 			s.Name, s.Algo, s.Bandwidth.Kind)
 	}
-	if s.RecordTrace && !r.Pairwise() {
-		return fmt.Errorf("scenario %s: record_trace requires algo %s, have %s", s.Name, algoList(algos.Recipe.Pairwise), s.Algo)
-	}
 	if s.PlannerOnly {
 		if !r.Pairwise() {
 			return fmt.Errorf("scenario %s: planner_only requires algo %s, have %s", s.Name, algoList(algos.Recipe.Pairwise), s.Algo)
@@ -586,8 +568,8 @@ func (s *Spec) Validate() error {
 		if !s.Model.arch().IsMLP() {
 			return fmt.Errorf("scenario %s: planner_only sizes the mask from the MLP's parameter count, have arch %s", s.Name, s.Model.Arch)
 		}
-		if s.Churn != nil || s.Faults != nil || s.RecordTrace || s.Trace != nil || s.Partition != nil {
-			return fmt.Errorf("scenario %s: planner_only excludes churn/faults/trace/partition/record_trace", s.Name)
+		if s.Churn != nil || s.Faults != nil || s.Trace != nil || s.Partition != nil {
+			return fmt.Errorf("scenario %s: planner_only excludes churn/faults/trace/partition", s.Name)
 		}
 	}
 	if tr := s.Trace; tr != nil {
@@ -757,8 +739,7 @@ func (s *Spec) checkRatio(dim int) error {
 //   - gossip, churn, faults and the trace's join/leave events go unless
 //     algo is adaptive (the trace block itself stays: its bandwidth
 //     multipliers apply to every synchronous algorithm);
-//   - compression goes unless algo reads it, record_trace unless algo is
-//     pairwise;
+//   - compression goes unless algo reads it;
 //   - an asynchronous algo drops the trace block (it runs on a static
 //     environment), a synchronous one the async block.
 func (s *Spec) Retarget(algo string) *Spec {
@@ -773,9 +754,6 @@ func (s *Spec) Retarget(algo string) *Spec {
 	}
 	if c.ratio() != &c.Compression {
 		c.Compression = 0
-	}
-	if !r.Pairwise() {
-		c.RecordTrace = false
 	}
 	if r.Async() {
 		c.Trace = nil

@@ -7,10 +7,9 @@ package scenario
 import (
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
-
-	"sapspsgd/internal/trace"
 )
 
 // TestTraceReplayDeterministicAcrossShards is the tentpole's shard-sweep
@@ -48,27 +47,23 @@ func TestTraceReplayDeterministicAcrossShards(t *testing.T) {
 }
 
 // TestTraceMembershipReplayed checks the events actually drive membership:
-// the edge trace's scripted absences show up in the round recorder's
+// the edge trace's scripted absences show up in the per-round record's
 // active-worker counts at exactly the scripted rounds.
 func TestTraceMembershipReplayed(t *testing.T) {
 	spec, err := Load(filepath.Join("testdata", "saps-trace-noniid.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := spec.RunFull(RunOptions{Recorder: trace.NewRecorder()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Trace == nil || out.Trace.Len() != spec.Rounds {
-		t.Fatalf("trace recorder: %v", out.Trace)
+	_, rows := runRounds(t, spec, 0)
+	if len(rows) != spec.Rounds {
+		t.Fatalf("%d rows, ran %d rounds", len(rows), spec.Rounds)
 	}
 	// edge.csv: node 6 is away for [10, 18), node 7 for [12, 22); every
 	// other node stays for the spec's 24 rounds.
 	want := map[int]int{0: 12, 9: 12, 10: 11, 12: 10, 18: 11, 22: 12, 23: 12}
-	events := out.Trace.Events()
 	for round, active := range want {
-		if events[round].ActiveWorkers != active {
-			t.Errorf("round %d: %d active workers, trace scripts %d", round, events[round].ActiveWorkers, active)
+		if got := rows[round]["active"]; got != strconv.Itoa(active) {
+			t.Errorf("round %d: %s active workers, trace scripts %d", round, got, active)
 		}
 	}
 }
@@ -123,13 +118,10 @@ func TestTraceComposesWithJitterAndFaults(t *testing.T) {
 	if a.TotalBytes != b.TotalBytes || a.FinalLoss != b.FinalLoss || a.SimSeconds != b.SimSeconds {
 		t.Errorf("composed run diverges across shards: %+v vs %+v", a, b)
 	}
-	out, err := spec.RunFull(RunOptions{Shards: 1, Recorder: trace.NewRecorder()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rows := runRounds(t, spec, 1)
 	// Round 2: rank 0 crashed on top of full trace membership.
-	if got := out.Trace.Events()[2].ActiveWorkers; got != 11 {
-		t.Errorf("round 2 active workers %d, want 11 (scheduled crash on top of trace)", got)
+	if got := rows[2]["active"]; got != "11" {
+		t.Errorf("round 2 active workers %s, want 11 (scheduled crash on top of trace)", got)
 	}
 }
 

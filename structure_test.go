@@ -734,6 +734,68 @@ func TestOneRoundBoundary(t *testing.T) {
 	}
 }
 
+// TestOneRoundRecord: a synchronous run's per-round facts are one record,
+// one row a round written by one function (scenario's writeRound) from the
+// round's engine.RoundStats (DESIGN.md §6). The trace recorder package and
+// the spec flag that switched it on stay gone, and no second function writes
+// the record's header.
+func TestOneRoundRecord(t *testing.T) {
+	if _, err := os.Stat("internal/trace"); !os.IsNotExist(err) {
+		t.Errorf("internal/trace exists (%v): a run's per-round facts are scenario's round record", err)
+	}
+	// The deleted spec flag, spelled in two halves so this file does not
+	// name it either.
+	flag := "record_" + "trace"
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		product := strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go")
+		if !product && !strings.HasSuffix(path, ".json") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err == nil && strings.Contains(string(data), flag) {
+			t.Errorf("%s names %s: the per-round record is written for every synchronous run", path, flag)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var writers []string
+	for _, dir := range []string{"cmd", "internal"} {
+		for _, f := range productFiles(t, fset, dir) {
+			for _, decl := range f.Decls {
+				ast.Inspect(decl, func(n ast.Node) bool {
+					lit, ok := n.(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						return true
+					}
+					if v, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(v, "round,active,") {
+						name := "a declaration"
+						if fn, ok := decl.(*ast.FuncDecl); ok {
+							name = fn.Name.Name
+						}
+						writers = append(writers, fset.Position(lit.Pos()).String()+" in "+name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(writers) != 1 || !strings.HasSuffix(writers[0], " in writeRound") {
+		t.Errorf("the per-round record's header is written at %v, want once, in scenario's writeRound", writers)
+	}
+}
+
 // panicPins is the number of panic calls in each product package under cmd/
 // and internal/ (a package absent here has none). A panic is for a
 // programming error the code cannot reach from a spec, a frame or a flag;
