@@ -72,7 +72,7 @@ func NewPlannerOnly(planner engine.Planner, dim int, c float64) *InProc {
 type maskTraffic struct {
 	dim   int
 	c     float64
-	mask  []bool
+	mask  []int32
 	pairs []engine.PairTraffic
 }
 
@@ -80,8 +80,8 @@ type maskTraffic struct {
 // direction the masked payload, in ascending rank order (the order
 // engine.ReportFold gives a fleet's pairs).
 func (m *maskTraffic) RunRound(plan core.RoundPlan) (engine.ControlReport, error) {
-	m.mask = compress.MaskInto(m.mask, plan.Seed, plan.Round, m.dim, m.c)
-	ones := compress.CountOnes(m.mask)
+	m.mask = compress.MaskIndices(m.mask, plan.Seed, plan.Round, m.dim, m.c)
+	ones := len(m.mask)
 	payload := compress.MaskedBytes(ones)
 	m.pairs = m.pairs[:0]
 	for v, p := range plan.Peer {

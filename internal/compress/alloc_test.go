@@ -47,15 +47,34 @@ func TestTopKIntoSteadyStateZeroAlloc(t *testing.T) {
 func TestMaskedExtractSteadyStateZeroAlloc(t *testing.T) {
 	const n = 4096
 	x := randVec(n, 3)
-	var mask []bool
+	var mask []int32
 	var payload []float64
-	mask = MaskInto(mask, 7, 0, n, 100)
+	mask = MaskIndices(mask, 7, 0, n, 100)
 	payload = ExtractInto(payload, x, mask)
+	round := 1
 	if allocs := testing.AllocsPerRun(50, func() {
-		mask = MaskInto(mask, 7, 1, n, 100)
+		mask = MaskIndices(mask, 7, round, n, 100)
 		payload = ExtractInto(payload, x, mask)
+		round++
 	}); allocs != 0 {
-		t.Fatalf("MaskInto+ExtractInto: %v allocs/op in steady state, want 0", allocs)
+		t.Fatalf("MaskIndices+ExtractInto: %v allocs/op in steady state, want 0", allocs)
+	}
+}
+
+// TestMaskScratchIsOrderK: a round's mask and payload take room for the k ≈
+// n/c kept entries, not for n — at n = 2²⁰ and c = 100 at most 3·n/c, on the
+// first round and on every round that reuses them.
+func TestMaskScratchIsOrderK(t *testing.T) {
+	const n, c = 1 << 20, 100
+	x := make([]float64, n)
+	var mask []int32
+	var payload []float64
+	for round := range 20 {
+		mask = MaskIndices(mask, 11, round, n, c)
+		payload = ExtractInto(payload, x, mask)
+		if cap(mask) > 3*n/c || cap(payload) > 3*n/c {
+			t.Fatalf("round %d: mask cap %d, payload cap %d, want ≤ 3·n/c = %d", round, cap(mask), cap(payload), 3*n/c)
+		}
 	}
 }
 
@@ -108,16 +127,17 @@ func BenchmarkTopKInto(b *testing.B) {
 	}
 }
 
-func BenchmarkMaskedExtract(b *testing.B) {
-	const n = 1 << 16
-	x := randVec(n, 7)
-	var mask []bool
-	var payload []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mask = MaskInto(mask, 7, i, n, 100)
-		payload = ExtractInto(payload, x, mask)
+// BenchmarkMaskIndices draws one round mask at the tcp8 model's size under
+// saps' c = 4 and the paper's c = 100.
+func BenchmarkMaskIndices(b *testing.B) {
+	for _, c := range []float64{4, 100} {
+		b.Run(fmt.Sprintf("n=85002/c=%v", c), func(b *testing.B) {
+			mask := MaskIndices(nil, 7, 0, 85002, c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mask = MaskIndices(mask, 7, i, 85002, c)
+			}
+		})
 	}
-	_ = payload
 }

@@ -39,19 +39,25 @@ func MaskedBytes(k int) int64 { return int64(k) * BytesPerValue }
 // without a shared seed).
 func SparseBytes(k int) int64 { return int64(k) * (BytesPerValue + BytesPerIndex) }
 
-// Mask generates the round-t Bernoulli(1/c) mask of length n from the shared
-// seed, exactly as every worker does in Algorithm 2 line 6.
-func Mask(seed uint64, round, n int, c float64) []bool {
-	return MaskInto(nil, seed, round, n, c)
-}
-
-// MaskInto is Mask writing into dst, allocating only when dst does not have
-// length n — the per-worker scratch variant used on the round hot path.
-func MaskInto(dst []bool, seed uint64, round, n int, c float64) []bool {
+// MaskIndices writes the ascending positions of the ones of the round-t
+// Bernoulli(1/c) mask over n entries into dst[:0], exactly as every worker
+// regenerates it from the shared seed in Algorithm 2 line 6. It allocates
+// only when dst is short of room for the round (rng.MaskSeedIndices).
+func MaskIndices(dst []int32, seed uint64, round, n int, c float64) []int32 {
 	if c < 1 {
 		panic(fmt.Sprintf("compress: compression ratio %v < 1", c))
 	}
-	return rng.MaskSeedInto(dst, seed, round, n, 1/c)
+	return rng.MaskSeedIndices(dst, seed, round, n, 1/c)
+}
+
+// MaskInto is the mask of MaskIndices as an n-entry 0/1 view in dst,
+// allocating only when dst has room for fewer than n entries.
+func MaskInto(dst []bool, seed uint64, round, n int, c float64) []bool {
+	dst = append(dst[:0], make([]bool, n)...)
+	for _, i := range MaskIndices(nil, seed, round, n, c) {
+		dst[i] = true
+	}
+	return dst
 }
 
 // CountOnes returns the number of true entries of mask.
@@ -65,38 +71,35 @@ func CountOnes(mask []bool) int {
 	return k
 }
 
-// Extract packs x's masked coordinates into a fresh slice, in index order.
+// Extract gathers x's values at the mask's positions into a fresh slice.
 // This is the payload a SAPS worker sends: values only.
-func Extract(x []float64, mask []bool) []float64 {
-	return ExtractInto(make([]float64, 0, len(x)/8), x, mask)
+func Extract(x []float64, mask []int32) []float64 {
+	return ExtractInto(nil, x, mask)
 }
 
-// ExtractInto is Extract appending into dst[:0]; after the backing array has
-// grown to the steady-state payload size it allocates nothing. The returned
-// slice aliases dst's storage, so callers that reuse a scratch buffer must
-// not overwrite it while a previous payload is still being read.
-func ExtractInto(dst, x []float64, mask []bool) []float64 {
-	dst = dst[:0]
-	for i, on := range mask {
-		if on {
-			dst = append(dst, x[i])
-		}
+// ExtractInto is Extract writing into dst, allocating only when dst has less
+// room than the mask's capacity. The returned slice aliases dst's storage, so
+// callers that reuse a scratch buffer must not overwrite it while a previous
+// payload is still being read.
+func ExtractInto(dst, x []float64, mask []int32) []float64 {
+	if cap(dst) < len(mask) {
+		dst = make([]float64, 0, cap(mask))
+	}
+	dst = dst[:len(mask)]
+	for j, i := range mask {
+		dst[j] = x[i]
 	}
 	return dst
 }
 
-// Scatter writes packed values back into the masked coordinates of dst and
+// Scatter writes packed values back into the mask's positions of dst and
 // returns the number of values consumed. It panics if vals is shorter than
-// the mask's population count.
-func Scatter(dst []float64, mask []bool, vals []float64) int {
-	j := 0
-	for i, on := range mask {
-		if on {
-			dst[i] = vals[j]
-			j++
-		}
+// the mask.
+func Scatter(dst []float64, mask []int32, vals []float64) int {
+	for j, i := range mask {
+		dst[i] = vals[j]
 	}
-	return j
+	return len(mask)
 }
 
 // SparseVec is an explicit-support sparse vector in a dense space of

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,14 +12,18 @@ import (
 
 func TestMaskAgreementAndDensity(t *testing.T) {
 	const n = 100000
-	a := Mask(7, 3, n, 100)
-	b := Mask(7, 3, n, 100)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("masks disagree at %d", i)
-		}
+	a := MaskIndices(nil, 7, 3, n, 100)
+	b := MaskIndices(nil, 7, 3, n, 100)
+	if !slices.Equal(a, b) {
+		t.Fatalf("masks disagree: %d vs %d positions", len(a), len(b))
 	}
-	k := CountOnes(a)
+	if !slices.IsSorted(a) || len(slices.Compact(slices.Clone(a))) != len(a) {
+		t.Fatal("mask positions are not strictly ascending")
+	}
+	k := len(a)
+	if ones := CountOnes(MaskInto(nil, 7, 3, n, 100)); ones != k {
+		t.Fatalf("MaskInto has %d ones, MaskIndices %d positions", ones, k)
+	}
 	want := float64(n) / 100
 	if math.Abs(float64(k)-want) > 6*math.Sqrt(want) {
 		t.Fatalf("mask ones = %d, want ~%v", k, want)
@@ -31,7 +36,7 @@ func TestMaskBadRatioPanics(t *testing.T) {
 			t.Fatal("expected panic for c < 1")
 		}
 	}()
-	Mask(1, 1, 10, 0.5)
+	MaskIndices(nil, 1, 1, 10, 0.5)
 }
 
 func TestExtractScatterRoundTrip(t *testing.T) {
@@ -39,13 +44,16 @@ func TestExtractScatterRoundTrip(t *testing.T) {
 		r := rng.New(seed)
 		n := 1 + r.Intn(200)
 		x := make([]float64, n)
-		mask := make([]bool, n)
+		on := make([]bool, n)
+		var mask []int32
 		for i := range x {
 			x[i] = r.NormFloat64()
-			mask[i] = r.Bernoulli(0.3)
+			if on[i] = r.Bernoulli(0.3); on[i] {
+				mask = append(mask, int32(i))
+			}
 		}
 		vals := Extract(x, mask)
-		if len(vals) != CountOnes(mask) {
+		if len(vals) != CountOnes(on) {
 			return false
 		}
 		dst := make([]float64, n)
@@ -54,10 +62,10 @@ func TestExtractScatterRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range x {
-			if mask[i] && dst[i] != x[i] {
+			if on[i] && dst[i] != x[i] {
 				return false
 			}
-			if !mask[i] && dst[i] != 0 {
+			if !on[i] && dst[i] != 0 {
 				return false
 			}
 		}
@@ -293,18 +301,5 @@ func BenchmarkTopK1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		TopK(x, len(x)/1000)
-	}
-}
-
-func BenchmarkExtractMasked(b *testing.B) {
-	r := rng.New(2)
-	n := 1 << 20
-	x := make([]float64, n)
-	mask := make([]bool, n)
-	r.Mask(mask, 0.01)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Extract(x, mask)
 	}
 }

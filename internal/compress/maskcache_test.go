@@ -1,13 +1,14 @@
 package compress
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
 
-// TestMaskCacheMatchesMaskInto pins the sharing contract: the cached mask is
-// bit-identical to a direct MaskInto evaluation for every key, including
-// after key changes.
+// TestMaskCacheMatchesMaskInto pins the sharing contract: the cached
+// positions are exactly the ones of a direct MaskInto evaluation (and a
+// direct MaskIndices one) for every key, including after key changes.
 func TestMaskCacheMatchesMaskInto(t *testing.T) {
 	mc := &MaskCache{}
 	keys := []struct {
@@ -24,13 +25,16 @@ func TestMaskCacheMatchesMaskInto(t *testing.T) {
 	}
 	for _, k := range keys {
 		got := mc.Get(k.seed, k.round, k.n, k.c)
-		want := Mask(k.seed, k.round, k.n, k.c)
-		if len(got) != len(want) {
-			t.Fatalf("key %+v: len %d, want %d", k, len(got), len(want))
+		if want := MaskIndices(nil, k.seed, k.round, k.n, k.c); !slices.Equal(got, want) {
+			t.Fatalf("key %+v: %d positions, want %d", k, len(got), len(want))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("key %+v: bit %d differs", k, i)
+		bits := MaskInto(nil, k.seed, k.round, k.n, k.c)
+		if CountOnes(bits) != len(got) {
+			t.Fatalf("key %+v: %d positions, MaskInto has %d ones", k, len(got), CountOnes(bits))
+		}
+		for _, i := range got {
+			if !bits[i] {
+				t.Fatalf("key %+v: position %d is off in MaskInto", k, i)
 			}
 		}
 	}
@@ -47,7 +51,7 @@ func TestMaskCacheHitReturnsSameSlice(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Fatal("cache hit returned a different slice")
 	}
-	snapshot := append([]bool(nil), a...)
+	snapshot := append([]int32(nil), a...)
 	mc.Get(7, 1, 256, 4) // advance one generation
 	for i := range a {
 		if a[i] != snapshot[i] {
@@ -61,18 +65,14 @@ func TestMaskCacheHitReturnsSameSlice(t *testing.T) {
 // correct mask (run with -race to check the locking).
 func TestMaskCacheConcurrent(t *testing.T) {
 	mc := &MaskCache{}
-	want := Mask(42, 3, 512, 8)
+	want := MaskIndices(nil, 42, 3, 512, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := mc.Get(42, 3, 512, 8)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("bit %d differs", i)
-					return
-				}
+			if got := mc.Get(42, 3, 512, 8); !slices.Equal(got, want) {
+				t.Errorf("%d positions, want %d", len(got), len(want))
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,12 +49,19 @@ func newTestWorker(rank int, model *nn.Model, shard *dataset.Dataset, cfg Config
 // maskedPayload is the message a worker sends its peer (Algorithm 2 line 7):
 // x̃ = x ∘ m packed, exactly as the engine's Masked codec extracts it from
 // the model's live parameters under the round's mask.
-func maskedPayload(w *Worker, mask []bool) []float64 {
+func maskedPayload(w *Worker, mask []int32) []float64 {
 	x, _ := w.Model.Flat()
 	return compress.ExtractInto(nil, x, mask)
 }
 
 func params(w *Worker) []float64 { return w.Model.FlatParams(nil) }
+
+func mergePeer(t testing.TB, w *Worker, peer []float64) {
+	t.Helper()
+	if err := w.MergePeer(peer); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(4)
@@ -82,11 +90,8 @@ func TestWorkersShareMask(t *testing.T) {
 	ws := buildWorkers(t, 4, cfg)
 	ref := ws[0].RoundMask(99, 7)
 	for rank, w := range ws[1:] {
-		m := w.RoundMask(99, 7)
-		for i := range m {
-			if m[i] != ref[i] {
-				t.Fatalf("worker %d mask differs at %d", rank+1, i)
-			}
+		if m := w.RoundMask(99, 7); !slices.Equal(m, ref) {
+			t.Fatalf("worker %d mask differs: %d vs %d positions", rank+1, len(m), len(ref))
 		}
 	}
 }
@@ -108,13 +113,17 @@ func TestMaskedExchangeAveragesExactly(t *testing.T) {
 	mask := ws[0].RoundMask(5, 1)
 	pa := maskedPayload(ws[0], mask)
 	pb := maskedPayload(ws[1], ws[1].RoundMask(5, 1))
-	ws[0].MergePeer(pb)
-	ws[1].MergePeer(pa)
+	mergePeer(t, ws[0], pb)
+	mergePeer(t, ws[1], pa)
 
+	on := make([]bool, n)
+	for _, i := range mask {
+		on[i] = true
+	}
 	ga := params(ws[0])
 	gb := params(ws[1])
 	for i := range ga {
-		if mask[i] {
+		if on[i] {
 			want := (a[i] + b[i]) / 2
 			if ga[i] != want || gb[i] != want {
 				t.Fatalf("masked coord %d: %v/%v, want %v", i, ga[i], gb[i], want)
@@ -146,8 +155,8 @@ func TestMergePeerConservesMean(t *testing.T) {
 
 	pa := maskedPayload(ws[0], ws[0].RoundMask(11, 2))
 	pb := maskedPayload(ws[1], ws[1].RoundMask(11, 2))
-	ws[0].MergePeer(pb)
-	ws[1].MergePeer(pa)
+	mergePeer(t, ws[0], pb)
+	mergePeer(t, ws[1], pa)
 
 	sumAfter := tensor.Sum(params(ws[0])) + tensor.Sum(params(ws[1]))
 	if math.Abs(sumAfter-sumBefore) > 1e-9 {
@@ -155,16 +164,23 @@ func TestMergePeerConservesMean(t *testing.T) {
 	}
 }
 
-func TestMergePeerWrongLenPanics(t *testing.T) {
+// TestMergePeerWrongLenFails: a payload that does not match the mask's count
+// — one word short, or far too long — is refused with both lengths, and the
+// model is left as it was.
+func TestMergePeerWrongLenFails(t *testing.T) {
 	cfg := testConfig(2)
 	ws := buildWorkers(t, 2, cfg)
-	ws[0].RoundMask(1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	k := len(ws[0].RoundMask(1, 1))
+	before := params(ws[0])
+	for _, n := range []int{k - 1, 1e6} {
+		err := ws[0].MergePeer(make([]float64, n))
+		if want := fmt.Sprintf("peer payload %d values, mask has %d", n, k); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("payload of %d: error %v, want %q", n, err, want)
 		}
-	}()
-	ws[0].MergePeer(make([]float64, 1e6))
+	}
+	if !slices.Equal(params(ws[0]), before) {
+		t.Fatal("a refused payload changed the model")
+	}
 }
 
 func TestPayloadBeforeMaskPanics(t *testing.T) {
@@ -226,7 +242,7 @@ func TestGossipOnlyConsensus(t *testing.T) {
 		}
 		for i, w := range ws {
 			if peer := plan.Peer[i]; peer != -1 {
-				w.MergePeer(payloads[peer])
+				mergePeer(t, w, payloads[peer])
 			}
 		}
 	}

@@ -15,7 +15,7 @@ type Worker struct {
 	compression float64
 	localSteps  int
 
-	mask []bool // round mask: worker scratch, or the shared cache's slice
+	mask []int32 // round mask positions: worker scratch, or the shared cache's slice
 
 	// masks, when set, replaces the per-worker mask scratch with a
 	// fleet-shared cache (see ShareMasks).
@@ -48,38 +48,35 @@ func (w *Worker) LocalSGD() float64 { return w.Trainer.LocalSGD(w.localSteps) }
 func (w *Worker) ShareMasks(mc *compress.MaskCache) { w.masks = mc }
 
 // RoundMask regenerates the shared round mask from the coordinator's seed
-// (Algorithm 2 line 6). Every worker calls this with identical arguments and
-// obtains an identical mask. The mask lands in per-worker scratch (or the
-// fleet-shared cache after ShareMasks), so steady-state rounds allocate
-// nothing.
-func (w *Worker) RoundMask(seed uint64, round int) []bool {
+// (Algorithm 2 line 6) as the ascending positions of its ones. Every worker
+// calls this with identical arguments and obtains an identical mask. The
+// positions land in per-worker scratch (or the fleet-shared cache after
+// ShareMasks), so steady-state rounds allocate nothing.
+func (w *Worker) RoundMask(seed uint64, round int) []int32 {
 	n := w.Model.ParamCount()
 	if w.masks != nil {
 		w.mask = w.masks.Get(seed, round, n, w.compression)
 		return w.mask
 	}
-	w.mask = compress.MaskInto(w.mask, seed, round, n, w.compression)
+	w.mask = compress.MaskIndices(w.mask, seed, round, n, w.compression)
 	return w.mask
 }
 
 // MergePeer applies the masked gossip average of Eq. (7) with the pairwise
 // doubly stochastic W, in place: masked coordinates become the mean of the
 // local and peer values; unmasked coordinates are untouched (Algorithm 2
-// line 10).
-func (w *Worker) MergePeer(peerVals []float64) {
+// line 10). A payload whose length is not the mask's count came off the
+// wire malformed: it is an error, and the model is left as it was.
+func (w *Worker) MergePeer(peerVals []float64) error {
 	if w.mask == nil {
 		panic("core: MergePeer before RoundMask")
 	}
-	k := compress.CountOnes(w.mask)
-	if len(peerVals) != k {
-		panic(fmt.Sprintf("core: peer payload %d values, mask has %d", len(peerVals), k))
+	if len(peerVals) != len(w.mask) {
+		return fmt.Errorf("core: peer payload %d values, mask has %d", len(peerVals), len(w.mask))
 	}
 	x, _ := w.Model.Flat()
-	j := 0
-	for i, on := range w.mask {
-		if on {
-			x[i] = 0.5 * (x[i] + peerVals[j])
-			j++
-		}
+	for j, i := range w.mask {
+		x[i] = 0.5 * (x[i] + peerVals[j])
 	}
+	return nil
 }

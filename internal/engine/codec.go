@@ -85,7 +85,7 @@ type Masked struct {
 	// C is the compression ratio c (mask keep-probability 1/c).
 	C float64
 
-	mask    []bool
+	mask    []int32
 	payload []float64
 	cache   *compress.MaskCache
 }
@@ -111,13 +111,13 @@ func NewMaskedShared(c float64, mc *compress.MaskCache) *Masked {
 // Name implements Codec.
 func (m *Masked) Name() string { return "masked" }
 
-// Encode implements Codec: regenerate the round mask from (seed, round) and
-// pack the surviving values.
+// Encode implements Codec: regenerate the round mask's positions from
+// (seed, round) and gather the surviving values.
 func (m *Masked) Encode(ctx RoundContext, dense []float64) ([]float64, error) {
 	if m.cache != nil {
 		m.mask = m.cache.Get(ctx.Seed, ctx.Round, len(dense), m.C)
 	} else {
-		m.mask = compress.MaskInto(m.mask, ctx.Seed, ctx.Round, len(dense), m.C)
+		m.mask = compress.MaskIndices(m.mask, ctx.Seed, ctx.Round, len(dense), m.C)
 	}
 	m.payload = compress.ExtractInto(m.payload, dense, m.mask)
 	return m.payload, nil

@@ -49,7 +49,7 @@ func specPlanner(t *testing.T, spec *scenario.Spec) engine.Planner {
 // each rank's node and the codec table from the spec's recipe, as a TCP
 // WorkerClient does after Welcome — under the given planner, and returns the
 // engine options plus the core workers behind the nodes.
-func sapsFleet(t *testing.T, spec *scenario.Spec, planner engine.Planner) (engine.Options, []*core.Worker) {
+func sapsFleet(t testing.TB, spec *scenario.Spec, planner engine.Planner) (engine.Options, []*core.Worker) {
 	t.Helper()
 	rec := spec.Recipe()
 	shards, _ := spec.Dataset()

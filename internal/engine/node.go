@@ -132,7 +132,9 @@ func (n *MaskedGossipNode) Merge(ctx RoundContext, msgs []PeerMsg) error {
 			return fmt.Errorf("engine: masked gossip node received collective message")
 		}
 		n.W.RoundMask(ctx.Seed, ctx.Round)
-		n.W.MergePeer(m.Vals)
+		if err := n.W.MergePeer(m.Vals); err != nil {
+			return fmt.Errorf("engine: round %d, peer %d: %w", ctx.Round, m.From, err)
+		}
 	}
 	return nil
 }

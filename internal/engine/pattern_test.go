@@ -345,17 +345,13 @@ func TestCodecRoundTrips(t *testing.T) {
 	t.Run("masked", func(t *testing.T) {
 		c := engine.NewMasked(2)
 		words, _ := c.Encode(ctx, x)
-		mask := compress.Mask(ctx.Seed, ctx.Round, len(x), 2)
-		if len(words) != compress.CountOnes(mask) {
-			t.Fatalf("masked payload %d values, mask has %d", len(words), compress.CountOnes(mask))
+		mask := compress.MaskIndices(nil, ctx.Seed, ctx.Round, len(x), 2)
+		if len(words) != len(mask) {
+			t.Fatalf("masked payload %d values, mask has %d", len(words), len(mask))
 		}
-		j := 0
-		for i, on := range mask {
-			if on {
-				if words[j] != x[i] {
-					t.Fatalf("masked value %d mismatch", j)
-				}
-				j++
+		for j, i := range mask {
+			if words[j] != x[i] {
+				t.Fatalf("masked value %d mismatch", j)
 			}
 		}
 		if c.WireBytes(words) != int64(len(words)*4) {

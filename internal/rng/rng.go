@@ -147,18 +147,16 @@ func ReadState(b []byte) (st State, rest []byte, err error) {
 	return st, b[StateSize:], nil
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly random bits (xoshiro256**).
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
+	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
 	t := r.s[1] << 17
 	r.s[2] ^= r.s[0]
 	r.s[3] ^= r.s[1]
 	r.s[1] ^= r.s[2]
 	r.s[0] ^= r.s[3]
 	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	r.s[3] = bits.RotateLeft64(r.s[3], 45)
 	return result
 }
 
@@ -259,33 +257,58 @@ func (r *Source) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Mask fills out with a Bernoulli(p) 0/1 mask (Eq. (3) of the paper): each
-// element is independently 1 with probability p. The mask depends only on the
-// Source state, so two Sources constructed from the same seed produce
-// identical masks — this is how all workers agree on the sparsification
-// pattern without communicating it.
-func (r *Source) Mask(out []bool, p float64) {
-	for i := range out {
-		out[i] = r.Float64() < p
+// maskThreshold is the integer form of the test Float64() < p: a draw's top
+// 53 bits m give Float64() = m·2⁻⁵³ exactly, and p·2⁵³ is exact too (a
+// power-of-two scaling), so m·2⁻⁵³ < p holds exactly when m < ⌈p·2⁵³⌉.
+func maskThreshold(p float64) uint64 {
+	if !(p > 0) { // p ≤ 0 or NaN: no draw is below it
+		return 0
 	}
+	return uint64(math.Ceil(min(p, 1) * (1 << 53))) // p ≥ 1: 2⁵³, above every draw
 }
 
-// MaskSeed is a convenience constructor: the mask for round t under seed s is
-// Mask generated by a Source derived from (s, t). All workers call this with
-// identical arguments and obtain identical masks.
-func MaskSeed(seed uint64, round int, n int, p float64) []bool {
-	return MaskSeedInto(nil, seed, round, n, p)
-}
-
-// MaskSeedInto is MaskSeed writing into dst, allocating only when dst does
-// not have length n. Hot paths (one mask per worker per round) pass their
-// scratch buffer to stay allocation-free in steady state.
-func MaskSeedInto(dst []bool, seed uint64, round int, n int, p float64) []bool {
-	if len(dst) != n {
-		dst = make([]bool, n)
+// MaskSeedIndices writes into dst[:0] the ascending positions of the ones
+// of the round's Bernoulli(p) mask over n < 2³¹ entries (Eq. (3) of the
+// paper): entry i is kept when the i-th draw of New(seed).Derive(round+1)
+// has Float64() < p. All workers agree on the mask without communicating it.
+// Blocks of 64 draws are compacted on the stack and appended, so the only
+// scratch is the result; a dst with room for the mean plus six standard
+// deviations is reused, so steady-state rounds allocate nothing.
+func MaskSeedIndices(dst []int32, seed uint64, round, n int, p float64) []int32 {
+	thr := maskThreshold(p)
+	mean := float64(n) * float64(thr) / (1 << 53)
+	if want := min(n, int(mean+6*math.Sqrt(mean))+64); cap(dst) < want {
+		dst = make([]int32, 0, want)
 	}
-	var src Source // stack-local: the steady state allocates nothing
+	dst = dst[:0]
+	var src Source
 	src.Reseed(seed, uint64(round)+1)
-	src.Mask(dst, p)
+	var blk [64]int32
+	for base := 0; base < n; base += 64 {
+		kept := maskBlock(&src.s, &blk, base, min(base+64, n), thr)
+		dst = append(dst, blk[:kept]...)
+	}
 	return dst
+}
+
+// maskBlock is the one mask draw loop: it draws positions lo..hi-1 (at most
+// 64) from the xoshiro256** state s, held in locals meanwhile, compacts the
+// kept ones into blk without a branch and returns how many it kept.
+func maskBlock(s *[4]uint64, blk *[64]int32, lo, hi int, thr uint64) int {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	kept := 0
+	for i := lo; i < hi; i++ {
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		blk[kept&63] = int32(i)
+		kept += int((u>>11 - thr) >> 63) // 1 exactly when u>>11 < thr
+	}
+	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+	return kept
 }

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -161,17 +162,10 @@ func TestMaskDensity(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			r := New(23)
-			m := make([]bool, 500000)
-			r.Mask(m, tc.p)
-			ones := 0
-			for _, b := range m {
-				if b {
-					ones++
-				}
-			}
-			got := float64(ones) / float64(len(m))
-			sigma := math.Sqrt(tc.p * (1 - tc.p) / float64(len(m)))
+			const n = 500000
+			ones := len(MaskSeedIndices(nil, 23, 0, n, tc.p))
+			got := float64(ones) / n
+			sigma := math.Sqrt(tc.p * (1 - tc.p) / n)
 			if math.Abs(got-tc.p) > 6*sigma {
 				t.Fatalf("mask density %v, want %v ± %v", got, tc.p, 6*sigma)
 			}
@@ -181,23 +175,28 @@ func TestMaskDensity(t *testing.T) {
 
 func TestMaskSeedAgreement(t *testing.T) {
 	// The protocol invariant: every worker computes the same mask for a given
-	// (seed, round). Simulate 32 workers.
+	// (seed, round). Simulate 32 workers, half of them reusing scratch.
 	const n = 10000
-	ref := MaskSeed(99, 5, n, 0.01)
+	ref := MaskSeedIndices(nil, 99, 5, n, 0.01)
+	var scratch []int32
 	for w := 0; w < 32; w++ {
-		m := MaskSeed(99, 5, n, 0.01)
-		for i := range m {
-			if m[i] != ref[i] {
-				t.Fatalf("worker %d mask differs at %d", w, i)
-			}
+		var m []int32
+		if w%2 == 0 {
+			m = MaskSeedIndices(nil, 99, 5, n, 0.01)
+		} else {
+			scratch = MaskSeedIndices(scratch, 99, w, n, 0.3)
+			m = MaskSeedIndices(scratch, 99, 5, n, 0.01)
+		}
+		if !slices.Equal(m, ref) {
+			t.Fatalf("worker %d mask differs: %d vs %d positions", w, len(m), len(ref))
 		}
 	}
 }
 
 func TestMaskSeedDiffersAcrossRounds(t *testing.T) {
 	const n = 10000
-	a := MaskSeed(99, 1, n, 0.5)
-	b := MaskSeed(99, 2, n, 0.5)
+	a := maskBits(MaskSeedIndices(nil, 99, 1, n, 0.5), n)
+	b := maskBits(MaskSeedIndices(nil, 99, 2, n, 0.5), n)
 	diff := 0
 	for i := range a {
 		if a[i] != b[i] {
@@ -207,6 +206,73 @@ func TestMaskSeedDiffersAcrossRounds(t *testing.T) {
 	if diff < n/4 {
 		t.Fatalf("masks for different rounds too similar: %d/%d differ", diff, n)
 	}
+}
+
+// maskBits expands mask positions to an n-entry 0/1 vector.
+func maskBits(pos []int32, n int) []bool {
+	out := make([]bool, n)
+	for _, i := range pos {
+		out[i] = true
+	}
+	return out
+}
+
+// maskDrawsReference is the per-draw mask loop MaskSeedIndices replaced,
+// verbatim: one Float64 draw per entry, kept when it is below p.
+func maskDrawsReference(seed uint64, round int, n int, p float64) []bool {
+	dst := make([]bool, n)
+	var src Source // stack-local: the steady state allocates nothing
+	src.Reseed(seed, uint64(round)+1)
+	for i := range dst {
+		dst[i] = src.Float64() < p
+	}
+	return dst
+}
+
+// maskRatios are the compression ratios c (p = 1/c) the threshold and the
+// draw loop are checked at: the dense and next-to-dense ends, the ratios
+// the paper and the workloads run, a nearly empty mask and the empty one.
+var maskRatios = []float64{1, 1 + 0x1p-52, 3, 4, 7, 50, 100, 1e9, math.Inf(1)}
+
+// TestMaskThresholdIsExact: the integer threshold thr decides Float64() < p
+// exactly — the largest kept draw, (thr−1)·2⁻⁵³, is below p and the smallest
+// dropped one, thr·2⁻⁵³, is not.
+func TestMaskThresholdIsExact(t *testing.T) {
+	for _, c := range maskRatios {
+		p := 1 / c
+		thr := float64(maskThreshold(p)) // thr ≤ 2⁵³: exact
+		if !((thr-1)*0x1p-53 < p) {
+			t.Errorf("c=%v: draw thr−1 = %v is not below p = %v", c, thr-1, p)
+		}
+		if thr*0x1p-53 < p {
+			t.Errorf("c=%v: draw thr = %v is below p = %v", c, thr, p)
+		}
+	}
+}
+
+// FuzzMaskIndicesMatchDraws: MaskSeedIndices keeps exactly the entries the
+// per-draw reference keeps, for any seed, round, size and ratio.
+func FuzzMaskIndicesMatchDraws(f *testing.F) {
+	for _, n := range []int{0, 1, 63, 64, 65} {
+		for i, c := range maskRatios {
+			f.Add(uint64(n*31+i), i, n, c)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, round, n int, c float64) {
+		if n < 0 || n > 4096 {
+			t.Skip()
+		}
+		p := 1 / c
+		var want []int32
+		for i, on := range maskDrawsReference(seed, round, n, p) {
+			if on {
+				want = append(want, int32(i))
+			}
+		}
+		if got := MaskSeedIndices(nil, seed, round, n, p); !slices.Equal(got, want) {
+			t.Fatalf("seed %d round %d n %d c %v: positions differ from the per-draw mask", seed, round, n, c)
+		}
+	})
 }
 
 func TestBernoulliRate(t *testing.T) {
@@ -234,16 +300,6 @@ func BenchmarkUint64(b *testing.B) {
 		sink += r.Uint64()
 	}
 	_ = sink
-}
-
-func BenchmarkMask(b *testing.B) {
-	r := New(1)
-	m := make([]bool, 1<<20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Mask(m, 0.01)
-	}
 }
 
 func TestReseedMatchesNewDerive(t *testing.T) {
