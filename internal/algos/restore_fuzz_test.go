@@ -53,7 +53,8 @@ func FuzzRestoreRank(f *testing.F) {
 	longer := snapshotSpec("psgd")
 	longer.Data.Samples += 2 * snapshotN
 	longShards, _ := longer.Dataset()
-	foreign, err := engine.CaptureRank(fuzzRank(f, longer, longShards, 0))
+	longNode, longCodec := fuzzRank(f, longer, longShards, 0)
+	foreign, err := engine.CaptureRank(longNode, longCodec, engine.RankSnapshot{})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -285,7 +285,7 @@ func TestParentCommitWorkerSnapshotReencodes(t *testing.T) {
 	if err := engine.RestoreRank(node, codecs[ws.Rank], ws.State); err != nil {
 		t.Fatal(err)
 	}
-	state, err := engine.CaptureRank(node, codecs[ws.Rank])
+	state, err := engine.CaptureRank(node, codecs[ws.Rank], engine.RankSnapshot{})
 	if err != nil {
 		t.Fatal(err)
 	}

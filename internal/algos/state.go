@@ -13,21 +13,21 @@ import (
 // parameters (plus normalization running statistics), optimizer momentum, and
 // minibatch-stream RNG cursors all ride in the snapshot. A node that embeds
 // its core.Trainer and carries nothing else across a boundary (gradAvgNode,
-// neighborMixNode, psWorkerNode) gets the trainer's pair as it stands, a hub
-// server embeds serverModel, and this file holds the two nodes that really
-// add state behind the trainer's in the same blob. Codec-side state
+// neighborMixNode, psWorkerNode) gets the trainer's methods as they stand, a
+// hub server embeds serverModel, and this file holds the two nodes that
+// really add state behind the trainer's in the same blob. Codec-side state
 // (error-feedback residuals, quantizer RNG) is captured by the codecs
 // themselves (see internal/engine/codec.go).
 
-// CaptureState implements engine.Stateful: the trainer's state, then the
-// public replicas in ascending rank order — they evolve by lossy deltas and
-// cannot be reconstructed from the model alone.
-func (n *dcdNode) CaptureState() ([]byte, error) {
-	room := 0
+// AppendState implements engine.StateAppender: the trainer's state, then
+// the public replicas in ascending rank order — they evolve by lossy deltas
+// and cannot be reconstructed from the model alone.
+func (n *dcdNode) AppendState(dst []byte) ([]byte, error) {
+	size := n.StateSize()
 	for _, e := range n.row {
-		room += tensor.SectionSize(8 * len(e.replica))
+		size += tensor.SectionSize(8 * len(e.replica))
 	}
-	b, err := n.StateBlob(room)
+	b, err := n.Trainer.AppendState(tensor.Grow(dst, size))
 	if err != nil {
 		return nil, err
 	}
@@ -36,6 +36,9 @@ func (n *dcdNode) CaptureState() ([]byte, error) {
 	}
 	return b, nil
 }
+
+// CaptureState implements engine.Stateful.
+func (n *dcdNode) CaptureState() ([]byte, error) { return n.AppendState(nil) }
 
 // RestoreState implements engine.Stateful.
 func (n *dcdNode) RestoreState(data []byte) error {
@@ -55,16 +58,19 @@ func (n *dcdNode) RestoreState(data []byte) error {
 	return tensor.NoMoreSections(b)
 }
 
-// CaptureState implements engine.Stateful: the trainer's state, then the last
-// pulled server model — S-FedAvg's delta upload is relative to it, so a
-// worker restored mid-schedule must remember it.
-func (f *fedWorkerNode) CaptureState() ([]byte, error) {
-	b, err := f.StateBlob(tensor.SectionSize(8 * len(f.pulled)))
+// AppendState implements engine.StateAppender: the trainer's state, then
+// the last pulled server model — S-FedAvg's delta upload is relative to it,
+// so a worker restored mid-schedule must remember it.
+func (f *fedWorkerNode) AppendState(dst []byte) ([]byte, error) {
+	b, err := f.Trainer.AppendState(tensor.Grow(dst, f.StateSize()+tensor.SectionSize(8*len(f.pulled))))
 	if err != nil {
 		return nil, err
 	}
 	return tensor.AppendVector(b, f.pulled), nil
 }
+
+// CaptureState implements engine.Stateful.
+func (f *fedWorkerNode) CaptureState() ([]byte, error) { return f.AppendState(nil) }
 
 // RestoreState implements engine.Stateful.
 func (f *fedWorkerNode) RestoreState(data []byte) error {
@@ -90,21 +96,30 @@ type serverModel struct {
 	model *nn.Model
 }
 
-// CaptureState implements engine.Stateful.
-func (s serverModel) CaptureState() ([]byte, error) {
-	return s.model.AppendCheckpoint(make([]byte, 0, s.model.CheckpointSize())), nil
+// AppendState implements engine.StateAppender.
+func (s serverModel) AppendState(dst []byte) ([]byte, error) {
+	return s.model.AppendCheckpoint(tensor.Grow(dst, s.model.CheckpointSize())), nil
 }
+
+// CaptureState implements engine.Stateful.
+func (s serverModel) CaptureState() ([]byte, error) { return s.AppendState(nil) }
 
 // RestoreState implements engine.Stateful.
 func (s serverModel) RestoreState(data []byte) error { return s.model.LoadCheckpoint(data) }
 
-// Compile-time checks: every baseline node supports checkpointing.
+// Compile-time checks: every baseline node supports checkpointing, in both
+// forms.
 var (
-	_ engine.Stateful = (*gradAvgNode)(nil)
-	_ engine.Stateful = (*neighborMixNode)(nil)
-	_ engine.Stateful = (*dcdNode)(nil)
-	_ engine.Stateful = (*psWorkerNode)(nil)
-	_ engine.Stateful = (*fedWorkerNode)(nil)
-	_ engine.Stateful = (*psServerNode)(nil)
-	_ engine.Stateful = (*fedServerNode)(nil)
+	_ statefulNode = (*gradAvgNode)(nil)
+	_ statefulNode = (*neighborMixNode)(nil)
+	_ statefulNode = (*dcdNode)(nil)
+	_ statefulNode = (*psWorkerNode)(nil)
+	_ statefulNode = (*fedWorkerNode)(nil)
+	_ statefulNode = (*psServerNode)(nil)
+	_ statefulNode = (*fedServerNode)(nil)
 )
+
+type statefulNode interface {
+	engine.Stateful
+	engine.StateAppender
+}

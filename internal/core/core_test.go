@@ -302,7 +302,7 @@ func TestConsensusRateMatchesLemma2(t *testing.T) {
 // changes — SGD.Step would otherwise restart momentum from zero unseen.
 func TestReadStateRejectsMisSizedMomentum(t *testing.T) {
 	tr := buildWorkers(t, 2, testConfig(2))[0].Trainer
-	blob, err := tr.StateBlob(0)
+	blob, err := tr.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

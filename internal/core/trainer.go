@@ -58,20 +58,23 @@ func (t *Trainer) LocalSGD(steps int) float64 {
 // RNG, sample count, position and epoch), and the optimizer's momentum buffer
 // (raw words, empty without momentum).
 
-// StateBlob returns the trainer's state in a new blob sized exactly for it
-// plus room more bytes of capacity, which a node asks for to append state of
-// its own behind the trainer's. The parameters are copied once, from the
-// layers into the blob.
-func (t *Trainer) StateBlob(room int) ([]byte, error) {
-	velocity := t.Opt.Velocity()
-	model := t.Model.CheckpointSize()
-	dst := make([]byte, 0, tensor.SectionSize(model)+tensor.SectionSize(dataset.LoaderStateSize)+tensor.SectionSize(8*len(velocity))+room)
-	dst = t.Model.AppendCheckpoint(tensor.BeginSection(dst, model))
-	dst = t.Loader.State().AppendTo(tensor.BeginSection(dst, dataset.LoaderStateSize))
-	return tensor.AppendVector(dst, velocity), nil
+// StateSize is the number of bytes AppendState appends.
+func (t *Trainer) StateSize() int {
+	return tensor.SectionSize(t.Model.CheckpointSize()) + tensor.SectionSize(dataset.LoaderStateSize) + tensor.SectionSize(8*len(t.Opt.Velocity()))
 }
 
-// ReadState restores the state StateBlob wrote at the front of b into an
+// AppendState appends the trainer's state to dst, growing it at most once.
+// The parameters are copied once, from the layers into the blob. A node that
+// carries state of its own grows dst for both before it calls this, and
+// appends its part behind the trainer's.
+func (t *Trainer) AppendState(dst []byte) ([]byte, error) {
+	dst = tensor.Grow(dst, t.StateSize())
+	dst = t.Model.AppendCheckpoint(tensor.BeginSection(dst, t.Model.CheckpointSize()))
+	dst = t.Loader.State().AppendTo(tensor.BeginSection(dst, dataset.LoaderStateSize))
+	return tensor.AppendVector(dst, t.Opt.Velocity()), nil
+}
+
+// ReadState restores the state AppendState wrote at the front of b into an
 // identically constructed trainer (same recipe, same shard) and returns what
 // follows it. Every section is checked before the model is written: a state
 // whose loader cursor does not fit this trainer's shard leaves the model as
@@ -107,9 +110,10 @@ func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 }
 
 // CaptureState is the trainer's state as one exactly sized blob. With
-// RestoreState it is the engine's Stateful contract, so a node that embeds
-// its trainer and adds no state of its own can be checkpointed as it stands.
-func (t *Trainer) CaptureState() ([]byte, error) { return t.StateBlob(0) }
+// RestoreState it is the engine's Stateful contract, and AppendState its
+// append form, so a node that embeds its trainer and adds no state of its
+// own can be checkpointed as it stands.
+func (t *Trainer) CaptureState() ([]byte, error) { return t.AppendState(nil) }
 
 // RestoreState restores a blob written by CaptureState.
 func (t *Trainer) RestoreState(data []byte) error {

@@ -52,20 +52,40 @@ type Snapshot struct {
 	Ledger    []byte
 }
 
-// CaptureRank snapshots one rank's node and encoder codec. It fails when the
-// node does not support checkpointing.
-func CaptureRank(node Node, codec Codec) (RankSnapshot, error) {
+// StateAppender is the append form of a Stateful capture: AppendState
+// appends to dst exactly the bytes CaptureState would return, so a caller
+// that captures every round can reuse one blob's storage. Every Stateful
+// type in this module implements it, its CaptureState being
+// AppendState(nil); a Stateful value without it — a wrapper that embeds the
+// interface — is captured through CaptureState.
+type StateAppender interface {
+	AppendState(dst []byte) ([]byte, error)
+}
+
+// captureInto captures s into reuse's storage when s has the append form.
+func captureInto(s Stateful, reuse []byte) ([]byte, error) {
+	if a, ok := s.(StateAppender); ok {
+		return a.AppendState(reuse[:0])
+	}
+	return s.CaptureState()
+}
+
+// CaptureRank snapshots one rank's node and encoder codec, writing the blobs
+// into reuse's storage where they fit: pass the rank's previous snapshot
+// when nothing else holds it any more, or a zero RankSnapshot. It fails when
+// the node does not support checkpointing.
+func CaptureRank(node Node, codec Codec, reuse RankSnapshot) (RankSnapshot, error) {
 	sn, ok := node.(Stateful)
 	if !ok {
 		return RankSnapshot{}, fmt.Errorf("engine: node %T does not support checkpointing", node)
 	}
-	nb, err := sn.CaptureState()
+	nb, err := captureInto(sn, reuse.Node)
 	if err != nil {
 		return RankSnapshot{}, err
 	}
 	rs := RankSnapshot{Node: nb}
 	if sc, ok := codec.(Stateful); ok {
-		cb, err := sc.CaptureState()
+		cb, err := captureInto(sc, reuse.Codec)
 		if err != nil {
 			return RankSnapshot{}, err
 		}
@@ -107,7 +127,7 @@ func (e *Engine) Checkpoint(nextRound int, led Ledger) (*Snapshot, error) {
 		Ranks:     make([]RankSnapshot, len(e.nodes)),
 	}
 	for i, node := range e.nodes {
-		rs, err := CaptureRank(node, e.codecs[i])
+		rs, err := CaptureRank(node, e.codecs[i], RankSnapshot{})
 		if err != nil {
 			return nil, fmt.Errorf("engine: checkpoint rank %d: %w", i, err)
 		}

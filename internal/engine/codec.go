@@ -292,16 +292,20 @@ func (t *TopK) DecodeInto(dst []float64, _ RoundContext, words []float64) ([]flo
 // WireBytes implements Codec.
 func (t *TopK) WireBytes(words []float64) int64 { return sparseWireBytes(words) }
 
-// CaptureState implements Stateful: the error-feedback residual is the only
-// cross-round state, one vector of raw words — empty when error feedback is
-// disabled or no Encode has run yet (the residual allocates lazily).
-func (t *TopK) CaptureState() ([]byte, error) {
+// AppendState implements StateAppender: the error-feedback residual is the
+// only cross-round state, one vector of raw words — empty when error
+// feedback is disabled or no Encode has run yet (the residual allocates
+// lazily).
+func (t *TopK) AppendState(dst []byte) ([]byte, error) {
 	var residual []float64
 	if t.ef != nil {
 		residual = t.ef.Residual()
 	}
-	return tensor.AppendVector(make([]byte, 0, tensor.SectionSize(8*len(residual))), residual), nil
+	return tensor.AppendVector(tensor.Grow(dst, tensor.SectionSize(8*len(residual))), residual), nil
 }
+
+// CaptureState implements Stateful.
+func (t *TopK) CaptureState() ([]byte, error) { return t.AppendState(nil) }
 
 // RestoreState implements Stateful.
 func (t *TopK) RestoreState(data []byte) error {
@@ -378,9 +382,12 @@ func (r *RandomK) DecodeInto(dst []float64, _ RoundContext, words []float64) ([]
 // WireBytes implements Codec.
 func (r *RandomK) WireBytes(words []float64) int64 { return sparseWireBytes(words) }
 
-// CaptureState implements Stateful: the support-drawing RNG cursor, in
+// AppendState implements StateAppender: the support-drawing RNG cursor, in
 // rng.State's fixed words.
-func (r *RandomK) CaptureState() ([]byte, error) { return captureRNG(r.rnd.State()), nil }
+func (r *RandomK) AppendState(dst []byte) ([]byte, error) { return appendRNG(dst, r.rnd.State()), nil }
+
+// CaptureState implements Stateful.
+func (r *RandomK) CaptureState() ([]byte, error) { return r.AppendState(nil) }
 
 // RestoreState implements Stateful.
 func (r *RandomK) RestoreState(data []byte) error {
@@ -463,9 +470,14 @@ func (q *QSGDCodec) WireBytes(words []float64) int64 {
 	return compress.QuantizedWireBytes(len(words)-1, q.Levels)
 }
 
-// CaptureState implements Stateful: the stochastic-rounding RNG cursor, in
-// rng.State's fixed words.
-func (q *QSGDCodec) CaptureState() ([]byte, error) { return captureRNG(q.q.RNGState()), nil }
+// AppendState implements StateAppender: the stochastic-rounding RNG cursor,
+// in rng.State's fixed words.
+func (q *QSGDCodec) AppendState(dst []byte) ([]byte, error) {
+	return appendRNG(dst, q.q.RNGState()), nil
+}
+
+// CaptureState implements Stateful.
+func (q *QSGDCodec) CaptureState() ([]byte, error) { return q.AppendState(nil) }
 
 // RestoreState implements Stateful.
 func (q *QSGDCodec) RestoreState(data []byte) error {
@@ -476,10 +488,10 @@ func (q *QSGDCodec) RestoreState(data []byte) error {
 	return err
 }
 
-// captureRNG is a codec blob that holds one RNG cursor and nothing else.
-func captureRNG(st rng.State) []byte { return st.AppendTo(make([]byte, 0, rng.StateSize)) }
+// appendRNG appends a codec blob that holds one RNG cursor and nothing else.
+func appendRNG(dst []byte, st rng.State) []byte { return st.AppendTo(tensor.Grow(dst, rng.StateSize)) }
 
-// restoreRNG reads a blob captureRNG wrote, which must be all of data.
+// restoreRNG reads a blob appendRNG wrote, which must be all of data.
 func restoreRNG(codec string, data []byte) (rng.State, error) {
 	st, rest, err := rng.ReadState(data)
 	if err == nil {

@@ -119,7 +119,9 @@ const frameFirstRead = 4 << 20
 // body length, or refuses the frame outright with an error of its own; a
 // header that declares more than the cap is refused before any room is made
 // for the body. The body is read into buf's storage when that is large
-// enough and is valid until the caller reuses buf.
+// enough and is valid until the caller reuses buf. The error wraps io.EOF
+// exactly when r ended before the frame's first byte — at a frame boundary
+// of a stream; a stream that ends inside a frame is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte, maxBody func(FrameHeader) (int, error)) (FrameHeader, []byte, error) {
 	var head [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -143,6 +145,9 @@ func ReadFrame(r io.Reader, buf []byte, maxBody func(FrameHeader) (int, error)) 
 			body = append(make([]byte, 0, need), body...)
 		}
 		got, err := io.ReadFull(r, body[len(body):len(body)+chunk])
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended inside this frame
+		}
 		if err != nil {
 			return FrameHeader{}, nil, fmt.Errorf("engine: frame body: %d of %d bytes: %w", len(body)+got, n, err)
 		}

@@ -139,10 +139,13 @@ func (n *MaskedGossipNode) Merge(ctx RoundContext, msgs []PeerMsg) error {
 	return nil
 }
 
-// CaptureState implements Stateful: the worker's trainer state (model
+// AppendState implements StateAppender: the worker's trainer state (model
 // checkpoint, loader cursor, optimizer momentum) — the mask handle is
 // regenerated from the broadcast seed and carries nothing across a boundary.
-func (n *MaskedGossipNode) CaptureState() ([]byte, error) { return n.W.CaptureState() }
+func (n *MaskedGossipNode) AppendState(dst []byte) ([]byte, error) { return n.W.AppendState(dst) }
+
+// CaptureState implements Stateful.
+func (n *MaskedGossipNode) CaptureState() ([]byte, error) { return n.AppendState(nil) }
 
 // RestoreState implements Stateful.
 func (n *MaskedGossipNode) RestoreState(data []byte) error { return n.W.RestoreState(data) }

@@ -121,18 +121,21 @@ func (l *Ledger) MeanWorkerTrafficMB() float64 {
 	return float64(sum) / float64(len(l.sentBytes)) / 1e6
 }
 
-// CaptureState implements engine.Stateful: three sections of
+// AppendState implements engine.StateAppender: three sections of
 // words — the per-worker sent totals, the received totals, then the simulated
 // clock's bits, the server's sent and received bytes and the round count.
 // Per-round scratch is zero at a boundary and is not captured. It must be
 // called at a round boundary (after EndRound).
-func (l *Ledger) CaptureState() ([]byte, error) {
+func (l *Ledger) AppendState(dst []byte) ([]byte, error) {
 	n := 8 * len(l.sentBytes)
-	dst := make([]byte, 0, 2*tensor.SectionSize(n)+tensor.SectionSize(ledgerScalars))
+	dst = tensor.Grow(dst, 2*tensor.SectionSize(n)+tensor.SectionSize(ledgerScalars))
 	dst = tensor.AppendIntVector(tensor.AppendIntVector(dst, l.sentBytes), l.recvBytes)
 	dst = tensor.AppendWords(tensor.BeginSection(dst, ledgerScalars), []float64{l.totalTime})
 	return tensor.AppendInts(dst, []int64{l.serverSent, l.serverRecv, int64(l.rounds)}), nil
 }
+
+// CaptureState implements engine.Stateful.
+func (l *Ledger) CaptureState() ([]byte, error) { return l.AppendState(nil) }
 
 // ledgerScalars is the size of the state's last section.
 const ledgerScalars = 4 * 8

@@ -22,10 +22,7 @@ const sectionHeader = 8
 func AppendWords(dst []byte, v []float64) []byte {
 	n := len(dst)
 	dst = slices.Grow(dst, 8*len(v))[:n+8*len(v)]
-	out := dst[n:]
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-	}
+	putWords(dst[n:], v)
 	return dst
 }
 
@@ -34,10 +31,27 @@ func DecodeWords(dst []float64, b []byte) error {
 	if len(b) != 8*len(dst) {
 		return fmt.Errorf("tensor: %d bytes for %d words", len(b), len(dst))
 	}
+	getWords(dst, b)
+	return nil
+}
+
+// putWordsLoop and getWordsLoop are the word layout's definition, one word
+// at a time. On a little-endian target a float64's memory is already its
+// eight bytes in this order, so words_le.go copies the whole vector at once
+// instead; these loops stay as the oracle it is fuzzed against
+// (FuzzWordsMatchLoop), the path on big-endian targets and the whole path
+// under the purego build tag. Both take exactly sized operands:
+// len(out) == 8·len(v), len(b) == 8·len(dst).
+func putWordsLoop(out []byte, v []float64) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
+	}
+}
+
+func getWordsLoop(dst []float64, b []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return nil
 }
 
 // Words decodes all of b into a new vector; no bytes decode as nil.
@@ -70,6 +84,17 @@ func DecodeInts[T ~int | ~int64](dst []T, b []byte) error {
 		dst[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return nil
+}
+
+// Grow returns dst with room for n more bytes behind its length, making it
+// in one exactly sized allocation when there is too little — how a state
+// blob is sized before its sections are appended. (slices.Grow rounds the
+// room up and, under the race detector, allocates it twice.)
+func Grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
 }
 
 // SectionSize is the number of bytes a section with an n-byte body occupies.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -121,4 +122,59 @@ func TestCutSectionRefusesOverlongLength(t *testing.T) {
 	if allocs > 4 {
 		t.Errorf("refusing an overlong section made %v allocations", allocs)
 	}
+}
+
+// FuzzWordsMatchLoop: for any bits — NaN payloads, −0, ±Inf, subnormals —
+// any length up to 1,024 words and any of the eight byte alignments,
+// AppendWords and DecodeWords equal the per-word loops that define the
+// layout, bit for bit, and AppendWords leaves what dst already held alone.
+// The input is an alignment byte, then the words' bytes.
+func FuzzWordsMatchLoop(f *testing.F) {
+	r := rand.New(rand.NewSource(43))
+	for shift, n := range []int{0, 1, len(awkward), 1000, 1024} {
+		v := make([]float64, n)
+		for i := range v {
+			if i < len(awkward) {
+				v[i] = awkward[i]
+			} else {
+				v[i] = math.Float64frombits(r.Uint64())
+			}
+		}
+		words := make([]byte, 8*n)
+		putWordsLoop(words, v)
+		f.Add(append([]byte{byte(2*shift + 1)}, words...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		shift := int(data[0] % 8)
+		n := min((len(data)-1)/8, 1024)
+		body := data[1 : 1+8*n]
+		v := make([]float64, n)
+		getWordsLoop(v, body)
+
+		prefix := bytes.Repeat([]byte{0xA5}, shift)
+		got := AppendWords(append([]byte(nil), prefix...), v)
+		want := make([]byte, 8*n)
+		putWordsLoop(want, v)
+		if !bytes.Equal(want, body) {
+			t.Fatalf("%d words: the loops do not round-trip their own bytes", n)
+		}
+		if !bytes.Equal(got[:shift], prefix) || !bytes.Equal(got[shift:], want) {
+			t.Fatalf("%d words behind %d bytes: AppendWords wrote %x, the loop %x", n, shift, got, want)
+		}
+
+		// Decode from a source shift bytes into its allocation.
+		src := append(make([]byte, shift), body...)[shift:]
+		dec := make([]float64, n)
+		if err := DecodeWords(dec, src); err != nil {
+			t.Fatal(err)
+		}
+		for i := range v {
+			if math.Float64bits(dec[i]) != math.Float64bits(v[i]) {
+				t.Fatalf("%d words: DecodeWords word %d is %016x, the loop's %016x", n, i, math.Float64bits(dec[i]), math.Float64bits(v[i]))
+			}
+		}
+	})
 }

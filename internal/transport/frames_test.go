@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -61,8 +62,9 @@ func (l *logSink) snapshot() []string {
 // TestRejectedFrameIsLoggedAndCounted: the accept loop used to drop a frame
 // it could not decode without a word. Each bad connection now leaves one log
 // line carrying the reason and one tick of transport_frames_rejected_total,
-// files nothing in the inbox, and the loop goes on to deliver the intact
-// frame that follows.
+// files nothing in the inbox, and the data plane goes on to deliver the
+// intact frame that follows. Each connection has its own reader, so the test
+// waits for each tick before it sends the next bad frame.
 func TestRejectedFrameIsLoggedAndCounted(t *testing.T) {
 	metrics := obs.New()
 	obs.Enable(metrics)
@@ -96,7 +98,6 @@ func TestRejectedFrameIsLoggedAndCounted(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"nothing", nil, "EOF"},
 		{"short read", good(0)[:20], "EOF"},
 		{"format-1 gob stream", []byte("F\xff\x93\x03\x01\x01\x0bPeerPayload\x01\xff\x94\x00\x01\x05\x01\x05Round\x01\x04\x00\x01\x04From\x01\x04\x00"), "magic"},
 		{"other version", reseal(version1), "version 1"},
@@ -116,13 +117,19 @@ func TestRejectedFrameIsLoggedAndCounted(t *testing.T) {
 		}
 		nc.Close()
 	}
-	for _, b := range bad {
+	rejected := func(n int) {
+		within(t, 30*time.Second, func() error {
+			for metrics.Transport.FramesRejectedTotal.Value() < int64(n) {
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		})
+	}
+	for i, b := range bad {
 		send(b.data)
+		rejected(i + 1)
 	}
 	send(good(0))
-
-	// The loop takes connections in order: once the intact frame is claimed,
-	// every bad one before it has been dealt with.
 	within(t, 30*time.Second, func() error {
 		got, err := peerDialer{ws[1]}.Recv(0, 1, 0)
 		if err == nil && (len(got) != 1 || got[0] != 0) {
@@ -150,37 +157,138 @@ func TestRejectedFrameIsLoggedAndCounted(t *testing.T) {
 	}
 }
 
-// TestPayloadFrameIsHeaderPlusWords counts what one Send puts on the socket:
-// the 36-byte header and eight bytes a word, for an empty payload too.
+// TestConnectionSpeaksForOneRank: a peer connection is long-lived, so how
+// it ends matters. Closed at a frame boundary it is a normal close, neither
+// logged nor counted. A later frame that claims another sender than the
+// connection's first is rejected, logged and counted, and the receiver
+// closes the connection; and a stream torn inside a header or a body is
+// still a rejection.
+func TestConnectionSpeaksForOneRank(t *testing.T) {
+	metrics := obs.New()
+	obs.Enable(metrics)
+	defer obs.Disable()
+
+	frame := func(from, seq int) []byte {
+		f := tensor.AppendWords(engine.BeginFrame(nil), []float64{float64(10*from + seq)})
+		engine.SealFrame(f, engine.FrameHeader{Kind: engine.FramePayload, From: from, Seq: seq})
+		return f
+	}
+	var sink logSink
+	t.Run("fleet", func(t *testing.T) {
+		ws := peerFleetWith(t, 3, func(w *WorkerClient) { w.Logf = sink.logf })
+		dial := func() net.Conn {
+			nc, err := net.Dial("tcp", ws[2].addrs[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { nc.Close() })
+			return nc
+		}
+		claim := func(from int, want float64) {
+			within(t, 30*time.Second, func() error {
+				got, err := peerDialer{ws[2]}.Recv(0, 2, from)
+				if err == nil && (len(got) != 1 || got[0] != want) {
+					err = fmt.Errorf("claimed %v from rank %d, want [%v]", got, from, want)
+				}
+				return err
+			})
+		}
+
+		// Two frames and a clean close.
+		clean := dial()
+		if _, err := clean.Write(append(frame(0, 0), frame(0, 1)...)); err != nil {
+			t.Fatal(err)
+		}
+		clean.Close()
+		claim(0, 0)
+		claim(0, 1)
+
+		// Rank 1's connection, then a frame on it that claims rank 0.
+		liar := dial()
+		if _, err := liar.Write(append(frame(1, 0), frame(0, 2)...)); err != nil {
+			t.Fatal(err)
+		}
+		claim(1, 10)
+		within(t, 30*time.Second, func() error {
+			if n, err := liar.Read(make([]byte, 1)); err != io.EOF {
+				return fmt.Errorf("the receiver kept the connection open: read %d bytes, %v", n, err)
+			}
+			return nil
+		})
+
+		// Torn inside a header, and inside a body.
+		for _, torn := range [][]byte{frame(1, 1)[:20], frame(1, 1)[:engine.FrameHeaderLen+3]} {
+			nc := dial()
+			if _, err := nc.Write(torn); err != nil {
+				t.Fatal(err)
+			}
+			nc.Close()
+		}
+		within(t, 30*time.Second, func() error {
+			for metrics.Transport.FramesRejectedTotal.Value() < 3 {
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		})
+		ws[2].inbox.mu.Lock()
+		left := len(ws[2].inbox.frames[0]) + len(ws[2].inbox.frames[1])
+		ws[2].inbox.mu.Unlock()
+		if left != 0 {
+			t.Errorf("%d frames left in the inbox: the impostor's was filed", left)
+		}
+	})
+	// The fleet is stopped and every reader has exited: nothing more can tick.
+	if got := metrics.Transport.FramesRejectedTotal.Value(); got != 3 {
+		t.Errorf("frames_rejected_total = %d, want 3: the impostor and the two torn frames, not the clean close", got)
+	}
+	lines := sink.snapshot()
+	if len(lines) != 3 {
+		t.Fatalf("%d log lines, want 3:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	for _, want := range []string{"rank 0 on rank 1's connection", "frame header: unexpected EOF", "frame body: 3 of 8 bytes: unexpected EOF"} {
+		if !slices.ContainsFunc(lines, func(l string) bool { return strings.Contains(l, want) }) {
+			t.Errorf("no log line gives the reason %q:\n%s", want, strings.Join(lines, "\n"))
+		}
+	}
+}
+
+// TestPayloadFrameIsHeaderPlusWords counts what Send puts on the socket: the
+// 36-byte header and eight bytes a word, for an empty payload too, frame
+// after frame on the one connection to the peer.
 func TestPayloadFrameIsHeaderPlusWords(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				close(accepted)
+				return
+			}
+			accepted <- nc
+		}
+	}()
 	w := &WorkerClient{rank: 0, n: 2, addrs: []string{"", ln.Addr().String()}, sent: make([]int, 2)}
+	var nc net.Conn
 	for _, words := range []int{0, 1, 21250, 85002} {
 		payload := make([]float64, words)
 		for i := range payload {
 			payload[i] = float64(i) + 0.5
 		}
-		got := make(chan []byte, 1)
-		go func() {
-			nc, err := ln.Accept()
-			if err != nil {
-				got <- nil
-				return
-			}
-			defer nc.Close()
-			data, _ := io.ReadAll(nc)
-			got <- data
-		}()
 		if err := (peerDialer{w}).Send(4, 0, 1, payload); err != nil {
 			t.Fatal(err)
 		}
-		data := <-got
-		if want := engine.FrameHeaderLen + 8*words; len(data) != want {
-			t.Fatalf("%d words: %d bytes on the socket, want %d (header + 8 a word)", words, len(data), want)
+		if nc == nil {
+			nc = <-accepted
+			defer nc.Close()
+		}
+		data := make([]byte, engine.FrameHeaderLen+8*words)
+		if _, err := io.ReadFull(nc, data); err != nil {
+			t.Fatalf("%d words: %v", words, err)
 		}
 		h, body, err := engine.ReadFrame(bytes.NewReader(data), nil, func(engine.FrameHeader) (int, error) { return 8 * words, nil })
 		if err != nil {
@@ -189,6 +297,15 @@ func TestPayloadFrameIsHeaderPlusWords(t *testing.T) {
 		if h.Kind != engine.FramePayload || h.Round != 4 || h.From != 0 || !bytes.Equal(body, tensor.AppendWords(nil, payload)) {
 			t.Fatalf("%d words: socket bytes read back as %+v with a %d-byte body", words, h, len(body))
 		}
+	}
+	w.out.shut()
+	if rest, err := io.ReadAll(nc); err != nil || len(rest) != 0 {
+		t.Fatalf("%d bytes behind the frames (%v): want the header + 8 a word and nothing else", len(rest), err)
+	}
+	ln.Close()
+	for extra := range accepted {
+		extra.Close()
+		t.Error("Send dialled the peer a second time")
 	}
 }
 
@@ -229,7 +346,7 @@ func TestRankSnapshotIsRawWords(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rs, err := engine.CaptureRank(w.node, w.codecs[0])
+		rs, err := engine.CaptureRank(w.node, w.codecs[0], engine.RankSnapshot{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +371,7 @@ func TestCaptureRankAllocatesLittle(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, err := engine.CaptureRank(w.node, w.codecs[0])
+			rs, err := engine.CaptureRank(w.node, w.codecs[0], engine.RankSnapshot{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -265,6 +382,41 @@ func TestCaptureRankAllocatesLittle(t *testing.T) {
 		t.Errorf("CaptureRank allocates %d bytes for a %d-byte blob (%.1f×), want at most 2×", got, blob, float64(got)/float64(blob))
 	}
 	t.Logf("CaptureRank: %d B allocated, %d allocations, %v per %d-byte blob", res.AllocedBytesPerOp(), res.AllocsPerOp(), time.Duration(res.NsPerOp()), blob)
+}
+
+// TestCommitAllocatesNothing: a worker's round boundary captures into the
+// blob of the boundary before it, so its second and later commits allocate
+// nothing at the tcp8 shape — and the blob they leave restores, and holds
+// the bytes a fresh capture makes.
+func TestCommitAllocatesNothing(t *testing.T) {
+	for _, algo := range []string{"saps", "topk-psgd"} {
+		w := tcp8Rank(t, algo)
+		if _, err := w.codecs[0].Encode(engine.RoundContext{}, w.model.FlatParams(nil)); err != nil {
+			t.Fatal(err) // a topk-psgd residual allocates on the first Encode
+		}
+		if err := w.commit(0); err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		if allocs := testing.AllocsPerRun(10, func() {
+			next++
+			if err := w.commit(next); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: a commit after the first allocates %v times", algo, allocs)
+		}
+		fresh, err := engine.CaptureRank(w.node, w.codecs[0], engine.RankSnapshot{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.snap.State.Node, fresh.Node) || !bytes.Equal(w.snap.State.Codec, fresh.Codec) {
+			t.Errorf("%s: the reused blob differs from a fresh capture", algo)
+		}
+		if err := engine.RestoreRank(w.node, w.codecs[0], w.snap.State); err != nil {
+			t.Errorf("%s: restoring the reused blob: %v", algo, err)
+		}
+	}
 }
 
 func intactWorkerSnapshot(t testing.TB, dir string) (*WorkerSnapshot, []byte) {

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/dataset"
@@ -574,6 +575,15 @@ type Conn struct {
 // NewConn wraps rwc. Both sides must wrap their end.
 func NewConn(rwc io.ReadWriteCloser) *Conn {
 	return &Conn{rwc: rwc, r: bufio.NewReader(rwc)}
+}
+
+// dialConn connects to the coordinator listening at addr.
+func dialConn(addr string) (*Conn, error) {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return NewConn(nc), nil
 }
 
 // setLimits sizes the caps of every later message by the fleet's n processes

@@ -3,16 +3,19 @@ package transport
 import (
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
 )
 
-// peerFleet stands up n workers' data planes — listener, accept loop, inbox —
+// peerFleet stands up n workers' data planes — listener, readers, inbox —
 // without a coordinator, so a test can drive peerDialer's Send/Recv (or a
 // whole engine.WorkerRound) directly.
 func peerFleet(t *testing.T, n int) []*WorkerClient {
@@ -79,9 +82,10 @@ func (n *recNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 	return nil
 }
 
-// TestPeerFrameHazards pins the three ways a one-way frame protocol can hang
-// or mispair (ISSUE 13): both ends writing before either reads, an empty
-// payload, and two frames of one sender overtaking each other.
+// TestPeerFrameHazards pins the ways a one-way frame protocol can hang or
+// mispair: both ends writing before either reads, an empty payload, two
+// frames of one sender overtaking each other, and a connection that stalls
+// inside a frame in front of the ones a round needs.
 func TestPeerFrameHazards(t *testing.T) {
 	t.Run("send-before-recv", func(t *testing.T) {
 		ws := peerFleet(t, 2)
@@ -142,6 +146,48 @@ func TestPeerFrameHazards(t *testing.T) {
 		}
 	})
 
+	t.Run("stalled-peer", func(t *testing.T) {
+		ws := peerFleet(t, 2)
+		// Each worker first takes in a connection that sends 20 of a
+		// header's 36 bytes and then nothing: a reader per connection
+		// leaves the round's own frames to theirs.
+		for _, w := range ws {
+			nc, err := net.Dial("tcp", w.addrs[w.rank])
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { nc.Close() })
+			frame := tensor.AppendWords(engine.BeginFrame(nil), []float64{1})
+			engine.SealFrame(frame, engine.FrameHeader{Kind: engine.FramePayload, From: 1 - w.rank})
+			if _, err := nc.Write(frame[:20]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes := []*recNode{{out: []float64{0, 1}}, {out: []float64{1, 2}}}
+		codecs := []engine.Codec{engine.Dense{}, engine.Dense{}}
+		plan := core.RoundPlan{Round: 2, Seed: 5, Peer: []int{1, 0}}
+		within(t, 30*time.Second, func() error {
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for self := range ws {
+				wg.Add(1)
+				go func(self int) {
+					defer wg.Done()
+					ws[self].inbox.begin(plan.Round, 0)
+					ctx := engine.RoundContext{Round: plan.Round, Seed: plan.Seed, Self: self, N: 2, Plan: plan}
+					_, errs[self] = engine.WorkerRound(nodes[self], engine.Pairwise{}, codecs, peerDialer{ws[self]}, new(engine.PhaseState), ctx)
+				}(self)
+			}
+			wg.Wait()
+			return firstError(errs)
+		})
+		for self, n := range nodes {
+			if len(n.merged) != 1 || n.merged[0].From != 1-self {
+				t.Fatalf("rank %d merged %+v, want one message from %d", self, n.merged, 1-self)
+			}
+		}
+	})
+
 	t.Run("reverse-order", func(t *testing.T) {
 		ws := peerFleet(t, 2)
 		// Rank 0's two frames to rank 1 land second-first: the second is fully
@@ -176,6 +222,69 @@ func TestPeerFrameHazards(t *testing.T) {
 			return nil
 		})
 	})
+}
+
+// readers counts the goroutines running WorkerClient.readPeer.
+func readers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "transport.(*WorkerClient).readPeer(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestNoReaderOutlivesItsWorker: every inbound connection's reader has
+// exited once its worker's data plane stops — after the peerFleet cleanup,
+// with connections both ways still open from the other side, and after Run
+// returns, a crash and a resume included.
+func TestNoReaderOutlivesItsWorker(t *testing.T) {
+	before := readers()
+	var raw net.Conn // closed only once the fleet has stopped
+	t.Run("peerFleet", func(t *testing.T) {
+		ws := peerFleet(t, 2)
+		// A raw connection and one each way between the workers, all still
+		// open from the dialling side when the cleanup stops the fleet.
+		var err error
+		if raw, err = net.Dial("tcp", ws[0].addrs[0]); err != nil {
+			t.Fatal(err)
+		}
+		within(t, 30*time.Second, func() error {
+			for self := range ws {
+				if err := (peerDialer{ws[self]}).Send(0, self, 1-self, []float64{1}); err != nil {
+					return err
+				}
+			}
+			for self := range ws {
+				if _, err := (peerDialer{ws[self]}).Recv(0, self, 1-self); err != nil {
+					return err
+				}
+			}
+			for readers() < before+3 {
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		})
+	})
+	if n := readers(); n != before {
+		t.Fatalf("%d readers still running after the peerFleet cleanup", n-before)
+	}
+	if raw != nil {
+		raw.Close()
+	}
+
+	spec, err := scenario.Load("../scenario/testdata/saps-crash-rejoin.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runFleet(t, &CoordinatorServer{Spec: spec, RejoinWait: 10 * time.Second}); sum(got.kills) == 0 {
+		t.Fatal("the fleet crashed no worker")
+	}
+	if n := readers(); n != before {
+		t.Fatalf("%d readers still running after every worker's Run returned", n-before)
+	}
 }
 
 func firstError(errs []error) error {

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -27,8 +28,10 @@ var ErrCrashed = errors.New("transport: worker crashed by fault injection (resta
 // WorkerClient runs one engine node over TCP: it registers with the
 // coordinator, assembles its node/pattern/codecs from the broadcast scenario
 // spec, trains locally, and sends encoded payloads to its per-round peers
-// as one-way frames over direct worker-to-worker connections. For hub algorithms the
-// last rank hosts the parameter server instead of training.
+// as one-way frames over direct worker-to-worker connections — one
+// long-lived connection per peer and direction, dialled by the first frame
+// that needs it and redialled after an Abort or a new address book. For hub
+// algorithms the last rank hosts the parameter server instead of training.
 //
 // Fault tolerance (DESIGN.md §3): a RoundMsg for round t proves every
 // earlier round committed, so the state it finds is the rank's committed
@@ -38,7 +41,8 @@ var ErrCrashed = errors.New("transport: worker crashed by fault injection (resta
 // coordinator's re-planned round), and with SnapshotPath set it is also the
 // versioned snapshot on disk, from which a process restarted with Resume
 // rejoins the training bit-identically to a worker that had simply been
-// excluded from the missed rounds.
+// excluded from the missed rounds. Each boundary's capture is written into
+// the storage of the one before it, so a round allocates no rollback blob.
 type WorkerClient struct {
 	// Logf receives progress lines; nil silences logging.
 	Logf func(format string, args ...any)
@@ -70,9 +74,11 @@ type WorkerClient struct {
 	maxPayload int
 	// sendBuf is the round goroutine's outbound frame, reused across sends.
 	sendBuf []byte
-	// inbox buffers the data-plane frames the accept loop has drained until
-	// the round goroutine's Recv claims them; probes carries the
-	// measurement phase's connections the same loop accepted.
+	// out holds the connection to each peer that Send has dialled.
+	out outbound
+	// inbox buffers the data-plane frames the connection readers have
+	// drained until the round goroutine's Recv claims them; probes carries
+	// the measurement phase's connections, whose first frame was a probe.
 	inbox  inbox
 	probes chan probeConn
 	// sent and recvd count this round attempt's frames per peer and
@@ -154,11 +160,9 @@ func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 	}
 	defer w.peerLn.Close()
 
-	nc, err := net.Dial("tcp", coordAddr)
-	if err != nil {
+	if w.coord, err = dialConn(coordAddr); err != nil {
 		return nil, fmt.Errorf("transport: dial coordinator: %w", err)
 	}
-	w.coord = NewConn(nc)
 	defer w.coord.Close()
 
 	if w.Resume {
@@ -216,13 +220,15 @@ func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
 			// The one rollback: cancel the attempt in flight (Send and Recv
 			// bail out), then restore the state the round found. A rank the
 			// coordinator aborted before its RoundMsg went out has nothing
-			// to undo.
+			// to undo. The peer connections go too: one may lead to the
+			// rank that died, and the re-planned attempt redials.
 			if running != nil {
 				w.aborting.Store(true)
 				w.inbox.wake()
 				<-running
 				running = nil
 			}
+			w.out.closeAll()
 			if w.snap.NextRound == m.Round {
 				if err := engine.RestoreRank(w.node, w.codecs[w.rank], w.snap.State); err != nil {
 					return nil, fmt.Errorf("transport: worker %d rollback: %w", w.rank, err)
@@ -371,23 +377,22 @@ func (w *WorkerClient) buildNode(spec *scenario.Spec) error {
 // commit records the state this rank carries into round next, known to be
 // committed, as the one rollback target and, with SnapshotPath set, the
 // snapshot on disk; a state already held for next (a re-planned attempt) is
-// kept. A failed write is logged: the worker trains on, and the file keeps
-// the last snapshot written.
+// kept. The capture is written into the previous boundary's blob: nothing
+// holds that once round next commits — an Abort restores the latest
+// boundary only, and the file is written before commit returns — and a
+// capture that fails ends the worker. A failed write is logged: the worker
+// trains on, and the file keeps the last snapshot written.
 func (w *WorkerClient) commit(next int) error {
-	if w.snap != nil && w.snap.NextRound == next {
+	if w.snap == nil {
+		w.snap = &WorkerSnapshot{Version: WorkerSnapshotVersion, Rank: w.rank, Spec: w.spec}
+	} else if w.snap.NextRound == next {
 		return nil
 	}
-	st, err := engine.CaptureRank(w.node, w.codecs[w.rank])
+	st, err := engine.CaptureRank(w.node, w.codecs[w.rank], w.snap.State)
 	if err != nil {
 		return err
 	}
-	w.snap = &WorkerSnapshot{
-		Version:   WorkerSnapshotVersion,
-		Rank:      w.rank,
-		NextRound: next,
-		Spec:      w.spec,
-		State:     st,
-	}
+	w.snap.NextRound, w.snap.State = next, st
 	if w.SnapshotPath != "" {
 		if err := SaveWorkerSnapshot(w.SnapshotPath, w.snap); err != nil {
 			w.logf("worker %d: snapshot write failed: %v", w.rank, err)
@@ -403,6 +408,7 @@ func (w *WorkerClient) commit(next int) error {
 func (w *WorkerClient) startRound(m RoundMsg) (<-chan roundResult, error) {
 	if m.Addrs != nil {
 		w.addrs = m.Addrs
+		w.out.closeAll()
 	}
 	if err := w.commit(m.Round); err != nil {
 		return nil, err
@@ -480,10 +486,12 @@ func peerTable(peer, self, n int) []int {
 // internal/engine, and only the one-way frames below are transport-specific.
 type peerDialer struct{ w *WorkerClient }
 
-// Send implements engine.Transport: dial the peer and write one payload
-// frame — the header and the words, raw. The peer's accept loop drains it
-// whether or not its round goroutine has reached the matching Recv, so two
-// workers sending to each other first cannot deadlock on full socket buffers.
+// Send implements engine.Transport: write one payload frame — the header and
+// the words, raw — on the connection to peer, dialling it if there is none.
+// The peer reads every connection on a goroutine of its own, whether or not
+// its round goroutine has reached the matching Recv, so two workers sending
+// to each other first cannot deadlock on full socket buffers. A failed write
+// closes the connection, and the next Send to that peer redials.
 func (d peerDialer) Send(round, self, peer int, payload []float64) error {
 	w := d.w
 	if w.aborting.Load() {
@@ -491,26 +499,93 @@ func (d peerDialer) Send(round, self, peer int, payload []float64) error {
 	}
 	seq := w.sent[peer]
 	w.sent[peer]++
-	nc, err := net.Dial("tcp", w.addrs[peer])
+	w.sendBuf = tensor.AppendWords(engine.BeginFrame(w.sendBuf), payload)
+	engine.SealFrame(w.sendBuf, engine.FrameHeader{Kind: engine.FramePayload, From: self, Round: round, Attempt: w.attempt, Seq: seq})
+	nc, err := w.out.conn(peer, w.addrs[peer])
 	if err != nil {
 		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d dial peer %d: %w", self, peer, err)}
 	}
-	defer nc.Close()
-	w.sendBuf = tensor.AppendWords(engine.BeginFrame(w.sendBuf), payload)
-	engine.SealFrame(w.sendBuf, engine.FrameHeader{Kind: engine.FramePayload, From: self, Round: round, Attempt: w.attempt, Seq: seq})
 	if _, err := nc.Write(w.sendBuf); err != nil {
+		w.out.drop(peer, nc)
 		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d send to peer %d: %w", self, peer, err)}
 	}
 	return nil
 }
 
 // Recv implements engine.Transport: claim the peer's next frame of this
-// round attempt from the inbox, waiting for the accept loop to deliver it.
+// round attempt from the inbox, waiting for a reader to deliver it.
 func (d peerDialer) Recv(round, self, peer int) ([]float64, error) {
 	w := d.w
 	seq := w.recvd[peer]
 	w.recvd[peer]++
 	return w.inbox.take(peer, seq, &w.aborting)
+}
+
+// outbound is a worker's connections to its peers, one per peer, each
+// dialled by the first Send that needs it. The round goroutine sends on
+// them; between attempts the main loop closes them all (an Abort, a new
+// address book), and the data plane's stop closes them for good.
+type outbound struct {
+	mu     sync.Mutex
+	conns  map[int]net.Conn
+	closed bool
+}
+
+// conn returns the connection to peer, dialling addr when there is none.
+func (o *outbound) conn(peer int, addr string) (net.Conn, error) {
+	o.mu.Lock()
+	nc, closed := o.conns[peer], o.closed
+	o.mu.Unlock()
+	switch {
+	case closed:
+		return nil, net.ErrClosed
+	case nc != nil:
+		return nc, nil
+	}
+	// Dialled without the lock, so closeAll never waits on a connect.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		nc.Close()
+		return nil, net.ErrClosed
+	}
+	if o.conns == nil {
+		o.conns = make(map[int]net.Conn)
+	}
+	o.conns[peer] = nc
+	return nc, nil
+}
+
+// drop closes nc, peer's connection until a write on it failed.
+func (o *outbound) drop(peer int, nc net.Conn) {
+	o.mu.Lock()
+	if o.conns[peer] == nc {
+		delete(o.conns, peer)
+	}
+	o.mu.Unlock()
+	nc.Close()
+}
+
+// closeAll closes every connection; later Sends redial.
+func (o *outbound) closeAll() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for peer, nc := range o.conns {
+		nc.Close()
+		delete(o.conns, peer)
+	}
+}
+
+// shut closes every connection and refuses to dial again.
+func (o *outbound) shut() {
+	o.mu.Lock()
+	o.closed = true
+	o.mu.Unlock()
+	o.closeAll()
 }
 
 // maxProbeBytes is the ceiling on a measurement probe's body.
@@ -528,9 +603,8 @@ func (w *WorkerClient) maxBody(h engine.FrameHeader) (int, error) {
 	return 0, fmt.Errorf("transport: frame of kind %d on the peer listener", h.Kind)
 }
 
-// probeConn is a measurement-phase connection the accept loop took in: the
-// probe already read (who sent it, how many bytes), and when the connection
-// was accepted.
+// probeConn is a measurement-phase connection a reader took in: the probe
+// already read (who sent it, how many bytes), and when its read began.
 type probeConn struct {
 	conn  net.Conn
 	from  int
@@ -538,59 +612,126 @@ type probeConn struct {
 	start time.Time
 }
 
+// inbound is the set of connections the accept loop took in whose readers
+// still own them.
+type inbound struct {
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	readers sync.WaitGroup
+}
+
+func (in *inbound) forget(nc net.Conn) {
+	in.mu.Lock()
+	delete(in.conns, nc)
+	in.mu.Unlock()
+}
+
+// closeAll closes every connection a reader still owns and waits for all
+// the readers to exit. The accept loop must have exited.
+func (in *inbound) closeAll() {
+	in.mu.Lock()
+	for nc := range in.conns {
+		nc.Close()
+	}
+	in.mu.Unlock()
+	in.readers.Wait()
+}
+
 // servePeers starts the accept loop that owns the peer listener from here
-// on. The returned stop closes the listener and waits for the loop to exit
-// (it closes probes on its way out), releasing any probe nobody took.
+// on. The returned stop closes the listener and every connection in either
+// direction, waits for the loop and every reader to exit, and releases any
+// probe nobody took.
 func (w *WorkerClient) servePeers() (stop func()) {
 	w.inbox.changed = make(chan struct{}, 1)
 	w.inbox.frames = make([][]PeerPayload, w.n)
 	w.sent, w.recvd = make([]int, w.n), make([]int, w.n)
 	// Sized to the sends: each lower rank probes this worker once.
 	w.probes = make(chan probeConn, w.n)
-	go w.acceptLoop()
+	in := &inbound{conns: make(map[net.Conn]struct{})}
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		w.acceptLoop(in)
+	}()
 	return func() {
 		w.peerLn.Close()
+		<-accepting
+		in.closeAll()
+		w.out.shut()
+		close(w.probes) // every reader, the only senders, has exited
 		for pc := range w.probes {
 			pc.conn.Close()
 		}
 	}
 }
 
-// acceptLoop drains every inbound connection's single frame, independently
-// of the round goroutine. A frame is verified — header, length cap, checksum,
-// then sender rank, kind and whole words — before anything is filed; one
-// that fails is logged with the reason and counted, and the connection
-// dropped. It ends when the listener closes, failing any Recv still waiting.
-func (w *WorkerClient) acceptLoop() {
-	defer close(w.probes)
-	var buf []byte // the loop reads one frame at a time
+// acceptLoop starts one reader per inbound connection, so a peer that
+// stalls inside a frame holds up nobody else. It ends when the listener
+// closes, failing any Recv still waiting.
+func (w *WorkerClient) acceptLoop(in *inbound) {
 	for {
 		nc, err := w.peerLn.Accept()
 		if err != nil {
 			w.inbox.fail(fmt.Errorf("transport: worker %d accept: %w", w.rank, err))
 			return
 		}
-		start := time.Now()
-		h, body, err := engine.ReadFrame(nc, buf, w.maxBody)
+		in.mu.Lock()
+		in.conns[nc] = struct{}{}
+		in.mu.Unlock()
+		in.readers.Add(1)
+		go func() {
+			defer in.readers.Done()
+			if !w.readPeer(nc) {
+				nc.Close()
+			}
+			in.forget(nc)
+		}()
+	}
+}
+
+// readPeer drains one inbound connection frame by frame, independently of
+// the round goroutine. Each body is read into storage of its own, sized
+// exactly from its header: a buffer kept per connection would hold a
+// payload's worth of memory for every idle peer connection, up to n−1 of
+// them. A connection speaks for one rank, the one its first frame names. Each frame is verified — header,
+// length cap, checksum, then sender rank, kind and whole words — before
+// anything is filed; one that fails, or names another sender than the
+// connection's, is logged with the reason and counted, and ends the
+// connection, as does a stream torn inside a frame. The peer closing at a
+// frame boundary, or stop closing the connection, is a normal end. It
+// reports whether it handed the connection to measurePeers, whose it is
+// then.
+func (w *WorkerClient) readPeer(nc net.Conn) (handedOff bool) {
+	from := -1
+	start := time.Now()
+	for {
+		h, body, err := engine.ReadFrame(nc, nil, w.maxBody)
+		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+			return false
+		}
 		if err == nil {
-			buf = body[:0]
-			var kept bool
-			if kept, err = w.file(nc, h, body, start); kept {
-				continue
+			if from >= 0 && h.From != from {
+				err = fmt.Errorf("transport: frame from rank %d on rank %d's connection", h.From, from)
+			} else {
+				handedOff, err = w.file(nc, h, body, start, from < 0)
+				from = h.From
 			}
 		}
 		if err != nil {
 			w.logf("worker %d: rejected frame from %s: %v", w.rank, nc.RemoteAddr(), err)
 			obs.Current().TransportM().FramesRejectedTotal.Inc()
+			return false
 		}
-		nc.Close()
+		if handedOff {
+			return true
+		}
 	}
 }
 
-// file hands an intact frame on: a payload's words to the inbox, a
-// measurement probe to measurePeers together with its connection (the echo
-// travels back on it), which is then measurePeers' to close.
-func (w *WorkerClient) file(nc net.Conn, h engine.FrameHeader, body []byte, start time.Time) (kept bool, err error) {
+// file hands an intact frame on: a payload's words to the inbox, and a
+// measurement probe that opens its connection to measurePeers together with
+// the connection (the echo travels back on it).
+func (w *WorkerClient) file(nc net.Conn, h engine.FrameHeader, body []byte, start time.Time, first bool) (handedOff bool, err error) {
 	if h.From >= w.n {
 		return false, fmt.Errorf("transport: frame from rank %d of %d", h.From, w.n)
 	}
@@ -601,22 +742,28 @@ func (w *WorkerClient) file(nc net.Conn, h engine.FrameHeader, body []byte, star
 			return false, err
 		}
 		w.inbox.put(PeerPayload{Round: h.Round, From: h.From, Seq: h.Seq, Attempt: h.Attempt, Vals: vals})
+		return false, nil
 	case engine.FrameProbe:
+		if !first {
+			return false, fmt.Errorf("transport: probe behind rank %d's payloads", h.From)
+		}
 		select {
 		case w.probes <- probeConn{conn: nc, from: h.From, size: len(body), start: start}:
 			return true, nil
-		default: // more probes than ranks: not this fleet's
+		default:
+			return false, fmt.Errorf("transport: more probes than ranks")
 		}
 	}
 	return false, nil
 }
 
 // inbox holds the data-plane frames that have arrived but not been claimed.
-// Frames of one sender can overtake each other (each travels on its own
-// connection), so take matches on the frame's sequence number, never on
-// arrival order; and frames can arrive early (a peer already in the next
-// round) or late (an aborted attempt's), so everything is keyed by (round,
-// attempt) and anything older than the attempt in progress is dropped.
+// One connection delivers a sender's frames in order, but a redial opens
+// another, whose reader can overtake the old one's; so take matches on the
+// frame's sequence number, never on arrival order. Frames can also arrive
+// early (a peer already in the next round) or late (an aborted attempt's),
+// so everything is keyed by (round, attempt) and anything older than the
+// attempt in progress is dropped.
 type inbox struct {
 	mu             sync.Mutex
 	frames         [][]PeerPayload // per sender, arrival order
