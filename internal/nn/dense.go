@@ -16,7 +16,7 @@ type Dense struct {
 	dw            *tensor.Matrix
 	db            []float64
 	x             *tensor.Matrix // cached input
-	idx           []int32        // row-index scratch: every k in Forward, the non-zero gradients in Backward
+	idx           []int32        // Backward's row-index scratch: the positions of the non-zero gradients
 }
 
 // NewDense returns a dense layer with He-initialized weights.
@@ -44,11 +44,12 @@ func newDense(in, out int, r *rng.Source, a *arena) *Dense {
 	return d
 }
 
-// Forward computes the affine map for the batch as an ikj product over a
-// pooled Wᵀ: each output row starts at +0 and takes x[i][k]·Wᵀ[k] for every
-// k, ascending, zeros included, then b — the chain tensor.Dot(w[j], x[i]) +
-// b[j] gives each unit, one vector lane per unit (DESIGN §8 "Compute
-// kernels"). The result comes from the tensor pool and belongs to the caller.
+// Forward computes the affine map for the batch: tensor.MulTransposedInto
+// reads each W row straight from the model's flat vector and gives out[i][j]
+// the chain tensor.Dot(w[j], x[i]) — +0, then x[i][k]·w[j][k] for every k,
+// ascending, zeros included — and b[j] is added after it, with one vector
+// lane per batch row (DESIGN §8 "Compute kernels"). The result comes from
+// the tensor pool and belongs to the caller.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != d.InDim {
 		panic(fmt.Sprintf("nn: Dense input %d, want %d", x.Cols, d.InDim))
@@ -56,20 +57,12 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
 		d.x = x
 	}
-	wT := tensor.GetMatrix(d.InDim, d.OutDim)
-	tensor.TransposeInto(wT, d.w)
-	all := d.scratch(d.InDim)
-	for k := range all {
-		all[k] = int32(k)
-	}
 	out := tensor.GetMatrix(x.Rows, d.OutDim)
-	tensor.Fill(out.Data, 0)
+	tensor.MulTransposedInto(out, x, d.w)
 	for i := 0; i < x.Rows; i++ {
 		o := out.Row(i)
-		tensor.AxpyRows(o, wT, x.Row(i), 1, all)
 		tensor.Add(o, o, d.b)
 	}
-	tensor.PutMatrix(wT)
 	return out
 }
 

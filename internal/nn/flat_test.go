@@ -260,3 +260,26 @@ func BenchmarkTrainBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDenseForward times one training Dense.Forward on the benchmark
+// workloads' layer shapes (in→out at a batch):
+//
+//	go test -run '^$' -bench DenseForward -cpu 1 ./internal/nn
+func BenchmarkDenseForward(b *testing.B) {
+	for _, c := range []struct{ in, out, batch int }{
+		{64, 256, 8}, {256, 256, 8}, {64, 64, 16}, {64, 64, 32},
+	} {
+		b.Run(fmt.Sprintf("%d-%d/batch=%d", c.in, c.out, c.batch), func(b *testing.B) {
+			r := rng.New(1)
+			d := NewDense(c.in, c.out, r)
+			x := tensor.NewMatrix(c.batch, c.in)
+			fillNormal(x.Data, r, false)
+			tensor.PutMatrix(d.Forward(x, true)) // fills the tensor pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.PutMatrix(d.Forward(x, true))
+			}
+		})
+	}
+}

@@ -13,7 +13,7 @@ import (
 )
 
 var recordFuzzCorpus = flag.Bool("record-fuzz-corpus", false,
-	"rewrite testdata/fuzz/FuzzKernelsMatchScalar from TestKernelsMatchScalar's table")
+	"rewrite the kernels' seed corpora under testdata/fuzz from the tables of the tests that run")
 
 // specialValues meet in every operand of the kernel checks: ±0, ±Inf, NaN of
 // both signs, the smallest and largest subnormals, values whose products
@@ -133,19 +133,26 @@ func TestKernelsMatchScalar(t *testing.T) {
 			}
 		}
 	}
-	if *recordFuzzCorpus {
-		dir := filepath.Join("testdata", "fuzz", "FuzzKernelsMatchScalar")
-		if err := os.RemoveAll(dir); err != nil {
+	writeFuzzCorpus(t, "FuzzKernelsMatchScalar", corpus)
+}
+
+// writeFuzzCorpus replaces testdata/fuzz/<target> with one file per corpus
+// entry when -record-fuzz-corpus is set.
+func writeFuzzCorpus(t *testing.T, target string, corpus map[string][]byte) {
+	if !*recordFuzzCorpus {
+		return
+	}
+	dir := filepath.Join("testdata", "fuzz", target)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range corpus {
+		file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(file), 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range corpus {
-			file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(file), 0o644); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }

@@ -83,9 +83,6 @@ func TransposeInto(dst, src *Matrix) {
 
 // MatMul returns a*b. It panics on incompatible shapes.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(a.Rows, b.Cols)
 	MatMulInto(out, a, b)
 	return out
@@ -97,7 +94,7 @@ func MatMul(a, b *Matrix) *Matrix {
 // usable CPU conv layer and an unusable one.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("tensor: MatMulInto shape mismatch")
+		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d · %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	Fill(dst.Data, 0)
 	for i := 0; i < a.Rows; i++ {

@@ -32,6 +32,29 @@ func TestAxpyLenMismatchPanics(t *testing.T) {
 	Axpy(1, []float64{1}, []float64{1, 2})
 }
 
+// TestFillWritesItsBits: every fill value lands in every element with its
+// own bits — +0 through clear, -0 (which clear would turn into +0), NaN and
+// ordinary values through the loop — over every tail of the unrolled loop.
+func TestFillWritesItsBits(t *testing.T) {
+	for _, x := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(-1), 5e-324, -2.5} {
+		for n := 0; n <= 9; n++ {
+			v := make([]float64, n+1)
+			for i := range v {
+				v[i] = 7
+			}
+			Fill(v[:n], x)
+			for i, got := range v[:n] {
+				if math.Float64bits(got) != math.Float64bits(x) {
+					t.Fatalf("Fill(%d, %v): [%d] = %#x, want %#x", n, x, i, math.Float64bits(got), math.Float64bits(x))
+				}
+			}
+			if v[n] != 7 {
+				t.Fatalf("Fill(%d, %v) wrote past its slice", n, x)
+			}
+		}
+	}
+}
+
 func TestDotNorm(t *testing.T) {
 	a := []float64{3, 4}
 	if got := Dot(a, a); got != 25 {

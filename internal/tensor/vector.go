@@ -25,8 +25,13 @@ func Clone(v []float64) []float64 {
 // reassociation would change the floating-point sum; Dot and Sum therefore
 // keep a single sequential accumulator per reduction).
 
-// Fill sets every element of v to x.
+// Fill sets every element of v to x. A +0 fill is clear(v), a memclr that
+// writes the loop's bits; -0 takes the loop.
 func Fill(v []float64, x float64) {
+	if math.Float64bits(x) == 0 {
+		clear(v)
+		return
+	}
 	n := len(v) &^ 3
 	for i := 0; i < n; i += 4 {
 		v[i], v[i+1], v[i+2], v[i+3] = x, x, x, x

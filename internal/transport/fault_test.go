@@ -8,6 +8,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -260,4 +262,95 @@ func TestRejoinRejectsStaleSnapshot(t *testing.T) {
 	if !strings.Contains(rejoinErr.Error(), "died at round") {
 		t.Fatalf("rejection reason %q lacks the round mismatch", rejoinErr)
 	}
+}
+
+// TestAbortRedialsPeers: an Abort closes the worker's peer connections, so
+// the re-planned attempt's first Send to the same peer dials a new one. A
+// connection kept across the Abort may lead to the rank that died. A
+// scripted coordinator drives one real worker; the peer is a listener that
+// counts the connections it accepts and reads nothing.
+func TestAbortRedialsPeers(t *testing.T) {
+	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peerLn.Close()
+	// Room for more dials than the test allows, so the accept loop never
+	// blocks on a send and ends when the listener closes.
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			nc, err := peerLn.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- nc
+		}
+	}()
+	coordLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coordLn.Close()
+	ran := make(chan error, 1)
+	go func() {
+		_, err := (&WorkerClient{}).Run(coordLn.Addr().String(), "127.0.0.1:0")
+		ran <- err
+	}()
+	nc, err := coordLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewConn(nc)
+	defer func() {
+		coord.Close()
+		<-ran
+	}()
+	expect := func(want any) {
+		t.Helper()
+		got, err := coord.Recv()
+		if err != nil || fmt.Sprintf("%T", got) != fmt.Sprintf("%T", want) {
+			t.Fatalf("the worker sent %#v (%v), want a %T", got, err, want)
+		}
+	}
+	send := func(m any) {
+		t.Helper()
+		if err := coord.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dialled := func(what string) net.Conn {
+		t.Helper()
+		select {
+		case c := <-accepted:
+			t.Cleanup(func() { c.Close() })
+			return c
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the worker dialled no new connection to its peer", what)
+			return nil
+		}
+	}
+
+	expect(Hello{})
+	send(Welcome{Rank: 0, N: 2, Addrs: []string{"", peerLn.Addr().String()}, Spec: []byte(`{"schema_version": 2,
+		"name": "abort", "algo": "saps", "nodes": 2, "rounds": 2, "seed": 1, "lr": 0.1, "batch": 4,
+		"compression": 4, "model": {"hidden": [4]}, "data": {"samples": 16, "classes": 2},
+		"bandwidth": {"kind": "uniform", "lo": 1, "hi": 2}}`)})
+	// Attempt 0 sends its payload to rank 1 and waits for one that never
+	// comes; the Abort cancels it.
+	send(RoundMsg{Round: 0, Seed: 1, Peer: 1})
+	first := dialled("attempt 0")
+	send(Abort{Round: 0})
+	expect(AbortAck{})
+	within(t, 30*time.Second, func() error {
+		first.SetReadDeadline(time.Now().Add(20 * time.Second))
+		if _, err := io.Copy(io.Discard, first); err != nil {
+			return fmt.Errorf("the connection from before the Abort stayed open: %v", err)
+		}
+		return nil
+	})
+	send(RoundMsg{Round: 0, Seed: 1, Peer: 1, Attempt: 1})
+	dialled("attempt 1, after the Abort")
+	send(Abort{Round: 0})
+	expect(AbortAck{})
 }
