@@ -61,15 +61,16 @@ type CoordinatorServer struct {
 	Gossip GossipConfig
 	// BW is the base bandwidth environment the planner uses; nil means the
 	// spec's own (Spec.Env). With Measure set it is only the fallback for
-	// links whose probes failed in both directions (see AssembleBandwidth).
+	// links whose probe failed (see AssembleBandwidth).
 	// The spec's jitter and trace multipliers rescale it every round.
 	BW *netsim.Bandwidth
 	// Measure, when true, runs a bandwidth measurement phase after
-	// registration (paper §II-C footnote 3): every worker pair exchanges
-	// ProbeBytes of payload, reports the achieved throughput, and the
-	// assembled matrix drives the adaptive matching.
+	// registration (paper §II-C footnote 3): the lower rank of every worker
+	// pair times a probe of ProbeBytes and its echo, and the assembled
+	// matrix drives the adaptive matching.
 	Measure bool
-	// ProbeBytes sizes the measurement payload (default 64 KiB).
+	// ProbeBytes sizes the measurement probe (default 64 KiB, at most
+	// 64 MiB; Run refuses a larger one before anyone registers).
 	ProbeBytes int
 	// Ledger, when set, receives the engine driver's per-round traffic
 	// accounting (defaults to a fresh engine.CountingLedger). Pass one in to
@@ -183,6 +184,12 @@ func (s *CoordinatorServer) Run() ([]float64, error) {
 		return nil, err
 	}
 	s.params = params
+	if s.ProbeBytes <= 0 {
+		s.ProbeBytes = 64 << 10
+	}
+	if s.Measure && s.ProbeBytes > maxProbeBytes {
+		return nil, fmt.Errorf("transport: probes of %d bytes exceed the %d-byte frame ceiling", s.ProbeBytes, maxProbeBytes)
+	}
 	welcome, err := spec.Canonical()
 	if err != nil {
 		return nil, err
@@ -347,17 +354,10 @@ func deployable(spec *scenario.Spec) (int, error) {
 }
 
 // measure runs the bandwidth probe phase and assembles the matrix; fallback
-// supplies the links whose probes failed both ways.
+// supplies the links whose probe failed.
 func (s *CoordinatorServer) measure(fallback *netsim.Bandwidth) (*netsim.Bandwidth, error) {
-	probe := s.ProbeBytes
-	if probe <= 0 {
-		probe = 64 << 10
-	}
-	if probe > maxProbeBytes {
-		return nil, fmt.Errorf("transport: probes of %d bytes exceed the %d-byte frame ceiling", probe, maxProbeBytes)
-	}
 	for rank, c := range s.conns {
-		if err := c.Send(MeasureRequest{ProbeBytes: probe}); err != nil {
+		if err := c.Send(MeasureRequest{ProbeBytes: s.ProbeBytes}); err != nil {
 			return nil, fmt.Errorf("transport: measure request to %d: %w", rank, err)
 		}
 	}

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"math"
-	"net"
 	"time"
 
 	"sapspsgd/internal/engine"
@@ -16,84 +15,62 @@ import (
 // worker to probe its peers with fixed-size payloads and report the achieved
 // throughput; the assembled matrix feeds Algorithm 3's adaptive matching.
 
-// MeasureRequest asks a worker to probe every other worker, exchanging
-// ProbeBytes of payload per direction. Lower ranks dial higher ranks; the
-// accepting side attributes the measurement to the rank carried inside the
-// probe, so arrival order does not matter.
+// MeasureRequest asks a worker to time its links to its peers. Every pair
+// is measured once, by its lower rank: it sends the higher rank a probe of
+// ProbeBytes, the higher rank echoes it, and the round trip is timed.
 type MeasureRequest struct {
 	ProbeBytes int
 }
 
 // MeasureReport carries the measured throughput to the coordinator.
-// MBps[j] is the measured speed to peer j (0 where the probe failed).
+// MBps[j] is the speed this rank timed to peer j: nonzero only for higher
+// ranks (the pairs it measured), and 0 there where the probe failed.
 type MeasureReport struct {
 	Rank int
 	MBps []float64
 }
 
-// measurePeers runs the probe exchanges for one worker: first it echoes the
-// probes of all lower ranks (any arrival order; the accept loop hands them
-// over), then dials all higher ranks in ascending order. This ordering is
-// deadlock-free: rank 0 starts dialing immediately, and every awaited probe
-// has a matching dial in flight. A probe is one frame of kind FrameProbe:
-// the sender's rank in the header, ProbeBytes of filler as the body.
+// measurePeers runs one worker's side of the probe exchanges over the data
+// plane: a probe and its echo are each one frame of kind FrameProbe,
+// ⌈ProbeBytes/8⌉ words on the cached peer connections, filed in the inbox by
+// the readers and claimed with Recv. First it opens its connection to every
+// peer, so no dial falls inside a timed window and training reuses them.
+// Then it echoes each lower rank's probe and probes each higher rank, both
+// in ascending order, timing the send until it claims the echo: MB/s over
+// 2×ProbeBytes. Every worker takes its pairs in the same global order, so
+// the exchanges cannot deadlock, and every probe is claimed, so round 0
+// still pairs frames by seq.
 func (w *WorkerClient) measurePeers(req MeasureRequest) MeasureReport {
 	rep := MeasureReport{Rank: w.rank, MBps: make([]float64, w.n)}
-	probe := append(engine.BeginFrame(nil), make([]byte, req.ProbeBytes)...)
-	engine.SealFrame(probe, engine.FrameHeader{Kind: engine.FrameProbe, From: w.rank})
-	for k := 0; k < w.rank; k++ {
-		from, mbps, err := w.acceptProbe(probe)
-		if err != nil {
-			w.logf("worker %d: accept probe: %v", w.rank, err)
-			continue
+	for peer := range w.n {
+		if peer != w.rank {
+			w.out.conn(peer, w.addrs[peer]) // a failed dial is retried, and logged, by the send below
 		}
-		rep.MBps[from] = mbps
+	}
+	probe := make([]float64, (req.ProbeBytes+7)/8)
+	d := peerDialer{w}
+	for peer := 0; peer < w.rank; peer++ {
+		_, err := d.Recv(0, w.rank, peer)
+		if err == nil {
+			err = w.send(engine.FrameProbe, 0, peer, probe)
+		}
+		if err != nil {
+			w.logf("worker %d: echo probe of %d: %v", w.rank, peer, err)
+		}
 	}
 	for peer := w.rank + 1; peer < w.n; peer++ {
-		mbps, err := w.dialProbe(peer, probe)
+		start := time.Now()
+		err := w.send(engine.FrameProbe, 0, peer, probe)
+		if err == nil {
+			_, err = d.Recv(0, w.rank, peer)
+		}
 		if err != nil {
 			w.logf("worker %d: probe to %d failed: %v", w.rank, peer, err)
 			continue
 		}
-		rep.MBps[peer] = mbps
+		rep.MBps[peer] = throughputMBps(2*req.ProbeBytes, time.Since(start))
 	}
 	return rep
-}
-
-// dialProbe connects to a higher-ranked peer, sends the probe frame, and
-// times the echoed response: MB/s over the round trip of 2×ProbeBytes.
-func (w *WorkerClient) dialProbe(peer int, probe []byte) (float64, error) {
-	nc, err := net.Dial("tcp", w.addrs[peer])
-	if err != nil {
-		return 0, err
-	}
-	defer nc.Close()
-	start := time.Now()
-	if _, err := nc.Write(probe); err != nil {
-		return 0, err
-	}
-	h, echo, err := engine.ReadFrame(nc, nil, w.maxBody)
-	if err != nil {
-		return 0, err
-	}
-	if h.Kind != engine.FrameProbe {
-		return 0, fmt.Errorf("transport: probe reply was a frame of kind %d", h.Kind)
-	}
-	return throughputMBps(len(probe)-engine.FrameHeaderLen+len(echo), time.Since(start)), nil
-}
-
-// acceptProbe takes one incoming probe from the accept loop, echoes it, and
-// attributes the measurement to the dialer named in the probe's header.
-func (w *WorkerClient) acceptProbe(probe []byte) (from int, mbps float64, err error) {
-	pc, ok := <-w.probes
-	if !ok {
-		return 0, 0, fmt.Errorf("transport: peer listener closed")
-	}
-	defer pc.conn.Close()
-	if _, err := pc.conn.Write(probe); err != nil {
-		return 0, 0, err
-	}
-	return pc.from, throughputMBps(pc.size+len(probe)-engine.FrameHeaderLen, time.Since(pc.start)), nil
 }
 
 func throughputMBps(totalBytes int, elapsed time.Duration) float64 {
@@ -105,13 +82,14 @@ func throughputMBps(totalBytes int, elapsed time.Duration) float64 {
 }
 
 // AssembleBandwidth merges per-worker measurement reports into a symmetric
-// netsim.Bandwidth (min of the two directions, as in the paper). One-sided
-// measurements (the reverse probe failed) are mirrored before
-// symmetrization. A pair whose probes failed both ways takes its speed from
-// fallback, the configured environment: left at 0 it would be no link at all,
-// and the first ring or hub exchange routed over it would have nothing to
-// charge. It is an error when fallback is nil or has no such link either,
-// and when a report holds a negative, NaN or infinite speed.
+// netsim.Bandwidth. A worker measures each pair once, from its lower rank,
+// and reports 0 for the rest, so a one-sided entry is mirrored to the other
+// side; a pair reported from both ends keeps the smaller figure. A pair
+// nobody measured (its probe failed) takes its speed from fallback, the
+// configured environment: left at 0 it would be no link at all, and the
+// first ring or hub exchange routed over it would have nothing to charge. It
+// is an error when fallback is nil or has no such link either, and when a
+// report holds a negative, NaN or infinite speed.
 func AssembleBandwidth(n int, reports []MeasureReport, fallback *netsim.Bandwidth) (*netsim.Bandwidth, error) {
 	raw := make([][]float64, n)
 	for i := range raw {
@@ -146,7 +124,7 @@ func AssembleBandwidth(n int, reports []MeasureReport, fallback *netsim.Bandwidt
 			switch {
 			case a == 0 && b == 0:
 				if fallback == nil || fallback.N != n || fallback.MBps(i, j) <= 0 {
-					return nil, fmt.Errorf("transport: both probes between ranks %d and %d failed and the configured environment has no such link to fall back on", i, j)
+					return nil, fmt.Errorf("transport: no probe between ranks %d and %d succeeded and the configured environment has no such link to fall back on", i, j)
 				}
 				raw[i][j] = fallback.MBps(i, j)
 				raw[j][i] = raw[i][j]

@@ -2,10 +2,17 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"net"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"sapspsgd/internal/core"
+	"sapspsgd/internal/engine"
 	"sapspsgd/internal/netsim"
 )
 
@@ -112,6 +119,109 @@ func TestEndToEndWithMeasurementPhase(t *testing.T) {
 	if len(run.final) == 0 {
 		t.Fatal("no model collected")
 	}
+}
+
+// TestMeasurePeersOverTheDataPlane: the measurement phase runs on the
+// connections, readers and inbox training uses. Each pair is timed once, by
+// its lower rank; every probe and echo is claimed; each worker keeps one
+// outbound connection per peer; and a pairwise round then runs over those
+// same connections, bit-exact.
+func TestMeasurePeersOverTheDataPlane(t *testing.T) {
+	const n = 4
+	ws := peerFleet(t, n)
+	reps := make([]MeasureReport, n)
+	within(t, 30*time.Second, func() error {
+		var wg sync.WaitGroup
+		for r, w := range ws {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[r] = w.measurePeers(MeasureRequest{ProbeBytes: 5000})
+			}()
+		}
+		wg.Wait()
+		return nil
+	})
+	conns := make([]map[int]net.Conn, n)
+	for r, w := range ws {
+		for j, v := range reps[r].MBps {
+			if (v > 0) != (j > r) {
+				t.Errorf("rank %d reported %v MB/s to rank %d, want a speed exactly for the higher ranks", r, v, j)
+			}
+		}
+		w.inbox.mu.Lock()
+		for from, list := range w.inbox.frames {
+			if len(list) != 0 {
+				t.Errorf("rank %d: %d frames from rank %d left unclaimed", r, len(list), from)
+			}
+		}
+		w.inbox.mu.Unlock()
+		w.out.mu.Lock()
+		conns[r] = maps.Clone(w.out.conns)
+		w.out.mu.Unlock()
+		if len(conns[r]) != n-1 {
+			t.Errorf("rank %d holds %d outbound connections, want %d", r, len(conns[r]), n-1)
+		}
+	}
+
+	nodes := make([]*recNode, n)
+	for r := range nodes {
+		nodes[r] = &recNode{out: []float64{float64(r) + 0.1, -1e-300 * float64(r), math.Pi / float64(r+1)}}
+	}
+	codecs := []engine.Codec{engine.Dense{}, engine.Dense{}, engine.Dense{}, engine.Dense{}}
+	plan := core.RoundPlan{Round: 0, Seed: 3, Peer: []int{1, 0, 3, 2}}
+	within(t, 30*time.Second, func() error {
+		var wg sync.WaitGroup
+		errs := make([]error, n)
+		for self, w := range ws {
+			// What startRound does before a round.
+			clear(w.sent)
+			clear(w.recvd)
+			w.inbox.begin(plan.Round, 0)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx := engine.RoundContext{Round: plan.Round, Seed: plan.Seed, Self: self, N: n, Plan: plan}
+				_, errs[self] = engine.WorkerRound(nodes[self], engine.Pairwise{}, codecs, peerDialer{w}, new(engine.PhaseState), ctx)
+			}()
+		}
+		wg.Wait()
+		return firstError(errs)
+	})
+	for self, node := range nodes {
+		peer := plan.Peer[self]
+		if len(node.merged) != 1 || node.merged[0].From != peer || len(node.merged[0].Vals) != len(nodes[peer].out) {
+			t.Fatalf("rank %d merged %+v, want one message of %d values from %d", self, node.merged, len(nodes[peer].out), peer)
+		}
+		for i, v := range node.merged[0].Vals {
+			if math.Float64bits(v) != math.Float64bits(nodes[peer].out[i]) {
+				t.Fatalf("rank %d received %v from %d, sent %v", self, node.merged[0].Vals, peer, nodes[peer].out)
+			}
+		}
+		ws[self].out.mu.Lock()
+		same := maps.Equal(ws[self].out.conns, conns[self])
+		ws[self].out.mu.Unlock()
+		if !same {
+			t.Errorf("rank %d redialled for the round instead of reusing the measurement's connections", self)
+		}
+	}
+}
+
+// TestOverCapProbeRefusedBeforeRegistration: a probe larger than the frame
+// ceiling is refused at the top of Run, with no worker registered, instead
+// of after the whole fleet has.
+func TestOverCapProbeRefusedBeforeRegistration(t *testing.T) {
+	s := &CoordinatorServer{Spec: tinySpec("saps", 3, 6), Measure: true, ProbeBytes: maxProbeBytes + 1}
+	if _, err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	within(t, 10*time.Second, func() error {
+		_, err := s.Run()
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxProbeBytes)) {
+			return fmt.Errorf("Run returned %v, want an error naming the %d-byte cap", err, maxProbeBytes)
+		}
+		return nil
+	})
 }
 
 func TestThroughputMBps(t *testing.T) {

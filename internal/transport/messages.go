@@ -224,12 +224,13 @@ type (
 )
 
 // PeerPayload is a data-plane frame as the inbox holds it: the encoded wire
-// words one worker sent another for the given round — one frame per
-// connection, nothing sent back. Seq numbers the frames of one directed pair
-// within a round attempt (hub pull/push, collective phases) — each frame
-// travels on its own connection, so two consecutive frames can be accepted
-// out of order, and the receiver claims them by Seq, not by arrival. Attempt
-// distinguishes a re-planned round's frames from a stale aborted attempt's.
+// words one worker sent another for the given round, or a measurement probe
+// or its echo. Seq numbers the frames of one directed pair within a round
+// attempt (hub pull/push, collective phases). A pair's connection is
+// long-lived and delivers its frames in order, but a redial opens another,
+// whose reader can overtake the old one's; so the receiver claims frames by
+// Seq, not by arrival. Attempt distinguishes a re-planned round's frames
+// from a stale aborted attempt's.
 // A frame with a zero-length body is a legitimate empty payload (its Vals are
 // nil): the frame itself is the deposit.
 type PeerPayload struct {

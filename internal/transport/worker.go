@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
@@ -72,17 +71,17 @@ type WorkerClient struct {
 	// sparse layout's two header words plus an index and a value per
 	// parameter.
 	maxPayload int
-	// sendBuf is the round goroutine's outbound frame, reused across sends.
+	// sendBuf is send's outbound frame, reused across sends.
 	sendBuf []byte
-	// out holds the connection to each peer that Send has dialled.
+	// out holds the one connection to each peer, dialled on first use.
 	out outbound
 	// inbox buffers the data-plane frames the connection readers have
-	// drained until the round goroutine's Recv claims them; probes carries
-	// the measurement phase's connections, whose first frame was a probe.
-	inbox  inbox
-	probes chan probeConn
-	// sent and recvd count this round attempt's frames per peer and
-	// direction — the Seq both endpoints of a directed pair agree on.
+	// drained — payloads and measurement probes alike — until Recv claims
+	// them.
+	inbox inbox
+	// sent and recvd count this round attempt's frames (before round 0, the
+	// measurement phase's) per peer and direction — the Seq both endpoints
+	// of a directed pair agree on.
 	sent, recvd []int
 	// attempt is the current round's execution attempt (from RoundMsg).
 	attempt int
@@ -486,28 +485,33 @@ func peerTable(peer, self, n int) []int {
 // internal/engine, and only the one-way frames below are transport-specific.
 type peerDialer struct{ w *WorkerClient }
 
-// Send implements engine.Transport: write one payload frame — the header and
-// the words, raw — on the connection to peer, dialling it if there is none.
-// The peer reads every connection on a goroutine of its own, whether or not
-// its round goroutine has reached the matching Recv, so two workers sending
-// to each other first cannot deadlock on full socket buffers. A failed write
-// closes the connection, and the next Send to that peer redials.
+// Send implements engine.Transport: one payload frame to peer.
 func (d peerDialer) Send(round, self, peer int, payload []float64) error {
-	w := d.w
+	return d.w.send(engine.FramePayload, round, peer, payload)
+}
+
+// send writes one frame of the given kind — the header and the words, raw —
+// on the connection to peer, dialling it if there is none, numbered with the
+// pair's next seq of the attempt in progress. The peer reads every
+// connection on a goroutine of its own, whether or not it has reached the
+// matching Recv, so two workers sending to each other first cannot deadlock
+// on full socket buffers. A failed write closes the connection, and the
+// next send to that peer redials.
+func (w *WorkerClient) send(kind engine.FrameKind, round, peer int, words []float64) error {
 	if w.aborting.Load() {
 		return errAborted
 	}
 	seq := w.sent[peer]
 	w.sent[peer]++
-	w.sendBuf = tensor.AppendWords(engine.BeginFrame(w.sendBuf), payload)
-	engine.SealFrame(w.sendBuf, engine.FrameHeader{Kind: engine.FramePayload, From: self, Round: round, Attempt: w.attempt, Seq: seq})
+	w.sendBuf = tensor.AppendWords(engine.BeginFrame(w.sendBuf), words)
+	engine.SealFrame(w.sendBuf, engine.FrameHeader{Kind: kind, From: w.rank, Round: round, Attempt: w.attempt, Seq: seq})
 	nc, err := w.out.conn(peer, w.addrs[peer])
 	if err != nil {
-		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d dial peer %d: %w", self, peer, err)}
+		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d dial peer %d: %w", w.rank, peer, err)}
 	}
 	if _, err := nc.Write(w.sendBuf); err != nil {
 		w.out.drop(peer, nc)
-		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d send to peer %d: %w", self, peer, err)}
+		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d send to peer %d: %w", w.rank, peer, err)}
 	}
 	return nil
 }
@@ -603,15 +607,6 @@ func (w *WorkerClient) maxBody(h engine.FrameHeader) (int, error) {
 	return 0, fmt.Errorf("transport: frame of kind %d on the peer listener", h.Kind)
 }
 
-// probeConn is a measurement-phase connection a reader took in: the probe
-// already read (who sent it, how many bytes), and when its read began.
-type probeConn struct {
-	conn  net.Conn
-	from  int
-	size  int
-	start time.Time
-}
-
 // inbound is the set of connections the accept loop took in whose readers
 // still own them.
 type inbound struct {
@@ -639,14 +634,11 @@ func (in *inbound) closeAll() {
 
 // servePeers starts the accept loop that owns the peer listener from here
 // on. The returned stop closes the listener and every connection in either
-// direction, waits for the loop and every reader to exit, and releases any
-// probe nobody took.
+// direction, and waits for the loop and every reader to exit.
 func (w *WorkerClient) servePeers() (stop func()) {
 	w.inbox.changed = make(chan struct{}, 1)
 	w.inbox.frames = make([][]PeerPayload, w.n)
 	w.sent, w.recvd = make([]int, w.n), make([]int, w.n)
-	// Sized to the sends: each lower rank probes this worker once.
-	w.probes = make(chan probeConn, w.n)
 	in := &inbound{conns: make(map[net.Conn]struct{})}
 	accepting := make(chan struct{})
 	go func() {
@@ -658,10 +650,6 @@ func (w *WorkerClient) servePeers() (stop func()) {
 		<-accepting
 		in.closeAll()
 		w.out.shut()
-		close(w.probes) // every reader, the only senders, has exited
-		for pc := range w.probes {
-			pc.conn.Close()
-		}
 	}
 }
 
@@ -681,80 +669,50 @@ func (w *WorkerClient) acceptLoop(in *inbound) {
 		in.readers.Add(1)
 		go func() {
 			defer in.readers.Done()
-			if !w.readPeer(nc) {
-				nc.Close()
-			}
+			w.readPeer(nc)
+			nc.Close()
 			in.forget(nc)
 		}()
 	}
 }
 
 // readPeer drains one inbound connection frame by frame, independently of
-// the round goroutine. Each body is read into storage of its own, sized
-// exactly from its header: a buffer kept per connection would hold a
-// payload's worth of memory for every idle peer connection, up to n−1 of
-// them. A connection speaks for one rank, the one its first frame names. Each frame is verified — header,
-// length cap, checksum, then sender rank, kind and whole words — before
-// anything is filed; one that fails, or names another sender than the
-// connection's, is logged with the reason and counted, and ends the
-// connection, as does a stream torn inside a frame. The peer closing at a
-// frame boundary, or stop closing the connection, is a normal end. It
-// reports whether it handed the connection to measurePeers, whose it is
-// then.
-func (w *WorkerClient) readPeer(nc net.Conn) (handedOff bool) {
+// the round goroutine, and files each frame in the inbox: a payload and a
+// measurement probe alike, claimed by Recv. Each body is read into storage
+// of its own, sized exactly from its header: a buffer kept per connection
+// would hold a payload's worth of memory for every idle peer connection, up
+// to n−1 of them. A connection speaks for one rank, the one its first frame
+// names. Each frame is verified — header, length cap, checksum, then sender
+// rank and whole words — before anything is filed; one that fails, or names
+// another sender than the connection's, is logged with the reason and
+// counted, and ends the connection, as does a stream torn inside a frame.
+// The peer closing at a frame boundary, or stop closing the connection, is a
+// normal end.
+func (w *WorkerClient) readPeer(nc net.Conn) {
 	from := -1
-	start := time.Now()
 	for {
 		h, body, err := engine.ReadFrame(nc, nil, w.maxBody)
 		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-			return false
+			return
 		}
-		if err == nil {
-			if from >= 0 && h.From != from {
-				err = fmt.Errorf("transport: frame from rank %d on rank %d's connection", h.From, from)
-			} else {
-				handedOff, err = w.file(nc, h, body, start, from < 0)
-				from = h.From
-			}
+		var vals []float64
+		switch {
+		case err != nil:
+		case from >= 0 && h.From != from:
+			err = fmt.Errorf("transport: frame from rank %d on rank %d's connection", h.From, from)
+		case h.From >= w.n:
+			err = fmt.Errorf("transport: frame from rank %d of %d", h.From, w.n)
+		default:
+			vals, err = tensor.Words(body)
 		}
 		if err != nil {
 			w.logf("worker %d: rejected frame from %s: %v", w.rank, nc.RemoteAddr(), err)
 			obs.Current().TransportM().FramesRejectedTotal.Inc()
-			return false
+			return
 		}
-		if handedOff {
-			return true
-		}
-	}
-}
-
-// file hands an intact frame on: a payload's words to the inbox, and a
-// measurement probe that opens its connection to measurePeers together with
-// the connection (the echo travels back on it).
-func (w *WorkerClient) file(nc net.Conn, h engine.FrameHeader, body []byte, start time.Time, first bool) (handedOff bool, err error) {
-	if h.From >= w.n {
-		return false, fmt.Errorf("transport: frame from rank %d of %d", h.From, w.n)
-	}
-	switch h.Kind {
-	case engine.FramePayload:
-		vals, err := tensor.Words(body)
-		if err != nil {
-			return false, err
-		}
+		from = h.From
 		w.inbox.put(PeerPayload{Round: h.Round, From: h.From, Seq: h.Seq, Attempt: h.Attempt, Vals: vals})
-		return false, nil
-	case engine.FrameProbe:
-		if !first {
-			return false, fmt.Errorf("transport: probe behind rank %d's payloads", h.From)
-		}
-		select {
-		case w.probes <- probeConn{conn: nc, from: h.From, size: len(body), start: start}:
-			return true, nil
-		default:
-			return false, fmt.Errorf("transport: more probes than ranks")
-		}
 	}
-	return false, nil
 }
 
 // inbox holds the data-plane frames that have arrived but not been claimed.

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -730,6 +731,51 @@ func TestOneRoundBoundary(t *testing.T) {
 	for _, name := range []string{"engine.CaptureRank", "SaveWorkerSnapshot"} {
 		if calls[name] != 1 {
 			t.Errorf("%d calls to %s in internal/transport, want exactly one, in WorkerClient.commit", calls[name], name)
+		}
+	}
+}
+
+// TestOnePeerPath: a TCP worker reaches its peers one way (DESIGN.md §3).
+// Training payloads and the measurement phase's probes are frames on the same
+// cached connections, read by the same per-connection reader into the same
+// inbox. So in internal/transport's product files the net.Dial functions
+// (net.Dial, net.DialTimeout, …) are called exactly twice, in dialConn (the
+// control plane) and (*outbound).conn (the data plane), and engine.ReadFrame
+// exactly twice, in (*Conn).Recv and (*WorkerClient).readPeer.
+func TestOnePeerPath(t *testing.T) {
+	want := map[string]string{
+		"net.Dial":         "(*outbound).conn dialConn",
+		"engine.ReadFrame": "(*Conn).Recv (*WorkerClient).readPeer",
+	}
+	sites := map[string][]string{}
+	fset := token.NewFileSet()
+	for _, f := range productFiles(t, fset, "internal/transport") {
+		for _, decl := range f.Decls {
+			site := "package level"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				site = fn.Name.Name
+				if fn.Recv != nil {
+					site = "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + site
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					name := types.ExprString(call.Fun)
+					if strings.HasPrefix(name, "net.Dial") {
+						name = "net.Dial"
+					}
+					if _, ok := want[name]; ok {
+						sites[name] = append(sites[name], site)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name, w := range want {
+		slices.Sort(sites[name])
+		if got := strings.Join(sites[name], " "); got != w {
+			t.Errorf("internal/transport calls %s in [%s], want exactly [%s]: peers are reached over the data plane's connections, reader and inbox", name, got, w)
 		}
 	}
 }
