@@ -44,7 +44,7 @@ func BenchmarkResNet20ForwardBackward(b *testing.B) {
 	if testing.Short() {
 		b.Skip("training benchmark skipped in -short mode")
 	}
-	m := nn.NewResNet20(1)
+	m := nn.NewResNet(nn.Shape{C: 3, H: 32, W: 32}, 10, 3, 1, 1)
 	r := rng.New(1)
 	x := tensor.NewMatrix(4, 3*32*32)
 	for i := range x.Data {

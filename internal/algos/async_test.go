@@ -292,3 +292,52 @@ func TestAsyncStragglerLocality(t *testing.T) {
 		t.Fatalf("fast pair finished at %v, slow pair at %v: straggler is not localized", fast, slow)
 	}
 }
+
+// TestGradPushBoundedUnderStragglers: Gradient Push on the async64
+// benchmark's shape — 64 ranks on uniform 5–50 MB/s links, a quarter of
+// them 8× slow, 300 cycles each, the 64-64-10 MLP at batch 16 — keeps every
+// loss sample finite, trains, conserves Σ w = n and ends with every
+// push-sum weight at or above 1/2. Once the fast ranks have run their
+// cycles, nothing flows back to the stragglers: with a step unscaled by w
+// the run is NaN by cycle 300, and with pushes made without in-flow the
+// stragglers' w ends near 2^-200.
+func TestGradPushBoundedUnderStragglers(t *testing.T) {
+	const n, steps, seed = 64, 300, 7
+	tr, _ := dataset.TinyTask(8192, 10, seed)
+	rec := Recipe{Algo: "gradpush", Workers: n, LR: 0.05, Batch: 16, Seed: seed}
+	af := NewAsyncFleet(FleetConfig{
+		N:       n,
+		Factory: func() *nn.Model { return nn.NewMLP(tr.Dim(), []int{64}, 10, seed) },
+		Shards:  dataset.PartitionIID(tr, n, seed),
+		LR:      rec.LR,
+		Batch:   rec.Batch,
+		Seed:    seed,
+	}, rec)
+	res := runAsync(t, engine.AsyncOptions{
+		Nodes:     af.Nodes,
+		Codecs:    af.Codecs,
+		Bandwidth: netsim.RandomUniform(n, 5, 50, rng.New(seed)),
+		Seed:      seed,
+		Steps:     steps,
+		OneWay:    true,
+		Compute: engine.AsyncComputeModel{
+			MeanSeconds: 0.02, Jitter: 0.3, SlowFactor: 8, SlowRanks: rng.New(seed).Derive(0xa51c).Perm(n)[:n/4],
+		},
+	})
+	for _, s := range res.Samples {
+		if math.IsNaN(s.MeanLoss) || math.IsInf(s.MeanLoss, 0) {
+			t.Fatalf("non-finite loss %v after %d gossips", s.MeanLoss, s.Steps)
+		}
+	}
+	if first := res.Samples[0].MeanLoss; !(res.FinalLoss < 0.8*first) {
+		t.Fatalf("loss did not fall: first sample %v, final %v", first, res.FinalLoss)
+	}
+	minW, wSum := math.Inf(1), 0.0
+	for _, node := range af.Nodes {
+		w := node.(*gradPushNode).w
+		minW, wSum = min(minW, w), wSum+w
+	}
+	if !(minW >= 0.5) || math.Abs(wSum-n) > 1e-9 {
+		t.Fatalf("push-sum weights: min %v (bound 1/2), sum %v (want %d)", minW, wSum, n)
+	}
+}

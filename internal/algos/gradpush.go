@@ -17,6 +17,15 @@ import (
 // receiver is never blocked (OneWay mode), which is the algorithm's whole
 // point: pure one-sided communication. The payload is the dim+1 dense
 // vector [x/2..., w/2] over the dense codec.
+//
+// Two rules keep the pair bounded when the in-flow stops — as it does for a
+// straggler once the fast ranks have run their cycles and stopped pushing:
+// the step on x is scaled by w, so the step on z is lr·g whatever w is; and
+// a rank pushes only when mass has arrived since its last push. Without the
+// second rule every push halves w with nothing coming back, and w reaches
+// 2^-cycles. With it, w is halved at most once per arrival, and a rank cut
+// off from in-flow keeps its w, trains on z alone and sends an empty
+// payload, which costs no bytes and merges nothing.
 
 // gradPushNode is one Gradient Push rank.
 type gradPushNode struct {
@@ -26,6 +35,7 @@ type gradPushNode struct {
 	x          []float64 // push-sum numerator
 	w          float64   // push-sum weight
 	out        []float64 // outbound [x/2, w/2] payload scratch
+	fed        bool      // mass arrived since the last push (or none has been made)
 }
 
 // newGradPushNode initializes the pair at (x0, 1) so z0 equals the shared
@@ -33,7 +43,7 @@ type gradPushNode struct {
 func newGradPushNode(t *core.Trainer, lr float64, localSteps int) *gradPushNode {
 	return &gradPushNode{
 		t: t, lr: lr, localSteps: localSteps,
-		x: t.Model.FlatParams(nil), w: 1,
+		x: t.Model.FlatParams(nil), w: 1, fed: true,
 	}
 }
 
@@ -48,7 +58,8 @@ func (g *gradPushNode) debias() {
 }
 
 // Compute implements engine.Node: localSteps SGD steps on z applied to x,
-// then the halved (x, w) push payload. The local halves are kept
+// each scaled by w, then the halved (x, w) push payload — or an empty one
+// when no mass has arrived since the last push. The local halves are kept
 // immediately — the send is committed the moment it is scheduled.
 func (g *gradPushNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	total := 0.0
@@ -56,8 +67,13 @@ func (g *gradPushNode) Compute(engine.RoundContext) (float64, []float64, error) 
 	for s := 0; s < g.localSteps; s++ {
 		g.debias()
 		total += g.t.GradStep()
-		tensor.Axpy(-g.lr, grads, g.x)
+		tensor.Axpy(-g.lr*g.w, grads, g.x)
 	}
+	if !g.fed {
+		g.debias()
+		return total / float64(g.localSteps), g.out[:0], nil
+	}
+	g.fed = false
 	if cap(g.out) < len(g.x)+1 {
 		g.out = make([]float64, len(g.x)+1)
 	}
@@ -88,14 +104,19 @@ func (g *gradPushNode) Snapshot() []float64 {
 	return g.out
 }
 
-// Merge implements engine.Node: push-sum reception, (x, w) += (x', w').
+// Merge implements engine.Node: push-sum reception, (x, w) += (x', w'). An
+// empty payload is a push that was not made.
 func (g *gradPushNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 	for _, m := range msgs {
+		if len(m.Vals) == 0 {
+			continue
+		}
 		if len(m.Vals) != len(g.x)+1 {
 			return fmt.Errorf("algos: gradpush rank received %d values for %d params", len(m.Vals), len(g.x))
 		}
 		tensor.Axpy(1, m.Vals[:len(g.x)], g.x)
 		g.w += m.Vals[len(g.x)]
+		g.fed = true
 		// Keep the evaluated model in sync with the freshly received mass.
 		g.debias()
 	}

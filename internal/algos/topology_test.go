@@ -374,7 +374,11 @@ func TestGossipConsensusOnTopologies(t *testing.T) {
 		}
 		d0 := dis(x)
 		for it := 0; it < 200; it++ {
-			x = tensor.MatVec(w, x)
+			next := make([]float64, len(x))
+			for i := range next {
+				next[i] = tensor.Dot(w.Row(i), x)
+			}
+			x = next
 		}
 		if dis(x) > d0*1e-6 {
 			t.Fatalf("%s: consensus not reached (%v -> %v)", tp.name, d0, dis(x))

@@ -227,7 +227,7 @@ func TestGossipOnlyConsensus(t *testing.T) {
 		diff := make([]float64, dim)
 		for _, w := range ws {
 			tensor.Sub(diff, params(w), mean)
-			d := tensor.Norm2(diff)
+			d := math.Sqrt(tensor.Dot(diff, diff))
 			total += d * d
 		}
 		return total

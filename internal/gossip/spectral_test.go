@@ -25,7 +25,9 @@ func PowerIteration(a *tensor.Matrix, iters int) (float64, []float64) {
 // a restricted to their orthogonal complement.
 func powerDeflated(a *tensor.Matrix, iters int, against [][]float64) (float64, []float64) {
 	return powerDeflatedOp(a.Rows, func(dst, src []float64) {
-		copy(dst, tensor.MatVec(a, src))
+		for i := range dst {
+			dst[i] = tensor.Dot(a.Row(i), src)
+		}
 	}, iters, against)
 }
 
@@ -50,11 +52,11 @@ func powerDeflatedOp(n int, apply func(dst, src []float64), iters int, against [
 	for it := 0; it < iters; it++ {
 		apply(w, v)
 		orthogonalize(w, against)
-		nw := tensor.Norm2(w)
+		nw := math.Sqrt(tensor.Dot(w, w))
 		if nw == 0 {
 			return 0, v
 		}
-		tensor.Scale(1/nw, w)
+		scale(1/nw, w)
 		apply(tmp, w)
 		lambda = tensor.Dot(w, tmp)
 		v, w = w, v
@@ -84,7 +86,8 @@ func RhoOfExpectedWtW(ws []*tensor.Matrix, iters int) float64 {
 	for _, w := range ws {
 		wt := tensor.NewMatrix(w.Cols, w.Rows)
 		tensor.TransposeInto(wt, w)
-		wtw := tensor.MatMul(wt, w)
+		wtw := tensor.NewMatrix(n, n)
+		tensor.MatMulInto(wtw, wt, w)
 		tensor.Axpy(1/float64(len(ws)), wtw.Data, e.Data)
 	}
 	// Deflate the known dominant eigenvector 1/√n exactly rather than
@@ -144,8 +147,14 @@ func orthogonalize(v []float64, against [][]float64) {
 }
 
 func normalize(v []float64) {
-	n := tensor.Norm2(v)
-	if n > 0 {
-		tensor.Scale(1/n, v)
+	if n := math.Sqrt(tensor.Dot(v, v)); n > 0 {
+		scale(1/n, v)
+	}
+}
+
+// scale multiplies every element of v by a in place.
+func scale(a float64, v []float64) {
+	for i := range v {
+		v[i] *= a
 	}
 }

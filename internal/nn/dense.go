@@ -3,21 +3,29 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"sapspsgd/internal/rng"
 	"sapspsgd/internal/tensor"
 )
 
-// Dense is a fully connected layer: y = x·Wᵀ + b.
+// Dense is a fully connected layer: y = x·Wᵀ + b, or y = max(x·Wᵀ + b, +0)
+// when NewModel has fused the ReLU that follows it into the layer.
 type Dense struct {
 	InDim, OutDim int
 	w             *tensor.Matrix // OutDim × InDim
 	b             []float64
 	dw            *tensor.Matrix
 	db            []float64
+	relu          bool           // a ReLU is fused in (NewModel sets it)
 	x             *tensor.Matrix // cached input
-	idx           []int32        // Backward's row-index scratch: the positions of the non-zero gradients
+	y             *tensor.Matrix // cached output of a relu layer: y[i][j] > 0 ⇔ unit j fired on row i
 }
+
+// backwardScratch holds Backward's index lists. They live only for one
+// Backward, so a fleet's models share them: one buffer per goroutine that
+// is inside a Backward, not one per layer.
+var backwardScratch = sync.Pool{New: func() any { return new([]int32) }}
 
 // NewDense returns a dense layer with He-initialized weights.
 func NewDense(in, out int, r *rng.Source) *Dense { return newDense(in, out, r, nil) }
@@ -44,86 +52,82 @@ func newDense(in, out int, r *rng.Source, a *arena) *Dense {
 	return d
 }
 
-// Forward computes the affine map for the batch: tensor.MulTransposedInto
-// reads each W row straight from the model's flat vector and gives out[i][j]
-// the chain tensor.Dot(w[j], x[i]) — +0, then x[i][k]·w[j][k] for every k,
-// ascending, zeros included — and b[j] is added after it, with one vector
-// lane per batch row (DESIGN §8 "Compute kernels"). The result comes from
-// the tensor pool and belongs to the caller.
+// Forward computes the affine map for the batch, and the ReLU when one is
+// fused: tensor.MulTransposedInto reads each W row straight from the
+// model's flat vector and gives out[i][j] the chain tensor.Dot(w[j], x[i])
+// — +0, then x[i][k]·w[j][k] for every k, ascending, zeros included — plus
+// b[j], then the ReLU's gate, in the kernel's epilogue, with one vector lane
+// per batch row (DESIGN §8 "Compute kernels"). The result comes from the
+// tensor pool and belongs to the caller; a training Forward of a relu layer
+// reads it again in Backward, so the caller keeps it until then, as a Model
+// does with every activation but its logits.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != d.InDim {
 		panic(fmt.Sprintf("nn: Dense input %d, want %d", x.Cols, d.InDim))
 	}
+	out := tensor.GetMatrix(x.Rows, d.OutDim)
+	tensor.MulTransposedInto(out, x, d.w, d.b, d.relu)
 	if train {
 		d.x = x
-	}
-	out := tensor.GetMatrix(x.Rows, d.OutDim)
-	tensor.MulTransposedInto(out, x, d.w)
-	for i := 0; i < x.Rows; i++ {
-		o := out.Row(i)
-		tensor.Add(o, o, d.b)
+		if d.relu {
+			d.y = out
+		}
 	}
 	return out
 }
 
-// scratch returns the layer's index buffer, grown to n entries.
-func (d *Dense) scratch(n int) []int32 {
-	if len(d.idx) < n {
-		d.idx = make([]int32, n)
-	}
-	return d.idx[:n]
-}
-
-// nonZero writes the positions p, ascending, with g[p*stride] != 0 into idx
-// and returns how many there are. The count advances without a branch: half
-// of a ReLU-gated gradient is zero in no predictable pattern.
-func nonZero(idx []int32, g []float64, stride int) int {
-	n := 0
-	for p, q := 0, 0; q < len(g); p, q = p+1, q+stride {
-		idx[n] = int32(p)
-		if g[q] != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Backward accumulates dW, db and returns dx (from the tensor pool, the
-// caller's). Each dx row takes g·w[j] over its non-zero gradients in
-// ascending j, each dw row (and db entry) takes g·x[i] over its non-zero
-// gradients in ascending i. A zero gradient is skipped, not multiplied:
-// 0·Inf is NaN.
+// Backward writes dW and db and returns dx (from the tensor pool, the
+// caller's). A relu layer passes a unit's gradient back only where the unit
+// fired (its output > 0), a plain layer everywhere: a gradient that does not
+// pass is +0, as a separate ReLU's Backward made it. Each dx row is +0 plus
+// g·w[j] over its passed, non-zero gradients in ascending j; each dw row is
+// +0 plus g·x[i] over its passed, non-zero gradients in ascending i; each db
+// entry is +0 plus its passed gradients in ascending i. A zero gradient is
+// skipped, not multiplied (0·Inf is NaN); adding one, as db does, changes no
+// bit. Nothing is read from dW, db or dx before it is written, so
+// Model.ZeroGrads clears none of them.
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix { return d.backward(dout, true) }
 
 // backwardParams implements paramGrader: Backward's dW and db, no dx.
 func (d *Dense) backwardParams(dout *tensor.Matrix) { d.backward(dout, false) }
 
 // backward is Backward, with dx computed only when wantDx is set; dW and db
-// never read it.
+// never read it. tensor.MaskedColumns writes db and lists each unit's
+// passed rows, which its dW row is summed over; read in unit order, the
+// same lists give each row's passed units, which its dx row is summed over.
 func (d *Dense) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before training Forward")
 	}
-	x := d.x
-	idx := d.scratch(max(x.Rows, d.OutDim))
+	x, n := d.x, d.OutDim
+	rows := x.Rows
+	buf := backwardScratch.Get().(*[]int32)
+	if k := 2*n*rows + n + rows; len(*buf) < k {
+		*buf = make([]int32, k)
+	}
+	lists, units := (*buf)[:n*rows], (*buf)[n*rows:2*n*rows]
+	ends, counts := (*buf)[2*n*rows:2*n*rows+n], (*buf)[2*n*rows+n:2*n*rows+n+rows]
+	tensor.MaskedColumns(d.db, lists, ends, dout, d.y) // d.y is nil unless relu: every unit passes
+	for j := 0; j < n; j++ {
+		g := dout.Data[min(j, len(dout.Data)):] // column j, one entry every n; empty with no rows
+		tensor.AxpyRowsInto(d.dw.Row(j), x, g, n, lists[j*rows:ends[j]])
+	}
 	var dx *tensor.Matrix
 	if wantDx {
-		dx = tensor.GetMatrix(x.Rows, d.InDim)
-		tensor.Fill(dx.Data, 0)
-		for i := 0; i < x.Rows; i++ {
-			g := dout.Row(i)
-			tensor.AxpyRows(dx.Row(i), d.w, g, 1, idx[:nonZero(idx, g, 1)])
+		dx = tensor.GetMatrix(rows, d.InDim)
+		clear(counts)
+		for j := 0; j < n; j++ {
+			for _, i := range lists[j*rows : ends[j]] {
+				units[int(i)*n+int(counts[i])] = int32(j)
+				counts[i]++
+			}
+		}
+		for i := 0; i < rows; i++ {
+			tensor.AxpyRowsInto(dx.Row(i), d.w, dout.Row(i), 1, units[i*n:i*n+int(counts[i])])
 		}
 	}
-	for j := 0; j < d.OutDim && x.Rows > 0; j++ {
-		g := dout.Data[j:] // column j: one entry every OutDim
-		nz := idx[:nonZero(idx, g, d.OutDim)]
-		for _, i := range nz {
-			d.db[j] += g[int(i)*d.OutDim]
-		}
-		tensor.AxpyRows(d.dw.Row(j), x, g, d.OutDim, nz)
-	}
-	d.x = nil
+	backwardScratch.Put(buf)
+	d.x, d.y = nil, nil
 	return dx
 }
 

@@ -111,7 +111,8 @@ func fillGrad(g *tensor.Matrix, r *rng.Source, kind string) {
 // n mod 4 take every value), every ragged tail of the 4-row group (out for
 // the forward and the backward, batch for the backward),
 // every gradient sparsity, non-finite values everywhere, and two Backwards
-// accumulating into the same un-zeroed dw/db.
+// writing over dw/db that arrive dirty — the oracle's are cleared first, as
+// ZeroGrads cleared them for the accumulating layer.
 func TestDenseKernelsMatchOracle(t *testing.T) {
 	for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15} {
 		for _, in := range []int{1, 2, 3, 6, 7, 13, 64, 256} {
@@ -123,7 +124,7 @@ func TestDenseKernelsMatchOracle(t *testing.T) {
 						got := NewDense(in, out, r)
 						fillNormal(got.w.Data, r, wild)
 						fillNormal(got.b, r, wild)
-						fillNormal(got.dw.Data, r, false) // accumulators start dirty
+						fillNormal(got.dw.Data, r, false) // gradients start dirty
 						fillNormal(got.db, r, false)
 						want := &Dense{InDim: in, OutDim: out, w: got.w.Clone(), b: tensor.Clone(got.b),
 							dw: got.dw.Clone(), db: tensor.Clone(got.db)}
@@ -138,6 +139,8 @@ func TestDenseKernelsMatchOracle(t *testing.T) {
 							sameBits(t, name+" forward", y.Data, oracleDenseForward(want, x).Data)
 							sameBits(t, name+" eval forward", got.Forward(x, false).Data, y.Data)
 							dx := got.Backward(dout)
+							tensor.Fill(want.dw.Data, 0)
+							tensor.Fill(want.db, 0)
 							sameBits(t, name+" dx", dx.Data, oracleDenseBackward(want, x, dout).Data)
 							sameBits(t, name+" dw", got.dw.Data, want.dw.Data)
 							sameBits(t, name+" db", got.db, want.db)
@@ -150,5 +153,95 @@ func TestDenseKernelsMatchOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFusedDenseReLUMatchesPair: a Dense with its ReLU fused in gives the
+// output, dx, dW and db of the unfused pair — Dense.Forward then
+// ReLU.Forward, ReLU.Backward then Dense.Backward into cleared gradients —
+// bit for bit. The shapes cover the forward tile's lane tails and the
+// column pass's four-column groups and tails; the inputs, weights and
+// biases are salted with −0, ±Inf and NaN; the fused layer's gradients
+// arrive dirty; and each case also runs as a bottom layer, which computes
+// no dx and must leave the same dW and db.
+func TestFusedDenseReLUMatchesPair(t *testing.T) {
+	for _, out := range []int{1, 3, 4, 5, 8, 9, 17} {
+		for _, in := range []int{1, 7, 64} {
+			for _, batch := range []int{1, 3, 8, 9, 17, 33} {
+				for _, kind := range []string{"zero", "dense", "mixed"} {
+					for _, wild := range []bool{false, true} {
+						name := fmt.Sprintf("out%d/in%d/batch%d/%s/wild=%v", out, in, batch, kind, wild)
+						r := rng.New(uint64(out*7919 + in*131 + batch*7 + len(kind)))
+						fused := NewDense(in, out, r)
+						fused.relu = true
+						fillNormal(fused.w.Data, r, wild)
+						fillNormal(fused.b, r, wild)
+						x := tensor.NewMatrix(batch, in)
+						fillNormal(x.Data, r, wild)
+						dout := tensor.NewMatrix(batch, out)
+						fillGrad(dout, r, kind)
+						checkFusedAgainstPair(t, name, fused, x, dout, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFusedDenseReLUGatedOffUnit: a unit that fires on no row of the batch
+// passes no gradient back, so its dW row and db entry come out +0 over
+// gradients that arrive as NaN — written, not left — and its column of dx
+// takes nothing from it.
+func TestFusedDenseReLUGatedOffUnit(t *testing.T) {
+	r := rng.New(18)
+	fused := NewDense(6, 5, r)
+	fused.relu = true
+	fused.b[2] = -1e6 // x and w are N(0,1) draws: unit 2 never fires
+	x := tensor.NewMatrix(9, 6)
+	fillNormal(x.Data, r, false)
+	dout := tensor.NewMatrix(9, 5)
+	fillGrad(dout, r, "dense")
+	checkFusedAgainstPair(t, "gated-off unit", fused, x, dout, r)
+	tensor.Fill(fused.dw.Data, math.NaN())
+	tensor.Fill(fused.db, math.NaN())
+	tensor.PutMatrix(fused.Forward(x, true))
+	tensor.PutMatrix(fused.Backward(dout))
+	for k, v := range append(fused.dw.Row(2), fused.db[2]) {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("gradient %d of the unit that never fired = %v (%#x), want +0", k, v, math.Float64bits(v))
+		}
+	}
+}
+
+// checkFusedAgainstPair runs fused (whose relu is set) and the unfused pair
+// built from copies of its weights on x and dout, as a middle layer and as
+// a bottom layer, and compares every result by sameBits.
+func checkFusedAgainstPair(t *testing.T, name string, fused *Dense, x, dout *tensor.Matrix, r *rng.Source) {
+	t.Helper()
+	in, out := fused.InDim, fused.OutDim
+	dense := &Dense{InDim: in, OutDim: out, w: fused.w.Clone(), b: tensor.Clone(fused.b),
+		dw: tensor.NewMatrix(out, in), db: make([]float64, out)}
+	relu := NewReLU()
+	pre := dense.Forward(x, true)
+	want := relu.Forward(pre, true)
+	wantDx := dense.Backward(relu.Backward(dout))
+
+	for _, bottom := range []bool{false, true} {
+		what := fmt.Sprintf("%s bottom=%v", name, bottom)
+		fillNormal(fused.dw.Data, r, true) // gradients arrive dirty
+		fillNormal(fused.db, r, true)
+		y := fused.Forward(x, true)
+		sameBits(t, what+" forward", y.Data, want.Data)
+		if bottom {
+			fused.backwardParams(dout)
+		} else {
+			dx := fused.Backward(dout)
+			sameBits(t, what+" dx", dx.Data, wantDx.Data)
+			tensor.PutMatrix(dx)
+		}
+		sameBits(t, what+" dw", fused.dw.Data, dense.dw.Data)
+		sameBits(t, what+" db", fused.db, dense.db)
+		sameBits(t, what+" eval forward", fused.Forward(x, false).Data, want.Data)
+		tensor.PutMatrix(y) // back to the pool dirty
 	}
 }

@@ -39,15 +39,17 @@ type Layer interface {
 	// batch. When train is false, layers use inference behaviour (e.g.
 	// BatchNorm running statistics) and may skip caching. A training
 	// Forward may keep x until Backward; the result is never x, shares no
-	// storage with it, and is the caller's alone — a layer keeps no
-	// reference to it (Model recycles it through the tensor pool).
+	// storage with it, and is the caller's (Model recycles it through the
+	// tensor pool). Only a Dense with a fused ReLU reads its result again,
+	// in Backward, which is why NewModel never fuses the top layer.
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
-	// Backward consumes dL/d(output) and returns dL/d(input), accumulating
-	// parameter gradients. It must be called exactly once after each
-	// training Forward. The same ownership rule holds: dout is not kept,
-	// the result is fresh and the caller's. A Model calls it on every layer
-	// but the bottom one, which it asks for its parameter gradients alone
-	// when the layer can give them (see paramGrader).
+	// Backward consumes dL/d(output) and returns dL/d(input), adding the
+	// parameter gradients into their accumulators — or, for a Dense,
+	// writing them. It must be called exactly once after each training
+	// Forward. The same ownership rule holds: dout is not kept, the result
+	// is fresh and the caller's. A Model calls it on every layer but the
+	// bottom one, which it asks for its parameter gradients alone when the
+	// layer can give them (see paramGrader).
 	Backward(dout *tensor.Matrix) *tensor.Matrix
 	// Params returns the layer's parameters (views, not copies); empty for
 	// stateless layers. A layer with parameters also lists where it keeps
@@ -56,9 +58,10 @@ type Layer interface {
 }
 
 // paramGrader is implemented by layers whose Backward can stop after the
-// parameter gradients. backwardParams accumulates exactly what Backward
-// accumulates, with the same kernel, and computes no dL/d(input) — so the
-// bottom layer of a model skips its largest product and gives the same bits.
+// parameter gradients. backwardParams leaves exactly the parameter
+// gradients Backward leaves, with the same kernel, and computes no
+// dL/d(input) — so the bottom layer of a model skips its largest product and
+// gives the same bits.
 type paramGrader interface {
 	backwardParams(dout *tensor.Matrix)
 }
@@ -107,17 +110,22 @@ type Model struct {
 	// acts are the inter-layer matrices of the last training Forward, which
 	// the layers above them cache as inputs until Backward releases them.
 	acts []*tensor.Matrix
+	// accum are the gradients that Backward adds into, every layer's but a
+	// Dense's: ZeroGrads clears these alone.
+	accum [][]float64
 }
 
 // NewModel assembles a sequential model. It moves the layers' parameters
 // and gradients, values included, into the model's two flat vectors — or
 // adopts the vectors when the layers were built into an arena and already
-// tile them — and builds the parameter registry over them. A layer belongs
-// to one model.
+// tile them — and builds the parameter registry over them. A Dense that a
+// ReLU directly follows, below the top layer, takes that ReLU into its own
+// forward epilogue and backward (DESIGN §8), and the ReLU leaves the stack.
+// A layer belongs to one model.
 func NewModel(name string, in Shape, out int, layers ...Layer) *Model {
-	m := &Model{Name: name, In: in, Out: out, layers: layers}
+	m := &Model{Name: name, In: in, Out: out, layers: fuse(layers)}
 	var slots []slot
-	for _, l := range layers {
+	for _, l := range m.layers {
 		if s, ok := l.(slotted); ok {
 			slots = append(slots, s.slots()...)
 		} else if len(l.Params()) > 0 {
@@ -147,7 +155,30 @@ func NewModel(name string, in Shape, out int, layers ...Layer) *Model {
 		off = end
 	}
 	m.params = paramsOf(slots)
+	for _, l := range m.layers {
+		if _, writes := l.(*Dense); !writes {
+			for _, p := range l.Params() {
+				m.accum = append(m.accum, p.Grad)
+			}
+		}
+	}
 	return m
+}
+
+// fuse returns the stack with every Dense that a ReLU directly follows,
+// below the top layer (whose output is the caller's), set to apply that
+// ReLU itself, and the ReLU dropped.
+func fuse(layers []Layer) []Layer {
+	out := make([]Layer, 0, len(layers))
+	for i := 0; i < len(layers); i++ {
+		out = append(out, layers[i])
+		if d, ok := layers[i].(*Dense); ok && i+2 < len(layers) {
+			if _, d.relu = layers[i+1].(*ReLU); d.relu {
+				i++
+			}
+		}
+	}
+	return out
 }
 
 // inPlace returns the vectors the slots already tile, in order with nothing
@@ -219,11 +250,12 @@ func (m *Model) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return in
 }
 
-// Backward propagates dL/d(logits) back through the stack, accumulating
-// parameter gradients. dout stays the caller's; each inter-layer gradient is
-// recycled once the layer below has consumed it, and the training
-// activations once every layer has. The bottom layer computes no input
-// gradient when it can avoid it: nothing below it would read one.
+// Backward propagates dL/d(logits) back through the stack, leaving the
+// parameter gradients in the model's gradient vector. dout stays the
+// caller's; each inter-layer gradient is recycled once the layer below has
+// consumed it, and the training activations once every layer has. The
+// bottom layer computes no input gradient when it can avoid it: nothing
+// below it would read one.
 func (m *Model) Backward(dout *tensor.Matrix) {
 	d := dout
 	for i := len(m.layers) - 1; i > 0; i-- {
@@ -254,8 +286,14 @@ func (m *Model) releaseActs() {
 	m.acts = m.acts[:0]
 }
 
-// ZeroGrads clears all gradient accumulators.
-func (m *Model) ZeroGrads() { tensor.Fill(m.grad, 0) }
+// ZeroGrads clears the gradient accumulators: the gradients of the layers
+// whose Backward adds into them (convolution, batch norm, residual blocks).
+// A Dense writes its gradients, so an MLP has nothing to clear.
+func (m *Model) ZeroGrads() {
+	for _, g := range m.accum {
+		clear(g)
+	}
+}
 
 // FlatParams copies all parameters into dst (allocating when dst is nil or
 // mis-sized) and returns it, in deterministic registry order. The copy is

@@ -46,17 +46,3 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (loss float64, dlo
 	}
 	return loss, dlogits
 }
-
-// Accuracy returns the top-1 accuracy of logits against labels.
-func Accuracy(logits *tensor.Matrix, labels []int) float64 {
-	if logits.Rows == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < logits.Rows; i++ {
-		if tensor.ArgMax(logits.Row(i)) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(logits.Rows)
-}

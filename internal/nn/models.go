@@ -84,11 +84,6 @@ func NewResNet(in Shape, classes, blocksPerStage int, width float64, seed uint64
 	return NewModel(fmt.Sprintf("resnet-%d(w=%.2f)", depth, width), in, classes, layers...)
 }
 
-// NewResNet20 is the paper's third model at full scale.
-func NewResNet20(seed uint64) *Model {
-	return NewResNet(Shape{C: 3, H: 32, W: 32}, 10, 3, 1, seed)
-}
-
 // NewMLP builds a plain multilayer perceptron — used by fast unit tests and
 // the quadratic-convergence checks.
 func NewMLP(inDim int, hidden []int, classes int, seed uint64) *Model {

@@ -17,7 +17,7 @@ func TestParamCounts(t *testing.T) {
 		t.Fatalf("MNIST-CNN params = %d, want %d", got, want)
 	}
 	// ResNet-20 is ~0.27M parameters (the paper reports 269,722).
-	rn := NewResNet20(1)
+	rn := NewResNet(Shape{C: 3, H: 32, W: 32}, 10, 3, 1, 1)
 	if rn.ParamCount() < 250000 || rn.ParamCount() > 300000 {
 		t.Fatalf("ResNet-20 params = %d, want ~270k", rn.ParamCount())
 	}
@@ -92,19 +92,6 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 		if math.IsNaN(v) {
 			t.Fatal("NaN gradient")
 		}
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	logits := tensor.MatrixFrom(2, 3, []float64{
-		1, 5, 2,
-		9, 0, 0,
-	})
-	if got := Accuracy(logits, []int{1, 0}); got != 1 {
-		t.Fatalf("acc = %v", got)
-	}
-	if got := Accuracy(logits, []int{0, 0}); got != 0.5 {
-		t.Fatalf("acc = %v", got)
 	}
 }
 

@@ -2,8 +2,9 @@ package tensor
 
 import "fmt"
 
-// The multiply-add kernels every dense product runs on: Axpy, and AxpyRows,
-// which applies a list of rows four at a time per pass over the destination.
+// The multiply-add kernels every dense product runs on: Axpy, and
+// AxpyRowsInto, which sums a list of rows four at a time per pass over the
+// destination.
 // Each destination element is its own chain of additions, so the kernels run
 // those chains side by side — in vector lanes where the CPU has them
 // (axpy_amd64.s, VMULPD then VADDPD, never a fused multiply-add) — and every
@@ -17,16 +18,17 @@ func Axpy(a float64, x, y []float64) {
 	axpy(a, x, y)
 }
 
-// AxpyRows computes dst += g[p·stride]·src.Row(p) for each p in idx, in list
-// order. Rows go through one pass over dst four at a time,
+// AxpyRowsInto writes dst = +0 + g[p·stride]·src.Row(p) over each p in idx,
+// in list order: the bits of one Axpy per row into a cleared dst (+0 when
+// idx is empty). Rows go through one pass over dst four at a time,
 //
 //	dst[k] = (((dst[k] + g0·r0[k]) + g1·r1[k]) + g2·r2[k]) + g3·r3[k],
 //
-// and the last len(idx) % 4 one at a time, so every dst[k] receives exactly
-// the additions one Axpy per row would give it, in the same order, with a
-// quarter of the loads and stores. It panics unless len(dst) == src.Cols and
-// every p indexes a row of src and, times stride, an element of g.
-func AxpyRows(dst []float64, src *Matrix, g []float64, stride int, idx []int32) {
+// the first pass reading dst[k] as +0, and the last len(idx) % 4 one at a
+// time: the same additions in the same order, with a quarter of the loads
+// and stores and no clearing pass. It panics unless len(dst) == src.Cols
+// and every p indexes a row of src and, times stride, an element of g.
+func AxpyRowsInto(dst []float64, src *Matrix, g []float64, stride int, idx []int32) {
 	assertSameLen(len(dst), src.Cols)
 	// rows counts the leading rows of src that have a weight in g; the
 	// kernels check every p against it as they reach it.
@@ -38,7 +40,7 @@ func AxpyRows(dst []float64, src *Matrix, g []float64, stride int, idx []int32) 
 		rows = min(rows, (len(g)-1)/stride+1)
 	}
 	if stride < 0 || len(src.Data) < src.Rows*src.Cols || !axpyRows(dst, src.Data, g, stride, rows, idx) {
-		panic(fmt.Sprintf("tensor: AxpyRows over a %dx%d matrix (%d elements) and %d weights at stride %d: row index out of range",
+		panic(fmt.Sprintf("tensor: AxpyRowsInto over a %dx%d matrix (%d elements) and %d weights at stride %d: row index out of range",
 			src.Rows, src.Cols, len(src.Data), len(g), stride))
 	}
 }
@@ -59,10 +61,12 @@ func axpyGeneric(a float64, x, y []float64) {
 	}
 }
 
-// axpyRowsGeneric is AxpyRows' scalar loop over src's row-major data, whose
-// rows are len(dst) long. It returns false, having applied the groups
-// before it, at the first group holding a p outside [0, rows).
+// axpyRowsGeneric is AxpyRowsInto's scalar loop over src's row-major data,
+// whose rows are len(dst) long: it clears dst, then adds the rows into it.
+// It returns false, having applied the groups before it, at the first group
+// holding a p outside [0, rows).
 func axpyRowsGeneric(dst, src, g []float64, stride, rows int, idx []int32) bool {
+	clear(dst)
 	n := len(dst)
 	row := func(p int32) []float64 { return src[int(p)*n : int(p)*n+n] }
 	for ; len(idx) >= 4; idx = idx[4:] {

@@ -7,7 +7,10 @@
 // ADDSD do in the scalar loop — there is no fused multiply-add anywhere in
 // this file), store it. Eight elements a pass in two independent vectors,
 // then four, then one at a time with the scalar forms of the same
-// instructions.
+// instructions. axpyRowsAVX2 writes rather than adds: its first pass over
+// dst loads each element through an all-zero mask (VANDPD), so the chain
+// starts at +0 exactly as over a cleared dst, and every later pass through
+// an all-ones mask, which is the plain load.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -106,8 +109,9 @@ axpydone:
 // func axpyRowsAVX2(dst, src, g []float64, stride, rows int, idx []int32) bool
 //
 // DI is the end of dst and every row pointer the end of its row, so one
-// index AX runs from -n up to 0 over all of them. R14 is free: ABI0 code
-// may clobber it, and the ABI wrapper restores it on return.
+// index AX runs from -n up to 0 over all of them. Y8 is the load mask: +0
+// until the first pass over dst ends, all ones after it. R14 is free: ABI0
+// code may clobber it, and the ABI wrapper restores it on return.
 TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-113
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -120,6 +124,7 @@ TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-113
 	MOVQ idx_base+88(FP), R8
 	MOVQ idx_len+96(FP), R9
 	LEAQ (R8)(R9*4), R9
+	VXORPD Y8, Y8, Y8
 
 group:
 	LEAQ 16(R8), AX
@@ -136,8 +141,8 @@ group:
 group8:
 	CMPQ    AX, $-8
 	JGT     group4
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
+	VANDPD  (DI)(AX*8), Y8, Y4
+	VANDPD  32(DI)(AX*8), Y8, Y5
 	VMULPD  (R10)(AX*8), Y0, Y6
 	VMULPD  32(R10)(AX*8), Y0, Y7
 	VADDPD  Y6, Y4, Y4
@@ -162,7 +167,7 @@ group8:
 group4:
 	CMPQ    AX, $-4
 	JGT     group1
-	VMOVUPD (DI)(AX*8), Y4
+	VANDPD  (DI)(AX*8), Y8, Y4
 	VMULPD  (R10)(AX*8), Y0, Y6
 	VADDPD  Y6, Y4, Y4
 	VMULPD  (R11)(AX*8), Y1, Y6
@@ -176,8 +181,9 @@ group4:
 
 group1:
 	TESTQ  AX, AX
-	JZ     group
+	JZ     grouped
 	VMOVSD (DI)(AX*8), X4
+	VANDPD X8, X4, X4
 	VMULSD (R10)(AX*8), X0, X6
 	VADDSD X6, X4, X4
 	VMULSD (R11)(AX*8), X1, X6
@@ -189,6 +195,10 @@ group1:
 	VMOVSD X4, (DI)(AX*8)
 	INCQ   AX
 	JMP    group1
+
+grouped:
+	VPCMPEQQ Y8, Y8, Y8
+	JMP      group
 
 	// The last len(idx) % 4 rows, one pass over dst each.
 single:
@@ -204,8 +214,10 @@ single8:
 	JGT     single4
 	VMULPD  (R10)(AX*8), Y0, Y6
 	VMULPD  32(R10)(AX*8), Y0, Y7
-	VADDPD  (DI)(AX*8), Y6, Y6
-	VADDPD  32(DI)(AX*8), Y7, Y7
+	VANDPD  (DI)(AX*8), Y8, Y4
+	VANDPD  32(DI)(AX*8), Y8, Y5
+	VADDPD  Y4, Y6, Y6
+	VADDPD  Y5, Y7, Y7
 	VMOVUPD Y6, (DI)(AX*8)
 	VMOVUPD Y7, 32(DI)(AX*8)
 	ADDQ    $8, AX
@@ -215,18 +227,25 @@ single4:
 	CMPQ    AX, $-4
 	JGT     single1
 	VMULPD  (R10)(AX*8), Y0, Y6
-	VADDPD  (DI)(AX*8), Y6, Y6
+	VANDPD  (DI)(AX*8), Y8, Y4
+	VADDPD  Y4, Y6, Y6
 	VMOVUPD Y6, (DI)(AX*8)
 	ADDQ    $4, AX
 
 single1:
 	TESTQ  AX, AX
-	JZ     single
+	JZ     singled
 	VMULSD (R10)(AX*8), X0, X6
-	VADDSD (DI)(AX*8), X6, X6
+	VMOVSD (DI)(AX*8), X4
+	VANDPD X8, X4, X4
+	VADDSD X4, X6, X6
 	VMOVSD X6, (DI)(AX*8)
 	INCQ   AX
 	JMP    single1
+
+singled:
+	VPCMPEQQ Y8, Y8, Y8
+	JMP      single
 
 rowsdone:
 	VZEROUPPER

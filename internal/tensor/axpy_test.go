@@ -75,7 +75,8 @@ func checkKernels(t *testing.T, data []byte) {
 	axpyGeneric(a, x, want)
 	sameKernelBits(t, fmt.Sprintf("Axpy n=%d flags=%#x", n, flags), y, want)
 
-	// AxpyRows: dst += g[p·stride]·src.Row(p) over the listed rows.
+	// AxpyRowsInto: dst = +0 + g[p·stride]·src.Row(p) over the listed rows,
+	// into a dst that arrives dirty.
 	stride := 1 + 2*off(3)
 	src := fill(make([]float64, rows*n+off(1)), 2)[off(1):]
 	g := fill(make([]float64, max(rows*stride, 1)), 3)
@@ -94,9 +95,9 @@ func checkKernels(t *testing.T, data []byte) {
 	okGot := axpyRows(dst, src, g, stride, rows, idx)
 	okWant := axpyRowsGeneric(want, src, g, stride, rows, idx)
 	if !okGot || !okWant {
-		t.Fatalf("AxpyRows n=%d rows=%d flags=%#x: kernel %v, scalar loop %v on in-range rows", n, rows, flags, okGot, okWant)
+		t.Fatalf("AxpyRowsInto n=%d rows=%d flags=%#x: kernel %v, scalar loop %v on in-range rows", n, rows, flags, okGot, okWant)
 	}
-	sameKernelBits(t, fmt.Sprintf("AxpyRows n=%d rows=%d flags=%#x", n, rows, flags), dst, want)
+	sameKernelBits(t, fmt.Sprintf("AxpyRowsInto n=%d rows=%d flags=%#x", n, rows, flags), dst, want)
 }
 
 func sameKernelBits(t *testing.T, what string, got, want []float64) {
@@ -191,11 +192,11 @@ func TestAxpyRowsRejects(t *testing.T) {
 					t.Fatal("no panic")
 				}
 			}()
-			AxpyRows(make([]float64, tc.dstLen), NewMatrix(3, tc.cols), make([]float64, tc.weights), tc.stride, tc.idx)
+			AxpyRowsInto(make([]float64, tc.dstLen), NewMatrix(3, tc.cols), make([]float64, tc.weights), tc.stride, tc.idx)
 		})
 	}
 	// Every weight in range at stride 0 and at a stride that ends exactly.
 	src := NewMatrix(3, 5)
-	AxpyRows(make([]float64, 5), src, []float64{1}, 0, []int32{2, 2, 2, 2, 2})
-	AxpyRows(make([]float64, 5), src, make([]float64, 7), 3, []int32{2, 0, 1})
+	AxpyRowsInto(make([]float64, 5), src, []float64{1}, 0, []int32{2, 2, 2, 2, 2})
+	AxpyRowsInto(make([]float64, 5), src, make([]float64, 7), 3, []int32{2, 0, 1})
 }

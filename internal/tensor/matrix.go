@@ -81,13 +81,6 @@ func TransposeInto(dst, src *Matrix) {
 	}
 }
 
-// MatMul returns a*b. It panics on incompatible shapes.
-func MatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes dst = a*b, reusing dst's storage. dst must not alias a
 // or b. The k-loop is hoisted outside the j-loop (ikj order) so the inner
 // loop streams over contiguous rows of b — this is the difference between a
@@ -107,33 +100,6 @@ func MatMulInto(dst, a, b *Matrix) {
 			Axpy(aik, b.Row(k), dRow)
 		}
 	}
-}
-
-// MatVec returns a·x for a column vector x.
-func MatVec(a *Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic("tensor: MatVec shape mismatch")
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		out[i] = Dot(a.Row(i), x)
-	}
-	return out
-}
-
-// VecMat returns xᵀ·a as a row vector for a row vector x.
-func VecMat(x []float64, a *Matrix) []float64 {
-	if a.Rows != len(x) {
-		panic("tensor: VecMat shape mismatch")
-	}
-	out := make([]float64, a.Cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		Axpy(xi, a.Row(i), out)
-	}
-	return out
 }
 
 // IsDoublyStochastic reports whether every entry of m is non-negative and

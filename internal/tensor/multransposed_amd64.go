@@ -3,26 +3,26 @@
 package tensor
 
 // mulTransposedAVX2 is implemented in multransposed_amd64.s. It computes
-// out = x·wᵀ for out b × n, w n × k and xT = xᵀ padded to a k × lanes
-// matrix (lanes a multiple of 8, at least b). Its caller has checked every
-// length.
+// out = x·wᵀ + b, gated by max(·, +0) when relu is set, for out rows × n,
+// w n × k, b n long and xT = xᵀ padded to a k × lanes matrix (lanes a
+// multiple of 8, at least rows). Its caller has checked every length.
 //
 //go:noescape
-func mulTransposedAVX2(out, xT, w []float64, b, n, k, lanes int)
+func mulTransposedAVX2(out, xT, w, b []float64, rows, n, k, lanes int, relu bool)
 
 // mulTransposed runs the kernel over the batch transposed into a pooled
 // k × lanes matrix whose lanes past x.Rows are +0: each lane is one whole
 // batch row's chain, and the padding's chains are computed and dropped.
-func mulTransposed(out, x, w *Matrix) {
+func mulTransposed(out, x, w *Matrix, b []float64, relu bool) {
 	if !hasAVX2 {
-		mulTransposedGeneric(out, x, w)
+		mulTransposedGeneric(out, x, w, b, relu)
 		return
 	}
-	b, k := x.Rows, x.Cols
-	lanes := (b + 7) &^ 7
+	rows, k := x.Rows, x.Cols
+	lanes := (rows + 7) &^ 7
 	xT := GetMatrix(k, lanes)
-	transposePadded(xT.Data, x.Data, b, k, lanes)
-	mulTransposedAVX2(out.Data, xT.Data, w.Data, b, w.Rows, k, lanes)
+	transposePadded(xT.Data, x.Data, rows, k, lanes)
+	mulTransposedAVX2(out.Data, xT.Data, w.Data, b, rows, w.Rows, k, lanes, relu)
 	PutMatrix(xT)
 }
 

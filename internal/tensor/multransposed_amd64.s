@@ -14,6 +14,14 @@
 // the four-row tile's by two in-register 4×4 transposes (VUNPCKLPD,
 // VUNPCKHPD, VPERM2F128 — moves, no arithmetic), the one-row tile's one
 // element at a time, and a lane past the batch's last row is not stored.
+//
+// The epilogue runs on each transposed row before its store: VADDPD adds
+// b[j..j+3] (the one-row tile's b[j], broadcast) with the chain's sum as the
+// first source, as the scalar loop's s += b[j] does; then, under relu,
+// VMAXPD with the sum as the first Intel-order source and +0 as the second.
+// MAXPD returns its second source unless the first is greater, so a value
+// > 0 stays and −0, NaN, −Inf and +0 itself all become +0: exactly the
+// scalar loop's gate.
 
 // kstep adds w[r][AX]·xT[AX][l:l+8] (Y8, Y9) into the row's accumulators.
 #define kstep(wrow, acc0, acc1) \
@@ -35,23 +43,40 @@
 	VPERM2F128 $0x31, Y10, Y8, Y14; \
 	VPERM2F128 $0x31, Y11, Y9, Y15
 
-// func mulTransposedAVX2(out, xT, w []float64, b, n, k, lanes int)
+// epilogue4 adds the bias vector b to each transposed row, Y12–Y15, the
+// row as the first source.
+#define epilogue4(b) \
+	VADDPD b, Y12, Y12; \
+	VADDPD b, Y13, Y13; \
+	VADDPD b, Y14, Y14; \
+	VADDPD b, Y15, Y15
+
+// relu4 gates each transposed row, Y12–Y15, by max(row, zero), the row as
+// the first Intel-order source: zero must hold +0.
+#define relu4(zero) \
+	VMAXPD zero, Y12, Y12; \
+	VMAXPD zero, Y13, Y13; \
+	VMAXPD zero, Y14, Y14; \
+	VMAXPD zero, Y15, Y15
+
+// func mulTransposedAVX2(out, xT, w, b []float64, rows, n, k, lanes int, relu bool)
 //
 // SI is xT, DI &out[0][j], R10–R13 rows j to j+3 of w, R8 an xT row in
 // bytes, R9 an out row in bytes, BX the tile's first lane, CX k and DX the
 // rows of w left. In the k loop R14 is the tile's xT column at step AX; in
-// the stores AX is the batch rows left from lane BX and R14 the out row
-// being written. R14 is free: ABI0 code may clobber it, and the ABI wrapper
-// restores it on return.
-TEXT ·mulTransposedAVX2(SB), NOSPLIT, $0-104
+// the epilogue AX is &b[j], and in the stores the batch rows left from lane
+// BX, with R14 the out row being written. R14 is free: ABI0 code may
+// clobber it, and the ABI wrapper restores it on return. The epilogue
+// keeps b[j..j+3] in Y0 and +0 in Y2, which the first transpose has freed.
+TEXT ·mulTransposedAVX2(SB), NOSPLIT, $0-129
 	MOVQ out_base+0(FP), DI
 	MOVQ xT_base+24(FP), SI
 	MOVQ w_base+48(FP), R10
-	MOVQ n+80(FP), DX
+	MOVQ n+104(FP), DX
 	MOVQ DX, R9
 	SHLQ $3, R9
-	MOVQ k+88(FP), CX
-	MOVQ lanes+96(FP), R8
+	MOVQ k+112(FP), CX
+	MOVQ lanes+120(FP), R8
 	SHLQ $3, R8
 
 quad:
@@ -63,7 +88,7 @@ quad:
 	XORQ BX, BX
 
 quadtile:
-	CMPQ   BX, lanes+96(FP)
+	CMPQ   BX, lanes+120(FP)
 	JAE    quadnext
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -90,12 +115,23 @@ quadk:
 	JMP     quadk
 
 quadstore:
-	MOVQ       b+72(FP), AX
+	transpose4(Y0, Y2, Y4, Y6)
+	MOVQ       DI, AX
+	SUBQ       out_base+0(FP), AX
+	ADDQ       b_base+72(FP), AX
+	VMOVUPD    (AX), Y0
+	VXORPD     Y2, Y2, Y2
+	epilogue4(Y0)
+	CMPB       relu+128(FP), $0
+	JEQ        quadlo
+	relu4(Y2)
+
+quadlo:
+	MOVQ       rows+96(FP), AX
 	SUBQ       BX, AX
 	MOVQ       BX, R14
 	IMULQ      R9, R14
 	ADDQ       DI, R14
-	transpose4(Y0, Y2, Y4, Y6)
 	VMOVUPD    Y12, (R14)
 	CMPQ       AX, $1
 	JBE        quadstored
@@ -113,6 +149,12 @@ quadstore:
 	JBE        quadstored
 	ADDQ       R9, R14
 	transpose4(Y1, Y3, Y5, Y7)
+	epilogue4(Y0)
+	CMPB       relu+128(FP), $0
+	JEQ        quadhi
+	relu4(Y2)
+
+quadhi:
 	VMOVUPD    Y12, (R14)
 	CMPQ       AX, $5
 	JBE        quadstored
@@ -144,7 +186,7 @@ single:
 	XORQ  BX, BX
 
 singletile:
-	CMPQ   BX, lanes+96(FP)
+	CMPQ   BX, lanes+120(FP)
 	JAE    singlenext
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -161,9 +203,23 @@ singlek:
 	INCQ    AX
 	JMP     singlek
 
-	// Lane q of Y0 (q < 4) or Y1 goes to out[BX+q][j].
+	// The epilogue on both vectors, then lane q of Y0 (q < 4) or Y1 goes
+	// to out[BX+q][j].
 singlestore:
-	MOVQ         b+72(FP), AX
+	MOVQ         DI, AX
+	SUBQ         out_base+0(FP), AX
+	ADDQ         b_base+72(FP), AX
+	VBROADCASTSD (AX), Y2
+	VADDPD       Y2, Y0, Y0
+	VADDPD       Y2, Y1, Y1
+	CMPB         relu+128(FP), $0
+	JEQ          singleout
+	VXORPD       Y3, Y3, Y3
+	VMAXPD       Y3, Y0, Y0
+	VMAXPD       Y3, Y1, Y1
+
+singleout:
+	MOVQ         rows+96(FP), AX
 	SUBQ         BX, AX
 	MOVQ         BX, R14
 	IMULQ        R9, R14

@@ -2,4 +2,6 @@
 
 package tensor
 
-func mulTransposed(out, x, w *Matrix) { mulTransposedGeneric(out, x, w) }
+func mulTransposed(out, x, w *Matrix, b []float64, relu bool) {
+	mulTransposedGeneric(out, x, w, b, relu)
+}

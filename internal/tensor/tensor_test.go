@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"sapspsgd/internal/rng"
 )
@@ -60,48 +59,6 @@ func TestDotNorm(t *testing.T) {
 	if got := Dot(a, a); got != 25 {
 		t.Fatalf("Dot = %v", got)
 	}
-	if got := Norm2(a); got != 5 {
-		t.Fatalf("Norm2 = %v", got)
-	}
-}
-
-func TestMaskedAverage(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	peer := []float64{3, 10, 5, 20}
-	MaskedAverage(x, peer, []bool{true, false, true, false})
-	want := []float64{2, 2, 4, 4}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("MaskedAverage = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestMaskedAveragePreservesGlobalMean(t *testing.T) {
-	// The pairwise masked average conserves the sum of the two workers'
-	// parameters on masked coordinates — the invariant behind the doubly
-	// stochastic gossip step.
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 64
-		a := make([]float64, n)
-		b := make([]float64, n)
-		mask := make([]bool, n)
-		for i := range a {
-			a[i] = r.NormFloat64()
-			b[i] = r.NormFloat64()
-			mask[i] = r.Bernoulli(0.3)
-		}
-		sumBefore := Sum(a) + Sum(b)
-		a2 := Clone(a)
-		b2 := Clone(b)
-		MaskedAverage(a2, b, mask)
-		MaskedAverage(b2, a, mask)
-		return almostEq(Sum(a2)+Sum(b2), sumBefore, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestArgMax(t *testing.T) {
@@ -121,10 +78,17 @@ func TestArgMax(t *testing.T) {
 	}
 }
 
+// matMul returns a*b in a new matrix.
+func matMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
 func TestMatMulSmall(t *testing.T) {
 	a := MatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := MatrixFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i := range want {
 		if c.Data[i] != want[i] {
@@ -145,7 +109,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = r.NormFloat64()
 		}
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				want := 0.0
@@ -190,23 +154,6 @@ func TestTranspose(t *testing.T) {
 		}
 	}()
 	TransposeInto(a, a)
-}
-
-func TestMatVecVecMat(t *testing.T) {
-	a := MatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	x := []float64{1, 1, 1}
-	got := MatVec(a, x)
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MatVec = %v", got)
-	}
-	y := []float64{1, 2}
-	got2 := VecMat(y, a)
-	want := []float64{9, 12, 15}
-	for i := range want {
-		if got2[i] != want[i] {
-			t.Fatalf("VecMat = %v, want %v", got2, want)
-		}
-	}
 }
 
 func TestIsDoublyStochastic(t *testing.T) {
@@ -285,7 +232,7 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		col := NewMatrix(tc.c*tc.k*tc.k, outH*outW)
 		Im2Col(img, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad, col)
 		wm := MatrixFrom(tc.outC, tc.c*tc.k*tc.k, weights)
-		got := MatMul(wm, col)
+		got := matMul(wm, col)
 		want := naiveConv(img, tc.c, tc.h, tc.w, weights, tc.outC, tc.k, tc.k, tc.stride, tc.pad)
 		for i := range want {
 			if !almostEq(got.Data[i], want[i], 1e-9) {

@@ -41,20 +41,6 @@ func Fill(v []float64, x float64) {
 	}
 }
 
-// Scale multiplies every element of v by a in place.
-func Scale(a float64, v []float64) {
-	n := len(v) &^ 3
-	for i := 0; i < n; i += 4 {
-		v[i] *= a
-		v[i+1] *= a
-		v[i+2] *= a
-		v[i+3] *= a
-	}
-	for i := n; i < len(v); i++ {
-		v[i] *= a
-	}
-}
-
 // Add computes dst = a + b element-wise. dst may alias a or b.
 func Add(dst, a, b []float64) {
 	assertSameLen(len(a), len(b))
@@ -93,7 +79,7 @@ func Sub(dst, a, b []float64) {
 // sequential chain — unrolling with partial sums would reassociate the
 // floating-point additions and break bit-identical reproducibility. Vector
 // lanes never split a chain either: nn.Dense.Forward runs each output unit's
-// chain in a lane of AxpyRows over Wᵀ, bit-identical to this loop.
+// chain in a lane of MulTransposedInto's tile, bit-identical to this loop.
 func Dot(a, b []float64) float64 {
 	assertSameLen(len(a), len(b))
 	s := 0.0
@@ -102,9 +88,6 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
 // Sum returns the sum of the elements of v.
 func Sum(v []float64) float64 {
@@ -121,19 +104,6 @@ func Mean(v []float64) float64 {
 		return 0
 	}
 	return Sum(v) / float64(len(v))
-}
-
-// MaskedAverage implements the SAPS-PSGD update of Algorithm 2 line 10
-// combined with the pairwise doubly stochastic gossip step: for masked
-// coordinates, x ← (x + peer)/2; unmasked coordinates keep x.
-func MaskedAverage(x, peer []float64, mask []bool) {
-	assertSameLen(len(x), len(peer))
-	assertSameLen(len(x), len(mask))
-	for i, on := range mask {
-		if on {
-			x[i] = 0.5 * (x[i] + peer[i])
-		}
-	}
 }
 
 // ArgMax returns the index of the largest element of v (first on ties). It

@@ -943,7 +943,7 @@ var panicPins = map[string]int{
 	"internal/obs":                 3,
 	"internal/rng":                 2,
 	"internal/scenario":            3,
-	"internal/tensor":              13,
+	"internal/tensor":              12,
 }
 
 // TestPanicSitesPinned: the panic calls per product package only go down. A
