@@ -6,6 +6,7 @@ import (
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/nn"
+	"sapspsgd/internal/tensor"
 )
 
 // This file implements AD-PSGD (Lian et al., "Asynchronous Decentralized
@@ -21,17 +22,16 @@ import (
 type adpsgdNode struct {
 	t          *core.Trainer
 	localSteps int
-	params     []float64
 }
 
 // Compute implements engine.Node: localSteps minibatch SGD steps, then the
-// dense parameter snapshot the rendezvous ships.
+// dense parameters the rendezvous ships.
 func (a *adpsgdNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	loss := a.t.LocalSGD(a.localSteps)
-	// A copy ships: the rank can be merged passively while its own transfer
-	// is in flight (DESIGN §2 "Sender aliasing").
-	a.params = a.t.Model.FlatParams(a.params)
-	return loss, a.params, nil
+	// The live view ships: the async driver copies the payload before any
+	// Merge can rewrite this rank in flight (DESIGN §2 "Sender aliasing").
+	x, _ := a.t.Model.Flat()
+	return loss, x, nil
 }
 
 // Snapshot implements engine.AsyncNode: the passive side of a rendezvous
@@ -51,9 +51,7 @@ func (a *adpsgdNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 		if len(m.Vals) != len(x) {
 			return fmt.Errorf("algos: adpsgd rank received %d values for %d params", len(m.Vals), len(x))
 		}
-		for j, v := range m.Vals {
-			x[j] = 0.5 * (x[j] + v)
-		}
+		tensor.Midpoint(x, m.Vals)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sapspsgd/internal/core"
@@ -256,6 +257,115 @@ func TestADPSGDInPlaceMatchesCopyOracle(t *testing.T) {
 	}
 	if passive == 0 {
 		t.Fatal("no rank was merged passively during its own transfer; the test does not exercise the aliasing rule")
+	}
+}
+
+// probedADPSGD wraps an AD-PSGD rank for TestADPSGDRendezvousInvariants and
+// records, beside the node and never inside it, each call it serves: the
+// payload a Compute shipped, the parameters before and after a Merge.
+type probedADPSGD struct {
+	*adpsgdNode
+	rank  int
+	calls *[]probedCall
+}
+
+// probedCall is one recorded call: a Compute (from < 0) and its payload in
+// post, or a Merge of from's values into rank.
+type probedCall struct {
+	rank, from int
+	pre, post  []float64
+}
+
+func (a *probedADPSGD) Compute(ctx engine.RoundContext) (float64, []float64, error) {
+	loss, out, err := a.adpsgdNode.Compute(ctx)
+	*a.calls = append(*a.calls, probedCall{rank: a.rank, from: -1, post: slices.Clone(out)})
+	return loss, out, err
+}
+
+func (a *probedADPSGD) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) error {
+	x, _ := a.t.Model.Flat()
+	c := probedCall{rank: a.rank, from: msgs[0].From, pre: slices.Clone(x)}
+	err := a.adpsgdNode.Merge(ctx, msgs)
+	c.post = slices.Clone(x)
+	*a.calls = append(*a.calls, c)
+	return err
+}
+
+// TestADPSGDRendezvousInvariants: on the in-place test's straggler shape,
+// each rendezvous merges the initiator, with the partner's live vector, and
+// then the partner, with the initiator's Compute-time payload, on which the
+// partner always lands halfway. Where the initiator was not merged passively
+// while its transfer was in flight its state is still that payload, so —
+// IEEE addition commutes — both endpoints end bit-identical, and their sum
+// is the correctly rounded sum of the pair before the rendezvous. The run
+// must also hold a stale rendezvous, whose initiator was merged in flight.
+func TestADPSGDRendezvousInvariants(t *testing.T) {
+	const n, steps = 8, 30
+	bw := netsim.RandomUniform(n, 5, 50, rng.New(3))
+	af, opts := asyncFixture(t, "adpsgd", n, steps, bw, []int{0, 1}, 8)
+	var calls []probedCall
+	for i, node := range af.Nodes {
+		opts.Nodes[i] = &probedADPSGD{adpsgdNode: node.(*adpsgdNode), rank: i, calls: &calls}
+	}
+	var log netsim.EventLog
+	opts.Sink = &log
+	runAsync(t, opts)
+
+	// The events say what each call was; staleness is counted as in
+	// TestADPSGDInPlaceMatchesCopyOracle.
+	shipped := make([][]float64, n)
+	inFlight, mergedInFlight := make([]bool, n), make([]bool, n)
+	next := func(rank, from int) probedCall {
+		t.Helper()
+		if len(calls) == 0 || calls[0].rank != rank || calls[0].from != from {
+			t.Fatalf("the driver's next call is not rank %d's (from %d)", rank, from)
+		}
+		c := calls[0]
+		calls = calls[1:]
+		return c
+	}
+	fresh, stale := 0, 0
+	for _, e := range log.Events {
+		r, p := int(e.Rank), int(e.Peer)
+		switch e.Kind {
+		case netsim.EventComputeDone:
+			shipped[r] = next(r, -1).post
+			inFlight[r], mergedInFlight[r] = true, false
+		case netsim.EventTransferComplete:
+			ini, par := next(r, p), next(p, r)
+			for j, v := range shipped[r] {
+				if want := 0.5 * (par.pre[j] + v); math.Float64bits(par.post[j]) != math.Float64bits(want) {
+					t.Fatalf("rendezvous %d←%d step %d: partner param %d = %v, midpoint with the shipped payload %v", p, r, e.Round, j, par.post[j], want)
+				}
+			}
+			if inFlight[p] {
+				mergedInFlight[p] = true
+			}
+			if mergedInFlight[r] {
+				stale++
+			} else {
+				fresh++
+				for j := range ini.post {
+					if math.Float64bits(ini.pre[j]) != math.Float64bits(shipped[r][j]) {
+						t.Fatalf("rendezvous %d↔%d step %d: initiator param %d moved since its Compute but was never merged in flight", r, p, e.Round, j)
+					}
+					if math.Float64bits(ini.post[j]) != math.Float64bits(par.post[j]) {
+						t.Fatalf("rendezvous %d↔%d step %d: param %d ends %v on the initiator, %v on the partner", r, p, e.Round, j, ini.post[j], par.post[j])
+					}
+					if got, want := ini.post[j]+par.post[j], ini.pre[j]+par.pre[j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("rendezvous %d↔%d step %d: param %d sums to %v after, %v before", r, p, e.Round, j, got, want)
+					}
+				}
+			}
+			inFlight[r] = false
+		}
+	}
+	if len(calls) != 0 {
+		t.Fatalf("%d calls left after the last event", len(calls))
+	}
+	t.Logf("%d fresh and %d stale rendezvous", fresh, stale)
+	if stale == 0 || fresh == 0 {
+		t.Fatalf("%d fresh and %d stale rendezvous: the run must hold both", fresh, stale)
 	}
 }
 

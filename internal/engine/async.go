@@ -111,7 +111,7 @@ type AsyncResult struct {
 // initiates at most one transfer at a time: it is blocked until delivery).
 type pendingTransfer struct {
 	peer  int
-	words []float64 // copied payload: codec buffers are reused across events
+	words []float64 // copied payload: codec buffers are reused, a live view changes under a passive merge
 	bytes int64
 	step  int
 }
@@ -281,6 +281,7 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 			pend := &e.pending[r]
 			pend.peer = p
 			pend.step = step
+			// The payload's one copy, taken before any Merge (DESIGN §2 "Sender aliasing").
 			pend.words = append(pend.words[:0], words...)
 			pend.bytes = e.opts.Codecs[r].WireBytes(words)
 			mbps := e.opts.Bandwidth.MBps(r, p)
@@ -334,9 +335,11 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 			e.em.WireBytesTotal.Add(2 * pend.bytes)
 			if !e.opts.OneWay {
 				// The rendezvous is atomic at delivery time: the partner
-				// surrenders its *current* vector, so both endpoints average
-				// exactly the same pair of states (the initiator's is frozen —
-				// it has been blocked since its Compute).
+				// surrenders its *current* vector, and the initiator's payload
+				// is frozen at its Compute. Both endpoints average the same
+				// pair of states unless the initiator was itself merged
+				// passively while this transfer was in flight: then it
+				// averages its live state, the partner the frozen one.
 				snap := e.opts.Nodes[p].Snapshot()
 				back, err := e.opts.Codecs[p].Encode(pctx, snap)
 				if err != nil {

@@ -21,6 +21,12 @@ func axpyAVX2(a float64, x, y []float64)
 //go:noescape
 func axpyRowsAVX2(dst, src, g []float64, stride, rows int, idx []int32) bool
 
+// midpointAVX2 is implemented in midpoint_amd64.s. Its caller has checked
+// that v is as long as x.
+//
+//go:noescape
+func midpointAVX2(x, v []float64)
+
 // maskedColumnsAVX2 is implemented in maskedcols_amd64.s. It runs
 // MaskedColumns over the columns below n &^ 3, four at a time; with all
 // set every unit passes and y, which must still be readable, is ignored.
@@ -35,6 +41,14 @@ func axpy(a float64, x, y []float64) {
 		return
 	}
 	axpyGeneric(a, x, y)
+}
+
+func midpoint(x, v []float64) {
+	if hasAVX2 {
+		midpointAVX2(x, v)
+		return
+	}
+	midpointGeneric(x, v)
 }
 
 func axpyRows(dst, src, g []float64, stride, rows int, idx []int32) bool {

@@ -98,6 +98,22 @@ func checkKernels(t *testing.T, data []byte) {
 		t.Fatalf("AxpyRowsInto n=%d rows=%d flags=%#x: kernel %v, scalar loop %v on in-range rows", n, rows, flags, okGot, okWant)
 	}
 	sameKernelBits(t, fmt.Sprintf("AxpyRowsInto n=%d rows=%d flags=%#x", n, rows, flags), dst, want)
+
+	// Midpoint: x = 0.5·(x + v). Element i pairs vals[i mod L] with
+	// vals[(i + i/L) mod L], so from n = L² on every value meets every
+	// other, itself included: MaxFloat64 with MaxFloat64 overflows before
+	// the halving, and halving a subnormal apart rounds where halving the
+	// sum need not.
+	L := len(vals)
+	mx := make([]float64, n+off(0))[off(0):]
+	mv := make([]float64, n+off(1))[off(1):]
+	for i := range mx {
+		mx[i], mv[i] = vals[i%L], vals[(i+i/L)%L]
+	}
+	want = Clone(mx)
+	midpoint(mx, mv)
+	midpointGeneric(want, mv)
+	sameKernelBits(t, fmt.Sprintf("Midpoint n=%d flags=%#x", n, flags), mx, want)
 }
 
 func sameKernelBits(t *testing.T, what string, got, want []float64) {
@@ -113,18 +129,26 @@ func sameKernelBits(t *testing.T, what string, got, want []float64) {
 // TestKernelsMatchScalar pins the vector kernels to the scalar loops bit for
 // bit over every lane tail (n mod 8 and mod 4), every row count around the
 // four-row group, unaligned operands, reversed and repeated rows, strided
-// weights, and the special values or seeded normal draws in every operand.
+// weights, and the special values, seeded normal draws or extremes in every
+// operand.
 func TestKernelsMatchScalar(t *testing.T) {
 	r := rng.New(34)
 	normals := make([]float64, 29)
 	for i := range normals {
 		normals[i] = r.NormFloat64() * math.Pow(2, float64(r.Intn(40)-20))
 	}
+	// extremes are the operands whose sums leave the normal range: ±MaxFloat64
+	// and its neighbours, whose pairwise sums overflow before any halving,
+	// and subnormals, whose halving rounds.
+	extremes := []float64{
+		math.MaxFloat64, -math.MaxFloat64, math.Nextafter(math.MaxFloat64, 0), 1e308, -1e308,
+		5e-324, -5e-324, 1.5e-323, 2.225073858507201e-308, -2.2250738585072014e-308, 1,
+	}
 	corpus := map[string][]byte{}
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 63, 64, 65, 256, 4095, 4096} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 23, 63, 64, 65, 256, 4095, 4096} {
 		for rows := 0; rows <= 8; rows++ {
 			for flags := byte(0); flags < 16; flags++ {
-				for vi, vals := range [][]float64{nil, normals} {
+				for vi, vals := range [][]float64{nil, normals, extremes} {
 					data := kernelInput(n, rows, flags, vals)
 					checkKernels(t, data)
 					if rows == n%9 && flags == byte(n%16) {
@@ -199,4 +223,47 @@ func TestAxpyRowsRejects(t *testing.T) {
 	src := NewMatrix(3, 5)
 	AxpyRowsInto(make([]float64, 5), src, []float64{1}, 0, []int32{2, 2, 2, 2, 2})
 	AxpyRowsInto(make([]float64, 5), src, make([]float64, 7), 3, []int32{2, 0, 1})
+}
+
+// TestMidpointRejects: operands of different lengths panic on every path
+// instead of reading or writing past a slice.
+func TestMidpointRejects(t *testing.T) {
+	for _, tc := range []struct{ x, v int }{{5, 4}, {4, 5}, {0, 1}, {9, 0}} {
+		t.Run(fmt.Sprintf("x%d-v%d", tc.x, tc.v), func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			Midpoint(make([]float64, tc.x), make([]float64, tc.v))
+		})
+	}
+	Midpoint(nil, nil)
+}
+
+// BenchmarkMidpoint times one rendezvous average on async64's model size
+// (4,810 words) over 64 pairs of models taken in turn, so that each pair
+// arrives out of cache as in a 64-rank fleet: the scalar loop against the
+// dispatched kernel.
+func BenchmarkMidpoint(b *testing.B) {
+	const models, dim = 64, 4810
+	r := rng.New(5)
+	xs, vs := make([][]float64, models), make([][]float64, models)
+	for i := range xs {
+		xs[i], vs[i] = make([]float64, dim), make([]float64, dim)
+		for j := range xs[i] {
+			xs[i][j], vs[i][j] = r.NormFloat64(), r.NormFloat64()
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		f    func(x, v []float64)
+	}{{"scalar", midpointGeneric}, {"kernel", midpoint}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(2 * 8 * dim)
+			for i := 0; i < b.N; i++ {
+				bc.f(xs[i%models], vs[i%models])
+			}
+		})
+	}
 }
