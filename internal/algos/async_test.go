@@ -262,29 +262,31 @@ func TestADPSGDInPlaceMatchesCopyOracle(t *testing.T) {
 
 // probedADPSGD wraps an AD-PSGD rank for TestADPSGDRendezvousInvariants and
 // records, beside the node and never inside it, each call it serves: the
-// payload a Compute shipped, the parameters before and after a Merge.
+// payload a Compute shipped, the parameters before and after a Merge. Each
+// rank records into its own list: the driver fixes every rank's own call
+// order, not an order across ranks (compute blocks run ahead of the event
+// clock on worker goroutines).
 type probedADPSGD struct {
 	*adpsgdNode
-	rank  int
 	calls *[]probedCall
 }
 
 // probedCall is one recorded call: a Compute (from < 0) and its payload in
-// post, or a Merge of from's values into rank.
+// post, or a Merge of from's values.
 type probedCall struct {
-	rank, from int
-	pre, post  []float64
+	from      int
+	pre, post []float64
 }
 
 func (a *probedADPSGD) Compute(ctx engine.RoundContext) (float64, []float64, error) {
 	loss, out, err := a.adpsgdNode.Compute(ctx)
-	*a.calls = append(*a.calls, probedCall{rank: a.rank, from: -1, post: slices.Clone(out)})
+	*a.calls = append(*a.calls, probedCall{from: -1, post: slices.Clone(out)})
 	return loss, out, err
 }
 
 func (a *probedADPSGD) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) error {
 	x, _ := a.t.Model.Flat()
-	c := probedCall{rank: a.rank, from: msgs[0].From, pre: slices.Clone(x)}
+	c := probedCall{from: msgs[0].From, pre: slices.Clone(x)}
 	err := a.adpsgdNode.Merge(ctx, msgs)
 	c.post = slices.Clone(x)
 	*a.calls = append(*a.calls, c)
@@ -303,9 +305,9 @@ func TestADPSGDRendezvousInvariants(t *testing.T) {
 	const n, steps = 8, 30
 	bw := netsim.RandomUniform(n, 5, 50, rng.New(3))
 	af, opts := asyncFixture(t, "adpsgd", n, steps, bw, []int{0, 1}, 8)
-	var calls []probedCall
+	calls := make([][]probedCall, n)
 	for i, node := range af.Nodes {
-		opts.Nodes[i] = &probedADPSGD{adpsgdNode: node.(*adpsgdNode), rank: i, calls: &calls}
+		opts.Nodes[i] = &probedADPSGD{adpsgdNode: node.(*adpsgdNode), calls: &calls[i]}
 	}
 	var log netsim.EventLog
 	opts.Sink = &log
@@ -317,11 +319,11 @@ func TestADPSGDRendezvousInvariants(t *testing.T) {
 	inFlight, mergedInFlight := make([]bool, n), make([]bool, n)
 	next := func(rank, from int) probedCall {
 		t.Helper()
-		if len(calls) == 0 || calls[0].rank != rank || calls[0].from != from {
-			t.Fatalf("the driver's next call is not rank %d's (from %d)", rank, from)
+		if len(calls[rank]) == 0 || calls[rank][0].from != from {
+			t.Fatalf("rank %d's next call is not the event's (from %d)", rank, from)
 		}
-		c := calls[0]
-		calls = calls[1:]
+		c := calls[rank][0]
+		calls[rank] = calls[rank][1:]
 		return c
 	}
 	fresh, stale := 0, 0
@@ -360,8 +362,10 @@ func TestADPSGDRendezvousInvariants(t *testing.T) {
 			inFlight[r] = false
 		}
 	}
-	if len(calls) != 0 {
-		t.Fatalf("%d calls left after the last event", len(calls))
+	for r, left := range calls {
+		if len(left) != 0 {
+			t.Fatalf("rank %d has %d calls left after the last event", r, len(left))
+		}
 	}
 	t.Logf("%d fresh and %d stale rendezvous", fresh, stale)
 	if stale == 0 || fresh == 0 {

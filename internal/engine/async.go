@@ -2,21 +2,39 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/rng"
 )
 
-// This file is the engine's asynchronous driver: a single-goroutine
-// discrete-event simulation over netsim's virtual-time EventQueue, in which
-// ranks gossip without a global barrier. Each rank loops compute → gossip
-// against the event clock; a slow or jittered rank delays only the partners
-// that rendezvous with it, never the fleet. Because the whole execution is
-// one goroutine draining a totally-ordered queue, and every random draw
-// comes from seeded per-rank streams, a run is bit-reproducible regardless
-// of GOMAXPROCS or Go's scheduler — the property the async-determinism CI
-// job replays.
+// This file is the engine's asynchronous driver: a discrete-event
+// simulation over netsim's virtual-time EventQueue, in which ranks gossip
+// without a global barrier. Each rank loops compute → gossip against the
+// event clock; a slow or jittered rank delays only the partners that
+// rendezvous with it, never the fleet. One goroutine drains the
+// totally-ordered queue and makes every decision — partner draws, encodes,
+// snapshots, merges, the ledgers and the samples — in pop order, and every
+// random draw comes from seeded per-rank streams.
+//
+// In rendezvous mode (AD-PSGD) the ranks' compute blocks run ahead of that
+// clock on a pool of GOMAXPROCS worker goroutines. freeAt guarantees that
+// nothing touches a rank between the start of its compute block and its
+// EventComputeDone: a rendezvous committed before the block is scheduled ends
+// by the block's begin, one committed after it starts no earlier than its
+// done, and on a tie EventComputeDone sorts first. So a block is handed to
+// the pool as soon as the last rendezvous committed before it is delivered,
+// and its EventComputeDone waits for the result. Each rank's own call
+// sequence is the serial one, so a run is bit-reproducible regardless of
+// GOMAXPROCS or Go's scheduler — the property the async-determinism CI job
+// replays. The driver fails closed: an event that would touch a rank whose
+// block is running, or an EventComputeDone whose block was never handed
+// over, is an error, never a silent reorder. Push gossip (Gradient Push)
+// computes inline at EventComputeDone: its receiver is never blocked, so a
+// push can land on a rank during its compute block.
 
 // AsyncNode extends Node for the barrier-free driver: a passive rendezvous
 // partner must surrender its current parameter vector at any virtual time,
@@ -116,6 +134,26 @@ type pendingTransfer struct {
 	step  int
 }
 
+// computeJob is one compute block handed to the pool.
+type computeJob struct{ rank, step int }
+
+// computeResult is one compute block's outcome, carried from a pool worker
+// to the rank's EventComputeDone.
+type computeResult struct {
+	loss float64
+	out  []float64
+	err  error
+}
+
+// rankAhead is one rank's run-ahead state in rendezvous mode.
+type rankAhead struct {
+	inflight int                // committed, undelivered rendezvous this rank is an endpoint of
+	due      int                // those the scheduled block still waits for (> 0: not yet handed over)
+	running  bool               // handed to the pool; EventComputeDone collects it
+	step     int                // the scheduled block's gossip step
+	done     chan computeResult // capacity 1: a rank has at most one block in flight
+}
+
 // AsyncEngine executes an asynchronous gossip run. Construct with NewAsync,
 // run once with Run.
 type AsyncEngine struct {
@@ -128,6 +166,8 @@ type AsyncEngine struct {
 	sent    []int64
 	recv    []int64
 	q       netsim.EventQueue
+	ahead   []rankAhead // rendezvous mode only
+	jobs    chan computeJob
 	// nm/em are the observability sinks (zero value = disabled), captured
 	// once at construction.
 	nm obs.NetsimMetrics
@@ -181,6 +221,12 @@ func NewAsync(opts AsyncOptions) (*AsyncEngine, error) {
 		nm:      obs.Current().NetsimM(),
 		em:      obs.Current().EngineM(),
 	}
+	if !opts.OneWay {
+		e.ahead = make([]rankAhead, n)
+		for r := range e.ahead {
+			e.ahead[r].done = make(chan computeResult, 1)
+		}
+	}
 	base := rng.New(opts.Seed)
 	for r := 0; r < n; r++ {
 		e.streams[r] = base.Derive(0xa0000 + uint64(r))
@@ -227,8 +273,83 @@ func (e *AsyncEngine) emit(ev netsim.Event) {
 	}
 }
 
-// Run executes the whole asynchronous run on the calling goroutine and
-// returns its measurements. It must be called exactly once.
+// startPool starts the rendezvous-mode compute pool and returns the function
+// that stops it: blocks still queued are dropped, and it returns once every
+// worker has exited.
+func (e *AsyncEngine) startPool() (stop func()) {
+	e.jobs = make(chan computeJob, e.n) // at most one block per rank is queued
+	var (
+		halt atomic.Bool
+		wg   sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), e.n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range e.jobs {
+				if !halt.Load() {
+					e.ahead[j.rank].done <- e.compute(j.rank, j.step)
+				}
+			}
+		}()
+	}
+	return func() {
+		halt.Store(true)
+		close(e.jobs)
+		wg.Wait()
+	}
+}
+
+// compute runs one compute block on a pool worker. A panic there would take
+// the process down with no caller to recover it, so it becomes the block's
+// error.
+func (e *AsyncEngine) compute(rank, step int) (res computeResult) {
+	defer func() {
+		if p := recover(); p != nil {
+			res.err = fmt.Errorf("compute block panicked: %v", p)
+		}
+	}()
+	res.loss, res.out, res.err = e.opts.Nodes[rank].Compute(e.ctx(rank, step))
+	return res
+}
+
+// schedule records a rendezvous-mode rank's next compute block. It goes to
+// the pool now if every rendezvous committed so far with this rank has been
+// delivered, else at the delivery of the last of them.
+func (e *AsyncEngine) schedule(rank, step int) {
+	a := &e.ahead[rank]
+	a.step, a.due = step, a.inflight
+	if a.due == 0 {
+		e.launch(rank)
+	}
+}
+
+// launch hands a rank's scheduled block to the pool.
+func (e *AsyncEngine) launch(rank int) {
+	a := &e.ahead[rank]
+	a.running = true
+	e.jobs <- computeJob{rank, a.step}
+}
+
+// collect returns a rank's compute block for step: run inline in push mode,
+// the pool's result in rendezvous mode.
+func (e *AsyncEngine) collect(rank, step int) (float64, []float64, error) {
+	if e.ahead == nil {
+		return e.opts.Nodes[rank].Compute(e.ctx(rank, step))
+	}
+	a := &e.ahead[rank]
+	if !a.running {
+		return 0, nil, fmt.Errorf("compute block never ran ahead: %d rendezvous committed before it still due", a.due)
+	}
+	res := <-a.done
+	a.running = false
+	return res.loss, res.out, res.err
+}
+
+// Run executes the whole asynchronous run and returns its measurements. The
+// calling goroutine drains the event queue; in rendezvous mode compute
+// blocks run on a pool that Run joins before it returns, errors included.
+// It must be called exactly once.
 func (e *AsyncEngine) Run() (*AsyncResult, error) {
 	sampleEvery := e.opts.SampleEvery
 	if sampleEvery < 1 {
@@ -245,6 +366,12 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 		dur := e.computeDur(r)
 		e.freeAt[r] = dur
 		e.q.Push(netsim.Event{Time: dur, Kind: netsim.EventComputeDone, Rank: int32(r), Peer: -1})
+	}
+	if e.ahead != nil {
+		defer e.startPool()()
+		for r := 0; r < e.n; r++ {
+			e.schedule(r, 0)
+		}
 	}
 	var (
 		fleetDone int     // completed gossips fleet-wide
@@ -267,7 +394,7 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 		switch ev.Kind {
 		case netsim.EventComputeDone:
 			step := int(ev.Round)
-			loss, out, err := e.opts.Nodes[r].Compute(e.ctx(r, step))
+			loss, out, err := e.collect(r, step)
 			if err != nil {
 				return nil, fmt.Errorf("engine: async rank %d step %d: %w", r, step, err)
 			}
@@ -305,6 +432,8 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 					start = e.freeAt[p]
 				}
 				total = 2 * pend.bytes
+				e.ahead[r].inflight++
+				e.ahead[p].inflight++
 			}
 			end := start + float64(total)/(mbps*1e6)
 			e.freeAt[r] = end
@@ -325,6 +454,13 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 			p := pend.peer
 			step := pend.step
 			rctx, pctx := e.ctx(r, step), e.ctx(p, step)
+			if e.ahead != nil {
+				for _, k := range [2]int{r, p} {
+					if e.ahead[k].running {
+						return nil, fmt.Errorf("engine: async rendezvous %d↔%d step %d at t=%v touches rank %d while its compute block runs ahead", r, p, step, ev.Time, k)
+					}
+				}
+			}
 			vals, err := e.opts.Codecs[r].Decode(pctx, pend.words)
 			if err != nil {
 				return nil, fmt.Errorf("engine: async rank %d step %d decode: %w", r, step, err)
@@ -365,6 +501,18 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 			if err := e.opts.Nodes[p].Merge(pctx, []PeerMsg{{From: r, Vals: vals, Words: pend.words, Bytes: pend.bytes}}); err != nil {
 				return nil, fmt.Errorf("engine: async rank %d step %d merge: %w", p, step, err)
 			}
+			if e.ahead != nil {
+				// A partner whose block is scheduled was waiting on this
+				// delivery (any later one comes after its EventComputeDone).
+				e.ahead[r].inflight--
+				a := &e.ahead[p]
+				a.inflight--
+				if a.due > 0 {
+					if a.due--; a.due == 0 {
+						e.launch(p)
+					}
+				}
+			}
 			fleetDone++
 			if step+1 < e.opts.Steps {
 				// The next compute block queues behind any rendezvous the
@@ -377,6 +525,9 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 				e.freeAt[r] = done
 				e.q.Push(netsim.Event{Time: done, Kind: netsim.EventComputeDone,
 					Rank: int32(r), Peer: -1, Round: int32(step + 1)})
+				if e.ahead != nil {
+					e.schedule(r, step+1)
+				}
 			}
 			if fleetDone%sampleEvery == 0 {
 				if lossN > 0 {
