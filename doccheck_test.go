@@ -1,5 +1,6 @@
 // Documentation lint: the engine, transport, scenario, and campaign
-// packages are the system's public-facing layers (DESIGN.md §2–§3, §6), so
+// packages are the system's public-facing layers (DESIGN.md §2–§3, §6), and
+// algos and nn are the algorithms and the model library beneath them, so
 // every exported identifier there must carry a doc comment and every
 // package a package comment. This is the in-repo mirror of CI's staticcheck ST1000/ST1020/
 // ST1022 step — it runs in the tier-1 suite, so the gate holds offline too.
@@ -17,8 +18,10 @@ import (
 
 // docCheckedPackages are the directories held to the exported-docs standard.
 var docCheckedPackages = []string{
+	"internal/algos",
 	"internal/campaign",
 	"internal/engine",
+	"internal/nn",
 	"internal/obs",
 	"internal/scenario",
 	"internal/transport",

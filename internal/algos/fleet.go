@@ -40,8 +40,11 @@ type Algorithm interface {
 // algorithms: n workers with identical initial parameters and per-worker
 // data shards.
 type FleetConfig struct {
-	N       int
-	Factory func() *nn.Model // must produce identically initialized models
+	N int
+	// Factory draws the initial model x₀. It is called once per fleet:
+	// every other rank, and a hub's server, starts from a clone of its
+	// model (nn.Model.Clone).
+	Factory func() *nn.Model
 	Shards  []*dataset.Dataset
 	LR      float64
 	Batch   int
@@ -76,19 +79,16 @@ type Fleet struct {
 	Dim    int
 }
 
-// NewFleet builds the models. All come from the same factory so X₀ is
-// identical across workers (the paper's initial-consensus condition).
+// NewFleet builds the models: rank 0's is the factory's one draw, and every
+// other rank's is its clone, so X₀ is identical across workers (the paper's
+// initial-consensus condition) and no two ranks share storage.
 func NewFleet(cfg FleetConfig) *Fleet {
 	cfg.validate()
-	f := &Fleet{N: cfg.N}
-	for i := 0; i < cfg.N; i++ {
-		m := cfg.Factory()
-		if i == 0 {
-			f.Dim = m.ParamCount()
-		} else if m.ParamCount() != f.Dim {
-			panic("algos: factory produced models of different sizes")
-		}
-		f.Models = append(f.Models, m)
+	x0 := cfg.Factory()
+	f := &Fleet{N: cfg.N, Models: make([]*nn.Model, cfg.N), Dim: x0.ParamCount()}
+	f.Models[0] = x0
+	for i := 1; i < cfg.N; i++ {
+		f.Models[i] = x0.Clone()
 	}
 	return f
 }
@@ -114,7 +114,7 @@ type InProc struct {
 // coordinator side — the package's one engine.New site. p's recipe fixes the
 // fleet's size, LR, batch and seed; fc gives the factory and shards. A hub
 // server sits at each worker's best link (the paper's "choosing the server
-// that has the maximum bandwidth"), takes its model from the shared factory,
+// that has the maximum bandwidth"), starts from a clone of the fleet's x₀,
 // and worker 0's model is the evaluation mirror.
 func New(fc FleetConfig, p *RoundPlanner) *InProc {
 	r, bw := p.recipe, p.bw
@@ -127,7 +127,7 @@ func New(fc FleetConfig, p *RoundPlanner) *InProc {
 	}
 	a := &InProc{models: f.Models, server: r.ServerRank()}
 	if a.server >= 0 {
-		nodes[a.server] = r.NewNode(a.server, fc.Factory(), nil, f.Models[0])
+		nodes[a.server] = r.NewNode(a.server, f.Models[0].Clone(), nil, f.Models[0])
 		// The global model lives on the server; evaluation uses worker 0's
 		// mirror because only worker models accumulate normalization
 		// statistics.

@@ -55,4 +55,6 @@ func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // Params returns nothing: ReLU is stateless.
 func (r *ReLU) Params() []Param { return nil }
 
+func (r *ReLU) clone(*arena) Layer { return NewReLU() }
+
 var _ Layer = (*ReLU)(nil)

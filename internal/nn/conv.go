@@ -31,25 +31,35 @@ func NewConv2D(in Shape, outC, k, stride, pad int, r *rng.Source) *Conv2D {
 	if outH < 1 || outW < 1 {
 		panic(fmt.Sprintf("nn: Conv2D output %dx%d invalid for in=%v k=%d s=%d p=%d", outH, outW, in, k, stride, pad))
 	}
-	fanIn := in.C * k * k
-	c := &Conv2D{
-		In:       in,
-		OutC:     outC,
-		K:        k,
-		Stride:   stride,
-		Pad:      pad,
-		OutShape: Shape{C: outC, H: outH, W: outW},
-		w:        tensor.NewMatrix(outC, fanIn),
-		b:        make([]float64, outC),
-		dw:       tensor.NewMatrix(outC, fanIn),
-		db:       make([]float64, outC),
-	}
-	std := math.Sqrt(2 / float64(fanIn))
+	c := (&Conv2D{In: in, OutC: outC, K: k, Stride: stride, Pad: pad, OutShape: Shape{C: outC, H: outH, W: outW}}).over(nil)
+	std := math.Sqrt(2 / float64(in.C*k*k)) // the fan-in
 	for i := range c.w.Data {
 		c.w.Data[i] = std * r.NormFloat64()
 	}
 	return c
 }
+
+// over returns a convolution of c's geometry, with no cached columns, whose
+// kernel and bias are a's next words as they stand.
+func (c *Conv2D) over(a *arena) *Conv2D {
+	fanIn := c.In.C * c.K * c.K
+	w, dw := a.take(c.OutC * fanIn)
+	b, db := a.take(c.OutC)
+	return &Conv2D{
+		In:       c.In,
+		OutC:     c.OutC,
+		K:        c.K,
+		Stride:   c.Stride,
+		Pad:      c.Pad,
+		OutShape: c.OutShape,
+		w:        tensor.MatrixFrom(c.OutC, fanIn, w),
+		b:        b,
+		dw:       tensor.MatrixFrom(c.OutC, fanIn, dw),
+		db:       db,
+	}
+}
+
+func (c *Conv2D) clone(a *arena) Layer { return c.over(a) }
 
 // Forward convolves the batch.
 func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {

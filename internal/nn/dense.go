@@ -35,9 +35,21 @@ func newDense(in, out int, r *rng.Source, a *arena) *Dense {
 	if in < 1 || out < 1 {
 		panic(fmt.Sprintf("nn: Dense(%d,%d)", in, out))
 	}
+	d := (&Dense{InDim: in, OutDim: out}).over(a)
+	std := math.Sqrt(2 / float64(in))
+	for i := range d.w.Data {
+		d.w.Data[i] = std * r.NormFloat64()
+	}
+	return d
+}
+
+// over returns a layer of d's dimensions, unfused, whose weights and bias
+// are a's next words as they stand.
+func (d *Dense) over(a *arena) *Dense {
+	in, out := d.InDim, d.OutDim
 	w, dw := a.take(out * in)
 	b, db := a.take(out)
-	d := &Dense{
+	return &Dense{
 		InDim:  in,
 		OutDim: out,
 		w:      tensor.MatrixFrom(out, in, w),
@@ -45,12 +57,9 @@ func newDense(in, out int, r *rng.Source, a *arena) *Dense {
 		dw:     tensor.MatrixFrom(out, in, dw),
 		db:     db,
 	}
-	std := math.Sqrt(2 / float64(in))
-	for i := range d.w.Data {
-		d.w.Data[i] = std * r.NormFloat64()
-	}
-	return d
 }
+
+func (d *Dense) clone(a *arena) Layer { return d.over(a) }
 
 // Forward computes the affine map for the batch, and the ReLU when one is
 // fused: tensor.MulTransposedInto reads each W row straight from the

@@ -21,6 +21,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"sapspsgd/internal/tensor"
 )
@@ -55,6 +56,12 @@ type Layer interface {
 	// stateless layers. A layer with parameters also lists where it keeps
 	// them (slotted), so a Model can move them into its flat vectors.
 	Params() []Param
+	// clone returns a layer of the same configuration and internal state
+	// (BatchNorm's running statistics), with no cached activations, whose
+	// parameters and gradients are a's next words, taken in slots order as
+	// they stand. It draws nothing and shares no storage with the layer.
+	// A Dense clone has no fused ReLU: NewModel fuses it again.
+	clone(a *arena) Layer
 }
 
 // paramGrader is implemented by layers whose Backward can stop after the
@@ -95,6 +102,7 @@ type Shape struct{ C, H, W int }
 // Dim returns the flattened dimension.
 func (s Shape) Dim() int { return s.C * s.H * s.W }
 
+// String formats the geometry as C×H×W, e.g. "3x32x32".
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 
 // Model is a sequential stack of layers.
@@ -198,10 +206,10 @@ func inPlace(slots []slot, n int) (data, grad []float64) {
 	return data, grad
 }
 
-// arena hands a model constructor's layers consecutive stretches of the
-// model's two vectors, so that NewModel adopts them instead of copying (no
-// second copy of the parameters is ever allocated). A nil arena gives every
-// tensor storage of its own.
+// arena hands a model constructor's layers, or a clone's, consecutive
+// stretches of the model's two vectors, so that NewModel adopts them instead
+// of copying (no second copy of the parameters is ever allocated). A nil
+// arena gives every tensor storage of its own.
 type arena struct{ data, grad []float64 }
 
 func newArena(n int) *arena { return &arena{make([]float64, n), make([]float64, n)} }
@@ -214,6 +222,23 @@ func (a *arena) take(n int) (data, grad []float64) {
 	}
 	data, grad, a.data, a.grad = a.data[:n], a.grad[:n], a.data[n:], a.grad[n:]
 	return data, grad
+}
+
+// Clone returns a copy of m: the same layers, parameters and BatchNorm
+// running statistics, zero gradients, no cached activations, and no storage
+// shared with m. It draws nothing from any RNG — a fleet draws its initial
+// model once and clones it into every other rank. The parameters are copied
+// straight into the arena the clone's NewModel adopts.
+func (m *Model) Clone() *Model {
+	a := &arena{data: slices.Clone(m.data), grad: make([]float64, len(m.grad))}
+	layers := make([]Layer, 0, len(m.layers))
+	for _, l := range m.layers {
+		layers = append(layers, l.clone(a))
+		if d, ok := l.(*Dense); ok && d.relu {
+			layers = append(layers, NewReLU()) // which NewModel fuses back in
+		}
+	}
+	return NewModel(m.Name, m.In, m.Out, layers...)
 }
 
 // ParamCount returns the total number of scalar parameters N.

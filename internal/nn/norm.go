@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sapspsgd/internal/tensor"
 )
@@ -33,23 +34,32 @@ type BatchNorm2D struct {
 
 // NewBatchNorm2D returns a batch norm layer with γ=1, β=0.
 func NewBatchNorm2D(in Shape) *BatchNorm2D {
-	b := &BatchNorm2D{
-		In:       in,
-		Eps:      1e-5,
-		Momentum: 0.9,
-		gamma:    make([]float64, in.C),
-		beta:     make([]float64, in.C),
-		dgamma:   make([]float64, in.C),
-		dbeta:    make([]float64, in.C),
-		runMean:  make([]float64, in.C),
-		runVar:   make([]float64, in.C),
-	}
+	b := (&BatchNorm2D{In: in, Eps: 1e-5, Momentum: 0.9}).over(nil)
+	b.runMean, b.runVar = make([]float64, in.C), make([]float64, in.C)
 	for i := range b.gamma {
 		b.gamma[i] = 1
 		b.runVar[i] = 1
 	}
 	return b
 }
+
+// over returns a batch norm with b's geometry, settings and a copy of its
+// running statistics, no backward caches, whose γ and β are a's next words
+// as they stand.
+func (b *BatchNorm2D) over(a *arena) *BatchNorm2D {
+	n := &BatchNorm2D{
+		In:       b.In,
+		Eps:      b.Eps,
+		Momentum: b.Momentum,
+		runMean:  slices.Clone(b.runMean),
+		runVar:   slices.Clone(b.runVar),
+	}
+	n.gamma, n.dgamma = a.take(b.In.C)
+	n.beta, n.dbeta = a.take(b.In.C)
+	return n
+}
+
+func (b *BatchNorm2D) clone(a *arena) Layer { return b.over(a) }
 
 // Forward normalizes per channel; training mode uses batch statistics and
 // updates running statistics.

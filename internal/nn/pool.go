@@ -85,6 +85,8 @@ func (p *MaxPool2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // Params returns nothing: pooling is stateless.
 func (p *MaxPool2D) Params() []Param { return nil }
 
+func (p *MaxPool2D) clone(*arena) Layer { return &MaxPool2D{In: p.In, K: p.K, OutShape: p.OutShape} }
+
 var _ Layer = (*MaxPool2D)(nil)
 
 // GlobalAvgPool averages each channel over its spatial extent — ResNet's
@@ -133,5 +135,7 @@ func (p *GlobalAvgPool) Backward(dout *tensor.Matrix) *tensor.Matrix {
 
 // Params returns nothing: pooling is stateless.
 func (p *GlobalAvgPool) Params() []Param { return nil }
+
+func (p *GlobalAvgPool) clone(*arena) Layer { return NewGlobalAvgPool(p.In) }
 
 var _ Layer = (*GlobalAvgPool)(nil)

@@ -118,6 +118,17 @@ func (b *Residual) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // Params concatenates the parameters of all constituent layers.
 func (b *Residual) Params() []Param { return paramsOf(b.slots()) }
 
+// clone takes the branches' parameters from a in slots order.
+func (b *Residual) clone(a *arena) Layer {
+	c := &Residual{In: b.In, OutShape: b.OutShape, relu1: NewReLU()}
+	c.conv1, c.bn1 = b.conv1.over(a), b.bn1.over(a)
+	c.conv2, c.bn2 = b.conv2.over(a), b.bn2.over(a)
+	if b.projConv != nil {
+		c.projConv, c.projBN = b.projConv.over(a), b.projBN.over(a)
+	}
+	return c
+}
+
 func (b *Residual) slots() []slot {
 	out := append(b.conv1.slots(), b.bn1.slots()...)
 	out = append(out, b.conv2.slots()...)

@@ -190,10 +190,12 @@ func (s *Spec) Dataset() (shards []*dataset.Dataset, valid *dataset.Dataset) {
 	return s.partitionShards(train), valid
 }
 
-// NewModel builds one rank's model. Every call returns the same initial
-// parameters, drawn from the spec seed, so every rank of a fleet starts from
-// the same bits whichever process builds it. It fails when the model block
-// does not fit the data, or a sparsifier ratio exceeds the parameter count.
+// NewModel draws the spec's initial model x₀ from the spec seed. Every call
+// returns the same parameters, so every rank of a fleet starts from the same
+// bits whichever process builds it: a TCP worker draws its own, an
+// in-process fleet draws once and clones the rest (nn.Model.Clone). It fails
+// when the model block does not fit the data, or a sparsifier ratio exceeds
+// the parameter count.
 func (s *Spec) NewModel() (*nn.Model, error) {
 	m, err := s.Model.arch().New(s.Data.shape(), s.Data.Classes, s.Seed)
 	if err != nil {
@@ -206,25 +208,24 @@ func (s *Spec) NewModel() (*nn.Model, error) {
 }
 
 // fleet is the spec's fleet recipe — identically initialized models over
-// the partitioned training set — plus the validation set. The spec must be
-// validated and NewModel must succeed.
-func (s *Spec) fleet(runtimeShards int) (algos.FleetConfig, *dataset.Dataset) {
+// the partitioned training set — plus the validation set. It draws x₀ once
+// (NewModel, whose error it returns) and the factory clones that draw. The
+// spec must be validated.
+func (s *Spec) fleet(runtimeShards int) (algos.FleetConfig, *dataset.Dataset, error) {
+	m, err := s.NewModel()
+	if err != nil {
+		return algos.FleetConfig{}, nil, err
+	}
 	shards, valid := s.Dataset()
 	return algos.FleetConfig{
-		N: s.Nodes,
-		Factory: func() *nn.Model {
-			m, err := s.NewModel()
-			if err != nil {
-				panic(err) // build checked the same call
-			}
-			return m
-		},
+		N:             s.Nodes,
+		Factory:       m.Clone,
 		Shards:        shards,
 		LR:            s.LR,
 		Batch:         s.Batch,
 		Seed:          s.Seed,
 		RuntimeShards: runtimeShards,
-	}, valid
+	}, valid, nil
 }
 
 // membership is the dynamic membership the spec's blocks describe: the churn
@@ -267,10 +268,10 @@ func (s *Spec) build(shards int) (*built, error) {
 	if s.Recipe().Async() {
 		return nil, fmt.Errorf("scenario %s: %s has no synchronous rounds to build (RunFull drives the async engine)", s.Name, s.Algo)
 	}
-	if _, err := s.NewModel(); err != nil {
+	fc, valid, err := s.fleet(s.effectiveShards(shards))
+	if err != nil {
 		return nil, err
 	}
-	fc, valid := s.fleet(s.effectiveShards(shards))
 	return &built{alg: algos.New(fc, planner), env: env, valid: valid}, nil
 }
 
@@ -496,7 +497,10 @@ func (out *RunOutput) finish(s *Spec, opts RunOptions, mode string, wall float64
 func (s *Spec) runAsync() (*RunOutput, error) {
 	profiling.ResetPeakRSS()
 	a := s.Async
-	fc, _ := s.fleet(0) // Validate refuses data.valid: an async run evaluates nothing
+	fc, _, err := s.fleet(0) // Validate refuses data.valid: an async run evaluates nothing
+	if err != nil {
+		return nil, err
+	}
 	rec := s.Recipe()
 	af := algos.NewAsyncFleet(fc, rec)
 	var slow []int

@@ -929,7 +929,7 @@ func TestOneRoundRecord(t *testing.T) {
 // programming error the code cannot reach from a spec, a frame or a flag;
 // anything else returns an error (ROADMAP aim 3).
 var panicPins = map[string]int{
-	"internal/algos":               14,
+	"internal/algos":               13,
 	"internal/campaign":            1,
 	"internal/compress":            5,
 	"internal/core":                4,
@@ -942,7 +942,7 @@ var panicPins = map[string]int{
 	"internal/nn":                  19,
 	"internal/obs":                 3,
 	"internal/rng":                 2,
-	"internal/scenario":            3,
+	"internal/scenario":            2,
 	"internal/tensor":              12,
 }
 
