@@ -15,8 +15,9 @@ import (
 // neighbor, both endpoints atomically averaging their parameter vectors
 // x_i, x_j ← (x_i + x_j)/2. There is no global barrier; a slow rank delays
 // only the partners that draw it. The atomic-average semantics live in the
-// async driver (the passive partner surrenders its current vector at
-// delivery time); this node only trains and averages.
+// async driver: at delivery both endpoints surrender their current vectors
+// (Snapshot) and each merges the other's; this node only trains and
+// averages.
 
 // adpsgdNode is one AD-PSGD rank.
 type adpsgdNode struct {
@@ -28,15 +29,16 @@ type adpsgdNode struct {
 // dense parameters the rendezvous ships.
 func (a *adpsgdNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	loss := a.t.LocalSGD(a.localSteps)
-	// The live view ships: the async driver copies the payload before any
-	// Merge can rewrite this rank in flight (DESIGN §2 "Sender aliasing").
+	// The live view ships: the async driver reads only its size here, and
+	// averages the live states at delivery (DESIGN §2 "Sender aliasing").
 	x, _ := a.t.Model.Flat()
 	return loss, x, nil
 }
 
-// Snapshot implements engine.AsyncNode: the passive side of a rendezvous
-// surrenders its current parameters. They ship as the live view: the
-// driver consumes them before it merges into this rank (DESIGN §2 "Sender
+// Snapshot implements engine.AsyncNode: both sides of a rendezvous
+// surrender their current parameters at delivery. They ship as the live
+// view: the driver copies the initiator's before any Merge, and consumes
+// the partner's before it merges into the partner (DESIGN §2 "Sender
 // aliasing").
 func (a *adpsgdNode) Snapshot() []float64 {
 	x, _ := a.t.Model.Flat()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"sapspsgd/internal/core"
@@ -261,27 +262,26 @@ func TestADPSGDInPlaceMatchesCopyOracle(t *testing.T) {
 }
 
 // probedADPSGD wraps an AD-PSGD rank for TestADPSGDRendezvousInvariants and
-// records, beside the node and never inside it, each call it serves: the
-// payload a Compute shipped, the parameters before and after a Merge. Each
-// rank records into its own list: the driver fixes every rank's own call
-// order, not an order across ranks (compute blocks run ahead of the event
-// clock on worker goroutines).
+// records, beside the node and never inside it, each call it serves: a
+// Compute, or a Merge with the parameters before and after it. Each rank
+// records into its own list: the driver fixes every rank's own call order,
+// not an order across ranks (compute blocks run ahead of the event clock on
+// worker goroutines).
 type probedADPSGD struct {
 	*adpsgdNode
 	calls *[]probedCall
 }
 
-// probedCall is one recorded call: a Compute (from < 0) and its payload in
-// post, or a Merge of from's values.
+// probedCall is one recorded call: a Compute (from < 0), or a Merge of
+// from's values.
 type probedCall struct {
 	from      int
 	pre, post []float64
 }
 
 func (a *probedADPSGD) Compute(ctx engine.RoundContext) (float64, []float64, error) {
-	loss, out, err := a.adpsgdNode.Compute(ctx)
-	*a.calls = append(*a.calls, probedCall{from: -1, post: slices.Clone(out)})
-	return loss, out, err
+	*a.calls = append(*a.calls, probedCall{from: -1})
+	return a.adpsgdNode.Compute(ctx)
 }
 
 func (a *probedADPSGD) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) error {
@@ -294,13 +294,11 @@ func (a *probedADPSGD) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) err
 }
 
 // TestADPSGDRendezvousInvariants: on the in-place test's straggler shape,
-// each rendezvous merges the initiator, with the partner's live vector, and
-// then the partner, with the initiator's Compute-time payload, on which the
-// partner always lands halfway. Where the initiator was not merged passively
-// while its transfer was in flight its state is still that payload, so —
-// IEEE addition commutes — both endpoints end bit-identical, and their sum
-// is the correctly rounded sum of the pair before the rendezvous. The run
-// must also hold a stale rendezvous, whose initiator was merged in flight.
+// where ranks are merged passively while their own transfers are in flight,
+// every rendezvous is the atomic average of Lian et al.: both endpoints
+// merge the pair of states they hold at delivery, so — IEEE addition
+// commutes — they end bit-identical, and their sum is the correctly rounded
+// sum of the pair before the rendezvous.
 func TestADPSGDRendezvousInvariants(t *testing.T) {
 	const n, steps = 8, 30
 	bw := netsim.RandomUniform(n, 5, 50, rng.New(3))
@@ -313,10 +311,7 @@ func TestADPSGDRendezvousInvariants(t *testing.T) {
 	opts.Sink = &log
 	runAsync(t, opts)
 
-	// The events say what each call was; staleness is counted as in
-	// TestADPSGDInPlaceMatchesCopyOracle.
-	shipped := make([][]float64, n)
-	inFlight, mergedInFlight := make([]bool, n), make([]bool, n)
+	// The events say what each call was.
 	next := func(rank, from int) probedCall {
 		t.Helper()
 		if len(calls[rank]) == 0 || calls[rank][0].from != from {
@@ -326,40 +321,25 @@ func TestADPSGDRendezvousInvariants(t *testing.T) {
 		calls[rank] = calls[rank][1:]
 		return c
 	}
-	fresh, stale := 0, 0
+	total, apart := 0, 0
 	for _, e := range log.Events {
 		r, p := int(e.Rank), int(e.Peer)
 		switch e.Kind {
 		case netsim.EventComputeDone:
-			shipped[r] = next(r, -1).post
-			inFlight[r], mergedInFlight[r] = true, false
+			next(r, -1)
 		case netsim.EventTransferComplete:
 			ini, par := next(r, p), next(p, r)
-			for j, v := range shipped[r] {
-				if want := 0.5 * (par.pre[j] + v); math.Float64bits(par.post[j]) != math.Float64bits(want) {
-					t.Fatalf("rendezvous %d←%d step %d: partner param %d = %v, midpoint with the shipped payload %v", p, r, e.Round, j, par.post[j], want)
+			total++
+			for j := range ini.post {
+				sum, before := ini.post[j]+par.post[j], ini.pre[j]+par.pre[j]
+				if math.Float64bits(ini.post[j]) != math.Float64bits(par.post[j]) || math.Float64bits(sum) != math.Float64bits(before) {
+					if apart++; apart == 1 {
+						t.Errorf("rendezvous %d↔%d step %d: param %d ends %v on the initiator, %v on the partner, summing to %v (%v before)",
+							r, p, e.Round, j, ini.post[j], par.post[j], sum, before)
+					}
+					break
 				}
 			}
-			if inFlight[p] {
-				mergedInFlight[p] = true
-			}
-			if mergedInFlight[r] {
-				stale++
-			} else {
-				fresh++
-				for j := range ini.post {
-					if math.Float64bits(ini.pre[j]) != math.Float64bits(shipped[r][j]) {
-						t.Fatalf("rendezvous %d↔%d step %d: initiator param %d moved since its Compute but was never merged in flight", r, p, e.Round, j)
-					}
-					if math.Float64bits(ini.post[j]) != math.Float64bits(par.post[j]) {
-						t.Fatalf("rendezvous %d↔%d step %d: param %d ends %v on the initiator, %v on the partner", r, p, e.Round, j, ini.post[j], par.post[j])
-					}
-					if got, want := ini.post[j]+par.post[j], ini.pre[j]+par.pre[j]; math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("rendezvous %d↔%d step %d: param %d sums to %v after, %v before", r, p, e.Round, j, got, want)
-					}
-				}
-			}
-			inFlight[r] = false
 		}
 	}
 	for r, left := range calls {
@@ -367,9 +347,8 @@ func TestADPSGDRendezvousInvariants(t *testing.T) {
 			t.Fatalf("rank %d has %d calls left after the last event", r, len(left))
 		}
 	}
-	t.Logf("%d fresh and %d stale rendezvous", fresh, stale)
-	if stale == 0 || fresh == 0 {
-		t.Fatalf("%d fresh and %d stale rendezvous: the run must hold both", fresh, stale)
+	if apart > 0 {
+		t.Fatalf("%d of %d rendezvous leave their endpoints apart", apart, total)
 	}
 }
 
@@ -453,5 +432,111 @@ func TestGradPushBoundedUnderStragglers(t *testing.T) {
 	}
 	if !(minW >= 0.5) || math.Abs(wSum-n) > 1e-9 {
 		t.Fatalf("push-sum weights: min %v (bound 1/2), sum %v (want %d)", minW, wSum, n)
+	}
+}
+
+// massLedger is push-sum's account of Σw across a run: the weight each rank
+// holds, and each push made but not yet merged — in flight, or waiting in
+// its receiver's inbox — keyed by sender and step.
+type massLedger struct {
+	mu      sync.Mutex
+	held    []float64
+	pending map[[2]int]float64
+	worst   float64 // the largest |Σw − n| seen
+	first   string  // the first call after which |Σw − n| > 1e-12
+}
+
+// check records the ledger's deviation from n after a call; mu is held.
+func (l *massLedger) check(call string, rank, step int) {
+	sum := 0.0
+	for _, w := range l.held {
+		sum += w
+	}
+	for _, w := range l.pending {
+		sum += w
+	}
+	dev := math.Abs(sum - float64(len(l.held)))
+	l.worst = max(l.worst, dev)
+	if dev > 1e-12 && l.first == "" {
+		l.first = fmt.Sprintf("after rank %d's %s at step %d, Σw = %v", rank, call, step, sum)
+	}
+}
+
+// probedGradPush wraps a Gradient Push rank and posts every Compute and
+// Merge it serves to the shared ledger, beside the node and never inside it.
+type probedGradPush struct {
+	*gradPushNode
+	rank int
+	l    *massLedger
+}
+
+func (g *probedGradPush) Compute(ctx engine.RoundContext) (float64, []float64, error) {
+	loss, out, err := g.gradPushNode.Compute(ctx)
+	g.l.mu.Lock()
+	defer g.l.mu.Unlock()
+	g.l.held[g.rank] = g.w
+	if len(out) > 0 {
+		g.l.pending[[2]int{g.rank, ctx.Round}] = out[len(out)-1]
+	}
+	g.l.check("Compute", g.rank, ctx.Round)
+	return loss, out, err
+}
+
+func (g *probedGradPush) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) error {
+	err := g.gradPushNode.Merge(ctx, msgs)
+	g.l.mu.Lock()
+	defer g.l.mu.Unlock()
+	g.l.held[g.rank] = g.w
+	for _, m := range msgs {
+		delete(g.l.pending, [2]int{m.From, ctx.Round})
+	}
+	g.l.check("Merge", g.rank, ctx.Round)
+	return err
+}
+
+// TestGradPushMassAtEveryEvent: push-sum conserves mass at every event, not
+// only at the end. On TestGradPushBoundedUnderStragglers' fleet, where the
+// slow ranks' long blocks queue pushes in their inboxes, the weights held,
+// in flight and waiting to be merged sum to n after every Compute and every
+// Merge, and once the run ends no push is left unmerged.
+func TestGradPushMassAtEveryEvent(t *testing.T) {
+	af, opts := stragglerFixture("gradpush", 300)
+	n := len(af.Nodes)
+	l := &massLedger{held: make([]float64, n), pending: map[[2]int]float64{}}
+	for i, node := range af.Nodes {
+		g := node.(*gradPushNode)
+		l.held[i] = g.w
+		opts.Nodes[i] = &probedGradPush{gradPushNode: g, rank: i, l: l}
+	}
+	var log netsim.EventLog
+	opts.Sink = &log
+	runAsync(t, opts)
+	// A rank computes from time 0 to its first EventComputeDone, then from
+	// each delivery of its own push, but its last, to the next.
+	computing := make([]bool, n)
+	for i := range computing {
+		computing[i] = true
+	}
+	queued := 0
+	for _, e := range log.Events {
+		switch e.Kind {
+		case netsim.EventComputeDone:
+			computing[e.Rank] = false
+		case netsim.EventTransferComplete:
+			if computing[e.Peer] {
+				queued++
+			}
+			computing[e.Rank] = int(e.Round)+1 < opts.Steps
+		}
+	}
+	t.Logf("%d pushes landed during their receiver's block; largest |Σw − n| after a call: %.3g", queued, l.worst)
+	if queued == 0 {
+		t.Fatal("no push landed during its receiver's block: the run does not exercise the inbox")
+	}
+	if l.first != "" {
+		t.Fatal(l.first)
+	}
+	if len(l.pending) != 0 {
+		t.Fatalf("%d pushes were never merged", len(l.pending))
 	}
 }

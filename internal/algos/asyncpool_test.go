@@ -17,22 +17,20 @@ import (
 	"sapspsgd/internal/rng"
 )
 
-// asyncPoolGolden holds the digest of asyncPoolDigest's run as the serial
-// driver produced it, at the commit before the rendezvous driver handed
-// compute blocks to worker goroutines. It is recorded once and never
-// re-recorded: a driver whose worker pool moved any bit fails against it.
+// asyncPoolGolden holds one digest of asyncPoolDigest's run per async
+// recipe, "<algo> <sha256>", recorded at GOMAXPROCS 1 when AD-PSGD's
+// rendezvous became the atomic average of the endpoints' live states and
+// Gradient Push's pushes began to merge at the receiver's block boundary.
+// They pin what the driver decides, whatever the size of its compute pool.
 const asyncPoolGolden = "testdata/async-pool.golden"
 
-// asyncPoolDigest runs AD-PSGD on the async64 benchmark's shape — 64 ranks
+// stragglerFixture builds algo on the async64 benchmark's shape — 64 ranks
 // on uniform 5–50 MB/s links, a quarter of them 8× slow, the 64-64-10 MLP
-// at batch 16 — for 40 cycles, and hashes everything the run decides: the
-// event log's bytes, every rank's parameter bits, the sample series and the
-// per-rank byte ledgers.
-func asyncPoolDigest(t *testing.T) string {
-	t.Helper()
-	const n, steps, seed = 64, 40, 7
+// at batch 16 — for steps cycles.
+func stragglerFixture(algo string, steps int) (*AsyncFleet, engine.AsyncOptions) {
+	const n, seed = 64, 7
 	tr, _ := dataset.TinyTask(8192, 10, seed)
-	rec := Recipe{Algo: "adpsgd", Workers: n, LR: 0.05, Batch: 16, Seed: seed}
+	rec := Recipe{Algo: algo, Workers: n, LR: 0.05, Batch: 16, Seed: seed}
 	af := NewAsyncFleet(FleetConfig{
 		N:       n,
 		Factory: func() *nn.Model { return nn.NewMLP(tr.Dim(), []int{64}, 10, seed) },
@@ -41,18 +39,28 @@ func asyncPoolDigest(t *testing.T) string {
 		Batch:   rec.Batch,
 		Seed:    seed,
 	}, rec)
-	var log netsim.EventLog
-	res := runAsync(t, engine.AsyncOptions{
+	return af, engine.AsyncOptions{
 		Nodes:     af.Nodes,
 		Codecs:    af.Codecs,
 		Bandwidth: netsim.RandomUniform(n, 5, 50, rng.New(seed)),
 		Seed:      seed,
 		Steps:     steps,
+		OneWay:    rec.OneWay(),
 		Compute: engine.AsyncComputeModel{
 			MeanSeconds: 0.02, Jitter: 0.3, SlowFactor: 8, SlowRanks: rng.New(seed).Derive(0xa51c).Perm(n)[:n/4],
 		},
-		Sink: &log,
-	})
+	}
+}
+
+// asyncPoolDigest runs algo on stragglerFixture's shape for 40 cycles and
+// hashes everything the run decides: the event log's bytes, every rank's
+// parameter bits, the sample series and the per-rank byte ledgers.
+func asyncPoolDigest(t *testing.T, algo string) string {
+	t.Helper()
+	af, opts := stragglerFixture(algo, 40)
+	var log netsim.EventLog
+	opts.Sink = &log
+	res := runAsync(t, opts)
 	h := sha256.New()
 	var w [8]byte
 	put := func(u uint64) {
@@ -81,27 +89,31 @@ func asyncPoolDigest(t *testing.T) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestAsyncBitsIndependentOfPool: the rendezvous driver runs compute blocks
-// ahead of the event clock on a pool of GOMAXPROCS workers; at 1, 2 and 4
-// processors the run must equal, bit for bit, the serial driver's recorded
-// digest.
+// TestAsyncBitsIndependentOfPool: the driver runs compute blocks ahead of
+// the event clock on a pool of GOMAXPROCS workers; at 1, 2 and 4 processors
+// each async recipe's run must equal its recorded digest bit for bit.
 func TestAsyncBitsIndependentOfPool(t *testing.T) {
 	raw, err := os.ReadFile(asyncPoolGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want string
+	want := map[string]string{}
 	for _, line := range strings.Split(string(raw), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			want = strings.TrimSpace(line)
+		if algo, digest, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			want[algo] = digest
 		}
 	}
-	for _, procs := range []int{1, 2, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		got := asyncPoolDigest(t)
-		runtime.GOMAXPROCS(prev)
-		if got != want {
-			t.Errorf("GOMAXPROCS %d: digest %s, serial driver's %s", procs, got, want)
+	for _, algo := range Names(Recipe.Async) {
+		if want[algo] == "" {
+			t.Errorf("%s has no digest in %s", algo, asyncPoolGolden)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := asyncPoolDigest(t, algo)
+			runtime.GOMAXPROCS(prev)
+			if got != want[algo] {
+				t.Errorf("%s at GOMAXPROCS %d: digest %s, recorded %s", algo, procs, got, want[algo])
+			}
 		}
 	}
 }

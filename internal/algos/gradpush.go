@@ -15,8 +15,10 @@ import (
 // taken at z and applied to x, and a gossip halves (x, w) locally while
 // pushing the other half to one neighbor, whose Merge just adds it in. The
 // receiver is never blocked (OneWay mode), which is the algorithm's whole
-// point: pure one-sided communication. The payload is the dim+1 dense
-// vector [x/2..., w/2] over the dense codec.
+// point: pure one-sided communication. As in the paper's Algorithm 1, a
+// push that lands while the receiver computes is merged after that block's
+// step and push (the driver holds it in the rank's inbox). The payload is
+// the dim+1 dense vector [x/2..., w/2] over the dense codec.
 //
 // Two rules keep the pair bounded when the in-flow stops — as it does for a
 // straggler once the fast ranks have run their cycles and stopped pushing:
@@ -60,7 +62,9 @@ func (g *gradPushNode) debias() {
 // Compute implements engine.Node: localSteps SGD steps on z applied to x,
 // each scaled by w, then the halved (x, w) push payload — or an empty one
 // when no mass has arrived since the last push. The local halves are kept
-// immediately — the send is committed the moment it is scheduled.
+// immediately — the send is committed the moment it is scheduled. The
+// payload is node scratch that only Compute and Snapshot write: the driver
+// reads it as a view at delivery, before this rank's next block.
 func (g *gradPushNode) Compute(engine.RoundContext) (float64, []float64, error) {
 	total := 0.0
 	_, grads := g.t.Model.Flat()
@@ -91,9 +95,9 @@ func (g *gradPushNode) Compute(engine.RoundContext) (float64, []float64, error) 
 	return total / float64(g.localSteps), g.out, nil
 }
 
-// Snapshot implements engine.AsyncNode. Gradient Push runs one-way, so the
-// driver never calls this; it returns the current (x, w) pair for
-// completeness.
+// Snapshot implements engine.AsyncNode: the current (x, w) pair, written
+// into the payload scratch. Gradient Push runs one-way, so the driver
+// never calls it; tests read w through it.
 func (g *gradPushNode) Snapshot() []float64 {
 	if cap(g.out) < len(g.x)+1 {
 		g.out = make([]float64, len(g.x)+1)

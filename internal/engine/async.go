@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,21 +21,19 @@ import (
 // snapshots, merges, the ledgers and the samples — in pop order, and every
 // random draw comes from seeded per-rank streams.
 //
-// In rendezvous mode (AD-PSGD) the ranks' compute blocks run ahead of that
-// clock on a pool of GOMAXPROCS worker goroutines. freeAt guarantees that
-// nothing touches a rank between the start of its compute block and its
-// EventComputeDone: a rendezvous committed before the block is scheduled ends
-// by the block's begin, one committed after it starts no earlier than its
-// done, and on a tie EventComputeDone sorts first. So a block is handed to
-// the pool as soon as the last rendezvous committed before it is delivered,
-// and its EventComputeDone waits for the result. Each rank's own call
-// sequence is the serial one, so a run is bit-reproducible regardless of
-// GOMAXPROCS or Go's scheduler — the property the async-determinism CI job
-// replays. The driver fails closed: an event that would touch a rank whose
-// block is running, or an EventComputeDone whose block was never handed
-// over, is an error, never a silent reorder. Push gossip (Gradient Push)
-// computes inline at EventComputeDone: its receiver is never blocked, so a
-// push can land on a rank during its compute block.
+// Compute blocks run ahead of that clock on a pool of GOMAXPROCS worker
+// goroutines, and nothing touches a rank between the start of its block and
+// its EventComputeDone. A rendezvous (AD-PSGD) committed before the block is
+// scheduled ends by its begin, one committed after starts no earlier than
+// its done, and on a tie EventComputeDone sorts first; so a block goes to
+// the pool once the last rendezvous committed before it is delivered. A
+// push (Gradient Push) that lands while its receiver's block runs waits in
+// that rank's inbox and merges at the block's EventComputeDone, after the
+// rank's own step and push. Each rank's own call sequence is the serial
+// one, so a run is bit-reproducible regardless of GOMAXPROCS or Go's
+// scheduler — the property the async-determinism CI job replays. The driver
+// fails closed: a rendezvous that would touch a running block, or an
+// EventComputeDone whose block was never handed over, is an error.
 
 // AsyncNode extends Node for the barrier-free driver: a passive rendezvous
 // partner must surrender its current parameter vector at any virtual time,
@@ -125,12 +124,13 @@ type AsyncResult struct {
 	SentBytes, RecvBytes []int64
 }
 
-// pendingTransfer is one in-flight gossip, keyed by its initiator (a rank
-// initiates at most one transfer at a time: it is blocked until delivery).
+// pendingTransfer is one gossip not yet merged: in flight, keyed by its
+// initiator (a rank initiates at most one transfer at a time: it is blocked
+// until delivery), or a push in its receiver's inbox, from peer.
 type pendingTransfer struct {
 	peer  int
-	words []float64 // copied payload: codec buffers are reused, a live view changes under a passive merge
-	bytes int64
+	words []float64 // the Compute payload, read by a push only; an inbox holds a copy, since the sender's next block rewrites it
+	bytes int64     // measured at Compute: it timed the transfer
 	step  int
 }
 
@@ -145,13 +145,14 @@ type computeResult struct {
 	err  error
 }
 
-// rankAhead is one rank's run-ahead state in rendezvous mode.
+// rankAhead is one rank's run-ahead state.
 type rankAhead struct {
 	inflight int                // committed, undelivered rendezvous this rank is an endpoint of
 	due      int                // those the scheduled block still waits for (> 0: not yet handed over)
 	running  bool               // handed to the pool; EventComputeDone collects it
 	step     int                // the scheduled block's gossip step
 	done     chan computeResult // capacity 1: a rank has at most one block in flight
+	inbox    []pendingTransfer  // pushes that landed during the running block, in delivery order
 }
 
 // AsyncEngine executes an asynchronous gossip run. Construct with NewAsync,
@@ -166,8 +167,9 @@ type AsyncEngine struct {
 	sent    []int64
 	recv    []int64
 	q       netsim.EventQueue
-	ahead   []rankAhead // rendezvous mode only
+	ahead   []rankAhead
 	jobs    chan computeJob
+	mine    []float64 // a rendezvous initiator's live payload: the first Merge rewrites the initiator
 	// nm/em are the observability sinks (zero value = disabled), captured
 	// once at construction.
 	nm obs.NetsimMetrics
@@ -218,18 +220,14 @@ func NewAsync(opts AsyncOptions) (*AsyncEngine, error) {
 		pending: make([]pendingTransfer, n),
 		sent:    make([]int64, n),
 		recv:    make([]int64, n),
+		ahead:   make([]rankAhead, n),
 		nm:      obs.Current().NetsimM(),
 		em:      obs.Current().EngineM(),
-	}
-	if !opts.OneWay {
-		e.ahead = make([]rankAhead, n)
-		for r := range e.ahead {
-			e.ahead[r].done = make(chan computeResult, 1)
-		}
 	}
 	base := rng.New(opts.Seed)
 	for r := 0; r < n; r++ {
 		e.streams[r] = base.Derive(0xa0000 + uint64(r))
+		e.ahead[r].done = make(chan computeResult, 1)
 	}
 	return e, nil
 }
@@ -273,9 +271,8 @@ func (e *AsyncEngine) emit(ev netsim.Event) {
 	}
 }
 
-// startPool starts the rendezvous-mode compute pool and returns the function
-// that stops it: blocks still queued are dropped, and it returns once every
-// worker has exited.
+// startPool starts the compute pool and returns the function that stops it:
+// blocks still queued are dropped, and it returns once every worker exits.
 func (e *AsyncEngine) startPool() (stop func()) {
 	e.jobs = make(chan computeJob, e.n) // at most one block per rank is queued
 	var (
@@ -313,9 +310,9 @@ func (e *AsyncEngine) compute(rank, step int) (res computeResult) {
 	return res
 }
 
-// schedule records a rendezvous-mode rank's next compute block. It goes to
-// the pool now if every rendezvous committed so far with this rank has been
-// delivered, else at the delivery of the last of them.
+// schedule records a rank's next compute block. It goes to the pool now if
+// every rendezvous committed so far with this rank has been delivered, else
+// at the delivery of the last of them.
 func (e *AsyncEngine) schedule(rank, step int) {
 	a := &e.ahead[rank]
 	a.step, a.due = step, a.inflight
@@ -331,25 +328,77 @@ func (e *AsyncEngine) launch(rank int) {
 	e.jobs <- computeJob{rank, a.step}
 }
 
-// collect returns a rank's compute block for step: run inline in push mode,
-// the pool's result in rendezvous mode.
-func (e *AsyncEngine) collect(rank, step int) (float64, []float64, error) {
-	if e.ahead == nil {
-		return e.opts.Nodes[rank].Compute(e.ctx(rank, step))
-	}
+// collect returns a rank's compute block from the pool.
+func (e *AsyncEngine) collect(rank int) computeResult {
 	a := &e.ahead[rank]
 	if !a.running {
-		return 0, nil, fmt.Errorf("compute block never ran ahead: %d rendezvous committed before it still due", a.due)
+		return computeResult{err: fmt.Errorf("compute block never ran ahead: %d rendezvous committed before it still due", a.due)}
 	}
-	res := <-a.done
 	a.running = false
-	return res.loss, res.out, res.err
+	return <-a.done
+}
+
+// merge decodes words with the sender's codec and merges them into rank.
+func (e *AsyncEngine) merge(rank, from, step int, words []float64, bytes int64) error {
+	ctx := e.ctx(rank, step)
+	vals, err := e.opts.Codecs[from].Decode(ctx, words)
+	if err == nil {
+		err = e.opts.Nodes[rank].Merge(ctx, []PeerMsg{{From: from, Vals: vals, Words: words, Bytes: bytes}})
+	}
+	if err != nil {
+		return fmt.Errorf("engine: async rank %d step %d merge from rank %d: %w", rank, step, from, err)
+	}
+	return nil
+}
+
+// live encodes a rendezvous endpoint's current vector, failing closed unless
+// it is as large as the payload measured at Compute, which timed the transfer.
+func (e *AsyncEngine) live(rank, step int, bytes int64) ([]float64, error) {
+	words, err := e.opts.Codecs[rank].Encode(e.ctx(rank, step), e.opts.Nodes[rank].Snapshot())
+	if err != nil {
+		return nil, fmt.Errorf("engine: async rank %d step %d snapshot encode: %w", rank, step, err)
+	}
+	if got := e.opts.Codecs[rank].WireBytes(words); got != bytes {
+		return nil, fmt.Errorf("engine: async rank %d step %d: live payload of %d bytes, %d at Compute; bidirectional gossip needs fixed-size payloads", rank, step, got, bytes)
+	}
+	return words, nil
+}
+
+// rendezvous averages the initiator r and its partner p atomically at
+// delivery (Lian et al. 2018): both merge the pair of their live states.
+func (e *AsyncEngine) rendezvous(r, p, step int, bytes int64) error {
+	mine, err := e.live(r, step, bytes)
+	if err != nil {
+		return err
+	}
+	e.mine = append(e.mine[:0], mine...)
+	theirs, err := e.live(p, step, bytes)
+	if err != nil {
+		return err
+	}
+	if err := e.merge(r, p, step, theirs, bytes); err != nil {
+		return err
+	}
+	return e.merge(p, r, step, e.mine, bytes)
+}
+
+// push delivers r's Compute payload to p (Assran et al. 2019): it merges at
+// once into an idle receiver, and waits in the inbox of a running one.
+func (e *AsyncEngine) push(r, p int, pend *pendingTransfer) error {
+	a := &e.ahead[p]
+	if !a.running {
+		return e.merge(p, r, pend.step, pend.words, pend.bytes)
+	}
+	a.inbox = slices.Grow(a.inbox, 1)[:len(a.inbox)+1] // an entry past len keeps its buffer
+	m := &a.inbox[len(a.inbox)-1]
+	m.peer, m.step, m.bytes, m.words = r, pend.step, pend.bytes, append(m.words[:0], pend.words...)
+	return nil
 }
 
 // Run executes the whole asynchronous run and returns its measurements. The
-// calling goroutine drains the event queue; in rendezvous mode compute
-// blocks run on a pool that Run joins before it returns, errors included.
-// It must be called exactly once.
+// calling goroutine drains the event queue; compute blocks run on a pool
+// that Run joins before it returns, errors included. It must be called
+// exactly once.
 func (e *AsyncEngine) Run() (*AsyncResult, error) {
 	sampleEvery := e.opts.SampleEvery
 	if sampleEvery < 1 {
@@ -361,17 +410,12 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 		RecvBytes: e.recv,
 		Samples:   make([]AsyncSample, 0, e.n*e.opts.Steps/sampleEvery+1),
 	}
+	defer e.startPool()()
 	// Every rank begins its first compute block at virtual time zero.
 	for r := 0; r < e.n; r++ {
-		dur := e.computeDur(r)
-		e.freeAt[r] = dur
-		e.q.Push(netsim.Event{Time: dur, Kind: netsim.EventComputeDone, Rank: int32(r), Peer: -1})
-	}
-	if e.ahead != nil {
-		defer e.startPool()()
-		for r := 0; r < e.n; r++ {
-			e.schedule(r, 0)
-		}
+		e.freeAt[r] = e.computeDur(r)
+		e.q.Push(netsim.Event{Time: e.freeAt[r], Kind: netsim.EventComputeDone, Rank: int32(r), Peer: -1})
+		e.schedule(r, 0)
 	}
 	var (
 		fleetDone int     // completed gossips fleet-wide
@@ -394,48 +438,39 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 		switch ev.Kind {
 		case netsim.EventComputeDone:
 			step := int(ev.Round)
-			loss, out, err := e.collect(r, step)
-			if err != nil {
-				return nil, fmt.Errorf("engine: async rank %d step %d: %w", r, step, err)
+			block := e.collect(r)
+			if block.err != nil {
+				return nil, fmt.Errorf("engine: async rank %d step %d: %w", r, step, block.err)
 			}
-			lossSum += loss
+			lossSum += block.loss
 			lossN++
-			words, err := e.opts.Codecs[r].Encode(e.ctx(r, step), out)
+			words, err := e.opts.Codecs[r].Encode(e.ctx(r, step), block.out)
 			if err != nil {
 				return nil, fmt.Errorf("engine: async rank %d step %d encode: %w", r, step, err)
 			}
 			p := e.nbrs[r][e.streams[r].Intn(len(e.nbrs[r]))]
 			pend := &e.pending[r]
-			pend.peer = p
-			pend.step = step
-			// The payload's one copy, taken before any Merge (DESIGN §2 "Sender aliasing").
-			pend.words = append(pend.words[:0], words...)
+			pend.peer, pend.step, pend.words = p, step, words
 			pend.bytes = e.opts.Codecs[r].WireBytes(words)
-			mbps := e.opts.Bandwidth.MBps(r, p)
-			// A passive rendezvous may have extended this rank's own
-			// commitments while it computed; the new transfer queues behind
-			// them.
-			start := ev.Time
-			if e.freeAt[r] > start {
-				start = e.freeAt[r]
-			}
-			var total int64
-			if e.opts.OneWay {
-				// Push gossip: the receiver is never blocked, the sender's
-				// NIC carries one payload.
-				total = pend.bytes
-			} else {
-				// Rendezvous: also wait out the partner's committed
-				// engagements (its current compute block or transfer), then
-				// exchange payloads both ways on the shared link.
-				if e.freeAt[p] > start {
-					start = e.freeAt[p]
+			// The pushes that landed during the block, after its own step and push.
+			a := &e.ahead[r]
+			for _, m := range a.inbox {
+				if err := e.merge(r, m.peer, m.step, m.words, m.bytes); err != nil {
+					return nil, err
 				}
-				total = 2 * pend.bytes
-				e.ahead[r].inflight++
+			}
+			a.inbox = a.inbox[:0]
+			// The transfer queues behind this rank's commitments, which a
+			// passive rendezvous may have extended. A push's receiver is never
+			// blocked; a rendezvous also waits out the partner's, then sends
+			// a payload each way on the shared link.
+			start, total := max(ev.Time, e.freeAt[r]), pend.bytes
+			if !e.opts.OneWay {
+				start, total = max(start, e.freeAt[p]), 2*total
+				a.inflight++
 				e.ahead[p].inflight++
 			}
-			end := start + float64(total)/(mbps*1e6)
+			end := start + float64(total)/(e.opts.Bandwidth.MBps(r, p)*1e6)
 			e.freeAt[r] = end
 			if !e.opts.OneWay {
 				e.freeAt[p] = end
@@ -451,57 +486,25 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 
 		case netsim.EventTransferComplete:
 			pend := &e.pending[r]
-			p := pend.peer
-			step := pend.step
-			rctx, pctx := e.ctx(r, step), e.ctx(p, step)
-			if e.ahead != nil {
+			p, step, b := pend.peer, pend.step, pend.bytes
+			e.sent[r] += b
+			e.recv[p] += b
+			if e.opts.OneWay {
+				if err := e.push(r, p, pend); err != nil {
+					return nil, err
+				}
+			} else {
 				for _, k := range [2]int{r, p} {
 					if e.ahead[k].running {
 						return nil, fmt.Errorf("engine: async rendezvous %d↔%d step %d at t=%v touches rank %d while its compute block runs ahead", r, p, step, ev.Time, k)
 					}
 				}
-			}
-			vals, err := e.opts.Codecs[r].Decode(pctx, pend.words)
-			if err != nil {
-				return nil, fmt.Errorf("engine: async rank %d step %d decode: %w", r, step, err)
-			}
-			e.sent[r] += pend.bytes
-			e.recv[p] += pend.bytes
-			cumBytes += pend.bytes
-			e.em.WireBytesTotal.Add(2 * pend.bytes)
-			if !e.opts.OneWay {
-				// The rendezvous is atomic at delivery time: the partner
-				// surrenders its *current* vector, and the initiator's payload
-				// is frozen at its Compute. Both endpoints average the same
-				// pair of states unless the initiator was itself merged
-				// passively while this transfer was in flight: then it
-				// averages its live state, the partner the frozen one.
-				snap := e.opts.Nodes[p].Snapshot()
-				back, err := e.opts.Codecs[p].Encode(pctx, snap)
-				if err != nil {
-					return nil, fmt.Errorf("engine: async rank %d step %d snapshot encode: %w", p, step, err)
+				if err := e.rendezvous(r, p, step, b); err != nil {
+					return nil, err
 				}
-				backBytes := e.opts.Codecs[p].WireBytes(back)
-				if backBytes != pend.bytes {
-					return nil, fmt.Errorf("engine: async rendezvous %d↔%d payloads differ (%d vs %d bytes); bidirectional gossip needs symmetric codecs",
-						r, p, pend.bytes, backBytes)
-				}
-				backVals, err := e.opts.Codecs[p].Decode(rctx, back)
-				if err != nil {
-					return nil, fmt.Errorf("engine: async rank %d step %d snapshot decode: %w", p, step, err)
-				}
-				e.sent[p] += backBytes
-				e.recv[r] += backBytes
-				cumBytes += backBytes
-				e.em.WireBytesTotal.Add(2 * backBytes)
-				if err := e.opts.Nodes[r].Merge(rctx, []PeerMsg{{From: p, Vals: backVals, Words: back, Bytes: backBytes}}); err != nil {
-					return nil, fmt.Errorf("engine: async rank %d step %d merge: %w", r, step, err)
-				}
-			}
-			if err := e.opts.Nodes[p].Merge(pctx, []PeerMsg{{From: r, Vals: vals, Words: pend.words, Bytes: pend.bytes}}); err != nil {
-				return nil, fmt.Errorf("engine: async rank %d step %d merge: %w", p, step, err)
-			}
-			if e.ahead != nil {
+				e.sent[p] += b
+				e.recv[r] += b
+				b *= 2
 				// A partner whose block is scheduled was waiting on this
 				// delivery (any later one comes after its EventComputeDone).
 				e.ahead[r].inflight--
@@ -513,21 +516,17 @@ func (e *AsyncEngine) Run() (*AsyncResult, error) {
 					}
 				}
 			}
+			cumBytes += b
+			e.em.WireBytesTotal.Add(2 * b)
 			fleetDone++
 			if step+1 < e.opts.Steps {
 				// The next compute block queues behind any rendezvous the
 				// rank was passively committed to during the transfer.
-				begin := ev.Time
-				if e.freeAt[r] > begin {
-					begin = e.freeAt[r]
-				}
-				done := begin + e.computeDur(r)
+				done := max(ev.Time, e.freeAt[r]) + e.computeDur(r)
 				e.freeAt[r] = done
 				e.q.Push(netsim.Event{Time: done, Kind: netsim.EventComputeDone,
 					Rank: int32(r), Peer: -1, Round: int32(step + 1)})
-				if e.ahead != nil {
-					e.schedule(r, step+1)
-				}
+				e.schedule(r, step+1)
 			}
 			if fleetDone%sampleEvery == 0 {
 				if lossN > 0 {
