@@ -1,9 +1,9 @@
-// Documentation lint: the engine, transport, scenario, and campaign
-// packages are the system's public-facing layers (DESIGN.md §2–§3, §6), and
-// algos and nn are the algorithms and the model library beneath them, so
-// every exported identifier there must carry a doc comment and every
-// package a package comment. This is the in-repo mirror of CI's staticcheck ST1000/ST1020/
-// ST1022 step — it runs in the tier-1 suite, so the gate holds offline too.
+// Documentation lint: every package under internal/ must carry a package
+// comment and a doc comment on every exported identifier. This is the in-repo
+// mirror of CI's staticcheck ST1000/ST1020/ST1022 step — it runs in the
+// tier-1 suite, so the gate holds offline too. The prose documents must also
+// name only what exists: a backticked reference into an internal package has
+// to resolve to a declaration there.
 package sapspsgd_test
 
 import (
@@ -12,25 +12,43 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// docCheckedPackages are the directories held to the exported-docs standard.
-var docCheckedPackages = []string{
-	"internal/algos",
-	"internal/campaign",
-	"internal/engine",
-	"internal/nn",
-	"internal/obs",
-	"internal/scenario",
-	"internal/transport",
+// internalPackageDirs lists every directory under internal/ that holds Go
+// files.
+func internalPackageDirs(t *testing.T) []string {
+	t.Helper()
+	var dirs []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") && !slices.Contains(dirs, filepath.Dir(path)) {
+			dirs = append(dirs, filepath.Dir(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) == 0 {
+		t.Fatal("no package under internal/: the lint would check nothing")
+	}
+	return dirs
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {
-	for _, dir := range docCheckedPackages {
-		dir := dir
-		t.Run(strings.ReplaceAll(dir, "/", "_"), func(t *testing.T) {
+	for _, dir := range internalPackageDirs(t) {
+		t.Run(strings.ReplaceAll(filepath.ToSlash(dir), "/", "_"), func(t *testing.T) {
 			fset := token.NewFileSet()
 			pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 				return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -122,6 +140,114 @@ func receiverUnexported(d *ast.FuncDecl) bool {
 			return !v.IsExported()
 		default:
 			return false
+		}
+	}
+}
+
+// docRef is a pkg.Ident or pkg.Type.Member reference: a lower-case package
+// name that no path separator or file name precedes, then one or two
+// identifiers.
+var docRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
+
+// TestDocReferencesResolve: every backticked reference into an internal
+// package in DESIGN.md, README.md and EXPERIMENTS.md names a declaration of
+// that package — a top-level name, or a method or field of one of its types.
+// Test files count, because the documents cite tests. Names holding an
+// underscore are spec keys and metric names (`gossip.t_thres`), not Go.
+func TestDocReferencesResolve(t *testing.T) {
+	decls := map[string]map[string]bool{} // package name → its declared names
+	for _, dir := range internalPackageDirs(t) {
+		names := map[string]bool{}
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				declaredNames(f, names)
+			}
+		}
+		decls[filepath.Base(dir)] = names
+	}
+	fence := regexp.MustCompile("(?s)```.*?```")
+	span := regexp.MustCompile("`[^`]+`")
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range span.FindAllString(fence.ReplaceAllString(string(data), ""), -1) {
+			for _, m := range docRef.FindAllStringSubmatch(code, -1) {
+				names, ok := decls[m[1]]
+				if !ok || strings.Contains(m[2]+m[3], "_") {
+					continue
+				}
+				ref := m[1] + "." + m[2]
+				if m[3] != "" {
+					ref += "." + m[3]
+				}
+				if !names[m[2]] || m[3] != "" && !names[m[2]+"."+m[3]] {
+					t.Errorf("%s: %s names no declaration of internal/…/%s", doc, code, ref)
+				}
+			}
+		}
+	}
+}
+
+// declaredNames adds f's top-level names to names, and Type.Member for the
+// methods, struct fields and interface methods of its types.
+func declaredNames(f *ast.File, names map[string]bool) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names[d.Name.Name] = true
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			for {
+				switch v := recv.(type) {
+				case *ast.StarExpr:
+					recv = v.X
+					continue
+				case *ast.IndexExpr:
+					recv = v.X
+					continue
+				case *ast.IndexListExpr:
+					recv = v.X
+					continue
+				case *ast.Ident:
+					names[v.Name+"."+d.Name.Name] = true
+				}
+				break
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					names[sp.Name.Name] = true
+					var members *ast.FieldList
+					switch tt := sp.Type.(type) {
+					case *ast.StructType:
+						members = tt.Fields
+					case *ast.InterfaceType:
+						members = tt.Methods
+					}
+					if members == nil {
+						continue
+					}
+					for _, field := range members.List {
+						for _, n := range field.Names {
+							names[sp.Name.Name+"."+n.Name] = true
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						names[n.Name] = true
+					}
+				}
+			}
 		}
 	}
 }

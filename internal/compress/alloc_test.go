@@ -78,12 +78,15 @@ func TestMaskScratchIsOrderK(t *testing.T) {
 	}
 }
 
+// TestTopKIntoMatchesTopK: reused out storage and scratch select exactly what
+// fresh ones do.
 func TestTopKIntoMatchesTopK(t *testing.T) {
 	x := randVec(1000, 4)
+	var out SparseVec
+	var mags []float64
 	for _, k := range []int{0, 1, 17, 500, 1000, 2000} {
-		want := TopK(x, k)
-		var out SparseVec
-		TopKInto(&out, nil, x, k)
+		want := topK(x, k)
+		mags = TopKInto(&out, mags, x, k)
 		if out.N != want.N || len(out.Idx) != len(want.Idx) {
 			t.Fatalf("k=%d: shape (%d,%d) != (%d,%d)", k, out.N, len(out.Idx), want.N, len(want.Idx))
 		}

@@ -71,16 +71,11 @@ func CountOnes(mask []bool) int {
 	return k
 }
 
-// Extract gathers x's values at the mask's positions into a fresh slice.
-// This is the payload a SAPS worker sends: values only.
-func Extract(x []float64, mask []int32) []float64 {
-	return ExtractInto(nil, x, mask)
-}
-
-// ExtractInto is Extract writing into dst, allocating only when dst has less
-// room than the mask's capacity. The returned slice aliases dst's storage, so
-// callers that reuse a scratch buffer must not overwrite it while a previous
-// payload is still being read.
+// ExtractInto gathers x's values at the mask's positions into dst — the
+// payload a SAPS worker sends: values only. It allocates only when dst has
+// less room than the mask's capacity. The returned slice aliases dst's
+// storage, so callers that reuse a scratch buffer must not overwrite it while
+// a previous payload is still being read.
 func ExtractInto(dst, x []float64, mask []int32) []float64 {
 	if cap(dst) < len(mask) {
 		dst = make([]float64, 0, cap(mask))
@@ -92,39 +87,10 @@ func ExtractInto(dst, x []float64, mask []int32) []float64 {
 	return dst
 }
 
-// Scatter writes packed values back into the mask's positions of dst and
-// returns the number of values consumed. It panics if vals is shorter than
-// the mask.
-func Scatter(dst []float64, mask []int32, vals []float64) int {
-	for j, i := range mask {
-		dst[i] = vals[j]
-	}
-	return len(mask)
-}
-
 // SparseVec is an explicit-support sparse vector in a dense space of
 // dimension N.
 type SparseVec struct {
 	N   int
 	Idx []int32
 	Val []float64
-}
-
-// WireBytes returns the exact transmission size of the sparse vector.
-func (s SparseVec) WireBytes() int64 { return SparseBytes(len(s.Idx)) }
-
-// Dense expands the sparse vector to a dense slice.
-func (s SparseVec) Dense() []float64 {
-	out := make([]float64, s.N)
-	for i, idx := range s.Idx {
-		out[idx] = s.Val[i]
-	}
-	return out
-}
-
-// AddTo accumulates scale * s into dst.
-func (s SparseVec) AddTo(dst []float64, scale float64) {
-	for i, idx := range s.Idx {
-		dst[idx] += scale * s.Val[i]
-	}
 }

@@ -10,6 +10,20 @@ import (
 	"sapspsgd/internal/rng"
 )
 
+// topK is TopKInto into a fresh SparseVec.
+func topK(x []float64, k int) SparseVec {
+	var out SparseVec
+	TopKInto(&out, nil, x, k)
+	return out
+}
+
+// randomK is RandomKInto into a fresh SparseVec and bitset.
+func randomK(x []float64, k int, r *rng.Source) SparseVec {
+	var out SparseVec
+	RandomKInto(&out, new([]uint64), x, k, r)
+	return out
+}
+
 func TestMaskAgreementAndDensity(t *testing.T) {
 	const n = 100000
 	a := MaskIndices(nil, 7, 3, n, 100)
@@ -52,14 +66,13 @@ func TestExtractScatterRoundTrip(t *testing.T) {
 				mask = append(mask, int32(i))
 			}
 		}
-		vals := Extract(x, mask)
+		vals := ExtractInto(nil, x, mask)
 		if len(vals) != CountOnes(on) {
 			return false
 		}
 		dst := make([]float64, n)
-		consumed := Scatter(dst, mask, vals)
-		if consumed != len(vals) {
-			return false
+		for j, i := range mask {
+			dst[i] = vals[j]
 		}
 		for i := range x {
 			if on[i] && dst[i] != x[i] {
@@ -86,15 +99,11 @@ func TestWireSizes(t *testing.T) {
 	if SparseBytes(10) != 80 {
 		t.Fatal("SparseBytes")
 	}
-	s := SparseVec{N: 100, Idx: make([]int32, 5), Val: make([]float64, 5)}
-	if s.WireBytes() != 40 {
-		t.Fatal("SparseVec.WireBytes")
-	}
 }
 
 func TestTopKExact(t *testing.T) {
 	x := []float64{0.1, -5, 3, 0, -0.2, 4}
-	s := TopK(x, 3)
+	s := topK(x, 3)
 	if len(s.Idx) != 3 {
 		t.Fatalf("len = %d", len(s.Idx))
 	}
@@ -111,20 +120,20 @@ func TestTopKExact(t *testing.T) {
 }
 
 func TestTopKEdgeCases(t *testing.T) {
-	if s := TopK([]float64{1, 2}, 0); len(s.Idx) != 0 || s.N != 2 {
+	if s := topK([]float64{1, 2}, 0); len(s.Idx) != 0 || s.N != 2 {
 		t.Fatal("k=0")
 	}
-	if s := TopK([]float64{1, 2}, 5); len(s.Idx) != 2 {
+	if s := topK([]float64{1, 2}, 5); len(s.Idx) != 2 {
 		t.Fatal("k>n should clamp")
 	}
-	if s := TopK(nil, 3); s.N != 0 || len(s.Idx) != 0 {
+	if s := topK(nil, 3); s.N != 0 || len(s.Idx) != 0 {
 		t.Fatal("empty input")
 	}
 }
 
 func TestTopKTies(t *testing.T) {
 	x := []float64{1, -1, 1, -1, 1}
-	s := TopK(x, 3)
+	s := topK(x, 3)
 	if len(s.Idx) != 3 {
 		t.Fatalf("ties: got %d entries, want exactly 3", len(s.Idx))
 	}
@@ -139,7 +148,7 @@ func TestTopKMatchesSort(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		s := TopK(x, k)
+		s := topK(x, k)
 		if len(s.Idx) != k {
 			return false
 		}
@@ -187,7 +196,10 @@ func TestErrorFeedbackConservation(t *testing.T) {
 			x[i] = r.NormFloat64()
 		}
 		s := ef.CompressTopK(x, k)
-		dense := s.Dense()
+		dense := make([]float64, n)
+		for j, i := range s.Idx {
+			dense[i] = s.Val[j]
+		}
 		for i := 0; i < n; i++ {
 			sum := dense[i] + ef.Residual()[i]
 			want := x[i] + prevResidual[i]
@@ -211,7 +223,9 @@ func TestErrorFeedbackEventuallySendsEverything(t *testing.T) {
 	sent := make([]float64, n)
 	for round := 0; round < 50; round++ {
 		s := ef.CompressTopK(x, k)
-		s.AddTo(sent, 1)
+		for j, i := range s.Idx {
+			sent[i] += s.Val[j]
+		}
 	}
 	for i := range sent {
 		if sent[i] == 0 {
@@ -229,7 +243,7 @@ func TestRandomKProperties(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		s := RandomK(x, k, r)
+		s := randomK(x, k, r)
 		if len(s.Idx) != k {
 			return false
 		}
@@ -260,7 +274,7 @@ func TestRandomKCoverage(t *testing.T) {
 	x := make([]float64, n)
 	counts := make([]int, n)
 	for trial := 0; trial < 2000; trial++ {
-		s := RandomK(x, k, r)
+		s := randomK(x, k, r)
 		for _, idx := range s.Idx {
 			counts[idx]++
 		}
@@ -268,25 +282,6 @@ func TestRandomKCoverage(t *testing.T) {
 	for i, c := range counts {
 		if c == 0 {
 			t.Fatalf("coordinate %d never sampled", i)
-		}
-	}
-}
-
-func TestSparseVecDenseAddTo(t *testing.T) {
-	s := SparseVec{N: 5, Idx: []int32{1, 3}, Val: []float64{2, -4}}
-	d := s.Dense()
-	want := []float64{0, 2, 0, -4, 0}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Dense = %v", d)
-		}
-	}
-	dst := []float64{1, 1, 1, 1, 1}
-	s.AddTo(dst, 0.5)
-	want2 := []float64{1, 2, 1, -1, 1}
-	for i := range want2 {
-		if dst[i] != want2[i] {
-			t.Fatalf("AddTo = %v", dst)
 		}
 	}
 }
@@ -300,6 +295,6 @@ func BenchmarkTopK1M(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TopK(x, len(x)/1000)
+		topK(x, len(x)/1000)
 	}
 }

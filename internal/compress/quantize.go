@@ -38,37 +38,12 @@ func (q *QSGD) RNGState() rng.State { return q.rnd.State() }
 // SetRNGState restores a position captured by RNGState.
 func (q *QSGD) SetRNGState(st rng.State) { q.rnd.SetState(st) }
 
-// Quantized is a QSGD-encoded vector.
-type Quantized struct {
-	Norm float64
-	// Codes holds signed level indices in [-Levels, +Levels].
-	Codes  []int16
-	Levels int
-}
-
-// Quantize encodes x with stochastic rounding; the expectation of Decode
-// equals x (unbiasedness, verified by the tests).
-func (q *QSGD) Quantize(x []float64) Quantized {
-	out := Quantized{Codes: make([]int16, len(x)), Levels: q.Levels}
-	norm := l2(x)
-	out.Norm = norm
-	if norm == 0 {
-		return out
-	}
-	s := float64(q.Levels)
-	for i, v := range x {
-		out.Codes[i] = int16(q.code(v, norm, s))
-	}
-	return out
-}
-
-// AppendQuantized encodes x directly into the codec wire layout
-// [norm, code...] appended to dst, reusing dst's storage — the zero-copy
-// twin of Quantize for the engine's QSGD codec hot path. It draws the
-// stochastic-rounding RNG in exactly Quantize's order (one draw per
-// coordinate when the norm is nonzero, none otherwise) and produces
-// bit-identical codes, so the two entry points are interchangeable without
-// perturbing a run's trajectory.
+// AppendQuantized encodes x with stochastic rounding into the codec wire
+// layout [norm, code...] in dst, reusing dst's storage. Each code is a signed
+// level index in [-Levels, +Levels], and norm·code/Levels is an unbiased
+// estimate of its coordinate (verified by the tests). It draws the
+// stochastic-rounding RNG once per coordinate when the norm is nonzero and
+// not at all otherwise.
 func (q *QSGD) AppendQuantized(dst []float64, x []float64) []float64 {
 	dst = dst[:0]
 	if cap(dst) < len(x)+1 {
@@ -121,23 +96,6 @@ func l2(x []float64) float64 {
 	}
 	return math.Sqrt(norm)
 }
-
-// Decode reconstructs the (unbiased) estimate of the original vector.
-func (qv Quantized) Decode() []float64 {
-	out := make([]float64, len(qv.Codes))
-	if qv.Norm == 0 {
-		return out
-	}
-	s := float64(qv.Levels)
-	for i, c := range qv.Codes {
-		out[i] = qv.Norm * float64(c) / s
-	}
-	return out
-}
-
-// WireBytes returns the exact encoded size: 4 bytes of norm plus the
-// bit-packed codes.
-func (qv Quantized) WireBytes() int64 { return QuantizedWireBytes(len(qv.Codes), qv.Levels) }
 
 // QuantizedWireBytes is the exact encoded size of n coordinates quantized to
 // 2*levels+1 signed levels: 4 bytes of norm plus bit-packed codes.

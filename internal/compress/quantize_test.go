@@ -8,11 +8,20 @@ import (
 	"sapspsgd/internal/rng"
 )
 
+// decodeQSGD reads AppendQuantized's layout [norm, code...] back as the
+// estimate norm·code/levels of each coordinate.
+func decodeQSGD(words []float64, levels int) []float64 {
+	out := make([]float64, len(words)-1)
+	for i, c := range words[1:] {
+		out[i] = words[0] * c / float64(levels)
+	}
+	return out
+}
+
 func TestQSGDRoundTripShape(t *testing.T) {
 	q := NewQSGD(4, 1)
 	x := []float64{1, -2, 0, 0.5}
-	enc := q.Quantize(x)
-	dec := enc.Decode()
+	dec := decodeQSGD(q.AppendQuantized(nil, x), q.Levels)
 	if len(dec) != len(x) {
 		t.Fatal("length")
 	}
@@ -24,11 +33,11 @@ func TestQSGDRoundTripShape(t *testing.T) {
 
 func TestQSGDZeroVector(t *testing.T) {
 	q := NewQSGD(4, 1)
-	enc := q.Quantize(make([]float64, 8))
-	if enc.Norm != 0 {
+	enc := q.AppendQuantized(nil, make([]float64, 8))
+	if len(enc) != 9 || enc[0] != 0 {
 		t.Fatal("norm")
 	}
-	for _, v := range enc.Decode() {
+	for _, v := range decodeQSGD(enc, q.Levels) {
 		if v != 0 {
 			t.Fatal("zero vector must decode to zero")
 		}
@@ -36,7 +45,7 @@ func TestQSGDZeroVector(t *testing.T) {
 }
 
 func TestQSGDUnbiased(t *testing.T) {
-	// E[Decode(Quantize(x))] == x: average many independent encodings.
+	// E[decode(AppendQuantized(x))] == x: average many independent encodings.
 	q := NewQSGD(2, 7)
 	r := rng.New(3)
 	x := make([]float64, 16)
@@ -45,9 +54,10 @@ func TestQSGDUnbiased(t *testing.T) {
 	}
 	const trials = 20000
 	mean := make([]float64, len(x))
+	var words []float64
 	for tr := 0; tr < trials; tr++ {
-		dec := q.Quantize(x).Decode()
-		for i, v := range dec {
+		words = q.AppendQuantized(words, x)
+		for i, v := range decodeQSGD(words, q.Levels) {
 			mean[i] += v / trials
 		}
 	}
@@ -67,9 +77,8 @@ func TestQSGDCodesWithinRange(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64() * 10
 		}
-		enc := q.Quantize(x)
-		for _, c := range enc.Codes {
-			if int(c) > levels || int(c) < -levels {
+		for _, c := range q.AppendQuantized(nil, x)[1:] {
+			if c != math.Trunc(c) || c > float64(levels) || c < -float64(levels) {
 				return false
 			}
 		}
@@ -82,16 +91,12 @@ func TestQSGDCodesWithinRange(t *testing.T) {
 
 func TestQSGDWireBytes(t *testing.T) {
 	// levels=1 → 3 values → 2 bits/code. 16 codes → 4 bytes + 4 norm = 8.
-	q := NewQSGD(1, 1)
-	enc := q.Quantize(make([]float64, 16))
-	if got := enc.WireBytes(); got != 8 {
-		t.Fatalf("WireBytes = %d, want 8", got)
+	if got := QuantizedWireBytes(16, 1); got != 8 {
+		t.Fatalf("QuantizedWireBytes = %d, want 8", got)
 	}
 	// levels=127 → 255 values → 8 bits/code. 10 codes → 10 bytes + 4.
-	q2 := NewQSGD(127, 1)
-	enc2 := q2.Quantize(make([]float64, 10))
-	if got := enc2.WireBytes(); got != 14 {
-		t.Fatalf("WireBytes = %d, want 14", got)
+	if got := QuantizedWireBytes(10, 127); got != 14 {
+		t.Fatalf("QuantizedWireBytes = %d, want 14", got)
 	}
 }
 
@@ -100,12 +105,7 @@ func TestQSGDCompressionWeakerThanMask(t *testing.T) {
 	// sparsification reaches c=100 and beyond. Dense float32 payload of n
 	// values = 4n bytes; ternary QSGD ≈ n/4 bytes (16×); mask c=100 = 0.04n.
 	const n = 10000
-	q := NewQSGD(1, 1)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-	}
-	qBytes := q.Quantize(x).WireBytes()
+	qBytes := QuantizedWireBytes(n, 1)
 	maskBytes := MaskedBytes(n / 100)
 	if qBytes <= maskBytes {
 		t.Fatalf("QSGD %d bytes unexpectedly below mask-c100 %d bytes", qBytes, maskBytes)

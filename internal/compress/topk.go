@@ -8,23 +8,17 @@ import (
 	"sapspsgd/internal/rng"
 )
 
-// TopK selects the k entries of x with largest absolute value and returns
-// them as a SparseVec in ascending index order: every entry whose magnitude
-// is strictly above the k-th largest, then the lowest-indexed entries tied
-// with it. Magnitudes are ranked by the bit pattern of |v|, which orders
-// exactly like the float magnitude for every value but NaN and ranks a NaN
-// above +Inf, so a vector holding NaNs still yields exactly min(k, len(x))
-// entries, its NaNs first.
-func TopK(x []float64, k int) SparseVec {
-	var out SparseVec
-	TopKInto(&out, nil, x, k)
-	return out
-}
-
-// TopKInto is TopK writing into out and using mags as radix-select scratch
-// space (grown as needed, so a reused scratch slice allocates only once).
-// out's Idx/Val storage is reused across calls; after the first call at a
-// given (n, k) the steady state performs zero heap allocations.
+// TopKInto selects the k entries of x with largest absolute value into out,
+// in ascending index order: every entry whose magnitude is strictly above the
+// k-th largest, then the lowest-indexed entries tied with it. Magnitudes are
+// ranked by the bit pattern of |v|, which orders exactly like the float
+// magnitude for every value but NaN and ranks a NaN above +Inf, so a vector
+// holding NaNs still yields exactly min(k, len(x)) entries, its NaNs first.
+//
+// mags is radix-select scratch space (grown as needed, so a reused scratch
+// slice allocates only once). out's Idx/Val storage is reused across calls;
+// after the first call at a given (n, k) the steady state performs zero heap
+// allocations.
 func TopKInto(out *SparseVec, mags []float64, x []float64, k int) []float64 {
 	n := len(x)
 	if k < 0 {
@@ -179,20 +173,12 @@ func (e *ErrorFeedback) SetResidual(r []float64) {
 	copy(e.residual, r)
 }
 
-// RandomK selects k coordinates uniformly at random (without replacement)
-// using the given RNG and returns them with their values. Unlike the shared-
-// mask scheme, the support is explicit, so the wire cost includes indices.
-func RandomK(x []float64, k int, r *rng.Source) SparseVec {
-	var out SparseVec
-	RandomKInto(&out, new([]uint64), x, k, r)
-	return out
-}
-
-// RandomKInto is RandomK writing into out and reusing *chosen as the
+// RandomKInto selects k coordinates of x uniformly at random (without
+// replacement) using the given RNG and writes them with their values into
+// out, in ascending index order. Unlike the shared-mask scheme, the support
+// is explicit, so the wire cost includes indices. *chosen is the
 // sampling-set bitset (grown and cleared on entry, so a persistent one makes
-// the steady state allocation-free). It draws the RNG in exactly RandomK's
-// order, so the two entry points produce identical supports from the same
-// stream position.
+// the steady state allocation-free).
 func RandomKInto(out *SparseVec, chosen *[]uint64, x []float64, k int, r *rng.Source) {
 	n := len(x)
 	if k > n {

@@ -287,15 +287,15 @@ func TestTopKNaN(t *testing.T) {
 		rest[i] = 0
 	}
 	for _, k := range []int{1, 2, 3, 4, 100, 997, 999, 1000, 1005} {
-		got := TopK(x, k)
+		got := topK(x, k)
 		var want []int32
 		switch {
 		case k <= len(nans):
 			want = nans[:k]
 		case k >= len(x):
-			want = TopK(rest, len(x)).Idx // everything
+			want = topK(rest, len(x)).Idx // everything
 		default: // the NaNs, then the top of the rest, which holds no zero
-			want = slices.Concat(nans, TopK(rest, k-len(nans)).Idx)
+			want = slices.Concat(nans, topK(rest, k-len(nans)).Idx)
 			slices.Sort(want)
 		}
 		if !slices.Equal(got.Idx, want) {
@@ -356,7 +356,7 @@ func FuzzTopKInto(f *testing.F) {
 			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[8*i:]))
 			nanFree = nanFree && !math.IsNaN(x[i])
 		}
-		got := TopK(x, k)
+		got := topK(x, k)
 		if len(got.Idx) != min(k, len(x)) || len(got.Val) != len(got.Idx) || got.N != len(x) {
 			t.Fatalf("k=%d n=%d: %d/%d entries over N=%d", k, len(x), len(got.Idx), len(got.Val), got.N)
 		}

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// labelHistogram counts d's samples per class.
+func labelHistogram(d *Dataset) []int {
+	h := make([]int, d.Classes)
+	for _, s := range d.Samples {
+		h[s.Label]++
+	}
+	return h
+}
+
 func TestSyntheticShapesAndBalance(t *testing.T) {
 	tr, va := ImageTask("mnist-like", 1, 28, 28, 10, 0.35, 1000, 200, 7)
 	if tr.Dim() != 28*28 || tr.Classes != 10 {
@@ -15,7 +24,7 @@ func TestSyntheticShapesAndBalance(t *testing.T) {
 	if tr.Len() != 1000 || va.Len() != 200 {
 		t.Fatalf("sizes %d/%d", tr.Len(), va.Len())
 	}
-	h := LabelHistogram(tr)
+	h := labelHistogram(tr)
 	for k, c := range h {
 		if c < 60 || c > 140 {
 			t.Fatalf("class %d has %d samples, want ~100", k, c)
@@ -122,7 +131,7 @@ func TestPartitionIID(t *testing.T) {
 	}
 	// IID: every shard should contain most classes.
 	for i, s := range shards {
-		h := LabelHistogram(s)
+		h := labelHistogram(s)
 		nonzero := 0
 		for _, c := range h {
 			if c > 0 {
@@ -142,7 +151,7 @@ func TestPartitionByLabelIsSkewed(t *testing.T) {
 	skewed := 0
 	for _, s := range shards {
 		total += s.Len()
-		h := LabelHistogram(s)
+		h := labelHistogram(s)
 		nonzero := 0
 		for _, c := range h {
 			if c > 0 {
@@ -164,9 +173,6 @@ func TestPartitionByLabelIsSkewed(t *testing.T) {
 func TestLoaderCyclesAndShuffles(t *testing.T) {
 	tr, _ := TinyTask(50, 4, 19)
 	l := NewLoader(tr, 16, 1)
-	if l.BatchesPerEpoch() != 3 {
-		t.Fatalf("BatchesPerEpoch = %d", l.BatchesPerEpoch())
-	}
 	seen := 0
 	for i := 0; i < 10; i++ {
 		xs, ys := l.Next()

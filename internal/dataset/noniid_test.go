@@ -46,7 +46,7 @@ func TestPartitionDirichletCoversAndSkews(t *testing.T) {
 	// parent's 1/classes share.
 	maxShare := 0.0
 	for _, s := range shards {
-		h := LabelHistogram(s)
+		h := labelHistogram(s)
 		top := 0
 		for _, c := range h {
 			if c > top {

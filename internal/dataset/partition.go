@@ -338,21 +338,3 @@ func (l *Loader) ReadState(b []byte) error {
 	tensor.DecodeInts(words[:], b) // exactly sized by the check above
 	return l.SetState(LoaderState{RNG: r, Samples: words[0], Pos: words[1], Epochs: words[2]})
 }
-
-// BatchesPerEpoch returns the number of Next calls per full pass.
-func (l *Loader) BatchesPerEpoch() int {
-	b := l.d.Len() / l.batch
-	if b == 0 {
-		return 1
-	}
-	return b
-}
-
-// LabelHistogram counts samples per class — used by the non-IID tests.
-func LabelHistogram(d *Dataset) []int {
-	h := make([]int, d.Classes)
-	for _, s := range d.Samples {
-		h[s.Label]++
-	}
-	return h
-}

@@ -461,8 +461,8 @@ func (q *QSGDCodec) DecodeInto(dst []float64, _ RoundContext, words []float64) (
 	return out, nil
 }
 
-// WireBytes implements Codec: the norm plus bit-packed codes, exactly as
-// compress.Quantized accounts it.
+// WireBytes implements Codec: the norm plus bit-packed codes
+// (compress.QuantizedWireBytes).
 func (q *QSGDCodec) WireBytes(words []float64) int64 {
 	if len(words) < 1 {
 		return 0

@@ -330,7 +330,7 @@ func TestCountingLedgerRestoreRefusesMismatchedState(t *testing.T) {
 	}
 	sized := func() *engine.CountingLedger {
 		l := &engine.CountingLedger{}
-		l.Reserve(4, 8)
+		l.WorkerBytes(3) // tracks ranks 0–3
 		return l
 	}
 	ints := func(v ...int64) []byte { return tensor.AppendIntVector(nil, v) }

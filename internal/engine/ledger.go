@@ -34,19 +34,6 @@ func (l *CountingLedger) grow(i int) {
 	l.recv = append(l.recv, make([]int64, i+1-len(l.recv))...)
 }
 
-// Reserve pre-sizes the per-worker counters for ranks [0, n) and the
-// per-round series for rounds completed rounds, so a benchmark or fleet run
-// of known shape performs no ledger allocations after this call. Reserving
-// is optional and never changes observable totals.
-func (l *CountingLedger) Reserve(n, rounds int) {
-	l.grow(n - 1)
-	if cap(l.roundBytes)-len(l.roundBytes) < rounds {
-		rb := make([]int64, len(l.roundBytes), len(l.roundBytes)+rounds)
-		copy(rb, l.roundBytes)
-		l.roundBytes = rb
-	}
-}
-
 // Exchange implements Ledger.
 func (l *CountingLedger) Exchange(i, j int, sendBytes, recvBytes int64) {
 	l.grow(max(i, j))

@@ -23,9 +23,11 @@
 package fleettrace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,33 +72,36 @@ type evPoint struct {
 	leave bool
 }
 
-// Trace is a parsed, validated trace: per-node bandwidth-multiplier series
-// and membership-event series.
-type Trace struct {
-	// Nodes is 1 + the largest node id the trace references.
-	Nodes int
-	// MaxRound is the largest round any row references.
-	MaxRound int
-	bw       [][]bwPoint
-	events   [][]evPoint
-	nEvents  int
+// nodeSeries is one traced node's bandwidth-multiplier and membership-event
+// series.
+type nodeSeries struct {
+	node   int
+	bw     []bwPoint
+	events []evPoint
 }
 
-// HasEvents reports whether the trace carries any join/leave events.
-func (tr *Trace) HasEvents() bool { return tr.nEvents > 0 }
+// Trace is a parsed, validated trace: the series of every node it names.
+type Trace struct {
+	// MaxNode is the largest node id the trace references.
+	MaxNode int
+	// MaxRound is the largest round any row references.
+	MaxRound    int
+	maxNodeLine int          // the first line naming MaxNode
+	series      []nodeSeries // by ascending node id
+}
 
-// Parse decodes and validates a trace from its CSV bytes.
+// Parse decodes and validates a trace from its CSV bytes. Its storage grows
+// with the rows, never with a node id: NewReplay checks the ids against the
+// fleet.
 func Parse(data []byte) (*Trace, error) {
 	lines := strings.Split(string(data), "\n")
 	sawHeader := false
 	type nodeState struct {
+		nodeSeries
 		lastRound int
 		absent    bool
-		seenRow   bool
 	}
 	states := map[int]*nodeState{}
-	bw := map[int][]bwPoint{}
-	events := map[int][]evPoint{}
 	tr := &Trace{}
 	rows := 0
 	for ln, raw := range lines {
@@ -130,14 +135,12 @@ func Parse(data []byte) (*Trace, error) {
 		}
 		st := states[node]
 		if st == nil {
-			st = &nodeState{}
+			st = &nodeState{nodeSeries: nodeSeries{node: node}}
 			states[node] = st
-		}
-		if st.seenRow && round <= st.lastRound {
+		} else if round <= st.lastRound {
 			return nil, fmt.Errorf("fleettrace: line %d: node %d round %d out of order (previous row was round %d)",
 				ln+1, node, round, st.lastRound)
 		}
-		st.seenRow = true
 		st.lastRound = round
 		if bwField != "" {
 			mult, err := strconv.ParseFloat(bwField, 64)
@@ -147,7 +150,7 @@ func Parse(data []byte) (*Trace, error) {
 			if math.IsNaN(mult) || math.IsInf(mult, 0) || mult <= 0 {
 				return nil, fmt.Errorf("fleettrace: line %d: bw multiplier %v must be positive and finite", ln+1, mult)
 			}
-			bw[node] = append(bw[node], bwPoint{round: round, mult: mult})
+			st.bw = append(st.bw, bwPoint{round: round, mult: mult})
 		}
 		if evField != "" {
 			switch evField {
@@ -164,11 +167,10 @@ func Parse(data []byte) (*Trace, error) {
 			default:
 				return nil, fmt.Errorf("fleettrace: line %d: unknown event %q (want leave or join)", ln+1, evField)
 			}
-			events[node] = append(events[node], evPoint{round: round, leave: evField == "leave"})
-			tr.nEvents++
+			st.events = append(st.events, evPoint{round: round, leave: evField == "leave"})
 		}
-		if node+1 > tr.Nodes {
-			tr.Nodes = node + 1
+		if rows == 0 || node > tr.MaxNode {
+			tr.MaxNode, tr.maxNodeLine = node, ln+1
 		}
 		if round > tr.MaxRound {
 			tr.MaxRound = round
@@ -181,14 +183,10 @@ func Parse(data []byte) (*Trace, error) {
 	if rows == 0 {
 		return nil, fmt.Errorf("fleettrace: trace has a header but no data rows")
 	}
-	tr.bw = make([][]bwPoint, tr.Nodes)
-	tr.events = make([][]evPoint, tr.Nodes)
-	for node, pts := range bw {
-		tr.bw[node] = pts
+	for _, st := range states {
+		tr.series = append(tr.series, st.nodeSeries)
 	}
-	for node, evs := range events {
-		tr.events[node] = evs
-	}
+	slices.SortFunc(tr.series, func(a, b nodeSeries) int { return cmp.Compare(a.node, b.node) })
 	return tr, nil
 }
 
@@ -219,20 +217,20 @@ type Replay struct {
 // references a node outside the fleet or if its events ever leave fewer than
 // two nodes active (SAPS needs a pair to gossip).
 func NewReplay(tr *Trace, n int, interp Interp) (*Replay, error) {
-	if tr.Nodes > n {
-		return nil, fmt.Errorf("fleettrace: trace references node %d but the fleet has only %d nodes", tr.Nodes-1, n)
+	if tr.MaxNode >= n {
+		return nil, fmt.Errorf("fleettrace: line %d: trace references node %d but the fleet has only %d nodes", tr.maxNodeLine, tr.MaxNode, n)
 	}
 	// Membership only changes at event rounds: walk them in (round, node)
 	// order and check the active count after each round's batch.
 	type change struct{ round, node, delta int }
 	var changes []change
-	for node, evs := range tr.events {
-		for _, e := range evs {
+	for _, s := range tr.series {
+		for _, e := range s.events {
 			d := 1
 			if e.leave {
 				d = -1
 			}
-			changes = append(changes, change{round: e.round, node: node, delta: d})
+			changes = append(changes, change{round: e.round, node: s.node, delta: d})
 		}
 	}
 	sort.Slice(changes, func(a, b int) bool {
@@ -257,9 +255,6 @@ func NewReplay(tr *Trace, n int, interp Interp) (*Replay, error) {
 // N returns the fleet size the replay covers.
 func (rp *Replay) N() int { return rp.n }
 
-// HasEvents reports whether the underlying trace carries membership events.
-func (rp *Replay) HasEvents() bool { return rp.trace.HasEvents() }
-
 // Multipliers writes the fleet's per-node bandwidth multipliers at round t
 // into dst (reallocated unless it has length N) and returns it.
 func (rp *Replay) Multipliers(t int, dst []float64) []float64 {
@@ -269,9 +264,9 @@ func (rp *Replay) Multipliers(t int, dst []float64) []float64 {
 	for i := range dst {
 		dst[i] = 1
 	}
-	for node, pts := range rp.trace.bw {
-		if len(pts) > 0 {
-			dst[node] = sampleAt(pts, t, rp.interp)
+	for _, s := range rp.trace.series {
+		if len(s.bw) > 0 {
+			dst[s.node] = sampleAt(s.bw, t, rp.interp)
 		}
 	}
 	return dst
@@ -287,11 +282,12 @@ func (rp *Replay) Active(t int, dst []bool) []bool {
 	for i := range dst {
 		dst[i] = true
 	}
-	for node, evs := range rp.trace.events {
+	for _, s := range rp.trace.series {
 		// Last event with round <= t decides; none means the initial state.
+		evs := s.events
 		k := sort.Search(len(evs), func(i int) bool { return evs[i].round > t })
 		if k > 0 {
-			dst[node] = !evs[k-1].leave
+			dst[s.node] = !evs[k-1].leave
 		}
 	}
 	return dst

@@ -31,14 +31,31 @@ func mustParse(t *testing.T, data string) *Trace {
 
 func TestParseSample(t *testing.T) {
 	tr := mustParse(t, sample)
-	if tr.Nodes != 3 {
-		t.Fatalf("Nodes = %d, want 3", tr.Nodes)
+	if tr.MaxNode != 2 {
+		t.Fatalf("MaxNode = %d, want 2", tr.MaxNode)
 	}
 	if tr.MaxRound != 8 {
 		t.Fatalf("MaxRound = %d, want 8", tr.MaxRound)
 	}
-	if !tr.HasEvents() {
-		t.Fatal("HasEvents = false, want true")
+	events := 0
+	for _, s := range tr.series {
+		events += len(s.events)
+	}
+	if len(tr.series) != 3 || events != 4 {
+		t.Fatalf("%d node series holding %d events, want 3 holding 4", len(tr.series), events)
+	}
+}
+
+// TestNodeOutsideFleet: a node id is checked against the fleet, and the
+// error names its line; the largest id a row can spell neither overflows
+// nor sizes anything in Parse.
+func TestNodeOutsideFleet(t *testing.T) {
+	for _, id := range []string{"9223372036854775807", "1099511627776"} {
+		tr := mustParse(t, "round,node,bw,event\n0,1,0.5,\n0,"+id+",1.5,\n1,3,,leave\n")
+		_, err := NewReplay(tr, 4, InterpHold)
+		if err == nil || !strings.Contains(err.Error(), "line 3: trace references node "+id) {
+			t.Fatalf("node %s in a 4-node fleet: err = %v", id, err)
+		}
 	}
 }
 
@@ -207,7 +224,7 @@ func TestParseRejects(t *testing.T) {
 
 // FuzzParse hammers the parser with mutated inputs: any outcome is fine as
 // long as it never panics, and accepted traces must satisfy the invariants
-// Replay relies on (consistent Nodes/MaxRound, queryable at any round).
+// Replay relies on (consistent MaxNode/MaxRound, queryable at any round).
 func FuzzParse(f *testing.F) {
 	f.Add([]byte(sample))
 	f.Add([]byte("round,node,bw,event\n0,0,1.0,\n"))
@@ -216,15 +233,24 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("round,node,bw,event\n5,0,1.0,\n3,0,0.5,\n"))
 	f.Add([]byte("round,node,bw,event\n0,0,1e308,\n1,0,1e-308,\n"))
 	f.Add([]byte(""))
+	f.Add([]byte("round,node,bw,event\n0,9223372036854775807,1.5,\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Parse(data)
 		if err != nil {
 			return
 		}
-		if tr.Nodes < 1 || tr.MaxRound < 0 {
-			t.Fatalf("accepted trace with Nodes=%d MaxRound=%d", tr.Nodes, tr.MaxRound)
+		if tr.MaxNode < 0 || tr.MaxRound < 0 {
+			t.Fatalf("accepted trace with MaxNode=%d MaxRound=%d", tr.MaxNode, tr.MaxRound)
 		}
-		rp, err := NewReplay(tr, tr.Nodes, InterpLinear)
+		// A fleet just large enough, unless the ids are too large to run.
+		n := min(tr.MaxNode, 1<<12) + 1
+		rp, err := NewReplay(tr, n, InterpLinear)
+		if tr.MaxNode >= n {
+			if err == nil {
+				t.Fatalf("node %d accepted into a fleet of %d", tr.MaxNode, n)
+			}
+			return
+		}
 		if err != nil {
 			return // valid trace, but its events dip below the active floor
 		}

@@ -13,7 +13,6 @@ import (
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/tensor"
 )
 
 // Config carries the two knobs of Algorithm 3.
@@ -29,19 +28,13 @@ type Config struct {
 	TThres int
 }
 
-// Round is the output of one gossip-matrix generation: the peer matching,
-// with the doubly stochastic matrix W_t available on demand via W.
+// Round is the output of one gossip-matrix generation: the peer matching.
 type Round struct {
 	Match graph.Matching
 	// Forced reports whether this round had to inject connectivity-restoring
 	// edges (the RC graph had gone stale/disconnected).
 	Forced bool
 }
-
-// W materializes the round's doubly stochastic gossip matrix. The matrix is
-// dense N×N — small-N diagnostics and spectral tests only; the training path
-// applies Match directly and never builds it.
-func (r Round) W() *tensor.Matrix { return MatchingW(r.Match) }
 
 // edgeKey packs an unordered vertex pair into one map key (smaller vertex in
 // the high half, so unpacking recovers u < v).
@@ -412,35 +405,6 @@ func (g *Generator) maxMatch(edges []graph.WeightedEdge, rnd *rng.Source, live i
 		g.pm.AugmentSecondsTotal.Add(time.Since(t1).Seconds())
 	}
 	return match, free
-}
-
-// LastUsed exposes R[i][j] (for tests and diagnostics). Unlike the dense
-// reference, entries that fell out of the TThres recency window read as -1:
-// an expired timestamp and a never-used edge are indistinguishable, which is
-// exactly the distinction Algorithm 3 never needs.
-func (g *Generator) LastUsed(i, j int) int {
-	if last, ok := g.lastUsed[edgeKey(i, j)]; ok {
-		return last
-	}
-	return -1
-}
-
-// MatchingW converts a matching into the doubly stochastic gossip matrix of
-// Algorithm 3's GenerateW: matched pairs average (W_ii = W_jj = W_ij = W_ji
-// = 1/2); unmatched workers keep their model (W_ii = 1).
-func MatchingW(m graph.Matching) *tensor.Matrix {
-	n := len(m)
-	w := tensor.NewMatrix(n, n)
-	for v, p := range m {
-		switch {
-		case p == -1:
-			w.Set(v, v, 1)
-		default:
-			w.Set(v, v, 0.5)
-			w.Set(v, p, 0.5)
-		}
-	}
-	return w
 }
 
 // RandomMatching returns a uniformly random maximum matching of the complete

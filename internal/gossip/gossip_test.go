@@ -15,6 +15,28 @@ func uniformEnv(n int, seed uint64) *netsim.Bandwidth {
 	return netsim.RandomUniform(n, 0, 5, rng.New(seed))
 }
 
+// W materializes the round's doubly stochastic gossip matrix, dense N×N; the
+// training path applies Match directly and never builds it.
+func (r Round) W() *tensor.Matrix { return MatchingW(r.Match) }
+
+// MatchingW converts a matching into the doubly stochastic gossip matrix of
+// Algorithm 3's GenerateW: matched pairs average (W_ii = W_jj = W_ij = W_ji
+// = 1/2); unmatched workers keep their model (W_ii = 1).
+func MatchingW(m graph.Matching) *tensor.Matrix {
+	n := len(m)
+	w := tensor.NewMatrix(n, n)
+	for v, p := range m {
+		switch {
+		case p == -1:
+			w.Set(v, v, 1)
+		default:
+			w.Set(v, v, 0.5)
+			w.Set(v, p, 0.5)
+		}
+	}
+	return w
+}
+
 func TestMatchingWDoublyStochastic(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)

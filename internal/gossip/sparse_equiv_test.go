@@ -175,6 +175,17 @@ func TestGeneratorRejectsDecreasingRounds(t *testing.T) {
 	g.Next(4)
 }
 
+// LastUsed exposes R[i][j] to the tests. Unlike the dense reference, entries
+// that fell out of the TThres recency window read as -1: an expired timestamp
+// and a never-used edge are indistinguishable, which is exactly the
+// distinction Algorithm 3 never needs.
+func (g *Generator) LastUsed(i, j int) int {
+	if last, ok := g.lastUsed[edgeKey(i, j)]; ok {
+		return last
+	}
+	return -1
+}
+
 // TestGeneratorLastUsedWindow pins the sparse LastUsed semantics: stamps are
 // visible inside the TThres window and read -1 once evicted.
 func TestGeneratorLastUsedWindow(t *testing.T) {

@@ -301,21 +301,16 @@ func (s *blossomSolver) augment(v int) {
 	}
 }
 
-// MaximumMatching computes a maximum cardinality matching of g using Edmonds'
-// blossom algorithm. If rnd is non-nil, the vertex processing order and the
-// neighbor iteration order are randomized — this is the paper's
-// RandomlyMaxMatch ("by randomly starting from different node in a graph").
-// The result is deterministic for a given rnd state.
-func MaximumMatching(g *Graph, rnd *rng.Source) Matching {
-	return AugmentToMaximum(g, nil, rnd)
-}
-
 // AugmentToMaximum grows an initial matching (nil means empty) to a maximum
-// cardinality matching; vertices matched in the initial matching remain
-// matched (augmenting paths only flip partners, never expose a vertex). This
-// is how the bandwidth-greedy seed matching is completed to a perfect-as-
-// possible matching without sacrificing its high-bandwidth pairs. The result
-// is a fresh slice; initial is not modified.
+// cardinality matching of g with Edmonds' blossom algorithm; vertices matched
+// in the initial matching remain matched (augmenting paths only flip
+// partners, never expose a vertex). This is how the bandwidth-greedy seed
+// matching is completed to a perfect-as-possible matching without
+// sacrificing its high-bandwidth pairs. If rnd is non-nil, the vertex
+// processing order and the neighbor iteration order are randomized — from an
+// empty matching this is the paper's RandomlyMaxMatch ("by randomly starting
+// from different node in a graph"). The result is deterministic for a given
+// rnd state, a fresh slice; initial is not modified.
 func AugmentToMaximum(g *Graph, initial Matching, rnd *rng.Source) Matching {
 	return new(Matcher).AugmentToMaximum(g, initial, rnd)
 }

@@ -120,19 +120,6 @@ func (g *Graph) EdgeCount() int {
 	return total / 2
 }
 
-// Edges returns all undirected edges (u < v).
-func (g *Graph) Edges() [][2]int {
-	out := make([][2]int, 0, g.EdgeCount())
-	for u, a := range g.adj {
-		for _, v := range a {
-			if u < v {
-				out = append(out, [2]int{u, v})
-			}
-		}
-	}
-	return out
-}
-
 // IsConnected reports whether the graph is connected (vacuously true for
 // n <= 1). This is the IfConnected check of Algorithm 3 applied to the
 // recently-connected edge set.

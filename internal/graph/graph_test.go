@@ -103,7 +103,7 @@ func TestMaximumMatchingRing(t *testing.T) {
 	}
 	for _, tc := range tests {
 		g := ring(tc.n)
-		m := MaximumMatching(g, nil)
+		m := AugmentToMaximum(g, nil, nil)
 		if !m.Valid(tc.n) {
 			t.Fatalf("n=%d: invalid matching %v", tc.n, m)
 		}
@@ -128,7 +128,7 @@ func TestMaximumMatchingPetersen(t *testing.T) {
 	for _, e := range append(append(outer, inner...), spokes...) {
 		g.AddEdge(e[0], e[1])
 	}
-	m := MaximumMatching(g, nil)
+	m := AugmentToMaximum(g, nil, nil)
 	if !m.Valid(10) || m.Size() != 5 {
 		t.Fatalf("Petersen matching size %d, want 5 (%v)", m.Size(), m)
 	}
@@ -140,7 +140,7 @@ func TestMaximumMatchingOddBlossoms(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}} {
 		g.AddEdge(e[0], e[1])
 	}
-	m := MaximumMatching(g, nil)
+	m := AugmentToMaximum(g, nil, nil)
 	if m.Size() != 3 {
 		t.Fatalf("matching size %d, want 3", m.Size())
 	}
@@ -152,10 +152,23 @@ func TestMaximumMatchingStar(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		g.AddEdge(0, i)
 	}
-	m := MaximumMatching(g, nil)
+	m := AugmentToMaximum(g, nil, nil)
 	if m.Size() != 1 {
 		t.Fatalf("star matching size %d, want 1", m.Size())
 	}
+}
+
+// Edges returns all undirected edges (u < v).
+func (g *Graph) Edges() [][2]int {
+	out := make([][2]int, 0, g.EdgeCount())
+	for u, a := range g.adj {
+		for _, v := range a {
+			if u < v {
+				out = append(out, [2]int{u, v})
+			}
+		}
+	}
+	return out
 }
 
 // bruteForceMaxMatching enumerates all matchings on small graphs.
@@ -191,7 +204,7 @@ func TestMaximumMatchingAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		m := MaximumMatching(g, r)
+		m := AugmentToMaximum(g, nil, r)
 		if !m.Valid(n) {
 			return false
 		}
@@ -251,9 +264,6 @@ func TestGreedyWeightedMatchingPrefersHeavyEdge(t *testing.T) {
 	if m[0] != 1 || m[1] != 0 || m[2] != -1 {
 		t.Fatalf("greedy matching = %v", m)
 	}
-	if w := MatchingWeight(m, func(u, v int) float64 { return 10 }); w != 10 {
-		t.Fatalf("MatchingWeight = %v", w)
-	}
 }
 
 func TestBandwidthAwareMaximumMatchingIsMaximumAndHeavy(t *testing.T) {
@@ -293,30 +303,13 @@ func TestBandwidthAwareChoosesHeavyWhenFree(t *testing.T) {
 	}
 }
 
-func TestMinMatchedWeight(t *testing.T) {
-	m := Matching{1, 0, 3, 2}
-	w := func(u, v int) float64 {
-		if u == 0 {
-			return 5
-		}
-		return 2
-	}
-	if got := MinMatchedWeight(m, w); got != 2 {
-		t.Fatalf("MinMatchedWeight = %v, want 2", got)
-	}
-	empty := Matching{-1, -1}
-	if got := MinMatchedWeight(empty, w); got != 0 {
-		t.Fatalf("MinMatchedWeight(empty) = %v, want 0", got)
-	}
-}
-
 func TestRandomizedMatchingVariesAcrossSeeds(t *testing.T) {
 	// On a complete graph many maximum matchings exist; RandomlyMaxMatch
 	// should not always return the same one.
 	g := complete(8)
 	seen := map[string]bool{}
 	for seed := uint64(0); seed < 20; seed++ {
-		m := MaximumMatching(g, rng.New(seed))
+		m := AugmentToMaximum(g, nil, rng.New(seed))
 		if m.Size() != 4 {
 			t.Fatalf("complete(8) matching size %d", m.Size())
 		}
@@ -337,7 +330,7 @@ func BenchmarkBlossomN32Dense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaximumMatching(g, r)
+		AugmentToMaximum(g, nil, r)
 	}
 }
 
@@ -354,6 +347,6 @@ func BenchmarkBlossomN64Sparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaximumMatching(g, r)
+		AugmentToMaximum(g, nil, r)
 	}
 }

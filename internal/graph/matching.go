@@ -66,32 +66,3 @@ func BandwidthAwareMaximumMatching(n int, edges []WeightedEdge, rnd *rng.Source)
 	m.Augment(match, rnd)
 	return match
 }
-
-// MatchingWeight sums the weights of matched pairs under the weight lookup.
-func MatchingWeight(m Matching, weight func(u, v int) float64) float64 {
-	total := 0.0
-	for v, p := range m {
-		if p > v {
-			total += weight(v, p)
-		}
-	}
-	return total
-}
-
-// MinMatchedWeight returns the minimum edge weight used by the matching, or 0
-// if the matching is empty. The slowest matched link bounds the round time in
-// synchronous gossip.
-func MinMatchedWeight(m Matching, weight func(u, v int) float64) float64 {
-	first := true
-	minW := 0.0
-	for v, p := range m {
-		if p > v {
-			w := weight(v, p)
-			if first || w < minW {
-				minW = w
-				first = false
-			}
-		}
-	}
-	return minW
-}

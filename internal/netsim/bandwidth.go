@@ -56,9 +56,6 @@ func complete(n int, speed func(i, j int) float64) *Bandwidth {
 	return NewSparseBandwidth(n, edges)
 }
 
-// Links returns the number of undirected links (all have positive bandwidth).
-func (b *Bandwidth) Links() int { return len(b.nbr) / 2 }
-
 // lowerBound returns the first slot of row i whose neighbour is at least j.
 func (b *Bandwidth) lowerBound(i, j int) int {
 	lo, hi := b.off[i], b.off[i+1]
@@ -94,36 +91,6 @@ func (b *Bandwidth) ForEachEdge(thresh float64, fn func(u, v int, w float64)) {
 			}
 		}
 	}
-}
-
-// Filter returns the thresholded adjacency B* of Algorithm 1 (lines 9–12):
-// an edge exists iff the link bandwidth is positive and at least thresh MB/s.
-func (b *Bandwidth) Filter(thresh float64) [][]bool { return b.FilterInto(nil, thresh) }
-
-// FilterInto is Filter reusing dst's rows when their capacity suffices,
-// so steady-state callers allocate nothing. The output is N×N: do not call
-// it for very large environments.
-func (b *Bandwidth) FilterInto(dst [][]bool, thresh float64) [][]bool {
-	if cap(dst) >= b.N {
-		dst = dst[:b.N]
-	} else {
-		dst = make([][]bool, b.N)
-	}
-	for i := range dst {
-		if cap(dst[i]) >= b.N {
-			dst[i] = dst[i][:b.N]
-			for j := range dst[i] {
-				dst[i][j] = false
-			}
-		} else {
-			dst[i] = make([]bool, b.N)
-		}
-	}
-	b.ForEachEdge(thresh, func(u, v int, _ float64) {
-		dst[u][v] = true
-		dst[v][u] = true
-	})
-	return dst
 }
 
 // Edges returns all links with bandwidth at least thresh as weighted edges

@@ -97,9 +97,6 @@ func (l *Ledger) EndRound() float64 {
 	return maxT
 }
 
-// Rounds returns the number of completed rounds.
-func (l *Ledger) Rounds() int { return l.rounds }
-
 // TotalTime returns the cumulative simulated communication time in seconds.
 func (l *Ledger) TotalTime() float64 { return l.totalTime }
 

@@ -613,7 +613,7 @@ func TestClone(t *testing.T) {
 	traced := minimal()
 	traced.Algo, traced.Compression = "saps", 10
 	traced.Trace = &TraceSpec{File: "traces/edge.csv", Events: true}
-	traced.SetDir("testdata")
+	traced.dir = "testdata"
 	tclone := traced.Clone()
 	tclone.Trace.Events = false
 	tclone.Trace.File = "other.csv"

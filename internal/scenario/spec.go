@@ -125,8 +125,8 @@ type Spec struct {
 
 	// dir is the directory the spec was loaded from; trace files resolve
 	// against it, so a spec's relative paths stay machine-independent (and
-	// the canonical form never embeds an absolute path). Set by Load or
-	// SetDir; empty means the current working directory.
+	// the canonical form never embeds an absolute path). Set by Load; empty
+	// means the current working directory.
 	dir string
 	// file is the path Load read the spec from ("" for a parsed one).
 	file string
@@ -135,10 +135,6 @@ type Spec struct {
 // File returns the path the spec was loaded from ("" when it was parsed from
 // bytes) — what an error about one of a directory's specs names.
 func (s *Spec) File() string { return s.file }
-
-// SetDir sets the directory the spec's relative file references (the trace
-// block) resolve against — what Load does automatically.
-func (s *Spec) SetDir(dir string) { s.dir = dir }
 
 // TracePath resolves the trace block's file against the spec's directory.
 // It returns "" when the spec has no trace block.

@@ -142,7 +142,7 @@ func TestTraceFileErrors(t *testing.T) {
 }
 
 // TestSpecDirResolution: Load resolves the trace file against the spec's
-// directory, and SetDir rebinds it (what the campaign layer does for cells).
+// directory, and against whatever directory the spec is bound to.
 func TestSpecDirResolution(t *testing.T) {
 	spec, err := Load(filepath.Join("testdata", "saps-trace-noniid.json"))
 	if err != nil {
@@ -151,9 +151,9 @@ func TestSpecDirResolution(t *testing.T) {
 	if got, want := spec.TracePath(), filepath.Join("testdata", "traces", "edge.csv"); got != want {
 		t.Fatalf("TracePath = %q, want %q", got, want)
 	}
-	spec.SetDir("elsewhere")
+	spec.dir = "elsewhere"
 	if got, want := spec.TracePath(), filepath.Join("elsewhere", "traces", "edge.csv"); got != want {
-		t.Fatalf("after SetDir, TracePath = %q, want %q", got, want)
+		t.Fatalf("rebound, TracePath = %q, want %q", got, want)
 	}
 	if minimalSpec := minimal(); minimalSpec.TracePath() != "" {
 		t.Fatal("TracePath without a trace block")

@@ -3,13 +3,19 @@
 package sapspsgd_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
 	"go/build/constraint"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -981,3 +987,413 @@ func TestPanicSitesPinned(t *testing.T) {
 		t.Error("no panic call found: the guard would check nothing")
 	}
 }
+
+// reachSets are the file sets a product function may be reached under: the
+// default amd64 build, the pure-Go kernels, and a non-amd64 machine.
+var reachSets = []struct {
+	goarch string
+	tags   []string
+}{
+	{"amd64", nil},
+	{"amd64", []string{"purego"}},
+	{"arm64", nil},
+}
+
+// TestNoUnreachedProductCode: product code is what a binary runs. Every
+// function declared outside the _test.go files of cmd/ and internal/ must be
+// reached from a command's main, from the benchmark's sources, or from a
+// _test.go file in another package (code that such a test calls cannot move
+// into a test file). References are resolved by go/types object, so two
+// functions that share a name are told apart. A call through an interface
+// reaches the methods of that name and signature on every type that reached
+// code mentions, as does a method of a standard-library interface. Code
+// only its own package's tests call goes, or moves into those tests.
+func TestNoUnreachedProductCode(t *testing.T) {
+	mod := loadModule(t)
+	declared := map[string]string{} // FullName → position
+	reached := map[string]bool{}
+	for _, set := range reachSets {
+		r := mod.check(t, set.goarch, set.tags)
+		for name, pos := range r.declared {
+			declared[name] = pos
+		}
+		for name := range r.reach() {
+			reached[name] = true
+		}
+	}
+	var dead []string
+	for name, pos := range declared {
+		if !reached[name] {
+			dead = append(dead, pos+": "+name)
+		}
+	}
+	slices.Sort(dead)
+	for _, d := range dead {
+		t.Errorf("%s is reached by no command, no benchmark source and no other package's test: delete it, or move it into the _test.go files that call it", d)
+	}
+	if len(declared) == 0 || len(reached) == 0 {
+		t.Error("no product function declared or reached: the guard would check nothing")
+	}
+}
+
+// goModule is every Go file of the module and of benchmark/, parsed once.
+type goModule struct {
+	fset  *token.FileSet
+	files map[string]*ast.File // file name → syntax
+	std   types.Importer       // the standard library, from export data
+}
+
+func loadModule(t *testing.T) *goModule {
+	t.Helper()
+	m := &goModule{fset: token.NewFileSet(), files: map[string]*ast.File{}}
+	std := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(m.fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		m.files[path] = f
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); !strings.HasPrefix(p, "sapspsgd") && p != "unsafe" {
+				std[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One go list call finds the standard library's export data in the build
+	// cache; type-checking it from source would take seconds.
+	args := append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, slices.Sorted(maps.Keys(std))...)
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			export[path] = file
+		}
+	}
+	m.std = importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	return m
+}
+
+// importPathOf names the package in dir: benchmark/ is its own module,
+// sapspsgd/benchmark, which the replace directive points at this one.
+func importPathOf(dir string) string {
+	if dir == "." {
+		return "sapspsgd"
+	}
+	return "sapspsgd/" + filepath.ToSlash(dir)
+}
+
+// reachCheck is the module type-checked under one file set.
+type reachCheck struct {
+	declared map[string]string        // product function → position
+	bodies   map[string]ast.Node      // product function → declaration
+	roots    []ast.Node               // what a binary or a test starts from
+	info     map[ast.Node]*types.Info // root or body → the check that resolved it
+	skip     map[ast.Node]string      // test root → the package whose own objects it may not reach
+	called   []*types.Func            // interface methods called: the standard library's, then reached code's
+}
+
+// check type-checks every package under one file set: product packages as a
+// binary links them, and each directory's tests as go test builds them.
+func (m *goModule) check(t *testing.T, goarch string, tags []string) *reachCheck {
+	t.Helper()
+	ctx := build.Default
+	ctx.GOOS, ctx.GOARCH, ctx.BuildTags = "linux", goarch, tags
+	r := &reachCheck{declared: map[string]string{}, bodies: map[string]ast.Node{}, info: map[ast.Node]*types.Info{},
+		skip: map[ast.Node]string{}}
+	files := map[string][3][]*ast.File{} // import path → product, in-package test, external test files
+	for name, f := range m.files {
+		dir, base := filepath.Split(name)
+		if ok, err := ctx.MatchFile(filepath.Clean(dir+"."), base); err != nil || !ok {
+			if err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		path := importPathOf(filepath.Clean(dir + "."))
+		set := files[path]
+		switch {
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			set[2] = append(set[2], f)
+		case strings.HasSuffix(name, "_test.go"):
+			set[1] = append(set[1], f)
+		default:
+			set[0] = append(set[0], f)
+		}
+		files[path] = set
+	}
+	var typeErrs []string
+	conf := func(imp types.Importer) *types.Config {
+		return &types.Config{Importer: imp, Error: func(err error) { typeErrs = append(typeErrs, err.Error()) }}
+	}
+	newInfo := func() *types.Info {
+		return &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	}
+	product := newInfo()
+	pkgs := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg, ok := pkgs[path]; ok {
+			return pkg, nil
+		}
+		if _, ok := files[path]; !ok {
+			return m.std.Import(path)
+		}
+		pkg, _ := conf(imp).Check(path, m.fset, files[path][0], product)
+		pkgs[path] = pkg
+		return pkg, nil
+	}
+	for _, path := range slices.Sorted(maps.Keys(files)) {
+		if len(files[path][0]) > 0 {
+			imp.Import(path)
+		}
+	}
+	for path, pkg := range pkgs {
+		for _, f := range files[path][0] {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					fn := product.Defs[d.Name].(*types.Func)
+					r.info[d] = product
+					if d.Body != nil && !strings.HasPrefix(path, "sapspsgd/benchmark") {
+						r.declared[fn.FullName()] = m.fset.Position(d.Pos()).String()
+					}
+					r.bodies[fn.FullName()] = d
+					if pkg.Name() == "main" && (d.Name.Name == "main" || path == "sapspsgd/benchmark") || d.Name.Name == "init" && d.Recv == nil {
+						r.roots = append(r.roots, d)
+					}
+				case *ast.GenDecl:
+					r.info[d] = product
+					if d.Tok == token.VAR {
+						r.roots = append(r.roots, d) // package initialization runs wherever the package is linked
+					}
+				}
+			}
+		}
+	}
+	// Each directory's tests, as go test builds them: the package with its
+	// in-package test files, and the external test package, which imports
+	// that and every package on its way there rebuilt against it.
+	for path, set := range files {
+		if len(set[1])+len(set[2]) == 0 {
+			continue
+		}
+		test := newInfo()
+		variants := map[string]*types.Package{}
+		if len(set[1]) > 0 {
+			variants[path], _ = conf(imp).Check(path, m.fset, append(slices.Clone(set[0]), set[1]...), test)
+		}
+		var testImp importerFunc
+		testImp = func(p string) (*types.Package, error) {
+			if pkg, ok := variants[p]; ok {
+				return pkg, nil
+			}
+			if plain := pkgs[p]; len(variants) == 0 || plain == nil || !importsPath(plain, path) {
+				return imp.Import(p)
+			}
+			pkg, _ := conf(testImp).Check(p, m.fset, files[p][0], newInfo())
+			variants[p] = pkg
+			return pkg, nil
+		}
+		if len(set[2]) > 0 {
+			conf(testImp).Check(path+"_test", m.fset, set[2], test)
+		}
+		for _, f := range append(slices.Clone(set[1]), set[2]...) {
+			r.roots = append(r.roots, f)
+			r.info[f] = test
+			r.skip[f] = path
+		}
+	}
+	if len(typeErrs) > 0 {
+		t.Fatalf("GOARCH=%s tags %v: %d type errors, first: %s", goarch, tags, len(typeErrs), typeErrs[0])
+	}
+	// A standard-library interface is called by standard-library code.
+	for _, pkg := range m.stdPackages(pkgs) {
+		for _, name := range pkg.Scope().Names() {
+			if obj := pkg.Scope().Lookup(name); obj.Exported() {
+				if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
+					for i := range iface.NumMethods() {
+						r.called = append(r.called, iface.Method(i))
+					}
+				}
+			}
+		}
+	}
+	// The errors package calls these through interfaces it does not export.
+	for _, src := range []string{"error", "interface{ Unwrap() error }", "interface{ Unwrap() []error }", "interface{ Is(error) bool }", "interface{ As(any) bool }"} {
+		tv, err := types.Eval(m.fset, nil, token.NoPos, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.called = append(r.called, tv.Type.Underlying().(*types.Interface).Method(0))
+	}
+	return r
+}
+
+// importsPath reports whether the module package pkg imports path, directly
+// or through other module packages.
+func importsPath(pkg *types.Package, path string) bool {
+	for _, q := range pkg.Imports() {
+		if q.Path() == path || strings.HasPrefix(q.Path(), "sapspsgd") && importsPath(q, path) {
+			return true
+		}
+	}
+	return false
+}
+
+// stdPackages is every standard-library package the module's packages import,
+// directly or not.
+func (m *goModule) stdPackages(pkgs map[string]*types.Package) []*types.Package {
+	seen := map[*types.Package]bool{}
+	var out []*types.Package
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if p == nil || seen[p] {
+			return
+		}
+		seen[p] = true
+		if !strings.HasPrefix(p.Path(), "sapspsgd") {
+			out = append(out, p)
+		}
+		for _, q := range p.Imports() {
+			visit(q)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p)
+	}
+	return out
+}
+
+// reach walks the product functions from the roots and returns the reached ones.
+func (r *reachCheck) reach() map[string]bool {
+	reached := map[string]bool{}
+	live := map[*types.Named]bool{}
+	var work []ast.Node
+	mark := func(name string) {
+		if !reached[name] {
+			reached[name] = true
+			if body, ok := r.bodies[name]; ok {
+				work = append(work, body)
+			}
+		}
+	}
+	// A live type is one reached code mentions; its methods, and those it
+	// promotes from embedded fields, are what an interface call can reach.
+	var markLive func(t types.Type)
+	markLive = func(t types.Type) {
+		named := namedOf(t)
+		if named == nil || named.Obj().Pkg() == nil || !strings.HasPrefix(named.Obj().Pkg().Path(), "sapspsgd") || live[named.Origin()] {
+			return
+		}
+		live[named.Origin()] = true
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if st.Field(i).Embedded() {
+					markLive(st.Field(i).Type())
+				}
+			}
+		}
+	}
+	walk := func(n ast.Node, info *types.Info, skip string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok && skip == "" {
+				if tv, ok := info.Types[e]; ok && tv.Type != nil {
+					markLive(tv.Type)
+				}
+			}
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, ok := info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), "sapspsgd") || fn.Pkg().Path() == skip {
+				return true
+			}
+			fn = fn.Origin()
+			if sig := fn.Type().(*types.Signature); sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+				if skip == "" {
+					r.called = append(r.called, fn)
+				}
+				return true
+			}
+			mark(fn.FullName())
+			return true
+		})
+	}
+	for _, root := range r.roots {
+		if fd, ok := root.(*ast.FuncDecl); ok {
+			reached[r.info[fd].Defs[fd.Name].(*types.Func).FullName()] = true
+		}
+		walk(root, r.info[root], r.skip[root])
+	}
+	for {
+		for len(work) > 0 {
+			n := work[len(work)-1]
+			work = work[:len(work)-1]
+			walk(n, r.info[n], "")
+		}
+		// Dynamic dispatch: a live type's method that an interface call names.
+		before := len(reached)
+		for named := range live {
+			for i := range named.NumMethods() {
+				m := named.Method(i)
+				if reached[m.FullName()] {
+					continue
+				}
+				for _, c := range r.called {
+					if c.Name() == m.Name() && types.Identical(c.Type(), m.Type()) {
+						mark(m.FullName())
+						break
+					}
+				}
+			}
+		}
+		if len(reached) == before && len(work) == 0 {
+			return reached
+		}
+	}
+}
+
+// namedOf is the named type behind t and any pointers to it.
+func namedOf(t types.Type) *types.Named {
+	for {
+		switch v := t.(type) {
+		case *types.Pointer:
+			t = v.Elem()
+		case *types.Named:
+			return v
+		default:
+			return nil
+		}
+	}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
