@@ -19,7 +19,7 @@ import (
 // (error-feedback residuals, quantizer RNG) is captured by the codecs
 // themselves (see internal/engine/codec.go).
 
-// AppendState implements engine.StateAppender: the trainer's state, then
+// AppendState implements engine.Stateful: the trainer's state, then
 // the public replicas in ascending rank order — they evolve by lossy deltas
 // and cannot be reconstructed from the model alone.
 func (n *dcdNode) AppendState(dst []byte) ([]byte, error) {
@@ -36,9 +36,6 @@ func (n *dcdNode) AppendState(dst []byte) ([]byte, error) {
 	}
 	return b, nil
 }
-
-// CaptureState implements engine.Stateful.
-func (n *dcdNode) CaptureState() ([]byte, error) { return n.AppendState(nil) }
 
 // RestoreState implements engine.Stateful.
 func (n *dcdNode) RestoreState(data []byte) error {
@@ -58,7 +55,7 @@ func (n *dcdNode) RestoreState(data []byte) error {
 	return tensor.NoMoreSections(b)
 }
 
-// AppendState implements engine.StateAppender: the trainer's state, then
+// AppendState implements engine.Stateful: the trainer's state, then
 // the last pulled server model — S-FedAvg's delta upload is relative to it,
 // so a worker restored mid-schedule must remember it.
 func (f *fedWorkerNode) AppendState(dst []byte) ([]byte, error) {
@@ -68,9 +65,6 @@ func (f *fedWorkerNode) AppendState(dst []byte) ([]byte, error) {
 	}
 	return tensor.AppendVector(b, f.pulled), nil
 }
-
-// CaptureState implements engine.Stateful.
-func (f *fedWorkerNode) CaptureState() ([]byte, error) { return f.AppendState(nil) }
 
 // RestoreState implements engine.Stateful.
 func (f *fedWorkerNode) RestoreState(data []byte) error {
@@ -96,30 +90,21 @@ type serverModel struct {
 	model *nn.Model
 }
 
-// AppendState implements engine.StateAppender.
+// AppendState implements engine.Stateful.
 func (s serverModel) AppendState(dst []byte) ([]byte, error) {
 	return s.model.AppendCheckpoint(tensor.Grow(dst, s.model.CheckpointSize())), nil
 }
 
-// CaptureState implements engine.Stateful.
-func (s serverModel) CaptureState() ([]byte, error) { return s.AppendState(nil) }
-
 // RestoreState implements engine.Stateful.
 func (s serverModel) RestoreState(data []byte) error { return s.model.LoadCheckpoint(data) }
 
-// Compile-time checks: every baseline node supports checkpointing, in both
-// forms.
+// Compile-time checks: every baseline node supports checkpointing.
 var (
-	_ statefulNode = (*gradAvgNode)(nil)
-	_ statefulNode = (*neighborMixNode)(nil)
-	_ statefulNode = (*dcdNode)(nil)
-	_ statefulNode = (*psWorkerNode)(nil)
-	_ statefulNode = (*fedWorkerNode)(nil)
-	_ statefulNode = (*psServerNode)(nil)
-	_ statefulNode = (*fedServerNode)(nil)
+	_ engine.Stateful = (*gradAvgNode)(nil)
+	_ engine.Stateful = (*neighborMixNode)(nil)
+	_ engine.Stateful = (*dcdNode)(nil)
+	_ engine.Stateful = (*psWorkerNode)(nil)
+	_ engine.Stateful = (*fedWorkerNode)(nil)
+	_ engine.Stateful = (*psServerNode)(nil)
+	_ engine.Stateful = (*fedServerNode)(nil)
 )
-
-type statefulNode interface {
-	engine.Stateful
-	engine.StateAppender
-}

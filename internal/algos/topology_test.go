@@ -25,38 +25,57 @@ type topo struct {
 	g    *graph.Graph
 }
 
+// simpleGraph builds the graph of pairs, skipping self-loops and repeated
+// pairs (the collapse of a degenerate torus); simple reports whether none
+// was skipped.
+func simpleGraph(n int, pairs [][2]int) (g *graph.Graph, simple bool) {
+	seen := map[[2]int]bool{}
+	var edges []graph.WeightedEdge
+	for _, p := range pairs {
+		key := [2]int{min(p[0], p[1]), max(p[0], p[1])}
+		if p[0] == p[1] || seen[key] {
+			continue
+		}
+		seen[key] = true
+		edges = append(edges, graph.WeightedEdge{U: p[0], V: p[1]})
+	}
+	return graph.NewFromEdges(n, edges), len(edges) == len(pairs)
+}
+
 // ring returns the cycle on n vertices.
 func ring(n int) topo {
-	g := graph.New(n)
+	var pairs [][2]int
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+		pairs = append(pairs, [2]int{i, (i + 1) % n})
 	}
+	g, _ := simpleGraph(n, pairs)
 	return topo{fmt.Sprintf("ring-%d", n), g}
 }
 
 // torus returns the rows×cols 2-D torus (each vertex has 4 neighbors;
 // degenerate dimensions collapse gracefully).
 func torus(rows, cols int) topo {
-	g := graph.New(rows * cols)
 	id := func(r, c int) int { return ((r+rows)%rows)*cols + (c+cols)%cols }
+	var pairs [][2]int
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			g.AddEdge(id(r, c), id(r, c+1))
-			g.AddEdge(id(r, c), id(r+1, c))
+			pairs = append(pairs, [2]int{id(r, c), id(r, c+1)}, [2]int{id(r, c), id(r+1, c)})
 		}
 	}
+	g, _ := simpleGraph(rows*cols, pairs)
 	return topo{fmt.Sprintf("torus-%dx%d", rows, cols), g}
 }
 
 // hypercube returns the d-dimensional hypercube on 2^d vertices.
 func hypercube(d int) topo {
 	n := 1 << d
-	g := graph.New(n)
+	var pairs [][2]int
 	for v := 0; v < n; v++ {
 		for b := 0; b < d; b++ {
-			g.AddEdge(v, v^(1<<b))
+			pairs = append(pairs, [2]int{v, v ^ (1 << b)})
 		}
 	}
+	g, _ := simpleGraph(n, pairs)
 	return topo{fmt.Sprintf("hypercube-%d", d), g}
 }
 
@@ -86,15 +105,14 @@ func tryPairing(n, d int, r *rng.Source) *graph.Graph {
 		}
 	}
 	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	g := graph.New(n)
+	var pairs [][2]int
 	for i := 0; i < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		if u == v || g.HasEdge(u, v) {
-			return nil
-		}
-		g.AddEdge(u, v)
+		pairs = append(pairs, [2]int{stubs[i], stubs[i+1]})
 	}
-	return g
+	if g, simple := simpleGraph(n, pairs); simple {
+		return g
+	}
+	return nil
 }
 
 func (tp topo) adj() [][]int {
@@ -304,7 +322,7 @@ func metropolisW(tp topo) *tensor.Matrix {
 	w := tensor.NewMatrix(tp.g.N, tp.g.N)
 	for i := range adj {
 		for _, e := range metropolisRow(adj, i) {
-			w.Set(i, e.rank, e.w)
+			w.Row(i)[e.rank] = e.w
 		}
 	}
 	return w
@@ -325,7 +343,7 @@ func TestMetropolisWDoublyStochastic(t *testing.T) {
 		}
 		for i := 0; i < w.Rows; i++ {
 			for j := 0; j < w.Cols; j++ {
-				if w.At(i, j) != w.At(j, i) {
+				if w.Row(i)[j] != w.Row(j)[i] {
 					t.Fatalf("%s: asymmetric at (%d,%d)", tp.name, i, j)
 				}
 			}

@@ -280,7 +280,7 @@ func TestConsensusRateMatchesLemma2(t *testing.T) {
 	d0 := dis(x)
 	maskRng := rng.New(77)
 	for t2 := 0; t2 < rounds; t2++ {
-		round := gen.Next(t2)
+		round := gen.NextActive(t2, nil)
 		if !maskRng.Bernoulli(p) {
 			continue // this scalar coordinate not exchanged this round
 		}
@@ -364,7 +364,7 @@ func TestTrainerRestoreRefusesForeignLoader(t *testing.T) {
 	large, _ := dataset.TinyTask(12, 3, 5)
 	src := NewTrainer(nn.NewMLP(small.Dim(), []int{8}, 3, 1), small, 4, 0.1, 7)
 	src.LocalSGD(2)
-	state, err := src.CaptureState()
+	state, err := src.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

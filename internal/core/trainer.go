@@ -109,13 +109,9 @@ func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 	return rest, nil
 }
 
-// CaptureState is the trainer's state as one exactly sized blob. With
-// RestoreState it is the engine's Stateful contract, and AppendState its
-// append form, so a node that embeds its trainer and adds no state of its
-// own can be checkpointed as it stands.
-func (t *Trainer) CaptureState() ([]byte, error) { return t.AppendState(nil) }
-
-// RestoreState restores a blob written by CaptureState.
+// RestoreState restores a blob written by AppendState. With AppendState it
+// is the engine's Stateful contract, so a node that embeds its trainer and
+// adds no state of its own can be checkpointed as it stands.
 func (t *Trainer) RestoreState(data []byte) error {
 	rest, err := t.ReadState(data)
 	if err != nil {

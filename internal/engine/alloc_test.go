@@ -99,7 +99,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 // only.
 func TestShardedRoundZeroAllocWithObs(t *testing.T) {
 	obs.Enable(obs.New())
-	defer obs.Disable()
+	defer obs.Enable(nil)
 	shardedRoundAllocs(t)
 	m := obs.Current()
 	if m.Engine.RoundSeconds.Count() == 0 || m.Engine.CodecEncodeSeconds.Count() == 0 {

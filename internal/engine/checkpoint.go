@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/tensor"
 )
 
@@ -20,15 +21,29 @@ const SnapshotVersion = FrameVersion
 // state must survive a checkpoint/restore cycle: model parameters and
 // data-stream cursors on nodes, error-feedback residuals and RNG cursors on
 // codecs, cumulative totals on ledgers.
-// CaptureState must be called only at a round boundary (no round in flight);
+// AppendState must be called only at a round boundary (no round in flight);
 // RestoreState must be called on an identically constructed instance.
 // Stateless codecs (Dense, Masked) simply do not implement the interface.
 type Stateful interface {
-	// CaptureState serializes the complete round-boundary state.
-	CaptureState() ([]byte, error)
-	// RestoreState restores state captured by CaptureState.
+	// AppendState appends the complete round-boundary state to dst, so a
+	// caller that captures every round can reuse one blob's storage.
+	AppendState(dst []byte) ([]byte, error)
+	// RestoreState restores state written by AppendState.
 	RestoreState([]byte) error
 }
+
+// The module's stateful codecs, ledgers and nodes, checked at build time: one
+// that lost a method would otherwise drop out of every checkpoint unnoticed,
+// since CaptureRank skips a codec that is not Stateful and RestoreRank
+// accepts the absent blob that results.
+var (
+	_ Stateful = (*TopK)(nil)
+	_ Stateful = (*RandomK)(nil)
+	_ Stateful = (*QSGDCodec)(nil)
+	_ Stateful = (*CountingLedger)(nil)
+	_ Stateful = (*MaskedGossipNode)(nil)
+	_ Stateful = (*netsim.Ledger)(nil)
+)
 
 // RankSnapshot is one rank's serialized round-boundary state: the node blob
 // (model parameters, optimizer momentum, loader RNG cursors, replicas) and
@@ -52,24 +67,6 @@ type Snapshot struct {
 	Ledger    []byte
 }
 
-// StateAppender is the append form of a Stateful capture: AppendState
-// appends to dst exactly the bytes CaptureState would return, so a caller
-// that captures every round can reuse one blob's storage. Every Stateful
-// type in this module implements it, its CaptureState being
-// AppendState(nil); a Stateful value without it — a wrapper that embeds the
-// interface — is captured through CaptureState.
-type StateAppender interface {
-	AppendState(dst []byte) ([]byte, error)
-}
-
-// captureInto captures s into reuse's storage when s has the append form.
-func captureInto(s Stateful, reuse []byte) ([]byte, error) {
-	if a, ok := s.(StateAppender); ok {
-		return a.AppendState(reuse[:0])
-	}
-	return s.CaptureState()
-}
-
 // CaptureRank snapshots one rank's node and encoder codec, writing the blobs
 // into reuse's storage where they fit: pass the rank's previous snapshot
 // when nothing else holds it any more, or a zero RankSnapshot. It fails when
@@ -79,13 +76,13 @@ func CaptureRank(node Node, codec Codec, reuse RankSnapshot) (RankSnapshot, erro
 	if !ok {
 		return RankSnapshot{}, fmt.Errorf("engine: node %T does not support checkpointing", node)
 	}
-	nb, err := captureInto(sn, reuse.Node)
+	nb, err := sn.AppendState(reuse.Node[:0])
 	if err != nil {
 		return RankSnapshot{}, err
 	}
 	rs := RankSnapshot{Node: nb}
 	if sc, ok := codec.(Stateful); ok {
-		cb, err := captureInto(sc, reuse.Codec)
+		cb, err := sc.AppendState(reuse.Codec[:0])
 		if err != nil {
 			return RankSnapshot{}, err
 		}
@@ -134,7 +131,7 @@ func (e *Engine) Checkpoint(nextRound int, led Ledger) (*Snapshot, error) {
 		snap.Ranks[i] = rs
 	}
 	if lc, ok := led.(Stateful); ok {
-		lb, err := lc.CaptureState()
+		lb, err := lc.AppendState(nil)
 		if err != nil {
 			return nil, err
 		}

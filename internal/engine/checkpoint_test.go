@@ -177,7 +177,7 @@ func snapshotNodeParams(t *testing.T, eng *engine.Engine) [][]byte {
 		if !ok {
 			t.Fatalf("node %T not stateful", n)
 		}
-		b, err := s.CaptureState()
+		b, err := s.AppendState(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

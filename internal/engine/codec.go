@@ -292,7 +292,7 @@ func (t *TopK) DecodeInto(dst []float64, _ RoundContext, words []float64) ([]flo
 // WireBytes implements Codec.
 func (t *TopK) WireBytes(words []float64) int64 { return sparseWireBytes(words) }
 
-// AppendState implements StateAppender: the error-feedback residual is the
+// AppendState implements Stateful: the error-feedback residual is the
 // only cross-round state, one vector of raw words — empty when error
 // feedback is disabled or no Encode has run yet (the residual allocates
 // lazily).
@@ -303,9 +303,6 @@ func (t *TopK) AppendState(dst []byte) ([]byte, error) {
 	}
 	return tensor.AppendVector(tensor.Grow(dst, tensor.SectionSize(8*len(residual))), residual), nil
 }
-
-// CaptureState implements Stateful.
-func (t *TopK) CaptureState() ([]byte, error) { return t.AppendState(nil) }
 
 // RestoreState implements Stateful.
 func (t *TopK) RestoreState(data []byte) error {
@@ -382,12 +379,9 @@ func (r *RandomK) DecodeInto(dst []float64, _ RoundContext, words []float64) ([]
 // WireBytes implements Codec.
 func (r *RandomK) WireBytes(words []float64) int64 { return sparseWireBytes(words) }
 
-// AppendState implements StateAppender: the support-drawing RNG cursor, in
+// AppendState implements Stateful: the support-drawing RNG cursor, in
 // rng.State's fixed words.
 func (r *RandomK) AppendState(dst []byte) ([]byte, error) { return appendRNG(dst, r.rnd.State()), nil }
-
-// CaptureState implements Stateful.
-func (r *RandomK) CaptureState() ([]byte, error) { return r.AppendState(nil) }
 
 // RestoreState implements Stateful.
 func (r *RandomK) RestoreState(data []byte) error {
@@ -470,14 +464,11 @@ func (q *QSGDCodec) WireBytes(words []float64) int64 {
 	return compress.QuantizedWireBytes(len(words)-1, q.Levels)
 }
 
-// AppendState implements StateAppender: the stochastic-rounding RNG cursor,
+// AppendState implements Stateful: the stochastic-rounding RNG cursor,
 // in rng.State's fixed words.
 func (q *QSGDCodec) AppendState(dst []byte) ([]byte, error) {
 	return appendRNG(dst, q.q.RNGState()), nil
 }
-
-// CaptureState implements Stateful.
-func (q *QSGDCodec) CaptureState() ([]byte, error) { return q.AppendState(nil) }
 
 // RestoreState implements Stateful.
 func (q *QSGDCodec) RestoreState(data []byte) error {

@@ -317,7 +317,7 @@ func TestCountingLedgerRestoreRefusesMismatchedState(t *testing.T) {
 	src := &engine.CountingLedger{}
 	src.Exchange(0, 2, 100, 50)
 	src.EndRound()
-	good, err := src.CaptureState()
+	good, err := src.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestCountingLedgerRestoreRefusesMismatchedState(t *testing.T) {
 	if err := fresh.RestoreState(good); err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := fresh.CaptureState(); !bytes.Equal(again, good) || fresh.TotalBytes() != 150 {
+	if again, _ := fresh.AppendState(nil); !bytes.Equal(again, good) || fresh.TotalBytes() != 150 {
 		t.Fatalf("restored ledger captures other bytes or totals %d", fresh.TotalBytes())
 	}
 	sized := func() *engine.CountingLedger {
@@ -346,12 +346,12 @@ func TestCountingLedgerRestoreRefusesMismatchedState(t *testing.T) {
 		{"ragged words", "received bytes", &engine.CountingLedger{}, join(ints(1, 2, 3), tensor.AppendSection(nil, []byte{1, 2, 3}), ints(9))},
 		{"trailing byte", "follow the last section", &engine.CountingLedger{}, append(bytes.Clone(good), 0)},
 	} {
-		before, _ := c.into.CaptureState()
+		before, _ := c.into.AppendState(nil)
 		err := c.into.RestoreState(c.data)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
 		}
-		if after, _ := c.into.CaptureState(); !bytes.Equal(after, before) {
+		if after, _ := c.into.AppendState(nil); !bytes.Equal(after, before) {
 			t.Errorf("%s: a refused state changed the ledger", c.name)
 		}
 	}

@@ -74,7 +74,7 @@ func (l *CountingLedger) WorkerBytes(i int) (sent, recv int64) {
 // Rounds returns the number of completed rounds.
 func (l *CountingLedger) Rounds() int { return len(l.roundBytes) }
 
-// AppendState implements StateAppender: three sections of words, the
+// AppendState implements Stateful: three sections of words, the
 // per-rank sent and received totals and the per-round series (the running
 // total is its sum). It must be called at a round boundary; Inner ledgers are
 // not captured — chain checkpointable ledgers and capture each.
@@ -84,9 +84,6 @@ func (l *CountingLedger) AppendState(dst []byte) ([]byte, error) {
 	dst = tensor.AppendIntVector(dst, l.recv)
 	return tensor.AppendIntVector(dst, l.roundBytes), nil
 }
-
-// CaptureState implements Stateful.
-func (l *CountingLedger) CaptureState() ([]byte, error) { return l.AppendState(nil) }
 
 // RestoreState implements Stateful. The sent and received totals
 // must cover the same ranks, and as many as this ledger already tracks unless

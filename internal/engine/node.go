@@ -139,13 +139,10 @@ func (n *MaskedGossipNode) Merge(ctx RoundContext, msgs []PeerMsg) error {
 	return nil
 }
 
-// AppendState implements StateAppender: the worker's trainer state (model
+// AppendState implements Stateful: the worker's trainer state (model
 // checkpoint, loader cursor, optimizer momentum) — the mask handle is
 // regenerated from the broadcast seed and carries nothing across a boundary.
 func (n *MaskedGossipNode) AppendState(dst []byte) ([]byte, error) { return n.W.AppendState(dst) }
-
-// CaptureState implements Stateful.
-func (n *MaskedGossipNode) CaptureState() ([]byte, error) { return n.AppendState(nil) }
 
 // RestoreState implements Stateful.
 func (n *MaskedGossipNode) RestoreState(data []byte) error { return n.W.RestoreState(data) }

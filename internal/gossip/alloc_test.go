@@ -35,10 +35,10 @@ func TestNextActiveSteadyStateAllocs(t *testing.T) {
 		g := NewGenerator(s.build(n), plannerConfig, s.seed)
 		round := 0
 		for ; round < 3*plannerConfig.TThres; round++ {
-			g.Next(round)
+			g.NextActive(round, nil)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			g.Next(round)
+			g.NextActive(round, nil)
 			round++
 		})
 		if allocs > 8 {
@@ -55,7 +55,7 @@ func BenchmarkNextActive(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.Next(i)
+				g.NextActive(i, nil)
 			}
 		})
 	}

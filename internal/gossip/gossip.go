@@ -67,8 +67,9 @@ type edgeStamp struct {
 // the equivalence suite pins that across N, seeds, churn, and forced rounds.
 //
 // One consequence of eviction: rounds must be generated in non-decreasing
-// order (Next(t) then Next(t') with t' < t panics). The dense reference has
-// no such restriction, but every driver advances rounds monotonically.
+// order (NextActive(t) then NextActive(t') with t' < t panics). The dense
+// reference has no such restriction, but every driver advances rounds
+// monotonically.
 type Generator struct {
 	bw   *netsim.Bandwidth
 	cfg  Config
@@ -268,12 +269,9 @@ func (g *Generator) rcComponents() []int32 {
 	return compOf
 }
 
-// Next runs Algorithm 3 for round t: it returns the matching and updates the
-// timestamp matrix R.
-func (g *Generator) Next(t int) Round { return g.NextActive(t, nil) }
-
-// NextActive is Next restricted to the currently active workers (nil means
-// all active). Inactive workers are excluded from matching entirely — the
+// NextActive runs Algorithm 3 for round t over the currently active workers
+// (nil means all active): it returns the matching and updates the timestamp
+// matrix R. Inactive workers are excluded from matching entirely — the
 // federated-dynamics case the paper motivates (§I: workers "may join/leave
 // the training randomly"). Connectivity bookkeeping (the RC graph) also
 // restricts to active workers, so a long-absent worker cannot block the
@@ -371,10 +369,11 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 	return Round{Match: match, Forced: forced}
 }
 
-// maxMatch is graph.BandwidthAwareMaximumMatching on the generator's
-// workspace, split into its steps so the metrics can time them, for edges
-// joining only live vertices. It also returns how many vertices the greedy
-// seed left free (0 with metrics off).
+// maxMatch is Algorithm 3's bandwidth-aware maximum matching on the
+// generator's workspace — the greedy weighted seed, completed to maximum
+// cardinality by blossom augmentation — with its two steps timed for the
+// metrics, for edges joining only live vertices. It also returns how many
+// vertices the greedy seed left free (0 with metrics off).
 //
 // Each call is rnd's last reader once its seed leaves at most one live
 // vertex free: the round's stream is reseeded every round, the augmentation

@@ -28,10 +28,10 @@ func MatchingW(m graph.Matching) *tensor.Matrix {
 	for v, p := range m {
 		switch {
 		case p == -1:
-			w.Set(v, v, 1)
+			w.Row(v)[v] = 1
 		default:
-			w.Set(v, v, 0.5)
-			w.Set(v, p, 0.5)
+			w.Row(v)[v] = 0.5
+			w.Row(v)[p] = 0.5
 		}
 	}
 	return w
@@ -52,7 +52,7 @@ func TestMatchingWDoublyStochastic(t *testing.T) {
 func TestMatchingWUnmatchedSelfLoop(t *testing.T) {
 	m := graph.Matching{1, 0, -1}
 	w := MatchingW(m)
-	if w.At(2, 2) != 1 || w.At(0, 1) != 0.5 || w.At(0, 0) != 0.5 {
+	if w.Row(2)[2] != 1 || w.Row(0)[1] != 0.5 || w.Row(0)[0] != 0.5 {
 		t.Fatalf("W = %v", w.Data)
 	}
 	if !w.IsDoublyStochastic(1e-12) {
@@ -83,7 +83,7 @@ func TestRingW(t *testing.T) {
 		}
 	}
 	w := RingW(4)
-	if w.At(0, 1) != 1.0/3 || w.At(0, 3) != 1.0/3 || w.At(0, 0) != 1.0/3 || w.At(0, 2) != 0 {
+	if w.Row(0)[1] != 1.0/3 || w.Row(0)[3] != 1.0/3 || w.Row(0)[0] != 1.0/3 || w.Row(0)[2] != 0 {
 		t.Fatalf("RingW(4) row 0 wrong: %v", w.Row(0))
 	}
 }
@@ -99,7 +99,7 @@ func TestGeneratorProducesPerfectMatchings(t *testing.T) {
 	bw := uniformEnv(32, 3)
 	g := NewGenerator(bw, Config{BThres: 2.5, TThres: 8}, 42)
 	for round := 0; round < 100; round++ {
-		r := g.Next(round)
+		r := g.NextActive(round, nil)
 		if !r.Match.Valid(32) {
 			t.Fatalf("round %d: invalid matching", round)
 		}
@@ -117,8 +117,8 @@ func TestGeneratorDeterministic(t *testing.T) {
 	a := NewGenerator(bw, Config{BThres: 2, TThres: 5}, 7)
 	b := NewGenerator(bw, Config{BThres: 2, TThres: 5}, 7)
 	for round := 0; round < 30; round++ {
-		ma := a.Next(round).Match
-		mb := b.Next(round).Match
+		ma := a.NextActive(round, nil).Match
+		mb := b.NextActive(round, nil).Match
 		for v := range ma {
 			if ma[v] != mb[v] {
 				t.Fatalf("round %d: matchings diverge at %d", round, v)
@@ -130,10 +130,10 @@ func TestGeneratorDeterministic(t *testing.T) {
 func TestGeneratorUpdatesTimestamps(t *testing.T) {
 	bw := uniformEnv(8, 9)
 	g := NewGenerator(bw, Config{BThres: 0, TThres: 4}, 1)
-	r := g.Next(0)
-	for _, pair := range r.Match.Pairs() {
-		if g.LastUsed(pair[0], pair[1]) != 0 {
-			t.Fatalf("timestamp not recorded for %v", pair)
+	r := g.NextActive(0, nil)
+	for v, p := range r.Match {
+		if p > v && g.LastUsed(v, p) != 0 {
+			t.Fatalf("timestamp not recorded for (%d,%d)", v, p)
 		}
 	}
 }
@@ -145,25 +145,28 @@ func TestGeneratorPCEdgesConnected(t *testing.T) {
 	bw := netsim.FourteenCities()
 	g := NewGenerator(bw, Config{BThres: 5, TThres: 6}, 11)
 	n := bw.N
-	if bw.FilterGraph(5).IsConnected() {
+	if graph.NewFromEdges(n, bw.AppendEdges(nil, 5)).IsConnected() {
 		t.Fatal("test premise broken: B* should be disconnected at 5 MB/s")
 	}
 	const rounds = 120
-	used := graph.New(n)
+	seen := map[[2]int]bool{}
+	var used []graph.WeightedEdge
 	for round := 0; round < rounds; round++ {
-		r := g.Next(round)
-		for _, p := range r.Match.Pairs() {
-			used.AddEdge(p[0], p[1])
+		for v, p := range g.NextActive(round, nil).Match {
+			if p > v && !seen[[2]int{v, p}] {
+				seen[[2]int{v, p}] = true
+				used = append(used, graph.WeightedEdge{U: v, V: p})
+			}
 		}
 	}
-	if !used.IsConnected() {
+	if !graph.NewFromEdges(n, used).IsConnected() {
 		t.Fatal("union of used edges is not connected — Assumption 3 violated")
 	}
 	// Moreover, every sliding window of 3*TThres rounds must itself restore
 	// connectivity at least once (Forced rounds appear regularly).
 	forced := 0
 	for round := rounds; round < rounds+40; round++ {
-		if g.Next(round).Forced {
+		if g.NextActive(round, nil).Forced {
 			forced++
 		}
 	}
@@ -179,7 +182,7 @@ func TestGeneratorRhoBelowOne(t *testing.T) {
 	g := NewGenerator(bw, Config{BThres: 2, TThres: 5}, 13)
 	var ws []*tensor.Matrix
 	for round := 0; round < 200; round++ {
-		ws = append(ws, g.Next(round).W())
+		ws = append(ws, g.NextActive(round, nil).W())
 	}
 	rho := RhoOfExpectedWtW(ws, 400)
 	if rho >= 1-1e-6 {
@@ -199,7 +202,7 @@ func TestGeneratorPrefersHighBandwidth(t *testing.T) {
 	var saps, random float64
 	const rounds = 200
 	for round := 0; round < rounds; round++ {
-		saps += MeanMatchedBandwidth(g.Next(round).Match, bw)
+		saps += MeanMatchedBandwidth(g.NextActive(round, nil).Match, bw)
 		random += MeanMatchedBandwidth(RandomMatching(32, r), bw)
 	}
 	saps /= rounds
@@ -224,16 +227,16 @@ func TestGeneratorSparseEnvironmentStillMatches(t *testing.T) {
 	bw := netsim.NewBandwidth(raw)
 	g := NewGenerator(bw, Config{BThres: 1, TThres: 4}, 3)
 	for round := 0; round < 50; round++ {
-		r := g.Next(round)
+		r := g.NextActive(round, nil)
 		if !r.Match.Valid(6) {
 			t.Fatalf("round %d invalid", round)
 		}
 		if r.Match.Size() == 0 {
 			t.Fatalf("round %d: no pairs matched on a connected path", round)
 		}
-		for _, p := range r.Match.Pairs() {
-			if bw.MBps(p[0], p[1]) <= 0 {
-				t.Fatalf("matched a nonexistent link %v", p)
+		for v, p := range r.Match {
+			if p > v && bw.MBps(v, p) <= 0 {
+				t.Fatalf("matched a nonexistent link (%d,%d)", v, p)
 			}
 		}
 	}
@@ -282,6 +285,6 @@ func BenchmarkGeneratorNext32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Next(i)
+		g.NextActive(i, nil)
 	}
 }

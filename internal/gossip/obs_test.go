@@ -19,13 +19,13 @@ func TestPlannerMetricsObserveWithoutPerturbing(t *testing.T) {
 
 	m := obs.New()
 	obs.Enable(m)
-	defer obs.Disable()
+	defer obs.Enable(nil)
 	timed := NewGenerator(bw, cfg, 9)
 
 	const rounds = 30
 	forced, pairs := 0, 0
 	for round := 0; round < rounds; round++ {
-		want, got := plain.Next(round), timed.Next(round)
+		want, got := plain.NextActive(round, nil), timed.NextActive(round, nil)
 		if want.Forced != got.Forced || !slices.Equal(want.Match, got.Match) {
 			t.Fatalf("round %d: matching changed with metrics on", round)
 		}

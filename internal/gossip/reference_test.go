@@ -45,22 +45,20 @@ func NewReferenceGenerator(bw *netsim.Bandwidth, cfg Config, seed uint64) *Refer
 
 // rcGraph builds the graph of recently-connected edges at round t.
 func (g *ReferenceGenerator) rcGraph(t int) *graph.Graph {
-	rc := graph.New(g.bw.N)
+	var recent []graph.WeightedEdge
 	for i := 0; i < g.bw.N; i++ {
 		for j := i + 1; j < g.bw.N; j++ {
 			if g.lastUsed[i][j] > t-g.cfg.TThres {
-				rc.AddEdge(i, j)
+				recent = append(recent, graph.WeightedEdge{U: i, V: j})
 			}
 		}
 	}
-	return rc
+	return graph.NewFromEdges(g.bw.N, recent)
 }
 
-// Next runs Algorithm 3 for round t and updates the timestamp matrix R.
-func (g *ReferenceGenerator) Next(t int) Round { return g.NextActive(t, nil) }
-
-// NextActive is Next restricted to the currently active workers (nil means
-// all active), mirroring Generator.NextActive.
+// NextActive runs Algorithm 3 for round t over the currently active workers
+// (nil means all active), mirroring Generator.NextActive, and updates the
+// timestamp matrix R.
 func (g *ReferenceGenerator) NextActive(t int, active []bool) Round {
 	n := g.bw.N
 	rnd := rng.New(g.seed).Derive(uint64(t) + 0x90551b)
@@ -75,7 +73,7 @@ func (g *ReferenceGenerator) NextActive(t int, active []bool) Round {
 	forced := false
 	if connected {
 		// Line 2: E = B* — the bandwidth-filtered graph.
-		for _, e := range g.bw.Edges(g.cfg.BThres) {
+		for _, e := range g.bw.AppendEdges(nil, g.cfg.BThres) {
 			if isActive(e.U) && isActive(e.V) {
 				candidate = append(candidate, e)
 			}
@@ -103,7 +101,7 @@ func (g *ReferenceGenerator) NextActive(t int, active []bool) Round {
 	}
 
 	// Line 5: bandwidth-preferring maximum match on the candidate edges.
-	match := graph.BandwidthAwareMaximumMatching(n, candidate, rnd)
+	match := bandwidthAware(n, candidate, rnd)
 
 	// Lines 6–8: complete the matching over still-unmatched active workers
 	// using the unfiltered bandwidth matrix.
@@ -119,7 +117,7 @@ func (g *ReferenceGenerator) NextActive(t int, active []bool) Round {
 				}
 			}
 		}
-		second := graph.BandwidthAwareMaximumMatching(n, extra, rnd)
+		second := bandwidthAware(n, extra, rnd)
 		for v, p := range second {
 			if p > v && match[v] == -1 && match[p] == -1 {
 				match[v] = p
@@ -137,6 +135,17 @@ func (g *ReferenceGenerator) NextActive(t int, active []bool) Round {
 	}
 
 	return Round{Match: match, Forced: forced}
+}
+
+// bandwidthAware is Algorithm 3's line 5 on a throwaway workspace: the
+// greedy seed, completed to maximum cardinality on the graph of the same
+// edges.
+func bandwidthAware(n int, edges []graph.WeightedEdge, rnd *rng.Source) graph.Matching {
+	var m graph.Matcher
+	m.Load(n, edges)
+	match := m.GreedyWeightedMatching(n, edges, rnd)
+	m.Augment(match, rnd)
+	return match
 }
 
 // LastUsed exposes R[i][j] (for tests and diagnostics).

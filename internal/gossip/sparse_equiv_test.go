@@ -166,13 +166,13 @@ func TestSparseGeneratorBitIdenticalToReference(t *testing.T) {
 func TestGeneratorRejectsDecreasingRounds(t *testing.T) {
 	bw := netsim.RandomUniform(8, 1, 5, rng.New(1))
 	g := NewGenerator(bw, Config{TThres: 3}, 7)
-	g.Next(5)
+	g.NextActive(5, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("decreasing round did not panic")
 		}
 	}()
-	g.Next(4)
+	g.NextActive(4, nil)
 }
 
 // LastUsed exposes R[i][j] to the tests. Unlike the dense reference, entries
@@ -191,12 +191,12 @@ func (g *Generator) LastUsed(i, j int) int {
 func TestGeneratorLastUsedWindow(t *testing.T) {
 	bw := netsim.RandomUniform(8, 1, 5, rng.New(3))
 	g := NewGenerator(bw, Config{TThres: 3}, 11)
-	r := g.Next(0)
-	pairs := r.Match.Pairs()
-	if len(pairs) == 0 {
+	r := g.NextActive(0, nil)
+	u := slices.IndexFunc(r.Match, func(p int) bool { return p >= 0 })
+	if u < 0 {
 		t.Fatal("no pairs matched")
 	}
-	u, v := pairs[0][0], pairs[0][1]
+	v := r.Match[u]
 	if got := g.LastUsed(u, v); got != 0 {
 		t.Fatalf("LastUsed = %d, want 0", got)
 	}

@@ -23,7 +23,7 @@ func diagnoseGossip(bw *netsim.Bandwidth, cfg Config, keepP float64, rounds int,
 	ms := make([]graph.Matching, 0, rounds)
 	var d diagnostics
 	for t := 0; t < rounds; t++ {
-		r := gen.Next(t)
+		r := gen.NextActive(t, nil)
 		ms = append(ms, r.Match)
 		d.meanMatched += MeanMatchedBandwidth(r.Match, bw) / float64(rounds)
 		if r.Forced {

@@ -50,15 +50,15 @@ func pairW(n int, pairs [][2]int) *tensor.Matrix {
 	w := tensor.NewMatrix(n, n)
 	matched := make([]bool, n)
 	for _, p := range pairs {
-		w.Set(p[0], p[0], 0.5)
-		w.Set(p[1], p[1], 0.5)
-		w.Set(p[0], p[1], 0.5)
-		w.Set(p[1], p[0], 0.5)
+		w.Row(p[0])[p[0]] = 0.5
+		w.Row(p[1])[p[1]] = 0.5
+		w.Row(p[0])[p[1]] = 0.5
+		w.Row(p[1])[p[0]] = 0.5
 		matched[p[0]], matched[p[1]] = true, true
 	}
 	for i := 0; i < n; i++ {
 		if !matched[i] {
-			w.Set(i, i, 1)
+			w.Row(i)[i] = 1
 		}
 	}
 	return w
@@ -179,9 +179,9 @@ func regularW(g *graph.Graph) *tensor.Matrix {
 	w := tensor.NewMatrix(g.N, g.N)
 	for v := 0; v < g.N; v++ {
 		nbrs := g.Neighbors(v)
-		w.Set(v, v, 1/float64(len(nbrs)+1))
+		w.Row(v)[v] = 1 / float64(len(nbrs)+1)
 		for _, u := range nbrs {
-			w.Set(v, u, 1/float64(len(nbrs)+1))
+			w.Row(v)[u] = 1 / float64(len(nbrs)+1)
 		}
 	}
 	return w
@@ -198,15 +198,18 @@ attempts:
 			stubs[i] = i / d
 		}
 		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		g := graph.New(n)
+		seen := map[[2]int]bool{}
+		var edges []graph.WeightedEdge
 		for i := 0; i < len(stubs); i += 2 {
 			u, v := stubs[i], stubs[i+1]
-			if u == v || g.HasEdge(u, v) {
+			key := [2]int{min(u, v), max(u, v)}
+			if u == v || seen[key] {
 				continue attempts
 			}
-			g.AddEdge(u, v)
+			seen[key] = true
+			edges = append(edges, graph.WeightedEdge{U: u, V: v})
 		}
-		if g.IsConnected() {
+		if g := graph.NewFromEdges(n, edges); g.IsConnected() {
 			return g
 		}
 	}
@@ -220,12 +223,15 @@ func TestExpanderMixesFasterThanRing(t *testing.T) {
 	// ring (degree 2) on 16 vertices — more edges, faster consensus. This
 	// quantifies the communication/mixing trade-off of §II-C.
 	const n, iters = 16, 600
-	cube4 := graph.New(n)
+	var hypercube []graph.WeightedEdge
 	for v := 0; v < n; v++ {
 		for b := 0; b < 4; b++ {
-			cube4.AddEdge(v, v^(1<<b))
+			if w := v ^ (1 << b); w > v {
+				hypercube = append(hypercube, graph.WeightedEdge{U: v, V: w})
+			}
 		}
 	}
+	cube4 := graph.NewFromEdges(n, hypercube)
 	ring := SecondLargestEigenvalue(RingW(n), iters)
 	cube := SecondLargestEigenvalue(regularW(cube4), iters)
 	rnd4 := SecondLargestEigenvalue(regularW(randomRegularGraph(t, n, 4, rng.New(3))), iters)
@@ -243,21 +249,21 @@ func TestExpanderMixesFasterThanRing(t *testing.T) {
 func RingW(n int) *tensor.Matrix {
 	w := tensor.NewMatrix(n, n)
 	if n == 1 {
-		w.Set(0, 0, 1)
+		w.Row(0)[0] = 1
 		return w
 	}
 	if n == 2 {
 		// Degenerate ring: the two neighbors coincide.
-		w.Set(0, 0, 0.5)
-		w.Set(0, 1, 0.5)
-		w.Set(1, 0, 0.5)
-		w.Set(1, 1, 0.5)
+		w.Row(0)[0] = 0.5
+		w.Row(0)[1] = 0.5
+		w.Row(1)[0] = 0.5
+		w.Row(1)[1] = 0.5
 		return w
 	}
 	for i := 0; i < n; i++ {
-		w.Set(i, i, 1.0/3)
-		w.Set(i, (i+1)%n, 1.0/3)
-		w.Set(i, (i+n-1)%n, 1.0/3)
+		w.Row(i)[i] = 1.0 / 3
+		w.Row(i)[(i+1)%n] = 1.0 / 3
+		w.Row(i)[(i+n-1)%n] = 1.0 / 3
 	}
 	return w
 }

@@ -22,17 +22,6 @@ func (m Matching) Size() int {
 	return n
 }
 
-// Pairs returns the matched pairs with u < v, sorted by u.
-func (m Matching) Pairs() [][2]int {
-	out := make([][2]int, 0, len(m)/2)
-	for v, p := range m {
-		if p > v {
-			out = append(out, [2]int{v, p})
-		}
-	}
-	return out
-}
-
 // Valid reports whether m is a consistent matching on a graph with n
 // vertices: symmetric and within range.
 func (m Matching) Valid(n int) bool {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"sapspsgd/internal/rng"
@@ -27,44 +28,63 @@ func randomEdgeList(n, count int, r *rng.Source) []WeightedEdge {
 	return edges
 }
 
-// TestNewFromEdgesMatchesAddEdge pins the bulk constructor's contract: the
-// graph must behave exactly like one built by repeated AddEdge calls in the
-// same edge order — identical neighbor order (which downstream DFS and
-// matching draws depend on), connectivity, components, and HasEdge answers.
-func TestNewFromEdgesMatchesAddEdge(t *testing.T) {
+// TestNewFromEdgesAdjacency pins the constructor's contract on random edge
+// lists: each vertex lists its neighbors in edge-list order (which downstream
+// DFS and matching draws depend on), every edge appears from both ends, and
+// connectivity and components agree with a union-find over the same list.
+func TestNewFromEdgesAdjacency(t *testing.T) {
+	const n = 50
 	for seed := uint64(1); seed <= 5; seed++ {
-		const n = 50
-		edges := randomEdgeList(n, 120, rng.New(seed))
-		bulk := NewFromEdges(n, edges)
-		inc := New(n)
-		for _, e := range edges {
-			inc.AddEdge(e.U, e.V)
-		}
-		for v := 0; v < n; v++ {
-			bn, in := bulk.Neighbors(v), inc.Neighbors(v)
-			if len(bn) != len(in) {
-				t.Fatalf("seed %d vertex %d: %d neighbors, want %d", seed, v, len(bn), len(in))
+		for _, count := range []int{20, 120} {
+			edges := randomEdgeList(n, count, rng.New(seed))
+			g := NewFromEdges(n, edges)
+			want := make([][]int, n)
+			root := make([]int, n)
+			for v := range root {
+				root[v] = v
 			}
-			for k := range bn {
-				if bn[k] != in[k] {
-					t.Fatalf("seed %d vertex %d: neighbor order %v, want %v", seed, v, bn, in)
+			find := func(v int) int {
+				for root[v] != v {
+					v = root[v]
+				}
+				return v
+			}
+			for _, e := range edges {
+				want[e.U] = append(want[e.U], e.V)
+				want[e.V] = append(want[e.V], e.U)
+				root[find(e.U)] = find(e.V)
+			}
+			for v := 0; v < n; v++ {
+				if !slices.Equal(g.Neighbors(v), want[v]) {
+					t.Fatalf("seed %d vertex %d: neighbors %v, want %v", seed, v, g.Neighbors(v), want[v])
 				}
 			}
-		}
-		if bulk.EdgeCount() != inc.EdgeCount() || bulk.IsConnected() != inc.IsConnected() {
-			t.Fatalf("seed %d: edge count/connectivity diverged", seed)
-		}
-		bc, ic := bulk.Components(), inc.Components()
-		if len(bc) != len(ic) {
-			t.Fatalf("seed %d: %d components, want %d", seed, len(bc), len(ic))
-		}
-		for _, e := range edges {
-			if !bulk.HasEdge(e.U, e.V) || !bulk.HasEdge(e.V, e.U) {
-				t.Fatalf("seed %d: edge (%d,%d) missing", seed, e.U, e.V)
+			if g.EdgeCount() != count {
+				t.Fatalf("seed %d: %d edges, want %d", seed, g.EdgeCount(), count)
 			}
-		}
-		if bulk.HasEdge(0, 0) {
-			t.Fatal("self-loop reported present")
+			sets := map[int]bool{}
+			for v := range root {
+				sets[find(v)] = true
+			}
+			comps := g.Components()
+			if len(comps) != len(sets) || g.IsConnected() != (len(sets) == 1) {
+				t.Fatalf("seed %d, %d edges: %d components, connected=%v; union-find finds %d", seed, count, len(comps), g.IsConnected(), len(sets))
+			}
+			covered := 0
+			for i, comp := range comps {
+				if i > 0 && comp[0] <= comps[i-1][0] || slices.Min(comp) != comp[0] {
+					t.Fatalf("seed %d: component %d %v out of smallest-vertex order", seed, i, comp)
+				}
+				for _, v := range comp {
+					if find(v) != find(comp[0]) {
+						t.Fatalf("seed %d: component %v joins %d and %d, which no edge path connects", seed, comp, comp[0], v)
+					}
+				}
+				covered += len(comp)
+			}
+			if covered != n {
+				t.Fatalf("seed %d: components cover %d of %d vertices", seed, covered, n)
+			}
 		}
 	}
 }

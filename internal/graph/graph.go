@@ -11,30 +11,13 @@ import "fmt"
 type Graph struct {
 	N   int
 	adj [][]int
-	// has is the duplicate-detection index behind AddEdge/HasEdge. Graphs
-	// built by NewFromEdges leave it nil (no per-vertex map allocations)
-	// and fall back to adjacency scans.
-	has []map[int]bool
-}
-
-// New returns an empty undirected graph on n vertices.
-func New(n int) *Graph {
-	if n < 0 {
-		panic(fmt.Sprintf("graph: negative vertex count %d", n))
-	}
-	g := &Graph{N: n, adj: make([][]int, n), has: make([]map[int]bool, n)}
-	for i := range g.has {
-		g.has[i] = make(map[int]bool)
-	}
-	return g
 }
 
 // NewFromEdges builds the graph in two passes over a duplicate-free edge
 // list (unordered pairs must be unique; self-loops and out-of-range
-// endpoints panic). All adjacency lists share one backing array, so the
-// whole graph costs two allocations regardless of N — the constructor for
-// the large-N planner path. Neighbors appear in exactly the order repeated
-// AddEdge calls would have produced: edge-list order.
+// endpoints panic). It is the only constructor: all adjacency lists share
+// one backing array, so the whole graph costs two allocations regardless of
+// N. Each vertex's neighbors appear in edge-list order.
 func NewFromEdges(n int, edges []WeightedEdge) *Graph {
 	adj, _, _ := adjacencyFromEdges(n, edges, nil, nil, nil)
 	return &Graph{N: n, adj: adj}
@@ -69,43 +52,6 @@ func adjacencyFromEdges(n int, edges []WeightedEdge, adj [][]int, deg, backing [
 		adj[e.V] = append(adj[e.V], e.U)
 	}
 	return adj, deg, backing
-}
-
-// AddEdge inserts the undirected edge (u, v). Self-loops and duplicate edges
-// are ignored.
-func (g *Graph) AddEdge(u, v int) {
-	if u == v || u < 0 || v < 0 || u >= g.N || v >= g.N {
-		return
-	}
-	if g.hasEdge(u, v) {
-		return
-	}
-	if g.has != nil {
-		g.has[u][v] = true
-		g.has[v][u] = true
-	}
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
-}
-
-// HasEdge reports whether (u, v) is an edge.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.N || v < 0 || v >= g.N {
-		return false
-	}
-	return g.hasEdge(u, v)
-}
-
-func (g *Graph) hasEdge(u, v int) bool {
-	if g.has != nil {
-		return g.has[u][v]
-	}
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Neighbors returns the adjacency list of v (shared storage; do not mutate).

@@ -1,42 +1,55 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"sapspsgd/internal/rng"
 )
 
-func ring(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+// pairGraph is NewFromEdges over unweighted pairs.
+func pairGraph(n int, pairs ...[2]int) *Graph {
+	edges := make([]WeightedEdge, len(pairs))
+	for i, p := range pairs {
+		edges[i] = WeightedEdge{U: p[0], V: p[1]}
 	}
-	return g
+	return NewFromEdges(n, edges)
+}
+
+func ring(n int) *Graph {
+	var pairs [][2]int
+	for i := 0; i+1 < n; i++ {
+		pairs = append(pairs, [2]int{i, i + 1})
+	}
+	if n > 2 {
+		pairs = append(pairs, [2]int{n - 1, 0})
+	}
+	return pairGraph(n, pairs...)
 }
 
 func complete(n int) *Graph {
-	g := New(n)
+	var pairs [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
+			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	return g
+	return pairGraph(n, pairs...)
 }
 
-func TestAddEdgeDedup(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(0, 0) // self loop ignored
-	g.AddEdge(0, 5) // out of range ignored
-	if g.EdgeCount() != 1 {
-		t.Fatalf("EdgeCount = %d, want 1", g.EdgeCount())
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || g.HasEdge(0, 2) {
-		t.Fatal("HasEdge wrong")
-	}
+// hasEdge reports whether (u, v) is an edge of g.
+func hasEdge(g *Graph, u, v int) bool { return slices.Contains(g.Neighbors(u), v) }
+
+// bandwidthAware is Algorithm 3's line 5 as the planner composes it: the
+// greedy seed, completed to maximum cardinality on the graph of the same
+// edges.
+func bandwidthAware(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
+	var m Matcher
+	m.Load(n, edges)
+	match := m.GreedyWeightedMatching(n, edges, rnd)
+	m.Augment(match, rnd)
+	return match
 }
 
 func TestIsConnected(t *testing.T) {
@@ -45,27 +58,12 @@ func TestIsConnected(t *testing.T) {
 		g    *Graph
 		want bool
 	}{
-		{"empty", New(0), true},
-		{"single", New(1), true},
-		{"twoIsolated", New(2), false},
+		{"empty", pairGraph(0), true},
+		{"single", pairGraph(1), true},
+		{"twoIsolated", pairGraph(2), false},
 		{"ring8", ring(8), true},
-		{"path", func() *Graph {
-			g := New(4)
-			g.AddEdge(0, 1)
-			g.AddEdge(1, 2)
-			g.AddEdge(2, 3)
-			return g
-		}(), true},
-		{"twoTriangles", func() *Graph {
-			g := New(6)
-			g.AddEdge(0, 1)
-			g.AddEdge(1, 2)
-			g.AddEdge(2, 0)
-			g.AddEdge(3, 4)
-			g.AddEdge(4, 5)
-			g.AddEdge(5, 3)
-			return g
-		}(), false},
+		{"path", pairGraph(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}), true},
+		{"twoTriangles", pairGraph(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 3}), false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,10 +75,7 @@ func TestIsConnected(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New(7)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
+	g := pairGraph(7, [2]int{0, 1}, [2]int{1, 2}, [2]int{3, 4})
 	// 5, 6 isolated
 	comps := g.Components()
 	if len(comps) != 4 {
@@ -111,7 +106,7 @@ func TestMaximumMatchingRing(t *testing.T) {
 			t.Fatalf("n=%d: matching size %d, want %d", tc.n, m.Size(), tc.want)
 		}
 		for v, p := range m {
-			if p != -1 && !g.HasEdge(v, p) {
+			if p != -1 && !hasEdge(g, v, p) {
 				t.Fatalf("n=%d: matched non-edge (%d,%d)", tc.n, v, p)
 			}
 		}
@@ -121,13 +116,10 @@ func TestMaximumMatchingRing(t *testing.T) {
 func TestMaximumMatchingPetersen(t *testing.T) {
 	// The Petersen graph has a perfect matching (5 edges) but is not
 	// bipartite — a classic blossom stress case.
-	g := New(10)
 	outer := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}
 	inner := [][2]int{{5, 7}, {7, 9}, {9, 6}, {6, 8}, {8, 5}}
 	spokes := [][2]int{{0, 5}, {1, 6}, {2, 7}, {3, 8}, {4, 9}}
-	for _, e := range append(append(outer, inner...), spokes...) {
-		g.AddEdge(e[0], e[1])
-	}
+	g := pairGraph(10, append(append(outer, inner...), spokes...)...)
 	m := AugmentToMaximum(g, nil, nil)
 	if !m.Valid(10) || m.Size() != 5 {
 		t.Fatalf("Petersen matching size %d, want 5 (%v)", m.Size(), m)
@@ -136,10 +128,7 @@ func TestMaximumMatchingPetersen(t *testing.T) {
 
 func TestMaximumMatchingOddBlossoms(t *testing.T) {
 	// Two triangles joined by a bridge: maximum matching is 3.
-	g := New(6)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}} {
-		g.AddEdge(e[0], e[1])
-	}
+	g := pairGraph(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{2, 3}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 3})
 	m := AugmentToMaximum(g, nil, nil)
 	if m.Size() != 3 {
 		t.Fatalf("matching size %d, want 3", m.Size())
@@ -148,10 +137,7 @@ func TestMaximumMatchingOddBlossoms(t *testing.T) {
 
 func TestMaximumMatchingStar(t *testing.T) {
 	// A star can only match one pair regardless of leaves.
-	g := New(6)
-	for i := 1; i < 6; i++ {
-		g.AddEdge(0, i)
-	}
+	g := pairGraph(6, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}, [2]int{0, 4}, [2]int{0, 5})
 	m := AugmentToMaximum(g, nil, nil)
 	if m.Size() != 1 {
 		t.Fatalf("star matching size %d, want 1", m.Size())
@@ -196,20 +182,21 @@ func TestMaximumMatchingAgainstBruteForce(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 2 + r.Intn(9) // up to 10 vertices
-		g := New(n)
+		var pairs [][2]int
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if r.Bernoulli(0.4) {
-					g.AddEdge(i, j)
+					pairs = append(pairs, [2]int{i, j})
 				}
 			}
 		}
+		g := pairGraph(n, pairs...)
 		m := AugmentToMaximum(g, nil, r)
 		if !m.Valid(n) {
 			return false
 		}
 		for v, p := range m {
-			if p != -1 && !g.HasEdge(v, p) {
+			if p != -1 && !hasEdge(g, v, p) {
 				return false
 			}
 		}
@@ -224,16 +211,15 @@ func TestAugmentToMaximumKeepsSeededVerticesMatched(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 4 + r.Intn(12)
-		g := New(n)
 		var edges []WeightedEdge
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if r.Bernoulli(0.5) {
-					g.AddEdge(i, j)
 					edges = append(edges, WeightedEdge{U: i, V: j, Weight: r.Float64()})
 				}
 			}
 		}
+		g := NewFromEdges(n, edges)
 		seeded := GreedyWeightedMatching(n, edges, nil)
 		final := AugmentToMaximum(g, seeded, r)
 		if !final.Valid(n) {
@@ -266,7 +252,7 @@ func TestGreedyWeightedMatchingPrefersHeavyEdge(t *testing.T) {
 	}
 }
 
-func TestBandwidthAwareMaximumMatchingIsMaximumAndHeavy(t *testing.T) {
+func TestBandwidthAwareMatchingIsMaximumAndHeavy(t *testing.T) {
 	// Path 0-1-2-3 with weights 1, 100, 1. Max cardinality is 2 and must use
 	// edges (0,1) and (2,3) — the bandwidth-aware matching cannot keep the
 	// heavy middle edge AND stay maximum, so cardinality wins.
@@ -275,7 +261,7 @@ func TestBandwidthAwareMaximumMatchingIsMaximumAndHeavy(t *testing.T) {
 		{U: 1, V: 2, Weight: 100},
 		{U: 2, V: 3, Weight: 1},
 	}
-	m := BandwidthAwareMaximumMatching(4, edges, nil)
+	m := bandwidthAware(4, edges, nil)
 	if m.Size() != 2 {
 		t.Fatalf("size = %d, want 2", m.Size())
 	}
@@ -297,7 +283,7 @@ func TestBandwidthAwareChoosesHeavyWhenFree(t *testing.T) {
 			edges = append(edges, WeightedEdge{U: i, V: j, Weight: w})
 		}
 	}
-	m := BandwidthAwareMaximumMatching(4, edges, nil)
+	m := bandwidthAware(4, edges, nil)
 	if m[0] != 1 || m[2] != 3 {
 		t.Fatalf("matching = %v, want heavy pairs", m)
 	}
@@ -336,14 +322,15 @@ func BenchmarkBlossomN32Dense(b *testing.B) {
 
 func BenchmarkBlossomN64Sparse(b *testing.B) {
 	r := rng.New(2)
-	g := New(64)
+	var pairs [][2]int
 	for i := 0; i < 64; i++ {
 		for j := i + 1; j < 64; j++ {
 			if r.Bernoulli(0.1) {
-				g.AddEdge(i, j)
+				pairs = append(pairs, [2]int{i, j})
 			}
 		}
 	}
+	g := pairGraph(64, pairs...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

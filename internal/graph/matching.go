@@ -51,18 +51,3 @@ func weightBucket(w float64) int {
 
 // logBand is the width of one weight bucket on the log scale.
 var logBand = math.Log(1.25)
-
-// BandwidthAwareMaximumMatching computes a maximum cardinality matching that
-// prefers high-weight edges: a greedy weighted matching seeds the solution,
-// then Edmonds augmentation completes it to maximum cardinality (never
-// un-matching a seeded vertex). This realizes the paper's "maximum match
-// using the filtered bandwidth matrix B*" with its bandwidth preference.
-// The candidate list must be duplicate-free (every caller enumerates each
-// link once), which lets the graph build map-free in O(E).
-func BandwidthAwareMaximumMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
-	var m Matcher
-	m.Load(n, edges)
-	match := m.GreedyWeightedMatching(n, edges, rnd)
-	m.Augment(match, rnd)
-	return match
-}

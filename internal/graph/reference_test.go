@@ -62,7 +62,7 @@ func refAugmentToMaximum(g *Graph, initial Matching, rnd *rng.Source) Matching {
 			adj[v] = a
 		}
 	}
-	sg := &Graph{N: n, adj: adj, has: g.has}
+	sg := &Graph{N: n, adj: adj}
 	s.g = sg
 
 	for _, v := range order {
@@ -223,7 +223,7 @@ func refWeightBucket(w float64) int {
 	return int(math.Floor(math.Log(w) / math.Log(1.25)))
 }
 
-func refBandwidthAwareMaximumMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
+func refBandwidthAwareMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
 	g := NewFromEdges(n, edges)
 	seed := refGreedyWeightedMatching(n, edges, rnd)
 	return refAugmentToMaximum(g, seed, rnd)

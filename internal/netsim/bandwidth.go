@@ -80,9 +80,9 @@ func (b *Bandwidth) MBps(i, j int) float64 {
 }
 
 // ForEachEdge calls fn for every link with positive bandwidth at least
-// thresh, in lexicographic (u < v) order — the same enumeration order as
-// Edges, without allocating. Each link is visited from its lower endpoint's
-// row only, so a walk costs O(E), not O(N²).
+// thresh, in lexicographic (u < v) order — AppendEdges's order, without
+// allocating. Each link is visited from its lower endpoint's row only, so a
+// walk costs O(E), not O(N²).
 func (b *Bandwidth) ForEachEdge(thresh float64, fn func(u, v int, w float64)) {
 	for u := 0; u < b.N; u++ {
 		for k := b.lowerBound(u, u+1); k < b.off[u+1]; k++ {
@@ -93,26 +93,14 @@ func (b *Bandwidth) ForEachEdge(thresh float64, fn func(u, v int, w float64)) {
 	}
 }
 
-// Edges returns all links with bandwidth at least thresh as weighted edges
-// (weight = bandwidth in MB/s), with U < V.
-func (b *Bandwidth) Edges(thresh float64) []graph.WeightedEdge {
-	return b.AppendEdges(nil, thresh)
-}
-
-// AppendEdges appends the Edges result to dst (reusing its capacity) and
-// returns the extended slice — the allocation-free form for per-round use.
+// AppendEdges appends every link with bandwidth at least thresh to dst as
+// weighted edges (weight = bandwidth in MB/s, U < V), reusing its capacity,
+// and returns the extended slice.
 func (b *Bandwidth) AppendEdges(dst []graph.WeightedEdge, thresh float64) []graph.WeightedEdge {
 	b.ForEachEdge(thresh, func(u, v int, w float64) {
 		dst = append(dst, graph.WeightedEdge{U: u, V: v, Weight: w})
 	})
 	return dst
-}
-
-// FilterGraph returns the thresholded connectivity as a graph.Graph.
-func (b *Bandwidth) FilterGraph(thresh float64) *graph.Graph {
-	g := graph.New(b.N)
-	b.ForEachEdge(thresh, func(u, v int, _ float64) { g.AddEdge(u, v) })
-	return g
 }
 
 // MeanBandwidth returns the mean over all N(N-1) ordered off-diagonal pairs

@@ -118,7 +118,7 @@ func (l *Ledger) MeanWorkerTrafficMB() float64 {
 	return float64(sum) / float64(len(l.sentBytes)) / 1e6
 }
 
-// AppendState implements engine.StateAppender: three sections of
+// AppendState implements engine.Stateful: three sections of
 // words — the per-worker sent totals, the received totals, then the simulated
 // clock's bits, the server's sent and received bytes and the round count.
 // Per-round scratch is zero at a boundary and is not captured. It must be
@@ -130,9 +130,6 @@ func (l *Ledger) AppendState(dst []byte) ([]byte, error) {
 	dst = tensor.AppendWords(tensor.BeginSection(dst, ledgerScalars), []float64{l.totalTime})
 	return tensor.AppendInts(dst, []int64{l.serverSent, l.serverRecv, int64(l.rounds)}), nil
 }
-
-// CaptureState implements engine.Stateful.
-func (l *Ledger) CaptureState() ([]byte, error) { return l.AppendState(nil) }
 
 // ledgerScalars is the size of the state's last section.
 const ledgerScalars = 4 * 8

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sapspsgd/internal/graph"
 	"sapspsgd/internal/rng"
 	"sapspsgd/internal/tensor"
 )
@@ -78,15 +79,15 @@ func TestFilterAndEdges(t *testing.T) {
 		{10, 0, 5},
 		{1, 5, 0},
 	})
-	edges := bw.Edges(4)
+	edges := bw.AppendEdges(nil, 4)
 	if len(edges) != 2 || edges[0].U != 0 || edges[0].V != 1 || edges[1].U != 1 || edges[1].V != 2 {
-		t.Fatalf("Edges = %v", edges)
+		t.Fatalf("AppendEdges = %v", edges)
 	}
-	g := bw.FilterGraph(4)
+	g := graph.NewFromEdges(bw.N, bw.AppendEdges(nil, 4))
 	if !g.IsConnected() {
 		t.Fatal("filtered graph should be connected at thresh 4")
 	}
-	if g2 := bw.FilterGraph(100); g2.IsConnected() {
+	if g2 := graph.NewFromEdges(bw.N, bw.AppendEdges(nil, 100)); g2.IsConnected() {
 		t.Fatal("filtered graph should be disconnected at thresh 100")
 	}
 }
@@ -253,7 +254,7 @@ func TestLedgerStateRoundTrip(t *testing.T) {
 	l.EndRound()
 	l.Exchange(1, 2, 2e5, 2e5)
 	l.EndRound()
-	data, err := l.CaptureState()
+	data, err := l.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestLedgerStateRoundTrip(t *testing.T) {
 	if err := r.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
-	again, err := r.CaptureState()
+	again, err := r.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestLedgerRestoreRefusesMismatchedState(t *testing.T) {
 	src := NewLedger(bw)
 	src.Exchange(0, 1, 1e6, 5e5)
 	src.EndRound()
-	good, err := src.CaptureState()
+	good, err := src.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

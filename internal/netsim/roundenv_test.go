@@ -70,7 +70,7 @@ func TestDynamicBandwidthJitterBounds(t *testing.T) {
 // base the draws scale is never written.
 func TestDynamicBandwidthVaries(t *testing.T) {
 	bothTopologies(t, func(t *testing.T, base *Bandwidth) {
-		before := base.Edges(0)
+		before := base.AppendEdges(nil, 0)
 		env := NewRoundEnv(base, 0.3, 5, nil)
 		e := before[0]
 		a := env.Current().MBps(e.U, e.V)
@@ -82,7 +82,7 @@ func TestDynamicBandwidthVaries(t *testing.T) {
 		if !changed {
 			t.Fatal("bandwidth never changed across ticks")
 		}
-		for k, got := range base.Edges(0) {
+		for k, got := range base.AppendEdges(nil, 0) {
 			if got != before[k] {
 				t.Fatalf("Tick wrote into the base: edge %d is %+v, was %+v", k, got, before[k])
 			}

@@ -42,8 +42,8 @@ func (m oracle) check(t *testing.T, b *Bandwidth) {
 	}
 	for _, thresh := range []float64{0, 1, 3} {
 		want := m.edges(thresh)
-		if got := b.Edges(thresh); !slices.Equal(got, want) {
-			t.Fatalf("thresh %v: Edges = %v, want %v", thresh, got, want)
+		if got := b.AppendEdges(nil, thresh); !slices.Equal(got, want) {
+			t.Fatalf("thresh %v: AppendEdges = %v, want %v", thresh, got, want)
 		}
 	}
 	if b.Links() != len(m.edges(0)) {
@@ -124,7 +124,7 @@ func TestSparseTopologyConnectedAndDeterministic(t *testing.T) {
 	const n, degree = 200, 8
 	a := SparseRandomUniform(n, degree, 0.5, 5, rng.New(3))
 	b := SparseRandomUniform(n, degree, 0.5, 5, rng.New(3))
-	ae, be := a.Edges(0), b.Edges(0)
+	ae, be := a.AppendEdges(nil, 0), b.AppendEdges(nil, 0)
 	if len(ae) != len(be) {
 		t.Fatalf("same seed, different edge counts: %d vs %d", len(ae), len(be))
 	}
@@ -133,7 +133,7 @@ func TestSparseTopologyConnectedAndDeterministic(t *testing.T) {
 			t.Fatalf("same seed, edge %d differs: %+v vs %+v", k, ae[k], be[k])
 		}
 	}
-	if !a.FilterGraph(0).IsConnected() {
+	if !graph.NewFromEdges(a.N, a.AppendEdges(nil, 0)).IsConnected() {
 		t.Fatal("sparse topology is not connected")
 	}
 	for _, e := range ae {
@@ -145,7 +145,7 @@ func TestSparseTopologyConnectedAndDeterministic(t *testing.T) {
 	if len(ae) < n || len(ae) > n*degree/2 {
 		t.Fatalf("%d edges for n=%d degree=%d", len(ae), n, degree)
 	}
-	if got := SparseRandomUniform(n, degree, 0.5, 5, rng.New(4)).Edges(0); len(got) == len(ae) {
+	if got := SparseRandomUniform(n, degree, 0.5, 5, rng.New(4)).AppendEdges(nil, 0); len(got) == len(ae) {
 		same := true
 		for k := range got {
 			if got[k] != ae[k] {
@@ -189,9 +189,9 @@ func TestSparseClusteredFasterInside(t *testing.T) {
 // speeds, not the original ones.
 func TestSparseScaledAndDynamic(t *testing.T) {
 	base := SparseRandomUniform(30, 4, 1, 4, rng.New(7))
-	before := base.Edges(0)
+	before := base.AppendEdges(nil, 0)
 	sc := base.Scaled([]int{2, 5}, 4)
-	if &sc.nbr[0] != &base.nbr[0] || !slices.Equal(base.Edges(0), before) {
+	if &sc.nbr[0] != &base.nbr[0] || !slices.Equal(base.AppendEdges(nil, 0), before) {
 		t.Fatal("Scaled copied the topology or wrote into its receiver")
 	}
 	env := NewRoundEnv(sc, 0.3, 11, nil)

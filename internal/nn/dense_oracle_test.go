@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sapspsgd/internal/rng"
@@ -126,8 +127,9 @@ func TestDenseKernelsMatchOracle(t *testing.T) {
 						fillNormal(got.b, r, wild)
 						fillNormal(got.dw.Data, r, false) // gradients start dirty
 						fillNormal(got.db, r, false)
-						want := &Dense{InDim: in, OutDim: out, w: got.w.Clone(), b: tensor.Clone(got.b),
-							dw: got.dw.Clone(), db: tensor.Clone(got.db)}
+						want := &Dense{InDim: in, OutDim: out,
+							w: tensor.MatrixFrom(out, in, slices.Clone(got.w.Data)), b: slices.Clone(got.b),
+							dw: tensor.MatrixFrom(out, in, slices.Clone(got.dw.Data)), db: slices.Clone(got.db)}
 
 						for pass := 0; pass < 2; pass++ {
 							x := tensor.NewMatrix(batch, in)
@@ -219,7 +221,7 @@ func TestFusedDenseReLUGatedOffUnit(t *testing.T) {
 func checkFusedAgainstPair(t *testing.T, name string, fused *Dense, x, dout *tensor.Matrix, r *rng.Source) {
 	t.Helper()
 	in, out := fused.InDim, fused.OutDim
-	dense := &Dense{InDim: in, OutDim: out, w: fused.w.Clone(), b: tensor.Clone(fused.b),
+	dense := &Dense{InDim: in, OutDim: out, w: tensor.MatrixFrom(out, in, slices.Clone(fused.w.Data)), b: slices.Clone(fused.b),
 		dw: tensor.NewMatrix(out, in), db: make([]float64, out)}
 	relu := NewReLU()
 	pre := dense.Forward(x, true)

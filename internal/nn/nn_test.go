@@ -77,7 +77,7 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	if math.Abs(loss-math.Log(2)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln2", loss)
 	}
-	if math.Abs(dl.At(0, 0)-(-0.5)) > 1e-12 || math.Abs(dl.At(0, 1)-0.5) > 1e-12 {
+	if math.Abs(dl.Row(0)[0]-(-0.5)) > 1e-12 || math.Abs(dl.Row(0)[1]-0.5) > 1e-12 {
 		t.Fatalf("dlogits = %v", dl.Data)
 	}
 }

@@ -34,12 +34,12 @@ func TestSyncArtifactsUnchangedByObs(t *testing.T) {
 		return out, csv.String()
 	}
 
-	obs.Disable()
+	obs.Enable(nil)
 	off, offCSV := run()
 
 	m := obs.New()
 	obs.Enable(m)
-	defer obs.Disable()
+	defer obs.Enable(nil)
 	on, onCSV := run()
 
 	if off.Result.TotalBytes != on.Result.TotalBytes {
@@ -82,12 +82,12 @@ func TestAsyncArtifactsUnchangedByObs(t *testing.T) {
 		return out
 	}
 
-	obs.Disable()
+	obs.Enable(nil)
 	off := run()
 
 	m := obs.New()
 	obs.Enable(m)
-	defer obs.Disable()
+	defer obs.Enable(nil)
 	on := run()
 
 	if !bytes.Equal(off.Events.Bytes(), on.Events.Bytes()) {

@@ -208,11 +208,8 @@ var current atomic.Pointer[Metrics]
 // Enable installs m as the process-global sink. Components built after
 // this call are instrumented; components built before it keep the
 // disabled sink they captured. Call it once at startup, before engines
-// or servers are constructed.
+// or servers are constructed. Enable(nil) turns observability off again.
 func Enable(m *Metrics) { current.Store(m) }
-
-// Disable clears the global sink (used by tests).
-func Disable() { current.Store(nil) }
 
 // Current returns the installed sink, or nil when observability is off.
 func Current() *Metrics { return current.Load() }

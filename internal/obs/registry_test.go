@@ -290,7 +290,7 @@ func TestConcurrentUpdates(t *testing.T) {
 // TestEnableDisable checks the global sink swap and the chain-safety of
 // Current() while disabled.
 func TestEnableDisable(t *testing.T) {
-	defer Disable()
+	defer Enable(nil)
 	if Current() != nil {
 		t.Fatal("sink enabled before Enable")
 	}
@@ -304,7 +304,7 @@ func TestEnableDisable(t *testing.T) {
 	if m.Engine.RoundsTotal.Value() != 1 {
 		t.Fatalf("RoundsTotal = %d, want 1", m.Engine.RoundsTotal.Value())
 	}
-	Disable()
+	Enable(nil)
 	if Current() != nil {
 		t.Fatal("Disable did not clear the sink")
 	}

@@ -39,13 +39,13 @@ func TestPlannerOnlyMatchesFullRun(t *testing.T) {
 		if kind == "sparse-uniform" {
 			full.Bandwidth = BandwidthSpec{Kind: "sparse-uniform", Lo: 0.5, Hi: 5, Degree: 4}
 		}
-		fr, err := full.Run(0)
+		fr, err := runResult(full, 0)
 		if err != nil {
 			t.Fatalf("%s full run: %v", kind, err)
 		}
 		planner := full.Clone()
 		planner.PlannerOnly = true
-		pr, err := planner.Run(0)
+		pr, err := runResult(planner, 0)
 		if err != nil {
 			t.Fatalf("%s planner run: %v", kind, err)
 		}
@@ -68,10 +68,10 @@ func TestPlannerOnlyMatchesFullRun(t *testing.T) {
 func TestPlannerOnlyMovesEngineCounters(t *testing.T) {
 	metrics := obs.New()
 	obs.Enable(metrics)
-	defer obs.Disable()
+	defer obs.Enable(nil)
 	s := plannerBase()
 	s.PlannerOnly = true
-	res, err := s.Run(0)
+	res, err := runResult(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSparseScenarioTrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(0)
+	res, err := runResult(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSparseRefusesAllPairsAlgos(t *testing.T) {
 				if v.algo != "randomchoose" {
 					s.Compression = 0
 				}
-				_, err = s.Run(0)
+				_, err = runResult(s, 0)
 				if err == nil || !strings.Contains(err.Error(), "algo "+v.algo+" ") || !strings.Contains(err.Error(), bw.Kind) {
 					t.Fatalf("error %v, want one naming algo %s and %s", err, v.algo, bw.Kind)
 				}
@@ -233,11 +233,11 @@ func TestPlannerOnly10kStaysSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.Run(0)
+	first, err := runResult(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Run(0)
+	second, err := runResult(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

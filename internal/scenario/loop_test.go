@@ -135,12 +135,12 @@ func TestImageTaskSpecEvaluates(t *testing.T) {
 func TestLocalStepsTradeRoundsForTraffic(t *testing.T) {
 	s := minimal()
 	s.Algo, s.Compression, s.Rounds = "saps", 4, 40
-	one, err := s.Run(1)
+	one, err := runResult(&s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.LocalSteps, s.Rounds = 4, 10
-	four, err := s.Run(1)
+	four, err := runResult(&s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

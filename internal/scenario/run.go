@@ -93,7 +93,7 @@ func (s *Spec) Coordinator(base *netsim.Bandwidth) (*netsim.RoundEnv, *algos.Rou
 // the spec's (whose own 0 means one shard per CPU). The returned clock's
 // Current is the environment the algorithm plans over; with bandwidth.jitter
 // or a trace block set, Tick(r) before each round r rewrites it in place,
-// as Run does.
+// as RunFull does.
 func (s *Spec) Build(shards int) (algos.Algorithm, *netsim.RoundEnv, error) {
 	b, err := s.build(shards)
 	if err != nil {
@@ -304,16 +304,6 @@ type Result struct {
 	PeakRSSBytes int64
 }
 
-// Run builds and executes the scenario with the given shard override (see
-// Build) against a bandwidth-accounted ledger.
-func (s *Spec) Run(shards int) (Result, error) {
-	out, err := s.RunFull(RunOptions{Shards: shards})
-	if err != nil {
-		return Result{}, err
-	}
-	return out.Result, nil
-}
-
 // RunOptions tunes one scenario execution beyond what the spec declares.
 type RunOptions struct {
 	// Shards is the engine shard override, interpreted exactly as Build's
@@ -329,7 +319,7 @@ type RunOptions struct {
 // per-round series; an asynchronous run adds its event log, final models and
 // per-rank ledgers.
 type RunOutput struct {
-	// Result is the summary row (also what Run returns).
+	// Result is the summary row.
 	Result Result
 	// Losses is the per-round mean training loss.
 	Losses []float64

@@ -72,6 +72,16 @@ func TestSpecGoldenRoundTrip(t *testing.T) {
 	}
 }
 
+// runResult runs s through RunFull with a shard override (0 = the spec's)
+// and returns its summary row.
+func runResult(s *Spec, shards int) (Result, error) {
+	out, err := s.RunFull(RunOptions{Shards: shards})
+	if err != nil {
+		return Result{}, err
+	}
+	return out.Result, nil
+}
+
 // minimal returns a valid spec the rejection tests mutate.
 func minimal() Spec {
 	return Spec{
@@ -325,12 +335,12 @@ func TestRunDeterministicAcrossShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := spec.Run(1) // serial reference
+			serial, err := runResult(spec, 1) // serial reference
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 4} {
-				got, err := spec.Run(shards)
+				got, err := runResult(spec, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -357,11 +367,11 @@ func TestRunFaultScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := spec.Run(1)
+	serial, err := runResult(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := spec.Run(4)
+	sharded, err := runResult(spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +386,7 @@ func TestRunFaultScenario(t *testing.T) {
 	// workers stop communicating.
 	healthy := *spec
 	healthy.Faults = nil
-	full, err := healthy.Run(1)
+	full, err := runResult(&healthy, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,13 +403,13 @@ func TestStragglerSlowsSimTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := spec.Run(2)
+	slow, err := runResult(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	healthy := *spec
 	healthy.Straggler = nil
-	fast, err := healthy.Run(2)
+	fast, err := runResult(&healthy, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +447,7 @@ func TestJitterScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := spec.Run(1)
+	serial, err := runResult(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +455,7 @@ func TestJitterScenario(t *testing.T) {
 		t.Fatal("jitter scenario moved no bytes")
 	}
 	for _, shards := range []int{1, 3} {
-		got, err := spec.Run(shards)
+		got, err := runResult(spec, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +467,7 @@ func TestJitterScenario(t *testing.T) {
 	}
 	static := spec.Clone()
 	static.Bandwidth.Jitter = 0
-	flat, err := static.Run(1)
+	flat, err := runResult(static, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,11 +673,11 @@ func TestRunChurnScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := spec.Run(1)
+	serial, err := runResult(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := spec.Run(4)
+	sharded, err := runResult(spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestTraceReplayDeterministicAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := spec.Run(1) // serial reference
+	serial, err := runResult(spec, 1) // serial reference
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestTraceReplayDeterministicAcrossShards(t *testing.T) {
 		counts = append(counts, n)
 	}
 	for _, shards := range counts {
-		got, err := spec.Run(shards)
+		got, err := runResult(spec, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,13 +75,13 @@ func TestTraceMembershipReplayed(t *testing.T) {
 func TestTraceMultipliersApplyToBaselines(t *testing.T) {
 	base := minimal()
 	base.Nodes, base.Data.Samples = 12, 240
-	plain, err := base.Run(1)
+	plain, err := runResult(&base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	traced := base.Clone()
 	traced.Trace = &TraceSpec{File: filepath.Join("testdata", "traces", "edge.csv")}
-	got, err := traced.Run(1)
+	got, err := runResult(traced, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestTraceComposesWithJitterAndFaults(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := spec.Run(1)
+	a, err := runResult(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := spec.Run(4)
+	b, err := runResult(spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestTraceComposesWithJitterAndFaults(t *testing.T) {
 func TestTraceFileErrors(t *testing.T) {
 	spec := minimal()
 	spec.Trace = &TraceSpec{File: filepath.Join("testdata", "traces", "no-such.csv")}
-	if _, err := spec.Run(1); err == nil {
+	if _, err := runResult(&spec, 1); err == nil {
 		t.Error("missing trace file accepted")
 	}
 	small := minimal() // 4 nodes, edge.csv references 12
 	small.Trace = &TraceSpec{File: filepath.Join("testdata", "traces", "edge.csv")}
-	_, err := small.Run(1)
+	_, err := runResult(&small, 1)
 	if err == nil || !strings.Contains(err.Error(), "node 11") {
 		t.Errorf("oversized trace: err = %v", err)
 	}
@@ -165,18 +165,18 @@ func TestSpecDirResolution(t *testing.T) {
 func TestNonIIDPartitionRuns(t *testing.T) {
 	base := minimal()
 	base.Nodes, base.Data.Samples, base.Rounds = 8, 240, 3
-	iid, err := base.Run(1)
+	iid, err := runResult(&base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"dirichlet", "quantity"} {
 		spec := base.Clone()
 		spec.Partition = &PartitionSpec{Kind: kind, Alpha: 0.3, MinPerNode: 2}
-		a, err := spec.Run(1)
+		a, err := runResult(spec, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		b, err := spec.Run(4)
+		b, err := runResult(spec, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sapspsgd/internal/rng"
@@ -70,7 +71,7 @@ func checkKernels(t *testing.T, data []byte) {
 	a := vals[len(vals)/2]
 	x := fill(make([]float64, n+off(1)), 1)[off(1):]
 	y := fill(make([]float64, n+off(0)), 0)[off(0):]
-	want := Clone(y)
+	want := slices.Clone(y)
 	axpy(a, x, y)
 	axpyGeneric(a, x, want)
 	sameKernelBits(t, fmt.Sprintf("Axpy n=%d flags=%#x", n, flags), y, want)
@@ -91,7 +92,7 @@ func checkKernels(t *testing.T, data []byte) {
 		idx[rows-1] = idx[0]
 	}
 	dst := fill(make([]float64, n+off(0)), 4)[off(0):]
-	want = Clone(dst)
+	want = slices.Clone(dst)
 	okGot := axpyRows(dst, src, g, stride, rows, idx)
 	okWant := axpyRowsGeneric(want, src, g, stride, rows, idx)
 	if !okGot || !okWant {
@@ -110,7 +111,7 @@ func checkKernels(t *testing.T, data []byte) {
 	for i := range mx {
 		mx[i], mv[i] = vals[i%L], vals[(i+i/L)%L]
 	}
-	want = Clone(mx)
+	want = slices.Clone(mx)
 	midpoint(mx, mv)
 	midpointGeneric(want, mv)
 	sameKernelBits(t, fmt.Sprintf("Midpoint n=%d flags=%#x", n, flags), mx, want)

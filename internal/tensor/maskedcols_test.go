@@ -80,8 +80,8 @@ func checkMaskedColumns(t *testing.T, data []byte) {
 		}
 		s, list := 0.0, []int32(nil)
 		for i := 0; i < rows; i++ {
-			v := g.At(i, j)
-			if y != nil && (math.IsNaN(y.At(i, j)) || y.At(i, j) <= 0) {
+			v := g.Row(i)[j]
+			if y != nil && (math.IsNaN(y.Row(i)[j]) || y.Row(i)[j] <= 0) {
 				v = 0
 			}
 			s += v

@@ -114,10 +114,10 @@ func TestMatMulAgainstNaive(t *testing.T) {
 			for j := 0; j < n; j++ {
 				want := 0.0
 				for kk := 0; kk < k; kk++ {
-					want += a.At(i, kk) * b.At(kk, j)
+					want += a.Row(i)[kk] * b.Row(kk)[j]
 				}
-				if !almostEq(got.At(i, j), want, 1e-9) {
-					t.Fatalf("MatMul[%d,%d] = %v, want %v", i, j, got.At(i, j), want)
+				if !almostEq(got.Row(i)[j], want, 1e-9) {
+					t.Fatalf("MatMul[%d,%d] = %v, want %v", i, j, got.Row(i)[j], want)
 				}
 			}
 		}
@@ -139,8 +139,8 @@ func TestTranspose(t *testing.T) {
 			TransposeInto(at, a)
 			for i := 0; i < rows; i++ {
 				for j := 0; j < cols; j++ {
-					if a.At(i, j) != at.At(j, i) {
-						t.Fatalf("%dx%d: transpose[%d][%d] = %v, want %v", rows, cols, j, i, at.At(j, i), a.At(i, j))
+					if a.Row(i)[j] != at.Row(j)[i] {
+						t.Fatalf("%dx%d: transpose[%d][%d] = %v, want %v", rows, cols, j, i, at.Row(j)[i], a.Row(i)[j])
 					}
 				}
 			}

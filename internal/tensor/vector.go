@@ -12,13 +12,6 @@ import (
 	"math"
 )
 
-// Clone returns a copy of v.
-func Clone(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
-}
-
 // The element-wise kernels below process four elements per iteration. The
 // unrolling is bit-transparent — each element's arithmetic is independent, so
 // the results are identical to the scalar loop (unlike reductions, where

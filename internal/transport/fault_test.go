@@ -137,7 +137,7 @@ func TestUnscheduledCrashReplans(t *testing.T) {
 	const n, rounds, dieAt = 4, 6, 3
 	metrics := obs.New()
 	obs.Enable(metrics)
-	defer obs.Disable()
+	defer obs.Enable(nil)
 
 	led := &engine.CountingLedger{}
 	srv := &CoordinatorServer{Spec: tinySpec("saps", n, rounds), Ledger: led, Logf: t.Logf}

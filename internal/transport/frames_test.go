@@ -68,7 +68,7 @@ func (l *logSink) snapshot() []string {
 func TestRejectedFrameIsLoggedAndCounted(t *testing.T) {
 	metrics := obs.New()
 	obs.Enable(metrics)
-	defer obs.Disable()
+	defer obs.Enable(nil)
 
 	var sink logSink
 	ws := peerFleetWith(t, 2, func(w *WorkerClient) {
@@ -166,7 +166,7 @@ func TestRejectedFrameIsLoggedAndCounted(t *testing.T) {
 func TestConnectionSpeaksForOneRank(t *testing.T) {
 	metrics := obs.New()
 	obs.Enable(metrics)
-	defer obs.Disable()
+	defer obs.Enable(nil)
 
 	frame := func(from, seq int) []byte {
 		f := tensor.AppendWords(engine.BeginFrame(nil), []float64{float64(10*from + seq)})

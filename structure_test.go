@@ -943,7 +943,7 @@ var panicPins = map[string]int{
 	"internal/engine":              8,
 	"internal/engine/memtransport": 1,
 	"internal/gossip":              2,
-	"internal/graph":               4,
+	"internal/graph":               3,
 	"internal/netsim":              14,
 	"internal/nn":                  19,
 	"internal/obs":                 3,
@@ -999,6 +999,23 @@ var reachSets = []struct {
 	{"arm64", nil},
 }
 
+// testOnlyOracles are the product functions that only other packages'
+// tests reach: oracles those tests check the product against, kept where
+// they are because several packages' tests share them. The list only
+// shrinks.
+var testOnlyOracles = []string{
+	"(*sapspsgd/internal/engine.CountingLedger).WorkerBytes",
+	"(*sapspsgd/internal/engine.Engine).Nodes",
+	"(*sapspsgd/internal/engine.Engine).ReplayPlans",
+	"(*sapspsgd/internal/graph.Graph).Components",
+	"(*sapspsgd/internal/graph.Graph).EdgeCount",
+	"(*sapspsgd/internal/graph.Graph).IsConnected",
+	"(*sapspsgd/internal/graph.Graph).Neighbors",
+	"(*sapspsgd/internal/scenario.Spec).Build",
+	"(*sapspsgd/internal/tensor.Matrix).IsDoublyStochastic",
+	"sapspsgd/internal/tensor.abs",
+}
+
 // TestNoUnreachedProductCode: product code is what a binary runs. Every
 // function declared outside the _test.go files of cmd/ and internal/ must be
 // reached from a command's main, from the benchmark's sources, or from a
@@ -1007,32 +1024,54 @@ var reachSets = []struct {
 // functions that share a name are told apart. A call through an interface
 // reaches the methods of that name and signature on every type that reached
 // code mentions, as does a method of a standard-library interface. Code
-// only its own package's tests call goes, or moves into those tests.
+// only its own package's tests call goes, or moves into those tests. The
+// walk runs again without the test roots: what only other packages' tests
+// reach is pinned by testOnlyOracles, so a second spelling of a live
+// function cannot come back as a test's convenience.
 func TestNoUnreachedProductCode(t *testing.T) {
 	mod := loadModule(t)
 	declared := map[string]string{} // FullName → position
-	reached := map[string]bool{}
+	reached := map[string]bool{}    // from every root
+	linked := map[string]bool{}     // from the commands' and the benchmark's roots
 	for _, set := range reachSets {
 		r := mod.check(t, set.goarch, set.tags)
 		for name, pos := range r.declared {
 			declared[name] = pos
 		}
-		for name := range r.reach() {
+		for name := range r.reach(true) {
 			reached[name] = true
 		}
+		for name := range r.reach(false) {
+			linked[name] = true
+		}
 	}
-	var dead []string
+	var dead, unpinned, testOnly []string
 	for name, pos := range declared {
-		if !reached[name] {
+		switch {
+		case !reached[name]:
 			dead = append(dead, pos+": "+name)
+		case !linked[name]:
+			testOnly = append(testOnly, name)
+			if !slices.Contains(testOnlyOracles, name) {
+				unpinned = append(unpinned, pos+": "+name)
+			}
 		}
 	}
 	slices.Sort(dead)
 	for _, d := range dead {
 		t.Errorf("%s is reached by no command, no benchmark source and no other package's test: delete it, or move it into the _test.go files that call it", d)
 	}
-	if len(declared) == 0 || len(reached) == 0 {
-		t.Error("no product function declared or reached: the guard would check nothing")
+	slices.Sort(unpinned)
+	for _, d := range unpinned {
+		t.Errorf("%s is reached only by other packages' tests (%d functions are, %d pinned): point those tests at the function the product calls and delete it", d, len(testOnly), len(testOnlyOracles))
+	}
+	for _, name := range testOnlyOracles {
+		if !slices.Contains(testOnly, name) {
+			t.Errorf("%s is no longer reached only by tests (%d functions are, %d pinned): drop it from testOnlyOracles", name, len(testOnly), len(testOnlyOracles))
+		}
+	}
+	if len(declared) == 0 || len(linked) == 0 {
+		t.Error("no product function declared or linked: the guard would check nothing")
 	}
 }
 
@@ -1114,7 +1153,7 @@ type reachCheck struct {
 	roots    []ast.Node               // what a binary or a test starts from
 	info     map[ast.Node]*types.Info // root or body → the check that resolved it
 	skip     map[ast.Node]string      // test root → the package whose own objects it may not reach
-	called   []*types.Func            // interface methods called: the standard library's, then reached code's
+	called   []*types.Func            // interface methods the standard library calls; reach adds reached code's
 }
 
 // check type-checks every package under one file set: product packages as a
@@ -1289,9 +1328,11 @@ func (m *goModule) stdPackages(pkgs map[string]*types.Package) []*types.Package 
 	return out
 }
 
-// reach walks the product functions from the roots and returns the reached ones.
-func (r *reachCheck) reach() map[string]bool {
+// reach walks the product functions from the roots, the test files among
+// them only withTests, and returns the reached ones.
+func (r *reachCheck) reach(withTests bool) map[string]bool {
 	reached := map[string]bool{}
+	called := slices.Clone(r.called)
 	live := map[*types.Named]bool{}
 	var work []ast.Node
 	mark := func(name string) {
@@ -1337,7 +1378,7 @@ func (r *reachCheck) reach() map[string]bool {
 			fn = fn.Origin()
 			if sig := fn.Type().(*types.Signature); sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 				if skip == "" {
-					r.called = append(r.called, fn)
+					called = append(called, fn)
 				}
 				return true
 			}
@@ -1346,6 +1387,9 @@ func (r *reachCheck) reach() map[string]bool {
 		})
 	}
 	for _, root := range r.roots {
+		if r.skip[root] != "" && !withTests {
+			continue
+		}
 		if fd, ok := root.(*ast.FuncDecl); ok {
 			reached[r.info[fd].Defs[fd.Name].(*types.Func).FullName()] = true
 		}
@@ -1365,7 +1409,7 @@ func (r *reachCheck) reach() map[string]bool {
 				if reached[m.FullName()] {
 					continue
 				}
-				for _, c := range r.called {
+				for _, c := range called {
 					if c.Name() == m.Name() && types.Identical(c.Type(), m.Type()) {
 						mark(m.FullName())
 						break

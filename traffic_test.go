@@ -85,11 +85,11 @@ func TestTrafficGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range tc.shards {
-			res, err := spec.Run(shards)
+			out, err := spec.RunFull(scenario.RunOptions{Shards: shards})
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", spec.Name, shards, err)
 			}
-			if res.TotalBytes != tc.want {
+			if res := out.Result; res.TotalBytes != tc.want {
 				t.Errorf("%s shards=%d: %d total bytes, want %d", spec.Name, shards, res.TotalBytes, tc.want)
 			}
 		}
