@@ -62,6 +62,8 @@ type neighborMixNode struct {
 	lr     float64
 	row    mixRow // W row, self weight included
 	params []float64
+	// weights is Merge's scratch: the row weight of each message.
+	weights []float64
 }
 
 // Compute implements engine.Node.
@@ -74,24 +76,45 @@ func (d *neighborMixNode) Compute(engine.RoundContext) (float64, []float64, erro
 }
 
 // Merge implements engine.Node: the mix is written straight into the model,
-// once every sender is known to be a neighbour.
+// once every sender is known to be a neighbour. It runs a block of
+// coordinates at a time, and in each block the same operations in the same
+// order as a pass per term: x = wₛ·p, then x += wₘ·mₘ for each message in
+// delivery order, then x += −lr·g.
 func (d *neighborMixNode) Merge(ctx engine.RoundContext, msgs []engine.PeerMsg) error {
+	x, grads := d.Model.Flat()
+	if len(d.params) != len(x) {
+		return fmt.Errorf("algos: D-PSGD node %d merges %d own values, model has %d", ctx.Self, len(d.params), len(x))
+	}
+	d.weights = d.weights[:0]
 	for _, m := range msgs {
-		if d.row.find(m.From) == nil {
+		e := d.row.find(m.From)
+		if e == nil {
 			return fmt.Errorf("algos: D-PSGD node %d received model from non-neighbor %d", ctx.Self, m.From)
 		}
+		if len(m.Vals) != len(x) {
+			return fmt.Errorf("algos: D-PSGD node %d received %d values from %d, model has %d", ctx.Self, len(m.Vals), m.From, len(x))
+		}
+		d.weights = append(d.weights, e.w)
 	}
-	x, grads := d.Model.Flat()
 	wSelf := d.row.find(ctx.Self).w
-	for j, v := range d.params {
-		x[j] = wSelf * v
+	for lo := 0; lo < len(x); lo += mixBlock {
+		hi := min(lo+mixBlock, len(x))
+		xs := x[lo:hi]
+		for j, v := range d.params[lo:hi] {
+			xs[j] = wSelf * v
+		}
+		for k, m := range msgs {
+			tensor.Axpy(d.weights[k], m.Vals[lo:hi], xs)
+		}
+		tensor.Axpy(-d.lr, grads[lo:hi], xs)
 	}
-	for _, m := range msgs {
-		tensor.Axpy(d.row.find(m.From).w, m.Vals, x)
-	}
-	tensor.Axpy(-d.lr, grads, x)
 	return nil
 }
+
+// mixBlock is how many coordinates the mixes (neighborMixNode.Merge,
+// dcdNode.Compute) finish at a time: a block of every operand stays in
+// cache across the mixing row, so each vector streams through once.
+const mixBlock = 256
 
 // ---------------------------------------------------------------------------
 // Difference-compressed node (DCD-PSGD)
@@ -125,22 +148,51 @@ func newDCDNode(t *core.Trainer, lr float64, row mixRow) *dcdNode {
 func (n *dcdNode) Compute(ctx engine.RoundContext) (float64, []float64, error) {
 	loss := n.GradStep()
 	x, grads := n.Model.Flat()
-	self := n.row.find(ctx.Self).replica
-	for j := range x {
-		gossip := 0.0
-		for k := range n.row {
-			if e := &n.row[k]; e.rank != ctx.Self {
-				gossip += e.w * (e.replica[j] - self[j])
-			}
-		}
-		x[j] += gossip - n.lr*grads[j]
-	}
+	return loss, n.mix(ctx.Self, x, grads), nil
+}
+
+// mix is Compute after the gradient: for each coordinate, in blocks of
+// mixBlock, the gossip Σₖ wₖ·(rₖ − self) over the neighbours in row order
+// from +0, then x += gossip − lr·g, and the published difference x − self.
+func (n *dcdNode) mix(rank int, x, grads []float64) []float64 {
+	self := n.row.find(rank).replica
 	if cap(n.diff) < len(x) {
 		n.diff = make([]float64, len(x))
 	}
 	n.diff = n.diff[:len(x)]
-	tensor.Sub(n.diff, x, self)
-	return loss, n.diff, nil
+	var gossip [mixBlock]float64
+	for lo := 0; lo < len(x); lo += mixBlock {
+		hi := min(lo+mixBlock, len(x))
+		g := gossip[:hi-lo]
+		clear(g)
+		for k := range n.row {
+			if e := &n.row[k]; e.rank != rank {
+				gossipBlock(g, e.w, e.replica[lo:hi], self[lo:hi])
+			}
+		}
+		dcdStep(x[lo:hi], n.diff[lo:hi], g, grads[lo:hi], self[lo:hi], n.lr)
+	}
+	return n.diff
+}
+
+// gossipBlock adds one neighbour's term of the replica gossip to a block of
+// sums: g[j] += w·(r[j] − self[j]), the product rounded before the add.
+func gossipBlock(g []float64, w float64, r, self []float64) {
+	r, self = r[:len(g)], self[:len(g)]
+	for j := range g {
+		g[j] += float64(w * (r[j] - self[j]))
+	}
+}
+
+// dcdStep finishes a block: the model takes its gossip sum and gradient
+// step, x[j] += g[j] − lr·grads[j] with the product rounded before the
+// subtraction, and the published difference is diff[j] = x[j] − self[j].
+func dcdStep(x, diff, g, grads, self []float64, lr float64) {
+	diff, g, grads, self = diff[:len(x)], g[:len(x)], grads[:len(x)], self[:len(x)]
+	for j := range x {
+		x[j] += g[j] - float64(lr*grads[j])
+		diff[j] = x[j] - self[j]
+	}
 }
 
 // Merge implements engine.Node: every published delta (the node's own

@@ -44,6 +44,18 @@ func TestTopKIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestQSGDSteadyStateZeroAlloc: a quantization into reused words allocates
+// nothing — the block of uniforms stays on the stack.
+func TestQSGDSteadyStateZeroAlloc(t *testing.T) {
+	const n = 4096
+	x := randVec(n, 8)
+	q := NewQSGD(16, 1)
+	words := q.AppendQuantized(nil, x)
+	if allocs := testing.AllocsPerRun(50, func() { words = q.AppendQuantized(words, x) }); allocs != 0 {
+		t.Fatalf("QSGD.AppendQuantized: %v allocs/op in steady state, want 0", allocs)
+	}
+}
+
 func TestMaskedExtractSteadyStateZeroAlloc(t *testing.T) {
 	const n = 4096
 	x := randVec(n, 3)
@@ -127,6 +139,19 @@ func BenchmarkTopKInto(b *testing.B) {
 				mags = TopKInto(&out, mags, x, sh.k)
 			}
 		})
+	}
+}
+
+// BenchmarkAppendQuantized quantizes baselines32's 85,002-parameter MLP at
+// qsgd-psgd's 16 levels into reused words.
+func BenchmarkAppendQuantized(b *testing.B) {
+	x := randVec(85002, 10)
+	q := NewQSGD(16, 1)
+	words := q.AppendQuantized(nil, x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		words = q.AppendQuantized(words, x)
 	}
 }
 

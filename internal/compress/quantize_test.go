@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -122,4 +123,88 @@ func TestQSGDBadLevelsPanics(t *testing.T) {
 		}
 	}()
 	NewQSGD(0, 1)
+}
+
+// quantizeReference is the scalar definition of AppendQuantized, one
+// coordinate at a time: the sequential norm with each square rounded, then
+// for a nonzero norm a = |v| / norm * s, ⌊a⌋, one Float64 draw compared with
+// a − ⌊a⌋, and the sign by the v < 0 test.
+func quantizeReference(r *rng.Source, x []float64, levels int) []float64 {
+	norm := 0.0
+	for _, v := range x {
+		norm += float64(v * v)
+	}
+	norm = math.Sqrt(norm)
+	out := []float64{norm}
+	s := float64(levels)
+	for _, v := range x {
+		if norm == 0 {
+			out = append(out, 0)
+			continue
+		}
+		a := float64(math.Abs(v) / norm * s)
+		c := math.Floor(a)
+		if r.Float64() < a-c {
+			c++
+		}
+		if v < 0 {
+			c = -c
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// qsgdFuzzEntry lays x out as the fuzz target's little-endian words.
+func qsgdFuzzEntry(x []float64) []byte {
+	b := make([]byte, 0, 8*len(x))
+	for _, v := range x {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzQSGDMatchScalar: for any vector of up to 1024 float64 words (±0,
+// subnormals, ±Inf, NaN, squares that underflow or overflow), any level
+// count and any seed, AppendQuantized writes the words of the scalar
+// definition, bit for bit, and leaves the generator where it does.
+func FuzzQSGDMatchScalar(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	vectors := [][]float64{
+		{},
+		{negZero, 0, negZero},
+		{1, -2, 0, 0.5, negZero},
+		{5e-324, -5e-324, 1e-310, -2.2e-308},
+		{1.5e-160, -1e-162, 3e-163},
+		{1e200, -3e160, 1},
+		{1e155, 1e155},
+		{math.Inf(1), 1, -1},
+		{math.NaN(), 2},
+		randVec(1000, 9),
+	}
+	for i, x := range vectors {
+		for _, levels := range []int{1, 16, 127, 1 << 52, 1<<52 + 1} {
+			f.Add(qsgdFuzzEntry(x), levels, uint64(i))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, levels int, seed uint64) {
+		if levels < 1 {
+			t.Skip()
+		}
+		x := make([]float64, min(len(data)/8, 1024))
+		for i := range x {
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		q, ref := NewQSGD(levels, seed), rng.New(seed)
+		got, want := q.AppendQuantized(nil, x), quantizeReference(ref, x, levels)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("levels %d, word %d of %d: %v (%#x), scalar definition %v (%#x)",
+					levels, i, len(want), got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+		if q.RNGState() != ref.State() {
+			t.Fatalf("levels %d, %d words: generator at %+v, scalar definition leaves it at %+v", levels, len(x), q.RNGState(), ref.State())
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"sapspsgd/internal/core"
+	"sapspsgd/internal/tensor"
 )
 
 // Pattern is a round's communication shape: who a node talks to and in what
@@ -78,6 +79,7 @@ type PhaseState struct {
 	skip   bool      // round finished early (e.g. unmatched pairwise rank)
 	sent   int64     // wire bytes of the in-flight outbound payload
 	vec    []float64 // running sum (butterfly), or a lone rank's all-gather sum
+	own    []float64 // the node's outbound vector (butterfly), read until the first sum
 	msgs   []PeerMsg // pending merge messages
 	lo, hi int       // owned segment (halving/doubling)
 	peers  []int     // chosen-worker scratch (hub server)
@@ -98,8 +100,9 @@ type PhaseState struct {
 	decUsed int
 
 	// wbufs double-buffer the butterfly's outbound chunk words by phase
-	// parity: a deposit made in phase p is drained in p+1, so its buffer is
-	// reusable at p+2 — which is exactly when the parity index repeats.
+	// parity when a codec's words are not the chunk itself: a deposit made
+	// in phase p is drained in p+1, so its buffer is reusable at p+2 —
+	// which is exactly when the parity index repeats.
 	wbufs [2][]float64
 }
 
@@ -109,6 +112,7 @@ func (st *PhaseState) reset() {
 	st.skip = false
 	st.sent = 0
 	st.vec = st.vec[:0]
+	st.own = nil
 	st.msgs = st.msgs[:0]
 	st.lo, st.hi = 0, 0
 	st.decUsed = 0
@@ -632,22 +636,13 @@ func addQSGD(agg []float64, lo, hi, q int, words []float64, levels int) error {
 	}
 	norm, s := words[0], float64(levels)
 	dst := agg[lo:hi]
-	codes := words[1+lo : 1+hi]
-	codes = codes[:len(dst)]
-	switch {
-	case norm == 0:
+	if norm == 0 {
 		for i := range dst {
 			dst[i] += 0 // a −0 becomes +0, as under the decoded add
 		}
-	case q == 0:
-		for i, c := range codes {
-			dst[i] = norm * c / s
-		}
-	default:
-		for i, c := range codes {
-			dst[i] += norm * c / s
-		}
+		return nil
 	}
+	tensor.DequantizeInto(dst, words[1+lo:1+hi], norm, s, q != 0)
 	return nil
 }
 
@@ -761,21 +756,27 @@ func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec,
 	return nil
 }
 
-// sendChunk encodes vec[lo:hi] and deposits a copy of the words with
-// partner. The copy is required: the codec's scratch is reused by the next
-// step's encode. It lands in the phase-parity wire buffer: a deposit made in
-// phase p is drained (and, for identity codecs, read) in the
-// barrier-separated phase p+1, so the buffer is free again when the parity
-// repeats at p+2.
-func (st *PhaseState) sendChunk(ctx RoundContext, codecs []Codec, tr Transport, lo, hi, partner, p int) error {
-	words, err := encodeTimed(codecs[ctx.Self], ctx, st.vec[lo:hi])
+// sendChunk encodes chunk and deposits the words with partner. When the
+// words are the chunk itself (the identity codec) they are deposited as
+// they are, because nothing rewrites a range the butterfly has sent before
+// the round ends: the first step sends from the node's own vector, which
+// the node writes only in its next Compute; reduce-scatter goes on in the
+// half it keeps; and all-gather writes only the partner's segment. Any
+// other codec's scratch is reused by the next step's encode, so its words
+// are copied into the phase-parity wire buffer: a deposit made in phase p
+// is drained in the barrier-separated phase p+1, so the buffer is free
+// again when the parity repeats at p+2.
+func (st *PhaseState) sendChunk(ctx RoundContext, codecs []Codec, tr Transport, chunk []float64, partner, p int) error {
+	words, err := encodeTimed(codecs[ctx.Self], ctx, chunk)
 	if err != nil {
 		return err
 	}
-	w := append(st.wbufs[p&1][:0], words...)
-	st.wbufs[p&1] = w
-	st.sent = codecs[ctx.Self].WireBytes(w)
-	return tr.Send(ctx.Round, ctx.Self, partner, w)
+	if len(chunk) == 0 || len(words) != len(chunk) || &words[0] != &chunk[0] {
+		words = append(st.wbufs[p&1][:0], words...)
+		st.wbufs[p&1] = words
+	}
+	st.sent = codecs[ctx.Self].WireBytes(words)
+	return tr.Send(ctx.Round, ctx.Self, partner, words)
 }
 
 // recvChunk drains partner's deposit and decodes it. The flow pairs this receive with the bytes of the chunk
@@ -822,10 +823,15 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 			return err
 		}
 		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, true, len(out)
-		st.vec = append(st.vec[:0], out...)
-		st.lo, st.hi = 0, len(st.vec)
+		// The running sum is written before it is read: the first drain
+		// sums the kept half from out, and all-gather fills the rest.
+		if cap(st.vec) < len(out) {
+			st.vec = make([]float64, len(out))
+		}
+		st.vec, st.own = st.vec[:len(out)], out
+		st.lo, st.hi = 0, len(out)
 		partner, sendLo, sendHi, _, _ := rsGeometry(self, n, 0, st.lo, st.hi)
-		return st.sendChunk(ctx, codecs, tr, sendLo, sendHi, partner, p)
+		return st.sendChunk(ctx, codecs, tr, out[sendLo:sendHi], partner, p)
 	}
 	D := len(st.vec)
 	if p <= q {
@@ -839,19 +845,21 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 		if len(vals) != keepHi-keepLo {
 			return fmt.Errorf("engine: collective chunk of %d values, want %d", len(vals), keepHi-keepLo)
 		}
-		for i, v := range vals {
-			st.vec[keepLo+i] += v
+		sum := st.vec
+		if k == 0 {
+			sum = st.own
 		}
+		tensor.Add(st.vec[keepLo:keepHi], sum[keepLo:keepHi], vals)
 		st.lo, st.hi = keepLo, keepHi
 		if p < q {
 			// Deposit reduce-scatter step p.
 			partner, sendLo, sendHi, _, _ := rsGeometry(self, n, p, st.lo, st.hi)
-			return st.sendChunk(ctx, codecs, tr, sendLo, sendHi, partner, p)
+			return st.sendChunk(ctx, codecs, tr, st.vec[sendLo:sendHi], partner, p)
 		}
 		// Deposit all-gather step 0.
 		partner = self ^ 1
 		myLo, myHi := segAfter(self, q, D, n)
-		return st.sendChunk(ctx, codecs, tr, myLo, myHi, partner, p)
+		return st.sendChunk(ctx, codecs, tr, st.vec[myLo:myHi], partner, p)
 	}
 	// Drain all-gather step g-1.
 	g := p - q
@@ -869,7 +877,7 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 		// Deposit all-gather step g.
 		partner := self ^ (1 << g)
 		myLo, myHi := segAfter(self, q-g, D, n)
-		return st.sendChunk(ctx, codecs, tr, myLo, myHi, partner, p)
+		return st.sendChunk(ctx, codecs, tr, st.vec[myLo:myHi], partner, p)
 	}
 	return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
 }

@@ -135,6 +135,67 @@ func TestCollectiveAllReduceExact(t *testing.T) {
 	}
 }
 
+// scratchCodec is a dense codec whose Encode copies into one buffer it
+// reuses, as every codec with its own scratch does.
+type scratchCodec struct {
+	engine.Dense
+	buf []float64
+}
+
+func (c *scratchCodec) Encode(_ engine.RoundContext, dense []float64) ([]float64, error) {
+	c.buf = append(c.buf[:0], dense...)
+	return c.buf, nil
+}
+
+// TestCollectiveButterflyDeposits: on the sharded runtime, where a deposit
+// is read in place, the butterfly's sum is exact both when the identity
+// codec's words are the chunk itself (deposited as they are) and when a
+// codec's words are scratch its next encode rewrites (copied first).
+// Depositing the scratch itself fails it.
+func TestCollectiveButterflyDeposits(t *testing.T) {
+	const D = 37
+	for _, n := range []int{4, 8} {
+		for _, shards := range []int{1, 2} {
+			for _, scratch := range []bool{false, true} {
+				nodes := make([]*vecNode, n)
+				engNodes := make([]engine.Node, n)
+				codecs := make([]engine.Codec, n)
+				want := make([]float64, D)
+				for i := range nodes {
+					out := make([]float64, D)
+					for j := range out {
+						out[j] = float64(i*1000 + j)
+						want[j] += out[j]
+					}
+					nodes[i] = &vecNode{out: out}
+					engNodes[i] = nodes[i]
+					codecs[i] = engine.Dense{}
+					if scratch {
+						codecs[i] = &scratchCodec{}
+					}
+				}
+				planner := engine.PlannerFunc(func(r int) core.RoundPlan { return core.RoundPlan{Round: r} })
+				eng := engine.New(engine.Options{Nodes: engNodes, Codecs: codecs, Pattern: engine.Collective{}, Planner: planner, Shards: shards})
+				_, err := eng.Step(0, discardLedger{})
+				eng.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, node := range nodes {
+					if len(node.merged) != 1 {
+						t.Fatalf("n=%d shards=%d scratch=%v node %d: merged %d messages", n, shards, scratch, i, len(node.merged))
+					}
+					for j, v := range node.merged[0].Vals {
+						if v != want[j] {
+							t.Fatalf("n=%d shards=%d scratch=%v node %d coord %d: %v, want %v", n, shards, scratch, i, j, v, want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCollectiveFallbackNonPowerOfTwo: non-power-of-two fleets still get the
 // exact sum (via complete all-gather).
 func TestCollectiveFallbackNonPowerOfTwo(t *testing.T) {

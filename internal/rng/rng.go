@@ -161,8 +161,28 @@ func (r *Source) Uint64() uint64 {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+func (r *Source) Float64() float64 { return unit(r.Uint64()) }
+
+// unit is a draw's uniform in [0, 1): its top 53 bits m as m·2⁻⁵³, exact.
+func unit(u uint64) float64 { return float64(u>>11) * (1.0 / (1 << 53)) }
+
+// FillFloat64 writes the next len(dst) Float64 draws into dst and leaves the
+// stream where as many Float64 calls would: the block form of Float64, with
+// the xoshiro256** state held in locals meanwhile, as maskBlock holds it.
+func (r *Source) FillFloat64(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		dst[i] = unit(u)
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

@@ -6,6 +6,12 @@ func axpy(a float64, x, y []float64) { axpyGeneric(a, x, y) }
 
 func midpoint(x, v []float64) { midpointGeneric(x, v) }
 
+func quantize(out, x, u []float64, norm, s float64) { quantizeGeneric(out, x, u, norm, s) }
+
+func dequantize(dst, codes []float64, norm, s float64, accumulate bool) {
+	dequantizeGeneric(dst, codes, norm, s, accumulate)
+}
+
 func axpyRows(dst, src, g []float64, stride, rows int, idx []int32) bool {
 	return axpyRowsGeneric(dst, src, g, stride, rows, idx)
 }

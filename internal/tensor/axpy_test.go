@@ -115,6 +115,26 @@ func checkKernels(t *testing.T, data []byte) {
 	midpoint(mx, mv)
 	midpointGeneric(want, mv)
 	sameKernelBits(t, fmt.Sprintf("Midpoint n=%d flags=%#x", n, flags), mx, want)
+
+	// QuantizeInto: out = ±(⌊a⌋ + [u < a − ⌊a⌋]) with a = |x|/norm·s, the
+	// norm and the level count taken from the values at n.
+	qx := fill(make([]float64, n+off(0)), 5)[off(0):]
+	qu := fill(make([]float64, n+off(1)), 6)[off(1):]
+	norm, s := vals[n%L], vals[(n/2+3)%L]
+	out := fill(make([]float64, n), 7)
+	want = slices.Clone(out)
+	quantize(out, qx, qu, norm, s)
+	quantizeGeneric(want, qx, qu, norm, s)
+	sameKernelBits(t, fmt.Sprintf("QuantizeInto n=%d flags=%#x norm=%v s=%v", n, flags, norm, s), out, want)
+
+	// DequantizeInto: dst = norm·c/s, or dst += norm·c/s, into a dirty dst.
+	for _, accumulate := range []bool{false, true} {
+		dq := fill(make([]float64, n+off(0)), 8)[off(0):]
+		want = slices.Clone(dq)
+		dequantize(dq, qx, norm, s, accumulate)
+		dequantizeGeneric(want, qx, norm, s, accumulate)
+		sameKernelBits(t, fmt.Sprintf("DequantizeInto n=%d flags=%#x norm=%v s=%v accumulate=%v", n, flags, norm, s, accumulate), dq, want)
+	}
 }
 
 func sameKernelBits(t *testing.T, what string, got, want []float64) {
@@ -184,8 +204,8 @@ func writeFuzzCorpus(t *testing.T, target string, corpus map[string][]byte) {
 }
 
 // FuzzKernelsMatchScalar: any length up to 4096, any row count up to 8, any
-// alignment and row order, and any float64 bits in every operand — the
-// kernels equal the scalar loops by math.Float64bits.
+// alignment and row order, and any float64 bits in every operand and scalar
+// — the kernels equal the scalar loops by math.Float64bits.
 func FuzzKernelsMatchScalar(f *testing.F) {
 	f.Add(kernelInput(4096, 5, 0b1011, nil))
 	f.Fuzz(checkKernels)
