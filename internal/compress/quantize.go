@@ -54,55 +54,26 @@ func (q *QSGD) AppendQuantized(dst []float64, x []float64) []float64 {
 	dst = append(dst, norm)
 	dst = dst[:len(x)+1]
 	out := dst[1:]
-	s := float64(q.Levels)
-	switch {
-	case norm == 0:
+	if norm == 0 {
 		for i := range out {
 			out[i] = 0
 		}
-	case math.IsInf(norm, 0) || math.IsNaN(norm):
-		for i, v := range x {
-			out[i] = q.code(v, norm, s)
-		}
-	default:
-		var u [qsgdBlock]float64
-		for lo := 0; lo < len(x); lo += qsgdBlock {
-			xs := x[lo:min(lo+qsgdBlock, len(x))]
-			us := u[:len(xs)]
-			q.rnd.FillFloat64(us)
-			tensor.QuantizeInto(out[lo:lo+len(xs)], xs, us, norm, s)
-		}
+		return dst
+	}
+	s := float64(q.Levels)
+	var u [qsgdBlock]float64
+	for lo := 0; lo < len(x); lo += qsgdBlock {
+		xs := x[lo:min(lo+qsgdBlock, len(x))]
+		us := u[:len(xs)]
+		q.rnd.FillFloat64(us)
+		tensor.QuantizeInto(out[lo:lo+len(xs)], xs, us, norm, s)
 	}
 	return dst
 }
 
 // qsgdBlock is how many uniforms AppendQuantized draws at a time, into an
-// array on its stack, before tensor.QuantizeInto rounds the block. With a
-// finite nonzero norm every x is finite and every uniform non-negative, and
-// there the kernel's integer tests are code's float ones.
+// array on its stack, before tensor.QuantizeInto rounds the block with them.
 const qsgdBlock = 256
-
-// code is the scalar definition of a coordinate's stochastic rounding, and
-// AppendQuantized's path for a norm that overflowed or is NaN. The
-// expression order (|v| / norm * s, floor, compare) is load-bearing:
-// hoisting s/norm out of the division would reassociate the scaling and
-// change low bits. The sign uses the v < 0 comparison — not Copysign — so a
-// -0.0 input yields +0.0, exactly as the historical int16 encoding did.
-// Both selections are branches on the data; tensor.QuantizeInto computes
-// the same bits for a block with integer masks instead.
-func (q *QSGD) code(v, norm, s float64) float64 {
-	a := float64(math.Abs(v) / norm * s) // rounded before a − ⌊a⌋
-	lo := math.Floor(a)
-	add := 0.0
-	if q.rnd.Float64() < a-lo {
-		add = 1
-	}
-	c := lo + add
-	if v < 0 {
-		c = -c
-	}
-	return c
-}
 
 // l2 is the Euclidean norm with a single sequential accumulator (the sum
 // order is part of the bit-reproducibility contract). Each square is

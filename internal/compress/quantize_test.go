@@ -165,7 +165,7 @@ func qsgdFuzzEntry(x []float64) []byte {
 }
 
 // FuzzQSGDMatchScalar: for any vector of up to 1024 float64 words (±0,
-// subnormals, ±Inf, NaN, squares that underflow or overflow), any level
+// subnormals, ±Inf, ±NaN, squares that underflow or overflow), any level
 // count and any seed, AppendQuantized writes the words of the scalar
 // definition, bit for bit, and leaves the generator where it does.
 func FuzzQSGDMatchScalar(f *testing.F) {
@@ -180,6 +180,7 @@ func FuzzQSGDMatchScalar(f *testing.F) {
 		{1e155, 1e155},
 		{math.Inf(1), 1, -1},
 		{math.NaN(), 2},
+		{math.Copysign(math.NaN(), -1), -3, 4, negZero, math.Inf(-1)},
 		randVec(1000, 9),
 	}
 	for i, x := range vectors {

@@ -314,6 +314,9 @@ func (s *shardRunner) shardLoop(lo, hi int, cmds <-chan shardCmd) {
 					firstErr = fmt.Errorf("engine: node %d: %w", r, err)
 				}
 			}
+			if firstErr != nil {
+				break // the round has failed; a later phase could wait on a deposit the failed rank never made
+			}
 		}
 		if cmd.last {
 			// Batched report handoff: the shard publishes all its ranks'

@@ -79,7 +79,6 @@ type PhaseState struct {
 	skip   bool      // round finished early (e.g. unmatched pairwise rank)
 	sent   int64     // wire bytes of the in-flight outbound payload
 	vec    []float64 // running sum (butterfly), or a lone rank's all-gather sum
-	own    []float64 // the node's outbound vector (butterfly), read until the first sum
 	msgs   []PeerMsg // pending merge messages
 	lo, hi int       // owned segment (halving/doubling)
 	peers  []int     // chosen-worker scratch (hub server)
@@ -99,11 +98,7 @@ type PhaseState struct {
 	decBufs [][]float64
 	decUsed int
 
-	// wbufs double-buffer the butterfly's outbound chunk words by phase
-	// parity when a codec's words are not the chunk itself: a deposit made
-	// in phase p is drained in p+1, so its buffer is reusable at p+2 —
-	// which is exactly when the parity index repeats.
-	wbufs [2][]float64
+	own []float64 // the node's outbound vector (butterfly), read until the first sum
 }
 
 // reset prepares the state for a new round, keeping every buffer's capacity.
@@ -636,13 +631,22 @@ func addQSGD(agg []float64, lo, hi, q int, words []float64, levels int) error {
 	}
 	norm, s := words[0], float64(levels)
 	dst := agg[lo:hi]
-	if norm == 0 {
+	codes := words[1+lo : 1+hi]
+	codes = codes[:len(dst)]
+	switch {
+	case norm == 0:
 		for i := range dst {
 			dst[i] += 0 // a −0 becomes +0, as under the decoded add
 		}
-		return nil
+	case q == 0:
+		for i, c := range codes {
+			dst[i] = norm * c / s
+		}
+	default:
+		for i, c := range codes {
+			dst[i] += norm * c / s
+		}
 	}
-	tensor.DequantizeInto(dst, words[1+lo:1+hi], norm, s, q != 0)
 	return nil
 }
 
@@ -711,9 +715,9 @@ func segAfter(rank, depth, D, n int) (int, int) {
 // (2·log₂n exchange steps, each split across adjacent phases: the deposit in
 // phase p, the matching receive in phase p+1), other sizes AllGather's three
 // phases, and a single node trains and merges in one phase.
-// Collective deliberately does not implement PhaseFuser: the butterfly
-// rewrites its parity-indexed chunk buffers phase over phase, so every
-// barrier is load-bearing (see PhaseState.wbufs).
+// Collective does not implement PhaseFuser: its chunks are views that a
+// sender may rewrite in a later phase (see sendChunk), and the barriers
+// order those writes after the partner's reads.
 func (Collective) PhaseCount(_ core.RoundPlan, n int) int {
 	if n <= 1 {
 		return 1
@@ -756,24 +760,22 @@ func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec,
 	return nil
 }
 
-// sendChunk encodes chunk and deposits the words with partner. When the
-// words are the chunk itself (the identity codec) they are deposited as
-// they are, because nothing rewrites a range the butterfly has sent before
-// the round ends: the first step sends from the node's own vector, which
-// the node writes only in its next Compute; reduce-scatter goes on in the
-// half it keeps; and all-gather writes only the partner's segment. Any
-// other codec's scratch is reused by the next step's encode, so its words
-// are copied into the phase-parity wire buffer: a deposit made in phase p
-// is drained in the barrier-separated phase p+1, so the buffer is free
-// again when the parity repeats at p+2.
-func (st *PhaseState) sendChunk(ctx RoundContext, codecs []Codec, tr Transport, chunk []float64, partner, p int) error {
+// sendChunk encodes chunk and deposits the words with partner, who reads
+// them in place in the next phase. The codec must be the identity (Dense):
+// its words are the chunk itself, a view of the node's own vector at the
+// first step and of the running sum after it. A sent range is not
+// rewritten until the phase after the partner's read: the node writes its
+// own vector only in its next Compute, reduce-scatter sums only into the
+// half it keeps, and all-gather fills a range reduce-scatter sent only at
+// a later step. A codec whose words are scratch its next encode rewrites
+// would need copies; it gets an error.
+func (st *PhaseState) sendChunk(ctx RoundContext, codecs []Codec, tr Transport, chunk []float64, partner int) error {
 	words, err := encodeTimed(codecs[ctx.Self], ctx, chunk)
 	if err != nil {
 		return err
 	}
-	if len(chunk) == 0 || len(words) != len(chunk) || &words[0] != &chunk[0] {
-		words = append(st.wbufs[p&1][:0], words...)
-		st.wbufs[p&1] = words
+	if len(words) != len(chunk) || len(chunk) > 0 && &words[0] != &chunk[0] {
+		return fmt.Errorf("engine: collective needs an identity codec, but %s's words are not the chunk it encoded", codecs[ctx.Self].Name())
 	}
 	st.sent = codecs[ctx.Self].WireBytes(words)
 	return tr.Send(ctx.Round, ctx.Self, partner, words)
@@ -831,7 +833,7 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 		st.vec, st.own = st.vec[:len(out)], out
 		st.lo, st.hi = 0, len(out)
 		partner, sendLo, sendHi, _, _ := rsGeometry(self, n, 0, st.lo, st.hi)
-		return st.sendChunk(ctx, codecs, tr, out[sendLo:sendHi], partner, p)
+		return st.sendChunk(ctx, codecs, tr, out[sendLo:sendHi], partner)
 	}
 	D := len(st.vec)
 	if p <= q {
@@ -854,12 +856,12 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 		if p < q {
 			// Deposit reduce-scatter step p.
 			partner, sendLo, sendHi, _, _ := rsGeometry(self, n, p, st.lo, st.hi)
-			return st.sendChunk(ctx, codecs, tr, st.vec[sendLo:sendHi], partner, p)
+			return st.sendChunk(ctx, codecs, tr, st.vec[sendLo:sendHi], partner)
 		}
 		// Deposit all-gather step 0.
 		partner = self ^ 1
 		myLo, myHi := segAfter(self, q, D, n)
-		return st.sendChunk(ctx, codecs, tr, st.vec[myLo:myHi], partner, p)
+		return st.sendChunk(ctx, codecs, tr, st.vec[myLo:myHi], partner)
 	}
 	// Drain all-gather step g-1.
 	g := p - q
@@ -877,7 +879,7 @@ func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Co
 		// Deposit all-gather step g.
 		partner := self ^ (1 << g)
 		myLo, myHi := segAfter(self, q-g, D, n)
-		return st.sendChunk(ctx, codecs, tr, st.vec[myLo:myHi], partner, p)
+		return st.sendChunk(ctx, codecs, tr, st.vec[myLo:myHi], partner)
 	}
 	return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sapspsgd/internal/compress"
@@ -148,10 +149,9 @@ func (c *scratchCodec) Encode(_ engine.RoundContext, dense []float64) ([]float64
 }
 
 // TestCollectiveButterflyDeposits: on the sharded runtime, where a deposit
-// is read in place, the butterfly's sum is exact both when the identity
-// codec's words are the chunk itself (deposited as they are) and when a
-// codec's words are scratch its next encode rewrites (copied first).
-// Depositing the scratch itself fails it.
+// is read in place, the butterfly's sum is exact with the identity codec's
+// chunks deposited as views, and a codec whose words are its own scratch is
+// refused with an error instead of being read after its next encode.
 func TestCollectiveButterflyDeposits(t *testing.T) {
 	const D = 37
 	for _, n := range []int{4, 8} {
@@ -178,16 +178,22 @@ func TestCollectiveButterflyDeposits(t *testing.T) {
 				eng := engine.New(engine.Options{Nodes: engNodes, Codecs: codecs, Pattern: engine.Collective{}, Planner: planner, Shards: shards})
 				_, err := eng.Step(0, discardLedger{})
 				eng.Close()
+				if scratch {
+					if err == nil || !strings.Contains(err.Error(), "identity codec") {
+						t.Fatalf("n=%d shards=%d: a scratch codec ran the butterfly, err %v", n, shards, err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, node := range nodes {
 					if len(node.merged) != 1 {
-						t.Fatalf("n=%d shards=%d scratch=%v node %d: merged %d messages", n, shards, scratch, i, len(node.merged))
+						t.Fatalf("n=%d shards=%d node %d: merged %d messages", n, shards, i, len(node.merged))
 					}
 					for j, v := range node.merged[0].Vals {
 						if v != want[j] {
-							t.Fatalf("n=%d shards=%d scratch=%v node %d coord %d: %v, want %v", n, shards, scratch, i, j, v, want[j])
+							t.Fatalf("n=%d shards=%d node %d coord %d: %v, want %v", n, shards, i, j, v, want[j])
 						}
 					}
 				}

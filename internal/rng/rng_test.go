@@ -302,6 +302,44 @@ func BenchmarkUint64(b *testing.B) {
 	_ = sink
 }
 
+// TestFillFloat64MatchesFloat64: a block draw writes what as many Float64
+// calls return and leaves the stream where they do.
+func TestFillFloat64MatchesFloat64(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 256, 1000} {
+		got, want := New(uint64(n)+3), New(uint64(n)+3)
+		dst := make([]float64, n)
+		got.FillFloat64(dst)
+		for i, v := range dst {
+			if w := want.Float64(); math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("n=%d draw %d: %v, Float64 %v", n, i, v, w)
+			}
+		}
+		if got.State() != want.State() {
+			t.Fatalf("n=%d: stream at %+v, Float64 calls leave it at %+v", n, got.State(), want.State())
+		}
+	}
+}
+
+// BenchmarkFillFloat64 times a block of 256 uniforms, as QSGD draws them,
+// against 256 Float64 calls.
+func BenchmarkFillFloat64(b *testing.B) {
+	var u [256]float64
+	b.Run("block", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			r.FillFloat64(u[:])
+		}
+	})
+	b.Run("calls", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			for j := range u {
+				u[j] = r.Float64()
+			}
+		}
+	})
+}
+
 func TestReseedMatchesNewDerive(t *testing.T) {
 	// Reseed's contract: the exact stream of New(seed).Derive(id). Mask
 	// regeneration routes through Reseed while the coordinator side uses

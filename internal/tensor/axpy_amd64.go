@@ -33,12 +33,6 @@ func midpointAVX2(x, v []float64)
 //go:noescape
 func quantizeAVX2(out, x, u []float64, norm, s float64)
 
-// dequantizeAVX2 is implemented in quantize_amd64.s. Its caller has checked
-// that codes is as long as dst.
-//
-//go:noescape
-func dequantizeAVX2(dst, codes []float64, norm, s float64, accumulate bool)
-
 // maskedColumnsAVX2 is implemented in maskedcols_amd64.s. It runs
 // MaskedColumns over the columns below n &^ 3, four at a time; with all
 // set every unit passes and y, which must still be readable, is ignored.
@@ -69,14 +63,6 @@ func quantize(out, x, u []float64, norm, s float64) {
 		return
 	}
 	quantizeGeneric(out, x, u, norm, s)
-}
-
-func dequantize(dst, codes []float64, norm, s float64, accumulate bool) {
-	if hasAVX2 {
-		dequantizeAVX2(dst, codes, norm, s, accumulate)
-		return
-	}
-	dequantizeGeneric(dst, codes, norm, s, accumulate)
 }
 
 func axpyRows(dst, src, g []float64, stride, rows int, idx []int32) bool {

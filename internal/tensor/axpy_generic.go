@@ -8,10 +8,6 @@ func midpoint(x, v []float64) { midpointGeneric(x, v) }
 
 func quantize(out, x, u []float64, norm, s float64) { quantizeGeneric(out, x, u, norm, s) }
 
-func dequantize(dst, codes []float64, norm, s float64, accumulate bool) {
-	dequantizeGeneric(dst, codes, norm, s, accumulate)
-}
-
 func axpyRows(dst, src, g []float64, stride, rows int, idx []int32) bool {
 	return axpyRowsGeneric(dst, src, g, stride, rows, idx)
 }

@@ -127,14 +127,6 @@ func checkKernels(t *testing.T, data []byte) {
 	quantizeGeneric(want, qx, qu, norm, s)
 	sameKernelBits(t, fmt.Sprintf("QuantizeInto n=%d flags=%#x norm=%v s=%v", n, flags, norm, s), out, want)
 
-	// DequantizeInto: dst = norm·c/s, or dst += norm·c/s, into a dirty dst.
-	for _, accumulate := range []bool{false, true} {
-		dq := fill(make([]float64, n+off(0)), 8)[off(0):]
-		want = slices.Clone(dq)
-		dequantize(dq, qx, norm, s, accumulate)
-		dequantizeGeneric(want, qx, norm, s, accumulate)
-		sameKernelBits(t, fmt.Sprintf("DequantizeInto n=%d flags=%#x norm=%v s=%v accumulate=%v", n, flags, norm, s, accumulate), dq, want)
-	}
 }
 
 func sameKernelBits(t *testing.T, what string, got, want []float64) {

@@ -6,20 +6,19 @@ import (
 )
 
 // QuantizeInto writes the stochastic rounding of every x[i] to a signed
-// level: with a = |x[i]| / norm · s, rounded in that order, the code is
-// ⌊a⌋ + 1 when u[i] < a − ⌊a⌋ and ⌊a⌋ otherwise, negated when x[i] < 0. It
-// panics if lengths differ.
+// level, given uniforms u[i] in [0, 1): with a = |x[i]| / norm · s, rounded
+// in that order, the code is ⌊a⌋ + 1 when u[i] < a − ⌊a⌋ and ⌊a⌋
+// otherwise, negated when x[i] < 0 (so −0 gives +0). It panics if lengths
+// differ.
 //
-// The comparisons are integer ones, so that no element takes a branch: u
-// and a − ⌊a⌋ are compared as their bits, as signed integers, and the sign
-// is x's sign bit, −0's aside, applied by flipping the code's sign bit.
-// For non-negative u and a finite x — every call of a quantizer with a
-// finite nonzero norm — they are the float comparisons u < a − ⌊a⌋ and
-// x < 0 exactly. The scalar loop below stays as the definition of every
-// bit, the fallback on other platforms and the whole path under the purego
-// build tag; quantize_amd64.s runs the same roundings four words a pass
-// (VDIVPD, VMULPD, VROUNDPD toward zero and VSUBPD, never a fused
-// multiply-add).
+// No element takes a branch: ⌊a⌋ is a truncation (a ≥ 0), the draw test
+// compares the bits of u and a − ⌊a⌋ as signed integers, which for u ≥ 0
+// is the float test (where a is NaN, ⌊a⌋ + 1 and ⌊a⌋ + 0 are the same NaN),
+// and the sign is selected by a mask. The scalar loop below stays as the
+// definition of every bit, the fallback on other platforms and the whole
+// path under the purego build tag; quantize_amd64.s runs the same roundings
+// four words a pass (VDIVPD, VMULPD, VROUNDPD toward zero and VSUBPD, never
+// a fused multiply-add).
 func QuantizeInto(out, x, u []float64, norm, s float64) {
 	assertSameLen(len(out), len(x))
 	assertSameLen(len(u), len(x))
@@ -34,8 +33,11 @@ func quantizeGeneric(out, x, u []float64, norm, s float64) {
 		lo := math.Trunc(a)
 		_, up := bits.Sub64(math.Float64bits(u[i])^signBit, math.Float64bits(a-lo)^signBit, 0) // 1 exactly when u < a − ⌊a⌋ as int64s
 		c := lo + math.Float64frombits(-up&oneBits)                                            // ⌊a⌋ + 1.0 or ⌊a⌋ + 0.0
-		_, neg := bits.Sub64(signBit, math.Float64bits(v), 0)                                  // 1 exactly when v's bits exceed −0's
-		out[i] = math.Float64frombits(math.Float64bits(c) ^ neg<<63)
+		var neg uint64
+		if v < 0 {
+			neg = signBit
+		}
+		out[i] = math.Float64frombits(math.Float64bits(c) ^ neg)
 	}
 }
 
@@ -43,28 +45,3 @@ const (
 	signBit = 1 << 63
 	oneBits = 0x3ff0000000000000 // math.Float64bits(1)
 )
-
-// DequantizeInto writes norm·codes[i]/s, rounded as written, to dst[i], or
-// adds it to dst[i] when accumulate is set: the value a quantizer's code
-// stands for. It panics if lengths differ. The scalar loop below stays as
-// the definition of every bit, the fallback on other platforms and the whole
-// path under the purego build tag; quantize_amd64.s runs the same roundings
-// four words a pass (VMULPD, VDIVPD, then VADDPD with dst first).
-func DequantizeInto(dst, codes []float64, norm, s float64, accumulate bool) {
-	assertSameLen(len(dst), len(codes))
-	dequantize(dst, codes, norm, s, accumulate)
-}
-
-// dequantizeGeneric is DequantizeInto's scalar loop.
-func dequantizeGeneric(dst, codes []float64, norm, s float64, accumulate bool) {
-	dst = dst[:len(codes)]
-	if !accumulate {
-		for i, c := range codes {
-			dst[i] = norm * c / s
-		}
-		return
-	}
-	for i, c := range codes {
-		dst[i] += norm * c / s
-	}
-}

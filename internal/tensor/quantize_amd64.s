@@ -3,9 +3,9 @@
 #include "textflag.h"
 
 // Every word is quantizeGeneric's: a = |x| / norm · s (VANDPD, VDIVPD,
-// VMULPD), ⌊a⌋ by VROUNDPD toward zero, a − ⌊a⌋ by VSUBPD, then the two
-// integer tests — VPCMPGTQ of the fraction's bits over u's, and of x's bits
-// flipped at the sign over zero — select 1.0 and the sign bit by masks.
+// VMULPD), ⌊a⌋ by VROUNDPD toward zero, a − ⌊a⌋ by VSUBPD, then the draw
+// test — VPCMPGTQ of the fraction's bits over u's — and the ordered x < 0 of
+// VCMPPD select 1.0 and the sign bit by masks.
 // There is no fused multiply-add in this file. Four words a pass, then one
 // at a time with the same instructions on the low lane.
 
@@ -45,8 +45,7 @@ q4:
 	VPCMPGTQ Y3, Y1, Y1
 	VANDPD   Y12, Y1, Y1
 	VADDPD   Y1, Y2, Y2
-	VPXOR    Y11, Y0, Y0
-	VPCMPGTQ Y10, Y0, Y0
+	VCMPPD   $0x11, Y10, Y0, Y0
 	VANDPD   Y11, Y0, Y0
 	VXORPD   Y0, Y2, Y2
 	VMOVUPD  Y2, (DI)(AX*8)
@@ -66,8 +65,7 @@ q1:
 	VPCMPGTQ X3, X1, X1
 	VANDPD   X12, X1, X1
 	VADDPD   X1, X2, X2
-	VPXOR    X11, X0, X0
-	VPCMPGTQ X10, X0, X0
+	VCMPPD   $0x11, X10, X0, X0
 	VANDPD   X11, X0, X0
 	VXORPD   X0, X2, X2
 	VMOVSD   X2, (DI)(AX*8)
@@ -75,57 +73,5 @@ q1:
 	JMP      q1
 
 qdone:
-	VZEROUPPER
-	RET
-
-// Every word is dequantizeGeneric's: norm·c by VMULPD, then ÷s by VDIVPD,
-// then, when accumulating, dst + that by VADDPD with dst the first operand.
-// Four words a pass, then one at a time on the low lane.
-
-// func dequantizeAVX2(dst, codes []float64, norm, s float64, accumulate bool)
-TEXT ·dequantizeAVX2(SB), NOSPLIT, $0-65
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         codes_base+24(FP), SI
-	MOVQ         codes_len+32(FP), CX
-	VBROADCASTSD norm+48(FP), Y14
-	VBROADCASTSD s+56(FP), Y13
-	MOVBQZX      accumulate+64(FP), R8
-	XORQ         AX, AX
-	MOVQ         CX, BX
-	ANDQ         $-4, BX
-
-d4:
-	CMPQ    AX, BX
-	JAE     d1
-	VMOVUPD (SI)(AX*8), Y0
-	VMULPD  Y14, Y0, Y0
-	VDIVPD  Y13, Y0, Y0
-	TESTQ   R8, R8
-	JZ      d4store
-	VMOVUPD (DI)(AX*8), Y1
-	VADDPD  Y0, Y1, Y0
-
-d4store:
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     d4
-
-d1:
-	CMPQ   AX, CX
-	JAE    ddone
-	VMOVSD (SI)(AX*8), X0
-	VMULSD X14, X0, X0
-	VDIVSD X13, X0, X0
-	TESTQ  R8, R8
-	JZ     d1store
-	VMOVSD (DI)(AX*8), X1
-	VADDSD X0, X1, X0
-
-d1store:
-	VMOVSD X0, (DI)(AX*8)
-	INCQ   AX
-	JMP    d1
-
-ddone:
 	VZEROUPPER
 	RET
