@@ -51,20 +51,25 @@ type edgeStamp struct {
 	round int
 }
 
-// Generator produces the per-round gossip matchings for a fixed bandwidth
+// Generator produces the per-round gossip matchings for a bandwidth
 // environment, maintaining the timestamp matrix R across rounds. It is the
 // coordinator-side state of Algorithm 3.
 //
-// The implementation is fully sparse — O(E + N) per round plus the matching
-// (near-linear in E on the planner's sparse graphs, see graph.Matcher) and
-// O(N·TThres) state, never O(N²) — so it plans for 50k-node fleets. The
-// timestamp matrix lives as an edge-keyed map whose entries expire once they
-// leave the TThres recency window, the RC graph is maintained incrementally
-// as edges are stamped and expired, and candidate edges stream out of the
-// Bandwidth's CSR rows in lexicographic order, each link visited once
-// whether the topology is complete or degree-limited. The matching sequence
-// is bit-identical to the retained dense formulation (ReferenceGenerator);
-// the equivalence suite pins that across N, seeds, churn, and forced rounds.
+// The implementation is fully sparse — O(N·TThres) state, never O(N²) — so
+// it plans for 50k-node fleets. The timestamp matrix lives as an edge-keyed
+// map whose entries expire once they leave the TThres recency window, the
+// RC graph is maintained incrementally as edges are stamped and expired,
+// and candidate edges stream out of the Bandwidth's CSR rows in
+// lexicographic order, each link visited once whether the topology is
+// complete or degree-limited. The B* candidate list of a connected round,
+// packed for the greedy pass, is kept for the next: while the environment
+// and the active set hold, a round costs the shuffle and the greedy scan of
+// that list plus the matching (near-linear in E on the planner's sparse
+// graphs, see graph.Matcher), and only a forced round, a changed active set
+// or an environment rewritten in place (FollowRewrites) walks the Bandwidth
+// again. The matching sequence is bit-identical to the retained dense
+// formulation (ReferenceGenerator); the equivalence suite pins that across
+// N, seeds, churn, forced rounds and rewritten environments.
 //
 // One consequence of eviction: rounds must be generated in non-decreasing
 // order (NextActive(t) then NextActive(t') with t' < t panics). The dense
@@ -86,19 +91,31 @@ type Generator struct {
 	rcAdj    [][]int32   // incremental RC adjacency (mirrors lastUsed)
 	lastT    int         // most recent round generated
 
-	// Per-round scratch, reused across rounds so steady-state planning
-	// allocates only the matching it returns.
+	// The last round's candidate list, as edges for the augmentation and
+	// packed for the greedy pass. kept reports that it is the B* list over
+	// the active set bstarOver (every entry true for nil), which a connected
+	// round reuses: a forced round overwrites it, and rewrites disables the
+	// reuse.
 	candidate []graph.WeightedEdge
-	extra     []graph.WeightedEdge
-	seen      []bool
-	stack     []int32
-	compOf    []int32
-	matcher   graph.Matcher
-	rnd       rng.Source
+	packed    graph.Candidates
+	bstarOver []bool
+	kept      bool
+	rewrites  bool
 
-	// maxMatch calls that skipped the augmentation and that ran it, summed
-	// (tests read them).
-	elided, augmented int
+	// Per-round scratch, reused across rounds so steady-state planning
+	// allocates only the matching it returns. extra and extraPacked are the
+	// lines-6–8 completion's candidates.
+	extra       []graph.WeightedEdge
+	extraPacked graph.Candidates
+	seen        []bool
+	stack       []int32
+	compOf      []int32
+	matcher     graph.Matcher
+	rnd         rng.Source
+
+	// maxMatch calls that skipped the augmentation and that ran it, and B*
+	// lists built, summed (tests read them).
+	elided, augmented, builds int
 
 	pm obs.PlannerMetrics
 }
@@ -125,17 +142,38 @@ func NewGenerator(bw *netsim.Bandwidth, cfg Config, seed uint64) *Generator {
 		rcAdj[v] = slab[v*per : v*per : (v+1)*per]
 	}
 	return &Generator{
-		bw:       bw,
-		cfg:      cfg,
-		seed:     seed,
-		n:        n,
-		lastUsed: make(map[uint64]int),
-		rcAdj:    rcAdj,
-		lastT:    -1,
-		seen:     make([]bool, n),
-		compOf:   make([]int32, n),
-		pm:       obs.Current().PlannerM(),
+		bw:        bw,
+		cfg:       cfg,
+		seed:      seed,
+		n:         n,
+		lastUsed:  make(map[uint64]int),
+		rcAdj:     rcAdj,
+		lastT:     -1,
+		bstarOver: make([]bool, n),
+		seen:      make([]bool, n),
+		compOf:    make([]int32, n),
+		pm:        obs.Current().PlannerM(),
 	}
+}
+
+// FollowRewrites tells g that its environment is rewritten in place between
+// rounds — a netsim.RoundEnv with jitter or node multipliers — so every
+// connected round walks it again instead of reusing the B* list of an
+// earlier round. Without it the environment must not change under g.
+func (g *Generator) FollowRewrites() { g.rewrites = true }
+
+// bstarHolds reports whether the kept B* list is the one the environment
+// gives over active (nil: everyone).
+func (g *Generator) bstarHolds(active []bool) bool {
+	if g.rewrites || !g.kept {
+		return false
+	}
+	for i, over := range g.bstarOver {
+		if over != (active == nil || active[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // expire pops every stamp that left the recency window at round t. A stamp
@@ -291,28 +329,38 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 	rnd.Reseed(g.seed, uint64(t)+0x90551b)
 	isActive := func(i int) bool { return active == nil || active[i] }
 
-	connected := g.rcConnected(t, active)
-
-	candidate := g.candidate[:0]
-	forced := false
-	if connected {
-		// Line 2: E = B* — the bandwidth-filtered graph.
-		g.bw.ForEachEdge(g.cfg.BThres, func(u, v int, w float64) {
-			if isActive(u) && isActive(v) {
-				candidate = append(candidate, graph.WeightedEdge{U: u, V: v, Weight: w})
-			}
-		})
-	} else {
+	forced := !g.rcConnected(t, active)
+	switch {
+	case forced:
 		// Lines 4: connect the RC components using any available links.
-		forced = true
 		compOf := g.rcComponents()
+		candidate := g.candidate[:0]
 		g.bw.ForEachEdge(0, func(u, v int, w float64) {
 			if isActive(u) && isActive(v) && compOf[u] != compOf[v] {
 				candidate = append(candidate, graph.WeightedEdge{U: u, V: v, Weight: w})
 			}
 		})
+		g.candidate = candidate
+		g.packed.Load(n, candidate, true)
+		g.kept = false
+	case !g.bstarHolds(active):
+		// Line 2: E = B* — the bandwidth-filtered graph, kept for the
+		// rounds after while it holds.
+		candidate := g.candidate[:0]
+		g.bw.ForEachEdge(g.cfg.BThres, func(u, v int, w float64) {
+			if isActive(u) && isActive(v) {
+				candidate = append(candidate, graph.WeightedEdge{U: u, V: v, Weight: w})
+			}
+		})
+		g.candidate = candidate
+		g.packed.Load(n, candidate, true)
+		for i := range g.bstarOver {
+			g.bstarOver[i] = isActive(i)
+		}
+		g.kept = true
+		g.builds++
 	}
-	g.candidate = candidate
+	// Otherwise this round's E is the B* list kept from an earlier round.
 
 	// Line 5: bandwidth-preferring maximum match on the candidate edges,
 	// which join only active workers.
@@ -325,7 +373,7 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 			}
 		}
 	}
-	match, free := g.maxMatch(candidate, rnd, live)
+	match, free := g.maxMatch(g.candidate, &g.packed, rnd, live)
 
 	// Lines 6–8: complete the matching over still-unmatched active workers
 	// using the unfiltered bandwidth matrix. With fewer than two of them
@@ -341,7 +389,8 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 		// Without a link between two leftover workers there is nothing to
 		// complete (rnd is per-round, so skipping its draws changes nothing).
 		if len(extra) > 0 {
-			second, _ := g.maxMatch(extra, rnd, left)
+			g.extraPacked.Load(n, extra, true)
+			second, _ := g.maxMatch(extra, &g.extraPacked, rnd, left)
 			for v, p := range second {
 				if p > v && match[v] == -1 && match[p] == -1 {
 					match[v] = p
@@ -372,21 +421,21 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 // maxMatch is Algorithm 3's bandwidth-aware maximum matching on the
 // generator's workspace — the greedy weighted seed, completed to maximum
 // cardinality by blossom augmentation — with its two steps timed for the
-// metrics, for edges joining only live vertices. It also returns how many
-// vertices the greedy seed left free (0 with metrics off).
+// metrics, for edges joining only live vertices, packed in scan. It also
+// returns how many vertices the greedy seed left free (0 with metrics off).
 //
 // Each call is rnd's last reader once its seed leaves at most one live
 // vertex free: the round's stream is reseeded every round, the augmentation
 // has no path to find, and lines 6–8 have no pair to complete. So the
 // greedy scan stops there and the graph build and the augmentation's
 // shuffles are skipped, with the matching unchanged.
-func (g *Generator) maxMatch(edges []graph.WeightedEdge, rnd *rng.Source, live int) (graph.Matching, int) {
+func (g *Generator) maxMatch(edges []graph.WeightedEdge, scan *graph.Candidates, rnd *rng.Source, live int) (graph.Matching, int) {
 	timed := g.pm.Enabled()
 	var t0, t1 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	match := g.matcher.GreedyLive(g.n, edges, rnd, live)
+	match := g.matcher.GreedyScan(scan, rnd, live)
 	free := 0
 	if timed {
 		t1 = time.Now()

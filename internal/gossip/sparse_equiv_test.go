@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"sapspsgd/internal/fleettrace"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
 )
@@ -228,6 +229,116 @@ func TestGeneratorLastUsedWindow(t *testing.T) {
 	if u != un && u != vn && v != un && v != vn {
 		if got := g.LastUsed(u, v); got != -1 {
 			t.Fatalf("expired LastUsed = %d, want -1 (round 0 stamp left the TThres=3 window)", got)
+		}
+	}
+}
+
+// keptCase is one environment the kept B* list is checked over: a clock the
+// lockstep run ticks before every round, built afresh for each config, and
+// the membership of each round.
+type keptCase struct {
+	name   string
+	env    func() *netsim.RoundEnv
+	active func(round int) []bool
+}
+
+// blockChurn returns a membership that holds each set for four rounds and
+// cycles through everyone (nil), one fixed partial set and a fresh partial
+// set per block, so the kept list is both reused and invalidated, between
+// everyone and a partial set and between two partial sets.
+func blockChurn(n int, seed uint64) func(int) []bool {
+	r := rng.New(seed).Derive(0xb10c)
+	fixed := slices.Clone(churnMask(n, r, nil))
+	var fresh []bool
+	return func(round int) []bool {
+		switch block := round / 4; block % 3 {
+		case 0:
+			return nil
+		case 1:
+			return fixed
+		default:
+			if round%4 == 0 {
+				fresh = churnMask(n, r, fresh)
+			}
+			return fresh
+		}
+	}
+}
+
+// traceMults is a fleet trace's multiplier function over n ≥ 4 nodes: three
+// nodes step their uplinks every few rounds, under hold interpolation.
+func traceMults(t *testing.T, n int) func(int, []float64) []float64 {
+	t.Helper()
+	tr, err := fleettrace.Parse([]byte(fleettrace.Header + "\n0,1,0.25,\n3,1,1,\n5,2,0.5,\n7,1,0.125,\n9,2,2,\n12,1,1,\n13,3,0.3,\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := fleettrace.NewReplay(tr, n, fleettrace.InterpHold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp.Multipliers
+}
+
+// TestKeptCandidatesBitIdenticalToReference is the stale-cache gate for the
+// B* list a Generator keeps across rounds: in lockstep with the dense
+// reference, which walks the environment every round, it must never outlive
+// the environment or the active set it was built over. The cases are a
+// jittered RoundEnv and a fleet-trace multiplier env, both rewritten by
+// every Tick, and a fixed environment, under block churn and under
+// everyone, across equivConfigs' forced and connected rounds. A rewritten
+// environment must rebuild the list every connected round; the fixed one
+// must both reuse it and rebuild it.
+func TestKeptCandidatesBitIdenticalToReference(t *testing.T) {
+	const n, rounds = 48, 48
+	base := netsim.RandomUniform(n, 0.5, 5, rng.New(3))
+	mults := traceMults(t, n)
+	everyone := func(int) []bool { return nil }
+	for seed := uint64(1); seed <= 3; seed++ {
+		jitter := func() *netsim.RoundEnv { return netsim.NewRoundEnv(base, 0.3, seed, nil) }
+		trace := func() *netsim.RoundEnv { return netsim.NewRoundEnv(base, 0, 0, mults) }
+		fixed := func() *netsim.RoundEnv { return netsim.NewRoundEnv(base, 0, 0, nil) }
+		for _, c := range []keptCase{
+			{"jitter", jitter, blockChurn(n, seed)},
+			{"jitter-everyone", jitter, everyone},
+			{"trace", trace, blockChurn(n, seed)},
+			{"fixed", fixed, blockChurn(n, seed)},
+			{"fixed-everyone", fixed, everyone},
+		} {
+			var forced, connected, builds int
+			rewrites := c.env().Rewrites()
+			for _, cfg := range equivConfigs {
+				env := c.env()
+				sparse := NewGenerator(env.Current(), cfg, seed)
+				if rewrites {
+					sparse.FollowRewrites()
+				}
+				dense := NewReferenceGenerator(env.Current(), cfg, seed)
+				for round := 0; round < rounds; round++ {
+					env.Tick(round)
+					active := c.active(round)
+					rs := sparse.NextActive(round, active)
+					rd := dense.NextActive(round, active)
+					if rs.Forced != rd.Forced || !slices.Equal(rs.Match, rd.Match) {
+						t.Fatalf("%s seed %d cfg %+v round %d: sparse %v (forced %v), dense %v (forced %v)",
+							c.name, seed, cfg, round, rs.Match, rs.Forced, rd.Match, rd.Forced)
+					}
+					if rs.Forced {
+						forced++
+					} else {
+						connected++
+					}
+				}
+				builds += sparse.builds
+			}
+			switch {
+			case forced == 0:
+				t.Fatalf("%s seed %d: no forced rounds covered", c.name, seed)
+			case rewrites && builds != connected:
+				t.Fatalf("%s seed %d: %d B* builds over %d connected rounds of a rewritten environment", c.name, seed, builds, connected)
+			case !rewrites && (builds < 2 || builds >= connected):
+				t.Fatalf("%s seed %d: %d B* builds over %d connected rounds, want the list both kept and rebuilt", c.name, seed, builds, connected)
+			}
 		}
 	}
 }

@@ -139,3 +139,27 @@ func TestBucketTableMatchesWeightBucket(t *testing.T) {
 	}
 	checkTable(t, "whole range", []float64{math.SmallestNonzeroFloat64, 1e-300, 1e-200, 1e-5, 0.5, 1, 5, 1e100, math.MaxFloat64})
 }
+
+// TestCandidateWordHoldsEveryEdge: the widest weight spread's last rank fits
+// the word's rank field, an edge between the two highest vertices of the
+// largest list round-trips through it, and a vertex count past MaxVertices
+// is refused.
+func TestCandidateWordHoldsEveryEdge(t *testing.T) {
+	var tab bucketTable
+	tab.build([]WeightedEdge{{Weight: math.SmallestNonzeroFloat64}, {Weight: math.MaxFloat64}})
+	last := tab.ranks() - 1
+	if last>>(64-rankShift) != 0 {
+		t.Fatalf("rank %d does not fit %d bits", last, 64-rankShift)
+	}
+	n := MaxVertices
+	w := pack(WeightedEdge{U: n - 1, V: n - 2}, n, last)
+	if u, v, r := int(w>>vertexBits&vertexMask), int(w&vertexMask), int(w>>rankShift); u != n-1 || v != n-2 || r != last {
+		t.Fatalf("word %#x unpacks to (%d, %d) rank %d, want (%d, %d) rank %d", w, u, v, r, n-1, n-2, last)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a list over MaxVertices+1 vertices was packed")
+		}
+	}()
+	new(Candidates).Load(n+1, nil, true)
+}

@@ -14,8 +14,8 @@ type Graph struct {
 }
 
 // NewFromEdges builds the graph in two passes over a duplicate-free edge
-// list (unordered pairs must be unique; self-loops and out-of-range
-// endpoints panic). It is the only constructor: all adjacency lists share
+// list (unordered pairs must be unique; self-loops, out-of-range endpoints
+// and more than MaxVertices vertices panic). It is the only constructor: all adjacency lists share
 // one backing array, so the whole graph costs two allocations regardless of
 // N. Each vertex's neighbors appear in edge-list order.
 func NewFromEdges(n int, edges []WeightedEdge) *Graph {
@@ -27,9 +27,7 @@ func NewFromEdges(n int, edges []WeightedEdge) *Graph {
 // the adjacency headers, the degree/offset scratch and the backing array all
 // lists alias. It returns all three (regrown if they were too small).
 func adjacencyFromEdges(n int, edges []WeightedEdge, adj [][]int, deg, backing []int) ([][]int, []int, []int) {
-	if n < 0 {
-		panic(fmt.Sprintf("graph: negative vertex count %d", n))
-	}
+	checkVertices(n)
 	deg = resize(deg, n+1)
 	clear(deg)
 	for _, e := range edges {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -14,17 +15,106 @@ import (
 // Matcher. Results never depend on what the workspace did before. The zero
 // value is ready to use; a Matcher is not safe for concurrent use.
 type Matcher struct {
-	// Greedy pass: the shuffled edge order, its stable sort (the scan
-	// order) and the edges skipped on the first scan, all as edge indices;
-	// every edge's bucket rank by edge index (fewer than 6,600 buckets span
-	// the float64 range), the counting sort's cursors, and the bucket
-	// thresholds the ranks are read off.
-	perm, scan, skipped []int32
-	rank                []uint16
+	// Greedy pass: the candidate list GreedyWeightedMatching packs its
+	// edges into, the shuffled copy of a list's words, their scan order, the
+	// words skipped on the first scan, and the counting sort's cursors.
+	scratch             Candidates
+	perm, scan, skipped []uint64
 	cursor              []int
-	buckets             bucketTable
 
 	solver blossomSolver
+}
+
+// A candidate word packs one edge for the greedy pass as
+//
+//	rank<<rankShift | u<<vertexBits | v
+//
+// its weight-bucket rank in the top 14 bits (bucketTable.ranks is at most
+// 6,520 over the whole float64 range) and both endpoints in 25 bits each.
+// An edge the pass refuses — a loop, or an endpoint outside 0..n−1 — keeps
+// its rank and packs as u = v = 0, which no edge it can take does.
+const (
+	vertexBits = 25
+	vertexMask = 1<<vertexBits - 1
+	rankShift  = 2 * vertexBits
+
+	// MaxVertices is the most vertices a graph or a candidate list spans:
+	// one candidate word holds both endpoints.
+	MaxVertices = 1 << vertexBits
+)
+
+// checkVertices refuses a vertex count outside 0..MaxVertices.
+func checkVertices(n int) {
+	if n < 0 || n > MaxVertices {
+		panic(fmt.Sprintf("graph: vertex count %d outside 0..%d", n, MaxVertices))
+	}
+}
+
+// pack returns e's candidate word over n vertices.
+func pack(e WeightedEdge, n, rank int) uint64 {
+	w := uint64(rank) << rankShift
+	if e.U != e.V && e.U >= 0 && e.V >= 0 && e.U < n && e.V < n {
+		w |= uint64(e.U)<<vertexBits | uint64(e.V)
+	}
+	return w
+}
+
+// Candidates is an edge list packed for the greedy pass: one word per edge
+// (both endpoints and its bucket rank) and where each rank's run ends in the
+// scan order. Loading reads every weight; scanning reads only the words. A
+// caller whose list holds across rounds — Algorithm 3's B* while the
+// environment and the active set do — loads it once and scans it every
+// round. The zero value is an empty list over no vertices.
+type Candidates struct {
+	n     int
+	words []uint64 // in edge order, or in scan order when loaded exact
+	ends  []int    // ends[r]: one past the last scan slot of rank r
+	table bucketTable
+}
+
+// Load packs edges over n vertices (at most MaxVertices). Loaded randomized,
+// a scan shuffles the words and stable-sorts them by descending weight
+// bucket; loaded exact, the words are stored in descending weight order, the
+// order a scan without randomization visits them in. A stable sort's output
+// is unique, so both orders are the ones sort.SliceStable would give.
+func (c *Candidates) Load(n int, edges []WeightedEdge, randomized bool) {
+	checkVertices(n)
+	c.n = n
+	words := resize(c.words, len(edges))
+	if !randomized {
+		// Sort the edge indices, then overwrite each with its edge's word.
+		for i := range words {
+			words[i] = uint64(i)
+		}
+		slices.SortStableFunc(words, func(i, j uint64) int {
+			// Negative exactly when edge i is strictly heavier (NaN included).
+			if edges[i].Weight > edges[j].Weight {
+				return -1
+			}
+			if edges[i].Weight < edges[j].Weight {
+				return 1
+			}
+			return 0
+		})
+		for k, i := range words {
+			words[k] = pack(edges[i], n, 0)
+		}
+		c.words, c.ends = words, append(c.ends[:0], len(edges))
+		return
+	}
+	t := &c.table
+	t.build(edges)
+	ends := resize(c.ends, t.ranks())
+	clear(ends)
+	for i, e := range edges {
+		r := t.rank(e.Weight)
+		ends[r]++
+		words[i] = pack(e, n, r)
+	}
+	for r := 1; r < len(ends); r++ {
+		ends[r] += ends[r-1]
+	}
+	c.words, c.ends = words, ends
 }
 
 // shuffle applies rnd's Fisher-Yates permutation to s: the draws and swaps
@@ -54,32 +144,35 @@ func unmatched(n int) Matching {
 // GreedyWeightedMatching is the package-level GreedyWeightedMatching on
 // workspace buffers. The returned matching is freshly allocated.
 func (m *Matcher) GreedyWeightedMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
-	return m.GreedyLive(n, edges, rnd, math.MaxInt)
+	m.scratch.Load(n, edges, rnd != nil)
+	return m.GreedyScan(&m.scratch, rnd, math.MaxInt)
 }
 
-// GreedyLive is GreedyWeightedMatching for a caller that is rnd's last
-// reader once the seed leaves at most one of its live vertices free —
-// Generator.NextActive, whose stream is reseeded every round. Every edge
-// must join two of those live vertices (or be one the greedy pass ignores).
-// With at most one left free no edge can be taken and no augmenting path
-// exists, so the scan stops there and the draws it would still make are
-// never drawn; up to that point, and throughout when two or more stay
-// free, the draws and the matching are GreedyWeightedMatching's.
-func (m *Matcher) GreedyLive(n int, edges []WeightedEdge, rnd *rng.Source, live int) Matching {
-	match := unmatched(n)
+// GreedyScan is GreedyWeightedMatching over a loaded candidate list (loaded
+// randomized exactly when rnd is non-nil; c is only read), stopped early
+// for a caller that is rnd's last reader once the seed leaves at most one
+// of its live vertices free: Generator.NextActive, whose stream is reseeded
+// every round. Every edge must join two of those live vertices (or be one
+// the greedy pass ignores). With at most one left free no edge can be taken
+// and no augmenting path exists, so the scan stops there and the draws it
+// would still make are never drawn; up to that point, and throughout when
+// two or more stay free, the draws and the matching are
+// GreedyWeightedMatching's, which is GreedyScan with live at math.MaxInt.
+func (m *Matcher) GreedyScan(c *Candidates, rnd *rng.Source, live int) Matching {
+	match := unmatched(c.n)
 	if live <= 1 {
 		return match
 	}
-	// take matches edge i if both its ends are free and reports whether
-	// the scan is over.
-	take := func(i int32) bool {
-		e := edges[i]
-		if e.U == e.V || e.U < 0 || e.V < 0 || e.U >= n || e.V >= n {
+	// take matches the edge of word w if both its ends are free and
+	// reports whether the scan is over.
+	take := func(w uint64) bool {
+		u, v := int(w>>vertexBits&vertexMask), int(w&vertexMask)
+		if u == v {
 			return false
 		}
-		if match[e.U] == -1 && match[e.V] == -1 {
-			match[e.U] = e.V
-			match[e.V] = e.U
+		if match[u] == -1 && match[v] == -1 {
+			match[u] = v
+			match[v] = u
 			live -= 2
 		}
 		return live <= 1
@@ -87,12 +180,12 @@ func (m *Matcher) GreedyLive(n int, edges []WeightedEdge, rnd *rng.Source, live 
 	const skipProb = 0.1
 	skipped := m.skipped[:0]
 	done := false
-	for _, i := range m.scanOrder(edges, rnd) {
+	for _, w := range m.scanOrder(c, rnd) {
 		if rnd != nil && rnd.Float64() < skipProb {
-			skipped = append(skipped, i)
+			skipped = append(skipped, w)
 			continue
 		}
-		if done = take(i); done {
+		if done = take(w); done {
 			break
 		}
 	}
@@ -103,49 +196,19 @@ func (m *Matcher) GreedyLive(n int, edges []WeightedEdge, rnd *rng.Source, live 
 	return match
 }
 
-// scanOrder returns the order the greedy pass visits edges in, as indices
-// into edges: exact descending weight when rnd is nil, otherwise a shuffle
-// followed by a stable sort on descending weight bucket. A stable sort's
-// output is unique, so the counting sort below yields the order
-// sort.SliceStable would.
-func (m *Matcher) scanOrder(edges []WeightedEdge, rnd *rng.Source) []int32 {
-	perm := resize(m.perm, len(edges))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	m.perm = perm
+// scanOrder returns the words of c in the order the greedy pass visits them:
+// as loaded when rnd is nil, otherwise a shuffle followed by a stable sort
+// on descending weight bucket, which the counting sort below yields.
+func (m *Matcher) scanOrder(c *Candidates, rnd *rng.Source) []uint64 {
 	if rnd == nil {
-		slices.SortStableFunc(perm, func(i, j int32) int {
-			// Negative exactly when edge i is strictly heavier (NaN included).
-			if edges[i].Weight > edges[j].Weight {
-				return -1
-			}
-			if edges[i].Weight < edges[j].Weight {
-				return 1
-			}
-			return 0
-		})
-		return perm
+		return c.words
 	}
-
-	// One counting sort on the bucket rank, read off the threshold table in
-	// edge order. end[r] starts one past bucket r's last slot.
-	t := &m.buckets
-	t.build(edges)
-	end := resize(m.cursor, t.ranks())
-	clear(end)
-	rank := resize(m.rank, len(edges))
-	for i := range edges {
-		r := t.rank(edges[i].Weight)
-		rank[i] = uint16(r)
-		end[r]++
-	}
-	for r := 1; r < len(end); r++ {
-		end[r] += end[r-1]
-	}
+	perm := resize(m.perm, len(c.words))
+	copy(perm, c.words)
+	end := append(m.cursor[:0], c.ends...)
 	// rnd.Shuffle's Fisher-Yates, inlined: step i fixes position i of the
-	// shuffled order, last to first, so each edge drops into the back of its
-	// bucket the moment its position is final — the stable sort of the
+	// shuffled order, last to first, so each word drops into the back of its
+	// rank's run the moment its position is final — the stable sort of the
 	// shuffled order without a second pass over it.
 	scan := resize(m.scan, len(perm))
 	for i := len(perm) - 1; i >= 0; i-- {
@@ -153,12 +216,12 @@ func (m *Matcher) scanOrder(edges []WeightedEdge, rnd *rng.Source) []int32 {
 			j := rnd.Intn(i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		x := perm[i]
-		r := rank[x]
+		w := perm[i]
+		r := w >> rankShift
 		end[r]--
-		scan[end[r]] = x
+		scan[end[r]] = w
 	}
-	m.rank, m.cursor, m.scan = rank, end, scan
+	m.perm, m.cursor, m.scan = perm, end, scan
 	return scan
 }
 

@@ -330,11 +330,14 @@ func unfuzzEdges(data []byte) (int, []WeightedEdge) {
 }
 
 // FuzzGreedyMatchesReference: bytes → n ≤ 64 and an edge list with arbitrary
-// float64 weights. The greedy seed, randomized and not, returns the
-// reference's matching and leaves rnd at the reference's draw.
+// float64 weights, loops and endpoints outside 0..n−1. The greedy seed,
+// randomized and not, returns the reference's matching and leaves rnd at the
+// reference's draw — packed afresh, and from one kept candidate list scanned
+// on two streams in turn.
 func FuzzGreedyMatchesReference(f *testing.F) {
 	f.Add(fuzzEdges(4, []WeightedEdge{{0, 1, math.Inf(1)}, {1, 2, math.NaN()}, {2, 3, 0}, {0, 3, math.MaxFloat64}, {0, 0, 1}, {-1, 2, 1}}))
 	f.Add(fuzzEdges(3, []WeightedEdge{{0, 1, math.SmallestNonzeroFloat64}, {1, 2, 1e300}, {0, 2, -1}}))
+	f.Add(fuzzEdges(6, []WeightedEdge{{0, 1, 2}, {2, 200, 2}, {3, 3, 2}, {1, 2, 1.9}, {4, 5, 2.1}, {5, -1, 3}, {0, 6, 2}, {3, 4, 1}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -346,6 +349,15 @@ func FuzzGreedyMatchesReference(f *testing.F) {
 			refRnd, rnd := sources(randomized, seed)
 			sameMatching(t, what, GreedyWeightedMatching(n, edges, rnd), refGreedyWeightedMatching(n, edges, refRnd))
 			sameStream(t, what, rnd, refRnd)
+
+			var kept Candidates
+			var m Matcher
+			kept.Load(n, edges, randomized)
+			for pass := uint64(1); pass <= 2; pass++ {
+				refRnd, rnd := sources(randomized, seed+pass)
+				sameMatching(t, what+" kept", m.GreedyScan(&kept, rnd, math.MaxInt), refGreedyWeightedMatching(n, edges, refRnd))
+				sameStream(t, what+" kept", rnd, refRnd)
+			}
 		}
 	})
 }

@@ -65,6 +65,10 @@ func NewRoundEnv(base *Bandwidth, jitter float64, jitterSeed uint64, mults func(
 // Current is the environment of the round last ticked to.
 func (e *RoundEnv) Current() *Bandwidth { return e.cur }
 
+// Rewrites reports whether Tick rewrites Current in place: jitter or node
+// multipliers are set. Without either, Current is the base and never changes.
+func (e *RoundEnv) Rewrites() bool { return e.cur != e.base }
+
 // Tick advances the environment to round r; rounds must be visited in order,
 // the jitter draws being sequential. Round 0 was produced at construction.
 func (e *RoundEnv) Tick(r int) {

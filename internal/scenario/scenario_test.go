@@ -108,6 +108,7 @@ func TestSpecRejectsMalformed(t *testing.T) {
 		{"unknown algo", func(s *Spec) { s.Algo = "warp-sgd" }, "unknown algorithm"},
 		{"qsgd levels wider than a float32", func(s *Spec) { s.Algo, s.Levels = "qsgd-psgd", 1<<40 }, "need 42-bit codes"},
 		{"zero nodes", func(s *Spec) { s.Nodes = 0 }, "0 nodes"},
+		{"more nodes than a candidate word holds", func(s *Spec) { s.Nodes = 1<<25 + 1 }, "33554433 nodes, want 1..33554432"},
 		{"zero rounds", func(s *Spec) { s.Rounds = 0 }, "0 rounds"},
 		{"negative uniform bandwidth", func(s *Spec) { s.Bandwidth.Lo, s.Bandwidth.Hi = -1, 5 }, "uniform bandwidth"},
 		{"inverted uniform bandwidth", func(s *Spec) { s.Bandwidth.Lo, s.Bandwidth.Hi = 5, 1 }, "uniform bandwidth"},

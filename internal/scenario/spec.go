@@ -20,6 +20,7 @@ import (
 
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/fleettrace"
+	"sapspsgd/internal/graph"
 	"sapspsgd/internal/nn"
 )
 
@@ -506,8 +507,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: schema_version %d, want %d", s.SchemaVersion, SpecSchemaVersion)
 	case s.Name == "":
 		return fmt.Errorf("scenario: missing name")
-	case s.Nodes < 1:
-		return fmt.Errorf("scenario %s: %d nodes", s.Name, s.Nodes)
+	case s.Nodes < 1 || s.Nodes > graph.MaxVertices:
+		return fmt.Errorf("scenario %s: %d nodes, want 1..%d", s.Name, s.Nodes, graph.MaxVertices)
 	case s.Rounds < 1:
 		return fmt.Errorf("scenario %s: %d rounds", s.Name, s.Rounds)
 	case s.Shards < 0:

@@ -51,13 +51,13 @@ func axpyGeneric(a float64, x, y []float64) {
 	y = y[:len(x)]
 	n := len(x) &^ 3
 	for i := 0; i < n; i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
+		y[i] += float64(a * x[i])
+		y[i+1] += float64(a * x[i+1])
+		y[i+2] += float64(a * x[i+2])
+		y[i+3] += float64(a * x[i+3])
 	}
 	for i := n; i < len(x); i++ {
-		y[i] += a * x[i]
+		y[i] += float64(a * x[i])
 	}
 }
 
@@ -76,10 +76,10 @@ func axpyRowsGeneric(dst, src, g []float64, stride, rows int, idx []int32) bool 
 		g0, g1, g2, g3 := g[int(idx[0])*stride], g[int(idx[1])*stride], g[int(idx[2])*stride], g[int(idx[3])*stride]
 		r0, r1, r2, r3 := row(idx[0]), row(idx[1]), row(idx[2]), row(idx[3])
 		for k, v := range dst {
-			v += g0 * r0[k]
-			v += g1 * r1[k]
-			v += g2 * r2[k]
-			v += g3 * r3[k]
+			v += float64(g0 * r0[k])
+			v += float64(g1 * r1[k])
+			v += float64(g2 * r2[k])
+			v += float64(g3 * r3[k])
 			dst[k] = v
 		}
 	}

@@ -42,10 +42,10 @@ func mulTransposedGeneric(out, x, w *Matrix, b []float64, relu bool) {
 			w0, w1, w2, w3 := row(w, j), row(w, j+1), row(w, j+2), row(w, j+3)
 			var s0, s1, s2, s3 float64
 			for p, v := range xi {
-				s0 += v * w0[p]
-				s1 += v * w1[p]
-				s2 += v * w2[p]
-				s3 += v * w3[p]
+				s0 += float64(v * w0[p])
+				s1 += float64(v * w1[p])
+				s2 += float64(v * w2[p])
+				s3 += float64(v * w3[p])
 			}
 			o[j], o[j+1], o[j+2], o[j+3] = epilogue(s0, j), epilogue(s1, j+1), epilogue(s2, j+2), epilogue(s3, j+3)
 		}
@@ -53,7 +53,7 @@ func mulTransposedGeneric(out, x, w *Matrix, b []float64, relu bool) {
 			wj := row(w, j)
 			var s float64
 			for p, v := range xi {
-				s += v * wj[p]
+				s += float64(v * wj[p])
 			}
 			o[j] = epilogue(s, j)
 		}

@@ -77,7 +77,7 @@ func Dot(a, b []float64) float64 {
 	assertSameLen(len(a), len(b))
 	s := 0.0
 	for i, ai := range a {
-		s += ai * b[i]
+		s += float64(ai * b[i])
 	}
 	return s
 }
