@@ -149,15 +149,22 @@ func receiverUnexported(d *ast.FuncDecl) bool {
 // identifiers.
 var docRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
 
+// typeRef is an unqualified Type.Member reference: an upper-case identifier
+// that no identifier, path or dot precedes, then a member name.
+var typeRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
+
 // TestDocReferencesResolve: every backticked reference into an internal
 // package in DESIGN.md, README.md and EXPERIMENTS.md names a declaration of
 // that package — a top-level name, or a method or field of one of its types.
-// Test files count, because the documents cite tests. Names holding an
-// underscore are spec keys and metric names (`gossip.t_thres`), not Go.
+// An unqualified `Type.Member` whose Type some internal package declares
+// must name a method or field of that type in one of them. Test files
+// count, because the documents cite tests. Names holding an underscore are
+// spec keys and metric names (`gossip.t_thres`), not Go.
 func TestDocReferencesResolve(t *testing.T) {
 	decls := map[string]map[string]bool{} // package name → its declared names
+	types := map[string][]string{}        // type name → the packages declaring it
 	for _, dir := range internalPackageDirs(t) {
-		names := map[string]bool{}
+		names, typeNames := map[string]bool{}, map[string]bool{}
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, nil, 0)
 		if err != nil {
@@ -165,10 +172,14 @@ func TestDocReferencesResolve(t *testing.T) {
 		}
 		for _, pkg := range pkgs {
 			for _, f := range pkg.Files {
-				declaredNames(f, names)
+				declaredNames(f, names, typeNames)
 			}
 		}
-		decls[filepath.Base(dir)] = names
+		pkg := filepath.Base(dir)
+		decls[pkg] = names
+		for typ := range typeNames {
+			types[typ] = append(types[typ], pkg)
+		}
 	}
 	fence := regexp.MustCompile("(?s)```.*?```")
 	span := regexp.MustCompile("`[^`]+`")
@@ -191,13 +202,23 @@ func TestDocReferencesResolve(t *testing.T) {
 					t.Errorf("%s: %s names no declaration of internal/…/%s", doc, code, ref)
 				}
 			}
+			for _, m := range typeRef.FindAllStringSubmatch(code, -1) {
+				pkgs := types[m[1]]
+				if len(pkgs) == 0 || strings.Contains(m[1]+m[2], "_") {
+					continue
+				}
+				if !slices.ContainsFunc(pkgs, func(pkg string) bool { return decls[pkg][m[1]+"."+m[2]] }) {
+					t.Errorf("%s: %s names no method or field %s.%s of a type in internal/…/{%s}", doc, code, m[1], m[2], strings.Join(pkgs, ","))
+				}
+			}
 		}
 	}
 }
 
 // declaredNames adds f's top-level names to names, and Type.Member for the
-// methods, struct fields and interface methods of its types.
-func declaredNames(f *ast.File, names map[string]bool) {
+// methods, struct fields and interface methods of its types; the type names
+// also go to types.
+func declaredNames(f *ast.File, names, types map[string]bool) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -227,6 +248,7 @@ func declaredNames(f *ast.File, names map[string]bool) {
 				switch sp := spec.(type) {
 				case *ast.TypeSpec:
 					names[sp.Name.Name] = true
+					types[sp.Name.Name] = true
 					var members *ast.FieldList
 					switch tt := sp.Type.(type) {
 					case *ast.StructType:

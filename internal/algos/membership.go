@@ -183,15 +183,6 @@ func NewRoundPlanner(r Recipe, bw *netsim.Bandwidth, gcfg gossip.Config, m Membe
 	return p, nil
 }
 
-// FollowRewrites tells an Adaptive recipe's planner that its environment is
-// rewritten in place between rounds (gossip.Generator.FollowRewrites); the
-// other recipes do not read it.
-func (p *RoundPlanner) FollowRewrites() {
-	if p.coord != nil {
-		p.coord.FollowRewrites()
-	}
-}
-
 // Begin steps the membership to round t the first time it sees t; again for
 // the same t it does nothing, so a re-planned round keeps its membership.
 // Plan calls it; the TCP coordinator calls it first, to inject the round's

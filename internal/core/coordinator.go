@@ -47,10 +47,6 @@ func NewCoordinator(bw *netsim.Bandwidth, cfg Config) *Coordinator {
 	}
 }
 
-// FollowRewrites tells the planner that its environment is rewritten in
-// place between rounds (gossip.Generator.FollowRewrites).
-func (c *Coordinator) FollowRewrites() { c.gen.FollowRewrites() }
-
 // Plan runs Algorithm 3 for round t and draws the round's mask seed.
 func (c *Coordinator) Plan(t int) RoundPlan { return c.PlanActive(t, nil) }
 

@@ -252,7 +252,7 @@ func (e *AsyncEngine) computeDur(rank int) float64 {
 	c := e.opts.Compute
 	dur := c.MeanSeconds
 	if c.Jitter > 0 {
-		dur *= 1 + c.Jitter*(2*e.streams[rank].Float64()-1)
+		dur *= 1 + float64(c.Jitter*(2*float64(e.streams[rank].Float64())-1))
 	}
 	return dur * e.slow(rank)
 }

@@ -66,7 +66,8 @@ type edgeStamp struct {
 // and the active set hold, a round costs the shuffle and the greedy scan of
 // that list plus the matching (near-linear in E on the planner's sparse
 // graphs, see graph.Matcher), and only a forced round, a changed active set
-// or an environment rewritten in place (FollowRewrites) walks the Bandwidth
+// or a new Bandwidth.Revision (an environment rewritten in place, as a
+// jittered or traced netsim.RoundEnv is every round) walks the Bandwidth
 // again. The matching sequence is bit-identical to the retained dense
 // formulation (ReferenceGenerator); the equivalence suite pins that across
 // N, seeds, churn, forced rounds and rewritten environments.
@@ -93,14 +94,14 @@ type Generator struct {
 
 	// The last round's candidate list, as edges for the augmentation and
 	// packed for the greedy pass. kept reports that it is the B* list over
-	// the active set bstarOver (every entry true for nil), which a connected
-	// round reuses: a forced round overwrites it, and rewrites disables the
-	// reuse.
+	// the active set bstarOver (every entry true for nil) and the
+	// environment's Revision bstarRev, which a connected round reuses while
+	// both hold: a forced round overwrites it.
 	candidate []graph.WeightedEdge
 	packed    graph.Candidates
 	bstarOver []bool
+	bstarRev  uint64
 	kept      bool
-	rewrites  bool
 
 	// Per-round scratch, reused across rounds so steady-state planning
 	// allocates only the matching it returns. extra and extraPacked are the
@@ -156,16 +157,10 @@ func NewGenerator(bw *netsim.Bandwidth, cfg Config, seed uint64) *Generator {
 	}
 }
 
-// FollowRewrites tells g that its environment is rewritten in place between
-// rounds — a netsim.RoundEnv with jitter or node multipliers — so every
-// connected round walks it again instead of reusing the B* list of an
-// earlier round. Without it the environment must not change under g.
-func (g *Generator) FollowRewrites() { g.rewrites = true }
-
 // bstarHolds reports whether the kept B* list is the one the environment
 // gives over active (nil: everyone).
 func (g *Generator) bstarHolds(active []bool) bool {
-	if g.rewrites || !g.kept {
+	if !g.kept || g.bstarRev != g.bw.Revision() {
 		return false
 	}
 	for i, over := range g.bstarOver {
@@ -357,6 +352,7 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 		for i := range g.bstarOver {
 			g.bstarOver[i] = isActive(i)
 		}
+		g.bstarRev = g.bw.Revision()
 		g.kept = true
 		g.builds++
 	}
@@ -422,7 +418,7 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 // generator's workspace — the greedy weighted seed, completed to maximum
 // cardinality by blossom augmentation — with its two steps timed for the
 // metrics, for edges joining only live vertices, packed in scan. It also
-// returns how many vertices the greedy seed left free (0 with metrics off).
+// returns how many live vertices the greedy seed left free.
 //
 // Each call is rnd's last reader once its seed leaves at most one live
 // vertex free: the round's stream is reseeded every round, the augmentation
@@ -436,12 +432,11 @@ func (g *Generator) maxMatch(edges []graph.WeightedEdge, scan *graph.Candidates,
 		t0 = time.Now()
 	}
 	match := g.matcher.GreedyScan(scan, rnd, live)
-	free := 0
 	if timed {
 		t1 = time.Now()
-		free = g.n - 2*match.Size()
 	}
-	if live-2*match.Size() >= 2 {
+	free := live - 2*match.Size()
+	if free >= 2 {
 		g.matcher.Load(g.n, edges)
 		g.matcher.Augment(match, rnd)
 		g.augmented++

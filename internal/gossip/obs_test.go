@@ -56,3 +56,26 @@ func TestPlannerMetricsObserveWithoutPerturbing(t *testing.T) {
 			p.GreedySecondsTotal.Value(), p.AugmentSecondsTotal.Value(), p.PlanSeconds.Sum())
 	}
 }
+
+// TestFreeAfterGreedyCountsLiveWorkers: free_after_greedy counts the active
+// workers the greedy seed left unmatched, not the absent ones. Half of a
+// 64-worker complete environment is active and every link clears BThres, so
+// the greedy pass pairs all 32 and the gauge must read 0.
+func TestFreeAfterGreedyCountsLiveWorkers(t *testing.T) {
+	const n = 64
+	m := obs.New()
+	obs.Enable(m)
+	defer obs.Enable(nil)
+	g := NewGenerator(netsim.RandomUniform(n, 0.5, 5, rng.New(2)), Config{BThres: 0, TThres: 3}, 4)
+	active := make([]bool, n)
+	for i := 0; i < n; i += 2 {
+		active[i] = true
+	}
+	r := g.NextActive(0, active)
+	if got := r.Match.Size(); got != n/4 {
+		t.Fatalf("%d pairs over %d active workers, want every one matched", got, n/2)
+	}
+	if free := m.Planner.FreeAfterGreedy.Value(); free != 0 {
+		t.Fatalf("free_after_greedy = %d with every active worker matched, want 0", free)
+	}
+}

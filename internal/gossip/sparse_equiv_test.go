@@ -305,40 +305,45 @@ func TestKeptCandidatesBitIdenticalToReference(t *testing.T) {
 			{"fixed", fixed, blockChurn(n, seed)},
 			{"fixed-everyone", fixed, everyone},
 		} {
-			var forced, connected, builds int
-			rewrites := c.env().Rewrites()
-			for _, cfg := range equivConfigs {
-				env := c.env()
-				sparse := NewGenerator(env.Current(), cfg, seed)
-				if rewrites {
-					sparse.FollowRewrites()
-				}
-				dense := NewReferenceGenerator(env.Current(), cfg, seed)
-				for round := 0; round < rounds; round++ {
-					env.Tick(round)
-					active := c.active(round)
-					rs := sparse.NextActive(round, active)
-					rd := dense.NextActive(round, active)
-					if rs.Forced != rd.Forced || !slices.Equal(rs.Match, rd.Match) {
-						t.Fatalf("%s seed %d cfg %+v round %d: sparse %v (forced %v), dense %v (forced %v)",
-							c.name, seed, cfg, round, rs.Match, rs.Forced, rd.Match, rd.Forced)
-					}
-					if rs.Forced {
-						forced++
-					} else {
-						connected++
-					}
-				}
-				builds += sparse.builds
+			t.Run(fmt.Sprintf("%s_seed%d", c.name, seed), func(t *testing.T) { checkKept(t, c, base, seed, rounds) })
+		}
+	}
+}
+
+// checkKept runs one keptCase in lockstep with the dense reference under
+// every equivConfigs entry and checks the B* build count.
+func checkKept(t *testing.T, c keptCase, base *netsim.Bandwidth, seed uint64, rounds int) {
+	var forced, connected, builds int
+	// Jitter and a trace rewrite a copy of base in place every round;
+	// without either the clock hands out base itself.
+	rewrites := c.env().Current() != base
+	for _, cfg := range equivConfigs {
+		env := c.env()
+		sparse := NewGenerator(env.Current(), cfg, seed)
+		dense := NewReferenceGenerator(env.Current(), cfg, seed)
+		for round := 0; round < rounds; round++ {
+			env.Tick(round)
+			active := c.active(round)
+			rs := sparse.NextActive(round, active)
+			rd := dense.NextActive(round, active)
+			if rs.Forced != rd.Forced || !slices.Equal(rs.Match, rd.Match) {
+				t.Fatalf("cfg %+v round %d: sparse %v (forced %v), dense %v (forced %v)",
+					cfg, round, rs.Match, rs.Forced, rd.Match, rd.Forced)
 			}
-			switch {
-			case forced == 0:
-				t.Fatalf("%s seed %d: no forced rounds covered", c.name, seed)
-			case rewrites && builds != connected:
-				t.Fatalf("%s seed %d: %d B* builds over %d connected rounds of a rewritten environment", c.name, seed, builds, connected)
-			case !rewrites && (builds < 2 || builds >= connected):
-				t.Fatalf("%s seed %d: %d B* builds over %d connected rounds, want the list both kept and rebuilt", c.name, seed, builds, connected)
+			if rs.Forced {
+				forced++
+			} else {
+				connected++
 			}
 		}
+		builds += sparse.builds
+	}
+	switch {
+	case forced == 0:
+		t.Fatal("no forced rounds covered")
+	case rewrites && builds != connected:
+		t.Fatalf("%d B* builds over %d connected rounds of a rewritten environment", builds, connected)
+	case !rewrites && (builds < 2 || builds >= connected):
+		t.Fatalf("%d B* builds over %d connected rounds, want the list both kept and rebuilt", builds, connected)
 	}
 }

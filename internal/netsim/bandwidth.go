@@ -29,6 +29,9 @@ type Bandwidth struct {
 	off []int
 	nbr []int32
 	wts []float64
+	// rev counts the in-place rewrites of wts; RoundEnv.rewrite is the one
+	// writer of a built environment.
+	rev uint64
 }
 
 // NewBandwidth builds a symmetric Bandwidth from a possibly asymmetric
@@ -69,6 +72,13 @@ func (b *Bandwidth) lowerBound(i, j int) int {
 	}
 	return lo
 }
+
+// Revision counts the times the link speeds were rewritten in place since b
+// was built (each jittered or traced RoundEnv.Tick is one). While it holds,
+// every MBps, ForEachEdge and AppendEdges answer is unchanged, so a caller
+// that keeps what it derived from them compares Revisions instead of
+// re-reading the links.
+func (b *Bandwidth) Revision() uint64 { return b.rev }
 
 // MBps returns the symmetric link bandwidth between workers i and j in
 // megabytes per second (0 for i == j and for pairs with no link).
@@ -156,7 +166,7 @@ func FourteenCities() *Bandwidth {
 // environment ((0, 5] MB/s, Fig. 5b). The draw is symmetric by construction.
 func RandomUniform(n int, lo, hi float64, r *rng.Source) *Bandwidth {
 	return complete(n, func(_, _ int) float64 {
-		return lo + (hi-lo)*(1-r.Float64()) // (lo, hi]
+		return lo + float64((hi-lo)*(1-float64(r.Float64()))) // (lo, hi]
 	})
 }
 
@@ -169,6 +179,6 @@ func Clustered(n, clusters int, fast, slow float64, r *rng.Source) *Bandwidth {
 		if i%clusters == j%clusters {
 			base = fast
 		}
-		return base * (0.5 + r.Float64()) // ±50% jitter
+		return base * (0.5 + float64(r.Float64())) // ±50% jitter
 	})
 }

@@ -21,19 +21,21 @@ import (
 // the same bandwidth sequence.
 //
 // Current is stable: Tick rewrites the same *Bandwidth in place (topology
-// shared with the base, weights its own), so a planner or ledger built over
-// it observes each round's speeds without re-plumbing — and code that needs
-// a round's values after the next Tick must copy them first. With neither
-// jitter nor multipliers Current is the base itself and Tick does nothing.
+// shared with the base, weights its own) and advances its Revision, so a
+// planner or ledger built over it reads each round's speeds without
+// re-plumbing, and one that keeps what it derived from them (the planner's
+// B* list) sees from the Revision when to derive it again. Code that needs a
+// round's values after the next Tick must copy them first. With neither
+// jitter nor multipliers Current is the base itself, and Tick does nothing.
 type RoundEnv struct {
 	base, cur *Bandwidth
 	jitter    float64
 	rnd       *rng.Source
 	mults     func(round int, dst []float64) []float64
 	buf       []float64
-	// rev maps each u < v entry to its v → u twin, so both halves of a link
-	// are written from one computation.
-	rev []int32
+	// twin maps each u < v entry to its v → u twin, so both halves of a
+	// link are written from one computation.
+	twin []int32
 }
 
 // NewRoundEnv builds the clock over base and produces round 0's environment.
@@ -52,10 +54,10 @@ func NewRoundEnv(base *Bandwidth, jitter float64, jitterSeed uint64, mults func(
 	}
 	e.rnd = rng.New(jitterSeed)
 	e.cur = &Bandwidth{N: base.N, off: base.off, nbr: base.nbr, wts: make([]float64, len(base.wts))}
-	e.rev = make([]int32, len(base.nbr))
+	e.twin = make([]int32, len(base.nbr))
 	for u := 0; u < base.N; u++ {
 		for k := base.lowerBound(u, u+1); k < base.off[u+1]; k++ {
-			e.rev[k] = int32(base.lowerBound(int(base.nbr[k]), u))
+			e.twin[k] = int32(base.lowerBound(int(base.nbr[k]), u))
 		}
 	}
 	e.rewrite(0)
@@ -65,10 +67,6 @@ func NewRoundEnv(base *Bandwidth, jitter float64, jitterSeed uint64, mults func(
 // Current is the environment of the round last ticked to.
 func (e *RoundEnv) Current() *Bandwidth { return e.cur }
 
-// Rewrites reports whether Tick rewrites Current in place: jitter or node
-// multipliers are set. Without either, Current is the base and never changes.
-func (e *RoundEnv) Rewrites() bool { return e.cur != e.base }
-
 // Tick advances the environment to round r; rounds must be visited in order,
 // the jitter draws being sequential. Round 0 was produced at construction.
 func (e *RoundEnv) Tick(r int) {
@@ -77,9 +75,11 @@ func (e *RoundEnv) Tick(r int) {
 	}
 }
 
-// rewrite fills the snapshot with round r's speeds.
+// rewrite fills the snapshot with round r's speeds and counts the rewrite
+// in its Revision.
 func (e *RoundEnv) rewrite(r int) {
 	b := e.base
+	e.cur.rev++
 	if e.mults != nil {
 		e.buf = e.mults(r, e.buf)
 		if len(e.buf) != b.N {
@@ -90,13 +90,13 @@ func (e *RoundEnv) rewrite(r int) {
 		for k := b.lowerBound(u, u+1); k < b.off[u+1]; k++ {
 			w := b.wts[k]
 			if e.jitter > 0 {
-				w *= 1 + e.jitter*(2*e.rnd.Float64()-1)
+				w *= 1 + float64(e.jitter*(2*float64(e.rnd.Float64())-1))
 			}
 			if e.mults != nil {
 				w *= min(e.buf[u], e.buf[b.nbr[k]])
 			}
 			e.cur.wts[k] = w
-			e.cur.wts[e.rev[k]] = w
+			e.cur.wts[e.twin[k]] = w
 		}
 	}
 }

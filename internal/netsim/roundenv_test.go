@@ -177,6 +177,41 @@ func TestRoundEnvStaticIsBase(t *testing.T) {
 	}
 }
 
+// TestRoundEnvRevisionCountsRewrites: Revision is what a planner keeping
+// derived state compares, so it must move exactly when the speeds are
+// rewritten: never on a static clock, by one at each Tick(r > 0) of a
+// jittered or traced one, and not at all on a Tick(0), which construction
+// already produced.
+func TestRoundEnvRevisionCountsRewrites(t *testing.T) {
+	bothTopologies(t, func(t *testing.T, base *Bandwidth) {
+		for _, c := range []struct {
+			name  string
+			env   *RoundEnv
+			delta uint64
+		}{
+			{"static", NewRoundEnv(base, 0, 0, nil), 0},
+			{"jitter", NewRoundEnv(base, 0.3, 5, nil), 1},
+			{"trace", NewRoundEnv(base, 0, 0, testMults(base.N)), 1},
+		} {
+			cur := c.env.Current()
+			rev := cur.Revision()
+			c.env.Tick(0)
+			if got := cur.Revision(); got != rev {
+				t.Fatalf("%s: Tick(0) moved Revision %d → %d", c.name, rev, got)
+			}
+			for r := 1; r <= 5; r++ {
+				c.env.Tick(r)
+				if got, want := cur.Revision(), rev+uint64(r)*c.delta; got != want {
+					t.Fatalf("%s: Revision %d after Tick(%d), want %d", c.name, got, r, want)
+				}
+			}
+			if base.Revision() != 0 {
+				t.Fatalf("%s: the base's Revision moved to %d", c.name, base.Revision())
+			}
+		}
+	})
+}
+
 // TestRoundEnvTickDrawsOnePerLink pins the jitter stream's shape, which
 // every recorded jitter trajectory depends on: construction (round 0) and
 // each Tick consume exactly Links() draws, one per link in ForEachEdge order.
@@ -188,7 +223,7 @@ func TestRoundEnvTickDrawsOnePerLink(t *testing.T) {
 		for r := 0; r < 3; r++ {
 			env.Tick(r)
 			base.ForEachEdge(0, func(u, v int, w float64) {
-				if got, want := env.Current().MBps(u, v), w*(1+jitter*(2*stream.Float64()-1)); got != want {
+				if got, want := env.Current().MBps(u, v), w*(1+float64(jitter*(2*float64(stream.Float64())-1))); got != want {
 					t.Fatalf("round %d link %d-%d = %v, want %v from the stream's next draw", r, u, v, got, want)
 				}
 			})

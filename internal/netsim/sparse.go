@@ -124,7 +124,7 @@ func SparseRandomUniform(n, degree int, lo, hi float64, r *rng.Source) *Bandwidt
 		panic(fmt.Sprintf("netsim: bad uniform range (%v, %v]", lo, hi))
 	}
 	return sparseTopology(n, degree, r, func(_, _ int) float64 {
-		return lo + (hi-lo)*(1-r.Float64()) // (lo, hi]
+		return lo + float64((hi-lo)*(1-float64(r.Float64()))) // (lo, hi]
 	})
 }
 
@@ -141,6 +141,6 @@ func SparseClustered(n, clusters, degree int, fast, slow float64, r *rng.Source)
 		if u%clusters == v%clusters {
 			base = fast
 		}
-		return base * (0.5 + r.Float64()) // ±50% jitter
+		return base * (0.5 + float64(r.Float64())) // ±50% jitter
 	})
 }

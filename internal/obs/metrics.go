@@ -105,8 +105,8 @@ type PlannerMetrics struct {
 	// AugmentSecondsTotal accumulates seconds spent completing the seed
 	// to maximum cardinality (blossom augmentation).
 	AugmentSecondsTotal *FloatCounter
-	// FreeAfterGreedy gauges the vertices the last round's greedy seed
-	// left unmatched — the number of blossom searches it had to run.
+	// FreeAfterGreedy gauges the active vertices the last round's greedy
+	// seed left unmatched — the number of blossom searches it had to run.
 	FreeAfterGreedy *Gauge
 	// MatchedPairs gauges the pairs in the last round's matching.
 	MatchedPairs *Gauge

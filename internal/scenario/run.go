@@ -85,9 +85,6 @@ func (s *Spec) Coordinator(base *netsim.Bandwidth) (*netsim.RoundEnv, *algos.Rou
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	if env.Rewrites() {
-		p.FollowRewrites()
-	}
 	return env, p, nil
 }
 

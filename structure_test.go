@@ -375,9 +375,13 @@ func TestOneRoundDriver(t *testing.T) {
 
 // TestOneBandwidthStorage: a link is one slot in one array whatever the fleet
 // size, and one type advances it between rounds. netsim.Bandwidth is the CSR
-// layout and nothing else (a second field set is a second storage mode, a
-// Sparse method the fork on it), and netsim.RoundEnv — base, jitter and
-// per-node multipliers in one rewrite — is the only type with a Tick.
+// layout plus the count of its in-place rewrites and nothing else (a second
+// field set is a second storage mode, a Sparse method the fork on it), and
+// netsim.RoundEnv — base, jitter and per-node multipliers in one rewrite — is
+// the only type with a Tick. RoundEnv.rewrite is the one function that
+// writes the count: a second writer is a second way to rewrite the speeds,
+// or a Revision that moves without them, and either leaves a planner's kept
+// B* list wrong.
 func TestOneBandwidthStorage(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, f := range productFiles(t, fset, "internal/netsim") {
@@ -396,19 +400,28 @@ func TestOneBandwidthStorage(t *testing.T) {
 							fields = append(fields, name.Name)
 						}
 					}
-					if got := strings.Join(fields, " "); got != "N off nbr wts" {
-						t.Errorf("%s: netsim.Bandwidth has fields {%s}, want the one CSR layout {N off nbr wts}", fset.Position(ts.Pos()), got)
+					if got := strings.Join(fields, " "); got != "N off nbr wts rev" {
+						t.Errorf("%s: netsim.Bandwidth has fields {%s}, want the one CSR layout and its rewrite count {N off nbr wts rev}", fset.Position(ts.Pos()), got)
 					}
 				}
 			case *ast.FuncDecl:
+				name, on := d.Name.Name, ""
+				if d.Recv != nil {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					on = recv.(*ast.Ident).Name
+					name = on + "." + name
+				}
+				if name != "RoundEnv.rewrite" {
+					for _, pos := range revWrites(d.Body) {
+						t.Errorf("%s: %s writes Bandwidth.rev — only RoundEnv.rewrite rewrites a built environment", fset.Position(pos), name)
+					}
+				}
 				if d.Recv == nil {
 					continue
 				}
-				recv := d.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				on := recv.(*ast.Ident).Name
 				if d.Name.Name == "Sparse" && on == "Bandwidth" {
 					t.Errorf("%s: Bandwidth.Sparse is back — there is no other mode to tell apart", fset.Position(d.Pos()))
 				}
@@ -418,6 +431,39 @@ func TestOneBandwidthStorage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// revWrites returns where body assigns, increments or decrements a field
+// named rev, or sets one in a composite literal.
+func revWrites(body *ast.BlockStmt) []token.Pos {
+	if body == nil {
+		return nil
+	}
+	isRev := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "rev"
+	}
+	var at []token.Pos
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range v.Lhs {
+				if isRev(lhs) {
+					at = append(at, lhs.Pos())
+				}
+			}
+		case *ast.IncDecStmt:
+			if isRev(v.X) {
+				at = append(at, v.Pos())
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := v.Key.(*ast.Ident); ok && id.Name == "rev" {
+				at = append(at, v.Pos())
+			}
+		}
+		return true
+	})
+	return at
 }
 
 // TestOneEventSimulator: the engine's barrier-free driver is the one event
