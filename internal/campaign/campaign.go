@@ -91,8 +91,8 @@ type Grid struct {
 	// base retargeted to the cell's algorithm (scenario.Spec.Retarget),
 	// which drops the blocks that algorithm does not read instead of
 	// failing the cell. Asynchronous cells require the base to carry an
-	// async block and run unsharded on the event-driven engine, so the
-	// shards axis collapses for them.
+	// async block and run unsharded over a static environment on the
+	// event-driven engine, so the trace and shards axes collapse for them.
 	Algo []string `json:"algo,omitempty"`
 	// Nodes sweeps the trainer count.
 	Nodes []int `json:"nodes,omitempty"`
@@ -390,229 +390,146 @@ func (c *Spec) Expand(bases ...*scenario.Spec) ([]Cell, error) {
 	return cells, nil
 }
 
-// expandBase appends one base scenario's cells: the grid crossed over it,
-// every ID starting with prefix when there is one. ids maps the IDs taken so
-// far to their cell index.
-func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec, prefix string) ([]Cell, error) {
+// option is one value of one grid axis: the part it adds to a cell ID ("" for
+// none) and its rewrite of the cell's spec and labels.
+type option struct {
+	part  string
+	apply func(s *scenario.Spec, cell *Cell)
+}
+
+// keep is the one option of an axis the grid leaves empty or the algorithm
+// does not read: the base value stays and the ID gains no part.
+var keep = []option{{apply: func(*scenario.Spec, *Cell) {}}}
+
+// axis makes one option per grid value, or keep when there are none.
+func axis[T any](vals []T, part func(T) string, apply func(T, *scenario.Spec, *Cell)) []option {
+	if len(vals) == 0 {
+		return keep
+	}
+	opts := make([]option, len(vals))
+	for i, v := range vals {
+		opts[i] = option{part(v), func(s *scenario.Spec, cell *Cell) { apply(v, s, cell) }}
+	}
+	return opts
+}
+
+// setRatio lands a compression ratio on the cell; 0 keeps the base's.
+func setRatio(v float64, s *scenario.Spec, cell *Cell) {
+	if v > 0 {
+		cell.Compression = v
+		s.SetRatio(v)
+	}
+}
+
+// axes returns algo's option table in nesting order: compression › nodes ›
+// rounds › bandwidth › trace › partition › seed › shards. An axis collapses
+// to keep where every value would yield the same cell: compression for an
+// algorithm without a ratio knob, trace and shards for an asynchronous one
+// (it runs unsharded over a static environment).
+func (c *Spec) axes(algo string) [][]option {
 	g := &c.Grid
-	names := g.Algo
+	r := algos.Recipe{Algo: algo}
+	own := c.PerAlgo[algo].Compression
+	ratios := []option{{apply: func(s *scenario.Spec, cell *Cell) { setRatio(own, s, cell) }}}
+	if r.RatioField() != "" && len(g.Compression) > 0 {
+		ratios = axis(g.Compression, func(v float64) string { return "c" + compact(v) }, setRatio)
+	}
+	traces, shards := keep, keep
+	if !r.Async() {
+		traces = axis(g.Traces, func(e GridTrace) string { return e.label() }, func(e GridTrace, s *scenario.Spec, cell *Cell) {
+			cell.Trace = e.label()
+			s.Trace = nil // an empty file is the static-network control cell
+			if e.File != "" {
+				s.Trace = &e.TraceSpec
+			}
+		})
+		shards = axis(g.Shards, func(n int) string { return "sh" + strconv.Itoa(n) }, func(n int, s *scenario.Spec, _ *Cell) { s.Shards = n })
+	}
+	return [][]option{
+		ratios,
+		axis(g.Nodes, func(n int) string { return "n" + strconv.Itoa(n) }, func(n int, s *scenario.Spec, _ *Cell) { s.Nodes = n }),
+		axis(g.Rounds, func(n int) string { return "r" + strconv.Itoa(n) }, func(n int, s *scenario.Spec, _ *Cell) { s.Rounds = n }),
+		axis(g.Bandwidth, func(e GridBandwidth) string { return e.label() }, func(e GridBandwidth, s *scenario.Spec, cell *Cell) {
+			cell.Bandwidth = e.label()
+			s.Bandwidth = e.BandwidthSpec
+		}),
+		traces,
+		axis(g.Partition, func(e GridPartition) string { return e.label() }, func(e GridPartition, s *scenario.Spec, cell *Cell) {
+			cell.Partition = e.label()
+			s.Partition = nil // kind "iid" is the uniform-split control cell
+			if e.Kind != "iid" {
+				s.Partition = &e.PartitionSpec
+			}
+		}),
+		axis(g.Seeds, func(v uint64) string { return "s" + strconv.FormatUint(v, 10) }, func(v uint64, s *scenario.Spec, _ *Cell) { s.Seed = v }),
+		shards,
+	}
+}
+
+// expandBase appends one base scenario's cells: each algorithm's option table
+// walked as a mixed-radix counter, the last axis varying fastest, every ID
+// starting with prefix when there is one. ids maps the IDs taken so far to
+// their cell index.
+func (c *Spec) expandBase(cells []Cell, ids map[string]int, base *scenario.Spec, prefix string) ([]Cell, error) {
+	names := c.Grid.Algo
 	if len(names) == 0 {
 		names = []string{base.Algo}
 	}
-	// Materialize each axis as override closures; nil-value sentinels keep
-	// the base value. Using index slices keeps the nesting generic.
-	type axis struct {
-		n     int
-		apply func(s *scenario.Spec, i int)
-		part  func(s *scenario.Spec, i int) string
-	}
-	// curBW/curTrace/curPart carry each axis's label out of its apply
-	// closure to the cell under construction (Expand is sequential).
-	var curBW, curTrace, curPart string
-	oneOrLen := func(n int) int {
-		if n == 0 {
-			return 1
-		}
-		return n
-	}
-	// axTrace is the trace axis's index in axes (it collapses for async
-	// algorithms below, like the always-last shards axis).
-	const axTrace = 3
-	axes := []axis{
-		{oneOrLen(len(g.Nodes)), func(s *scenario.Spec, i int) {
-			if len(g.Nodes) > 0 {
-				s.Nodes = g.Nodes[i]
-			}
-		}, func(s *scenario.Spec, i int) string {
-			if len(g.Nodes) == 0 {
-				return ""
-			}
-			return "n" + strconv.Itoa(g.Nodes[i])
-		}},
-		{oneOrLen(len(g.Rounds)), func(s *scenario.Spec, i int) {
-			if len(g.Rounds) > 0 {
-				s.Rounds = g.Rounds[i]
-			}
-		}, func(s *scenario.Spec, i int) string {
-			if len(g.Rounds) == 0 {
-				return ""
-			}
-			return "r" + strconv.Itoa(g.Rounds[i])
-		}},
-		{oneOrLen(len(g.Bandwidth)), func(s *scenario.Spec, i int) {
-			if len(g.Bandwidth) > 0 {
-				s.Bandwidth = g.Bandwidth[i].BandwidthSpec
-				curBW = g.Bandwidth[i].label()
-			}
-		}, func(s *scenario.Spec, i int) string {
-			if len(g.Bandwidth) == 0 {
-				return ""
-			}
-			return g.Bandwidth[i].label()
-		}},
-		{oneOrLen(len(g.Traces)), func(s *scenario.Spec, i int) {
-			if len(g.Traces) == 0 || s.Recipe().Async() {
-				return
-			}
-			e := &g.Traces[i]
-			curTrace = e.label()
-			if e.File == "" {
-				// The static-network control cell: no replay at all.
-				s.Trace = nil
-				return
-			}
-			// Retarget, below, drops the events for an algorithm that
-			// plans over no membership.
-			ts := e.TraceSpec
-			s.Trace = &ts
-		}, func(s *scenario.Spec, i int) string {
-			if len(g.Traces) == 0 || s.Recipe().Async() {
-				return ""
-			}
-			return g.Traces[i].label()
-		}},
-		{oneOrLen(len(g.Partition)), func(s *scenario.Spec, i int) {
-			if len(g.Partition) == 0 {
-				return
-			}
-			e := &g.Partition[i]
-			curPart = e.label()
-			if e.Kind == "iid" {
-				// The uniform-split control cell: no partition block.
-				s.Partition = nil
-				return
-			}
-			ps := e.PartitionSpec
-			s.Partition = &ps
-		}, func(s *scenario.Spec, i int) string {
-			if len(g.Partition) == 0 {
-				return ""
-			}
-			return g.Partition[i].label()
-		}},
-		{oneOrLen(len(g.Seeds)), func(s *scenario.Spec, i int) {
-			if len(g.Seeds) > 0 {
-				s.Seed = g.Seeds[i]
-			}
-		}, func(s *scenario.Spec, i int) string {
-			if len(g.Seeds) == 0 {
-				return ""
-			}
-			return "s" + strconv.FormatUint(g.Seeds[i], 10)
-		}},
-		{oneOrLen(len(g.Shards)), func(s *scenario.Spec, i int) {
-			// Async cells run unsharded on the event-driven engine, so the
-			// shards axis never touches them (its length collapses to one
-			// for async algorithms below).
-			if len(g.Shards) > 0 && !s.Recipe().Async() {
-				s.Shards = g.Shards[i]
-			}
-		}, func(s *scenario.Spec, i int) string {
-			if len(g.Shards) == 0 || s.Recipe().Async() {
-				return ""
-			}
-			return "sh" + strconv.Itoa(g.Shards[i])
-		}},
-	}
 	for _, algo := range names {
-		r := algos.Recipe{Algo: algo}
-		algoAxes := axes
-		if r.Async() {
-			// The shards axis (always last) collapses for asynchronous
-			// algorithms: every shard count would yield the identical
-			// unsharded cell. So does the trace axis (index axTrace):
-			// async runs use a static bandwidth environment, so every
-			// trace entry would yield the identical untraced cell.
-			algoAxes = append([]axis(nil), axes...)
-			algoAxes[len(algoAxes)-1].n = 1
-			algoAxes[axTrace].n = 1
+		axes := c.axes(algo)
+		total := 1
+		for _, a := range axes {
+			total *= len(a)
 		}
-		comps := g.Compression
-		if len(comps) == 0 || r.RatioField() == "" {
-			// Axis absent, or the algorithm has no ratio knob: a single
-			// cell with the base parameters (the axis collapses).
-			comps = []float64{0}
-		}
-		for _, comp := range comps {
-			// The fixed-order cartesian product over the remaining axes:
-			// nodes › rounds › bandwidth › trace › partition › seed ›
-			// shards. Iterate a mixed-radix counter so the nesting order is
-			// explicit and stable.
-			total := 1
-			for _, a := range algoAxes {
-				total *= a.n
+		pick := make([]option, len(axes))
+		for k := 0; k < total; k++ {
+			for a, rem := len(axes)-1, k; a >= 0; a-- {
+				pick[a] = axes[a][rem%len(axes[a])]
+				rem /= len(axes[a])
 			}
-			for k := 0; k < total; k++ {
-				idx := make([]int, len(algoAxes))
-				rem := k
-				for a := len(algoAxes) - 1; a >= 0; a-- {
-					idx[a] = rem % algoAxes[a].n
-					rem /= algoAxes[a].n
-				}
-				// The axes read the cell's algorithm; Retarget then drops what
-				// it does not read, from the base and the axes alike.
-				s := base.Clone()
-				s.Algo = algo
-				var parts []string
-				if prefix != "" {
-					parts = append(parts, prefix)
-				}
-				if len(g.Algo) > 0 {
-					parts = append(parts, algo)
-				}
-				// Apply nodes/rounds/bandwidth before compression so the
-				// ratio lands on the final algorithm/knob combination.
-				curBW, curTrace, curPart = "", "", ""
-				for a, ax := range algoAxes {
-					ax.apply(s, idx[a])
-				}
-				s = s.Retarget(algo)
-				cell := Cell{Spec: s, Bandwidth: curBW, Trace: curTrace, Partition: curPart}
-				own := c.PerAlgo[algo]
-				if own.LocalSteps > 0 {
-					s.LocalSteps = own.LocalSteps
-				}
-				if comp > 0 {
-					cell.Compression = comp
-				} else {
-					cell.Compression = own.Compression
-				}
-				if cell.Compression > 0 {
-					s.SetRatio(cell.Compression)
-				}
-				for a, ax := range algoAxes {
-					if p := ax.part(s, idx[a]); p != "" {
-						parts = append(parts, p)
-					}
-				}
-				if comp > 0 {
-					parts = append(parts, "c"+compact(comp))
-				}
-				id := strings.Join(parts, "_")
-				if id == "" {
-					// Every swept axis collapsed to the base value (e.g. a
-					// compression-only grid over a knobless algorithm).
-					id = "base"
-				}
-				if prev, dup := ids[id]; dup {
-					return nil, fmt.Errorf("campaign %s: cells %d and %d share id %q (duplicate axis values?)",
-						c.Name, prev, len(cells), id)
-				}
-				ids[id] = len(cells)
-				s.Name = id
-				if err := s.Validate(); err != nil {
-					return nil, fmt.Errorf("campaign %s: cell %s: %w", c.Name, id, err)
-				}
-				canon, err := s.Canonical()
-				if err != nil {
-					return nil, fmt.Errorf("campaign %s: cell %s: %w", c.Name, id, err)
-				}
-				sum := sha256.Sum256(canon)
-				cell.Index = len(cells)
-				cell.ID = id
-				cell.SHA = hex.EncodeToString(sum[:8])
-				cells = append(cells, cell)
+			// The options read the cell's algorithm; Retarget then drops what
+			// it does not read, from the base and the options alike.
+			s := base.Clone()
+			s.Algo = algo
+			if n := c.PerAlgo[algo].LocalSteps; n > 0 {
+				s.LocalSteps = n
 			}
+			var cell Cell
+			parts := []string{prefix}
+			if len(c.Grid.Algo) > 0 {
+				parts = append(parts, algo)
+			}
+			for _, o := range pick {
+				o.apply(s, &cell)
+			}
+			// An ID names its compression ratio last.
+			for _, o := range pick[1:] {
+				parts = append(parts, o.part)
+			}
+			parts = slices.DeleteFunc(append(parts, pick[0].part), func(p string) bool { return p == "" })
+			id := strings.Join(parts, "_")
+			if id == "" {
+				// Every swept axis collapsed to the base value (e.g. a
+				// compression-only grid over a knobless algorithm).
+				id = "base"
+			}
+			if prev, dup := ids[id]; dup {
+				return nil, fmt.Errorf("campaign %s: cells %d and %d share id %q (duplicate axis values?)",
+					c.Name, prev, len(cells), id)
+			}
+			ids[id] = len(cells)
+			s = s.Retarget(algo)
+			s.Name = id
+			if err := s.Validate(); err != nil {
+				return nil, fmt.Errorf("campaign %s: cell %s: %w", c.Name, id, err)
+			}
+			canon, err := s.Canonical()
+			if err != nil {
+				return nil, fmt.Errorf("campaign %s: cell %s: %w", c.Name, id, err)
+			}
+			sum := sha256.Sum256(canon)
+			cell.Index, cell.ID, cell.SHA, cell.Spec = len(cells), id, hex.EncodeToString(sum[:8]), s
+			cells = append(cells, cell)
 		}
 	}
 	return cells, nil
