@@ -589,7 +589,7 @@ func phaseSendAll(ctx RoundContext, tr Transport, st *PhaseState, words []float6
 // 0's value, then every later payload's in ascending rank, the rank's own in
 // its place. Each coordinate gets that one sequence of operations whichever
 // rank sums it, so the ranks of an engine and a fleet of one-rank processes
-// hold the same bits. The zero AllGather serves Collective's fallback.
+// hold the same bits.
 func (a AllGather) phaseGather(ctx RoundContext, codecs []Codec, tr Transport, st *PhaseState) error {
 	for q := 0; q < ctx.N; q++ {
 		if q == ctx.Self {
@@ -680,11 +680,11 @@ func (st *PhaseState) addDecoded(c Codec, ctx RoundContext, agg []float64, lo, h
 // halving/doubling (reduce-scatter + all-gather), the butterfly equivalent
 // of the classic ring all-reduce: every node sends and receives exactly
 // 2·D·(n-1)/n values, matching Table I's ring cost, with every transfer a
-// pairwise swap the Transport can carry. Other fleet sizes fall back to a
-// complete all-gather (everyone swaps full vectors with everyone, n-1
-// transfers of D values each) summed in AllGather's canonical order, which
-// is exact but costlier — callers wanting the bandwidth-optimal path should
-// size fleets to powers of two.
+// pairwise swap the Transport can carry. Other fleet sizes run the zero
+// AllGather (everyone swaps full vectors with everyone, n-1 transfers of D
+// values each, summed in its canonical order), which is exact but costlier —
+// callers wanting the bandwidth-optimal path should size fleets to powers of
+// two.
 type Collective struct{}
 
 // Name implements Pattern.
@@ -711,53 +711,29 @@ func segAfter(rank, depth, D, n int) (int, int) {
 	return lo, hi
 }
 
+// butterfly reports whether n ranks run the halving/doubling all-reduce: n
+// is a power of two above one. Other fleets run AllGather's phase program.
+func butterfly(n int) bool { return n > 1 && n&(n-1) == 0 }
+
 // PhaseCount implements Pattern. Power-of-two fleets run the butterfly
 // (2·log₂n exchange steps, each split across adjacent phases: the deposit in
-// phase p, the matching receive in phase p+1), other sizes AllGather's three
-// phases, and a single node trains and merges in one phase.
+// phase p, the matching receive in phase p+1), other sizes AllGather's.
 // Collective does not implement PhaseFuser: its chunks are views that a
 // sender may rewrite in a later phase (see sendChunk), and the barriers
 // order those writes after the partner's reads.
-func (Collective) PhaseCount(_ core.RoundPlan, n int) int {
-	if n <= 1 {
-		return 1
+func (Collective) PhaseCount(plan core.RoundPlan, n int) int {
+	if !butterfly(n) {
+		return AllGather{}.PhaseCount(plan, n)
 	}
-	if n&(n-1) == 0 {
-		q := bits.Len(uint(n)) - 1
-		return 2*q + 1
-	}
-	return 3
+	return 2*(bits.Len(uint(n))-1) + 1
 }
 
 // RunPhase implements Pattern.
 func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr Transport, st *PhaseState) error {
-	if ctx.N > 1 && ctx.N&(ctx.N-1) == 0 {
-		return c.butterflyPhase(ctx, p, node, codecs, tr, st)
+	if !butterfly(ctx.N) {
+		return AllGather{}.RunPhase(ctx, p, node, codecs, tr, st)
 	}
-	switch p {
-	case 0:
-		loss, out, err := node.Compute(ctx)
-		if err != nil {
-			return err
-		}
-		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, true, len(out)
-		if ctx.N == 1 {
-			st.vec = append(st.vec[:0], out...)
-			return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
-		}
-		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-		if err != nil {
-			return err
-		}
-		st.sent = codecs[ctx.Self].WireBytes(words)
-		return phaseSendAll(ctx, tr, st, words, len(out))
-	case 1:
-		return AllGather{}.phaseGather(ctx, codecs, tr, st)
-	case 2:
-		agg, _, _ := st.gatherSlice(ctx)
-		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: agg})
-	}
-	return nil
+	return c.butterflyPhase(ctx, p, node, codecs, tr, st)
 }
 
 // sendChunk encodes chunk and deposits the words with partner, who reads
