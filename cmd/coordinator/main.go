@@ -104,13 +104,7 @@ func run(specPath, addr string, measure bool, probeKB int, rejoinWait time.Durat
 	if err := tmp.Chmod(0o644); err != nil {
 		return err
 	}
-	if _, err := tmp.Write(tensor.AppendWords(nil, params)); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), out); err != nil {
+	if err := engine.CommitFile(tmp, out, tensor.AppendWords(nil, params)); err != nil {
 		return err
 	}
 	fmt.Printf("final model (%d parameters) written to %s\n", len(params), out)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"sapspsgd/internal/engine"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
@@ -294,25 +295,14 @@ func writeCSV(outDir, name string, t *table) error {
 }
 
 // writeFileAtomic writes data to path through a temp file renamed into
-// place, so a kill mid-write never leaves a truncated artifact behind.
+// place, so a kill mid-write never leaves a truncated artifact behind. The
+// temp file is synced before the rename, as the journal line that may follow
+// it is: a durable entry must not point at an artifact that was never
+// written.
 func writeFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	// Synced before the rename, as the journal line that may follow it is:
-	// a durable entry must not point at an artifact that was never written.
-	if _, err = tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return engine.CommitFile(tmp, path, data)
 }

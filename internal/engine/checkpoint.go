@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/tensor"
@@ -247,4 +248,27 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		s.Ranks = append(s.Ranks, rs)
 	}
 	return s, nil
+}
+
+// CommitFile makes data the durable content of path: it writes data to tmp,
+// a temp file its caller created in path's directory, syncs and closes it,
+// then renames it onto path. A crash leaves path's old bytes or all of the
+// new ones, never a name over unwritten blocks. On failure tmp is removed,
+// path is untouched, and the error is the failed step's *os.PathError —
+// or, for the rename, its *os.LinkError.
+func CommitFile(tmp *os.File, path string, data []byte) error {
+	_, err := tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -48,26 +49,16 @@ func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 	frame = s.State.AppendTo(frame)
 	engine.SealFrame(frame, engine.FrameHeader{Kind: engine.FrameWorkerSnapshot, From: s.Rank, Round: s.NextRound})
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("transport: snapshot temp file: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	// Synced before the rename: a crash must leave the old snapshot or the
-	// whole new one under path, never a name over unwritten blocks.
-	if _, err = tmp.Write(frame); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("transport: write snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("transport: commit snapshot: %w", err)
+	if err := engine.CommitFile(tmp, path, frame); err != nil {
+		step := "write"
+		if errors.As(err, new(*os.LinkError)) {
+			step = "commit"
+		}
+		return fmt.Errorf("transport: %s snapshot: %w", step, err)
 	}
 	obs.Current().TransportM().SnapshotWritesTotal.Inc()
 	return nil
