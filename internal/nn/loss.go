@@ -36,7 +36,7 @@ func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (loss float64, dlo
 			sum += math.Exp(v - maxV)
 		}
 		logZ := maxV + math.Log(sum)
-		loss += (logZ - row[y]) * invB
+		loss += float64((logZ - row[y]) * invB)
 		d := dlogits.Row(i)
 		for j, v := range row {
 			p := math.Exp(v - logZ)

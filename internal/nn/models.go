@@ -8,7 +8,7 @@ import (
 
 // scaleC scales a channel count by width, with a floor of 1.
 func scaleC(base int, width float64) int {
-	c := int(float64(base)*width + 0.5)
+	c := int(float64(float64(base)*width) + 0.5)
 	if c < 1 {
 		return 1
 	}

@@ -78,7 +78,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 				inv := 1 / math.Sqrt(b.runVar[c]+b.Eps)
 				g, bt, mu := b.gamma[c], b.beta[c], b.runMean[c]
 				for j := c * hw; j < (c+1)*hw; j++ {
-					o[j] = g*(in[j]-mu)*inv + bt
+					o[j] = float64(g*(in[j]-mu)*inv) + bt
 				}
 			}
 		}
@@ -105,7 +105,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 			in := x.Row(i)
 			for j := c * hw; j < (c+1)*hw; j++ {
 				d := in[j] - mean
-				variance += d * d
+				variance += float64(d * d)
 			}
 		}
 		variance /= n
@@ -119,11 +119,11 @@ func (b *BatchNorm2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 			for j := c * hw; j < (c+1)*hw; j++ {
 				h := (in[j] - mean) * inv
 				xh[j] = h
-				o[j] = g*h + bt
+				o[j] = float64(g*h) + bt
 			}
 		}
-		b.runMean[c] = b.Momentum*b.runMean[c] + (1-b.Momentum)*mean
-		b.runVar[c] = b.Momentum*b.runVar[c] + (1-b.Momentum)*variance
+		b.runMean[c] = float64(b.Momentum*b.runMean[c]) + float64((1-b.Momentum)*mean)
+		b.runVar[c] = float64(b.Momentum*b.runVar[c]) + float64((1-b.Momentum)*variance)
 	}
 	return out
 }
@@ -143,7 +143,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			xh := b.xhat.Row(i)
 			for j := c * hw; j < (c+1)*hw; j++ {
 				sumDy += dr[j]
-				sumDyXhat += dr[j] * xh[j]
+				sumDyXhat += float64(dr[j] * xh[j])
 			}
 		}
 		b.dbeta[c] += sumDy

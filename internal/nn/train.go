@@ -39,8 +39,8 @@ func (s *SGD) Step(m *Model) {
 	}
 	v, x := s.velocity[:len(grads)], x[:len(grads)]
 	for i, g := range grads {
-		v[i] = s.Momentum*v[i] + g
-		x[i] -= s.LR * v[i]
+		v[i] = float64(s.Momentum*v[i]) + g
+		x[i] -= float64(s.LR * v[i])
 	}
 }
 
@@ -112,7 +112,7 @@ func EvaluateDataset(m *Model, d *dataset.Dataset, batchSize int) (loss, acc flo
 		x := BatchMatrix(xs)
 		logits := m.Forward(x, false)
 		l, dl := SoftmaxCrossEntropy(logits, ys)
-		totalLoss += l * float64(len(ys))
+		totalLoss += float64(l * float64(len(ys)))
 		for i := 0; i < logits.Rows; i++ {
 			if tensor.ArgMax(logits.Row(i)) == ys[i] {
 				correct++
