@@ -1,13 +1,14 @@
 // Package campaign is the experiment-campaign orchestrator over the
 // scenario layer: a strict-schema JSON spec names a base scenario — or a
-// directory of them — and a parameter grid (algorithm, fleet size, rounds,
-// bandwidth environments, compression ratio, seeds, engine shard counts),
-// and the package expands the grid over every base into a deterministic run
-// matrix, executes the cells concurrently across a bounded worker pool,
-// journals every completed cell to an append-only manifest so an
-// interrupted campaign resumes without re-running finished cells, and
-// aggregates the per-cell results into the paper-style artifacts
-// (loss-vs-round and loss-vs-traffic series, per-algo traffic totals).
+// directory of them — and a parameter grid (algorithm, compression ratio,
+// fleet size, rounds, bandwidth environments, fleet traces, data splits,
+// seeds, engine shard counts), and the package expands the grid over every
+// base into a deterministic run matrix, executes the cells concurrently
+// across a bounded worker pool, journals every completed cell to an
+// append-only manifest so an interrupted campaign resumes without re-running
+// finished cells, and aggregates the per-cell results into the paper-style
+// artifacts (loss-vs-round and loss-vs-traffic series, per-algo traffic
+// totals).
 // cmd/campaign is the CLI driver.
 package campaign
 
