@@ -430,6 +430,7 @@ func setRatio(v float64, s *scenario.Spec, cell *Cell) {
 func (c *Spec) axes(algo string) [][]option {
 	g := &c.Grid
 	r := algos.Recipe{Algo: algo}
+	// Unswept, the ratio is the algorithm's per_algo entry, else the base's.
 	own := c.PerAlgo[algo].Compression
 	ratios := []option{{apply: func(s *scenario.Spec, cell *Cell) { setRatio(own, s, cell) }}}
 	if r.RatioField() != "" && len(g.Compression) > 0 {
