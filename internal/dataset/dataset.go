@@ -60,15 +60,15 @@ func prototypes(cfg SynthConfig, r *rng.Source) [][][]float64 {
 			img := make([]float64, cfg.C*cfg.H*cfg.W)
 			// Sum of a few random low-frequency plane waves per channel.
 			for ch := 0; ch < cfg.C; ch++ {
-				fx := 1 + r.Float64()*2
-				fy := 1 + r.Float64()*2
+				fx := 1 + float64(r.Float64()*2)
+				fy := 1 + float64(r.Float64()*2)
 				px := r.Float64() * 6.28318
 				py := r.Float64() * 6.28318
-				amp := 0.6 + 0.4*r.Float64()
+				amp := 0.6 + float64(0.4*r.Float64())
 				for y := 0; y < cfg.H; y++ {
 					for x := 0; x < cfg.W; x++ {
-						vv := amp * math.Sin(fx*float64(x)/float64(cfg.W)*6.28318+px) *
-							math.Sin(fy*float64(y)/float64(cfg.H)*6.28318+py)
+						vv := amp * math.Sin(float64(fx*float64(x)/float64(cfg.W)*6.28318)+float64(px)) *
+							math.Sin(float64(fy*float64(y)/float64(cfg.H)*6.28318)+float64(py))
 						img[ch*cfg.H*cfg.W+y*cfg.W+x] = vv
 					}
 				}
@@ -100,10 +100,10 @@ func Synthetic(cfg SynthConfig, n int, seed uint64) *Dataset {
 	for i := 0; i < n; i++ {
 		label := i % cfg.Classes
 		proto := protos[label][gen.Intn(cfg.PerClass)]
-		scale := 0.8 + 0.4*gen.Float64()
+		scale := 0.8 + float64(0.4*gen.Float64())
 		x := make([]float64, dim)
 		for j := range x {
-			x[j] = scale*proto[j] + cfg.Noise*gen.NormFloat64()
+			x[j] = float64(scale*proto[j]) + float64(cfg.Noise*gen.NormFloat64())
 		}
 		d.Samples = append(d.Samples, Sample{X: x, Label: label})
 	}

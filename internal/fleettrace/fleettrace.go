@@ -307,7 +307,7 @@ func sampleAt(pts []bwPoint, t int, interp Interp) float64 {
 	}
 	next := pts[k]
 	frac := float64(t-prev.round) / float64(next.round-prev.round)
-	v := prev.mult + (next.mult-prev.mult)*frac
+	v := prev.mult + float64((next.mult-prev.mult)*frac)
 	// The exact interpolant lies between the samples; clamp the floating-
 	// point one there too, so extreme sample values can never cancel to a
 	// non-positive multiplier.

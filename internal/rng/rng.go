@@ -160,9 +160,9 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1), rounded before any caller's sum.
 func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // FillFloat64 writes the next len(dst) Float64 draws into dst and leaves the
@@ -216,9 +216,9 @@ func (r *Source) NormFloat64() float64 {
 		return r.spare
 	}
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}
@@ -246,16 +246,16 @@ func (r *Source) Gamma(alpha float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := r.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
 		v = v * v * v
 		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-float64(v)+math.Log(v))) {
 			return d * v
 		}
 	}
@@ -303,8 +303,8 @@ func maskThreshold(p float64) uint64 {
 // deviations is reused, so steady-state rounds allocate nothing.
 func MaskSeedIndices(dst []int32, seed uint64, round, n int, p float64) []int32 {
 	thr := maskThreshold(p)
-	mean := float64(n) * float64(thr) / (1 << 53)
-	if want := min(n, int(mean+6*math.Sqrt(mean))+64); cap(dst) < want {
+	mean := float64(float64(n) * float64(thr) / (1 << 53))
+	if want := min(n, int(mean+float64(6*math.Sqrt(mean)))+64); cap(dst) < want {
 		dst = make([]int32, 0, want)
 	}
 	dst = dst[:0]
