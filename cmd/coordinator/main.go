@@ -28,8 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"time"
 
 	"sapspsgd/internal/engine"
@@ -64,14 +62,10 @@ func run(specPath, addr string, measure bool, probeKB int, rejoinWait time.Durat
 	if err != nil {
 		return err
 	}
-	// The model file's temp sibling exists before anyone registers, so an
-	// unwritable -out fails now, not after the last round.
-	tmp, err := os.CreateTemp(filepath.Dir(out), filepath.Base(out)+".tmp-*")
-	if err != nil {
+	// An unwritable -out fails before anyone registers, not after the run.
+	if err := engine.CheckCommit(out); err != nil {
 		return fmt.Errorf("-out: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	defer tmp.Close()
 
 	// The observability sink must be live before the server is constructed:
 	// components capture their metric bundles at construction time.
@@ -101,10 +95,7 @@ func run(specPath, addr string, measure bool, probeKB int, rejoinWait time.Durat
 		return err
 	}
 	log.Printf("total measured traffic: %.2f MB over %d rounds", float64(led.TotalBytes())/1e6, led.Rounds())
-	if err := tmp.Chmod(0o644); err != nil {
-		return err
-	}
-	if err := engine.CommitFile(tmp, out, tensor.AppendWords(nil, params)); err != nil {
+	if err := engine.CommitFile(out, tensor.AppendWords(nil, params)); err != nil {
 		return err
 	}
 	fmt.Printf("final model (%d parameters) written to %s\n", len(params), out)

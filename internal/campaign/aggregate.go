@@ -93,7 +93,7 @@ func Aggregate(c *Spec, cells []Cell, outDir string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(outDir, "aggregate.json"), append(data, '\n')); err != nil {
+	if err := engine.CommitFile(filepath.Join(outDir, "aggregate.json"), append(data, '\n')); err != nil {
 		return err
 	}
 
@@ -153,7 +153,7 @@ func Aggregate(c *Spec, cells []Cell, outDir string) error {
 	}
 	var buf bytes.Buffer
 	writeSeries(&buf, names, series)
-	if err := writeFileAtomic(filepath.Join(outDir, "loss_vs_round.csv"), buf.Bytes()); err != nil {
+	if err := engine.CommitFile(filepath.Join(outDir, "loss_vs_round.csv"), buf.Bytes()); err != nil {
 		return err
 	}
 
@@ -271,7 +271,7 @@ func writeMatchedBandwidth(cells []Cell, results []*CellResult, outDir string) e
 	}
 	var buf bytes.Buffer
 	writeSeries(&buf, names, series)
-	if err := writeFileAtomic(filepath.Join(outDir, "matched_bandwidth_vs_round.csv"), buf.Bytes()); err != nil {
+	if err := engine.CommitFile(filepath.Join(outDir, "matched_bandwidth_vs_round.csv"), buf.Bytes()); err != nil {
 		return err
 	}
 	return writeTable(outDir, "matched_bandwidth", t)
@@ -281,7 +281,7 @@ func writeMatchedBandwidth(cells []Cell, results []*CellResult, outDir string) e
 func writeTable(outDir, name string, t *table) error {
 	var buf bytes.Buffer
 	t.writeMarkdown(&buf)
-	if err := writeFileAtomic(filepath.Join(outDir, name+".md"), buf.Bytes()); err != nil {
+	if err := engine.CommitFile(filepath.Join(outDir, name+".md"), buf.Bytes()); err != nil {
 		return err
 	}
 	return writeCSV(outDir, name, t)
@@ -291,18 +291,5 @@ func writeTable(outDir, name string, t *table) error {
 func writeCSV(outDir, name string, t *table) error {
 	var buf bytes.Buffer
 	t.writeCSV(&buf)
-	return writeFileAtomic(filepath.Join(outDir, name+".csv"), buf.Bytes())
-}
-
-// writeFileAtomic writes data to path through a temp file renamed into
-// place, so a kill mid-write never leaves a truncated artifact behind. The
-// temp file is synced before the rename, as the journal line that may follow
-// it is: a durable entry must not point at an artifact that was never
-// written.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	return engine.CommitFile(tmp, path, data)
+	return engine.CommitFile(filepath.Join(outDir, name+".csv"), buf.Bytes())
 }

@@ -88,6 +88,7 @@ func TestAsyncCampaignRuns(t *testing.T) {
 	if stats.Planned != 3 || stats.Executed != 3 || !stats.Aggregated {
 		t.Fatalf("campaign stats %+v", stats)
 	}
+	sameFileModes(t, dir)
 	cells, err := c.Expand(loadAsyncBase(t))
 	if err != nil {
 		t.Fatal(err)
@@ -151,5 +152,14 @@ func TestAsyncCampaignRuns(t *testing.T) {
 		if len(model) != nodes*params*8 {
 			t.Errorf("cell %s: %s holds %d bytes, want %d ranks × %d parameters × 8", id, cellModel, len(model), nodes, params)
 		}
+	}
+
+	// A journaled asynchronous cell that lost one artifact — a rename a
+	// power loss undid — runs again, and only it.
+	if err := os.Remove(filepath.Join(cellDir(dir, "gradpush"), cellEventsCSV)); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err = Run(c, Options{OutDir: dir}); err != nil || stats.Executed != 1 || stats.Skipped != 2 {
+		t.Fatalf("after losing gradpush's %s the re-run gave %+v, %v; want it alone executed", cellEventsCSV, stats, err)
 	}
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -242,16 +243,62 @@ var aggregateArtifacts = []string{
 	"loss_vs_round.csv", "loss_vs_bytes.csv",
 }
 
+// sameFileModes fails unless every regular file under dir has the mode of a
+// file os.Create'd there: the run directory holds one mode, whatever the
+// umask.
+func sameFileModes(t *testing.T, dir string) {
+	t.Helper()
+	probe, err := os.Create(filepath.Join(dir, "mode-probe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+	defer os.Remove(probe.Name())
+	fi, err := os.Stat(probe.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		info, err := d.Info()
+		if err == nil && info.Mode() != fi.Mode() {
+			t.Errorf("%s has mode %v, a file created beside it %v", path, info.Mode(), fi.Mode())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readArtifacts reads the aggregate artifacts of the campaign in dir.
+func readArtifacts(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, name := range aggregateArtifacts {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(data)
+	}
+	return out
+}
+
 // TestRunResumeAndDeterminism is the campaign acceptance gate: interrupt a
 // campaign mid-flight (MaxCells), resume it, and verify no cell executed
 // twice and every aggregate artifact is byte-identical to an uninterrupted
-// run's. A third no-op invocation must skip everything.
+// run's. A third no-op invocation must skip everything. Every file of the
+// run directory has one mode.
 func TestRunResumeAndDeterminism(t *testing.T) {
 	full := t.TempDir()
 	statsFull, idsFull := runExample(t, full, Options{})
 	if statsFull.Planned < 8 || statsFull.Executed != statsFull.Planned || !statsFull.Aggregated {
 		t.Fatalf("uninterrupted run: %+v", statsFull)
 	}
+	sameFileModes(t, full)
 
 	resumed := t.TempDir()
 	statsA, idsA := runExample(t, resumed, Options{MaxCells: 3})
@@ -277,16 +324,9 @@ func TestRunResumeAndDeterminism(t *testing.T) {
 	if len(idsFull) != statsFull.Planned {
 		t.Fatalf("observer saw %d executions on the full run, want %d", len(idsFull), statsFull.Planned)
 	}
+	want, got := readArtifacts(t, full), readArtifacts(t, resumed)
 	for _, name := range aggregateArtifacts {
-		a, err := os.ReadFile(filepath.Join(full, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(resumed, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
+		if got[name] != want[name] {
 			t.Errorf("%s differs between the uninterrupted and resumed campaigns", name)
 		}
 	}
@@ -294,6 +334,33 @@ func TestRunResumeAndDeterminism(t *testing.T) {
 	statsC, idsC := runExample(t, resumed, Options{})
 	if statsC.Executed != 0 || statsC.Skipped != statsFull.Planned || len(idsC) != 0 {
 		t.Fatalf("no-op re-run executed cells: %+v", statsC)
+	}
+}
+
+// TestRunRerunsCellWithLostDirectory: a cell the journal records but whose
+// cells/<id>/ is gone — the rename a power loss can undo, since no directory
+// is synced — runs again on the next invocation, alone, and the aggregates
+// come out as the uninterrupted run's.
+func TestRunRerunsCellWithLostDirectory(t *testing.T) {
+	dir := t.TempDir()
+	stats, ids := runExample(t, dir, Options{})
+	if stats.Executed != stats.Planned {
+		t.Fatalf("uninterrupted run: %+v", stats)
+	}
+	want := readArtifacts(t, dir)
+	lost := ids[len(ids)/2]
+	if err := os.RemoveAll(cellDir(dir, lost)); err != nil {
+		t.Fatal(err)
+	}
+	stats, ids = runExample(t, dir, Options{})
+	if stats.Executed != 1 || stats.Skipped != stats.Planned-1 || len(ids) != 1 || ids[0] != lost {
+		t.Fatalf("after losing %s the re-run executed %v: %+v", lost, ids, stats)
+	}
+	got := readArtifacts(t, dir)
+	for _, name := range aggregateArtifacts {
+		if got[name] != want[name] {
+			t.Errorf("%s differs after re-running the lost cell", name)
+		}
 	}
 }
 

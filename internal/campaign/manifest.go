@@ -8,6 +8,8 @@ import (
 	"io/fs"
 	"os"
 	"sync"
+
+	"sapspsgd/internal/engine"
 )
 
 // ManifestName is the journal file a campaign keeps in its output
@@ -76,7 +78,7 @@ type manifestWriter struct {
 // a last line with no newline — is terminated first, so the next entry
 // starts a line of its own instead of being glued onto the fragment.
 func openManifest(path string) (*manifestWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, engine.FileMode)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"sapspsgd/internal/engine"
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/tensor"
@@ -94,6 +95,21 @@ func cellDir(outDir, id string) string {
 	return filepath.Join(outDir, "cells", id)
 }
 
+// cellComplete reports whether the cell's run directory holds every file it
+// writes; a journaled cell that lost one re-runs (DESIGN.md §3, §6).
+func cellComplete(outDir string, cell Cell) bool {
+	names := []string{cellRecord, cellRounds}
+	if cell.Spec.Async != nil {
+		names = []string{cellRecord, cellEvents, cellEventsCSV, cellModel}
+	}
+	for _, name := range names {
+		if _, err := os.Stat(filepath.Join(cellDir(outDir, cell.ID), name)); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // Options tunes one campaign invocation (everything not declared in the
 // spec itself).
 type Options struct {
@@ -166,21 +182,9 @@ func Run(c *Spec, opts Options) (Stats, error) {
 	}
 	var pending []Cell
 	for _, cell := range cells {
-		if e, ok := done[cell.ID]; ok && e.SpecSHA == cell.SHA {
-			dir := cellDir(opts.OutDir, cell.ID)
-			if _, err := os.Stat(filepath.Join(dir, cellRecord)); err == nil {
-				// A synchronous cell's per-round record is part of the
-				// contract: a finished cell without one (an -out directory
-				// written before every cell kept it) re-runs.
-				if cell.Spec.Async == nil {
-					if _, err := os.Stat(filepath.Join(dir, cellRounds)); err != nil {
-						pending = append(pending, cell)
-						continue
-					}
-				}
-				st.Skipped++
-				continue
-			}
+		if e, ok := done[cell.ID]; ok && e.SpecSHA == cell.SHA && cellComplete(opts.OutDir, cell) {
+			st.Skipped++
+			continue
 		}
 		pending = append(pending, cell)
 	}
@@ -334,7 +338,7 @@ func writeCell(cell Cell, dir string) (*CellResult, error) {
 	var rounds *os.File
 	if cell.Spec.Async == nil {
 		var err error
-		if rounds, err = os.Create(filepath.Join(dir, cellRounds)); err != nil {
+		if rounds, err = os.OpenFile(filepath.Join(dir, cellRounds), os.O_RDWR|os.O_CREATE|os.O_TRUNC, engine.FileMode); err != nil {
 			return nil, err
 		}
 		defer rounds.Close()
@@ -377,7 +381,7 @@ func writeCell(cell Cell, dir string) (*CellResult, error) {
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err == nil {
-		err = writeFileAtomic(filepath.Join(dir, cellRecord), append(data, '\n'))
+		err = engine.CommitFile(filepath.Join(dir, cellRecord), append(data, '\n'))
 	}
 	if err == nil && cell.Spec.Async != nil {
 		err = writeAsyncArtifacts(dir, out)
@@ -400,7 +404,7 @@ func writeAsyncArtifacts(dir string, out *scenario.RunOutput) error {
 		model = tensor.AppendWords(model, params)
 	}
 	return errors.Join(
-		writeFileAtomic(filepath.Join(dir, cellEvents), out.Events.Bytes()),
-		writeFileAtomic(filepath.Join(dir, cellEventsCSV), csv.Bytes()),
-		writeFileAtomic(filepath.Join(dir, cellModel), model))
+		engine.CommitFile(filepath.Join(dir, cellEvents), out.Events.Bytes()),
+		engine.CommitFile(filepath.Join(dir, cellEventsCSV), csv.Bytes()),
+		engine.CommitFile(filepath.Join(dir, cellModel), model))
 }

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"sync/atomic"
 
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/tensor"
@@ -250,14 +253,22 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// CommitFile makes data the durable content of path: it writes data to tmp,
-// a temp file its caller created in path's directory, syncs and closes it,
-// then renames it onto path. A crash leaves path's old bytes or all of the
-// new ones, never a name over unwritten blocks. On failure tmp is removed,
-// path is untouched, and the error is the failed step's *os.PathError —
-// or, for the rename, its *os.LinkError.
-func CommitFile(tmp *os.File, path string, data []byte) error {
-	_, err := tmp.Write(data)
+// FileMode is the permission, before the umask, of every file the product
+// creates in a run or a snapshot directory.
+const FileMode os.FileMode = 0o666
+
+// CommitFile makes data the durable content of path: it writes data to a new
+// temp file beside path, syncs and closes it, then renames it onto path. A
+// crash leaves path's old bytes or all of the new ones; the rename is not
+// made durable (DESIGN.md §3 says why no reader needs it). On failure the
+// temp file is removed, path is untouched, and the error is the failed
+// step's *os.PathError — or, for the rename, its *os.LinkError.
+func CommitFile(path string, data []byte) error {
+	tmp, err := createTemp(path)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -271,4 +282,30 @@ func CommitFile(tmp *os.File, path string, data []byte) error {
 		os.Remove(tmp.Name())
 	}
 	return err
+}
+
+// CheckCommit fails now where CommitFile(path, ...) would fail to create its
+// temp file: it creates one and removes it.
+func CheckCommit(path string) error {
+	tmp, err := createTemp(path)
+	if err == nil {
+		tmp.Close()
+		err = os.Remove(tmp.Name())
+	}
+	return err
+}
+
+var tempSeq atomic.Uint64 // numbers this process's temp files
+
+// createTemp creates .<name>.tmp-<pid>-<seq> beside path, the product's one
+// temp-file site; a name an earlier process left is skipped.
+func createTemp(path string) (*os.File, error) {
+	dir, name := filepath.Split(path)
+	for {
+		tmp := filepath.Join(dir, fmt.Sprintf(".%s.tmp-%d-%d", name, os.Getpid(), tempSeq.Add(1)))
+		f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, FileMode)
+		if !errors.Is(err, os.ErrExist) {
+			return f, err
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/obs"
@@ -35,11 +34,11 @@ type WorkerSnapshot struct {
 	State engine.RankSnapshot
 }
 
-// SaveWorkerSnapshot writes the snapshot atomically (temp file + rename in
-// the destination directory), so a crash mid-write leaves the previous
-// snapshot intact. The file is one frame of kind FrameWorkerSnapshot — rank
-// and NextRound in the header, the spec bytes and the rank's two state blobs
-// as the body's sections — so its checksum covers every byte.
+// SaveWorkerSnapshot writes the snapshot through engine.CommitFile, so a
+// crash mid-write leaves the previous snapshot intact. The file is one frame
+// of kind FrameWorkerSnapshot — rank and NextRound in the header, the spec
+// bytes and the rank's two state blobs as the body's sections — so its
+// checksum covers every byte.
 func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 	if s.Version != WorkerSnapshotVersion {
 		return fmt.Errorf("transport: snapshot version %d, this build writes %d", s.Version, WorkerSnapshotVersion)
@@ -49,11 +48,7 @@ func SaveWorkerSnapshot(path string, s *WorkerSnapshot) error {
 	frame = s.State.AppendTo(frame)
 	engine.SealFrame(frame, engine.FrameHeader{Kind: engine.FrameWorkerSnapshot, From: s.Rank, Round: s.NextRound})
 
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("transport: snapshot temp file: %w", err)
-	}
-	if err := engine.CommitFile(tmp, path, frame); err != nil {
+	if err := engine.CommitFile(path, frame); err != nil {
 		step := "write"
 		if errors.As(err, new(*os.LinkError)) {
 			step = "commit"

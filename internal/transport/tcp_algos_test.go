@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -134,8 +135,38 @@ func runFleet(t *testing.T, srv *CoordinatorServer) fleetRun {
 			t.Fatalf("worker %d: %v", i, e)
 		}
 	}
+	sameFileModes(t, dir)
 	run.bytes = led.RoundBytes()
 	return run
+}
+
+// sameFileModes fails unless every regular file in dir, the fleet's snapshot
+// directory, has the mode of a file os.Create'd there.
+func sameFileModes(t *testing.T, dir string) {
+	t.Helper()
+	probe, err := os.Create(filepath.Join(dir, "mode-probe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+	defer os.Remove(probe.Name())
+	fi, err := os.Stat(probe.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode() != fi.Mode() {
+			t.Errorf("%s has mode %v, a file created beside it %v", e.Name(), info.Mode(), fi.Mode())
+		}
+	}
 }
 
 // sameBits fails unless got holds want's bits.

@@ -976,6 +976,69 @@ func TestOneRoundRecord(t *testing.T) {
 	}
 }
 
+// TestOneDurableWrite: a file that must be whole after a crash is written by
+// engine.CommitFile alone, which creates its temp file, names and moves it
+// (DESIGN.md §3). So in product code os.CreateTemp, any Chmod and os.Rename
+// appear only in the file that declares CommitFile, with one exception: the
+// campaign's runCell, which builds a cell directory under a temp name and
+// renames it into place. Every os.OpenFile passes engine.FileMode, so the
+// files of a run or a snapshot directory share one mode.
+func TestOneDurableWrite(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, dir := range []string{"cmd", "internal"} {
+		files = append(files, productFiles(t, fset, dir)...)
+	}
+	home := ""
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "CommitFile" {
+				home = fset.Position(f.Package).Filename
+			}
+		}
+	}
+	if filepath.Dir(home) != filepath.Join("internal", "engine") {
+		t.Fatalf("CommitFile is declared in %q, want internal/engine", home)
+	}
+	for _, f := range files {
+		file := fset.Position(f.Package).Filename
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			runCell := ok && d.Name.Name == "runCell" && file == filepath.Join("internal", "campaign", "run.go")
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				pkg := ""
+				if id, ok := sel.X.(*ast.Ident); ok {
+					pkg = id.Name
+				}
+				at := fset.Position(call.Pos()).String()
+				switch name := sel.Sel.Name; {
+				case name == "Chmod" || pkg == "os" && (name == "CreateTemp" || name == "Rename"):
+					if file != home && !(runCell && name == "Rename") {
+						t.Errorf("%s calls %s: durable files are written by engine.CommitFile", at, name)
+					}
+				case pkg == "os" && name == "MkdirTemp":
+					if !runCell {
+						t.Errorf("%s calls os.MkdirTemp outside campaign's runCell", at)
+					}
+				case pkg == "os" && name == "OpenFile":
+					if mode := types.ExprString(call.Args[2]); mode != "FileMode" && mode != "engine.FileMode" {
+						t.Errorf("%s opens a file with mode %s, not engine.FileMode", at, mode)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // panicPins is the number of panic calls in each product package under cmd/
 // and internal/ (a package absent here has none). A panic is for a
 // programming error the code cannot reach from a spec, a frame or a flag;
