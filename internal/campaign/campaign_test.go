@@ -244,8 +244,9 @@ var aggregateArtifacts = []string{
 }
 
 // sameFileModes fails unless every regular file under dir has the mode of a
-// file os.Create'd there: the run directory holds one mode, whatever the
-// umask.
+// file os.Create'd there, and every directory below dir the mode of a
+// directory os.Mkdir'd there: the run directory holds one mode per kind,
+// whatever the umask.
 func sameFileModes(t *testing.T, dir string) {
 	t.Helper()
 	probe, err := os.Create(filepath.Join(dir, "mode-probe"))
@@ -258,13 +259,26 @@ func sameFileModes(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	probeDir := filepath.Join(dir, "mode-probe-dir")
+	if err := os.Mkdir(probeDir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Remove(probeDir)
+	di, err := os.Stat(probeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.Type().IsRegular() {
+		if err != nil || path == dir || !d.IsDir() && !d.Type().IsRegular() {
 			return err
 		}
+		want := fi.Mode()
+		if d.IsDir() {
+			want = di.Mode()
+		}
 		info, err := d.Info()
-		if err == nil && info.Mode() != fi.Mode() {
-			t.Errorf("%s has mode %v, a file created beside it %v", path, info.Mode(), fi.Mode())
+		if err == nil && info.Mode() != want {
+			t.Errorf("%s has mode %v, one created beside it %v", path, info.Mode(), want)
 		}
 		return err
 	})

@@ -172,7 +172,7 @@ func Run(c *Spec, opts Options) (Stats, error) {
 	if logw == nil {
 		logw = io.Discard
 	}
-	if err := os.MkdirAll(filepath.Join(opts.OutDir, "cells"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(opts.OutDir, "cells"), engine.DirMode); err != nil {
 		return st, err
 	}
 	manifestPath := filepath.Join(opts.OutDir, ManifestName)
@@ -310,7 +310,8 @@ func Run(c *Spec, opts Options) (Stats, error) {
 // place, replacing any stale one, once its record is written: a killed or
 // failed cell leaves either a complete directory or none.
 func runCell(cell Cell, outDir string) (res *CellResult, err error) {
-	tmp, err := os.MkdirTemp(filepath.Join(outDir, "cells"), "."+cell.ID+".tmp*")
+	dir := cellDir(outDir, cell.ID)
+	tmp, err := engine.CreateTempDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +323,6 @@ func runCell(cell Cell, outDir string) (res *CellResult, err error) {
 	if res, err = writeCell(cell, tmp); err != nil {
 		return nil, err
 	}
-	dir := cellDir(outDir, cell.ID)
 	if err = os.RemoveAll(dir); err == nil {
 		err = os.Rename(tmp, dir)
 	}

@@ -257,6 +257,10 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 // creates in a run or a snapshot directory.
 const FileMode os.FileMode = 0o666
 
+// DirMode is the permission, before the umask, of every directory the
+// product creates in a run directory: what mkdir(1) gives.
+const DirMode os.FileMode = 0o777
+
 // CommitFile makes data the durable content of path: it writes data to a new
 // temp file beside path, syncs and closes it, then renames it onto path. A
 // crash leaves path's old bytes or all of the new ones; the rename is not
@@ -297,15 +301,29 @@ func CheckCommit(path string) error {
 
 var tempSeq atomic.Uint64 // numbers this process's temp files
 
-// createTemp creates .<name>.tmp-<pid>-<seq> beside path, the product's one
-// temp-file site; a name an earlier process left is skipped.
+// createTemp creates the temp file CommitFile writes beside path.
 func createTemp(path string) (*os.File, error) {
+	return tempSibling(path, func(tmp string) (*os.File, error) {
+		return os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, FileMode)
+	})
+}
+
+// CreateTempDir creates an empty directory beside path, with DirMode and
+// named as CommitFile names its temp files, for a caller that fills it and
+// renames it onto path; it returns the directory's path.
+func CreateTempDir(path string) (string, error) {
+	return tempSibling(path, func(tmp string) (string, error) { return tmp, os.Mkdir(tmp, DirMode) })
+}
+
+// tempSibling creates .<name>.tmp-<pid>-<seq> beside path with create, which
+// must fail with os.ErrExist on a taken name: the product's one temp-name
+// site. A name an earlier process left is skipped.
+func tempSibling[T any](path string, create func(tmp string) (T, error)) (T, error) {
 	dir, name := filepath.Split(path)
 	for {
-		tmp := filepath.Join(dir, fmt.Sprintf(".%s.tmp-%d-%d", name, os.Getpid(), tempSeq.Add(1)))
-		f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, FileMode)
+		t, err := create(filepath.Join(dir, fmt.Sprintf(".%s.tmp-%d-%d", name, os.Getpid(), tempSeq.Add(1))))
 		if !errors.Is(err, os.ErrExist) {
-			return f, err
+			return t, err
 		}
 	}
 }

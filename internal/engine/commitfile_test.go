@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -76,4 +77,44 @@ func TestCommitFileOntoDirectory(t *testing.T) {
 	}
 	onlyEntries(t, dir, "cell")
 	onlyEntries(t, target, "cell.json")
+}
+
+// TestCreateTempDirMode: CreateTempDir makes a fresh hidden sibling per call,
+// named as CommitFile's temp files are, with the mode of a directory
+// os.Mkdir'd beside it with mkdir(1)'s permission — DirMode under whatever
+// umask the process runs with.
+func TestCreateTempDirMode(t *testing.T) {
+	dir := t.TempDir()
+	probe := filepath.Join(dir, "probe")
+	if err := os.Mkdir(probe, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := filepath.Join(dir, "cell")
+	a, err := engine.CreateTempDir(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.CreateTempDir(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatalf("two calls returned one directory %s", a)
+	}
+	for _, tmp := range []string{a, b} {
+		if filepath.Dir(tmp) != dir || !strings.HasPrefix(filepath.Base(tmp), ".cell.tmp-") {
+			t.Errorf("temp directory %s is not a hidden .cell.tmp-* sibling of %s", tmp, target)
+		}
+		info, err := os.Stat(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.IsDir() || info.Mode() != want.Mode() {
+			t.Errorf("%s has mode %v, an os.Mkdir'd directory beside it %v", tmp, info.Mode(), want.Mode())
+		}
+	}
 }

@@ -7,6 +7,7 @@ package gossip
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sapspsgd/internal/graph"
@@ -36,41 +37,39 @@ type Round struct {
 	Forced bool
 }
 
-// edgeKey packs an unordered vertex pair into one map key (smaller vertex in
-// the high half, so unpacking recovers u < v).
-func edgeKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
-}
-
-// edgeStamp is one timestamp-matrix update awaiting TThres-window expiry.
-type edgeStamp struct {
-	key   uint64
-	round int
+// slotStamp is one timestamp-matrix update awaiting TThres-window expiry:
+// the link's u < v CSR slot, its lower endpoint u and the round.
+type slotStamp struct {
+	slot     int
+	u, round int32
 }
 
 // Generator produces the per-round gossip matchings for a bandwidth
 // environment, maintaining the timestamp matrix R across rounds. It is the
 // coordinator-side state of Algorithm 3.
 //
-// The implementation is fully sparse — O(N·TThres) state, never O(N²) — so
-// it plans for 50k-node fleets. The timestamp matrix lives as an edge-keyed
-// map whose entries expire once they leave the TThres recency window, the
-// RC graph is maintained incrementally as edges are stamped and expired,
-// and candidate edges stream out of the Bandwidth's CSR rows in
-// lexicographic order, each link visited once whether the topology is
-// complete or degree-limited. The B* candidate list of a connected round,
-// packed for the greedy pass, is kept for the next: while the environment
-// and the active set hold, a round costs the shuffle and the greedy scan of
-// that list plus the matching (near-linear in E on the planner's sparse
-// graphs, see graph.Matcher), and only a forced round, a changed active set
-// or a new Bandwidth.Revision (an environment rewritten in place, as a
-// jittered or traced netsim.RoundEnv is every round) walks the Bandwidth
-// again. The matching sequence is bit-identical to the retained dense
-// formulation (ReferenceGenerator); the equivalence suite pins that across
-// N, seeds, churn, forced rounds and rewritten environments.
+// The implementation is fully sparse — O(E + N·TThres) state, never O(N²) —
+// so it plans for 50k-node fleets, and it reads the environment's CSR rows
+// in place (netsim.Bandwidth.Rows): no round builds an edge list. R is one
+// stamp per link slot whose entries expire once they leave the TThres
+// recency window, and the RC graph is maintained incrementally as links are
+// stamped and expired. Every candidate set of a round — B*, a forced round's
+// connectivity-restoring links, the lines-6–8 completion's — is one
+// graph.RowFilter over the rows: the greedy words are packed straight off
+// them (ranked by one bucket table per Bandwidth.Revision) and, in a round
+// that augments, the blossom's adjacency is laid out from those words, each
+// vertex's list its filtered row. The B* words of a connected round are
+// kept for the next, and so is B*'s pristine adjacency once a round
+// augments over it: while the environment and the active set hold, a round
+// costs the shuffle and the greedy scan of the kept words plus, if the seed
+// leaves two vertices free, one copy of the adjacency and the matching
+// (near-linear in E on the planner's sparse graphs, see graph.Matcher).
+// Only a forced round, a changed active set or a new Bandwidth.Revision (an
+// environment rewritten in place, as a jittered or traced netsim.RoundEnv
+// is every round) reads the rows again.
+// The matching sequence is bit-identical to the retained dense formulation
+// (ReferenceGenerator); the equivalence suite pins that across N, seeds,
+// churn, forced rounds and rewritten environments.
 //
 // One consequence of eviction: rounds must be generated in non-decreasing
 // order (NextActive(t) then NextActive(t') with t' < t panics). The dense
@@ -78,36 +77,49 @@ type edgeStamp struct {
 // monotonically.
 type Generator struct {
 	bw   *netsim.Bandwidth
+	rows graph.Rows // bw's links, read in place
 	cfg  Config
 	seed uint64
 	n    int
 
-	// lastUsed is the sparse timestamp matrix R. Invariant: a key is
-	// present iff its edge is currently recently-connected, i.e. its last
-	// stamp is inside the TThres window of the most recent round — the map
-	// and rcAdj always describe the same edge set.
-	lastUsed map[uint64]int
-	recent   []edgeStamp // FIFO of stamps awaiting expiry
+	// lastUsed is the timestamp matrix R, one entry per CSR slot (only the
+	// u < v slots are written): the round the link last carried an
+	// exchange, or -1. Invariant: an entry is set iff its link is currently
+	// recently-connected, i.e. its last stamp is inside the TThres window of
+	// the most recent round — lastUsed and rcAdj always describe the same
+	// edge set.
+	lastUsed []int32
+	recent   []slotStamp // FIFO of stamps awaiting expiry
 	head     int         // index of the oldest un-expired stamp in recent
 	rcAdj    [][]int32   // incremental RC adjacency (mirrors lastUsed)
 	lastT    int         // most recent round generated
 
-	// The last round's candidate list, as edges for the augmentation and
-	// packed for the greedy pass. kept reports that it is the B* list over
-	// the active set bstarOver (every entry true for nil) and the
-	// environment's Revision bstarRev, which a connected round reuses while
-	// both hold: a forced round overwrites it.
-	candidate []graph.WeightedEdge
-	packed    graph.Candidates
-	bstarOver []bool
-	bstarRev  uint64
-	kept      bool
+	// ranks are the links' greedy bucket ranks at the environment's
+	// Revision ranksRev (none until ranked).
+	ranks    graph.RowRanks
+	ranksRev uint64
+	ranked   bool
+
+	// The round's candidate words. kept reports that they are B* over the
+	// active set bstarOver (every entry true for nil) and the environment's
+	// Revision bstarRev, which a connected round reuses while both hold: a
+	// forced round overwrites them. bstar is B*'s pristine blossom
+	// adjacency, loaded by the first round over the kept words that
+	// augments (bstarLoaded) and copied into the matcher before each
+	// Augment, which shuffles the copy.
+	packed      graph.Candidates
+	bstarOver   []bool
+	bstarRev    uint64
+	kept        bool
+	bstar       graph.Graph
+	bstarLoaded bool
 
 	// Per-round scratch, reused across rounds so steady-state planning
-	// allocates only the matching it returns. extra and extraPacked are the
-	// lines-6–8 completion's candidates.
-	extra       []graph.WeightedEdge
+	// allocates only the matching it returns. extraPacked, free and second
+	// are the lines-6–8 completion's words, vertex mask and matching.
 	extraPacked graph.Candidates
+	free        []bool
+	second      graph.Matching
 	seen        []bool
 	stack       []int32
 	compOf      []int32
@@ -142,22 +154,29 @@ func NewGenerator(bw *netsim.Bandwidth, cfg Config, seed uint64) *Generator {
 	for v := range rcAdj {
 		rcAdj[v] = slab[v*per : v*per : (v+1)*per]
 	}
+	rows := bw.Rows()
+	lastUsed := make([]int32, len(rows.Nbr))
+	for k := range lastUsed {
+		lastUsed[k] = -1
+	}
 	return &Generator{
 		bw:        bw,
+		rows:      rows,
 		cfg:       cfg,
 		seed:      seed,
 		n:         n,
-		lastUsed:  make(map[uint64]int),
+		lastUsed:  lastUsed,
 		rcAdj:     rcAdj,
 		lastT:     -1,
 		bstarOver: make([]bool, n),
+		free:      make([]bool, n),
 		seen:      make([]bool, n),
 		compOf:    make([]int32, n),
 		pm:        obs.Current().PlannerM(),
 	}
 }
 
-// bstarHolds reports whether the kept B* list is the one the environment
+// bstarHolds reports whether the kept B* words are the ones the environment
 // gives over active (nil: everyone).
 func (g *Generator) bstarHolds(active []bool) bool {
 	if !g.kept || g.bstarRev != g.bw.Revision() {
@@ -171,19 +190,39 @@ func (g *Generator) bstarHolds(active []bool) bool {
 	return true
 }
 
+// rowRanks returns the links' bucket ranks for the environment as it is
+// now, refitting them after an in-place rewrite.
+func (g *Generator) rowRanks() *graph.RowRanks {
+	if rev := g.bw.Revision(); !g.ranked || g.ranksRev != rev {
+		g.ranks.Fit(g.rows)
+		g.ranksRev, g.ranked = rev, true
+	}
+	return &g.ranks
+}
+
+// slot returns the CSR slot of link (u, v), u < v, in u's row, or -1 if
+// there is no such link.
+func (g *Generator) slot(u, v int) int {
+	row := g.rows.Nbr[g.rows.Off[u]:g.rows.Off[u+1]]
+	if k, ok := slices.BinarySearch(row, int32(v)); ok {
+		return g.rows.Off[u] + k
+	}
+	return -1
+}
+
 // expire pops every stamp that left the recency window at round t. A stamp
-// only retires its edge if it is still the edge's latest use — a refreshed
-// edge has a younger stamp later in the FIFO.
+// only retires its link if it is still the link's latest use — a refreshed
+// link has a younger stamp later in the FIFO.
 func (g *Generator) expire(t int) {
 	cut := t - g.cfg.TThres
-	for g.head < len(g.recent) && g.recent[g.head].round <= cut {
+	for g.head < len(g.recent) && int(g.recent[g.head].round) <= cut {
 		st := g.recent[g.head]
 		g.head++
-		if last, ok := g.lastUsed[st.key]; ok && last == st.round {
-			delete(g.lastUsed, st.key)
-			u, v := int(st.key>>32), int(uint32(st.key))
-			g.rcAdj[u] = removeNeighbor(g.rcAdj[u], int32(v))
-			g.rcAdj[v] = removeNeighbor(g.rcAdj[v], int32(u))
+		if g.lastUsed[st.slot] == st.round {
+			g.lastUsed[st.slot] = -1
+			u, v := st.u, g.rows.Nbr[st.slot]
+			g.rcAdj[u] = removeNeighbor(g.rcAdj[u], v)
+			g.rcAdj[v] = removeNeighbor(g.rcAdj[v], u)
 		}
 	}
 	if g.head == len(g.recent) {
@@ -206,15 +245,16 @@ func removeNeighbor(adj []int32, v int32) []int32 {
 	return adj
 }
 
-// stamp records that edge (u, v) carried an exchange at round t.
+// stamp records that link (u, v), u < v, carried an exchange at round t.
+// Every matched pair is a link: each candidate set is one.
 func (g *Generator) stamp(u, v, t int) {
-	key := edgeKey(u, v)
-	if _, ok := g.lastUsed[key]; !ok {
+	k := g.slot(u, v)
+	if g.lastUsed[k] < 0 {
 		g.rcAdj[u] = append(g.rcAdj[u], int32(v))
 		g.rcAdj[v] = append(g.rcAdj[v], int32(u))
 	}
-	g.lastUsed[key] = t
-	g.recent = append(g.recent, edgeStamp{key: key, round: t})
+	g.lastUsed[k] = int32(t)
+	g.recent = append(g.recent, slotStamp{slot: k, u: int32(u), round: int32(t)})
 }
 
 // virtuallyComplete reports whether round t is early enough that never-used
@@ -224,22 +264,15 @@ func (g *Generator) stamp(u, v, t int) {
 // its components ever need materializing.
 func (g *Generator) virtuallyComplete(t int) bool { return t <= g.cfg.TThres-2 }
 
-// rcConnected reports whether the active-induced RC subgraph is connected at
-// round t (vacuously true for fewer than two active vertices).
-func (g *Generator) rcConnected(t int, active []bool) bool {
-	if g.virtuallyComplete(t) {
-		return true
-	}
-	n := g.n
-	start, count := 0, n
-	if active != nil {
-		start, count = -1, 0
-		for i := 0; i < n; i++ {
-			if active[i] {
-				count++
-				if start == -1 {
-					start = i
-				}
+// rcConnected reports whether the RC subgraph induced by the active set (not
+// nil) is connected (vacuously true for fewer than two active vertices).
+func (g *Generator) rcConnected(active []bool) bool {
+	start, count := -1, 0
+	for i, a := range active {
+		if a {
+			count++
+			if start == -1 {
+				start = i
 			}
 		}
 	}
@@ -247,18 +280,15 @@ func (g *Generator) rcConnected(t int, active []bool) bool {
 		return true
 	}
 	seen := g.seen
-	for i := range seen {
-		seen[i] = false
-	}
-	stack := g.stack[:0]
-	stack = append(stack, int32(start))
+	clear(seen)
+	stack := append(g.stack[:0], int32(start))
 	seen[start] = true
 	reached := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, w := range g.rcAdj[v] {
-			if seen[w] || (active != nil && !active[w]) {
+			if seen[w] || !active[w] {
 				continue
 			}
 			seen[w] = true
@@ -270,10 +300,11 @@ func (g *Generator) rcConnected(t int, active []bool) bool {
 	return reached == count
 }
 
-// rcComponents labels every vertex with its RC component. Labels follow the
+// rcComponents labels every vertex with its RC component and returns the
+// labels and how many components there are. Labels follow the
 // smallest-vertex discovery order, matching the dense FindConnectedSubgraph;
 // only label equality is consumed downstream.
-func (g *Generator) rcComponents() []int32 {
+func (g *Generator) rcComponents() ([]int32, int) {
 	compOf := g.compOf
 	for i := range compOf {
 		compOf[i] = -1
@@ -299,7 +330,7 @@ func (g *Generator) rcComponents() []int32 {
 		c++
 	}
 	g.stack = stack[:0]
-	return compOf
+	return compOf, int(c)
 }
 
 // NextActive runs Algorithm 3 for round t over the currently active workers
@@ -322,41 +353,38 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 	g.expire(t)
 	rnd := &g.rnd
 	rnd.Reseed(g.seed, uint64(t)+0x90551b)
-	isActive := func(i int) bool { return active == nil || active[i] }
 
-	forced := !g.rcConnected(t, active)
+	// Is the RC graph over the active workers connected? With everyone
+	// active one labelling answers it (connected iff one component) and
+	// serves a forced round's filter too.
+	var compOf []int32
+	forced := false
+	if !g.virtuallyComplete(t) {
+		if active == nil {
+			var comps int
+			compOf, comps = g.rcComponents()
+			forced = comps > 1
+		} else if forced = !g.rcConnected(active); forced {
+			compOf, _ = g.rcComponents()
+		}
+	}
 	switch {
 	case forced:
-		// Lines 4: connect the RC components using any available links.
-		compOf := g.rcComponents()
-		candidate := g.candidate[:0]
-		g.bw.ForEachEdge(0, func(u, v int, w float64) {
-			if isActive(u) && isActive(v) && compOf[u] != compOf[v] {
-				candidate = append(candidate, graph.WeightedEdge{U: u, V: v, Weight: w})
-			}
-		})
-		g.candidate = candidate
-		g.packed.Load(n, candidate, true)
+		// Line 4: connect the RC components using any available links.
+		g.packed.LoadRows(g.rows, g.rowRanks(), graph.RowFilter{Mask: active, Labels: compOf})
 		g.kept = false
 	case !g.bstarHolds(active):
 		// Line 2: E = B* — the bandwidth-filtered graph, kept for the
 		// rounds after while it holds.
-		candidate := g.candidate[:0]
-		g.bw.ForEachEdge(g.cfg.BThres, func(u, v int, w float64) {
-			if isActive(u) && isActive(v) {
-				candidate = append(candidate, graph.WeightedEdge{U: u, V: v, Weight: w})
-			}
-		})
-		g.candidate = candidate
-		g.packed.Load(n, candidate, true)
+		g.packed.LoadRows(g.rows, g.rowRanks(), graph.RowFilter{MinWeight: g.cfg.BThres, Mask: active})
 		for i := range g.bstarOver {
-			g.bstarOver[i] = isActive(i)
+			g.bstarOver[i] = active == nil || active[i]
 		}
 		g.bstarRev = g.bw.Revision()
-		g.kept = true
+		g.kept, g.bstarLoaded = true, false
 		g.builds++
 	}
-	// Otherwise this round's E is the B* list kept from an earlier round.
+	// Otherwise this round's E is the B* kept from an earlier round.
 
 	// Line 5: bandwidth-preferring maximum match on the candidate edges,
 	// which join only active workers.
@@ -369,25 +397,20 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 			}
 		}
 	}
-	match, free := g.maxMatch(g.candidate, &g.packed, rnd, live)
+	match, free := g.maxMatch(nil, &g.packed, !forced, rnd, live)
 
 	// Lines 6–8: complete the matching over still-unmatched active workers
 	// using the unfiltered bandwidth matrix. With fewer than two of them
 	// left there is no pair to complete.
 	if left := live - 2*match.Size(); left >= 2 {
-		extra := g.extra[:0]
-		g.bw.ForEachEdge(0, func(u, v int, w float64) {
-			if match[u] == -1 && match[v] == -1 && isActive(u) && isActive(v) {
-				extra = append(extra, graph.WeightedEdge{U: u, V: v, Weight: w})
-			}
-		})
-		g.extra = extra
+		for v, p := range match {
+			g.free[v] = p == -1 && (active == nil || active[v])
+		}
 		// Without a link between two leftover workers there is nothing to
 		// complete (rnd is per-round, so skipping its draws changes nothing).
-		if len(extra) > 0 {
-			g.extraPacked.Load(n, extra, true)
-			second, _ := g.maxMatch(extra, &g.extraPacked, rnd, left)
-			for v, p := range second {
+		if g.extraPacked.LoadRows(g.rows, g.rowRanks(), graph.RowFilter{Mask: g.free}) > 0 {
+			g.second, _ = g.maxMatch(g.second, &g.extraPacked, false, rnd, left)
+			for v, p := range g.second {
 				if p > v && match[v] == -1 && match[p] == -1 {
 					match[v] = p
 					match[p] = v
@@ -417,27 +440,40 @@ func (g *Generator) NextActive(t int, active []bool) Round {
 // maxMatch is Algorithm 3's bandwidth-aware maximum matching on the
 // generator's workspace — the greedy weighted seed, completed to maximum
 // cardinality by blossom augmentation — with its two steps timed for the
-// metrics, for edges joining only live vertices, packed in scan. It also
-// returns how many live vertices the greedy seed left free.
+// metrics, over scan, candidate words loaded from the rows, whose links join
+// only live vertices. The matching lands in dst's storage when it is long
+// enough. When bstar is set the words are the kept B*, whose pristine
+// adjacency is laid out once per build and copied for each augmentation;
+// otherwise the augmentation's graph is laid out from the words afresh. It
+// also returns how many live vertices the greedy seed left free.
 //
 // Each call is rnd's last reader once its seed leaves at most one live
 // vertex free: the round's stream is reseeded every round, the augmentation
 // has no path to find, and lines 6–8 have no pair to complete. So the
-// greedy scan stops there and the graph build and the augmentation's
+// greedy scan stops there and the graph load and the augmentation's
 // shuffles are skipped, with the matching unchanged.
-func (g *Generator) maxMatch(edges []graph.WeightedEdge, scan *graph.Candidates, rnd *rng.Source, live int) (graph.Matching, int) {
+func (g *Generator) maxMatch(dst graph.Matching, scan *graph.Candidates, bstar bool, rnd *rng.Source, live int) (graph.Matching, int) {
 	timed := g.pm.Enabled()
 	var t0, t1 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	match := g.matcher.GreedyScan(scan, rnd, live)
+	match := g.matcher.GreedyScan(dst, scan, rnd, live)
 	if timed {
 		t1 = time.Now()
 	}
 	free := live - 2*match.Size()
 	if free >= 2 {
-		g.matcher.Load(g.n, edges)
+		switch {
+		case !bstar:
+			g.matcher.LoadCandidates(scan)
+		case !g.bstarLoaded:
+			g.bstar.LoadCandidates(scan)
+			g.bstarLoaded = true
+			fallthrough
+		default:
+			g.matcher.LoadGraph(&g.bstar)
+		}
 		g.matcher.Augment(match, rnd)
 		g.augmented++
 	} else {

@@ -141,11 +141,7 @@ func (g *ReferenceGenerator) NextActive(t int, active []bool) Round {
 // greedy seed, completed to maximum cardinality on the graph of the same
 // edges.
 func bandwidthAware(n int, edges []graph.WeightedEdge, rnd *rng.Source) graph.Matching {
-	var m graph.Matcher
-	m.Load(n, edges)
-	match := m.GreedyWeightedMatching(n, edges, rnd)
-	m.Augment(match, rnd)
-	return match
+	return graph.AugmentToMaximum(graph.NewFromEdges(n, edges), graph.GreedyWeightedMatching(n, edges, rnd), rnd)
 }
 
 // LastUsed exposes R[i][j] (for tests and diagnostics).

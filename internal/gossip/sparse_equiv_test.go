@@ -181,8 +181,8 @@ func TestGeneratorRejectsDecreasingRounds(t *testing.T) {
 // and a never-used edge are indistinguishable, which is exactly the
 // distinction Algorithm 3 never needs.
 func (g *Generator) LastUsed(i, j int) int {
-	if last, ok := g.lastUsed[edgeKey(i, j)]; ok {
-		return last
+	if k := g.slot(min(i, j), max(i, j)); k >= 0 {
+		return int(g.lastUsed[k])
 	}
 	return -1
 }

@@ -118,9 +118,9 @@ func RhoOfMatchings(ms []graph.Matching, iters int) float64 {
 		for _, m := range ms {
 			for v, p := range m {
 				if p == -1 {
-					dst[v] += scale * src[v]
+					dst[v] += float64(scale * src[v])
 				} else {
-					dst[v] += scale * 0.5 * (src[v] + src[p])
+					dst[v] += float64(scale * 0.5 * (src[v] + src[p]))
 				}
 			}
 		}
@@ -137,7 +137,7 @@ func RhoOfMatchings(ms []graph.Matching, iters int) float64 {
 // for mask keep-probability p = 1/c and gossip spectral value ρ.
 func MixingRate(p, rho float64) float64 {
 	q := 1 - p
-	return q + p*rho*rho
+	return q + float64(p*rho*rho)
 }
 
 func orthogonalize(v []float64, against [][]float64) {

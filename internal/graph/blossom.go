@@ -67,7 +67,7 @@ type blossomSolver struct {
 	n      int
 	adj    [][]int // per-vertex windows into adjBuf
 	adjBuf []int
-	deg    []int // loadEdges scratch
+	pos    []int // loadWords scratch
 
 	match []int // the matching being grown, owned by the caller
 
@@ -86,10 +86,11 @@ type blossomSolver struct {
 	touched int // vertices restored after searches, summed (tests read it)
 }
 
-// loadEdges makes the graph NewFromEdges(n, edges) the one to search.
-func (s *blossomSolver) loadEdges(n int, edges []WeightedEdge) {
-	s.adj, s.deg, s.adjBuf = adjacencyFromEdges(n, edges, s.adj, s.deg, s.adjBuf)
-	s.n = n
+// loadWords makes the graph of the links c was loaded with by LoadRows the
+// one to search.
+func (s *blossomSolver) loadWords(c *Candidates) {
+	s.adj, s.pos, s.adjBuf = adjacencyFromWords(c, s.adj, s.pos, s.adjBuf)
+	s.n = c.n
 }
 
 // loadGraph makes a copy of g the graph to search.

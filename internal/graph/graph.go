@@ -9,27 +9,22 @@ import "fmt"
 
 // Graph is a simple undirected graph on vertices 0..N-1.
 type Graph struct {
-	N   int
-	adj [][]int
+	N       int
+	adj     [][]int // per-vertex windows into backing
+	backing []int
+	pos     []int // LoadCandidates scratch
 }
 
 // NewFromEdges builds the graph in two passes over a duplicate-free edge
 // list (unordered pairs must be unique; self-loops, out-of-range endpoints
-// and more than MaxVertices vertices panic). It is the only constructor: all adjacency lists share
-// one backing array, so the whole graph costs two allocations regardless of
-// N. Each vertex's neighbors appear in edge-list order.
+// and more than MaxVertices vertices panic). All adjacency lists share one
+// backing array, so the whole graph costs two allocations regardless of N.
+// Each vertex's neighbors appear in edge-list order. (A planner that
+// rebuilds a graph every round loads it from its candidate words instead:
+// LoadCandidates.)
 func NewFromEdges(n int, edges []WeightedEdge) *Graph {
-	adj, _, _ := adjacencyFromEdges(n, edges, nil, nil, nil)
-	return &Graph{N: n, adj: adj}
-}
-
-// adjacencyFromEdges is NewFromEdges's two passes over reusable storage:
-// the adjacency headers, the degree/offset scratch and the backing array all
-// lists alias. It returns all three (regrown if they were too small).
-func adjacencyFromEdges(n int, edges []WeightedEdge, adj [][]int, deg, backing []int) ([][]int, []int, []int) {
 	checkVertices(n)
-	deg = resize(deg, n+1)
-	clear(deg)
+	deg := make([]int, n+1)
 	for _, e := range edges {
 		if e.U == e.V || e.U < 0 || e.V < 0 || e.U >= n || e.V >= n {
 			panic(fmt.Sprintf("graph: bad edge (%d,%d) over %d vertices", e.U, e.V, n))
@@ -40,16 +35,15 @@ func adjacencyFromEdges(n int, edges []WeightedEdge, adj [][]int, deg, backing [
 	for i := 0; i < n; i++ {
 		deg[i+1] += deg[i]
 	}
-	backing = resize(backing, 2*len(edges))
-	adj = resize(adj, n)
+	g := &Graph{N: n, adj: make([][]int, n), backing: make([]int, 2*len(edges))}
 	for v := 0; v < n; v++ {
-		adj[v] = backing[deg[v]:deg[v]:deg[v+1]]
+		g.adj[v] = g.backing[deg[v]:deg[v]:deg[v+1]]
 	}
 	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+		g.adj[e.U] = append(g.adj[e.U], e.V)
+		g.adj[e.V] = append(g.adj[e.V], e.U)
 	}
-	return adj, deg, backing
+	return g
 }
 
 // Neighbors returns the adjacency list of v (shared storage; do not mutate).

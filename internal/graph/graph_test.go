@@ -45,11 +45,7 @@ func hasEdge(g *Graph, u, v int) bool { return slices.Contains(g.Neighbors(u), v
 // greedy seed, completed to maximum cardinality on the graph of the same
 // edges.
 func bandwidthAware(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
-	var m Matcher
-	m.Load(n, edges)
-	match := m.GreedyWeightedMatching(n, edges, rnd)
-	m.Augment(match, rnd)
-	return match
+	return AugmentToMaximum(NewFromEdges(n, edges), GreedyWeightedMatching(n, edges, rnd), rnd)
 }
 
 func TestIsConnected(t *testing.T) {

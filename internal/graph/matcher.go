@@ -132,9 +132,14 @@ func resize[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// unmatched returns a fresh matching of n free vertices.
-func unmatched(n int) Matching {
-	m := make(Matching, n)
+// unmatched returns a matching of n free vertices in dst's storage, or a
+// fresh one if dst is too short.
+func unmatched(dst Matching, n int) Matching {
+	if cap(dst) < n {
+		// One make, not resize's grow: a race build allocates that twice.
+		dst = make(Matching, n)
+	}
+	m := dst[:n]
 	for i := range m {
 		m[i] = -1
 	}
@@ -145,11 +150,12 @@ func unmatched(n int) Matching {
 // workspace buffers. The returned matching is freshly allocated.
 func (m *Matcher) GreedyWeightedMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matching {
 	m.scratch.Load(n, edges, rnd != nil)
-	return m.GreedyScan(&m.scratch, rnd, math.MaxInt)
+	return m.GreedyScan(nil, &m.scratch, rnd, math.MaxInt)
 }
 
 // GreedyScan is GreedyWeightedMatching over a loaded candidate list (loaded
-// randomized exactly when rnd is non-nil; c is only read), stopped early
+// randomized exactly when rnd is non-nil; c is only read), into dst's
+// storage when it holds enough vertices (nil: a fresh matching), stopped early
 // for a caller that is rnd's last reader once the seed leaves at most one
 // of its live vertices free: Generator.NextActive, whose stream is reseeded
 // every round. Every edge must join two of those live vertices (or be one
@@ -158,8 +164,8 @@ func (m *Matcher) GreedyWeightedMatching(n int, edges []WeightedEdge, rnd *rng.S
 // would still make are never drawn; up to that point, and throughout when
 // two or more stay free, the draws and the matching are
 // GreedyWeightedMatching's, which is GreedyScan with live at math.MaxInt.
-func (m *Matcher) GreedyScan(c *Candidates, rnd *rng.Source, live int) Matching {
-	match := unmatched(c.n)
+func (m *Matcher) GreedyScan(dst Matching, c *Candidates, rnd *rng.Source, live int) Matching {
+	match := unmatched(dst, c.n)
 	if live <= 1 {
 		return match
 	}
@@ -248,16 +254,28 @@ type bucketTable struct {
 func (t *bucketTable) build(edges []WeightedEdge) {
 	lo, hi := math.MaxFloat64, 0.0
 	for _, e := range edges {
-		// Plain comparisons: min and max would order NaN and ±0 too.
-		if w := e.Weight; w > 0 && w <= math.MaxFloat64 {
-			if w < lo {
-				lo = w
-			}
-			if w > hi {
-				hi = w
-			}
+		lo, hi = widen(lo, hi, e.Weight)
+	}
+	t.fit(lo, hi)
+}
+
+// widen returns the range lo..hi widened to hold w if w is finite and
+// positive, with plain comparisons: min and max would order NaN and ±0 too.
+func widen(lo, hi, w float64) (float64, float64) {
+	if w > 0 && w <= math.MaxFloat64 {
+		if w < lo {
+			lo = w
+		}
+		if w > hi {
+			hi = w
 		}
 	}
+	return lo, hi
+}
+
+// fit fits the table to finite positive weights from lo to hi; hi = 0 means
+// there are none.
+func (t *bucketTable) fit(lo, hi float64) {
 	t.thr = t.thr[:0]
 	t.top, t.span = 0, 0
 	if hi == 0 {
@@ -312,13 +330,20 @@ func (t *bucketTable) rank(w float64) int {
 	return r
 }
 
-// Load makes NewFromEdges(n, edges) the graph the next Augment completes a
-// matching on, built in workspace storage (bad edges panic as they do there).
-func (m *Matcher) Load(n int, edges []WeightedEdge) { m.solver.loadEdges(n, edges) }
+// LoadCandidates makes the graph of the links c was loaded with by LoadRows
+// the one the next Augment completes a matching on, built in workspace
+// storage: the graph NewFromEdges builds from those links in lexicographic
+// order.
+func (m *Matcher) LoadCandidates(c *Candidates) { m.solver.loadWords(c) }
+
+// LoadGraph makes a copy of g the graph the next Augment completes a
+// matching on; g itself is only read, so a caller can keep one and load it
+// before every Augment.
+func (m *Matcher) LoadGraph(g *Graph) { m.solver.loadGraph(g) }
 
 // Augment grows match — a matching of the loaded graph, one entry per vertex
 // — in place to maximum cardinality, as AugmentToMaximum does for a copy.
-// It consumes the loaded graph: Load again before the next Augment.
+// It consumes the loaded graph: load one again before the next Augment.
 func (m *Matcher) Augment(match Matching, rnd *rng.Source) {
 	m.solver.augmentToMaximum(match, rnd)
 }
@@ -326,9 +351,9 @@ func (m *Matcher) Augment(match Matching, rnd *rng.Source) {
 // AugmentToMaximum is the package-level AugmentToMaximum on workspace
 // buffers. The returned matching is freshly allocated.
 func (m *Matcher) AugmentToMaximum(g *Graph, initial Matching, rnd *rng.Source) Matching {
-	match := unmatched(g.N)
+	match := unmatched(nil, g.N)
 	copy(match, initial)
-	m.solver.loadGraph(g)
+	m.LoadGraph(g)
 	m.Augment(match, rnd)
 	return match
 }

@@ -46,7 +46,7 @@ func TestGreedyMatchingVariesAcrossSeeds(t *testing.T) {
 	var edges []WeightedEdge
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			edges = append(edges, WeightedEdge{U: i, V: j, Weight: 1 + 0.01*float64(i+j)})
+			edges = append(edges, WeightedEdge{U: i, V: j, Weight: 1 + float64(0.01*float64(i+j))})
 		}
 	}
 	seen := map[string]bool{}

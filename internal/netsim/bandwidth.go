@@ -80,6 +80,11 @@ func (b *Bandwidth) lowerBound(i, j int) int {
 // re-reading the links.
 func (b *Bandwidth) Revision() uint64 { return b.rev }
 
+// Rows returns the links as a read-only CSR view sharing b's storage, which
+// the planner's graph.Candidates.LoadRows reads in place. An in-place
+// rewrite (a RoundEnv Tick) shows through it; the topology never changes.
+func (b *Bandwidth) Rows() graph.Rows { return graph.Rows{Off: b.off, Nbr: b.nbr, W: b.wts} }
+
 // MBps returns the symmetric link bandwidth between workers i and j in
 // megabytes per second (0 for i == j and for pairs with no link).
 func (b *Bandwidth) MBps(i, j int) float64 {

@@ -21,7 +21,7 @@ func testMults(n int) func(round int, dst []float64) []float64 {
 			dst = make([]float64, n)
 		}
 		for i := range dst {
-			dst[i] = 0.25 + float64((7*i+3*round)%11)/8
+			dst[i] = 0.25 + float64(float64((7*i+3*round)%11)/8)
 		}
 		return dst
 	}

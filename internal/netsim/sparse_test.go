@@ -89,7 +89,7 @@ func TestSparseMatchesDenseAPI(t *testing.T) {
 	}
 	for _, step := range []int{1, 7, 13} {
 		for i := 0; i < sn; i++ {
-			u, v, w := i, (i+step)%sn, 0.5+4.5*r.Float64()
+			u, v, w := i, (i+step)%sn, 0.5+float64(4.5*r.Float64())
 			if r.Intn(2) == 0 {
 				u, v = v, u
 			}

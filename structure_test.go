@@ -980,9 +980,11 @@ func TestOneRoundRecord(t *testing.T) {
 // engine.CommitFile alone, which creates its temp file, names and moves it
 // (DESIGN.md §3). So in product code os.CreateTemp, any Chmod and os.Rename
 // appear only in the file that declares CommitFile, with one exception: the
-// campaign's runCell, which builds a cell directory under a temp name and
-// renames it into place. Every os.OpenFile passes engine.FileMode, so the
-// files of a run or a snapshot directory share one mode.
+// campaign's runCell, which builds a cell directory under a temp name
+// (engine.CreateTempDir; os.MkdirTemp appears nowhere) and renames it into
+// place. Every os.OpenFile passes engine.FileMode and every os.Mkdir and
+// os.MkdirAll engine.DirMode, so the files of a run or a snapshot directory
+// share one mode and its directories another.
 func TestOneDurableWrite(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -1025,12 +1027,14 @@ func TestOneDurableWrite(t *testing.T) {
 						t.Errorf("%s calls %s: durable files are written by engine.CommitFile", at, name)
 					}
 				case pkg == "os" && name == "MkdirTemp":
-					if !runCell {
-						t.Errorf("%s calls os.MkdirTemp outside campaign's runCell", at)
-					}
+					t.Errorf("%s calls os.MkdirTemp, whose 0700 no other directory has: use engine.CreateTempDir", at)
 				case pkg == "os" && name == "OpenFile":
 					if mode := types.ExprString(call.Args[2]); mode != "FileMode" && mode != "engine.FileMode" {
 						t.Errorf("%s opens a file with mode %s, not engine.FileMode", at, mode)
+					}
+				case pkg == "os" && (name == "Mkdir" || name == "MkdirAll"):
+					if mode := types.ExprString(call.Args[1]); mode != "DirMode" && mode != "engine.DirMode" {
+						t.Errorf("%s creates a directory with mode %s, not engine.DirMode", at, mode)
 					}
 				}
 				return true
