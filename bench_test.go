@@ -50,14 +50,12 @@ func BenchmarkResNet20ForwardBackward(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = r.NormFloat64()
 	}
+	xs := [][]float64{x.Row(0), x.Row(1), x.Row(2), x.Row(3)}
 	ys := []int{0, 1, 2, 3}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ZeroGrads()
-		logits := m.Forward(x, true)
-		_, dl := nn.SoftmaxCrossEntropy(logits, ys)
-		m.Backward(dl)
+		nn.ComputeGrads(m, xs, ys)
 	}
 	b.ReportMetric(float64(m.ParamCount()), "params")
 }

@@ -228,7 +228,7 @@ func TestGossipOnlyConsensus(t *testing.T) {
 		for _, w := range ws {
 			tensor.Sub(diff, params(w), mean)
 			d := math.Sqrt(tensor.Dot(diff, diff))
-			total += d * d
+			total += float64(d * d)
 		}
 		return total
 	}
@@ -273,7 +273,7 @@ func TestConsensusRateMatchesLemma2(t *testing.T) {
 		mean := tensor.Mean(x)
 		s := 0.0
 		for _, v := range x {
-			s += (v - mean) * (v - mean)
+			s += float64((v - mean) * (v - mean))
 		}
 		return s
 	}

@@ -64,7 +64,7 @@ func TestPayloadLenMatchesMaskDensity(t *testing.T) {
 		t.Fatalf("payload %d vs mask population %d", len(payload), len(mask))
 	}
 	n := w.Model.ParamCount()
-	want := float64(n) / 4
+	want := float64(float64(n) / 4)
 	if float64(len(payload)) < want/2 || float64(len(payload)) > want*2 {
 		t.Fatalf("payload %d far from N/c = %v", len(payload), want)
 	}

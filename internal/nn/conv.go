@@ -99,15 +99,12 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward accumulates dW, db and returns dx via the im2col adjoint.
-func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix { return c.backward(dout, true) }
+func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix { return c.backward(dout, true, nil, 0) }
 
-// backwardParams implements paramGrader: Backward's dW and db, without Wᵀ,
-// the dcol products or col2im.
-func (c *Conv2D) backwardParams(dout *tensor.Matrix) { c.backward(dout, false) }
-
-// backward is Backward, with dx computed only when wantDx is set; dW and db
-// never read it.
-func (c *Conv2D) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
+// backward implements backwarder: without wantDx it skips Wᵀ, the dcol
+// products and col2im, which dW and db never read; with opt it steps the
+// kernel and bias once every sample's dx is computed.
+func (c *Conv2D) backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *tensor.Matrix {
 	if c.cols == nil {
 		panic("nn: Conv2D.Backward before training Forward")
 	}
@@ -138,6 +135,10 @@ func (c *Conv2D) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
 			tensor.MatMulInto(dcol, wT, g)
 			tensor.Col2Im(dcol, c.In.C, c.In.H, c.In.W, c.K, c.K, c.Stride, c.Pad, dx.Row(i))
 		}
+	}
+	if opt != nil {
+		opt.update(off, c.w.Data, c.dw.Data)
+		opt.update(off+len(c.w.Data), c.b, c.db)
 	}
 	c.cols = nil
 	return dx

@@ -22,10 +22,16 @@ type Dense struct {
 	y             *tensor.Matrix // cached output of a relu layer: y[i][j] > 0 ⇔ unit j fired on row i
 }
 
-// backwardScratch holds Backward's index lists. They live only for one
-// Backward, so a fleet's models share them: one buffer per goroutine that
-// is inside a Backward, not one per layer.
-var backwardScratch = sync.Pool{New: func() any { return new([]int32) }}
+// denseScratch holds a Dense backward's index lists and, when it steps,
+// the gradient row it builds each dW row and db in. They live only for one
+// backward, so a fleet's models share them through backwardScratch: one per
+// goroutine that is inside a backward, not one per layer.
+type denseScratch struct {
+	idx []int32
+	row []float64
+}
+
+var backwardScratch = sync.Pool{New: func() any { return new(denseScratch) }}
 
 // NewDense returns a dense layer with He-initialized weights.
 func NewDense(in, out int, r *rng.Source) *Dense { return newDense(in, out, r, nil) }
@@ -95,32 +101,35 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // skipped, not multiplied (0·Inf is NaN); adding one, as db does, changes no
 // bit. Nothing is read from dW, db or dx before it is written, so
 // Model.ZeroGrads clears none of them.
-func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix { return d.backward(dout, true) }
+func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix { return d.backward(dout, true, nil, 0) }
 
-// backwardParams implements paramGrader: Backward's dW and db, no dx.
-func (d *Dense) backwardParams(dout *tensor.Matrix) { d.backward(dout, false) }
-
-// backward is Backward, with dx computed only when wantDx is set; dW and db
-// never read it. tensor.MaskedColumns writes db and lists each unit's
-// passed rows, which its dW row is summed over; read in unit order, the
-// same lists give each row's passed units, which its dx row is summed over.
-func (d *Dense) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
+// backward implements backwarder. tensor.MaskedColumns sums db and lists
+// each unit's passed rows; read in unit order, the lists give each row's
+// passed units, which its dx row is summed over, and then each unit's dW
+// row is summed over its own list. With opt set, db and each dW row are
+// built in one scratch row and stepped into b and W's row at once, so the
+// layer's part of the gradient vector is never written, and dx, computed
+// first, reads only old weights.
+func (d *Dense) backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *tensor.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before training Forward")
 	}
-	x, n := d.x, d.OutDim
+	x, n, in := d.x, d.OutDim, d.InDim
 	rows := x.Rows
-	buf := backwardScratch.Get().(*[]int32)
-	if k := 2*n*rows + n + rows; len(*buf) < k {
-		*buf = make([]int32, k)
+	s := backwardScratch.Get().(*denseScratch)
+	if k := 2*n*rows + n + rows; len(s.idx) < k {
+		s.idx = make([]int32, k)
 	}
-	lists, units := (*buf)[:n*rows], (*buf)[n*rows:2*n*rows]
-	ends, counts := (*buf)[2*n*rows:2*n*rows+n], (*buf)[2*n*rows+n:2*n*rows+n+rows]
-	tensor.MaskedColumns(d.db, lists, ends, dout, d.y) // d.y is nil unless relu: every unit passes
-	for j := 0; j < n; j++ {
-		g := dout.Data[min(j, len(dout.Data)):] // column j, one entry every n; empty with no rows
-		tensor.AxpyRowsInto(d.dw.Row(j), x, g, n, lists[j*rows:ends[j]])
+	lists, units := s.idx[:n*rows], s.idx[n*rows:2*n*rows]
+	ends, counts := s.idx[2*n*rows:2*n*rows+n], s.idx[2*n*rows+n:2*n*rows+n+rows]
+	db := d.db
+	if opt != nil {
+		if len(s.row) < in+n {
+			s.row = make([]float64, in+n)
+		}
+		db = s.row[in : in+n]
 	}
+	tensor.MaskedColumns(db, lists, ends, dout, d.y) // d.y is nil unless relu: every unit passes
 	var dx *tensor.Matrix
 	if wantDx {
 		dx = tensor.GetMatrix(rows, d.InDim)
@@ -135,7 +144,20 @@ func (d *Dense) backward(dout *tensor.Matrix, wantDx bool) *tensor.Matrix {
 			tensor.AxpyRowsInto(dx.Row(i), d.w, dout.Row(i), 1, units[i*n:i*n+int(counts[i])])
 		}
 	}
-	backwardScratch.Put(buf)
+	for j := 0; j < n; j++ {
+		g := dout.Data[min(j, len(dout.Data)):] // column j, one entry every n; empty with no rows
+		if opt == nil {
+			tensor.AxpyRowsInto(d.dw.Row(j), x, g, n, lists[j*rows:ends[j]])
+			continue
+		}
+		dw := s.row[:in]
+		tensor.AxpyRowsInto(dw, x, g, n, lists[j*rows:ends[j]])
+		opt.update(off+j*in, d.w.Row(j), dw)
+	}
+	if opt != nil {
+		opt.update(off+n*in, d.b, db)
+	}
+	backwardScratch.Put(s)
 	d.x, d.y = nil, nil
 	return dx
 }

@@ -20,11 +20,7 @@ func TestCheckpointCarriesBatchNormState(t *testing.T) {
 	ys := []int{0, 1, 2, 0, 1, 2, 0, 1}
 	opt := &SGD{LR: 0.05}
 	for it := 0; it < 20; it++ {
-		m.ZeroGrads()
-		logits := m.Forward(x, true)
-		_, dl := SoftmaxCrossEntropy(logits, ys)
-		m.Backward(dl)
-		opt.Step(m)
+		TrainBatch(m, opt, rowsOf(x), ys)
 	}
 	refLogits := m.Forward(x, false)
 

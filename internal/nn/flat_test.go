@@ -10,9 +10,10 @@ import (
 	"sapspsgd/internal/tensor"
 )
 
-// Two rules of Model, pinned here: Backward asks the bottom layer for its
-// parameter gradients only, and every Param is a view into the model's two
-// flat vectors. Neither may change a bit of training.
+// Three rules of Model, pinned here: the backward pass asks the bottom layer
+// for its parameter gradients only, TrainBatch steps each layer inside the
+// backward pass, and every Param is a view into the model's two flat
+// vectors. None may change a bit of training.
 
 // family is one model family at a test size, with the batch it trains on.
 type family struct {
@@ -51,17 +52,19 @@ func bottomWeights(t *testing.T, m *Model) *tensor.Matrix {
 	return nil
 }
 
-// TestBottomLayerSkipMatchesFullBackward: one TrainBatch leaves every
-// gradient and every parameter bit where freshTrainBatch — which runs the
-// bottom layer's full Backward, dx included — leaves them, on inputs with
-// signed zeros, infinities and NaN, and with an infinite bottom weight row
-// (whose dx would be Inf or NaN).
-func TestBottomLayerSkipMatchesFullBackward(t *testing.T) {
-	inputs := []struct {
-		name    string
-		x       func(x *tensor.Matrix)
-		infWRow bool
-	}{
+// oddInput is a batch edit, and whether the bottom layer's first weight row
+// is set to +Inf (which makes its dx Inf or NaN).
+type oddInput struct {
+	name    string
+	x       func(x *tensor.Matrix)
+	infWRow bool
+}
+
+// oddInputs are the batches the bit-identity tests train on: normal ones,
+// ones with signed zeros, one sample of ±Inf and NaN, and an infinite
+// bottom weight row.
+func oddInputs() []oddInput {
+	return []oddInput{
 		{"normal", func(*tensor.Matrix) {}, false},
 		{"signed zeros", func(x *tensor.Matrix) {
 			for i := range x.Data {
@@ -78,26 +81,34 @@ func TestBottomLayerSkipMatchesFullBackward(t *testing.T) {
 		}, false},
 		{"Inf weight row", func(*tensor.Matrix) {}, true},
 	}
+}
+
+// build returns f's model, with the bottom weight row of in set to +Inf.
+func (in oddInput) build(t *testing.T, f family) *Model {
+	m := f.build()
+	if in.infWRow {
+		tensor.Fill(bottomWeights(t, m).Row(0), math.Inf(1))
+	}
+	return m
+}
+
+// TestBottomLayerSkipMatchesFullBackward: ComputeGrads leaves every
+// gradient bit, and TrainBatch every parameter bit, where freshGrads and
+// freshTrainBatch — which run the bottom layer's full Backward, dx
+// included — leave them, and both return the oracle's loss.
+func TestBottomLayerSkipMatchesFullBackward(t *testing.T) {
 	for _, f := range families() {
-		for _, in := range inputs {
+		for _, in := range oddInputs() {
 			t.Run(f.name+"/"+in.name, func(t *testing.T) {
 				x, ys := randomBatch(f.in, f.classes, f.batch, 5)
 				in.x(x)
-				build := func() *Model {
-					m := f.build()
-					if in.infWRow {
-						tensor.Fill(bottomWeights(t, m).Row(0), math.Inf(1))
-					}
-					return m
-				}
-				want, got := build(), build()
-				wantLoss := freshTrainBatch(want, &SGD{LR: 0.05}, rowsOf(x), ys)
-				gotLoss := TrainBatch(got, &SGD{LR: 0.05}, rowsOf(x), ys)
-				sameBits(t, "loss", []float64{gotLoss}, []float64{wantLoss})
-				gotParams, gotGrads := got.Flat()
-				wantParams, wantGrads := want.Flat()
+				want, got := in.build(t, f), in.build(t, f)
+				wantLoss := freshGrads(want, rowsOf(x), ys)
+				gotLoss := ComputeGrads(got, rowsOf(x), ys)
+				sameBits(t, "ComputeGrads loss", []float64{gotLoss}, []float64{wantLoss})
+				_, gotGrads := got.Flat()
+				_, wantGrads := want.Flat()
 				sameBits(t, "grads", gotGrads, wantGrads)
-				sameBits(t, "params", gotParams, wantParams)
 				if in.name == "normal" {
 					for i, v := range gotGrads {
 						if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -105,31 +116,97 @@ func TestBottomLayerSkipMatchesFullBackward(t *testing.T) {
 						}
 					}
 				}
+
+				want, got = in.build(t, f), in.build(t, f)
+				wantLoss = freshTrainBatch(want, &SGD{LR: 0.05}, rowsOf(x), ys)
+				gotLoss = TrainBatch(got, &SGD{LR: 0.05}, rowsOf(x), ys)
+				sameBits(t, "TrainBatch loss", []float64{gotLoss}, []float64{wantLoss})
+				sameBits(t, "params", got.FlatParams(nil), want.FlatParams(nil))
 			})
 		}
 	}
 }
 
-// spyDense is a Dense that counts calls of its full Backward.
+// TestStepInBackwardMatchesWholeVectorStep: over several steps, with and
+// without momentum, TrainBatch — each layer stepped inside the backward
+// pass — returns freshTrainBatch's loss and leaves its parameters and
+// velocity, bit for bit, in every family and on every odd input.
+func TestStepInBackwardMatchesWholeVectorStep(t *testing.T) {
+	const steps = 3
+	for _, f := range families() {
+		for _, in := range oddInputs() {
+			for _, mu := range []float64{0, 0.9} {
+				t.Run(fmt.Sprintf("%s/%s/momentum=%v", f.name, in.name, mu), func(t *testing.T) {
+					want, got := in.build(t, f), in.build(t, f)
+					wantOpt, gotOpt := &SGD{LR: 0.05, Momentum: mu}, &SGD{LR: 0.05, Momentum: mu}
+					for s := 0; s < steps; s++ {
+						x, ys := randomBatch(f.in, f.classes, f.batch, uint64(10+s))
+						in.x(x)
+						wantLoss := freshTrainBatch(want, wantOpt, rowsOf(x), ys)
+						gotLoss := TrainBatch(got, gotOpt, rowsOf(x), ys)
+						what := fmt.Sprintf("step %d ", s)
+						sameBits(t, what+"loss", []float64{gotLoss}, []float64{wantLoss})
+						sameBits(t, what+"params", got.FlatParams(nil), want.FlatParams(nil))
+						sameBits(t, what+"velocity", gotOpt.Velocity(), wantOpt.Velocity())
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTrainBatchLeavesAnMLPsGradientsAlone: a step-only MLP never writes
+// its gradient vector — a NaN payload put there survives training steps
+// bit for bit — and still trains as freshTrainBatch does.
+func TestTrainBatchLeavesAnMLPsGradientsAlone(t *testing.T) {
+	const payload = 0x7ff8_0000_dead_beef
+	build := func() *Model { return NewMLP(64, []int{256, 256}, 10, 1) }
+	m, oracle := build(), build()
+	_, grads := m.Flat()
+	tensor.Fill(grads, math.Float64frombits(payload))
+	opt, oracleOpt := &SGD{LR: 0.05, Momentum: 0.9}, &SGD{LR: 0.05, Momentum: 0.9}
+	for s := 0; s < 3; s++ {
+		x, ys := randomBatch(m.In, 10, 8, uint64(20+s))
+		gotLoss := TrainBatch(m, opt, rowsOf(x), ys)
+		wantLoss := freshTrainBatch(oracle, oracleOpt, rowsOf(x), ys)
+		sameBits(t, "loss", []float64{gotLoss}, []float64{wantLoss})
+	}
+	sameBits(t, "params", m.FlatParams(nil), oracle.FlatParams(nil))
+	for i, g := range grads {
+		if b := math.Float64bits(g); b != payload {
+			t.Fatalf("grad %d reads %#x after TrainBatch, want the payload %#x", i, b, uint64(payload))
+		}
+	}
+}
+
+// spyDense is a Dense that counts the backward passes asked for dx.
 type spyDense struct {
 	*Dense
 	full int
 }
 
-func (s *spyDense) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	s.full++
-	return s.Dense.Backward(dout)
+func (s *spyDense) backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *tensor.Matrix {
+	if wantDx {
+		s.full++
+	}
+	return s.Dense.backward(dout, wantDx, opt, off)
 }
 
-// TestBottomLayerComputesNoInputGradient: a training step asks every layer
-// above the bottom one for dL/d(input), and the bottom one never.
+// TestBottomLayerComputesNoInputGradient: a training step, with or without
+// the update, asks every layer above the bottom one for dL/d(input), and
+// the bottom one never.
 func TestBottomLayerComputesNoInputGradient(t *testing.T) {
 	r := rng.New(1)
 	bottom, top := &spyDense{Dense: NewDense(64, 64, r)}, &spyDense{Dense: NewDense(64, 4, r)}
 	m := NewModel("spy", Shape{C: 1, H: 1, W: 64}, 4, bottom, NewReLU(), top)
 	x, ys := randomBatch(m.In, 4, 32, 2)
-	for step := 1; step <= 3; step++ {
-		ComputeGrads(m, rowsOf(x), ys)
+	opt := &SGD{LR: 0.05}
+	for step := 1; step <= 4; step++ {
+		if step%2 == 0 {
+			TrainBatch(m, opt, rowsOf(x), ys)
+		} else {
+			ComputeGrads(m, rowsOf(x), ys)
+		}
 		if bottom.full != 0 || top.full != step {
 			t.Fatalf("after %d steps: the bottom layer computed dL/dx %d times, the top %d; want 0 and %d", step, bottom.full, top.full, step)
 		}

@@ -22,7 +22,7 @@ func checkGradients(t *testing.T, m *Model, x *tensor.Matrix, ys []int, nChecks 
 	m.ZeroGrads()
 	logits := m.Forward(x, true)
 	_, dl := SoftmaxCrossEntropy(logits, ys)
-	m.Backward(dl)
+	m.backward(dl, nil)
 	_, grads := m.Flat()
 	analytic := append([]float64(nil), grads...)
 	params := m.FlatParams(nil)

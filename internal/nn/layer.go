@@ -11,9 +11,10 @@
 // layer's parameters into one contiguous vector, and their gradients into a
 // second, in registry order, so each Param is a subslice of the two (Flat).
 //
-// Model.Backward asks the bottom layer for its parameter gradients only:
-// dL/d(input) of the first layer is the gradient of the data, which nothing
-// reads.
+// A model's backward pass asks the bottom layer for its parameter gradients
+// only: dL/d(input) of the first layer is the gradient of the data, which
+// nothing reads. TrainBatch steps each layer inside the backward pass, once
+// the layer's input gradient is computed.
 //
 // A Model is NOT safe for concurrent use; each simulated worker owns its own
 // instance.
@@ -48,9 +49,8 @@ type Layer interface {
 	// parameter gradients into their accumulators — or, for a Dense,
 	// writing them. It must be called exactly once after each training
 	// Forward. The same ownership rule holds: dout is not kept, the result
-	// is fresh and the caller's. A Model calls it on every layer but the
-	// bottom one, which it asks for its parameter gradients alone when the
-	// layer can give them (see paramGrader).
+	// is fresh and the caller's. A Model calls it on every layer that is
+	// not a backwarder.
 	Backward(dout *tensor.Matrix) *tensor.Matrix
 	// Params returns the layer's parameters (views, not copies); empty for
 	// stateless layers. A layer with parameters also lists where it keeps
@@ -64,13 +64,15 @@ type Layer interface {
 	clone(a *arena) Layer
 }
 
-// paramGrader is implemented by layers whose Backward can stop after the
-// parameter gradients. backwardParams leaves exactly the parameter
-// gradients Backward leaves, with the same kernel, and computes no
-// dL/d(input) — so the bottom layer of a model skips its largest product and
-// gives the same bits.
-type paramGrader interface {
-	backwardParams(dout *tensor.Matrix)
+// backwarder is implemented by layers whose Backward has two switches.
+// Without wantDx it returns nil and computes no dL/d(input) — the bottom
+// layer's, which nothing reads, and its largest product. With opt set it
+// applies opt's update to its parameters, the model's words from off on,
+// instead of leaving the gradients, and only after it has computed dx from
+// the old ones. Each setting gives the bits Backward and a separate update
+// give.
+type backwarder interface {
+	backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *tensor.Matrix
 }
 
 // slot is where a layer keeps one parameter tensor and its gradient.
@@ -121,6 +123,9 @@ type Model struct {
 	// accum are the gradients that Backward adds into, every layer's but a
 	// Dense's: ZeroGrads clears these alone.
 	accum [][]float64
+	// offs[i] is where layer i's words start in data and grad, and
+	// offs[len(layers)] is their length.
+	offs []int
 }
 
 // NewModel assembles a sequential model. It moves the layers' parameters
@@ -133,20 +138,22 @@ type Model struct {
 func NewModel(name string, in Shape, out int, layers ...Layer) *Model {
 	m := &Model{Name: name, In: in, Out: out, layers: fuse(layers)}
 	var slots []slot
+	n := 0
 	for _, l := range m.layers {
+		m.offs = append(m.offs, n)
 		if s, ok := l.(slotted); ok {
-			slots = append(slots, s.slots()...)
+			for _, sl := range s.slots() {
+				if len(*sl.data) != len(*sl.grad) {
+					panic(fmt.Sprintf("nn: param %s data/grad length mismatch", sl.name))
+				}
+				n += len(*sl.data)
+				slots = append(slots, sl)
+			}
 		} else if len(l.Params()) > 0 {
 			panic(fmt.Sprintf("nn: layer %T has parameters but no slots", l))
 		}
 	}
-	n := 0
-	for _, s := range slots {
-		if len(*s.data) != len(*s.grad) {
-			panic(fmt.Sprintf("nn: param %s data/grad length mismatch", s.name))
-		}
-		n += len(*s.data)
-	}
+	m.offs = append(m.offs, n)
 	m.data, m.grad = inPlace(slots, n)
 	moved := m.data == nil
 	if moved {
@@ -275,30 +282,37 @@ func (m *Model) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return in
 }
 
-// Backward propagates dL/d(logits) back through the stack, leaving the
-// parameter gradients in the model's gradient vector. dout stays the
-// caller's; each inter-layer gradient is recycled once the layer below has
-// consumed it, and the training activations once every layer has. The
-// bottom layer computes no input gradient when it can avoid it: nothing
-// below it would read one.
-func (m *Model) Backward(dout *tensor.Matrix) {
+// backward propagates dL/d(logits) back through the stack, leaving the
+// parameter gradients in the model's gradient vector, or with opt set
+// taking the step instead: each layer's parameters take opt's update as
+// soon as that layer's own backward has returned dL/d(input), computed from
+// the old parameters, so no layer reads a stepped parameter. A backwarder
+// steps itself (a Dense row by row, without writing its gradients); any
+// other layer is stepped over its words once its Backward returns. dout
+// stays the caller's; each inter-layer gradient is recycled once the layer
+// below has consumed it, and the training activations once every layer
+// has. The bottom layer computes no input gradient when it can avoid it:
+// nothing below it would read one.
+func (m *Model) backward(dout *tensor.Matrix, opt *SGD) {
 	d := dout
-	for i := len(m.layers) - 1; i > 0; i-- {
-		below := m.layers[i].Backward(d)
+	for i := len(m.layers) - 1; i >= 0; i-- {
+		l, lo, hi := m.layers[i], m.offs[i], m.offs[i+1]
+		var below *tensor.Matrix
+		if b, ok := l.(backwarder); ok {
+			below = b.backward(d, i > 0, opt, lo)
+		} else {
+			below = l.Backward(d)
+			if opt != nil {
+				opt.update(lo, m.data[lo:hi], m.grad[lo:hi])
+			}
+		}
 		if d != dout {
 			tensor.PutMatrix(d)
 		}
 		d = below
 	}
-	if len(m.layers) > 0 {
-		if g, ok := m.layers[0].(paramGrader); ok {
-			g.backwardParams(d)
-		} else {
-			tensor.PutMatrix(m.layers[0].Backward(d))
-		}
-	}
-	if d != dout {
-		tensor.PutMatrix(d)
+	if d != nil && d != dout {
+		tensor.PutMatrix(d) // a bottom layer's dx that could not be skipped
 	}
 	m.releaseActs()
 }

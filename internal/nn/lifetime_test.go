@@ -127,7 +127,7 @@ func TestModelReleasesEachMatrixOnce(t *testing.T) {
 	// Reference gradients: one plain training Forward/Backward.
 	twin.ZeroGrads()
 	_, dl := SoftmaxCrossEntropy(twin.Forward(x, true), ys)
-	twin.Backward(dl)
+	twin.backward(dl, nil)
 
 	m.ZeroGrads()
 	var logits *tensor.Matrix
@@ -156,7 +156,7 @@ func TestModelReleasesEachMatrixOnce(t *testing.T) {
 	}
 	sameBits(t, "eval logits", evalOut.Data, logits.Data)
 	_, dl2 := SoftmaxCrossEntropy(logits, ys)
-	m.Backward(dl2)
+	m.backward(dl2, nil)
 	if len(m.acts) != 0 {
 		t.Fatalf("%d held activations after Backward", len(m.acts))
 	}
@@ -217,10 +217,11 @@ func poisonPool() {
 	}
 }
 
-// freshTrainBatch is TrainBatch as it stood before the pool: it releases
+// freshGrads is ComputeGrads as it stood before the pool: it releases
 // nothing, so with the pool empty every matrix a layer asks for is a fresh
-// zeroed allocation.
-func freshTrainBatch(m *Model, opt *SGD, xs [][]float64, ys []int) float64 {
+// zeroed allocation, and it runs every layer's full Backward, the bottom
+// layer's dx included.
+func freshGrads(m *Model, xs [][]float64, ys []int) float64 {
 	act := tensor.NewMatrix(len(xs), len(xs[0]))
 	for i, x := range xs {
 		copy(act.Row(i), x)
@@ -233,7 +234,29 @@ func freshTrainBatch(m *Model, opt *SGD, xs [][]float64, ys []int) float64 {
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		d = m.layers[i].Backward(d)
 	}
-	opt.Step(m)
+	return loss
+}
+
+// freshTrainBatch is TrainBatch as it stood before the step moved into the
+// backward pass: freshGrads, then one elementwise update of the whole
+// parameter vector from the whole gradient vector.
+func freshTrainBatch(m *Model, opt *SGD, xs [][]float64, ys []int) float64 {
+	loss := freshGrads(m, xs, ys)
+	x, g := m.Flat()
+	if opt.Momentum == 0 {
+		for i := range x {
+			x[i] += float64(-opt.LR * g[i])
+		}
+		return loss
+	}
+	if len(opt.velocity) != len(x) {
+		opt.velocity = make([]float64, len(x))
+	}
+	v := opt.velocity
+	for i := range x {
+		v[i] = float64(opt.Momentum*v[i]) + g[i]
+		x[i] -= float64(opt.LR * v[i])
+	}
 	return loss
 }
 

@@ -9,8 +9,8 @@ import (
 
 // SoftmaxCrossEntropy computes the mean cross-entropy loss of a batch of
 // logits against integer labels and the gradient dL/dlogits (already scaled
-// by 1/batch, ready for Model.Backward). dlogits comes from the tensor pool
-// and belongs to the caller.
+// by 1/batch, ready for the model's backward pass). dlogits comes from the
+// tensor pool and belongs to the caller.
 func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (loss float64, dlogits *tensor.Matrix) {
 	if logits.Rows != len(labels) {
 		panic(fmt.Sprintf("nn: %d logit rows vs %d labels", logits.Rows, len(labels)))

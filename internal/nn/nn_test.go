@@ -113,12 +113,12 @@ func TestBatchNormNormalizesTraining(t *testing.T) {
 			row := out.Row(i)
 			for j := c * hw; j < (c+1)*hw; j++ {
 				sum += row[j]
-				sumSq += row[j] * row[j]
+				sumSq += float64(row[j] * row[j])
 				n++
 			}
 		}
 		mean := sum / float64(n)
-		variance := sumSq/float64(n) - mean*mean
+		variance := sumSq/float64(n) - float64(mean*mean)
 		if math.Abs(mean) > 1e-9 || math.Abs(variance-1) > 1e-2 {
 			t.Fatalf("channel %d: mean %v var %v", c, mean, variance)
 		}
@@ -244,33 +244,27 @@ func TestTrainingLearnsWithCNN(t *testing.T) {
 	}
 }
 
+// TestSGDMomentumMatchesManual: three momentum steps of TrainBatch move a
+// two-layer MLP where v ← μv + g, x ← x − γv, written out here over
+// ComputeGrads' gradients at each step's starting point, moves a clone.
 func TestSGDMomentumMatchesManual(t *testing.T) {
-	m := NewMLP(2, nil, 2, 1)
-	opt := &SGD{LR: 0.1, Momentum: 0.9}
-	// Fixed fake gradients twice; velocity accumulates.
-	g := make([]float64, m.ParamCount())
-	for i := range g {
-		g[i] = 1
-	}
-	setGrads := func() {
-		off := 0
-		for _, p := range m.Params() {
-			copy(p.Grad, g[off:off+len(p.Data)])
-			off += len(p.Data)
+	const lr, mu = 0.1, 0.9
+	m := NewMLP(4, []int{8}, 2, 1)
+	ref := m.Clone()
+	opt := &SGD{LR: lr, Momentum: mu}
+	v := make([]float64, m.ParamCount())
+	for step := 0; step < 3; step++ {
+		x, ys := randomBatch(m.In, 2, 8, uint64(step+1))
+		ComputeGrads(ref, rowsOf(x), ys)
+		params, grads := ref.Flat()
+		for i, g := range grads {
+			v[i] = float64(mu*v[i]) + g
+			params[i] -= float64(lr * v[i])
 		}
+		TrainBatch(m, opt, rowsOf(x), ys)
 	}
-	before := m.FlatParams(nil)
-	setGrads()
-	opt.Step(m)
-	setGrads()
-	opt.Step(m)
-	after := m.FlatParams(nil)
-	// Step1: v=1 → -0.1. Step2: v=1.9 → -0.19. Total -0.29.
-	for i := range after {
-		if math.Abs(after[i]-(before[i]-0.29)) > 1e-12 {
-			t.Fatalf("momentum math wrong at %d: %v -> %v", i, before[i], after[i])
-		}
-	}
+	sameBits(t, "params", m.FlatParams(nil), ref.FlatParams(nil))
+	sameBits(t, "velocity", opt.Velocity(), v)
 }
 
 func TestEvaluateEmptyDataset(t *testing.T) {
@@ -285,14 +279,10 @@ func BenchmarkForwardBackwardMNISTCNNQuarter(b *testing.B) {
 	in := Shape{C: 1, H: 28, W: 28}
 	m := NewMNISTCNN(in, 10, 0.25, 1)
 	x, ys := randomBatch(in, 10, 8, 1)
-	opt := &SGD{LR: 0.01}
+	xs, opt := rowsOf(x), &SGD{LR: 0.01}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ZeroGrads()
-		logits := m.Forward(x, true)
-		_, dl := SoftmaxCrossEntropy(logits, ys)
-		m.Backward(dl)
-		opt.Step(m)
+		TrainBatch(m, opt, xs, ys)
 	}
 }

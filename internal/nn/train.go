@@ -20,26 +20,27 @@ func BatchMatrix(xs [][]float64) *tensor.Matrix {
 }
 
 // SGD is the plain stochastic gradient descent update of Algorithm 2
-// (net.x ← net.x − γ∇net.x), with optional classical momentum.
+// (net.x ← net.x − γ∇net.x), with optional classical momentum. TrainBatch
+// applies it a layer at a time, inside the backward pass.
 type SGD struct {
 	LR       float64
 	Momentum float64
 	velocity []float64
 }
 
-// Step applies one update using the model's accumulated gradients.
-func (s *SGD) Step(m *Model) {
-	x, grads := m.Flat()
+// update steps the parameters x, the model's words from off on, by their
+// gradients g: x += (−γ)·g, or with momentum v = μ·v + g, x −= γ·v on the
+// velocity of the same words. Each word's arithmetic is its own, so a step
+// taken piece by piece, in any order, has the bits of one elementwise pass
+// over the whole vector.
+func (s *SGD) update(off int, x, g []float64) {
 	if s.Momentum == 0 {
-		tensor.Axpy(-s.LR, grads, x)
+		tensor.Axpy(-s.LR, g, x)
 		return
 	}
-	if len(s.velocity) != len(x) {
-		s.velocity = make([]float64, len(x))
-	}
-	v, x := s.velocity[:len(grads)], x[:len(grads)]
-	for i, g := range grads {
-		v[i] = float64(s.Momentum*v[i]) + g
+	v, x := s.velocity[off:off+len(g)], x[:len(g)]
+	for i, gi := range g {
+		v[i] = float64(s.Momentum*v[i]) + gi
 		x[i] -= float64(s.LR * v[i])
 	}
 }
@@ -64,25 +65,35 @@ func (s *SGD) SetVelocity(v []float64) {
 	s.velocity = append(s.velocity[:0], v...)
 }
 
-// TrainBatch performs one forward/backward/update cycle on a minibatch and
-// returns the batch loss.
+// TrainBatch performs one SGD step on a minibatch and returns the batch
+// loss: a forward pass, then a backward pass that steps each layer's
+// parameters as soon as that layer has computed its input gradient from the
+// old ones (Model.backward). Loss and parameters have the bits of
+// ComputeGrads followed by one update of the whole vector. The gradient
+// vector is left undefined: a Dense never writes its part of it.
 func TrainBatch(m *Model, opt *SGD, xs [][]float64, labels []int) float64 {
-	loss := ComputeGrads(m, xs, labels)
-	opt.Step(m)
-	return loss
+	if opt.Momentum != 0 && len(opt.velocity) != len(m.data) {
+		opt.velocity = make([]float64, len(m.data))
+	}
+	return pass(m, xs, labels, opt)
 }
 
 // ComputeGrads runs forward/backward on a minibatch without updating,
 // leaving the gradients in the model's accumulators — the building block for
-// the all-reduce style baselines that average gradients before stepping. The
-// batch matrix, the logits and dL/dlogits are this function's to recycle;
-// the model recycles everything in between.
+// the all-reduce style baselines that average gradients before stepping.
 func ComputeGrads(m *Model, xs [][]float64, labels []int) float64 {
+	return pass(m, xs, labels, nil)
+}
+
+// pass is TrainBatch with opt set and ComputeGrads without. The batch
+// matrix, the logits and dL/dlogits are this function's to recycle; the
+// model recycles everything in between.
+func pass(m *Model, xs [][]float64, labels []int, opt *SGD) float64 {
 	x := BatchMatrix(xs)
 	m.ZeroGrads()
 	logits := m.Forward(x, true)
 	loss, dl := SoftmaxCrossEntropy(logits, labels)
-	m.Backward(dl)
+	m.backward(dl, opt)
 	tensor.PutMatrix(dl)
 	tensor.PutMatrix(logits)
 	tensor.PutMatrix(x)

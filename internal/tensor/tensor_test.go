@@ -114,7 +114,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 			for j := 0; j < n; j++ {
 				want := 0.0
 				for kk := 0; kk < k; kk++ {
-					want += a.Row(i)[kk] * b.Row(kk)[j]
+					want += float64(a.Row(i)[kk] * b.Row(kk)[j])
 				}
 				if !almostEq(got.Row(i)[j], want, 1e-9) {
 					t.Fatalf("MatMul[%d,%d] = %v, want %v", i, j, got.Row(i)[j], want)
@@ -195,7 +195,7 @@ func naiveConv(img []float64, c, h, w int, weights []float64, outC, kh, kw, stri
 								continue
 							}
 							wv := weights[((oc*c+ic)*kh+ky)*kw+kx]
-							s += wv * img[ic*h*w+iy*w+ix]
+							s += float64(wv * img[ic*h*w+iy*w+ix])
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -676,23 +677,36 @@ func (w *WorkerClient) acceptLoop(in *inbound) {
 	}
 }
 
+// frameBodies are the buffers readPeer reads frame bodies into. What a
+// reader files is the words decoded from a body, a copy, so a body buffer
+// goes back here as soon as its frame is decoded.
+var frameBodies = sync.Pool{New: func() any { return new([]byte) }}
+
 // readPeer drains one inbound connection frame by frame, independently of
 // the round goroutine, and files each frame in the inbox: a payload and a
-// measurement probe alike, claimed by Recv. Each body is read into storage
-// of its own, sized exactly from its header: a buffer kept per connection
-// would hold a payload's worth of memory for every idle peer connection, up
-// to n−1 of them. A connection speaks for one rank, the one its first frame
-// names. Each frame is verified — header, length cap, checksum, then sender
-// rank and whole words — before anything is filed; one that fails, or names
-// another sender than the connection's, is logged with the reason and
-// counted, and ends the connection, as does a stream torn inside a frame.
-// The peer closing at a frame boundary, or stop closing the connection, is a
-// normal end.
+// measurement probe alike, claimed by Recv. A reader takes a body buffer
+// from frameBodies once a frame's first byte has arrived and returns it
+// once the frame is decoded: an idle connection holds none (a buffer kept
+// per connection would pin a payload's worth for every idle peer
+// connection, n−1 of them), and a frame costs no fresh zeroed body. A
+// connection speaks for one rank, the one its first frame names. Each frame
+// is verified — header, length cap, checksum, then sender rank and whole
+// words — before anything is filed; one that fails, or names another sender
+// than the connection's, is logged with the reason and counted, and ends
+// the connection, as does a stream torn inside a frame. The peer closing at
+// a frame boundary, or stop closing the connection, is a normal end.
 func (w *WorkerClient) readPeer(nc net.Conn) {
 	from := -1
+	r := bufio.NewReaderSize(nc, 16) // bufio's least: Peek only waits for a frame, ReadFrame reads it
 	for {
-		h, body, err := engine.ReadFrame(nc, nil, w.maxBody)
+		r.Peek(1) // its error, if any, is ReadFrame's next read's
+		buf := frameBodies.Get().(*[]byte)
+		h, body, err := engine.ReadFrame(r, *buf, w.maxBody)
+		if body != nil {
+			*buf = body
+		}
 		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+			frameBodies.Put(buf)
 			return
 		}
 		var vals []float64
@@ -705,6 +719,7 @@ func (w *WorkerClient) readPeer(nc net.Conn) {
 		default:
 			vals, err = tensor.Words(body)
 		}
+		frameBodies.Put(buf)
 		if err != nil {
 			w.logf("worker %d: rejected frame from %s: %v", w.rank, nc.RemoteAddr(), err)
 			obs.Current().TransportM().FramesRejectedTotal.Inc()
