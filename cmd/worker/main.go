@@ -4,8 +4,8 @@
 // locally, and trains — exchanging sparsified models peer-to-peer each round.
 //
 // Fault tolerance: with -snapshot set the worker persists its committed
-// round-boundary state (model, optimizer momentum, data-stream cursors,
-// codec residuals) at every round boundary, rounds it sits out included.
+// round-boundary state (model, data-stream cursors, codec residuals) at
+// every round boundary, rounds it sits out included.
 // If the process is killed — by the coordinator's fault schedule or for
 // real — restart it with the same -snapshot path plus -resume and it
 // rejoins the training from the snapshot, continuing the fleet's trajectory

@@ -167,7 +167,7 @@ func TestSAPSTrafficMatchesCostModel(t *testing.T) {
 		alg.Step(r, led)
 	}
 	dim := alg.Models()[0].ParamCount()
-	wantPerRound := 2 * float64(dim) / cfg.Compression * 4 // bytes
+	wantPerRound := float64(2 * float64(dim) / cfg.Compression * 4) // bytes
 	got := led.MeanWorkerTrafficMB() * 1e6 / rounds
 	if math.Abs(got-wantPerRound)/wantPerRound > 0.15 {
 		t.Fatalf("per-round traffic %v bytes, cost model says %v", got, wantPerRound)
@@ -226,7 +226,7 @@ func TestSAPSReducesConsensusError(t *testing.T) {
 		for _, f := range flats {
 			for j := range f {
 				d := f[j] - mean[j]
-				tot += d * d
+				tot += float64(d * d)
 			}
 		}
 		return tot
@@ -345,7 +345,7 @@ func TestDCDHighCompressionDegrades(t *testing.T) {
 		for _, f := range flats {
 			for j := range f {
 				d := f[j] - mean[j]
-				tot += d * d
+				tot += float64(d * d)
 			}
 		}
 		return tot

@@ -151,7 +151,7 @@ func TestMeasuredTrafficMatchesTableI(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			measured, _ := volume(tc.build())
-			want := tc.factor * costAt(tc.name, tc.c) * compress.BytesPerValue
+			want := float64(tc.factor * costAt(tc.name, tc.c) * compress.BytesPerValue)
 			if diff := math.Abs(measured-want) / want; diff > tc.tolerance {
 				t.Fatalf("%s: measured %.1f bytes/worker/round, Table I × %.3f = %.1f (off by %.1f%%, tolerance %.0f%%)",
 					tc.name, measured, tc.factor, want, 100*diff, 100*tc.tolerance)

@@ -1,9 +1,10 @@
 // Cross-commit snapshot oracle, from this commit on: the files under
 // testdata/snapshots were re-recorded, on purpose, by the commit that made
-// snapshot format 3 (a checksummed frame around state blobs that are fixed
+// snapshot format 4 (a checksummed frame around state blobs that are fixed
 // word layouts throughout — raw little-endian vectors, loader cursors, RNG
-// states and ledger totals; DESIGN.md §3) — format 2's gob-encoded cursors
-// cannot restore after that change and no reader for them is kept. Every
+// states and ledger totals; DESIGN.md §3), whose trainer state is two
+// sections, checkpoint and loader cursor — format 3's third, momentum
+// section cannot restore after that change and no reader for it is kept. Every
 // commit since must keep restoring these: each file is loaded into a freshly
 // built fleet, the run continues to its last round, and every model's
 // parameter bits must equal an uninterrupted run's (whose own bits
@@ -13,9 +14,9 @@
 // sections in a fixed order, so dropping or reordering one a node or codec
 // captures fails here: the restore misreads the next section, or the
 // continued run diverges. saps.v1.snap and worker-rank0.v1.snap are format-1
-// files kept to show that they are refused loudly. (Velocity is empty in
-// every file — no recipe sets momentum — and the hub delivers the server
-// model before a worker uses its pulled copy, so those two do not show here.)
+// files kept to show that they are refused loudly. (The hub delivers the
+// server model before a worker uses its pulled copy, so that copy does not
+// show here.)
 package algos_test
 
 import (
@@ -46,7 +47,7 @@ const (
 // snapshotSpec is the fixtures' task: small enough that a whole-fleet
 // snapshot is a few kilobytes, two local steps on 20-sample shards so the
 // loader cursors cross an epoch reshuffle before the cut, every recipe knob
-// set. No recipe sets SGD momentum, so Velocity is nil in every file.
+// set.
 func snapshotSpec(algo string) *scenario.Spec {
 	s := goldenSpec(algo, snapshotN, snapshotTotal)
 	s.Batch, s.LocalSteps, s.C = 4, 2, 4

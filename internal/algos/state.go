@@ -10,12 +10,12 @@ import (
 
 // Every baseline node is engine.Stateful, so any recipe algorithm can be
 // checkpointed at a round boundary and resumed bit-identically: model
-// parameters (plus normalization running statistics), optimizer momentum, and
-// minibatch-stream RNG cursors all ride in the snapshot. A node that embeds
-// its core.Trainer and carries nothing else across a boundary (gradAvgNode,
-// neighborMixNode, psWorkerNode) gets the trainer's methods as they stand, a
-// hub server embeds serverModel, and this file holds the two nodes that
-// really add state behind the trainer's in the same blob. Codec-side state
+// parameters (plus normalization running statistics) and minibatch-stream
+// RNG cursors ride in the snapshot. A node that embeds its core.Trainer and
+// carries nothing else across a boundary (gradAvgNode, neighborMixNode,
+// psWorkerNode) gets the trainer's methods as they stand, a hub server
+// embeds serverModel, and this file holds the two nodes that really add
+// state behind the trainer's in the same blob. Codec-side state
 // (error-feedback residuals, quantizer RNG) is captured by the codecs
 // themselves (see internal/engine/codec.go).
 

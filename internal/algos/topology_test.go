@@ -226,7 +226,7 @@ func TestDPSGDTopologyConsensusFasterOnExpander(t *testing.T) {
 		for _, m := range models {
 			for j, v := range m.FlatParams(nil) {
 				d := v - mean[j]
-				tot += d * d
+				tot += float64(d * d)
 			}
 		}
 		return tot
@@ -356,7 +356,7 @@ func TestMetropolisWDoublyStochastic(t *testing.T) {
 		adj := ringAdjacency(n)
 		for i := range adj {
 			nb := 1 / float64(len(adj[i])+1)
-			want := map[int]float64{i: 1 - float64(len(adj[i]))*nb}
+			want := map[int]float64{i: 1 - float64(float64(len(adj[i]))*nb)}
 			for _, j := range adj[i] {
 				want[j] = nb
 			}
@@ -386,7 +386,7 @@ func TestGossipConsensusOnTopologies(t *testing.T) {
 			m := tensor.Mean(x)
 			s := 0.0
 			for _, v := range x {
-				s += (v - m) * (v - m)
+				s += float64((v - m) * (v - m))
 			}
 			return s
 		}

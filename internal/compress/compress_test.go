@@ -218,7 +218,7 @@ func TestErrorFeedbackEventuallySendsEverything(t *testing.T) {
 	ef := NewErrorFeedback(n)
 	x := make([]float64, n)
 	for i := range x {
-		x[i] = 1 + float64(i)*0.01
+		x[i] = 1 + float64(float64(i)*0.01)
 	}
 	sent := make([]float64, n)
 	for round := 0; round < 50; round++ {

@@ -212,11 +212,11 @@ func oracleInputs(n int) map[string][]float64 {
 	for i, z := range randVec(n, uint64(n)+14) {
 		switch i % 8 {
 		case 0:
-			tied[i] = 4 + z*z
+			tied[i] = 4 + float64(z*z)
 		case 1, 2, 3, 4:
 			tied[i] = math.Copysign(1, z)
 		default:
-			tied[i] = z / (4 + z*z)
+			tied[i] = z / (4 + float64(z*z))
 		}
 	}
 	return map[string][]float64{"seeded": seeded, "salted": salted, "equal": equal, "tied": tied}

@@ -297,46 +297,6 @@ func TestConsensusRateMatchesLemma2(t *testing.T) {
 	}
 }
 
-// TestReadStateRejectsMisSizedMomentum: a state blob whose momentum buffer
-// does not fit the model is refused, naming both lengths, before the model
-// changes — SGD.Step would otherwise restart momentum from zero unseen.
-func TestReadStateRejectsMisSizedMomentum(t *testing.T) {
-	tr := buildWorkers(t, 2, testConfig(2))[0].Trainer
-	blob, err := tr.AppendState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No step has run, so the momentum section is the blob's empty last one.
-	front := blob[:len(blob)-tensor.SectionSize(0)]
-	n := tr.Model.ParamCount()
-	bad := tensor.AppendVector(append([]byte(nil), front...), []float64{1, 2, 3})
-	good := tensor.AppendVector(append([]byte(nil), front...), make([]float64, n))
-
-	before := tr.Model.FlatParams(nil)
-	other := make([]float64, n)
-	tr.Model.SetFlatParams(other)
-	_, err = tr.ReadState(bad)
-	if err == nil || !strings.Contains(err.Error(), "3 words") || !strings.Contains(err.Error(), fmt.Sprintf("%d parameters", n)) {
-		t.Fatalf("3-word momentum buffer: err = %v, want one naming 3 words and %d parameters", err, n)
-	}
-	for i, v := range tr.Model.FlatParams(nil) {
-		if v != other[i] {
-			t.Fatalf("a refused state changed parameter %d", i)
-		}
-	}
-	if _, err := tr.ReadState(good); err != nil {
-		t.Fatalf("a %d-word momentum buffer: %v", n, err)
-	}
-	for i, v := range tr.Model.FlatParams(nil) {
-		if v != before[i] {
-			t.Fatalf("parameter %d not restored", i)
-		}
-	}
-	if got := tr.Opt.Velocity(); len(got) != n {
-		t.Fatalf("restored momentum has %d words, want %d", len(got), n)
-	}
-}
-
 func TestCoordinatorPlansDeterministic(t *testing.T) {
 	bw := netsim.RandomUniform(8, 1, 5, rng.New(4))
 	cfg := testConfig(8)

@@ -52,15 +52,15 @@ func (t *Trainer) LocalSGD(steps int) float64 {
 
 // A trainer's round-boundary state is everything a restarted process needs
 // (beyond the recipe, which it re-derives from the task spec) to continue the
-// trajectory bit-identically, as three tensor sections in a row: the nn
-// checkpoint (parameters plus per-layer running statistics, raw words), the
-// minibatch stream cursor (dataset.LoaderState's fixed words: the shuffle
-// RNG, sample count, position and epoch), and the optimizer's momentum buffer
-// (raw words, empty without momentum).
+// trajectory bit-identically, as two tensor sections in a row: the nn
+// checkpoint (parameters plus per-layer running statistics, raw words) and
+// the minibatch stream cursor (dataset.LoaderState's fixed words: the
+// shuffle RNG, sample count, position and epoch). Plain SGD keeps no state
+// of its own.
 
 // StateSize is the number of bytes AppendState appends.
 func (t *Trainer) StateSize() int {
-	return tensor.SectionSize(t.Model.CheckpointSize()) + tensor.SectionSize(dataset.LoaderStateSize) + tensor.SectionSize(8*len(t.Opt.Velocity()))
+	return tensor.SectionSize(t.Model.CheckpointSize()) + tensor.SectionSize(dataset.LoaderStateSize)
 }
 
 // AppendState appends the trainer's state to dst, growing it at most once.
@@ -70,8 +70,7 @@ func (t *Trainer) StateSize() int {
 func (t *Trainer) AppendState(dst []byte) ([]byte, error) {
 	dst = tensor.Grow(dst, t.StateSize())
 	dst = t.Model.AppendCheckpoint(tensor.BeginSection(dst, t.Model.CheckpointSize()))
-	dst = t.Loader.State().AppendTo(tensor.BeginSection(dst, dataset.LoaderStateSize))
-	return tensor.AppendVector(dst, t.Opt.Velocity()), nil
+	return t.Loader.State().AppendTo(tensor.BeginSection(dst, dataset.LoaderStateSize)), nil
 }
 
 // ReadState restores the state AppendState wrote at the front of b into an
@@ -84,20 +83,9 @@ func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 	if err != nil {
 		return nil, err
 	}
-	loader, b, err := tensor.CutSection(b)
+	loader, rest, err := tensor.CutSection(b)
 	if err != nil {
 		return nil, err
-	}
-	momentum, rest, err := tensor.CutSection(b)
-	if err != nil {
-		return nil, err
-	}
-	velocity, err := tensor.Words(momentum)
-	if err != nil {
-		return nil, err
-	}
-	if n := t.Model.ParamCount(); len(velocity) != 0 && len(velocity) != n {
-		return nil, fmt.Errorf("core: state holds a momentum buffer of %d words, the model has %d parameters", len(velocity), n)
 	}
 	if err := t.Loader.ReadState(loader); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -105,7 +93,6 @@ func (t *Trainer) ReadState(b []byte) (rest []byte, err error) {
 	if err := t.Model.LoadCheckpoint(model); err != nil {
 		return nil, err
 	}
-	t.Opt.SetVelocity(velocity)
 	return rest, nil
 }
 

@@ -97,7 +97,7 @@ func TestClassesAreSeparable(t *testing.T) {
 			d := 0.0
 			for j, v := range s.X {
 				diff := v - means[k][j]
-				d += diff * diff
+				d += float64(diff * diff)
 			}
 			if d < bestD {
 				bestD, best = d, k

@@ -134,7 +134,7 @@ func (n *allocNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 			continue
 		}
 		for i, v := range m.Vals {
-			n.model[i] = 0.5*n.model[i] + 0.5*v
+			n.model[i] = float64(0.5*n.model[i]) + float64(0.5*v)
 		}
 	}
 	return nil

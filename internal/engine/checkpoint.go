@@ -12,13 +12,14 @@ import (
 	"sapspsgd/internal/tensor"
 )
 
-// SnapshotVersion is the engine snapshot schema: format 3, a checksummed
+// SnapshotVersion is the engine snapshot schema: format 4, a checksummed
 // frame around state blobs that are fixed word layouts throughout — vectors,
-// cursors and totals alike. DecodeSnapshot rejects anything else — a format-2
-// frame by its version, a format-1 gob stream by its magic; snapshots are
-// crash-recovery artifacts of one run, so no older reader is kept — and a
-// stale or damaged checkpoint file fails loudly instead of silently resuming
-// a diverged trajectory.
+// cursors and totals alike — whose trainer state is two sections, checkpoint
+// and loader cursor. DecodeSnapshot rejects anything else — a format-2 or
+// format-3 frame by its version, a format-1 gob stream by its magic;
+// snapshots are crash-recovery artifacts of one run, so no older reader is
+// kept — and a stale or damaged checkpoint file fails loudly instead of
+// silently resuming a diverged trajectory.
 const SnapshotVersion = FrameVersion
 
 // Stateful is implemented by Nodes, Codecs and Ledgers whose round-boundary
@@ -50,9 +51,9 @@ var (
 )
 
 // RankSnapshot is one rank's serialized round-boundary state: the node blob
-// (model parameters, optimizer momentum, loader RNG cursors, replicas) and
-// the rank's encoder codec blob (error-feedback residual, quantizer RNG) —
-// nil for stateless codecs.
+// (model parameters, loader RNG cursors, replicas) and the rank's encoder
+// codec blob (error-feedback residual, quantizer RNG) — nil for stateless
+// codecs.
 type RankSnapshot struct {
 	Node  []byte
 	Codec []byte

@@ -32,7 +32,7 @@ import (
 // FrameVersion is the one version of every byte layout a frame carries:
 // peer payloads, probes, control messages and both snapshot kinds. Readers
 // refuse any other.
-const FrameVersion = 3
+const FrameVersion = 4
 
 // FrameHeaderLen is the size of the fixed header.
 const FrameHeaderLen = 36

@@ -81,10 +81,12 @@ func damaged(intact []byte, maxBody int) []damage {
 	for field, at := range flips {
 		out = append(out, damage{name: "bit-flipped-in-" + field, data: patch(at, intact[at]^0x10)})
 	}
-	// Format 1 (a gob stream, refused by magic, but its version number too),
-	// the format before this one, and the next.
-	for _, v := range []int{1, engine.FrameVersion - 1, engine.FrameVersion + 1} {
-		out = append(out, damage{fmt.Sprintf("version-%d", v), reseal(patch(4, byte(v), 0)), fmt.Sprintf("version %d", v)})
+	// Every older format (format 1, a gob stream, is refused by magic, but its
+	// version number too) and the next.
+	for v := 1; v <= engine.FrameVersion+1; v++ {
+		if v != engine.FrameVersion {
+			out = append(out, damage{fmt.Sprintf("version-%d", v), reseal(patch(4, byte(v), 0)), fmt.Sprintf("version %d", v)})
+		}
 	}
 	over := make([]byte, 8)
 	binary.LittleEndian.PutUint64(over, uint64(maxBody)+1)

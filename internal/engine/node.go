@@ -140,8 +140,8 @@ func (n *MaskedGossipNode) Merge(ctx RoundContext, msgs []PeerMsg) error {
 }
 
 // AppendState implements Stateful: the worker's trainer state (model
-// checkpoint, loader cursor, optimizer momentum) — the mask handle is
-// regenerated from the broadcast seed and carries nothing across a boundary.
+// checkpoint, loader cursor) — the mask handle is regenerated from the
+// broadcast seed and carries nothing across a boundary.
 func (n *MaskedGossipNode) AppendState(dst []byte) ([]byte, error) { return n.W.AppendState(dst) }
 
 // RestoreState implements Stateful.

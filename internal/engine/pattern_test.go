@@ -129,7 +129,7 @@ func TestCollectiveAllReduceExact(t *testing.T) {
 			for m := n; m > 1; m >>= 1 {
 				steps += 2
 			}
-			if got := float64(sent) / compress.BytesPerValue; math.Abs(got-wantVals) > float64(steps) {
+			if got := float64(float64(sent) / compress.BytesPerValue); math.Abs(got-wantVals) > float64(steps) {
 				t.Fatalf("n=%d node %d: shipped %v values, ring cost is %v", n, i, got, wantVals)
 			}
 		}
@@ -461,7 +461,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		got, _ := c.Decode(ctx, words)
 		norm := 0.0
 		for _, v := range x {
-			norm += v * v
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		for i := range x {

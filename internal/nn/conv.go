@@ -99,12 +99,12 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward accumulates dW, db and returns dx via the im2col adjoint.
-func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix { return c.backward(dout, true, nil, 0) }
+func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix { return c.backward(dout, true, nil) }
 
 // backward implements backwarder: without wantDx it skips Wᵀ, the dcol
 // products and col2im, which dW and db never read; with opt it steps the
 // kernel and bias once every sample's dx is computed.
-func (c *Conv2D) backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *tensor.Matrix {
+func (c *Conv2D) backward(dout *tensor.Matrix, wantDx bool, opt *SGD) *tensor.Matrix {
 	if c.cols == nil {
 		panic("nn: Conv2D.Backward before training Forward")
 	}
@@ -137,8 +137,8 @@ func (c *Conv2D) backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *
 		}
 	}
 	if opt != nil {
-		opt.update(off, c.w.Data, c.dw.Data)
-		opt.update(off+len(c.w.Data), c.b, c.db)
+		opt.update(c.w.Data, c.dw.Data)
+		opt.update(c.b, c.db)
 	}
 	c.cols = nil
 	return dx

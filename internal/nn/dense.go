@@ -101,7 +101,7 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // skipped, not multiplied (0·Inf is NaN); adding one, as db does, changes no
 // bit. Nothing is read from dW, db or dx before it is written, so
 // Model.ZeroGrads clears none of them.
-func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix { return d.backward(dout, true, nil, 0) }
+func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix { return d.backward(dout, true, nil) }
 
 // backward implements backwarder. tensor.MaskedColumns sums db and lists
 // each unit's passed rows; read in unit order, the lists give each row's
@@ -110,7 +110,7 @@ func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix { return d.backward
 // built in one scratch row and stepped into b and W's row at once, so the
 // layer's part of the gradient vector is never written, and dx, computed
 // first, reads only old weights.
-func (d *Dense) backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *tensor.Matrix {
+func (d *Dense) backward(dout *tensor.Matrix, wantDx bool, opt *SGD) *tensor.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before training Forward")
 	}
@@ -152,10 +152,10 @@ func (d *Dense) backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *t
 		}
 		dw := s.row[:in]
 		tensor.AxpyRowsInto(dw, x, g, n, lists[j*rows:ends[j]])
-		opt.update(off+j*in, d.w.Row(j), dw)
+		opt.update(d.w.Row(j), dw)
 	}
 	if opt != nil {
-		opt.update(off+n*in, d.b, db)
+		opt.update(d.b, db)
 	}
 	backwardScratch.Put(s)
 	d.x, d.y = nil, nil

@@ -235,7 +235,7 @@ func checkFusedAgainstPair(t *testing.T, name string, fused *Dense, x, dout *ten
 		y := fused.Forward(x, true)
 		sameBits(t, what+" forward", y.Data, want.Data)
 		if bottom {
-			fused.backward(dout, false, nil, 0)
+			fused.backward(dout, false, nil)
 		} else {
 			dx := fused.Backward(dout)
 			sameBits(t, what+" dx", dx.Data, wantDx.Data)

@@ -67,12 +67,11 @@ type Layer interface {
 // backwarder is implemented by layers whose Backward has two switches.
 // Without wantDx it returns nil and computes no dL/d(input) — the bottom
 // layer's, which nothing reads, and its largest product. With opt set it
-// applies opt's update to its parameters, the model's words from off on,
-// instead of leaving the gradients, and only after it has computed dx from
-// the old ones. Each setting gives the bits Backward and a separate update
-// give.
+// applies opt's update to its parameters instead of leaving the gradients,
+// and only after it has computed dx from the old ones. Each setting gives
+// the bits Backward and a separate update give.
 type backwarder interface {
-	backward(dout *tensor.Matrix, wantDx bool, opt *SGD, off int) *tensor.Matrix
+	backward(dout *tensor.Matrix, wantDx bool, opt *SGD) *tensor.Matrix
 }
 
 // slot is where a layer keeps one parameter tensor and its gradient.
@@ -299,11 +298,11 @@ func (m *Model) backward(dout *tensor.Matrix, opt *SGD) {
 		l, lo, hi := m.layers[i], m.offs[i], m.offs[i+1]
 		var below *tensor.Matrix
 		if b, ok := l.(backwarder); ok {
-			below = b.backward(d, i > 0, opt, lo)
+			below = b.backward(d, i > 0, opt)
 		} else {
 			below = l.Backward(d)
 			if opt != nil {
-				opt.update(lo, m.data[lo:hi], m.grad[lo:hi])
+				opt.update(m.data[lo:hi], m.grad[lo:hi])
 			}
 		}
 		if d != dout {

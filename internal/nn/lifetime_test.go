@@ -243,19 +243,8 @@ func freshGrads(m *Model, xs [][]float64, ys []int) float64 {
 func freshTrainBatch(m *Model, opt *SGD, xs [][]float64, ys []int) float64 {
 	loss := freshGrads(m, xs, ys)
 	x, g := m.Flat()
-	if opt.Momentum == 0 {
-		for i := range x {
-			x[i] += float64(-opt.LR * g[i])
-		}
-		return loss
-	}
-	if len(opt.velocity) != len(x) {
-		opt.velocity = make([]float64, len(x))
-	}
-	v := opt.velocity
 	for i := range x {
-		v[i] = float64(opt.Momentum*v[i]) + g[i]
-		x[i] -= float64(opt.LR * v[i])
+		x[i] += float64(-opt.LR * g[i])
 	}
 	return loss
 }
@@ -278,7 +267,7 @@ func TestPoisonedPoolBitIdentical(t *testing.T) {
 	} {
 		const steps, batch = 50, 8
 		run := func(step func(*Model, *SGD, [][]float64, []int) float64, before func()) ([]float64, []float64) {
-			m, opt := build(), &SGD{LR: 0.05, Momentum: 0.9}
+			m, opt := build(), &SGD{LR: 0.05}
 			losses := make([]float64, steps)
 			for s := range losses {
 				x, ys := randomBatch(img, 4, batch, uint64(100+s))

@@ -244,29 +244,6 @@ func TestTrainingLearnsWithCNN(t *testing.T) {
 	}
 }
 
-// TestSGDMomentumMatchesManual: three momentum steps of TrainBatch move a
-// two-layer MLP where v ← μv + g, x ← x − γv, written out here over
-// ComputeGrads' gradients at each step's starting point, moves a clone.
-func TestSGDMomentumMatchesManual(t *testing.T) {
-	const lr, mu = 0.1, 0.9
-	m := NewMLP(4, []int{8}, 2, 1)
-	ref := m.Clone()
-	opt := &SGD{LR: lr, Momentum: mu}
-	v := make([]float64, m.ParamCount())
-	for step := 0; step < 3; step++ {
-		x, ys := randomBatch(m.In, 2, 8, uint64(step+1))
-		ComputeGrads(ref, rowsOf(x), ys)
-		params, grads := ref.Flat()
-		for i, g := range grads {
-			v[i] = float64(mu*v[i]) + g
-			params[i] -= float64(lr * v[i])
-		}
-		TrainBatch(m, opt, rowsOf(x), ys)
-	}
-	sameBits(t, "params", m.FlatParams(nil), ref.FlatParams(nil))
-	sameBits(t, "velocity", opt.Velocity(), v)
-}
-
 func TestEvaluateEmptyDataset(t *testing.T) {
 	m := NewMLP(4, nil, 2, 1)
 	loss, acc := EvaluateDataset(m, &dataset.Dataset{Classes: 2}, 8)

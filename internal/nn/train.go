@@ -20,50 +20,16 @@ func BatchMatrix(xs [][]float64) *tensor.Matrix {
 }
 
 // SGD is the plain stochastic gradient descent update of Algorithm 2
-// (net.x ← net.x − γ∇net.x), with optional classical momentum. TrainBatch
-// applies it a layer at a time, inside the backward pass.
+// (net.x ← net.x − γ∇net.x). TrainBatch applies it a layer at a time,
+// inside the backward pass.
 type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity []float64
+	LR float64
 }
 
-// update steps the parameters x, the model's words from off on, by their
-// gradients g: x += (−γ)·g, or with momentum v = μ·v + g, x −= γ·v on the
-// velocity of the same words. Each word's arithmetic is its own, so a step
-// taken piece by piece, in any order, has the bits of one elementwise pass
-// over the whole vector.
-func (s *SGD) update(off int, x, g []float64) {
-	if s.Momentum == 0 {
-		tensor.Axpy(-s.LR, g, x)
-		return
-	}
-	v, x := s.velocity[off:off+len(g)], x[:len(g)]
-	for i, gi := range g {
-		v[i] = float64(s.Momentum*v[i]) + gi
-		x[i] -= float64(s.LR * v[i])
-	}
-}
-
-// Velocity returns a copy of the optimizer's momentum buffer (nil when
-// momentum is unused or no step has run yet). It belongs in a worker's
-// round-boundary checkpoint alongside the model parameters.
-func (s *SGD) Velocity() []float64 {
-	if s.velocity == nil {
-		return nil
-	}
-	return append([]float64(nil), s.velocity...)
-}
-
-// SetVelocity restores a momentum buffer captured by Velocity (nil clears
-// it, matching a freshly constructed optimizer).
-func (s *SGD) SetVelocity(v []float64) {
-	if v == nil {
-		s.velocity = nil
-		return
-	}
-	s.velocity = append(s.velocity[:0], v...)
-}
+// update steps the parameters x by their gradients g: x += (−γ)·g. Each
+// word's arithmetic is its own, so a step taken piece by piece, in any
+// order, has the bits of one elementwise pass over the whole vector.
+func (s *SGD) update(x, g []float64) { tensor.Axpy(-s.LR, g, x) }
 
 // TrainBatch performs one SGD step on a minibatch and returns the batch
 // loss: a forward pass, then a backward pass that steps each layer's
@@ -72,9 +38,6 @@ func (s *SGD) SetVelocity(v []float64) {
 // ComputeGrads followed by one update of the whole vector. The gradient
 // vector is left undefined: a Dense never writes its part of it.
 func TrainBatch(m *Model, opt *SGD, xs [][]float64, labels []int) float64 {
-	if opt.Momentum != 0 && len(opt.velocity) != len(m.data) {
-		opt.velocity = make([]float64, len(m.data))
-	}
 	return pass(m, xs, labels, opt)
 }
 

@@ -121,10 +121,10 @@ func TestNormFloat64Moments(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x := r.NormFloat64()
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	mean := sum / n
-	variance := sumSq/n - mean*mean
+	variance := sumSq/n - float64(mean*mean)
 	if math.Abs(mean) > 0.01 {
 		t.Fatalf("normal mean = %v, want ~0", mean)
 	}
@@ -372,14 +372,14 @@ func TestGammaMoments(t *testing.T) {
 				t.Fatalf("alpha=%v: non-positive sample %v", alpha, g)
 			}
 			sum += g
-			sumSq += g * g
+			sumSq += float64(g * g)
 		}
 		mean := sum / n
-		variance := sumSq/n - mean*mean
-		if math.Abs(mean-alpha) > 0.05*alpha+0.01 {
+		variance := sumSq/n - float64(mean*mean)
+		if math.Abs(mean-alpha) > float64(0.05*alpha)+0.01 {
 			t.Errorf("alpha=%v: mean %v", alpha, mean)
 		}
-		if math.Abs(variance-alpha) > 0.15*alpha+0.02 {
+		if math.Abs(variance-alpha) > float64(0.15*alpha)+0.02 {
 			t.Errorf("alpha=%v: variance %v", alpha, variance)
 		}
 	}

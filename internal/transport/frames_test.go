@@ -476,9 +476,6 @@ func TestLoadWorkerSnapshotRejects(t *testing.T) {
 		"intact":           intact,
 		"trailing-byte":    append(bytes.Clone(intact), 0),
 		"wrong-magic":      reseal(patch(0, 'S', 'N', 'A', 'P')),
-		"version-1":        reseal(patch(4, 1, 0)),
-		"version-2":        reseal(patch(4, 2, 0)),
-		"version-4":        reseal(patch(4, 4, 0)),
 		"engine-snapshot":  wrap(engine.FrameSnapshot, body),
 		"payload-frame":    wrap(engine.FramePayload, body),
 		"empty-body":       wrap(engine.FrameWorkerSnapshot, nil),
@@ -486,6 +483,9 @@ func TestLoadWorkerSnapshotRejects(t *testing.T) {
 		"node-past-end":    wrap(engine.FrameWorkerSnapshot, tensor.BeginSection(tensor.AppendSection(nil, spec), 1<<40)),
 		"no-codec-section": wrap(engine.FrameWorkerSnapshot, tensor.AppendSection(tensor.AppendSection(nil, spec), []byte("node"))),
 		"extra-section":    wrap(engine.FrameWorkerSnapshot, tensor.AppendSection(bytes.Clone(body), []byte("more"))),
+	}
+	for _, v := range refusedVersions() {
+		corpus[fmt.Sprintf("version-%d", v)] = reseal(patch(4, byte(v), 0))
 	}
 	// Every length and every byte is tried; the fuzz corpus keeps the header's
 	// field boundaries and a sample of the body.
@@ -517,7 +517,11 @@ func TestLoadWorkerSnapshotRejects(t *testing.T) {
 			t.Errorf("%s: loaded as %+v", name, got)
 		}
 	}
-	for name, want := range map[string]string{"wrong-magic": "magic", "version-1": "version 1", "version-2": "version 2", "trailing-byte": "follow the frame"} {
+	wants := map[string]string{"wrong-magic": "magic", "trailing-byte": "follow the frame"}
+	for _, v := range refusedVersions() {
+		wants[fmt.Sprintf("version-%d", v)] = fmt.Sprintf("version %d", v)
+	}
+	for name, want := range wants {
 		if _, err := load(corpus[name]); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v does not mention %q", name, err, want)
 		}
@@ -525,6 +529,18 @@ func TestLoadWorkerSnapshotRejects(t *testing.T) {
 	if *recordFuzzCorpus {
 		writeCorpus(t, "FuzzLoadWorkerSnapshot", corpus)
 	}
+}
+
+// refusedVersions are the frame versions the rejection tables try: every
+// older one and the next.
+func refusedVersions() []int {
+	var vs []int
+	for v := 1; v <= engine.FrameVersion+1; v++ {
+		if v != engine.FrameVersion {
+			vs = append(vs, v)
+		}
+	}
+	return vs
 }
 
 // writeCorpus replaces the named fuzz target's seed corpus with one file per
@@ -629,15 +645,14 @@ func TestControlFrameRejects(t *testing.T) {
 	badActive[32] = 7
 	routed := controlFrame(typeAbort, make([]byte, 8))
 	binary.LittleEndian.PutUint32(routed[8:], 3)
-	version2 := bytes.Clone(roundMsg)
-	version2[4] = 2
 	payload := append(engine.BeginFrame(nil), make([]byte, 8)...)
 	engine.SealFrame(payload, engine.FrameHeader{Kind: engine.FramePayload})
-	table := []struct {
+	type reject struct {
 		name string
 		data []byte
 		want string
-	}{
+	}
+	table := []reject{
 		{"unknown-type", controlFrame(controlTypes, nil), "unknown control message type 17"},
 		{"type-zero", controlFrame(0, nil), "unknown control message type 0"},
 		{"over-cap", controlFrame(typeAbort, make([]byte, 16)), "at most 8"},
@@ -651,8 +666,12 @@ func TestControlFrameRejects(t *testing.T) {
 		{"active-byte-7", controlFrame(typeRoundMsg, badActive), "bool byte 7"},
 		{"routed", reseal(routed), "want zeros"},
 		{"payload-kind", payload, "kind 1"},
-		{"version-2", reseal(version2), "version 2"},
 		{"nothing", nil, "EOF"},
+	}
+	for _, v := range refusedVersions() {
+		other := bytes.Clone(roundMsg)
+		other[4] = byte(v)
+		table = append(table, reject{fmt.Sprintf("version-%d", v), reseal(other), fmt.Sprintf("version %d", v)})
 	}
 	for _, c := range table {
 		corpus[c.name] = c.data

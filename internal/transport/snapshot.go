@@ -19,9 +19,9 @@ const WorkerSnapshotVersion = engine.SnapshotVersion
 // WorkerSnapshot is a worker process's persisted round-boundary state: the
 // run's scenario spec (so `worker -resume` needs nothing but the file), the
 // rank, the first round the state is valid for, and the rank's engine
-// snapshot — model parameters plus normalization statistics, optimizer
-// momentum, minibatch RNG cursors, and the encoder codec's state
-// (error-feedback residual, quantizer RNG). A snapshot is written only for
+// snapshot — model parameters plus normalization statistics, minibatch RNG
+// cursors, and the encoder codec's state (error-feedback residual,
+// quantizer RNG). A snapshot is written only for
 // *committed* rounds (the coordinator has charged the ledger), so resuming
 // from it can never replay or skip accounted work.
 type WorkerSnapshot struct {

@@ -227,10 +227,10 @@ func productFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 // TestOneTrainer: "local SGD on D_p" is the one thing every algorithm shares,
 // so one type holds {model, optimizer, loader} (core.Trainer) and one function
 // pair lays out its round-boundary state — Trainer.AppendState / ReadState:
-// checkpoint, loader cursor, velocity, as sections of one blob. A second
-// struct with an *nn.SGD beside a *dataset.Loader is a second trainer; a
-// {Model, Loader, Velocity} struct is a second copy of the snapshot format
-// (the one snapshot format 1 ran through gob).
+// checkpoint, then loader cursor, as sections of one blob. A second struct
+// with an *nn.SGD beside a *dataset.Loader is a second trainer; a
+// {Model, Loader} struct is a second copy of the snapshot format (the kind
+// of struct snapshot format 1 ran through gob).
 func TestOneTrainer(t *testing.T) {
 	fset := token.NewFileSet()
 	var trainers, states []string
@@ -259,7 +259,7 @@ func TestOneTrainer(t *testing.T) {
 			if types["nn.SGD"] && types["dataset.Loader"] {
 				trainers = append(trainers, at)
 			}
-			if len(names) == 3 && names["Model"] && names["Loader"] && names["Velocity"] {
+			if len(names) == 2 && names["Model"] && names["Loader"] {
 				states = append(states, at)
 			}
 			return true
@@ -269,7 +269,7 @@ func TestOneTrainer(t *testing.T) {
 		t.Errorf("%d struct types hold an *nn.SGD and a *dataset.Loader, want core.Trainer alone: %v", len(trainers), trainers)
 	}
 	if len(states) != 0 {
-		t.Errorf("%d struct types are {Model, Loader, Velocity}, want none beside Trainer.AppendState's layout: %v", len(states), states)
+		t.Errorf("%d struct types are {Model, Loader}, want none beside Trainer.AppendState's layout: %v", len(states), states)
 	}
 }
 
